@@ -11,15 +11,18 @@ updates stay local:
 
 * :meth:`DelaunayTriangulation.insert_site` inserts one site by carving the
   usual Bowyer–Watson cavity.  The cavity is located with a greedy walk over
-  the Delaunay graph (expected O(sqrt(n)) steps) followed by a flood fill
-  through edge-adjacent triangles, so the cost is O(walk + affected cells)
-  rather than a scan of all triangles.
-* :meth:`DelaunayTriangulation.remove_site` deletes one interior site by
-  removing its star and re-triangulating the polygonal hole with Delaunay
-  ear clipping (O(h^3) for a hole of h boundary vertices; h is ~6 on
-  average).  Deleting a *hull* site raises :class:`GeometryError`, which the
-  callers treat as "fall back to a full rebuild" — hull sites are a
-  vanishing fraction of a dense data set.
+  the Delaunay graph — O(1) steps from a caller-supplied ``hint`` near the
+  new site (the VoR-tree passes its R-tree's nearest object), expected
+  O(sqrt(n)) from the last-inserted site otherwise — followed by a flood
+  fill through edge-adjacent triangles, so the cost is O(walk + affected
+  cells) rather than a scan of all triangles.
+* :meth:`DelaunayTriangulation.remove_site` deletes one site, interior or on
+  the convex hull, by removing its star and re-triangulating the polygonal
+  hole with Delaunay ear clipping (O(h^3) for a hole of h boundary
+  vertices; h is ~6 on average).  A hull site's hole has :data:`GHOST` as
+  one more boundary vertex, and an ear containing it becomes the ghost
+  triangle of a new hull edge.  :class:`GeometryError` is left for true
+  degeneracy: fewer than three or only collinear sites would remain.
 
 Both mutators return the set of surviving sites whose Voronoi neighbour
 lists (may have) changed, which is what lets
@@ -60,6 +63,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from repro.errors import GeometryError
 from repro.geometry.point import Point, bounding_coordinates
 from repro.geometry.predicates import (
+    EPSILON,
     circumcenter,
     in_circumcircle,
     orientation,
@@ -158,7 +162,7 @@ class DelaunayTriangulation:
         self._rng = random.Random(seed)
         self._jitter_magnitude = self._jitter_scale(jitter)
         self._points: List[Point] = [self._perturb(p) for p in self._original_points]
-        if self._all_collinear():
+        if _all_points_collinear(self._points, EPSILON):
             raise GeometryError("Delaunay triangulation requires non-collinear points")
         self._active: List[bool] = [True] * len(self._points)
         self._triangles: Set[Triangle] = set()
@@ -243,12 +247,14 @@ class DelaunayTriangulation:
     # ------------------------------------------------------------------
     # Incremental maintenance
     # ------------------------------------------------------------------
-    def insert_site(self, point: Point) -> Tuple[int, Set[int]]:
+    def insert_site(self, point: Point, hint: Optional[int] = None) -> Tuple[int, Set[int]]:
         """Insert one site and return ``(new_index, changed_sites)``.
 
         ``changed_sites`` contains every surviving site whose Delaunay (and
         therefore Voronoi) neighbour set may have changed, the new site
-        included.  The cost is O(walk + cavity size), not O(n).
+        included.  The cost is O(walk + cavity size), not O(n).  The
+        point-location walk starts at ``hint``, a site near ``point``, when
+        that site is active; the cavity is unique, so the result is the same.
 
         Raises:
             GeometryError: when no cavity can be located or a degenerate
@@ -257,6 +263,8 @@ class DelaunayTriangulation:
         """
         perturbed = self._perturb(point)
         index = len(self._points)
+        if hint is not None and self.is_active(hint):
+            self._walk_hint = hint
         changed = self._carve_cavity(index, perturbed)
         self._original_points.append(point)
         self._points.append(perturbed)
@@ -266,29 +274,35 @@ class DelaunayTriangulation:
         return index, changed
 
     def remove_site(self, index: int) -> Set[int]:
-        """Remove one interior site; returns the sites whose neighbours changed.
+        """Remove one site; returns the sites whose neighbours changed.
 
         The site keeps its index (so that identifiers held by callers stay
         stable) but no longer appears in the triangulation.  The cost is
-        O(h^3) for a star of h boundary vertices — independent of n.
+        O(h^3) for a star of h boundary vertices — independent of n, for
+        hull sites as for interior ones.
 
         Raises:
-            GeometryError: for an unknown / already-removed site, for a site
-                on the convex hull, or when the hole cannot be
-                re-triangulated (degenerate numerics); callers are expected
-                to fall back to a full rebuild in all three cases.
+            GeometryError: for an unknown / already-removed site, when
+                fewer than three sites or only collinear sites would
+                remain, or when the hole cannot be re-triangulated
+                (degenerate numerics).  Nothing has been mutated then;
+                callers are expected to fall back to a full rebuild.
         """
         if not self.is_active(index):
             raise GeometryError(f"site {index} does not exist (or was removed)")
         star = list(self._incident.get(index, ()))
         if not star:
             raise GeometryError(f"site {index} is not part of the triangulation")
-        if any(not triangle.is_real() for triangle in star):
-            raise GeometryError(
-                f"site {index} lies on the convex hull; incremental deletion "
-                "is only supported for interior sites"
-            )
+        if self._vertex_count <= 3:
+            raise GeometryError("fewer than 3 sites would remain")
         cycle = self._star_boundary_cycle(index, star)
+        link = [vertex for vertex in cycle if vertex >= 0]
+        # Only the apex of a fan over collinear sites is adjacent to every
+        # other site *and* leaves a collinear remainder.
+        if len(link) == self._vertex_count - 1 and _all_points_collinear(
+            [self._original_points[vertex] for vertex in link]
+        ):
+            raise GeometryError("only collinear sites would remain")
         replacement = self._retriangulate_hole(cycle)
         for triangle in star:
             self._remove_triangle(triangle)
@@ -298,8 +312,8 @@ class DelaunayTriangulation:
         self._incident.pop(index, None)
         self._track_vertex(self._points[index], added=False)
         if self._walk_hint == index:
-            self._walk_hint = next((v for v in cycle if v >= 0), None)
-        return set(cycle)
+            self._walk_hint = link[0]
+        return set(link)
 
     # ------------------------------------------------------------------
     # Construction
@@ -317,13 +331,6 @@ class DelaunayTriangulation:
             point.x + (self._rng.random() - 0.5) * self._jitter_magnitude,
             point.y + (self._rng.random() - 0.5) * self._jitter_magnitude,
         )
-
-    def _all_collinear(self) -> bool:
-        base_a = self._points[0]
-        base_b = next((p for p in self._points[1:] if not p.almost_equal(base_a)), None)
-        if base_b is None:
-            return True
-        return all(orientation(base_a, base_b, p) == 0 for p in self._points)
 
     def _track_vertex(self, point: Point, added: bool) -> None:
         if added:
@@ -612,8 +619,10 @@ class DelaunayTriangulation:
     def _star_boundary_cycle(self, index: int, star: List[Triangle]) -> List[int]:
         """The boundary of the star of ``index``, counter-clockwise around it.
 
-        Only called for interior sites (the caller rejects hull sites), so
-        the boundary is always a single closed cycle of real vertices.
+        A single closed cycle; for a hull site it passes through
+        :data:`GHOST`.  Ghost triangles are stored ``(u, v, GHOST)`` with the
+        ghost on the right of ``u -> v`` — clockwise — so their link edge is
+        taken reversed.
         """
         successor: Dict[int, int] = {}
         for triangle in star:
@@ -624,6 +633,8 @@ class DelaunayTriangulation:
                 u, v = c, a
             else:
                 u, v = a, b
+            if not triangle.is_real():
+                u, v = v, u
             if u in successor:
                 raise GeometryError(f"pinched star around site {index}")
             successor[u] = v
@@ -642,6 +653,20 @@ class DelaunayTriangulation:
             raise GeometryError(f"disconnected star boundary around site {index}")
         return cycle
 
+    def _hole_triangle(self, a: int, b: int, c: int) -> Triangle:
+        """The triangle on three consecutive link vertices of a hole.
+
+        With :data:`GHOST` among them: the ghost triangle of the new hull
+        edge between the other two, which runs against the link's direction.
+        """
+        if a == GHOST:
+            return Triangle(c, b, GHOST)
+        if b == GHOST:
+            return Triangle(a, c, GHOST)
+        if c == GHOST:
+            return Triangle(b, a, GHOST)
+        return self._oriented(a, b, c)
+
     def _retriangulate_hole(self, cycle: Sequence[int]) -> List[Triangle]:
         """Delaunay triangulation of a star-shaped hole via ear clipping.
 
@@ -649,7 +674,10 @@ class DelaunayTriangulation:
         corner whose circumcircle contains no other boundary vertex) of a
         star-shaped polygon can always be clipped, and doing so repeatedly
         yields the Delaunay triangulation of the hole — which, by locality
-        of Delaunay deletion, is also globally Delaunay.
+        of Delaunay deletion, is also globally Delaunay.  On a hull site's
+        hole an ear containing :data:`GHOST` is a ghost triangle, whose
+        "circumcircle" is the half-plane beyond the new hull edge (see
+        :meth:`_circumcircle_contains`); the ghost lies in no circumcircle.
         """
         polygon = list(cycle)
         result: List[Triangle] = []
@@ -659,32 +687,23 @@ class DelaunayTriangulation:
                 a = polygon[i - 1]
                 b = polygon[i]
                 c = polygon[(i + 1) % size]
-                pa = self._points[a]
-                pb = self._points[b]
-                pc = self._points[c]
-                if orientation(pa, pb, pc) <= 0:
+                real = GHOST not in (a, b, c)
+                if real and orientation(self._points[a], self._points[b], self._points[c]) <= 0:
                     continue
-                blocked = False
-                for other in polygon:
-                    if other in (a, b, c):
-                        continue
-                    po = self._points[other]
-                    if (
-                        in_circumcircle(
-                            pa.x, pa.y, pb.x, pb.y, pc.x, pc.y, po.x, po.y
-                        )
-                        > 0.0
-                    ):
-                        blocked = True
-                        break
-                if blocked:
+                ear = self._hole_triangle(a, b, c)
+                if any(
+                    other >= 0
+                    and other not in (a, b, c)
+                    and self._circumcircle_contains(ear, self._points[other])
+                    for other in polygon
+                ):
                     continue
-                result.append(self._oriented(a, b, c))
+                result.append(ear)
                 polygon.pop(i)
                 break
             else:
                 raise GeometryError("could not re-triangulate the deletion hole")
-        result.append(self._oriented(*polygon))
+        result.append(self._hole_triangle(*polygon))
         return result
 
 

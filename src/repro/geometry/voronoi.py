@@ -20,9 +20,10 @@ the live :class:`~repro.geometry.delaunay.DelaunayTriangulation` to patch
 the neighbour map and invalidate only the affected cached cell polygons,
 instead of rebuilding the whole diagram (which is what every update cost
 before).  Removed sites keep their index as tombstones so identifiers held
-by callers stay stable.  Degenerate configurations (fewer than three active
-sites, collinear sites, numerical failures) fall back to a full refresh of
-the neighbour map, which stays available as the correctness oracle.
+by callers stay stable.  Convex-hull sites are patched like any other.  Only
+degenerate configurations (fewer than three active sites, collinear sites,
+numerical failures) fall back to a full refresh of the neighbour map — the
+slow path ``insq_index_rebuilds_total{reason=geometry_error}`` counts.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ from repro.geometry.delaunay import DelaunayTriangulation, delaunay_neighbors
 from repro.geometry.point import Point
 from repro.geometry.polygon import ConvexPolygon, bisector_halfplane
 from repro.geometry.primitives import BoundingBox
+from repro.obs.metrics import counter as _obs_counter
+
+_FALLBACK_REBUILDS = _obs_counter("insq_index_rebuilds_total", reason="geometry_error")
 
 
 class VoronoiDiagram:
@@ -72,6 +76,7 @@ class VoronoiDiagram:
             raise EmptyDatasetError("a Voronoi diagram requires at least one site")
         self._sites: List[Point] = list(sites)
         self._active: List[bool] = [True] * len(self._sites)
+        self._active_count = len(self._sites)
         self._bounding_box = bounding_box or self._default_bounding_box()
         self._cell_cache: Dict[int, ConvexPolygon] = {}
         # Live Delaunay dual; None for degenerate inputs (and for throwaway
@@ -97,7 +102,7 @@ class VoronoiDiagram:
         return self._bounding_box
 
     def __len__(self) -> int:
-        return sum(self._active)
+        return self._active_count
 
     def is_active(self, index: int) -> bool:
         """True when site ``index`` exists and has not been removed."""
@@ -147,14 +152,15 @@ class VoronoiDiagram:
     # ------------------------------------------------------------------
     # Incremental maintenance
     # ------------------------------------------------------------------
-    def insert_site(self, point: Point) -> Tuple[int, Set[int]]:
+    def insert_site(self, point: Point, hint: Optional[int] = None) -> Tuple[int, Set[int]]:
         """Add a site and return ``(new_index, changed_sites)``.
 
         ``changed_sites`` contains every site whose neighbour set changed
         (the new site included); only those sites' cached cell polygons are
         invalidated.  The patch is O(affected cells) via the live Delaunay
         dual; degenerate configurations fall back to a full refresh (in
-        which case ``changed_sites`` is every active site).
+        which case ``changed_sites`` is every active site).  ``hint`` is a
+        site near ``point`` where the dual starts its point-location walk.
 
         A site landing outside the clipping box grows the box to cover it
         (plus the usual margin) and drops every cached cell polygon, since
@@ -169,7 +175,9 @@ class VoronoiDiagram:
             self._refresh_all()
             return index, set(self._neighbors)
         try:
-            vertex, changed_vertices = self._delaunay.insert_site(point)
+            vertex, changed_vertices = self._delaunay.insert_site(
+                point, hint=self._site_to_vertex.get(hint)
+            )
         except GeometryError:
             self._discard_live()
             index = self._append_site(point)
@@ -188,7 +196,9 @@ class VoronoiDiagram:
 
         The site keeps its index as a tombstone; :meth:`neighbors_of` and
         :meth:`cell` raise for it afterwards.  The last remaining active
-        site cannot be removed.
+        site cannot be removed.  A convex-hull site costs O(affected cells)
+        like an interior one; only a removal that leaves fewer than three or
+        only collinear sites refreshes (and reports) every active site.
         """
         if not self.is_active(index):
             raise GeometryError(f"site {index} does not exist (or was removed)")
@@ -217,10 +227,12 @@ class VoronoiDiagram:
         index = len(self._sites)
         self._sites.append(point)
         self._active.append(True)
+        self._active_count += 1
         return index
 
     def _deactivate(self, index: int) -> None:
         self._active[index] = False
+        self._active_count -= 1
         self._neighbors.pop(index, None)
         self._cell_cache.pop(index, None)
         vertex = self._site_to_vertex.pop(index, None)
@@ -272,7 +284,8 @@ class VoronoiDiagram:
         return changed
 
     def _refresh_all(self) -> None:
-        """Full neighbour-map rebuild (degenerate fallback and oracle)."""
+        """Full neighbour-map rebuild (the degenerate-geometry fallback)."""
+        _FALLBACK_REBUILDS.inc()
         active = self.active_site_indexes()
         local = delaunay_neighbors([self._sites[i] for i in active])
         self._neighbors = {

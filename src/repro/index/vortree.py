@@ -12,23 +12,24 @@ Voronoi neighbour map (:mod:`repro.geometry.voronoi`) and the R-tree
 (:mod:`repro.index.rtree`).
 
 **Data-object updates are incremental and report their deltas.**
-:meth:`VoRTree.insert` and :meth:`VoRTree.delete` used to throw away the
-whole order-1 Voronoi diagram and re-run the construction over all n
-objects — O(n) (and worse) per update.  They now drive
+:meth:`VoRTree.insert` and :meth:`VoRTree.delete` drive
 :meth:`VoronoiDiagram.insert_site` / :meth:`VoronoiDiagram.remove_site`,
-which carve only the affected Delaunay cavity / star, and patch just the
-neighbour lists those deltas report — O(affected cells) per update.  Every
-mutation also *returns* the set of objects whose Voronoi neighbour lists
-changed (the same delta contract as
+which carve only the affected Delaunay cavity / star — convex-hull objects
+included — and patch just the neighbour lists those deltas report.  No step
+of an update is O(n): the population count is a counter, and an insert's
+point location starts at the nearest object the R-tree already knows.
+Every mutation also *returns* the set of objects whose Voronoi neighbour
+lists changed (the same delta contract as
 :meth:`repro.roadnet.network_voronoi.NetworkVoronoiDiagram.insert_object`),
 which is what lets the serving engine invalidate only the queries whose
 held pool the update actually touched instead of flagging every client.
-:meth:`VoRTree.full_rebuild` keeps the from-scratch path available as a
-fallback (degenerate geometry) and as the correctness oracle for the
-randomized equivalence tests.  :meth:`VoRTree.batch_update` applies a burst
-of inserts and deletes as one epoch, switching to a single full rebuild
-when the burst is large enough that per-object patching would be wasted
-work.
+:meth:`VoRTree.full_rebuild` keeps the from-scratch path available as the
+correctness oracle for the randomized equivalence tests.
+:meth:`VoRTree.batch_update` applies a burst of inserts and deletes as one
+epoch, switching to a single full rebuild when the burst is large enough
+that per-object patching would be wasted work.  ``insq_index_rebuilds_total``
+counts the rebuilds that remain by reason: ``geometry_error`` (fewer than
+three or only collinear objects), ``bulk_threshold`` and ``rebuild_mode``.
 """
 
 from __future__ import annotations
@@ -39,6 +40,12 @@ from repro.errors import EmptyDatasetError, GeometryError, QueryError
 from repro.geometry.point import Point
 from repro.geometry.voronoi import VoronoiDiagram, influential_neighbor_indexes
 from repro.index.rtree import RTree, RTreeEntry
+from repro.obs.metrics import counter as _obs_counter
+
+_REBUILDS = {
+    reason: _obs_counter("insq_index_rebuilds_total", reason=reason)
+    for reason in ("geometry_error", "bulk_threshold", "rebuild_mode")
+}
 
 
 class VoRTree:
@@ -73,6 +80,7 @@ class VoRTree:
         self._last_batch_bulk = False
         self._points: List[Point] = list(points)
         self._active: List[bool] = [True] * len(self._points)
+        self._active_count = len(self._points)
         self._neighbor_map: Dict[int, FrozenSet[int]] = {}
         self._voronoi: Optional[VoronoiDiagram] = None
         # Object index <-> site index in the shared Voronoi diagram.  The two
@@ -88,7 +96,7 @@ class VoRTree:
     # Accessors
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return sum(self._active)
+        return self._active_count
 
     @property
     def points(self) -> List[Point]:
@@ -161,20 +169,24 @@ class VoRTree:
         changed (the new object included) — the delta a server pushes to its
         registered queries.  Both the R-tree and the neighbour lists are
         updated incrementally: only the objects whose Delaunay cavity the
-        new point carves get their lists re-derived.  When the geometry
-        forces a from-scratch rebuild, ``changed`` is every active object.
+        new point carves get their lists re-derived, and the cavity is
+        located from the nearest existing object, which the R-tree names.
+        After a from-scratch rebuild ``changed`` is every active object.
         """
-        index = len(self._points)
-        self._points.append(point)
-        self._active.append(True)
-        self._rtree.insert(point, index)
-        if self._voronoi is None or self._maintenance == "rebuild":
-            self._rebuild_neighbor_map()
+        incremental = self._voronoi is not None and self._maintenance == "incremental"
+        hint = None
+        if incremental:
+            # Asked before the new point is in the R-tree itself.
+            nearest = self._rtree.nearest_payloads(point, 1)[0]
+            hint = self._site_of_object.get(nearest)
+        index = self._append_object(point)
+        if not incremental:
+            self._rebuild_neighbor_map(self._rebuild_reason())
             return index, set(self.active_indexes())
         try:
-            site, changed_sites = self._voronoi.insert_site(point)
+            site, changed_sites = self._voronoi.insert_site(point, hint=hint)
         except (GeometryError, EmptyDatasetError):
-            self._rebuild_neighbor_map()
+            self._rebuild_neighbor_map("geometry_error")
             return index, set(self.active_indexes())
         self._site_of_object[index] = site
         self._object_of_site[site] = index
@@ -190,15 +202,15 @@ class VoRTree:
         changed (the deleted object is reported separately by callers).
         The last remaining active object cannot be deleted.  Only the
         neighbour lists of the objects adjacent to the deleted one are
-        re-derived; a degenerate-geometry fallback rebuilds from scratch
-        and reports every active object as changed.
+        re-derived, whether it sat inside the convex hull or on it; only
+        when fewer than three or only collinear objects are left does the
+        diagram refresh, and report, every active object.
         """
         if not self.is_active(index):
             return False, set()
         if len(self) <= 1:
             raise QueryError("cannot delete the last remaining data object")
-        self._active[index] = False
-        self._rtree.delete(self._points[index], index)
+        self._drop_object(index)
         site = self._site_of_object.get(index)
         if (
             self._voronoi is None
@@ -206,12 +218,12 @@ class VoRTree:
             or len(self) < 2
             or self._maintenance == "rebuild"
         ):
-            self._rebuild_neighbor_map()
+            self._rebuild_neighbor_map(self._rebuild_reason())
             return True, set(self.active_indexes())
         try:
             changed_sites = self._voronoi.remove_site(site)
         except (GeometryError, EmptyDatasetError):
-            self._rebuild_neighbor_map()
+            self._rebuild_neighbor_map("geometry_error")
             return True, set(self.active_indexes())
         del self._site_of_object[index]
         del self._object_of_site[site]
@@ -305,20 +317,11 @@ class VoRTree:
                     changed |= delta
             changed -= set(deleted)
             return new_indexes, deleted, changed
-        deleted = []
         for index in delete_list:
-            self._active[index] = False
-            self._rtree.delete(self._points[index], index)
-            deleted.append(index)
-        new_indexes = []
-        for point in insert_list:
-            index = len(self._points)
-            self._points.append(point)
-            self._active.append(True)
-            self._rtree.insert(point, index)
-            new_indexes.append(index)
-        self._rebuild_neighbor_map()
-        return new_indexes, deleted, set(self.active_indexes())
+            self._drop_object(index)
+        new_indexes = [self._append_object(point) for point in insert_list]
+        self._rebuild_neighbor_map(self._rebuild_reason("bulk_threshold"))
+        return new_indexes, delete_list, set(self.active_indexes())
 
     # ------------------------------------------------------------------
     # Leader/replica delta replication
@@ -373,14 +376,11 @@ class VoRTree:
                         f"index delta assigns object {index} but the replica "
                         f"is at {len(self._points)} — replicas diverged"
                     )
-                self._points.append(point)
-                self._active.append(True)
-                self._rtree.insert(point, index)
+                self._append_object(point)
 
         def _apply_deletes() -> None:
             for index in delta.deleted_indexes:
-                self._active[index] = False
-                self._rtree.delete(self._points[index], index)
+                self._drop_object(index)
 
         if delta.bulk:
             _apply_deletes()
@@ -399,14 +399,37 @@ class VoRTree:
     def full_rebuild(self) -> None:
         """Recompute the Voronoi neighbour lists from scratch.
 
-        This is the pre-incremental O(n) update path, kept as the degenerate
-        -geometry fallback and as the oracle the randomized equivalence
-        tests compare the incremental path against.
+        The pre-incremental O(n) update path, kept as the oracle the
+        randomized equivalence tests compare the incremental path against.
         """
         self._rebuild_neighbor_map()
 
-    def _rebuild_neighbor_map(self) -> None:
-        """From-scratch rebuild of the diagram, site maps and neighbour lists."""
+    def _append_object(self, point: Point) -> int:
+        """Register a new active object in the arrays and the R-tree."""
+        index = len(self._points)
+        self._points.append(point)
+        self._active.append(True)
+        self._active_count += 1
+        self._rtree.insert(point, index)
+        return index
+
+    def _drop_object(self, index: int) -> None:
+        """Tombstone an active object and take it out of the R-tree."""
+        self._active[index] = False
+        self._active_count -= 1
+        self._rtree.delete(self._points[index], index)
+
+    def _rebuild_reason(self, otherwise: str = "geometry_error") -> str:
+        return "rebuild_mode" if self._maintenance == "rebuild" else otherwise
+
+    def _rebuild_neighbor_map(self, reason: Optional[str] = None) -> None:
+        """From-scratch rebuild of the diagram, site maps and neighbour lists.
+
+        ``reason`` names the slow path for ``insq_index_rebuilds_total``;
+        construction and the :meth:`full_rebuild` oracle pass none.
+        """
+        if reason is not None:
+            _REBUILDS[reason].inc()
         active = self.active_indexes()
         if len(active) >= 2:
             diagram = VoronoiDiagram(

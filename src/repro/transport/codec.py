@@ -54,7 +54,7 @@ from repro.errors import (
 )
 from repro.core.objects import QueryResult, UpdateAction
 from repro.core.stats import CommunicationStats, ProcessorStats
-from repro.obs.metrics import Histogram, histogram as _obs_histogram, start_timer
+from repro.obs.metrics import BUCKET_COUNT, Histogram, histogram as _obs_histogram, start_timer
 from repro.obs.clock import clock as _obs_clock
 from repro.geometry.point import Point
 from repro.queries.influential import InfluentialResult
@@ -1297,6 +1297,12 @@ def _decode_metrics_snapshot(reader: _Reader) -> MetricsSnapshot:
         )
         for _ in range(reader.u32())
     )
+    # Reject here what merge_snapshots cannot merge, so a buggy or hostile
+    # peer gets a typed error at the socket instead of a crash in the merge.
+    if any(len(counts) != BUCKET_COUNT for _, _, counts, _ in histograms):
+        raise TransportError(f"a histogram does not ship {BUCKET_COUNT} buckets")
+    if len({(name, labels) for name, labels, _, _ in histograms}) != len(histograms):
+        raise TransportError("duplicate histogram key in metrics snapshot")
     return MetricsSnapshot(counters=counters, gauges=gauges, histograms=histograms)
 
 

@@ -11,11 +11,22 @@ import random
 from typing import Dict, List
 
 import pytest
+from hypothesis import settings
 
 from repro.geometry.point import Point
 from repro.roadnet.generators import grid_network, place_objects
 from repro.roadnet.graph import RoadNetwork
 from repro.workloads.datasets import uniform_points
+
+# Tier-1 and CI draw the same hypothesis examples on every run, so a red
+# `pytest -x -q` is a regression and never a lucky draw.  Exploratory runs
+# get the stock randomised settings back with `--hypothesis-profile=default`.
+settings.register_profile("tier1", derandomize=True, deadline=None)
+
+
+def pytest_configure(config):
+    if not config.getoption("--hypothesis-profile", default=None):
+        settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -12,6 +12,7 @@ import pytest
 
 from repro.errors import GeometryError
 from repro.geometry.delaunay import DelaunayTriangulation, delaunay_neighbors
+from repro.geometry.voronoi import VoronoiDiagram
 from repro.geometry.point import Point
 from repro.workloads.datasets import uniform_points
 
@@ -33,6 +34,22 @@ def rebuilt_neighbor_map(points):
         points[index]: {points[neighbor] for neighbor in neighbors}
         for index, neighbors in local.items()
     }
+
+
+def survivors(triangulation):
+    return [triangulation.points[i] for i in triangulation.active_indexes()]
+
+
+def hull_sites(triangulation):
+    """The convex-hull sites, in index order: the ends of the ghost edges."""
+    return sorted(
+        {
+            vertex
+            for triangle in triangulation._triangles
+            if not triangle.is_real()
+            for vertex in triangle.ghost_edge()
+        }
+    )
 
 
 class TestInsertSite:
@@ -73,13 +90,37 @@ class TestInsertSite:
             triangulation.insert_site(point)
         assert live_neighbor_map(triangulation) == rebuilt_neighbor_map(points)
 
+    @pytest.mark.parametrize("pick", ["nearest", "farthest", "removed", "unknown"])
+    def test_any_hint_yields_the_same_triangulation(self, pick):
+        """The hint only picks where the point-location walk starts."""
+        rng = random.Random(78)
+        points = uniform_points(60, extent=1_000.0, seed=8)
+        plain = DelaunayTriangulation(points)
+        hinted = DelaunayTriangulation(points)
+        removed = 17
+        plain.remove_site(removed)
+        hinted.remove_site(removed)
+        for _ in range(25):
+            point = Point(rng.uniform(-100.0, 1_100.0), rng.uniform(-100.0, 1_100.0))
+            by_distance = sorted(
+                plain.active_indexes(),
+                key=lambda i: plain.points[i].distance_squared_to(point),
+            )
+            hint = {
+                "nearest": by_distance[0],
+                "farthest": by_distance[-1],
+                "removed": removed,  # stale: ignored
+                "unknown": 10_000,  # never existed: ignored
+            }[pick]
+            assert hinted.insert_site(point, hint=hint) == plain.insert_site(point)
+            assert hinted.triangles == plain.triangles
+
 
 class TestRemoveSite:
     def test_interior_removal_matches_rebuild(self):
         points = uniform_points(80, extent=1_000.0, seed=9)
         triangulation = DelaunayTriangulation(points)
-        # Pick an interior site: one whose star has no ghost triangle, i.e.
-        # removal succeeds; the centroid-most point is always interior.
+        # The centroid-most point is always interior (no ghost in its star).
         center = Point(500.0, 500.0)
         victim = min(range(len(points)), key=lambda i: points[i].distance_squared_to(center))
         changed = triangulation.remove_site(victim)
@@ -88,13 +129,40 @@ class TestRemoveSite:
         survivors = [p for i, p in enumerate(points) if i != victim]
         assert live_neighbor_map(triangulation) == rebuilt_neighbor_map(survivors)
 
-    def test_hull_removal_raises(self):
+    def test_hull_removal_matches_rebuild(self):
         points = uniform_points(40, extent=1_000.0, seed=10)
         triangulation = DelaunayTriangulation(points)
         # The point with the smallest x coordinate is on the convex hull.
         hull_site = min(range(len(points)), key=lambda i: points[i].x)
+        assert hull_site in hull_sites(triangulation)
+        old_neighbors = triangulation.neighbors_of(hull_site)
+        changed = triangulation.remove_site(hull_site)
+        assert changed == old_neighbors  # local, and no ghost vertex in it
+        assert live_neighbor_map(triangulation) == rebuilt_neighbor_map(
+            survivors(triangulation)
+        )
+
+    def test_removal_below_three_sites_raises_and_mutates_nothing(self):
+        triangulation = DelaunayTriangulation(
+            [Point(0.0, 0.0), Point(10.0, 1.0), Point(4.0, 9.0)]
+        )
+        before = triangulation.triangles
         with pytest.raises(GeometryError):
-            triangulation.remove_site(hull_site)
+            triangulation.remove_site(1)
+        assert triangulation.triangles == before
+        assert triangulation.active_indexes() == [0, 1, 2]
+
+    def test_removal_leaving_collinear_sites_raises(self):
+        line = [Point(float(x), 0.0) for x in range(4)]
+        triangulation = DelaunayTriangulation(line + [Point(1.5, 2.0)])
+        with pytest.raises(GeometryError):
+            triangulation.remove_site(4)
+        assert triangulation.is_active(4)
+        # The diagram on top falls back to its refresh-all path and still
+        # reports the correct (chain) neighbour map.
+        diagram = VoronoiDiagram(line + [Point(1.5, 2.0)], maintain_incrementally=True)
+        assert diagram.remove_site(4) == {0, 1, 2, 3}
+        assert diagram.neighbor_map() == {0: {1}, 1: {0, 2}, 2: {1, 3}, 3: {2}}
 
     def test_removed_site_rejected_twice(self):
         points = uniform_points(30, extent=1_000.0, seed=11)
@@ -117,19 +185,31 @@ class TestRandomizedSequences:
         for step in range(120):
             if rng.random() < 0.45 and len(triangulation.active_indexes()) > 10:
                 victim = rng.choice(triangulation.active_indexes())
-                try:
-                    triangulation.remove_site(victim)
-                except GeometryError:
-                    continue  # hull site: incremental deletion unsupported
+                triangulation.remove_site(victim)
             else:
                 point = Point(rng.uniform(0.0, 1_000.0), rng.uniform(0.0, 1_000.0))
                 triangulation.insert_site(point)
-            survivors = [
-                triangulation.points[i] for i in triangulation.active_indexes()
-            ]
-            assert live_neighbor_map(triangulation) == rebuilt_neighbor_map(survivors), (
-                f"neighbour maps diverged after step {step}"
-            )
+            assert live_neighbor_map(triangulation) == rebuilt_neighbor_map(
+                survivors(triangulation)
+            ), f"neighbour maps diverged after step {step}"
+
+    @pytest.mark.parametrize("seed", [14, 15, 16])
+    def test_hull_only_deletions_down_to_three_survivors(self, seed):
+        """Peel the convex hull, one random hull site at a time."""
+        rng = random.Random(seed)
+        triangulation = DelaunayTriangulation(
+            uniform_points(45, extent=1_000.0, seed=seed)
+        )
+        while len(triangulation.active_indexes()) > 3:
+            victim = rng.choice(hull_sites(triangulation))
+            old_neighbors = triangulation.neighbors_of(victim)
+            assert triangulation.remove_site(victim) == old_neighbors
+            assert live_neighbor_map(triangulation) == rebuilt_neighbor_map(
+                survivors(triangulation)
+            ), f"neighbour maps diverged with {len(survivors(triangulation))} left"
+        assert hull_sites(triangulation) == triangulation.active_indexes()
+        with pytest.raises(GeometryError):
+            triangulation.remove_site(triangulation.active_indexes()[0])
 
     def test_neighbor_relation_stays_symmetric(self):
         rng = random.Random(321)

@@ -8,9 +8,11 @@ path) is the oracle.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
+import repro.obs as obs
 from repro.geometry.point import Point
 from repro.geometry.voronoi import VoronoiDiagram
 from repro.index.vortree import VoRTree
@@ -29,6 +31,15 @@ def fresh_diagram_map(tree):
         active[local]: {active[neighbor] for neighbor in neighbors}
         for local, neighbors in diagram.neighbor_map().items()
     }
+
+
+_EXTREMES = (lambda p: p.x, lambda p: -p.x, lambda p: p.y, lambda p: -p.y)
+
+
+def hull_object(tree, turn):
+    """An object with an extreme coordinate: always on the convex hull."""
+    extreme = _EXTREMES[turn % 4]
+    return min(tree.active_indexes(), key=lambda index: extreme(tree.point(index)))
 
 
 def apply_random_stream(tree, rng, operations, extent):
@@ -89,6 +100,139 @@ class TestIncrementalEquivalence:
         final = snapshot_neighbor_map(tree)
         assert index not in changed
         assert {obj for obj in final if final[obj] != after.get(obj)} <= changed
+
+    def test_hull_delete_reports_a_local_delta(self):
+        """A convex-hull object is patched like any other: no all-objects delta."""
+        points = uniform_points(120, extent=1_000.0, seed=33)
+        tree = VoRTree(list(points))
+        oracle = VoRTree(list(points), maintenance="rebuild")
+        for turn in range(3):
+            victim = hull_object(tree, turn)
+            old_neighbors = set(tree.voronoi_neighbors(victim))
+            before = snapshot_neighbor_map(oracle)
+            removed, changed = tree.delete(victim)
+            oracle.delete(victim)
+            after = snapshot_neighbor_map(oracle)
+            assert removed
+            assert snapshot_neighbor_map(tree) == after
+            assert {obj for obj in after if after[obj] != before[obj]} <= changed
+            assert changed <= old_neighbors
+
+
+class TestPopulationCount:
+    def test_len_tracks_the_active_set_through_every_mutation_path(self):
+        """len() is a counter now; it must agree with the scan after every step."""
+        rng = random.Random(45)
+        tree = VoRTree(uniform_points(70, extent=1_000.0, seed=34))
+        replica = VoRTree(uniform_points(70, extent=1_000.0, seed=34))
+
+        def random_points(count):
+            return [
+                Point(rng.uniform(0.0, 1_000.0), rng.uniform(0.0, 1_000.0))
+                for _ in range(count)
+            ]
+
+        def check():
+            assert len(tree) == len(tree.active_indexes())
+            assert len(replica) == len(replica.active_indexes()) == len(tree)
+            diagram = tree.voronoi
+            assert len(diagram) == len(diagram.active_site_indexes()) == len(tree)
+
+        def mirror(new, deleted, bulk=False):
+            """Replay the structural part of a mutation on the delta replica."""
+            replica.apply_remote_delta(
+                SimpleNamespace(
+                    bulk=bulk,
+                    new_indexes=new,
+                    deleted_indexes=deleted,
+                    points=[tree.point(index) for index in new],
+                    neighbors=(),
+                    removed_neighbors=(),
+                )
+            )
+
+        check()
+        for _ in range(80):
+            roll = rng.random()
+            victims = rng.sample(tree.active_indexes(), 3)
+            if roll < 0.3:
+                index, _ = tree.insert(random_points(1)[0])
+                mirror([index], [])
+            elif roll < 0.5:
+                tree.delete(victims[0])
+                mirror([], victims[:1])
+            elif roll < 0.75:
+                # duplicate and unknown deletes must not be counted
+                new, deleted, _ = tree.batch_update(
+                    random_points(3), victims[:2] + [victims[0], 10_000],
+                    strategy="incremental",
+                )
+                mirror(new, deleted)
+            else:
+                new, deleted, _ = tree.batch_update(
+                    random_points(rng.randint(0, 4)), victims, strategy="bulk"
+                )
+                mirror(new, deleted, bulk=True)
+            check()
+
+
+def rebuilds_by_reason():
+    return {
+        labels.partition("=")[2]: value
+        for name, labels, value in obs.REGISTRY.snapshot().counters
+        if name == "insq_index_rebuilds_total"
+    }
+
+
+class TestRebuildCounter:
+    """``insq_index_rebuilds_total{reason=...}`` names every rebuild that remains."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_registry(self):
+        obs.reset()
+        obs.enable()
+        yield
+        obs.reset()
+
+    def test_churn_with_hull_deletions_never_rebuilds(self):
+        rng = random.Random(46)
+        tree = VoRTree(uniform_points(150, extent=1_000.0, seed=35))
+        for epoch in range(50):
+            hull_victim = hull_object(tree, epoch)
+            _, deleted, changed = tree.batch_update(
+                inserts=[
+                    Point(rng.uniform(0.0, 1_000.0), rng.uniform(0.0, 1_000.0))
+                    for _ in range(2)
+                ],
+                deletes=[hull_victim, rng.choice(tree.active_indexes())],
+            )
+            assert hull_victim in deleted
+            assert len(changed) < len(tree) // 2
+        assert snapshot_neighbor_map(tree) == fresh_diagram_map(tree)
+        assert rebuilds_by_reason() == {
+            "geometry_error": 0,
+            "bulk_threshold": 0,
+            "rebuild_mode": 0,
+        }
+
+    def test_each_remaining_rebuild_is_counted_under_its_reason(self):
+        tree = VoRTree(uniform_points(30, extent=100.0, seed=36))
+        tree.batch_update(deletes=[1, 2], strategy="bulk")
+        assert rebuilds_by_reason()["bulk_threshold"] == 1
+        oracle = VoRTree(uniform_points(30, extent=100.0, seed=36), maintenance="rebuild")
+        oracle.insert(Point(5.0, 5.0))
+        oracle.batch_update(deletes=[3])
+        assert rebuilds_by_reason()["rebuild_mode"] == 2
+        # Three objects, one deleted: fewer than three sites remain.
+        tiny = VoRTree([Point(0.0, 0.0), Point(9.0, 1.0), Point(4.0, 8.0)])
+        tiny.delete(0)
+        assert rebuilds_by_reason() == {
+            "geometry_error": 1,
+            "bulk_threshold": 1,
+            "rebuild_mode": 2,
+        }
+        tree.full_rebuild()  # the oracle's explicit rebuild is not a slow path
+        assert sum(rebuilds_by_reason().values()) == 4
 
 
 class TestBatchUpdate:

@@ -48,14 +48,17 @@ snapshots = st.builds(
     MetricsSnapshot,
     counters=st.lists(st.tuples(names, labels, u64), max_size=6).map(tuple),
     gauges=st.lists(st.tuples(names, labels, sums), max_size=6).map(tuple),
+    # What a registry can emit and the decoder accepts: one histogram per
+    # (name, labels) key, each over the shared BUCKET_COUNT bounds.
     histograms=st.lists(
         st.tuples(
             names,
             labels,
-            st.lists(u64, max_size=BUCKET_COUNT + 4).map(tuple),
+            st.lists(u64, min_size=BUCKET_COUNT, max_size=BUCKET_COUNT).map(tuple),
             sums,
         ),
         max_size=4,
+        unique_by=lambda histogram: histogram[:2],
     ).map(tuple),
 )
 
@@ -92,6 +95,21 @@ class TestMetricsFrameCodec:
         encoded[5:9] = (1_000_000).to_bytes(4, "big")
         with pytest.raises(TransportError):
             decode(bytes(encoded))
+
+    def test_wrong_bucket_count_raises_transport_error(self):
+        """A peer built with other bounds cannot be merged exactly: refuse it."""
+        for size in (0, BUCKET_COUNT - 1, BUCKET_COUNT + 1):
+            frame = MetricsSnapshot(histograms=(("h", "", (1,) * size, 0.5),))
+            with pytest.raises(TransportError, match="buckets"):
+                decode(encode(frame))
+
+    def test_duplicate_histogram_key_raises_transport_error(self):
+        counts = (0,) * BUCKET_COUNT
+        frame = MetricsSnapshot(
+            histograms=(("h", "a=b", counts, 0.0), ("h", "a=b", counts, 1.0))
+        )
+        with pytest.raises(TransportError, match="duplicate"):
+            decode(encode(frame))
 
     def test_scrape_frames_are_meta_and_idempotent(self):
         # Meta: a scrape must never perturb the communication bill it
