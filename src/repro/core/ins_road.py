@@ -9,17 +9,24 @@ Differences from the Euclidean processor:
   relation; Theorem 1 guarantees that the INS built from order-1 network
   Voronoi neighbours is still a superset of the MIS, so the validation rule
   is unchanged.
-* Theorem 2 allows the validation search to be restricted to the sub-network
-  formed by the Voronoi cells of the current kNN set and its INS, which
-  bounds the search space independently of the network size.
+* Theorem 2 allows the validation search to be restricted to the edges of
+  the Voronoi cells of the current kNN set and its INS, which bounds the
+  search space independently of the network size.  It is applied as a
+  restriction *of the search*: the processor holds that region as a set of
+  edge ids and the one Dijkstra of a timestamp skips every edge outside it,
+  on the shared network — nothing is copied or re-identified.
 
 Two validation modes are provided:
 
-* ``restricted`` (the paper's mode, default): distances are computed on the
-  Theorem 2 sub-network of the held objects' Voronoi cells.
+* ``restricted`` (the paper's mode, default): distances are computed inside
+  the Theorem 2 region of the held objects' Voronoi cells.
 * ``exact``: distances are computed on the full network with a targeted
   Dijkstra that stops when every held object is settled.  This mode is used
   by the tests as a cross-check and is also a fair "no Theorem 2" ablation.
+
+A timestamp costs one search: a local reorder changes neither the position
+nor the held set, so it reports from the distances the validation computed;
+only a retrieval (new R, new I(R)) searches again.
 
 **Data-object updates** arrive through :meth:`INSRoadProcessor.notify_data_update`
 (the road server pushes the shared diagram's repair deltas).  The processor
@@ -29,8 +36,8 @@ it on its next timestamp:
 * a removal inside the prefetched set R invalidates R, so the next timestamp
   pays one full retrieval;
 * any other delta touching the held pool (R ∪ I(R)) only refreshes I(R) and
-  the Theorem 2 sub-network from the already-repaired shared diagram — a few
-  dictionary unions instead of a reconstruction.  This is sound because
+  the Theorem 2 region from the already-repaired shared diagram — a few
+  set unions instead of a reconstruction.  This is sound because
   Theorem 1 is a statement about the *current* diagram: validation against a
   freshly derived I(R) certifies the held kNN set against the current data
   set, whatever changed;
@@ -49,11 +56,14 @@ from repro.errors import ConfigurationError, QueryError, RoadNetworkError
 from repro.core.objects import QueryResult, UpdateAction
 from repro.core.processor import MovingKNNProcessor
 from repro.geometry.point import Point
+from repro.obs.metrics import counter as _obs_counter
 from repro.roadnet.graph import RoadNetwork
-from repro.roadnet.knn import network_knn
+from repro.roadnet.knn import network_knn, object_distances_from_location
 from repro.roadnet.location import NetworkLocation
 from repro.roadnet.network_voronoi import NetworkVoronoiDiagram
-from repro.roadnet.shortest_path import SearchStats, distances_from_location
+from repro.roadnet.shortest_path import SearchStats
+
+_VALIDATION_FALLBACKS = _obs_counter("insq_road_validation_fallbacks_total")
 
 
 class INSRoadProcessor(MovingKNNProcessor[NetworkLocation]):
@@ -65,8 +75,9 @@ class INSRoadProcessor(MovingKNNProcessor[NetworkLocation]):
             ``object_vertices[i]``).
         k: number of nearest neighbours to maintain.
         rho: prefetch ratio ρ ≥ 1 (⌊ρk⌋ objects retrieved per round trip).
-        validation_mode: ``"restricted"`` (Theorem 2 sub-network, the paper's
-            approach) or ``"exact"`` (targeted Dijkstra on the full network).
+        validation_mode: ``"restricted"`` (search within the Theorem 2
+            region, the paper's approach) or ``"exact"`` (targeted Dijkstra
+            on the full network).
         voronoi: optionally share a prebuilt network Voronoi diagram.
     """
 
@@ -118,10 +129,13 @@ class INSRoadProcessor(MovingKNNProcessor[NetworkLocation]):
         self._R: List[int] = []
         self._ins: Set[int] = set()
         self._knn: List[int] = []
-        # Cached Theorem 2 sub-network for the current held set.
-        self._restricted: Optional[RoadNetwork] = None
-        self._restricted_vertex_map: Dict[int, int] = {}
-        self._restricted_edge_map: Dict[int, int] = {}
+        # Derived from R, I(R) and the answer where they change
+        # (_refresh_cached_sets), not per timestamp: the held pool R ∪ I(R),
+        # the guard set pool \ kNN, and the Theorem 2 region — the edge ids
+        # of the pool's Voronoi cells (None in "exact" mode).
+        self._pool: Set[int] = set()
+        self._guard: Set[int] = set()
+        self._region: Optional[Set[int]] = None
         # Data-update delta accumulated since the last answer (pushed by the
         # road server); settled lazily on the next timestamp.
         self._state_stale = False
@@ -156,7 +170,7 @@ class INSRoadProcessor(MovingKNNProcessor[NetworkLocation]):
     @property
     def guard_set(self) -> Set[int]:
         """The current safe guarding objects: I(R) ∪ R \\ kNN."""
-        return (set(self._R) | self._ins) - set(self._knn)
+        return set(self._guard)
 
     @property
     def influential_set(self) -> Set[int]:
@@ -223,21 +237,14 @@ class INSRoadProcessor(MovingKNNProcessor[NetworkLocation]):
             # no longer reflects the ⌊ρk⌋ nearest objects, recompute it.
             self._stats.validations += 1
             self._retrieve(position)
-            distances = self._held_distances(position)
-            knn_distances = tuple(distances[index] for index in self._knn)
-            return QueryResult(
-                timestamp=self.current_timestamp,
-                knn=tuple(self._knn),
-                knn_distances=knn_distances,
-                guard_objects=frozenset(self.guard_set),
-                action=UpdateAction.FULL_RECOMPUTE,
-                was_valid=False,
+            return self._answer(
+                self._held_distances(position), UpdateAction.FULL_RECOMPUTE, was_valid=False
             )
-        pool = set(self._R) | self._ins
+        pool = self._pool
         if removed & self._ins or changed & pool:
             # The delta touched the held region: re-derive I(R) and the
-            # Theorem 2 sub-network from the repaired shared diagram (a few
-            # dictionary unions — no kNN recomputation).  The validation
+            # Theorem 2 region from the repaired shared diagram (a few
+            # set unions — no kNN recomputation).  The validation
             # that follows certifies the held answer against the fresh
             # guard set, which is what makes this refresh sound.
             with self._stats.time_construction():
@@ -251,7 +258,7 @@ class INSRoadProcessor(MovingKNNProcessor[NetworkLocation]):
                     # honest round-trip count.
                     self._stats.transmitted_objects += incoming
                     self._stats.incremental_updates += 1
-                self._rebuild_restricted_network()
+                self._refresh_cached_sets()
         else:
             # A delta outside the pool left every held neighbour set
             # unchanged: nothing to refresh, the normal validation is
@@ -269,15 +276,8 @@ class INSRoadProcessor(MovingKNNProcessor[NetworkLocation]):
         self._pending_changed = set()
         self._pending_removed = set()
         self._retrieve(position)
-        distances = self._held_distances(position)
-        knn_distances = tuple(distances[index] for index in self._knn)
-        return QueryResult(
-            timestamp=self.current_timestamp,
-            knn=tuple(self._knn),
-            knn_distances=knn_distances,
-            guard_objects=frozenset(self.guard_set),
-            action=UpdateAction.FULL_RECOMPUTE,
-            was_valid=False,
+        return self._answer(
+            self._held_distances(position), UpdateAction.FULL_RECOMPUTE, was_valid=False
         )
 
     def _update(self, position: NetworkLocation) -> QueryResult:
@@ -290,26 +290,27 @@ class INSRoadProcessor(MovingKNNProcessor[NetworkLocation]):
             self._stats.validations += 1
             distances = self._held_distances(position)
             valid = self._is_valid(distances)
-        if valid:
-            knn_distances = tuple(distances[index] for index in self._knn)
-            return QueryResult(
-                timestamp=self.current_timestamp,
-                knn=tuple(self._knn),
-                knn_distances=knn_distances,
-                guard_objects=frozenset(self.guard_set),
-                action=UpdateAction.NONE,
-                was_valid=True,
-            )
-        action = self._perform_update(position, distances)
-        distances = self._held_distances(position)
-        knn_distances = tuple(distances[index] for index in self._knn)
+        action = UpdateAction.NONE
+        if not valid:
+            action = self._perform_update(position, distances)
+            if action is UpdateAction.FULL_RECOMPUTE:
+                # New R and I(R): search again.  A local reorder changed
+                # neither the position nor the held set, so the distances
+                # above still stand.
+                distances = self._held_distances(position)
+        return self._answer(distances, action, was_valid=valid)
+
+    def _answer(
+        self, distances: Dict[int, float], action: UpdateAction, was_valid: bool
+    ) -> QueryResult:
+        """The timestamp's result, reported from the held distances."""
         return QueryResult(
             timestamp=self.current_timestamp,
             knn=tuple(self._knn),
-            knn_distances=knn_distances,
-            guard_objects=frozenset(self.guard_set),
+            knn_distances=tuple(distances[index] for index in self._knn),
+            guard_objects=frozenset(self._guard),
             action=action,
-            was_valid=False,
+            was_valid=was_valid,
         )
 
     # ------------------------------------------------------------------
@@ -338,72 +339,48 @@ class INSRoadProcessor(MovingKNNProcessor[NetworkLocation]):
             self._knn = self._R[: self.k]
             self._stats.full_recomputations += 1
             self._stats.transmitted_objects += len(self._R) + len(self._ins)
-            self._rebuild_restricted_network()
+            self._refresh_cached_sets()
 
-    def _rebuild_restricted_network(self) -> None:
-        """Build the Theorem 2 sub-network for the current held objects."""
-        if self._validation_mode != "restricted":
-            self._restricted = None
-            return
-        held = set(self._R) | self._ins
-        (
-            self._restricted,
-            self._restricted_vertex_map,
-            self._restricted_edge_map,
-        ) = self._voronoi.restricted_subnetwork(held)
+    def _refresh_cached_sets(self) -> None:
+        """Re-derive the held pool, guard set and Theorem 2 region.
+
+        Called where R or I(R) change (a local reorder, which changes only
+        the answer, patches the guard set itself).
+        """
+        self._pool = self._ins.union(self._R)
+        self._guard = self._pool.difference(self._knn)
+        if self._validation_mode == "restricted":
+            self._region = self._voronoi.cell_edges(self._pool)
 
     def _held_distances(self, position: NetworkLocation) -> Dict[int, float]:
         """Network distances from ``position`` to every held object.
 
-        In ``restricted`` mode the search runs on the Theorem 2 sub-network;
-        when the query location's edge is not part of that sub-network (the
-        query escaped the region entirely between timestamps) the method
-        transparently falls back to the full network for this evaluation.
+        In ``restricted`` mode the search is confined to the Theorem 2
+        region; when the query location's edge is not part of it (the query
+        escaped the region entirely between timestamps) this evaluation
+        searches the full network instead — the one silent slow path here,
+        counted by ``insq_road_validation_fallbacks_total``.
         """
-        held = sorted(set(self._R) | self._ins)
-        targets = {self._object_vertices[index] for index in held}
+        region = self._region
+        if region is not None and position.edge_id not in region:
+            _VALIDATION_FALLBACKS.inc()
+            region = None
         before = self._search_stats.settled_vertices
-        if self._validation_mode == "restricted" and self._restricted is not None:
-            mapped = self._map_location(position)
-            if mapped is not None:
-                mapped_targets = {
-                    self._restricted_vertex_map[v]
-                    for v in targets
-                    if v in self._restricted_vertex_map
-                }
-                vertex_distances = distances_from_location(
-                    self._restricted, mapped, targets=mapped_targets, stats=self._search_stats
-                )
-                self._stats.settled_vertices += self._search_stats.settled_vertices - before
-                self._stats.distance_computations += len(held)
-                result: Dict[int, float] = {}
-                for index in held:
-                    vertex = self._object_vertices[index]
-                    mapped_vertex = self._restricted_vertex_map.get(vertex)
-                    if mapped_vertex is None:
-                        result[index] = math.inf
-                    else:
-                        result[index] = vertex_distances.get(mapped_vertex, math.inf)
-                return result
-        vertex_distances = distances_from_location(
-            self._network, position, targets=targets, stats=self._search_stats
+        distances = object_distances_from_location(
+            self._network,
+            self._object_vertices,
+            position,
+            self._pool,
+            stats=self._search_stats,
+            within=region,
         )
         self._stats.settled_vertices += self._search_stats.settled_vertices - before
-        self._stats.distance_computations += len(held)
-        return {
-            index: vertex_distances.get(self._object_vertices[index], math.inf) for index in held
-        }
-
-    def _map_location(self, position: NetworkLocation) -> Optional[NetworkLocation]:
-        """Translate a full-network location into the restricted sub-network."""
-        mapped_edge = self._restricted_edge_map.get(position.edge_id)
-        if mapped_edge is None:
-            return None
-        return NetworkLocation(mapped_edge, position.offset)
+        self._stats.distance_computations += len(self._pool)
+        return distances
 
     def _is_valid(self, distances: Dict[int, float]) -> bool:
         """Validation: farthest kNN member vs nearest guard object."""
-        guard = self.guard_set
+        guard = self._guard
         if not guard:
             return True
         farthest_knn = max(distances[index] for index in self._knn)
@@ -420,11 +397,12 @@ class INSRoadProcessor(MovingKNNProcessor[NetworkLocation]):
             candidate = heapq.nsmallest(
                 self.k, self._R, key=lambda index: (distances[index], index)
             )
-            guard = (set(self._R) | self._ins) - set(candidate)
+            guard = self._pool.difference(candidate)
             farthest = max(distances[index] for index in candidate)
             nearest_guard = min(distances[index] for index in guard) if guard else math.inf
             if math.isfinite(farthest) and farthest <= nearest_guard:
                 self._knn = candidate
+                self._guard = guard
                 self._stats.local_reorders += 1
                 return UpdateAction.LOCAL_REORDER
         self._retrieve(position)

@@ -10,7 +10,7 @@ owns the query lifecycle, the epoch counter, the population guard and the
 invalidation dispatch.  This module contributes only the road 20%:
 
 * constructing the shared diagram and the per-query processors (each with
-  its own ``k``, ``ρ``, validation mode and Theorem 2 sub-network),
+  its own ``k``, ``ρ``, validation mode and Theorem 2 region),
 * translating object mutations (:meth:`MovingRoadKNNServer.insert_object`,
   :meth:`~MovingRoadKNNServer.delete_object`,
   :meth:`~MovingRoadKNNServer.move_object`,
@@ -22,8 +22,9 @@ the engine now shares with the Euclidean side: every repair reports the
 objects whose Voronoi neighbour sets changed, the engine pushes exactly
 that delta to each registered query, and a client settles it lazily on its
 next timestamp (removal inside its prefetched set → one retrieval; delta
-elsewhere in its held pool → I(R) + sub-network refreshed from the repaired
-diagram; delta outside its pool → free, counted as an absorbed update).
+elsewhere in its held pool → I(R) + Theorem 2 region refreshed from the
+repaired diagram; delta outside its pool → free, counted as an absorbed
+update).
 Processors share the diagram's live vertex-assignment view, so an update
 never copies the n-object list into each registered query.  The blanket
 refresh-everyone behaviour survives as ``invalidation="flag"``, the

@@ -56,12 +56,18 @@ class RoadNetwork:
     Vertices and edges are referred to by integer identifiers.  Identifiers
     are assigned by the network (``add_vertex`` / ``add_edge`` return them),
     which keeps bookkeeping trivial for the generators.
+
+    Adjacency is stored once, per vertex, as the ready
+    ``(neighbor, length, edge_id)`` triples every search iterates, in edge
+    insertion order.  :meth:`neighbors` hands that tuple out as is — O(1)
+    and allocation-free, and immutable, because every search in the process
+    shares it.
     """
 
     def __init__(self) -> None:
         self._vertex_positions: Dict[int, Point] = {}
         self._edges: Dict[int, Edge] = {}
-        self._adjacency: Dict[int, List[int]] = {}
+        self._neighbors: Dict[int, Tuple[Tuple[int, float, int], ...]] = {}
         self._next_vertex_id = 0
         self._next_edge_id = 0
 
@@ -73,7 +79,7 @@ class RoadNetwork:
         vertex_id = self._next_vertex_id
         self._next_vertex_id += 1
         self._vertex_positions[vertex_id] = position
-        self._adjacency[vertex_id] = []
+        self._neighbors[vertex_id] = ()
         return vertex_id
 
     def add_edge(self, u: int, v: int, length: Optional[float] = None) -> int:
@@ -104,8 +110,8 @@ class RoadNetwork:
         self._next_edge_id += 1
         edge = Edge(edge_id=edge_id, u=u, v=v, length=length)
         self._edges[edge_id] = edge
-        self._adjacency[u].append(edge_id)
-        self._adjacency[v].append(edge_id)
+        self._neighbors[u] += ((v, length, edge_id),)
+        self._neighbors[v] += ((u, length, edge_id),)
         return edge_id
 
     # ------------------------------------------------------------------
@@ -160,30 +166,30 @@ class RoadNetwork:
         except KeyError:
             raise RoadNetworkError(f"unknown edge {edge_id}") from None
 
+    def neighbors(self, vertex_id: int) -> Tuple[Tuple[int, float, int], ...]:
+        """Adjacent vertices of ``vertex_id`` as ``(vertex, length, edge_id)`` triples.
+
+        The stored tuple itself, not a copy: one per incident edge, in edge
+        insertion order.
+        """
+        try:
+            return self._neighbors[vertex_id]
+        except KeyError:
+            raise RoadNetworkError(f"unknown vertex {vertex_id}") from None
+
     def incident_edges(self, vertex_id: int) -> List[Edge]:
         """Edges incident to ``vertex_id``."""
-        if vertex_id not in self._adjacency:
-            raise RoadNetworkError(f"unknown vertex {vertex_id}")
-        return [self._edges[edge_id] for edge_id in self._adjacency[vertex_id]]
-
-    def neighbors(self, vertex_id: int) -> List[Tuple[int, float, int]]:
-        """Adjacent vertices of ``vertex_id`` as ``(vertex, length, edge_id)`` triples."""
-        result = []
-        for edge in self.incident_edges(vertex_id):
-            result.append((edge.other_endpoint(vertex_id), edge.length, edge.edge_id))
-        return result
+        return [self._edges[edge_id] for _, _, edge_id in self.neighbors(vertex_id)]
 
     def degree(self, vertex_id: int) -> int:
         """Number of edges incident to ``vertex_id``."""
-        if vertex_id not in self._adjacency:
-            raise RoadNetworkError(f"unknown vertex {vertex_id}")
-        return len(self._adjacency[vertex_id])
+        return len(self.neighbors(vertex_id))
 
     def find_edge(self, u: int, v: int) -> Optional[Edge]:
         """The edge connecting ``u`` and ``v``, or None when there is none."""
-        for edge in self.incident_edges(u):
-            if edge.has_endpoint(v):
-                return edge
+        for neighbor, _, edge_id in self.neighbors(u):
+            if neighbor == v:
+                return self._edges[edge_id]
         return None
 
     # ------------------------------------------------------------------
@@ -217,10 +223,14 @@ class RoadNetwork:
         return seen
 
     def subnetwork(self, edge_ids: Iterable[int]) -> Tuple["RoadNetwork", Dict[int, int], Dict[int, int]]:
-        """Build the sub-network induced by a set of edges.
+        """Build the sub-network induced by a set of edges, as a copy.
 
-        Used by Theorem 2: validation in road networks only needs the
-        network formed by the Voronoi cells of the kNN set and its INS.
+        Theorem 2 says validation in road networks only needs the network
+        formed by the Voronoi cells of the kNN set and its INS.  Serving
+        applies that as an edge filter on this network
+        (``distances_from_location(..., within=edge_ids)``) and never
+        copies; this materialised form is the reference the filter is
+        tested against.
 
         Returns:
             A triple ``(network, vertex_map, edge_map)`` where ``vertex_map``

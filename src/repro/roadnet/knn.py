@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Collection, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.errors import QueryError, RoadNetworkError
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.location import NetworkLocation
-from repro.roadnet.shortest_path import SearchStats
+from repro.roadnet.shortest_path import SearchStats, distances_from_location
 
 
 def build_objects_at_vertex(object_vertices: Sequence[int]) -> Dict[int, List[int]]:
@@ -82,24 +82,22 @@ def network_knn(
     results: List[Tuple[int, float]] = []
     heap: List[Tuple[float, int]] = [(distance_u, u), (distance_v, v)]
     heapq.heapify(heap)
-    if stats is not None:
-        stats.searches += 1
+    relaxed = 0
     while heap and len(results) < k:
         distance, vertex = heapq.heappop(heap)
         if vertex in settled:
             continue
         settled.add(vertex)
-        if stats is not None:
-            stats.settled_vertices += 1
         for object_index in objects_at_vertex.get(vertex, ()):
             results.append((object_index, distance))
             if len(results) >= k:
                 break
         for neighbor, length, _ in network.neighbors(vertex):
             if neighbor not in settled:
-                if stats is not None:
-                    stats.relaxed_edges += 1
+                relaxed += 1
                 heapq.heappush(heap, (distance + length, neighbor))
+    if stats is not None:
+        stats.add_search(len(settled), relaxed)
     if len(results) < k:
         raise QueryError(
             f"only {len(results)} data objects reachable from the query location, k={k}"
@@ -127,46 +125,38 @@ def object_distances_from_location(
     network: RoadNetwork,
     object_vertices: Sequence[int],
     location: NetworkLocation,
-    object_indexes: Sequence[int],
+    object_indexes: Collection[int],
     stats: Optional[SearchStats] = None,
-    restricted: Optional[RoadNetwork] = None,
-    vertex_map: Optional[Dict[int, int]] = None,
+    within: Optional[AbstractSet[int]] = None,
 ) -> Dict[int, float]:
     """Network distances from the query location to specific objects.
 
-    When ``restricted`` (and its ``vertex_map`` from original to restricted
-    vertex identifiers) is given, distances are computed on the restricted
-    sub-network — this is the Theorem 2 optimisation.  The query location
-    must lie on an edge present in the restricted network (its ``edge_id``
-    is interpreted in the original network; the caller supplies a location
-    already mapped into the restricted network when using this option).
+    One search that stops once every listed object's vertex is settled.
+    ``within`` restricts it to a set of edge ids — the Theorem 2 region, see
+    :func:`~repro.roadnet.shortest_path.distances_from_location`; the query
+    location must lie on one of them.  An object whose vertex touches no
+    edge of the region is not a search target (the search would otherwise
+    exhaust the region looking for it).
 
     Returns:
         Mapping ``object_index -> distance``.  Objects unreachable in the
         (possibly restricted) network get distance ``inf``.
     """
-    from repro.roadnet.shortest_path import distances_from_location
-
-    graph = restricted if restricted is not None else network
-    if restricted is not None and vertex_map is None:
-        raise RoadNetworkError("vertex_map is required when a restricted network is given")
-
-    def mapped_vertex(original: int) -> Optional[int]:
-        if restricted is None:
-            return original
-        return vertex_map.get(original)
-
-    targets = []
-    for object_index in object_indexes:
-        vertex = mapped_vertex(object_vertices[object_index])
-        if vertex is not None:
-            targets.append(vertex)
-    vertex_distances = distances_from_location(graph, location, targets=targets, stats=stats)
-    result: Dict[int, float] = {}
-    for object_index in object_indexes:
-        vertex = mapped_vertex(object_vertices[object_index])
-        if vertex is None:
-            result[object_index] = math.inf
-        else:
-            result[object_index] = vertex_distances.get(vertex, math.inf)
-    return result
+    vertices = [object_vertices[index] for index in object_indexes]
+    targets = set(vertices)
+    if within is not None:
+        # Plain loops on purpose: this runs on every timestamp of every
+        # session, and any() over a generator per vertex costs 4x as much.
+        for vertex in tuple(targets):
+            for _, _, edge_id in network.neighbors(vertex):
+                if edge_id in within:
+                    break
+            else:
+                targets.discard(vertex)
+    vertex_distances = distances_from_location(
+        network, location, targets=targets, stats=stats, within=within
+    )
+    return {
+        index: vertex_distances.get(vertex, math.inf)
+        for index, vertex in zip(object_indexes, vertices)
+    }

@@ -59,10 +59,10 @@ edge ownership, neighbour map — even on uniform grids, where every edge
 has the same length and tie chains are endemic, so the equivalence tests
 need no tie-tolerant escape hatch.
 
-The owner → edges inverted index also turns :meth:`cell_edges`,
-:meth:`cell_length` and :meth:`restricted_subnetwork` from O(|E|) scans into
-O(cell) lookups, which is what makes the Theorem 2 sub-network rebuild cheap
-enough to run per retrieval.
+The owner → edges inverted index also turns :meth:`cell_edges` and
+:meth:`cell_length` from O(|E|) scans into O(cell) lookups, which is what
+makes refreshing the Theorem 2 region (the edge ids the validation search is
+confined to) cheap enough to run per retrieval.
 """
 
 from __future__ import annotations
@@ -1017,9 +1017,10 @@ class NetworkVoronoiDiagram:
     def cell_edges(self, object_indexes: Iterable[int]) -> Set[int]:
         """Edges any part of which is owned by one of ``object_indexes``.
 
-        This is the edge set of the Theorem 2 sub-network when called with
-        the union of the current kNN set and its INS.  Answered from the
-        owner → edges inverted index in O(result), not O(|E|).
+        This is the Theorem 2 region — the edges a validation search may
+        use — when called with the union of the current kNN set and its INS.
+        Answered from the owner → edges inverted index in O(result), not
+        O(|E|).
         """
         result: Set[int] = set()
         for index in set(object_indexes):
@@ -1043,18 +1044,3 @@ class NetworkVoronoiDiagram:
                 if ownership.owner_v == object_index:
                     total += edge.length - (ownership.border_offset or 0.0)
         return total
-
-    def restricted_subnetwork(
-        self, object_indexes: Iterable[int]
-    ) -> Tuple[RoadNetwork, Dict[int, int], Dict[int, int]]:
-        """The sub-network formed by the cells of ``object_indexes``.
-
-        Implements the Theorem 2 restriction: the returned network contains
-        every edge at least partially owned by one of the given objects.
-
-        Returns:
-            ``(network, vertex_map, edge_map)`` as produced by
-            :meth:`repro.roadnet.graph.RoadNetwork.subnetwork`.
-        """
-        edges = self.cell_edges(object_indexes)
-        return self._network.subnetwork(edges)

@@ -10,12 +10,20 @@ module:
   sources together with the identity of that source; this is exactly the
   computation that yields the network Voronoi diagram.
 * :func:`distances_from_location` — distances from a point on an edge
-  (the moving query object) to every vertex, optionally restricted to a
-  sub-network (Theorem 2).
+  (the moving query object) to every vertex, optionally restricted to a set
+  of edges (Theorem 2).
 * :func:`shortest_path_distance` — vertex-to-vertex distance.
 
+Theorem 2 — validating a kNN answer only needs the Voronoi cells of the held
+objects — is a *restriction of the search*, not a second network: the
+``within`` edge set makes the one expansion loop skip every edge outside it,
+on the shared :class:`RoadNetwork`, with the real vertex identifiers.  The
+result equals, float for float, the same search on the materialised
+``network.subnetwork(within)``.
+
 The functions count settled vertices through an optional
-:class:`SearchStats` accumulator so the benchmarks can report search effort.
+:class:`SearchStats` accumulator so the benchmarks can report search effort;
+the loops count in locals and add to it once per search.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import RoadNetworkError
 from repro.roadnet.graph import RoadNetwork
@@ -37,6 +45,12 @@ class SearchStats:
     settled_vertices: int = 0
     relaxed_edges: int = 0
     searches: int = 0
+
+    def add_search(self, settled: int, relaxed: int) -> None:
+        """Account one finished search (the loops count in locals)."""
+        self.searches += 1
+        self.settled_vertices += settled
+        self.relaxed_edges += relaxed
 
     def merge(self, other: "SearchStats") -> None:
         """Accumulate another stats object into this one."""
@@ -69,8 +83,7 @@ def bounded_dijkstra(
         raise RoadNetworkError(f"unknown source vertex {source}")
     distances: Dict[int, float] = {}
     heap: List[Tuple[float, int]] = [(0.0, source)]
-    if stats is not None:
-        stats.searches += 1
+    relaxed = 0
     while heap:
         distance, vertex = heapq.heappop(heap)
         if vertex in distances:
@@ -78,13 +91,12 @@ def bounded_dijkstra(
         if distance > radius:
             break
         distances[vertex] = distance
-        if stats is not None:
-            stats.settled_vertices += 1
         for neighbor, length, _ in network.neighbors(vertex):
             if neighbor not in distances:
-                if stats is not None:
-                    stats.relaxed_edges += 1
+                relaxed += 1
                 heapq.heappush(heap, (distance + length, neighbor))
+    if stats is not None:
+        stats.add_search(len(distances), relaxed)
     return distances
 
 
@@ -132,21 +144,19 @@ def multi_source_dijkstra(
         (0.0, vertex, label) for vertex, label in sources.items()
     ]
     heapq.heapify(heap)
-    if stats is not None:
-        stats.searches += 1
+    relaxed = 0
     while heap:
         distance, vertex, label = heapq.heappop(heap)
         if vertex in distances:
             continue
         distances[vertex] = distance
         owners[vertex] = label
-        if stats is not None:
-            stats.settled_vertices += 1
         for neighbor, length, _ in network.neighbors(vertex):
             if neighbor not in distances:
-                if stats is not None:
-                    stats.relaxed_edges += 1
+                relaxed += 1
                 heapq.heappush(heap, (distance + length, neighbor, label))
+    if stats is not None:
+        stats.add_search(len(distances), relaxed)
     return distances, owners
 
 
@@ -156,6 +166,7 @@ def distances_from_location(
     targets: Optional[Iterable[int]] = None,
     radius: float = math.inf,
     stats: Optional[SearchStats] = None,
+    within: Optional[AbstractSet[int]] = None,
 ) -> Dict[int, float]:
     """Network distances from an on-edge location to vertices.
 
@@ -163,20 +174,28 @@ def distances_from_location(
     ``targets`` is given the search stops as soon as every target has been
     settled, which is what the localized validation of Theorem 2 relies on.
 
+    ``within`` restricts the search to a set of edge ids (the Theorem 2
+    region): edges outside it are never relaxed, so a vertex that no region
+    edge reaches is missing from the result.  The location's own edge must
+    belong to the set.
+
     Returns:
         Mapping ``vertex_id -> distance`` for every settled vertex (always a
         superset of the requested targets when they are reachable within
         ``radius``).
+
+    Raises:
+        RoadNetworkError: when ``within`` does not contain the location's edge.
     """
     location = location.validated(network)
+    if within is not None and location.edge_id not in within:
+        raise RoadNetworkError(f"edge {location.edge_id} is outside the search region")
     u, distance_u, v, distance_v = location.endpoint_distances(network)
-    target_set = set(targets) if targets is not None else None
     distances: Dict[int, float] = {}
     heap: List[Tuple[float, int]] = [(distance_u, u), (distance_v, v)]
     heapq.heapify(heap)
-    remaining = set(target_set) if target_set is not None else None
-    if stats is not None:
-        stats.searches += 1
+    remaining = set(targets) if targets is not None else None
+    relaxed = 0
     while heap:
         distance, vertex = heapq.heappop(heap)
         if vertex in distances:
@@ -184,17 +203,16 @@ def distances_from_location(
         if distance > radius:
             break
         distances[vertex] = distance
-        if stats is not None:
-            stats.settled_vertices += 1
         if remaining is not None:
             remaining.discard(vertex)
             if not remaining:
                 break
-        for neighbor, length, _ in network.neighbors(vertex):
-            if neighbor not in distances:
-                if stats is not None:
-                    stats.relaxed_edges += 1
+        for neighbor, length, edge_id in network.neighbors(vertex):
+            if neighbor not in distances and (within is None or edge_id in within):
+                relaxed += 1
                 heapq.heappush(heap, (distance + length, neighbor))
+    if stats is not None:
+        stats.add_search(len(distances), relaxed)
     return distances
 
 
@@ -209,20 +227,20 @@ def shortest_path_distance(
         raise RoadNetworkError(f"unknown target vertex {target}")
     distances: Dict[int, float] = {}
     heap: List[Tuple[float, int]] = [(0.0, source)]
-    if stats is not None:
-        stats.searches += 1
+    relaxed = 0
+    found = math.inf
     while heap:
         distance, vertex = heapq.heappop(heap)
         if vertex in distances:
             continue
         distances[vertex] = distance
-        if stats is not None:
-            stats.settled_vertices += 1
         if vertex == target:
-            return distance
+            found = distance
+            break
         for neighbor, length, _ in network.neighbors(vertex):
             if neighbor not in distances:
-                if stats is not None:
-                    stats.relaxed_edges += 1
+                relaxed += 1
                 heapq.heappush(heap, (distance + length, neighbor))
-    return math.inf
+    if stats is not None:
+        stats.add_search(len(distances), relaxed)
+    return found

@@ -1,12 +1,14 @@
 """Tests for repro.core.ins_road (the INS processor on road networks)."""
 
 import math
+import random
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.core.ins_road import INSRoadProcessor
 from repro.core.objects import UpdateAction
+from repro.core.road_server import MovingRoadKNNServer
 from repro.roadnet.generators import grid_network, place_objects, random_planar_network
 from repro.roadnet.location import NetworkLocation
 from repro.roadnet.network_voronoi import NetworkVoronoiDiagram
@@ -122,6 +124,36 @@ class TestModesAgree:
             first = restricted.update(location)
             second = exact.update(location)
             assert max(first.knn_distances) == pytest.approx(max(second.knn_distances))
+
+    def test_modes_agree_across_churn_and_ins_refreshes(self):
+        """Insert / delete / move between timestamps: the Theorem 2 region is
+        re-derived on every I(R) refresh, and searching inside it keeps
+        reporting what the full network reports — same neighbours (an
+        irregular network has no ties), same distances."""
+        rng = random.Random(169)
+        network = random_planar_network(120, extent=1_500.0, seed=170)
+        server = MovingRoadKNNServer(network, place_objects(network, 30, seed=171))
+        trajectory = network_random_walk(network, steps=50, step_length=35.0, seed=172)
+        restricted = server.register_query(trajectory[0], k=4)
+        exact = server.register_query(trajectory[0], k=4, validation_mode="exact")
+        for location in trajectory[1:]:
+            active = server.voronoi.active_object_indexes()
+            victim, mover = rng.sample(active, 2)
+            server.batch_update(
+                inserts=[rng.choice(network.vertices())],
+                deletes=[victim],
+                moves=[(mover, rng.choice(network.vertices()))],
+            )
+            first = server.update_position(restricted, location)
+            second = server.update_position(exact, location)
+            assert set(first.knn) == set(second.knn)
+            assert sorted(first.knn_distances) == pytest.approx(sorted(second.knn_distances))
+            truth = oracle_distances(network, server.voronoi.vertex_assignments, location)
+            assert sorted(first.knn_distances) == pytest.approx(
+                sorted(truth[index] for index in first.knn)
+            )
+        stats = server.stats_for(restricted)
+        assert stats.ins_refreshes > 5 and stats.full_recomputations > 5
 
 
 class TestRandomPlanarNetwork:

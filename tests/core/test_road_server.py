@@ -5,10 +5,12 @@ import random
 
 import pytest
 
+import repro.obs as obs
 from repro.errors import EmptyDatasetError, QueryError
 from repro.core.road_server import MovingRoadKNNServer
 from repro.core.objects import UpdateAction
 from repro.roadnet.generators import grid_network, place_objects, random_planar_network
+from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.knn import network_knn
 from repro.roadnet.location import NetworkLocation
 from repro.trajectory.road import network_random_walk
@@ -209,11 +211,25 @@ class TestAnswersMatchBruteForce:
             ), step
 
 
+def validation_fallbacks():
+    return obs.counter("insq_road_validation_fallbacks_total").value
+
+
 class TestRestrictedEscapeFallback:
-    def test_query_escaping_the_subnetwork_falls_back_to_the_full_network(self):
+    """``insq_road_validation_fallbacks_total`` names the one silent slow
+    path of road serving: a validation that had to search the whole network."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_registry(self):
+        obs.reset()
+        obs.enable()
+        yield
+        obs.reset()
+
+    def test_query_escaping_the_region_falls_back_to_the_full_network(self):
         # Query initialised in one corner of a large grid, then teleported to
-        # the opposite corner: the new edge is not part of the cached
-        # Theorem 2 sub-network, so _held_distances must fall back to the
+        # the opposite corner: the new edge is not part of the held
+        # Theorem 2 region, so _held_distances must fall back to the
         # full network (and still produce a correct answer).
         network = grid_network(15, 15, spacing=20.0)
         objects = place_objects(network, 40, seed=55)
@@ -223,9 +239,11 @@ class TestRestrictedEscapeFallback:
         processor = next(iter(server)).processor
         far_edge = network.incident_edges(network.vertices()[-1])[0]
         far = NetworkLocation(far_edge.edge_id, far_edge.length / 2.0)
-        # Precondition: the escape really leaves the cached sub-network.
-        assert processor._map_location(far) is None
+        # Precondition: the escape really leaves the held region.
+        assert far.edge_id not in processor._region
+        assert validation_fallbacks() == 0
         result = server.update_position(query_id, far)
+        assert validation_fallbacks() == 1
         assert all(math.isfinite(distance) for distance in result.knn_distances)
         assert sorted(result.knn_distances) == pytest.approx(
             reference_knn_distances(server, far, 3)
@@ -240,12 +258,69 @@ class TestRestrictedEscapeFallback:
         processor.initialize(NetworkLocation(0, 2.0))
         far_edge = network.incident_edges(network.vertices()[-1])[0]
         far = NetworkLocation(far_edge.edge_id, 1.0)
-        assert processor._map_location(far) is None
+        assert validation_fallbacks() == 0
         result = processor.update(far)
+        assert validation_fallbacks() == 1
         expected = network_knn(network, objects, far, 4)
         assert sorted(result.knn_distances) == pytest.approx(
             sorted(distance for _, distance in expected)
         )
+
+    def test_a_walk_inside_the_region_never_falls_back(self):
+        network = grid_network(12, 12, spacing=25.0)
+        objects = place_objects(network, 30, seed=56)
+        server = MovingRoadKNNServer(network, objects)
+        trajectory = network_random_walk(network, steps=60, step_length=10.0, seed=57)
+        query_id = server.register_query(trajectory[0], k=4)
+        for location in trajectory[1:]:
+            server.update_position(query_id, location)
+        assert validation_fallbacks() == 0
+        exact = server.register_query(trajectory[0], k=4, validation_mode="exact")
+        server.update_position(exact, NetworkLocation(network.edge_count - 1, 1.0))
+        assert validation_fallbacks() == 0  # "exact" has no region to fall out of
+
+
+class TestServingSharesTheNetwork:
+    def test_no_network_is_built_or_copied_after_set_up(self, monkeypatch):
+        """Theorem 2 is an edge filter on the one shared network: a 50-epoch
+        churn stream over several sessions constructs no ``RoadNetwork`` and
+        never calls ``subnetwork``."""
+        rng = random.Random(58)
+        network = grid_network(12, 12, spacing=50.0)
+        server = MovingRoadKNNServer(network, place_objects(network, 40, seed=59))
+        walks = [
+            network_random_walk(network, steps=50, step_length=30.0, seed=60 + i)
+            for i in range(4)
+        ]
+        ids = [server.register_query(walk[0], k=3 + i % 2) for i, walk in enumerate(walks)]
+
+        built = []
+        original = RoadNetwork.__init__
+
+        def counting_init(self):
+            built.append("init")
+            original(self)
+
+        monkeypatch.setattr(RoadNetwork, "__init__", counting_init)
+        monkeypatch.setattr(
+            RoadNetwork, "subnetwork", lambda self, edge_ids: built.append("subnetwork")
+        )
+        for step in range(1, 51):
+            active = server.voronoi.active_object_indexes()
+            victim, mover = rng.sample(active, 2)
+            server.batch_update(
+                inserts=[rng.choice(network.vertices())],
+                deletes=[victim],
+                moves=[(mover, rng.choice(network.vertices()))],
+            )
+            for query_id, walk in zip(ids, walks):
+                result = server.update_position(query_id, walk[step])
+                assert sorted(result.knn_distances) == pytest.approx(
+                    reference_knn_distances(server, walk[step], len(result.knn))
+                )
+        assert built == []
+        stats = server.aggregate_stats()
+        assert stats.full_recomputations > 4 and stats.ins_refreshes > 0
 
 
 class TestColocatedObjectsThroughTheServer:

@@ -3,10 +3,12 @@
 import math
 
 import networkx as nx
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from repro.errors import RoadNetworkError
 from repro.roadnet.generators import grid_network, place_objects, random_planar_network
-from repro.roadnet.knn import network_knn
+from repro.roadnet.knn import network_knn, object_distances_from_location
 from repro.roadnet.location import NetworkLocation
 from repro.roadnet.network_voronoi import NetworkVoronoiDiagram
 from repro.roadnet.shortest_path import dijkstra, distances_from_location
@@ -31,6 +33,73 @@ network_strategy = st.builds(
     removal_fraction=st.floats(min_value=0.0, max_value=0.4),
     seed=st.integers(min_value=0, max_value=10_000),
 )
+
+
+# Uniform grids: every edge has the same length, so equal-distance ties —
+# where a heap ordered by vertex id could make the filtered search and the
+# re-identified copy disagree — are everywhere.
+grid_strategy = st.builds(
+    grid_network,
+    rows=st.integers(min_value=3, max_value=7),
+    columns=st.integers(min_value=3, max_value=7),
+    spacing=st.just(100.0),
+)
+
+
+class TestTheorem2Filter:
+    """``within=`` (skip edges outside the region, on the shared network) is
+    the search on the materialised ``subnetwork(region)``, float for float."""
+
+    @given(
+        st.one_of(network_strategy, grid_strategy),
+        st.integers(min_value=0, max_value=10_000),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=1_000_000),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.one_of(st.none(), st.floats(min_value=0.0, max_value=600.0)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_filtered_search_equals_search_on_the_copy(
+        self, network, object_seed, held_count, edge_pick, fraction, radius
+    ):
+        objects = place_objects(network, min(8, network.vertex_count - 1), seed=object_seed)
+        diagram = NetworkVoronoiDiagram(network, objects)
+        held = list(range(held_count))
+        region = diagram.cell_edges(held)
+        sub, vertex_map, edge_map = network.subnetwork(region)
+        radius = math.inf if radius is None else radius
+        edge = network.edge(sorted(region)[edge_pick % len(region)])
+        offset = edge.length * fraction
+        here = NetworkLocation(edge.edge_id, offset)
+        there = NetworkLocation(edge_map[edge.edge_id], offset)
+
+        # Exhaustive (up to the radius): the same vertices at the same floats.
+        filtered = distances_from_location(network, here, radius=radius, within=region)
+        copied = distances_from_location(sub, there, radius=radius)
+        assert {vertex_map[v]: d for v, d in filtered.items()} == copied
+
+        # Targeted, every object a target: a search stops when its targets
+        # are settled, so only they are promised — inf past the radius, and
+        # inf for an object whose vertex no region edge touches.
+        distances = object_distances_from_location(
+            network, objects, here, range(len(objects)), within=region
+        )
+        inside = {vertex_map[v] for v in objects if v in vertex_map}
+        targeted = distances_from_location(sub, there, targets=inside, radius=radius)
+        for index, vertex in enumerate(objects):
+            expected = targeted.get(vertex_map.get(vertex), math.inf)
+            if expected <= radius:
+                assert distances[index] == expected
+            else:
+                assert distances[index] > radius
+
+        # A query on an edge outside the region is refused, not answered
+        # (the processor falls back to the full network before asking).
+        outside = [e.edge_id for e in network.edges() if e.edge_id not in region]
+        if outside:
+            elsewhere = NetworkLocation(outside[edge_pick % len(outside)], 0.0)
+            with pytest.raises(RoadNetworkError):
+                distances_from_location(network, elsewhere, within=region)
 
 
 class TestShortestPathProperties:

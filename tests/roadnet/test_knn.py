@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.errors import QueryError
+from repro.errors import QueryError, RoadNetworkError
 from repro.geometry.point import Point
 from repro.roadnet.generators import grid_network, place_objects, random_planar_network
 from repro.roadnet.graph import RoadNetwork
@@ -106,17 +106,33 @@ class TestObjectDistances:
         for index in [0, 2, 4]:
             assert distances[index] == pytest.approx(oracle[objects[index]])
 
-    def test_restricted_requires_vertex_map(self):
+    def test_query_edge_outside_the_region_is_rejected(self):
         network = grid_network(3, 3)
         objects = place_objects(network, 3, seed=99)
-        location = NetworkLocation(network.edges()[0].edge_id, 1.0)
-        sub, vertex_map, _ = network.subnetwork([e.edge_id for e in network.edges()[:4]])
-        from repro.errors import RoadNetworkError
-
+        edges = [edge.edge_id for edge in network.edges()]
+        location = NetworkLocation(edges[-1], 1.0)
         with pytest.raises(RoadNetworkError):
             object_distances_from_location(
-                network, objects, location, object_indexes=[0], restricted=sub
+                network, objects, location, object_indexes=[0], within=set(edges[:4])
             )
+
+    def test_region_distances_equal_the_materialised_subnetwork(self):
+        network = grid_network(4, 4, spacing=10.0)
+        objects = place_objects(network, 6, seed=98)
+        # Edges are generated row by row, so a prefix of them leaves the far
+        # rows out: some objects keep an incident region edge, some lose all.
+        region = {edge.edge_id for edge in network.edges()[:9]}
+        sub, vertex_map, edge_map = network.subnetwork(region)
+        location = NetworkLocation(network.edges()[2].edge_id, 3.0)
+        distances = object_distances_from_location(
+            network, objects, location, object_indexes=range(6), within=region
+        )
+        oracle = distances_from_location(sub, NetworkLocation(edge_map[location.edge_id], 3.0))
+        expected = {
+            index: oracle.get(vertex_map.get(objects[index]), math.inf) for index in range(6)
+        }
+        assert distances == expected
+        assert math.inf in distances.values() and min(distances.values()) < math.inf
 
     def test_unreachable_object_gets_infinity(self):
         network = RoadNetwork()

@@ -1,0 +1,126 @@
+"""Independent known answers for the road kernel (ROADMAP 4d).
+
+Every other road test compares ``repro`` with ``repro`` (filter vs copy,
+incremental vs rebuild, processor vs ``network_knn``).  These distances were
+worked out by hand on a network small enough to check on paper, and are
+asserted against literals.  All lengths are small integers, so every sum is
+exact in floating point.
+
+::
+
+        A ---4--- B ---3--- C ---7--- G
+        |       /           |
+        2     1             5
+        |   /               |
+        E --------6-------- D ---2--- F
+
+The query sits on A-B, 1 from A and 3 from B.  By hand:
+
+    A 1 | B 3 | E 3 (via A: 1+2; via B it is 3+1 = 4) | C 6 (B+3)
+    D 9 (E+6; via C it is 6+5 = 11) | F 11 (D+2) | G 13 (C+7)
+
+B and E tie at 3.
+"""
+
+import math
+
+import pytest
+
+from repro.errors import RoadNetworkError
+from repro.geometry.point import Point
+from repro.roadnet.graph import RoadNetwork
+from repro.roadnet.knn import network_knn, object_distances_from_location
+from repro.roadnet.location import NetworkLocation
+from repro.roadnet.shortest_path import (
+    dijkstra,
+    distances_from_location,
+    shortest_path_distance,
+)
+
+A, B, C, D, E, F, G = range(7)
+AB, BC, CD, AE, ED, BE, DF, CG = range(8)
+
+#: Object i sits on OBJECTS[i].
+OBJECTS = [B, E, C, F, G]
+
+
+@pytest.fixture(scope="module")
+def network():
+    net = RoadNetwork()
+    for x, y in [(0, 2), (4, 2), (7, 2), (7, 0), (0, 0), (9, 0), (14, 2)]:
+        net.add_vertex(Point(x, y))
+    for u, v, length in [
+        (A, B, 4.0),
+        (B, C, 3.0),
+        (C, D, 5.0),
+        (A, E, 2.0),
+        (E, D, 6.0),
+        (B, E, 1.0),
+        (D, F, 2.0),
+        (C, G, 7.0),
+    ]:
+        net.add_edge(u, v, length)
+    return net
+
+
+QUERY = NetworkLocation(AB, 1.0)
+
+
+def test_full_network(network):
+    assert distances_from_location(network, QUERY) == {
+        A: 1.0, B: 3.0, E: 3.0, C: 6.0, D: 9.0, F: 11.0, G: 13.0
+    }
+
+
+def test_radius_stops_at_the_first_vertex_beyond_it(network):
+    assert distances_from_location(network, QUERY, radius=6.0) == {
+        A: 1.0, B: 3.0, E: 3.0, C: 6.0
+    }
+
+
+def test_filtered_to_an_edge_set(network):
+    # Without A-E and E-D the short cuts are gone: E is reached through B
+    # (3+1), D through C (6+5), F behind it; G's only edge is left out.
+    region = {AB, BC, CD, BE, DF}
+    assert distances_from_location(network, QUERY, within=region) == {
+        A: 1.0, B: 3.0, E: 4.0, C: 6.0, D: 11.0, F: 13.0
+    }
+    assert object_distances_from_location(
+        network, OBJECTS, QUERY, range(5), within=region
+    ) == {0: 3.0, 1: 4.0, 2: 6.0, 3: 13.0, 4: math.inf}
+
+
+def test_unreachable_inside_the_filter(network):
+    # D-F belongs to the region but nothing in it leads there from A-B.
+    region = {AB, DF}
+    assert distances_from_location(network, QUERY, within=region) == {A: 1.0, B: 3.0}
+    assert object_distances_from_location(
+        network, OBJECTS, QUERY, [0, 3], within=region
+    ) == {0: 3.0, 3: math.inf}
+    with pytest.raises(RoadNetworkError):
+        distances_from_location(network, NetworkLocation(BC, 1.0), within=region)
+
+
+def test_query_on_an_objects_vertex(network):
+    # The far end of A-B is B itself, where object 0 sits.
+    at_b = NetworkLocation(AB, 4.0)
+    assert distances_from_location(network, at_b) == {
+        B: 0.0, E: 1.0, C: 3.0, A: 3.0, D: 7.0, F: 9.0, G: 10.0
+    }
+    assert object_distances_from_location(network, OBJECTS, at_b, [0, 1]) == {0: 0.0, 1: 1.0}
+    assert network_knn(network, OBJECTS, at_b, 1) == [(0, 0.0)]
+
+
+def test_three_nearest_with_the_tie(network):
+    # Objects 0 (on B) and 1 (on E) tie at 3; object 2 (on C) is third.
+    # Equal distances pop in vertex order (B = 1 before E = 4).
+    assert network_knn(network, OBJECTS, QUERY, 3) == [(0, 3.0), (1, 3.0), (2, 6.0)]
+    assert network_knn(network, OBJECTS, QUERY, 5)[3:] == [(3, 11.0), (4, 13.0)]
+
+
+def test_vertex_to_vertex_is_symmetric(network):
+    # From A: E 2, B 3 (A-E-B beats A-B = 4), C 6, D 8, F 10, G 13.
+    assert dijkstra(network, A) == {A: 0.0, E: 2.0, B: 3.0, C: 6.0, D: 8.0, F: 10.0, G: 13.0}
+    assert shortest_path_distance(network, A, D) == 8.0
+    assert shortest_path_distance(network, D, A) == 8.0
+    assert shortest_path_distance(network, G, F) == 14.0  # G-C-D-F: 7+5+2

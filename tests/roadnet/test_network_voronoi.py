@@ -122,23 +122,28 @@ class TestNeighborRelation:
         assert ins == expected
 
 
-class TestRestrictedSubnetwork:
-    def test_subnetwork_covers_cells(self):
+class TestCellEdges:
+    """The Theorem 2 region of a set of objects: the edges of their cells."""
+
+    def test_region_covers_cells(self):
         network = grid_network(6, 6, spacing=10.0)
         objects = place_objects(network, 8, seed=110)
         diagram = NetworkVoronoiDiagram(network, objects)
         members = {0, 1}
-        sub, vertex_map, edge_map = diagram.restricted_subnetwork(members)
+        region = diagram.cell_edges(members)
         # Every edge owned (even partially) by a member must be present.
-        for edge_id in diagram.cell_edges(members):
-            assert edge_id in edge_map
-        # The member objects' vertices must be present in the sub-network.
+        for edge in network.edges():
+            ownership = diagram.edge_ownership(edge.edge_id)
+            assert (edge.edge_id in region) == bool(ownership.owners() & members)
+        # The member objects' vertices must touch the region, and survive
+        # into its materialised form.
+        _, vertex_map, edge_map = network.subnetwork(region)
+        assert set(edge_map) == region
         for index in members:
             assert objects[index] in vertex_map
 
-    def test_subnetwork_is_smaller_than_network(self):
+    def test_region_is_smaller_than_network(self):
         network = grid_network(10, 10, spacing=10.0)
         objects = place_objects(network, 20, seed=111)
         diagram = NetworkVoronoiDiagram(network, objects)
-        sub, _, _ = diagram.restricted_subnetwork({0})
-        assert sub.edge_count < network.edge_count
+        assert 0 < len(diagram.cell_edges({0})) < network.edge_count
