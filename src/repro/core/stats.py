@@ -58,6 +58,9 @@ class CommunicationStats:
         downlink_bytes: bytes actually sent server → client (same source).
     """
 
+    # Append-only, and this order is the wire format: the transport codec
+    # ships these fields in declaration order (``int`` as u64), so a new
+    # counter goes last and none is ever reordered, retyped or removed.
     uplink_messages: int = 0
     uplink_objects: int = 0
     downlink_messages: int = 0
@@ -154,6 +157,7 @@ class ProcessorStats:
             (the read-replica's cost under ``replication="delta"``).
     """
 
+    # Append-only, this order is the wire format (``float`` ships as f64).
     timestamps: int = 0
     validations: int = 0
     local_reorders: int = 0

@@ -55,7 +55,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
-from repro.errors import ConfigurationError, WALCorruptError
+from repro.errors import ConfigurationError, TransportError, WALCorruptError
 from repro.obs.metrics import (
     counter as _obs_counter,
     histogram as _obs_histogram,
@@ -216,7 +216,8 @@ def scan_wal(path: str, expect_start: Optional[int] = None) -> WALScan:
         WALCorruptError: when the magic is wrong or a *complete* record
             fails its CRC/sequence check (corruption, not truncation) —
             including a declared payload length beyond the codec's frame
-            limit, which no legitimate writer can produce.
+            limit, which no legitimate writer can produce — or passes it
+            but carries a payload the codec cannot decode.
     """
     with open(path, "rb") as handle:
         data = handle.read()
@@ -264,7 +265,13 @@ def scan_wal(path: str, expect_start: Optional[int] = None) -> WALScan:
                 f"{path}: record at offset {offset} carries seq {seq}, "
                 f"expected {expected_seq}"
             )
-        records.append(WALRecord(seq=seq, message=decode(payload), offset=offset))
+        try:
+            message = decode(payload)
+        except TransportError as error:  # intact, but e.g. from a newer build
+            raise WALCorruptError(
+                f"{path}: record at offset {offset} (seq {seq}) does not decode: {error}"
+            )
+        records.append(WALRecord(seq=seq, message=message, offset=offset))
         expected_seq += 1
         offset = end
     return WALScan(

@@ -1,44 +1,65 @@
-"""The binary wire codec of the transport layer.
+"""The binary wire codec of the transport layer: one table, three drivers.
 
-The PR4 message protocol (:class:`~repro.service.messages.PositionUpdate`,
+The message protocol (:class:`~repro.service.messages.PositionUpdate`,
 :class:`~repro.service.messages.KNNResponse`,
-:class:`~repro.service.messages.UpdateBatch`) already *is* the
-client/server protocol — this module gives it a byte representation so it
-can cross a real process boundary.  Design goals, in order:
+:class:`~repro.service.messages.UpdateBatch` and the control and meta
+frames defined below) already *is* the client/server protocol — this
+module gives it a byte representation so it can cross a process boundary
+and be logged by the WAL.  Design goals, in order:
 
-* **compact** — the hot messages are struct-packed binary (a Euclidean
-  position update is 26 bytes on the wire), no pickle anywhere, so the
-  measured byte counts are an honest communication metric rather than an
-  artefact of a serialiser;
+* **compact** — struct-packed binary (a Euclidean position update is 26
+  bytes on the wire), no pickle anywhere, so the measured byte counts are
+  an honest communication metric rather than an artefact of a serialiser;
 * **predictable** — :func:`wire_size` computes a message's encoded size
-  arithmetically, without encoding it; ``len(encode(m)) ==
-  wire_size(m)`` holds exactly for every message, which is what lets the
-  PR5 benchmark reconcile measured bytes against codec-predicted bytes;
+  arithmetically, without encoding it; ``len(encode(m)) == wire_size(m)``
+  holds exactly for every message, which is what lets the benchmark
+  reconcile measured bytes against codec-predicted bytes;
 * **robust** — frames are length-prefixed, so a reader survives partial
   and concatenated reads (:class:`FrameReader`), and every malformed input
-  raises :class:`~repro.errors.TransportError` instead of a bare
-  ``struct.error``.
+  — short read, unknown tag / enum code / frame type, bad UTF-8, trailing
+  byte, a count that promises more than the body holds — raises
+  :class:`~repro.errors.TransportError` before anything is allocated for
+  it, never a bare ``struct.error``.
+
+**Every frame is described once**, as a row of :data:`_FRAMES`: its type
+byte, its message class, and its fields in wire order as ``(attribute,
+field type)`` pairs.  A *field type* (``_u8 … _f64``, ``_bool``,
+``_string``, ``_enum``, ``_flags``, ``_Tagged`` unions such as a position,
+``_Array``, ``_Record``, ``_Struct``) writes, reads, sizes and bounds one
+kind of value, so :func:`encode`, :func:`decode`, :func:`wire_size` and
+the decoder's bounds checks are generic drivers over one table and cannot
+drift apart; the frame dataclasses normalise their list-valued fields
+through the same types.  Only messages that are not flat carry an adapter:
+the ``KNNResponse`` family (``result.*`` nested behind the envelope) and
+``PositionUpdate``'s ``None`` query id.
 
 Frame layout: a 4-byte big-endian unsigned body length, then the body —
-one type byte followed by type-specific fields.  Positions and batch
-targets are tagged unions (a :class:`~repro.geometry.point.Point` is two
-doubles, a :class:`~repro.roadnet.location.NetworkLocation` is an edge id
-plus an offset, a road vertex is one unsigned int), which keeps the codec
-metric-agnostic like the protocol it serialises.
+one type byte followed by the row's fields.  Meta frames (stats, objects,
+metrics, index deltas) are diagnostics and serving infrastructure, never
+billed into :class:`~repro.core.stats.CommunicationStats`.
 
-Beyond the three data-plane messages, the codec speaks the control frames
-of one serving connection: open/close a session, refresh, batch
-acknowledgement, typed errors (re-raised client-side as their original
-exception class), and the meta frames (stats, aggregate stats, active
-objects) that let a remote client read the server's accounting.  Meta
-frames are diagnostics — the server deliberately does not bill their bytes
-into :class:`~repro.core.stats.CommunicationStats`.
+**Adding a frame** takes one frozen dataclass (``__post_init__ =
+_coerce_arrays`` if it has list-valued fields) and one table row, e.g.
+``0x1A: _Frame(Ping, (("nonce", _u64), ("hops", _Array(_u8, _u32))))`` —
+plus its name in ``__all__`` and a sample in ``tests/transport/golden/``.
+
+**The wire format is append-only** (WALs and peers written by older
+builds must keep decoding): never reuse a type byte or union tag, never
+reorder, retype or remove a field of an existing frame, only append to
+:data:`_ACTIONS`, :data:`_REGION_EVENTS`, :data:`_ERROR_KINDS` and a
+``_flags`` entry.  The stats frames take their layout from the
+:mod:`repro.core.stats` dataclasses, so the same rule binds those.
+``tests/transport/test_golden_corpus.py`` holds every frame type and one
+WAL directory to the bytes first written.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import operator
 import struct
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Any, Dict, List, Optional, Tuple, Type
 
 from repro.errors import (
@@ -99,39 +120,6 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 _LENGTH = struct.Struct("!I")
 LENGTH_PREFIX_BYTES = _LENGTH.size
 
-# Frame type bytes (one per message class).
-_T_POSITION_UPDATE = 0x01
-_T_KNN_RESPONSE = 0x02
-_T_UPDATE_BATCH = 0x03
-_T_OPEN_SESSION = 0x04
-_T_SESSION_OPENED = 0x05
-_T_CLOSE_SESSION = 0x06
-_T_SESSION_CLOSED = 0x07
-_T_REFRESH = 0x08
-_T_BATCH_APPLIED = 0x09
-_T_ERROR = 0x0A
-_T_STATS_REQUEST = 0x0B
-_T_STATS_RESPONSE = 0x0C
-_T_OBJECTS_REQUEST = 0x0D
-_T_OBJECTS_RESPONSE = 0x0E
-_T_AGG_STATS_REQUEST = 0x0F
-_T_AGG_STATS_RESPONSE = 0x10
-_T_DRAIN_REQUEST = 0x11
-_T_DRAIN_ACK = 0x12
-_T_INDEX_DELTA = 0x13
-_T_DELTA_ACK = 0x14
-_T_OPEN_QUERY = 0x15
-_T_INFLUENTIAL_RESPONSE = 0x16
-_T_REGION_EVENT = 0x17
-_T_METRICS_REQUEST = 0x18
-_T_METRICS_SNAPSHOT = 0x19
-
-# Tagged position / batch-target kinds.
-_POS_POINT = 0x00
-_POS_ROAD = 0x01
-_TARGET_POINT = 0x00
-_TARGET_VERTEX = 0x01
-
 #: Wire order of :class:`UpdateAction` values (append-only by contract).
 _ACTIONS = (
     UpdateAction.NONE,
@@ -139,11 +127,9 @@ _ACTIONS = (
     UpdateAction.INCREMENTAL,
     UpdateAction.FULL_RECOMPUTE,
 )
-_ACTION_CODE = {action: code for code, action in enumerate(_ACTIONS)}
 
 #: Wire order of the region-monitor event names (append-only by contract).
 _REGION_EVENTS = ("stay", "enter")
-_REGION_EVENT_CODE = {event: code for code, event in enumerate(_REGION_EVENTS)}
 
 #: Wire names of the error classes a server may relay (client re-raises).
 _ERROR_KINDS: Dict[str, Type[ReproError]] = {
@@ -167,6 +153,15 @@ _KIND_OF_ERROR = {cls: kind for kind, cls in _ERROR_KINDS.items()}
 # ----------------------------------------------------------------------
 # Control messages (the data-plane trio lives in repro.service.messages)
 # ----------------------------------------------------------------------
+def _coerce_arrays(self) -> None:
+    """``__post_init__`` of every frame with list-valued fields: each is
+    normalised through its field type in the frame table, so a frame built
+    from lists or generators equals the one :func:`decode` returns for its
+    bytes (and hashes, being tuples all the way down)."""
+    for name, kind in _FRAME_OF_CLASS[type(self)].arrays:
+        object.__setattr__(self, name, kind.coerce(getattr(self, name)))
+
+
 @dataclass(frozen=True)
 class OpenSession:
     """Client → server: register a moving query and open its session.
@@ -185,10 +180,7 @@ class OpenSession:
     rho: float
     options: Tuple[Tuple[str, str], ...] = field(default=())
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "options", tuple((str(k), str(v)) for k, v in self.options)
-        )
+    __post_init__ = _coerce_arrays
 
 
 @dataclass(frozen=True)
@@ -235,9 +227,7 @@ class BatchApplied:
     new_indexes: Tuple[int, ...] = field(default=())
     deleted_indexes: Tuple[int, ...] = field(default=())
 
-    def __post_init__(self):
-        object.__setattr__(self, "new_indexes", tuple(self.new_indexes))
-        object.__setattr__(self, "deleted_indexes", tuple(self.deleted_indexes))
+    __post_init__ = _coerce_arrays
 
 
 @dataclass(frozen=True)
@@ -275,10 +265,7 @@ class StatsResponse:
     aggregate: CommunicationStats
     per_session: Tuple[Tuple[int, CommunicationStats], ...] = field(default=())
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "per_session", tuple((int(q), s) for q, s in self.per_session)
-        )
+    __post_init__ = _coerce_arrays
 
 
 @dataclass(frozen=True)
@@ -298,8 +285,7 @@ class ObjectsResponse:
     epoch: int
     indexes: Tuple[int, ...] = field(default=())
 
-    def __post_init__(self):
-        object.__setattr__(self, "indexes", tuple(self.indexes))
+    __post_init__ = _coerce_arrays
 
 
 @dataclass(frozen=True)
@@ -328,8 +314,7 @@ class DrainAck:
     wal_seq: int
     session_ids: Tuple[int, ...] = field(default=())
 
-    def __post_init__(self):
-        object.__setattr__(self, "session_ids", tuple(self.session_ids))
+    __post_init__ = _coerce_arrays
 
 
 @dataclass(frozen=True)
@@ -414,56 +399,7 @@ class IndexDelta:
     )
     removed_labels: Tuple[int, ...] = field(default=())
 
-    def __post_init__(self):
-        normalize = object.__setattr__
-        normalize(self, "new_indexes", tuple(self.new_indexes))
-        normalize(self, "deleted_indexes", tuple(self.deleted_indexes))
-        normalize(self, "changed", tuple(self.changed))
-        normalize(self, "points", tuple(self.points))
-        normalize(
-            self,
-            "neighbors",
-            tuple((int(obj), tuple(members)) for obj, members in self.neighbors),
-        )
-        normalize(self, "removed_neighbors", tuple(self.removed_neighbors))
-        normalize(
-            self,
-            "assignments",
-            tuple((int(obj), int(vertex)) for obj, vertex in self.assignments),
-        )
-        normalize(
-            self,
-            "groups",
-            tuple((int(vertex), tuple(members)) for vertex, members in self.groups),
-        )
-        normalize(self, "removed_groups", tuple(self.removed_groups))
-        normalize(
-            self,
-            "vertices",
-            tuple(
-                (int(vertex), int(owner), float(distance))
-                for vertex, owner, distance in self.vertices
-            ),
-        )
-        normalize(self, "removed_vertices", tuple(self.removed_vertices))
-        normalize(
-            self,
-            "edges",
-            tuple(
-                (int(e), int(u), int(v), None if border is None else float(border))
-                for e, u, v, border in self.edges
-            ),
-        )
-        normalize(self, "removed_edges", tuple(self.removed_edges))
-        normalize(
-            self,
-            "labels",
-            tuple(
-                (int(rep), tuple(verts), tuple(edge_ids), tuple(adjacent))
-                for rep, verts, edge_ids, adjacent in self.labels
-            ),
-        )
-        normalize(self, "removed_labels", tuple(self.removed_labels))
+    __post_init__ = _coerce_arrays
 
 
 @dataclass(frozen=True)
@@ -510,534 +446,536 @@ class MetricsSnapshot:
     gauges: Tuple[Tuple[str, str, float], ...] = ()
     histograms: Tuple[Tuple[str, str, Tuple[int, ...], float], ...] = ()
 
-    def __post_init__(self):
-        normalize = object.__setattr__
-        normalize(
-            self,
-            "counters",
-            tuple((str(n), str(l), int(v)) for n, l, v in self.counters),
-        )
-        normalize(
-            self,
-            "gauges",
-            tuple((str(n), str(l), float(v)) for n, l, v in self.gauges),
-        )
-        normalize(
-            self,
-            "histograms",
-            tuple(
-                (str(n), str(l), tuple(int(c) for c in counts), float(total))
-                for n, l, counts, total in self.histograms
-            ),
-        )
+    __post_init__ = _coerce_arrays
 
 
 # ----------------------------------------------------------------------
-# Primitive writers / readers
+# Field types
 # ----------------------------------------------------------------------
-_U8 = struct.Struct("!B")
-_U16 = struct.Struct("!H")
-_U32 = struct.Struct("!I")
-_U64 = struct.Struct("!Q")
-_I32 = struct.Struct("!i")
-_F64 = struct.Struct("!d")
-_POINT = struct.Struct("!dd")
-_ROAD = struct.Struct("!Id")
+_TRUNCATED = "truncated frame body"
 
 
-class _Writer:
-    """Accumulates struct-packed fields into one frame body."""
+class _Field:
+    """A field type knows four things about one kind of value: how to write
+    it (append struct-packed bytes to ``parts``), how to read it back
+    (``read(data, offset)`` returns the value and the next offset, and
+    checks every length against the bytes that are really there *before* it
+    unpacks or allocates), how many bytes it takes without encoding it
+    (``size``) and how to normalise a caller-supplied value into the shape
+    ``read`` returns (``coerce``).  ``min_size`` is the fewest bytes any
+    value occupies — what an array multiplies a declared count by;
+    ``fixed`` is the size of every value when they are all equal, else
+    None.  Everything is big-endian."""
 
-    __slots__ = ("parts",)
+    min_size = 0
+    fixed: Optional[int] = None
 
-    def __init__(self, frame_type: int):
-        self.parts: List[bytes] = [_U8.pack(frame_type)]
+    def size(self, value) -> int:
+        return self.fixed
 
-    def u8(self, value: int) -> None:
-        self.parts.append(_U8.pack(value))
-
-    def u16(self, value: int) -> None:
-        self.parts.append(_U16.pack(value))
-
-    def u32(self, value: int) -> None:
-        self.parts.append(_U32.pack(value))
-
-    def u64(self, value: int) -> None:
-        self.parts.append(_U64.pack(value))
-
-    def i32(self, value: int) -> None:
-        self.parts.append(_I32.pack(value))
-
-    def f64(self, value: float) -> None:
-        self.parts.append(_F64.pack(value))
-
-    def string(self, value: str) -> None:
-        data = value.encode("utf-8")
-        self.u16(len(data))
-        self.parts.append(data)
-
-    def position(self, position: Any) -> None:
-        if isinstance(position, Point):
-            self.u8(_POS_POINT)
-            self.parts.append(_POINT.pack(position.x, position.y))
-        elif isinstance(position, NetworkLocation):
-            self.u8(_POS_ROAD)
-            self.parts.append(_ROAD.pack(position.edge_id, position.offset))
-        else:
-            raise TransportError(
-                f"cannot encode position of type {type(position).__name__}"
-            )
-
-    def target(self, target: Any) -> None:
-        """A batch target: a Point (Euclidean) or a vertex id (road)."""
-        if isinstance(target, Point):
-            self.u8(_TARGET_POINT)
-            self.parts.append(_POINT.pack(target.x, target.y))
-        elif isinstance(target, int):
-            self.u8(_TARGET_VERTEX)
-            self.u32(target)
-        else:
-            raise TransportError(
-                f"cannot encode batch target of type {type(target).__name__}"
-            )
-
-    def frame(self) -> bytes:
-        body = b"".join(self.parts)
-        return _LENGTH.pack(len(body)) + body
+    def coerce(self, value):
+        return value
 
 
-class _Reader:
-    """Consumes struct-packed fields from one frame body."""
+def _converted(values, converters):
+    values = list(values)
+    for index, convert in converters:
+        values[index] = convert(values[index])
+    return values
 
-    __slots__ = ("data", "offset")
 
-    def __init__(self, data: bytes):
-        self.data = data
-        self.offset = 0
+class _Run:
+    """Adjacent scalars, fused into one precompiled :class:`struct.Struct`."""
 
-    def _unpack(self, spec: struct.Struct):
-        end = self.offset + spec.size
-        if end > len(self.data):
-            raise TransportError("truncated frame body")
-        values = spec.unpack_from(self.data, self.offset)
-        self.offset = end
-        return values
+    def __init__(self, scalars):
+        self.packer = struct.Struct("!" + "".join(s.code for s in scalars))
+        self.size = self.packer.size
+        self.encoders = [(i, s.to_wire) for i, s in enumerate(scalars) if s.to_wire]
+        self.decoders = [(i, s.from_wire) for i, s in enumerate(scalars) if s.from_wire]
 
-    def u8(self) -> int:
-        return self._unpack(_U8)[0]
+    def pack(self, values) -> bytes:
+        if self.encoders:
+            values = _converted(values, self.encoders)
+        return self.packer.pack(*values)
 
-    def u16(self) -> int:
-        return self._unpack(_U16)[0]
+    def read(self, data, offset):
+        end = offset + self.size
+        if end > len(data):
+            raise TransportError(_TRUNCATED)
+        values = self.packer.unpack_from(data, offset)
+        return (_converted(values, self.decoders) if self.decoders else values), end
 
-    def u32(self) -> int:
-        return self._unpack(_U32)[0]
 
-    def u64(self) -> int:
-        return self._unpack(_U64)[0]
+class _Scalar(_Field):
+    """A fixed-width number, named by its :mod:`struct` code.
 
-    def i32(self) -> int:
-        return self._unpack(_I32)[0]
+    A record packs its scalars fused with their neighbours, a plain array
+    packs them all at once; alone, a scalar is a run of one.  ``to_wire`` /
+    ``from_wire`` convert between the message's value and the packed number.
+    """
 
-    def f64(self) -> float:
-        return self._unpack(_F64)[0]
+    def __init__(self, code, python=None, to_wire=None, from_wire=None):
+        self.code, self.python = code, python
+        self.to_wire, self.from_wire = to_wire, from_wire
+        self.alone = _Run((self,))
+        self.min_size = self.fixed = self.alone.size
 
-    def string(self) -> str:
-        length = self.u16()
-        end = self.offset + length
-        if end > len(self.data):
-            raise TransportError("truncated frame body")
-        raw = self.data[self.offset : end]
-        self.offset = end
+    def write(self, value, parts) -> None:
+        parts.append(self.alone.pack((value,)))
+
+    def read(self, data, offset):
+        (value,), offset = self.alone.read(data, offset)
+        return value, offset
+
+    def coerce(self, value):
+        return value if self.python is None else self.python(value)
+
+
+_u8, _u16, _u32, _u64, _i32 = (_Scalar(code, int) for code in "BHIQi")
+_f64 = _Scalar("d", float)
+_bool = _Scalar("?")  # one byte; any non-zero byte reads as True
+#: The ``len()`` of a later count-less array of the same frame, for layouts
+#: that ship their counts up front (recognised by identity, never copied).
+_length = _Scalar("I")
+
+
+def _enum(what: str, table) -> _Scalar:
+    """A u8 index into ``table``, whose order is the wire contract."""
+    codes = {value: code for code, value in enumerate(table)}
+
+    def to_wire(value):
+        if value not in codes:
+            raise TransportError(f"unknown {what} {value!r}")
+        return codes[value]
+
+    def from_wire(code):
+        if code >= len(table):
+            raise TransportError(f"unknown {what} code 0x{code:02x}")
+        return table[code]
+
+    return _Scalar("B", to_wire=to_wire, from_wire=from_wire)
+
+
+def _flags(*names: str):
+    """A table entry packing the boolean attributes ``names`` into one u8,
+    bit ``i`` for ``names[i]`` (unknown high bits are ignored)."""
+    return names, _Scalar(
+        "B",
+        to_wire=lambda bits: sum(1 << i for i, bit in enumerate(bits) if bit),
+        from_wire=lambda byte: tuple(bool(byte >> i & 1) for i in range(len(names))),
+    )
+
+
+class _Record(_Field):
+    """``T…`` side by side; the value is a row (tuple) with one entry per T.
+
+    ``counts`` maps the row position of a count-less array to the position
+    of the :data:`_length` scalar that shipped its count.
+    """
+
+    def __init__(self, *kinds, counts=None):
+        counts = counts or {}
+        self.kinds = kinds
+        # (run, None, start, stop) or (None, field, position, count position)
+        self.steps = []
+        for fused, group in groupby(enumerate(kinds), lambda at: isinstance(at[1], _Scalar)):
+            group = list(group)
+            if fused:
+                run = _Run([kind for _, kind in group])
+                self.steps.append((run, None, group[0][0], group[-1][0] + 1))
+            else:
+                self.steps += [(None, kind, at, counts.get(at)) for at, kind in group]
+        fields = [(field, at) for run, field, at, _ in self.steps if run is None]
+        self.variable = [(field, at) for field, at in fields if field.fixed is None]
+        self.fixed_part = sum(run.size for run, _, _, _ in self.steps if run is not None)
+        self.fixed_part += sum(field.fixed or 0 for field, _ in fields)
+        self.min_size = sum(kind.min_size for kind in kinds)
+        self.fixed = None if self.variable else self.fixed_part
+
+    def write(self, row, parts) -> None:
+        for run, field, start, stop in self.steps:
+            if run is not None:
+                parts.append(run.pack(row[start:stop]))
+                continue
+            if stop is not None and len(row[start]) != row[stop]:
+                raise TransportError(
+                    f"array of {len(row[start])} elements where its shared "
+                    f"count field says {row[stop]}"
+                )
+            field.write(row[start], parts)
+
+    def read(self, data, offset):
+        row = []
+        for run, field, _, count_at in self.steps:
+            if run is not None:
+                values, offset = run.read(data, offset)
+                row.extend(values)
+            elif count_at is None:
+                value, offset = field.read(data, offset)
+                row.append(value)
+            else:
+                value, offset = field.read(data, offset, row[count_at])
+                row.append(value)
+        return tuple(row), offset
+
+    def size(self, row) -> int:
+        return self.fixed_part + sum(field.size(row[at]) for field, at in self.variable)
+
+    def coerce(self, row):
+        return tuple(
+            kind.coerce(value) for kind, value in zip(self.kinds, row, strict=True)
+        )
+
+
+class _String(_Field):
+    """A u16 byte length, then that many bytes of UTF-8."""
+
+    min_size = 2
+    coerce = str
+
+    def write(self, value, parts) -> None:
+        raw = value.encode("utf-8")
+        parts.append(struct.pack("!H%ds" % len(raw), len(raw), raw))
+
+    def read(self, data, offset):
+        start = offset + 2
+        if start > len(data):
+            raise TransportError(_TRUNCATED)
+        end = start + int.from_bytes(data[offset:start], "big")
+        if end > len(data):
+            raise TransportError(_TRUNCATED)
         try:
-            return raw.decode("utf-8")
+            return data[start:end].decode("utf-8"), end
         except UnicodeDecodeError as error:
             raise TransportError(f"malformed utf-8 string in frame: {error}")
 
-    def position(self) -> Any:
-        tag = self.u8()
-        if tag == _POS_POINT:
-            x, y = self._unpack(_POINT)
-            return Point(x, y)
-        if tag == _POS_ROAD:
-            edge_id, offset = self._unpack(_ROAD)
-            return NetworkLocation(edge_id, offset)
-        raise TransportError(f"unknown position tag 0x{tag:02x}")
-
-    def target(self) -> Any:
-        tag = self.u8()
-        if tag == _TARGET_POINT:
-            x, y = self._unpack(_POINT)
-            return Point(x, y)
-        if tag == _TARGET_VERTEX:
-            return self.u32()
-        raise TransportError(f"unknown batch target tag 0x{tag:02x}")
-
-    def finish(self) -> None:
-        if self.offset != len(self.data):
-            raise TransportError(
-                f"frame body has {len(self.data) - self.offset} trailing bytes"
-            )
+    def size(self, value) -> int:
+        return 2 + len(value.encode("utf-8"))
 
 
-def _position_size(position: Any) -> int:
-    if isinstance(position, Point):
-        return 1 + _POINT.size
-    if isinstance(position, NetworkLocation):
-        return 1 + _ROAD.size
-    raise TransportError(f"cannot size position of type {type(position).__name__}")
+_string = _String()
 
 
-def _target_size(target: Any) -> int:
-    if isinstance(target, Point):
-        return 1 + _POINT.size
-    if isinstance(target, int):
-        return 1 + _U32.size
-    raise TransportError(f"cannot size batch target of type {type(target).__name__}")
+class _Tagged(_Field):
+    """A tagged union: one tag byte, then the value as the matching arm's
+    field type.  Each arm is ``(tag, python type, field type)``; a value is
+    written by the first arm whose type it is."""
+
+    def __init__(self, what, *arms):
+        self.what = what
+        self.arms = [(cls, bytes((tag,)), kind) for tag, cls, kind in arms]
+        self.by_tag = {tag: kind for tag, _, kind in arms}
+        self.min_size = 1 + min(kind.min_size for _, _, kind in arms)
+        # The common case of size(): an exact type whose arm is fixed-width.
+        self.sizes = {
+            cls: 1 + kind.fixed for _, cls, kind in arms if isinstance(cls, type) and kind.fixed
+        }
+
+    def _arm(self, value, verb):
+        for arm in self.arms:
+            if isinstance(value, arm[0]):
+                return arm
+        raise TransportError(f"cannot {verb} {self.what} of type {type(value).__name__}")
+
+    def write(self, value, parts) -> None:
+        _, tag, kind = self._arm(value, "encode")
+        parts.append(tag)
+        kind.write(value, parts)
+
+    def read(self, data, offset):
+        if offset >= len(data):
+            raise TransportError(_TRUNCATED)
+        kind = self.by_tag.get(data[offset])
+        if kind is None:
+            raise TransportError(f"unknown {self.what} tag 0x{data[offset]:02x}")
+        return kind.read(data, offset + 1)
+
+    def size(self, value) -> int:
+        return self.sizes.get(type(value)) or 1 + self._arm(value, "size")[2].size(value)
 
 
-#: Fixed per-frame overhead: the length prefix plus the type byte.
-_OVERHEAD = LENGTH_PREFIX_BYTES + 1
+class _Array(_Field):
+    """A count, then that many elements; the value is a tuple.
 
-#: The six CommunicationStats counters shipped per stats record.
-_COMM_FIELDS = (
-    "uplink_messages",
-    "uplink_objects",
-    "downlink_messages",
-    "downlink_objects",
-    "uplink_bytes",
-    "downlink_bytes",
+    With one ``T`` the elements are bare values, with several they are rows
+    (a record).  ``count`` is the count's scalar type, or None when an
+    earlier :data:`_length` field of the same frame shipped it (named
+    ``counted_by`` when that is not this field's own attribute).
+    ``exactly`` and ``unique`` (a key function over elements) are
+    decode-side constraints; ``what`` names the array in their errors.
+    """
+
+    def __init__(
+        self, count, *kinds, counted_by=None, exactly=None, unique=None, what="array"
+    ):
+        self.count, self.counted_by = count, counted_by
+        self.exactly, self.unique, self.what = exactly, unique, what
+        self.min_size = count.fixed if count else 0
+        self.code = None
+        if len(kinds) == 1 and isinstance(kinds[0], _Scalar) and not kinds[0].to_wire:
+            # Homogeneous numbers: the whole array is one pack / unpack_from.
+            self.code = kinds[0].code
+            self.head = "!" + (count.code if count else "")
+            self.packers = {}  # count -> Struct, for the small counts that recur
+        self.element = kinds[0] if len(kinds) == 1 else _Record(*kinds)
+        assert self.element.min_size > 0  # or a count could not be bounded
+        self.stride = self.element.fixed
+
+    def write(self, value, parts) -> None:
+        count = len(value)
+        if self.code:
+            packer = self.packers.get(count)
+            if packer is None:
+                packer = struct.Struct("%s%d%s" % (self.head, count, self.code))
+                if count < 256:
+                    self.packers[count] = packer
+            head = (count,) if self.count else ()
+            parts.append(packer.pack(*head, *value))
+            return
+        if self.count:
+            self.count.write(count, parts)
+        write = self.element.write
+        for item in value:
+            write(item, parts)
+
+    def read(self, data, offset, count=None):
+        if count is None:
+            count, offset = self.count.read(data, offset)
+        if self.exactly is not None and count != self.exactly:
+            raise TransportError(f"{count} {self.what} where exactly {self.exactly} are due")
+        # The bound every array passes before anything is allocated for it.
+        if count * self.element.min_size > len(data) - offset:
+            raise TransportError(f"{self.what} of {count} elements overruns the frame body")
+        if self.code:
+            end = offset + count * self.stride
+            return struct.unpack_from("!%d%s" % (count, self.code), data, offset), end
+        items = []
+        read = self.element.read
+        for _ in range(count):
+            item, offset = read(data, offset)
+            items.append(item)
+        if self.unique and len({self.unique(item) for item in items}) != count:
+            raise TransportError(f"duplicate {self.what} key")
+        return tuple(items), offset
+
+    def size(self, value) -> int:
+        if self.stride is not None:
+            return self.min_size + len(value) * self.stride
+        return self.min_size + sum(map(self.element.size, value))
+
+    def coerce(self, value):
+        return tuple(value) if self.code else tuple(map(self.element.coerce, value))
+
+
+class _Struct(_Field):
+    """An instance of ``cls`` as one fixed Struct of its attributes ``names``
+    (in wire order, which is also ``cls``'s positional order)."""
+
+    def __init__(self, cls, codes, *names):
+        self.cls, self.packer = cls, struct.Struct("!" + codes)
+        self.get = operator.attrgetter(*names) if names else (lambda value: ())
+        self.min_size = self.fixed = self.packer.size
+
+    def write(self, value, parts) -> None:
+        parts.append(self.packer.pack(*self.get(value)))
+
+    def read(self, data, offset):
+        end = offset + self.fixed
+        if end > len(data):
+            raise TransportError(_TRUNCATED)
+        return self.cls(*self.packer.unpack_from(data, offset)), end
+
+
+def _counters(cls) -> _Struct:
+    """A stats dataclass, laid out as ``dataclasses.fields(cls)`` says: a
+    field declared ``int`` ships as u64, one declared ``float`` as f64, in
+    declaration order — the dataclass is the only place a counter is listed."""
+    declared = dataclasses.fields(cls)
+    codes = ("Q" if f.type in (int, "int") else "d" for f in declared)
+    return _Struct(cls, "".join(codes), *(f.name for f in declared))
+
+
+_point = _Struct(Point, "dd", "x", "y")
+#: A query position: a Point or a NetworkLocation (edge id plus offset) —
+#: the tagged union that keeps the codec metric-agnostic.
+_position = _Tagged(
+    "position",
+    (0x00, Point, _point),
+    (0x01, NetworkLocation, _Struct(NetworkLocation, "Id", "edge_id", "offset")),
 )
-
-#: ProcessorStats integer counters (wire order), then the float timers.
-_PROC_INT_FIELDS = (
-    "timestamps",
-    "validations",
-    "local_reorders",
-    "incremental_updates",
-    "full_recomputations",
-    "ins_refreshes",
-    "absorbed_updates",
-    "transmitted_objects",
-    "distance_computations",
-    "index_node_accesses",
-    "settled_vertices",
+#: A batch target: a Point (Euclidean) or a road vertex id.
+_target = _Tagged("batch target", (0x00, Point, _point), (0x01, int, _u32))
+#: An optional double: a presence byte, then the value when it is 1.
+_maybe_f64 = _Tagged(
+    "optional double",
+    (0x00, type(None), _Struct(type(None), "")),
+    (0x01, (int, float), _f64),
 )
-_PROC_FLOAT_FIELDS = (
-    "construction_seconds",
-    "validation_seconds",
-    "precomputation_seconds",
-    "maintenance_seconds",
-    "delta_apply_seconds",
-)
-
-
-def _write_comm(writer: _Writer, stats: CommunicationStats) -> None:
-    for name in _COMM_FIELDS:
-        writer.u64(getattr(stats, name))
-
-
-def _read_comm(reader: _Reader) -> CommunicationStats:
-    return CommunicationStats(**{name: reader.u64() for name in _COMM_FIELDS})
+_u32s = _Array(_u32, _u32)
+_groups = _Array(_u32, _u32, _u32s)  # (key, member list) rows
+_options = _Array(_u8, _string, _string)
+_communication = _counters(CommunicationStats)
 
 
 # ----------------------------------------------------------------------
-# Per-type encoders
+# The frame table
 # ----------------------------------------------------------------------
-def _encode_position_update(message: PositionUpdate) -> bytes:
-    writer = _Writer(_T_POSITION_UPDATE)
-    writer.i32(-1 if message.query_id is None else message.query_id)
-    writer.position(message.position)
-    return writer.frame()
+class _Frame:
+    """One compiled row of the frame table: a message class and its record.
+
+    ``fields`` pairs each wire field, in wire order, with the attribute it
+    carries (a :func:`_flags` entry names several).  ``flatten`` (message
+    → row) and ``build`` (row → message) default to attribute access and
+    ``cls(**attributes)``; only a message that is not flat supplies its own.
+    """
+
+    def __init__(self, cls, fields=(), flatten=None, build=None):
+        self.cls, self.name = cls, cls.__name__
+        lengths = {name: at for at, (name, kind) in enumerate(fields) if kind is _length}
+        self.record = _Record(
+            *(kind for _, kind in fields),
+            counts={
+                at: lengths[kind.counted_by or name]
+                for at, (name, kind) in enumerate(fields)
+                if isinstance(kind, _Array) and kind.count is None
+            },
+        )
+        self.arrays = [(name, kind) for name, kind in fields if isinstance(kind, _Array)]
+        getters = [
+            (lambda message, name=name: len(getattr(message, name)))
+            if kind is _length
+            else operator.attrgetter(*name) if isinstance(name, tuple)
+            else operator.attrgetter(name)
+            for name, kind in fields
+        ]
+        self.flatten = flatten or (lambda message: [get(message) for get in getters])
+        # wire_size() = base + each variable-width field, straight off the message
+        self.base = LENGTH_PREFIX_BYTES + 1 + self.record.fixed_part
+        self.sized = [(getters[at], kind) for kind, at in self.record.variable]
+
+        def from_attributes(row):
+            attributes = {}
+            for (name, kind), value in zip(fields, row):
+                if isinstance(name, tuple):
+                    attributes.update(zip(name, value))
+                elif kind is not _length:
+                    attributes[name] = value
+            return cls(**attributes)
+
+        self.build = build or from_attributes
 
 
-def _write_response_body(writer: _Writer, message: KNNResponse) -> None:
-    """The fields every kind's response shares (the KNNResponse layout)."""
-    result = message.result
-    writer.i32(message.query_id)
-    writer.u32(message.objects_shipped)
-    writer.u32(message.round_trips)
-    writer.u32(message.epoch)
-    writer.i32(result.timestamp)
-    writer.u8(_ACTION_CODE[result.action])
-    writer.u8(1 if result.was_valid else 0)
-    writer.u32(len(result.knn))
-    for index in result.knn:
-        writer.u32(index)
-    for distance in result.knn_distances:
-        writer.f64(distance)
-    guards = sorted(result.guard_objects)
-    writer.u32(len(guards))
-    for index in guards:
-        writer.u32(index)
+def _response(cls, result_cls, *extension):
+    """The table row of one response kind: the shared :data:`_RESPONSE`
+    layout, then the fields ``result_cls`` adds to :class:`QueryResult`
+    (in its declaration order).  The adapter nests and un-nests ``result``."""
+    extras = [name.partition(".")[2] for name, _ in extension]
+
+    def flatten(message):
+        m, r = message, message.result
+        envelope = (m.query_id, m.objects_shipped, m.round_trips, m.epoch)
+        answer = (r.timestamp, r.action, r.was_valid, len(r.knn), r.knn, r.knn_distances)
+        # A set has no order of its own: sorted, equal sets encode to equal bytes.
+        return envelope + answer + (sorted(r.guard_objects), *[getattr(r, n) for n in extras])
+
+    def build(row):
+        query_id, shipped, trips, epoch, timestamp, action, was_valid = row[:7]
+        _, knn, distances, guards, *extra = row[7:]
+        guards = frozenset(guards)
+        result = result_cls(timestamp, knn, distances, guards, action, was_valid, *extra)
+        return cls(query_id, result, shipped, trips, epoch)
+
+    return _Frame(cls, _RESPONSE + extension, flatten, build)
 
 
-def _encode_knn_response(message: KNNResponse) -> bytes:
-    writer = _Writer(_T_KNN_RESPONSE)
-    _write_response_body(writer, message)
-    return writer.frame()
+# fmt: off
+#: The layout every kind's response starts with — ``result.*`` flattened
+#: behind the envelope, ``knn`` and ``knn_distances`` sharing one count,
+#: the guard set as a sorted array.
+_RESPONSE = (
+    ("query_id", _i32), ("objects_shipped", _u32), ("round_trips", _u32), ("epoch", _u32),
+    ("result.timestamp", _i32), ("result.action", _enum("update action", _ACTIONS)),
+    ("result.was_valid", _bool), ("result.knn", _length), ("result.knn", _Array(None, _u32)),
+    ("result.knn_distances", _Array(None, _f64, counted_by="result.knn")),
+    ("result.guard_objects", _u32s),
+)
+_QUERY_ID = (("query_id", _i32),)
+_OPEN = (("k", _u32), ("rho", _f64), ("position", _position), ("options", _options))
 
-
-def _encode_influential_response(message: InfluentialResponse) -> bytes:
-    writer = _Writer(_T_INFLUENTIAL_RESPONSE)
-    _write_response_body(writer, message)
-    sites = message.result.sites
-    writer.u32(len(sites))
-    for index in sites:
-        writer.u32(index)
-    return writer.frame()
-
-
-def _encode_region_event(message: RegionEvent) -> bytes:
-    writer = _Writer(_T_REGION_EVENT)
-    _write_response_body(writer, message)
-    result = message.result
-    code = _REGION_EVENT_CODE.get(result.event)
-    if code is None:
-        raise TransportError(f"unknown region event {result.event!r}")
-    writer.u8(code)
-    writer.u32(len(result.departed))
-    for index in result.departed:
-        writer.u32(index)
-    return writer.frame()
-
-
-def _encode_update_batch(message: UpdateBatch) -> bytes:
-    writer = _Writer(_T_UPDATE_BATCH)
-    writer.u32(len(message.inserts))
-    writer.u32(len(message.deletes))
-    writer.u32(len(message.moves))
-    for target in message.inserts:
-        writer.target(target)
-    for index in message.deletes:
-        writer.u32(index)
-    for index, target in message.moves:
-        writer.u32(index)
-        writer.target(target)
-    return writer.frame()
-
-
-def _encode_open_session(message: OpenSession) -> bytes:
-    writer = _Writer(_T_OPEN_SESSION)
-    writer.u32(message.k)
-    writer.f64(message.rho)
-    writer.position(message.position)
-    writer.u8(len(message.options))
-    for name, value in message.options:
-        writer.string(name)
-        writer.string(value)
-    return writer.frame()
-
-
-def _encode_open_query(message: OpenQuery) -> bytes:
-    writer = _Writer(_T_OPEN_QUERY)
-    writer.string(message.kind)
-    writer.u32(message.k)
-    writer.f64(message.rho)
-    writer.position(message.position)
-    writer.u8(len(message.options))
-    for name, value in message.options:
-        writer.string(name)
-        writer.string(value)
-    return writer.frame()
-
-
-def _encode_query_id_only(frame_type: int, query_id: int) -> bytes:
-    writer = _Writer(frame_type)
-    writer.i32(query_id)
-    return writer.frame()
-
-
-def _encode_batch_applied(message: BatchApplied) -> bytes:
-    writer = _Writer(_T_BATCH_APPLIED)
-    writer.u32(message.epoch)
-    writer.u32(len(message.new_indexes))
-    for index in message.new_indexes:
-        writer.u32(index)
-    writer.u32(len(message.deleted_indexes))
-    for index in message.deleted_indexes:
-        writer.u32(index)
-    return writer.frame()
-
-
-def _encode_error(message: ErrorMessage) -> bytes:
-    writer = _Writer(_T_ERROR)
-    writer.string(message.kind)
-    writer.string(message.message)
-    return writer.frame()
-
-
-def _encode_stats_request(message: StatsRequest) -> bytes:
-    writer = _Writer(_T_STATS_REQUEST)
-    writer.u8(1 if message.per_session else 0)
-    return writer.frame()
-
-
-def _encode_stats_response(message: StatsResponse) -> bytes:
-    writer = _Writer(_T_STATS_RESPONSE)
-    _write_comm(writer, message.aggregate)
-    writer.u32(len(message.per_session))
-    for query_id, stats in message.per_session:
-        writer.i32(query_id)
-        _write_comm(writer, stats)
-    return writer.frame()
-
-
-def _encode_objects_request(message: ObjectsRequest) -> bytes:
-    return _Writer(_T_OBJECTS_REQUEST).frame()
-
-
-def _encode_objects_response(message: ObjectsResponse) -> bytes:
-    writer = _Writer(_T_OBJECTS_RESPONSE)
-    writer.u32(message.epoch)
-    writer.u32(len(message.indexes))
-    for index in message.indexes:
-        writer.u32(index)
-    return writer.frame()
-
-
-def _encode_drain_request(message: DrainRequest) -> bytes:
-    return _Writer(_T_DRAIN_REQUEST).frame()
-
-
-def _encode_drain_ack(message: DrainAck) -> bytes:
-    writer = _Writer(_T_DRAIN_ACK)
-    writer.u64(message.wal_seq)
-    writer.u32(len(message.session_ids))
-    for query_id in message.session_ids:
-        writer.i32(query_id)
-    return writer.frame()
-
-
-def _encode_index_delta(message: IndexDelta) -> bytes:
-    writer = _Writer(_T_INDEX_DELTA)
-    writer.u32(message.epoch)
-    writer.u32(message.payload)
-    writer.u8((1 if message.full else 0) | (2 if message.bulk else 0))
-
-    def u32s(values) -> None:
-        writer.u32(len(values))
-        for value in values:
-            writer.u32(value)
-
-    u32s(message.new_indexes)
-    u32s(message.deleted_indexes)
-    u32s(message.changed)
-    writer.u32(len(message.points))
-    for point in message.points:
-        writer.position(point)
-    writer.u32(len(message.neighbors))
-    for obj, members in message.neighbors:
-        writer.u32(obj)
-        u32s(members)
-    u32s(message.removed_neighbors)
-    writer.u32(len(message.assignments))
-    for obj, vertex in message.assignments:
-        writer.u32(obj)
-        writer.u32(vertex)
-    writer.u32(len(message.groups))
-    for vertex, members in message.groups:
-        writer.u32(vertex)
-        u32s(members)
-    u32s(message.removed_groups)
-    writer.u32(len(message.vertices))
-    for vertex, owner, distance in message.vertices:
-        writer.u32(vertex)
-        writer.u32(owner)
-        writer.f64(distance)
-    u32s(message.removed_vertices)
-    writer.u32(len(message.edges))
-    for edge_id, owner_u, owner_v, border in message.edges:
-        writer.u32(edge_id)
-        writer.u32(owner_u)
-        writer.u32(owner_v)
-        writer.u8(0 if border is None else 1)
-        if border is not None:
-            writer.f64(border)
-    u32s(message.removed_edges)
-    writer.u32(len(message.labels))
-    for rep, verts, edge_ids, adjacent in message.labels:
-        writer.u32(rep)
-        u32s(verts)
-        u32s(edge_ids)
-        u32s(adjacent)
-    u32s(message.removed_labels)
-    return writer.frame()
-
-
-def _encode_delta_ack(message: DeltaAck) -> bytes:
-    writer = _Writer(_T_DELTA_ACK)
-    writer.u32(message.epoch)
-    return writer.frame()
-
-
-def _encode_agg_stats_request(message: AggregateStatsRequest) -> bytes:
-    return _Writer(_T_AGG_STATS_REQUEST).frame()
-
-
-def _encode_metrics_request(message: MetricsRequest) -> bytes:
-    return _Writer(_T_METRICS_REQUEST).frame()
-
-
-def _encode_metrics_snapshot(message: MetricsSnapshot) -> bytes:
-    writer = _Writer(_T_METRICS_SNAPSHOT)
-    writer.u32(len(message.counters))
-    for name, labels, value in message.counters:
-        writer.string(name)
-        writer.string(labels)
-        writer.u64(value)
-    writer.u32(len(message.gauges))
-    for name, labels, value in message.gauges:
-        writer.string(name)
-        writer.string(labels)
-        writer.f64(value)
-    writer.u32(len(message.histograms))
-    for name, labels, counts, total in message.histograms:
-        writer.string(name)
-        writer.string(labels)
-        writer.u16(len(counts))
-        for count in counts:
-            writer.u64(count)
-        writer.f64(total)
-    return writer.frame()
-
-
-def _encode_agg_stats_response(message: AggregateStatsResponse) -> bytes:
-    writer = _Writer(_T_AGG_STATS_RESPONSE)
-    for name in _PROC_INT_FIELDS:
-        writer.u64(getattr(message.stats, name))
-    for name in _PROC_FLOAT_FIELDS:
-        writer.f64(getattr(message.stats, name))
-    return writer.frame()
-
-
-_ENCODERS = {
-    PositionUpdate: _encode_position_update,
-    KNNResponse: _encode_knn_response,
-    InfluentialResponse: _encode_influential_response,
-    RegionEvent: _encode_region_event,
-    UpdateBatch: _encode_update_batch,
-    OpenSession: _encode_open_session,
-    OpenQuery: _encode_open_query,
-    SessionOpened: lambda m: _encode_query_id_only(_T_SESSION_OPENED, m.query_id),
-    CloseSession: lambda m: _encode_query_id_only(_T_CLOSE_SESSION, m.query_id),
-    SessionClosed: lambda m: _encode_query_id_only(_T_SESSION_CLOSED, m.query_id),
-    RefreshRequest: lambda m: _encode_query_id_only(_T_REFRESH, m.query_id),
-    BatchApplied: _encode_batch_applied,
-    ErrorMessage: _encode_error,
-    StatsRequest: _encode_stats_request,
-    StatsResponse: _encode_stats_response,
-    ObjectsRequest: _encode_objects_request,
-    ObjectsResponse: _encode_objects_response,
-    AggregateStatsRequest: _encode_agg_stats_request,
-    AggregateStatsResponse: _encode_agg_stats_response,
-    DrainRequest: _encode_drain_request,
-    DrainAck: _encode_drain_ack,
-    IndexDelta: _encode_index_delta,
-    DeltaAck: _encode_delta_ack,
-    MetricsRequest: _encode_metrics_request,
-    MetricsSnapshot: _encode_metrics_snapshot,
+#: type byte → message class and fields.  Type bytes, field order and every
+#: enum order are append-only: WALs and peers written by older builds must
+#: keep decoding (tests/transport/golden/ holds them to it).
+_FRAMES = {
+    0x01: _Frame(
+        PositionUpdate, (("query_id", _i32), ("position", _position)),
+        # query_id None (still registering) travels as -1.
+        flatten=lambda m: (-1 if m.query_id is None else m.query_id, m.position),
+        build=lambda row: PositionUpdate(None if row[0] < 0 else row[0], row[1]),
+    ),
+    0x02: _response(KNNResponse, QueryResult),
+    0x03: _Frame(UpdateBatch, (
+        ("inserts", _length), ("deletes", _length), ("moves", _length),
+        ("inserts", _Array(None, _target)),
+        ("deletes", _Array(None, _u32)),
+        ("moves", _Array(None, _u32, _target)),
+    )),
+    0x04: _Frame(OpenSession, _OPEN),
+    0x05: _Frame(SessionOpened, _QUERY_ID),
+    0x06: _Frame(CloseSession, _QUERY_ID),
+    0x07: _Frame(SessionClosed, _QUERY_ID),
+    0x08: _Frame(RefreshRequest, _QUERY_ID),
+    0x09: _Frame(BatchApplied, (
+        ("epoch", _u32), ("new_indexes", _u32s), ("deleted_indexes", _u32s),
+    )),
+    0x0A: _Frame(ErrorMessage, (("kind", _string), ("message", _string))),
+    0x0B: _Frame(StatsRequest, (("per_session", _bool),)),
+    0x0C: _Frame(StatsResponse, (
+        ("aggregate", _communication),
+        ("per_session", _Array(_u32, _i32, _communication)),
+    )),
+    0x0D: _Frame(ObjectsRequest),
+    0x0E: _Frame(ObjectsResponse, (("epoch", _u32), ("indexes", _u32s))),
+    0x0F: _Frame(AggregateStatsRequest),
+    0x10: _Frame(AggregateStatsResponse, (("stats", _counters(ProcessorStats)),)),
+    0x11: _Frame(DrainRequest),
+    0x12: _Frame(DrainAck, (("wal_seq", _u64), ("session_ids", _Array(_u32, _i32)))),
+    0x13: _Frame(IndexDelta, (
+        ("epoch", _u32), ("payload", _u32), _flags("full", "bulk"),
+        ("new_indexes", _u32s), ("deleted_indexes", _u32s), ("changed", _u32s),
+        ("points", _Array(_u32, _position)),
+        ("neighbors", _groups), ("removed_neighbors", _u32s),
+        ("assignments", _Array(_u32, _u32, _u32)),
+        ("groups", _groups), ("removed_groups", _u32s),
+        ("vertices", _Array(_u32, _u32, _u32, _f64)), ("removed_vertices", _u32s),
+        ("edges", _Array(_u32, _u32, _u32, _u32, _maybe_f64)), ("removed_edges", _u32s),
+        ("labels", _Array(_u32, _u32, _u32s, _u32s, _u32s)), ("removed_labels", _u32s),
+    )),
+    0x14: _Frame(DeltaAck, (("epoch", _u32),)),
+    0x15: _Frame(OpenQuery, (("kind", _string),) + _OPEN),
+    0x16: _response(InfluentialResponse, InfluentialResult, ("result.sites", _u32s)),
+    0x17: _response(
+        RegionEvent, RegionResult,
+        ("result.event", _enum("region event", _REGION_EVENTS)), ("result.departed", _u32s),
+    ),
+    0x18: _Frame(MetricsRequest),
+    0x19: _Frame(MetricsSnapshot, (
+        ("counters", _Array(_u32, _string, _string, _u64)),
+        ("gauges", _Array(_u32, _string, _string, _f64)),
+        # Reject here what merge_snapshots cannot merge (a bucket count other
+        # than the shared bounds', a repeated key), so a buggy or hostile peer
+        # gets a typed error at the socket instead of a crash in the merge.
+        ("histograms", _Array(
+            _u32, _string, _string,
+            _Array(_u16, _u64, exactly=BUCKET_COUNT, what="histogram buckets"), _f64,
+            unique=operator.itemgetter(0, 1), what="histogram",
+        )),
+    )),
 }
-
+# fmt: on
+_FRAME_OF_CLASS = {frame.cls: frame for frame in _FRAMES.values()}
+assert len(_FRAME_OF_CLASS) == len(_FRAMES)
+for _tag, _frame in _FRAMES.items():
+    _frame.tag = bytes((_tag,))
 
 # Per-frame-type codec latency histograms, cached here so the hot path
 # never re-derives a label key or touches the registry dict.
@@ -1053,6 +991,9 @@ def _codec_histogram(op: str, frame: str) -> Histogram:
     return hist
 
 
+# ----------------------------------------------------------------------
+# The three drivers
+# ----------------------------------------------------------------------
 def encode(message: Any) -> bytes:
     """Encode one protocol message into one length-prefixed frame.
 
@@ -1060,296 +1001,37 @@ def encode(message: Any) -> bytes:
         TransportError: for unknown message types or out-of-range fields
             (e.g. an object index that does not fit the wire's u32).
     """
-    encoder = _ENCODERS.get(type(message))
-    if encoder is None:
+    frame = _FRAME_OF_CLASS.get(type(message))
+    if frame is None:
         raise TransportError(f"cannot encode message of type {type(message).__name__}")
     started = start_timer()
+    parts = [frame.tag]
     try:
-        data = encoder(message)
-    except struct.error as error:
+        frame.record.write(frame.flatten(message), parts)
+        body = b"".join(parts)
+        data = _LENGTH.pack(len(body)) + body
+    except (struct.error, OverflowError, TypeError, ValueError, AttributeError) as error:
         raise TransportError(
-            f"field out of range encoding {type(message).__name__}: {error}"
+            f"field out of range or mistyped encoding {frame.name}: {error}"
         )
     if started is not None:
-        _codec_histogram("encode", type(message).__name__).observe(
-            _obs_clock() - started
-        )
+        _codec_histogram("encode", frame.name).observe(_obs_clock() - started)
     return data
-
-
-# ----------------------------------------------------------------------
-# Per-type decoders
-# ----------------------------------------------------------------------
-def _decode_position_update(reader: _Reader) -> PositionUpdate:
-    query_id = reader.i32()
-    position = reader.position()
-    return PositionUpdate(
-        query_id=None if query_id < 0 else query_id, position=position
-    )
-
-
-def _read_response_body(reader: _Reader) -> Tuple[int, int, int, int, Dict[str, Any]]:
-    """Read the shared response layout; returns the envelope fields plus
-    the :class:`QueryResult` constructor kwargs (kind decoders widen them)."""
-    query_id = reader.i32()
-    objects_shipped = reader.u32()
-    round_trips = reader.u32()
-    epoch = reader.u32()
-    timestamp = reader.i32()
-    action_code = reader.u8()
-    if action_code >= len(_ACTIONS):
-        raise TransportError(f"unknown update action code 0x{action_code:02x}")
-    was_valid = reader.u8() != 0
-    k = reader.u32()
-    knn = tuple(reader.u32() for _ in range(k))
-    distances = tuple(reader.f64() for _ in range(k))
-    guard_count = reader.u32()
-    guards = frozenset(reader.u32() for _ in range(guard_count))
-    result_kwargs = dict(
-        timestamp=timestamp,
-        knn=knn,
-        knn_distances=distances,
-        guard_objects=guards,
-        action=_ACTIONS[action_code],
-        was_valid=was_valid,
-    )
-    return query_id, objects_shipped, round_trips, epoch, result_kwargs
-
-
-def _decode_knn_response(reader: _Reader) -> KNNResponse:
-    query_id, objects_shipped, round_trips, epoch, kwargs = _read_response_body(reader)
-    return KNNResponse(
-        query_id=query_id,
-        result=QueryResult(**kwargs),
-        objects_shipped=objects_shipped,
-        round_trips=round_trips,
-        epoch=epoch,
-    )
-
-
-def _decode_influential_response(reader: _Reader) -> InfluentialResponse:
-    query_id, objects_shipped, round_trips, epoch, kwargs = _read_response_body(reader)
-    site_count = reader.u32()
-    sites = tuple(reader.u32() for _ in range(site_count))
-    return InfluentialResponse(
-        query_id=query_id,
-        result=InfluentialResult(sites=sites, **kwargs),
-        objects_shipped=objects_shipped,
-        round_trips=round_trips,
-        epoch=epoch,
-    )
-
-
-def _decode_region_event(reader: _Reader) -> RegionEvent:
-    query_id, objects_shipped, round_trips, epoch, kwargs = _read_response_body(reader)
-    event_code = reader.u8()
-    if event_code >= len(_REGION_EVENTS):
-        raise TransportError(f"unknown region event code 0x{event_code:02x}")
-    departed_count = reader.u32()
-    departed = tuple(reader.u32() for _ in range(departed_count))
-    return RegionEvent(
-        query_id=query_id,
-        result=RegionResult(
-            event=_REGION_EVENTS[event_code], departed=departed, **kwargs
-        ),
-        objects_shipped=objects_shipped,
-        round_trips=round_trips,
-        epoch=epoch,
-    )
-
-
-def _decode_update_batch(reader: _Reader) -> UpdateBatch:
-    n_inserts = reader.u32()
-    n_deletes = reader.u32()
-    n_moves = reader.u32()
-    inserts = tuple(reader.target() for _ in range(n_inserts))
-    deletes = tuple(reader.u32() for _ in range(n_deletes))
-    moves = tuple((reader.u32(), reader.target()) for _ in range(n_moves))
-    return UpdateBatch(inserts=inserts, deletes=deletes, moves=moves)
-
-
-def _decode_open_session(reader: _Reader) -> OpenSession:
-    k = reader.u32()
-    rho = reader.f64()
-    position = reader.position()
-    n_options = reader.u8()
-    options = tuple((reader.string(), reader.string()) for _ in range(n_options))
-    return OpenSession(position=position, k=k, rho=rho, options=options)
-
-
-def _decode_open_query(reader: _Reader) -> OpenQuery:
-    kind = reader.string()
-    k = reader.u32()
-    rho = reader.f64()
-    position = reader.position()
-    n_options = reader.u8()
-    options = tuple((reader.string(), reader.string()) for _ in range(n_options))
-    return OpenQuery(kind=kind, position=position, k=k, rho=rho, options=options)
-
-
-def _decode_batch_applied(reader: _Reader) -> BatchApplied:
-    epoch = reader.u32()
-    new_indexes = tuple(reader.u32() for _ in range(reader.u32()))
-    deleted_indexes = tuple(reader.u32() for _ in range(reader.u32()))
-    return BatchApplied(
-        epoch=epoch, new_indexes=new_indexes, deleted_indexes=deleted_indexes
-    )
-
-
-def _decode_error(reader: _Reader) -> ErrorMessage:
-    return ErrorMessage(kind=reader.string(), message=reader.string())
-
-
-def _decode_stats_response(reader: _Reader) -> StatsResponse:
-    aggregate = _read_comm(reader)
-    count = reader.u32()
-    per_session = tuple((reader.i32(), _read_comm(reader)) for _ in range(count))
-    return StatsResponse(aggregate=aggregate, per_session=per_session)
-
-
-def _decode_objects_response(reader: _Reader) -> ObjectsResponse:
-    epoch = reader.u32()
-    indexes = tuple(reader.u32() for _ in range(reader.u32()))
-    return ObjectsResponse(epoch=epoch, indexes=indexes)
-
-
-def _decode_drain_ack(reader: _Reader) -> DrainAck:
-    wal_seq = reader.u64()
-    session_ids = tuple(reader.i32() for _ in range(reader.u32()))
-    return DrainAck(wal_seq=wal_seq, session_ids=session_ids)
-
-
-def _decode_index_delta(reader: _Reader) -> IndexDelta:
-    epoch = reader.u32()
-    payload = reader.u32()
-    flags = reader.u8()
-
-    def u32s():
-        return tuple(reader.u32() for _ in range(reader.u32()))
-
-    new_indexes = u32s()
-    deleted_indexes = u32s()
-    changed = u32s()
-    points = tuple(reader.position() for _ in range(reader.u32()))
-    neighbors = tuple((reader.u32(), u32s()) for _ in range(reader.u32()))
-    removed_neighbors = u32s()
-    assignments = tuple((reader.u32(), reader.u32()) for _ in range(reader.u32()))
-    groups = tuple((reader.u32(), u32s()) for _ in range(reader.u32()))
-    removed_groups = u32s()
-    vertices = tuple(
-        (reader.u32(), reader.u32(), reader.f64()) for _ in range(reader.u32())
-    )
-    removed_vertices = u32s()
-    edges = []
-    for _ in range(reader.u32()):
-        edge_id, owner_u, owner_v = reader.u32(), reader.u32(), reader.u32()
-        border = reader.f64() if reader.u8() else None
-        edges.append((edge_id, owner_u, owner_v, border))
-    removed_edges = u32s()
-    labels = tuple(
-        (reader.u32(), u32s(), u32s(), u32s()) for _ in range(reader.u32())
-    )
-    removed_labels = u32s()
-    return IndexDelta(
-        epoch=epoch,
-        payload=payload,
-        full=bool(flags & 1),
-        bulk=bool(flags & 2),
-        new_indexes=new_indexes,
-        deleted_indexes=deleted_indexes,
-        changed=changed,
-        points=points,
-        neighbors=neighbors,
-        removed_neighbors=removed_neighbors,
-        assignments=assignments,
-        groups=groups,
-        removed_groups=removed_groups,
-        vertices=vertices,
-        removed_vertices=removed_vertices,
-        edges=tuple(edges),
-        removed_edges=removed_edges,
-        labels=labels,
-        removed_labels=removed_labels,
-    )
-
-
-def _decode_agg_stats_response(reader: _Reader) -> AggregateStatsResponse:
-    values = {name: reader.u64() for name in _PROC_INT_FIELDS}
-    values.update({name: reader.f64() for name in _PROC_FLOAT_FIELDS})
-    return AggregateStatsResponse(stats=ProcessorStats(**values))
-
-
-def _decode_metrics_snapshot(reader: _Reader) -> MetricsSnapshot:
-    counters = tuple(
-        (reader.string(), reader.string(), reader.u64())
-        for _ in range(reader.u32())
-    )
-    gauges = tuple(
-        (reader.string(), reader.string(), reader.f64())
-        for _ in range(reader.u32())
-    )
-    histograms = tuple(
-        (
-            reader.string(),
-            reader.string(),
-            tuple(reader.u64() for _ in range(reader.u16())),
-            reader.f64(),
-        )
-        for _ in range(reader.u32())
-    )
-    # Reject here what merge_snapshots cannot merge, so a buggy or hostile
-    # peer gets a typed error at the socket instead of a crash in the merge.
-    if any(len(counts) != BUCKET_COUNT for _, _, counts, _ in histograms):
-        raise TransportError(f"a histogram does not ship {BUCKET_COUNT} buckets")
-    if len({(name, labels) for name, labels, _, _ in histograms}) != len(histograms):
-        raise TransportError("duplicate histogram key in metrics snapshot")
-    return MetricsSnapshot(counters=counters, gauges=gauges, histograms=histograms)
-
-
-_DECODERS = {
-    _T_POSITION_UPDATE: _decode_position_update,
-    _T_KNN_RESPONSE: _decode_knn_response,
-    _T_INFLUENTIAL_RESPONSE: _decode_influential_response,
-    _T_REGION_EVENT: _decode_region_event,
-    _T_UPDATE_BATCH: _decode_update_batch,
-    _T_OPEN_SESSION: _decode_open_session,
-    _T_OPEN_QUERY: _decode_open_query,
-    _T_SESSION_OPENED: lambda r: SessionOpened(query_id=r.i32()),
-    _T_CLOSE_SESSION: lambda r: CloseSession(query_id=r.i32()),
-    _T_SESSION_CLOSED: lambda r: SessionClosed(query_id=r.i32()),
-    _T_REFRESH: lambda r: RefreshRequest(query_id=r.i32()),
-    _T_BATCH_APPLIED: _decode_batch_applied,
-    _T_ERROR: _decode_error,
-    _T_STATS_REQUEST: lambda r: StatsRequest(per_session=r.u8() != 0),
-    _T_STATS_RESPONSE: _decode_stats_response,
-    _T_OBJECTS_REQUEST: lambda r: ObjectsRequest(),
-    _T_OBJECTS_RESPONSE: _decode_objects_response,
-    _T_AGG_STATS_REQUEST: lambda r: AggregateStatsRequest(),
-    _T_AGG_STATS_RESPONSE: _decode_agg_stats_response,
-    _T_DRAIN_REQUEST: lambda r: DrainRequest(),
-    _T_DRAIN_ACK: _decode_drain_ack,
-    _T_INDEX_DELTA: _decode_index_delta,
-    _T_DELTA_ACK: lambda r: DeltaAck(epoch=r.u32()),
-    _T_METRICS_REQUEST: lambda r: MetricsRequest(),
-    _T_METRICS_SNAPSHOT: _decode_metrics_snapshot,
-}
 
 
 def _decode_body(body: bytes) -> Any:
     if not body:
         raise TransportError("empty frame body")
-    reader = _Reader(body)
-    frame_type = reader.u8()
-    decoder = _DECODERS.get(frame_type)
-    if decoder is None:
-        raise TransportError(f"unknown frame type 0x{frame_type:02x}")
+    frame = _FRAMES.get(body[0])
+    if frame is None:
+        raise TransportError(f"unknown frame type 0x{body[0]:02x}")
     started = start_timer()
-    message = decoder(reader)
-    reader.finish()
+    row, end = frame.record.read(body, 1)
+    if end != len(body):
+        raise TransportError(f"frame body has {len(body) - end} trailing bytes")
+    message = frame.build(row)
     if started is not None:
-        _codec_histogram("decode", type(message).__name__).observe(
-            _obs_clock() - started
-        )
+        _codec_histogram("decode", frame.name).observe(_obs_clock() - started)
     return message
 
 
@@ -1373,162 +1055,6 @@ def decode(data: bytes) -> Any:
     return _decode_body(data[LENGTH_PREFIX_BYTES:])
 
 
-# ----------------------------------------------------------------------
-# Predicted sizes
-# ----------------------------------------------------------------------
-def _size_position_update(message: PositionUpdate) -> int:
-    return _OVERHEAD + 4 + _position_size(message.position)
-
-
-def _size_knn_response(message: KNNResponse) -> int:
-    result = message.result
-    return (
-        _OVERHEAD
-        + 4  # query_id
-        + 4 + 4 + 4  # objects_shipped, round_trips, epoch
-        + 4 + 1 + 1  # timestamp, action, was_valid
-        + 4 + len(result.knn) * (4 + 8)
-        + 4 + len(result.guard_objects) * 4
-    )
-
-
-def _size_update_batch(message: UpdateBatch) -> int:
-    return (
-        _OVERHEAD
-        + 12
-        + sum(_target_size(target) for target in message.inserts)
-        + 4 * len(message.deletes)
-        + sum(4 + _target_size(target) for _, target in message.moves)
-    )
-
-
-def _size_influential_response(message: InfluentialResponse) -> int:
-    return _size_knn_response(message) + 4 + 4 * len(message.result.sites)
-
-
-def _size_region_event(message: RegionEvent) -> int:
-    return _size_knn_response(message) + 1 + 4 + 4 * len(message.result.departed)
-
-
-def _size_open_session(message: OpenSession) -> int:
-    options = sum(
-        4 + len(name.encode("utf-8")) + len(value.encode("utf-8"))
-        for name, value in message.options
-    )
-    return _OVERHEAD + 4 + 8 + _position_size(message.position) + 1 + options
-
-
-def _size_open_query(message: OpenQuery) -> int:
-    options = sum(
-        4 + len(name.encode("utf-8")) + len(value.encode("utf-8"))
-        for name, value in message.options
-    )
-    return (
-        _OVERHEAD
-        + 2 + len(message.kind.encode("utf-8"))
-        + 4 + 8 + _position_size(message.position) + 1 + options
-    )
-
-
-def _size_error(message: ErrorMessage) -> int:
-    return (
-        _OVERHEAD
-        + 4
-        + len(message.kind.encode("utf-8"))
-        + len(message.message.encode("utf-8"))
-    )
-
-
-def _size_stats_response(message: StatsResponse) -> int:
-    return _OVERHEAD + 48 + 4 + len(message.per_session) * (4 + 48)
-
-
-def _size_objects_response(message: ObjectsResponse) -> int:
-    return _OVERHEAD + 4 + 4 + 4 * len(message.indexes)
-
-
-def _size_batch_applied(message: BatchApplied) -> int:
-    return (
-        _OVERHEAD
-        + 4
-        + 4 + 4 * len(message.new_indexes)
-        + 4 + 4 * len(message.deleted_indexes)
-    )
-
-
-def _size_metrics_snapshot(message: MetricsSnapshot) -> int:
-    def s(text: str) -> int:
-        return 2 + len(text.encode("utf-8"))
-
-    return (
-        _OVERHEAD
-        + 12  # three u32 section counts
-        + sum(s(name) + s(labels) + 8 for name, labels, _ in message.counters)
-        + sum(s(name) + s(labels) + 8 for name, labels, _ in message.gauges)
-        + sum(
-            s(name) + s(labels) + 2 + 8 * len(counts) + 8
-            for name, labels, counts, _ in message.histograms
-        )
-    )
-
-
-def _size_index_delta(message: IndexDelta) -> int:
-    def u32s(values) -> int:
-        return 4 + 4 * len(values)
-
-    return (
-        _OVERHEAD
-        + 4 + 4 + 1  # epoch, payload, flags
-        + u32s(message.new_indexes)
-        + u32s(message.deleted_indexes)
-        + u32s(message.changed)
-        + 4 + sum(_position_size(point) for point in message.points)
-        + 4 + sum(4 + u32s(members) for _, members in message.neighbors)
-        + u32s(message.removed_neighbors)
-        + 4 + 8 * len(message.assignments)
-        + 4 + sum(4 + u32s(members) for _, members in message.groups)
-        + u32s(message.removed_groups)
-        + 4 + 16 * len(message.vertices)
-        + u32s(message.removed_vertices)
-        + 4 + sum(13 + (0 if border is None else 8) for *_, border in message.edges)
-        + u32s(message.removed_edges)
-        + 4 + sum(
-            4 + u32s(verts) + u32s(edge_ids) + u32s(adjacent)
-            for _, verts, edge_ids, adjacent in message.labels
-        )
-        + u32s(message.removed_labels)
-    )
-
-
-_SIZERS = {
-    PositionUpdate: _size_position_update,
-    KNNResponse: _size_knn_response,
-    InfluentialResponse: _size_influential_response,
-    RegionEvent: _size_region_event,
-    UpdateBatch: _size_update_batch,
-    OpenSession: _size_open_session,
-    OpenQuery: _size_open_query,
-    SessionOpened: lambda m: _OVERHEAD + 4,
-    CloseSession: lambda m: _OVERHEAD + 4,
-    SessionClosed: lambda m: _OVERHEAD + 4,
-    RefreshRequest: lambda m: _OVERHEAD + 4,
-    BatchApplied: _size_batch_applied,
-    ErrorMessage: _size_error,
-    StatsRequest: lambda m: _OVERHEAD + 1,
-    StatsResponse: _size_stats_response,
-    ObjectsRequest: lambda m: _OVERHEAD,
-    ObjectsResponse: _size_objects_response,
-    AggregateStatsRequest: lambda m: _OVERHEAD,
-    AggregateStatsResponse: lambda m: _OVERHEAD + 8 * 11 + 8 * 5,
-    DrainRequest: lambda m: _OVERHEAD,
-    DrainAck: lambda m: _OVERHEAD + 8 + 4 + 4 * len(m.session_ids),
-    IndexDelta: _size_index_delta,
-    DeltaAck: lambda m: _OVERHEAD + 4,
-    MetricsRequest: lambda m: _OVERHEAD,
-    MetricsSnapshot: _size_metrics_snapshot,
-}
-
-
 def wire_size(message: Any) -> int:
     """Predicted encoded size of ``message`` in bytes, prefix included.
 
@@ -1537,10 +1063,13 @@ def wire_size(message: Any) -> int:
     contract: the transport's measured byte counters are provably the sum
     of the per-message predictions.
     """
-    sizer = _SIZERS.get(type(message))
-    if sizer is None:
+    frame = _FRAME_OF_CLASS.get(type(message))
+    if frame is None:
         raise TransportError(f"cannot size message of type {type(message).__name__}")
-    return sizer(message)
+    total = frame.base
+    for get, kind in frame.sized:
+        total += kind.size(get(message))
+    return total
 
 
 # ----------------------------------------------------------------------

@@ -56,7 +56,7 @@ import os
 import signal
 import socket
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (
@@ -78,7 +78,6 @@ from repro.service.messages import KNNResponse, PositionUpdate, UpdateBatch
 from repro.service.service import KNNService, open_service
 from repro.transport.client import RemoteService, RemoteSession
 from repro.transport.codec import (
-    _COMM_FIELDS,
     BatchApplied,
     DeltaAck,
     IndexDelta,
@@ -1087,8 +1086,8 @@ class ProcessShardedDispatcher:
         merged = merge_snapshots([merged, REGISTRY.snapshot()])
         gauges = list(merged.gauges)
         comm = self.communication()
-        for field in _COMM_FIELDS:
-            gauges.append((f"insq_comm_{field}", "", float(getattr(comm, field))))
+        for name in [field.name for field in fields(comm)]:
+            gauges.append((f"insq_comm_{name}", "", float(getattr(comm, name))))
         gauges.append(("insq_engine_epoch", "", float(self._epoch)))
         gauges.append(("insq_sessions_open", "", float(len(self.sessions()))))
         gauges.append(

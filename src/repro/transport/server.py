@@ -28,6 +28,7 @@ billed: they are diagnostics about the protocol, not part of it.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import socket
 import stat
@@ -46,7 +47,6 @@ from repro.obs.metrics import (
 from repro.service.service import KNNService
 from repro.service.session import Session
 from repro.transport.codec import (
-    _COMM_FIELDS,
     AggregateStatsRequest,
     AggregateStatsResponse,
     BatchApplied,
@@ -112,12 +112,13 @@ def metrics_snapshot_frame(service: Optional[KNNService] = None) -> MetricsSnaps
     if service is not None:
         engine = service.engine
         comm = engine.communication.snapshot()
-        for field in _COMM_FIELDS:
-            gauges.append((f"insq_comm_{field}", "", float(getattr(comm, field))))
+        names = [field.name for field in dataclasses.fields(comm)]
+        for name in names:
+            gauges.append((f"insq_comm_{name}", "", float(getattr(comm, name))))
         for kind, stats in sorted(engine.communication_by_kind().items()):
-            for field in _COMM_FIELDS:
+            for name in names:
                 gauges.append(
-                    (f"insq_comm_{field}", f"kind={kind}", float(getattr(stats, field)))
+                    (f"insq_comm_{name}", f"kind={kind}", float(getattr(stats, name)))
                 )
         gauges.append(("insq_engine_epoch", "", float(service.epoch)))
         gauges.append(("insq_sessions_open", "", float(len(service.sessions()))))

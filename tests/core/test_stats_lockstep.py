@@ -1,28 +1,20 @@
-"""Lockstep guard: stats dataclasses vs merge/as_dict/codec wire tuples.
+"""Lockstep guard: stats dataclasses vs merge/snapshot/as_dict.
 
 Every time a counter is added to :class:`ProcessorStats` or
-:class:`CommunicationStats`, four other places must learn about it —
-``merge()``, ``snapshot()`` (comm), ``as_dict()`` and the codec's wire
-field tuples (``_PROC_INT_FIELDS``/``_PROC_FLOAT_FIELDS``/
-``_COMM_FIELDS``).  Forgetting one silently drops that counter from
-aggregation or from the wire, which corrupts every cross-shard bill.
-This module derives the expected coverage from ``dataclasses.fields``
-itself, so the guard can never go stale: adding a field fails here until
-every consumer handles it.
+:class:`CommunicationStats`, three other places must learn about it —
+``merge()``, ``snapshot()`` (comm) and ``as_dict()``.  Forgetting one
+silently drops that counter from aggregation, which corrupts every
+cross-shard bill.  This module derives the expected coverage from
+``dataclasses.fields`` itself, so the guard can never go stale: adding a
+field fails here until every consumer handles it.  (The wire needs no
+guard: the codec derives its stats layouts from the same
+``dataclasses.fields`` — ``tests/transport/test_codec.py`` round-trips
+them with every field distinct.)
 """
 
 import dataclasses
 
 from repro.core.stats import CommunicationStats, ProcessorStats
-from repro.transport.codec import (
-    _COMM_FIELDS,
-    _PROC_FLOAT_FIELDS,
-    _PROC_INT_FIELDS,
-)
-
-
-def _field_names(cls):
-    return [field.name for field in dataclasses.fields(cls)]
 
 
 def _distinct_instance(cls, offset: int = 0):
@@ -39,9 +31,6 @@ def _is_float(field) -> bool:
 
 
 class TestCommunicationStatsLockstep:
-    def test_wire_tuple_covers_every_field(self):
-        assert set(_COMM_FIELDS) == set(_field_names(CommunicationStats))
-
     def test_merge_covers_every_field(self):
         base = CommunicationStats()
         other, values = _distinct_instance(CommunicationStats)
@@ -67,23 +56,6 @@ class TestCommunicationStatsLockstep:
 
 
 class TestProcessorStatsLockstep:
-    def test_wire_tuples_cover_every_field_exactly_once(self):
-        wire = _PROC_INT_FIELDS + _PROC_FLOAT_FIELDS
-        assert len(wire) == len(set(wire))
-        assert set(wire) == set(_field_names(ProcessorStats))
-
-    def test_wire_tuples_partition_by_declared_type(self):
-        by_name = {
-            field.name: field.type
-            for field in dataclasses.fields(ProcessorStats)
-        }
-        for name in _PROC_INT_FIELDS:
-            assert by_name[name] in (int, "int"), f"{name} shipped as u64 but not int"
-        for name in _PROC_FLOAT_FIELDS:
-            assert by_name[name] in (float, "float"), (
-                f"{name} shipped as f64 but not float"
-            )
-
     def test_merge_covers_every_field(self):
         base = ProcessorStats()
         other, values = _distinct_instance(ProcessorStats)

@@ -11,8 +11,8 @@ import os
 
 import pytest
 
-from repro.durability import WriteAheadLog, replay_wal, scan_wal
-from repro.durability.wal import WAL_MAGIC, _HEADER
+from repro.durability import WriteAheadLog, inventory, replay_wal, scan_chain, scan_wal
+from repro.durability.wal import WAL_MAGIC, _HEADER, _crc
 from repro.errors import ConfigurationError, WALCorruptError
 from repro.geometry.point import Point
 from repro.service.messages import PositionUpdate, UpdateBatch
@@ -163,6 +163,31 @@ class TestCorruption:
         flip_byte(path, 2)
         with pytest.raises(WALCorruptError):
             scan_wal(path)
+
+    def test_crc_valid_record_that_does_not_decode_is_corruption(self, tmp_path):
+        """A record can pass its CRC and still carry a frame this build
+        cannot decode (a log written by a newer build): that is corruption
+        with a path, an offset and a seq — never a bare TransportError —
+        so the `insq recover` health report can say so instead of crashing."""
+        path = str(tmp_path / "wal.log")
+        write_log(path, sample_messages())
+        record = scan_wal(path).records[2]
+        with open(path, "r+b") as handle:
+            data = bytearray(handle.read())
+            start = record.offset + _HEADER.size
+            length, seq, _ = _HEADER.unpack_from(data, record.offset)
+            data[start + 4] = 0x7F  # the frame-type byte, past the length prefix
+            crc = _crc(seq, bytes(data[start : start + length]))
+            _HEADER.pack_into(data, record.offset, length, seq, crc)
+            handle.seek(0)
+            handle.write(data)
+        for scan in (scan_wal, scan_chain, WriteAheadLog):
+            with pytest.raises(WALCorruptError, match=r"seq 3\) does not decode.*0x7f"):
+                scan(path)
+        report = inventory(str(tmp_path))
+        assert report["wal"]["corrupt"] is True
+        assert "does not decode" in report["wal"]["error"]
+        assert report["healthy"] is False
 
     def test_cut_inside_the_magic_is_still_a_torn_log(self, tmp_path):
         path = str(tmp_path / "wal.log")

@@ -12,6 +12,7 @@ The codec's three contracts, each tested over randomized messages:
   :class:`~repro.errors.TransportError`, never a bare ``struct.error``.
 """
 
+import dataclasses
 import struct
 
 import pytest
@@ -21,6 +22,7 @@ from repro.errors import QueryError, ReproError, TransportError
 from repro.core.objects import QueryResult, UpdateAction
 from repro.core.stats import CommunicationStats, ProcessorStats
 from repro.geometry.point import Point
+from repro.obs.metrics import BUCKET_COUNT
 from repro.roadnet.location import NetworkLocation
 from repro.queries.influential import InfluentialResult
 from repro.queries.messages import InfluentialResponse, OpenQuery, RegionEvent
@@ -38,6 +40,7 @@ from repro.transport.codec import (
     ErrorMessage,
     FrameReader,
     LENGTH_PREFIX_BYTES,
+    MetricsSnapshot,
     ObjectsRequest,
     ObjectsResponse,
     OpenSession,
@@ -346,6 +349,31 @@ class TestRoundTrip:
         assert decode(encode(region)).event == "enter"
         assert decode(encode(region)).departed == (6,)
 
+    @pytest.mark.parametrize("stats_cls", [CommunicationStats, ProcessorStats])
+    def test_stats_frames_carry_every_dataclass_field(self, stats_cls):
+        """The stats layouts are derived from ``dataclasses.fields``: every
+        field, holding a distinct value of its declared type, crosses the
+        wire — int as u64, float as f64, in declaration order."""
+        fields = dataclasses.fields(stats_cls)
+        stats = stats_cls(
+            **{
+                f.name: (2.5 if f.type in (float, "float") else 2**40) + index
+                for index, f in enumerate(fields)
+            }
+        )
+        if stats_cls is CommunicationStats:
+            message = StatsResponse(aggregate=stats, per_session=((3, stats),))
+        else:
+            message = AggregateStatsResponse(stats=stats)
+        frame = encode(message)
+        assert decode(frame) == message
+        assert wire_size(message) == len(frame)
+        packed = struct.pack(
+            "!" + "".join("d" if f.type in (float, "float") else "Q" for f in fields),
+            *dataclasses.astuple(stats),
+        )
+        assert frame[5 : 5 + len(packed)] == packed
+
     def test_error_message_round_trips_to_exception(self):
         error = ErrorMessage.from_exception(QueryError("k too large"))
         raised = decode(encode(error)).to_exception()
@@ -439,6 +467,37 @@ class TestMalformedInput:
         body[1 + 4 + 4 + 1 : 1 + 4 + 4 + 1 + 4] = struct.pack("!I", 1000)
         with pytest.raises(TransportError):
             decode(struct.pack("!I", len(body)) + bytes(body))
+
+    @pytest.mark.parametrize(
+        "message, count_at",
+        [
+            # (frame, body offset of a u32 array count), type byte at 0
+            (UpdateBatch(inserts=(Point(1.0, 2.0),)), 1),
+            (UpdateBatch(deletes=(4,)), 1 + 4),
+            (UpdateBatch(moves=((4, 9),)), 1 + 8),
+            (BatchApplied(epoch=1, new_indexes=(7,)), 1 + 4),
+            (BatchApplied(epoch=1, deleted_indexes=(7,)), 1 + 4 + 4),
+            (ObjectsResponse(epoch=1, indexes=(3, 5)), 1 + 4),
+            (DrainAck(wal_seq=9, session_ids=(2,)), 1 + 8),
+            (
+                StatsResponse(
+                    aggregate=CommunicationStats(),
+                    per_session=((0, CommunicationStats()),),
+                ),
+                1 + 6 * 8,
+            ),
+            (MetricsSnapshot(gauges=(("g", "", 1.0),)), 1 + 4),
+            (MetricsSnapshot(histograms=(("h", "", (0,) * BUCKET_COUNT, 0.0),)), 1 + 8),
+        ],
+        ids=lambda value: type(value).__name__ if not isinstance(value, int) else str(value),
+    )
+    def test_count_overrun(self, message, count_at):
+        """A count that promises more elements than the body holds."""
+        body = bytearray(encode(message)[4:])
+        for claimed in (len(body), 1000, 2**32 - 1):
+            body[count_at : count_at + 4] = struct.pack("!I", claimed)
+            with pytest.raises(TransportError):
+                decode(struct.pack("!I", len(body)) + bytes(body))
 
     def test_unknown_region_event_code(self):
         event = RegionEvent(
