@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import abc
 import threading
+from operator import attrgetter
 from typing import (
     Callable,
     Dict,
@@ -87,6 +88,7 @@ _OUTCOME_COUNTERS = tuple(
     _obs_counter("insq_retrievals_total", outcome=label)
     for _, label in _OUTCOME_FIELDS
 )
+_outcomes = attrgetter(*(field for field, _ in _OUTCOME_FIELDS))
 
 
 class ServableProcessor(Protocol[PositionT]):
@@ -399,11 +401,7 @@ class ServingEngine(abc.ABC, Generic[PositionT, RecordT]):
         stats = processor.stats
         contacts_before = stats.communication_events
         objects_before = stats.transmitted_objects
-        observing = _obs_enabled()
-        if observing:
-            outcomes_before = tuple(
-                getattr(stats, field) for field, _ in _OUTCOME_FIELDS
-            )
+        before = _outcomes(stats) if _obs_enabled() else None
         result = processor.update(position)
         round_trips = stats.communication_events - contacts_before
         if round_trips:
@@ -413,11 +411,10 @@ class ServingEngine(abc.ABC, Generic[PositionT, RecordT]):
                 downlink_messages=round_trips,
                 downlink_objects=stats.transmitted_objects - objects_before,
             )
-        if observing:
-            for index, (field, _) in enumerate(_OUTCOME_FIELDS):
-                delta = getattr(stats, field) - outcomes_before[index]
-                if delta:
-                    _OUTCOME_COUNTERS[index].inc(delta)
+        if before is not None:
+            for counter, was, now in zip(_OUTCOME_COUNTERS, before, _outcomes(stats)):
+                if now != was:
+                    counter.inc(now - was)
         return result
 
     # ------------------------------------------------------------------

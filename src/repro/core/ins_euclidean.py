@@ -12,8 +12,10 @@ Protocol reproduced from the paper:
 2. **Validation** (Section III-A).  At every new position the client finds
    the farthest current kNN member (``r.delete``) and the nearest guard
    object (``r.candidate``).  The kNN set is still valid while
-   ``d(q, r.delete) <= d(q, r.candidate)``; this costs one distance
-   evaluation per held object — linear in k.
+   ``d(q, r.delete) < d(q, r.candidate)``; this costs one distance
+   evaluation per held object — linear in k — over coordinates laid out
+   flat when the held set last changed.  The comparison is strict, here and
+   in step 3: a tie is never a certificate (the rule retrieval uses too).
 
 3. **Update** (Section III-B).  When validation fails the client first tries
    to recompose the kNN set from the prefetched set ``R`` alone (case (ii),
@@ -22,8 +24,9 @@ Protocol reproduced from the paper:
    validation — which is sound because ``(R ∪ I(R)) \\ O'`` is a superset of
    ``INS(O')`` for any ``O' ⊆ R``.  A successful recomposition costs no
    communication.  Otherwise the new answer involves an object outside
-   ``R`` and the server recomputes ``R`` and ``I(R)`` from scratch
-   (case (ii) fallback / case (i) with an unknown neighbour list).
+   ``R`` and the server recomputes ``R`` and ``I(R)`` (case (ii) fallback /
+   case (i) with an unknown neighbour list) — one :meth:`VoRTree.retrieve`,
+   expanding from the nearest object of the ``R`` the client still holds.
 
 **Data-object updates** arrive through :meth:`INSProcessor.notify_data_update`
 (the serving engine pushes the VoR-tree's repair deltas).  The processor
@@ -52,8 +55,7 @@ validation and local recomposition counts its distance computations.
 
 from __future__ import annotations
 
-import heapq
-import math
+from math import hypot
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigurationError, QueryError
@@ -62,6 +64,7 @@ from repro.core.processor import MovingKNNProcessor
 from repro.core.stats import ProcessorStats
 from repro.geometry.point import Point
 from repro.index.vortree import VoRTree
+from repro.obs.clock import clock as _clock
 
 
 class INSProcessor(MovingKNNProcessor[Point]):
@@ -124,12 +127,14 @@ class INSProcessor(MovingKNNProcessor[Point]):
         self._R: List[int] = []
         self._ins: Set[int] = set()
         self._knn: List[int] = []
-        # Cached pool (R ∪ I(R)) and guard set (pool \ kNN); rebuilt only
-        # when R / I(R) / the answer change, not on every timestamp.
-        self._pool: Set[int] = set()
+        # Derived state, rebuilt only when R / I(R) / the answer change: the
+        # guard set (pool \ kNN), and the pool R ∪ I(R) laid out flat — kNN,
+        # then the rest of R, then I(R) — with coordinates (objects never move).
         self._guard: FrozenSet[int] = frozenset()
-        # Per-member Voronoi neighbour lists (needed for incremental updates).
-        self._neighbor_lists: Dict[int, Set[int]] = {}
+        self._held: List[int] = []
+        self._held_xy: List[Tuple[float, float]] = []
+        # Per-member Voronoi neighbour lists (``allow_incremental`` only).
+        self._neighbor_lists: Dict[int, FrozenSet[int]] = {}
         # Data-update delta accumulated since the last answer (pushed by the
         # serving engine); settled lazily on the next timestamp.
         self._state_stale = False
@@ -246,7 +251,7 @@ class INSProcessor(MovingKNNProcessor[Point]):
         """
         changed = self._pending_changed
         removed = self._pending_removed
-        force = self._force_refresh
+        force = self._force_refresh or self._vortree.coincident
         self._pending_changed = set()
         self._pending_removed = set()
         self._force_refresh = False
@@ -255,17 +260,10 @@ class INSProcessor(MovingKNNProcessor[Point]):
             # Blanket invalidation, or the prefetched set lost a member: R
             # no longer reflects the ⌊ρk⌋ nearest objects, recompute it.
             self._stats.validations += 1
-            self._retrieve(position)
-            distances = self._distances(position, self._knn)
-            return QueryResult(
-                timestamp=self.current_timestamp,
-                knn=tuple(self._knn),
-                knn_distances=tuple(distances),
-                guard_objects=self._guard,
-                action=UpdateAction.FULL_RECOMPUTE,
-                was_valid=False,
-            )
-        if removed & self._ins or changed & self._pool:
+            survivors = (i for i in self._R if self._vortree.is_active(i))
+            self._retrieve(position, next(survivors, None))
+            return self._answer(position, UpdateAction.FULL_RECOMPUTE)
+        if removed & self._ins or not changed.isdisjoint(self._held):
             # The delta touched the held region: re-derive I(R) (and the
             # neighbour lists the incremental mode relies on) from the
             # already-patched shared tree — a few set unions, no kNN
@@ -273,11 +271,12 @@ class INSProcessor(MovingKNNProcessor[Point]):
             # held answer against the fresh guard set, which is what makes
             # this refresh sound.
             with self._stats.time_construction():
-                for member in changed.intersection(self._R):
-                    self._neighbor_lists[member] = self._vortree.voronoi_neighbors(member)
+                if self._allow_incremental:
+                    for member in changed.intersection(self._R):
+                        self._neighbor_lists[member] = self._vortree.voronoi_neighbors(member)
                 self._ins = self._vortree.influential_neighbor_set(self._R)
                 self._stats.ins_refreshes += 1
-                incoming = len(self._ins - self._pool)
+                incoming = len(self._ins.difference(self._held))
                 if incoming:
                     # New guard objects crossed the server-client boundary:
                     # charge them like a case-(i) incremental fetch so
@@ -302,53 +301,54 @@ class INSProcessor(MovingKNNProcessor[Point]):
         self._pending_changed = set()
         self._pending_removed = set()
         self._retrieve(position)
-        distances = self._distances(position, self._knn)
-        return QueryResult(
-            timestamp=self.current_timestamp,
-            knn=tuple(self._knn),
-            knn_distances=tuple(distances),
-            guard_objects=self._guard,
-            action=UpdateAction.FULL_RECOMPUTE,
-            was_valid=False,
-        )
+        return self._answer(position, UpdateAction.FULL_RECOMPUTE)
 
     def _update(self, position: Point) -> QueryResult:
         self._last_position = position
-        if self._state_stale:
-            # The data set changed since the last answer: settle the delta.
+        if self._state_stale or self._vortree.coincident:
+            # The data set changed since the last answer (settle the delta), or
+            # holds coincident objects (no validation is sound: retrieve).
             forced = self._consume_data_updates(position)
             if forced is not None:
                 return forced
-        with self._stats.time_validation():
-            self._stats.validations += 1
-            pool_distances = self._pool_distances(position)
-            valid = self._is_valid(pool_distances)
+        # Section III-A validation: the farthest kNN member must be strictly
+        # nearer than the nearest guard object (see the module docstring).
+        stats = self._stats
+        started = _clock()
+        stats.validations += 1
+        distances = self._held_distances(position)
+        k = self._k
+        valid = not self._guard or max(distances[:k]) < min(distances[k:])
+        stats.validation_seconds += _clock() - started
         if valid:
-            distances = [pool_distances[index] for index in self._knn]
-            return QueryResult(
-                timestamp=self.current_timestamp,
-                knn=tuple(self._knn),
-                knn_distances=tuple(distances),
-                guard_objects=self._guard,
-                action=UpdateAction.NONE,
-                was_valid=True,
-            )
-        action = self._perform_update(position, pool_distances)
-        distances = self._distances(position, self._knn)
-        return QueryResult(
-            timestamp=self.current_timestamp,
-            knn=tuple(self._knn),
-            knn_distances=tuple(distances),
-            guard_objects=self._guard,
-            action=action,
-            was_valid=False,
-        )
+            return self._answer(position, UpdateAction.NONE, tuple(distances[:k]))
+        return self._answer(position, self._perform_update(position, distances))
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        if "_held_xy" not in state:
+            # Pickled before the flat layout existed: it is derived state.
+            self._refresh_cached_sets()
 
     # ------------------------------------------------------------------
     # INS machinery
     # ------------------------------------------------------------------
-    def _retrieve(self, position: Point) -> None:
-        """Server round trip: recompute R, I(R) and the kNN set at ``position``."""
+    def _answer(self, position: Point, action: UpdateAction, distances=None) -> QueryResult:
+        """The current answer; ``distances`` when the caller already has them."""
+        if distances is None:
+            px, py = position.x, position.y
+            distances = tuple(hypot(px - x, py - y) for x, y in self._held_xy[: self._k])
+        return QueryResult(
+            timestamp=self._timestamp,
+            knn=tuple(self._knn),
+            knn_distances=distances,
+            guard_objects=self._guard,
+            action=action,
+            was_valid=action is UpdateAction.NONE,
+        )
+
+    def _retrieve(self, position: Point, hint: Optional[int] = None) -> None:
+        """Server round trip: recompute R, I(R) and the kNN set, expanding from ``hint``."""
         with self._stats.time_construction():
             self._vortree.rtree.reset_counters()
             # Deletions since construction may have shrunk the population
@@ -357,56 +357,62 @@ class INSProcessor(MovingKNNProcessor[Point]):
             # raises its loud QueryError rather than silently under-filling
             # the answer.
             count = max(self.k, min(self._prefetch_count, len(self._vortree)))
-            nearest, ins = self._vortree.retrieve(position, count)
+            nearest, ins = self._vortree.retrieve(position, count, hint)
             self._stats.index_node_accesses += self._vortree.rtree.node_accesses
             self._R = nearest
             self._ins = ins
             self._knn = nearest[: self.k]
-            self._neighbor_lists = {
-                index: self._vortree.voronoi_neighbors(index) for index in self._R
-            }
+            if self._allow_incremental:
+                self._neighbor_lists = {
+                    index: self._vortree.voronoi_neighbors(index) for index in nearest
+                }
             self._stats.full_recomputations += 1
             self._stats.transmitted_objects += len(self._R) + len(self._ins)
             self._refresh_cached_sets()
 
     def _refresh_cached_sets(self) -> None:
-        """Recompute the cached pool (R ∪ I(R)) and guard set (pool \\ kNN)."""
-        self._pool = set(self._R) | self._ins
-        self._guard = frozenset(self._pool.difference(self._knn))
+        """Re-derive the flat layout of the pool and the guard set."""
+        knn = self._knn
+        held = knn + [index for index in self._R if index not in knn] + list(self._ins)
+        points = self._points
+        self._guard = frozenset(held[len(knn) :])
+        self._held = held
+        self._held_xy = [(points[index].x, points[index].y) for index in held]
 
-    def _pool_distances(self, position: Point) -> Dict[int, float]:
-        """Distances from ``position`` to every client-held object (R ∪ I(R))."""
-        self._stats.distance_computations += len(self._pool)
-        return {index: position.distance_to(self._points[index]) for index in self._pool}
+    def _held_distances(self, position: Point) -> List[float]:
+        """Distances in ``_held`` order; the floats of ``position.distance_to(point)``."""
+        self._stats.distance_computations += len(self._held_xy)
+        px, py = position.x, position.y
+        return [hypot(px - x, py - y) for x, y in self._held_xy]
 
-    def _is_valid(self, pool_distances: Dict[int, float]) -> bool:
-        """Section III-A validation: farthest kNN vs nearest guard object."""
-        if not self._guard:
-            return True
-        farthest_knn = max(pool_distances[index] for index in self._knn)
-        nearest_guard = min(pool_distances[index] for index in self._guard)
-        return farthest_knn <= nearest_guard
+    def _recompose(self, distances: List[float]) -> bool:
+        """Make the top-k of R by ``(distance, index)`` the answer — if the
+        rest of the pool certifies it (strictly: a tie certifies nothing)."""
+        k = self._k
+        count = len(self._R)
+        ranked = sorted(zip(distances[:count], self._held))
+        guards = [distance for distance, _ in ranked[k:]] + distances[count:]
+        if guards and not ranked[k - 1][0] < min(guards):
+            return False
+        self._knn = [index for _, index in ranked[:k]]
+        self._refresh_cached_sets()
+        return True
 
-    def _perform_update(self, position: Point, pool_distances: Dict[int, float]) -> UpdateAction:
+    def _perform_update(self, position: Point, distances: List[float]) -> UpdateAction:
         """Section III-B update: recompose from R when possible, else retrieve."""
-        with self._stats.time_validation():
-            candidate = heapq.nsmallest(
-                self.k, self._R, key=lambda index: (pool_distances[index], index)
-            )
-            guard = self._pool.difference(candidate)
-            farthest = max(pool_distances[index] for index in candidate)
-            nearest_guard = min(pool_distances[index] for index in guard) if guard else math.inf
-            if farthest <= nearest_guard:
-                # Case (ii), first branch: the new kNN set is still inside R.
-                self._knn = candidate
-                self._guard = frozenset(guard)
-                self._stats.local_reorders += 1
-                return UpdateAction.LOCAL_REORDER
+        started = _clock()
+        recomposed = self._recompose(distances)
+        self._stats.validation_seconds += _clock() - started
+        if recomposed:
+            # Case (ii), first branch: the new kNN set is still inside R.
+            self._stats.local_reorders += 1
+            return UpdateAction.LOCAL_REORDER
         if self._allow_incremental and self._incremental_update(position):
             return UpdateAction.INCREMENTAL
         # Case (i) with an unknown neighbour list or case (ii) fallback: the
-        # answer involves an object outside R; recompute R and I(R).
-        self._retrieve(position)
+        # answer involves an object outside R; recompute R and I(R), from
+        # the nearest member of the R already held.
+        self._retrieve(position, min(zip(distances, self._held[: len(self._R)]))[1])
         return UpdateAction.FULL_RECOMPUTE
 
     def _incremental_update(self, position: Point) -> bool:
@@ -424,18 +430,8 @@ class INSProcessor(MovingKNNProcessor[Point]):
         saved_knn = list(self._knn)
         transmitted = 0
         for _ in range(self.MAX_INCREMENTAL_SWAPS):
-            pool_distances = self._pool_distances(position)
-            candidate_knn = heapq.nsmallest(
-                self.k, self._R, key=lambda index: (pool_distances[index], index)
-            )
-            guard = self._pool.difference(candidate_knn)
-            farthest = max(pool_distances[index] for index in candidate_knn)
-            nearest_guard = (
-                min(pool_distances[index] for index in guard) if guard else math.inf
-            )
-            if farthest <= nearest_guard:
-                self._knn = candidate_knn
-                self._guard = frozenset(guard)
+            distances = self._held_distances(position)
+            if self._recompose(distances):
                 self._stats.incremental_updates += 1
                 self._stats.transmitted_objects += transmitted
                 return True
@@ -443,12 +439,15 @@ class INSProcessor(MovingKNNProcessor[Point]):
                 break
             # Swap the farthest R member for the nearest outside guard object
             # and fetch the incomer's neighbour list (1 + |N| objects).
-            incoming = min(self._ins, key=lambda index: (pool_distances[index], index))
-            outgoing = max(self._R, key=lambda index: (pool_distances[index], index))
+            count = len(self._R)
+            outgoing = max(zip(distances[:count], self._held))[1]
+            incoming = min(zip(distances[count:], self._held[count:]))[1]
             with self._stats.time_construction():
                 incoming_neighbors = self._vortree.voronoi_neighbors(incoming)
             transmitted += 1 + len(incoming_neighbors)
             self._R = [index for index in self._R if index != outgoing] + [incoming]
+            # The flat layout needs kNN ⊆ R; the next recomposition refills it.
+            self._knn = [index for index in self._knn if index != outgoing]
             self._neighbor_lists.pop(outgoing, None)
             self._neighbor_lists[incoming] = incoming_neighbors
             self._ins = set().union(*self._neighbor_lists.values()) - set(self._R)
@@ -460,9 +459,3 @@ class INSProcessor(MovingKNNProcessor[Point]):
         self._ins = set().union(*self._neighbor_lists.values()) - set(self._R)
         self._refresh_cached_sets()
         return False
-
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-    def _distances(self, position: Point, indexes: Sequence[int]) -> List[float]:
-        return [position.distance_to(self._points[index]) for index in indexes]

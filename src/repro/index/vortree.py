@@ -2,10 +2,11 @@
 
 Sharifzadeh and Shahabi's VoR-tree (PVLDB 2010) stores, with every point in
 an R-tree leaf, the list of that point's order-1 Voronoi neighbours.  The
-INSQ system uses it so that, after retrieving the ⌊ρk⌋ nearest objects R,
-the influential neighbour set I(R) can be assembled by simply following the
-stored neighbour pointers — no further geometric computation is required at
-query time.
+INSQ system uses the lists twice: the VoR-tree's own kNN *finds* the ⌊ρk⌋
+nearest objects R by expanding over them from an object the client already
+holds (:meth:`VoRTree.retrieve` — no R-tree node is read), and the influential
+neighbour set I(R) *is* what that expansion leaves on its frontier — no
+further geometric computation is required at query time.
 
 This module composes the two substrates built earlier: the Delaunay-derived
 Voronoi neighbour map (:mod:`repro.geometry.voronoi`) and the R-tree
@@ -34,6 +35,9 @@ three or only collinear objects), ``bulk_threshold`` and ``rebuild_mode``.
 
 from __future__ import annotations
 
+from collections import Counter
+from heapq import heappop, heappush
+from math import hypot
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import EmptyDatasetError, GeometryError, QueryError
@@ -45,6 +49,10 @@ from repro.obs.metrics import counter as _obs_counter
 _REBUILDS = {
     reason: _obs_counter("insq_index_rebuilds_total", reason=reason)
     for reason in ("geometry_error", "bulk_threshold", "rebuild_mode")
+}
+_FALLBACKS = {
+    reason: _obs_counter("insq_retrieval_fallbacks_total", reason=reason)
+    for reason in ("coincident", "no_seed", "short", "uncertified")
 }
 
 
@@ -81,6 +89,8 @@ class VoRTree:
         self._points: List[Point] = list(points)
         self._active: List[bool] = [True] * len(self._points)
         self._active_count = len(self._points)
+        # Active objects per exact position (see :attr:`coincident`).
+        self._occupied = Counter((point.x, point.y) for point in self._points)
         self._neighbor_map: Dict[int, FrozenSet[int]] = {}
         self._voronoi: Optional[VoronoiDiagram] = None
         # Object index <-> site index in the shared Voronoi diagram.  The two
@@ -91,6 +101,11 @@ class VoRTree:
         self._rebuild_neighbor_map()
         entries = [RTreeEntry(point, index) for index, point in enumerate(self._points)]
         self._rtree = RTree.bulk_load(entries, max_entries=max_entries)
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        if "_occupied" not in state:  # pickled before it was kept: derived state
+            self._occupied = Counter((p.x, p.y) for p in map(self.point, self.active_indexes()))
 
     # ------------------------------------------------------------------
     # Accessors
@@ -134,6 +149,11 @@ class VoRTree:
         sites always correspond 1:1 to the tree's active objects.
         """
         return self._voronoi
+
+    @property
+    def coincident(self) -> bool:
+        """True while active objects share a position: the neighbour lists certify nothing."""
+        return len(self._occupied) < self._active_count
 
     @property
     def maintenance(self) -> str:
@@ -410,6 +430,7 @@ class VoRTree:
         self._points.append(point)
         self._active.append(True)
         self._active_count += 1
+        self._occupied[point.x, point.y] += 1
         self._rtree.insert(point, index)
         return index
 
@@ -417,7 +438,11 @@ class VoRTree:
         """Tombstone an active object and take it out of the R-tree."""
         self._active[index] = False
         self._active_count -= 1
-        self._rtree.delete(self._points[index], index)
+        point = self._points[index]
+        self._occupied[point.x, point.y] -= 1
+        if not self._occupied[point.x, point.y]:
+            del self._occupied[point.x, point.y]
+        self._rtree.delete(point, index)
 
     def _rebuild_reason(self, otherwise: str = "geometry_error") -> str:
         return "rebuild_mode" if self._maintenance == "rebuild" else otherwise
@@ -471,7 +496,7 @@ class VoRTree:
     # Queries used by the INS processor
     # ------------------------------------------------------------------
     def nearest(self, query: Point, count: int) -> List[int]:
-        """Indexes of the ``count`` active data objects nearest to ``query``."""
+        """The ``count`` nearest active objects, by a cold R-tree search (retrieve's fallback)."""
         if count <= 0:
             raise QueryError("count must be positive")
         if count > len(self):
@@ -484,11 +509,74 @@ class VoRTree:
         """The INS of a set of object indexes (Definition 4 of the paper)."""
         return influential_neighbor_indexes(self._neighbor_map, member_indexes)
 
-    def retrieve(self, query: Point, count: int) -> Tuple[List[int], Set[int]]:
-        """One-shot retrieval used at (re)computation time.
+    def retrieve(
+        self, query: Point, count: int, hint: Optional[int] = None
+    ) -> Tuple[List[int], Set[int]]:
+        """``(R, I(R))`` at ``query``: the one retrieval of a recomputation.
 
-        Returns ``(R, I(R))``: the ``count`` nearest object indexes (nearest
-        first) and their influential neighbour set.
+        ``R`` is the ``count`` nearest objects ordered by ``(distance, index)``
+        and ``I(R)`` their influential neighbour set, found by the VoR-tree's
+        own kNN over the stored neighbour lists.  *Walk* greedily to the object
+        nearest to ``query``, from ``hint`` (an object the client holds) or, when
+        that is absent, deleted or out of range, from the R-tree's 1-NN.
+        *Expand* best-first until ``count`` objects are popped: they are ``R``,
+        and the frontier left — every neighbour of an ``R`` member outside
+        ``R`` — is ``I(R)``.  *Certify* by the INS theorem, strictly:
+        ``max d(R) < min d(I(R))``.  Otherwise *fall back* to :meth:`nearest` +
+        :meth:`influential_neighbor_set` (``R`` then in the R-tree's order),
+        counted in ``insq_retrieval_fallbacks_total`` by reason:
+        :attr:`coincident` objects (nothing is expanded), ``no_seed`` (the seed
+        has no neighbour list), ``short`` (the expansion ran dry), ``uncertified``
+        (an exact tie, or no frontier to certify against).
         """
+        if 0 < count <= self._active_count:
+            certified, reason = self._expand(query, count, hint)
+            if certified is not None:
+                return certified
+            _FALLBACKS[reason].inc()
         nearest = self.nearest(query, count)
         return nearest, self.influential_neighbor_set(nearest)
+
+    def _expand(self, query: Point, count: int, seed: Optional[int]):
+        """Walk, expand, certify: ``((R, I(R)), None)`` or ``(None, reason)``."""
+        if self.coincident:
+            return None, "coincident"
+        neighbors = self._neighbor_map
+        points = self._points
+        qx, qy = query.x, query.y
+        if seed is None or not self.is_active(seed):
+            seed = self._rtree.nearest_payloads(query, 1)[0]
+        if not neighbors.get(seed):
+            return None, "no_seed"
+        best = hypot(qx - points[seed].x, qy - points[seed].y)
+        walking = True
+        while walking:
+            walking = False
+            for other in neighbors[seed]:
+                point = points[other]
+                distance = hypot(qx - point.x, qy - point.y)
+                if distance < best:
+                    best, seed, walking = distance, other, True
+        last = (best, seed)
+        frontier = [last]
+        seen = {seed}
+        nearest: List[int] = []
+        while frontier and len(nearest) < count:
+            item = heappop(frontier)
+            if item < last:
+                # Out of (distance, index) order: the walk stalled on a tie
+                # short of the nearest object, so its seed proves nothing.
+                return None, "uncertified"
+            last = item
+            nearest.append(item[1])
+            for other in neighbors[item[1]]:
+                if other not in seen:
+                    seen.add(other)
+                    point = points[other]
+                    heappush(frontier, (hypot(qx - point.x, qy - point.y), other))
+        if len(nearest) < count:
+            return None, "short"
+        # An empty frontier certifies only the whole population.
+        if not (last[0] < frontier[0][0] if frontier else count == self._active_count):
+            return None, "uncertified"
+        return (nearest, {member for _, member in frontier}), None

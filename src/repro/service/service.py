@@ -283,23 +283,24 @@ class KNNService:
     # Message routing (used by Session)
     # ------------------------------------------------------------------
     def _deliver(self, query_id: int, position: Any) -> KNNResponse:
-        # Snapshot-before/after turns the engine's accounting into the
-        # response's per-step annotation without double counting anything.
+        # Two of the session's counters, read before and after, turn the engine's
+        # accounting into the response's per-step annotation without double counting.
         # Everything here is local state: different sessions may be
         # delivered concurrently by a ShardedDispatcher.
-        before = self._engine.communication_for(query_id).snapshot()
+        record = self._engine.communication_for(query_id)
+        before = (record.downlink_objects, record.uplink_messages)
         result = self._engine.update_position(query_id, position)
-        return self._respond(query_id, result, before)
+        return self._respond(query_id, result, record, before)
 
     def _refresh(self, query_id: int) -> KNNResponse:
-        before = self._engine.communication_for(query_id).snapshot()
+        record = self._engine.communication_for(query_id)
+        before = (record.downlink_objects, record.uplink_messages)
         result = self._engine.answer(query_id)
-        return self._respond(query_id, result, before)
+        return self._respond(query_id, result, record, before)
 
     def _respond(
-        self, query_id: int, result, before: CommunicationStats
+        self, query_id: int, result, record: CommunicationStats, before: Tuple[int, int]
     ) -> KNNResponse:
-        after = self._engine.communication_for(query_id)
         # response_for picks the response frame matching the result's kind
         # (KNNResponse, InfluentialResponse, RegionEvent).  Imported here,
         # not at module level: repro.queries.messages subclasses this
@@ -309,8 +310,8 @@ class KNNService:
         return response_for(
             query_id=query_id,
             result=result,
-            objects_shipped=after.downlink_objects - before.downlink_objects,
-            round_trips=after.uplink_messages - before.uplink_messages,
+            objects_shipped=record.downlink_objects - before[0],
+            round_trips=record.uplink_messages - before[1],
             epoch=self._engine.epoch,
         )
 

@@ -1,6 +1,12 @@
 """Tests for repro.core.ins_euclidean (the INS processor, 2-D plane)."""
 
+import math
+import pickle
+import random
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.core.ins_euclidean import INSProcessor
@@ -168,3 +174,84 @@ class TestCostAccounting:
         processor.reset_stats()
         assert processor.stats.timestamps == 0
         assert processor.stats.full_recomputations == 0
+
+
+class TestCoincidentObjects:
+    """Objects at one position are split only by the triangulation's jitter,
+    so one can be a kNN member while its twin guards at the *same* distance.
+    A tie is never a certificate: with ``<=`` a third, nearer object went
+    unnoticed (94 of 3 840 answers wrong before the fix).  And while objects
+    coincide — three or four at a point especially — the neighbour lists are
+    no Delaunay graph, so retrieval must come from the R-tree search."""
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 10_000), churn=st.booleans(), stacked=st.booleans())
+    def test_answers_match_brute_force(self, seed, churn, stacked):
+        rng = random.Random(seed)
+        base = [Point(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(40)]
+        if stacked:
+            points = base + [p for p in rng.sample(base, 5) for _ in range(rng.randint(2, 4))]
+        else:
+            points = base + [rng.choice(base) for _ in range(17)]
+        for k in (1, 2, 3, 5):
+            tree = VoRTree(list(points))
+            processor = INSProcessor(tree.positions, k=k, rho=1.6, vortree=tree)
+            query = Point(rng.uniform(0, 100), rng.uniform(0, 100))
+            processor.initialize(query)
+            for step in range(240):
+                if churn and step % 6 == 0:
+                    processor.insert_object(tree.point(rng.choice(tree.active_indexes())))
+                    if step % 12 == 0 and len(tree) > 45:
+                        try:
+                            processor.delete_object(rng.choice(tree.active_indexes()))
+                        except TypeError:
+                            # geometry/'s hole retriangulation on three or more
+                            # coincident sites (ROADMAP 4d; the parent's too):
+                            # not this test's subject — discard the example.
+                            assume(False)
+                query = Point(
+                    min(100.0, max(0.0, query.x + rng.uniform(-4, 4))),
+                    min(100.0, max(0.0, query.y + rng.uniform(-4, 4))),
+                )
+                result = processor.update(query)
+                truth = sorted(
+                    math.hypot(query.x - tree.point(i).x, query.y - tree.point(i).y)
+                    for i in tree.active_indexes()
+                )
+                assert len(set(result.knn)) == k
+                assert sorted(result.knn_distances) == truth[:k], (k, step)
+
+    def test_a_twin_at_the_guard_distance_forces_a_retrieval(self):
+        # 0 and 1 coincide; 2 is what the old `<=` overlooked.
+        coordinates = [(0, 0), (0, 0), (3, 0), (-9, 5), (4, 9), (5, -8)]
+        points = [Point(float(x), float(y)) for x, y in coordinates]
+        processor = INSProcessor(points, k=1)
+        assert processor.initialize(Point(0.5, 0.0)).knn_distances == (0.5,)
+        result = processor.update(Point(2.0, 0.0))
+        assert result.knn == (2,) and result.knn_distances == (1.0,)
+        assert not result.was_valid
+
+
+class TestOldSnapshots:
+    """The flat validation layout is derived state: a processor pickled
+    before it existed restores and keeps serving."""
+
+    def test_state_without_the_flat_layout_restores_and_serves(self, dataset):
+        processor = INSProcessor(dataset, k=5, rho=1.6, vortree=VoRTree(dataset))
+        trajectory = random_waypoint_trajectory(
+            data_space(1_000.0), steps=60, step_length=15.0, seed=3
+        )
+        processor.initialize(trajectory[0])
+        for position in trajectory[1:30]:
+            processor.update(position)
+        twin = pickle.loads(pickle.dumps(processor))
+        state = pickle.loads(pickle.dumps(processor.__dict__))
+        assert state.pop("_held") and state.pop("_held_xy")
+        old = INSProcessor.__new__(INSProcessor)
+        old.__setstate__(state)
+        for position in trajectory[30:]:
+            restored, expected = old.update(position), twin.update(position)
+            assert restored == expected
+            assert set(restored.knn) == set(brute_knn(dataset, position, 5))
+        assert old.stats.distance_computations == twin.stats.distance_computations
+        assert old.stats.transmitted_objects == twin.stats.transmitted_objects

@@ -1,0 +1,348 @@
+"""``VoRTree.retrieve`` against brute force, degenerate inputs first.
+
+Retrieval walks and expands over the stored Voronoi neighbour lists and
+accepts the result only when the INS theorem certifies it; everything else
+falls back to the R-tree search — as does every retrieval while two active
+objects share a position, because the neighbour lists are then no Delaunay
+graph and the theorem does not hold over them.  Whatever the hint and however
+degenerate the population, the contract is the same:
+
+* the distances of ``R`` are the brute-force ``count`` smallest (as a
+  multiset — at exact ties any of the tied objects is a right answer);
+* ``R`` is ordered by ``(distance, index)``, or is exactly what
+  :meth:`VoRTree.nearest` returns (the fallback);
+* ``I(R)`` is :meth:`VoRTree.influential_neighbor_set` of that ``R``.
+
+The brute force uses ``math.hypot`` on raw coordinates, not the library's
+distance primitives.
+"""
+
+import math
+import pickle
+import random
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import repro.obs as obs
+from repro.errors import QueryError
+from repro.geometry.point import Point
+from repro.index.vortree import VoRTree
+from repro.workloads.datasets import uniform_points
+
+REASONS = ("coincident", "no_seed", "short", "uncertified")
+
+
+def reason_counts():
+    return {
+        reason: obs.counter("insq_retrieval_fallbacks_total", reason=reason).value
+        for reason in REASONS
+    }
+
+
+def fallbacks():
+    return sum(reason_counts().values())
+
+
+def check_retrieve(tree, query, count, hint):
+    nearest, ins = tree.retrieve(query, count, hint)
+
+    def distance(index):
+        point = tree.point(index)
+        return math.hypot(query.x - point.x, query.y - point.y)
+
+    active = tree.active_indexes()
+    assert len(nearest) == len(set(nearest)) == count
+    assert set(nearest) <= set(active)
+    assert sorted(map(distance, nearest)) == sorted(map(distance, active))[:count]
+    keyed = [(distance(index), index) for index in nearest]
+    assert keyed == sorted(keyed) or nearest == tree.nearest(query, count)
+    assert ins == tree.influential_neighbor_set(nearest)
+
+
+def check_every_hint(tree, query, counts=None):
+    """Every count, from every kind of hint: none, each object ever indexed
+    (active or deleted) and both out-of-range sides."""
+    total = len(tree.positions)
+    for count in counts or range(1, len(tree) + 1):
+        for hint in (None, -1, total, total + 7, *range(total)):
+            check_retrieve(tree, query, count, hint)
+
+
+def delete_or_reject(tree, index):
+    """``geometry/``'s hole retriangulation can raise TypeError when three or
+    more sites coincide (ROADMAP 4d; so does the parent's).  These tests are
+    about retrieval: such an example is discarded, not counted as a pass."""
+    try:
+        tree.delete(index)
+    except TypeError:
+        assume(False)
+
+
+hints = st.one_of(st.none(), st.integers(min_value=-3, max_value=260))
+coordinates = st.floats(min_value=-50.0, max_value=1050.0, allow_nan=False)
+
+
+class TestUniformPoints:
+    @settings(max_examples=60)
+    @given(
+        seed=st.integers(0, 10_000),
+        size=st.integers(4, 250),
+        x=coordinates,
+        y=coordinates,
+        count=st.integers(1, 20),
+        hint=hints,
+    )
+    def test_matches_brute_force_without_falling_back(self, seed, size, x, y, count, hint):
+        tree = VoRTree(uniform_points(size, extent=1_000.0, seed=seed))
+        before = fallbacks()
+        check_retrieve(tree, Point(x, y), min(count, size), hint)
+        assert fallbacks() == before
+
+    def test_far_hint_walks_to_the_query(self):
+        points = uniform_points(600, extent=1_000.0, seed=9)
+        tree = VoRTree(points)
+        query = Point(990.0, 990.0)
+        far = min(range(len(points)), key=lambda i: points[i].x + points[i].y)
+        before = fallbacks()
+        check_retrieve(tree, query, 12, far)
+        assert fallbacks() == before
+        nearest, _ = tree.retrieve(query, 12, far)
+        assert nearest == tree.nearest(query, 12)
+
+    def test_valid_hint_never_touches_the_rtree(self):
+        tree = VoRTree(uniform_points(300, extent=1_000.0, seed=4))
+        tree.rtree.reset_counters()
+        tree.retrieve(Point(500.0, 500.0), 10, hint=17)
+        assert tree.rtree.node_accesses == 0
+        tree.retrieve(Point(500.0, 500.0), 10)
+        assert tree.rtree.node_accesses > 0
+
+    @pytest.mark.parametrize("count", [0, -1, 41])
+    def test_impossible_counts_still_raise(self, count):
+        tree = VoRTree(uniform_points(40, extent=100.0, seed=2))
+        with pytest.raises(QueryError):
+            tree.retrieve(Point(1.0, 1.0), count, hint=3)
+
+
+class TestExactTies:
+    def test_integer_lattice_at_lattice_points_and_midpoints(self):
+        tree = VoRTree([Point(float(i), float(j)) for i in range(6) for j in range(6)])
+        before = fallbacks()
+        for twice_x in range(0, 11):
+            for twice_y in range(0, 11):
+                query = Point(twice_x / 2.0, twice_y / 2.0)
+                for count in (1, 2, 4, 5, 9, 12):
+                    for hint in (None, 0, 14, 35, 99):
+                        check_retrieve(tree, query, count, hint)
+        assert fallbacks() > before
+
+    def test_cocircular_points_around_a_centre(self):
+        # 16² + 63² = 25² + 60² = 33² + 56² = 39² + 52² = 65²: twenty-four
+        # objects exactly on one circle, integer coordinates.
+        ring = [
+            Point(float(sx * a), float(sy * b))
+            for a, b in ((16, 63), (25, 60), (33, 56), (39, 52), (52, 39))
+            for sx in (1, -1)
+            for sy in (1, -1)
+        ] + [Point(65.0, 0.0), Point(-65.0, 0.0), Point(0.0, 65.0), Point(0.0, -65.0)]
+        assert [math.hypot(p.x, p.y) for p in ring] == [65.0] * 24
+        bystanders = [Point(200.0, 0.0), Point(-180.0, 40.0), Point(30.0, 150.0)]
+        tree = VoRTree(ring + bystanders + [Point(0.0, 0.0)])
+        centre = len(tree) - 1
+        query = Point(0.0, 0.0)
+        before = fallbacks()
+        assert tree.retrieve(query, 1, hint=3)[0] == [centre]
+        assert fallbacks() == before  # the centre alone is strictly nearest
+        check_every_hint(tree, query, counts=(1, 2, 5, 24, 25))
+        assert fallbacks() > before  # twenty-four objects tie for second
+        check_every_hint(tree, Point(3.0, -4.0), counts=(1, 3, 25))
+
+    def test_coincident_pairs(self):
+        rng = random.Random(31)
+        singles = [Point(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(25)]
+        tree = VoRTree(singles + singles[:12])
+        before = reason_counts()
+        for _ in range(40):
+            query = Point(rng.uniform(0, 100), rng.uniform(0, 100))
+            for count in (1, 2, 3, 7):
+                for hint in (None, rng.randrange(37), rng.randrange(37)):
+                    check_retrieve(tree, query, count, hint)
+        after = reason_counts()
+        assert after["coincident"] == before["coincident"] + 40 * 4 * 3
+        assert {r: after[r] for r in REASONS[1:]} == {r: before[r] for r in REASONS[1:]}
+
+    def test_the_expansion_resumes_when_the_last_twin_leaves(self):
+        tree = VoRTree(uniform_points(30, extent=100.0, seed=12))
+        twin, _ = tree.insert(tree.point(4))
+        third, _ = tree.insert(tree.point(4))
+        for leaving, falls_back in ((None, 1), (third, 1), (twin, 0)):
+            if leaving is not None:
+                tree.delete(leaving)
+            before = reason_counts()
+            check_retrieve(tree, Point(40.0, 60.0), 6, hint=2)
+            after = reason_counts()
+            assert after.pop("coincident") - before.pop("coincident") == falls_back
+            assert after == before
+
+    def test_a_tree_pickled_before_positions_were_counted_recounts_them(self):
+        tree = VoRTree(uniform_points(30, extent=100.0, seed=12))
+        twin, _ = tree.insert(tree.point(4))
+        tree.delete(7)
+        state = pickle.loads(pickle.dumps(tree.__dict__))
+        del state["_occupied"]
+        old = VoRTree.__new__(VoRTree)
+        old.__setstate__(state)
+        assert old.coincident and old._occupied == tree._occupied
+        old.delete(twin)
+        assert not old.coincident
+        check_retrieve(old, Point(40.0, 60.0), 6, hint=2)
+
+    @settings(max_examples=60)
+    @given(
+        seed=st.integers(0, 10_000),
+        maintenance=st.sampled_from(["incremental", "rebuild"]),
+        churn=st.booleans(),
+    )
+    def test_multiplicities_of_three_and_more(self, seed, maintenance, churn):
+        """Where retrieval by expansion alone went wrong: with three or more
+        objects at one point some neighbour lists hold only a pair of twins,
+        the walk stalls there and the local certificate passes."""
+        rng = random.Random(seed)
+        base = [Point(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(20)]
+        stacked = [p for p in rng.sample(base, 4) for _ in range(rng.randint(2, 4))]
+        tree = VoRTree(base + stacked, maintenance=maintenance)
+        for _ in range(12):
+            if churn:
+                move = rng.random()
+                if move < 0.4 and len(tree) > 8:
+                    delete_or_reject(tree, rng.choice(tree.active_indexes()))
+                elif move < 0.8:
+                    tree.insert(tree.point(rng.choice(tree.active_indexes())))
+                else:
+                    tree.insert(Point(rng.uniform(0, 100), rng.uniform(0, 100)))
+            active = tree.active_indexes()
+            total = len(tree.positions)
+            for query in (
+                Point(rng.uniform(-5, 105), rng.uniform(-5, 105)),
+                tree.point(rng.choice(active)),
+            ):
+                for count in (1, 2, 3, 5, 8):
+                    for hint in (None, rng.choice(active), rng.randrange(total), total):
+                        check_retrieve(tree, query, count, hint)
+
+
+class TestTinyAndCollinear:
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [Point(1.0, 1.0)],
+            [Point(0.0, 0.0), Point(4.0, 0.0)],
+            [Point(0.0, 0.0), Point(4.0, 0.0), Point(1.0, 3.0)],
+            [Point(0.0, 0.0), Point(2.0, 2.0), Point(4.0, 4.0)],
+            [Point(0.0, 0.0), Point(0.0, 0.0)],
+        ],
+        ids=["one", "two", "triangle", "three-collinear", "two-coincident"],
+    )
+    def test_populations_of_one_to_three(self, points):
+        tree = VoRTree(points)
+        for query in (Point(0.0, 0.0), Point(2.0, 0.0), Point(3.0, 1.0), Point(-5.0, 9.0)):
+            check_every_hint(tree, query)
+
+    def test_collinear_objects(self):
+        tree = VoRTree([Point(float(i), 0.0) for i in range(10)])
+        for query in (Point(4.5, 0.0), Point(4.0, 2.0), Point(-3.0, 0.0), Point(4.5, 7.0)):
+            check_every_hint(tree, query, counts=(1, 2, 3, 9, 10))
+
+    def test_collinear_objects_plus_one(self):
+        tree = VoRTree([Point(float(i), 0.0) for i in range(10)] + [Point(4.5, 3.0)])
+        for query in (Point(4.5, 0.0), Point(4.5, 1.5), Point(0.0, 0.0), Point(11.0, -2.0)):
+            check_every_hint(tree, query, counts=(1, 2, 3, 5, 11))
+
+    def test_shrinking_to_one_object_and_regrowing(self):
+        tree = VoRTree([Point(0.0, 0.0), Point(5.0, 1.0), Point(2.0, 6.0), Point(7.0, 7.0)])
+        query = Point(3.0, 3.0)
+        for index in (0, 2, 3):
+            tree.delete(index)
+            check_every_hint(tree, query)
+        for point in (Point(1.0, 1.0), Point(6.0, 2.0), Point(3.0, 8.0)):
+            tree.insert(point)
+            check_every_hint(tree, query)
+
+
+class TestAfterUpdates:
+    @settings(max_examples=25)
+    @given(
+        seed=st.integers(0, 10_000),
+        maintenance=st.sampled_from(["incremental", "rebuild"]),
+        duplicates=st.booleans(),
+    )
+    def test_inserts_and_deletes_under_both_maintenance_modes(
+        self, seed, maintenance, duplicates
+    ):
+        rng = random.Random(seed)
+        tree = VoRTree(
+            uniform_points(30, extent=100.0, seed=seed), maintenance=maintenance
+        )
+        for _ in range(25):
+            if rng.random() < 0.45 and len(tree) > 6:
+                delete_or_reject(tree, rng.choice(tree.active_indexes()))
+            elif duplicates and rng.random() < 0.3:
+                tree.insert(tree.point(rng.choice(tree.active_indexes())))
+            else:
+                tree.insert(Point(rng.uniform(0, 100), rng.uniform(0, 100)))
+            query = Point(rng.uniform(-10, 110), rng.uniform(-10, 110))
+            count = rng.randint(1, min(12, len(tree)))
+            total = len(tree.positions)
+            for hint in (None, rng.randrange(total), rng.randrange(total), total + 2):
+                check_retrieve(tree, query, count, hint)
+
+    def test_batch_update_bulk_and_incremental_paths(self):
+        rng = random.Random(8)
+        tree = VoRTree(uniform_points(60, extent=100.0, seed=8))
+        for strategy in ("incremental", "bulk", None):
+            inserts = [Point(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(6)]
+            deletes = rng.sample(tree.active_indexes(), 5)
+            tree.batch_update(inserts, deletes, strategy=strategy)
+            for hint in (None, *deletes, len(tree.positions) - 1):
+                check_retrieve(tree, Point(50.0, 50.0), 9, hint)
+
+
+class TestFallbackReasons:
+    """Each reason of ``insq_retrieval_fallbacks_total``, provoked by
+    damaging the neighbour map the expansion trusts (white box): the answer
+    still comes back right, from the R-tree."""
+
+    def moved(self, tree, count, hint):
+        before = reason_counts()
+        nearest, _ = tree.retrieve(Point(0.0, 0.0), count, hint)
+        assert nearest == tree.nearest(Point(0.0, 0.0), count)
+        after = reason_counts()
+        return {reason for reason in REASONS if after[reason] != before[reason]}
+
+    def islands(self):
+        """Objects 0-2 near the query and 3-8 far away, the two groups'
+        neighbour lists cut apart."""
+        near = [Point(1.0, 0.0), Point(0.0, 2.0), Point(-3.0, -1.0)]
+        far = [Point(50.0 + 3 * i, 40.0 + (i * i) % 7) for i in range(6)]
+        tree = VoRTree(near + far)
+        for index, members in list(tree._neighbor_map.items()):
+            island = range(3) if index < 3 else range(3, 9)
+            tree._neighbor_map[index] = frozenset(members) & frozenset(island)
+        return tree
+
+    def test_no_seed(self):
+        tree = VoRTree(uniform_points(20, extent=100.0, seed=6))
+        tree._neighbor_map = {index: frozenset() for index in tree.active_indexes()}
+        assert self.moved(tree, 3, hint=5) == {"no_seed"}
+
+    def test_short(self):
+        assert self.moved(self.islands(), 5, hint=1) == {"short"}
+
+    def test_an_empty_frontier_certifies_only_the_whole_population(self):
+        assert self.moved(self.islands(), 3, hint=1) == {"uncertified"}
+
+    def test_a_tie_is_uncertified(self):
+        tree = VoRTree([Point(1.0, 0.0), Point(-1.0, 0.0), Point(0.0, 5.0), Point(4.0, -6.0)])
+        assert self.moved(tree, 1, hint=0) == {"uncertified"}

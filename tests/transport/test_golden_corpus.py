@@ -7,6 +7,7 @@ A codec change that alters any byte here breaks old WALs and old peers.
 """
 
 import json
+import math
 import os
 import shutil
 
@@ -14,6 +15,7 @@ import pytest
 
 from repro.durability import recover_service, scan_chain
 from repro.durability.recovery import wal_path
+from repro.geometry.point import Point
 from repro.transport.codec import decode, encode, wire_size
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -60,5 +62,15 @@ def test_golden_wal_directory_scans_and_recovers(tmp_path):
         assert recovered.epoch == recorded["epoch"]
         assert recovered.object_count == recorded["object_count"]
         assert sorted(s.query_id for s in recovered.sessions()) == recorded["sessions"]
+        # The recovered sessions keep serving: whatever state the old log
+        # restored, the next answer is the brute-force one.
+        tree = recovered.engine.vortree
+        for session, query in zip(recovered.sessions(), (Point(30.0, 14.0), Point(8.0, 3.0))):
+            response = session.update(query)
+            truth = sorted(
+                math.hypot(query.x - tree.point(i).x, query.y - tree.point(i).y)
+                for i in tree.active_indexes()
+            )
+            assert list(response.knn_distances) == truth[: session.k]
     finally:
         recovered.close_wal()
