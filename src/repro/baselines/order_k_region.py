@@ -19,7 +19,7 @@ checks.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import List, Optional, Sequence, Set
 
 from repro.errors import ConfigurationError, QueryError
 from repro.core.objects import QueryResult, UpdateAction
@@ -75,10 +75,6 @@ class OrderKSafeRegionProcessor(MovingKNNProcessor[Point]):
         self._knn: List[int] = []
         self._cell: Optional[OrderKCell] = None
         self._removed: Set[int] = set()
-        self._pending_changed: Set[int] = set()
-        self._pending_removed: Set[int] = set()
-        self._state_stale = False
-        self._force_refresh = False
         self._index_stale = False
 
     @property
@@ -90,37 +86,10 @@ class OrderKSafeRegionProcessor(MovingKNNProcessor[Point]):
         """The current safe region (None before initialisation)."""
         return self._cell
 
-    @property
-    def state_stale(self) -> bool:
-        """True when a data-update delta is pending (settled lazily)."""
-        return self._state_stale
-
     # ------------------------------------------------------------------
-    # Data-object updates (the engine's delta-invalidation contract)
+    # Data-object updates (the base class's mailbox; here ``changed`` also
+    # names objects whose positions changed in the source sequence)
     # ------------------------------------------------------------------
-    def notify_data_update(
-        self, changed: Iterable[int] = (), removed: Iterable[int] = ()
-    ) -> None:
-        """Record a data-update delta; settled lazily on the next timestamp.
-
-        Args:
-            changed: objects whose positions (or Voronoi neighbour lists)
-                changed in the source sequence.
-            removed: objects deleted from the data set.
-        """
-        self._pending_changed.update(changed)
-        self._pending_removed.update(removed)
-        self._state_stale = True
-
-    def invalidate(self) -> None:
-        """Blanket invalidation: recompute on the next timestamp.
-
-        The ``invalidation="flag"`` contract, kept as the oracle of the
-        delta-equivalence tests.
-        """
-        self._force_refresh = True
-        self._state_stale = True
-
     def _cell_invaded(self, changed: Set[int], removed: Set[int]) -> bool:
         """Can any changed site steal a polygon vertex from a member?
 
@@ -149,13 +118,7 @@ class OrderKSafeRegionProcessor(MovingKNNProcessor[Point]):
 
     def _settle_pending(self) -> bool:
         """Consume the pending delta; returns True when a recompute is due."""
-        changed = self._pending_changed
-        removed = self._pending_removed
-        force = self._force_refresh
-        self._pending_changed = set()
-        self._pending_removed = set()
-        self._force_refresh = False
-        self._state_stale = False
+        changed, removed, force = self._take_pending()
         self._removed.update(removed)
         # Sync positions before testing invasion: the source moved already.
         self._points = list(self._source)

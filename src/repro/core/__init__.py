@@ -6,15 +6,19 @@
   distance computations, timing).
 * :mod:`repro.core.influential` — influential set (IS), minimal influential
   set (MIS) and influential neighbour set (INS) computations and checks.
-* :mod:`repro.core.processor` — the abstract moving-kNN processor interface.
-* :mod:`repro.core.ins_euclidean` — the INS algorithm in the 2-D plane.
-* :mod:`repro.core.ins_road` — the INS algorithm on road networks
-  (Theorems 1 and 2).
+* :mod:`repro.core.processor` — the abstract moving-kNN processor interface
+  and the pending-delta mailbox every served processor shares.
+* :mod:`repro.core.ins` — the INS protocol (Section III), written once: a
+  metric plugs in its index, one retrieval, the held distances and a tie rule.
+* :mod:`repro.core.ins_euclidean` / :mod:`repro.core.ins_road` — what the
+  plane (VoR-tree, ``hypot``, strict ``<``) and a road network (network
+  Voronoi diagram, one Theorem 2 search, ``<=``) plug in.
 * :mod:`repro.core.engine` — the generic serving engine (query lifecycle,
-  epoch counter, delta-scoped invalidation dispatch, aggregate stats).
+  the mutation and replication API, epoch counter, delta-scoped
+  invalidation dispatch, accounting, aggregate stats).
 * :mod:`repro.core.server` / :mod:`repro.core.road_server` — the thin
-  metric-specific servers composing the shared index structures with
-  per-query client state, in the plane and on road networks respectively.
+  metric-specific servers: the shared index, its repair hooks, and what a
+  move means on that metric.
 """
 
 from repro.core.objects import QueryResult, UpdateAction

@@ -10,18 +10,23 @@ instances of the same machine, and this module is that machine:
   query identifiers; every registered query owns one processor (answer,
   prefetched set, guard set) initialised before it is admitted, so a
   failing first answer never leaves a zombie query behind;
+* **the mutation API** — ``insert_object`` / ``delete_object`` /
+  ``batch_update(inserts, deletes, moves)`` time the index repair, guard
+  the population and commit the epoch the same way on either metric, and
+  ``export_delta`` / ``apply_remote_delta`` ship an epoch to read replicas;
 * **epoch counter** — every mutation batch (a single insert/delete/move
   counts as a batch of one) advances one data epoch, so clients can cheaply
   detect whether the data set changed since they last looked;
 * **invalidation dispatch** — the engine pushes each epoch's *repair delta*
   (the objects whose Voronoi neighbour sets changed, plus the removed
   objects) to every registered processor, which settles it lazily on its
-  next timestamp: a removal inside its prefetched set costs one retrieval,
-  a delta elsewhere in its held pool an I(R)-only refresh, and a delta
-  outside its pool nothing at all.  The pre-delta behaviour — flag every
-  query for a full refresh on every epoch, regardless of where the update
-  landed — survives as the ``"flag"`` fallback mode and as the oracle of
-  the randomized delta-equivalence tests;
+  next timestamp (:mod:`repro.core.ins` describes the three outcomes).
+  Processors share the index's live object storage, so an update never
+  copies the n-object list into each registered query.  The pre-delta
+  behaviour — flag every query for a full refresh on every epoch,
+  regardless of where the update landed — survives as the ``"flag"``
+  fallback mode and as the oracle of the randomized delta-equivalence
+  tests;
 * **population guard** — a mutation that would leave fewer objects than
   some registered query's ``k`` requires fails loudly at the mutation
   instead of deep inside that query's next retrieval;
@@ -41,34 +46,49 @@ instances of the same machine, and this module is that machine:
   message protocol — and because the accounting lives here, a workload
   driven through raw server calls produces identical counters.
 
-Subclasses provide the metric-specific 20%: constructing the shared index,
-building a processor for a new query, and translating object mutations into
-index repairs that report their deltas.
+Subclasses provide the metric-specific rest: constructing the shared index,
+building a processor for a new query, the index's single-object and batch
+repairs (which report their deltas), its delta sections, and what moving an
+object means.
 """
 
 from __future__ import annotations
 
 import abc
 import threading
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import (
-    Callable,
+    Any,
     Dict,
+    FrozenSet,
     Generic,
     Iterable,
     Iterator,
     List,
     Optional,
-    Protocol,
-    TypeVar,
+    Sequence,
+    Tuple,
 )
 
 from repro.errors import ConfigurationError, QueryError
 from repro.core.objects import QueryResult
+from repro.core.processor import MovingKNNProcessor, PositionT
 from repro.core.stats import CommunicationStats, ProcessorStats
-from repro.obs.metrics import counter as _obs_counter, enabled as _obs_enabled
+from repro.obs.clock import clock as _clock
+from repro.obs.metrics import (
+    counter as _obs_counter,
+    enabled as _obs_enabled,
+    histogram as _obs_histogram,
+)
+from repro.obs.trace import TRACER as _TRACER
 
-PositionT = TypeVar("PositionT")
+# Index-maintenance latency, re-homed: one clock read pair feeds both the
+# legacy maintenance_seconds/delta_apply_seconds accumulators (always) and
+# these registry histograms (when observability is enabled).
+_METRICS = ("euclidean", "road")
+_MAINTENANCE_SECONDS = {m: _obs_histogram("insq_maintenance_seconds", metric=m) for m in _METRICS}
+_DELTA_APPLY_SECONDS = {m: _obs_histogram("insq_delta_apply_seconds", metric=m) for m in _METRICS}
 
 # Engine-level observability: the epoch counter, and per-outcome
 # retrieval counters derived from the ProcessorStats deltas the update
@@ -91,31 +111,47 @@ _OUTCOME_COUNTERS = tuple(
 _outcomes = attrgetter(*(field for field, _ in _OUTCOME_FIELDS))
 
 
-class ServableProcessor(Protocol[PositionT]):
-    """What the engine needs from a registered query's processor."""
+@dataclass(frozen=True)
+class RegisteredQuery:
+    """Bookkeeping record of one registered moving query.
 
-    def update(self, position: PositionT) -> QueryResult: ...
+    ``kind`` names the continuous query kind (``"knn"`` for the classic
+    moving-kNN query; see :mod:`repro.queries.kinds` for the registry), and
+    ``processor`` is whichever :class:`~repro.core.processor.
+    MovingKNNProcessor` that kind builds on the engine's metric.
+    """
 
-    def notify_data_update(
-        self, changed: Iterable[int], removed: Iterable[int]
-    ) -> None: ...
-
-    def invalidate(self) -> None: ...
-
-    @property
-    def stats(self) -> ProcessorStats: ...
-
-    @property
-    def last_position(self) -> Optional[PositionT]: ...
-
-
-#: A registration record: any object exposing ``query_id``, ``k`` and a
-#: ``processor`` satisfying :class:`ServableProcessor` (the servers use
-#: frozen dataclasses).
-RecordT = TypeVar("RecordT")
+    query_id: int
+    k: int
+    rho: float
+    processor: MovingKNNProcessor
+    kind: str = "knn"
 
 
-class ServingEngine(abc.ABC, Generic[PositionT, RecordT]):
+@dataclass(frozen=True)
+class BatchUpdateResult:
+    """Outcome of one :meth:`ServingEngine.batch_update` epoch.
+
+    Attributes:
+        new_indexes: object indexes assigned to the inserted objects, in
+            input order.
+        deleted_indexes: object indexes that were actually deleted.
+        changed_objects: surviving objects whose Voronoi neighbour sets
+            changed (the delta pushed to the registered queries).
+        epoch: the data epoch after applying the batch (monotonically
+            increasing; one step per mutation batch, however large).
+        payload: the object records the batch carried — what its epoch
+            bills as uplink objects.
+    """
+
+    new_indexes: Tuple[int, ...]
+    deleted_indexes: Tuple[int, ...]
+    changed_objects: FrozenSet[int]
+    epoch: int
+    payload: int
+
+
+class ServingEngine(abc.ABC, Generic[PositionT]):
     """Generic moving-query serving engine (see the module docstring).
 
     Args:
@@ -128,11 +164,14 @@ class ServingEngine(abc.ABC, Generic[PositionT, RecordT]):
 
     INVALIDATION_MODES = ("delta", "flag")
 
+    #: ``"euclidean"`` or ``"road"``: set by the metric subclass.
+    metric: str
+
     #: Server-side wall-clock time spent applying update epochs to the live
     #: index (the maintenance leader's cost) and applying shipped repair
     #: deltas (the read-replica's cost).  Class-level defaults so engines
-    #: pickled before these timers existed keep restoring cleanly; the
-    #: metric servers accumulate onto instance attributes.
+    #: pickled before these timers existed keep restoring cleanly; an
+    #: engine accumulates onto instance attributes.
     maintenance_seconds: float = 0.0
     delta_apply_seconds: float = 0.0
 
@@ -142,7 +181,7 @@ class ServingEngine(abc.ABC, Generic[PositionT, RecordT]):
                 f"invalidation must be one of {self.INVALIDATION_MODES}, got {invalidation!r}"
             )
         self._invalidation = invalidation
-        self._queries: Dict[int, RecordT] = {}
+        self._queries: Dict[int, RegisteredQuery] = {}
         self._next_query_id = 0
         self._epoch = 0
         # Communication accounting: one aggregate (it keeps the history of
@@ -188,8 +227,18 @@ class ServingEngine(abc.ABC, Generic[PositionT, RecordT]):
 
     @property
     @abc.abstractmethod
+    def index(self) -> Any:
+        """The shared server-side index (VoR-tree or network Voronoi diagram)."""
+
+    @property
+    def maintenance(self) -> str:
+        """The shared index's maintenance mode (``"incremental"``/``"rebuild"``)."""
+        return self.index.maintenance
+
+    @property
     def object_count(self) -> int:
         """Number of active data objects in the shared index."""
+        return len(self.index)
 
     @property
     def query_count(self) -> int:
@@ -210,7 +259,7 @@ class ServingEngine(abc.ABC, Generic[PositionT, RecordT]):
         """Identifiers of the registered queries (a snapshot list)."""
         return list(self._queries)
 
-    def __iter__(self) -> Iterator[RecordT]:
+    def __iter__(self) -> Iterator[RegisteredQuery]:
         """Iterate over a *snapshot* of the registration records.
 
         Unregistering a query (or closing a :class:`~repro.service.session.
@@ -258,19 +307,16 @@ class ServingEngine(abc.ABC, Generic[PositionT, RecordT]):
 
     def kind_for(self, query_id: int) -> str:
         """The registered query kind of ``query_id`` (``"knn"`` by default)."""
-        if query_id not in self._queries:
-            raise QueryError(f"unknown query {query_id}")
-        return getattr(self._queries[query_id], "kind", "knn")
+        return self._record(query_id).kind
 
     def _kind_bucket(self, query_id: int) -> Optional[CommunicationStats]:
         """The per-kind accumulator of a *registered* query (lock held)."""
         record = self._queries.get(query_id)
         if record is None:
             return None
-        kind = getattr(record, "kind", "knn")
-        bucket = self._comm_by_kind.get(kind)
+        bucket = self._comm_by_kind.get(record.kind)
         if bucket is None:
-            bucket = self._comm_by_kind[kind] = CommunicationStats()
+            bucket = self._comm_by_kind[record.kind] = CommunicationStats()
         return bucket
 
     def _account(
@@ -326,24 +372,35 @@ class ServingEngine(abc.ABC, Generic[PositionT, RecordT]):
     # ------------------------------------------------------------------
     # Query lifecycle
     # ------------------------------------------------------------------
-    def _admit(self, make_record: Callable[[int], RecordT]) -> int:
-        """Register an already-initialised query and return its identifier.
+    def register_query(
+        self, position: PositionT, k: int, rho: float = 1.6, kind: str = "knn", **options: Any
+    ) -> int:
+        """Register a new continuous query and compute its first answer.
 
-        ``make_record`` receives the allocated query id and returns the
-        registration record (which must expose ``processor`` and ``k``).
-        Callers initialise the processor *before* admitting it, so a failing
-        first answer cannot leave a zombie query behind that inflates counts
-        and receives deltas forever.
+        ``kind`` selects the continuous query kind and ``options`` are the
+        metric's own (the road side's ``validation_mode``); the metric
+        subclass builds the processor.  Returns the query identifier used
+        for subsequent position updates.
         """
+        if k < 1:
+            raise ConfigurationError("k must be at least 1")
+        if k >= self.object_count:
+            raise ConfigurationError(
+                f"k={k} must be smaller than the number of data objects ({self.object_count})"
+            )
+        processor = self._build_processor(kind, k, rho, **options)
+        # Initialize before admitting: a failing first answer (bad
+        # location, unreachable region) must not leave a zombie query
+        # behind that inflates counts and receives deltas forever.
+        processor.initialize(position)
         query_id = self._next_query_id
         self._next_query_id += 1
-        record = make_record(query_id)
-        self._queries[query_id] = record
+        self._queries[query_id] = RegisteredQuery(query_id, k, rho, processor, kind)
         self._comm_by_query[query_id] = CommunicationStats()
         # Registration communication: one uplink request, and the initial
         # retrieval the processor performed while initialising (its stats
         # already carry the round trips and the |R| + |I(R)| payload).
-        stats = record.processor.stats
+        stats = processor.stats
         self._account(
             query_id,
             uplink_messages=1,
@@ -364,10 +421,16 @@ class ServingEngine(abc.ABC, Generic[PositionT, RecordT]):
         del self._queries[query_id]
         del self._comm_by_query[query_id]
 
-    def _processor(self, query_id: int) -> ServableProcessor[PositionT]:
+    @abc.abstractmethod
+    def _build_processor(
+        self, kind: str, k: int, rho: float, **options: Any
+    ) -> MovingKNNProcessor[PositionT]:
+        """Build the processor of a ``kind`` query against the shared index."""
+
+    def _record(self, query_id: int) -> RegisteredQuery:
         if query_id not in self._queries:
             raise QueryError(f"unknown query {query_id}")
-        return self._queries[query_id].processor
+        return self._queries[query_id]
 
     def update_position(self, query_id: int, position: PositionT) -> QueryResult:
         """Advance one query to its next position and return its answer.
@@ -378,8 +441,7 @@ class ServingEngine(abc.ABC, Generic[PositionT, RecordT]):
         objects; a timestamp validated from client-held state exchanges
         nothing.
         """
-        processor = self._processor(query_id)
-        return self._accounted_update(query_id, processor, position)
+        return self._accounted_update(query_id, self._record(query_id).processor, position)
 
     def answer(self, query_id: int) -> QueryResult:
         """Re-answer a query at its current position without moving it.
@@ -387,7 +449,7 @@ class ServingEngine(abc.ABC, Generic[PositionT, RecordT]):
         Useful right after a data-object update when the client wants the
         refreshed result before its next movement.
         """
-        processor = self._processor(query_id)
+        processor = self._record(query_id).processor
         if processor.last_position is None:
             raise QueryError(f"query {query_id} has no known position")
         return self._accounted_update(query_id, processor, processor.last_position)
@@ -395,7 +457,7 @@ class ServingEngine(abc.ABC, Generic[PositionT, RecordT]):
     def _accounted_update(
         self,
         query_id: int,
-        processor: ServableProcessor[PositionT],
+        processor: MovingKNNProcessor[PositionT],
         position: PositionT,
     ) -> QueryResult:
         stats = processor.stats
@@ -418,26 +480,151 @@ class ServingEngine(abc.ABC, Generic[PositionT, RecordT]):
         return result
 
     # ------------------------------------------------------------------
+    # Data-object updates
+    # ------------------------------------------------------------------
+    @abc.abstractmethod
+    def _insert(self, target: Any) -> Tuple[int, Iterable[int]]:
+        """Index repair for one insert: ``(new object index, changed)``."""
+
+    @abc.abstractmethod
+    def _delete(self, index: int) -> Iterable[int]:
+        """Index repair for deleting active object ``index``: ``changed``."""
+
+    @abc.abstractmethod
+    def _repair_batch(
+        self, inserts: list, deletes: List[int], moves: list
+    ) -> Tuple[List[int], List[int], Iterable[int]]:
+        """Index repair for one burst: ``(new_indexes, deleted, changed)``."""
+
+    def _split_moves(self, moves: list) -> Tuple[list, List[int], list]:
+        """A batch's moves as ``(inserts, deletes, native moves)`` index records."""
+        return [], [], moves
+
+    def _maintain(self, repair, *args):
+        """Run one index repair under the server-side maintenance timers."""
+        start = _clock()
+        result = repair(*args)
+        elapsed = _clock() - start
+        self.maintenance_seconds += elapsed
+        _MAINTENANCE_SECONDS[self.metric].observe(elapsed)
+        _TRACER.add("index.maintain", start, elapsed, metric=self.metric)
+        return result
+
+    def insert_object(self, target: Any) -> int:
+        """Insert a data object (a Point, or a road vertex); returns its index.
+
+        The shared index absorbs the insert with a local repair and every
+        registered query receives the repair delta — no per-query state is
+        copied.
+        """
+        index, changed = self._maintain(self._insert, target)
+        self._commit_epoch(changed, payload=1)
+        return index
+
+    def delete_object(self, index: int) -> bool:
+        """Delete a data object (returns False when already gone).
+
+        Raises:
+            QueryError: when the deletion would leave fewer objects than
+                some registered query's ``k`` requires — failing loudly at
+                the mutation instead of at that query's next timestamp.
+        """
+        if not self.index.is_active(index):
+            return False
+        self._check_population(self.object_count - 1)
+        self._commit_epoch(self._maintain(self._delete, index), (index,), payload=1)
+        return True
+
+    def batch_update(
+        self,
+        inserts: Sequence[Any] = (),
+        deletes: Iterable[int] = (),
+        moves: Iterable[Tuple[int, Any]] = (),
+    ) -> BatchUpdateResult:
+        """Apply a burst of object inserts, moves and deletes as one data epoch.
+
+        A heavy traffic stream batches its object updates; applying them
+        together triggers one index patch (or, for very large bursts, one
+        rebuild) and one invalidation round instead of one per object.
+        Deletions always refer to pre-existing object indexes (inactive and
+        repeated ones are skipped); insertions are registered first, so a
+        burst may replace the whole population as long as one object
+        survives.
+
+        Raises:
+            QueryError: when the surviving population would be too small
+                for some registered query's ``k`` (nothing is applied).
+        """
+        move_inserts, move_deletes, move_list = self._split_moves(list(moves))
+        insert_list = [*inserts, *move_inserts]
+        # Active objects only, each once, in the order asked for.
+        is_active = self.index.is_active
+        delete_list = [i for i in dict.fromkeys([*deletes, *move_deletes]) if is_active(i)]
+        self._check_population(self.object_count + len(insert_list) - len(delete_list))
+        new_indexes, deleted, changed = self._maintain(
+            self._repair_batch, insert_list, delete_list, move_list
+        )
+        payload = len(insert_list) + len(delete_list) + len(move_list)
+        if new_indexes or deleted or changed:
+            self._commit_epoch(changed, deleted, payload=payload)
+        return BatchUpdateResult(
+            tuple(new_indexes), tuple(deleted), frozenset(changed), self._epoch, payload
+        )
+
+    # ------------------------------------------------------------------
+    # Leader/replica delta replication
+    # ------------------------------------------------------------------
+    def begin_delta_capture(self) -> None:
+        """Start capturing the repair delta of the next update epoch (the
+        maintenance leader calls it before applying a batch).  A no-op unless
+        the metric's index has to record its repairs as they run."""
+
+    @abc.abstractmethod
+    def _delta_sections(self, result: BatchUpdateResult) -> Dict[str, object]:
+        """The index's own sections of the epoch ``result`` reports."""
+
+    def export_delta(self, result: BatchUpdateResult) -> Dict[str, object]:
+        """The :class:`~repro.transport.codec.IndexDelta` fields of the
+        epoch that :meth:`batch_update` just applied (as plain kwargs)."""
+        return {
+            "epoch": result.epoch,
+            "payload": result.payload,
+            "new_indexes": result.new_indexes,
+            "deleted_indexes": result.deleted_indexes,
+            "changed": tuple(sorted(result.changed_objects)),
+            **self._delta_sections(result),
+        }
+
+    def apply_remote_delta(self, delta) -> None:
+        """Apply a maintenance leader's repair delta as this engine's epoch.
+
+        The read-replica path of ``replication="delta"``: the shared index
+        is patched from the shipped delta (no geometry, no repair floods)
+        and the epoch commits with the same changed/removed/payload values
+        the leader committed, so answers, counters and epoch stay
+        bit-identical to a replica that re-ran the batch.  A delta for the
+        current epoch is a no-op (the leader's batch did not commit).
+        """
+        if delta.epoch == self._epoch:
+            return
+        if delta.epoch != self._epoch + 1:
+            raise QueryError(
+                f"index delta for epoch {delta.epoch} cannot apply at epoch "
+                f"{self._epoch} — replicas diverged"
+            )
+        start = _clock()
+        self.index.apply_remote_delta(delta)
+        elapsed = _clock() - start
+        self.delta_apply_seconds += elapsed
+        _DELTA_APPLY_SECONDS[self.metric].observe(elapsed)
+        _TRACER.add("delta.apply", start, elapsed, metric=self.metric)
+        self._commit_epoch(
+            frozenset(delta.changed), delta.deleted_indexes, payload=delta.payload
+        )
+
+    # ------------------------------------------------------------------
     # Epoch orchestration
     # ------------------------------------------------------------------
-    @staticmethod
-    def _dedup_active_deletes(
-        deletes: Iterable[int], is_active: Callable[[int], bool]
-    ) -> List[int]:
-        """Filter a deletion list to active objects, deduped in input order.
-
-        Shared by both servers' ``batch_update`` so the population guard
-        counts each doomed object once and ``deleted_indexes`` comes back
-        in the order the caller asked for.
-        """
-        seen = set()
-        delete_list: List[int] = []
-        for index in deletes:
-            if is_active(index) and index not in seen:
-                seen.add(index)
-                delete_list.append(index)
-        return delete_list
-
     def _check_population(self, resulting_count: int) -> None:
         """Reject a mutation that would starve a registered query.
 
@@ -509,7 +696,7 @@ class ServingEngine(abc.ABC, Generic[PositionT, RecordT]):
 
     def stats_for(self, query_id: int) -> ProcessorStats:
         """Cost counters of one registered query."""
-        return self._processor(query_id).stats
+        return self._record(query_id).processor.stats
 
     def per_query_stats(self) -> Dict[int, ProcessorStats]:
         """Cost counters per registered query."""

@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Set
 
 from repro.errors import QueryError
+from repro.core.processor import DeltaMailbox
 from repro.core.stats import ProcessorStats
 from repro.geometry.order_k import knn_indexes, order_k_cell
 from repro.geometry.point import Point
@@ -93,7 +94,7 @@ def minimal_influential_set(
     return set(cell.mis_indexes)
 
 
-class InfluentialSetMonitor:
+class InfluentialSetMonitor(DeltaMailbox):
     """Keep the INS of a fixed member set current under data updates.
 
     The functional helpers above answer one-shot questions; this class is
@@ -102,9 +103,12 @@ class InfluentialSetMonitor:
     repair deltas through :meth:`notify_data_update`, and only rebuilds the
     Voronoi diagram when a delta actually touches the members or their
     current influential neighbours — everything else is absorbed, exactly
-    like the processors' lazy settling.  :meth:`invalidate` restores the
-    blanket ``"flag"`` behaviour (rebuild on next read), which is the
-    oracle the delta path is tested against.
+    like the processors' lazy settling.  (The INS of the members is a
+    function of the members' neighbour lists, so a delta that touches
+    neither a member nor a current influential neighbour cannot change the
+    answer.)  :meth:`invalidate` restores the blanket ``"flag"`` behaviour
+    (rebuild on next read), which is the oracle the delta path is tested
+    against.
 
     Args:
         sites: the live data-object positions (the monitor re-reads this
@@ -114,6 +118,7 @@ class InfluentialSetMonitor:
     """
 
     def __init__(self, sites: Sequence[Point], members: Iterable[int]):
+        super().__init__()
         self._sites = sites
         self._members = tuple(sorted(set(members)))
         if not self._members:
@@ -122,10 +127,6 @@ class InfluentialSetMonitor:
         if out_of_range:
             raise QueryError(f"member indexes out of range: {out_of_range}")
         self._removed: Set[int] = set()
-        self._pending_changed: Set[int] = set()
-        self._pending_removed: Set[int] = set()
-        self._state_stale = False
-        self._force_refresh = False
         self._ins: Optional[FrozenSet[int]] = None
         self._stats = ProcessorStats()
 
@@ -139,32 +140,6 @@ class InfluentialSetMonitor:
         """Rebuild/absorption counters (``full_recomputations``,
         ``absorbed_updates``, ``transmitted_objects``)."""
         return self._stats
-
-    @property
-    def state_stale(self) -> bool:
-        """True when an unsettled data-update delta is pending."""
-        return self._state_stale
-
-    def notify_data_update(
-        self, changed: Iterable[int] = (), removed: Iterable[int] = ()
-    ) -> None:
-        """Record a repair delta; settled lazily on the next read.
-
-        ``changed`` follows the engine's delta convention: it lists every
-        object whose *Voronoi neighbour list* changed (not merely the moved
-        object) — exactly what the VoR-tree's repair reports.  The INS of
-        the members is a function of the members' neighbour lists, so a
-        delta that touches neither a member nor a current influential
-        neighbour cannot change the answer and is absorbed.
-        """
-        self._pending_changed.update(changed)
-        self._pending_removed.update(removed)
-        self._state_stale = True
-
-    def invalidate(self) -> None:
-        """Blanket invalidation: rebuild on the next read (the flag oracle)."""
-        self._force_refresh = True
-        self._state_stale = True
 
     def influential_sites(self) -> FrozenSet[int]:
         """The current INS of the member set (settling any pending delta).
@@ -180,13 +155,7 @@ class InfluentialSetMonitor:
         return self._ins  # type: ignore[return-value]
 
     def _settle_pending(self) -> None:
-        changed = self._pending_changed
-        removed = self._pending_removed
-        force = self._force_refresh
-        self._pending_changed = set()
-        self._pending_removed = set()
-        self._force_refresh = False
-        self._state_stale = False
+        changed, removed, force = self._take_pending()
         self._removed.update(removed)
         lost = removed.intersection(self._members)
         if lost:

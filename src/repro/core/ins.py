@@ -1,0 +1,312 @@
+"""The INS moving-kNN protocol (Section III), written once for both metrics.
+
+Theorem 1 exists so that the validation rule is *unchanged* on a road
+network: :class:`InfluentialSetProcessor` is the one algorithm, and a metric
+(:class:`~repro.core.ins_euclidean.INSProcessor` on the plane,
+:class:`~repro.core.ins_road.INSRoadProcessor` on a network) supplies its
+index, one retrieval, the distances to the held objects and a tie rule.
+
+1. **Initial computation.**  When the query is issued at position ``q`` the
+   server retrieves the ``⌊ρk⌋`` nearest objects ``R`` (ρ is the *prefetch
+   ratio*) together with their influential neighbour set ``I(R)``
+   (assembled from the precomputed order-1 Voronoi neighbour lists).  The
+   top ``k`` objects of ``R`` are the reported kNN set; the rest of ``R``
+   plus ``I(R)`` act as the safe guarding objects (the IS).
+
+2. **Validation** (Section III-A).  At every new position the client finds
+   the farthest current kNN member (``r.delete``) and the nearest guard
+   object (``r.candidate``).  The kNN set is still valid while ``r.delete``
+   is nearer than ``r.candidate`` — one distance evaluation per held
+   object, linear in k.
+
+3. **Update** (Section III-B).  When validation fails the client first tries
+   to recompose the kNN set from the prefetched set ``R`` alone (case (ii),
+   "the new kNN set is still in R"): the candidate answer is the top-k of
+   ``R`` by ``(distance, index)``, accepted only if it passes the same IS
+   validation — which is sound because ``(R ∪ I(R)) \\ O'`` is a superset of
+   ``INS(O')`` for any ``O' ⊆ R``.  A successful recomposition costs no
+   communication.  Otherwise the new answer involves an object outside
+   ``R`` and the server recomputes ``R`` and ``I(R)``.
+
+**The tie rule** is where the metrics differ.  The plane's triangulation
+splits degenerate input by a jitter, so there a tie is never a certificate
+(strict ``<``, as in retrieval); the network diagram is exact and ties are
+everyday on a grid, so there ``<=`` holds — of finite distances: an object
+the restricted search cannot reach reads ``inf``.
+
+**Data-object updates** arrive through ``notify_data_update`` (the serving
+engine pushes the shared index's repair deltas).  Nothing is reconstructed
+eagerly: the delta accumulates and is settled on the next timestamp, with
+one of three outcomes:
+
+* a removal inside the prefetched set R invalidates R, so the next
+  timestamp pays one full retrieval;
+* any other delta touching the held pool (R ∪ I(R)) only refreshes I(R)
+  from the already-repaired shared index (a few set unions).  This is
+  sound because the INS guarantee is a statement about the *current*
+  diagram: validation against a freshly derived I(R) certifies the held
+  kNN set against the current data set, whatever changed;
+* a delta that leaves the pool untouched is absorbed for free: if an
+  unseen object were among the true kNN it would, by the Voronoi chain
+  property, be a neighbour of some held object — and then the delta would
+  have touched the pool.
+
+The pre-delta behaviour (every update forces a full retrieval) survives as
+``invalidate``, the engine's ``"flag"`` fallback mode.
+
+Cost accounting: every retrieval transmits ``|R| + |I(R)|`` objects; every
+validation and local recomposition counts its distance computations.
+"""
+
+from __future__ import annotations
+
+import abc
+from math import inf
+from typing import Any, FrozenSet, List, Optional, Sequence, Set
+
+from repro.errors import ConfigurationError
+from repro.core.objects import QueryResult, UpdateAction
+from repro.core.processor import MovingKNNProcessor, PositionT
+from repro.obs.clock import clock as _clock
+
+
+class InfluentialSetProcessor(MovingKNNProcessor[PositionT]):
+    """The INS protocol over any index with Voronoi neighbour lists.
+
+    A subclass checks its own arguments, then hands the index it built or
+    was given to :meth:`_adopt`.
+
+    Args:
+        k: number of nearest neighbours to maintain.
+        rho: prefetch ratio ρ ≥ 1 (``⌊ρk⌋`` objects retrieved per round trip).
+        declared: how many data objects the caller listed (``k`` stays below).
+    """
+
+    #: The tie rule, ``_nearer(r.delete, r.candidate)``: a C callable on the
+    #: class, so the valid path pays no Python frame for it.
+    _nearer: Any
+
+    def __init__(self, k: int, rho: float, declared: int):
+        super().__init__(k)
+        if k < 1:
+            raise ConfigurationError("k must be at least 1")
+        if k >= declared:
+            raise ConfigurationError(
+                f"k={k} must be smaller than the number of data objects ({declared})"
+            )
+        if rho < 1.0:
+            raise ConfigurationError("the prefetch ratio rho must be at least 1")
+        self._rho = rho
+        # Client-side state.
+        self._R: List[int] = []
+        self._ins: Set[int] = set()
+        self._knn: List[int] = []
+        # Derived where R / I(R) / the answer change (_refresh_held), not per
+        # timestamp: the pool R ∪ I(R) laid out flat — kNN, then the rest of
+        # R, then I(R) — and the guard set (pool \ kNN).
+        self._held: List[int] = []
+        self._guard: FrozenSet[int] = frozenset()
+
+    def _adopt(self, index) -> None:
+        """Serve from ``index`` (shared or own), sizing the prefetch by the
+        *active* population — a shared index may already carry tombstones."""
+        population = len(index)
+        if self._k >= population:
+            raise ConfigurationError(
+                f"k={self._k} must be smaller than the number of active data "
+                f"objects ({population})"
+            )
+        self._index = index
+        self._prefetch_count = min(max(int(self._rho * self._k), self._k), population - 1)
+
+    # ------------------------------------------------------------------
+    # Introspection
+    # ------------------------------------------------------------------
+    @property
+    def rho(self) -> float:
+        """The prefetch ratio ρ."""
+        return self._rho
+
+    @property
+    def prefetch_count(self) -> int:
+        """The number of objects retrieved per server round trip (⌊ρk⌋)."""
+        return self._prefetch_count
+
+    @property
+    def prefetched_set(self) -> List[int]:
+        """The current prefetched set R (object indexes, nearest first at retrieval time)."""
+        return list(self._R)
+
+    @property
+    def influential_set(self) -> Set[int]:
+        """The current I(R)."""
+        return set(self._ins)
+
+    @property
+    def guard_set(self) -> Set[int]:
+        """The current safe guarding objects: I(R) ∪ R \\ kNN."""
+        return set(self._guard)
+
+    # ------------------------------------------------------------------
+    # What a metric supplies
+    # ------------------------------------------------------------------
+    @abc.abstractmethod
+    def _fetch(self, position: PositionT, count: int, hint: Optional[int]):
+        """One retrieval, ``(R, I(R))``: the ``count`` nearest objects, nearest
+        first, and their INS.  ``hint`` is an object the client still holds."""
+
+    @abc.abstractmethod
+    def _held_distances(self, position: PositionT) -> List[float]:
+        """Distances to every held object, in ``_held`` order (counted)."""
+
+    def _knn_distances(self, position: PositionT) -> Sequence[float]:
+        """Distances reported with a freshly retrieved answer."""
+        return self._held_distances(position)[: self._k]
+
+    def _held_changed(self, pool_changed: bool) -> None:
+        """Re-derive what the metric keeps beside ``_held`` (on a local
+        reorder the pool stands: only the answer moved within it)."""
+
+    def _refresh_ins(self, changed: Set[int]) -> None:
+        """Re-derive I(R) from the already-repaired shared index."""
+        self._ins = self._index.influential_neighbor_set(self._R)
+
+    def _incremental_update(self, position: PositionT) -> Optional[Sequence[float]]:
+        """Case (i), where a metric has it: the answer's distances on success."""
+        return None
+
+    # ------------------------------------------------------------------
+    # Lifecycle hooks
+    # ------------------------------------------------------------------
+    def _initialize(self, position: PositionT) -> QueryResult:
+        self._take_pending()
+        return self._retrieve(position, None)
+
+    def _update(self, position: PositionT) -> QueryResult:
+        if self._state_stale or self._index.coincident:
+            # The data set changed since the last answer (settle the delta), or
+            # holds coincident objects (no validation is sound: retrieve).
+            forced = self._consume_data_updates(position)
+            if forced is not None:
+                return forced
+        # Section III-A validation: the farthest kNN member against the
+        # nearest guard object, by the metric's tie rule.
+        stats = self._stats
+        started = _clock()
+        stats.validations += 1
+        distances = self._held_distances(position)
+        k = self._k
+        valid = not self._guard or self._nearer(max(distances[:k]), min(distances[k:]))
+        stats.validation_seconds += _clock() - started
+        if valid:
+            return self._answer(UpdateAction.NONE, distances[:k])
+        return self._perform_update(position, distances)
+
+    def _consume_data_updates(self, position: PositionT) -> Optional[QueryResult]:
+        """Settle the accumulated data-update delta.
+
+        Returns a full-recompute :class:`QueryResult` when the delta forced
+        a retrieval, or None when the held state was refreshed (or
+        untouched) and the normal validation flow should proceed.
+        """
+        changed, removed, forced = self._take_pending()
+        index = self._index
+        if forced or index.coincident or removed.intersection(self._R):
+            # Blanket invalidation, or the prefetched set lost a member: R
+            # no longer reflects the ⌊ρk⌋ nearest objects, recompute it —
+            # from a member the client still holds, if one survives.
+            self._stats.validations += 1
+            survivors = (member for member in self._R if index.is_active(member))
+            return self._retrieve(position, next(survivors, None))
+        if removed & self._ins or not changed.isdisjoint(self._held):
+            # The delta touched the held region: re-derive I(R) from the
+            # shared index — a few set unions, no kNN recomputation.  The
+            # validation that follows certifies the held answer against the
+            # fresh guard set, which is what makes this refresh sound.
+            with self._stats.time_construction():
+                self._refresh_ins(changed)
+                self._stats.ins_refreshes += 1
+                incoming = len(self._ins.difference(self._held))
+                if incoming:
+                    # New guard objects crossed the server-client boundary:
+                    # charge them like a case-(i) incremental fetch so
+                    # comm_events stays an honest round-trip count.
+                    self._stats.transmitted_objects += incoming
+                    self._stats.incremental_updates += 1
+                self._refresh_held()
+        else:
+            # The delta missed the pool: every held neighbour list is
+            # unchanged, so the guard set the next validation uses is
+            # already the correct one.  Free.
+            self._stats.absorbed_updates += 1
+        return None
+
+    # ------------------------------------------------------------------
+    # INS machinery
+    # ------------------------------------------------------------------
+    def _answer(self, action: UpdateAction, distances: Sequence[float]) -> QueryResult:
+        """The timestamp's result; ``distances`` are the current answer's."""
+        return QueryResult(
+            timestamp=self._timestamp,
+            knn=tuple(self._knn),
+            knn_distances=tuple(distances),
+            guard_objects=self._guard,
+            action=action,
+            was_valid=action is UpdateAction.NONE,
+        )
+
+    def _retrieve(self, position: PositionT, hint: Optional[int]) -> QueryResult:
+        """Server round trip: recompute R, I(R) and the kNN set, and answer."""
+        with self._stats.time_construction():
+            # Deletions since construction may have shrunk the population
+            # below the configured prefetch size; shrink the request, but
+            # never below k — if fewer than k objects remain, the index
+            # raises its loud QueryError rather than silently under-filling
+            # the answer.
+            count = max(self._k, min(self._prefetch_count, len(self._index)))
+            self._R, self._ins = self._fetch(position, count, hint)
+            self._knn = self._R[: self._k]
+            self._stats.full_recomputations += 1
+            self._stats.transmitted_objects += len(self._R) + len(self._ins)
+            self._refresh_held()
+        return self._answer(UpdateAction.FULL_RECOMPUTE, self._knn_distances(position))
+
+    def _refresh_held(self, pool_changed: bool = True) -> None:
+        """Re-derive the flat layout of the pool and the guard set."""
+        knn = self._knn
+        held = knn + [index for index in self._R if index not in knn] + list(self._ins)
+        self._guard = frozenset(held[len(knn) :])
+        self._held = held
+        self._held_changed(pool_changed)
+
+    def _recompose(self, distances: List[float]) -> Optional[List[float]]:
+        """Make the top-k of R by ``(distance, index)`` the answer — if the
+        rest of the pool certifies it — and return its distances, else None."""
+        k = self._k
+        count = len(self._R)
+        ranked = sorted(zip(distances[:count], self._held))
+        farthest = ranked[k - 1][0]
+        guards = [distance for distance, _ in ranked[k:]] + distances[count:]
+        if not farthest < inf or (guards and not self._nearer(farthest, min(guards))):
+            return None
+        self._knn = [index for _, index in ranked[:k]]
+        self._refresh_held(pool_changed=False)
+        return [distance for distance, _ in ranked[:k]]
+
+    def _perform_update(self, position: PositionT, distances: List[float]) -> QueryResult:
+        """Section III-B update: recompose from R when possible, else retrieve."""
+        started = _clock()
+        recomposed = self._recompose(distances)
+        self._stats.validation_seconds += _clock() - started
+        if recomposed is not None:
+            # Case (ii), first branch: the new kNN set is still inside R.  The
+            # position and the pool stand, so the validation's distances do too.
+            self._stats.local_reorders += 1
+            return self._answer(UpdateAction.LOCAL_REORDER, recomposed)
+        swapped = self._incremental_update(position)
+        if swapped is not None:
+            return self._answer(UpdateAction.INCREMENTAL, swapped)
+        # Case (i) with an unknown neighbour list or case (ii) fallback: the
+        # answer involves an object outside R; recompute R and I(R), from
+        # the nearest member of the R already held.
+        return self._retrieve(position, min(zip(distances, self._held[: len(self._R)]))[1])

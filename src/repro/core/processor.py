@@ -14,12 +14,18 @@ A processor's lifecycle is::
 ``initialize`` may be called again to restart the processor on a new
 trajectory; doing so resets the internal answer state but keeps accumulating
 statistics unless :meth:`MovingKNNProcessor.reset_stats` is called.
+
+A *served* processor also hears about data-object updates: the serving
+engine pushes each epoch's repair delta (``notify_data_update``) or, in its
+``"flag"`` mode, a blanket ``invalidate``.  :class:`DeltaMailbox` only
+accumulates them; a processor that cares empties it on its next timestamp
+(``_take_pending``) — nothing is reconstructed eagerly.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Any, Generic, Optional, TypeVar
+from typing import Generic, Iterable, Optional, Set, Tuple, TypeVar
 
 from repro.core.objects import QueryResult
 from repro.core.stats import ProcessorStats
@@ -29,13 +35,61 @@ from repro.core.stats import ProcessorStats
 PositionT = TypeVar("PositionT")
 
 
-class MovingKNNProcessor(abc.ABC, Generic[PositionT]):
+class DeltaMailbox:
+    """The data-update delta accumulated since its holder last settled it
+    (pushed by the serving engine); the engine's delta-invalidation contract."""
+
+    def __init__(self):
+        self._state_stale = False
+        self._force_refresh = False
+        self._pending_changed: Set[int] = set()
+        self._pending_removed: Set[int] = set()
+
+    @property
+    def state_stale(self) -> bool:
+        """True when a data-update delta is pending (settled lazily)."""
+        return self._state_stale
+
+    def notify_data_update(self, changed: Iterable[int] = (), removed: Iterable[int] = ()) -> None:
+        """Record an index repair delta; settled lazily on the next timestamp.
+
+        Args:
+            changed: objects whose Voronoi neighbour sets (or cells, or
+                positions) changed — every one of them, not merely the
+                object that moved: exactly what the index's repair reports.
+            removed: objects deleted from the data set.
+        """
+        self._pending_changed.update(changed)
+        self._pending_removed.update(removed)
+        self._state_stale = True
+
+    def invalidate(self) -> None:
+        """Blanket invalidation: force a full refresh on the next timestamp.
+
+        This is the pre-delta contract (every registered query refreshes on
+        every epoch), kept as the serving engine's ``"flag"`` fallback mode
+        and as the oracle of the delta-equivalence tests.
+        """
+        self._force_refresh = True
+        self._state_stale = True
+
+    def _take_pending(self) -> Tuple[Set[int], Set[int], bool]:
+        """Empty the mailbox: ``(changed, removed, forced)`` since the last call."""
+        pending = (self._pending_changed, self._pending_removed, self._force_refresh)
+        self._pending_changed, self._pending_removed = set(), set()
+        self._force_refresh = self._state_stale = False
+        return pending
+
+
+class MovingKNNProcessor(DeltaMailbox, abc.ABC, Generic[PositionT]):
     """Base class for all moving kNN query processors."""
 
     def __init__(self, k: int):
+        DeltaMailbox.__init__(self)
         self._k = k
         self._stats = ProcessorStats()
         self._timestamp = -1
+        self._last_position: Optional[PositionT] = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -56,6 +110,11 @@ class MovingKNNProcessor(abc.ABC, Generic[PositionT]):
         return self._timestamp
 
     @property
+    def last_position(self) -> Optional[PositionT]:
+        """The last query position processed (None before initialisation)."""
+        return self._last_position
+
+    @property
     @abc.abstractmethod
     def name(self) -> str:
         """Short method name used in reports (e.g. ``"INS"`` or ``"V*"``)."""
@@ -74,6 +133,7 @@ class MovingKNNProcessor(abc.ABC, Generic[PositionT]):
         """
         self._timestamp = 0
         self._stats.timestamps += 1
+        self._last_position = position
         return self._initialize(position)
 
     def update(self, position: PositionT) -> QueryResult:
@@ -86,6 +146,7 @@ class MovingKNNProcessor(abc.ABC, Generic[PositionT]):
             raise RuntimeError("update() called before initialize()")
         self._timestamp += 1
         self._stats.timestamps += 1
+        self._last_position = position
         return self._update(position)
 
     # ------------------------------------------------------------------

@@ -1,98 +1,33 @@
 """The Euclidean multi-query MkNN server.
 
 A thin metric-specific subclass of the generic
-:class:`~repro.core.engine.ServingEngine`: one shared, incrementally
-maintained :class:`~repro.index.vortree.VoRTree` (the expensive structure)
-serves every registered :class:`INSProcessor` client, and the engine owns
-the query lifecycle, the epoch counter, the population guard and the
-invalidation dispatch.  This module contributes only the Euclidean 20%:
-
-* constructing the shared VoR-tree and the per-query processors,
-* translating object mutations (:meth:`MovingKNNServer.insert_object`,
-  :meth:`~MovingKNNServer.delete_object`,
-  :meth:`~MovingKNNServer.batch_update`) into incremental tree repairs —
-  O(affected cells) per update, with a whole burst applied as one epoch.
-
-**Invalidation is delta-scoped** (the road server's contract, now shared):
-every mutation returns the set of objects whose Voronoi neighbour lists
-changed, and the engine pushes exactly that delta to each registered query.
-A client settles it lazily on its next timestamp — a removal inside its
-prefetched set R costs one retrieval, a delta elsewhere in its held pool
-(R ∪ I(R)) an I(R)-only refresh from the already-patched tree, and a delta
-outside its pool nothing at all (counted as an absorbed update).  Since the
-processors share the tree's live position view, an update never copies the
-n-point list into each of the (possibly thousands of) registered queries.
-The blanket pre-delta behaviour — every query refreshes fully on every
-epoch — survives as ``invalidation="flag"``, the fallback mode and the
-oracle of the randomized delta-equivalence tests.
+:class:`~repro.core.engine.ServingEngine` (which owns everything a metric
+does not decide).  This module contributes only the plane: one shared,
+incrementally maintained :class:`~repro.index.vortree.VoRTree` (the
+expensive structure), the processors of the registered query kinds (see
+:mod:`repro.queries.kinds`), the tree's repairs — O(affected cells) per
+update — and what a move means here: the plane has no native relocation,
+so an object moves by delete + reinsert, two object records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Sequence, Tuple
+from typing import Sequence
 
-from repro.errors import ConfigurationError, EmptyDatasetError, QueryError
-from repro.core.engine import ServingEngine
-from repro.obs.clock import clock as _clock
-from repro.obs.metrics import histogram as _obs_histogram
-from repro.obs.trace import TRACER as _TRACER
-from repro.core.ins_euclidean import INSProcessor
+from repro.errors import EmptyDatasetError
+from repro.core.engine import BatchUpdateResult, ServingEngine
 from repro.geometry.point import Point
 from repro.index.vortree import VoRTree
 
-# Index-maintenance latency, re-homed: one clock read pair feeds both the
-# legacy maintenance_seconds/delta_apply_seconds accumulators (always) and
-# these registry histograms (when observability is enabled).
-_MAINTENANCE_SECONDS = _obs_histogram("insq_maintenance_seconds", metric="euclidean")
-_DELTA_APPLY_SECONDS = _obs_histogram("insq_delta_apply_seconds", metric="euclidean")
 
-
-@dataclass(frozen=True)
-class RegisteredQuery:
-    """Bookkeeping record of one registered moving query.
-
-    ``kind`` names the continuous query kind (``"knn"`` for the classic
-    moving-kNN query; see :mod:`repro.queries.kinds` for the registry), and
-    ``processor`` is whichever :class:`~repro.core.processor.
-    MovingKNNProcessor` that kind builds — ``INSProcessor`` for kNN.
-    """
-
-    query_id: int
-    k: int
-    rho: float
-    processor: INSProcessor
-    kind: str = "knn"
-
-
-@dataclass(frozen=True)
-class BatchUpdateResult:
-    """Outcome of one :meth:`MovingKNNServer.batch_update` epoch.
-
-    Attributes:
-        new_indexes: object indexes assigned to the inserted points, in
-            input order.
-        deleted_indexes: object indexes that were actually deleted.
-        changed_objects: surviving objects whose Voronoi neighbour lists
-            changed (the delta pushed to the registered queries).
-        epoch: the data epoch after applying the batch (monotonically
-            increasing; one step per mutation batch, however large).
-    """
-
-    new_indexes: Tuple[int, ...]
-    deleted_indexes: Tuple[int, ...]
-    changed_objects: FrozenSet[int]
-    epoch: int
-
-
-class MovingKNNServer(ServingEngine[Point, RegisteredQuery]):
+class MovingKNNServer(ServingEngine[Point]):
     """Serve many concurrent moving kNN queries over one data set.
 
     Args:
         points: the data-object positions.
         max_entries: R-tree node capacity of the shared VoR-tree.
         allow_incremental: enable case-(i) incremental updates for every
-            registered query (see :class:`INSProcessor`).
+            registered query (see :class:`~repro.core.ins_euclidean.INSProcessor`).
         maintenance: Voronoi neighbour-list maintenance mode of the shared
             VoR-tree (``"incremental"`` or ``"rebuild"``; see
             :class:`VoRTree`).
@@ -101,6 +36,8 @@ class MovingKNNServer(ServingEngine[Point, RegisteredQuery]):
             blanket refresh-everyone contract (see
             :class:`~repro.core.engine.ServingEngine`).
     """
+
+    metric = "euclidean"
 
     def __init__(
         self,
@@ -118,211 +55,44 @@ class MovingKNNServer(ServingEngine[Point, RegisteredQuery]):
         )
         self._allow_incremental = allow_incremental
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
     @property
     def vortree(self) -> VoRTree:
         """The shared server-side VoR-tree."""
         return self._vortree
 
-    @property
-    def maintenance(self) -> str:
-        """The shared tree's maintenance mode (``"incremental"``/``"rebuild"``)."""
-        return self._vortree.maintenance
+    index = vortree
 
     @property
     def allow_incremental(self) -> bool:
         """Whether registered queries use case-(i) incremental updates."""
         return self._allow_incremental
 
-    @property
-    def object_count(self) -> int:
-        """Number of active data objects."""
-        return len(self._vortree)
+    def _build_processor(self, kind: str, k: int, rho: float):
+        # Imported lazily: the registry imports processor modules that
+        # import this module's engine machinery.
+        from repro.queries.kinds import query_kind
 
-    # ------------------------------------------------------------------
-    # Query lifecycle
-    # ------------------------------------------------------------------
-    def register_query(
-        self, position: Point, k: int, rho: float = 1.6, kind: str = "knn"
-    ) -> int:
-        """Register a new continuous query and compute its first answer.
+        return query_kind(kind).build_processor(self, k=k, rho=rho)
 
-        ``kind`` selects the continuous query kind: ``"knn"`` (the default)
-        builds the classic INS moving-kNN processor inline; any other name
-        is resolved through the :mod:`repro.queries.kinds` registry, which
-        owns the processor construction for that kind.  Returns the query
-        identifier used for subsequent position updates.
-        """
-        if k < 1:
-            raise ConfigurationError("k must be at least 1")
-        if k >= self.object_count:
-            raise ConfigurationError(
-                f"k={k} must be smaller than the number of data objects ({self.object_count})"
-            )
-        if kind == "knn":
-            processor = INSProcessor(
-                self._vortree.positions,
-                k,
-                rho=rho,
-                vortree=self._vortree,
-                allow_incremental=self._allow_incremental,
-            )
-        else:
-            # Imported lazily: the registry imports processor modules that
-            # import this module's engine machinery.
-            from repro.queries.kinds import query_kind
+    def _insert(self, point: Point):
+        return self._vortree.insert(point)
 
-            processor = query_kind(kind).build_processor(self, k=k, rho=rho)
-        # Initialize before admitting: a failing first answer must not
-        # leave a zombie query behind.
-        processor.initialize(position)
-        return self._admit(
-            lambda query_id: RegisteredQuery(
-                query_id=query_id, k=k, rho=rho, processor=processor, kind=kind
-            )
-        )
+    def _delete(self, index: int):
+        return self._vortree.delete(index)[1]
 
-    # ------------------------------------------------------------------
-    # Data-object updates
-    # ------------------------------------------------------------------
-    def insert_object(self, point: Point) -> int:
-        """Insert a data object; the repair delta reaches every query.
+    def _split_moves(self, moves):
+        return [point for _, point in moves], [index for index, _ in moves], []
 
-        The registered processors share the tree's live position view, so
-        no per-query state is copied — the insert is one incremental
-        neighbour-map patch plus one delta push per query.
-        """
-        start = _clock()
-        index, changed = self._vortree.insert(point)
-        elapsed = _clock() - start
-        self.maintenance_seconds += elapsed
-        _MAINTENANCE_SECONDS.observe(elapsed)
-        _TRACER.add("index.maintain", start, elapsed, metric="euclidean")
-        self._commit_epoch(changed, payload=1)
-        return index
+    def _repair_batch(self, inserts, deletes, moves):
+        return self._vortree.batch_update(inserts, deletes)
 
-    def delete_object(self, index: int) -> bool:
-        """Delete a data object (returns False when already gone).
+    def move_object(self, index: int, point: Point) -> BatchUpdateResult:
+        """Relocate data object ``index`` to ``point``: one epoch that deletes
+        it and reinserts it there (under a new object index)."""
+        return self.batch_update(moves=((index, point),))
 
-        Raises:
-            QueryError: when the deletion would leave fewer objects than
-                some registered query's ``k`` requires — failing loudly at
-                the mutation instead of at that query's next timestamp.
-        """
-        if not self._vortree.is_active(index):
-            return False
-        self._check_population(len(self._vortree) - 1)
-        start = _clock()
-        removed, changed = self._vortree.delete(index)
-        elapsed = _clock() - start
-        self.maintenance_seconds += elapsed
-        _MAINTENANCE_SECONDS.observe(elapsed)
-        _TRACER.add("index.maintain", start, elapsed, metric="euclidean")
-        if removed:
-            self._commit_epoch(changed, (index,), payload=1)
-        return removed
-
-    def batch_update(
-        self, inserts: Sequence[Point] = (), deletes: Iterable[int] = ()
-    ) -> BatchUpdateResult:
-        """Apply a burst of object inserts and deletes as one data epoch.
-
-        A heavy traffic stream batches its object updates; applying them
-        together triggers one neighbour-map patch (or, for very large
-        bursts, one full rebuild) and one invalidation round instead of one
-        per object.  Deletions always refer to pre-existing object indexes;
-        insertions are registered first, so a burst may replace the whole
-        population as long as one object survives (see
-        :meth:`VoRTree.batch_update`).
-
-        Raises:
-            QueryError: when the surviving population would be too small
-                for some registered query's ``k``.
-        """
-        insert_list = list(inserts)
-        delete_list = self._dedup_active_deletes(deletes, self._vortree.is_active)
-        self._check_population(
-            len(self._vortree) + len(insert_list) - len(delete_list)
-        )
-        start = _clock()
-        new_indexes, deleted, changed = self._vortree.batch_update(
-            insert_list, delete_list
-        )
-        elapsed = _clock() - start
-        self.maintenance_seconds += elapsed
-        _MAINTENANCE_SECONDS.observe(elapsed)
-        _TRACER.add("index.maintain", start, elapsed, metric="euclidean")
-        if new_indexes or deleted:
-            self._commit_epoch(
-                changed, deleted, payload=len(insert_list) + len(delete_list)
-            )
-        return BatchUpdateResult(
-            new_indexes=tuple(new_indexes),
-            deleted_indexes=tuple(deleted),
-            changed_objects=frozenset(changed),
-            epoch=self._epoch,
-        )
-
-    # ------------------------------------------------------------------
-    # Leader/replica delta replication
-    # ------------------------------------------------------------------
-    def begin_delta_capture(self) -> None:
-        """Start capturing the repair delta of the next update epoch.
-
-        The Euclidean index derives its delta post hoc from the batch
-        results (see :meth:`VoRTree.export_delta`), so there is nothing to
-        install — the seam exists so leaders of either metric are driven
-        identically.
-        """
-
-    def export_delta(self, result: BatchUpdateResult, batch) -> Dict[str, object]:
-        """The :class:`~repro.transport.codec.IndexDelta` fields of the
-        epoch that :meth:`batch_update` just applied (as plain kwargs).
-
-        ``payload`` reproduces exactly what the epoch billed as uplink
-        objects — ``batch_update`` assigns one index per insert and deletes
-        exactly its deduplicated active deletions, so the result lengths
-        *are* the billed record count.  ``batch`` (the originating
-        :class:`~repro.service.messages.UpdateBatch`) is unused here; the
-        road server needs it for its move records.
-        """
-        sections = self._vortree.export_delta(
+    def _delta_sections(self, result: BatchUpdateResult):
+        # Derived post hoc from the batch results: nothing is captured while it runs.
+        return self._vortree.export_delta(
             result.new_indexes, result.deleted_indexes, result.changed_objects
-        )
-        return {
-            "epoch": result.epoch,
-            "payload": len(result.new_indexes) + len(result.deleted_indexes),
-            "new_indexes": tuple(result.new_indexes),
-            "deleted_indexes": tuple(result.deleted_indexes),
-            "changed": tuple(sorted(result.changed_objects)),
-            **sections,
-        }
-
-    def apply_remote_delta(self, delta) -> None:
-        """Apply a maintenance leader's repair delta as this engine's epoch.
-
-        The read-replica path of ``replication="delta"``: the shared tree
-        is patched from the shipped delta (no geometry runs) and the epoch
-        commits with the same changed/removed/payload values the leader
-        committed, so answers, counters and epoch stay bit-identical to a
-        replica that re-ran the batch.  A delta for the current epoch is a
-        no-op (the leader's batch did not commit).
-        """
-        if delta.epoch == self._epoch:
-            return
-        if delta.epoch != self._epoch + 1:
-            raise QueryError(
-                f"index delta for epoch {delta.epoch} cannot apply at epoch "
-                f"{self._epoch} — replicas diverged"
-            )
-        start = _clock()
-        self._vortree.apply_remote_delta(delta)
-        elapsed = _clock() - start
-        self.delta_apply_seconds += elapsed
-        _DELTA_APPLY_SECONDS.observe(elapsed)
-        _TRACER.add("delta.apply", start, elapsed, metric="euclidean")
-        self._commit_epoch(
-            frozenset(delta.changed), delta.deleted_indexes, payload=delta.payload
         )

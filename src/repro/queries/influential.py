@@ -21,12 +21,11 @@ agree on every member.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, Sequence, Set, Tuple
 
 from repro.core.ins_euclidean import INSProcessor
 from repro.core.objects import QueryResult
 from repro.geometry.point import Point
-from repro.index.vortree import VoRTree
 
 __all__ = ["InfluentialResult", "InfluentialSitesProcessor"]
 
@@ -58,18 +57,6 @@ class InfluentialSitesProcessor(INSProcessor):
     transmission when the timestamp already required a server round trip.
     """
 
-    def __init__(
-        self,
-        points: Sequence[Point],
-        k: int,
-        rho: float = 1.6,
-        vortree: Optional[VoRTree] = None,
-        allow_incremental: bool = False,
-    ):
-        super().__init__(
-            points, k, rho=rho, vortree=vortree, allow_incremental=allow_incremental
-        )
-
     @property
     def name(self) -> str:
         return "INS-Influential"
@@ -82,7 +69,7 @@ class InfluentialSitesProcessor(INSProcessor):
         member_set = set(members)
         sites: Set[int] = set()
         for member in member_set:
-            sites.update(self._vortree.voronoi_neighbors(member))
+            sites.update(self._index.voronoi_neighbors(member))
         sites -= member_set
         return tuple(sorted(sites))
 

@@ -23,6 +23,7 @@ from repro.core.objects import QueryResult, UpdateAction
 from repro.geometry.order_k import knn_indexes
 from repro.geometry.point import Point
 from repro.core.influential import influential_neighbor_set_from_points
+from repro.core.ins_euclidean import INSProcessor
 from repro.queries.influential import InfluentialResult, InfluentialSitesProcessor
 from repro.queries.region import OrderKRegionProcessor, RegionResult
 from repro.queries.messages import InfluentialResponse, RegionEvent
@@ -94,15 +95,13 @@ class KNNKind(QueryKind):
     result_type = QueryResult
     response_type = KNNResponse
 
-    def build_processor(self, server, k, rho):
-        from repro.core.ins_euclidean import INSProcessor
+    #: The INS processor this kind serves with (a subclass may widen it).
+    processor_type = INSProcessor
 
-        return INSProcessor(
-            server.vortree.positions,
-            k,
-            rho=rho,
-            vortree=server.vortree,
-            allow_incremental=server.allow_incremental,
+    def build_processor(self, server, k, rho):
+        tree = server.vortree
+        return self.processor_type(
+            tree.positions, k, rho=rho, vortree=tree, allow_incremental=server.allow_incremental
         )
 
     def oracle_answer(self, points, position, k):
@@ -117,21 +116,14 @@ class KNNKind(QueryKind):
         )
 
 
-class InfluentialSitesKind(QueryKind):
-    """Continuous influential-sites monitoring (see queries.influential)."""
+class InfluentialSitesKind(KNNKind):
+    """Continuous influential-sites monitoring (see queries.influential):
+    the kNN kind's processor, its answers widened with the sites."""
 
     name = "influential"
     result_type = InfluentialResult
     response_type = InfluentialResponse
-
-    def build_processor(self, server, k, rho):
-        return InfluentialSitesProcessor(
-            server.vortree.positions,
-            k,
-            rho=rho,
-            vortree=server.vortree,
-            allow_incremental=server.allow_incremental,
-        )
+    processor_type = InfluentialSitesProcessor
 
     def oracle_answer(self, points, position, k):
         ordered, distances = self._ranked_members(points, position, k)

@@ -9,8 +9,8 @@ active sites; :mod:`repro.baselines.order_k_region` is the brute-force
 oracle.
 
 Delta invalidation follows the same lazy contract as ``INSProcessor``:
-``notify_data_update`` only accumulates the pending delta, and the
-processor settles it on the next timestamp.  A pending delta can be
+the base class's ``notify_data_update`` only accumulates the pending delta,
+and the processor settles it on the next timestamp.  A pending delta can be
 *absorbed* for free when it provably leaves the held cell intact:
 
 - removals that miss the member set keep every clipping bisector that
@@ -29,7 +29,7 @@ next answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional, Set, Tuple
+from typing import FrozenSet, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError
 from repro.core.objects import QueryResult, UpdateAction
@@ -105,13 +105,7 @@ class OrderKRegionProcessor(MovingKNNProcessor[Point]):
         self._bounding_box = bounding_box
         self._members: Tuple[int, ...] = ()
         self._cell: Optional[OrderKCell] = None
-        self._last_position: Optional[Point] = None
         self._prev_member_set: Optional[FrozenSet[int]] = None
-        # Pending data-update delta, settled lazily on the next timestamp.
-        self._state_stale = False
-        self._force_refresh = False
-        self._pending_changed: Set[int] = set()
-        self._pending_removed: Set[int] = set()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -138,30 +132,9 @@ class OrderKRegionProcessor(MovingKNNProcessor[Point]):
         """The held order-k cell (None before initialisation)."""
         return self._cell
 
-    @property
-    def last_position(self) -> Optional[Point]:
-        return self._last_position
-
-    @property
-    def state_stale(self) -> bool:
-        return self._state_stale
-
     # ------------------------------------------------------------------
-    # Delta-invalidation contract (mirrors INSProcessor)
+    # Settling the pending delta
     # ------------------------------------------------------------------
-    def notify_data_update(
-        self, changed: Iterable[int] = (), removed: Iterable[int] = ()
-    ) -> None:
-        """Record a data-update delta; settled lazily at the next answer."""
-        self._pending_changed.update(changed)
-        self._pending_removed.update(removed)
-        self._state_stale = True
-
-    def invalidate(self) -> None:
-        """Blanket invalidation: force a recompute at the next answer."""
-        self._force_refresh = True
-        self._state_stale = True
-
     def _cell_invaded(self, changed: Set[int], removed: Set[int]) -> bool:
         """Exact vertex test: does any changed active site invade the cell?"""
         if self._cell is None or self._cell.polygon.is_empty:
@@ -192,13 +165,7 @@ class OrderKRegionProcessor(MovingKNNProcessor[Point]):
         """Settle the accumulated delta; True when a recompute is required."""
         if not self._state_stale:
             return False
-        changed = self._pending_changed
-        removed = self._pending_removed
-        force = self._force_refresh
-        self._pending_changed = set()
-        self._pending_removed = set()
-        self._force_refresh = False
-        self._state_stale = False
+        changed, removed, force = self._take_pending()
         if force or self._cell is None:
             return True
         if removed & set(self._members):
@@ -264,17 +231,12 @@ class OrderKRegionProcessor(MovingKNNProcessor[Point]):
         )
 
     def _initialize(self, position: Point) -> RegionResult:
-        self._last_position = position
-        self._pending_changed = set()
-        self._pending_removed = set()
-        self._force_refresh = False
-        self._state_stale = False
+        self._take_pending()
         self._prev_member_set = None
         self._recompute(position)
         return self._answer(position, UpdateAction.FULL_RECOMPUTE, was_valid=False)
 
     def _update(self, position: Point) -> RegionResult:
-        self._last_position = position
         if self._settle_pending():
             self._recompute(position)
             return self._answer(position, UpdateAction.FULL_RECOMPUTE, was_valid=False)

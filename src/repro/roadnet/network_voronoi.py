@@ -179,6 +179,7 @@ class NetworkVoronoiDiagram:
         self._stats = stats
         self._object_vertices: List[int] = list(object_vertices)
         self._active: List[bool] = [True] * len(self._object_vertices)
+        self._active_count = len(self._object_vertices)
         # Live state (all patched in place by the incremental repairs):
         self._vertex_objects: Dict[int, List[int]] = {}
         self._vertex_distances: Dict[int, float] = {}
@@ -272,6 +273,7 @@ class NetworkVoronoiDiagram:
         index = len(self._object_vertices)
         self._object_vertices.append(vertex)
         self._active.append(True)
+        self._active_count += 1
         if self._capture is not None:
             self._capture.assignments.add(index)
             self._capture.groups.add(vertex)
@@ -304,6 +306,7 @@ class NetworkVoronoiDiagram:
         if self.object_count() <= 1:
             raise EmptyDatasetError("cannot remove the last remaining data object")
         self._active[index] = False
+        self._active_count -= 1
         if self._maintenance == "rebuild":
             self._full_build()
             return set(self.active_object_indexes())
@@ -470,6 +473,7 @@ class NetworkVoronoiDiagram:
         for index in delete_list:
             self._active[index] = False
             deleted.append(index)
+        self._active_count += len(new_indexes) - len(deleted)
         self._full_build()
         return new_indexes, deleted, set(self.active_object_indexes())
 
@@ -882,9 +886,11 @@ class NetworkVoronoiDiagram:
                 raise RoadNetworkError(f"index delta misses the vertex of new object {index}")
             self._object_vertices.append(assignments[index])
             self._active.append(True)
+            self._active_count += 1
         for obj, vertex in delta.assignments:
             self._object_vertices[obj] = vertex
         for index in delta.deleted_indexes:
+            self._active_count -= self._active[index]
             self._active[index] = False
         if delta.full:
             self._vertex_objects = {}
@@ -963,17 +969,25 @@ class NetworkVoronoiDiagram:
         """
         return self._vertex_objects
 
-    def object_count(self) -> int:
-        """Number of active data objects."""
-        return sum(self._active)
+    #: Read by the shared INS protocol on either index: the network diagram
+    #: is exact, so co-located objects never switch validation off.
+    coincident = False
+
+    def __len__(self) -> int:
+        """Number of active data objects (a counter kept beside ``_active``)."""
+        return self._active_count
+
+    object_count = __len__
 
     def is_active(self, index: int) -> bool:
         """True when object ``index`` exists and has not been removed."""
         return 0 <= index < len(self._object_vertices) and self._active[index]
 
-    def active_object_indexes(self) -> List[int]:
+    def active_indexes(self) -> List[int]:
         """Indexes of the objects currently present in the diagram."""
         return [index for index, active in enumerate(self._active) if active]
+
+    active_object_indexes = active_indexes
 
     def object_vertex(self, index: int) -> int:
         """The vertex object ``index`` currently sits on."""

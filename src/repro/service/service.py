@@ -32,8 +32,9 @@ from __future__ import annotations
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, QueryError
-from repro.core.road_server import MovingRoadKNNServer, RoadBatchUpdateResult
-from repro.core.server import BatchUpdateResult, MovingKNNServer
+from repro.core.engine import BatchUpdateResult, ServingEngine
+from repro.core.road_server import MovingRoadKNNServer
+from repro.core.server import MovingKNNServer
 from repro.core.stats import CommunicationStats, ProcessorStats
 from repro.service.messages import KNNResponse, UpdateBatch
 from repro.service.session import Session
@@ -58,11 +59,7 @@ class KNNService:
     """
 
     def __init__(self, engine):
-        if isinstance(engine, MovingKNNServer):
-            self._metric = "euclidean"
-        elif isinstance(engine, MovingRoadKNNServer):
-            self._metric = "road"
-        else:
+        if not isinstance(engine, ServingEngine):
             raise ConfigurationError(
                 f"KNNService requires a MovingKNNServer or MovingRoadKNNServer, "
                 f"got {type(engine).__name__}"
@@ -117,7 +114,7 @@ class KNNService:
     @property
     def metric(self) -> str:
         """``"euclidean"`` or ``"road"``."""
-        return self._metric
+        return self._engine.metric
 
     @property
     def engine(self):
@@ -147,16 +144,12 @@ class KNNService:
     def active_object_indexes(self) -> List[int]:
         """Indexes of the active data objects, in the index's native order.
 
-        Metric-agnostic view over ``vortree.active_indexes()`` /
-        ``voronoi.active_object_indexes()``.  The order is part of the
-        contract: workload drivers sample churn victims from it with a
-        seeded RNG, so a transport that relays this list (the
-        ``repro.transport`` objects frame) must preserve it for remote
-        runs to realise the exact same update streams.
+        The order is part of the contract: workload drivers sample churn
+        victims from it with a seeded RNG, so a transport that relays this
+        list (the ``repro.transport`` objects frame) must preserve it for
+        remote runs to realise the exact same update streams.
         """
-        if self._metric == "road":
-            return list(self._engine.voronoi.active_object_indexes())
-        return list(self._engine.vortree.active_indexes())
+        return list(self._engine.index.active_indexes())
 
     @property
     def session_count(self) -> int:
@@ -177,7 +170,7 @@ class KNNService:
 
     def __repr__(self) -> str:
         return (
-            f"KNNService(metric={self._metric!r}, objects={self.object_count}, "
+            f"KNNService(metric={self.metric!r}, objects={self.object_count}, "
             f"sessions={self.session_count}, epoch={self.epoch})"
         )
 
@@ -318,31 +311,20 @@ class KNNService:
     # ------------------------------------------------------------------
     # The data-update stream
     # ------------------------------------------------------------------
-    def apply(self, batch: UpdateBatch):
+    def apply(self, batch: UpdateBatch) -> BatchUpdateResult:
         """Apply one :class:`UpdateBatch` as a single data epoch.
 
-        Metric-agnostic: on the road side moves are native vertex
-        relocations; on the Euclidean side a move decomposes into delete +
-        reinsert at the new position (two object records on the wire), the
-        plane's native relocation.  Returns the engine's batch result
-        (:class:`~repro.core.server.BatchUpdateResult` or
-        :class:`~repro.core.road_server.RoadBatchUpdateResult`).
+        Metric-agnostic: the engine knows what a move is on its metric (a
+        native vertex relocation on a road network; delete + reinsert, two
+        object records, on the plane).  Returns the engine's
+        :class:`~repro.core.engine.BatchUpdateResult`.
 
         Raises:
             QueryError: when the surviving population would be too small
                 for some open session's ``k`` (the engine's population
                 guard — nothing is applied).
         """
-        if self._metric == "road":
-            return self._engine.batch_update(
-                inserts=batch.inserts, deletes=batch.deletes, moves=batch.moves
-            )
-        move_deletes = tuple(index for index, _ in batch.moves)
-        move_inserts = tuple(position for _, position in batch.moves)
-        return self._engine.batch_update(
-            inserts=tuple(batch.inserts) + move_inserts,
-            deletes=tuple(batch.deletes) + move_deletes,
-        )
+        return self._engine.batch_update(batch.inserts, batch.deletes, batch.moves)
 
     def apply_with_delta(self, batch: UpdateBatch):
         """Apply one :class:`UpdateBatch` and capture its repair delta.
@@ -360,7 +342,7 @@ class KNNService:
 
         self._engine.begin_delta_capture()
         result = self.apply(batch)
-        return result, IndexDelta(**self._engine.export_delta(result, batch))
+        return result, IndexDelta(**self._engine.export_delta(result))
 
     def apply_remote_delta(self, delta) -> None:
         """Apply a maintenance leader's repair delta as one data epoch.
@@ -383,9 +365,7 @@ class KNNService:
 
     def move(self, index: int, target: Any):
         """Relocate one data object to ``target`` (vertex or Point)."""
-        if self._metric == "road":
-            return self._engine.move_object(index, target)
-        return self.apply(UpdateBatch(moves=((index, target),)))
+        return self._engine.move_object(index, target)
 
     # ------------------------------------------------------------------
     # Cost reporting

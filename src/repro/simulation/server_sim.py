@@ -247,7 +247,7 @@ def _road_churn_batch(
 
 
 def _euclidean_oracle(service: KNNService, position: Point) -> Dict[int, float]:
-    tree = service.engine.vortree
+    tree = service.engine.index
     return {
         index: position.distance_to(tree.point(index))
         for index in tree.active_indexes()
@@ -261,7 +261,7 @@ def _road_oracle(service: KNNService, position) -> Dict[int, float]:
     vertex_distances = distances_from_location(engine.network, position)
     return {
         index: vertex_distances.get(engine.object_vertex(index), math.inf)
-        for index in engine.voronoi.active_object_indexes()
+        for index in engine.index.active_indexes()
     }
 
 

@@ -1,0 +1,239 @@
+"""The contract both metrics share, tested once.
+
+Since PR 19 the INS protocol (``repro.core.ins``) and the serving engine's
+mutation API (``repro.core.engine``) are written once; the plane and the
+road network only plug an index, a retrieval, the held distances and a tie
+rule into them.  Every test here runs against a plane fixture and a road
+fixture: what must be the same is asserted for both, and the one thing that
+must differ — the tie rule — is asserted by literal.
+"""
+
+import dataclasses
+from typing import Any, Callable
+
+import pytest
+
+from repro.core.ins_euclidean import INSProcessor
+from repro.core.ins_road import INSRoadProcessor
+from repro.core.objects import UpdateAction
+from repro.core.road_server import MovingRoadKNNServer
+from repro.core.server import MovingKNNServer
+from repro.geometry.point import Point
+from repro.roadnet.generators import grid_network, place_objects
+from repro.roadnet.knn import network_knn
+from repro.roadnet.location import NetworkLocation
+from repro.service import KNNService, UpdateBatch
+from repro.workloads.datasets import uniform_points
+
+#: The three ways a pending data-update delta can settle.
+OUTCOMES = ("full_recomputations", "ins_refreshes", "absorbed_updates")
+
+
+@dataclasses.dataclass(frozen=True)
+class Metric:
+    """One metric's fixture: a query, and room for an update far from it."""
+
+    build: Callable[..., Any]  # (invalidation=...) -> engine
+    start: Any  # the query position
+    far: Any  # an insert target far from the query
+    move_records: int  # object records one move puts on the wire
+    brute_force: Callable[[Any, Any, int], list]  # sorted kNN distances
+
+
+def _plane_brute_force(engine, position, k):
+    tree = engine.index
+    return sorted(position.distance_to(tree.point(i)) for i in tree.active_indexes())[:k]
+
+
+def _road_brute_force(engine, position, k):
+    nearest = network_knn(
+        engine.network,
+        engine.index.vertex_assignments,
+        position,
+        k,
+        objects_at_vertex=engine.index.vertex_objects(),
+    )
+    return sorted(distance for _, distance in nearest)
+
+
+def _road_engine(**options):
+    network = grid_network(20, 20, spacing=10.0)
+    return MovingRoadKNNServer(network, place_objects(network, 60, seed=8), **options)
+
+
+METRICS = {
+    "plane": Metric(
+        build=lambda **options: MovingKNNServer(uniform_points(300, seed=5), **options),
+        start=Point(2_500.0, 2_600.0),  # both interior: a hull site has far neighbours
+        far=Point(7_600.0, 7_400.0),
+        move_records=2,
+        brute_force=_plane_brute_force,
+    ),
+    "road": Metric(
+        build=_road_engine,
+        start=NetworkLocation(0, 1.0),  # the bottom-left corner edge
+        far=399,  # the opposite corner vertex
+        move_records=1,
+        brute_force=_road_brute_force,
+    ),
+}
+
+
+@pytest.fixture(params=sorted(METRICS))
+def metric(request) -> Metric:
+    return METRICS[request.param]
+
+
+def settle(engine, query_id):
+    """Re-answer in place; returns the result and how far each outcome counter moved."""
+    stats = engine.stats_for(query_id)
+    before = [getattr(stats, name) for name in OUTCOMES]
+    result = engine.answer(query_id)
+    return result, tuple(getattr(stats, name) - was for name, was in zip(OUTCOMES, before))
+
+
+class TestSettleOutcomes:
+    """(i) A pending delta settles in exactly one of three ways."""
+
+    def test_removal_inside_R_pays_one_retrieval(self, metric):
+        engine = metric.build()
+        population = engine.object_count
+        query_id = engine.register_query(metric.start, k=3)
+        processor = next(iter(engine)).processor
+        victim = processor.prefetched_set[0]
+        assert engine.delete_object(victim)
+        assert processor.state_stale
+        result, moved = settle(engine, query_id)
+        assert moved == (1, 0, 0)
+        assert not processor.state_stale
+        assert result.action == UpdateAction.FULL_RECOMPUTE
+        assert victim not in result.knn
+        assert engine.object_count == population - 1
+        assert sorted(result.knn_distances) == pytest.approx(
+            metric.brute_force(engine, metric.start, 3)
+        )
+
+    def test_delta_inside_the_pool_refreshes_the_guard_set_only(self, metric):
+        engine = metric.build()
+        query_id = engine.register_query(metric.start, k=3)
+        processor = next(iter(engine)).processor
+        victim = min(processor.influential_set)
+        answer = engine.answer(query_id).knn
+        assert engine.delete_object(victim)
+        result, moved = settle(engine, query_id)
+        assert moved == (0, 1, 0)
+        assert result.was_valid and result.knn == answer
+        assert victim not in processor.guard_set
+
+    def test_delta_outside_the_pool_is_absorbed_for_free(self, metric):
+        # The insert lands far from the query: the delta cannot touch the
+        # query's pool, so nothing is refreshed.
+        engine = metric.build()
+        query_id = engine.register_query(metric.start, k=2)
+        processor = next(iter(engine)).processor
+        pool = set(processor.prefetched_set) | processor.influential_set
+        delta = engine.batch_update(inserts=[metric.far])
+        assert delta.changed_objects.isdisjoint(pool)  # the precondition
+        transmitted = processor.stats.transmitted_objects
+        result, moved = settle(engine, query_id)
+        assert moved == (0, 0, 1)
+        assert result.was_valid
+        assert processor.stats.transmitted_objects == transmitted
+
+    def test_flag_mode_always_retrieves(self, metric):
+        engine = metric.build(invalidation="flag")
+        query_id = engine.register_query(metric.start, k=2)
+        engine.insert_object(metric.far)
+        result, moved = settle(engine, query_id)
+        assert moved == (1, 0, 0)
+        assert result.action == UpdateAction.FULL_RECOMPUTE
+
+
+class TestTieRule:
+    """(ii) A query equidistant from its k-th neighbour and its nearest guard:
+    never a certificate on the plane, an everyday valid answer on a grid."""
+
+    @staticmethod
+    def _advance_to_the_tie(engine, start, tie):
+        query_id = engine.register_query(start, k=1)
+        processor = next(iter(engine)).processor
+        assert processor.prefetched_set == [0] and 1 in processor.guard_set
+        record = engine.communication_for(query_id)
+        round_trips = record.uplink_messages
+        result = engine.update_position(query_id, tie)
+        return result, record.uplink_messages - round_trips
+
+    def test_on_the_plane_a_tie_is_invalid(self):
+        # Objects 0 and 1 are both at distance 1 from (1, 0).
+        points = [Point(0.0, 0.0), Point(2.0, 0.0), Point(2.0, 2.0), Point(-1.0, 3.0)]
+        result, round_trips = self._advance_to_the_tie(
+            MovingKNNServer(points), Point(0.25, 0.0), Point(1.0, 0.0)
+        )
+        assert not result.was_valid and round_trips == 1
+        assert result.action == UpdateAction.FULL_RECOMPUTE
+        assert result.knn_distances == (1.0,)
+
+    def test_on_a_unit_grid_the_same_tie_is_valid(self):
+        # Vertices 0-1-2 along the bottom row, objects on 0, 2 and 8; the
+        # query walks from a quarter of the way along edge (0, 1) to vertex 1.
+        network = grid_network(3, 3, spacing=1.0)
+        engine = MovingRoadKNNServer(network, [0, 2, 8])
+        edge = network.find_edge(0, 1)
+        tie = NetworkLocation(edge.edge_id, 1.0 if edge.u == 0 else 0.0)
+        start = NetworkLocation(edge.edge_id, 0.25 if edge.u == 0 else 0.75)
+        result, round_trips = self._advance_to_the_tie(engine, start, tie)
+        assert result.was_valid and round_trips == 0
+        assert result.knn == (0,) and result.knn_distances == (1.0,)
+        assert sorted(result.knn_distances) == _road_brute_force(engine, tie, 1)
+
+
+class TestMoves:
+    """(iii) The engine knows what a move is on its metric; the facade just
+    forwards, and the epoch's bill is on the result."""
+
+    def test_engine_and_facade_apply_the_same_epoch(self, metric):
+        direct, fronted = metric.build(), metric.build()
+        service = KNNService(fronted)
+        queries = [engine.register_query(metric.start, k=3) for engine in (direct, fronted)]
+        moved = next(iter(direct)).processor.prefetched_set[1]
+        billed = direct.communication.uplink_objects
+        direct.begin_delta_capture()
+        result = direct.batch_update(moves=[(moved, metric.far)])
+        assert result == service.apply(UpdateBatch(moves=((moved, metric.far),)))
+        assert result.epoch == direct.epoch == fronted.epoch == 1
+        assert result.payload == metric.move_records
+        assert direct.communication.uplink_objects - billed == metric.move_records
+        assert direct.communication == fronted.communication
+        assert direct.export_delta(result)["payload"] == metric.move_records
+        answers = [engine.answer(qid) for engine, qid in zip((direct, fronted), queries)]
+        assert answers[0] == answers[1]
+        assert sorted(answers[0].knn_distances) == pytest.approx(
+            metric.brute_force(direct, metric.start, 3)
+        )
+
+    def test_single_object_move_is_one_epoch_with_the_same_bill(self, metric):
+        engine = metric.build()
+        service = KNNService(engine)
+        victim = service.active_object_indexes()[0]
+        service.move(victim, metric.far)
+        assert engine.epoch == 1
+        assert engine.communication.uplink_objects == metric.move_records
+
+
+class TestWrittenOnce:
+    """(iv) Written once stays written once: both metrics resolve the shared
+    protocol and the shared mutation API to the same function objects."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["_update", "_consume_data_updates", "_recompose", "notify_data_update", "invalidate"],
+    )
+    def test_processors_share_the_protocol(self, name):
+        assert getattr(INSProcessor, name) is getattr(INSRoadProcessor, name)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["batch_update", "insert_object", "delete_object", "apply_remote_delta", "register_query"],
+    )
+    def test_servers_share_the_mutation_api(self, name):
+        assert getattr(MovingKNNServer, name) is getattr(MovingRoadKNNServer, name)

@@ -117,14 +117,8 @@ class TestServerSideObjectUpdates:
             result = server.answer(query_id)
             assert new_index in result.knn
 
-    def test_delete_reaches_every_query(self, dataset):
-        server = MovingKNNServer(dataset)
-        a = server.register_query(Point(500, 500), k=4)
-        victim = server.answer(a).knn[0]
-        assert server.delete_object(victim)
-        result = server.answer(a)
-        assert victim not in result.knn
-        assert server.object_count == len(dataset) - 1
+    # (A delete reaching the queries that hold the object is asserted for both
+    # metrics in tests/core/test_ins_protocol.py.)
 
     def test_delete_missing_object_is_noop(self, dataset):
         server = MovingKNNServer(dataset)

@@ -1,0 +1,131 @@
+"""Bit-identity of the serving path, pinned in tier-1.
+
+Three small fixed streams go through the service layer and every float and
+every integer the system reports is hashed: each response's
+``(knn, knn_distances, round_trips, objects_shipped)``, every integer field
+of ``aggregate_stats()`` and ``communication.as_dict()``.  A refactor of the
+processors, the engine or the facade proves "same floats, same bill" by
+leaving these digests alone — no benchmark run needed.
+
+The expected digests are literals generated by running this test body at
+commit 685738f (the parent of PR 19, which collapsed the twin
+Euclidean/road processors and servers) before any source edit.  Change one
+only with a reason a reviewer can check: an answer, a tie order or a bill
+moved on purpose.
+"""
+
+import dataclasses
+import hashlib
+import random
+
+import pytest
+
+from repro.core.server import MovingKNNServer
+from repro.geometry.point import Point
+from repro.roadnet.generators import grid_network, place_objects
+from repro.service import KNNService, UpdateBatch, open_service
+from repro.trajectory.euclidean import random_waypoint_trajectory
+from repro.trajectory.road import network_random_walk
+from repro.workloads.datasets import data_space, uniform_points
+
+TIMESTAMPS = 30
+KS = (3, 5, 8, 4)
+
+
+def _plane_service():
+    return open_service(metric="euclidean", objects=uniform_points(300, seed=11))
+
+
+def _incremental_service():
+    return KNNService(MovingKNNServer(uniform_points(300, seed=12), allow_incremental=True))
+
+
+def _road_service():
+    network = grid_network(8, 8, spacing=50.0)
+    return open_service(
+        metric="road", network=network, objects=place_objects(network, 40, seed=13)
+    )
+
+
+def _plane_walks(service):
+    return [
+        random_waypoint_trajectory(data_space(), TIMESTAMPS, 400.0, seed=40 + i)
+        for i in range(len(KS))
+    ]
+
+
+def _road_walks(service):
+    return [
+        network_random_walk(service.engine.network, TIMESTAMPS, 30.0, seed=50 + i)
+        for i in range(len(KS))
+    ]
+
+
+def _plane_target(service, rng):
+    return Point(rng.uniform(0.0, 10_000.0), rng.uniform(0.0, 10_000.0))
+
+
+def _road_target(service, rng):
+    return rng.choice(service.engine.network.vertices())
+
+
+def _stream_digest(service, walks, target, seed) -> str:
+    """Drive one insert + one delete + one move per timestamp (every tenth
+    also through the single-object mutators) under the sessions and hash
+    everything the service reports."""
+    digest = hashlib.blake2b(digest_size=16)
+
+    def absorb(*values):
+        digest.update(repr(values).encode())
+
+    rng = random.Random(seed)
+    sessions = [
+        service.open_session(walk[0], k=k, rho=1.6) for walk, k in zip(walks, KS)
+    ]
+    for step in range(1, TIMESTAMPS + 1):
+        deleted, moved = rng.sample(service.active_object_indexes(), 2)
+        result = service.apply(
+            UpdateBatch(
+                inserts=(target(service, rng),),
+                deletes=(deleted,),
+                moves=((moved, target(service, rng)),),
+            )
+        )
+        absorb(result.new_indexes, result.deleted_indexes, result.epoch)
+        if step % 10 == 0:
+            deleted, moved = rng.sample(service.active_object_indexes(), 2)
+            service.move(moved, target(service, rng))
+            absorb(service.insert(target(service, rng)), service.delete(deleted))
+            absorb(service.epoch, sessions[0].refresh().knn_distances)
+        for session, walk in zip(sessions, walks):
+            response = session.update(walk[step])
+            absorb(
+                response.knn,
+                response.knn_distances,
+                response.round_trips,
+                response.objects_shipped,
+            )
+    stats = service.aggregate_stats()
+    absorb(
+        *(
+            (field.name, getattr(stats, field.name))
+            for field in dataclasses.fields(stats)
+            if isinstance(getattr(stats, field.name), int)
+        )
+    )
+    absorb(sorted(service.communication.as_dict().items()))
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "build, walks, target, seed, expected",
+    [
+        (_plane_service, _plane_walks, _plane_target, 71, "e0a3563fc28e60f702543c9a3fd9e01a"),
+        (_incremental_service, _plane_walks, _plane_target, 72, "1297f3b6f06ff2c9e835e83d461bf365"),
+        (_road_service, _road_walks, _road_target, 73, "2cabf14600b825cae2dcb8f9fbcb8eec"),
+    ],
+    ids=["plane", "plane-incremental", "road"],
+)
+def test_answers_floats_and_bills_are_bit_identical(build, walks, target, seed, expected):
+    service = build()
+    assert _stream_digest(service, walks(service), target, seed) == expected

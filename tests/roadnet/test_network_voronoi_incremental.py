@@ -20,12 +20,18 @@ is what the road server's invalidation relies on, so it gets its own test.
 
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from repro.errors import EmptyDatasetError, QueryError
 from repro.roadnet.generators import grid_network, place_objects, random_planar_network
 from repro.roadnet.network_voronoi import NetworkVoronoiDiagram
+
+
+def scanned_population(diagram):
+    """The active population counted the slow way (``len()`` is a counter)."""
+    return sum(diagram.is_active(index) for index in range(len(diagram.vertex_assignments)))
 
 
 def apply_random_stream(diagram, network, rng, steps):
@@ -40,6 +46,7 @@ def apply_random_stream(diagram, network, rng, steps):
             changed = diagram.remove_object(rng.choice(active))
         else:
             changed = diagram.move_object(rng.choice(active), rng.choice(network.vertices()))
+        assert len(diagram) == diagram.object_count() == scanned_population(diagram)
     return changed
 
 
@@ -287,6 +294,55 @@ class TestMaintenanceModes:
         network = grid_network(3, 3)
         with pytest.raises(ConfigurationError):
             NetworkVoronoiDiagram(network, [0], maintenance="magic")
+
+
+class TestPopulationCount:
+    @pytest.mark.parametrize("maintenance", NetworkVoronoiDiagram.MAINTENANCE_MODES)
+    def test_len_tracks_the_active_set_through_every_mutation_path(self, maintenance):
+        """``len()`` is a counter; it must agree with the scan after every
+        step — single repairs, small and bulk batches (duplicate and unknown
+        deletes included), a full rebuild — and on a replica that only ever
+        sees the shipped deltas."""
+        rng = random.Random(46)
+        network = grid_network(9, 9, spacing=10.0)
+        objects = place_objects(network, 20, seed=35)
+        diagram = NetworkVoronoiDiagram(network, objects, maintenance=maintenance)
+        replica = NetworkVoronoiDiagram(network, objects, maintenance=maintenance)
+        vertices = network.vertices()
+
+        def shipped(new_indexes, deleted):
+            return SimpleNamespace(
+                new_indexes=new_indexes, deleted_indexes=deleted, **diagram.export_delta()
+            )
+
+        for step in range(60):
+            roll = rng.random()
+            active = diagram.active_indexes()
+            victims = rng.sample(active, 3)
+            diagram.begin_delta_capture()
+            if roll < 0.25:
+                index, _ = diagram.insert_object(rng.choice(vertices))
+                delta = shipped([index], [])
+            elif roll < 0.45 and len(active) > 6:
+                diagram.remove_object(victims[0])
+                delta = shipped([], victims[:1])
+            elif roll < 0.6:
+                diagram.move_object(victims[0], rng.choice(vertices))
+                delta = shipped([], [])
+            else:
+                bulk = roll > 0.85
+                inserts = [rng.choice(vertices) for _ in range(9 if bulk else 2)]
+                deletes = victims[:2] + victims[:1] + [10_000] if len(active) > 8 else []
+                new_indexes, deleted, _ = diagram.batch_update(
+                    inserts, deletes, [(victims[2], rng.choice(vertices))]
+                )
+                delta = shipped(new_indexes, deleted)
+            replica.apply_remote_delta(delta)
+            if step % 20 == 19:
+                diagram.full_rebuild()
+            assert len(diagram) == diagram.object_count() == scanned_population(diagram)
+            assert len(replica) == scanned_population(replica) == len(diagram)
+            assert replica.active_indexes() == diagram.active_object_indexes()
 
 
 class TestBatchUpdate:
