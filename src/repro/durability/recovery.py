@@ -64,7 +64,6 @@ from repro.transport.codec import (
     RefreshRequest,
     SessionClosed,
     SessionOpened,
-    encode,
     wire_size,
 )
 from repro.durability.snapshot import (
@@ -359,9 +358,10 @@ class DurableKNNService(KNNService):
 
         With wire billing on, each replayed operation also re-bills the
         bytes its original exchange cost — reconstructed, not remembered:
-        the logged frame *is* the uplink, and the regenerated response
-        predicts the downlink exactly (``wire_size`` is exact by codec
-        contract) — mirroring ``serve_connection``'s live billing.
+        the logged frame *is* the uplink (``record.size``, the length the
+        log's own header holds), and the regenerated response predicts the
+        downlink exactly (``wire_size`` is exact by codec contract) —
+        mirroring ``serve_connection``'s live billing.
         """
         self._replaying = True
         applied = 0
@@ -378,7 +378,7 @@ class DurableKNNService(KNNService):
             while index < len(records):
                 record = records[index]
                 message = record.message
-                if isinstance(message, OpenSession):
+                if isinstance(message, (OpenSession, OpenQuery)):
                     if index + 1 >= len(records):
                         # The ack never made the log: the client never saw
                         # this session, so it never happened.  (The engine
@@ -387,42 +387,13 @@ class DurableKNNService(KNNService):
                     ack = records[index + 1].message
                     if not isinstance(ack, SessionOpened):
                         raise DurabilityError(
-                            f"WAL record {record.seq}: OpenSession not "
-                            f"followed by its SessionOpened ack"
+                            f"WAL record {record.seq}: {type(message).__name__} "
+                            f"not followed by its SessionOpened ack"
                         )
-                    session = self.open_session(
-                        message.position,
-                        k=message.k,
-                        rho=message.rho,
-                        **dict(message.options),
-                    )
-                    if session.query_id != ack.query_id:
-                        raise DurabilityError(
-                            f"replay diverged: engine assigned query id "
-                            f"{session.query_id}, log recorded {ack.query_id}"
-                        )
-                    bill(
-                        session.query_id,
-                        uplink=len(encode(message)),
-                        downlink=wire_size(ack),
-                    )
-                    applied += 2
-                    index += 2
-                    continue
-                if isinstance(message, OpenQuery):
-                    if index + 1 >= len(records):
-                        # Unacknowledged open: the client never saw the
-                        # session, so it never happened.
-                        break
-                    ack = records[index + 1].message
-                    if not isinstance(ack, SessionOpened):
-                        raise DurabilityError(
-                            f"WAL record {record.seq}: OpenQuery not "
-                            f"followed by its SessionOpened ack"
-                        )
+                    # kind="knn" (an OpenSession) routes to open_session.
                     session = self.open_query(
                         message.position,
-                        kind=message.kind,
+                        kind=getattr(message, "kind", "knn"),
                         k=message.k,
                         rho=message.rho,
                         **dict(message.options),
@@ -432,11 +403,7 @@ class DurableKNNService(KNNService):
                             f"replay diverged: engine assigned query id "
                             f"{session.query_id}, log recorded {ack.query_id}"
                         )
-                    bill(
-                        session.query_id,
-                        uplink=len(encode(message)),
-                        downlink=wire_size(ack),
-                    )
+                    bill(session.query_id, uplink=record.size, downlink=wire_size(ack))
                     applied += 2
                     index += 2
                     continue
@@ -445,13 +412,12 @@ class DurableKNNService(KNNService):
                     # the registration is already in the restored state.
                     index += 1
                     continue
-                if isinstance(message, PositionUpdate):
-                    bill(message.query_id, uplink=len(encode(message)))
-                    response = self._deliver(message.query_id, message.position)
-                    bill(message.query_id, downlink=wire_size(response))
-                elif isinstance(message, RefreshRequest):
-                    bill(message.query_id, uplink=len(encode(message)))
-                    response = self._refresh(message.query_id)
+                if isinstance(message, (PositionUpdate, RefreshRequest)):
+                    bill(message.query_id, uplink=record.size)
+                    if isinstance(message, PositionUpdate):
+                        response = self._deliver(message.query_id, message.position)
+                    else:
+                        response = self._refresh(message.query_id)
                     bill(message.query_id, downlink=wire_size(response))
                 elif isinstance(message, CloseSession):
                     session = self._sessions.get(message.query_id)
@@ -460,7 +426,7 @@ class DurableKNNService(KNNService):
                             f"WAL record {record.seq}: CloseSession for "
                             f"unknown query {message.query_id}"
                         )
-                    bill(message.query_id, uplink=len(encode(message)))
+                    bill(message.query_id, uplink=record.size)
                     session.close()
                     bill(
                         None,
@@ -469,7 +435,7 @@ class DurableKNNService(KNNService):
                         ),
                     )
                 elif isinstance(message, UpdateBatch):
-                    bill(None, uplink=len(encode(message)))
+                    bill(None, uplink=record.size)
                     result = self.apply(message)
                     bill(
                         None,

@@ -163,11 +163,14 @@ class WALRecord:
         seq: the record's sequence number (consecutive from 1).
         message: the decoded protocol message.
         offset: byte offset of the record's header in the file.
+        size: bytes of the logged frame (the header's payload length) —
+            what the message cost on the wire, without encoding it again.
     """
 
     seq: int
     message: Any
     offset: int
+    size: int
 
 
 @dataclass(frozen=True)
@@ -271,7 +274,7 @@ def scan_wal(path: str, expect_start: Optional[int] = None) -> WALScan:
             raise WALCorruptError(
                 f"{path}: record at offset {offset} (seq {seq}) does not decode: {error}"
             )
-        records.append(WALRecord(seq=seq, message=message, offset=offset))
+        records.append(WALRecord(seq=seq, message=message, offset=offset, size=length))
         expected_seq += 1
         offset = end
     return WALScan(
@@ -514,8 +517,7 @@ class WriteAheadLog:
                     "cannot append to a closed WriteAheadLog"
                 )
             seq = self._next_seq
-            self._handle.write(_HEADER.pack(len(payload), seq, _crc(seq, payload)))
-            self._handle.write(payload)
+            self._handle.write(_HEADER.pack(len(payload), seq, _crc(seq, payload)) + payload)
             self._handle.flush()
             self.append_count += 1
             self._next_seq = seq + 1

@@ -1,4 +1,4 @@
-"""The binary wire codec of the transport layer: one table, three drivers.
+"""The binary wire codec of the transport layer: one table, compiled, three drivers.
 
 The message protocol (:class:`~repro.service.messages.PositionUpdate`,
 :class:`~repro.service.messages.KNNResponse`,
@@ -25,13 +25,29 @@ and be logged by the WAL.  Design goals, in order:
 byte, its message class, and its fields in wire order as ``(attribute,
 field type)`` pairs.  A *field type* (``_u8 … _f64``, ``_bool``,
 ``_string``, ``_enum``, ``_flags``, ``_Tagged`` unions such as a position,
-``_Array``, ``_Record``, ``_Struct``) writes, reads, sizes and bounds one
-kind of value, so :func:`encode`, :func:`decode`, :func:`wire_size` and
-the decoder's bounds checks are generic drivers over one table and cannot
-drift apart; the frame dataclasses normalise their list-valued fields
-through the same types.  Only messages that are not flat carry an adapter:
-the ``KNNResponse`` family (``result.*`` nested behind the envelope) and
-``PositionUpdate``'s ``None`` query id.
+``_Array``, ``_Record``, ``_Struct``) sizes, bounds and normalises one kind
+of value and says how it is written and read, so :func:`encode`,
+:func:`decode`, :func:`wire_size` and the decoder's bounds checks are
+generic drivers over one table and cannot drift apart; the frame
+dataclasses normalise their list-valued fields through the same types.  No
+frame carries code of its own: a dotted attribute (``result.knn``) reaches
+into the nested object whose class the row names.
+
+**A row is compiled, not interpreted.**  On first use a row generates its
+own straight-line ``pack`` / ``unpack`` from what its field types say
+(:class:`_Record`; nothing happens at import).  Whatever has a width once
+the array lengths are known — scalars, structs, unions of them, arrays of
+plain numbers — *fuses* into a run that one ``struct.Struct`` packs, type
+byte and length prefix included: ``encode(KNNResponse)`` is one ``pack``.
+The Struct is looked up by the run's *shape*, the tuple of its array
+lengths and union tags, in a cache capped at :data:`PLAN_CACHE_CAP` plans
+(a few hundred bytes each; it starts over when full).  Decoding takes one
+``unpack_from`` per stretch whose shape is known before it is read — a new
+one after every count or tag — and bounds each stretch against the bytes
+that are really there *before* asking for its plan, so a forged count costs
+an error message: no memory, and no cache entry.  Strings and arrays of
+records do not fuse; the same generated code steps through them, element by
+element.
 
 Frame layout: a 4-byte big-endian unsigned body length, then the body —
 one type byte followed by the row's fields.  Meta frames (stats, objects,
@@ -59,7 +75,8 @@ import dataclasses
 import operator
 import struct
 from dataclasses import dataclass, field
-from itertools import groupby
+from functools import cached_property
+from itertools import count
 from typing import Any, Dict, List, Optional, Tuple, Type
 
 from repro.errors import (
@@ -75,7 +92,7 @@ from repro.errors import (
 )
 from repro.core.objects import QueryResult, UpdateAction
 from repro.core.stats import CommunicationStats, ProcessorStats
-from repro.obs.metrics import BUCKET_COUNT, Histogram, histogram as _obs_histogram, start_timer
+from repro.obs.metrics import BUCKET_COUNT, histogram as _obs_histogram, start_timer
 from repro.obs.clock import clock as _obs_clock
 from repro.geometry.point import Point
 from repro.queries.influential import InfluentialResult
@@ -116,6 +133,10 @@ __all__ = [
 #: Upper bound on one frame's body; a declared length beyond this is
 #: treated as stream corruption rather than an allocation request.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
+
+#: Upper bound on the compiled plans kept (one small ``struct.Struct`` per
+#: run of fused fields and shape seen); the cache starts over when full.
+PLAN_CACHE_CAP = 1024
 
 _LENGTH = struct.Struct("!I")
 LENGTH_PREFIX_BYTES = _LENGTH.size
@@ -454,18 +475,39 @@ class MetricsSnapshot:
 # ----------------------------------------------------------------------
 _TRUNCATED = "truncated frame body"
 
+#: (run id, *shape) -> the ``struct.Struct`` that packs or unpacks that run
+#: at that shape.  Filled on first use, emptied when it reaches
+#: :data:`PLAN_CACHE_CAP`; a decoder consults it only with counts that have
+#: already passed their bounds, so forged frames never reach it.
+_PLANS: Dict[tuple, struct.Struct] = {}
+_RUN_IDS = count()
+
+
+def _plan(key: tuple, fmt: str) -> struct.Struct:
+    if len(_PLANS) >= PLAN_CACHE_CAP:
+        _PLANS.clear()
+    plan = _PLANS[key] = struct.Struct(fmt)
+    return plan
+
+
+def _total(amounts) -> str:
+    """Source for the sum of ``amounts`` (ints and expressions), ints folded."""
+    amounts = list(amounts)
+    terms = [amount for amount in amounts if not isinstance(amount, int)]
+    known = sum(amount for amount in amounts if isinstance(amount, int))
+    return " + ".join([str(known)] * (known > 0 or not terms) + terms)
+
 
 class _Field:
-    """A field type knows four things about one kind of value: how to write
-    it (append struct-packed bytes to ``parts``), how to read it back
-    (``read(data, offset)`` returns the value and the next offset, and
-    checks every length against the bytes that are really there *before* it
-    unpacks or allocates), how many bytes it takes without encoding it
-    (``size``) and how to normalise a caller-supplied value into the shape
-    ``read`` returns (``coerce``).  ``min_size`` is the fewest bytes any
-    value occupies — what an array multiplies a declared count by;
-    ``fixed`` is the size of every value when they are all equal, else
-    None.  Everything is big-endian."""
+    """A field type knows how one kind of value sits on the wire: how many
+    bytes it takes without encoding it (``size``; ``fixed`` when every value
+    takes the same, else None; ``min_size`` is the fewest any value takes —
+    what an array multiplies a declared count by), how to normalise a
+    caller-supplied value into the shape decoding returns (``coerce``), and
+    how it *fuses*: ``atoms`` lists, as source text, the pieces it adds to
+    the run of the record it stands in (see :class:`_Atom`).  A type that
+    cannot fuse (a string, an array of records) adds a step that calls its
+    own ``write`` / ``read`` instead.  Everything is big-endian."""
 
     min_size = 0
     fixed: Optional[int] = None
@@ -477,58 +519,56 @@ class _Field:
         return value
 
 
-def _converted(values, converters):
-    values = list(values)
-    for index, convert in converters:
-        values[index] = convert(values[index])
-    return values
+class _Atom:
+    """One piece of a record's generated pack / unpack code, as source text.
 
+    A fused atom has a struct format ``fmt``, a pack argument ``arg``, the
+    variable ``var`` it unpacks into (through ``take % numbers`` when they
+    must be joined into an object), its size in bytes and its ``width`` in
+    numbers (ints, or expressions).  When the width depends on the shape,
+    ``fmt`` holds one ``%`` placeholder filled from ``by``, and ``key`` — a
+    variable decoded earlier — is what the atom adds to the plan key.  A
+    step (``fmt`` None) is a field that does not fuse: ``arg`` is its write
+    statement and ``take`` its read statement.  ``before`` runs ahead of
+    packing, ``check`` ahead of unpacking (counts known, nothing allocated
+    yet), ``after`` once ``var`` is bound; ``overrun`` is the error message
+    when the frame body ends short of the atom.
+    """
 
-class _Run:
-    """Adjacent scalars, fused into one precompiled :class:`struct.Struct`."""
-
-    def __init__(self, scalars):
-        self.packer = struct.Struct("!" + "".join(s.code for s in scalars))
-        self.size = self.packer.size
-        self.encoders = [(i, s.to_wire) for i, s in enumerate(scalars) if s.to_wire]
-        self.decoders = [(i, s.from_wire) for i, s in enumerate(scalars) if s.from_wire]
-
-    def pack(self, values) -> bytes:
-        if self.encoders:
-            values = _converted(values, self.encoders)
-        return self.packer.pack(*values)
-
-    def read(self, data, offset):
-        end = offset + self.size
-        if end > len(data):
-            raise TransportError(_TRUNCATED)
-        values = self.packer.unpack_from(data, offset)
-        return (_converted(values, self.decoders) if self.decoders else values), end
+    def __init__(self, var, fmt, nbytes=0, arg=None, *, key=None, by=None, width=1,
+                 take=None, before=(), check=(), after=(), overrun=None):  # fmt: skip
+        self.var, self.fmt, self.nbytes, self.arg = var, fmt, nbytes, arg or var
+        self.key, self.by, self.width, self.take = key, by or key, width, take
+        self.before, self.check, self.after, self.overrun = before, check, after, overrun
 
 
 class _Scalar(_Field):
-    """A fixed-width number, named by its :mod:`struct` code.
+    """A fixed-width number, named by its :mod:`struct` code.  ``to_wire`` /
+    ``from_wire`` convert between the message's value and the packed number."""
 
-    A record packs its scalars fused with their neighbours, a plain array
-    packs them all at once; alone, a scalar is a run of one.  ``to_wire`` /
-    ``from_wire`` convert between the message's value and the packed number.
-    """
+    width = 1
 
     def __init__(self, code, python=None, to_wire=None, from_wire=None):
-        self.code, self.python = code, python
+        self.codes, self.python = code, python
         self.to_wire, self.from_wire = to_wire, from_wire
-        self.alone = _Run((self,))
-        self.min_size = self.fixed = self.alone.size
+        self.min_size = self.fixed = struct.calcsize("!" + code)
 
-    def write(self, value, parts) -> None:
-        parts.append(self.alone.pack((value,)))
-
-    def read(self, data, offset):
-        (value,), offset = self.alone.read(data, offset)
-        return value, offset
+    def atoms(self, at, env, shared):
+        v = f"v{at}"
+        env[f"c{at}"], env[f"d{at}"] = self.to_wire, self.from_wire
+        arg = f"c{at}({v})" if self.to_wire else v
+        convert = [f"{v} = d{at}({v})"] if self.from_wire else ()
+        return [_Atom(v, self.codes, self.fixed, arg, after=convert)]
 
     def coerce(self, value):
         return value if self.python is None else self.python(value)
+
+    # As the arm of a union, a plain scalar is a struct of one number.
+    def spread(self, value):
+        return (value,)
+
+    def join(self, values):
+        return values[0]
 
 
 _u8, _u16, _u32, _u64, _i32 = (_Scalar(code, int) for code in "BHIQi")
@@ -537,6 +577,12 @@ _bool = _Scalar("?")  # one byte; any non-zero byte reads as True
 #: The ``len()`` of a later count-less array of the same frame, for layouts
 #: that ship their counts up front (recognised by identity, never copied).
 _length = _Scalar("I")
+#: A query id that is None while the session is still registering: -1.
+_maybe_id = _Scalar(
+    "i",
+    to_wire=lambda query_id: -1 if query_id is None else query_id,
+    from_wire=lambda query_id: None if query_id < 0 else query_id,
+)
 
 
 def _enum(what: str, table) -> _Scalar:
@@ -566,65 +612,21 @@ def _flags(*names: str):
     )
 
 
-class _Record(_Field):
-    """``T…`` side by side; the value is a row (tuple) with one entry per T.
+class _Struct(_Field):
+    """An instance of ``cls`` as the numbers of its attributes ``names`` (in
+    wire order, which is also ``cls``'s positional order)."""
 
-    ``counts`` maps the row position of a count-less array to the position
-    of the :data:`_length` scalar that shipped its count.
-    """
+    def __init__(self, cls, codes, *names):
+        self.cls, self.codes, self.width = cls, codes, len(names)
+        self.spread = operator.attrgetter(*names) if names else (lambda value: ())
+        self.min_size = self.fixed = struct.calcsize("!" + codes)
 
-    def __init__(self, *kinds, counts=None):
-        counts = counts or {}
-        self.kinds = kinds
-        # (run, None, start, stop) or (None, field, position, count position)
-        self.steps = []
-        for fused, group in groupby(enumerate(kinds), lambda at: isinstance(at[1], _Scalar)):
-            group = list(group)
-            if fused:
-                run = _Run([kind for _, kind in group])
-                self.steps.append((run, None, group[0][0], group[-1][0] + 1))
-            else:
-                self.steps += [(None, kind, at, counts.get(at)) for at, kind in group]
-        fields = [(field, at) for run, field, at, _ in self.steps if run is None]
-        self.variable = [(field, at) for field, at in fields if field.fixed is None]
-        self.fixed_part = sum(run.size for run, _, _, _ in self.steps if run is not None)
-        self.fixed_part += sum(field.fixed or 0 for field, _ in fields)
-        self.min_size = sum(kind.min_size for kind in kinds)
-        self.fixed = None if self.variable else self.fixed_part
+    def join(self, values):
+        return self.cls(*values)
 
-    def write(self, row, parts) -> None:
-        for run, field, start, stop in self.steps:
-            if run is not None:
-                parts.append(run.pack(row[start:stop]))
-                continue
-            if stop is not None and len(row[start]) != row[stop]:
-                raise TransportError(
-                    f"array of {len(row[start])} elements where its shared "
-                    f"count field says {row[stop]}"
-                )
-            field.write(row[start], parts)
-
-    def read(self, data, offset):
-        row = []
-        for run, field, _, count_at in self.steps:
-            if run is not None:
-                values, offset = run.read(data, offset)
-                row.extend(values)
-            elif count_at is None:
-                value, offset = field.read(data, offset)
-                row.append(value)
-            else:
-                value, offset = field.read(data, offset, row[count_at])
-                row.append(value)
-        return tuple(row), offset
-
-    def size(self, row) -> int:
-        return self.fixed_part + sum(field.size(row[at]) for field, at in self.variable)
-
-    def coerce(self, row):
-        return tuple(
-            kind.coerce(value) for kind, value in zip(self.kinds, row, strict=True)
-        )
+    def atoms(self, at, env, shared):
+        arg, take = f"*f{at}.spread(v{at})", f"f{at}.join(%s)"
+        return [_Atom(f"v{at}", self.codes, self.fixed, arg, width=self.width, take=take)]
 
 
 class _String(_Field):
@@ -632,6 +634,12 @@ class _String(_Field):
 
     min_size = 2
     coerce = str
+
+    def atoms(self, at, env, shared):
+        return [_Atom(
+            f"v{at}", None, arg=f"f{at}.write(v{at}, parts)",
+            take=f"v{at}, offset = f{at}.read(data, offset)",
+        )]  # fmt: skip
 
     def write(self, value, parts) -> None:
         raw = value.encode("utf-8")
@@ -645,7 +653,7 @@ class _String(_Field):
         if end > len(data):
             raise TransportError(_TRUNCATED)
         try:
-            return data[start:end].decode("utf-8"), end
+            return str(data[start:end], "utf-8"), end
         except UnicodeDecodeError as error:
             raise TransportError(f"malformed utf-8 string in frame: {error}")
 
@@ -658,44 +666,43 @@ _string = _String()
 
 class _Tagged(_Field):
     """A tagged union: one tag byte, then the value as the matching arm's
-    field type.  Each arm is ``(tag, python type, field type)``; a value is
-    written by the first arm whose type it is."""
+    field type (a scalar or a struct).  Each arm is ``(tag, python type,
+    field type)``; a value is written by the first arm whose type it is."""
 
     def __init__(self, what, *arms):
         self.what = what
-        self.arms = [(cls, bytes((tag,)), kind) for tag, cls, kind in arms]
+        self.arms = [(cls, (tag, kind)) for tag, cls, kind in arms]
         self.by_tag = {tag: kind for tag, _, kind in arms}
-        self.min_size = 1 + min(kind.min_size for _, _, kind in arms)
-        # The common case of size(): an exact type whose arm is fixed-width.
-        self.sizes = {
-            cls: 1 + kind.fixed for _, cls, kind in arms if isinstance(cls, type) and kind.fixed
-        }
+        # The common case of arm(): an exact type.
+        self.by_type = {cls: arm for cls, arm in self.arms if isinstance(cls, type)}
+        self.min_size = 1 + min(kind.fixed for _, _, kind in arms)
 
-    def _arm(self, value, verb):
-        for arm in self.arms:
-            if isinstance(value, arm[0]):
+    def arm(self, value):
+        """``(tag, field type)`` of the arm that writes ``value``."""
+        for cls, arm in self.arms:
+            if isinstance(value, cls):
                 return arm
-        raise TransportError(f"cannot {verb} {self.what} of type {type(value).__name__}")
+        raise TransportError(f"cannot encode {self.what} of type {type(value).__name__}")
 
-    def write(self, value, parts) -> None:
-        _, tag, kind = self._arm(value, "encode")
-        parts.append(tag)
-        kind.write(value, parts)
-
-    def read(self, data, offset):
-        if offset >= len(data):
-            raise TransportError(_TRUNCATED)
-        kind = self.by_tag.get(data[offset])
-        if kind is None:
-            raise TransportError(f"unknown {self.what} tag 0x{data[offset]:02x}")
-        return kind.read(data, offset + 1)
+    def atoms(self, at, env, shared):
+        v, t, k = f"v{at}", f"t{at}", f"k{at}"
+        env[f"b{at}"] = self.by_type
+        unknown = f"raise TransportError({f'unknown {self.what} tag 0x%02x'!r} % {t})"
+        return [
+            _Atom(t, "B", 1, before=[f"{t}, {k} = b{at}.get(type({v})) or f{at}.arm({v})"],
+                  after=[f"{k} = f{at}.by_tag.get({t})", f"if {k} is None: {unknown}"]),
+            _Atom(v, "%s", f"{k}.fixed", f"*{k}.spread({v})", key=t, by=f"{k}.codes",
+                  width=f"{k}.width", take=f"{k}.join(%s)"),
+        ]  # fmt: skip
 
     def size(self, value) -> int:
-        return self.sizes.get(type(value)) or 1 + self._arm(value, "size")[2].size(value)
+        return 1 + (self.by_type.get(type(value)) or self.arm(value))[1].fixed
 
 
 class _Array(_Field):
-    """A count, then that many elements; the value is a tuple.
+    """A count, then that many elements; the value is a tuple — or, when
+    ``unordered``, a frozenset, written sorted so that equal sets encode to
+    equal bytes.
 
     With one ``T`` the elements are bare values, with several they are rows
     (a record).  ``count`` is the count's scalar type, or None when an
@@ -703,56 +710,61 @@ class _Array(_Field):
     ``counted_by`` when that is not this field's own attribute).
     ``exactly`` and ``unique`` (a key function over elements) are
     decode-side constraints; ``what`` names the array in their errors.
+    The count always fuses with its neighbours; plain numbers fuse too
+    (``"%dI"``), anything else is written and read element by element,
+    each through the elements' own compiled record.
     """
 
     def __init__(
-        self, count, *kinds, counted_by=None, exactly=None, unique=None, what="array"
-    ):
-        self.count, self.counted_by = count, counted_by
+        self, count, *kinds, counted_by=None, exactly=None, unique=None, what="array",
+        unordered=False,
+    ):  # fmt: skip
+        self.count, self.counted_by, self.unordered = count, counted_by, unordered
         self.exactly, self.unique, self.what = exactly, unique, what
         self.min_size = count.fixed if count else 0
-        self.code = None
-        if len(kinds) == 1 and isinstance(kinds[0], _Scalar) and not kinds[0].to_wire:
-            # Homogeneous numbers: the whole array is one pack / unpack_from.
-            self.code = kinds[0].code
-            self.head = "!" + (count.code if count else "")
-            self.packers = {}  # count -> Struct, for the small counts that recur
         self.element = kinds[0] if len(kinds) == 1 else _Record(*kinds)
         assert self.element.min_size > 0  # or a count could not be bounded
         self.stride = self.element.fixed
+        self.numeric = isinstance(self.element, _Scalar) and not self.element.to_wire
+        if not self.numeric:
+            self.rows = _Record(*kinds, bare=len(kinds) == 1)
+
+    def atoms(self, at, env, shared):
+        v, n = f"v{at}", shared or f"n{at}"
+        head, around = [], dict(before=[], check=[], after=[])
+        if self.unordered:
+            around["before"].append(f"{v} = sorted({v})")
+            around["after"].append(f"{v} = frozenset({v})")
+        if self.count:
+            head = [_Atom(n, self.count.codes, self.count.fixed, before=[f"{n} = len({v})"])]
+        elif self.counted_by:
+            wrong = "array of %d elements where its shared count field says %d"
+            wrong = f"raise TransportError({wrong!r} % (len({v}), {n}))"
+            around["before"].append(f"if len({v}) != {n}: {wrong}")
+        if self.exactly is not None:
+            wrong = f"%d {self.what} where exactly {self.exactly} are due"
+            wrong = f"raise TransportError({wrong!r} % {n})"
+            around["check"].append(f"if {n} != {self.exactly}: {wrong}")
+        if not self.numeric:
+            read = f"{v}, offset = f{at}.read(data, offset, {n})"
+            return head + [_Atom(v, None, 0, f"f{at}.write({v}, parts)", take=read, **around)]
+        overrun = f"{self.what} of %d elements overruns the frame body"
+        return head + [_Atom(
+            v, "%d" + self.element.codes, f"{n} * {self.stride}", "*" + v, key=n, width=n,
+            overrun=f"{overrun!r} % {n}", **around,
+        )]  # fmt: skip
 
     def write(self, value, parts) -> None:
-        count = len(value)
-        if self.code:
-            packer = self.packers.get(count)
-            if packer is None:
-                packer = struct.Struct("%s%d%s" % (self.head, count, self.code))
-                if count < 256:
-                    self.packers[count] = packer
-            head = (count,) if self.count else ()
-            parts.append(packer.pack(*head, *value))
-            return
-        if self.count:
-            self.count.write(count, parts)
-        write = self.element.write
-        for item in value:
-            write(item, parts)
+        parts.extend(map(self.rows.pack, value))
 
-    def read(self, data, offset, count=None):
-        if count is None:
-            count, offset = self.count.read(data, offset)
-        if self.exactly is not None and count != self.exactly:
-            raise TransportError(f"{count} {self.what} where exactly {self.exactly} are due")
+    def read(self, data, offset, count):
         # The bound every array passes before anything is allocated for it.
         if count * self.element.min_size > len(data) - offset:
             raise TransportError(f"{self.what} of {count} elements overruns the frame body")
-        if self.code:
-            end = offset + count * self.stride
-            return struct.unpack_from("!%d%s" % (count, self.code), data, offset), end
         items = []
-        read = self.element.read
+        unpack = self.rows.unpack
         for _ in range(count):
-            item, offset = read(data, offset)
+            item, offset = unpack(data, offset)
             items.append(item)
         if self.unique and len({self.unique(item) for item in items}) != count:
             raise TransportError(f"duplicate {self.what} key")
@@ -764,26 +776,144 @@ class _Array(_Field):
         return self.min_size + sum(map(self.element.size, value))
 
     def coerce(self, value):
-        return tuple(value) if self.code else tuple(map(self.element.coerce, value))
+        items = value if self.numeric else map(self.element.coerce, value)
+        return (frozenset if self.unordered else tuple)(items)
 
 
-class _Struct(_Field):
-    """An instance of ``cls`` as one fixed Struct of its attributes ``names``
-    (in wire order, which is also ``cls``'s positional order)."""
+class _Record(_Field):
+    """``T…`` side by side; the value is a row (tuple) with one entry per T,
+    or the bare value of a ``bare`` record of one.
 
-    def __init__(self, cls, codes, *names):
-        self.cls, self.packer = cls, struct.Struct("!" + codes)
-        self.get = operator.attrgetter(*names) if names else (lambda value: ())
-        self.min_size = self.fixed = self.packer.size
+    ``pack(value) -> bytes`` and ``unpack(data, offset) -> (value, offset)``
+    are compiled from the field types' atoms on first use (``source`` keeps
+    the generated text).  Adjacent fused atoms form a *run*: packed by one
+    ``Struct.pack`` whose format follows from the run's *shape* — its array
+    lengths and union arms — and is looked up in :data:`_PLANS` under that
+    shape; unpacked by one ``unpack_from`` per stretch whose shape is known
+    before it is read, i.e. a new one after each count or tag.  Every
+    stretch is bounded against the bytes that are there *before* its plan is
+    looked up, so a forged count costs neither memory nor a cache entry.
+    """
 
-    def write(self, value, parts) -> None:
-        parts.append(self.packer.pack(*self.get(value)))
+    def __init__(self, *kinds, bare=False):
+        self.kinds, self.bare = kinds, bare
+        self.variable = [(kind, at) for at, kind in enumerate(kinds) if kind.fixed is None]
+        self.fixed_part = sum(kind.fixed or 0 for kind in kinds)
+        self.min_size = sum(kind.min_size for kind in kinds)
+        self.fixed = None if self.variable else self.fixed_part
 
-    def read(self, data, offset):
-        end = offset + self.fixed
-        if end > len(data):
-            raise TransportError(_TRUNCATED)
-        return self.cls(*self.packer.unpack_from(data, offset)), end
+    @cached_property
+    def pack(self):
+        self._compile()  # binds both on the instance
+        return self.pack
+
+    @cached_property
+    def unpack(self):
+        self._compile()
+        return self.unpack
+
+    def _bind(self, env):
+        """How generated code gets at the value: the statements that bind
+        ``v0 …`` from it when packing, the expression that makes it from them
+        when unpacking, the shared-count variable of each count-less array,
+        and the type byte of a frame."""
+        row = "v0" if self.bare else "".join(f"v{at}, " for at in range(len(self.kinds)))
+        return [f"{row} = value"], f"({row})", {}, None
+
+    def _compile(self) -> None:
+        env = dict(TransportError=TransportError, _PLANS=_PLANS, _plan=_plan)  # + the atoms'
+        bind, made, shared, head = self._bind(env)
+        pieces = []  # in wire order: a list of atoms per run, a lone atom per step
+        for at, kind in enumerate(self.kinds):
+            env[f"f{at}"] = kind
+            for atom in kind.atoms(at, env, shared.get(at)):
+                if atom.fmt is None:
+                    pieces.append(atom)
+                elif pieces and isinstance(pieces[-1], list):
+                    pieces[-1].append(atom)
+                else:
+                    pieces.append([atom])
+        if head is not None and not (pieces and isinstance(pieces[0], list)):
+            pieces.insert(0, [])  # nothing fuses with the prefix: a run of its own
+        joined = len(pieces) > 1 or isinstance(pieces[0], _Atom)
+
+        def plan(atoms, prefix=""):
+            """Source for the Struct of ``atoms`` at the shape the code has at hand."""
+            fmt = "!" + prefix + "".join(atom.fmt for atom in atoms)
+            run, keys = next(_RUN_IDS), dict.fromkeys(atom.key for atom in atoms if atom.key)
+            if not keys:
+                env[f"P{run}"] = struct.Struct(fmt)
+                return f"P{run}"
+            key = f"({run}, {', '.join(keys)})"
+            fills = ", ".join(atom.by for atom in atoms if atom.by)
+            return f"(_PLANS.get({key}) or _plan({key}, {fmt!r} % ({fills},)))"
+
+        pack, last, unpack = [], [], []
+        for piece in pieces:
+            if isinstance(piece, _Atom):
+                pack += [*piece.before, piece.arg]
+                unpack += [*piece.check, piece.take, *piece.after]
+                continue
+            lines = [line for atom in piece for line in atom.before]
+            args = [atom.arg for atom in piece]
+            if head is not None and piece is pieces[0]:
+                # A frame's first run also packs the length prefix and the type
+                # byte — last, when the sizes of the other parts are known.
+                size = f"plan.size - {LENGTH_PREFIX_BYTES}" + " + sum(map(len, parts))" * joined
+                call = f"plan.pack({', '.join([size, str(head), *args])})"
+                last = [*lines, f"plan = {plan(piece, 'IB')}"]
+                last.append(f"parts[0] = {call}" if joined else f"return {call}")
+            else:
+                call = f"{plan(piece)}.pack({', '.join(args)})"
+                pack += [*lines, f"parts.append({call})" if joined else f"return {call}"]
+            stretch, bound = [], set()
+            for atom in piece:
+                if atom.key in bound:  # decoded by this very stretch: close it first
+                    unpack += self._unpack_stretch(stretch, plan(stretch))
+                    stretch, bound = [], set()
+                stretch.append(atom)
+                bound.add(atom.var)
+            if stretch:
+                unpack += self._unpack_stretch(stretch, plan(stretch))
+        if joined:
+            pack.insert(0, "parts = [b'']" if last else "parts = []")
+            last.append("return b''.join(parts)")
+        lines = ["def pack(value):", *bind, *pack, *last]
+        lines += ["def unpack(data, offset):", *unpack, f"return {made}, offset"]
+        self.source = "\n".join(line if line[:4] == "def " else " " + line for line in lines)
+        exec(self.source, env)
+        self.pack, self.unpack = env["pack"], env["unpack"]
+
+    @staticmethod
+    def _unpack_stretch(atoms, plan):
+        """Source that bounds, unpacks and regroups one stretch of a run."""
+        overrun = next((atom.overrun for atom in atoms if atom.overrun), repr(_TRUNCATED))
+        lines = [line for atom in atoms for line in atom.check]
+        lines.append(f"end = offset + {_total(atom.nbytes for atom in atoms)}")
+        lines.append(f"if end > len(data): raise TransportError({overrun})")
+        numbers = f"{plan}.unpack_from(data, offset)"
+        if all(atom.width == 1 and not atom.take for atom in atoms):
+            lines.append(f"{''.join(atom.var + ', ' for atom in atoms)} = {numbers}")
+        elif len(atoms) == 1:
+            lines.append(f"{atoms[0].var} = {(atoms[0].take or '%s') % numbers}")
+        else:
+            lines.append(f"numbers = {numbers}")
+            widths = [atom.width for atom in atoms]
+            for index, atom in enumerate(atoms):
+                picked = f"numbers[{_total(widths[:index])}]"
+                if atom.width != 1 or atom.take:
+                    picked = f"{picked[:-1]}:{_total(widths[: index + 1])}]"
+                lines.append(f"{atom.var} = {(atom.take or '%s') % picked}")
+        lines.append("offset = end")
+        return lines + [line for atom in atoms for line in atom.after]
+
+    def size(self, row) -> int:
+        return self.fixed_part + sum(field.size(row[at]) for field, at in self.variable)
+
+    def coerce(self, row):
+        return tuple(
+            kind.coerce(value) for kind, value in zip(self.kinds, row, strict=True)
+        )
 
 
 def _counters(cls) -> _Struct:
@@ -820,72 +950,58 @@ _communication = _counters(CommunicationStats)
 # ----------------------------------------------------------------------
 # The frame table
 # ----------------------------------------------------------------------
-class _Frame:
-    """One compiled row of the frame table: a message class and its record.
+class _Frame(_Record):
+    """One row of the frame table: a message class and its record.
 
     ``fields`` pairs each wire field, in wire order, with the attribute it
-    carries (a :func:`_flags` entry names several).  ``flatten`` (message
-    → row) and ``build`` (row → message) default to attribute access and
-    ``cls(**attributes)``; only a message that is not flat supplies its own.
+    carries — dotted when the attribute sits on a nested object, whose class
+    ``nested`` names (``result=QueryResult``); a :func:`_flags` entry names
+    several.  The generated code reads the attributes straight off the
+    message and builds it back with ``cls(attribute=…)``.
     """
 
-    def __init__(self, cls, fields=(), flatten=None, build=None):
-        self.cls, self.name = cls, cls.__name__
-        lengths = {name: at for at, (name, kind) in enumerate(fields) if kind is _length}
-        self.record = _Record(
-            *(kind for _, kind in fields),
-            counts={
-                at: lengths[kind.counted_by or name]
-                for at, (name, kind) in enumerate(fields)
-                if isinstance(kind, _Array) and kind.count is None
-            },
-        )
+    def __init__(self, cls, fields=(), **nested):
+        self.cls, self.name, self.fields, self.nested = cls, cls.__name__, fields, nested
+        super().__init__(*(kind for _, kind in fields))
         self.arrays = [(name, kind) for name, kind in fields if isinstance(kind, _Array)]
-        getters = [
-            (lambda message, name=name: len(getattr(message, name)))
-            if kind is _length
-            else operator.attrgetter(*name) if isinstance(name, tuple)
-            else operator.attrgetter(name)
-            for name, kind in fields
-        ]
-        self.flatten = flatten or (lambda message: [get(message) for get in getters])
         # wire_size() = base + each variable-width field, straight off the message
-        self.base = LENGTH_PREFIX_BYTES + 1 + self.record.fixed_part
-        self.sized = [(getters[at], kind) for kind, at in self.record.variable]
+        self.base = LENGTH_PREFIX_BYTES + 1 + self.fixed_part
+        self.sized = [
+            (operator.attrgetter(name), kind) for name, kind in fields if kind.fixed is None
+        ]
+        # insq_codec_seconds{op, frame} handles, made on first use (an idle
+        # frame type leaves no empty series in the registry).
+        self.encode_seconds = self.decode_seconds = None
 
-        def from_attributes(row):
-            attributes = {}
-            for (name, kind), value in zip(fields, row):
-                if isinstance(name, tuple):
-                    attributes.update(zip(name, value))
-                elif kind is not _length:
-                    attributes[name] = value
-            return cls(**attributes)
+    def _bind(self, env):
+        env["cls"] = self.cls
+        lengths = {name: at for at, (name, kind) in enumerate(self.fields) if kind is _length}
+        values = {name: at for at, (name, kind) in enumerate(self.fields)}  # the later wins
+        bind, shared = [f"{part} = value.{part}" for part in self.nested], {}
+        keywords = {"": []}  # of the message's constructor, then of each nested object's
+        for at, (name, kind) in enumerate(self.fields):
+            if kind is _length:
+                continue
+            if isinstance(kind, _Array) and kind.count is None:
+                shared[at] = f"v{lengths[kind.counted_by or name]}"
+            if isinstance(name, tuple):  # a _flags entry: several attributes, one value
+                bind.append(f"v{at} = ({''.join(f'value.{flag}, ' for flag in name)})")
+                keywords[""] += [f"{flag}=v{at}[{bit}]" for bit, flag in enumerate(name)]
+            else:
+                part, _, attribute = name.rpartition(".")
+                bind.append(f"v{at} = {part or 'value'}.{attribute}")
+                keywords.setdefault(part, []).append(f"{attribute}=v{at}")
+        bind += [f"v{at} = len(v{values[name]})" for name, at in lengths.items()]
+        for part, nested_cls in self.nested.items():
+            env["new_" + part] = nested_cls
+            keywords[""].append(f"{part}=new_{part}({', '.join(keywords[part])})")
+        return bind, f"cls({', '.join(keywords[''])})", shared, self.head
 
-        self.build = build or from_attributes
-
-
-def _response(cls, result_cls, *extension):
-    """The table row of one response kind: the shared :data:`_RESPONSE`
-    layout, then the fields ``result_cls`` adds to :class:`QueryResult`
-    (in its declaration order).  The adapter nests and un-nests ``result``."""
-    extras = [name.partition(".")[2] for name, _ in extension]
-
-    def flatten(message):
-        m, r = message, message.result
-        envelope = (m.query_id, m.objects_shipped, m.round_trips, m.epoch)
-        answer = (r.timestamp, r.action, r.was_valid, len(r.knn), r.knn, r.knn_distances)
-        # A set has no order of its own: sorted, equal sets encode to equal bytes.
-        return envelope + answer + (sorted(r.guard_objects), *[getattr(r, n) for n in extras])
-
-    def build(row):
-        query_id, shipped, trips, epoch, timestamp, action, was_valid = row[:7]
-        _, knn, distances, guards, *extra = row[7:]
-        guards = frozenset(guards)
-        result = result_cls(timestamp, knn, distances, guards, action, was_valid, *extra)
-        return cls(query_id, result, shipped, trips, epoch)
-
-    return _Frame(cls, _RESPONSE + extension, flatten, build)
+    def timer(self, op: str):
+        """This frame's latency histogram for ``op``, kept on the row."""
+        handle = _obs_histogram("insq_codec_seconds", op=op, frame=self.name)
+        setattr(self, op + "_seconds", handle)
+        return handle
 
 
 # fmt: off
@@ -897,7 +1013,7 @@ _RESPONSE = (
     ("result.timestamp", _i32), ("result.action", _enum("update action", _ACTIONS)),
     ("result.was_valid", _bool), ("result.knn", _length), ("result.knn", _Array(None, _u32)),
     ("result.knn_distances", _Array(None, _f64, counted_by="result.knn")),
-    ("result.guard_objects", _u32s),
+    ("result.guard_objects", _Array(_u32, _u32, unordered=True)),
 )
 _QUERY_ID = (("query_id", _i32),)
 _OPEN = (("k", _u32), ("rho", _f64), ("position", _position), ("options", _options))
@@ -906,13 +1022,8 @@ _OPEN = (("k", _u32), ("rho", _f64), ("position", _position), ("options", _optio
 #: enum order are append-only: WALs and peers written by older builds must
 #: keep decoding (tests/transport/golden/ holds them to it).
 _FRAMES = {
-    0x01: _Frame(
-        PositionUpdate, (("query_id", _i32), ("position", _position)),
-        # query_id None (still registering) travels as -1.
-        flatten=lambda m: (-1 if m.query_id is None else m.query_id, m.position),
-        build=lambda row: PositionUpdate(None if row[0] < 0 else row[0], row[1]),
-    ),
-    0x02: _response(KNNResponse, QueryResult),
+    0x01: _Frame(PositionUpdate, (("query_id", _maybe_id), ("position", _position))),
+    0x02: _Frame(KNNResponse, _RESPONSE, result=QueryResult),
     0x03: _Frame(UpdateBatch, (
         ("inserts", _length), ("deletes", _length), ("moves", _length),
         ("inserts", _Array(None, _target)),
@@ -952,11 +1063,12 @@ _FRAMES = {
     )),
     0x14: _Frame(DeltaAck, (("epoch", _u32),)),
     0x15: _Frame(OpenQuery, (("kind", _string),) + _OPEN),
-    0x16: _response(InfluentialResponse, InfluentialResult, ("result.sites", _u32s)),
-    0x17: _response(
-        RegionEvent, RegionResult,
-        ("result.event", _enum("region event", _REGION_EVENTS)), ("result.departed", _u32s),
+    0x16: _Frame(
+        InfluentialResponse, _RESPONSE + (("result.sites", _u32s),), result=InfluentialResult
     ),
+    0x17: _Frame(RegionEvent, _RESPONSE + (
+        ("result.event", _enum("region event", _REGION_EVENTS)), ("result.departed", _u32s),
+    ), result=RegionResult),
     0x18: _Frame(MetricsRequest),
     0x19: _Frame(MetricsSnapshot, (
         ("counters", _Array(_u32, _string, _string, _u64)),
@@ -975,20 +1087,7 @@ _FRAMES = {
 _FRAME_OF_CLASS = {frame.cls: frame for frame in _FRAMES.values()}
 assert len(_FRAME_OF_CLASS) == len(_FRAMES)
 for _tag, _frame in _FRAMES.items():
-    _frame.tag = bytes((_tag,))
-
-# Per-frame-type codec latency histograms, cached here so the hot path
-# never re-derives a label key or touches the registry dict.
-_CODEC_HISTOGRAMS: Dict[Tuple[str, str], Histogram] = {}
-
-
-def _codec_histogram(op: str, frame: str) -> Histogram:
-    key = (op, frame)
-    hist = _CODEC_HISTOGRAMS.get(key)
-    if hist is None:
-        hist = _obs_histogram("insq_codec_seconds", op=op, frame=frame)
-        _CODEC_HISTOGRAMS[key] = hist
-    return hist
+    _frame.head = _tag
 
 
 # ----------------------------------------------------------------------
@@ -1005,33 +1104,29 @@ def encode(message: Any) -> bytes:
     if frame is None:
         raise TransportError(f"cannot encode message of type {type(message).__name__}")
     started = start_timer()
-    parts = [frame.tag]
     try:
-        frame.record.write(frame.flatten(message), parts)
-        body = b"".join(parts)
-        data = _LENGTH.pack(len(body)) + body
+        data = frame.pack(message)
     except (struct.error, OverflowError, TypeError, ValueError, AttributeError) as error:
         raise TransportError(
             f"field out of range or mistyped encoding {frame.name}: {error}"
         )
     if started is not None:
-        _codec_histogram("encode", frame.name).observe(_obs_clock() - started)
+        (frame.encode_seconds or frame.timer("encode")).observe(_obs_clock() - started)
     return data
 
 
-def _decode_body(body: bytes) -> Any:
+def _decode_body(body) -> Any:
     if not body:
         raise TransportError("empty frame body")
     frame = _FRAMES.get(body[0])
     if frame is None:
         raise TransportError(f"unknown frame type 0x{body[0]:02x}")
     started = start_timer()
-    row, end = frame.record.read(body, 1)
+    message, end = frame.unpack(body, 1)
     if end != len(body):
         raise TransportError(f"frame body has {len(body) - end} trailing bytes")
-    message = frame.build(row)
     if started is not None:
-        _codec_histogram("decode", frame.name).observe(_obs_clock() - started)
+        (frame.decode_seconds or frame.timer("decode")).observe(_obs_clock() - started)
     return message
 
 
@@ -1105,6 +1200,12 @@ class FrameReader:
         ``size`` is the frame's full wire size (length prefix included),
         so a transport can bill measured bytes per message.
         """
+        if not self._buffer and len(data) >= LENGTH_PREFIX_BYTES:
+            # Exactly one frame and nothing pending — every request and reply
+            # of a request/response peer: decode it where it lies.
+            (length,) = _LENGTH.unpack_from(data)
+            if len(data) - LENGTH_PREFIX_BYTES == length <= self._max_frame_bytes:
+                return [(_decode_body(memoryview(data)[LENGTH_PREFIX_BYTES:]), len(data))]
         self._buffer.extend(data)
         messages: List[Tuple[Any, int]] = []
         while True:

@@ -216,8 +216,7 @@ def serve_connection(
         engine.account_wire_bytes(query_id, downlink_bytes=wire_size(message))
         stream.send(message)
 
-    def reply_meta(message: Any) -> None:
-        stream.send(message)
+    reply_meta = stream.send
 
     try:
         while True:
@@ -227,7 +226,7 @@ def serve_connection(
             message, nbytes = received
             started = start_timer()
             try:
-                if isinstance(message, PositionUpdate):
+                if isinstance(message, (PositionUpdate, RefreshRequest)):
                     query_id = message.query_id
                     engine.account_wire_bytes(query_id, uplink_bytes=nbytes)
                     session = resolve(query_id)
@@ -238,28 +237,20 @@ def serve_connection(
                             f"query {query_id} is not a session of this connection"
                         )
                     with lock:
-                        response = session.update(message.position)
+                        if isinstance(message, PositionUpdate):
+                            response = session.update(message.position)
+                        else:
+                            response = session.refresh()
                         token = service.durability_token()
                     service.durability_barrier(token)
                     reply(response, query_id)
-                elif isinstance(message, RefreshRequest):
-                    query_id = message.query_id
-                    engine.account_wire_bytes(query_id, uplink_bytes=nbytes)
-                    session = resolve(query_id)
-                    if session is None:
-                        raise QueryError(
-                            f"query {query_id} is not a session of this connection"
-                        )
-                    with lock:
-                        response = session.refresh()
-                        token = service.durability_token()
-                    service.durability_barrier(token)
-                    reply(response, query_id)
-                elif isinstance(message, OpenSession):
+                elif isinstance(message, (OpenSession, OpenQuery)):
                     try:
                         with lock:
-                            session = service.open_session(
+                            # kind="knn" (an OpenSession) routes to open_session.
+                            session = service.open_query(
                                 message.position,
+                                kind=getattr(message, "kind", "knn"),
                                 k=message.k,
                                 rho=message.rho,
                                 **dict(message.options),
@@ -275,24 +266,6 @@ def serve_connection(
                     sessions[session.query_id] = session
                     # The open exchange is billed to the session it created,
                     # mirroring how registration messages are accounted.
-                    engine.account_wire_bytes(session.query_id, uplink_bytes=nbytes)
-                    reply(SessionOpened(query_id=session.query_id), session.query_id)
-                elif isinstance(message, OpenQuery):
-                    try:
-                        with lock:
-                            session = service.open_query(
-                                message.position,
-                                kind=message.kind,
-                                k=message.k,
-                                rho=message.rho,
-                                **dict(message.options),
-                            )
-                            token = service.durability_token()
-                    except ReproError:
-                        engine.account_wire_bytes(None, uplink_bytes=nbytes)
-                        raise
-                    service.durability_barrier(token)
-                    sessions[session.query_id] = session
                     engine.account_wire_bytes(session.query_id, uplink_bytes=nbytes)
                     reply(SessionOpened(query_id=session.query_id), session.query_id)
                 elif isinstance(message, CloseSession):
@@ -421,7 +394,71 @@ def serve_connection(
         stream.close()
 
 
-class KNNServer:
+class _Listener:
+    """The socket lifecycle both listeners share: an accept thread that hands
+    every connection (a :class:`MessageStream`) to ``_serve`` on its own
+    daemon thread, and a :meth:`stop` that drops them all."""
+
+    _listener: Optional[socket.socket] = None
+    _running = False
+
+    def _listen(self, listener: socket.socket, name: str) -> None:
+        """Start accepting on ``listener`` (bound and listening)."""
+        self._listener, self._running = listener, True
+        self._state_lock = threading.Lock()
+        self._streams: List[MessageStream] = []
+        self._threads: List[threading.Thread] = []
+        self._accept_thread = threading.Thread(
+            target=self._accept_loop, args=(name,), name=f"{name}-accept", daemon=True
+        )
+        self._accept_thread.start()
+
+    def _accept_loop(self, name: str) -> None:
+        while self._running:
+            try:
+                sock, _ = self._listener.accept()
+            except OSError:
+                return  # listener closed by stop()
+            if sock.family != socket.AF_UNIX:
+                # Latency over throughput, like connect(): replies are small
+                # frames, and a pipelining client must not wait out Nagle.
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            stream = MessageStream(sock)
+            thread = threading.Thread(
+                target=self._serve, args=(stream,), name=f"{name}-conn", daemon=True
+            )
+            with self._state_lock:
+                self._streams.append(stream)
+                self._threads.append(thread)
+            thread.start()
+
+    def stop(self) -> None:
+        """Stop accepting, drop every connection, join the threads."""
+        if not self._running:
+            return
+        self._running = False
+        try:
+            # close() alone does not wake a thread blocked in accept();
+            # shutdown() does (accept returns with an error immediately).
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
+            self._listener.close()
+        except OSError:
+            pass
+        self._accept_thread.join(timeout=5.0)
+        with self._state_lock:
+            streams, threads = list(self._streams), list(self._threads)
+            self._streams.clear()
+            self._threads.clear()
+        for stream in streams:
+            stream.close()
+        for thread in threads:
+            thread.join(timeout=5.0)
+
+
+class KNNServer(_Listener):
     """Serve one :class:`~repro.service.service.KNNService` over sockets.
 
     Args:
@@ -468,14 +505,8 @@ class KNNServer:
             if adopt_sessions
             else {}
         )
-        self._listener: Optional[socket.socket] = None
-        self._accept_thread: Optional[threading.Thread] = None
-        self._connection_threads: List[threading.Thread] = []
-        self._streams: List[MessageStream] = []
-        self._state_lock = threading.Lock()
         self._service_lock = threading.RLock()
         self._draining = threading.Event()
-        self._running = False
 
     # ------------------------------------------------------------------
     # Introspection
@@ -550,71 +581,22 @@ class KNNServer:
                     f"cannot bind {self._host}:{self._port}: {error}"
                 )
         listener.listen(self._backlog)
-        self._listener = listener
-        self._running = True
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="knn-server-accept", daemon=True
-        )
-        self._accept_thread.start()
+        self._listen(listener, "knn-server")
         return self
 
-    def _accept_loop(self) -> None:
-        while self._running:
-            try:
-                sock, _ = self._listener.accept()
-            except OSError:
-                return  # listener closed by stop()
-            stream = MessageStream(sock)
-            thread = threading.Thread(
-                target=serve_connection,
-                args=(
-                    self._service,
-                    stream,
-                    self._service_lock,
-                    None,
-                    self._orphans,
-                    self._draining,
-                ),
-                name="knn-server-conn",
-                daemon=True,
-            )
-            with self._state_lock:
-                self._streams.append(stream)
-                self._connection_threads.append(thread)
-            thread.start()
+    def _serve(self, stream: MessageStream) -> None:
+        serve_connection(
+            self._service, stream, self._service_lock, None, self._orphans, self._draining
+        )
 
     def stop(self) -> None:
         """Stop accepting, drop every connection, join the threads."""
-        if not self._running:
-            return
-        self._running = False
-        if self._listener is not None:
+        if self._running and self._path is not None:
             try:
-                # close() alone does not wake a thread blocked in accept();
-                # shutdown() does (accept returns with an error immediately).
-                self._listener.shutdown(socket.SHUT_RDWR)
+                os.unlink(self._path)
             except OSError:
                 pass
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-            if self._path is not None:
-                try:
-                    os.unlink(self._path)
-                except OSError:
-                    pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5.0)
-        with self._state_lock:
-            streams = list(self._streams)
-            threads = list(self._connection_threads)
-            self._streams.clear()
-            self._connection_threads.clear()
-        for stream in streams:
-            stream.close()
-        for thread in threads:
-            thread.join(timeout=5.0)
+        super().stop()
 
     def drain(self) -> None:
         """Graceful shutdown with zero session loss.
@@ -645,7 +627,7 @@ class KNNServer:
         self.stop()
 
 
-class MetricsListener:
+class MetricsListener(_Listener):
     """A tiny codec-speaking stats endpoint for ``insq stats``.
 
     Answers each :class:`~repro.transport.codec.MetricsRequest` frame with
@@ -675,39 +657,13 @@ class MetricsListener:
             listener.close()
             raise TransportError(f"cannot bind {host}:{port}: {error}")
         listener.listen(8)
-        self._listener = listener
-        self._running = True
-        self._state_lock = threading.Lock()
-        self._streams: List[MessageStream] = []
-        self._threads: List[threading.Thread] = []
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="insq-stats-accept", daemon=True
-        )
-        self._accept_thread.start()
+        self._listen(listener, "insq-stats")
 
     @property
     def address(self) -> Tuple[str, int]:
         """The bound ``(host, port)`` endpoint."""
         bound = self._listener.getsockname()
         return (bound[0], bound[1])
-
-    def _accept_loop(self) -> None:
-        while self._running:
-            try:
-                sock, _ = self._listener.accept()
-            except OSError:
-                return  # listener closed by stop()
-            stream = MessageStream(sock)
-            thread = threading.Thread(
-                target=self._serve,
-                args=(stream,),
-                name="insq-stats-conn",
-                daemon=True,
-            )
-            with self._state_lock:
-                self._streams.append(stream)
-                self._threads.append(thread)
-            thread.start()
 
     def _serve(self, stream: MessageStream) -> None:
         try:
@@ -735,30 +691,6 @@ class MetricsListener:
             pass  # connection dropped; nothing to clean beyond the stream
         finally:
             stream.close()
-
-    def stop(self) -> None:
-        """Stop accepting, drop every connection, join the threads."""
-        if not self._running:
-            return
-        self._running = False
-        try:
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        self._accept_thread.join(timeout=5.0)
-        with self._state_lock:
-            streams = list(self._streams)
-            threads = list(self._threads)
-            self._streams.clear()
-            self._threads.clear()
-        for stream in streams:
-            stream.close()
-        for thread in threads:
-            thread.join(timeout=5.0)
 
     def __enter__(self) -> "MetricsListener":
         return self

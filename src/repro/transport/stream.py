@@ -41,6 +41,7 @@ class MessageStream:
         self._inbox: Deque[Tuple[Any, int]] = deque()
         self._send_lock = threading.Lock()
         self._closed = False
+        self._timeout = sock.gettimeout()  # what the socket is set to now
 
     @property
     def closed(self) -> bool:
@@ -71,12 +72,16 @@ class MessageStream:
                 ``None`` blocks forever.  On expiry raises
                 :class:`~repro.errors.RequestTimeout` with the connection
                 (and any partially-read frame) intact — the message may
-                still arrive on a later receive.
+                still arrive on a later receive.  The socket keeps the
+                value until a receive asks for another one (a request /
+                response client asks for the same one every time), so it
+                also bounds the sends in between.
         """
         while not self._inbox:
-            if timeout is not None:
-                self._socket.settimeout(timeout)
             try:
+                if timeout != self._timeout:
+                    self._socket.settimeout(timeout)
+                    self._timeout = timeout
                 chunk = self._socket.recv(_RECV_BYTES)
             except socket.timeout:
                 # Must precede OSError (socket.timeout subclasses it):
@@ -88,12 +93,6 @@ class MessageStream:
                 # A socket closed locally (shutdown) reads as EOF, not as
                 # an error: the owner decided to stop this connection.
                 chunk = b""
-            finally:
-                if timeout is not None and not self._closed:
-                    try:
-                        self._socket.settimeout(None)
-                    except OSError:
-                        pass
             if not chunk:
                 if self._reader.pending_bytes:
                     raise ConnectionLost("connection closed mid-frame")

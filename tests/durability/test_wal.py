@@ -17,7 +17,7 @@ from repro.errors import ConfigurationError, WALCorruptError
 from repro.geometry.point import Point
 from repro.service.messages import PositionUpdate, UpdateBatch
 from repro.testing import flip_byte, truncate_file
-from repro.transport.codec import CloseSession, OpenSession, RefreshRequest
+from repro.transport.codec import CloseSession, OpenSession, RefreshRequest, encode
 
 try:
     from hypothesis import given, settings
@@ -55,6 +55,9 @@ class TestRoundTrip:
         assert [record.seq for record in scan.records] == [1, 2, 3, 4, 5]
         assert scan.torn_bytes == 0
         assert scan.valid_bytes == os.path.getsize(path)
+        # The header's length field is the logged frame's wire size: replay
+        # bills from it instead of encoding every message again.
+        assert [record.size for record in scan.records] == [len(encode(m)) for m in messages]
 
     def test_reopen_resumes_sequence(self, tmp_path):
         path = str(tmp_path / "wal.log")

@@ -349,6 +349,32 @@ class TestRoundTrip:
         assert decode(encode(region)).event == "enter"
         assert decode(encode(region)).departed == (6,)
 
+    def test_every_shape_round_trips(self):
+        """A compiled codec keeps one plan per shape, so sweep the shapes:
+        every (k, guards) in 0…300 x {0, 1, 7, 300} with both position arms
+        riding along — first upwards, then downwards, which takes the plan
+        cache past its cap, through a restart and back over shapes it has
+        held before (``test_codec_fuzz.py`` watches the cache itself)."""
+        shapes = [(k, guards) for k in range(301) for guards in (0, 1, 7, 300)]
+        positions = (Point(1.5, -2.5), NetworkLocation(7, 0.25))
+        for k, guards in shapes + shapes[::-1]:
+            result = QueryResult(
+                timestamp=k,
+                knn=tuple(range(k)),
+                knn_distances=tuple(0.5 * i for i in range(k)),
+                guard_objects=frozenset(range(1000, 1000 + guards)),
+                action=UpdateAction.INCREMENTAL,
+                was_valid=False,
+            )
+            response = KNNResponse(
+                query_id=k, result=result, objects_shipped=guards, round_trips=1, epoch=3
+            )
+            update = PositionUpdate(query_id=k or None, position=positions[k % 2])
+            for message in (response, update):
+                frame = encode(message)
+                assert decode(frame) == message
+                assert len(frame) == wire_size(message)
+
     @pytest.mark.parametrize("stats_cls", [CommunicationStats, ProcessorStats])
     def test_stats_frames_carry_every_dataclass_field(self, stats_cls):
         """The stats layouts are derived from ``dataclasses.fields``: every
@@ -400,6 +426,42 @@ class TestFraming:
         assert [m for m, _ in decoded] == messages
         assert [n for _, n in decoded] == [wire_size(m) for m in messages]
         assert reader.pending_bytes == 0
+
+    def test_every_split_of_three_frames_reads_like_the_whole(self):
+        """Cut a three-frame stream at every pair of offsets — chunks that are
+        exactly one frame (decoded where they lie), that end inside a length
+        prefix, that carry one frame and a half — and the reader yields what
+        it yields when fed the stream whole, with the same bytes pending."""
+        messages = [
+            PositionUpdate(query_id=1, position=Point(3.0, 4.0)),
+            SessionOpened(query_id=1),
+            ErrorMessage(kind="query", message="päivää"),
+        ]
+        frames = [encode(message) for message in messages]
+        stream = b"".join(frames)
+        whole = FrameReader().feed(stream)
+        assert whole == [(m, len(f)) for m, f in zip(messages, frames)]
+        for first in range(len(stream) + 1):
+            for second in range(first, len(stream) + 1):
+                reader, decoded = FrameReader(), []
+                for chunk in (stream[:first], stream[first:second], stream[second:]):
+                    decoded += reader.feed(chunk)
+                assert decoded == whole, (first, second)
+                assert reader.pending_bytes == 0
+        # A stream that stops short keeps the same remainder pending either way.
+        for cut in range(len(stream)):
+            reader = FrameReader()
+            decoded = reader.feed(stream[:cut])
+            boundaries = [0, len(frames[0]), len(frames[0]) + len(frames[1])]
+            complete = max(edge for edge in boundaries if edge <= cut)
+            assert decoded == whole[: boundaries.index(complete)]
+            assert reader.pending_bytes == cut - complete
+
+    def test_oversized_frame_raises_where_it_lies_too(self):
+        frame = encode(PositionUpdate(query_id=1, position=Point(3.0, 4.0)))
+        with pytest.raises(TransportError, match="exceeds the limit"):
+            FrameReader(max_frame_bytes=len(frame) - 5).feed(frame)  # exactly one frame
+        assert FrameReader(max_frame_bytes=len(frame) - 4).feed(frame)
 
     def test_single_feed_of_everything_at_once(self):
         messages = [

@@ -14,7 +14,12 @@ import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 
+import pytest
+
+from repro.core.objects import QueryResult, UpdateAction
 from repro.errors import TransportError
+from repro.service.messages import KNNResponse
+from repro.transport import codec
 from repro.transport.codec import FrameReader, LENGTH_PREFIX_BYTES, decode, encode
 
 from test_golden_corpus import FRAMES
@@ -102,3 +107,55 @@ class TestDamagedGoldenFrames:
                         assert peak - before < 1 << 20, (frame.hex(), offset, width)
         finally:
             tracemalloc.stop()
+
+
+def knn_response(knn, distances, guards=(5, 6)):
+    result = QueryResult(3, knn, distances, frozenset(guards), UpdateAction.NONE, True)
+    return KNNResponse(query_id=1, result=result, objects_shipped=0, round_trips=0, epoch=2)
+
+
+class TestPlanCache:
+    """Plans are kept per shape, so shapes must be earned: only a count that
+    fits the bytes behind it may reach the cache."""
+
+    def test_forged_shapes_never_reach_the_plan_cache(self):
+        """10 000 distinct forged (k, guards) heads — each count in turn far
+        beyond the body — cost an error each: no plan, no memory."""
+        frame = encode(knn_response((1, 2), (0.5, 1.5)))
+        decode(frame)  # the honest shape is cached now
+        k_at = PREFIX + 1 + 16 + 4 + 1 + 1
+        guards_at = k_at + 4 + 2 * (4 + 8)
+        held = dict(codec._PLANS)
+        assert 0 < len(held) <= codec.PLAN_CACHE_CAP
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for forged in range(10_000):
+                damaged = bytearray(frame)
+                at = k_at if forged % 2 else guards_at
+                damaged[at : at + 4] = struct.pack("!I", 3 + forged)
+                with pytest.raises(TransportError):
+                    decode(bytes(damaged))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert codec._PLANS == held
+        assert peak - before < 1 << 20
+
+    def test_honest_shapes_fill_the_cache_to_its_cap_and_no_further(self):
+        """More distinct shapes than the cap holds: the cache starts over
+        instead of growing, and shapes it dropped simply compile again."""
+        restarts, held = 0, len(codec._PLANS)
+        for size in [*range(codec.PLAN_CACHE_CAP), *range(codec.PLAN_CACHE_CAP, -1, -1)]:
+            message = knn_response(tuple(range(size)), tuple(map(float, range(size))))
+            assert decode(encode(message)) == message
+            assert len(codec._PLANS) <= codec.PLAN_CACHE_CAP
+            restarts += len(codec._PLANS) < held
+            held = len(codec._PLANS)
+        assert restarts >= 2  # two plans per size, each way: the cap was crossed twice over
+
+    def test_arrays_that_disagree_on_their_shared_count_do_not_encode(self):
+        with pytest.raises(TransportError):
+            encode(knn_response((1, 2, 3), (0.5, 1.5)))
+        with pytest.raises(TransportError):
+            encode(knn_response((1,), (0.5, 1.5)))

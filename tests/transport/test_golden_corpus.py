@@ -4,6 +4,10 @@
 and one small durability directory, both written by the hand-written codec
 that preceded the declarative frame table (see ``golden/generate.py``).
 A codec change that alters any byte here breaks old WALs and old peers.
+``shapes.json`` (see ``golden/generate_shapes.py``) adds frames at the
+shapes a compiled codec keys its plans on — lengths 0, 1, 255, 256 and 300,
+both arms of every union — written by the interpreting codec of commit
+``cc512e6`` before the frame table was compiled (PR 20).
 """
 
 import json
@@ -21,9 +25,9 @@ from repro.transport.codec import decode, encode, wire_size
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
-def golden_frames():
-    """The corpus as ``(name, frame bytes, recorded repr)`` triples."""
-    with open(os.path.join(GOLDEN, "frames.json")) as handle:
+def golden_frames(corpus="frames.json"):
+    """One corpus as ``(name, frame bytes, recorded repr)`` triples."""
+    with open(os.path.join(GOLDEN, corpus)) as handle:
         return [
             (record["name"], bytes.fromhex(record["hex"]), record["repr"])
             for record in json.load(handle)
@@ -31,14 +35,23 @@ def golden_frames():
 
 
 FRAMES = golden_frames()
+SHAPES = golden_frames("shapes.json")
 
 
 def test_corpus_covers_every_frame_type():
     assert {frame[4] for _, frame, _ in FRAMES} == set(range(0x01, 0x1A))
 
 
+def test_shape_corpus_reaches_both_sides_of_a_one_byte_count():
+    lengths = {len(frame) for name, frame, _ in SHAPES if name.startswith("knn_response")}
+    assert len(lengths) == 12  # k in {0, 1, 255, 256} x guards in {0, 1, 300}: all distinct
+    assert max(lengths) == 4 + 1 + 26 + 256 * 12 + 4 + 300 * 4
+
+
 @pytest.mark.parametrize(
-    "frame, recorded", [frame[1:] for frame in FRAMES], ids=[frame[0] for frame in FRAMES]
+    "frame, recorded",
+    [frame[1:] for frame in FRAMES + SHAPES],
+    ids=[frame[0] for frame in FRAMES + SHAPES],
 )
 def test_golden_frame_is_reproduced_exactly(frame, recorded):
     message = decode(frame)

@@ -1,14 +1,17 @@
 """Behavioural tests for KNNServer / RemoteService over real sockets."""
 
+import socket
 import threading
 
 import pytest
 
-from repro.errors import ConfigurationError, QueryError, TransportError
+from repro.errors import ConfigurationError, QueryError, RequestTimeout, TransportError
 from repro.geometry.point import Point
 from repro.service import KNNService, UpdateBatch, open_service
 from repro.service.session import Session
 from repro.transport import KNNServer, RemoteSession, connect, parse_endpoint
+from repro.transport.codec import RefreshRequest, SessionOpened, encode
+from repro.transport.stream import MessageStream
 from repro.workloads.datasets import uniform_points
 
 
@@ -80,6 +83,79 @@ class TestUnixDomain:
         with pytest.raises(TransportError, match="cannot bind"):
             KNNServer(service, path=str(path)).start()
         assert path.read_text() == "precious data"
+
+
+class TestAcceptedSockets:
+    def accepted(self, server, remote):
+        remote.active_object_indexes()  # a round trip: the connection is being served
+        (stream,) = server._streams
+        return stream._socket
+
+    def test_tcp_connections_are_accepted_with_nagle_off(self, server):
+        """A pipelining client sends small frames back to back; with Nagle on
+        at the server each reply waits for the previous one's delayed ACK."""
+        with connect(server.address) as remote:
+            accepted = self.accepted(server, remote)
+            assert accepted.family == socket.AF_INET
+            assert accepted.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+
+    def test_unix_domain_connections_are_left_alone(self, service, tmp_path):
+        with KNNServer(service, path=str(tmp_path / "insq.sock")) as server:
+            with connect(server.address) as remote:
+                assert self.accepted(server, remote).family == socket.AF_UNIX
+
+
+class ScriptedSocket:
+    """A socket that replays scripted reads and counts ``settimeout`` calls;
+    a ``None`` in the script is a read that times out."""
+
+    def __init__(self, *reads):
+        self.reads, self.timeout, self.settimeout_calls = list(reads), None, []
+
+    def gettimeout(self):
+        return self.timeout
+
+    def settimeout(self, value):
+        self.settimeout_calls.append(value)
+        self.timeout = value
+
+    def recv(self, size):
+        chunk = self.reads.pop(0)
+        if chunk is None:
+            raise socket.timeout("timed out")
+        return chunk
+
+
+class TestReceiveTimeout:
+    def test_the_socket_is_re_armed_only_when_the_timeout_changes(self):
+        frame = encode(RefreshRequest(query_id=4))
+        scripted = ScriptedSocket(*[frame] * 6)
+        stream = MessageStream(scripted)
+        for _ in range(3):
+            assert stream.receive(timeout=2.0) == (RefreshRequest(query_id=4), len(frame))
+        assert scripted.settimeout_calls == [2.0]
+        stream.receive(timeout=0.5)
+        stream.receive(timeout=0.5)
+        assert scripted.settimeout_calls == [2.0, 0.5]
+        stream.receive()  # back to blocking: the socket must hear about it
+        assert scripted.settimeout_calls == [2.0, 0.5, None]
+
+    def test_a_blocking_stream_never_touches_the_timeout(self):
+        frame = encode(SessionOpened(query_id=1))
+        scripted = ScriptedSocket(frame, frame)
+        stream = MessageStream(scripted)
+        stream.receive()
+        stream.receive(timeout=None)
+        assert scripted.settimeout_calls == []
+
+    def test_expiry_keeps_the_partial_frame_for_the_next_receive(self):
+        frame = encode(RefreshRequest(query_id=9))
+        scripted = ScriptedSocket(frame[:6], None, frame[6:])
+        stream = MessageStream(scripted)
+        with pytest.raises(RequestTimeout):
+            stream.receive(timeout=0.25)
+        assert stream.receive(timeout=0.25) == (RefreshRequest(query_id=9), len(frame))
+        assert scripted.settimeout_calls == [0.25]
 
 
 class TestRemoteSessions:
