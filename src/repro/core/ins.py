@@ -16,8 +16,8 @@ index, one retrieval, the distances to the held objects and a tie rule.
 2. **Validation** (Section III-A).  At every new position the client finds
    the farthest current kNN member (``r.delete``) and the nearest guard
    object (``r.candidate``).  The kNN set is still valid while ``r.delete``
-   is nearer than ``r.candidate`` — one distance evaluation per held
-   object, linear in k.
+   is nearer than ``r.candidate`` — which asks whether a guard is nearer
+   than the answer, never how far each guard is (see the contract below).
 
 3. **Update** (Section III-B).  When validation fails the client first tries
    to recompose the kNN set from the prefetched set ``R`` alone (case (ii),
@@ -31,8 +31,21 @@ index, one retrieval, the distances to the held objects and a tie rule.
 **The tie rule** is where the metrics differ.  The plane's triangulation
 splits degenerate input by a jitter, so there a tie is never a certificate
 (strict ``<``, as in retrieval); the network diagram is exact and ties are
-everyday on a grid, so there ``<=`` holds — of finite distances: an object
-the restricted search cannot reach reads ``inf``.
+everyday on a grid, so there ``<=`` holds — of finite distances only.
+
+**The held-distance contract.**  ``_held_distances`` is exact for every held
+object no farther than D, the farthest current kNN member — ties at D
+included — and may read ``inf`` beyond.  The plane returns them all (one
+``hypot`` each is cheaper than deciding); a network search settles in
+distance order, so it stops after the ties at D.  No verdict can tell.
+*Validation* compares D with the nearest guard: a guard at ``inf`` in place
+of its true d > D cannot flip that.  *Recomposition* ranks R by ``(distance,
+index)``: kNN ⊆ R gives at least k entries ≤ D, so the top k and
+``farthest`` ≤ D are exact — a member tied *at* D included, which keeps the
+``index`` tie-break — and every ``inf`` stands for a distance > D, so the
+certificate agrees.  The *retrieval hint* is R's nearest member, exact.  A
+kNN member that itself reads ``inf`` (unreachable inside a road region) has
+exhausted the search: every reachable held object is exact, D is ``inf``.
 
 **Data-object updates** arrive through ``notify_data_update`` (the serving
 engine pushes the shared index's repair deltas).  Nothing is reconstructed
@@ -157,11 +170,12 @@ class InfluentialSetProcessor(MovingKNNProcessor[PositionT]):
 
     @abc.abstractmethod
     def _held_distances(self, position: PositionT) -> List[float]:
-        """Distances to every held object, in ``_held`` order (counted)."""
+        """Distances in ``_held`` order (counted): exact up to the farthest
+        current kNN member, ties included; exact or ``inf`` beyond it."""
 
+    @abc.abstractmethod
     def _knn_distances(self, position: PositionT) -> Sequence[float]:
         """Distances reported with a freshly retrieved answer."""
-        return self._held_distances(position)[: self._k]
 
     def _held_changed(self, pool_changed: bool) -> None:
         """Re-derive what the metric keeps beside ``_held`` (on a local

@@ -8,30 +8,32 @@ unchanged.  This module is what the network supplies:
 
 * the index: a :class:`~repro.roadnet.network_voronoi.NetworkVoronoiDiagram`,
   and one :func:`~repro.roadnet.knn.network_knn` per server round trip;
-* the held distances: shortest-path distances, so validation is no longer
-  arithmetic per object but one search from the query location.  Theorem 2
-  allows that search to be restricted to the edges of the Voronoi cells of
-  the held pool, which bounds it independently of the network size.  It is
-  applied as a restriction *of the search*: the processor holds that region
-  as a set of edge ids — refreshed where the pool changes, never on a local
-  reorder — and the Dijkstra skips every edge outside it, on the shared
-  network; nothing is copied or re-identified;
-* the tie rule: ``<=`` — the network diagram is exact, and on a grid ties
-  are the normal case.
+* the held distances: shortest-path distances, so validation is one search
+  from the query location, not arithmetic per object.  Its radius is the
+  farthest current kNN member's — it runs through the ties there and stops,
+  and a held object beyond reads ``inf`` (the held-distance contract of
+  :mod:`repro.core.ins`, with the argument that no verdict can move).
+  Theorem 2 restricts it further, to the edges of the Voronoi cells of the
+  held pool: the processor holds that region as a set of edge ids —
+  refreshed where the pool changes, never on a local reorder — and the
+  Dijkstra skips every edge outside it, on the shared network;
+* the tie rule: ``<=`` (the network diagram is exact; a grid is full of ties).
 
-Besides that ``restricted`` mode (the paper's, the default) there is
-``exact``: distances are computed on the full network with a targeted
-Dijkstra that stops when every held object is settled.  The tests use it as
-a cross-check and it is also a fair "no Theorem 2" ablation.
+``exact`` mode runs the same search on the full network: the tests'
+cross-check and a fair "no Theorem 2" ablation of the default, ``restricted``.
 
-A timestamp costs one search: a local reorder changes neither the position
-nor the held set, so it reports from the distances the validation computed;
-only a retrieval (new R, new I(R)) searches again.
+A timestamp costs one search: a local reorder reports from the distances
+the validation computed, a retrieval from those its own expansion found.
+``insq_road_validation_fallbacks_total`` names the two slow paths by reason:
+``escaped`` (the query's edge left the region: the whole network is
+searched) and ``unreachable`` (a kNN member reads ``inf`` inside the region:
+the search exhausts it, and the answer is recomposed or retrieved).
 """
 
 from __future__ import annotations
 
 import operator
+from math import inf
 from typing import List, Optional, Sequence, Set
 
 from repro.errors import ConfigurationError
@@ -43,7 +45,8 @@ from repro.roadnet.location import NetworkLocation
 from repro.roadnet.network_voronoi import NetworkVoronoiDiagram
 from repro.roadnet.shortest_path import SearchStats
 
-_VALIDATION_FALLBACKS = _obs_counter("insq_road_validation_fallbacks_total")
+_ESCAPED = _obs_counter("insq_road_validation_fallbacks_total", reason="escaped")
+_UNREACHABLE = _obs_counter("insq_road_validation_fallbacks_total", reason="unreachable")
 
 
 class INSRoadProcessor(InfluentialSetProcessor[NetworkLocation]):
@@ -123,35 +126,38 @@ class INSRoadProcessor(InfluentialSetProcessor[NetworkLocation]):
             objects_at_vertex=self._index.vertex_objects(),
         )
         self._stats.settled_vertices += self._search_stats.settled_vertices - before
+        self._fetched = [distance for _, distance in nearest]
         members = [index for index, _ in nearest]
         return members, self._index.influential_neighbor_set(members)
 
-    def _held_distances(self, position: NetworkLocation) -> List[float]:
-        """Network distances from ``position`` to every held object.
+    def _knn_distances(self, position: NetworkLocation) -> Sequence[float]:
+        # Billed as the evaluation of the fresh pool it stands in for.
+        self._stats.distance_computations += len(self._held)
+        return self._fetched[: self._k]
 
-        In ``restricted`` mode the search is confined to the Theorem 2
-        region; when the query location's edge is not part of it (the query
-        escaped the region entirely between timestamps) this evaluation
-        searches the full network instead — the one silent slow path here,
-        counted by ``insq_road_validation_fallbacks_total``.
-        """
+    def _held_distances(self, position: NetworkLocation) -> List[float]:
+        """One answer-bounded search, in the Theorem 2 region unless the query left it."""
         region = self._region
         if region is not None and position.edge_id not in region:
-            _VALIDATION_FALLBACKS.inc()
+            _ESCAPED.inc()
             region = None
         before = self._search_stats.settled_vertices
-        distances = object_distances_from_location(
-            self._network,
-            self._object_vertices,
-            position,
-            self._held,
-            stats=self._search_stats,
-            within=region,
+        distances = list(
+            object_distances_from_location(
+                self._network,
+                self._object_vertices,
+                position,
+                self._held,
+                stats=self._search_stats,
+                within=region,
+                required=self._k,
+            ).values()  # keyed in the order asked for, which is ``_held``'s
         )
         self._stats.settled_vertices += self._search_stats.settled_vertices - before
-        self._stats.distance_computations += len(self._held)
-        # Keyed in the order asked for, which is ``_held``'s.
-        return list(distances.values())
+        self._stats.distance_computations += len(distances)
+        if max(distances[: self._k]) == inf:
+            _UNREACHABLE.inc()
+        return distances
 
     def _held_changed(self, pool_changed: bool) -> None:
         if pool_changed and self._validation_mode == "restricted":

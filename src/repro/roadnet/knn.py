@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import AbstractSet, Collection, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.errors import QueryError, RoadNetworkError
+from repro.errors import QueryError
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.location import NetworkLocation
 from repro.roadnet.shortest_path import SearchStats, distances_from_location
@@ -114,9 +114,6 @@ def network_knn_from_vertex(
     objects_at_vertex: Optional[Mapping[int, Sequence[int]]] = None,
 ) -> List[Tuple[int, float]]:
     """Network kNN where the query sits exactly on a vertex."""
-    incident = network.incident_edges(source_vertex)
-    if not incident:
-        raise RoadNetworkError(f"vertex {source_vertex} has no incident edges")
     location = NetworkLocation.at_vertex(network, source_vertex)
     return network_knn(network, object_vertices, location, k, stats, objects_at_vertex)
 
@@ -125,38 +122,26 @@ def object_distances_from_location(
     network: RoadNetwork,
     object_vertices: Sequence[int],
     location: NetworkLocation,
-    object_indexes: Collection[int],
+    object_indexes: Sequence[int],
     stats: Optional[SearchStats] = None,
     within: Optional[AbstractSet[int]] = None,
+    required: Optional[int] = None,
 ) -> Dict[int, float]:
     """Network distances from the query location to specific objects.
 
-    One search that stops once every listed object's vertex is settled.
-    ``within`` restricts it to a set of edge ids — the Theorem 2 region, see
-    :func:`~repro.roadnet.shortest_path.distances_from_location`; the query
-    location must lie on one of them.  An object whose vertex touches no
-    edge of the region is not a search target (the search would otherwise
-    exhaust the region looking for it).
+    One search whose targets are the vertices of the first ``required``
+    listed objects (default: all), under the stop rule of
+    :func:`~repro.roadnet.shortest_path.distances_from_location`; ``within``
+    restricts it to a set of edge ids (the Theorem 2 region), one of which
+    the query location must lie on.
 
     Returns:
-        Mapping ``object_index -> distance``.  Objects unreachable in the
-        (possibly restricted) network get distance ``inf``.
+        Mapping ``object_index -> distance``: exact for every listed object
+        no farther than the farthest required one, ``inf`` for the rest —
+        beyond that radius, or unreachable in the (restricted) network.
     """
     vertices = [object_vertices[index] for index in object_indexes]
-    targets = set(vertices)
-    if within is not None:
-        # Plain loops on purpose: this runs on every timestamp of every
-        # session, and any() over a generator per vertex costs 4x as much.
-        for vertex in tuple(targets):
-            for _, _, edge_id in network.neighbors(vertex):
-                if edge_id in within:
-                    break
-            else:
-                targets.discard(vertex)
-    vertex_distances = distances_from_location(
-        network, location, targets=targets, stats=stats, within=within
-    )
-    return {
-        index: vertex_distances.get(vertex, math.inf)
-        for index, vertex in zip(object_indexes, vertices)
-    }
+    settled = distances_from_location(
+        network, location, targets=vertices[:required], stats=stats, within=within
+    ).get
+    return {index: settled(vertex, math.inf) for index, vertex in zip(object_indexes, vertices)}

@@ -29,19 +29,20 @@ class NetworkLocation:
     offset: float
 
     def validated(self, network: RoadNetwork) -> "NetworkLocation":
-        """Return this location after checking it against ``network``.
+        """Return this location checked against ``network`` (itself, unless clamped).
 
         Raises:
             RoadNetworkError: when the edge does not exist or the offset is
                 outside ``[0, length]``.
         """
         edge = network.edge(self.edge_id)
+        if 0.0 <= self.offset <= edge.length:
+            return self
         if self.offset < -1e-9 or self.offset > edge.length + 1e-9:
             raise RoadNetworkError(
                 f"offset {self.offset} outside [0, {edge.length}] on edge {self.edge_id}"
             )
-        clamped = min(max(self.offset, 0.0), edge.length)
-        return NetworkLocation(self.edge_id, clamped)
+        return NetworkLocation(self.edge_id, min(max(self.offset, 0.0), edge.length))
 
     def endpoint_distances(self, network: RoadNetwork) -> Tuple[int, float, int, float]:
         """Distances to the two endpoints of the edge.

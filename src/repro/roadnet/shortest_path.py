@@ -9,9 +9,8 @@ module:
 * :func:`multi_source_dijkstra` — distances from the nearest of several
   sources together with the identity of that source; this is exactly the
   computation that yields the network Voronoi diagram.
-* :func:`distances_from_location` — distances from a point on an edge
-  (the moving query object) to every vertex, optionally restricted to a set
-  of edges (Theorem 2).
+* :func:`distances_from_location` — distances from a point on an edge (the
+  moving query object), optionally restricted to a set of edges (Theorem 2).
 * :func:`shortest_path_distance` — vertex-to-vertex distance.
 
 Theorem 2 — validating a kNN answer only needs the Voronoi cells of the held
@@ -51,12 +50,6 @@ class SearchStats:
         self.searches += 1
         self.settled_vertices += settled
         self.relaxed_edges += relaxed
-
-    def merge(self, other: "SearchStats") -> None:
-        """Accumulate another stats object into this one."""
-        self.settled_vertices += other.settled_vertices
-        self.relaxed_edges += other.relaxed_edges
-        self.searches += other.searches
 
 
 def dijkstra(
@@ -170,14 +163,15 @@ def distances_from_location(
 ) -> Dict[int, float]:
     """Network distances from an on-edge location to vertices.
 
-    The location is expanded through both endpoints of its edge.  When
-    ``targets`` is given the search stops as soon as every target has been
-    settled, which is what the localized validation of Theorem 2 relies on.
+    The location is expanded through both endpoints of its edge.  With
+    ``targets`` the distance at which the last of them settles becomes the
+    search's radius: the vertices tied at it are still settled and the first
+    pop beyond it stops the search, so whatever the result lacks is farther
+    than every target.  A target the search cannot reach exhausts it.
 
     ``within`` restricts the search to a set of edge ids (the Theorem 2
     region): edges outside it are never relaxed, so a vertex that no region
-    edge reaches is missing from the result.  The location's own edge must
-    belong to the set.
+    edge reaches is missing from the result.
 
     Returns:
         Mapping ``vertex_id -> distance`` for every settled vertex (always a
@@ -206,7 +200,7 @@ def distances_from_location(
         if remaining is not None:
             remaining.discard(vertex)
             if not remaining:
-                break
+                radius = distance
         for neighbor, length, edge_id in network.neighbors(vertex):
             if neighbor not in distances and (within is None or edge_id in within):
                 relaxed += 1

@@ -9,6 +9,7 @@ must differ — the tie rule — is asserted by literal.
 """
 
 import dataclasses
+import random
 from typing import Any, Callable
 
 import pytest
@@ -19,10 +20,12 @@ from repro.core.objects import UpdateAction
 from repro.core.road_server import MovingRoadKNNServer
 from repro.core.server import MovingKNNServer
 from repro.geometry.point import Point
-from repro.roadnet.generators import grid_network, place_objects
-from repro.roadnet.knn import network_knn
+from repro.roadnet.generators import grid_network, place_objects, random_planar_network
+from repro.roadnet.graph import RoadNetwork
+from repro.roadnet.knn import network_knn, object_distances_from_location
 from repro.roadnet.location import NetworkLocation
 from repro.service import KNNService, UpdateBatch
+from repro.trajectory.road import network_random_walk
 from repro.workloads.datasets import uniform_points
 
 #: The three ways a pending data-update delta can settle.
@@ -237,3 +240,131 @@ class TestWrittenOnce:
     )
     def test_servers_share_the_mutation_api(self, name):
         assert getattr(MovingKNNServer, name) is getattr(MovingRoadKNNServer, name)
+
+
+class _SettlesEveryHeldObject(INSRoadProcessor):
+    """Road validation as it was before it stopped at the answer: the search
+    runs until *every* held object is settled, and a retrieval searches once
+    more for the floats it reports.  Built from the public kernel."""
+
+    def _held_distances(self, position):
+        region = self._region
+        if region is not None and position.edge_id not in region:
+            region = None
+        effort = self._search_stats
+        before = effort.settled_vertices
+        distances = object_distances_from_location(
+            self._network, self._object_vertices, position, self._held, effort, region
+        )
+        self._stats.settled_vertices += effort.settled_vertices - before
+        self._stats.distance_computations += len(distances)
+        return list(distances.values())
+
+    def _knn_distances(self, position):
+        return self._held_distances(position)[: self._k]
+
+
+class _FullValidationServer(MovingRoadKNNServer):
+    def _build_processor(self, kind, k, rho, validation_mode="restricted"):
+        return _SettlesEveryHeldObject(
+            self._network,
+            self._voronoi.vertex_assignments,
+            k,
+            rho=rho,
+            validation_mode=validation_mode,
+            voronoi=self._voronoi,
+        )
+
+
+def _bill(engine, query_id):
+    """Every ``ProcessorStats`` integer but the search-effort counter."""
+    stats = engine.stats_for(query_id)
+    return {
+        field.name: getattr(stats, field.name)
+        for field in dataclasses.fields(stats)
+        if isinstance(getattr(stats, field.name), int) and field.name != "settled_vertices"
+    }
+
+
+class TestRoadValidationStopsAtTheAnswer:
+    """(v) The held-distance contract of ``repro.core.ins``: a search bounded
+    by the farthest kNN member (ties included) gives every verdict the
+    search for all held objects gives — same results, same bill, less effort."""
+
+    NETWORKS = {
+        "grid": lambda: grid_network(12, 12, spacing=50.0),  # ties everywhere
+        "planar": lambda: random_planar_network(120, extent=900.0, seed=31),
+    }
+
+    @pytest.mark.parametrize("mode", INSRoadProcessor.VALIDATION_MODES)
+    @pytest.mark.parametrize("shape", sorted(NETWORKS))
+    def test_every_result_and_every_bill_equals_the_full_validation(self, shape, mode):
+        network = self.NETWORKS[shape]()
+        objects = place_objects(network, 45, seed=32)
+        engines = [MovingRoadKNNServer(network, objects), _FullValidationServer(network, objects)]
+        walks = [network_random_walk(network, 120, 35.0, seed=33 + i) for i in range(4)]
+        ks = (1, 3, 5, 8)
+        queries = [
+            [
+                engine.register_query(walk[0], k=k, rho=1.6, validation_mode=mode)
+                for walk, k in zip(walks, ks)
+            ]
+            for engine in engines
+        ]
+        assert queries[0] == queries[1]
+        rng = random.Random(34)
+        for step in range(1, 121):
+            deleted, moved = rng.sample(engines[0].index.active_indexes(), 2)
+            batch = dict(
+                inserts=[rng.choice(network.vertices())],
+                deletes=[deleted],
+                moves=[(moved, rng.choice(network.vertices()))],
+            )
+            for engine in engines:
+                engine.batch_update(**batch)
+            for query_id, walk in zip(queries[0], walks):
+                bounded, full = (
+                    engine.update_position(query_id, walk[step]) for engine in engines
+                )
+                assert bounded == full, (step, query_id)
+                assert _bill(engines[0], query_id) == _bill(engines[1], query_id), step
+        effort = [
+            sum(engine.stats_for(query_id).settled_vertices for query_id in queries[0])
+            for engine in engines
+        ]
+        assert effort[0] < effort[1]
+        assert engines[0].aggregate_stats().local_reorders > 20  # recompositions ran
+
+    def test_a_guard_tied_at_the_answers_radius_is_settled(self):
+        # Running *through* the ties is what keeps the (distance, index)
+        # recomposition the same.  Lengths by hand (integers, exact floats):
+        #
+        #   6 ---10--- 0 ---10--- 1 ---10--- 2        3 is a fork 5 north of 0,
+        #              |                              4 and 5 hang 5 beyond it.
+        #              3
+        #            /   \
+        #           4     5
+        #
+        # Objects: 0 on vertex 6, 1 on 4, 2 on 5, 3 on 1, 4 on 2; k = 2, ρ = 2.
+        network = RoadNetwork()
+        for x, y in [(0, 0), (10, 0), (20, 0), (0, 5), (-3, 9), (3, 9), (-10, 0)]:
+            network.add_vertex(Point(x, y))
+        for u, v, length in [(0, 1, 10), (1, 2, 10), (0, 3, 5), (3, 4, 5), (3, 5, 5), (0, 6, 10)]:
+            network.add_edge(u, v, float(length))
+        engine = MovingRoadKNNServer(network, [6, 4, 5, 1, 2])
+        # One past the fork towards vertex 4: objects 1 (4) and 2 (6) are the
+        # answer, 3 and 0 (both 16) complete R, object 4 (26) is I(R).
+        start = NetworkLocation(network.find_edge(3, 4).edge_id, 1.0)
+        query_id = engine.register_query(start, k=2, rho=2.0)
+        processor = next(iter(engine)).processor
+        assert processor.prefetched_set == [1, 2, 3, 0]
+        assert engine.answer(query_id).knn_distances == (4.0, 6.0)
+        # Two east of vertex 0: object 3 is 8 away, and objects 1, 2 *and* 0
+        # all 12 — vertices 4 and 5 (the answer's) pop before vertex 6.  A
+        # search that stopped at vertex 5 would leave object 0 at inf and
+        # recompose to (3, 1); ranked by (distance, index) it is (3, 0).
+        result = engine.update_position(
+            query_id, NetworkLocation(network.find_edge(0, 1).edge_id, 2.0)
+        )
+        assert result.action == UpdateAction.LOCAL_REORDER
+        assert (result.knn, result.knn_distances) == ((3, 0), (8.0, 12.0))

@@ -9,7 +9,9 @@ from repro.errors import ConfigurationError
 from repro.core.ins_road import INSRoadProcessor
 from repro.core.objects import UpdateAction
 from repro.core.road_server import MovingRoadKNNServer
+from repro.geometry.point import Point
 from repro.roadnet.generators import grid_network, place_objects, random_planar_network
+from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.location import NetworkLocation
 from repro.roadnet.network_voronoi import NetworkVoronoiDiagram
 from repro.roadnet.shortest_path import distances_from_location
@@ -168,8 +170,15 @@ class TestRandomPlanarNetwork:
             assert answer_is_correct(network, objects, location, result, 3)
 
     def test_theorem2_restricted_search_is_smaller(self):
-        """Theorem 2: validation on the restricted sub-network settles fewer
-        vertices than the same validation on the full network."""
+        """Theorem 2: validation on the restricted sub-network settles no
+        more vertices than the same validation on the full network.
+
+        Until ISSUE 23 this asserted ``<`` (5 098 < 6 153 settled): every
+        search ran out to the farthest guard, well past the region on the
+        full network.  Now the radius is the farthest kNN member's, and on
+        static data that ball lies inside the region: 1 176 = 1 176.  The
+        strict case is the next test.
+        """
         network = grid_network(15, 15, spacing=100.0)
         objects = place_objects(network, 60, seed=167)
         voronoi = NetworkVoronoiDiagram(network, objects)
@@ -184,4 +193,36 @@ class TestRandomPlanarNetwork:
                 processor.update(location)
             return processor.stats.settled_vertices
 
-        assert settled("restricted") < settled("exact")
+        assert settled("restricted") <= settled("exact")
+
+    def test_theorem2_prunes_when_the_held_answer_is_stale(self):
+        """Where Theorem 2 still bites: the query jumps away from its held
+        answer, so the search's radius — the stale neighbour's distance —
+        reaches past the region.  A line of 16 vertices, 100 apart, objects
+        on 1, 4, 7, 10, 13; k = 1, ρ = 1.  From just right of 7 the client
+        holds R = {7}, I(R) = {4, 10}, whose cells span edges 2-3 … 11-12.
+        It reappears 10 short of vertex 11: the held neighbour is 390 away,
+        and settling it takes 11, 10, 12, 9, [13,] 8, [14,] 7 — the bracketed
+        vertices lie outside the region.  The retrieval that follows settles
+        11 and 10 in either mode.
+        """
+        network = RoadNetwork()
+        for i in range(16):
+            network.add_vertex(Point(100.0 * i, 0.0))
+        for i in range(15):
+            network.add_edge(i, i + 1, 100.0)
+        objects = [1, 4, 7, 10, 13]
+        start = NetworkLocation(network.find_edge(7, 8).edge_id, 10.0)
+        jump = NetworkLocation(network.find_edge(10, 11).edge_id, 90.0)
+        results, settled = {}, {}
+        for mode in INSRoadProcessor.VALIDATION_MODES:
+            processor = INSRoadProcessor(network, objects, k=1, rho=1.0, validation_mode=mode)
+            assert processor.initialize(start).knn == (2,)
+            assert processor.guard_set == {1, 3}
+            before = processor.stats.settled_vertices
+            results[mode] = processor.update(jump)
+            settled[mode] = processor.stats.settled_vertices - before
+        assert settled == {"restricted": 6 + 2, "exact": 8 + 2}
+        for result in results.values():
+            assert (result.knn, result.knn_distances) == ((3,), (90.0,))
+            assert result.action is UpdateAction.FULL_RECOMPUTE

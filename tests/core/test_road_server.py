@@ -181,13 +181,14 @@ class TestAnswersMatchBruteForce:
             ), step
 
 
-def validation_fallbacks():
-    return obs.counter("insq_road_validation_fallbacks_total").value
+def validation_fallbacks(reason="escaped"):
+    return obs.counter("insq_road_validation_fallbacks_total", reason=reason).value
 
 
 class TestRestrictedEscapeFallback:
-    """``insq_road_validation_fallbacks_total`` names the one silent slow
-    path of road serving: a validation that had to search the whole network."""
+    """``insq_road_validation_fallbacks_total`` names the slow paths of road
+    validation by reason: ``escaped``, a search of the whole network, and
+    ``unreachable``, a search that exhausted the Theorem 2 region."""
 
     @pytest.fixture(autouse=True)
     def fresh_registry(self):
@@ -236,6 +237,22 @@ class TestRestrictedEscapeFallback:
             sorted(distance for _, distance in expected)
         )
 
+    def test_a_knn_member_the_region_cannot_reach_is_counted(self):
+        # The nearest neighbour moves to the opposite corner: its new cell
+        # joins the region but no region edge leads there, so the search for
+        # it exhausts the region, it reads inf, and the answer is replaced.
+        network = grid_network(15, 15, spacing=20.0)
+        server = MovingRoadKNNServer(network, place_objects(network, 40, seed=55))
+        query_id = server.register_query(NetworkLocation(0, 1.0), k=3)
+        moved = server.answer(query_id).knn[0]
+        server.move_object(moved, network.vertices()[-1])
+        here = NetworkLocation(0, 2.0)
+        result = server.update_position(query_id, here)
+        assert validation_fallbacks("unreachable") == 1
+        assert validation_fallbacks("escaped") == 0
+        assert not result.was_valid and moved not in result.knn
+        assert sorted(result.knn_distances) == reference_knn_distances(server, here, 3)
+
     def test_a_walk_inside_the_region_never_falls_back(self):
         network = grid_network(12, 12, spacing=25.0)
         objects = place_objects(network, 30, seed=56)
@@ -248,6 +265,7 @@ class TestRestrictedEscapeFallback:
         exact = server.register_query(trajectory[0], k=4, validation_mode="exact")
         server.update_position(exact, NetworkLocation(network.edge_count - 1, 1.0))
         assert validation_fallbacks() == 0  # "exact" has no region to fall out of
+        assert validation_fallbacks("unreachable") == 0
 
 
 class TestServingSharesTheNetwork:

@@ -12,6 +12,13 @@ commit 685738f (the parent of PR 19, which collapsed the twin
 Euclidean/road processors and servers) before any source edit.  Change one
 only with a reason a reviewer can check: an answer, a tie order or a bill
 moved on purpose.
+
+The road digest was re-recorded once, by ISSUE 23 (road validation stops at
+the answer's radius and a retrieval reports its own distances): the effort
+counter ``settled_vertices`` fell 7 455 -> 2 525 on this stream, on purpose,
+and nothing else in the hash moved — with that one field left out of the
+hash the digest is ``99e545fb518e054490e4b6a9eb0f4605`` at the parent
+(26be5d7, old literal ``2cabf14600b825cae2dcb8f9fbcb8eec``) and after.
 """
 
 import dataclasses
@@ -122,7 +129,7 @@ def _stream_digest(service, walks, target, seed) -> str:
     [
         (_plane_service, _plane_walks, _plane_target, 71, "e0a3563fc28e60f702543c9a3fd9e01a"),
         (_incremental_service, _plane_walks, _plane_target, 72, "1297f3b6f06ff2c9e835e83d461bf365"),
-        (_road_service, _road_walks, _road_target, 73, "2cabf14600b825cae2dcb8f9fbcb8eec"),
+        (_road_service, _road_walks, _road_target, 73, "21ca497c43fe20ddcda52ddace4421ed"),
     ],
     ids=["plane", "plane-incremental", "road"],
 )

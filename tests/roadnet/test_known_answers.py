@@ -32,6 +32,7 @@ from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.knn import network_knn, object_distances_from_location
 from repro.roadnet.location import NetworkLocation
 from repro.roadnet.shortest_path import (
+    SearchStats,
     dijkstra,
     distances_from_location,
     shortest_path_distance,
@@ -99,6 +100,42 @@ def test_unreachable_inside_the_filter(network):
     ) == {0: 3.0, 3: math.inf}
     with pytest.raises(RoadNetworkError):
         distances_from_location(network, NetworkLocation(BC, 1.0), within=region)
+
+
+def test_search_stops_after_the_ties_at_the_last_required_object(network):
+    # Only object 0 (on B, at 3) is required.  E ties with B at 3 and pops
+    # after it (B = 1 before E = 4): the search still settles it, so object 1
+    # reads its exact 3 and not inf, then stops at the first pop beyond 3
+    # (C at 6).  Settled: A, B, E.
+    inf = math.inf
+    stats = SearchStats()
+    assert object_distances_from_location(
+        network, OBJECTS, QUERY, range(5), stats=stats, required=1
+    ) == {0: 3.0, 1: 3.0, 2: inf, 3: inf, 4: inf}
+    assert stats.settled_vertices == 3
+    # Without B-E nothing changes: E was reached through A (1+2) anyway.
+    stats = SearchStats()
+    region = {AB, BC, CD, AE, ED, DF, CG}
+    assert object_distances_from_location(
+        network, OBJECTS, QUERY, range(5), stats=stats, within=region, required=1
+    ) == {0: 3.0, 1: 3.0, 2: inf, 3: inf, 4: inf}
+    assert stats.settled_vertices == 3
+    # All five required: every distance, the hand-computed table.
+    assert object_distances_from_location(network, OBJECTS, QUERY, range(5), required=5) == {
+        0: 3.0, 1: 3.0, 2: 6.0, 3: 11.0, 4: 13.0
+    }
+
+
+def test_required_object_unreachable_inside_the_filter(network):
+    # Object 3 (on F) is required and its edge D-F is in the region, but
+    # nothing in the region leads there: looking for it exhausts the region,
+    # so every object the region does reach is exact — B 3, C 6 — and E,
+    # whose edges are all left out, is as unreachable as F.
+    stats = SearchStats()
+    assert object_distances_from_location(
+        network, OBJECTS, QUERY, [3, 0, 2, 1], stats=stats, within={AB, BC, DF}, required=1
+    ) == {3: math.inf, 0: 3.0, 2: 6.0, 1: math.inf}
+    assert stats.settled_vertices == 3  # A, B, C
 
 
 def test_query_on_an_objects_vertex(network):

@@ -37,6 +37,16 @@ class TestValidation:
         with pytest.raises(RoadNetworkError):
             NetworkLocation(999, 0.0).validated(network)
 
+    def test_in_range_location_is_returned_itself(self, simple_network):
+        # No copy on the hot path: every search validates its location.
+        network, _, (e_ab, _) = simple_network
+        for offset in (0.0, 40.0, 100.0):
+            location = NetworkLocation(e_ab, offset)
+            assert location.validated(network) is location
+        assert NetworkLocation(e_ab, 100.0 + 1e-12).validated(network).offset == 100.0
+        with pytest.raises(RoadNetworkError):
+            NetworkLocation(e_ab, 100.0 + 1e-6).validated(network)
+
     def test_small_negative_offset_is_clamped(self, simple_network):
         network, _, (e_ab, _) = simple_network
         location = NetworkLocation(e_ab, -1e-12).validated(network)
