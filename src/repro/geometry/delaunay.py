@@ -1,4 +1,4 @@
-"""Incremental Delaunay triangulation (Bowyer–Watson, ghost-vertex form).
+"""Incremental Delaunay triangulation (Bowyer–Watson over a directed-edge map).
 
 The INS algorithm needs, for every data object, the list of its order-1
 Voronoi neighbours.  The dual of the Delaunay triangulation gives exactly
@@ -6,41 +6,75 @@ that: two objects are Voronoi neighbours if and only if they share a Delaunay
 edge (up to degenerate cocircular configurations, which the builder perturbs
 away).
 
+**The edge map.**  The triangulation is one dictionary from directed edge
+to apex (Shewchuk, *Lecture Notes on Delaunay Mesh Generation*, ch. 3):
+every counter-clockwise triangle ``(a, b, c)`` is the three entries
+``apex[a, b] = c``, ``apex[b, c] = a``, ``apex[c, a] = b``.  The triangle
+across an edge is one lookup of the reversed key, and ``spoke[v]`` names one
+neighbour of ``v``, so the *link* of ``v`` — ``w = spoke[v]``, then
+``w = apex[v, w]`` until it closes — lists its neighbours counter-clockwise.
+That one rotation is :meth:`DelaunayTriangulation.neighbors_of`, the
+adjacency of the point-location walk, the star searched for a first bad
+triangle and the boundary of a deletion's hole.
+
+**One ghost rule.**  Instead of the classic bounding "super triangle"
+(whose finite corner coordinates silently *drop* hull edges whose empty
+witness circles are large), the unbounded face is fanned from the vertex
+:data:`GHOST`: a convex-hull edge ``u -> v`` (interior on its left) carries
+the triangle ``(v, u, GHOST)``, whose "circumcircle" is the open half-plane
+strictly to the right of ``u -> v``.  The structure is therefore a
+triangulated *sphere*: every directed edge has its twin, ghost triangles are
+oriented like any other, and insertions outside the hull or deletions on it
+need no special casing.  The real part is exactly the Delaunay triangulation
+of the sites — identical to what an offline rebuild (or the accelerated
+Qhull backend, which seeds large inputs) computes.
+
 The triangulation is kept *live* after construction so that data-object
 updates stay local:
 
-* :meth:`DelaunayTriangulation.insert_site` inserts one site by carving the
-  usual Bowyer–Watson cavity.  The cavity is located with a greedy walk over
-  the Delaunay graph — O(1) steps from a caller-supplied ``hint`` near the
-  new site (the VoR-tree passes its R-tree's nearest object), expected
-  O(sqrt(n)) from the last-inserted site otherwise — followed by a flood
-  fill through edge-adjacent triangles, so the cost is O(walk + affected
-  cells) rather than a scan of all triangles.
+* :meth:`DelaunayTriangulation.insert_site` walks greedily over the links —
+  O(1) steps from a caller-supplied ``hint`` near the new site (the VoR-tree
+  passes its R-tree's nearest object), expected O(sqrt(n)) from the
+  last-inserted site otherwise — to the nearest vertex, takes the first bad
+  triangle of its star as the seed and floods from it with a stack of
+  *cavity-side* directed edges ``(u, v)``.  The triangle across is
+  ``(v, u, apex[v, u])``; it joins the cavity iff it is bad **and its apex
+  is not already a cavity vertex**, otherwise ``(u, v)`` is a rim edge and
+  gets the new triangle ``(u, v, new)``.  The second condition is free on
+  valid input: a Bowyer–Watson cavity is a disc with every vertex on its
+  rim, so its dual is a *tree* — each further triangle is entered through
+  exactly one edge and brings exactly one new vertex — and the rule accepts
+  exactly the bad set.  Where the in-circle predicate is noise (three or
+  more sites within the jitter of each other) it still grows a disc, one
+  triangle glued along one edge at a time, so the structure stays a sphere.
 * :meth:`DelaunayTriangulation.remove_site` deletes one site, interior or on
-  the convex hull, by removing its star and re-triangulating the polygonal
-  hole with Delaunay ear clipping (O(h^3) for a hole of h boundary
-  vertices; h is ~6 on average).  A hull site's hole has :data:`GHOST` as
-  one more boundary vertex, and an ear containing it becomes the ghost
-  triangle of a new hull edge.  :class:`GeometryError` is left for true
-  degeneracy: fewer than three or only collinear sites would remain.
+  the convex hull: its link is the hole, re-triangulated by Delaunay ear
+  clipping (O(h^3) for a hole of h boundary vertices; h is ~6 on average).
+  A hull site's link passes through :data:`GHOST`, and an ear containing it
+  is the ghost triangle of a new hull edge.
+
+**Validation before mutation.**  Both mutators decide everything — the
+cavity and its rim, or the hole's replacement triangles, including that no
+diagonal of the replacement already exists outside the hole — before the
+first entry of the map changes.  A :class:`GeometryError` (no bad triangle,
+fewer than three or only collinear sites left, a hole that ear clipping
+cannot close) therefore always means *nothing was mutated*, and callers
+fall back to a full rebuild.
 
 Both mutators return the set of surviving sites whose Voronoi neighbour
-lists (may have) changed, which is what lets
+lists (may have) changed — the vertices of the removed triangles plus the
+new site on insert, the link on delete — which is what lets
 :class:`~repro.geometry.voronoi.VoronoiDiagram` and
 :class:`~repro.index.vortree.VoRTree` patch their neighbour maps instead of
 rebuilding them from scratch on every data-object update.
 
-Instead of the classic bounding "super triangle" (whose finite corner
-coordinates silently *drop* hull edges whose empty witness circles are
-large), the unbounded face is triangulated with **ghost triangles**: every
-convex-hull edge ``u -> v`` (interior on its left) carries a triangle
-``(u, v, GHOST)`` whose "circumcircle" is the open half-plane strictly to
-the right of the edge.  With this combinatorial rule the real part of the
-structure is exactly the Delaunay triangulation of the sites — identical to
-what an offline rebuild (or the accelerated Qhull backend) computes — and
-insertions outside the current hull need no special casing.  For large
-inputs the initial triangle set is seeded from scipy's Qhull wrapper (when
-available) so that building the live structure is cheap.
+**Why the representation cannot move an answer.**  The Delaunay
+triangulation of the *jittered* points is unique whenever no four of them
+are co-circular, which is what the jitter is for.  The predicates, their
+argument order on hull edges, the jitter's magnitude and its draw order (one
+pair per active point at construction, one per insert) do not depend on how
+triangles are stored, and neither do the two ``changed`` rules above.  Same
+triangulation, same neighbour sets, same deltas upstream.
 
 A note on exactly-degenerate inputs (regular grids, cocircular rings):
 the builder breaks ties with a tiny deterministic jitter, so the reported
@@ -77,12 +111,9 @@ GHOST = -1
 
 @dataclass(frozen=True)
 class Triangle:
-    """A triangle of the triangulation, referring to point indexes.
+    """A real triangle of the triangulation, referring to point indexes.
 
-    The vertex indexes are stored counter-clockwise.  A triangle whose
-    vertex is :data:`GHOST` is a *ghost triangle* standing in for the
-    unbounded face beyond one convex-hull edge; ghost triangles never appear
-    in the triangulation returned to callers.
+    The vertex indexes are stored counter-clockwise, smallest first.
     """
 
     a: int
@@ -93,45 +124,13 @@ class Triangle:
         """The three vertex indexes."""
         return (self.a, self.b, self.c)
 
-    def edges(self) -> Tuple[Edge, Edge, Edge]:
-        """The three undirected edges as frozensets of vertex indexes."""
-        return (
-            frozenset((self.a, self.b)),
-            frozenset((self.b, self.c)),
-            frozenset((self.c, self.a)),
-        )
-
-    def directed_edges(self) -> Tuple[Tuple[int, int], Tuple[int, int], Tuple[int, int]]:
-        """The three directed edges in counter-clockwise cyclic order."""
-        return ((self.a, self.b), (self.b, self.c), (self.c, self.a))
-
-    def has_vertex(self, index: int) -> bool:
-        """True when ``index`` is one of the triangle's vertices."""
-        return index in (self.a, self.b, self.c)
-
-    def is_real(self) -> bool:
-        """True when the triangle has no ghost vertex."""
-        return self.a >= 0 and self.b >= 0 and self.c >= 0
-
-    def ghost_edge(self) -> Tuple[int, int]:
-        """The directed real (hull) edge of a ghost triangle.
-
-        The edge is directed so that the triangulation's interior lies on
-        its left.
-        """
-        if self.a == GHOST:
-            return (self.b, self.c)
-        if self.b == GHOST:
-            return (self.c, self.a)
-        return (self.a, self.b)
-
 
 class DelaunayTriangulation:
     """Delaunay triangulation of a finite point set, maintained incrementally.
 
     Args:
         points: the sites to triangulate.  At least three non-collinear
-            points are required.
+            active points are required.
         jitter: magnitude of the deterministic perturbation applied to break
             exact ties (cocircular / collinear configurations).  The jitter is
             applied only to the copies used internally; the coordinates
@@ -142,9 +141,15 @@ class DelaunayTriangulation:
             construction when scipy is unavailable); ``"builtin"`` always
             uses the from-scratch Bowyer–Watson construction.  Incremental
             maintenance is pure Python either way.
+        active: which of ``points`` exist (default: all of them).  A masked
+            point is a tombstone: it keeps its index, is never triangulated
+            and is neither perturbed nor counted in the jitter scale, so the
+            triangulation is the one a build over the active points alone
+            makes — reported in the caller's indexes.
 
     Raises:
-        GeometryError: for fewer than three points or an all-collinear input.
+        GeometryError: for fewer than three active points or an
+            all-collinear input.
     """
 
     def __init__(
@@ -153,29 +158,33 @@ class DelaunayTriangulation:
         jitter: float = 1e-9,
         seed: int = 97,
         seed_backend: str = "auto",
+        active: Optional[Sequence[bool]] = None,
     ):
-        if len(points) < 3:
+        self._active: List[bool] = [True] * len(points) if active is None else list(active)
+        if len(self._active) != len(points):
+            raise GeometryError("the active mask must cover every point")
+        live = self.active_indexes()
+        if len(live) < 3:
             raise GeometryError("Delaunay triangulation requires at least 3 points")
         if seed_backend not in ("auto", "builtin"):
             raise GeometryError(f"unknown Delaunay seed backend {seed_backend!r}")
         self._original_points: List[Point] = list(points)
         self._rng = random.Random(seed)
-        self._jitter_magnitude = self._jitter_scale(jitter)
-        self._points: List[Point] = [self._perturb(p) for p in self._original_points]
-        if _all_points_collinear(self._points, EPSILON):
+        self._jitter_magnitude = self._jitter_scale(jitter, live)
+        self._points: List[Point] = list(points)
+        for index in live:
+            self._points[index] = self._perturb(points[index])
+        if _all_points_collinear([self._points[index] for index in live], EPSILON):
             raise GeometryError("Delaunay triangulation requires non-collinear points")
-        self._active: List[bool] = [True] * len(self._points)
-        self._triangles: Set[Triangle] = set()
-        self._incident: Dict[int, Set[Triangle]] = {}
-        self._walk_hint: Optional[int] = None
-        # Running centroid of the sites in the triangulation: a point that is
-        # strictly interior to the convex hull, used to orient new hull
-        # (ghost) edges.
-        self._centroid_x = 0.0
-        self._centroid_y = 0.0
-        self._vertex_count = 0
-        self._seed_backend = seed_backend
-        self._build()
+        #: Directed edge -> apex of the counter-clockwise triangle on its left.
+        self._apex: Dict[Tuple[int, int], int] = {}
+        #: Vertex (GHOST included) -> one of its current neighbours.
+        self._spoke: Dict[int, int] = {}
+        self._vertex_count = len(live)
+        self._walk_hint = live[0]
+        accelerated = seed_backend == "auto" and len(live) > _ACCELERATED_THRESHOLD
+        if not (accelerated and self._build_accelerated(live)):
+            self._build(live)
 
     # ------------------------------------------------------------------
     # Public API
@@ -189,7 +198,12 @@ class DelaunayTriangulation:
     def triangles(self) -> List[Triangle]:
         """All triangles of the triangulation (ghost triangles removed)."""
         return sorted(
-            (t for t in self._triangles if t.is_real()), key=lambda t: t.vertices()
+            (
+                Triangle(a, b, c)
+                for (a, b), c in self._apex.items()
+                if 0 <= a < b and a < c
+            ),
+            key=Triangle.vertices,
         )
 
     def is_active(self, index: int) -> bool:
@@ -202,13 +216,11 @@ class DelaunayTriangulation:
 
     def edges(self) -> Set[Edge]:
         """All undirected Delaunay edges as frozensets of point indexes."""
-        result: Set[Edge] = set()
-        for triangle in self._triangles:
-            if triangle.is_real():
-                result.update(triangle.edges())
-            else:
-                result.add(frozenset(triangle.ghost_edge()))
-        return result
+        return {frozenset(edge) for edge in self._apex if 0 <= edge[0] < edge[1]}
+
+    def edge_map(self) -> Dict[Tuple[int, int], int]:
+        """A copy of the whole structure: directed edge -> apex, ghosts included."""
+        return dict(self._apex)
 
     def neighbors(self) -> Dict[int, Set[int]]:
         """Adjacency map: point index -> indexes of Delaunay-adjacent points.
@@ -217,24 +229,18 @@ class DelaunayTriangulation:
         INS algorithm.  Removed sites do not appear, neither as keys nor as
         values.
         """
-        adjacency: Dict[int, Set[int]] = {
-            index: set() for index in range(len(self._points)) if self._active[index]
-        }
-        for edge in self.edges():
-            u, v = tuple(edge)
-            adjacency[u].add(v)
-            adjacency[v].add(u)
+        adjacency: Dict[int, Set[int]] = {index: set() for index in self.active_indexes()}
+        for u, v in self._apex:
+            if u >= 0 and v >= 0:
+                adjacency[u].add(v)
         return adjacency
 
     def neighbors_of(self, index: int) -> Set[int]:
         """Delaunay-adjacent site indexes of one site (the ghost excluded)."""
         if not self.is_active(index):
             raise GeometryError(f"site {index} does not exist (or was removed)")
-        result: Set[int] = set()
-        for triangle in self._incident.get(index, ()):
-            for vertex in triangle.vertices():
-                if vertex >= 0 and vertex != index:
-                    result.add(vertex)
+        result = set(self._link(index))
+        result.discard(GHOST)
         return result
 
     def triangle_circumcenter(self, triangle: Triangle) -> Point:
@@ -257,9 +263,9 @@ class DelaunayTriangulation:
         that site is active; the cavity is unique, so the result is the same.
 
         Raises:
-            GeometryError: when no cavity can be located or a degenerate
-                hull configuration is met; the caller should fall back to a
-                full rebuild.
+            GeometryError: when no cavity can be located; nothing has been
+                mutated then, and the caller should fall back to a full
+                rebuild.
         """
         perturbed = self._perturb(point)
         index = len(self._points)
@@ -269,8 +275,7 @@ class DelaunayTriangulation:
         self._original_points.append(point)
         self._points.append(perturbed)
         self._active.append(True)
-        self._track_vertex(perturbed, added=True)
-        self._walk_hint = index
+        self._vertex_count += 1
         return index, changed
 
     def remove_site(self, index: int) -> Set[int]:
@@ -290,27 +295,29 @@ class DelaunayTriangulation:
         """
         if not self.is_active(index):
             raise GeometryError(f"site {index} does not exist (or was removed)")
-        star = list(self._incident.get(index, ()))
-        if not star:
-            raise GeometryError(f"site {index} is not part of the triangulation")
         if self._vertex_count <= 3:
             raise GeometryError("fewer than 3 sites would remain")
-        cycle = self._star_boundary_cycle(index, star)
-        link = [vertex for vertex in cycle if vertex >= 0]
+        hole = self._link(index)
+        link = [vertex for vertex in hole if vertex >= 0]
         # Only the apex of a fan over collinear sites is adjacent to every
         # other site *and* leaves a collinear remainder.
         if len(link) == self._vertex_count - 1 and _all_points_collinear(
             [self._original_points[vertex] for vertex in link]
         ):
             raise GeometryError("only collinear sites would remain")
-        replacement = self._retriangulate_hole(cycle)
-        for triangle in star:
-            self._remove_triangle(triangle)
-        for triangle in replacement:
-            self._add_triangle(triangle)
+        replacement = self._retriangulate_hole(hole)
+        apex = self._apex
+        spoke = self._spoke
+        for u, v in zip(hole, hole[1:] + hole[:1]):
+            del apex[index, u], apex[u, v], apex[v, index]
+            spoke[u] = v
+        del spoke[index]
+        for a, b, c in replacement:
+            apex[a, b] = c
+            apex[b, c] = a
+            apex[c, a] = b
         self._active[index] = False
-        self._incident.pop(index, None)
-        self._track_vertex(self._points[index], added=False)
+        self._vertex_count -= 1
         if self._walk_hint == index:
             self._walk_hint = link[0]
         return set(link)
@@ -318,10 +325,12 @@ class DelaunayTriangulation:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _jitter_scale(self, jitter: float) -> float:
+    def _jitter_scale(self, jitter: float, live: Sequence[int]) -> float:
         if jitter <= 0:
             return 0.0
-        min_x, min_y, max_x, max_y = bounding_coordinates(self._original_points)
+        min_x, min_y, max_x, max_y = bounding_coordinates(
+            [self._original_points[index] for index in live]
+        )
         return jitter * max(max_x - min_x, max_y - min_y, 1.0)
 
     def _perturb(self, point: Point) -> Point:
@@ -332,146 +341,117 @@ class DelaunayTriangulation:
             point.y + (self._rng.random() - 0.5) * self._jitter_magnitude,
         )
 
-    def _track_vertex(self, point: Point, added: bool) -> None:
-        if added:
-            self._centroid_x += point.x
-            self._centroid_y += point.y
-            self._vertex_count += 1
-        else:
-            self._centroid_x -= point.x
-            self._centroid_y -= point.y
-            self._vertex_count -= 1
+    def _add_triangle(self, a: int, b: int, c: int) -> None:
+        """Enter the counter-clockwise triangle ``(a, b, c)`` into the map."""
+        self._apex[a, b] = c
+        self._apex[b, c] = a
+        self._apex[c, a] = b
+        self._spoke[a] = b
+        self._spoke[b] = c
+        self._spoke[c] = a
 
-    def _centroid(self) -> Point:
-        return Point(
-            self._centroid_x / self._vertex_count,
-            self._centroid_y / self._vertex_count,
-        )
+    def _add_oriented(self, a: int, b: int, c: int) -> None:
+        if orientation(self._points[a], self._points[b], self._points[c]) < 0:
+            b, c = c, b
+        self._add_triangle(a, b, c)
 
-    def _build(self) -> None:
-        if self._seed_backend == "auto" and len(self._points) > _ACCELERATED_THRESHOLD:
-            if self._build_accelerated():
-                return
-        # Bootstrap with the first non-degenerate triple, then insert every
-        # other point with the same cavity machinery the live updates use
-        # (ghost triangles make out-of-hull insertions uniform).
-        first = 0
+    def _hang_ghost_fan(self) -> None:
+        """Close the real triangles into a sphere: a directed edge without a
+        twin is a hull edge ``u -> v`` and gets ``(v, u, GHOST)``."""
+        apex = self._apex
+        for u, v in [edge for edge in apex if edge[::-1] not in apex]:
+            self._add_triangle(v, u, GHOST)
+
+    def _build(self, live: Sequence[int]) -> None:
+        """Bootstrap with the first non-degenerate triple, then insert every
+        other point with the same cavity machinery the live updates use
+        (ghost triangles make out-of-hull insertions uniform)."""
+        points = self._points
+        first = live[0]
         second = next(
-            (
-                i
-                for i in range(1, len(self._points))
-                if not self._points[i].almost_equal(self._points[first])
-            ),
-            None,
+            (i for i in live[1:] if not points[i].almost_equal(points[first])), None
         )
         third = None
         if second is not None:
             third = next(
                 (
                     i
-                    for i in range(1, len(self._points))
+                    for i in live[1:]
                     if i != second
-                    and orientation(
-                        self._points[first], self._points[second], self._points[i]
-                    )
-                    != 0
+                    and orientation(points[first], points[second], points[i]) != 0
                 ),
                 None,
             )
         if second is None or third is None:
             raise GeometryError("Delaunay triangulation requires non-collinear points")
-        base = self._oriented(first, second, third)
-        self._add_triangle(base)
-        for u, v in base.directed_edges():
-            self._add_triangle(Triangle(u, v, GHOST))
-        for vertex in (first, second, third):
-            self._track_vertex(self._points[vertex], added=True)
-        self._walk_hint = first
-        for index in range(1, len(self._points)):
-            if index in (second, third):
-                continue
-            self._carve_cavity(index, self._points[index])
-            self._track_vertex(self._points[index], added=True)
-            self._walk_hint = index
+        self._add_oriented(first, second, third)
+        self._hang_ghost_fan()
+        for index in live[1:]:
+            if index not in (second, third):
+                self._carve_cavity(index, points[index])
 
-    def _build_accelerated(self) -> bool:
-        """Seed the triangle set from scipy's Qhull wrapper, if available.
+    def _build_accelerated(self, live: Sequence[int]) -> bool:
+        """Seed the edge map from scipy's Qhull wrapper, if available.
 
-        The real triangles come straight from Qhull; the ghost ring is then
-        derived from the hull (boundary) edges, so the live structure starts
-        from exactly the Delaunay triangulation an offline rebuild computes.
+        The real triangles come straight from Qhull, so the live structure
+        starts from exactly the Delaunay triangulation an offline rebuild
+        computes.
         """
         try:
             from scipy.spatial import Delaunay as _SciPyDelaunay
             import numpy as _np
         except ImportError:
             return False
-        coordinates = _np.array([[p.x, p.y] for p in self._points], dtype=float)
+        coordinates = _np.array(
+            [[self._points[i].x, self._points[i].y] for i in live], dtype=float
+        )
         try:
             triangulation = _SciPyDelaunay(coordinates)
         except Exception:
             return False
-        directed_count: Dict[Tuple[int, int], int] = {}
-        for simplex in triangulation.simplices:
-            triangle = self._oriented(int(simplex[0]), int(simplex[1]), int(simplex[2]))
-            self._add_triangle(triangle)
-            for u, v in triangle.directed_edges():
-                directed_count[(u, v)] = directed_count.get((u, v), 0) + 1
-        # A hull edge appears as a directed edge of exactly one CCW triangle
-        # (interior on its left); give each one a ghost triangle.
-        for (u, v), count in directed_count.items():
-            if count == 1 and (v, u) not in directed_count:
-                self._add_triangle(Triangle(u, v, GHOST))
-        for point in self._points:
-            self._track_vertex(point, added=True)
-        self._walk_hint = 0
+        for a, b, c in triangulation.simplices.tolist():
+            self._add_oriented(live[a], live[b], live[c])
+        self._hang_ghost_fan()
         return True
 
     # ------------------------------------------------------------------
-    # Triangle bookkeeping
+    # The edge map: links, the bad-triangle predicate, point location
     # ------------------------------------------------------------------
-    def _add_triangle(self, triangle: Triangle) -> None:
-        self._triangles.add(triangle)
-        for vertex in triangle.vertices():
-            self._incident.setdefault(vertex, set()).add(triangle)
+    def _link(self, vertex: int) -> List[int]:
+        """The neighbours of ``vertex`` counter-clockwise, :data:`GHOST` included."""
+        apex = self._apex
+        start = self._spoke[vertex]
+        ring = [start]
+        following = apex[vertex, start]
+        while following != start:
+            ring.append(following)
+            following = apex[vertex, following]
+        return ring
 
-    def _remove_triangle(self, triangle: Triangle) -> None:
-        self._triangles.discard(triangle)
-        for vertex in triangle.vertices():
-            bucket = self._incident.get(vertex)
-            if bucket is not None:
-                bucket.discard(triangle)
-
-    def _coordinates(self, index: int) -> Point:
-        if index < 0:
-            raise GeometryError("the ghost vertex has no coordinates")
-        return self._points[index]
-
-    def _oriented(self, a: int, b: int, c: int) -> Triangle:
-        pa = self._points[a]
-        pb = self._points[b]
-        pc = self._points[c]
-        if orientation(pa, pb, pc) < 0:
-            return Triangle(a, c, b)
-        return Triangle(a, b, c)
-
-    def _circumcircle_contains(self, triangle: Triangle, point: Point) -> bool:
+    def _circumcircle_contains(self, a: int, b: int, c: int, point: Point) -> bool:
         """The Bowyer–Watson "bad triangle" predicate, ghost-aware.
 
-        For a real (CCW) triangle this is the standard in-circle test.  For
-        a ghost triangle standing in for the unbounded face beyond hull edge
-        ``u -> v``, the "circumcircle" is the open half-plane strictly to
-        the right of the edge, plus the open edge itself — the limit of the
-        circumcircle as the ghost vertex recedes to infinity.
+        For a real counter-clockwise triangle ``(a, b, c)`` this is the
+        standard in-circle test.  For the ghost triangle ``(v, u, GHOST)``
+        of hull edge ``u -> v`` (in any rotation), the "circumcircle" is the
+        open half-plane strictly to the right of the edge, plus the open
+        edge itself — the limit of the circumcircle as the ghost vertex
+        recedes to infinity.
         """
-        if triangle.is_real():
-            a = self._points[triangle.a]
-            b = self._points[triangle.b]
-            c = self._points[triangle.c]
-            return in_circumcircle(a.x, a.y, b.x, b.y, c.x, c.y, point.x, point.y) > 0.0
-        u, v = triangle.ghost_edge()
-        pu = self._points[u]
-        pv = self._points[v]
+        if a < 0:
+            a, b, c = b, c, a
+        elif b < 0:
+            a, b, c = c, a, b
+        points = self._points
+        if c >= 0:
+            pa = points[a]
+            pb = points[b]
+            pc = points[c]
+            return (
+                in_circumcircle(pa.x, pa.y, pb.x, pb.y, pc.x, pc.y, point.x, point.y) > 0.0
+            )
+        pu = points[b]
+        pv = points[a]
         side = orientation(pu, pv, point)
         if side < 0:
             return True
@@ -483,83 +463,43 @@ class DelaunayTriangulation:
         projection = (point.x - pu.x) * dx + (point.y - pu.y) * dy
         return 0.0 < projection < dx * dx + dy * dy
 
-    # ------------------------------------------------------------------
-    # Point location (greedy walk + cavity flood fill)
-    # ------------------------------------------------------------------
-    def _adjacent_vertices(self, index: int) -> Set[int]:
-        result: Set[int] = set()
-        for triangle in self._incident.get(index, ()):
-            result.update(triangle.vertices())
-        result.discard(index)
-        return result
-
-    def _nearest_vertex(self, point: Point) -> Optional[int]:
+    def _nearest_vertex(self, point: Point) -> int:
         """Greedy descent over the Delaunay graph towards ``point``.
 
         On a Delaunay triangulation, some neighbour of any non-nearest
         vertex is strictly closer to the target, so the walk terminates at
         the site nearest to ``point``.
         """
-        current = self._walk_hint
-        if current is None or current not in self._incident or not self._active[current]:
-            current = next(
-                (v for v in self._incident if v >= 0 and self._active[v]), None
-            )
-        if current is None:
-            return None
-        current_distance = self._points[current].distance_squared_to(point)
+        points = self._points
+        best = self._walk_hint
+        best_distance = points[best].distance_squared_to(point)
         while True:
-            best = current
-            best_distance = current_distance
-            for neighbor in self._adjacent_vertices(current):
+            current = best
+            for neighbor in self._link(current):
                 if neighbor < 0:
                     continue
-                distance = self._points[neighbor].distance_squared_to(point)
+                distance = points[neighbor].distance_squared_to(point)
                 if distance < best_distance:
                     best = neighbor
                     best_distance = distance
             if best == current:
                 return current
-            current = best
-            current_distance = best_distance
 
-    def _find_cavity(self, point: Point) -> List[Triangle]:
-        """All triangles whose circumcircle contains ``point`` (the cavity).
+    def _seed_edge(self, point: Point) -> Tuple[int, int]:
+        """A directed edge whose triangle's circumcircle contains ``point``.
 
-        The cavity of a Bowyer–Watson insertion is edge-connected (ghost
-        triangles included, through their shared ghost edges), so one "bad"
-        seed triangle — found near the walk's nearest vertex — and a flood
-        fill enumerate it without scanning the full triangle set.
+        The first bad triangle of the star of the walk's nearest vertex;
+        the rare numerical fallback scans the whole map.
         """
-        seed: Optional[Triangle] = None
+        apex = self._apex
         nearest = self._nearest_vertex(point)
-        if nearest is not None:
-            for triangle in self._incident.get(nearest, ()):
-                if self._circumcircle_contains(triangle, point):
-                    seed = triangle
-                    break
-        if seed is None:
-            # Rare numerical fallback: scan everything.
-            for triangle in self._triangles:
-                if self._circumcircle_contains(triangle, point):
-                    seed = triangle
-                    break
-        if seed is None:
-            raise GeometryError("no triangle circumcircle contains the new site")
-        cavity: Set[Triangle] = {seed}
-        stack: List[Triangle] = [seed]
-        while stack:
-            triangle = stack.pop()
-            for edge in triangle.edges():
-                u, v = tuple(edge)
-                shared = self._incident.get(u, set()) & self._incident.get(v, set())
-                for neighbor in shared:
-                    if neighbor not in cavity and self._circumcircle_contains(
-                        neighbor, point
-                    ):
-                        cavity.add(neighbor)
-                        stack.append(neighbor)
-        return list(cavity)
+        for neighbor in self._link(nearest):
+            if self._circumcircle_contains(nearest, neighbor, apex[nearest, neighbor], point):
+                return nearest, neighbor
+        for (a, b), c in apex.items():
+            if self._circumcircle_contains(a, b, c, point):
+                return a, b
+        raise GeometryError("no triangle circumcircle contains the new site")
 
     def _carve_cavity(self, index: int, point: Point) -> Set[int]:
         """Carve the Bowyer–Watson cavity of ``point`` and fill it around ``index``.
@@ -567,143 +507,94 @@ class DelaunayTriangulation:
         Returns the set of real sites whose neighbour lists may have changed
         (all vertices of removed triangles plus the new site).  The caller
         is responsible for registering ``point`` under ``index`` afterwards.
+        The cavity is edge-connected (ghost triangles included), so one bad
+        seed triangle and a flood over its edges enumerate it without
+        scanning the map; see the module docstring for the apex rule.
         """
-        cavity = self._find_cavity(point)
-        changed: Set[int] = {index}
-        edge_count: Dict[Edge, int] = {}
-        for triangle in cavity:
-            for vertex in triangle.vertices():
-                if vertex >= 0:
-                    changed.add(vertex)
-            for edge in triangle.edges():
-                edge_count[edge] = edge_count.get(edge, 0) + 1
-        new_triangles: List[Triangle] = []
-        for triangle in cavity:
-            for u, v in triangle.directed_edges():
-                if edge_count[frozenset((u, v))] != 1:
-                    continue
-                if u >= 0 and v >= 0:
-                    if triangle.is_real():
-                        # The cavity (and hence the new point) lies on the
-                        # left of a CCW triangle's directed edge.
-                        new_triangles.append(Triangle(u, v, index))
-                    else:
-                        # Hull edge of a bad ghost triangle: the new point is
-                        # strictly outside it, i.e. on the right.
-                        new_triangles.append(Triangle(v, u, index))
-                else:
-                    # Ghost edge on the cavity boundary: the new point
-                    # becomes a hull vertex; orient the new hull (ghost)
-                    # edge so the interior centroid stays on its left.
-                    real = u if u >= 0 else v
-                    new_triangles.append(self._ghost_between(real, index, point))
-        for triangle in cavity:
-            self._remove_triangle(triangle)
-        for triangle in new_triangles:
-            self._add_triangle(triangle)
-        return changed
-
-    def _ghost_between(self, existing: int, index: int, point: Point) -> Triangle:
-        """Ghost triangle for the new hull edge between ``existing`` and ``index``."""
-        anchor = self._points[existing]
-        side = orientation(anchor, point, self._centroid())
-        if side > 0:
-            return Triangle(existing, index, GHOST)
-        if side < 0:
-            return Triangle(index, existing, GHOST)
-        raise GeometryError("degenerate hull edge orientation")
-
-    # ------------------------------------------------------------------
-    # Deletion helpers
-    # ------------------------------------------------------------------
-    def _star_boundary_cycle(self, index: int, star: List[Triangle]) -> List[int]:
-        """The boundary of the star of ``index``, counter-clockwise around it.
-
-        A single closed cycle; for a hull site it passes through
-        :data:`GHOST`.  Ghost triangles are stored ``(u, v, GHOST)`` with the
-        ghost on the right of ``u -> v`` — clockwise — so their link edge is
-        taken reversed.
-        """
-        successor: Dict[int, int] = {}
-        for triangle in star:
-            a, b, c = triangle.vertices()
-            if a == index:
-                u, v = b, c
-            elif b == index:
-                u, v = c, a
+        apex = self._apex
+        contains = self._circumcircle_contains
+        a, b = self._seed_edge(point)
+        c = apex[a, b]
+        inside = {a, b, c}
+        cavity = [(a, b), (b, c), (c, a)]
+        stack = list(cavity)
+        rim: List[Tuple[int, int]] = []
+        while stack:
+            u, v = stack.pop()
+            w = apex[v, u]
+            if w not in inside and contains(v, u, w, point):
+                inside.add(w)
+                cavity += ((v, u), (u, w), (w, v))
+                stack += ((u, w), (w, v))
             else:
-                u, v = a, b
-            if not triangle.is_real():
-                u, v = v, u
-            if u in successor:
-                raise GeometryError(f"pinched star around site {index}")
-            successor[u] = v
-        start = next(iter(successor))
-        cycle = [start]
-        while True:
-            following = successor.get(cycle[-1])
-            if following is None:
-                raise GeometryError(f"open star boundary around site {index}")
-            if following == start:
-                break
-            cycle.append(following)
-            if len(cycle) > len(successor):
-                raise GeometryError(f"corrupt star boundary around site {index}")
-        if len(cycle) != len(successor):
-            raise GeometryError(f"disconnected star boundary around site {index}")
-        return cycle
+                rim.append((u, v))
+        # Every decision is made; only now does the map change.
+        for edge in cavity:
+            del apex[edge]
+        spoke = self._spoke
+        for u, v in rim:
+            apex[u, v] = index
+            apex[v, index] = u
+            apex[index, u] = v
+            spoke[u] = index
+        spoke[index] = rim[0][0]
+        self._walk_hint = index
+        inside.discard(GHOST)
+        inside.add(index)
+        return inside
 
-    def _hole_triangle(self, a: int, b: int, c: int) -> Triangle:
-        """The triangle on three consecutive link vertices of a hole.
+    def _encroached(self, a: int, b: int, c: int, polygon: Sequence[int]) -> bool:
+        """True when a real vertex of ``polygon`` other than the ear's own
+        lies in the circumcircle of the ear ``(a, b, c)``."""
+        points = self._points
+        contains = self._circumcircle_contains
+        for other in polygon:
+            if other >= 0 and other not in (a, b, c) and contains(a, b, c, points[other]):
+                return True
+        return False
 
-        With :data:`GHOST` among them: the ghost triangle of the new hull
-        edge between the other two, which runs against the link's direction.
-        """
-        if a == GHOST:
-            return Triangle(c, b, GHOST)
-        if b == GHOST:
-            return Triangle(a, c, GHOST)
-        if c == GHOST:
-            return Triangle(b, a, GHOST)
-        return self._oriented(a, b, c)
-
-    def _retriangulate_hole(self, cycle: Sequence[int]) -> List[Triangle]:
+    def _retriangulate_hole(self, hole: Sequence[int]) -> List[Tuple[int, int, int]]:
         """Delaunay triangulation of a star-shaped hole via ear clipping.
 
-        An "ear" (three consecutive boundary vertices forming a convex
-        corner whose circumcircle contains no other boundary vertex) of a
+        ``hole`` is the link of the removed site, counter-clockwise.  An
+        "ear" (three consecutive boundary vertices forming a convex corner
+        whose circumcircle contains no other boundary vertex) of a
         star-shaped polygon can always be clipped, and doing so repeatedly
         yields the Delaunay triangulation of the hole — which, by locality
         of Delaunay deletion, is also globally Delaunay.  On a hull site's
         hole an ear containing :data:`GHOST` is a ghost triangle, whose
         "circumcircle" is the half-plane beyond the new hull edge (see
         :meth:`_circumcircle_contains`); the ghost lies in no circumcircle.
+
+        Raises:
+            GeometryError: when no ear can be clipped, or when a diagonal
+                of the replacement already exists outside the hole (the
+                result would not be a sphere).  Nothing is mutated here.
         """
-        polygon = list(cycle)
-        result: List[Triangle] = []
+        points = self._points
+        polygon = list(hole)
+        result: List[Tuple[int, int, int]] = []
         while len(polygon) > 3:
             size = len(polygon)
             for i in range(size):
                 a = polygon[i - 1]
                 b = polygon[i]
                 c = polygon[(i + 1) % size]
-                real = GHOST not in (a, b, c)
-                if real and orientation(self._points[a], self._points[b], self._points[c]) <= 0:
+                real = a >= 0 and b >= 0 and c >= 0
+                if real and orientation(points[a], points[b], points[c]) <= 0:
                     continue
-                ear = self._hole_triangle(a, b, c)
-                if any(
-                    other >= 0
-                    and other not in (a, b, c)
-                    and self._circumcircle_contains(ear, self._points[other])
-                    for other in polygon
-                ):
+                if self._encroached(a, b, c, polygon):
                     continue
-                result.append(ear)
+                # a and c are not consecutive on the link (size > 3), so an
+                # existing edge between them lies outside the hole.
+                if (a, c) in self._apex:
+                    raise GeometryError("a diagonal of the deletion hole already exists")
+                result.append((a, b, c))
                 polygon.pop(i)
                 break
             else:
                 raise GeometryError("could not re-triangulate the deletion hole")
-        result.append(self._hole_triangle(*polygon))
+        result.append(tuple(polygon))
         return result
 
 

@@ -20,7 +20,12 @@ the live :class:`~repro.geometry.delaunay.DelaunayTriangulation` to patch
 the neighbour map and invalidate only the affected cached cell polygons,
 instead of rebuilding the whole diagram (which is what every update cost
 before).  Removed sites keep their index as tombstones so identifiers held
-by callers stay stable.  Convex-hull sites are patched like any other.  Only
+by callers stay stable.  **Site ids are the dual's vertex ids:** the live
+triangulation is built over the whole site list with ``active=`` masking the
+tombstones out (they keep their index, are never triangulated, and draw no
+jitter), so hints, removals and the ``changed`` sets cross this layer
+untranslated and a changed site's neighbour set is read off the dual once.
+Convex-hull sites are patched like any other.  Only
 degenerate configurations (fewer than three active sites, collinear sites,
 numerical failures) fall back to a full refresh of the neighbour map — the
 slow path ``insq_index_rebuilds_total{reason=geometry_error}`` counts.
@@ -82,11 +87,17 @@ class VoronoiDiagram:
         # Live Delaunay dual; None for degenerate inputs (and for throwaway
         # diagrams until an incremental update arrives).
         self._delaunay: Optional[DelaunayTriangulation] = None
-        self._site_to_vertex: Dict[int, int] = {}
-        self._vertex_to_site: Dict[int, int] = {}
         self._neighbors: Dict[int, Set[int]] = {}
         if not (maintain_incrementally and self._ensure_live()):
             self._neighbors = delaunay_neighbors(self._sites)
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        if "_site_to_vertex" in state:
+            # Pickled when the dual numbered its own vertices: both maps and
+            # that dual go; the next update rebuilds it from the sites.
+            del self._site_to_vertex, self._vertex_to_site
+            self._delaunay = None
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -175,18 +186,14 @@ class VoronoiDiagram:
             self._refresh_all()
             return index, set(self._neighbors)
         try:
-            vertex, changed_vertices = self._delaunay.insert_site(
-                point, hint=self._site_to_vertex.get(hint)
-            )
+            _, changed = self._delaunay.insert_site(point, hint=hint)
         except GeometryError:
-            self._discard_live()
+            self._delaunay = None
             index = self._append_site(point)
             self._refresh_all()
             return index, set(self._neighbors)
         index = self._append_site(point)
-        self._site_to_vertex[index] = vertex
-        self._vertex_to_site[vertex] = index
-        changed = self._patch_from_live(changed_vertices)
+        self._patch_from_live(changed)
         if rebuilt:
             changed = set(self._neighbors)
         return index, changed
@@ -209,16 +216,15 @@ class VoronoiDiagram:
             self._deactivate(index)
             self._refresh_all()
             return set(self._neighbors)
-        vertex = self._site_to_vertex[index]
         try:
-            changed_vertices = self._delaunay.remove_site(vertex)
+            changed = self._delaunay.remove_site(index)
         except GeometryError:
-            self._discard_live()
+            self._delaunay = None
             self._deactivate(index)
             self._refresh_all()
             return set(self._neighbors)
         self._deactivate(index)
-        changed = self._patch_from_live(changed_vertices)
+        self._patch_from_live(changed)
         if rebuilt:
             changed = set(self._neighbors)
         return changed
@@ -235,9 +241,6 @@ class VoronoiDiagram:
         self._active_count -= 1
         self._neighbors.pop(index, None)
         self._cell_cache.pop(index, None)
-        vertex = self._site_to_vertex.pop(index, None)
-        if vertex is not None:
-            self._vertex_to_site.pop(vertex, None)
 
     def _ensure_live(self) -> bool:
         """Build the live Delaunay dual (once); False when degenerate.
@@ -247,41 +250,22 @@ class VoronoiDiagram:
         """
         if self._delaunay is not None:
             return True
-        active = self.active_site_indexes()
-        if len(active) < 3:
+        if self._active_count < 3:
             return False
         try:
-            live = DelaunayTriangulation([self._sites[i] for i in active])
+            live = DelaunayTriangulation(self._sites, active=self._active)
         except GeometryError:
             return False
         self._delaunay = live
-        self._site_to_vertex = {site: vertex for vertex, site in enumerate(active)}
-        self._vertex_to_site = {vertex: site for vertex, site in enumerate(active)}
-        self._neighbors = {
-            self._vertex_to_site[vertex]: {self._vertex_to_site[v] for v in adjacent}
-            for vertex, adjacent in live.neighbors().items()
-        }
+        self._neighbors = live.neighbors()
         self._cell_cache.clear()
         return True
 
-    def _discard_live(self) -> None:
-        self._delaunay = None
-        self._site_to_vertex = {}
-        self._vertex_to_site = {}
-
-    def _patch_from_live(self, changed_vertices: Iterable[int]) -> Set[int]:
+    def _patch_from_live(self, changed: Iterable[int]) -> None:
         """Re-derive the neighbour sets of the changed sites from the dual."""
-        changed: Set[int] = set()
-        for vertex in changed_vertices:
-            site = self._vertex_to_site.get(vertex)
-            if site is None:
-                continue
-            changed.add(site)
-            self._neighbors[site] = {
-                self._vertex_to_site[v] for v in self._delaunay.neighbors_of(vertex)
-            }
+        for site in changed:
+            self._neighbors[site] = self._delaunay.neighbors_of(site)
             self._cell_cache.pop(site, None)
-        return changed
 
     def _refresh_all(self) -> None:
         """Full neighbour-map rebuild (the degenerate-geometry fallback)."""

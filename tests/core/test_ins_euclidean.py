@@ -5,13 +5,14 @@ import pickle
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.core.ins_euclidean import INSProcessor
 from repro.core.objects import UpdateAction
 from repro.geometry.point import Point
+from repro.geometry.voronoi import VoronoiDiagram
 from repro.index.vortree import VoRTree
 from repro.trajectory.euclidean import linear_trajectory, random_waypoint_trajectory
 from repro.workloads.datasets import data_space, uniform_points
@@ -202,13 +203,7 @@ class TestCoincidentObjects:
                 if churn and step % 6 == 0:
                     processor.insert_object(tree.point(rng.choice(tree.active_indexes())))
                     if step % 12 == 0 and len(tree) > 45:
-                        try:
-                            processor.delete_object(rng.choice(tree.active_indexes()))
-                        except TypeError:
-                            # geometry/'s hole retriangulation on three or more
-                            # coincident sites (ROADMAP 4d; the parent's too):
-                            # not this test's subject — discard the example.
-                            assume(False)
+                        processor.delete_object(rng.choice(tree.active_indexes()))
                 query = Point(
                     min(100.0, max(0.0, query.x + rng.uniform(-4, 4))),
                     min(100.0, max(0.0, query.y + rng.uniform(-4, 4))),
@@ -255,3 +250,28 @@ class TestOldSnapshots:
             assert set(restored.knn) == set(brute_knn(dataset, position, 5))
         assert old.stats.distance_computations == twin.stats.distance_computations
         assert old.stats.transmitted_objects == twin.stats.transmitted_objects
+
+    def test_a_diagram_pickled_with_site_vertex_maps_drops_them_and_its_dual(self):
+        """Before site ids were vertex ids a diagram held two id maps and a
+        dual numbered without the tombstones; neither survives a restore, and
+        the next update rebuilds the dual from the sites."""
+        sites = uniform_points(60, extent=1_000.0, seed=151)
+        diagram = VoronoiDiagram(sites, maintain_incrementally=True)
+        diagram.remove_site(7)
+        state = pickle.loads(pickle.dumps(diagram.__dict__))
+        kept = diagram.active_site_indexes()
+        state["_site_to_vertex"] = {site: vertex for vertex, site in enumerate(kept)}
+        state["_vertex_to_site"] = dict(enumerate(kept))
+        state["_delaunay"] = "the old dual, numbered 0..58"
+        old = VoronoiDiagram.__new__(VoronoiDiagram)
+        old.__setstate__(state)
+        assert all(old.neighbors_of(site) == diagram.neighbors_of(site) for site in kept)
+        index, changed = old.insert_site(Point(512.0, 498.0), hint=kept[0])
+        assert index == len(sites) and changed == set(old.active_site_indexes())
+        assert old.remove_site(20) <= set(old.active_site_indexes())  # no tombstone
+        survivors = old.active_site_indexes()
+        fresh = VoronoiDiagram([old.site(site) for site in survivors])
+        assert old.neighbor_map() == {
+            survivors[site]: {survivors[neighbor] for neighbor in neighbors}
+            for site, neighbors in fresh.neighbor_map().items()
+        }

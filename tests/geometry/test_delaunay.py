@@ -39,6 +39,101 @@ class TestSmallConfigurations:
             DelaunayTriangulation([Point(0, 0), Point(1, 0), Point(2, 0)], jitter=0.0)
 
 
+class TestKnownAnswersByHand:
+    """A 10 x 6 rectangle with an off-centre interior point, worked on paper.
+
+    Any point inside a rectangle is joined to all four corners (the circle
+    through a side and the point stays inside the rectangle's own circle on
+    that side), so neither diagonal exists while point 4 does.
+    """
+
+    RECTANGLE = [Point(0, 0), Point(10, 0), Point(10, 6), Point(0, 6), Point(4, 2)]
+
+    def test_interior_point_sees_the_four_corners(self):
+        triangulation = DelaunayTriangulation(self.RECTANGLE)
+        assert triangulation.neighbors() == {
+            0: {1, 3, 4},
+            1: {0, 2, 4},
+            2: {1, 3, 4},
+            3: {0, 2, 4},
+            4: {0, 1, 2, 3},
+        }
+        assert [t.vertices() for t in triangulation.triangles] == [
+            (0, 1, 4),
+            (0, 4, 3),
+            (1, 2, 4),
+            (2, 3, 4),
+        ]
+
+    def test_insert_outside_the_hull_swallows_a_hull_edge(self):
+        # (11, 3) is beyond side 1-2 and inside the circle through 1, 2 and 4
+        # (centre (23/3, 3), radius^2 130/9 > (10/3)^2): that triangle goes
+        # with the side; the circles of (0, 1, 4) and (2, 3, 4) do not reach it.
+        triangulation = DelaunayTriangulation(self.RECTANGLE)
+        index, changed = triangulation.insert_site(Point(11, 3))
+        assert (index, changed) == (5, {1, 2, 4, 5})
+        assert triangulation.neighbors() == {
+            0: {1, 3, 4},
+            1: {0, 4, 5},
+            2: {3, 4, 5},
+            3: {0, 2, 4},
+            4: {0, 1, 2, 3, 5},
+            5: {1, 2, 4},
+        }
+
+    def test_removing_a_hull_corner_leaves_the_point_inside_a_triangle(self):
+        # Without (10, 6): 6x + 10y = 44 < 60 puts point 4 inside triangle 0-1-3.
+        triangulation = DelaunayTriangulation(self.RECTANGLE)
+        assert triangulation.remove_site(2) == {1, 3, 4}
+        assert triangulation.neighbors() == {
+            0: {1, 3, 4},
+            1: {0, 3, 4},
+            3: {0, 1, 4},
+            4: {0, 1, 3},
+        }
+
+    def test_removing_the_interior_point_leaves_exactly_one_diagonal(self):
+        triangulation = DelaunayTriangulation(self.RECTANGLE)
+        assert triangulation.remove_site(4) == {0, 1, 2, 3}
+        neighbors = triangulation.neighbors()
+        assert (2 in neighbors[0]) != (3 in neighbors[1])  # co-circular: the jitter picks
+        for corner in range(4):
+            assert {(corner - 1) % 4, (corner + 1) % 4} <= neighbors[corner]
+        assert len(triangulation.triangles) == 2
+        assert len(triangulation.edges()) == 5
+
+    def test_a_masked_point_keeps_its_index_and_is_not_triangulated(self):
+        points = self.RECTANGLE[:2] + [Point(5, 3)] + self.RECTANGLE[2:]
+        triangulation = DelaunayTriangulation(
+            points, active=[True, True, False, True, True, True]
+        )
+        assert triangulation.active_indexes() == [0, 1, 3, 4, 5]
+        assert triangulation.points == points
+        assert triangulation.neighbors() == {
+            0: {1, 4, 5},
+            1: {0, 3, 5},
+            3: {1, 4, 5},
+            4: {0, 3, 5},
+            5: {0, 1, 3, 4},
+        }
+        with pytest.raises(GeometryError):
+            triangulation.neighbors_of(2)
+        with pytest.raises(GeometryError):
+            DelaunayTriangulation(points, active=[True, True, False])
+
+    def test_a_masked_build_draws_the_jitter_of_the_compacted_build(self):
+        # On a grid every diagonal is a tie the jitter decides.
+        grid = [Point(10.0 * x, 10.0 * y) for x in range(5) for y in range(5)]
+        mask = [index % 6 != 2 for index in range(len(grid))]
+        kept = [index for index, on in enumerate(mask) if on]
+        compact = DelaunayTriangulation([grid[index] for index in kept])
+        masked = DelaunayTriangulation(grid, active=mask)
+        assert masked.neighbors() == {
+            kept[index]: {kept[neighbor] for neighbor in neighbors}
+            for index, neighbors in compact.neighbors().items()
+        }
+
+
 class TestDelaunayProperty:
     def test_empty_circumcircle_property(self):
         points = uniform_points(40, extent=100.0, seed=5)

@@ -41,15 +41,23 @@ def survivors(triangulation):
 
 
 def hull_sites(triangulation):
-    """The convex-hull sites, in index order: the ends of the ghost edges."""
-    return sorted(
-        {
-            vertex
-            for triangle in triangulation._triangles
-            if not triangle.is_real()
-            for vertex in triangle.ghost_edge()
-        }
-    )
+    """The convex-hull sites, in index order: an independent monotone chain."""
+    points = triangulation.points
+    order = sorted(triangulation.active_indexes(), key=lambda i: (points[i].x, points[i].y))
+
+    def chain(indexes):
+        hull = []
+        for index in indexes:
+            while len(hull) >= 2 and _cross(points[hull[-2]], points[hull[-1]], points[index]) <= 0:
+                hull.pop()
+            hull.append(index)
+        return hull[:-1]
+
+    return sorted(chain(order) + chain(order[::-1]))
+
+
+def _cross(o, a, b):
+    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
 
 
 class TestInsertSite:

@@ -1,0 +1,174 @@
+"""Structural invariants of the live triangulation, after *every* mutation.
+
+The triangulation is a directed-edge map over a triangulated sphere (the
+unbounded face is fanned from ``GHOST``).  The neighbour-map ≡ rebuild suites
+cannot see a structure that answers correctly today and is one operation
+away from a hang, so this file checks the map itself — through the public
+``edge_map()`` copy, never through private state — on inputs where the
+in-circle predicate is exact, tied, or noise.
+
+The seeded bug it must catch: a cavity flood that accepts a bad triangle
+whose apex is already a cavity vertex (it tracks visited triangles, as the
+textbook flood does).  On valid input that never happens; on a stack of
+coincident copies it encloses a vertex, the rim stops being a simple cycle,
+and the map stops being a sphere.  ``TestTheCheckBites`` seeds exactly that.
+"""
+
+import inspect
+import math
+import random
+import textwrap
+
+import pytest
+
+from repro.errors import GeometryError
+from repro.geometry import delaunay
+from repro.geometry.delaunay import GHOST, DelaunayTriangulation
+from repro.geometry.point import Point
+from repro.workloads.datasets import uniform_points
+
+
+def check_structure(triangulation):
+    """Assert every sphere invariant of ``triangulation``'s edge map."""
+    apex = triangulation.edge_map()
+    active = triangulation.active_indexes()
+    for (a, b), c in apex.items():
+        assert len({a, b, c}) == 3, f"degenerate triangle {(a, b, c)}"
+        assert (b, a) in apex, f"directed edge {(a, b)} has no twin"
+        assert apex.get((b, c)) == a and apex.get((c, a)) == b, (
+            f"triangle {(a, b, c)} is not entered under all three of its edges"
+        )
+    vertices = {a for a, _ in apex}
+    assert vertices == set(active) | {GHOST}, "a tombstone is in the map, or a site is not"
+    assert len(active) == len(vertices) - 1
+    for vertex in vertices:
+        successor = {b: c for (a, b), c in apex.items() if a == vertex}
+        start = following = next(iter(successor))
+        ring = []
+        while len(ring) <= len(successor):
+            ring.append(following)
+            following = successor[following]
+            if following == start:
+                break
+        assert len(ring) == len(successor) >= 3, f"the link of {vertex} is not one simple cycle"
+        if vertex != GHOST:
+            assert triangulation.neighbors_of(vertex) == set(successor) - {GHOST}
+    # Euler's formula on the sphere, the ghost vertex and its fan counted.
+    assert len(apex) % 6 == 0
+    assert len(vertices) - len(apex) // 2 + len(apex) // 3 == 2
+
+
+def grid(side=5, spacing=10.0):
+    return [Point(x * spacing, y * spacing) for x in range(side) for y in range(side)]
+
+
+def ring(count=24, radius=100.0):
+    return [
+        Point(radius * math.cos(2 * math.pi * i / count), radius * math.sin(2 * math.pi * i / count))
+        for i in range(count)
+    ]
+
+
+def collinear_plus_one():
+    return [Point(float(x), 0.0) for x in range(10)] + [Point(4.5, 7.0)]
+
+
+def stacks():
+    """Twelve spread points, then stacks of 2-5 coincident copies of four of them."""
+    base = uniform_points(12, extent=100.0, seed=31)
+    return base + [base[i] for i, copies in enumerate((2, 3, 4, 5)) for _ in range(copies - 1)]
+
+
+FAMILIES = {
+    "uniform": lambda: uniform_points(30, extent=1_000.0, seed=17),
+    "grid": grid,
+    "cocircular": ring,
+    "collinear": collinear_plus_one,
+    "stacked": stacks,
+}
+
+
+def churn(triangulation, pool, rng, steps):
+    """Random inserts (drawn from ``pool``, so ties repeat) and removals, the
+    structure checked after each.
+
+    A mutation may refuse with ``GeometryError``; it must then have left the
+    map exactly as it was.  Returns how many did.
+    """
+    refused = 0
+    for _ in range(steps):
+        before = triangulation.edge_map()
+        try:
+            if rng.random() < 0.5:
+                triangulation.remove_site(rng.choice(triangulation.active_indexes()))
+            else:
+                triangulation.insert_site(rng.choice(pool))
+        except GeometryError:
+            refused += 1
+            assert triangulation.edge_map() == before, "a refused mutation mutated"
+        check_structure(triangulation)
+    return refused
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_every_mutation_leaves_a_sphere(family, seed):
+    points = FAMILIES[family]()
+    triangulation = DelaunayTriangulation(points)
+    check_structure(triangulation)
+    churn(triangulation, points, random.Random(seed), 60)
+
+
+def test_refused_mutations_occur_and_mutate_nothing():
+    points = stacks()
+    assert churn(DelaunayTriangulation(points), points, random.Random(1), 60) >= 5
+
+
+def test_a_masked_build_is_a_sphere_without_its_tombstones():
+    points = uniform_points(25, extent=1_000.0, seed=19)
+    mask = [index % 4 != 1 for index in range(len(points))]
+    triangulation = DelaunayTriangulation(points, active=mask)
+    assert triangulation.active_indexes() == [i for i, on in enumerate(mask) if on]
+    check_structure(triangulation)
+    churn(triangulation, points, random.Random(4), 40)
+
+
+def test_removal_down_to_three_sites_refuses_and_mutates_nothing():
+    triangulation = DelaunayTriangulation(uniform_points(6, extent=100.0, seed=23))
+    rng = random.Random(5)
+    while len(triangulation.active_indexes()) > 3:
+        triangulation.remove_site(rng.choice(triangulation.active_indexes()))
+        check_structure(triangulation)
+    before = triangulation.edge_map()
+    with pytest.raises(GeometryError):
+        triangulation.remove_site(triangulation.active_indexes()[0])
+    assert triangulation.edge_map() == before
+
+
+class TestTheCheckBites:
+    """Seed the bug the apex rule exists to prevent, and see it caught."""
+
+    def test_a_flood_that_ignores_the_apex_rule_is_caught_on_stacked_sites(self):
+        source = textwrap.dedent(inspect.getsource(DelaunayTriangulation._carve_cavity))
+        rule = "w not in inside and"
+        assert source.count(rule) == 1, "the apex rule moved: re-seed this test"
+        # The textbook flood: skip a triangle already visited, not a vertex.
+        namespace = dict(vars(delaunay))
+        exec(source.replace(rule, "(v, u) not in cavity and"), namespace)
+
+        class ApexBlind(DelaunayTriangulation):
+            _carve_cavity = namespace["_carve_cavity"]
+
+        def run(cls, family, seed):
+            points = FAMILIES[family]()
+            triangulation = cls(points)
+            check_structure(triangulation)
+            churn(triangulation, points, random.Random(seed), 60)
+
+        # Where the predicate is exact the two floods carve the same cavity...
+        run(ApexBlind, "grid", 1)
+        # ...where it is noise only the apex rule keeps the sphere.
+        for seed in (2, 4, 5):
+            run(DelaunayTriangulation, "stacked", seed)
+            with pytest.raises(AssertionError, match="not entered under all three"):
+                run(ApexBlind, "stacked", seed)

@@ -22,7 +22,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.obs as obs
@@ -68,16 +68,6 @@ def check_every_hint(tree, query, counts=None):
     for count in counts or range(1, len(tree) + 1):
         for hint in (None, -1, total, total + 7, *range(total)):
             check_retrieve(tree, query, count, hint)
-
-
-def delete_or_reject(tree, index):
-    """``geometry/``'s hole retriangulation can raise TypeError when three or
-    more sites coincide (ROADMAP 4d; so does the parent's).  These tests are
-    about retrieval: such an example is discarded, not counted as a pass."""
-    try:
-        tree.delete(index)
-    except TypeError:
-        assume(False)
 
 
 hints = st.one_of(st.none(), st.integers(min_value=-3, max_value=260))
@@ -217,7 +207,7 @@ class TestExactTies:
             if churn:
                 move = rng.random()
                 if move < 0.4 and len(tree) > 8:
-                    delete_or_reject(tree, rng.choice(tree.active_indexes()))
+                    tree.delete(rng.choice(tree.active_indexes()))
                 elif move < 0.8:
                     tree.insert(tree.point(rng.choice(tree.active_indexes())))
                 else:
@@ -287,7 +277,7 @@ class TestAfterUpdates:
         )
         for _ in range(25):
             if rng.random() < 0.45 and len(tree) > 6:
-                delete_or_reject(tree, rng.choice(tree.active_indexes()))
+                tree.delete(rng.choice(tree.active_indexes()))
             elif duplicates and rng.random() < 0.3:
                 tree.insert(tree.point(rng.choice(tree.active_indexes())))
             else:
