@@ -54,15 +54,14 @@ from repro.geometry.point import Point
 from repro.durability import DurableKNNService, WriteAheadLog, recover_service
 from repro.service.messages import PositionUpdate
 from repro.simulation.report import format_table
-from repro.simulation.server_sim import (
-    _euclidean_churn_batch,
-    _population_floor,
-    build_server,
-    simulate_server,
-)
+from repro.simulation.server_sim import build_server, simulate_server
 from repro.testing import FaultPlan
 from repro.transport import KNNServer, connect
-from repro.workloads.scenarios import ChurnSpec, euclidean_server_scenario
+from repro.workloads.scenarios import (
+    ChurnSpec,
+    euclidean_server_scenario,
+    update_stream,
+)
 
 from benchmarks.conftest import emit_table
 
@@ -186,20 +185,16 @@ def hammer_wal(path, policy, writers, per_writer):
 class _StreamDriver:
     """The client side of the headline stream, one timestamp at a time.
 
-    Its churn RNG and trajectories live outside the server, so draining
-    and restarting the server mid-run leaves the update stream's future
+    The update stream and the trajectories live outside the server, so
+    draining and restarting the server mid-run leaves the stream's future
     untouched — the same split ``simulate_server`` realises internally.
     """
 
     def __init__(self, scenario):
-        import random
-
         self.scenario = scenario
-        self.rng = random.Random(scenario.seed + 977)
-        self.counts = {"inserts": 0, "deletes": 0, "moves": 0}
+        self.stream = update_stream(scenario)
         self.answers = {}
         self.sessions = []
-        self.floor = 1
 
     def open_sessions(self, service):
         self.sessions = [
@@ -208,21 +203,13 @@ class _StreamDriver:
         ]
         for session in self.sessions:
             self.answers[session.query_id] = []
-        self.floor = _population_floor(self.sessions)
 
     def run(self, service, start, stop):
         scenario = self.scenario
         for step in range(start, stop):
-            if scenario.churn.interval and step % scenario.churn.interval == 0:
-                batch = _euclidean_churn_batch(
-                    service.active_object_indexes(),
-                    self.floor,
-                    scenario,
-                    self.rng,
-                    self.counts,
-                )
-                if batch is not None:
-                    service.apply(batch)
+            if self.stream[step] is not None:
+                batch, new_indexes = self.stream[step]
+                assert tuple(service.apply(batch).new_indexes) == new_indexes
             for session, trajectory in zip(self.sessions, scenario.trajectories):
                 response = session.update(trajectory[step])
                 self.answers[session.query_id].append(

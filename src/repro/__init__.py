@@ -36,8 +36,9 @@ Beneath the service layer the package exposes:
 * the geometric and road-network substrates they are built on,
 * workload generators, trajectories and the simulation harness used by the
   examples and benchmarks (:func:`~repro.simulation.server_sim.
-  simulate_server` drives M concurrent sessions, optionally sharded
-  across ``workers=N`` dispatcher threads — or over a real transport),
+  simulate_server` replays one scenario's update stream and M concurrent
+  sessions through any front door: in process, over a socket, or
+  sharded across ``workers=N`` worker processes),
 * the wire layer (:mod:`repro.transport`): a binary codec for the message
   protocol, :class:`~repro.transport.server.KNNServer` to host a service
   behind a TCP/Unix socket, :func:`~repro.transport.client.connect` for
@@ -90,7 +91,6 @@ from repro.service import (
     KNNService,
     PositionUpdate,
     Session,
-    ShardedDispatcher,
     UpdateBatch,
     open_service,
 )
@@ -155,7 +155,6 @@ __all__ = [
     "open_service",
     "KNNService",
     "Session",
-    "ShardedDispatcher",
     "PositionUpdate",
     "KNNResponse",
     "UpdateBatch",

@@ -14,10 +14,11 @@ Two more subcommands exercise the serving system itself:
 
 * ``serve`` — drive M concurrent query sessions plus a mixed object-update
   stream through the metric-agnostic ``repro.service`` front door
-  (optionally sharded across ``--workers``, optionally over a real
-  ``--transport``) and report the communication bill: messages, objects
-  and — over a transport — measured bytes, per the paper's headline
-  metric; ``--per-session`` adds the per-session breakdown.  With
+  (optionally over a real ``--transport``; ``--transport process`` shards
+  the engine across ``--workers`` processes) and report the communication
+  bill: messages, objects and — over a transport — measured bytes, per the
+  paper's headline metric; ``--per-session`` adds the per-session
+  breakdown.  With
   ``--listen HOST:PORT`` (or ``--listen unix:PATH``) it instead *hosts*
   the service behind a socket for remote ``insq client`` processes.
 * ``client`` — connect to a listening server, drive query sessions over
@@ -69,6 +70,7 @@ import threading
 import time
 from typing import List, Optional, Sequence
 
+from repro.errors import ConfigurationError
 from repro.core.ins_euclidean import INSProcessor
 from repro.core.ins_road import INSRoadProcessor
 from repro.simulation.experiment import (
@@ -123,46 +125,61 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--rho", type=float, default=1.6, help="prefetch ratio")
     compare.add_argument("--steps", type=int, default=300, help="trajectory length")
 
-    serve = subparsers.add_parser(
-        "serve",
-        help="drive M concurrent sessions + churn through the service layer",
-    )
-    serve.add_argument("--metric", choices=("euclidean", "road"), default="euclidean")
-    serve.add_argument("--queries", type=int, default=16, help="concurrent sessions")
-    serve.add_argument(
+    # The workload every serving subcommand drives: declared once.
+    workload = argparse.ArgumentParser(add_help=False)
+    workload.add_argument("--metric", choices=("euclidean", "road"), default="euclidean")
+    workload.add_argument("--queries", type=int, default=16, help="concurrent sessions")
+    workload.add_argument(
         "--n", type=int, default=None,
         help="number of data objects (default: 600 euclidean, 40 road)",
     )
-    serve.add_argument("--k", type=int, default=4, help="number of nearest neighbours")
-    serve.add_argument("--rho", type=float, default=1.6, help="prefetch ratio")
-    serve.add_argument("--steps", type=int, default=40, help="timestamps per session")
-    serve.add_argument(
+    workload.add_argument("--k", type=int, default=4, help="number of nearest neighbours")
+    workload.add_argument("--rho", type=float, default=1.6, help="prefetch ratio")
+    workload.add_argument("--steps", type=int, default=40, help="timestamps per session")
+    workload.add_argument(
         "--churn", choices=("low", "high", "none"), default="low",
         help="object-update stream intensity",
     )
-    serve.add_argument(
-        "--workers", type=int, default=1,
-        help="shard the session set across N dispatcher threads",
-    )
-    serve.add_argument(
+    workload.add_argument("--seed", type=int, default=47, help="workload seed")
+    workload.add_argument(
         "--invalidation", choices=("delta", "flag"), default="delta",
         help="how data updates reach the sessions",
+    )
+    workload.add_argument(
+        "--replication", choices=("recompute", "delta"), default="recompute",
+        help="with process shards: how index maintenance reaches them "
+             "('recompute' re-runs every batch on every shard; 'delta' runs "
+             "it once on the leader and ships the repair delta to the "
+             "replicas — a drained leader's replacement keeps exporting them)",
+    )
+    workload.add_argument(
+        "--fsync", choices=("always", "group", "batch", "off"), default=None,
+        help="with a WAL: its fsync policy ('group' batches concurrent "
+             "commits into one fsync at 'always'-grade durability; default: "
+             "'batch' in-process, 'off' for process shards)",
+    )
+    workload.add_argument(
+        "--segment-bytes", type=int, default=None, metavar="BYTES",
+        help="with a WAL: rotate it into sealed segments at roughly this "
+             "size so checkpoints can reclaim disk (default: one growing file)",
+    )
+
+    serve = subparsers.add_parser(
+        "serve",
+        parents=[workload],
+        help="drive M concurrent sessions + churn through the service layer",
+    )
+    serve.add_argument(
+        "--workers", type=int, default=1,
+        help="worker processes (--transport process)",
     )
     serve.add_argument(
         "--check", action="store_true",
         help="verify every answer against a brute-force oracle",
     )
-    serve.add_argument("--seed", type=int, default=47, help="workload seed")
     serve.add_argument(
         "--transport", choices=("local", "tcp", "unix", "process"), default="local",
         help="drive the simulated workload over a real transport",
-    )
-    serve.add_argument(
-        "--replication", choices=("recompute", "delta"), default="recompute",
-        help="with --transport process: how index maintenance reaches the "
-             "shards ('recompute' re-runs every batch on every shard; "
-             "'delta' runs it once on the leader and ships the repair "
-             "delta to the replicas)",
     )
     serve.add_argument(
         "--per-session", action="store_true",
@@ -187,18 +204,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--snapshot-every", type=int, default=None, metavar="N",
         help="with --wal-dir: checkpoint the engine every N log records "
              "(default: snapshot only at startup, replay the whole log)",
-    )
-    serve.add_argument(
-        "--fsync", choices=("always", "group", "batch", "off"), default=None,
-        help="with --wal-dir: WAL fsync policy ('group' batches concurrent "
-             "commits into one fsync at 'always'-grade durability; default: "
-             "'batch' in-process, 'off' for process shards)",
-    )
-    serve.add_argument(
-        "--segment-bytes", type=int, default=None, metavar="BYTES",
-        help="with --wal-dir: rotate the WAL into sealed segments at "
-             "roughly this size so checkpoints can reclaim disk "
-             "(default: one growing file)",
     )
     serve.add_argument(
         "--metrics-port", type=int, default=None, metavar="PORT",
@@ -236,48 +241,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     roll = subparsers.add_parser(
         "roll",
+        parents=[workload],
         help="rolling-restart drill: drain and replace every shard under "
              "live traffic, one at a time",
-    )
-    roll.add_argument("--metric", choices=("euclidean", "road"), default="euclidean")
-    roll.add_argument("--queries", type=int, default=16, help="concurrent sessions")
-    roll.add_argument(
-        "--n", type=int, default=None,
-        help="number of data objects (default: 600 euclidean, 40 road)",
-    )
-    roll.add_argument("--k", type=int, default=4, help="number of nearest neighbours")
-    roll.add_argument("--rho", type=float, default=1.6, help="prefetch ratio")
-    roll.add_argument("--steps", type=int, default=40, help="timestamps per session")
-    roll.add_argument(
-        "--churn", choices=("low", "high", "none"), default="low",
-        help="object-update stream intensity",
     )
     roll.add_argument(
         "--workers", type=int, default=2,
         help="shard the engine across N worker processes (each is rolled once)",
     )
     roll.add_argument(
-        "--invalidation", choices=("delta", "flag"), default="delta",
-        help="how data updates reach the sessions",
-    )
-    roll.add_argument(
-        "--replication", choices=("recompute", "delta"), default="recompute",
-        help="shard maintenance mode (the rolling drill covers both: a "
-             "drained leader's replacement must keep exporting deltas)",
-    )
-    roll.add_argument("--seed", type=int, default=47, help="workload seed")
-    roll.add_argument(
         "--wal-dir", metavar="DIR", default=None,
         help="durability directory for the shards' logs "
              "(default: a temporary directory, removed afterwards)",
-    )
-    roll.add_argument(
-        "--fsync", choices=("always", "group", "batch", "off"), default=None,
-        help="the shards' WAL fsync policy (default: 'off')",
-    )
-    roll.add_argument(
-        "--segment-bytes", type=int, default=None, metavar="BYTES",
-        help="rotate each shard's WAL into sealed segments at this size",
     )
     roll.add_argument(
         "--start-epoch", type=int, default=2, metavar="E",
@@ -1075,6 +1050,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _run_roll(args)
         if args.command == "stats":
             return _run_stats(args)
+    except ConfigurationError as error:
+        parser.error(str(error))
     except BrokenPipeError:
         # Downstream closed early (`insq stats ... | head`); not an error.
         # Point stdout at devnull so the interpreter's shutdown flush

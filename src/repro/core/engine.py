@@ -186,8 +186,8 @@ class ServingEngine(abc.ABC, Generic[PositionT]):
         self._epoch = 0
         # Communication accounting: one aggregate (it keeps the history of
         # unregistered queries) plus one live record per registered query.
-        # The lock keeps the counters exact when a ShardedDispatcher
-        # advances different queries from different worker threads.
+        # The lock keeps the counters exact when a KNNServer's
+        # per-connection threads bill wire bytes outside its service lock.
         self._communication = CommunicationStats()
         self._comm_by_query: Dict[int, CommunicationStats] = {}
         self._comm_by_kind: Dict[str, CommunicationStats] = {}

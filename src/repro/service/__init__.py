@@ -19,11 +19,12 @@ surface* on top of them:
   whose :meth:`payload_size` accounting makes the paper's headline metric
   — messages and objects shipped over the wire, accumulated into
   :class:`~repro.core.stats.CommunicationStats` per session and in
-  aggregate — a first-class, testable quantity;
-* :mod:`repro.service.dispatch` — :class:`ShardedDispatcher`: partition
-  the open sessions across worker threads between epochs (the index is
-  read-mostly there), the ``workers=N`` knob of
-  :func:`~repro.simulation.server_sim.simulate_server` and the CLI.
+  aggregate — a first-class, testable quantity.
+
+Scaling out across cores is :mod:`repro.transport`'s job
+(:class:`~repro.transport.procpool.ProcessShardedDispatcher`: one engine
+replica per worker process); within one interpreter the sessions advance
+one after another.
 
 Everything here delegates to the engine layer — driving the same workload
 through raw :class:`~repro.core.server.MovingKNNServer` /
@@ -33,7 +34,6 @@ answers and identical communication counters (the equivalence suite in
 """
 
 from repro.core.stats import CommunicationStats
-from repro.service.dispatch import ShardedDispatcher
 from repro.service.messages import KNNResponse, PositionUpdate, UpdateBatch
 from repro.service.service import KNNService, open_service
 from repro.service.session import Session
@@ -44,7 +44,6 @@ __all__ = [
     "KNNService",
     "PositionUpdate",
     "Session",
-    "ShardedDispatcher",
     "UpdateBatch",
     "open_service",
 ]

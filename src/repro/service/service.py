@@ -142,13 +142,11 @@ class KNNService:
         return self._engine.object_count
 
     def active_object_indexes(self) -> List[int]:
-        """Indexes of the active data objects, in the index's native order.
-
-        The order is part of the contract: workload drivers sample churn
-        victims from it with a seeded RNG, so a transport that relays this
-        list (the ``repro.transport`` objects frame) must preserve it for
-        remote runs to realise the exact same update streams.
-        """
+        """Indexes of the active data objects, in the index's native order
+        (ascending on both metrics — the order
+        :func:`~repro.workloads.scenarios.update_stream` models); a
+        transport that relays this list (the ``repro.transport`` objects
+        frame) preserves it."""
         return list(self._engine.index.active_indexes())
 
     @property
@@ -278,8 +276,7 @@ class KNNService:
     def _deliver(self, query_id: int, position: Any) -> KNNResponse:
         # Two of the session's counters, read before and after, turn the engine's
         # accounting into the response's per-step annotation without double counting.
-        # Everything here is local state: different sessions may be
-        # delivered concurrently by a ShardedDispatcher.
+        # Everything here is per-session state, so it needs no lock of its own.
         record = self._engine.communication_for(query_id)
         before = (record.downlink_objects, record.uplink_messages)
         result = self._engine.update_position(query_id, position)

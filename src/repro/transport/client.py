@@ -7,9 +7,8 @@ session handles, applies :class:`~repro.service.messages.UpdateBatch`
 epochs, and reports communication.  Its :class:`RemoteSession` is the
 in-process :class:`~repro.service.session.Session` — literally a subclass
 that reuses every behaviour through the service's ``_deliver`` /
-``_refresh`` / ``_discard`` seam — so ``simulate_server``, the
-:class:`~repro.service.dispatch.ShardedDispatcher` and user code drive
-either without knowing which they hold::
+``_refresh`` / ``_discard`` seam — so ``simulate_server`` and user code
+drive either without knowing which they hold::
 
     from repro.transport import connect
 
@@ -166,8 +165,8 @@ class RemoteService:
     """Client-side handle to one served :class:`KNNService`.
 
     Requests are strictly request/response in order over one connection;
-    a lock makes the handle safe to share across dispatcher threads (they
-    serialise on the wire, preserving the protocol order).  The
+    a lock makes the handle safe to share across threads (they serialise
+    on the wire, preserving the protocol order).  The
     :mod:`~repro.transport.procpool` dispatcher bypasses the lock-per-call
     path with explicit pipelining instead.
 

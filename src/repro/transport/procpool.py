@@ -1,10 +1,9 @@
 """Multi-process sharding: one engine shard per worker process.
 
-PR4's :class:`~repro.service.dispatch.ShardedDispatcher` proved the
-dispatch contract (deterministic ``i mod workers`` pinning, a barrier per
-dispatch) but ran inside one CPython process, where the GIL serialises the
-pure-Python serving work.  :class:`ProcessShardedDispatcher` is the same
-contract across real processes: each worker process builds its own replica
+Within one CPython process the GIL serialises the pure-Python serving
+work, so threads cannot scale it.  :class:`ProcessShardedDispatcher` shards
+across real processes instead — deterministic ``i mod workers`` pinning and
+a barrier per dispatch: each worker process builds its own replica
 of the engine from a picklable :class:`ServiceSpec` and serves it over a
 socketpair using the *exact* wire protocol of
 :func:`~repro.transport.server.serve_connection` — the parent is just a
@@ -667,9 +666,9 @@ class ProcessShardedDispatcher:
     ) -> RemoteSession:
         """Open the next session on its pinned shard.
 
-        The ``i``-th call lands on worker ``i % workers`` — the same
-        deterministic rule the thread dispatcher shards by, so a workload
-        replayed at any worker count pins identically.  The returned
+        The ``i``-th call lands on worker ``i % workers`` — a
+        deterministic rule, so a workload replayed at any worker count
+        pins identically.  The returned
         session carries a ``global_id`` (its open-order index) alongside
         the shard-local ``query_id``.
         """

@@ -17,10 +17,8 @@ a real transport can measure: bytes, billed into the same
 Consistency model: one lock per hosted service serialises request handling
 across connections, so update-stream epochs (:class:`UpdateBatch` frames)
 are applied strictly *between* request batches — an epoch never overlaps a
-position update, exactly the barrier contract the in-process
-:class:`~repro.service.dispatch.ShardedDispatcher` enforces.  Within one
-connection, requests are answered strictly in arrival order, so clients
-may pipeline.
+position update.  Within one connection, requests are answered strictly in
+arrival order, so clients may pipeline.
 
 Meta frames (stats, aggregate stats, active objects) are served but not
 billed: they are diagnostics about the protocol, not part of it.

@@ -22,6 +22,7 @@ from repro.workloads.scenarios import (
     euclidean_server_scenario,
     fig4_scenario,
     road_server_scenario,
+    update_stream,
 )
 
 __all__ = [
@@ -40,4 +41,5 @@ __all__ = [
     "euclidean_server_scenario",
     "road_server_scenario",
     "fig4_scenario",
+    "update_stream",
 ]

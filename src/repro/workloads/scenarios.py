@@ -12,15 +12,16 @@ Two families are provided:
 * *server* scenarios (:class:`EuclideanServerScenario`,
   :class:`RoadServerScenario`) — M concurrent query streams over one shared
   index, interleaved with a mixed object-update stream whose churn is
-  described by a :class:`ChurnSpec`; the shape the multi-query serving
-  engine is exercised with (see
-  :func:`repro.simulation.server_sim.simulate_server`).
+  described by a :class:`ChurnSpec` and which :func:`update_stream` computes
+  from the scenario alone; the shape the multi-query serving engine is
+  exercised with (see :func:`repro.simulation.server_sim.simulate_server`).
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.geometry.point import Point
@@ -28,6 +29,7 @@ from repro.geometry.primitives import BoundingBox
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.generators import grid_network, place_objects
 from repro.roadnet.location import NetworkLocation
+from repro.service.messages import UpdateBatch
 from repro.trajectory.euclidean import random_waypoint_trajectory
 from repro.trajectory.road import network_random_walk
 from repro.workloads.datasets import (
@@ -388,6 +390,68 @@ def road_server_scenario(
         churn=spec,
         seed=seed,
     )
+
+
+def update_stream(
+    scenario: Union[EuclideanServerScenario, RoadServerScenario],
+) -> List[Optional[Tuple[UpdateBatch, Tuple[int, ...]]]]:
+    """A server scenario's object-update stream, from the scenario alone.
+
+    One entry per timestamp: ``None`` where the churn interval skips it
+    (timestamp 0, registration, always) or the drawn batch is empty, else
+    ``(batch, new_indexes)`` — the batch that timestamp applies as one data
+    epoch and the object indexes an engine assigns to its new objects, in
+    order.  No engine is consulted: index assignment is modelled (ascending
+    from the initial population, never reused; a plane move is delete +
+    reinsert under a new index, a road move keeps its index), so every
+    front door replays the identical stream and a driver can check each
+    ``apply`` against ``new_indexes``.
+
+    The draw order is one ``random.Random(seed + 977)``: delete victims,
+    move victims, then positions — inserts before move destinations on the
+    plane, move destinations before inserts on roads.  Deletions stop at
+    the population floor, ``max(scenario.ks) + 2``.
+    """
+    churn = scenario.churn
+    road = scenario.metric == "road"
+    if road:
+        vertices = scenario.network.vertices()
+        active = list(range(len(scenario.object_vertices)))
+    else:
+        active = list(range(len(scenario.points)))
+    next_index = len(active)
+    floor = max(scenario.ks) + 2
+    rng = random.Random(scenario.seed + 977)
+    stream: List[Optional[Tuple[UpdateBatch, Tuple[int, ...]]]]
+    stream = [None] * scenario.timestamps
+    if not churn.interval:
+        return stream
+    for step in range(churn.interval, scenario.timestamps, churn.interval):
+        deletes = rng.sample(active, min(churn.deletes, max(0, len(active) - floor)))
+        gone = set(deletes)
+        remaining = [index for index in active if index not in gone]
+        victims = rng.sample(remaining, min(churn.moves, len(remaining)))
+        if road:
+            moves = [(index, rng.choice(vertices)) for index in victims]
+            inserts = [rng.choice(vertices) for _ in range(churn.inserts)]
+            created = len(inserts)
+        else:
+            fresh = [
+                Point(rng.uniform(0.0, scenario.extent), rng.uniform(0.0, scenario.extent))
+                for _ in range(churn.inserts + len(victims))
+            ]
+            inserts = fresh[: churn.inserts]
+            moves = list(zip(victims, fresh[churn.inserts :]))
+            gone.update(victims)
+            created = len(fresh)
+        batch = UpdateBatch(inserts=inserts, deletes=deletes, moves=moves)
+        if batch.is_empty:
+            continue
+        new_indexes = tuple(range(next_index, next_index + created))
+        next_index += created
+        active = [index for index in active if index not in gone] + list(new_indexes)
+        stream[step] = (batch, new_indexes)
+    return stream
 
 
 def default_road_scenario(

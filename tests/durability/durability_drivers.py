@@ -3,28 +3,23 @@
 The restart-and-replay oracle needs to crash a service at an *arbitrary*
 step and continue afterwards, which ``simulate_server`` (one closed run)
 cannot express.  :class:`ScenarioDriver` is the same loop opened up: it
-realises the identical seeded update stream (it reuses the simulation's
-own churn samplers) but hands the test control over when each step runs
-and against which service object — so a test can drive to step *c*, crash
-the service, recover a new one from its WAL, re-bind, and finish the run.
+replays the scenario's own update stream
+(:func:`~repro.workloads.scenarios.update_stream`, computed from the
+scenario alone) but hands the test control over when each step runs and
+against which service object — so a test can drive to step *c*, crash the
+service, recover a new one from its WAL, re-bind, and finish the run.
 
-Two drivers created from the same scenario produce bit-identical update
-streams as long as their engine states stay bit-identical — the exact
-property the oracle asserts.
+Two drivers created from the same scenario apply bit-identical update
+streams, and every ``apply`` is checked against the object indexes the
+stream predicts.
 """
 
-import random
-
-from repro.simulation.server_sim import (
-    _euclidean_churn_batch,
-    _population_floor,
-    _road_churn_batch,
-    build_server,
-)
+from repro.simulation.server_sim import build_server
 from repro.workloads.scenarios import (
     ChurnSpec,
     euclidean_server_scenario,
     road_server_scenario,
+    update_stream,
 )
 
 #: Small but non-trivial: every churn kind fires, several epochs, mixed k
@@ -56,20 +51,18 @@ def build_scenario(metric):
 class ScenarioDriver:
     """Drive one service through a server scenario, one step at a time.
 
-    The driver models the *client side* of a crash: its churn RNG and
-    trajectories live outside the service, so killing and recovering the
-    service mid-run leaves the update stream's future untouched — exactly
-    like a real client that outlives a crashed server.
+    The driver models the *client side* of a crash: the update stream and
+    the trajectories live outside the service, so killing and recovering
+    the service mid-run leaves the stream's future untouched — exactly like
+    a real client that outlives a crashed server.
     """
 
-    def __init__(self, scenario, metric):
+    def __init__(self, scenario):
         self.scenario = scenario
-        self.euclidean = metric == "euclidean"
-        self.rng = random.Random(scenario.seed + 977)
+        self.stream = update_stream(scenario)
         self.counts = {"inserts": 0, "deletes": 0, "moves": 0}
         self.answers = {}
         self.sessions = []
-        self.floor = 1
 
     def open_sessions(self, service):
         """Timestamp 0: register every query at its trajectory start."""
@@ -79,7 +72,6 @@ class ScenarioDriver:
         ]
         for session in self.sessions:
             self.answers[session.query_id] = []
-        self.floor = _population_floor(self.sessions)
 
     def rebind(self, service):
         """Point the loop at a recovered service's session handles."""
@@ -88,19 +80,13 @@ class ScenarioDriver:
 
     def step(self, service, step):
         """One timestamp: maybe one churn epoch, then advance every session."""
-        scenario = self.scenario
-        if scenario.churn.interval and step % scenario.churn.interval == 0:
-            sampler = _euclidean_churn_batch if self.euclidean else _road_churn_batch
-            batch = sampler(
-                service.active_object_indexes(),
-                self.floor,
-                scenario,
-                self.rng,
-                self.counts,
-            )
-            if batch is not None:
-                service.apply(batch)
-        for session, trajectory in zip(self.sessions, scenario.trajectories):
+        if self.stream[step] is not None:
+            batch, new_indexes = self.stream[step]
+            assert tuple(service.apply(batch).new_indexes) == new_indexes, f"step {step}"
+            self.counts["inserts"] += len(batch.inserts)
+            self.counts["deletes"] += len(batch.deletes)
+            self.counts["moves"] += len(batch.moves)
+        for session, trajectory in zip(self.sessions, self.scenario.trajectories):
             response = session.update(trajectory[step])
             self.answers[session.query_id].append(
                 (response.knn, response.knn_distances)
@@ -130,7 +116,7 @@ def reference_run(metric, invalidation):
     service = KNNService(
         build_server(scenario, invalidation=invalidation)
     )
-    driver = ScenarioDriver(scenario, metric)
+    driver = ScenarioDriver(scenario)
     driver.open_sessions(service)
     driver.run(service, 1, scenario.timestamps)
     return driver, service

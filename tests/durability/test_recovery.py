@@ -46,7 +46,7 @@ class TestRestartAndReplayOracle:
         service = DurableKNNService(
             build_server(scenario, invalidation=invalidation), wal_dir
         )
-        driver = ScenarioDriver(scenario, metric)
+        driver = ScenarioDriver(scenario)
         driver.open_sessions(service)
         driver.run(service, 1, crash_step)
 
@@ -76,7 +76,7 @@ class TestRestartAndReplayOracle:
             wal_dir,
             snapshot_every=20,  # several checkpoints land mid-run
         )
-        driver = ScenarioDriver(scenario, "euclidean")
+        driver = ScenarioDriver(scenario)
         driver.open_sessions(service)
         driver.run(service, 1, scenario.timestamps)
         service.close_wal()
@@ -97,7 +97,7 @@ class TestRestartAndReplayOracle:
         service = DurableKNNService(
             build_server(scenario, invalidation="delta"), wal_dir
         )
-        driver = ScenarioDriver(scenario, "euclidean")
+        driver = ScenarioDriver(scenario)
         driver.open_sessions(service)
         # Advance only the first two sessions of step 1 by hand.
         partial = [
@@ -147,7 +147,7 @@ class TestDurableServiceGuards:
         wal_dir = str(tmp_path / "state")
         scenario = build_scenario("euclidean")
         service = DurableKNNService(build_server(scenario), wal_dir)
-        driver = ScenarioDriver(scenario, "euclidean")
+        driver = ScenarioDriver(scenario)
         driver.open_sessions(service)
         driver.run(service, 1, 4)
         service.close_wal()

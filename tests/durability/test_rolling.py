@@ -212,7 +212,7 @@ class TestServerDrainRestart:
         )
         server = KNNServer(service).start()
         remote = connect(server.address)
-        driver = ScenarioDriver(scenario, "euclidean")
+        driver = ScenarioDriver(scenario)
         driver.open_sessions(remote)
         stop = scenario.timestamps
         try:
@@ -386,7 +386,7 @@ class TestGroupCommit:
             service = DurableKNNService(
                 build_server(scenario), wal_dir, fsync=policy
             )
-            driver = ScenarioDriver(scenario, "euclidean")
+            driver = ScenarioDriver(scenario)
             driver.open_sessions(service)
             driver.run(service, 1, scenario.timestamps)
             service.wal.wait_durable(service.wal.last_seq)
@@ -478,7 +478,7 @@ class TestSegmentRotationUnderTraffic:
             snapshot_every=40,
             segment_bytes=512,
         )
-        driver = ScenarioDriver(scenario, "euclidean")
+        driver = ScenarioDriver(scenario)
         driver.open_sessions(service)
         driver.run(service, 1, scenario.timestamps)
         assert service.wal.rotations >= 1
@@ -510,7 +510,7 @@ class TestSegmentRotationUnderTraffic:
             service = DurableKNNService(
                 build_server(scenario), wal_dir, segment_bytes=segment_bytes
             )
-            driver = ScenarioDriver(scenario, "euclidean")
+            driver = ScenarioDriver(scenario)
             driver.open_sessions(service)
             driver.run(service, 1, scenario.timestamps)
             service.close_wal()

@@ -108,7 +108,7 @@ class TestEngineRoundTrip:
         service = DurableKNNService(
             build_server(scenario, invalidation=invalidation), wal_dir
         )
-        driver = ScenarioDriver(scenario, metric)
+        driver = ScenarioDriver(scenario)
         driver.open_sessions(service)
         half = scenario.timestamps // 2
         driver.run(service, 1, half)

@@ -1,9 +1,14 @@
 """Tests for repro.simulation.server_sim (the multi-query server driver)."""
 
+import dataclasses
+import time
+
 import pytest
 
 from repro.core.road_server import MovingRoadKNNServer
 from repro.core.server import MovingKNNServer
+from repro.errors import ConfigurationError
+from repro.service import Session
 from repro.simulation.server_sim import build_server, simulate_server
 from repro.workloads.scenarios import (
     ChurnSpec,
@@ -34,21 +39,6 @@ class TestBuildServer:
     def test_invalidation_mode_is_forwarded(self, euclidean_scenario):
         server = build_server(euclidean_scenario, invalidation="flag")
         assert server.invalidation == "flag"
-
-    def test_supplied_server_must_match_the_requested_run(self, euclidean_scenario):
-        from repro.errors import ConfigurationError
-        from repro.geometry.point import Point
-
-        mismatched = build_server(euclidean_scenario, invalidation="delta")
-        with pytest.raises(ConfigurationError):
-            simulate_server(euclidean_scenario, invalidation="flag", server=mismatched)
-        wrong_maintenance = build_server(euclidean_scenario, maintenance="rebuild")
-        with pytest.raises(ConfigurationError):
-            simulate_server(euclidean_scenario, server=wrong_maintenance)
-        occupied = build_server(euclidean_scenario)
-        occupied.register_query(Point(100.0, 100.0), k=3)
-        with pytest.raises(ConfigurationError):
-            simulate_server(euclidean_scenario, server=occupied)
 
 
 class TestSimulateServer:
@@ -101,3 +91,63 @@ class TestSimulateServer:
         )
         run = simulate_server(scenario, check_answers=True)
         assert run.is_correct
+
+
+class TestEveryFrontDoor:
+    @pytest.mark.parametrize(
+        "transport, workers", [("tcp", 1), ("process", 2)], ids=["tcp", "process-x2"]
+    )
+    @pytest.mark.parametrize("metric", ["euclidean", "road"])
+    def test_answers_are_checked_on_every_transport(
+        self, euclidean_scenario, road_scenario, metric, transport, workers
+    ):
+        scenario = euclidean_scenario if metric == "euclidean" else road_scenario
+        run = simulate_server(
+            scenario, transport=transport, workers=workers, check_answers=True
+        )
+        assert run.is_correct
+        assert run.epochs > 0
+        assert sum(len(stream) for stream in run.results.values()) == (
+            scenario.query_count * (scenario.timestamps - 1)
+        )
+
+    def test_a_swapped_knn_member_is_caught(self, monkeypatch):
+        scenario = euclidean_server_scenario(
+            queries=2, object_count=80, k=3, steps=6, churn="none", extent=1_000.0, seed=7
+        )
+        honest_update = Session.update
+
+        def swap_nearest_for_farthest(session, position):
+            response = honest_update(session, position)
+            farthest = max(
+                range(len(scenario.points)),
+                key=lambda index: position.distance_to(scenario.points[index]),
+            )
+            knn = (farthest, *response.knn[1:])
+            return dataclasses.replace(
+                response, result=dataclasses.replace(response.result, knn=knn)
+            )
+
+        monkeypatch.setattr(Session, "update", swap_nearest_for_farthest)
+        run = simulate_server(scenario, check_answers=True)
+        assert len(run.mismatches) == scenario.query_count * (scenario.timestamps - 1)
+
+    def test_threads_are_not_a_front_door(self, euclidean_scenario):
+        with pytest.raises(ConfigurationError, match="transport='process'"):
+            simulate_server(euclidean_scenario, workers=2)
+        with pytest.raises(ConfigurationError, match="transport='process'"):
+            simulate_server(euclidean_scenario, transport="tcp", workers=2)
+
+    def test_elapsed_excludes_the_serving_hooks_cleanup(self):
+        scenario = euclidean_server_scenario(
+            queries=2, object_count=80, k=3, steps=6, churn="low", extent=1_000.0, seed=7
+        )
+
+        def hook(served):
+            return lambda: time.sleep(0.3)
+
+        local, process = (
+            simulate_server(scenario, transport=transport, serving_hook=hook)
+            for transport in ("local", "process")
+        )
+        assert abs(process.elapsed_seconds - local.elapsed_seconds) < 0.15

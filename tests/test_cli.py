@@ -41,13 +41,19 @@ class TestCli:
         exit_code = main(
             [
                 "serve", "--queries", "4", "--n", "150", "--steps", "10",
-                "--workers", "2", "--check",
+                "--transport", "process", "--workers", "2", "--check",
             ]
         )
         captured = capsys.readouterr()
         assert exit_code == 0
         assert "communication bill" in captured.out
         assert "all answers correct" in captured.out
+
+    def test_serve_workers_need_process_shards(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--queries", "2", "--n", "150", "--steps", "4", "--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "requires transport='process'" in capsys.readouterr().err
 
     def test_serve_road(self, capsys):
         exit_code = main(

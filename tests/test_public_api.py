@@ -129,4 +129,3 @@ class TestPublicApi:
         assert repro.NetworkVoronoiDiagram.__name__ == "NetworkVoronoiDiagram"
         assert repro.KNNService.__name__ == "KNNService"
         assert repro.Session.__name__ == "Session"
-        assert repro.ShardedDispatcher.__name__ == "ShardedDispatcher"
