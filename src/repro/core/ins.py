@@ -197,9 +197,8 @@ class InfluentialSetProcessor(MovingKNNProcessor[PositionT]):
         return self._retrieve(position, None)
 
     def _update(self, position: PositionT) -> QueryResult:
-        if self._state_stale or self._index.coincident:
-            # The data set changed since the last answer (settle the delta), or
-            # holds coincident objects (no validation is sound: retrieve).
+        if self._state_stale:
+            # The data set changed since the last answer: settle the delta.
             forced = self._consume_data_updates(position)
             if forced is not None:
                 return forced
@@ -224,13 +223,12 @@ class InfluentialSetProcessor(MovingKNNProcessor[PositionT]):
         untouched) and the normal validation flow should proceed.
         """
         changed, removed, forced = self._take_pending()
-        index = self._index
-        if forced or index.coincident or removed.intersection(self._R):
+        if forced or removed.intersection(self._R):
             # Blanket invalidation, or the prefetched set lost a member: R
             # no longer reflects the ⌊ρk⌋ nearest objects, recompute it —
             # from a member the client still holds, if one survives.
             self._stats.validations += 1
-            survivors = (member for member in self._R if index.is_active(member))
+            survivors = (member for member in self._R if self._index.is_active(member))
             return self._retrieve(position, next(survivors, None))
         if removed & self._ins or not changed.isdisjoint(self._held):
             # The delta touched the held region: re-derive I(R) from the

@@ -11,8 +11,9 @@ what the plane supplies:
 * the held distances: ``hypot`` over coordinates laid out flat when the held
   set last changed (objects never move, so the layout outlives timestamps);
 * the tie rule: strict ``<`` — the triangulation splits degenerate input by
-  a jitter, so a tie is never a certificate (the rule retrieval uses too),
-  and while the tree holds coincident objects every timestamp retrieves;
+  a jitter, so a tie is never a certificate (the rule retrieval uses too);
+  coincident objects share one site and are each other's neighbours, so a
+  twin straddling the answer's boundary is such a tie and nothing more;
 * the paper's case (i), behind ``allow_incremental``: when the answer
   changes by a single object, fetch only the incomer's neighbour list.
 """

@@ -98,7 +98,6 @@ from repro.errors import GeometryError
 from repro.geometry.point import Point, bounding_coordinates
 from repro.geometry.predicates import (
     EPSILON,
-    circumcenter,
     in_circumcircle,
     orientation,
 )
@@ -243,13 +242,6 @@ class DelaunayTriangulation:
         result.discard(GHOST)
         return result
 
-    def triangle_circumcenter(self, triangle: Triangle) -> Point:
-        """Circumcenter of a triangle, i.e. a Voronoi vertex of the dual."""
-        a = self._points[triangle.a]
-        b = self._points[triangle.b]
-        c = self._points[triangle.c]
-        return circumcenter(a, b, c)
-
     # ------------------------------------------------------------------
     # Incremental maintenance
     # ------------------------------------------------------------------
@@ -277,6 +269,13 @@ class DelaunayTriangulation:
         self._active.append(True)
         self._vertex_count += 1
         return index, changed
+
+    def add_tombstone(self, point: Point) -> int:
+        """Register ``point`` under the next index as a tombstone (see ``active``)."""
+        self._original_points.append(point)
+        self._points.append(point)
+        self._active.append(False)
+        return len(self._points) - 1
 
     def remove_site(self, index: int) -> Set[int]:
         """Remove one site; returns the sites whose neighbours changed.

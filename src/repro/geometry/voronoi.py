@@ -66,6 +66,9 @@ class VoronoiDiagram:
             rarely-updated diagrams: the neighbour map comes from the
             cheaper convenience wrapper and the live dual is only built if
             an incremental update arrives after all.
+        active: which of ``sites`` exist (default: all).  A masked site is
+            a tombstone from the start, so a caller whose ids include points
+            that are no sites shares its ids with the diagram and the dual.
 
     The neighbour relation (:meth:`neighbors_of`) is derived from the
     Delaunay dual and never depends on the clipping box.
@@ -76,20 +79,23 @@ class VoronoiDiagram:
         sites: Sequence[Point],
         bounding_box: Optional[BoundingBox] = None,
         maintain_incrementally: bool = False,
+        active: Optional[Sequence[bool]] = None,
     ):
-        if not sites:
-            raise EmptyDatasetError("a Voronoi diagram requires at least one site")
         self._sites: List[Point] = list(sites)
-        self._active: List[bool] = [True] * len(self._sites)
-        self._active_count = len(self._sites)
-        self._bounding_box = bounding_box or self._default_bounding_box()
+        self._active: List[bool] = [True] * len(self._sites) if active is None else list(active)
+        self._active_count = sum(self._active)
+        if not self._active_count:
+            raise EmptyDatasetError("a Voronoi diagram requires at least one site")
+        if len(self._active) != len(self._sites):
+            raise GeometryError("the active mask must cover every site")
+        self._bounding_box = bounding_box or self._box_around()
         self._cell_cache: Dict[int, ConvexPolygon] = {}
         # Live Delaunay dual; None for degenerate inputs (and for throwaway
         # diagrams until an incremental update arrives).
         self._delaunay: Optional[DelaunayTriangulation] = None
         self._neighbors: Dict[int, Set[int]] = {}
         if not (maintain_incrementally and self._ensure_live()):
-            self._neighbors = delaunay_neighbors(self._sites)
+            self._neighbors = self._neighbors_from_scratch()
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
@@ -179,7 +185,8 @@ class VoronoiDiagram:
         neighbour relation never depends on the box.
         """
         if not self._bounding_box.contains_point(point):
-            self._grow_bounding_box(point)
+            self._bounding_box = self._box_around(point)
+            self._cell_cache.clear()
         rebuilt = self._delaunay is None and self._ensure_live()
         if self._delaunay is None:
             index = self._append_site(point)
@@ -229,6 +236,14 @@ class VoronoiDiagram:
             changed = set(self._neighbors)
         return changed
 
+    def add_tombstone(self, point: Point) -> int:
+        """Register ``point`` under the next index as a tombstone (see ``active``)."""
+        index = self._append_site(point)
+        self._deactivate(index)
+        if self._delaunay is not None:
+            self._delaunay.add_tombstone(point)
+        return index
+
     def _append_site(self, point: Point) -> int:
         index = len(self._sites)
         self._sites.append(point)
@@ -270,13 +285,17 @@ class VoronoiDiagram:
     def _refresh_all(self) -> None:
         """Full neighbour-map rebuild (the degenerate-geometry fallback)."""
         _FALLBACK_REBUILDS.inc()
+        self._neighbors = self._neighbors_from_scratch()
+        self._cell_cache.clear()
+
+    def _neighbors_from_scratch(self) -> Dict[int, Set[int]]:
+        """The neighbour map of the active sites by the convenience wrapper."""
         active = self.active_site_indexes()
         local = delaunay_neighbors([self._sites[i] for i in active])
-        self._neighbors = {
+        return {
             active[index]: {active[neighbor] for neighbor in neighbors}
             for index, neighbors in local.items()
         }
-        self._cell_cache.clear()
 
     # ------------------------------------------------------------------
     # Cells and point location
@@ -320,24 +339,10 @@ class VoronoiDiagram:
     # ------------------------------------------------------------------
     # Internal helpers
     # ------------------------------------------------------------------
-    def _default_bounding_box(self) -> BoundingBox:
-        box = BoundingBox.from_points(self._sites)
-        margin = max(box.width, box.height, 1.0)
-        return box.expanded(margin)
-
-    def _grow_bounding_box(self, point: Point) -> None:
-        """Grow the clipping box to cover ``point`` (ROADMAP open item).
-
-        The new box is derived from the union of the active sites' extent
-        and the incoming point, with the same margin rule as construction;
-        every cached cell polygon is dropped because boundary cells clip
-        against the box.
-        """
-        active_sites = [self._sites[index] for index in self.active_site_indexes()]
-        tight = BoundingBox.from_points(active_sites + [point])
-        margin = max(tight.width, tight.height, 1.0)
-        self._bounding_box = tight.expanded(margin)
-        self._cell_cache.clear()
+    def _box_around(self, *extra: Point) -> BoundingBox:
+        """The active sites' and ``extra``'s extent, grown by its own size."""
+        tight = BoundingBox.from_points([*map(self.site, self.active_site_indexes()), *extra])
+        return tight.expanded(max(tight.width, tight.height, 1.0))
 
 
 def influential_neighbor_indexes(

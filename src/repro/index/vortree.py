@@ -31,11 +31,16 @@ epoch, switching to a single full rebuild when the burst is large enough
 that per-object patching would be wasted work.  ``insq_index_rebuilds_total``
 counts the rebuilds that remain by reason: ``geometry_error`` (fewer than
 three or only collinear objects), ``bulk_threshold`` and ``rebuild_mode``.
+
+**One id space.**  An object's index is its diagram site's and the dual's
+vertex's.  Objects at one position share the site the first active one
+founds; later *twins* are tombstones of the diagram (``active=``).  A
+twin's list is its site's neighbours' objects plus its own twins, so the
+INS theorem and the retrieval walk hold over the lists exactly.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from heapq import heappop, heappush
 from math import hypot
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
@@ -52,7 +57,7 @@ _REBUILDS = {
 }
 _FALLBACKS = {
     reason: _obs_counter("insq_retrieval_fallbacks_total", reason=reason)
-    for reason in ("coincident", "no_seed", "short", "uncertified")
+    for reason in ("no_seed", "short", "uncertified")
 }
 
 
@@ -89,23 +94,22 @@ class VoRTree:
         self._points: List[Point] = list(points)
         self._active: List[bool] = [True] * len(self._points)
         self._active_count = len(self._points)
-        # Active objects per exact position (see :attr:`coincident`).
-        self._occupied = Counter((point.x, point.y) for point in self._points)
         self._neighbor_map: Dict[int, FrozenSet[int]] = {}
         self._voronoi: Optional[VoronoiDiagram] = None
-        # Object index <-> site index in the shared Voronoi diagram.  The two
-        # drift apart once tombstones exist, because the diagram is (re)built
-        # over active objects only.
-        self._site_of_object: Dict[int, int] = {}
-        self._object_of_site: Dict[int, int] = {}
+        # Exact position -> its site; site -> its active objects, kept only
+        # where that is not the site alone (twins, or a deleted founder).
+        self._site_at: Dict[Tuple[float, float], int] = {}
+        self._members: Dict[int, List[int]] = {}
         self._rebuild_neighbor_map()
         entries = [RTreeEntry(point, index) for index, point in enumerate(self._points)]
         self._rtree = RTree.bulk_load(entries, max_entries=max_entries)
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
-        if "_occupied" not in state:  # pickled before it was kept: derived state
-            self._occupied = Counter((p.x, p.y) for p in map(self.point, self.active_indexes()))
+        if "_site_of_object" in state:  # pickled when sites were numbered apart
+            for stale in ("_site_of_object", "_object_of_site", "_occupied"):
+                self.__dict__.pop(stale, None)
+            self._rebuild_neighbor_map()
 
     # ------------------------------------------------------------------
     # Accessors
@@ -142,18 +146,14 @@ class VoRTree:
 
     @property
     def voronoi(self) -> Optional[VoronoiDiagram]:
-        """The order-1 Voronoi diagram of the active objects.
+        """The order-1 Voronoi diagram of the active objects' positions.
 
-        None when only one active object remains (no diagram can be built).
-        The diagram may contain tombstoned sites after deletions; its active
-        sites always correspond 1:1 to the tree's active objects.
+        None when every active object sits at one position (no diagram can
+        be built).  Site ``i`` is object ``i`` — or, once that founding
+        object is deleted, the position its surviving twins share; one active
+        site per distinct active position.
         """
         return self._voronoi
-
-    @property
-    def coincident(self) -> bool:
-        """True while active objects share a position: the neighbour lists certify nothing."""
-        return len(self._occupied) < self._active_count
 
     @property
     def maintenance(self) -> str:
@@ -191,28 +191,31 @@ class VoRTree:
         updated incrementally: only the objects whose Delaunay cavity the
         new point carves get their lists re-derived, and the cavity is
         located from the nearest existing object, which the R-tree names.
-        After a from-scratch rebuild ``changed`` is every active object.
+        An object at an occupied position joins that site: ``changed`` is
+        the site's and its neighbours' objects.  After a from-scratch rebuild
+        ``changed`` is every active object.
         """
-        incremental = self._voronoi is not None and self._maintenance == "incremental"
-        hint = None
-        if incremental:
-            # Asked before the new point is in the R-tree itself.
-            nearest = self._rtree.nearest_payloads(point, 1)[0]
-            hint = self._site_of_object.get(nearest)
-        index = self._append_object(point)
-        if not incremental:
+        if self._voronoi is None or self._maintenance == "rebuild":
+            index = self._append_object(point)
             self._rebuild_neighbor_map(self._rebuild_reason())
             return index, set(self.active_indexes())
+        site = self._site_at.get((point.x, point.y))
+        if site is not None:
+            index = self._append_object(point)
+            self._voronoi.add_tombstone(point)
+            self._members.setdefault(site, [site]).append(index)
+            return index, self._patch_neighbor_lists([site, *self._voronoi.neighbor_view(site)])
+        # Asked before the new point is in the R-tree itself.
+        nearest = self._points[self._rtree.nearest_payloads(point, 1)[0]]
+        hint = self._site_at[nearest.x, nearest.y]
+        index = self._append_object(point)
         try:
-            site, changed_sites = self._voronoi.insert_site(point, hint=hint)
+            _, changed_sites = self._voronoi.insert_site(point, hint=hint)
         except (GeometryError, EmptyDatasetError):
             self._rebuild_neighbor_map("geometry_error")
             return index, set(self.active_indexes())
-        self._site_of_object[index] = site
-        self._object_of_site[site] = index
-        changed = self._patch_neighbor_lists(changed_sites)
-        changed.add(index)
-        return index, changed
+        self._site_at[point.x, point.y] = index
+        return index, self._patch_neighbor_lists(changed_sites)
 
     def delete(self, index: int) -> Tuple[bool, Set[int]]:
         """Remove data object ``index``; returns ``(removed, changed)``.
@@ -223,34 +226,38 @@ class VoRTree:
         The last remaining active object cannot be deleted.  Only the
         neighbour lists of the objects adjacent to the deleted one are
         re-derived, whether it sat inside the convex hull or on it; only
-        when fewer than three or only collinear objects are left does the
-        diagram refresh, and report, every active object.
+        when fewer than three or only collinear positions are left does the
+        diagram refresh, and report, every active object.  A deleted object
+        with twins left changes only the lists at its site and around it.
         """
         if not self.is_active(index):
             return False, set()
         if len(self) <= 1:
             raise QueryError("cannot delete the last remaining data object")
         self._drop_object(index)
-        site = self._site_of_object.get(index)
-        if (
-            self._voronoi is None
-            or site is None
-            or len(self) < 2
-            or self._maintenance == "rebuild"
-        ):
+        if self._voronoi is None or self._maintenance == "rebuild":
             self._rebuild_neighbor_map(self._rebuild_reason())
+            return True, set(self.active_indexes())
+        self._neighbor_map.pop(index)
+        point = self._points[index]
+        site = self._site_at[point.x, point.y]
+        members = self._members.get(site)
+        if members is not None and len(members) > 1:
+            members.remove(index)
+            if members == [site]:
+                del self._members[site]
+            return True, self._patch_neighbor_lists([site, *self._voronoi.neighbor_view(site)])
+        del self._site_at[point.x, point.y]
+        self._members.pop(site, None)
+        if len(self._site_at) < 2:
+            self._rebuild_neighbor_map("geometry_error")
             return True, set(self.active_indexes())
         try:
             changed_sites = self._voronoi.remove_site(site)
         except (GeometryError, EmptyDatasetError):
             self._rebuild_neighbor_map("geometry_error")
             return True, set(self.active_indexes())
-        del self._site_of_object[index]
-        del self._object_of_site[site]
-        self._neighbor_map.pop(index, None)
-        changed = self._patch_neighbor_lists(changed_sites)
-        changed.discard(index)
-        return True, changed
+        return True, self._patch_neighbor_lists(changed_sites)
 
     #: Bulk-rebuild crossover for :meth:`batch_update`, as a fraction of the
     #: active population.  Measured, not guessed (the seed's guess was
@@ -413,8 +420,8 @@ class VoRTree:
         for obj in delta.removed_neighbors:
             self._neighbor_map.pop(obj, None)
         self._voronoi = None
-        self._site_of_object = {}
-        self._object_of_site = {}
+        self._site_at = {}
+        self._members = {}
 
     def full_rebuild(self) -> None:
         """Recompute the Voronoi neighbour lists from scratch.
@@ -430,7 +437,6 @@ class VoRTree:
         self._points.append(point)
         self._active.append(True)
         self._active_count += 1
-        self._occupied[point.x, point.y] += 1
         self._rtree.insert(point, index)
         return index
 
@@ -438,58 +444,59 @@ class VoRTree:
         """Tombstone an active object and take it out of the R-tree."""
         self._active[index] = False
         self._active_count -= 1
-        point = self._points[index]
-        self._occupied[point.x, point.y] -= 1
-        if not self._occupied[point.x, point.y]:
-            del self._occupied[point.x, point.y]
-        self._rtree.delete(point, index)
+        self._rtree.delete(self._points[index], index)
 
     def _rebuild_reason(self, otherwise: str = "geometry_error") -> str:
         return "rebuild_mode" if self._maintenance == "rebuild" else otherwise
 
     def _rebuild_neighbor_map(self, reason: Optional[str] = None) -> None:
-        """From-scratch rebuild of the diagram, site maps and neighbour lists.
+        """From-scratch rebuild of the diagram, site bookkeeping and lists.
 
+        The first active object at each position founds its site.
         ``reason`` names the slow path for ``insq_index_rebuilds_total``;
         construction and the :meth:`full_rebuild` oracle pass none.
         """
         if reason is not None:
             _REBUILDS[reason].inc()
-        active = self.active_indexes()
-        if len(active) >= 2:
-            diagram = VoronoiDiagram(
-                [self._points[i] for i in active],
-                maintain_incrementally=self._maintenance == "incremental",
+        self._site_at = site_at = {}
+        self._members = members = {}
+        for index in self.active_indexes():
+            point = self._points[index]
+            site = site_at.setdefault((point.x, point.y), index)
+            if site != index:
+                members.setdefault(site, [site]).append(index)
+        founders = [site_at.get((p.x, p.y)) == i for i, p in enumerate(self._points)]
+        self._voronoi = None
+        if len(site_at) >= 2:
+            self._voronoi = VoronoiDiagram(
+                self._points, maintain_incrementally=self._maintenance == "incremental",
+                active=founders,
             )
-            self._voronoi = diagram
-            self._site_of_object = {obj: site for site, obj in enumerate(active)}
-            self._object_of_site = {site: obj for site, obj in enumerate(active)}
-            self._neighbor_map = {
-                active[site]: frozenset(active[neighbor] for neighbor in neighbors)
-                for site, neighbors in diagram.neighbor_map().items()
-            }
-        else:
-            self._voronoi = None
-            self._site_of_object = {}
-            self._object_of_site = {}
-            self._neighbor_map = {index: frozenset() for index in active}
+        self._neighbor_map = {}
+        self._patch_neighbor_lists(site_at.values())
 
     def _patch_neighbor_lists(self, changed_sites: Iterable[int]) -> Set[int]:
-        """Re-derive the neighbour lists of the objects behind changed sites.
+        """Re-derive the neighbour lists of the objects at changed sites.
 
         Returns the set of affected *object* indexes (the mutation delta).
         """
         changed_objects: Set[int] = set()
-        neighbor_view = self._voronoi.neighbor_view
+        members = self._members
+        neighbor_view = self._voronoi.neighbor_view if self._voronoi else lambda site: ()
         for site in changed_sites:
-            obj = self._object_of_site[site]
-            # neighbor_view hands back the diagram's own delta set — the
-            # membership is translated to object indexes directly, without
-            # first materialising a defensive copy per changed site.
-            self._neighbor_map[obj] = frozenset(
-                self._object_of_site[neighbor] for neighbor in neighbor_view(site)
+            if not members:
+                # With no twins anywhere a site's list is the diagram's set
+                # as is, at a fifth of the expansion's cost per site.
+                self._neighbor_map[site] = frozenset(neighbor_view(site))
+                changed_objects.add(site)
+                continue
+            around = frozenset(
+                obj for other in neighbor_view(site) for obj in members.get(other, (other,))
             )
-            changed_objects.add(obj)
+            own = members.get(site, (site,))
+            for obj in own:
+                self._neighbor_map[obj] = around.union(own).difference((obj,))
+            changed_objects.update(own)
         return changed_objects
 
     # ------------------------------------------------------------------
@@ -524,10 +531,12 @@ class VoRTree:
         ``R`` — is ``I(R)``.  *Certify* by the INS theorem, strictly:
         ``max d(R) < min d(I(R))``.  Otherwise *fall back* to :meth:`nearest` +
         :meth:`influential_neighbor_set` (``R`` then in the R-tree's order),
-        counted in ``insq_retrieval_fallbacks_total`` by reason:
-        :attr:`coincident` objects (nothing is expanded), ``no_seed`` (the seed
-        has no neighbour list), ``short`` (the expansion ran dry), ``uncertified``
-        (an exact tie, or no frontier to certify against).
+        counted in ``insq_retrieval_fallbacks_total`` by reason: ``no_seed``
+        (the seed has no neighbour list), ``short`` (the expansion ran dry),
+        ``uncertified`` (an exact tie, or no frontier to certify against).
+        Coincident objects need no reason of their own: twins are mutual
+        neighbours, the walk breaks distance ties by index, and twins
+        straddling the ``count``-th distance are a tie like any other.
         """
         if 0 < count <= self._active_count:
             certified, reason = self._expand(query, count, hint)
@@ -539,8 +548,6 @@ class VoRTree:
 
     def _expand(self, query: Point, count: int, seed: Optional[int]):
         """Walk, expand, certify: ``((R, I(R)), None)`` or ``(None, reason)``."""
-        if self.coincident:
-            return None, "coincident"
         neighbors = self._neighbor_map
         points = self._points
         qx, qy = query.x, query.y
@@ -555,7 +562,8 @@ class VoRTree:
             for other in neighbors[seed]:
                 point = points[other]
                 distance = hypot(qx - point.x, qy - point.y)
-                if distance < best:
+                # By (distance, index), so the walk ends on the first of twins.
+                if distance < best or (distance == best and other < seed):
                     best, seed, walking = distance, other, True
         last = (best, seed)
         frontier = [last]

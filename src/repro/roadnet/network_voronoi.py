@@ -969,10 +969,6 @@ class NetworkVoronoiDiagram:
         """
         return self._vertex_objects
 
-    #: Read by the shared INS protocol on either index: the network diagram
-    #: is exact, so co-located objects never switch validation off.
-    coincident = False
-
     def __len__(self) -> int:
         """Number of active data objects (a counter kept beside ``_active``)."""
         return self._active_count

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
 
 from repro.errors import QueryError, RoadNetworkError
 from repro.roadnet.graph import RoadNetwork
@@ -55,10 +55,6 @@ class EdgeInterval:
         """Length of the interval."""
         return self.end - self.start
 
-    def contains_offset(self, offset: float, tolerance: float = 1e-9) -> bool:
-        """True when ``offset`` lies inside the interval (inclusive)."""
-        return self.start - tolerance <= offset <= self.end + tolerance
-
 
 def object_vertex_distances(
     network: RoadNetwork, object_vertices: Sequence[int]
@@ -69,17 +65,6 @@ def object_vertex_distances(
         ``result[i][v]`` = network distance from object ``i`` to vertex ``v``.
     """
     return [dijkstra(network, vertex) for vertex in object_vertices]
-
-
-def _edge_distance_function(
-    distance_u: float, distance_v: float, length: float
-) -> Tuple[float, float]:
-    """Return the two line parameters describing ``d(t)`` on an edge.
-
-    ``d(t) = min(t + distance_u, length - t + distance_v)``; the caller
-    evaluates the minimum explicitly, so we just return the pair.
-    """
-    return distance_u, distance_v
 
 
 def _distance_at(t: float, distance_u: float, distance_v: float, length: float) -> float:

@@ -178,12 +178,12 @@ class TestCostAccounting:
 
 
 class TestCoincidentObjects:
-    """Objects at one position are split only by the triangulation's jitter,
-    so one can be a kNN member while its twin guards at the *same* distance.
-    A tie is never a certificate: with ``<=`` a third, nearer object went
-    unnoticed (94 of 3 840 answers wrong before the fix).  And while objects
-    coincide — three or four at a point especially — the neighbour lists are
-    no Delaunay graph, so retrieval must come from the R-tree search."""
+    """Objects at one position share one site and are each other's
+    neighbours, so one can be a kNN member while its twin guards at the
+    *same* distance.  A tie is never a certificate: with ``<=`` a third,
+    nearer object went unnoticed (94 of 3 840 answers wrong when twins were
+    jittered sites of their own).  Everywhere else validation works as on
+    twin-free data — it is not switched off while duplicates exist."""
 
     @settings(max_examples=60)
     @given(seed=st.integers(0, 10_000), churn=st.booleans(), stacked=st.booleans())
@@ -194,6 +194,7 @@ class TestCoincidentObjects:
             points = base + [p for p in rng.sample(base, 5) for _ in range(rng.randint(2, 4))]
         else:
             points = base + [rng.choice(base) for _ in range(17)]
+        retrievals = 0
         for k in (1, 2, 3, 5):
             tree = VoRTree(list(points))
             processor = INSProcessor(tree.positions, k=k, rho=1.6, vortree=tree)
@@ -215,6 +216,11 @@ class TestCoincidentObjects:
                 )
                 assert len(set(result.knn)) == k
                 assert sorted(result.knn_distances) == truth[:k], (k, step)
+            retrievals += processor.stats.full_recomputations
+        if not churn and not stacked:
+            # 0.22-0.66 of the 4 x 241 timestamps over seeds 0-149; a k = 1
+            # query inside a twinned cell ties with its twin at every step.
+            assert retrievals < 0.75 * 4 * 241
 
     def test_a_twin_at_the_guard_distance_forces_a_retrieval(self):
         # 0 and 1 coincide; 2 is what the old `<=` overlooked.
