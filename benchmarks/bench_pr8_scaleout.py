@@ -207,6 +207,8 @@ def run_benchmark(smoke: bool = False):
     )
     checks = {
         "all_cells_bit_identical": equivalent and heavy_equivalent,
+        # Unrounded: patching a tiny replica can take well under a millisecond.
+        "delta_apply_s": delta_top.aggregate.delta_apply_seconds,
         "delta_at_least_halves_upkeep": delta_upkeep * 2 <= recompute_upkeep,
         "delta_wall_beats_recompute": (
             delta_top.elapsed_seconds < recompute_top.elapsed_seconds

@@ -126,9 +126,7 @@ class INSProcessor(InfluentialSetProcessor[Point]):
     # ------------------------------------------------------------------
     def _fetch(self, position: Point, count: int, hint: Optional[int]):
         tree = self._index
-        tree.rtree.reset_counters()
         nearest, ins = tree.retrieve(position, count, hint)
-        self._stats.index_node_accesses += tree.rtree.node_accesses
         if self._allow_incremental:
             self._neighbor_lists = {index: tree.voronoi_neighbors(index) for index in nearest}
         return nearest, ins

@@ -25,7 +25,6 @@ class MovingKNNServer(ServingEngine[Point]):
 
     Args:
         points: the data-object positions.
-        max_entries: R-tree node capacity of the shared VoR-tree.
         allow_incremental: enable case-(i) incremental updates for every
             registered query (see :class:`~repro.core.ins_euclidean.INSProcessor`).
         maintenance: Voronoi neighbour-list maintenance mode of the shared
@@ -42,7 +41,6 @@ class MovingKNNServer(ServingEngine[Point]):
     def __init__(
         self,
         points: Sequence[Point],
-        max_entries: int = 16,
         allow_incremental: bool = False,
         maintenance: str = "incremental",
         invalidation: str = "delta",
@@ -50,9 +48,7 @@ class MovingKNNServer(ServingEngine[Point]):
         super().__init__(invalidation=invalidation)
         if not points:
             raise EmptyDatasetError("MovingKNNServer requires at least one data object")
-        self._vortree = VoRTree(
-            list(points), max_entries=max_entries, maintenance=maintenance
-        )
+        self._vortree = VoRTree(list(points), maintenance=maintenance)
         self._allow_incremental = allow_incremental
 
     @property

@@ -138,8 +138,8 @@ class ProcessorStats:
             (the paper's communication cost proxy).
         distance_computations: point-to-point (or network) distance
             evaluations performed by the client for validation and reordering.
-        index_node_accesses: R-tree / index nodes touched by server-side
-            retrievals.
+        index_node_accesses: R-tree nodes touched by server-side
+            retrievals (the baselines'; the VoR-tree keeps no R-tree).
         settled_vertices: Dijkstra-settled vertices (road-network mode only).
         construction_seconds: wall-clock time spent building guard structures
             (safe regions, INS sets, candidate lists).

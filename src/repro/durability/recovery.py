@@ -487,7 +487,6 @@ def open_durable_service(
     network=None,
     maintenance: str = "incremental",
     invalidation: str = "delta",
-    max_entries: int = 16,
     fsync: str = "batch",
     snapshot_every: Optional[int] = None,
     segment_bytes: Optional[int] = None,
@@ -504,7 +503,6 @@ def open_durable_service(
         network=network,
         maintenance=maintenance,
         invalidation=invalidation,
-        max_entries=max_entries,
     )
     return DurableKNNService(
         service.engine,

@@ -34,9 +34,9 @@ updates stay local:
 
 * :meth:`DelaunayTriangulation.insert_site` walks greedily over the links —
   O(1) steps from a caller-supplied ``hint`` near the new site (the VoR-tree
-  passes its R-tree's nearest object), expected O(sqrt(n)) from the
-  last-inserted site otherwise — to the nearest vertex, takes the first bad
-  triangle of its star as the seed and floods from it with a stack of
+  passes the nearest object its jump-and-walk finds), expected O(sqrt(n))
+  from the last-inserted site otherwise — to the nearest vertex, takes the
+  first bad triangle of its star as the seed and floods from it with a stack of
   *cavity-side* directed edges ``(u, v)``.  The triangle across is
   ``(v, u, apex[v, u])``; it joins the cavity iff it is bad **and its apex
   is not already a cavity vertex**, otherwise ``(u, v)`` is a rim edge and

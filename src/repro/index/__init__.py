@@ -1,12 +1,14 @@
 """Spatial indexing substrate.
 
 The paper indexes the data objects (and their precomputed Voronoi neighbour
-lists) with a VoR-tree — an R-tree whose leaf entries carry the Voronoi
-neighbours of each point.  This package provides:
+lists) with a VoR-tree, whose points carry their Voronoi neighbours.  This
+package provides:
 
 * :mod:`repro.index.rtree` — an R-tree with quadratic split, STR bulk
-  loading, range search and best-first (incremental) kNN search.
-* :mod:`repro.index.vortree` — the VoR-tree built on top of the R-tree.
+  loading, range search and best-first (incremental) kNN search; the
+  baselines' index.
+* :mod:`repro.index.vortree` — the VoR-tree: the neighbour lists alone,
+  which also serve its point location (jump-and-walk).
 * :mod:`repro.index.kdtree` — a k-d tree used as an independent oracle in
   tests and as an alternative backend.
 * :mod:`repro.index.grid` — a uniform grid index, the simplest possible

@@ -1,16 +1,15 @@
-"""The VoR-tree: an R-tree whose entries carry Voronoi neighbour lists.
+"""The VoR-tree: data objects that carry their Voronoi neighbour lists.
 
-Sharifzadeh and Shahabi's VoR-tree (PVLDB 2010) stores, with every point in
-an R-tree leaf, the list of that point's order-1 Voronoi neighbours.  The
-INSQ system uses the lists twice: the VoR-tree's own kNN *finds* the ⌊ρk⌋
-nearest objects R by expanding over them from an object the client already
-holds (:meth:`VoRTree.retrieve` — no R-tree node is read), and the influential
-neighbour set I(R) *is* what that expansion leaves on its frontier — no
-further geometric computation is required at query time.
-
-This module composes the two substrates built earlier: the Delaunay-derived
-Voronoi neighbour map (:mod:`repro.geometry.voronoi`) and the R-tree
-(:mod:`repro.index.rtree`).
+Sharifzadeh and Shahabi's VoR-tree (PVLDB 2010) stores, with every point,
+the list of that point's order-1 Voronoi neighbours.  The INSQ system keeps
+only the objects and those lists (paper §III, Definitions 3-4) and uses the
+lists for everything: the VoR-tree's own kNN *finds* the ⌊ρk⌋ nearest
+objects R by expanding over them from an object the client already holds
+(:meth:`VoRTree.retrieve`), the influential neighbour set I(R) *is* what
+that expansion leaves on its frontier, and point location — where a
+hintless retrieval or an insert starts — is jump-and-walk over the same
+lists (Mücke, Saias & Zhu, SoCG 1996): the nearest of about n^⅓ evenly
+strided objects, then greedy descent.  No spatial tree is kept beside them.
 
 **Data-object updates are incremental and report their deltas.**
 :meth:`VoRTree.insert` and :meth:`VoRTree.delete` drive
@@ -18,7 +17,7 @@ Voronoi neighbour map (:mod:`repro.geometry.voronoi`) and the R-tree
 which carve only the affected Delaunay cavity / star — convex-hull objects
 included — and patch just the neighbour lists those deltas report.  No step
 of an update is O(n): the population count is a counter, and an insert's
-point location starts at the nearest object the R-tree already knows.
+point location starts at the nearest object the jump-and-walk finds.
 Every mutation also *returns* the set of objects whose Voronoi neighbour
 lists changed (the same delta contract as
 :meth:`repro.roadnet.network_voronoi.NetworkVoronoiDiagram.insert_object`),
@@ -41,14 +40,14 @@ INS theorem and the retrieval walk hold over the lists exactly.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heappop, heappush, nsmallest
+from itertools import compress
 from math import hypot
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import EmptyDatasetError, GeometryError, QueryError
 from repro.geometry.point import Point
 from repro.geometry.voronoi import VoronoiDiagram, influential_neighbor_indexes
-from repro.index.rtree import RTree, RTreeEntry
 from repro.obs.metrics import counter as _obs_counter
 
 _REBUILDS = {
@@ -62,35 +61,28 @@ _FALLBACKS = {
 
 
 class VoRTree:
-    """R-tree over data objects with precomputed Voronoi neighbour lists.
+    """Data objects with precomputed Voronoi neighbour lists.
 
     The tree also supports *data-object updates* (Section III of the paper
     mentions that the kNN set and IS must be refreshed when they happen):
-    :meth:`insert` and :meth:`delete` maintain both the R-tree and the
-    Voronoi neighbour lists incrementally.  Deleted objects keep their index
-    (as tombstones) so that object identifiers held by clients stay stable.
+    :meth:`insert` and :meth:`delete` maintain the Voronoi neighbour lists
+    incrementally.  Deleted objects keep their index (as tombstones) so that
+    object identifiers held by clients stay stable.
 
     Args:
         points: data-object positions.  Object ``i`` is the i-th point.
-        max_entries: R-tree node capacity.
         maintenance: ``"incremental"`` (default) patches the Voronoi
             neighbour lists locally on every update; ``"rebuild"`` restores
             the pre-incremental behaviour of recomputing them from scratch
             (kept selectable for benchmarking and as a safety valve).
     """
 
-    def __init__(
-        self,
-        points: Sequence[Point],
-        max_entries: int = 16,
-        maintenance: str = "incremental",
-    ):
+    def __init__(self, points: Sequence[Point], maintenance: str = "incremental"):
         if not points:
             raise EmptyDatasetError("VoRTree requires at least one data object")
         if maintenance not in ("incremental", "rebuild"):
             raise QueryError(f"unknown maintenance mode {maintenance!r}")
         self._maintenance = maintenance
-        self._last_batch_bulk = False
         self._points: List[Point] = list(points)
         self._active: List[bool] = [True] * len(self._points)
         self._active_count = len(self._points)
@@ -101,14 +93,15 @@ class VoRTree:
         self._site_at: Dict[Tuple[float, float], int] = {}
         self._members: Dict[int, List[int]] = {}
         self._rebuild_neighbor_map()
-        entries = [RTreeEntry(point, index) for index, point in enumerate(self._points)]
-        self._rtree = RTree.bulk_load(entries, max_entries=max_entries)
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
-        if "_site_of_object" in state:  # pickled when sites were numbered apart
-            for stale in ("_site_of_object", "_object_of_site", "_occupied"):
-                self.__dict__.pop(stale, None)
+        # Pickled beside an R-tree (point location walks the lists now), or
+        # when sites were numbered apart (the diagram is rebuilt then).
+        stale = ("_rtree", "_last_batch_bulk", "_site_of_object", "_object_of_site", "_occupied")
+        for name in stale:
+            self.__dict__.pop(name, None)
+        if "_site_of_object" in state:
             self._rebuild_neighbor_map()
 
     # ------------------------------------------------------------------
@@ -160,11 +153,6 @@ class VoRTree:
         """The neighbour-list maintenance mode (``"incremental"``/``"rebuild"``)."""
         return self._maintenance
 
-    @property
-    def rtree(self) -> RTree:
-        """The underlying R-tree (exposed for cost accounting in benchmarks)."""
-        return self._rtree
-
     def point(self, index: int) -> Point:
         """Position of data object ``index``."""
         return self._points[index]
@@ -187,10 +175,11 @@ class VoRTree:
 
         ``changed`` is the set of objects whose Voronoi neighbour lists
         changed (the new object included) — the delta a server pushes to its
-        registered queries.  Both the R-tree and the neighbour lists are
-        updated incrementally: only the objects whose Delaunay cavity the
-        new point carves get their lists re-derived, and the cavity is
-        located from the nearest existing object, which the R-tree names.
+        registered queries.  The neighbour lists are updated incrementally:
+        only the objects whose Delaunay cavity the new point carves get their
+        lists re-derived, and the cavity is located from the nearest existing
+        object, found by jump-and-walk (:meth:`_jump`, :meth:`_walk`).  The
+        cavity is unique, so where the walk starts changes no list and no delta.
         An object at an occupied position joins that site: ``changed`` is
         the site's and its neighbours' objects.  After a from-scratch rebuild
         ``changed`` is every active object.
@@ -199,14 +188,14 @@ class VoRTree:
             index = self._append_object(point)
             self._rebuild_neighbor_map(self._rebuild_reason())
             return index, set(self.active_indexes())
-        site = self._site_at.get((point.x, point.y))
+        x, y = point.x, point.y
+        site = self._site_at.get((x, y))
         if site is not None:
             index = self._append_object(point)
             self._voronoi.add_tombstone(point)
             self._members.setdefault(site, [site]).append(index)
             return index, self._patch_neighbor_lists([site, *self._voronoi.neighbor_view(site)])
-        # Asked before the new point is in the R-tree itself.
-        nearest = self._points[self._rtree.nearest_payloads(point, 1)[0]]
+        nearest = self._points[self._walk(x, y, self._jump(x, y))[1]]
         hint = self._site_at[nearest.x, nearest.y]
         index = self._append_object(point)
         try:
@@ -214,7 +203,7 @@ class VoRTree:
         except (GeometryError, EmptyDatasetError):
             self._rebuild_neighbor_map("geometry_error")
             return index, set(self.active_indexes())
-        self._site_at[point.x, point.y] = index
+        self._site_at[x, y] = index
         return index, self._patch_neighbor_lists(changed_sites)
 
     def delete(self, index: int) -> Tuple[bool, Set[int]]:
@@ -325,10 +314,6 @@ class VoRTree:
             incremental = self._voronoi is not None and self._maintenance == "incremental"
         elif strategy == "bulk":
             incremental = False
-        # Remembered so export_delta() can tell replicas which structural
-        # order to replay (bulk deletes-then-inserts vs incremental
-        # inserts-then-deletes) — R-tree shape depends on it.
-        self._last_batch_bulk = not incremental
         if incremental:
             changed: Set[int] = set()
             new_indexes = []
@@ -364,12 +349,11 @@ class VoRTree:
         Called by the maintenance leader right after :meth:`batch_update`
         with that call's results; the returned mapping carries everything a
         read replica needs to reproduce the tree bit-identically through
-        :meth:`apply_remote_delta` — the structural R-tree operations (and
-        their order, via ``bulk``) plus the final neighbour lists of every
-        object the epoch touched — without re-running any geometry.
+        :meth:`apply_remote_delta` — the new objects' positions plus the
+        final neighbour lists of every object the epoch touched — without
+        re-running any geometry.
         """
         return {
-            "bulk": self._last_batch_bulk,
             "points": tuple(self._points[index] for index in new_indexes),
             "neighbors": tuple(
                 (obj, tuple(sorted(self._neighbor_map[obj])))
@@ -382,39 +366,27 @@ class VoRTree:
         """Apply a leader's repair delta instead of re-running maintenance.
 
         ``delta`` is an :class:`~repro.transport.codec.IndexDelta`-shaped
-        object (attributes ``bulk``/``new_indexes``/``points``/
-        ``deleted_indexes``/``neighbors``/``removed_neighbors``).  The
-        R-tree is mutated with exactly the structural operations the leader
-        performed, in the leader's order, so the trees stay identical; the
-        neighbour lists are overwritten with the shipped final values.  The
-        local Voronoi diagram is dropped — a delta replica never runs
-        geometry, and serving only needs the R-tree + neighbour lists.
+        object (attributes ``new_indexes``/``points``/``deleted_indexes``/
+        ``neighbors``/``removed_neighbors``; ``bulk`` is ignored).  The new
+        objects are appended, the deleted ones tombstoned and the neighbour
+        lists overwritten with the shipped final values.  The local Voronoi
+        diagram is dropped — a delta replica never runs geometry, and serving
+        (point location included) only needs the positions + neighbour lists.
         """
         if len(delta.new_indexes) != len(delta.points):
             raise GeometryError(
                 "index delta ships %d new indexes but %d points"
                 % (len(delta.new_indexes), len(delta.points))
             )
-
-        def _append_inserts() -> None:
-            for index, point in zip(delta.new_indexes, delta.points):
-                if index != len(self._points):
-                    raise GeometryError(
-                        f"index delta assigns object {index} but the replica "
-                        f"is at {len(self._points)} — replicas diverged"
-                    )
-                self._append_object(point)
-
-        def _apply_deletes() -> None:
-            for index in delta.deleted_indexes:
-                self._drop_object(index)
-
-        if delta.bulk:
-            _apply_deletes()
-            _append_inserts()
-        else:
-            _append_inserts()
-            _apply_deletes()
+        for index, point in zip(delta.new_indexes, delta.points):
+            if index != len(self._points):
+                raise GeometryError(
+                    f"index delta assigns object {index} but the replica "
+                    f"is at {len(self._points)} — replicas diverged"
+                )
+            self._append_object(point)
+        for index in delta.deleted_indexes:
+            self._drop_object(index)
         for obj, members in delta.neighbors:
             self._neighbor_map[obj] = frozenset(members)
         for obj in delta.removed_neighbors:
@@ -432,19 +404,17 @@ class VoRTree:
         self._rebuild_neighbor_map()
 
     def _append_object(self, point: Point) -> int:
-        """Register a new active object in the arrays and the R-tree."""
+        """Register a new active object."""
         index = len(self._points)
         self._points.append(point)
         self._active.append(True)
         self._active_count += 1
-        self._rtree.insert(point, index)
         return index
 
     def _drop_object(self, index: int) -> None:
-        """Tombstone an active object and take it out of the R-tree."""
+        """Tombstone an active object."""
         self._active[index] = False
         self._active_count -= 1
-        self._rtree.delete(self._points[index], index)
 
     def _rebuild_reason(self, otherwise: str = "geometry_error") -> str:
         return "rebuild_mode" if self._maintenance == "rebuild" else otherwise
@@ -503,14 +473,25 @@ class VoRTree:
     # Queries used by the INS processor
     # ------------------------------------------------------------------
     def nearest(self, query: Point, count: int) -> List[int]:
-        """The ``count`` nearest active objects, by a cold R-tree search (retrieve's fallback)."""
+        """The ``count`` nearest active objects, ordered by ``(distance, index)``.
+
+        An exact linear scan that reads no neighbour list: the oracle, and
+        :meth:`retrieve`'s fallback where the INS theorem certifies nothing.
+        """
         if count <= 0:
             raise QueryError("count must be positive")
         if count > len(self):
             raise QueryError(
                 f"requested {count} neighbours but only {len(self)} objects exist"
             )
-        return self._rtree.nearest_payloads(query, count)
+        points = self._points
+        qx, qy = query.x, query.y
+        # nsmallest is stable over increasing indexes: ties go by index.
+        return nsmallest(
+            count,
+            compress(range(len(points)), self._active),
+            key=lambda index: hypot(qx - points[index].x, qy - points[index].y),
+        )
 
     def influential_neighbor_set(self, member_indexes: Iterable[int]) -> Set[int]:
         """The INS of a set of object indexes (Definition 4 of the paper)."""
@@ -525,13 +506,13 @@ class VoRTree:
         and ``I(R)`` their influential neighbour set, found by the VoR-tree's
         own kNN over the stored neighbour lists.  *Walk* greedily to the object
         nearest to ``query``, from ``hint`` (an object the client holds) or, when
-        that is absent, deleted or out of range, from the R-tree's 1-NN.
+        that is absent, deleted or out of range, from :meth:`_jump`'s sample.
         *Expand* best-first until ``count`` objects are popped: they are ``R``,
         and the frontier left — every neighbour of an ``R`` member outside
         ``R`` — is ``I(R)``.  *Certify* by the INS theorem, strictly:
         ``max d(R) < min d(I(R))``.  Otherwise *fall back* to :meth:`nearest` +
-        :meth:`influential_neighbor_set` (``R`` then in the R-tree's order),
-        counted in ``insq_retrieval_fallbacks_total`` by reason: ``no_seed``
+        :meth:`influential_neighbor_set`, counted in
+        ``insq_retrieval_fallbacks_total`` by reason: ``no_seed``
         (the seed has no neighbour list), ``short`` (the expansion ran dry),
         ``uncertified`` (an exact tie, or no frontier to certify against).
         Coincident objects need no reason of their own: twins are mutual
@@ -546,15 +527,28 @@ class VoRTree:
         nearest = self.nearest(query, count)
         return nearest, self.influential_neighbor_set(nearest)
 
-    def _expand(self, query: Point, count: int, seed: Optional[int]):
-        """Walk, expand, certify: ``((R, I(R)), None)`` or ``(None, reason)``."""
+    def _jump(self, qx: float, qy: float) -> int:
+        """The nearest of about n^⅓ live objects, every (n^⅔)-th index.
+
+        The *jump* of jump-and-walk (Mücke, Saias & Zhu, SoCG 1996): a
+        strided sample, so it draws no random number and keeps no state.
+        """
+        points = self._points
+        stride = max(1, round(self._active_count ** (2 / 3)))
+        start = min(
+            compress(range(0, len(points), stride), self._active[::stride]),
+            key=lambda index: hypot(qx - points[index].x, qy - points[index].y),
+            default=None,
+        )
+        return self._active.index(True) if start is None else start
+
+    def _walk(self, qx: float, qy: float, seed: int) -> Tuple[float, int]:
+        """Greedy descent over the neighbour lists from ``seed``: ``(distance,
+        index)`` where it stops — a nearest object, since on a Delaunay graph a
+        non-nearest object has a strictly nearer neighbour.  It reads only
+        positions and lists, so a delta replica (no diagram) walks too."""
         neighbors = self._neighbor_map
         points = self._points
-        qx, qy = query.x, query.y
-        if seed is None or not self.is_active(seed):
-            seed = self._rtree.nearest_payloads(query, 1)[0]
-        if not neighbors.get(seed):
-            return None, "no_seed"
         best = hypot(qx - points[seed].x, qy - points[seed].y)
         walking = True
         while walking:
@@ -565,9 +559,20 @@ class VoRTree:
                 # By (distance, index), so the walk ends on the first of twins.
                 if distance < best or (distance == best and other < seed):
                     best, seed, walking = distance, other, True
-        last = (best, seed)
+        return best, seed
+
+    def _expand(self, query: Point, count: int, seed: Optional[int]):
+        """Walk, expand, certify: ``((R, I(R)), None)`` or ``(None, reason)``."""
+        neighbors = self._neighbor_map
+        points = self._points
+        qx, qy = query.x, query.y
+        if seed is None or not self.is_active(seed):
+            seed = self._jump(qx, qy)
+        if not neighbors.get(seed):
+            return None, "no_seed"
+        last = self._walk(qx, qy, seed)
         frontier = [last]
-        seen = {seed}
+        seen = {last[1]}
         nearest: List[int] = []
         while frontier and len(nearest) < count:
             item = heappop(frontier)

@@ -180,9 +180,7 @@ class OrderKRegionProcessor(MovingKNNProcessor[Point]):
     # ------------------------------------------------------------------
     def _recompute(self, position: Point) -> None:
         with self._stats.time_construction():
-            self._vortree.rtree.reset_counters()
             members = self._vortree.nearest(position, self.k)
-            self._stats.index_node_accesses += self._vortree.rtree.node_accesses
             cell = order_k_cell(
                 self._vortree.positions,
                 members,

@@ -387,7 +387,6 @@ def open_service(
     network=None,
     maintenance: str = "incremental",
     invalidation: str = "delta",
-    max_entries: int = 16,
 ) -> KNNService:
     """Open a moving-kNN service — the one front door for both metrics.
 
@@ -404,8 +403,6 @@ def open_service(
         invalidation: ``"delta"`` (default; each session pays only for
             updates touching its held pool) or ``"flag"`` (blanket
             refresh-everyone fallback).
-        max_entries: R-tree node capacity of the Euclidean VoR-tree
-            (ignored on the road side).
 
     Returns:
         A :class:`KNNService` ready for :meth:`~KNNService.open_session`.
@@ -420,10 +417,7 @@ def open_service(
                 "the euclidean metric takes no road network; did you mean metric='road'?"
             )
         engine = MovingKNNServer(
-            list(objects),
-            max_entries=max_entries,
-            maintenance=maintenance,
-            invalidation=invalidation,
+            list(objects), maintenance=maintenance, invalidation=invalidation
         )
     else:
         if network is None:

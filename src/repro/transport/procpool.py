@@ -137,7 +137,6 @@ class ServiceSpec:
     network: Any = None
     maintenance: str = "incremental"
     invalidation: str = "delta"
-    max_entries: int = 16
 
     def __post_init__(self):
         object.__setattr__(self, "objects", tuple(self.objects))
@@ -174,7 +173,6 @@ class ServiceSpec:
             network=self.network,
             maintenance=self.maintenance,
             invalidation=self.invalidation,
-            max_entries=self.max_entries,
         )
 
     def batch_payload(self, batch: UpdateBatch) -> int:

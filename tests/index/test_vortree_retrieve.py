@@ -2,14 +2,14 @@
 
 Retrieval walks and expands over the stored Voronoi neighbour lists and
 accepts the result only when the INS theorem certifies it; everything else
-falls back to the R-tree search.  Objects at one position share one site and
-are each other's neighbours, so they are expanded like any other.  Whatever
-the hint and however degenerate the population, the contract is the same:
+falls back to the linear scan :meth:`VoRTree.nearest`.  Objects at one
+position share one site and are each other's neighbours, so they are expanded
+like any other.  Whatever the hint and however degenerate the population, the
+contract is the same:
 
 * the distances of ``R`` are the brute-force ``count`` smallest (as a
   multiset — at exact ties any of the tied objects is a right answer);
-* ``R`` is ordered by ``(distance, index)``, or is exactly what
-  :meth:`VoRTree.nearest` returns (the fallback);
+* ``R`` is ordered by ``(distance, index)``, certified or not;
 * ``I(R)`` is :meth:`VoRTree.influential_neighbor_set` of that ``R``.
 
 The brute force uses ``math.hypot`` on raw coordinates, not the library's
@@ -17,6 +17,7 @@ distance primitives.
 """
 
 import math
+import os
 import pickle
 import random
 from collections import Counter
@@ -26,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.obs as obs
+from repro.durability.snapshot import read_snapshot
 from repro.errors import QueryError
 from repro.geometry.point import Point
 from repro.index.vortree import VoRTree
@@ -57,7 +59,7 @@ def check_retrieve(tree, query, count, hint):
     assert set(nearest) <= set(active)
     assert sorted(map(distance, nearest)) == sorted(map(distance, active))[:count]
     keyed = [(distance(index), index) for index in nearest]
-    assert keyed == sorted(keyed) or nearest == tree.nearest(query, count)
+    assert keyed == sorted(keyed)
     assert ins == tree.influential_neighbor_set(nearest)
 
 
@@ -101,14 +103,6 @@ class TestUniformPoints:
         nearest, _ = tree.retrieve(query, 12, far)
         assert nearest == tree.nearest(query, 12)
 
-    def test_valid_hint_never_touches_the_rtree(self):
-        tree = VoRTree(uniform_points(300, extent=1_000.0, seed=4))
-        tree.rtree.reset_counters()
-        tree.retrieve(Point(500.0, 500.0), 10, hint=17)
-        assert tree.rtree.node_accesses == 0
-        tree.retrieve(Point(500.0, 500.0), 10)
-        assert tree.rtree.node_accesses > 0
-
     @pytest.mark.parametrize("count", [0, -1, 41])
     def test_impossible_counts_still_raise(self, count):
         tree = VoRTree(uniform_points(40, extent=100.0, seed=2))
@@ -116,17 +110,123 @@ class TestUniformPoints:
             tree.retrieve(Point(1.0, 1.0), count, hint=3)
 
 
+def layout(name, rng):
+    """Populations in [0, 10]², degenerate ones included."""
+    if name == "uniform":
+        return [Point(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(30)]
+    if name == "lattice":  # 6x6, spacing 2: squares of four co-circular objects
+        return [Point(2.0 * i, 2.0 * j) for i in range(6) for j in range(6)]
+    if name == "collinear":
+        return [Point(float(i), float(i)) for i in range(11)]
+    singles = [Point(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(14)]
+    return singles + singles[:5] + singles[:2]  # twins and triples
+
+
+class TestJumpAndWalk:
+    """Point location over the neighbour lists alone (white box): from any
+    live object, and from the strided jump when there is no hint, the greedy
+    walk stops on an object at the brute-force nearest distance."""
+
+    @settings(max_examples=80)
+    @given(
+        name=st.sampled_from(["uniform", "lattice", "collinear", "twins"]),
+        seed=st.integers(0, 10_000),
+        # Halves of integers: lattice points, edge midpoints, square centres.
+        x=st.integers(-4, 24).map(lambda v: v / 2.0),
+        y=st.integers(-4, 24).map(lambda v: v / 2.0),
+        deletes=st.integers(0, 6),
+    )
+    def test_every_start_ends_on_a_nearest_object(self, name, seed, x, y, deletes):
+        rng = random.Random(seed)
+        tree = VoRTree(layout(name, rng))
+        for index in rng.sample(tree.active_indexes(), deletes):
+            tree.delete(index)
+        active = tree.active_indexes()
+        truth = min(math.hypot(x - tree.point(i).x, y - tree.point(i).y) for i in active)
+        for start in (tree._jump(x, y), *active):
+            distance, stop = tree._walk(x, y, start)
+            assert tree.is_active(stop)
+            assert distance == math.hypot(x - tree.point(stop).x, y - tree.point(stop).y)
+            assert distance == truth
+
+    def test_the_jump_samples_a_cube_root_of_the_live_objects(self):
+        """n = 1000: every 100th index, ten samples, the nearest of them."""
+        tree = VoRTree(uniform_points(1000, extent=1_000.0, seed=3))
+        x, y = 250.0, 750.0
+        samples = range(0, 1000, 100)
+        assert tree._jump(x, y) == min(
+            samples, key=lambda i: math.hypot(x - tree.point(i).x, y - tree.point(i).y)
+        )
+
+    def test_a_jump_that_samples_only_tombstones_starts_at_the_first_live_object(self):
+        """Ten live objects of forty, none at a multiple of the stride (5)."""
+        tree = VoRTree(uniform_points(40, extent=100.0, seed=5))
+        live = {1, 2, 3, 6, 7, 9, 11, 13, 14, 17}
+        tree.batch_update(deletes=[i for i in range(40) if i not in live])
+        assert len(tree) == 10
+        assert tree._jump(50.0, 50.0) == 1
+        check_every_hint(tree, Point(50.0, 50.0), counts=(1, 3, 10))
+
+
+class TestNearestKnownAnswers:
+    """``nearest()`` on literal inputs, answers written by hand.
+
+    Objects 0-6 around the origin: 0 (0, 0) at distance 0, 4 (1, 0) at 1,
+    5 (0, -2) at 2, then 1 (3, 4), 2 (-3, -4) and 3 (5, 0) all at exactly 5,
+    6 (6, 8) at 10; object 7 is a twin of 1.  Ties go by index.
+    """
+
+    POINTS = [
+        Point(0.0, 0.0), Point(3.0, 4.0), Point(-3.0, -4.0), Point(5.0, 0.0),
+        Point(1.0, 0.0), Point(0.0, -2.0), Point(6.0, 8.0), Point(3.0, 4.0),
+    ]
+
+    @pytest.mark.parametrize(
+        "count, expected",
+        [
+            (1, [0]),
+            (3, [0, 4, 5]),
+            (4, [0, 4, 5, 1]),  # four objects tie at 5: 1 < 2 < 3 < 7
+            (5, [0, 4, 5, 1, 2]),
+            (6, [0, 4, 5, 1, 2, 3]),
+            (7, [0, 4, 5, 1, 2, 3, 7]),  # the twin last among the fives
+            (8, [0, 4, 5, 1, 2, 3, 7, 6]),
+        ],
+    )
+    def test_ties_at_the_count_th_distance_go_by_index(self, count, expected):
+        assert VoRTree(self.POINTS).nearest(Point(0.0, 0.0), count) == expected
+
+    def test_a_deleted_object_leaves_its_twin(self):
+        tree = VoRTree(self.POINTS)
+        tree.delete(1)
+        assert tree.nearest(Point(0.0, 0.0), 5) == [0, 4, 5, 2, 3]
+        assert tree.nearest(Point(0.0, 0.0), 6) == [0, 4, 5, 2, 3, 7]
+
+    def test_off_origin(self):
+        # From (3, 0): 3 and 4 at 2, 1 and 7 at 4, 0 at 3, 5 at √13, 2 at √52.
+        tree = VoRTree(self.POINTS)
+        assert tree.nearest(Point(3.0, 0.0), 2) == [3, 4]
+        assert tree.nearest(Point(3.0, 0.0), 5) == [3, 4, 0, 5, 1]
+        assert tree.nearest(Point(3.0, 0.0), 6) == [3, 4, 0, 5, 1, 7]
+
+
 class TestExactTies:
     def test_integer_lattice_at_lattice_points_and_midpoints(self):
+        """2 160 of the 3 630 calls tie at the count-th distance and fall
+        back, all ``uncertified`` — as many as when an R-tree seeded the
+        hintless ones: a tie is uncertifiable from any start."""
         tree = VoRTree([Point(float(i), float(j)) for i in range(6) for j in range(6)])
-        before = fallbacks()
+        before = reason_counts()
         for twice_x in range(0, 11):
             for twice_y in range(0, 11):
                 query = Point(twice_x / 2.0, twice_y / 2.0)
                 for count in (1, 2, 4, 5, 9, 12):
                     for hint in (None, 0, 14, 35, 99):
                         check_retrieve(tree, query, count, hint)
-        assert fallbacks() > before
+        after = reason_counts()
+        assert {reason: after[reason] - before[reason] for reason in REASONS} == {
+            "no_seed": 0, "short": 0, "uncertified": 2160,
+        }
 
     def test_cocircular_points_around_a_centre(self):
         # 16² + 63² = 25² + 60² = 33² + 56² = 39² + 52² = 65²: twenty-four
@@ -198,6 +298,17 @@ class TestExactTies:
         check_retrieve(old, Point(40.0, 60.0), 6, hint=2)
         old.insert(Point(41.0, 59.0))
         check_every_hint(old, Point(40.0, 60.0), counts=(1, 6, 12))
+
+    def test_the_golden_snapshot_restores_without_its_rtree(self):
+        """The frozen durability corpus pickled a tree beside an R-tree; the
+        restore drops it and locates, retrieves and inserts over the lists."""
+        golden = os.path.join(os.path.dirname(__file__), os.pardir, "transport", "golden")
+        _, payload = read_snapshot(os.path.join(golden, "wal", "snapshot-000000000000.snap"))
+        tree = payload["engine"].vortree
+        assert not {"_rtree", "_last_batch_bulk"} & set(vars(tree))
+        check_every_hint(tree, Point(30.0, 14.0), counts=(1, 4, 9))
+        tree.insert(Point(29.0, 15.0))
+        check_every_hint(tree, Point(8.0, 3.0), counts=(1, 4, 9))
 
     @pytest.mark.parametrize(
         "seed, maintenance",
@@ -311,11 +422,11 @@ class TestTwinsKnownAnswers:
 
     def test_twins_split_by_the_answer_are_a_tie(self):
         """k = 1 at the stack: 0 and 4 tie at the first distance, so nothing
-        certifies and the R-tree answers with either."""
+        certifies and the scan answers with the lower index."""
         tree = self.rhombus(twins=1)
         before = reason_counts()
         nearest, _ = tree.retrieve(self.QUERY, 1, hint=2)
-        assert nearest in ([0], [4])
+        assert nearest == [0]
         after = reason_counts()
         assert after.pop("uncertified") == before.pop("uncertified") + 1
         assert after == before
@@ -436,7 +547,7 @@ class TestAfterUpdates:
 class TestFallbackReasons:
     """Each reason of ``insq_retrieval_fallbacks_total``, provoked by
     damaging the neighbour map the expansion trusts (white box): the answer
-    still comes back right, from the R-tree."""
+    still comes back right, from the linear scan."""
 
     def moved(self, tree, count, hint):
         before = reason_counts()

@@ -1,5 +1,7 @@
 """Tests for the top-level public API of the ``repro`` package."""
 
+import inspect
+
 import pytest
 
 import repro
@@ -121,6 +123,17 @@ class TestPublicApi:
         run = simulate(processor, trajectory)
         assert run.timestamps == 21
         assert run.stats.full_recomputations >= 1
+
+    def test_no_front_door_takes_an_rtree_capacity(self):
+        """The VoR-tree keeps no R-tree, so ``max_entries`` went everywhere."""
+        for entry in (
+            repro.VoRTree,
+            repro.MovingKNNServer,
+            repro.open_service,
+            repro.open_durable_service,
+            repro.ServiceSpec,
+        ):
+            assert "max_entries" not in inspect.signature(entry).parameters, entry
 
     def test_key_classes_are_exported(self):
         assert repro.INSProcessor.__name__ == "INSProcessor"
