@@ -373,14 +373,13 @@ class ServingEngine(abc.ABC, Generic[PositionT]):
     # Query lifecycle
     # ------------------------------------------------------------------
     def register_query(
-        self, position: PositionT, k: int, rho: float = 1.6, kind: str = "knn", **options: Any
+        self, position: PositionT, k: int, rho: float = 1.6, kind: str = "knn"
     ) -> int:
         """Register a new continuous query and compute its first answer.
 
-        ``kind`` selects the continuous query kind and ``options`` are the
-        metric's own (the road side's ``validation_mode``); the metric
-        subclass builds the processor.  Returns the query identifier used
-        for subsequent position updates.
+        ``kind`` selects the continuous query kind; the metric subclass
+        builds the processor.  Returns the query identifier used for
+        subsequent position updates.
         """
         if k < 1:
             raise ConfigurationError("k must be at least 1")
@@ -388,7 +387,7 @@ class ServingEngine(abc.ABC, Generic[PositionT]):
             raise ConfigurationError(
                 f"k={k} must be smaller than the number of data objects ({self.object_count})"
             )
-        processor = self._build_processor(kind, k, rho, **options)
+        processor = self._build_processor(kind, k, rho)
         # Initialize before admitting: a failing first answer (bad
         # location, unreachable region) must not leave a zombie query
         # behind that inflates counts and receives deltas forever.
@@ -422,9 +421,7 @@ class ServingEngine(abc.ABC, Generic[PositionT]):
         del self._comm_by_query[query_id]
 
     @abc.abstractmethod
-    def _build_processor(
-        self, kind: str, k: int, rho: float, **options: Any
-    ) -> MovingKNNProcessor[PositionT]:
+    def _build_processor(self, kind: str, k: int, rho: float) -> MovingKNNProcessor[PositionT]:
         """Build the processor of a ``kind`` query against the shared index."""
 
     def _record(self, query_id: int) -> RegisteredQuery:

@@ -177,9 +177,8 @@ class InfluentialSetProcessor(MovingKNNProcessor[PositionT]):
     def _knn_distances(self, position: PositionT) -> Sequence[float]:
         """Distances reported with a freshly retrieved answer."""
 
-    def _held_changed(self, pool_changed: bool) -> None:
-        """Re-derive what the metric keeps beside ``_held`` (on a local
-        reorder the pool stands: only the answer moved within it)."""
+    def _held_changed(self) -> None:
+        """Re-derive what the metric keeps beside ``_held``."""
 
     def _refresh_ins(self, changed: Set[int]) -> None:
         """Re-derive I(R) from the already-repaired shared index."""
@@ -283,13 +282,13 @@ class InfluentialSetProcessor(MovingKNNProcessor[PositionT]):
             self._refresh_held()
         return self._answer(UpdateAction.FULL_RECOMPUTE, self._knn_distances(position))
 
-    def _refresh_held(self, pool_changed: bool = True) -> None:
+    def _refresh_held(self) -> None:
         """Re-derive the flat layout of the pool and the guard set."""
         knn = self._knn
         held = knn + [index for index in self._R if index not in knn] + list(self._ins)
         self._guard = frozenset(held[len(knn) :])
         self._held = held
-        self._held_changed(pool_changed)
+        self._held_changed()
 
     def _recompose(self, distances: List[float]) -> Optional[List[float]]:
         """Make the top-k of R by ``(distance, index)`` the answer — if the
@@ -302,7 +301,7 @@ class InfluentialSetProcessor(MovingKNNProcessor[PositionT]):
         if not farthest < inf or (guards and not self._nearer(farthest, min(guards))):
             return None
         self._knn = [index for _, index in ranked[:k]]
-        self._refresh_held(pool_changed=False)
+        self._refresh_held()
         return [distance for distance, _ in ranked[:k]]
 
     def _perform_update(self, position: PositionT, distances: List[float]) -> QueryResult:

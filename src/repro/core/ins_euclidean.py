@@ -142,7 +142,7 @@ class INSProcessor(InfluentialSetProcessor[Point]):
         px, py = position.x, position.y
         return [hypot(px - x, py - y) for x, y in self._held_xy[: self._k]]
 
-    def _held_changed(self, pool_changed: bool) -> None:
+    def _held_changed(self) -> None:
         points = self._points
         self._held_xy = [(points[index].x, points[index].y) for index in self._held]
 

@@ -13,14 +13,13 @@ unchanged.  This module is what the network supplies:
   farthest current kNN member's — it runs through the ties there and stops,
   and a held object beyond reads ``inf`` (the held-distance contract of
   :mod:`repro.core.ins`, with the argument that no verdict can move).
-  Theorem 2 restricts it further, to the edges of the Voronoi cells of the
-  held pool: the processor holds that region as a set of edge ids —
-  refreshed where the pool changes, never on a local reorder — and the
-  Dijkstra skips every edge outside it, on the shared network;
+  Theorem 2 confines it further, to the Voronoi cells of the held pool.
+  The region is never built: an edge lies in a held cell iff the owner of
+  one of its endpoints is held, so the Dijkstra reads the diagram's live
+  ``vertex → owner`` map as it relaxes and tests the owner against the held
+  set, on the shared network — the search is the one on the materialised
+  cells, float for float and vertex for vertex;
 * the tie rule: ``<=`` (the network diagram is exact; a grid is full of ties).
-
-``exact`` mode runs the same search on the full network: the tests'
-cross-check and a fair "no Theorem 2" ablation of the default, ``restricted``.
 
 A timestamp costs one search: a local reorder reports from the distances
 the validation computed, a retrieval from those its own expansion found.
@@ -34,16 +33,15 @@ from __future__ import annotations
 
 import operator
 from math import inf
-from typing import List, Optional, Sequence, Set
+from typing import FrozenSet, List, Mapping, Optional, Sequence
 
-from repro.errors import ConfigurationError
 from repro.core.ins import InfluentialSetProcessor
 from repro.obs.metrics import counter as _obs_counter
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.knn import network_knn, object_distances_from_location
 from repro.roadnet.location import NetworkLocation
 from repro.roadnet.network_voronoi import NetworkVoronoiDiagram
-from repro.roadnet.shortest_path import SearchStats
+from repro.roadnet.shortest_path import SearchStats, outside_region
 
 _ESCAPED = _obs_counter("insq_road_validation_fallbacks_total", reason="escaped")
 _UNREACHABLE = _obs_counter("insq_road_validation_fallbacks_total", reason="unreachable")
@@ -58,13 +56,8 @@ class INSRoadProcessor(InfluentialSetProcessor[NetworkLocation]):
             ``object_vertices[i]``).
         k: number of nearest neighbours to maintain.
         rho: prefetch ratio ρ ≥ 1 (⌊ρk⌋ objects retrieved per round trip).
-        validation_mode: ``"restricted"`` (search within the Theorem 2
-            region, the paper's approach) or ``"exact"`` (targeted Dijkstra
-            on the full network).
         voronoi: optionally share a prebuilt network Voronoi diagram.
     """
-
-    VALIDATION_MODES = ("restricted", "exact")
 
     _nearer = staticmethod(operator.le)
 
@@ -74,16 +67,10 @@ class INSRoadProcessor(InfluentialSetProcessor[NetworkLocation]):
         object_vertices: Sequence[int],
         k: int,
         rho: float = 1.6,
-        validation_mode: str = "restricted",
         voronoi: Optional[NetworkVoronoiDiagram] = None,
     ):
         super().__init__(k, rho, len(object_vertices))
-        if validation_mode not in self.VALIDATION_MODES:
-            raise ConfigurationError(
-                f"validation_mode must be one of {self.VALIDATION_MODES}, got {validation_mode!r}"
-            )
         self._network = network
-        self._validation_mode = validation_mode
         self._search_stats = SearchStats()
         with self._stats.time_precomputation():
             if voronoi is None:
@@ -93,17 +80,22 @@ class INSRoadProcessor(InfluentialSetProcessor[NetworkLocation]):
         # objects are inserted and is patched in place by moves, so data
         # updates never copy per-object state into each registered query.
         self._object_vertices: Sequence[int] = self._index.vertex_assignments
-        # The Theorem 2 region: the edge ids of the held pool's Voronoi
-        # cells (None in "exact" mode).
-        self._region: Optional[Set[int]] = None
+        # The Theorem 2 region, as the cell labels the search may enter: the
+        # held pool.
+        self._region: FrozenSet[int] = frozenset()
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        # Pickled with a validation mode, beside a region of edge ids (or
+        # None): the region is derived from the held pool; the mode is inert.
+        self._held_changed()
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
     def name(self) -> str:
-        suffix = "" if self._validation_mode == "restricted" else "-exact"
-        return f"INS-road{suffix}"
+        return "INS-road"
 
     @property
     def voronoi(self) -> NetworkVoronoiDiagram:
@@ -136,22 +128,23 @@ class INSRoadProcessor(InfluentialSetProcessor[NetworkLocation]):
         return self._fetched[: self._k]
 
     def _held_distances(self, position: NetworkLocation) -> List[float]:
-        """One answer-bounded search, in the Theorem 2 region unless the query left it."""
+        """One answer-bounded search, in the held cells unless the query left them."""
+        owners: Optional[Mapping[int, int]] = self._index.vertex_owners()
         region = self._region
-        if region is not None and position.edge_id not in region:
+        edge = self._network.edge(position.edge_id)
+        if outside_region(owners, region, edge.u, edge.v):
             _ESCAPED.inc()
-            region = None
+            owners = None
         before = self._search_stats.settled_vertices
-        distances = list(
-            object_distances_from_location(
-                self._network,
-                self._object_vertices,
-                position,
-                self._held,
-                stats=self._search_stats,
-                within=region,
-                required=self._k,
-            ).values()  # keyed in the order asked for, which is ``_held``'s
+        distances = object_distances_from_location(
+            self._network,
+            self._object_vertices,
+            position,
+            self._held,
+            stats=self._search_stats,
+            owners=owners,
+            cells=region,
+            required=self._k,
         )
         self._stats.settled_vertices += self._search_stats.settled_vertices - before
         self._stats.distance_computations += len(distances)
@@ -159,6 +152,5 @@ class INSRoadProcessor(InfluentialSetProcessor[NetworkLocation]):
             _UNREACHABLE.inc()
         return distances
 
-    def _held_changed(self, pool_changed: bool) -> None:
-        if pool_changed and self._validation_mode == "restricted":
-            self._region = self._index.cell_edges(self._held)
+    def _held_changed(self) -> None:
+        self._region = frozenset(self._held)

@@ -81,9 +81,7 @@ class MovingRoadKNNServer(ServingEngine[NetworkLocation]):
         """The vertex data object ``index`` currently sits on."""
         return self._voronoi.object_vertex(index)
 
-    def _build_processor(
-        self, kind: str, k: int, rho: float, validation_mode: str = "restricted"
-    ) -> INSRoadProcessor:
+    def _build_processor(self, kind: str, k: int, rho: float) -> INSRoadProcessor:
         # The non-kNN continuous kinds are Euclidean-only for now: their safe
         # regions are planar constructions (order-k Voronoi cells, Voronoi
         # neighbour lists on the plane) with no network-metric counterpart
@@ -94,12 +92,7 @@ class MovingRoadKNNServer(ServingEngine[NetworkLocation]):
                 "metric serves kind='knn' sessions"
             )
         return INSRoadProcessor(
-            self._network,
-            self._voronoi.vertex_assignments,
-            k,
-            rho=rho,
-            validation_mode=validation_mode,
-            voronoi=self._voronoi,
+            self._network, self._voronoi.vertex_assignments, k, rho=rho, voronoi=self._voronoi
         )
 
     def _insert(self, vertex: int):

@@ -216,41 +216,27 @@ class DurableKNNService(KNNService):
             if self._appends_since_snapshot >= self._snapshot_every:
                 self.checkpoint()
 
-    def open_session(
-        self, position: Any, k: int, rho: float = 1.6, **query_options: Any
-    ) -> Session:
-        session = super().open_session(position, k=k, rho=rho, **query_options)
+    def open_session(self, position: Any, k: int, rho: float = 1.6) -> Session:
+        session = super().open_session(position, k=k, rho=rho)
         # The open/ack pair makes query-id assignment auditable: replay
         # asserts the deterministic engine hands out the logged id again.
-        options = tuple(
-            (str(name), str(value)) for name, value in query_options.items()
-        )
         self._log(
-            OpenSession(position=position, k=k, rho=rho, options=options),
+            OpenSession(position=position, k=k, rho=rho),
             SessionOpened(query_id=session.query_id),
         )
         return session
 
     def open_query(
-        self,
-        position: Any,
-        kind: str = "knn",
-        *,
-        k: int,
-        rho: float = 1.6,
-        **query_options: Any,
+        self, position: Any, kind: str = "knn", *, k: int, rho: float = 1.6
     ) -> Session:
         if kind == "knn":
             # Routes through open_session, which logs the classic
             # OpenSession/SessionOpened pair — the log stays byte-identical
             # to a pre-queries-era kNN workload.
-            return super().open_query(position, kind=kind, k=k, rho=rho, **query_options)
-        session = super().open_query(position, kind=kind, k=k, rho=rho, **query_options)
-        options = tuple(
-            (str(name), str(value)) for name, value in query_options.items()
-        )
+            return super().open_query(position, kind=kind, k=k, rho=rho)
+        session = super().open_query(position, kind=kind, k=k, rho=rho)
         self._log(
-            OpenQuery(kind=kind, position=position, k=k, rho=rho, options=options),
+            OpenQuery(kind=kind, position=position, k=k, rho=rho),
             SessionOpened(query_id=session.query_id),
         )
         return session
@@ -390,13 +376,17 @@ class DurableKNNService(KNNService):
                             f"WAL record {record.seq}: {type(message).__name__} "
                             f"not followed by its SessionOpened ack"
                         )
+                    if message.options:
+                        raise DurabilityError(
+                            f"WAL record {record.seq}: {type(message).__name__} carries "
+                            f"options {dict(message.options)!r}, which the engine does not take"
+                        )
                     # kind="knn" (an OpenSession) routes to open_session.
                     session = self.open_query(
                         message.position,
                         kind=getattr(message, "kind", "knn"),
                         k=message.k,
                         rho=message.rho,
-                        **dict(message.options),
                     )
                     if session.query_id != ack.query_id:
                         raise DurabilityError(

@@ -39,8 +39,9 @@ class OpenQuery:
         k: number of members to monitor.
         rho: prefetch ratio for kinds that prefetch (ignored by kinds with
             exact safe regions).
-        options: extra keyword options forwarded to the engine, as a sorted
-            tuple of ``(name, value)`` string pairs (wire-friendly).
+        options: ``(name, value)`` string pairs, kept on the frozen wire
+            format; the engine takes none, so clients send it empty and the
+            server refuses a non-empty one (as for ``OpenSession``).
     """
 
     kind: str

@@ -227,10 +227,10 @@ class RoadNetwork:
 
         Theorem 2 says validation in road networks only needs the network
         formed by the Voronoi cells of the kNN set and its INS.  Serving
-        applies that as an edge filter on this network
-        (``distances_from_location(..., within=edge_ids)``) and never
-        copies; this materialised form is the reference the filter is
-        tested against.
+        never copies: the search filters edges by the owners of their
+        endpoints (``distances_from_location(..., owners=, cells=)``).  This
+        materialised form of ``diagram.cell_edges(cells)`` is the reference
+        that owner filter is tested against.
 
         Returns:
             A triple ``(network, vertex_map, edge_map)`` where ``vertex_map``

@@ -124,24 +124,25 @@ def object_distances_from_location(
     location: NetworkLocation,
     object_indexes: Sequence[int],
     stats: Optional[SearchStats] = None,
-    within: Optional[AbstractSet[int]] = None,
+    owners: Optional[Mapping[int, int]] = None,
+    cells: AbstractSet[int] = frozenset(),
     required: Optional[int] = None,
-) -> Dict[int, float]:
+) -> List[float]:
     """Network distances from the query location to specific objects.
 
     One search whose targets are the vertices of the first ``required``
     listed objects (default: all), under the stop rule of
-    :func:`~repro.roadnet.shortest_path.distances_from_location`; ``within``
-    restricts it to a set of edge ids (the Theorem 2 region), one of which
-    the query location must lie on.
+    :func:`~repro.roadnet.shortest_path.distances_from_location`; ``owners``
+    and ``cells`` confine it to those objects' Voronoi cells (the Theorem 2
+    region), one of which the query location must lie in.
 
     Returns:
-        Mapping ``object_index -> distance``: exact for every listed object
-        no farther than the farthest required one, ``inf`` for the rest —
-        beyond that radius, or unreachable in the (restricted) network.
+        The distances in ``object_indexes`` order: exact for every listed
+        object no farther than the farthest required one, ``inf`` for the
+        rest — beyond that radius, or unreachable in the region.
     """
     vertices = [object_vertices[index] for index in object_indexes]
     settled = distances_from_location(
-        network, location, targets=vertices[:required], stats=stats, within=within
+        network, location, targets=vertices[:required], stats=stats, owners=owners, cells=cells
     ).get
-    return {index: settled(vertex, math.inf) for index, vertex in zip(object_indexes, vertices)}
+    return [settled(vertex, math.inf) for vertex in vertices]

@@ -60,9 +60,10 @@ has the same length and tie chains are endemic, so the equivalence tests
 need no tie-tolerant escape hatch.
 
 The owner → edges inverted index also turns :meth:`cell_edges` and
-:meth:`cell_length` from O(|E|) scans into O(cell) lookups, which is what
-makes refreshing the Theorem 2 region (the edge ids the validation search is
-confined to) cheap enough to run per retrieval.
+:meth:`cell_length` from O(|E|) scans into O(cell) lookups.  Serving never
+materialises the Theorem 2 region: the validation search reads
+:meth:`vertex_owners` as it relaxes, and :meth:`cell_edges` is the reference
+the tests hold that lookup to.
 """
 
 from __future__ import annotations
@@ -969,6 +970,16 @@ class NetworkVoronoiDiagram:
         """
         return self._vertex_objects
 
+    def vertex_owners(self) -> Mapping[int, int]:
+        """Live read-only vertex → owning-object map (the cell labels).
+
+        An edge lies in :meth:`cell_edges` of a set of objects iff the owner
+        of one of its endpoints is in the set, so this map confines a search
+        to those cells (``distances_from_location(..., owners=, cells=)``).
+        A rebuild replaces it: ask again per search, and do not mutate it.
+        """
+        return self._vertex_owners
+
     def __len__(self) -> int:
         """Number of active data objects (a counter kept beside ``_active``)."""
         return self._active_count
@@ -1028,7 +1039,8 @@ class NetworkVoronoiDiagram:
         """Edges any part of which is owned by one of ``object_indexes``.
 
         This is the Theorem 2 region — the edges a validation search may
-        use — when called with the union of the current kNN set and its INS.
+        use — when called with the union of the current kNN set and its INS;
+        the search itself filters by :meth:`vertex_owners` instead.
         Answered from the owner → edges inverted index in O(result), not
         O(|E|).
         """

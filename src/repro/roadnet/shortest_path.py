@@ -10,15 +10,17 @@ module:
   sources together with the identity of that source; this is exactly the
   computation that yields the network Voronoi diagram.
 * :func:`distances_from_location` — distances from a point on an edge (the
-  moving query object), optionally restricted to a set of edges (Theorem 2).
+  moving query object), optionally confined to Voronoi cells (Theorem 2).
 * :func:`shortest_path_distance` — vertex-to-vertex distance.
 
 Theorem 2 — validating a kNN answer only needs the Voronoi cells of the held
-objects — is a *restriction of the search*, not a second network: the
-``within`` edge set makes the one expansion loop skip every edge outside it,
-on the shared :class:`RoadNetwork`, with the real vertex identifiers.  The
-result equals, float for float, the same search on the materialised
-``network.subnetwork(within)``.
+objects — is a *restriction of the search*, not a second network.  An edge
+lies in the union of those cells iff the owner of one of its endpoints is
+held, so the one expansion loop asks the diagram's live ``vertex → owner``
+map as it relaxes: one dict read per settled vertex, one set test per edge
+outside a held cell, on the shared :class:`RoadNetwork` with the real vertex
+identifiers.  The result equals, float for float, the same search on the
+materialised ``network.subnetwork(diagram.cell_edges(held))``.
 
 The functions count settled vertices through an optional
 :class:`SearchStats` accumulator so the benchmarks can report search effort;
@@ -30,7 +32,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import AbstractSet, Dict, Iterable, List, Optional, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import RoadNetworkError
 from repro.roadnet.graph import RoadNetwork
@@ -159,7 +161,8 @@ def distances_from_location(
     targets: Optional[Iterable[int]] = None,
     radius: float = math.inf,
     stats: Optional[SearchStats] = None,
-    within: Optional[AbstractSet[int]] = None,
+    owners: Optional[Mapping[int, int]] = None,
+    cells: AbstractSet[int] = frozenset(),
 ) -> Dict[int, float]:
     """Network distances from an on-edge location to vertices.
 
@@ -169,9 +172,11 @@ def distances_from_location(
     pop beyond it stops the search, so whatever the result lacks is farther
     than every target.  A target the search cannot reach exhausts it.
 
-    ``within`` restricts the search to a set of edge ids (the Theorem 2
-    region): edges outside it are never relaxed, so a vertex that no region
-    edge reaches is missing from the result.
+    ``owners`` (a ``vertex → owning object`` map, the network Voronoi
+    diagram's) confines the search to the cells of the objects in ``cells``
+    (the Theorem 2 region): an edge is relaxed only when the owner of one of
+    its endpoints is in ``cells``, so a vertex that no such edge reaches is
+    missing from the result.
 
     Returns:
         Mapping ``vertex_id -> distance`` for every settled vertex (always a
@@ -179,12 +184,13 @@ def distances_from_location(
         ``radius``).
 
     Raises:
-        RoadNetworkError: when ``within`` does not contain the location's edge.
+        RoadNetworkError: when the location's edge is outside the region.
     """
     location = location.validated(network)
-    if within is not None and location.edge_id not in within:
-        raise RoadNetworkError(f"edge {location.edge_id} is outside the search region")
     u, distance_u, v, distance_v = location.endpoint_distances(network)
+    if owners is not None and outside_region(owners, cells, u, v):
+        raise RoadNetworkError(f"edge {location.edge_id} is outside the search region")
+    owner_of = None if owners is None else owners.get
     distances: Dict[int, float] = {}
     heap: List[Tuple[float, int]] = [(distance_u, u), (distance_v, v)]
     heapq.heapify(heap)
@@ -201,13 +207,20 @@ def distances_from_location(
             remaining.discard(vertex)
             if not remaining:
                 radius = distance
-        for neighbor, length, edge_id in network.neighbors(vertex):
-            if neighbor not in distances and (within is None or edge_id in within):
+        inside = owner_of is None or owner_of(vertex) in cells
+        for neighbor, length, _ in network.neighbors(vertex):
+            if neighbor not in distances and (inside or owner_of(neighbor) in cells):
                 relaxed += 1
                 heapq.heappush(heap, (distance + length, neighbor))
     if stats is not None:
         stats.add_search(len(distances), relaxed)
     return distances
+
+
+def outside_region(owners: Mapping[int, int], cells: AbstractSet[int], u: int, v: int) -> bool:
+    """Whether the edge ``u``–``v`` lies outside the cells of the objects in
+    ``cells``: it lies inside iff the owner of one of its endpoints is there."""
+    return owners.get(u) not in cells and owners.get(v) not in cells
 
 
 def shortest_path_distance(

@@ -175,15 +175,11 @@ class KNNService:
     # ------------------------------------------------------------------
     # Session lifecycle
     # ------------------------------------------------------------------
-    def open_session(
-        self, position: Any, k: int, rho: float = 1.6, **query_options: Any
-    ) -> Session:
+    def open_session(self, position: Any, k: int, rho: float = 1.6) -> Session:
         """Register a moving query and return its :class:`Session` handle.
 
         The first answer is computed during registration; read it with
-        :meth:`Session.refresh` or just start updating.  Road-only keyword
-        options (e.g. ``validation_mode``) pass through to the underlying
-        processor; the Euclidean side rejects them.
+        :meth:`Session.refresh` or just start updating.
 
         Args:
             position: the query's starting position.
@@ -191,19 +187,13 @@ class KNNService:
             rho: prefetch ratio ρ (the paper's demo uses 1.6).
         """
         self._ensure_open()
-        query_id = self._engine.register_query(position, k, rho=rho, **query_options)
+        query_id = self._engine.register_query(position, k, rho=rho)
         session = Session(self, query_id, k=k, rho=rho)
         self._sessions[query_id] = session
         return session
 
     def open_query(
-        self,
-        position: Any,
-        kind: str = "knn",
-        *,
-        k: int,
-        rho: float = 1.6,
-        **query_options: Any,
+        self, position: Any, kind: str = "knn", *, k: int, rho: float = 1.6
     ) -> Session:
         """Register a continuous query of any registered kind.
 
@@ -216,11 +206,9 @@ class KNNService:
         for region monitoring).
         """
         if kind == "knn":
-            return self.open_session(position, k, rho=rho, **query_options)
+            return self.open_session(position, k, rho=rho)
         self._ensure_open()
-        query_id = self._engine.register_query(
-            position, k, rho=rho, kind=kind, **query_options
-        )
+        query_id = self._engine.register_query(position, k, rho=rho, kind=kind)
         session = Session(self, query_id, k=k, rho=rho, kind=kind)
         self._sessions[query_id] = session
         return session

@@ -146,7 +146,6 @@ def run_road_comparison(
     methods: Sequence[str] = ROAD_METHODS,
     check_correctness: bool = False,
     vstar_auxiliary: int = 4,
-    ins_validation_mode: str = "restricted",
 ) -> ExperimentResult:
     """Run the selected road-network methods on ``scenario``."""
     oracle = road_oracle(scenario) if check_correctness else None
@@ -154,11 +153,7 @@ def run_road_comparison(
     for method in methods:
         if method == "INS-road":
             processor = INSRoadProcessor(
-                scenario.network,
-                scenario.object_vertices,
-                scenario.k,
-                rho=scenario.rho,
-                validation_mode=ins_validation_mode,
+                scenario.network, scenario.object_vertices, scenario.k, rho=scenario.rho
             )
         elif method == "V*-road":
             processor = VStarRoadProcessor(

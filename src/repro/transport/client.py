@@ -360,27 +360,15 @@ class RemoteService:
     # ------------------------------------------------------------------
     # Session lifecycle (the same surface KNNService offers)
     # ------------------------------------------------------------------
-    def open_session(
-        self, position: Any, k: int, rho: float = 1.6, **query_options: Any
-    ) -> RemoteSession:
+    def open_session(self, position: Any, k: int, rho: float = 1.6) -> RemoteSession:
         """Register a query on the server; returns its session handle."""
-        options = tuple((name, str(value)) for name, value in query_options.items())
-        opened = self._request(
-            OpenSession(position=position, k=k, rho=rho, options=options),
-            SessionOpened,
-        )
+        opened = self._request(OpenSession(position=position, k=k, rho=rho), SessionOpened)
         session = RemoteSession(self, opened.query_id, k=k, rho=rho)
         self._sessions[opened.query_id] = session
         return session
 
     def open_query(
-        self,
-        position: Any,
-        kind: str = "knn",
-        *,
-        k: int,
-        rho: float = 1.6,
-        **query_options: Any,
+        self, position: Any, kind: str = "knn", *, k: int, rho: float = 1.6
     ) -> RemoteSession:
         """Register a continuous query of any kind; returns its session.
 
@@ -389,11 +377,9 @@ class RemoteService:
         plain kNN open; other kinds send an :class:`OpenQuery` frame.
         """
         if kind == "knn":
-            return self.open_session(position, k=k, rho=rho, **query_options)
-        options = tuple((name, str(value)) for name, value in query_options.items())
+            return self.open_session(position, k=k, rho=rho)
         opened = self._request(
-            OpenQuery(kind=kind, position=position, k=k, rho=rho, options=options),
-            SessionOpened,
+            OpenQuery(kind=kind, position=position, k=k, rho=rho), SessionOpened
         )
         session = RemoteSession(self, opened.query_id, k=k, rho=rho, kind=kind)
         self._sessions[opened.query_id] = session

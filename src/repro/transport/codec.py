@@ -191,9 +191,10 @@ class OpenSession:
         position: the query's starting position (Point or NetworkLocation).
         k: number of nearest neighbours to maintain.
         rho: prefetch ratio ρ.
-        options: extra keyword options passed to the engine's
-            ``register_query`` (e.g. the road side's ``validation_mode``),
-            as ``(name, value)`` string pairs.
+        options: ``(name, value)`` string pairs.  Kept on the wire (the
+            format is frozen) but the engine takes no options: clients send
+            it empty and the server refuses a non-empty one with a
+            ``ConfigurationError``.
     """
 
     position: Any

@@ -659,9 +659,7 @@ class ProcessShardedDispatcher:
     # Session lifecycle (pinned by the i-mod-workers rule)
     # ------------------------------------------------------------------
     @_locked
-    def open_session(
-        self, position: Any, k: int, rho: float = 1.6, **query_options: Any
-    ) -> RemoteSession:
+    def open_session(self, position: Any, k: int, rho: float = 1.6) -> RemoteSession:
         """Open the next session on its pinned shard.
 
         The ``i``-th call lands on worker ``i % workers`` — a
@@ -673,9 +671,7 @@ class ProcessShardedDispatcher:
         self._ensure_open()
         global_id = len(self._sessions)
         worker_index = global_id % self._workers
-        session = self._remotes[worker_index].open_session(
-            position, k=k, rho=rho, **query_options
-        )
+        session = self._remotes[worker_index].open_session(position, k=k, rho=rho)
         session.global_id = global_id
         self._sessions.append(session)
         self._worker_of[id(session)] = worker_index
@@ -683,13 +679,7 @@ class ProcessShardedDispatcher:
 
     @_locked
     def open_query(
-        self,
-        position: Any,
-        kind: str = "knn",
-        *,
-        k: int,
-        rho: float = 1.6,
-        **query_options: Any,
+        self, position: Any, kind: str = "knn", *, k: int, rho: float = 1.6
     ) -> RemoteSession:
         """Open the next continuous query (any kind) on its pinned shard.
 
@@ -700,9 +690,7 @@ class ProcessShardedDispatcher:
         self._ensure_open()
         global_id = len(self._sessions)
         worker_index = global_id % self._workers
-        session = self._remotes[worker_index].open_query(
-            position, kind=kind, k=k, rho=rho, **query_options
-        )
+        session = self._remotes[worker_index].open_query(position, kind=kind, k=k, rho=rho)
         session.global_id = global_id
         self._sessions.append(session)
         self._worker_of[id(session)] = worker_index

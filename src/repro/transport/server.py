@@ -33,7 +33,7 @@ import stat
 import threading
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.errors import QueryError, ReproError, TransportError
+from repro.errors import ConfigurationError, QueryError, ReproError, TransportError
 from repro.obs.clock import clock as _obs_clock
 from repro.obs.trace import TRACER
 from repro.obs.metrics import (
@@ -244,6 +244,11 @@ def serve_connection(
                     reply(response, query_id)
                 elif isinstance(message, (OpenSession, OpenQuery)):
                     try:
+                        if message.options:
+                            raise ConfigurationError(
+                                f"{type(message).__name__} carries options "
+                                f"{dict(message.options)!r}, which the engine does not take"
+                            )
                         with lock:
                             # kind="knn" (an OpenSession) routes to open_session.
                             session = service.open_query(
@@ -251,7 +256,6 @@ def serve_connection(
                                 kind=getattr(message, "kind", "knn"),
                                 k=message.k,
                                 rho=message.rho,
-                                **dict(message.options),
                             )
                             token = service.durability_token()
                     except ReproError:

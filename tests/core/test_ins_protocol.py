@@ -13,6 +13,7 @@ import random
 from typing import Any, Callable
 
 import pytest
+from road_reference import SERVERS, VALIDATIONS, FullNetworkRoadServer
 
 from repro.core.ins_euclidean import INSProcessor
 from repro.core.ins_road import INSRoadProcessor
@@ -24,6 +25,7 @@ from repro.roadnet.generators import grid_network, place_objects, random_planar_
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.knn import network_knn, object_distances_from_location
 from repro.roadnet.location import NetworkLocation
+from repro.roadnet.shortest_path import outside_region
 from repro.service import KNNService, UpdateBatch
 from repro.trajectory.road import network_random_walk
 from repro.workloads.datasets import uniform_points
@@ -245,35 +247,31 @@ class TestWrittenOnce:
 class _SettlesEveryHeldObject(INSRoadProcessor):
     """Road validation as it was before it stopped at the answer: the search
     runs until *every* held object is settled, and a retrieval searches once
-    more for the floats it reports.  Built from the public kernel."""
+    more for the floats it reports.  Built from the public kernel, in the
+    region its base class keeps."""
 
     def _held_distances(self, position):
-        region = self._region
-        if region is not None and position.edge_id not in region:
-            region = None
+        owners, region = self._index.vertex_owners(), self._region
+        edge = self._network.edge(position.edge_id)
+        if outside_region(owners, region, edge.u, edge.v):
+            owners = None
         effort = self._search_stats
         before = effort.settled_vertices
         distances = object_distances_from_location(
-            self._network, self._object_vertices, position, self._held, effort, region
+            self._network, self._object_vertices, position, self._held, effort, owners, region
         )
         self._stats.settled_vertices += effort.settled_vertices - before
         self._stats.distance_computations += len(distances)
-        return list(distances.values())
+        return distances
 
     def _knn_distances(self, position):
         return self._held_distances(position)[: self._k]
 
 
-class _FullValidationServer(MovingRoadKNNServer):
-    def _build_processor(self, kind, k, rho, validation_mode="restricted"):
-        return _SettlesEveryHeldObject(
-            self._network,
-            self._voronoi.vertex_assignments,
-            k,
-            rho=rho,
-            validation_mode=validation_mode,
-            voronoi=self._voronoi,
-        )
+def _full_validation_server(mode):
+    """A server whose sessions settle every held object, in ``mode``'s region."""
+    processor = type("SettlesEveryHeldObject", (_SettlesEveryHeldObject, VALIDATIONS[mode]), {})
+    return type("FullValidationServer", (FullNetworkRoadServer,), {"processor": processor})
 
 
 def _bill(engine, query_id):
@@ -296,19 +294,19 @@ class TestRoadValidationStopsAtTheAnswer:
         "planar": lambda: random_planar_network(120, extent=900.0, seed=31),
     }
 
-    @pytest.mark.parametrize("mode", INSRoadProcessor.VALIDATION_MODES)
+    @pytest.mark.parametrize("mode", list(VALIDATIONS))
     @pytest.mark.parametrize("shape", sorted(NETWORKS))
     def test_every_result_and_every_bill_equals_the_full_validation(self, shape, mode):
         network = self.NETWORKS[shape]()
         objects = place_objects(network, 45, seed=32)
-        engines = [MovingRoadKNNServer(network, objects), _FullValidationServer(network, objects)]
+        engines = [
+            SERVERS[mode](network, objects),
+            _full_validation_server(mode)(network, objects),
+        ]
         walks = [network_random_walk(network, 120, 35.0, seed=33 + i) for i in range(4)]
         ks = (1, 3, 5, 8)
         queries = [
-            [
-                engine.register_query(walk[0], k=k, rho=1.6, validation_mode=mode)
-                for walk, k in zip(walks, ks)
-            ]
+            [engine.register_query(walk[0], k=k, rho=1.6) for walk, k in zip(walks, ks)]
             for engine in engines
         ]
         assert queries[0] == queries[1]

@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from road_reference import SERVERS, FullNetworkRoadProcessor
 
 import repro.obs as obs
 from repro.errors import EmptyDatasetError, QueryError
@@ -103,9 +104,9 @@ class TestDataUpdates:
 
 
 class TestAnswersMatchBruteForce:
-    @pytest.mark.parametrize("validation_mode", ["restricted", "exact"])
+    @pytest.mark.parametrize("mode", list(SERVERS))
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_update_stream_equivalence(self, validation_mode, seed):
+    def test_update_stream_equivalence(self, mode, seed):
         rng = random.Random(seed + 31)
         network = (
             grid_network(10, 10, spacing=50.0)
@@ -114,8 +115,8 @@ class TestAnswersMatchBruteForce:
         )
         objects = place_objects(network, 20, seed=seed + 13)
         trajectory = network_random_walk(network, steps=60, step_length=30.0, seed=seed + 17)
-        server = MovingRoadKNNServer(network, objects)
-        query_id = server.register_query(trajectory[0], k=4, validation_mode=validation_mode)
+        server = SERVERS[mode](network, objects)
+        query_id = server.register_query(trajectory[0], k=4)
         for step in range(1, 60):
             op = rng.random()
             active = server.voronoi.active_object_indexes()
@@ -128,7 +129,7 @@ class TestAnswersMatchBruteForce:
             result = server.update_position(query_id, trajectory[step])
             assert sorted(result.knn_distances) == pytest.approx(
                 reference_knn_distances(server, trajectory[step], 4)
-            ), (validation_mode, seed, step)
+            ), (mode, seed, step)
 
     def test_batched_stream_equivalence(self):
         rng = random.Random(91)
@@ -206,12 +207,9 @@ class TestRestrictedEscapeFallback:
         objects = place_objects(network, 40, seed=55)
         server = MovingRoadKNNServer(network, objects)
         start = NetworkLocation(0, 1.0)
-        query_id = server.register_query(start, k=3, validation_mode="restricted")
-        processor = next(iter(server)).processor
+        query_id = server.register_query(start, k=3)
         far_edge = network.incident_edges(network.vertices()[-1])[0]
         far = NetworkLocation(far_edge.edge_id, far_edge.length / 2.0)
-        # Precondition: the escape really leaves the held region.
-        assert far.edge_id not in processor._region
         assert validation_fallbacks() == 0
         result = server.update_position(query_id, far)
         assert validation_fallbacks() == 1
@@ -225,7 +223,7 @@ class TestRestrictedEscapeFallback:
 
         network = grid_network(12, 12, spacing=25.0)
         objects = place_objects(network, 30, seed=56)
-        processor = INSRoadProcessor(network, objects, k=4, validation_mode="restricted")
+        processor = INSRoadProcessor(network, objects, k=4)
         processor.initialize(NetworkLocation(0, 2.0))
         far_edge = network.incident_edges(network.vertices()[-1])[0]
         far = NetworkLocation(far_edge.edge_id, 1.0)
@@ -262,9 +260,10 @@ class TestRestrictedEscapeFallback:
         for location in trajectory[1:]:
             server.update_position(query_id, location)
         assert validation_fallbacks() == 0
-        exact = server.register_query(trajectory[0], k=4, validation_mode="exact")
-        server.update_position(exact, NetworkLocation(network.edge_count - 1, 1.0))
-        assert validation_fallbacks() == 0  # "exact" has no region to fall out of
+        exact = FullNetworkRoadProcessor(network, objects, k=4)
+        exact.initialize(trajectory[0])
+        exact.update(NetworkLocation(network.edge_count - 1, 1.0))
+        assert validation_fallbacks() == 0  # the full network has no region to fall out of
         assert validation_fallbacks("unreachable") == 0
 
 

@@ -139,6 +139,23 @@ class TestDurableServiceGuards:
         with pytest.raises(DurabilityError):
             DurableKNNService(engine, str(tmp_path / "state"))
 
+    @pytest.mark.parametrize("option", [("validation_mode", "exact"), ("foo", "1")])
+    def test_replaying_an_open_that_carries_options_is_a_typed_error(self, tmp_path, option):
+        """Open frames keep an ``options`` field, and older road logs filled
+        it with ``validation_mode``.  The engine takes no options, so replay
+        refuses such a record by name instead of crashing in the engine."""
+        from repro.transport.codec import OpenSession, SessionOpened
+
+        wal_dir = str(tmp_path / "state")
+        scenario = build_scenario("road")
+        service = DurableKNNService(build_server(scenario), wal_dir)
+        start = scenario.trajectories[0][0]
+        service.wal.append(OpenSession(position=start, k=3, rho=1.6, options=(option,)))
+        service.wal.append(SessionOpened(query_id=0))
+        service.close_wal()
+        with pytest.raises(DurabilityError, match=option[0]):
+            recover_service(wal_dir)
+
     def test_recovering_an_empty_directory_is_a_typed_error(self, tmp_path):
         with pytest.raises(SnapshotError):
             recover_service(str(tmp_path / "nothing-here"))

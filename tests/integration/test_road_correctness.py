@@ -1,6 +1,7 @@
 """End-to-end correctness of every road-network method on full simulations."""
 
 import pytest
+from road_reference import FullNetworkRoadProcessor
 
 from repro.roadnet.generators import (
     grid_network,
@@ -8,7 +9,8 @@ from repro.roadnet.generators import (
     random_planar_network,
     ring_radial_network,
 )
-from repro.simulation.experiment import run_road_comparison
+from repro.simulation.experiment import road_oracle, run_road_comparison
+from repro.simulation.simulator import simulate
 from repro.trajectory.road import network_random_walk
 from repro.workloads.scenarios import RoadScenario, default_road_scenario
 
@@ -53,17 +55,15 @@ class TestAllMethodsCorrect:
         result = run_road_comparison(scenario, check_correctness=True)
         assert all(m.summary.correct for m in result.methods)
 
-    def test_exact_validation_mode_also_correct(self):
+    def test_full_network_validation_also_correct(self):
         scenario = default_road_scenario(
             rows=8, columns=8, object_count=20, k=4, steps=80, step_length=25.0, seed=314
         )
-        result = run_road_comparison(
-            scenario,
-            methods=("INS-road",),
-            check_correctness=True,
-            ins_validation_mode="exact",
+        processor = FullNetworkRoadProcessor(
+            scenario.network, scenario.object_vertices, scenario.k, rho=scenario.rho
         )
-        assert result.methods[0].summary.correct
+        run = simulate(processor, scenario.trajectory, oracle=road_oracle(scenario))
+        assert not run.mismatches
 
 
 class TestExpectedCostRelationships:

@@ -1,6 +1,8 @@
 """Property-based tests for the road-network substrate (hypothesis)."""
 
 import math
+import random
+from types import SimpleNamespace
 
 import networkx as nx
 import pytest
@@ -46,9 +48,33 @@ grid_strategy = st.builds(
 )
 
 
+def _churned(network, objects, seed, epochs=4):
+    """A diagram after ``epochs`` incremental batches (an insert, a delete and
+    a move each), and a replica that only ever saw their shipped deltas."""
+    rng = random.Random(seed)
+    leader = NetworkVoronoiDiagram(network, objects)
+    replica = NetworkVoronoiDiagram(network, objects)
+    vertices = network.vertices()
+    for _ in range(epochs):
+        victim, mover = rng.sample(leader.active_indexes(), 2)
+        leader.begin_delta_capture()
+        new_indexes, deleted, _ = leader.batch_update(
+            [rng.choice(vertices)], [victim], [(mover, rng.choice(vertices))], "incremental"
+        )
+        replica.apply_remote_delta(
+            SimpleNamespace(
+                new_indexes=new_indexes, deleted_indexes=deleted, **leader.export_delta()
+            )
+        )
+    return leader, replica
+
+
 class TestTheorem2Filter:
-    """``within=`` (skip edges outside the region, on the shared network) is
-    the search on the materialised ``subnetwork(region)``, float for float."""
+    """The owner lookup (relax an edge iff the owner of one of its endpoints
+    is held, on the shared network) is the search on the materialised
+    ``subnetwork(diagram.cell_edges(held))``, float for float — on a fresh
+    diagram, after incremental repairs, and on a replica patched by deltas,
+    so the owner map and the owner → edges index agree after every repair."""
 
     @given(
         st.one_of(network_strategy, grid_strategy),
@@ -57,15 +83,23 @@ class TestTheorem2Filter:
         st.integers(min_value=0, max_value=1_000_000),
         st.floats(min_value=0.0, max_value=1.0),
         st.one_of(st.none(), st.floats(min_value=0.0, max_value=600.0)),
+        st.sampled_from(["fresh", "churned", "replica"]),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=90, deadline=None)
     def test_filtered_search_equals_search_on_the_copy(
-        self, network, object_seed, held_count, edge_pick, fraction, radius
+        self, network, object_seed, held_count, edge_pick, fraction, radius, history
     ):
         objects = place_objects(network, min(8, network.vertex_count - 1), seed=object_seed)
-        diagram = NetworkVoronoiDiagram(network, objects)
-        held = list(range(held_count))
+        if history == "fresh":
+            diagram = NetworkVoronoiDiagram(network, objects)
+        else:
+            leader, replica = _churned(network, objects, object_seed)
+            diagram = leader if history == "churned" else replica
+        objects = diagram.vertex_assignments
+        held = set(diagram.active_indexes()[:held_count])
+        owners = diagram.vertex_owners()
         region = diagram.cell_edges(held)
+        assume(region)  # a held twin that is not its vertex's label owns no cell
         sub, vertex_map, edge_map = network.subnetwork(region)
         radius = math.inf if radius is None else radius
         edge = network.edge(sorted(region)[edge_pick % len(region)])
@@ -74,7 +108,9 @@ class TestTheorem2Filter:
         there = NetworkLocation(edge_map[edge.edge_id], offset)
 
         # Exhaustive (up to the radius): the same vertices at the same floats.
-        filtered = distances_from_location(network, here, radius=radius, within=region)
+        filtered = distances_from_location(
+            network, here, radius=radius, owners=owners, cells=held
+        )
         copied = distances_from_location(sub, there, radius=radius)
         assert {vertex_map[v]: d for v, d in filtered.items()} == copied
 
@@ -82,7 +118,7 @@ class TestTheorem2Filter:
         # are settled, so only they are promised — inf past the radius, and
         # inf for an object whose vertex no region edge touches.
         distances = object_distances_from_location(
-            network, objects, here, range(len(objects)), within=region
+            network, objects, here, range(len(objects)), owners=owners, cells=held
         )
         inside = {vertex_map[v] for v in objects if v in vertex_map}
         targeted = distances_from_location(sub, there, targets=inside, radius=radius)
@@ -99,7 +135,7 @@ class TestTheorem2Filter:
         if outside:
             elsewhere = NetworkLocation(outside[edge_pick % len(outside)], 0.0)
             with pytest.raises(RoadNetworkError):
-                distances_from_location(network, elsewhere, within=region)
+                distances_from_location(network, elsewhere, owners=owners, cells=held)
 
 
 class TestShortestPathProperties:

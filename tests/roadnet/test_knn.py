@@ -14,6 +14,7 @@ from repro.roadnet.knn import (
     object_distances_from_location,
 )
 from repro.roadnet.location import NetworkLocation
+from repro.roadnet.network_voronoi import NetworkVoronoiDiagram
 from repro.roadnet.shortest_path import SearchStats, distances_from_location
 
 
@@ -100,39 +101,46 @@ class TestObjectDistances:
         objects = place_objects(network, 6, seed=98)
         location = NetworkLocation(network.edges()[2].edge_id, 3.0)
         distances = object_distances_from_location(
-            network, objects, location, object_indexes=[0, 2, 4]
+            network, objects, location, object_indexes=[4, 0, 2]
         )
         oracle = distances_from_location(network, location)
-        for index in [0, 2, 4]:
-            assert distances[index] == pytest.approx(oracle[objects[index]])
+        assert distances == pytest.approx([oracle[objects[index]] for index in [4, 0, 2]])
 
     def test_query_edge_outside_the_region_is_rejected(self):
         network = grid_network(3, 3)
         objects = place_objects(network, 3, seed=99)
-        edges = [edge.edge_id for edge in network.edges()]
-        location = NetworkLocation(edges[-1], 1.0)
+        diagram = NetworkVoronoiDiagram(network, objects)
+        outside = next(e for e in network.edges() if e.edge_id not in diagram.cell_edges({0}))
         with pytest.raises(RoadNetworkError):
             object_distances_from_location(
-                network, objects, location, object_indexes=[0], within=set(edges[:4])
+                network,
+                objects,
+                NetworkLocation(outside.edge_id, 0.5),
+                object_indexes=[0],
+                owners=diagram.vertex_owners(),
+                cells={0},
             )
 
     def test_region_distances_equal_the_materialised_subnetwork(self):
         network = grid_network(4, 4, spacing=10.0)
         objects = place_objects(network, 6, seed=98)
-        # Edges are generated row by row, so a prefix of them leaves the far
-        # rows out: some objects keep an incident region edge, some lose all.
-        region = {edge.edge_id for edge in network.edges()[:9]}
-        sub, vertex_map, edge_map = network.subnetwork(region)
-        location = NetworkLocation(network.edges()[2].edge_id, 3.0)
+        diagram = NetworkVoronoiDiagram(network, objects)
+        # Two cells of six: some objects are reached through them, some not.
+        held = {0, 1}
+        sub, vertex_map, edge_map = network.subnetwork(diagram.cell_edges(held))
+        edge = network.edge(min(edge_map))
+        location = NetworkLocation(edge.edge_id, 3.0)
         distances = object_distances_from_location(
-            network, objects, location, object_indexes=range(6), within=region
+            network,
+            objects,
+            location,
+            object_indexes=range(6),
+            owners=diagram.vertex_owners(),
+            cells=held,
         )
         oracle = distances_from_location(sub, NetworkLocation(edge_map[location.edge_id], 3.0))
-        expected = {
-            index: oracle.get(vertex_map.get(objects[index]), math.inf) for index in range(6)
-        }
-        assert distances == expected
-        assert math.inf in distances.values() and min(distances.values()) < math.inf
+        assert distances == [oracle.get(vertex_map.get(vertex), math.inf) for vertex in objects]
+        assert math.inf in distances and min(distances) < math.inf
 
     def test_unreachable_object_gets_infinity(self):
         network = RoadNetwork()

@@ -20,6 +20,15 @@ The query sits on A-B, 1 from A and 3 from B.  By hand:
     D 9 (E+6; via C it is 6+5 = 11) | F 11 (D+2) | G 13 (C+7)
 
 B and E tie at 3.
+
+Objects 0-4 sit on B, E, C, F, G.  Each vertex's nearest object (its owner
+in the network Voronoi diagram), by hand: A is 2 from E and 3 from B, D is 2
+from F and 5 from C, so
+
+    A 1 | B 0 | C 2 | D 3 | E 1 | F 3 | G 4
+
+A search confined to the cells of some objects (Theorem 2) may use an edge
+iff the owner of one of its endpoints is among them.
 """
 
 import math
@@ -31,6 +40,7 @@ from repro.geometry.point import Point
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.knn import network_knn, object_distances_from_location
 from repro.roadnet.location import NetworkLocation
+from repro.roadnet.network_voronoi import NetworkVoronoiDiagram
 from repro.roadnet.shortest_path import (
     SearchStats,
     dijkstra,
@@ -43,6 +53,9 @@ AB, BC, CD, AE, ED, BE, DF, CG = range(8)
 
 #: Object i sits on OBJECTS[i].
 OBJECTS = [B, E, C, F, G]
+
+#: Each vertex's owner, worked out by hand (see above).
+OWNERS = {A: 1, B: 0, C: 2, D: 3, E: 1, F: 3, G: 4}
 
 
 @pytest.fixture(scope="module")
@@ -79,27 +92,34 @@ def test_radius_stops_at_the_first_vertex_beyond_it(network):
     }
 
 
-def test_filtered_to_an_edge_set(network):
+def test_the_diagram_owns_the_vertices_as_worked_out(network):
+    assert NetworkVoronoiDiagram(network, OBJECTS).vertex_owners() == OWNERS
+
+
+def test_filtered_to_the_cells_of_held_objects(network):
+    # Held {0, 2}: the edges touching B or C, so AB, BC, CD, BE and CG.
     # Without A-E and E-D the short cuts are gone: E is reached through B
-    # (3+1), D through C (6+5), F behind it; G's only edge is left out.
-    region = {AB, BC, CD, BE, DF}
-    assert distances_from_location(network, QUERY, within=region) == {
-        A: 1.0, B: 3.0, E: 4.0, C: 6.0, D: 11.0, F: 13.0
+    # (3+1), D through C (6+5), and G over C-G; D-F is left out, so F is not.
+    held = {0, 2}
+    assert distances_from_location(network, QUERY, owners=OWNERS, cells=held) == {
+        A: 1.0, B: 3.0, E: 4.0, C: 6.0, D: 11.0, G: 13.0
     }
     assert object_distances_from_location(
-        network, OBJECTS, QUERY, range(5), within=region
-    ) == {0: 3.0, 1: 4.0, 2: 6.0, 3: 13.0, 4: math.inf}
+        network, OBJECTS, QUERY, range(5), owners=OWNERS, cells=held
+    ) == [3.0, 4.0, 6.0, math.inf, 13.0]
 
 
 def test_unreachable_inside_the_filter(network):
-    # D-F belongs to the region but nothing in it leads there from A-B.
-    region = {AB, DF}
-    assert distances_from_location(network, QUERY, within=region) == {A: 1.0, B: 3.0}
+    # Held {0}: only A-B, B-C and B-E.  Nothing past C or E is reachable.
+    held = {0}
+    assert distances_from_location(network, QUERY, owners=OWNERS, cells=held) == {
+        A: 1.0, B: 3.0, E: 4.0, C: 6.0
+    }
     assert object_distances_from_location(
-        network, OBJECTS, QUERY, [0, 3], within=region
-    ) == {0: 3.0, 3: math.inf}
-    with pytest.raises(RoadNetworkError):
-        distances_from_location(network, NetworkLocation(BC, 1.0), within=region)
+        network, OBJECTS, QUERY, [0, 3], owners=OWNERS, cells=held
+    ) == [3.0, math.inf]
+    with pytest.raises(RoadNetworkError):  # C-D: owners 2 and 3
+        distances_from_location(network, NetworkLocation(CD, 1.0), owners=OWNERS, cells=held)
 
 
 def test_search_stops_after_the_ties_at_the_last_required_object(network):
@@ -111,31 +131,30 @@ def test_search_stops_after_the_ties_at_the_last_required_object(network):
     stats = SearchStats()
     assert object_distances_from_location(
         network, OBJECTS, QUERY, range(5), stats=stats, required=1
-    ) == {0: 3.0, 1: 3.0, 2: inf, 3: inf, 4: inf}
+    ) == [3.0, 3.0, inf, inf, inf]
     assert stats.settled_vertices == 3
-    # Without B-E nothing changes: E was reached through A (1+2) anyway.
+    # Confined to the cells of 0 and 1 (every edge but C-D, D-F and C-G)
+    # nothing changes: the region holds every path the search took.
     stats = SearchStats()
-    region = {AB, BC, CD, AE, ED, DF, CG}
     assert object_distances_from_location(
-        network, OBJECTS, QUERY, range(5), stats=stats, within=region, required=1
-    ) == {0: 3.0, 1: 3.0, 2: inf, 3: inf, 4: inf}
+        network, OBJECTS, QUERY, range(5), stats=stats, owners=OWNERS, cells={0, 1}, required=1
+    ) == [3.0, 3.0, inf, inf, inf]
     assert stats.settled_vertices == 3
     # All five required: every distance, the hand-computed table.
-    assert object_distances_from_location(network, OBJECTS, QUERY, range(5), required=5) == {
-        0: 3.0, 1: 3.0, 2: 6.0, 3: 11.0, 4: 13.0
-    }
+    assert object_distances_from_location(network, OBJECTS, QUERY, range(5), required=5) == [
+        3.0, 3.0, 6.0, 11.0, 13.0
+    ]
 
 
 def test_required_object_unreachable_inside_the_filter(network):
-    # Object 3 (on F) is required and its edge D-F is in the region, but
-    # nothing in the region leads there: looking for it exhausts the region,
-    # so every object the region does reach is exact — B 3, C 6 — and E,
-    # whose edges are all left out, is as unreachable as F.
+    # Object 3 (on F) is required, but the cell of 0 (A-B, B-C, B-E) does
+    # not lead there: looking for it exhausts the region, so every object the
+    # region does reach is exact — B 3, C 6, E 4 (through B) — and F is inf.
     stats = SearchStats()
     assert object_distances_from_location(
-        network, OBJECTS, QUERY, [3, 0, 2, 1], stats=stats, within={AB, BC, DF}, required=1
-    ) == {3: math.inf, 0: 3.0, 2: 6.0, 1: math.inf}
-    assert stats.settled_vertices == 3  # A, B, C
+        network, OBJECTS, QUERY, [3, 0, 2, 1], stats=stats, owners=OWNERS, cells={0}, required=1
+    ) == [math.inf, 3.0, 6.0, 4.0]
+    assert stats.settled_vertices == 4  # A, B, E, C
 
 
 def test_query_on_an_objects_vertex(network):
@@ -144,7 +163,7 @@ def test_query_on_an_objects_vertex(network):
     assert distances_from_location(network, at_b) == {
         B: 0.0, E: 1.0, C: 3.0, A: 3.0, D: 7.0, F: 9.0, G: 10.0
     }
-    assert object_distances_from_location(network, OBJECTS, at_b, [0, 1]) == {0: 0.0, 1: 1.0}
+    assert object_distances_from_location(network, OBJECTS, at_b, [0, 1]) == [0.0, 1.0]
     assert network_knn(network, OBJECTS, at_b, 1) == [(0, 0.0)]
 
 

@@ -146,13 +146,11 @@ class TestSessionLifecycle:
             with pytest.raises(QueryError):
                 session.send(PositionUpdate(query_id=999, position=Point(1.0, 1.0)))
 
-    def test_road_session_options_pass_through(self, road_service):
+    def test_road_session_answers(self, road_service):
         walk = network_random_walk(
             road_service.engine.network, steps=4, step_length=25.0, seed=8
         )
-        with road_service.open_session(
-            walk[0], k=3, validation_mode="exact"
-        ) as session:
+        with road_service.open_session(walk[0], k=3) as session:
             response = session.update(walk[1])
             assert len(response.knn) == 3
 

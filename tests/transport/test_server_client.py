@@ -10,7 +10,8 @@ from repro.geometry.point import Point
 from repro.service import KNNService, UpdateBatch, open_service
 from repro.service.session import Session
 from repro.transport import KNNServer, RemoteSession, connect, parse_endpoint
-from repro.transport.codec import RefreshRequest, SessionOpened, encode
+from repro.queries.messages import OpenQuery
+from repro.transport.codec import OpenSession, RefreshRequest, SessionOpened, encode
 from repro.transport.stream import MessageStream
 from repro.workloads.datasets import uniform_points
 
@@ -213,6 +214,32 @@ class TestRemoteSessions:
                 assert comm.uplink_bytes == remote.bytes_sent
                 assert comm.downlink_bytes == remote.bytes_received
 
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            OpenSession(position=Point(5_000, 5_000), k=3, rho=1.6, options=(("foo", "1"),)),
+            OpenQuery(
+                kind="influential", position=Point(5_000, 5_000), k=3, options=(("foo", "1"),)
+            ),
+        ],
+        ids=["session", "query"],
+    )
+    def test_an_open_carrying_options_is_refused_typed(self, service, server, frame):
+        """The frames keep an ``options`` field (the wire is frozen) but the
+        engine takes none: a non-empty one is refused with a typed error,
+        billed like any refused registration, and the connection — with the
+        session it already serves — goes on serving."""
+        with connect(server.address) as remote:
+            with remote.open_session(Point(10, 10), k=3) as earlier:
+                with pytest.raises(ConfigurationError, match="foo"):
+                    remote._request(frame, SessionOpened)
+                assert len(earlier.update(Point(40, 40)).knn) == 3
+                with remote.open_session(Point(5_000, 5_000), k=3) as later:
+                    assert len(later.update(Point(5_050, 5_050)).knn) == 3
+                comm = service.communication
+                assert comm.uplink_bytes == remote.bytes_sent
+                assert comm.downlink_bytes == remote.bytes_received
+
     def test_remote_stats_property_is_explicitly_unavailable(self, server):
         with connect(server.address) as remote:
             with remote.open_session(Point(10, 10), k=3) as session:
@@ -340,8 +367,6 @@ class TestConnectionLifecycle:
         with KNNServer(service) as server:
             with connect(server.address) as remote:
                 start = NetworkLocation.at_vertex(network, 0)
-                with remote.open_session(
-                    start, k=3, validation_mode="restricted"
-                ) as session:
+                with remote.open_session(start, k=3) as session:
                     response = session.update(NetworkLocation.at_vertex(network, 7))
                     assert len(response.knn) == 3
