@@ -11,7 +11,7 @@ set changes), and never exceeds it by more than the discretisation slack.
 """
 
 from repro.core.ins_euclidean import INSProcessor
-from repro.baselines.order_k_region import OrderKSafeRegionProcessor
+from repro.baselines import OrderKSafeRegionProcessor
 from repro.simulation.report import format_table
 from repro.simulation.simulator import simulate
 from repro.workloads.scenarios import default_euclidean_scenario

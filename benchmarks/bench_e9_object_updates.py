@@ -14,7 +14,7 @@ trajectory while a stream of insertions and deletions modifies the data set
 
 import random
 
-from repro.baselines.naive import NaiveProcessor
+from repro.baselines import NaiveProcessor
 from repro.core.ins_euclidean import INSProcessor
 from repro.geometry.point import Point
 from repro.simulation.report import format_table

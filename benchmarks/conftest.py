@@ -1,14 +1,13 @@
 """Shared infrastructure for the benchmark harness.
 
 Every benchmark module reproduces one figure or experiment from the paper
-(see DESIGN.md §4 and EXPERIMENTS.md).  Each module
+(its module docstring names which).  Each module
 
 * runs its workload exactly once inside the pytest-benchmark timer
   (``benchmark.pedantic(..., rounds=1)``), so ``--benchmark-only`` reports a
   wall-clock figure per experiment, and
 * emits the paper-style result table both to stdout and to
-  ``benchmarks/results/<experiment>.txt`` so the numbers behind
-  EXPERIMENTS.md are regenerated on every run.
+  ``benchmarks/results/<experiment>.txt``, regenerated on every run.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ The paper's other motivating example ("report the 3 nearest gas stations
 continuously while one drives on a highway"), in Road Network mode:
 
 * the road network is a synthetic ring-and-radial city with a surrounding
-  grid (standing in for the real maps the demo loads — see DESIGN.md),
+  grid (standing in for the real maps the demo loads; see
+  :mod:`repro.roadnet.generators`),
 * gas stations sit on network vertices,
 * the car drives a constant-speed random route along the roads,
 * the INS road-network processor (Theorems 1 and 2) answers the moving
@@ -19,8 +20,7 @@ Run with::
 from __future__ import annotations
 
 from repro.core.ins_road import INSRoadProcessor
-from repro.baselines.naive_road import NaiveRoadProcessor
-from repro.baselines.vstar_road import VStarRoadProcessor
+from repro.baselines import NaiveRoadProcessor, VStarRoadProcessor
 from repro.roadnet.generators import place_objects, random_planar_network
 from repro.simulation.metrics import summarize
 from repro.simulation.report import format_table

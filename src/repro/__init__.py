@@ -102,7 +102,7 @@ from repro.baselines import (
     VStarRoadProcessor,
 )
 from repro.geometry import Point, VoronoiDiagram, order_k_cell
-from repro.index import GridIndex, KDTree, RTree, VoRTree
+from repro.index import RTree, VoRTree
 from repro.roadnet import (
     NetworkLocation,
     NetworkVoronoiDiagram,
@@ -211,8 +211,6 @@ __all__ = [
     "order_k_cell",
     "RTree",
     "VoRTree",
-    "KDTree",
-    "GridIndex",
     # road networks
     "RoadNetwork",
     "NetworkLocation",

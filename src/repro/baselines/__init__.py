@@ -1,23 +1,29 @@
 """Baseline moving-kNN methods the paper's approach is compared against.
 
-* :mod:`repro.baselines.naive` / :mod:`repro.baselines.naive_road` — the
-  obvious lower bound on answer quality and upper bound on work: recompute
-  the kNN set from the index at every timestamp.
+* :mod:`repro.baselines.policies` — two policies, each written once over a
+  plane search (an R-tree) and a road search (INE):
+
+  * naive recomputation (:class:`NaiveProcessor`,
+    :class:`NaiveRoadProcessor`) — the obvious lower bound on answer quality
+    and upper bound on work: recompute the kNN set at every timestamp;
+  * a V*-Diagram-style known region [5] (:class:`VStarProcessor`,
+    :class:`VStarRoadProcessor`) — retrieve ``k + x`` candidates and guard
+    them with a known-region safe distance.  Cheap construction but more
+    frequent recomputation and per-timestamp client work.
+
 * :mod:`repro.baselines.order_k_region` — the safe-region approach of the
   earlier studies cited in the introduction [2], [6]: compute the exact
   order-k Voronoi cell as the safe region.  Minimal recomputation frequency
-  but expensive construction.
-* :mod:`repro.baselines.vstar` / :mod:`repro.baselines.vstar_road` — a
-  V*-Diagram-style method [5]: retrieve ``k + x`` candidates and guard with
-  a known-region safe distance.  Cheap construction but more frequent
-  recomputation and per-timestamp client work.
+  but expensive construction.  Its retrievals run through the plane search.
 """
 
-from repro.baselines.naive import NaiveProcessor
+from repro.baselines.policies import (
+    NaiveProcessor,
+    NaiveRoadProcessor,
+    VStarProcessor,
+    VStarRoadProcessor,
+)
 from repro.baselines.order_k_region import OrderKSafeRegionProcessor
-from repro.baselines.vstar import VStarProcessor
-from repro.baselines.naive_road import NaiveRoadProcessor
-from repro.baselines.vstar_road import VStarRoadProcessor
 
 __all__ = [
     "NaiveProcessor",

@@ -22,35 +22,29 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Set
 
 from repro.errors import ConfigurationError, QueryError
+from repro.baselines.policies import PlaneSearch
 from repro.core.objects import QueryResult, UpdateAction
 from repro.core.processor import MovingKNNProcessor
 from repro.geometry.order_k import OrderKCell, order_k_cell
 from repro.geometry.point import Point
 from repro.geometry.primitives import BoundingBox
-from repro.index.rtree import RTree, RTreeEntry
 
 #: Relative tolerance of the vertex-invasion test (see ``_cell_invaded``).
 _INVASION_TOLERANCE = 1e-9
 
 
-class OrderKSafeRegionProcessor(MovingKNNProcessor[Point]):
+class OrderKSafeRegionProcessor(PlaneSearch, MovingKNNProcessor[Point]):
     """Exact order-k Voronoi cell safe-region baseline (Euclidean space).
+
+    The safe-region polygons are clipped to the box around the data,
+    expanded by its larger side (at least 1), as in the geometry package.
 
     Args:
         points: data-object positions.
         k: number of nearest neighbours to report.
-        bounding_box: clipping box for the safe-region polygons; defaults to
-            an expanded box around the data, matching the geometry package.
-        rtree: optionally share a prebuilt R-tree for the kNN retrievals.
     """
 
-    def __init__(
-        self,
-        points: Sequence[Point],
-        k: int,
-        bounding_box: Optional[BoundingBox] = None,
-        rtree: Optional[RTree] = None,
-    ):
+    def __init__(self, points: Sequence[Point], k: int):
         super().__init__(k)
         if k < 1:
             raise ConfigurationError("k must be at least 1")
@@ -63,15 +57,9 @@ class OrderKSafeRegionProcessor(MovingKNNProcessor[Point]):
         # private copy from it (the pre-hooks behaviour — a frozen copy —
         # survives for callers that never call notify_data_update).
         self._source: Sequence[Point] = points
-        self._points: List[Point] = list(points)
-        if bounding_box is None:
-            box = BoundingBox.from_points(self._points)
-            bounding_box = box.expanded(max(box.width, box.height, 1.0))
-        self._bounding_box = bounding_box
-        with self._stats.time_precomputation():
-            self._rtree = rtree if rtree is not None else RTree.bulk_load(
-                [RTreeEntry(point, index) for index, point in enumerate(self._points)]
-            )
+        self._load(points)
+        box = BoundingBox.from_points(self._points)
+        self._bounding_box = box.expanded(max(box.width, box.height, 1.0))
         self._knn: List[int] = []
         self._cell: Optional[OrderKCell] = None
         self._removed: Set[int] = set()
@@ -157,19 +145,9 @@ class OrderKSafeRegionProcessor(MovingKNNProcessor[Point]):
             if self._index_stale:
                 # Positions moved (or objects vanished) since the index was
                 # built: rebuild it over the surviving population.
-                self._rtree = RTree.bulk_load(
-                    [
-                        RTreeEntry(self._points[index], index)
-                        for index in (
-                            active if active is not None else range(len(self._points))
-                        )
-                    ]
-                )
+                self._index_points(active if active is not None else range(len(self._points)))
                 self._index_stale = False
-            self._rtree.reset_counters()
-            nearest = self._rtree.nearest_neighbors(position, self.k)
-            self._stats.index_node_accesses += self._rtree.node_accesses
-            self._knn = [entry.payload for _, entry in nearest]
+            self._knn = [index for index, _ in self._nearest(position, self.k)]
             self._cell = order_k_cell(
                 self._points,
                 self._knn,

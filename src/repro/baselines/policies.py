@@ -1,0 +1,350 @@
+"""The V* and naive baselines, each written once over both metrics.
+
+A *policy* is the algorithm; a *metric* supplies three methods it runs on:
+
+* ``_nearest(position, count)`` — one server retrieval: the ``count``
+  nearest objects as ``(index, distance)`` pairs, nearest first;
+* ``_distances(position, indexes)`` — the current distances to the listed
+  objects, in order (``inf`` for an unreachable one);
+* ``_drift(position)`` — an upper bound on the distance from the last
+  retrieval position.
+
+:class:`PlaneSearch` answers them with an R-tree and ``Point.distance_to``,
+the drift being the exact distance to the retrieval position.
+:class:`RoadSearch` answers them with an INE search (``network_knn``) and
+one targeted Dijkstra; its drift is the declared ``step_length`` summed over
+the timestamps since the retrieval — the distance travelled along the
+trajectory, always an upper bound on the network distance and free to keep.
+
+**Recompute** (:class:`NaiveProcessor`, :class:`NaiveRoadProcessor`) is the
+method every safe-region technique is trying to beat: one k-nearest
+retrieval at every timestamp, ``k`` objects shipped each time.
+
+**KnownRegion** (:class:`VStarProcessor`, :class:`VStarRoadProcessor`) is
+the V*-Diagram of Nutanong et al. [5], the paper's "cheap construction /
+frequent recomputation" competitor:
+
+* retrieve the ``k + x`` nearest objects per round trip (``x`` auxiliary
+  candidates) and remember the retrieval position ``z`` and the distance to
+  the ``(k+x)``-th of them: every object not retrieved is at least that far
+  from ``z`` — the *known region*;
+* at every timestamp rank the candidates by their current distances (the
+  client pays ``k + x`` distance evaluations — cheap construction, dearer
+  validation, the trade-off the INSQ introduction describes) and report the
+  top ``k``;
+* the answer is guaranteed while ``d(q, c_k) <= d(z, c_{k+x}) - drift``, the
+  triangle inequality's lower bound on any unretrieved object; when it
+  fails, retrieve again from the current position.
+
+One simplification against the original: the V*-Diagram also intersects
+per-object fixed-rank regions and refreshes one candidate at a time, while
+this one recomputes the whole candidate list when the condition fails.  The
+published trade-off survives — construction far cheaper than order-k cells,
+recomputation clearly more frequent than INS or order-k safe regions, and
+less frequent as ``x`` grows.
+"""
+
+from __future__ import annotations
+
+import abc
+from math import inf
+from typing import Iterable, List, Optional, Sequence, Tuple
+
+from repro.errors import ConfigurationError
+from repro.core.objects import QueryResult, UpdateAction
+from repro.core.processor import MovingKNNProcessor, PositionT
+from repro.geometry.point import Point
+from repro.index.rtree import RTree, RTreeEntry
+from repro.roadnet.graph import RoadNetwork
+from repro.roadnet.knn import build_objects_at_vertex, network_knn, object_distances_from_location
+from repro.roadnet.location import NetworkLocation
+from repro.roadnet.shortest_path import SearchStats
+
+
+class _Baseline(MovingKNNProcessor[PositionT]):
+    """What a metric supplies to a policy."""
+
+    def __init__(self, k: int):
+        super().__init__(k)
+        if k < 1:
+            raise ConfigurationError("k must be at least 1")
+
+    @abc.abstractmethod
+    def _nearest(self, position: PositionT, count: int) -> List[Tuple[int, float]]:
+        """One retrieval, its index effort counted: ``(index, distance)``
+        pairs of the ``count`` nearest objects, nearest first."""
+
+    @abc.abstractmethod
+    def _distances(self, position: PositionT, indexes: Sequence[int]) -> List[float]:
+        """Distances to ``indexes``, in order (``inf`` when unreachable)."""
+
+    @abc.abstractmethod
+    def _drift(self, position: PositionT) -> float:
+        """Upper bound on the distance from the last retrieval position;
+        called once per timestamp that keeps the retrieval."""
+
+
+class Recompute(_Baseline[PositionT]):
+    """Naive: one k-nearest retrieval at every timestamp."""
+
+    def __init__(self, k: int, declared: int):
+        super().__init__(k)
+        if k > declared:
+            raise ConfigurationError(
+                f"k={k} exceeds the number of data objects ({declared})"
+            )
+
+    def _compute(self, position: PositionT) -> QueryResult:
+        with self._stats.time_construction():
+            nearest = self._nearest(position, self.k)
+            self._stats.full_recomputations += 1
+            self._stats.transmitted_objects += self.k
+        return QueryResult(
+            timestamp=self.current_timestamp,
+            knn=tuple(index for index, _ in nearest),
+            knn_distances=tuple(distance for _, distance in nearest),
+            guard_objects=frozenset(),
+            action=UpdateAction.FULL_RECOMPUTE,
+            was_valid=False,
+        )
+
+    def _initialize(self, position: PositionT) -> QueryResult:
+        return self._compute(position)
+
+    def _update(self, position: PositionT) -> QueryResult:
+        self._stats.validations += 1
+        return self._compute(position)
+
+
+class KnownRegion(_Baseline[PositionT]):
+    """V*: ``k + x`` candidates guarded by the known region around the
+    retrieval position."""
+
+    def __init__(self, k: int, auxiliary: int, declared: int):
+        super().__init__(k)
+        if auxiliary < 1:
+            raise ConfigurationError("auxiliary (x) must be at least 1")
+        if k + auxiliary > declared:
+            raise ConfigurationError(
+                f"k + x = {k + auxiliary} exceeds the number of data objects ({declared})"
+            )
+        self._auxiliary = auxiliary
+        # Client-side state: the candidates, the known radius, and what the
+        # metric's drift bound starts from (the retrieval position, or the
+        # distance travelled since it).
+        self._candidates: List[int] = []
+        self._known_radius: float = 0.0
+        self._anchor: Optional[PositionT] = None
+        self._moved: float = 0.0
+
+    @property
+    def auxiliary(self) -> int:
+        """The number of auxiliary candidates x."""
+        return self._auxiliary
+
+    @property
+    def candidates(self) -> List[int]:
+        """The currently held k + x candidate object indexes."""
+        return list(self._candidates)
+
+    @property
+    def known_region_radius(self) -> float:
+        """Radius of the known region around the last retrieval position."""
+        return self._known_radius
+
+    def _retrieve(self, position: PositionT) -> None:
+        with self._stats.time_construction():
+            nearest = self._nearest(position, self.k + self._auxiliary)
+            self._candidates = [index for index, _ in nearest]
+            self._known_radius = nearest[-1][1]
+            self._anchor = position
+            self._moved = 0.0
+            self._stats.full_recomputations += 1
+            self._stats.transmitted_objects += len(self._candidates)
+
+    def _rank(self, position: PositionT) -> List[Tuple[float, int]]:
+        self._stats.distance_computations += len(self._candidates)
+        return sorted(zip(self._distances(position, self._candidates), self._candidates))
+
+    def _result(self, ranked: List[Tuple[float, int]], action: UpdateAction) -> QueryResult:
+        top = ranked[: self.k]
+        return QueryResult(
+            timestamp=self.current_timestamp,
+            knn=tuple(index for _, index in top),
+            knn_distances=tuple(distance for distance, _ in top),
+            guard_objects=frozenset(index for _, index in ranked[self.k :]),
+            action=action,
+            was_valid=action is UpdateAction.NONE,
+        )
+
+    def _initialize(self, position: PositionT) -> QueryResult:
+        self._retrieve(position)
+        return self._result(self._rank(position), UpdateAction.FULL_RECOMPUTE)
+
+    def _update(self, position: PositionT) -> QueryResult:
+        with self._stats.time_validation():
+            self._stats.validations += 1
+            drift = self._drift(position)
+            ranked = self._rank(position)
+            kth_distance = ranked[self.k - 1][0]
+            safe = kth_distance < inf and kth_distance <= self._known_radius - drift
+        if safe:
+            return self._result(ranked, UpdateAction.NONE)
+        return self._initialize(position)
+
+
+class PlaneSearch:
+    """The plane: an R-tree over ``_points`` and Euclidean distances."""
+
+    def _load(self, points: Sequence[Point]) -> None:
+        self._points: List[Point] = list(points)
+        with self._stats.time_precomputation():
+            self._index_points(range(len(self._points)))
+
+    def _index_points(self, indexes: Iterable[int]) -> None:
+        """(Re)build the R-tree over the listed objects."""
+        self._rtree = RTree.bulk_load([RTreeEntry(self._points[index], index) for index in indexes])
+
+    @property
+    def rtree(self) -> RTree:
+        """The server-side R-tree."""
+        return self._rtree
+
+    def _nearest(self, position: Point, count: int) -> List[Tuple[int, float]]:
+        self._rtree.reset_counters()
+        nearest = self._rtree.nearest_neighbors(position, count)
+        self._stats.index_node_accesses += self._rtree.node_accesses
+        return [(entry.payload, distance) for distance, entry in nearest]
+
+    def _distances(self, position: Point, indexes: Sequence[int]) -> List[float]:
+        return [position.distance_to(self._points[index]) for index in indexes]
+
+    def _drift(self, position: Point) -> float:
+        return position.distance_to(self._anchor)
+
+
+class RoadSearch:
+    """The network: objects on vertices, INE retrievals, network distances."""
+
+    def _load(self, network: RoadNetwork, object_vertices: Sequence[int]) -> None:
+        self._network = network
+        self._object_vertices: List[int] = list(object_vertices)
+        # Built once: the data set is static, so the per-call O(n)
+        # construction inside network_knn would be pure waste.
+        self._objects_at_vertex = build_objects_at_vertex(self._object_vertices)
+
+    def _nearest(self, position: NetworkLocation, count: int) -> List[Tuple[int, float]]:
+        search = SearchStats()
+        nearest = network_knn(
+            self._network,
+            self._object_vertices,
+            position,
+            count,
+            stats=search,
+            objects_at_vertex=self._objects_at_vertex,
+        )
+        self._stats.settled_vertices += search.settled_vertices
+        return nearest
+
+    def _distances(self, position: NetworkLocation, indexes: Sequence[int]) -> List[float]:
+        search = SearchStats()
+        distances = object_distances_from_location(
+            self._network, self._object_vertices, position, indexes, stats=search
+        )
+        self._stats.settled_vertices += search.settled_vertices
+        return distances
+
+    def _drift(self, position: NetworkLocation) -> float:
+        # One step per timestamp, added rather than multiplied: the bound
+        # is the running total of the declared steps, float for float.
+        self._moved += self._step_length
+        return self._moved
+
+
+class NaiveProcessor(PlaneSearch, Recompute[Point]):
+    """Per-timestamp recomputation baseline (Euclidean space).
+
+    Args:
+        points: data-object positions.
+        k: number of nearest neighbours to report.
+    """
+
+    def __init__(self, points: Sequence[Point], k: int):
+        super().__init__(k, len(points))
+        self._load(points)
+
+    @property
+    def name(self) -> str:
+        return "Naive"
+
+
+class NaiveRoadProcessor(RoadSearch, Recompute[NetworkLocation]):
+    """Per-timestamp INE recomputation baseline (road networks).
+
+    Args:
+        network: the road network.
+        object_vertices: vertex of each data object.
+        k: number of nearest neighbours to report.
+    """
+
+    def __init__(self, network: RoadNetwork, object_vertices: Sequence[int], k: int):
+        super().__init__(k, len(object_vertices))
+        self._load(network, object_vertices)
+
+    @property
+    def name(self) -> str:
+        return "Naive-road"
+
+
+class VStarProcessor(PlaneSearch, KnownRegion[Point]):
+    """V*-Diagram-style moving kNN processor (Euclidean space).
+
+    Args:
+        points: data-object positions.
+        k: number of nearest neighbours to report.
+        auxiliary: the ``x`` extra candidates retrieved per round trip
+            (the V*-Diagram paper's recommended small constant; default 4).
+    """
+
+    def __init__(self, points: Sequence[Point], k: int, auxiliary: int = 4):
+        super().__init__(k, auxiliary, len(points))
+        self._load(points)
+
+    @property
+    def name(self) -> str:
+        return "V*"
+
+
+class VStarRoadProcessor(RoadSearch, KnownRegion[NetworkLocation]):
+    """V*-style moving kNN processor on a road network.
+
+    Args:
+        network: the road network.
+        object_vertices: vertex of each data object.
+        k: number of nearest neighbours to report.
+        auxiliary: the ``x`` extra candidates retrieved per round trip.
+        step_length: the most the query travels between consecutive
+            timestamps (> 0), the per-timestamp increment of the drift
+            bound.  The simulation harness passes the trajectory's step
+            length; when it varies, pass the maximum.  An understated step
+            leaves the known region too large and the answers wrong.
+    """
+
+    def __init__(
+        self,
+        network: RoadNetwork,
+        object_vertices: Sequence[int],
+        k: int,
+        auxiliary: int = 4,
+        *,
+        step_length: float,
+    ):
+        super().__init__(k, auxiliary, len(object_vertices))
+        if not step_length > 0:
+            raise ConfigurationError("step_length must be positive")
+        self._step_length = step_length
+        self._load(network, object_vertices)
+
+    @property
+    def name(self) -> str:
+        return "V*-road"

@@ -1,6 +1,6 @@
 """Cost accounting for moving-kNN processors and servers.
 
-The evaluation (EXPERIMENTS.md) compares methods along the axes the paper's
+The evaluation (``benchmarks/``) compares methods along the axes the paper's
 introduction identifies: construction overhead, validation overhead,
 recomputation frequency and client/server communication.  Every processor
 owns a :class:`ProcessorStats` instance and increments it as it works; the

@@ -7,8 +7,8 @@ Supports the operations the INSQ system needs from its disk-oriented index
 * single insertion and deletion for data-object updates,
 * bounding-box range queries,
 * best-first incremental k nearest neighbour search (the classic
-  Hjaltason–Samet priority-queue algorithm), which is what both the initial
-  ⌊ρk⌋-NN retrieval of INS and the recomputation steps of every baseline use.
+  Hjaltason–Samet priority-queue algorithm), which is what the plane
+  baselines' retrievals use (the VoR-tree locates by its neighbour lists).
 
 The implementation counts node accesses so the benchmarks can report an
 I/O-like cost measure alongside wall-clock time.
@@ -470,9 +470,9 @@ class RTree:
     def incremental_nearest(self, query: Point) -> Iterator[Tuple[float, RTreeEntry]]:
         """Yield entries in increasing distance from ``query`` (best-first).
 
-        This is the incremental kNN search the INS initial computation and
-        the baselines' recomputations are built on: callers can stop pulling
-        results as soon as they have enough.
+        This is the incremental kNN search the plane baselines' retrievals
+        are built on: callers can stop pulling results as soon as they have
+        enough.
         """
         if self._size == 0:
             return

@@ -1,8 +1,8 @@
 """Synthetic road-network generators.
 
-The paper's demonstration loads real maps; this reproduction has no network
-access, so experiments run on synthetic road networks that exercise the same
-code paths (see the substitution table in DESIGN.md):
+The paper's demonstration loads real maps; this reproduction ships no map
+data, so experiments run on synthetic road networks that exercise the same
+code paths:
 
 * :func:`grid_network` — a Manhattan-style grid, the workhorse of the
   road-network experiments,

@@ -10,7 +10,7 @@
 * :mod:`repro.simulation.experiment` — parameter sweeps comparing several
   processors over several configurations (the E-series experiments).
 * :mod:`repro.simulation.report` — plain-text tables for the benchmark
-  harness output and EXPERIMENTS.md.
+  harness output and ``benchmarks/results/``.
 """
 
 from repro.simulation.simulator import SimulationRun, simulate

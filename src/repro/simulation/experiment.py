@@ -7,21 +7,23 @@ The benchmark harness calls the two functions here:
 * :func:`run_road_comparison` — run INS-road and the road baselines on a
   :class:`~repro.workloads.scenarios.RoadScenario`.
 
-Both share server-side structures (R-tree, VoR-tree, network Voronoi
-diagram) across methods where that is fair, and can cross-check every
-reported answer against a brute-force oracle.
+Each method builds its own server-side structure (R-tree, VoR-tree,
+network Voronoi diagram), and both can cross-check every reported answer
+against a brute-force oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from repro.baselines.naive import NaiveProcessor
-from repro.baselines.naive_road import NaiveRoadProcessor
-from repro.baselines.order_k_region import OrderKSafeRegionProcessor
-from repro.baselines.vstar import VStarProcessor
-from repro.baselines.vstar_road import VStarRoadProcessor
+from repro.baselines import (
+    NaiveProcessor,
+    NaiveRoadProcessor,
+    OrderKSafeRegionProcessor,
+    VStarProcessor,
+    VStarRoadProcessor,
+)
 from repro.core.ins_euclidean import INSProcessor
 from repro.core.ins_road import INSRoadProcessor
 from repro.geometry.point import Point
@@ -111,11 +113,9 @@ def run_euclidean_comparison(
     """
     oracle = euclidean_oracle(scenario.points) if check_correctness else None
     results: List[MethodResult] = []
-    shared_ins: Optional[INSProcessor] = None
     for method in methods:
         if method == "INS":
             processor = INSProcessor(scenario.points, scenario.k, rho=scenario.rho)
-            shared_ins = processor
         elif method == "OrderK-SR":
             processor = OrderKSafeRegionProcessor(scenario.points, scenario.k)
         elif method == "V*":

@@ -3,7 +3,7 @@
 The benchmarks print the rows the paper-style figures would plot; this
 module renders them as aligned monospace tables (and optionally CSV) so the
 output of ``pytest benchmarks/ --benchmark-only`` doubles as the data behind
-EXPERIMENTS.md.
+``benchmarks/results/``.
 """
 
 from __future__ import annotations

@@ -1,8 +1,7 @@
 """Synthetic data-object sets.
 
 The original evaluation used real POI data sets; this reproduction generates
-synthetic ones with comparable density characteristics (see the substitution
-table in DESIGN.md):
+synthetic ones with comparable density characteristics:
 
 * :func:`uniform_points` — points drawn uniformly from a square, matching
   the paper demo's "number of data objects to generate" control.

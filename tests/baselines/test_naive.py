@@ -1,9 +1,9 @@
-"""Tests for repro.baselines.naive."""
+"""Tests for the naive plane baseline (repro.baselines.NaiveProcessor)."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.baselines.naive import NaiveProcessor
+from repro.baselines import NaiveProcessor
 from repro.core.objects import UpdateAction
 from repro.geometry.point import Point
 from repro.trajectory.euclidean import random_waypoint_trajectory

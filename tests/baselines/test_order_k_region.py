@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.baselines.order_k_region import OrderKSafeRegionProcessor
+from repro.baselines import OrderKSafeRegionProcessor
 from repro.core.objects import UpdateAction
 from repro.geometry.point import Point
 from repro.trajectory.euclidean import linear_trajectory, random_waypoint_trajectory

@@ -5,8 +5,7 @@ import math
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.baselines.naive_road import NaiveRoadProcessor
-from repro.baselines.vstar_road import VStarRoadProcessor
+from repro.baselines import NaiveRoadProcessor, VStarRoadProcessor
 from repro.core.objects import UpdateAction
 from repro.roadnet.generators import grid_network, place_objects
 from repro.roadnet.location import NetworkLocation
@@ -66,13 +65,27 @@ class TestVStarRoadProcessor:
     def test_validation(self, road_setup):
         network, objects = road_setup
         with pytest.raises(ConfigurationError):
-            VStarRoadProcessor(network, objects, k=0)
+            VStarRoadProcessor(network, objects, k=0, step_length=10.0)
         with pytest.raises(ConfigurationError):
-            VStarRoadProcessor(network, objects, k=3, auxiliary=0)
+            VStarRoadProcessor(network, objects, k=3, auxiliary=0, step_length=10.0)
         with pytest.raises(ConfigurationError):
-            VStarRoadProcessor(network, objects, k=len(objects), auxiliary=1)
+            VStarRoadProcessor(network, objects, k=len(objects), auxiliary=1, step_length=10.0)
         with pytest.raises(ConfigurationError):
             VStarRoadProcessor(network, objects, k=3, step_length=-1.0)
+
+    @pytest.mark.parametrize("step_length", [0.0, float("nan")])
+    def test_a_drift_bound_that_never_grows_is_refused(self, road_setup, step_length):
+        """With no drift the known region never shrinks and answers go
+        silently wrong: 458 of 1 600 on twenty 30-unit walks over this grid
+        (k = 4, x = 4), none with ``step_length=30.0``."""
+        network, objects = road_setup
+        with pytest.raises(ConfigurationError):
+            VStarRoadProcessor(network, objects, k=4, step_length=step_length)
+
+    def test_step_length_must_be_declared(self, road_setup):
+        network, objects = road_setup
+        with pytest.raises(TypeError):
+            VStarRoadProcessor(network, objects, k=4)
 
     def test_every_answer_correct_along_walk(self, road_setup):
         network, objects = road_setup
@@ -105,4 +118,4 @@ class TestVStarRoadProcessor:
 
     def test_name(self, road_setup):
         network, objects = road_setup
-        assert VStarRoadProcessor(network, objects, k=1).name == "V*-road"
+        assert VStarRoadProcessor(network, objects, k=1, step_length=10.0).name == "V*-road"

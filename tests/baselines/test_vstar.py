@@ -1,9 +1,9 @@
-"""Tests for repro.baselines.vstar (V*-Diagram-style baseline)."""
+"""Tests for the V*-Diagram-style plane baseline (repro.baselines.VStarProcessor)."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.baselines.vstar import VStarProcessor
+from repro.baselines import VStarProcessor
 from repro.core.objects import UpdateAction
 from repro.geometry.point import Point
 from repro.trajectory.euclidean import random_waypoint_trajectory

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from repro.baselines.naive import NaiveProcessor
+from repro.baselines import NaiveProcessor
 from repro.core.server import MovingKNNServer
 from repro.geometry.point import Point
 from repro.workloads.datasets import uniform_points

@@ -8,7 +8,7 @@ from repro.errors import ConfigurationError, QueryError
 from repro.geometry.point import Point
 from repro.geometry.primitives import BoundingBox
 from repro.index.rtree import RTree, RTreeEntry
-from repro.workloads.datasets import uniform_points
+from repro.workloads.datasets import clustered_points, uniform_points
 
 
 def build_tree(points, bulk=True, max_entries=8):
@@ -55,6 +55,12 @@ class TestConstruction:
             e.payload for e in incremental.entries()
         )
 
+    def test_single_item(self):
+        tree = build_tree([Point(1, 1)])
+        result = tree.nearest_neighbors(Point(0, 0), 1)
+        assert len(result) == 1
+        assert result[0][1].payload == 0
+
 
 class TestKNNSearch:
     @pytest.mark.parametrize("k", [1, 3, 10, 25])
@@ -70,6 +76,40 @@ class TestKNNSearch:
         tree = build_tree(medium_points, bulk=False)
         query = Point(777.0, 111.0)
         assert tree.nearest_payloads(query, k) == brute_knn(medium_points, query, k)
+
+    @pytest.mark.parametrize("max_entries", [4, 8, 16, 64])
+    @pytest.mark.parametrize("k", [1, 5, 20])
+    def test_knn_matches_brute_force_at_every_node_capacity(self, max_entries, k):
+        points = uniform_points(150, extent=400.0, seed=71)
+        tree = build_tree(points, max_entries=max_entries)
+        query = Point(123.0, 321.0)
+        assert tree.nearest_payloads(query, k) == brute_knn(points, query, k)
+
+    @pytest.mark.parametrize("k", [1, 5, 12])
+    def test_knn_matches_brute_force_clustered(self, k):
+        points = clustered_points(200, clusters=5, extent=500.0, seed=61)
+        tree = build_tree(points)
+        query = Point(111.0, 432.0)
+        assert tree.nearest_payloads(query, k) == brute_knn(points, query, k)
+
+    def test_query_outside_data_extent(self):
+        points = uniform_points(60, extent=100.0, seed=72)
+        tree = build_tree(points)
+        query = Point(500.0, -300.0)
+        assert tree.nearest_payloads(query, 4) == brute_knn(points, query, 4)
+
+    def test_nearest_neighbors_distances_are_sorted(self):
+        points = uniform_points(80, extent=100.0, seed=62)
+        tree = build_tree(points)
+        result = tree.nearest_neighbors(Point(50, 50), 10)
+        distances = [d for d, _ in result]
+        assert distances == sorted(distances)
+        assert len(result) == 10
+
+    def test_k_larger_than_size_returns_all(self):
+        points = uniform_points(5, extent=10.0, seed=63)
+        tree = build_tree(points)
+        assert len(tree.nearest_neighbors(Point(0, 0), 50)) == 5
 
     def test_incremental_nearest_is_sorted(self, medium_points):
         tree = build_tree(medium_points)

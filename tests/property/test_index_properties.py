@@ -1,11 +1,9 @@
 """Property-based tests for the spatial indexes (hypothesis)."""
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.geometry.point import Point
 from repro.geometry.primitives import BoundingBox
-from repro.index.grid import GridIndex
-from repro.index.kdtree import KDTree
 from repro.index.rtree import RTree, RTreeEntry
 
 coordinates = st.floats(min_value=0.0, max_value=1_000.0, allow_nan=False, allow_infinity=False)
@@ -63,16 +61,11 @@ class TestCrossIndexAgreement:
     @given(point_lists, points_strategy, st.integers(min_value=1, max_value=8))
     @settings(max_examples=40, deadline=None)
     def test_all_indexes_agree_on_knn_distances(self, points, query, k):
+        """The baselines' R-tree, at its default node size, against brute force."""
         k = min(k, len(points))
-        items = [(p, i) for i, p in enumerate(points)]
         rtree = RTree.bulk_load([RTreeEntry(p, i) for i, p in enumerate(points)])
-        kdtree = KDTree(items)
-        grid = GridIndex(items, cells_per_axis=8)
         expected = brute_knn_distances(points, query, k)
-        rtree_distances = [d for d, _ in rtree.nearest_neighbors(query, k)]
-        kdtree_distances = [d for d, _, _ in kdtree.nearest_neighbors(query, k)]
-        grid_distances = [d for d, _, _ in grid.nearest_neighbors(query, k)]
-        for got in (rtree_distances, kdtree_distances, grid_distances):
-            assert len(got) == len(expected)
-            for g, e in zip(got, expected):
-                assert abs(g - e) < 1e-9
+        got = [d for d, _ in rtree.nearest_neighbors(query, k)]
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            assert abs(g - e) < 1e-9

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.baselines.order_k_region import OrderKSafeRegionProcessor
+from repro.baselines import OrderKSafeRegionProcessor
 from repro.core.influential import (
     InfluentialSetMonitor,
     influential_neighbor_set_from_points,

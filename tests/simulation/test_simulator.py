@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.ins_euclidean import INSProcessor
-from repro.baselines.naive import NaiveProcessor
+from repro.baselines import NaiveProcessor
 from repro.geometry.point import Point
 from repro.simulation.simulator import check_knn_answer, simulate
 from repro.trajectory.euclidean import random_waypoint_trajectory

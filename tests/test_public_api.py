@@ -135,6 +135,18 @@ class TestPublicApi:
         ):
             assert "max_entries" not in inspect.signature(entry).parameters, entry
 
+    def test_the_baselines_take_no_index_knobs(self):
+        """A baseline builds its own R-tree over the data, clipped (order-k)
+        to the box around it; the k-d tree and the grid had no caller."""
+        for baseline in (
+            repro.NaiveProcessor,
+            repro.VStarProcessor,
+            repro.OrderKSafeRegionProcessor,
+        ):
+            parameters = inspect.signature(baseline).parameters
+            assert "rtree" not in parameters and "bounding_box" not in parameters
+        assert not {"KDTree", "GridIndex"} & set(repro.__all__)
+
     def test_key_classes_are_exported(self):
         assert repro.INSProcessor.__name__ == "INSProcessor"
         assert repro.INSRoadProcessor.__name__ == "INSRoadProcessor"
