@@ -9,10 +9,11 @@ true crossover (a ROADMAP open item) so the constant in
 not a guess.
 
 For several population sizes n and burst sizes m it times the same mixed
-2:1 insert/delete burst through both forced strategies
-(``strategy="incremental"`` vs ``strategy="bulk"``) on freshly built trees
-and reports the smallest m where the single rebuild wins.  Results land in
-``benchmarks/results/PR2_batch_crossover.{txt,json}``.
+2:1 insert/delete burst two ways: through the per-object public mutators
+(``VoRTree.insert`` / ``VoRTree.delete``) on a freshly built tree, and as a
+from-scratch ``VoRTree`` over the burst's final population — the work of the
+single rebuild.  It reports the smallest m where the rebuild wins.  Results
+land in ``benchmarks/results/PR2_batch_crossover.{txt,json}``.
 
 Run standalone (``python benchmarks/bench_pr2_batch_crossover.py``, add
 ``--smoke`` for a tiny-N sanity run) or via pytest
@@ -43,19 +44,28 @@ SMOKE_BURST_FRACTIONS = (0.1, 0.5)
 JSON_PATH = RESULTS_DIRECTORY / "PR2_batch_crossover.json"
 
 
-def time_burst(n: int, burst: int, strategy: str, seed: int) -> float:
-    """Seconds to absorb one mixed 2:1 insert/delete burst of size ``burst``."""
+def time_burst(n: int, burst: int, seed: int):
+    """Seconds to absorb one mixed 2:1 insert/delete burst of size ``burst``:
+    ``(per-object mutators, from-scratch build of the final population)``."""
     rng = random.Random(seed)
     points = uniform_points(n, extent=EXTENT, seed=seed)
-    tree = VoRTree(list(points), maintenance="incremental")
     inserts = [
         Point(rng.uniform(0.0, EXTENT), rng.uniform(0.0, EXTENT))
         for _ in range(burst - burst // 3)
     ]
     deletes = rng.sample(range(n), burst // 3)
+    tree = VoRTree(list(points))
     started = time.perf_counter()
-    tree.batch_update(inserts, deletes, strategy=strategy)
-    return time.perf_counter() - started
+    for point in inserts:
+        tree.insert(point)
+    for index in deletes:
+        tree.delete(index)
+    incremental = time.perf_counter() - started
+    removed = set(deletes)
+    final = [point for index, point in enumerate(points) if index not in removed] + inserts
+    started = time.perf_counter()
+    VoRTree(final)
+    return incremental, time.perf_counter() - started
 
 
 def run_benchmark(smoke: bool = False):
@@ -67,8 +77,7 @@ def run_benchmark(smoke: bool = False):
         crossover_fraction = None
         for fraction in fractions:
             burst = max(2, int(n * fraction))
-            incremental = time_burst(n, burst, "incremental", seed=17)
-            bulk = time_burst(n, burst, "bulk", seed=17)
+            incremental, bulk = time_burst(n, burst, seed=17)
             rows.append(
                 {
                     "n": n,

@@ -10,9 +10,11 @@ one was measured in PR 2, so the constant in
 is a measurement, not a guess.
 
 For several object populations n (on a fixed grid network) and burst sizes m
-it times the same mixed 2:1:1 move/insert/delete burst through both forced
-strategies (``strategy="incremental"`` vs ``strategy="bulk"``) on freshly
-built diagrams and reports the smallest m where the single rebuild wins.
+it times the same mixed 2:1:1 move/insert/delete burst two ways: through the
+per-object public mutators (``insert_object`` / ``move_object`` /
+``remove_object``) on a freshly built diagram, and as a from-scratch
+``NetworkVoronoiDiagram`` over the burst's final population — the work of
+the single rebuild.  It reports the smallest m where the rebuild wins.
 Results land in ``benchmarks/results/PR3_road_batch_crossover.{txt,json}``.
 
 Run standalone (``python benchmarks/bench_pr3_road_batch_crossover.py``, add
@@ -44,12 +46,12 @@ SMOKE_BURST_FRACTIONS = (0.2, 0.75)
 JSON_PATH = RESULTS_DIRECTORY / "PR3_road_batch_crossover.json"
 
 
-def time_burst(rows: int, n: int, burst: int, strategy: str, seed: int) -> float:
-    """Seconds to absorb one mixed 2:1:1 move/insert/delete burst."""
+def time_burst(rows: int, n: int, burst: int, seed: int):
+    """Seconds to absorb one mixed 2:1:1 move/insert/delete burst:
+    ``(per-object mutators, from-scratch build of the final population)``."""
     rng = random.Random(seed)
     network = grid_network(rows, rows, spacing=100.0)
     objects = place_objects(network, n, seed=seed)
-    diagram = NetworkVoronoiDiagram(network, objects, maintenance="incremental")
     vertices = network.vertices()
     move_count = burst // 2
     insert_count = burst // 4
@@ -62,9 +64,23 @@ def time_burst(rows: int, n: int, burst: int, strategy: str, seed: int) -> float
     deletable = [index for index in range(n) if index not in moved]
     deletes = rng.sample(deletable, min(delete_count, max(0, len(deletable) - 1)))
     inserts = [rng.choice(vertices) for _ in range(insert_count)]
+    diagram = NetworkVoronoiDiagram(network, objects)
     started = time.perf_counter()
-    diagram.batch_update(inserts, deletes, moves, strategy=strategy)
-    return time.perf_counter() - started
+    for vertex in inserts:
+        diagram.insert_object(vertex)
+    for index, vertex in moves:
+        diagram.move_object(index, vertex)
+    for index in deletes:
+        diagram.remove_object(index)
+    incremental = time.perf_counter() - started
+    final = list(objects)
+    for index, vertex in moves:
+        final[index] = vertex
+    removed = set(deletes)
+    final = [vertex for index, vertex in enumerate(final) if index not in removed] + inserts
+    started = time.perf_counter()
+    NetworkVoronoiDiagram(network, final)
+    return incremental, time.perf_counter() - started
 
 
 def run_benchmark(smoke: bool = False):
@@ -77,8 +93,7 @@ def run_benchmark(smoke: bool = False):
         crossover_fraction = None
         for fraction in fractions:
             burst = max(4, int(n * fraction))
-            incremental = time_burst(rows_count, n, burst, "incremental", seed=37)
-            bulk = time_burst(rows_count, n, burst, "bulk", seed=37)
+            incremental, bulk = time_burst(rows_count, n, burst, seed=37)
             rows.append(
                 {
                     "n": n,

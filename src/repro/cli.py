@@ -639,7 +639,7 @@ def _serve_simulate(args: argparse.Namespace, scenario) -> int:
     print(f"retrievals              : {stats.full_recomputations}")
     print(f"ins refreshes / absorbed: {stats.ins_refreshes} / {stats.absorbed_updates}")
     print(
-        f"index maintenance       : {stats.maintenance_seconds:.3f}s recompute"
+        f"index maintenance time  : {stats.maintenance_seconds:.3f}s recompute"
         f" + {stats.delta_apply_seconds:.3f}s delta apply (all shards)"
     )
     print("communication bill")

@@ -231,11 +231,6 @@ class ServingEngine(abc.ABC, Generic[PositionT]):
         """The shared server-side index (VoR-tree or network Voronoi diagram)."""
 
     @property
-    def maintenance(self) -> str:
-        """The shared index's maintenance mode (``"incremental"``/``"rebuild"``)."""
-        return self.index.maintenance
-
-    @property
     def object_count(self) -> int:
         """Number of active data objects in the shared index."""
         return len(self.index)

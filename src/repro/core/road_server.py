@@ -32,9 +32,6 @@ class MovingRoadKNNServer(ServingEngine[NetworkLocation]):
     Args:
         network: the road network shared by every query.
         object_vertices: initial vertex of each data object.
-        maintenance: update-maintenance mode of the shared network Voronoi
-            diagram (``"incremental"`` or ``"rebuild"``; see
-            :class:`NetworkVoronoiDiagram`).
         stats: optional search-effort accumulator shared with the diagram's
             construction and repairs.
         invalidation: ``"delta"`` (default) pushes each epoch's repair
@@ -49,16 +46,13 @@ class MovingRoadKNNServer(ServingEngine[NetworkLocation]):
         self,
         network: RoadNetwork,
         object_vertices: Sequence[int],
-        maintenance: str = "incremental",
         stats: Optional[SearchStats] = None,
         invalidation: str = "delta",
     ):
         super().__init__(invalidation=invalidation)
         self._network = network
         self._search_stats = stats if stats is not None else SearchStats()
-        self._voronoi = NetworkVoronoiDiagram(
-            network, list(object_vertices), self._search_stats, maintenance=maintenance
-        )
+        self._voronoi = NetworkVoronoiDiagram(network, list(object_vertices), self._search_stats)
 
     @property
     def network(self) -> RoadNetwork:

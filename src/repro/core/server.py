@@ -27,9 +27,6 @@ class MovingKNNServer(ServingEngine[Point]):
         points: the data-object positions.
         allow_incremental: enable case-(i) incremental updates for every
             registered query (see :class:`~repro.core.ins_euclidean.INSProcessor`).
-        maintenance: Voronoi neighbour-list maintenance mode of the shared
-            VoR-tree (``"incremental"`` or ``"rebuild"``; see
-            :class:`VoRTree`).
         invalidation: ``"delta"`` (default) pushes each epoch's repair
             delta to the registered queries; ``"flag"`` restores the
             blanket refresh-everyone contract (see
@@ -42,13 +39,12 @@ class MovingKNNServer(ServingEngine[Point]):
         self,
         points: Sequence[Point],
         allow_incremental: bool = False,
-        maintenance: str = "incremental",
         invalidation: str = "delta",
     ):
         super().__init__(invalidation=invalidation)
         if not points:
             raise EmptyDatasetError("MovingKNNServer requires at least one data object")
-        self._vortree = VoRTree(list(points), maintenance=maintenance)
+        self._vortree = VoRTree(list(points))
         self._allow_incremental = allow_incremental
 
     @property

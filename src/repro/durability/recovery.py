@@ -475,7 +475,6 @@ def open_durable_service(
     metric: str = "euclidean",
     objects=None,
     network=None,
-    maintenance: str = "incremental",
     invalidation: str = "delta",
     fsync: str = "batch",
     snapshot_every: Optional[int] = None,
@@ -488,11 +487,7 @@ def open_durable_service(
     :func:`recover_service` is for).
     """
     service = open_service(
-        metric=metric,
-        objects=objects,
-        network=network,
-        maintenance=maintenance,
-        invalidation=invalidation,
+        metric=metric, objects=objects, network=network, invalidation=invalidation
     )
     return DurableKNNService(
         service.engine,

@@ -23,13 +23,13 @@ lists changed (the same delta contract as
 :meth:`repro.roadnet.network_voronoi.NetworkVoronoiDiagram.insert_object`),
 which is what lets the serving engine invalidate only the queries whose
 held pool the update actually touched instead of flagging every client.
-:meth:`VoRTree.full_rebuild` keeps the from-scratch path available as the
+:meth:`VoRTree.full_rebuild` is the from-scratch path, kept as the
 correctness oracle for the randomized equivalence tests.
 :meth:`VoRTree.batch_update` applies a burst of inserts and deletes as one
 epoch, switching to a single full rebuild when the burst is large enough
 that per-object patching would be wasted work.  ``insq_index_rebuilds_total``
 counts the rebuilds that remain by reason: ``geometry_error`` (fewer than
-three or only collinear objects), ``bulk_threshold`` and ``rebuild_mode``.
+three or only collinear objects) and ``bulk_threshold``.
 
 **One id space.**  An object's index is its diagram site's and the dual's
 vertex's.  Objects at one position share the site the first active one
@@ -52,7 +52,7 @@ from repro.obs.metrics import counter as _obs_counter
 
 _REBUILDS = {
     reason: _obs_counter("insq_index_rebuilds_total", reason=reason)
-    for reason in ("geometry_error", "bulk_threshold", "rebuild_mode")
+    for reason in ("geometry_error", "bulk_threshold")
 }
 _FALLBACKS = {
     reason: _obs_counter("insq_retrieval_fallbacks_total", reason=reason)
@@ -71,18 +71,11 @@ class VoRTree:
 
     Args:
         points: data-object positions.  Object ``i`` is the i-th point.
-        maintenance: ``"incremental"`` (default) patches the Voronoi
-            neighbour lists locally on every update; ``"rebuild"`` restores
-            the pre-incremental behaviour of recomputing them from scratch
-            (kept selectable for benchmarking and as a safety valve).
     """
 
-    def __init__(self, points: Sequence[Point], maintenance: str = "incremental"):
+    def __init__(self, points: Sequence[Point]):
         if not points:
             raise EmptyDatasetError("VoRTree requires at least one data object")
-        if maintenance not in ("incremental", "rebuild"):
-            raise QueryError(f"unknown maintenance mode {maintenance!r}")
-        self._maintenance = maintenance
         self._points: List[Point] = list(points)
         self._active: List[bool] = [True] * len(self._points)
         self._active_count = len(self._points)
@@ -148,11 +141,6 @@ class VoRTree:
         """
         return self._voronoi
 
-    @property
-    def maintenance(self) -> str:
-        """The neighbour-list maintenance mode (``"incremental"``/``"rebuild"``)."""
-        return self._maintenance
-
     def point(self, index: int) -> Point:
         """Position of data object ``index``."""
         return self._points[index]
@@ -184,9 +172,9 @@ class VoRTree:
         the site's and its neighbours' objects.  After a from-scratch rebuild
         ``changed`` is every active object.
         """
-        if self._voronoi is None or self._maintenance == "rebuild":
+        if self._voronoi is None:
             index = self._append_object(point)
-            self._rebuild_neighbor_map(self._rebuild_reason())
+            self._rebuild_neighbor_map("geometry_error")
             return index, set(self.active_indexes())
         x, y = point.x, point.y
         site = self._site_at.get((x, y))
@@ -224,8 +212,8 @@ class VoRTree:
         if len(self) <= 1:
             raise QueryError("cannot delete the last remaining data object")
         self._drop_object(index)
-        if self._voronoi is None or self._maintenance == "rebuild":
-            self._rebuild_neighbor_map(self._rebuild_reason())
+        if self._voronoi is None:
+            self._rebuild_neighbor_map("geometry_error")
             return True, set(self.active_indexes())
         self._neighbor_map.pop(index)
         point = self._points[index]
@@ -260,7 +248,6 @@ class VoRTree:
         self,
         inserts: Sequence[Point] = (),
         deletes: Iterable[int] = (),
-        strategy: Optional[str] = None,
     ) -> Tuple[List[int], List[int], Set[int]]:
         """Apply a burst of object updates as one epoch.
 
@@ -278,10 +265,6 @@ class VoRTree:
         Args:
             inserts: points to add.
             deletes: object indexes to remove.
-            strategy: override the crossover decision: ``"incremental"``
-                forces per-object patching, ``"bulk"`` forces the
-                single-rebuild path, None (default) picks by the measured
-                threshold.  Used by the crossover benchmark.
 
         Returns:
             ``(new_indexes, deleted_indexes, changed)``: the object indexes
@@ -290,8 +273,6 @@ class VoRTree:
             Voronoi neighbour lists changed (the epoch's invalidation
             delta; every active object on the bulk-rebuild path).
         """
-        if strategy not in (None, "incremental", "bulk"):
-            raise QueryError(f"unknown batch_update strategy {strategy!r}")
         insert_list = list(inserts)
         delete_list: List[int] = []
         seen: Set[int] = set()
@@ -305,16 +286,7 @@ class VoRTree:
         if len(self) + len(insert_list) - len(delete_list) < 1:
             raise QueryError("batch update would remove every data object")
         bulk_threshold = max(8, int(len(self) * self.BULK_REBUILD_FRACTION))
-        incremental = (
-            self._voronoi is not None
-            and self._maintenance == "incremental"
-            and operations < bulk_threshold
-        )
-        if strategy == "incremental":
-            incremental = self._voronoi is not None and self._maintenance == "incremental"
-        elif strategy == "bulk":
-            incremental = False
-        if incremental:
+        if self._voronoi is not None and operations < bulk_threshold:
             changed: Set[int] = set()
             new_indexes = []
             for point in insert_list:
@@ -332,7 +304,7 @@ class VoRTree:
         for index in delete_list:
             self._drop_object(index)
         new_indexes = [self._append_object(point) for point in insert_list]
-        self._rebuild_neighbor_map(self._rebuild_reason("bulk_threshold"))
+        self._rebuild_neighbor_map("bulk_threshold")
         return new_indexes, delete_list, set(self.active_indexes())
 
     # ------------------------------------------------------------------
@@ -416,9 +388,6 @@ class VoRTree:
         self._active[index] = False
         self._active_count -= 1
 
-    def _rebuild_reason(self, otherwise: str = "geometry_error") -> str:
-        return "rebuild_mode" if self._maintenance == "rebuild" else otherwise
-
     def _rebuild_neighbor_map(self, reason: Optional[str] = None) -> None:
         """From-scratch rebuild of the diagram, site bookkeeping and lists.
 
@@ -439,8 +408,7 @@ class VoRTree:
         self._voronoi = None
         if len(site_at) >= 2:
             self._voronoi = VoronoiDiagram(
-                self._points, maintain_incrementally=self._maintenance == "incremental",
-                active=founders,
+                self._points, maintain_incrementally=True, active=founders
             )
         self._neighbor_map = {}
         self._patch_neighbor_lists(site_at.values())

@@ -41,10 +41,9 @@ neighbour map in place, and reports the set of objects whose neighbour sets
 changed — the same delta contract as the Euclidean
 :meth:`~repro.geometry.voronoi.VoronoiDiagram.insert_site`.  Removed objects
 keep their index as tombstones so identifiers held by callers stay stable.
-The from-scratch construction remains available as ``maintenance="rebuild"``
-(every update pays a full rebuild — the pre-incremental behaviour, kept
-selectable for benchmarking) and as :meth:`full_rebuild`, the correctness
-oracle of the randomized equivalence tests.
+The from-scratch construction remains available as :meth:`full_rebuild`,
+the correctness oracle of the randomized equivalence tests, and as the
+single build that :meth:`batch_update` runs for a large burst.
 
 **Distance ties are broken deterministically by owner id**, in the repair
 floods *and* in the from-scratch build: a vertex at exactly equal distance
@@ -74,7 +73,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.errors import ConfigurationError, EmptyDatasetError, QueryError, RoadNetworkError
+from repro.errors import EmptyDatasetError, QueryError, RoadNetworkError
 from repro.roadnet.graph import Edge, RoadNetwork
 from repro.roadnet.shortest_path import SearchStats, multi_source_dijkstra
 
@@ -145,10 +144,6 @@ class NetworkVoronoiDiagram:
             the neighbour relation) of co-located objects is shared.
         stats: optional search-effort accumulator for the construction and
             for later incremental repairs.
-        maintenance: ``"incremental"`` (default) repairs the diagram locally
-            on every object update; ``"rebuild"`` restores the
-            pre-incremental behaviour of reconstructing it from scratch
-            (kept selectable for benchmarking and as a safety valve).
 
     Internally every vertex is labelled with the *representative* of the
     objects at its nearest object vertex (the first object listed there);
@@ -157,26 +152,18 @@ class NetworkVoronoiDiagram:
     construction produced.
     """
 
-    MAINTENANCE_MODES = ("incremental", "rebuild")
-
     def __init__(
         self,
         network: RoadNetwork,
         object_vertices: Sequence[int],
         stats: Optional[SearchStats] = None,
-        maintenance: str = "incremental",
     ):
         if not object_vertices:
             raise EmptyDatasetError("NetworkVoronoiDiagram requires at least one data object")
-        if maintenance not in self.MAINTENANCE_MODES:
-            raise ConfigurationError(
-                f"maintenance must be one of {self.MAINTENANCE_MODES}, got {maintenance!r}"
-            )
         for vertex in object_vertices:
             if not network.has_vertex(vertex):
                 raise RoadNetworkError(f"object vertex {vertex} not in the network")
         self._network = network
-        self._maintenance = maintenance
         self._stats = stats
         self._object_vertices: List[int] = list(object_vertices)
         self._active: List[bool] = [True] * len(self._object_vertices)
@@ -199,7 +186,7 @@ class NetworkVoronoiDiagram:
         self._full_build()
 
     # ------------------------------------------------------------------
-    # Construction (also the ``maintenance="rebuild"`` path and the oracle)
+    # Construction (also the bulk path and the oracle)
     # ------------------------------------------------------------------
     def _full_build(self) -> None:
         """From-scratch construction over the active objects."""
@@ -278,9 +265,6 @@ class NetworkVoronoiDiagram:
         if self._capture is not None:
             self._capture.assignments.add(index)
             self._capture.groups.add(vertex)
-        if self._maintenance == "rebuild":
-            self._full_build()
-            return index, set(self.active_object_indexes())
         group = self._vertex_objects.setdefault(vertex, [])
         # A brand-new object always carries the largest index so far, so
         # appending keeps the group sorted and the representative (its
@@ -308,9 +292,6 @@ class NetworkVoronoiDiagram:
             raise EmptyDatasetError("cannot remove the last remaining data object")
         self._active[index] = False
         self._active_count -= 1
-        if self._maintenance == "rebuild":
-            self._full_build()
-            return set(self.active_object_indexes())
         changed = self._detach(index)
         changed.discard(index)
         return changed
@@ -333,10 +314,6 @@ class NetworkVoronoiDiagram:
         if self._capture is not None:
             self._capture.assignments.add(index)
             self._capture.groups.add(new_vertex)
-        if self._maintenance == "rebuild":
-            self._object_vertices[index] = new_vertex
-            self._full_build()
-            return set(self.active_object_indexes())
         changed = self._detach(index)
         self._object_vertices[index] = new_vertex
         group = self._vertex_objects.setdefault(new_vertex, [])
@@ -380,7 +357,6 @@ class NetworkVoronoiDiagram:
         inserts: Sequence[int] = (),
         deletes: Iterable[int] = (),
         moves: Iterable[Tuple[int, int]] = (),
-        strategy: Optional[str] = None,
     ) -> Tuple[List[int], List[int], Set[int]]:
         """Apply a burst of object updates as one epoch.
 
@@ -398,10 +374,6 @@ class NetworkVoronoiDiagram:
             inserts: vertices to place new objects on.
             deletes: object indexes to remove.
             moves: ``(object index, new vertex)`` relocations.
-            strategy: override the crossover decision: ``"incremental"``
-                forces per-object repairs, ``"bulk"`` forces the
-                single-build path, None (default) picks by the measured
-                threshold.  Used by the crossover benchmark.
 
         Returns:
             ``(new_indexes, deleted_indexes, changed)``: the indexes given
@@ -409,8 +381,6 @@ class NetworkVoronoiDiagram:
             deleted, and the set of surviving objects whose neighbour sets
             changed.
         """
-        if strategy not in (None, "incremental", "bulk"):
-            raise QueryError(f"unknown batch_update strategy {strategy!r}")
         insert_list = list(inserts)
         move_list = [(index, vertex) for index, vertex in moves]
         delete_list: List[int] = []
@@ -438,12 +408,7 @@ class NetworkVoronoiDiagram:
         bulk_threshold = max(
             16, int(self.object_count() * self.BULK_REBUILD_FRACTION)
         )
-        incremental = self._maintenance == "incremental" and operations < bulk_threshold
-        if strategy == "incremental":
-            incremental = self._maintenance == "incremental"
-        elif strategy == "bulk":
-            incremental = False
-        if incremental:
+        if operations < bulk_threshold:
             changed: Set[int] = set()
             new_indexes: List[int] = []
             for vertex in insert_list:
@@ -936,11 +901,6 @@ class NetworkVoronoiDiagram:
     def network(self) -> RoadNetwork:
         """The underlying road network."""
         return self._network
-
-    @property
-    def maintenance(self) -> str:
-        """The update-maintenance mode (``"incremental"`` or ``"rebuild"``)."""
-        return self._maintenance
 
     @property
     def object_vertices(self) -> List[int]:

@@ -72,12 +72,7 @@ class KNNService:
     # Factories
     # ------------------------------------------------------------------
     @classmethod
-    def from_scenario(
-        cls,
-        scenario,
-        maintenance: str = "incremental",
-        invalidation: str = "delta",
-    ) -> "KNNService":
+    def from_scenario(cls, scenario, invalidation: str = "delta") -> "KNNService":
         """Open the matching service for any workload scenario.
 
         Accepts all four scenario flavours
@@ -93,15 +88,11 @@ class KNNService:
                 metric="road",
                 objects=scenario.object_vertices,
                 network=scenario.network,
-                maintenance=maintenance,
                 invalidation=invalidation,
             )
         if metric == "euclidean" or hasattr(scenario, "points"):
             return open_service(
-                metric="euclidean",
-                objects=scenario.points,
-                maintenance=maintenance,
-                invalidation=invalidation,
+                metric="euclidean", objects=scenario.points, invalidation=invalidation
             )
         raise ConfigurationError(
             f"{type(scenario).__name__} is not a recognised scenario: it has "
@@ -125,11 +116,6 @@ class KNNService:
     def invalidation(self) -> str:
         """The engine's invalidation mode (``"delta"``/``"flag"``)."""
         return self._engine.invalidation
-
-    @property
-    def maintenance(self) -> str:
-        """The shared index's maintenance mode."""
-        return self._engine.maintenance
 
     @property
     def epoch(self) -> int:
@@ -373,7 +359,6 @@ def open_service(
     metric: str = "euclidean",
     objects: Optional[Sequence[Any]] = None,
     network=None,
-    maintenance: str = "incremental",
     invalidation: str = "delta",
 ) -> KNNService:
     """Open a moving-kNN service — the one front door for both metrics.
@@ -385,9 +370,6 @@ def open_service(
         objects: the initial data objects (required, non-empty).
         network: the :class:`~repro.roadnet.graph.RoadNetwork` shared by
             every query — required for (and exclusive to) the road metric.
-        maintenance: index maintenance mode (``"incremental"`` repairs the
-            shared index locally per update, ``"rebuild"`` reconstructs it
-            from scratch — the benchmarking/safety-valve mode).
         invalidation: ``"delta"`` (default; each session pays only for
             updates touching its held pool) or ``"flag"`` (blanket
             refresh-everyone fallback).
@@ -404,16 +386,9 @@ def open_service(
             raise ConfigurationError(
                 "the euclidean metric takes no road network; did you mean metric='road'?"
             )
-        engine = MovingKNNServer(
-            list(objects), maintenance=maintenance, invalidation=invalidation
-        )
+        engine = MovingKNNServer(list(objects), invalidation=invalidation)
     else:
         if network is None:
             raise ConfigurationError("the road metric requires a road network")
-        engine = MovingRoadKNNServer(
-            network,
-            list(objects),
-            maintenance=maintenance,
-            invalidation=invalidation,
-        )
+        engine = MovingRoadKNNServer(network, list(objects), invalidation=invalidation)
     return KNNService(engine)

@@ -154,21 +154,12 @@ class ServerSimulationRun:
         return not self.mismatches
 
 
-def build_server(
-    scenario: ServerScenario,
-    maintenance: str = "incremental",
-    invalidation: str = "delta",
-):
+def build_server(scenario: ServerScenario, invalidation: str = "delta"):
     """Construct the matching (empty) server engine for a server scenario."""
     if isinstance(scenario, EuclideanServerScenario):
-        return MovingKNNServer(
-            scenario.points, maintenance=maintenance, invalidation=invalidation
-        )
+        return MovingKNNServer(scenario.points, invalidation=invalidation)
     return MovingRoadKNNServer(
-        scenario.network,
-        scenario.object_vertices,
-        maintenance=maintenance,
-        invalidation=invalidation,
+        scenario.network, scenario.object_vertices, invalidation=invalidation
     )
 
 
@@ -201,7 +192,6 @@ def _model_distances(
 def simulate_server(
     scenario: ServerScenario,
     invalidation: str = "delta",
-    maintenance: str = "incremental",
     check_answers: bool = False,
     workers: int = 1,
     transport: Optional[str] = None,
@@ -227,7 +217,6 @@ def simulate_server(
         scenario: a Euclidean or road server scenario.
         invalidation: ``"delta"`` (delta-scoped invalidation, the default)
             or ``"flag"`` (blanket refresh-everyone fallback).
-        maintenance: index maintenance mode (``"incremental"``/``"rebuild"``).
         check_answers: verify every reported answer against brute force
             over the oracle's own model of the population (any transport).
         workers: shard the engine across this many worker processes
@@ -327,9 +316,7 @@ def simulate_server(
 
             pool = teardown.enter_context(
                 ProcessShardedDispatcher(
-                    ServiceSpec.from_scenario(
-                        scenario, maintenance=maintenance, invalidation=invalidation
-                    ),
+                    ServiceSpec.from_scenario(scenario, invalidation=invalidation),
                     workers=workers,
                     wal_dir=wal_dir,
                     wal_fsync=wal_fsync if wal_fsync is not None else "off",
@@ -340,9 +327,7 @@ def simulate_server(
             )
             served = front = pool
         else:
-            engine = build_server(
-                scenario, maintenance=maintenance, invalidation=invalidation
-            )
+            engine = build_server(scenario, invalidation=invalidation)
             if wal_dir is not None:
                 from repro.durability import DurableKNNService
 

@@ -135,19 +135,13 @@ class ServiceSpec:
     metric: str
     objects: Tuple[Any, ...]
     network: Any = None
-    maintenance: str = "incremental"
     invalidation: str = "delta"
 
     def __post_init__(self):
         object.__setattr__(self, "objects", tuple(self.objects))
 
     @classmethod
-    def from_scenario(
-        cls,
-        scenario,
-        maintenance: str = "incremental",
-        invalidation: str = "delta",
-    ) -> "ServiceSpec":
+    def from_scenario(cls, scenario, invalidation: str = "delta") -> "ServiceSpec":
         """Build the spec for any workload scenario (either metric)."""
         metric = getattr(scenario, "metric", None)
         if metric == "road" or (metric is None and hasattr(scenario, "network")):
@@ -155,15 +149,9 @@ class ServiceSpec:
                 metric="road",
                 objects=tuple(scenario.object_vertices),
                 network=scenario.network,
-                maintenance=maintenance,
                 invalidation=invalidation,
             )
-        return cls(
-            metric="euclidean",
-            objects=tuple(scenario.points),
-            maintenance=maintenance,
-            invalidation=invalidation,
-        )
+        return cls(metric="euclidean", objects=tuple(scenario.points), invalidation=invalidation)
 
     def build(self) -> KNNService:
         """Construct a fresh service replica from the recipe."""
@@ -171,7 +159,6 @@ class ServiceSpec:
             metric=self.metric,
             objects=list(self.objects),
             network=self.network,
-            maintenance=self.maintenance,
             invalidation=self.invalidation,
         )
 

@@ -2,7 +2,7 @@
 
 The benchmark modules under ``benchmarks/`` are only collected when invoked
 explicitly (their files are named ``bench_*``), so a regression on the
-perf-critical road paths — the road server update loop, the incremental
+perf-critical road paths — the road method comparison, the incremental
 diagram repair, the batch crossover machinery — used to surface only when
 somebody ran the benchmarks by hand.  These smoke tests import the road
 benchmarks and drive their ``--smoke`` tiny-N modes inside the default
@@ -26,7 +26,6 @@ from benchmarks.bench_e5_road_vary_k import sweep as e5_sweep
 from benchmarks.bench_fig2_road_mis_ins import figure2_rows
 from benchmarks.bench_fig3_road_demo import run_demo as fig3_run_demo
 from benchmarks.bench_pr2_batch_crossover import run_benchmark as crossover_benchmark
-from benchmarks.bench_pr2_road_update_throughput import run_update_stream
 
 
 class TestRoadBenchmarkSmoke:
@@ -46,11 +45,6 @@ class TestRoadBenchmarkSmoke:
     def test_fig3_smoke_runs_the_demo(self):
         row, run = fig3_run_demo(smoke=True)
         assert row["recomputations"] < row["timestamps"]
-
-    def test_pr2_update_stream_smoke_runs_both_maintenance_modes(self):
-        for maintenance in ("incremental", "rebuild"):
-            seconds = run_update_stream(maintenance, smoke=True)
-            assert seconds > 0.0
 
     def test_pr2_batch_crossover_smoke(self):
         rows, _ = crossover_benchmark(smoke=True)

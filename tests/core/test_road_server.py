@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from rebuild_reference import ROAD_SERVERS
 from road_reference import SERVERS, FullNetworkRoadProcessor
 
 import repro.obs as obs
@@ -155,10 +156,7 @@ class TestAnswersMatchBruteForce:
         network = random_planar_network(100, extent=1_500.0, seed=44)
         objects = place_objects(network, 15, seed=45)
         trajectory = network_random_walk(network, steps=30, step_length=30.0, seed=46)
-        servers = {
-            "incremental": MovingRoadKNNServer(network, objects, maintenance="incremental"),
-            "rebuild": MovingRoadKNNServer(network, objects, maintenance="rebuild"),
-        }
+        servers = {mode: server(network, objects) for mode, server in ROAD_SERVERS.items()}
         rngs = {"incremental": rng_a, "rebuild": rng_b}
         ids = {
             mode: server.register_query(trajectory[0], k=3)

@@ -227,3 +227,41 @@ class TestDelaunayNeighborsWrapper:
         neighbors = delaunay_neighbors(points)
         assert len(neighbors) == len(points)
         assert all(adjacent for adjacent in neighbors.values())
+
+
+def lattice(side):
+    return [Point(float(x), float(y)) for x in range(side) for y in range(side)]
+
+
+def ring_and_centre(count):
+    angles = (2.0 * math.pi * i / count for i in range(count))
+    return [Point(100.0 * math.cos(a), 100.0 * math.sin(a)) for a in angles] + [Point(0.0, 0.0)]
+
+
+class TestScipySeeding:
+    """Above 1 500 sites ``seed_backend="auto"`` seeds the triangulation from
+    Qhull; it must build the very edge map the builtin construction builds,
+    on uniform input and on the co-circular lattices and ring alike."""
+
+    @pytest.mark.parametrize(
+        "make_points",
+        [
+            lambda: uniform_points(1_600, extent=1_000.0, seed=1_600),
+            lambda: uniform_points(2_000, extent=1_000.0, seed=2_000),
+            lambda: uniform_points(5_000, extent=1_000.0, seed=5_000),
+            lambda: lattice(40),
+            lambda: lattice(45),
+            lambda: ring_and_centre(1_600),
+        ],
+        ids=["uniform-1600", "uniform-2000", "uniform-5000", "lattice-40", "lattice-45", "ring"],
+    )
+    def test_the_qhull_seed_equals_the_builtin_build(self, make_points, monkeypatch):
+        pytest.importorskip("scipy.spatial")
+        points = make_points()
+        builtin = DelaunayTriangulation(points, seed_backend="builtin").edge_map()
+
+        def refuse(self, live):
+            raise AssertionError("the builtin construction ran instead of Qhull")
+
+        monkeypatch.setattr(DelaunayTriangulation, "_build", refuse)
+        assert DelaunayTriangulation(points).edge_map() == builtin

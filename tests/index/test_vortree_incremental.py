@@ -11,6 +11,7 @@ import random
 from types import SimpleNamespace
 
 import pytest
+from rebuild_reference import RebuildingVoRTree
 
 import repro.obs as obs
 from repro.geometry.point import Point
@@ -21,6 +22,21 @@ from repro.workloads.datasets import uniform_points
 
 def snapshot_neighbor_map(tree):
     return {index: set(tree.voronoi_neighbors(index)) for index in tree.active_indexes()}
+
+
+def bulk_threshold(tree):
+    """The smallest burst ``batch_update`` answers with one rebuild."""
+    return max(8, int(len(tree) * VoRTree.BULK_REBUILD_FRACTION))
+
+
+def burst(tree, rng, size):
+    """A batch of ``size`` operations: half deletes, the rest inserts."""
+    deletes = rng.sample(tree.active_indexes(), size // 2)
+    inserts = [
+        Point(rng.uniform(0.0, 1_000.0), rng.uniform(0.0, 1_000.0))
+        for _ in range(size - len(deletes))
+    ]
+    return inserts, deletes
 
 
 def fresh_diagram_map(tree):
@@ -105,7 +121,7 @@ class TestIncrementalEquivalence:
         """A convex-hull object is patched like any other: no all-objects delta."""
         points = uniform_points(120, extent=1_000.0, seed=33)
         tree = VoRTree(list(points))
-        oracle = VoRTree(list(points), maintenance="rebuild")
+        oracle = RebuildingVoRTree(list(points))
         for turn in range(3):
             victim = hull_object(tree, turn)
             old_neighbors = set(tree.voronoi_neighbors(victim))
@@ -162,16 +178,16 @@ class TestPopulationCount:
                 tree.delete(victims[0])
                 mirror([], victims[:1])
             elif roll < 0.75:
-                # duplicate and unknown deletes must not be counted
+                # duplicate and unknown deletes must not be counted; five
+                # operations stay below the bulk threshold
                 new, deleted, _ = tree.batch_update(
-                    random_points(3), victims[:2] + [victims[0], 10_000],
-                    strategy="incremental",
+                    random_points(3), victims[:2] + [victims[0], 10_000]
                 )
                 mirror(new, deleted)
             else:
-                new, deleted, _ = tree.batch_update(
-                    random_points(rng.randint(0, 4)), victims, strategy="bulk"
-                )
+                # at or just above the bulk threshold: one rebuild
+                extra = bulk_threshold(tree) - len(victims) + rng.randint(0, 2)
+                new, deleted, _ = tree.batch_update(random_points(extra), victims)
                 mirror(new, deleted, bulk=True)
             check()
 
@@ -209,30 +225,33 @@ class TestRebuildCounter:
             assert hull_victim in deleted
             assert len(changed) < len(tree) // 2
         assert snapshot_neighbor_map(tree) == fresh_diagram_map(tree)
-        assert rebuilds_by_reason() == {
-            "geometry_error": 0,
-            "bulk_threshold": 0,
-            "rebuild_mode": 0,
-        }
+        assert rebuilds_by_reason() == {"geometry_error": 0, "bulk_threshold": 0}
 
     def test_each_remaining_rebuild_is_counted_under_its_reason(self):
         tree = VoRTree(uniform_points(30, extent=100.0, seed=36))
-        tree.batch_update(deletes=[1, 2], strategy="bulk")
+        tree.batch_update(deletes=range(1, 1 + bulk_threshold(tree)))
         assert rebuilds_by_reason()["bulk_threshold"] == 1
-        oracle = VoRTree(uniform_points(30, extent=100.0, seed=36), maintenance="rebuild")
-        oracle.insert(Point(5.0, 5.0))
-        oracle.batch_update(deletes=[3])
-        assert rebuilds_by_reason()["rebuild_mode"] == 2
         # Three objects, one deleted: fewer than three sites remain.
         tiny = VoRTree([Point(0.0, 0.0), Point(9.0, 1.0), Point(4.0, 8.0)])
         tiny.delete(0)
-        assert rebuilds_by_reason() == {
-            "geometry_error": 1,
-            "bulk_threshold": 1,
-            "rebuild_mode": 2,
-        }
+        assert rebuilds_by_reason() == {"geometry_error": 1, "bulk_threshold": 1}
         tree.full_rebuild()  # the oracle's explicit rebuild is not a slow path
-        assert sum(rebuilds_by_reason().values()) == 4
+        assert sum(rebuilds_by_reason().values()) == 2
+
+    @pytest.mark.parametrize("n", [60, 400], ids=["floor", "fraction"])
+    def test_the_batch_size_alone_picks_the_path(self, n):
+        """A burst one short of ``max(8, 0.07 n)`` operations is patched
+        object by object; one of exactly that many takes the single rebuild.
+        Either way the lists equal a from-scratch copy's."""
+        rng = random.Random(n)
+        tree = VoRTree(uniform_points(n, extent=1_000.0, seed=n))
+        for above in (False, True):
+            tree.batch_update(*burst(tree, rng, bulk_threshold(tree) - 1 + above))
+            assert rebuilds_by_reason()["bulk_threshold"] == above
+            lists = snapshot_neighbor_map(tree)
+            assert lists == fresh_diagram_map(tree)
+            tree.full_rebuild()
+            assert snapshot_neighbor_map(tree) == lists
 
 
 class TestBatchUpdate:

@@ -25,6 +25,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from rebuild_reference import TREES
 
 import repro.obs as obs
 from repro.durability.snapshot import read_snapshot
@@ -329,7 +330,7 @@ class TestExactTies:
         rng = random.Random(seed)
         base = [Point(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(6)]
         stacked = [p for p in rng.sample(base, 4) for _ in range(rng.randint(2, 5))]
-        tree = VoRTree(base + stacked, maintenance=maintenance)
+        tree = TREES[maintenance](base + stacked)
         for _ in range(40):
             move = rng.random()
             if move < 0.4 and len(tree) > 3:
@@ -355,7 +356,7 @@ class TestExactTies:
         rng = random.Random(seed)
         base = [Point(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(20)]
         stacked = [p for p in rng.sample(base, 4) for _ in range(rng.randint(2, 4))]
-        tree = VoRTree(base + stacked, maintenance=maintenance)
+        tree = TREES[maintenance](base + stacked)
         for _ in range(12):
             if churn:
                 move = rng.random()
@@ -517,9 +518,7 @@ class TestAfterUpdates:
         self, seed, maintenance, duplicates
     ):
         rng = random.Random(seed)
-        tree = VoRTree(
-            uniform_points(30, extent=100.0, seed=seed), maintenance=maintenance
-        )
+        tree = TREES[maintenance](uniform_points(30, extent=100.0, seed=seed))
         for _ in range(25):
             if rng.random() < 0.45 and len(tree) > 6:
                 tree.delete(rng.choice(tree.active_indexes()))
@@ -534,12 +533,17 @@ class TestAfterUpdates:
                 check_retrieve(tree, query, count, hint)
 
     def test_batch_update_bulk_and_incremental_paths(self):
+        """Bursts one short of the bulk threshold (patched) and at it (rebuilt)."""
         rng = random.Random(8)
         tree = VoRTree(uniform_points(60, extent=100.0, seed=8))
-        for strategy in ("incremental", "bulk", None):
-            inserts = [Point(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(6)]
-            deletes = rng.sample(tree.active_indexes(), 5)
-            tree.batch_update(inserts, deletes, strategy=strategy)
+        for above in (False, True, False, True):
+            size = max(8, int(len(tree) * VoRTree.BULK_REBUILD_FRACTION)) - 1 + above
+            deletes = rng.sample(tree.active_indexes(), size // 2)
+            inserts = [
+                Point(rng.uniform(0, 100), rng.uniform(0, 100))
+                for _ in range(size - len(deletes))
+            ]
+            tree.batch_update(inserts, deletes)
             for hint in (None, *deletes, len(tree.positions) - 1):
                 check_retrieve(tree, Point(50.0, 50.0), 9, hint)
 

@@ -50,7 +50,8 @@ grid_strategy = st.builds(
 
 def _churned(network, objects, seed, epochs=4):
     """A diagram after ``epochs`` incremental batches (an insert, a delete and
-    a move each), and a replica that only ever saw their shipped deltas."""
+    a move each — far below the bulk threshold), and a replica that only ever
+    saw their shipped deltas."""
     rng = random.Random(seed)
     leader = NetworkVoronoiDiagram(network, objects)
     replica = NetworkVoronoiDiagram(network, objects)
@@ -59,7 +60,7 @@ def _churned(network, objects, seed, epochs=4):
         victim, mover = rng.sample(leader.active_indexes(), 2)
         leader.begin_delta_capture()
         new_indexes, deleted, _ = leader.batch_update(
-            [rng.choice(vertices)], [victim], [(mover, rng.choice(vertices))], "incremental"
+            [rng.choice(vertices)], [victim], [(mover, rng.choice(vertices))]
         )
         replica.apply_remote_delta(
             SimpleNamespace(

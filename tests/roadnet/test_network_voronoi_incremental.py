@@ -23,6 +23,7 @@ import random
 from types import SimpleNamespace
 
 import pytest
+from rebuild_reference import DIAGRAMS, RebuildingNetworkVoronoiDiagram
 
 from repro.errors import EmptyDatasetError, QueryError
 from repro.roadnet.generators import grid_network, place_objects, random_planar_network
@@ -241,10 +242,13 @@ class TestColocatedObjects:
 
 
 class TestMaintenanceModes:
+    """The repairs against :class:`RebuildingNetworkVoronoiDiagram`, which
+    rebuilds from scratch on every mutation (``tests/rebuild_reference.py``)."""
+
     def test_rebuild_mode_reports_every_active_object(self):
         network = grid_network(5, 5, spacing=10.0)
         objects = place_objects(network, 6, seed=90)
-        diagram = NetworkVoronoiDiagram(network, objects, maintenance="rebuild")
+        diagram = RebuildingNetworkVoronoiDiagram(network, objects)
         index, changed = diagram.insert_object(network.vertices()[0])
         assert changed == set(diagram.active_object_indexes())
         changed = diagram.remove_object(index)
@@ -259,13 +263,14 @@ class TestMaintenanceModes:
         ids=["tie-free-planar", "uniform-grid"],
     )
     def test_rebuild_and_incremental_agree(self, make_network):
-        """The same stream through both modes ends in identical diagrams —
-        including on uniform grids, where the owner-id tie rule is what
-        keeps the two tie-breaks aligned."""
+        """The same stream through both modes keeps identical diagrams after
+        every operation — including on uniform grids, where the owner-id tie
+        rule is what keeps the two tie-breaks aligned.  (A repair slip can
+        heal under later floods, so the end state alone would miss it.)"""
         network = make_network()
         objects = place_objects(network, 8, seed=91)
         incremental = NetworkVoronoiDiagram(network, objects)
-        rebuild = NetworkVoronoiDiagram(network, objects, maintenance="rebuild")
+        rebuild = RebuildingNetworkVoronoiDiagram(network, objects)
         rng = random.Random(9)
         for _ in range(60):
             op = rng.random()
@@ -283,21 +288,15 @@ class TestMaintenanceModes:
                     diagram.remove_object(operation[1])
                 else:
                     diagram.move_object(operation[1], operation[2])
-        assert incremental._vertex_owners == rebuild._vertex_owners
-        assert incremental.neighbor_map() == rebuild.neighbor_map()
-        for index in incremental.active_object_indexes():
-            assert incremental.cell_edges({index}) == rebuild.cell_edges({index})
-
-    def test_unknown_maintenance_mode_raises(self):
-        from repro.errors import ConfigurationError
-
-        network = grid_network(3, 3)
-        with pytest.raises(ConfigurationError):
-            NetworkVoronoiDiagram(network, [0], maintenance="magic")
+            assert incremental._vertex_owners == rebuild._vertex_owners, operation
+            assert incremental._vertex_distances == rebuild._vertex_distances, operation
+            assert incremental.neighbor_map() == rebuild.neighbor_map(), operation
+            for index in incremental.active_object_indexes():
+                assert incremental.cell_edges({index}) == rebuild.cell_edges({index})
 
 
 class TestPopulationCount:
-    @pytest.mark.parametrize("maintenance", NetworkVoronoiDiagram.MAINTENANCE_MODES)
+    @pytest.mark.parametrize("maintenance", list(DIAGRAMS))
     def test_len_tracks_the_active_set_through_every_mutation_path(self, maintenance):
         """``len()`` is a counter; it must agree with the scan after every
         step — single repairs, small and bulk batches (duplicate and unknown
@@ -306,8 +305,8 @@ class TestPopulationCount:
         rng = random.Random(46)
         network = grid_network(9, 9, spacing=10.0)
         objects = place_objects(network, 20, seed=35)
-        diagram = NetworkVoronoiDiagram(network, objects, maintenance=maintenance)
-        replica = NetworkVoronoiDiagram(network, objects, maintenance=maintenance)
+        diagram = DIAGRAMS[maintenance](network, objects)
+        replica = DIAGRAMS[maintenance](network, objects)
         vertices = network.vertices()
 
         def shipped(new_indexes, deleted):
@@ -382,6 +381,31 @@ class TestBatchUpdate:
         assert len(new_indexes) == 20 and set(deleted) == {0, 1, 2}
         assert changed == set(diagram.active_object_indexes())
         assert_matches_oracle(diagram, network)
+
+    @pytest.mark.parametrize("n", [20, 80], ids=["floor", "fraction"])
+    def test_the_batch_size_alone_picks_the_path(self, n):
+        """A burst one short of ``max(16, 0.3 n)`` operations is repaired
+        object by object; one of exactly that many takes the single build
+        (the epoch's delta ships the whole diagram).  Either way the diagram
+        equals a from-scratch one."""
+        rng = random.Random(n)
+        network = grid_network(12, 12, spacing=10.0)
+        diagram = NetworkVoronoiDiagram(network, place_objects(network, n, seed=n))
+        vertices = network.vertices()
+        for above in (False, True):
+            threshold = max(16, int(len(diagram) * NetworkVoronoiDiagram.BULK_REBUILD_FRACTION))
+            size = threshold - 1 + above
+            touched = rng.sample(diagram.active_indexes(), 2 * (size // 3))
+            moves = [(index, rng.choice(vertices)) for index in touched[: size // 3]]
+            deletes = touched[size // 3 :]
+            inserts = [rng.choice(vertices) for _ in range(size - len(moves) - len(deletes))]
+            diagram.begin_delta_capture()
+            diagram.batch_update(inserts, deletes, moves)
+            assert diagram.export_delta()["full"] == above
+            assert_matches_oracle(diagram, network)
+            owners, neighbors = dict(diagram._vertex_owners), diagram.neighbor_map()
+            diagram.full_rebuild()
+            assert (diagram._vertex_owners, diagram.neighbor_map()) == (owners, neighbors)
 
     def test_draining_batch_is_rejected(self):
         network = grid_network(3, 3)

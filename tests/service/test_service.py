@@ -62,10 +62,8 @@ class TestOpenService:
             metric="euclidean",
             objects=uniform_points(20, seed=2),
             invalidation="flag",
-            maintenance="rebuild",
         )
         assert service.invalidation == "flag"
-        assert service.maintenance == "rebuild"
 
     def test_wrapping_a_foreign_engine_is_rejected(self):
         with pytest.raises(ConfigurationError):
