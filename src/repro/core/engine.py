@@ -324,24 +324,21 @@ class ServingEngine(abc.ABC, Generic[PositionT]):
         uplink_bytes: int = 0,
         downlink_bytes: int = 0,
     ) -> None:
-        """Add one exchange to the aggregate (and one query's) counters."""
-        delta = CommunicationStats(
-            uplink_messages=uplink_messages,
-            uplink_objects=uplink_objects,
-            downlink_messages=downlink_messages,
-            downlink_objects=downlink_objects,
-            uplink_bytes=uplink_bytes,
-            downlink_bytes=downlink_bytes,
-        )
+        """Add one exchange to the aggregate, its query's and its kind's
+        counters (a query no longer registered has only the aggregate)."""
         with self._comm_lock:
-            self._communication.merge(delta)
-            if query_id is not None:
-                record = self._comm_by_query.get(query_id)
+            for record in (
+                self._communication,
+                self._comm_by_query.get(query_id),
+                self._kind_bucket(query_id),
+            ):
                 if record is not None:
-                    record.merge(delta)
-                bucket = self._kind_bucket(query_id)
-                if bucket is not None:
-                    bucket.merge(delta)
+                    record.uplink_messages += uplink_messages
+                    record.uplink_objects += uplink_objects
+                    record.downlink_messages += downlink_messages
+                    record.downlink_objects += downlink_objects
+                    record.uplink_bytes += uplink_bytes
+                    record.downlink_bytes += downlink_bytes
 
     def account_wire_bytes(
         self,

@@ -18,8 +18,35 @@ taxonomy is what the evaluation counts:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from collections import namedtuple
+from dataclasses import MISSING, dataclass, fields
+from typing import FrozenSet, Tuple
+
+
+def immutable(cls: type) -> type:
+    """``cls``, written like a frozen dataclass, rebuilt on a namedtuple row.
+
+    Building one is then a single ``tuple.__new__``, not one
+    ``object.__setattr__`` per field.  The dataclass surface stays
+    (``fields`` / ``replace``, ``repr``, ``hash``, pickling; a write raises
+    ``AttributeError``), ``==`` stays class-strict, and a subclass's own
+    fields follow the inherited ones, defaults last.
+    """
+    cls = dataclass(frozen=True, init=False, eq=False)(cls)
+    names = [f.name for f in fields(cls)]
+    defaults = [f.default for f in fields(cls) if f.default is not MISSING]
+    row = namedtuple(cls.__name__ + "Row", names, defaults=defaults, module=cls.__module__)
+    # Defaults now live in the row; the frozen __setattr__ names the
+    # discarded class, and the tuple refuses writes by itself.
+    dropped = {*names, "__dict__", "__weakref__", "__setattr__", "__delattr__"}
+    body = {key: value for key, value in vars(cls).items() if key not in dropped}
+    body.update(__slots__=(), __eq__=_same, __hash__=tuple.__hash__)
+    body["__ne__"] = lambda self, other: not _same(self, other)
+    return type(cls.__name__, (row, *cls.__bases__), body)
+
+
+def _same(self, other) -> bool:
+    return type(self) is type(other) and tuple.__eq__(self, other)
 
 
 class UpdateAction(enum.Enum):
@@ -36,7 +63,7 @@ class UpdateAction(enum.Enum):
         return self in (UpdateAction.INCREMENTAL, UpdateAction.FULL_RECOMPUTE)
 
 
-@dataclass(frozen=True)
+@immutable
 class QueryResult:
     """The answer of a moving-kNN processor at one timestamp.
 

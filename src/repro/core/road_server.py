@@ -66,11 +66,6 @@ class MovingRoadKNNServer(ServingEngine[NetworkLocation]):
 
     index = voronoi
 
-    @property
-    def search_stats(self) -> SearchStats:
-        """Search effort spent building and repairing the shared diagram."""
-        return self._search_stats
-
     def object_vertex(self, index: int) -> int:
         """The vertex data object ``index`` currently sits on."""
         return self._voronoi.object_vertex(index)

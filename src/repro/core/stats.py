@@ -23,7 +23,7 @@ server API.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 from typing import Dict, Iterator
 
 from repro.obs.clock import clock as _clock
@@ -85,33 +85,16 @@ class CommunicationStats:
 
     def merge(self, other: "CommunicationStats") -> None:
         """Accumulate another stats object into this one."""
-        self.uplink_messages += other.uplink_messages
-        self.uplink_objects += other.uplink_objects
-        self.downlink_messages += other.downlink_messages
-        self.downlink_objects += other.downlink_objects
-        self.uplink_bytes += other.uplink_bytes
-        self.downlink_bytes += other.downlink_bytes
+        _merge(self, other)
 
     def snapshot(self) -> "CommunicationStats":
         """An independent copy (for before/after deltas around one call)."""
-        return CommunicationStats(
-            uplink_messages=self.uplink_messages,
-            uplink_objects=self.uplink_objects,
-            downlink_messages=self.downlink_messages,
-            downlink_objects=self.downlink_objects,
-            uplink_bytes=self.uplink_bytes,
-            downlink_bytes=self.downlink_bytes,
-        )
+        return replace(self)
 
     def as_dict(self) -> Dict[str, int]:
         """A plain dictionary of every counter and total (for reports)."""
         return {
-            "uplink_messages": self.uplink_messages,
-            "uplink_objects": self.uplink_objects,
-            "downlink_messages": self.downlink_messages,
-            "downlink_objects": self.downlink_objects,
-            "uplink_bytes": self.uplink_bytes,
-            "downlink_bytes": self.downlink_bytes,
+            **_counters(self),
             "messages": self.messages,
             "objects_transmitted": self.objects_transmitted,
             "bytes_transmitted": self.bytes_transmitted,
@@ -225,43 +208,23 @@ class ProcessorStats:
 
     def merge(self, other: "ProcessorStats") -> None:
         """Accumulate another stats object into this one (for sweeps)."""
-        self.timestamps += other.timestamps
-        self.validations += other.validations
-        self.local_reorders += other.local_reorders
-        self.incremental_updates += other.incremental_updates
-        self.full_recomputations += other.full_recomputations
-        self.ins_refreshes += other.ins_refreshes
-        self.absorbed_updates += other.absorbed_updates
-        self.transmitted_objects += other.transmitted_objects
-        self.distance_computations += other.distance_computations
-        self.index_node_accesses += other.index_node_accesses
-        self.settled_vertices += other.settled_vertices
-        self.construction_seconds += other.construction_seconds
-        self.validation_seconds += other.validation_seconds
-        self.precomputation_seconds += other.precomputation_seconds
-        self.maintenance_seconds += other.maintenance_seconds
-        self.delta_apply_seconds += other.delta_apply_seconds
+        _merge(self, other)
 
     def as_dict(self) -> Dict[str, float]:
         """A plain dictionary of every counter and derived rate (for reports)."""
         return {
-            "timestamps": self.timestamps,
-            "validations": self.validations,
-            "local_reorders": self.local_reorders,
-            "incremental_updates": self.incremental_updates,
-            "full_recomputations": self.full_recomputations,
-            "ins_refreshes": self.ins_refreshes,
-            "absorbed_updates": self.absorbed_updates,
+            **_counters(self),
             "communication_events": self.communication_events,
-            "transmitted_objects": self.transmitted_objects,
-            "distance_computations": self.distance_computations,
-            "index_node_accesses": self.index_node_accesses,
-            "settled_vertices": self.settled_vertices,
-            "construction_seconds": self.construction_seconds,
-            "validation_seconds": self.validation_seconds,
-            "precomputation_seconds": self.precomputation_seconds,
-            "maintenance_seconds": self.maintenance_seconds,
-            "delta_apply_seconds": self.delta_apply_seconds,
             "total_seconds": self.total_seconds,
             "recomputation_rate": self.recomputation_rate,
         }
+
+
+# The field list is the dataclass's own, so no counter can be left out.
+def _counters(stats) -> Dict[str, float]:
+    return {f.name: getattr(stats, f.name) for f in fields(stats)}
+
+
+def _merge(stats, other) -> None:
+    for f in fields(stats):
+        setattr(stats, f.name, getattr(stats, f.name) + getattr(other, f.name))

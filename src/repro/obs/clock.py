@@ -23,17 +23,20 @@ high-resolution, unaffected by system clock steps.
 from __future__ import annotations
 
 import time
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
 __all__ = ["clock", "set_clock"]
 
 _DEFAULT: Callable[[], float] = time.perf_counter
-_clock: Callable[[], float] = _DEFAULT
+#: The current source, in a one-element list so that a hot path can hold the
+#: list and call ``SOURCE[0]()`` — one frame fewer than :func:`clock` — and
+#: still follow :func:`set_clock`.
+SOURCE: List[Callable[[], float]] = [_DEFAULT]
 
 
 def clock() -> float:
     """Seconds on the observability clock (monotonic; injectable)."""
-    return _clock()
+    return SOURCE[0]()
 
 
 def set_clock(source: Optional[Callable[[], float]] = None) -> None:
@@ -43,5 +46,4 @@ def set_clock(source: Optional[Callable[[], float]] = None) -> None:
     number — span ``ts``/``dur``, histogram observations, re-homed legacy
     timers — exactly reproducible.
     """
-    global _clock
-    _clock = source if source is not None else _DEFAULT
+    SOURCE[0] = source if source is not None else _DEFAULT

@@ -33,10 +33,11 @@ from __future__ import annotations
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from threading import get_ident
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.obs.clock import clock
+from repro.obs.clock import SOURCE as _CLOCK
 
 __all__ = [
     "HISTOGRAM_BOUNDS",
@@ -96,9 +97,11 @@ def start_timer() -> Optional[float]:
     """The clock now, or ``None`` when recording is disabled.
 
     The companion of :meth:`Histogram.observe_since`: a disabled registry
-    skips both clock reads, so the off-path costs one flag check.
+    skips both clock reads, so the off-path costs one flag check.  Both call
+    the clock seam's current source directly, so a scripted
+    :func:`~repro.obs.clock.set_clock` drives them too.
     """
-    return clock() if _enabled else None
+    return _CLOCK[0]() if _enabled else None
 
 
 def _labels_key(labels: Dict[str, str]) -> str:
@@ -174,25 +177,35 @@ class Histogram:
     value (overflow bucket past the last bound); the running sum keeps
     the total seconds, so a histogram subsumes the legacy ``*_seconds``
     accumulators it re-homes.
+
+    Each thread records into a cell of its own — the bucket counts, then
+    the sum — so an observation takes no lock: nobody else writes that
+    cell.  Readers add the cells up under the lock, which guards the cell
+    table (a thread's first observation adds its cell).  Cells are keyed by
+    thread ident, and an ident is reused only once its thread has ended, so
+    the table stays as small as the set of threads alive at once.
     """
 
-    __slots__ = ("name", "labels", "_counts", "_sum", "_lock")
+    __slots__ = ("name", "labels", "_cells", "_lock")
 
     def __init__(self, name: str, labels: str = ""):
         self.name = name
         self.labels = labels
-        self._counts = [0] * BUCKET_COUNT
-        self._sum = 0.0
+        self._cells: Dict[int, List[float]] = {}
         self._lock = threading.Lock()
+
+    def _cell(self) -> List[float]:
+        """The calling thread's cell, added on its first observation."""
+        with self._lock:
+            return self._cells.setdefault(get_ident(), [0] * BUCKET_COUNT + [0.0])
 
     def observe(self, value: float) -> None:
         """Record one observation (no-op while the registry is disabled)."""
         if not _enabled:
             return
-        index = bisect_right(HISTOGRAM_BOUNDS, value)
-        with self._lock:
-            self._counts[index] += 1
-            self._sum += value
+        cell = self._cells.get(get_ident()) or self._cell()
+        cell[bisect_right(HISTOGRAM_BOUNDS, value)] += 1
+        cell[BUCKET_COUNT] += value
 
     def observe_since(self, started: Optional[float]) -> None:
         """Record the elapsed seconds since a :func:`start_timer` stamp.
@@ -202,20 +215,33 @@ class Histogram:
         """
         if started is None or not _enabled:
             return
-        self.observe(clock() - started)
+        value = _CLOCK[0]() - started
+        cell = self._cells.get(get_ident()) or self._cell()
+        cell[bisect_right(HISTOGRAM_BOUNDS, value)] += 1
+        cell[BUCKET_COUNT] += value
+
+    def totals(self) -> Tuple[Tuple[int, ...], float]:
+        """``(bucket counts, sum)`` over every thread's cell, read at once."""
+        with self._lock:
+            row = [sum(column) for column in zip([0] * BUCKET_COUNT + [0.0], *self._cells.values())]
+        return tuple(row[:BUCKET_COUNT]), row[BUCKET_COUNT]
+
+    def reset(self) -> None:
+        """Drop every cell; each thread's next observation starts a new one."""
+        with self._lock:
+            self._cells.clear()
 
     @property
     def count(self) -> int:
-        return sum(self._counts)
+        return sum(self.totals()[0])
 
     @property
     def sum(self) -> float:
-        return self._sum
+        return self.totals()[1]
 
     @property
     def counts(self) -> Tuple[int, ...]:
-        with self._lock:
-            return tuple(self._counts)
+        return self.totals()[0]
 
 
 @dataclass(frozen=True)
@@ -247,56 +273,34 @@ class MetricsRegistry:
         self._gauges: Dict[Tuple[str, str], Gauge] = {}
         self._histograms: Dict[Tuple[str, str], Histogram] = {}
 
-    def counter(self, name: str, **labels: str) -> Counter:
-        """The counter ``name`` with these labels (created on first use)."""
+    def _instrument(self, table: Dict, kind: type, name: str, labels: Dict[str, str]):
         key = (name, _labels_key(labels))
         with self._lock:
-            instrument = self._counters.get(key)
+            instrument = table.get(key)
             if instrument is None:
-                instrument = self._counters[key] = Counter(*key)
+                instrument = table[key] = kind(*key)
         return instrument
+
+    def counter(self, name: str, **labels: str) -> Counter:
+        """The counter ``name`` with these labels (created on first use)."""
+        return self._instrument(self._counters, Counter, name, labels)
 
     def gauge(self, name: str, **labels: str) -> Gauge:
         """The gauge ``name`` with these labels (created on first use)."""
-        key = (name, _labels_key(labels))
-        with self._lock:
-            instrument = self._gauges.get(key)
-            if instrument is None:
-                instrument = self._gauges[key] = Gauge(*key)
-        return instrument
+        return self._instrument(self._gauges, Gauge, name, labels)
 
     def histogram(self, name: str, **labels: str) -> Histogram:
         """The histogram ``name`` with these labels (created on first use)."""
-        key = (name, _labels_key(labels))
-        with self._lock:
-            instrument = self._histograms.get(key)
-            if instrument is None:
-                instrument = self._histograms[key] = Histogram(*key)
-        return instrument
+        return self._instrument(self._histograms, Histogram, name, labels)
 
     def snapshot(self) -> RegistrySnapshot:
         """Read every instrument out, sorted by ``(name, labels)``."""
         with self._lock:
-            counters = sorted(self._counters)
-            gauges = sorted(self._gauges)
-            histograms = sorted(self._histograms)
             return RegistrySnapshot(
-                counters=tuple(
-                    (name, labels, self._counters[(name, labels)].value)
-                    for name, labels in counters
-                ),
-                gauges=tuple(
-                    (name, labels, self._gauges[(name, labels)].value)
-                    for name, labels in gauges
-                ),
+                counters=tuple((*key, self._counters[key].value) for key in sorted(self._counters)),
+                gauges=tuple((*key, self._gauges[key].value) for key in sorted(self._gauges)),
                 histograms=tuple(
-                    (
-                        name,
-                        labels,
-                        self._histograms[(name, labels)].counts,
-                        self._histograms[(name, labels)].sum,
-                    )
-                    for name, labels in histograms
+                    (*key, *self._histograms[key].totals()) for key in sorted(self._histograms)
                 ),
             )
 
@@ -314,8 +318,7 @@ class MetricsRegistry:
             for instrument in self._gauges.values():
                 instrument._value = 0.0
             for instrument in self._histograms.values():
-                instrument._counts = [0] * BUCKET_COUNT
-                instrument._sum = 0.0
+                instrument.reset()
 
 
 #: The process-global registry every instrumented module records into.

@@ -93,22 +93,20 @@ class Tracer:
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         self._lock = threading.Lock()
         self._events: deque = deque(maxlen=capacity)
-        self._enabled = False
-
-    @property
-    def enabled(self) -> bool:
-        return self._enabled
+        #: True while recording; set by :meth:`enable` / :meth:`disable`.  A
+        #: plain attribute, so a hot path can test it before building a span.
+        self.enabled = False
 
     def enable(self, capacity: Optional[int] = None) -> None:
         """Start recording (optionally resizing the ring, which clears it)."""
         with self._lock:
             if capacity is not None:
                 self._events = deque(maxlen=capacity)
-            self._enabled = True
+            self.enabled = True
 
     def disable(self) -> None:
         """Stop recording; the ring keeps what it holds for export."""
-        self._enabled = False
+        self.enabled = False
 
     def reset(self) -> None:
         """Drop every buffered event (tests; forked procpool workers)."""
@@ -117,7 +115,7 @@ class Tracer:
 
     def span(self, name: str, **attrs: str):
         """A context manager timing one span (no-op context when disabled)."""
-        if not self._enabled:
+        if not self.enabled:
             return _NULL_SPAN
         return Span(self, name, attrs)
 
@@ -129,7 +127,7 @@ class Tracer:
         extra clock reads, which keeps the on/off paths byte-for-byte
         aligned on clock consumption.
         """
-        if not self._enabled:
+        if not self.enabled:
             return
         self._record(
             TraceEvent(
@@ -143,7 +141,7 @@ class Tracer:
         )
 
     def _record(self, event: TraceEvent) -> None:
-        if not self._enabled:
+        if not self.enabled:
             return
         with self._lock:
             self._events.append(event)

@@ -20,17 +20,16 @@ agree on every member.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import FrozenSet, Sequence, Set, Tuple
 
 from repro.core.ins_euclidean import INSProcessor
-from repro.core.objects import QueryResult
+from repro.core.objects import QueryResult, immutable
 from repro.geometry.point import Point
 
 __all__ = ["InfluentialResult", "InfluentialSitesProcessor"]
 
 
-@dataclass(frozen=True)
+@immutable
 class InfluentialResult(QueryResult):
     """A :class:`QueryResult` widened with the influential sites.
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, FrozenSet, Tuple
 
+from repro.core.objects import immutable
 from repro.queries.influential import InfluentialResult
 from repro.queries.region import RegionResult
 from repro.service.messages import KNNResponse
@@ -55,7 +56,7 @@ class OpenQuery:
         return 0
 
 
-@dataclass(frozen=True)
+@immutable
 class InfluentialResponse(KNNResponse):
     """A :class:`KNNResponse` whose result reports influential sites."""
 
@@ -70,7 +71,7 @@ class InfluentialResponse(KNNResponse):
         return frozenset(self.result.sites)
 
 
-@dataclass(frozen=True)
+@immutable
 class RegionEvent(KNNResponse):
     """A :class:`KNNResponse` whose result reports region entry/exit."""
 
@@ -90,6 +91,11 @@ class RegionEvent(KNNResponse):
         return self.result.departed
 
 
+#: A widened result's response class; any other result rides in a plain
+#: :class:`KNNResponse`.
+_RESPONSE_OF = {InfluentialResult: InfluentialResponse, RegionResult: RegionEvent}
+
+
 def response_for(
     query_id: int,
     result: Any,
@@ -102,16 +108,5 @@ def response_for(
     Dispatches on the result's concrete type: widened results map to their
     widened responses, anything else stays a plain :class:`KNNResponse`.
     """
-    if isinstance(result, InfluentialResult):
-        cls = InfluentialResponse
-    elif isinstance(result, RegionResult):
-        cls = RegionEvent
-    else:
-        cls = KNNResponse
-    return cls(
-        query_id=query_id,
-        result=result,
-        objects_shipped=objects_shipped,
-        round_trips=round_trips,
-        epoch=epoch,
-    )
+    cls = _RESPONSE_OF.get(type(result), KNNResponse)
+    return cls(query_id, result, objects_shipped, round_trips, epoch)

@@ -28,11 +28,10 @@ next answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import FrozenSet, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError
-from repro.core.objects import QueryResult, UpdateAction
+from repro.core.objects import QueryResult, UpdateAction, immutable
 from repro.core.processor import MovingKNNProcessor
 from repro.geometry.order_k import OrderKCell, order_k_cell
 from repro.geometry.point import Point
@@ -47,7 +46,7 @@ __all__ = ["RegionResult", "OrderKRegionProcessor"]
 _INVASION_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
+@immutable
 class RegionResult(QueryResult):
     """A :class:`QueryResult` widened with region entry/exit reporting.
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, FrozenSet, Tuple
 
-from repro.core.objects import QueryResult, UpdateAction
+from repro.core.objects import QueryResult, UpdateAction, immutable
 from repro.core.stats import CommunicationStats
 
 __all__ = [
@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@immutable
 class PositionUpdate:
     """A client's position report for one timestamp.
 
@@ -62,7 +62,7 @@ class PositionUpdate:
         return 0
 
 
-@dataclass(frozen=True)
+@immutable
 class KNNResponse:
     """The answer to one :class:`PositionUpdate`.
 

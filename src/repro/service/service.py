@@ -36,6 +36,9 @@ from repro.core.engine import BatchUpdateResult, ServingEngine
 from repro.core.road_server import MovingRoadKNNServer
 from repro.core.server import MovingKNNServer
 from repro.core.stats import CommunicationStats, ProcessorStats
+# A module, not the function: repro.queries.messages subclasses this
+# package's response types, so it may still be loading when this one is.
+from repro.queries import messages as query_messages
 from repro.service.messages import KNNResponse, UpdateBatch
 from repro.service.session import Session
 
@@ -266,12 +269,8 @@ class KNNService:
         self, query_id: int, result, record: CommunicationStats, before: Tuple[int, int]
     ) -> KNNResponse:
         # response_for picks the response frame matching the result's kind
-        # (KNNResponse, InfluentialResponse, RegionEvent).  Imported here,
-        # not at module level: repro.queries.messages subclasses this
-        # module's response types, so a top-level import would be circular.
-        from repro.queries.messages import response_for
-
-        return response_for(
+        # (KNNResponse, InfluentialResponse, RegionEvent).
+        return query_messages.response_for(
             query_id=query_id,
             result=result,
             objects_shipped=record.downlink_objects - before[0],

@@ -126,19 +126,19 @@ class Session:
     # ------------------------------------------------------------------
     def update(self, position: Any) -> KNNResponse:
         """Report a new position; returns the (possibly refreshed) answer."""
-        return self.send(PositionUpdate(query_id=self._query_id, position=position))
+        self._ensure_open()
+        response = self._service._deliver(self._query_id, position)
+        self._last_response = response
+        return response
 
     def send(self, message: PositionUpdate) -> KNNResponse:
         """Deliver one :class:`PositionUpdate` built by the caller."""
-        self._ensure_open()
         if message.query_id not in (None, self._query_id):
             raise QueryError(
                 f"message addressed to query {message.query_id}, "
                 f"but this session is query {self._query_id}"
             )
-        response = self._service._deliver(self._query_id, message.position)
-        self._last_response = response
-        return response
+        return self.update(message.position)
 
     def refresh(self) -> KNNResponse:
         """Re-answer at the current position without moving.

@@ -93,7 +93,6 @@ from repro.errors import (
 from repro.core.objects import QueryResult, UpdateAction
 from repro.core.stats import CommunicationStats, ProcessorStats
 from repro.obs.metrics import BUCKET_COUNT, histogram as _obs_histogram, start_timer
-from repro.obs.clock import clock as _obs_clock
 from repro.geometry.point import Point
 from repro.queries.influential import InfluentialResult
 from repro.queries.messages import InfluentialResponse, OpenQuery, RegionEvent
@@ -1113,7 +1112,7 @@ def encode(message: Any) -> bytes:
             f"field out of range or mistyped encoding {frame.name}: {error}"
         )
     if started is not None:
-        (frame.encode_seconds or frame.timer("encode")).observe(_obs_clock() - started)
+        (frame.encode_seconds or frame.timer("encode")).observe_since(started)
     return data
 
 
@@ -1128,7 +1127,7 @@ def _decode_body(body) -> Any:
     if end != len(body):
         raise TransportError(f"frame body has {len(body) - end} trailing bytes")
     if started is not None:
-        (frame.decode_seconds or frame.timer("decode")).observe(_obs_clock() - started)
+        (frame.decode_seconds or frame.timer("decode")).observe_since(started)
     return message
 
 

@@ -226,22 +226,34 @@ def serve_connection(
             try:
                 if isinstance(message, (PositionUpdate, RefreshRequest)):
                     query_id = message.query_id
-                    engine.account_wire_bytes(query_id, uplink_bytes=nbytes)
                     session = resolve(query_id)
                     if session is None:
+                        # A refused request was still received: its bytes land
+                        # in the aggregate, so the engine's byte counters keep
+                        # matching the client's, and in no session — the id
+                        # may be another connection's.
+                        engine.account_wire_bytes(None, uplink_bytes=nbytes)
                         # QueryError, like the in-process surface: a stale
                         # session id is a query problem, not a wire problem.
                         raise QueryError(
                             f"query {query_id} is not a session of this connection"
                         )
-                    with lock:
-                        if isinstance(message, PositionUpdate):
-                            response = session.update(message.position)
-                        else:
-                            response = session.refresh()
-                        token = service.durability_token()
-                    service.durability_barrier(token)
-                    reply(response, query_id)
+                    try:
+                        with lock:
+                            if isinstance(message, PositionUpdate):
+                                response = session.update(message.position)
+                            else:
+                                response = session.refresh()
+                            token = service.durability_token()
+                        service.durability_barrier(token)
+                    except ReproError:
+                        engine.account_wire_bytes(query_id, uplink_bytes=nbytes)
+                        raise
+                    # One bill for the exchange, settled before the reply.
+                    engine.account_wire_bytes(
+                        query_id, uplink_bytes=nbytes, downlink_bytes=wire_size(response)
+                    )
+                    stream.send(response)
                 elif isinstance(message, (OpenSession, OpenQuery)):
                     try:
                         if message.options:
@@ -259,9 +271,7 @@ def serve_connection(
                             )
                             token = service.durability_token()
                     except ReproError:
-                        # A refused registration was still received: its
-                        # bytes land in the aggregate so the engine's byte
-                        # counters keep matching the client's measurement.
+                        # Refused, and billed like a refused request above.
                         engine.account_wire_bytes(None, uplink_bytes=nbytes)
                         raise
                     service.durability_barrier(token)
@@ -272,13 +282,15 @@ def serve_connection(
                     reply(SessionOpened(query_id=session.query_id), session.query_id)
                 elif isinstance(message, CloseSession):
                     query_id = message.query_id
-                    engine.account_wire_bytes(query_id, uplink_bytes=nbytes)
                     session = resolve(query_id)
                     sessions.pop(query_id, None)
                     if session is None:
+                        engine.account_wire_bytes(None, uplink_bytes=nbytes)
                         raise QueryError(
                             f"query {query_id} is not a session of this connection"
                         )
+                    # Billed before the close drops the session's record.
+                    engine.account_wire_bytes(query_id, uplink_bytes=nbytes)
                     with lock:
                         session.close()
                         token = service.durability_token()
@@ -374,7 +386,8 @@ def serve_connection(
                 elapsed = _obs_clock() - started
                 frame_name = type(message).__name__
                 _request_histogram(frame_name).observe(elapsed)
-                TRACER.add("request", started, elapsed, frame=frame_name)
+                if TRACER.enabled:
+                    TRACER.add("request", started, elapsed, frame=frame_name)
     except TransportError:
         # Stream corruption (or a send into a dead socket): the connection
         # is unrecoverable; fall through to the cleanup below.

@@ -1,12 +1,11 @@
 """Lockstep guard: stats dataclasses vs merge/snapshot/as_dict.
 
-Every time a counter is added to :class:`ProcessorStats` or
-:class:`CommunicationStats`, three other places must learn about it —
-``merge()``, ``snapshot()`` (comm) and ``as_dict()``.  Forgetting one
-silently drops that counter from aggregation, which corrupts every
-cross-shard bill.  This module derives the expected coverage from
-``dataclasses.fields`` itself, so the guard can never go stale: adding a
-field fails here until every consumer handles it.  (The wire needs no
+Every counter of :class:`ProcessorStats` or :class:`CommunicationStats`
+must reach ``merge()``, ``snapshot()`` (comm) and ``as_dict()``: dropping
+one silently drops that counter from aggregation, which corrupts every
+cross-shard bill.  The three walk ``dataclasses.fields`` themselves; this
+module derives the expected coverage from the same fields, so a consumer
+that stops walking them fails here.  (The wire needs no
 guard: the codec derives its stats layouts from the same
 ``dataclasses.fields`` — ``tests/transport/test_codec.py`` round-trips
 them with every field distinct.)

@@ -14,9 +14,14 @@ The load-bearing contracts:
   sites skip the clock entirely;
 * **reset-in-place** — :meth:`MetricsRegistry.reset` zeroes instruments
   without dropping them, so handles cached at module import keep
-  recording after a forked worker resets its inherited registry.
+  recording after a forked worker resets its inherited registry;
+* **exact under concurrent writers** — a histogram records into one
+  lock-free cell per thread, and the counts, bucket vector and sum read
+  back exactly what eight threads wrote.
 """
 
+import sys
+import threading
 from bisect import bisect_right
 
 import pytest
@@ -24,6 +29,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.obs import metrics as obs_metrics
+from repro.obs.clock import set_clock
 from repro.obs.metrics import (
     BUCKET_COUNT,
     HISTOGRAM_BOUNDS,
@@ -143,6 +149,89 @@ class TestReset:
         counter.inc()
         assert registry.counter("c") is counter
         assert registry.snapshot().counters == (("c", "", 1),)
+
+
+class TestConcurrentWriters:
+    THREADS = 8
+    CALLS = 5_000
+    #: Powers of two, so every partial sum is exact in any order.
+    VALUES = (2.0**-20, 2.0**-10, 0.25, 1.0, 64.0)
+
+    def _from_threads(self, work):
+        """Run ``work`` on THREADS threads, all alive at once, switching often."""
+        barrier = threading.Barrier(self.THREADS, timeout=60)
+
+        def start():
+            barrier.wait()
+            work()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=start) for _ in range(self.THREADS)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+
+    def _hammer(self, histogram, counter):
+        def work():
+            for call in range(self.CALLS):
+                histogram.observe(self.VALUES[call % len(self.VALUES)])
+                counter.inc()
+
+        self._from_threads(work)
+
+    def test_count_bucket_vector_and_sum_are_exact(self, registry, recording):
+        histogram, counter = registry.histogram("h"), registry.counter("c")
+        self._hammer(histogram, counter)
+        total = self.THREADS * self.CALLS
+        each = total // len(self.VALUES)
+        expected = [0] * BUCKET_COUNT
+        for value in self.VALUES:
+            expected[bisect_right(HISTOGRAM_BOUNDS, value)] += each
+        assert histogram.counts == tuple(expected)
+        assert histogram.count == total == counter.value
+        assert histogram.sum == each * sum(self.VALUES)
+        assert registry.snapshot().histograms == (
+            ("h", "", tuple(expected), each * sum(self.VALUES)),
+        )
+
+    def test_reset_zeroes_every_cell_and_cached_handles_keep_recording(
+        self, registry, recording
+    ):
+        histogram, counter = registry.histogram("h"), registry.counter("c")
+        self._hammer(histogram, counter)
+        registry.reset()
+        assert histogram.counts == (0,) * BUCKET_COUNT
+        assert histogram.sum == 0.0 and counter.value == 0
+        assert registry.snapshot().histograms == (("h", "", (0,) * BUCKET_COUNT, 0.0),)
+        # The handles cached before the reset record again, from fresh
+        # threads and from this one (the procpool fork-reset relies on it).
+        self._hammer(histogram, counter)
+        histogram.observe(1.0)
+        assert registry.histogram("h") is histogram
+        assert histogram.count == self.THREADS * self.CALLS + 1
+        assert counter.value == self.THREADS * self.CALLS
+
+    def test_a_scripted_clock_drives_start_timer_and_observe_since(
+        self, registry, recording
+    ):
+        ticks = iter([10.0, 10.0 + 3e-6, 20.0, 20.5])
+        set_clock(lambda: next(ticks))
+        try:
+            histogram = registry.histogram("h")
+            histogram.observe_since(start_timer())  # ≈ 3 µs: bucket (2, 4] µs
+            histogram.observe_since(start_timer())  # 0.5 s: bucket (0.262, 0.524] s
+        finally:
+            set_clock()
+        expected = [0] * BUCKET_COUNT
+        expected[2] = expected[19] = 1
+        assert histogram.counts == tuple(expected)
+        assert histogram.sum == ((10.0 + 3e-6) - 10.0) + 0.5
 
 
 def _single_shard_snapshot(values, labels=""):

@@ -1,10 +1,14 @@
 """Tests for the typed message protocol and its communication accounting."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.core.objects import QueryResult, UpdateAction
 from repro.core.stats import CommunicationStats
 from repro.geometry.point import Point
+from repro.queries.messages import InfluentialResponse, RegionEvent
 from repro.service import KNNResponse, PositionUpdate, UpdateBatch
 
 
@@ -17,6 +21,66 @@ def _result(knn=(3, 1, 2), action=UpdateAction.NONE, was_valid=True):
         action=action,
         was_valid=was_valid,
     )
+
+
+def _messages():
+    """One of each message class; the three responses share their fields."""
+    fields = dict(query_id=1, result=_result(), objects_shipped=9, round_trips=1, epoch=5)
+    return [
+        PositionUpdate(query_id=3, position=Point(1.0, 2.0)),
+        KNNResponse(**fields),
+        InfluentialResponse(**fields),
+        RegionEvent(**fields),
+    ]
+
+
+class TestValueSemantics:
+    def test_setting_or_deleting_an_attribute_raises(self):
+        for message in _messages():
+            with pytest.raises(AttributeError):
+                message.query_id = 7
+            with pytest.raises(AttributeError):
+                message.unknown = 7
+            with pytest.raises(AttributeError):
+                del message.query_id
+            assert message.query_id in (1, 3)
+
+    def test_equal_fields_make_equal_values_with_equal_hashes(self):
+        for message, twin in zip(_messages(), _messages()):
+            assert message is not twin
+            assert message == twin and not message != twin
+            assert hash(message) == hash(twin)
+            values = [getattr(message, f.name) for f in dataclasses.fields(message)]
+            assert type(message)(*values) == message  # positional construction
+
+    def test_equality_is_class_strict(self):
+        _, knn, influential, region = _messages()
+        for one, other in ((knn, influential), (knn, region), (influential, region)):
+            assert one != other and not one == other
+            assert other != one and not other == one
+        values = tuple(getattr(knn, f.name) for f in dataclasses.fields(knn))
+        assert knn != values and values != knn
+        assert len({knn, influential, region}) == 3
+
+    def test_pickle_round_trip_keeps_the_class(self):
+        for message in _messages():
+            restored = pickle.loads(pickle.dumps(message))
+            assert restored == message and type(restored) is type(message)
+
+    def test_dataclasses_fields_and_replace(self):
+        response = ["query_id", "result", "objects_shipped", "round_trips", "epoch"]
+        for message in _messages():
+            names = [f.name for f in dataclasses.fields(message)]
+            assert names == (response if "result" in names else ["query_id", "position"])
+            changed = dataclasses.replace(message, query_id=8)
+            assert type(changed) is type(message) and changed.query_id == 8
+            assert changed != message
+            assert all(
+                getattr(changed, name) == getattr(message, name)
+                for name in names
+                if name != "query_id"
+            )
+            assert repr(message).startswith(f"{type(message).__name__}(query_id=")
 
 
 class TestPositionUpdate:

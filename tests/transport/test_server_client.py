@@ -296,6 +296,25 @@ class TestServerSideAccounting:
             assert remote.meta_bytes_sent > 0 and remote.meta_bytes_received > 0
             assert service.communication.uplink_bytes == comm.uplink_bytes
 
+    def test_a_refused_request_bills_no_other_connections_session(self, service, server):
+        """Connection B naming A's session is refused; its bytes land in the
+        aggregate, and A's record does not pay for them."""
+        with connect(server.address) as owner, connect(server.address) as other:
+            session = owner.open_session(Point(10, 10), k=3)
+            before = service.engine.communication_for(session.query_id).snapshot()
+            intruder = other.attach_session(session.query_id, k=3)
+            with pytest.raises(QueryError, match="not a session"):
+                intruder.update(Point(20, 20))
+            with pytest.raises(QueryError, match="not a session"):
+                intruder.refresh()
+            with pytest.raises(QueryError, match="not a session"):
+                intruder.close()
+            assert service.engine.communication_for(session.query_id) == before
+            comm = service.communication
+            assert comm.uplink_bytes == owner.bytes_sent + other.bytes_sent
+            assert comm.downlink_bytes == owner.bytes_received + other.bytes_received
+            assert len(session.update(Point(30, 30)).knn) == 3
+
     def test_update_batch_applies_as_one_epoch(self, service, server):
         epoch_before = service.epoch
         with connect(server.address) as remote:
