@@ -8,7 +8,7 @@ incrementally maintained
 :class:`~repro.roadnet.network_voronoi.NetworkVoronoiDiagram` (the
 expensive structure — a whole-graph multi-source Dijkstra to build), the
 per-query :class:`~repro.core.ins_road.INSRoadProcessor` (each with its own
-``k``, ``ρ``, validation mode and Theorem 2 region), the diagram's *local*
+``k``, ``ρ`` and Theorem 2 region), the diagram's *local*
 repair floods — O(cells touched) per update — and the native
 :meth:`MovingRoadKNNServer.move_object`.
 """

@@ -6,7 +6,8 @@ vertices.  This package provides everything that mode needs:
 
 * :mod:`repro.roadnet.graph` — the road-network graph model.
 * :mod:`repro.roadnet.location` — positions on edges (the moving query).
-* :mod:`repro.roadnet.shortest_path` — Dijkstra variants.
+* :mod:`repro.roadnet.shortest_path` — the two search loops (an unlabelled
+  expansion and a labelled flood) and the Dijkstra variants built on them.
 * :mod:`repro.roadnet.knn` — network kNN by incremental network expansion.
 * :mod:`repro.roadnet.network_voronoi` — the network Voronoi diagram, edge
   ownership and the order-1 network Voronoi neighbour relation.

@@ -11,7 +11,7 @@ follow that convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.errors import RoadNetworkError
 from repro.geometry.point import Point
@@ -177,6 +177,12 @@ class RoadNetwork:
         except KeyError:
             raise RoadNetworkError(f"unknown vertex {vertex_id}") from None
 
+    def adjacency(self) -> Mapping[int, Tuple[Tuple[int, float, int], ...]]:
+        """Live read-only ``vertex → neighbour triples`` map, one entry per
+        vertex as :meth:`neighbors` returns it.  The searches look it up once
+        and subscript it per settled vertex; it must not be mutated."""
+        return self._neighbors
+
     def incident_edges(self, vertex_id: int) -> List[Edge]:
         """Edges incident to ``vertex_id``."""
         return [self._edges[edge_id] for _, _, edge_id in self.neighbors(vertex_id)]
@@ -200,15 +206,7 @@ class RoadNetwork:
         if not self._vertex_positions:
             return True
         start = next(iter(self._vertex_positions))
-        seen: Set[int] = {start}
-        stack = [start]
-        while stack:
-            current = stack.pop()
-            for neighbor, _, _ in self.neighbors(current):
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    stack.append(neighbor)
-        return len(seen) == len(self._vertex_positions)
+        return len(self.connected_component(start)) == len(self._vertex_positions)
 
     def connected_component(self, vertex_id: int) -> Set[int]:
         """All vertices reachable from ``vertex_id``."""

@@ -1,23 +1,22 @@
 """Network k nearest neighbour search (incremental network expansion).
 
 Data objects sit on vertices; the query is a :class:`NetworkLocation`.  The
-kNN search is a Dijkstra expansion from the query location that stops as
-soon as ``k`` object vertices have been settled — the classic incremental
-network expansion (INE) algorithm, which is what the naive road-network
+kNN search is :func:`~repro.roadnet.shortest_path.expand` from the query
+location under its ``k``-objects stop rule — the classic incremental network
+expansion (INE) algorithm, which is what the naive road-network
 baseline recomputes at every timestamp and what the INS road-network
 processor uses for its initial retrieval.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from typing import AbstractSet, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import QueryError
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.location import NetworkLocation
-from repro.roadnet.shortest_path import SearchStats, distances_from_location
+from repro.roadnet.shortest_path import SearchStats, distances_from_location, expand
 
 
 def build_objects_at_vertex(object_vertices: Sequence[int]) -> Dict[int, List[int]]:
@@ -78,31 +77,13 @@ def network_knn(
 
     location = location.validated(network)
     u, distance_u, v, distance_v = location.endpoint_distances(network)
-    settled: Set[int] = set()
-    results: List[Tuple[int, float]] = []
-    heap: List[Tuple[float, int]] = [(distance_u, u), (distance_v, v)]
-    heapq.heapify(heap)
-    relaxed = 0
-    while heap and len(results) < k:
-        distance, vertex = heapq.heappop(heap)
-        if vertex in settled:
-            continue
-        settled.add(vertex)
-        for object_index in objects_at_vertex.get(vertex, ()):
-            results.append((object_index, distance))
-            if len(results) >= k:
-                break
-        for neighbor, length, _ in network.neighbors(vertex):
-            if neighbor not in settled:
-                relaxed += 1
-                heapq.heappush(heap, (distance + length, neighbor))
-    if stats is not None:
-        stats.add_search(len(settled), relaxed)
+    seeds = [(distance_u, u), (distance_v, v)]
+    results = expand(network, seeds, objects=objects_at_vertex, k=k, stats=stats)[1]
     if len(results) < k:
         raise QueryError(
             f"only {len(results)} data objects reachable from the query location, k={k}"
         )
-    return results[:k]
+    return results
 
 
 def network_knn_from_vertex(

@@ -19,17 +19,16 @@ terms is minimised by the corresponding endpoint's owner.  When the two
 owners differ, the cells meet at a border point in the interior of the edge
 and the owners are Voronoi neighbours.
 
-**Data-object updates are incremental.**  The diagram used to be static: the
-only way to absorb an object insert, delete or move was to rebuild it from
-scratch with a whole-graph multi-source Dijkstra — O(|V| log |V| + |E|) per
-update.  :meth:`NetworkVoronoiDiagram.insert_object`,
+**Data-object updates are incremental.**
+:meth:`NetworkVoronoiDiagram.insert_object`,
 :meth:`NetworkVoronoiDiagram.remove_object` and
-:meth:`NetworkVoronoiDiagram.move_object` now repair the diagram locally:
+:meth:`NetworkVoronoiDiagram.move_object` repair the diagram locally with
+:func:`~repro.roadnet.shortest_path.flood`:
 
 * an insert floods outward from the new object's vertex, conquering only the
-  vertices whose distance strictly improves (the standard "shrink the losing
-  cells" repair — a vertex whose old distance survives cannot relay a better
-  path, so the flood stops exactly at the new cell's border);
+  vertices it beats (the standard "shrink the losing cells" repair — a
+  vertex whose old distance survives cannot relay a better path, so the
+  flood stops exactly at the new cell's border);
 * a delete re-floods only the removed object's cell, seeded from the
   surviving cells on its boundary ("flood the freed region from its rim");
 * a move is a delete-repair followed by an insert-repair under the same
@@ -46,17 +45,15 @@ the correctness oracle of the randomized equivalence tests, and as the
 single build that :meth:`batch_update` runs for a large burst.
 
 **Distance ties are broken deterministically by owner id**, in the repair
-floods *and* in the from-scratch build: a vertex at exactly equal distance
-from several objects is owned by the smallest object index among them, and
-a cell shared by co-located objects is labelled by its smallest member
-(the group *representative*).  An insert flood therefore also conquers
-tied vertices whose current owner has a larger index; the removal re-flood
-and the multi-source construction get the same rule from their
-``(distance, vertex, owner)`` heap ordering.  The payoff: an incrementally
-maintained diagram compares *equal* to a freshly rebuilt one — owners,
-edge ownership, neighbour map — even on uniform grids, where every edge
-has the same length and tie chains are endemic, so the equivalence tests
-need no tie-tolerant escape hatch.
+floods *and* in the from-scratch build, because all three are the same
+labelled flood: a vertex at exactly equal distance from several objects is
+owned by the smallest object index among them, and a cell shared by
+co-located objects is labelled by its smallest member (the group
+*representative*).  The payoff: an incrementally maintained diagram
+compares *equal* to a freshly rebuilt one — owners, edge ownership,
+neighbour map — even on uniform grids, where every edge has the same length
+and tie chains are endemic, so the equivalence tests need no tie-tolerant
+escape hatch.
 
 The owner → edges inverted index also turns :meth:`cell_edges` and
 :meth:`cell_length` from O(|E|) scans into O(cell) lookups.  Serving never
@@ -68,14 +65,12 @@ the tests hold that lookup to.
 from __future__ import annotations
 
 import bisect
-import heapq
-import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.errors import EmptyDatasetError, QueryError, RoadNetworkError
 from repro.roadnet.graph import Edge, RoadNetwork
-from repro.roadnet.shortest_path import SearchStats, multi_source_dijkstra
+from repro.roadnet.shortest_path import SearchStats, flood, multi_source_dijkstra
 
 
 @dataclass(frozen=True)
@@ -493,38 +488,17 @@ class NetworkVoronoiDiagram:
 
     def _insert_repair(self, index: int) -> Set[int]:
         """Flood a brand-new cell outward from the object's vertex."""
-        start = self._object_vertices[index]
-        if self._stats is not None:
-            self._stats.searches += 1
-        # Conquer every vertex whose distance strictly improves, plus every
-        # tied vertex whose current owner has a larger index (the
-        # deterministic owner-id tie rule — exactly what the multi-source
-        # build's heap ordering produces).  A vertex that keeps its old
-        # distance and owner cannot relay a better-or-tie-winning path
+        # The flood conquers every vertex the new label beats on (distance,
+        # owner id).  A vertex it does not beat cannot relay a winning path
         # (its owner already reaches everything beyond it at least as
-        # cheaply under a smaller label), so the flood stops exactly at
-        # the new cell's border.
-        conquered: Dict[int, Optional[int]] = {}
-        heap: List[Tuple[float, int]] = [(0.0, start)]
-        while heap:
-            distance, vertex = heapq.heappop(heap)
-            if vertex in conquered:
-                continue
-            old_distance = self._vertex_distances.get(vertex, math.inf)
-            if distance > old_distance:
-                continue
-            if distance == old_distance and self._vertex_owners[vertex] < index:
-                continue
-            conquered[vertex] = self._vertex_owners.get(vertex)
-            self._vertex_distances[vertex] = distance
-            self._vertex_owners[vertex] = index
-            if self._stats is not None:
-                self._stats.settled_vertices += 1
-            for neighbor, length, _ in self._network.neighbors(vertex):
-                if neighbor not in conquered:
-                    if self._stats is not None:
-                        self._stats.relaxed_edges += 1
-                    heapq.heappush(heap, (distance + length, neighbor))
+        # cheaply under a smaller label), so it stops at the new border.
+        conquered = flood(
+            self._network,
+            [(0.0, self._object_vertices[index], index)],
+            self._vertex_distances,
+            self._vertex_owners,
+            stats=self._stats,
+        )
         cell = self._owner_vertices.setdefault(index, set())
         for vertex, old_owner in conquered.items():
             if old_owner is not None:
@@ -532,11 +506,8 @@ class NetworkVoronoiDiagram:
             cell.add(vertex)
         self._owner_edges.setdefault(index, set())
         self._rep_neighbors.setdefault(index, set())
-        touched_edges = {
-            edge.edge_id
-            for vertex in conquered
-            for edge in self._network.incident_edges(vertex)
-        }
+        adjacency = self._network.adjacency()
+        touched_edges = {edge_id for vertex in conquered for _, _, edge_id in adjacency[vertex]}
         affected = {old for old in conquered.values() if old is not None}
         affected.add(index)
         if self._capture is not None:
@@ -570,51 +541,39 @@ class NetworkVoronoiDiagram:
         for vertex in cell:
             del self._vertex_distances[vertex]
             del self._vertex_owners[vertex]
-        # Seed a multi-source Dijkstra from the rim: every surviving vertex
-        # adjacent to the freed region offers its (final, unchanged)
-        # distance plus the connecting edge.  Distances outside the cell
-        # cannot change — their nearest object was not the removed one.
-        # The (distance, vertex, owner) heap ordering settles distance ties
-        # with the smallest owner id, the same deterministic rule as the
-        # from-scratch multi-source build (all competing entries for a
-        # vertex are present before the first pops: rim seeds are heapified
-        # up front and in-cell predecessors lie strictly closer).
-        heap: List[Tuple[float, int, int]] = []
+        # Flood the freed cell from the rim: every surviving vertex adjacent
+        # to it offers its (final, unchanged) distance plus the connecting
+        # edge.  Distances outside the cell cannot change — their nearest
+        # object was not the removed one — so the flood stays inside it.
+        # The rim seeds are all present before the first pop, so distance
+        # ties go to the smallest owner id, as in the from-scratch build.
+        adjacency = self._network.adjacency()
+        seeds: List[Tuple[float, int, int]] = []
+        touched_edges: Set[int] = set()
         for vertex in cell:
-            for neighbor, length, _ in self._network.neighbors(vertex):
+            for neighbor, length, edge_id in adjacency[vertex]:
+                touched_edges.add(edge_id)
                 if neighbor not in cell:
                     owner = self._vertex_owners.get(neighbor)
                     if owner is not None:
-                        heap.append((self._vertex_distances[neighbor] + length, vertex, owner))
+                        seeds.append((self._vertex_distances[neighbor] + length, vertex, owner))
         if successor is not None:
             self._owner_vertices.setdefault(successor, set())
-            heap.append((0.0, self._object_vertices[successor], successor))
-        heapq.heapify(heap)
-        if self._stats is not None:
-            self._stats.searches += 1
-        settled: Set[int] = set()
-        while heap:
-            distance, vertex, owner = heapq.heappop(heap)
-            if vertex in settled:
-                continue
-            settled.add(vertex)
-            self._vertex_distances[vertex] = distance
-            self._vertex_owners[vertex] = owner
-            self._owner_vertices[owner].add(vertex)
-            if self._capture is not None:
-                self._capture.labels.add(owner)
-            if self._stats is not None:
-                self._stats.settled_vertices += 1
-            for neighbor, length, _ in self._network.neighbors(vertex):
-                if neighbor in cell and neighbor not in settled:
-                    if self._stats is not None:
-                        self._stats.relaxed_edges += 1
-                    heapq.heappush(heap, (distance + length, neighbor, owner))
+            seeds.append((0.0, self._object_vertices[successor], successor))
+        settled = flood(
+            self._network,
+            seeds,
+            self._vertex_distances,
+            self._vertex_owners,
+            within=cell,
+            stats=self._stats,
+        )
+        for vertex in settled:
+            self._owner_vertices[self._vertex_owners[vertex]].add(vertex)
+        if self._capture is not None:
+            self._capture.labels.update(self._vertex_owners[vertex] for vertex in settled)
         # Vertices never reached again (the removed object served a whole
         # component alone) become unowned, matching the from-scratch build.
-        touched_edges = {
-            edge.edge_id for vertex in cell for edge in self._network.incident_edges(vertex)
-        }
         affected = self._reassign_edges(touched_edges)
         affected.discard(index)
         if successor is not None:

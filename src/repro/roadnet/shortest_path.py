@@ -1,38 +1,38 @@
 """Shortest-path computations on road networks.
 
-All network distances in the library come from the Dijkstra variants in this
-module:
+Every network distance in the library comes from one of two loops:
 
-* :func:`dijkstra` — single-source distances to every vertex.
-* :func:`bounded_dijkstra` — single-source distances, stopping once the
-  search frontier exceeds a radius (used for localized validation).
-* :func:`multi_source_dijkstra` — distances from the nearest of several
-  sources together with the identity of that source; this is exactly the
-  computation that yields the network Voronoi diagram.
-* :func:`distances_from_location` — distances from a point on an edge (the
-  moving query object), optionally confined to Voronoi cells (Theorem 2).
-* :func:`shortest_path_distance` — vertex-to-vertex distance.
+* :func:`expand` — an unlabelled Dijkstra from ``(distance, vertex)`` seeds
+  under one stop rule (a radius, a target set or ``k`` objects found),
+  optionally confined by Theorem 2's owner filter.  :func:`dijkstra`,
+  :func:`bounded_dijkstra`, :func:`distances_from_location` (the moving
+  query's search), :func:`shortest_path_distance` and
+  :func:`~repro.roadnet.knn.network_knn` are thin callers of it.
+* :func:`flood` — a labelled Dijkstra from ``(distance, vertex, label)``
+  seeds that overwrites a distance/owner map where it wins, smallest label
+  first on ties: :func:`multi_source_dijkstra` (the network Voronoi
+  construction) and the diagram's two repair floods.
 
 Theorem 2 — validating a kNN answer only needs the Voronoi cells of the held
 objects — is a *restriction of the search*, not a second network.  An edge
 lies in the union of those cells iff the owner of one of its endpoints is
-held, so the one expansion loop asks the diagram's live ``vertex → owner``
-map as it relaxes: one dict read per settled vertex, one set test per edge
-outside a held cell, on the shared :class:`RoadNetwork` with the real vertex
+held, so the expansion asks the diagram's live ``vertex → owner`` map as it
+relaxes: one dict read per settled vertex, one set test per edge outside a
+held cell, on the shared :class:`RoadNetwork` with the real vertex
 identifiers.  The result equals, float for float, the same search on the
 materialised ``network.subnetwork(diagram.cell_edges(held))``.
 
-The functions count settled vertices through an optional
-:class:`SearchStats` accumulator so the benchmarks can report search effort;
-the loops count in locals and add to it once per search.
+Both loops look the adjacency up once per search
+(:meth:`RoadNetwork.adjacency`) and count settled vertices and relaxed edges
+in locals, adding them to an optional :class:`SearchStats` once per search.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
-from typing import AbstractSet, Dict, Iterable, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import AbstractSet, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import RoadNetworkError
 from repro.roadnet.graph import RoadNetwork
@@ -54,79 +54,149 @@ class SearchStats:
         self.relaxed_edges += relaxed
 
 
-def dijkstra(
+def expand(
     network: RoadNetwork,
-    source: int,
+    seeds: List[Tuple[float, int]],
+    radius: float = math.inf,
+    targets: Optional[Iterable[int]] = None,
+    objects: Optional[Mapping[int, Sequence[int]]] = None,
+    k: int = 0,
+    owners: Optional[Mapping[int, int]] = None,
+    cells: AbstractSet[int] = frozenset(),
     stats: Optional[SearchStats] = None,
+) -> Tuple[Dict[int, float], List[Tuple[int, float]]]:
+    """One Dijkstra expansion from ``(distance, vertex)`` seeds (the list
+    becomes the search's heap).
+
+    The first pop beyond ``radius`` stops the search.  With ``targets`` the
+    distance at which the last of them settles becomes the radius: the
+    vertices tied at it are still settled, so whatever the result lacks is
+    farther than every target, and a target it cannot reach exhausts it.
+    With ``objects`` (a ``vertex → object indexes`` map) every object on a
+    settled vertex is found at the vertex's distance until ``k`` are, and
+    the vertex that completes them is the last one settled.  ``owners`` (a
+    ``vertex → owning object`` map) confines the search to the cells of the
+    objects in ``cells``: an edge is relaxed only when the owner of one of
+    its endpoints is there.
+
+    Returns:
+        ``(settled, found)``: ``vertex → distance`` for every settled vertex,
+        and the ``(object index, distance)`` pairs found, nearest first.
+    """
+    adjacency = network.adjacency()
+    heapq.heapify(seeds)
+    heap, pop, push = seeds, heapq.heappop, heapq.heappush
+    settled: Dict[int, float] = {}
+    found: List[Tuple[int, float]] = []
+    remaining = set(targets) if targets is not None else None
+    owner_of = None if owners is None else owners.get
+    relaxed = 0
+    while heap:
+        distance, vertex = pop(heap)
+        if vertex in settled:
+            continue
+        if distance > radius:
+            break
+        settled[vertex] = distance
+        if remaining is not None:
+            remaining.discard(vertex)
+            if not remaining:
+                radius = distance
+        if objects is not None:
+            for index in objects.get(vertex, ()):
+                found.append((index, distance))
+                if len(found) >= k:
+                    radius = -math.inf
+                    break
+        inside = owner_of is None or owner_of(vertex) in cells
+        for neighbor, length, _ in adjacency[vertex]:
+            if neighbor not in settled and (inside or owner_of(neighbor) in cells):
+                relaxed += 1
+                push(heap, (distance + length, neighbor))
+    if stats is not None:
+        stats.add_search(len(settled), relaxed)
+    return settled, found
+
+
+def flood(
+    network: RoadNetwork,
+    seeds: List[Tuple[float, int, int]],
+    distances: Dict[int, float],
+    owners: Dict[int, int],
+    within: Optional[AbstractSet[int]] = None,
+    stats: Optional[SearchStats] = None,
+) -> Dict[int, Optional[int]]:
+    """A labelled Dijkstra from ``(distance, vertex, label)`` seeds (the list
+    becomes the search's heap).
+
+    A popped vertex is settled when it beats its entry in ``distances`` /
+    ``owners`` — no entry, a longer distance, or the same distance under a
+    larger label — and the entry is overwritten in place.  Edges are relaxed
+    only into ``within`` when it is given.
+
+    **Distance ties go to the smallest label.**  The heap orders entries as
+    ``(distance, vertex, label)``, and every competing entry for a vertex is
+    pushed before the first one is popped (all shortest-path predecessors
+    lie strictly closer), so a tied vertex settles with its minimal label,
+    and the rule propagates through tie chains.  That is what makes an
+    incrementally repaired network Voronoi diagram compare *equal* to a
+    rebuilt one even on uniform grids, where ties are endemic.
+
+    Returns:
+        ``vertex → previous owner`` (None where there was none) for every
+        settled vertex, in settle order.
+    """
+    adjacency = network.adjacency()
+    heapq.heapify(seeds)
+    heap, pop, push = seeds, heapq.heappop, heapq.heappush
+    current = distances.get
+    settled: Dict[int, Optional[int]] = {}
+    relaxed = 0
+    while heap:
+        distance, vertex, label = pop(heap)
+        if vertex in settled:
+            continue
+        old = current(vertex, math.inf)
+        if distance > old or (distance == old and owners[vertex] < label):
+            continue
+        settled[vertex] = owners.get(vertex)
+        distances[vertex] = distance
+        owners[vertex] = label
+        for neighbor, length, _ in adjacency[vertex]:
+            if neighbor not in settled and (within is None or neighbor in within):
+                relaxed += 1
+                push(heap, (distance + length, neighbor, label))
+    if stats is not None:
+        stats.add_search(len(settled), relaxed)
+    return settled
+
+
+def dijkstra(
+    network: RoadNetwork, source: int, stats: Optional[SearchStats] = None
 ) -> Dict[int, float]:
     """Distances from ``source`` to every reachable vertex."""
     return bounded_dijkstra(network, source, math.inf, stats)
 
 
 def bounded_dijkstra(
-    network: RoadNetwork,
-    source: int,
-    radius: float,
-    stats: Optional[SearchStats] = None,
+    network: RoadNetwork, source: int, radius: float, stats: Optional[SearchStats] = None
 ) -> Dict[int, float]:
-    """Distances from ``source`` to every vertex within ``radius``.
-
-    Vertices farther than ``radius`` may be missing from the result (they
-    are only included if settled before the bound is hit).
-    """
+    """Distances from ``source`` to every vertex within ``radius`` (farther
+    ones are missing)."""
     if not network.has_vertex(source):
         raise RoadNetworkError(f"unknown source vertex {source}")
-    distances: Dict[int, float] = {}
-    heap: List[Tuple[float, int]] = [(0.0, source)]
-    relaxed = 0
-    while heap:
-        distance, vertex = heapq.heappop(heap)
-        if vertex in distances:
-            continue
-        if distance > radius:
-            break
-        distances[vertex] = distance
-        for neighbor, length, _ in network.neighbors(vertex):
-            if neighbor not in distances:
-                relaxed += 1
-                heapq.heappush(heap, (distance + length, neighbor))
-    if stats is not None:
-        stats.add_search(len(distances), relaxed)
-    return distances
+    return expand(network, [(0.0, source)], radius, stats=stats)[0]
 
 
 def multi_source_dijkstra(
-    network: RoadNetwork,
-    sources: Dict[int, int],
-    stats: Optional[SearchStats] = None,
+    network: RoadNetwork, sources: Dict[int, int], stats: Optional[SearchStats] = None
 ) -> Tuple[Dict[int, float], Dict[int, int]]:
     """Nearest-source distances and owners for every vertex.
 
-    Args:
-        network: the road network.
-        sources: mapping ``vertex_id -> source_label``.  Several vertices may
-            carry different labels; each vertex of the network is assigned to
-            the label of its nearest source vertex.
-
-    Returns:
-        ``(distances, owners)`` where ``distances[v]`` is the network
-        distance from ``v`` to its nearest source and ``owners[v]`` is that
-        source's label.  This is the standard parallel-Dijkstra construction
-        of the network Voronoi diagram.
-
-    **Distance ties are broken deterministically by owner id**: a vertex at
-    exactly equal distance from several sources is owned by the smallest
-    label among them.  The heap entries are ``(distance, vertex, label)``
-    tuples, and every competing entry for a vertex is pushed before the
-    first one is popped (all shortest-path predecessors lie strictly
-    closer), so the tuple ordering settles each tied vertex with its
-    minimal label — and the rule propagates through tie chains, because a
-    relayed label is itself the minimal one at the relaying vertex.  The
-    incremental repair floods of
-    :class:`~repro.roadnet.network_voronoi.NetworkVoronoiDiagram` apply the
-    same rule, which is what makes an incrementally maintained diagram
-    compare *equal* to a freshly rebuilt one even on uniform grids, where
-    ties are endemic.
+    ``sources`` maps ``vertex_id -> source_label``.  Returns ``(distances,
+    owners)``: each vertex's network distance to its nearest source and that
+    source's label, the smallest one on a tie (see :func:`flood`) — the
+    parallel-Dijkstra construction of the network Voronoi diagram.
     """
     if not sources:
         raise RoadNetworkError("multi_source_dijkstra requires at least one source")
@@ -135,23 +205,8 @@ def multi_source_dijkstra(
         raise RoadNetworkError(f"unknown source vertex {unknown}")
     distances: Dict[int, float] = {}
     owners: Dict[int, int] = {}
-    heap: List[Tuple[float, int, int]] = [
-        (0.0, vertex, label) for vertex, label in sources.items()
-    ]
-    heapq.heapify(heap)
-    relaxed = 0
-    while heap:
-        distance, vertex, label = heapq.heappop(heap)
-        if vertex in distances:
-            continue
-        distances[vertex] = distance
-        owners[vertex] = label
-        for neighbor, length, _ in network.neighbors(vertex):
-            if neighbor not in distances:
-                relaxed += 1
-                heapq.heappush(heap, (distance + length, neighbor, label))
-    if stats is not None:
-        stats.add_search(len(distances), relaxed)
+    seeds = [(0.0, vertex, label) for vertex, label in sources.items()]
+    flood(network, seeds, distances, owners, stats=stats)
     return distances, owners
 
 
@@ -166,22 +221,9 @@ def distances_from_location(
 ) -> Dict[int, float]:
     """Network distances from an on-edge location to vertices.
 
-    The location is expanded through both endpoints of its edge.  With
-    ``targets`` the distance at which the last of them settles becomes the
-    search's radius: the vertices tied at it are still settled and the first
-    pop beyond it stops the search, so whatever the result lacks is farther
-    than every target.  A target the search cannot reach exhausts it.
-
-    ``owners`` (a ``vertex → owning object`` map, the network Voronoi
-    diagram's) confines the search to the cells of the objects in ``cells``
-    (the Theorem 2 region): an edge is relaxed only when the owner of one of
-    its endpoints is in ``cells``, so a vertex that no such edge reaches is
-    missing from the result.
-
-    Returns:
-        Mapping ``vertex_id -> distance`` for every settled vertex (always a
-        superset of the requested targets when they are reachable within
-        ``radius``).
+    The location is expanded through both endpoints of its edge under
+    :func:`expand`'s radius, target and owner-filter rules.  Returns
+    ``vertex_id -> distance`` for every settled vertex.
 
     Raises:
         RoadNetworkError: when the location's edge is outside the region.
@@ -190,31 +232,8 @@ def distances_from_location(
     u, distance_u, v, distance_v = location.endpoint_distances(network)
     if owners is not None and outside_region(owners, cells, u, v):
         raise RoadNetworkError(f"edge {location.edge_id} is outside the search region")
-    owner_of = None if owners is None else owners.get
-    distances: Dict[int, float] = {}
-    heap: List[Tuple[float, int]] = [(distance_u, u), (distance_v, v)]
-    heapq.heapify(heap)
-    remaining = set(targets) if targets is not None else None
-    relaxed = 0
-    while heap:
-        distance, vertex = heapq.heappop(heap)
-        if vertex in distances:
-            continue
-        if distance > radius:
-            break
-        distances[vertex] = distance
-        if remaining is not None:
-            remaining.discard(vertex)
-            if not remaining:
-                radius = distance
-        inside = owner_of is None or owner_of(vertex) in cells
-        for neighbor, length, _ in network.neighbors(vertex):
-            if neighbor not in distances and (inside or owner_of(neighbor) in cells):
-                relaxed += 1
-                heapq.heappush(heap, (distance + length, neighbor))
-    if stats is not None:
-        stats.add_search(len(distances), relaxed)
-    return distances
+    seeds = [(distance_u, u), (distance_v, v)]
+    return expand(network, seeds, radius, targets, owners=owners, cells=cells, stats=stats)[0]
 
 
 def outside_region(owners: Mapping[int, int], cells: AbstractSet[int], u: int, v: int) -> bool:
@@ -224,30 +243,11 @@ def outside_region(owners: Mapping[int, int], cells: AbstractSet[int], u: int, v
 
 
 def shortest_path_distance(
-    network: RoadNetwork,
-    source: int,
-    target: int,
-    stats: Optional[SearchStats] = None,
+    network: RoadNetwork, source: int, target: int, stats: Optional[SearchStats] = None
 ) -> float:
     """Network distance between two vertices (``inf`` when disconnected)."""
-    if not network.has_vertex(target):
-        raise RoadNetworkError(f"unknown target vertex {target}")
-    distances: Dict[int, float] = {}
-    heap: List[Tuple[float, int]] = [(0.0, source)]
-    relaxed = 0
-    found = math.inf
-    while heap:
-        distance, vertex = heapq.heappop(heap)
-        if vertex in distances:
-            continue
-        distances[vertex] = distance
-        if vertex == target:
-            found = distance
-            break
-        for neighbor, length, _ in network.neighbors(vertex):
-            if neighbor not in distances:
-                relaxed += 1
-                heapq.heappush(heap, (distance + length, neighbor))
-    if stats is not None:
-        stats.add_search(len(distances), relaxed)
-    return found
+    for vertex in (source, target):
+        if not network.has_vertex(vertex):
+            raise RoadNetworkError(f"unknown vertex {vertex}")
+    settled = expand(network, [(0.0, source)], targets=(target,), stats=stats)[0]
+    return settled.get(target, math.inf)

@@ -88,9 +88,12 @@ class TestSharedAdjacency:
         network, (a, _, _) = triangle_network()
         before = network.neighbors(a)
         d = network.add_vertex(Point(5, 5))
+        adjacency = network.adjacency()
         network.add_edge(a, d, 7.0)
         assert len(before) == 2
         assert network.neighbors(a) == before + ((d, 7.0, 3),)
+        # The map the searches hold is live: it sees the new edge.
+        assert adjacency[a] is network.neighbors(a)
 
     def test_accessors_agree_after_interleaved_construction(self):
         rng = random.Random(5)
@@ -106,8 +109,11 @@ class TestSharedAdjacency:
                 edge_id = network.add_edge(u, v, length)
                 model[u].append((v, length, edge_id))
                 model[v].append((u, length, edge_id))
+        adjacency = network.adjacency()
+        assert adjacency.keys() == model.keys()
         for vertex, expected in model.items():
             assert list(network.neighbors(vertex)) == expected
+            assert adjacency[vertex] is network.neighbors(vertex)
             assert network.degree(vertex) == len(expected)
             assert network.incident_edges(vertex) == [
                 network.edge(edge_id) for _, _, edge_id in expected

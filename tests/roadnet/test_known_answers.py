@@ -43,6 +43,7 @@ from repro.roadnet.location import NetworkLocation
 from repro.roadnet.network_voronoi import NetworkVoronoiDiagram
 from repro.roadnet.shortest_path import (
     SearchStats,
+    bounded_dijkstra,
     dijkstra,
     distances_from_location,
     shortest_path_distance,
@@ -180,3 +181,49 @@ def test_vertex_to_vertex_is_symmetric(network):
     assert shortest_path_distance(network, A, D) == 8.0
     assert shortest_path_distance(network, D, A) == 8.0
     assert shortest_path_distance(network, G, F) == 14.0  # G-C-D-F: 7+5+2
+
+
+def _effort(search, *args, **kwargs):
+    stats = SearchStats()
+    result = search(*args, stats=stats, **kwargs)
+    return result, (stats.searches, stats.settled_vertices, stats.relaxed_edges)
+
+
+def test_search_effort_by_hand(network):
+    # Every settled vertex relaxes the edges to its unsettled neighbours, one
+    # push each.  From A the order is A, E, B, C, D, F, G: 2 + 2 + 1 + 2 + 1
+    # pushes, so a full search relaxes each of the 8 edges exactly once.
+    assert _effort(dijkstra, network, A)[1] == (1, 7, 8)
+    # Radius 3: A, E, B settle (2 + 2 + 1 pushes); C at 6 is the first pop
+    # beyond.
+    assert _effort(bounded_dijkstra, network, A, 3.0) == ({A: 0.0, E: 2.0, B: 3.0}, (1, 3, 5))
+    # The query's three nearest: A 1 (pushes B 5, E 3), B 3 finds object 0
+    # (pushes C 6, E 4), E 3 finds object 1 (pushes D 9), C 6 finds object 2
+    # and still relaxes (pushes D 11, G 13); the next pop stops the search.
+    assert _effort(network_knn, network, OBJECTS, QUERY, 3) == (
+        [(0, 3.0), (1, 3.0), (2, 6.0)], (1, 4, 7)
+    )
+    # A to D: D settles at 8 after A, E, B, C, its edge to F is relaxed, and
+    # F at 10 is the first pop beyond.
+    assert _effort(shortest_path_distance, network, A, D) == (8.0, (1, 5, 8))
+
+
+def test_flood_effort_by_hand(network):
+    # The construction seeds B, E, C, F, G at 0 under labels 0-4.  B pushes
+    # A 4, C 3, E 1; C pushes D 5, G 7; E pushes A 2, D 6; F pushes D 2; G
+    # pushes nothing.  A settles at 2 under 1 and D at 2 under 3, with
+    # nothing left to push.
+    stats = SearchStats()
+    diagram = NetworkVoronoiDiagram(network, OBJECTS, stats)
+    assert (stats.searches, stats.settled_vertices, stats.relaxed_edges) == (1, 7, 8)
+    # A new object on A wins A (0 < 2), pushes B 4 and E 2, and loses both
+    # to their own objects at 0.
+    diagram.insert_object(A)
+    assert (stats.searches, stats.settled_vertices, stats.relaxed_edges) == (2, 8, 10)
+    assert diagram.vertex_owners()[A] == 5
+    # Removing object 1 frees E alone.  The rim offers E 1 under 0 (from B),
+    # 2 under 5 (from A) and 8 under 3 (from D); E settles at 1 under 0 and
+    # pushes nothing, every neighbour being outside the freed cell.
+    diagram.remove_object(1)
+    assert (stats.searches, stats.settled_vertices, stats.relaxed_edges) == (3, 9, 10)
+    assert (diagram.vertex_owner(E), diagram.vertex_distance(E)) == (0, 1.0)
