@@ -1,7 +1,8 @@
 """Baseline moving-kNN methods the paper's approach is compared against.
 
 * :mod:`repro.baselines.policies` — two policies, each written once over a
-  plane search (an R-tree) and a road search (INE):
+  plane search (an R-tree) and a road search (INE), and a plane binding of
+  a third:
 
   * naive recomputation (:class:`NaiveProcessor`,
     :class:`NaiveRoadProcessor`) — the obvious lower bound on answer quality
@@ -9,21 +10,22 @@
   * a V*-Diagram-style known region [5] (:class:`VStarProcessor`,
     :class:`VStarRoadProcessor`) — retrieve ``k + x`` candidates and guard
     them with a known-region safe distance.  Cheap construction but more
-    frequent recomputation and per-timestamp client work.
-
-* :mod:`repro.baselines.order_k_region` — the safe-region approach of the
-  earlier studies cited in the introduction [2], [6]: compute the exact
-  order-k Voronoi cell as the safe region.  Minimal recomputation frequency
-  but expensive construction.  Its retrievals run through the plane search.
+    frequent recomputation and per-timestamp client work;
+  * the safe-region approach of the earlier studies cited in the
+    introduction [2], [6] (:class:`OrderKSafeRegionProcessor`) — the exact
+    order-k Voronoi cell as the safe region.  Minimal recomputation
+    frequency but expensive construction.  The policy is
+    :class:`repro.queries.region.OrderKRegion`, the one the ``"region"``
+    query kind runs on; this binding retrieves through the plane search.
 """
 
 from repro.baselines.policies import (
     NaiveProcessor,
     NaiveRoadProcessor,
+    OrderKSafeRegionProcessor,
     VStarProcessor,
     VStarRoadProcessor,
 )
-from repro.baselines.order_k_region import OrderKSafeRegionProcessor
 
 __all__ = [
     "NaiveProcessor",

@@ -1,4 +1,5 @@
-"""The V* and naive baselines, each written once over both metrics.
+"""The baselines: V* and naive written once over both metrics, plus the
+plane binding of the order-k safe region.
 
 A *policy* is the algorithm; a *metric* supplies three methods it runs on:
 
@@ -42,19 +43,24 @@ this one recomputes the whole candidate list when the condition fails.  The
 published trade-off survives — construction far cheaper than order-k cells,
 recomputation clearly more frequent than INS or order-k safe regions, and
 less frequent as ``x`` grows.
+
+**OrderKRegion** (:class:`OrderKSafeRegionProcessor`) is the exact order-k
+cell safe region, the policy :mod:`repro.queries.region` writes once for the
+``kind="region"`` queries too; here it retrieves through the plane search.
 """
 
 from __future__ import annotations
 
 import abc
 from math import inf
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, QueryError
 from repro.core.objects import QueryResult, UpdateAction
 from repro.core.processor import MovingKNNProcessor, PositionT
 from repro.geometry.point import Point
 from repro.index.rtree import RTree, RTreeEntry
+from repro.queries.region import OrderKRegion
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.knn import build_objects_at_vertex, network_knn, object_distances_from_location
 from repro.roadnet.location import NetworkLocation
@@ -313,6 +319,56 @@ class VStarProcessor(PlaneSearch, KnownRegion[Point]):
     @property
     def name(self) -> str:
         return "V*"
+
+
+class OrderKSafeRegionProcessor(PlaneSearch, OrderKRegion):
+    """Exact order-k Voronoi cell safe-region baseline (Euclidean space).
+
+    The "strict safe region" of the earlier Voronoi-cell studies [2], [6]
+    the paper's introduction cites: minimal recomputation, at the price of
+    rebuilding the cell after every retrieval (experiment E7).
+
+    Args:
+        points: data-object positions.  The sequence stays live: a caller
+            that moves objects in place names them in ``notify_data_update``
+            (``changed``), and the next settle re-reads it.
+        k: number of nearest neighbours to report.
+    """
+
+    def __init__(self, points: Sequence[Point], k: int):
+        super().__init__(k, points)
+        self._source: Sequence[Point] = points
+        self._load(points)
+        self._removed: Set[int] = set()
+        self._index_stale = False
+
+    @property
+    def name(self) -> str:
+        return "OrderK-SR"
+
+    def _take_pending(self) -> Tuple[Set[int], Set[int], bool]:
+        changed, removed, force = super()._take_pending()
+        self._removed.update(removed)
+        # Sync positions before testing invasion: the source moved already.
+        self._points = list(self._source)
+        if force or changed or removed:
+            # A blanket invalidation names no delta, so it must distrust
+            # the index as much as the answer.
+            self._index_stale = True
+        return changed, removed, force
+
+    def _candidate_indexes(self) -> Optional[List[int]]:
+        active = None
+        if self._removed:
+            active = [index for index in range(len(self._points)) if index not in self._removed]
+            if len(active) <= self.k:
+                raise QueryError(f"k={self.k} needs more than {len(active)} surviving data objects")
+        if self._index_stale:
+            # Positions moved (or objects vanished) since the index was
+            # built: rebuild it over the surviving population.
+            self._index_points(range(len(self._points)) if active is None else active)
+            self._index_stale = False
+        return active
 
 
 class VStarRoadProcessor(RoadSearch, KnownRegion[NetworkLocation]):

@@ -5,7 +5,7 @@ intersection of half-planes bounded by perpendicular bisectors.  This module
 provides the convex polygon representation used for
 
 * the exact order-k Voronoi cell construction (:mod:`repro.geometry.order_k`),
-* the order-k safe-region baseline (:mod:`repro.baselines.order_k_region`),
+* the order-k safe region (:mod:`repro.queries.region`),
 * order-1 Voronoi cell polygons for the demo renderer.
 
 Polygons are stored as a counter-clockwise list of vertices.  Clipping uses

@@ -1,9 +1,9 @@
 """``repro.queries`` — the continuous-query subsystem.
 
 Generalises the serving engine from "moving kNN only" to a registry of
-:class:`~repro.queries.kinds.QueryKind` strategies, each owning its widened
-result type, its wire response frame, its delta-invalidation rule (via the
-processor it builds) and its brute-force oracle.  Shipping kinds:
+:class:`~repro.queries.kinds.QueryKind` strategies, each building the
+processor that answers with the kind's widened result and carries its
+delta-invalidation rule.  Shipping kinds:
 
 - ``"knn"`` — the classic paper query (INS processor);
 - ``"influential"`` — continuous influential-sites monitoring: which data

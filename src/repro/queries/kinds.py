@@ -1,11 +1,10 @@
 """The continuous query-kind registry.
 
-A :class:`QueryKind` is a strategy object that owns everything one
-continuous query type needs to be served end-to-end: how to build its
-processor on a server (delta-invalidation rule included — the processor
-carries its own ``notify_data_update``/``invalidate`` hooks), which widened
-result/response types it answers with, and a brute-force oracle the
-equivalence suites check every transport against.
+A :class:`QueryKind` is a name and a strategy for building one continuous
+query type's processor on a server.  The processor carries the rest: its
+delta-invalidation rule (its own ``notify_data_update``/``invalidate``
+hooks) and the widened result it answers with;
+:mod:`repro.queries.messages` maps each result type to its wire response.
 
 The registry maps kind names to singleton strategies.  ``"knn"`` is
 registered here too so the engine's original query type is just the first
@@ -16,20 +15,15 @@ future kinds (isochrones, catchments, range monitors) plug into.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple, Type
+from typing import TYPE_CHECKING, Dict, List
 
 from repro.errors import ConfigurationError
-from repro.core.objects import QueryResult, UpdateAction
-from repro.geometry.order_k import knn_indexes
-from repro.geometry.point import Point
-from repro.core.influential import influential_neighbor_set_from_points
 from repro.core.ins_euclidean import INSProcessor
-from repro.queries.influential import InfluentialResult, InfluentialSitesProcessor
-from repro.queries.region import OrderKRegionProcessor, RegionResult
-from repro.queries.messages import InfluentialResponse, RegionEvent
-from repro.service.messages import KNNResponse
+from repro.queries.influential import InfluentialSitesProcessor
+from repro.queries.region import OrderKRegionProcessor
 
 if TYPE_CHECKING:
+    from repro.geometry.point import Point
     from repro.core.processor import MovingKNNProcessor
     from repro.core.server import MovingKNNServer
 
@@ -49,14 +43,9 @@ class QueryKind(abc.ABC):
 
     Attributes:
         name: the registry key, also the ``kind=`` string clients pass.
-        result_type: the (possibly widened) :class:`QueryResult` subclass
-            this kind's processors answer with.
-        response_type: the wire response frame carrying that result.
     """
 
     name: str = ""
-    result_type: Type[QueryResult] = QueryResult
-    response_type: Type[KNNResponse] = KNNResponse
 
     @abc.abstractmethod
     def build_processor(
@@ -64,36 +53,11 @@ class QueryKind(abc.ABC):
     ) -> "MovingKNNProcessor[Point]":
         """Build this kind's processor against ``server``'s shared index."""
 
-    @abc.abstractmethod
-    def oracle_answer(
-        self, points: Sequence[Point], position: Point, k: int
-    ) -> QueryResult:
-        """Brute-force reference answer over a static point snapshot.
-
-        Timestamps, actions and validity flags are maintenance artefacts,
-        not part of the answer, so the oracle reports them as zero-valued
-        placeholders; equivalence tests compare the answer surface (member
-        tuple, distances, and the kind's widened fields).
-        """
-
-    @staticmethod
-    def _ranked_members(
-        points: Sequence[Point], position: Point, k: int
-    ) -> Tuple[Tuple[int, ...], Tuple[float, ...]]:
-        members = knn_indexes(points, position, k)
-        ordered = tuple(
-            sorted(members, key=lambda index: (position.distance_to(points[index]), index))
-        )
-        distances = tuple(position.distance_to(points[index]) for index in ordered)
-        return ordered, distances
-
 
 class KNNKind(QueryKind):
     """The classic continuous kNN query (the engine's original kind)."""
 
     name = "knn"
-    result_type = QueryResult
-    response_type = KNNResponse
 
     #: The INS processor this kind serves with (a subclass may widen it).
     processor_type = INSProcessor
@@ -104,65 +68,22 @@ class KNNKind(QueryKind):
             tree.positions, k, rho=rho, vortree=tree, allow_incremental=server.allow_incremental
         )
 
-    def oracle_answer(self, points, position, k):
-        ordered, distances = self._ranked_members(points, position, k)
-        return QueryResult(
-            timestamp=0,
-            knn=ordered,
-            knn_distances=distances,
-            guard_objects=frozenset(),
-            action=UpdateAction.NONE,
-            was_valid=False,
-        )
-
 
 class InfluentialSitesKind(KNNKind):
     """Continuous influential-sites monitoring (see queries.influential):
     the kNN kind's processor, its answers widened with the sites."""
 
     name = "influential"
-    result_type = InfluentialResult
-    response_type = InfluentialResponse
     processor_type = InfluentialSitesProcessor
-
-    def oracle_answer(self, points, position, k):
-        ordered, distances = self._ranked_members(points, position, k)
-        sites = tuple(
-            sorted(influential_neighbor_set_from_points(points, ordered))
-        )
-        return InfluentialResult(
-            timestamp=0,
-            knn=ordered,
-            knn_distances=distances,
-            guard_objects=frozenset(),
-            action=UpdateAction.NONE,
-            was_valid=False,
-            sites=sites,
-        )
 
 
 class OrderKRegionKind(QueryKind):
     """Continuous order-k region monitoring (see queries.region)."""
 
     name = "region"
-    result_type = RegionResult
-    response_type = RegionEvent
 
     def build_processor(self, server, k, rho):
-        return OrderKRegionProcessor(server.vortree, k, rho=rho)
-
-    def oracle_answer(self, points, position, k):
-        ordered, distances = self._ranked_members(points, position, k)
-        return RegionResult(
-            timestamp=0,
-            knn=ordered,
-            knn_distances=distances,
-            guard_objects=frozenset(),
-            action=UpdateAction.NONE,
-            was_valid=False,
-            event="enter",
-            departed=(),
-        )
+        return OrderKRegionProcessor(server.vortree, k)
 
 
 _REGISTRY: Dict[str, QueryKind] = {}

@@ -1,34 +1,47 @@
-"""Continuous order-k region monitoring.
+"""The order-k safe region, written once, and continuous region monitoring.
 
-An order-k region query tracks whether the moving session is still inside
-the order-k Voronoi region of its current kNN member set, and reports a
-region *entry* event every time that set changes (each entry doubles as the
-exit of the previous region).  The safe region is the exact order-k Voronoi
-cell from :mod:`repro.geometry.order_k`, built over the live VoR-tree's
-active sites; :mod:`repro.baselines.order_k_region` is the brute-force
-oracle.
+:class:`OrderKRegion` is the policy: after each retrieval it builds the
+exact order-k Voronoi cell of the kNN set (:mod:`repro.geometry.order_k`);
+the set stays the answer exactly as long as the query stays inside that
+polygon, so validation is one point-in-convex-polygon test.  A binding
+supplies the search it runs on:
 
-Delta invalidation follows the same lazy contract as ``INSProcessor``:
-the base class's ``notify_data_update`` only accumulates the pending delta,
-and the processor settles it on the next timestamp.  A pending delta can be
-*absorbed* for free when it provably leaves the held cell intact:
+* ``_nearest(position, count)`` — one retrieval: ``(index, distance)``
+  pairs of the ``count`` nearest objects, nearest first;
+* ``_points`` — every object position, indexed by object;
+* ``_candidate_indexes()`` — the objects the cell is clipped against
+  (``None`` for all of ``_points``), called once before each retrieval.
+
+:class:`OrderKRegionProcessor` binds it to the live VoR-tree and serves
+``kind="region"``: each answer also reports whether the session *entered* a
+new region (its member set changed — each entry doubles as the exit of the
+previous region).  The R-tree binding is the E7 baseline,
+:class:`repro.baselines.OrderKSafeRegionProcessor`.
+
+Delta invalidation follows the same lazy contract as ``INSProcessor``: the
+base class's ``notify_data_update`` only accumulates the pending delta, and
+the policy settles it on the next timestamp.  A pending delta is *absorbed*
+for free when it provably leaves the held cell intact:
 
 - removals that miss the member set keep every clipping bisector that
   bounds the cell valid (dropping a non-member only grows the true region,
   so the held cell stays a sound safe region — validation is conservative);
-- an inserted or moved site invades the cell only if it beats the farthest
-  member somewhere inside it, and because the cell is a convex intersection
-  of half-planes, checking its *vertices* is exact: site ``c`` invades iff
+- a changed member invalidates the cell only if it moved: its current
+  position differs from the one the cell was built with;
+- any other changed site invades the cell only if it beats a member
+  somewhere inside it, and because the cell is a convex intersection of
+  half-planes, checking its *vertices* is exact: site ``c`` invades iff
   ``d(v, c) < d(v, m)`` for some vertex ``v`` and member ``m``.
 
-Anything else — a removed member, an invading changed site, or an explicit
-``invalidate()`` from the blanket flag oracle — forces a recompute at the
-next answer.
+Anything else — a removed member, a moved member, an invading site, or an
+explicit ``invalidate()`` from the blanket flag oracle — forces a recompute
+at the next answer.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional, Set, Tuple
+import abc
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigurationError
 from repro.core.objects import QueryResult, UpdateAction, immutable
@@ -38,12 +51,149 @@ from repro.geometry.point import Point
 from repro.geometry.primitives import BoundingBox
 from repro.index.vortree import VoRTree
 
-__all__ = ["RegionResult", "OrderKRegionProcessor"]
+__all__ = ["OrderKRegion", "RegionResult", "OrderKRegionProcessor"]
 
-#: Relative tolerance of the vertex-invasion test, mirroring the geometry
-#: layer's tie handling: a changed site must beat a member by more than this
-#: (relative) margin at some cell vertex before the cell is declared stale.
-_INVASION_TOLERANCE = 1e-9
+#: Relative margin by which a changed site must beat a member at some cell
+#: vertex before the cell is declared stale, mirroring the geometry layer's
+#: tie handling.
+_INVASION_TOLERANCE = 1e-9  # a site on a bounding bisector, up to rounding, ties: no invasion
+
+
+class OrderKRegion(MovingKNNProcessor[Point]):
+    """The exact order-k Voronoi cell as the safe region of the kNN set.
+
+    The polygons are clipped to the box around ``sites`` (the data at
+    construction), expanded by its larger side (at least 1).
+    """
+
+    def __init__(self, k: int, sites: Sequence[Point]):
+        super().__init__(k)
+        if k < 1:
+            raise ConfigurationError("k must be at least 1")
+        if k >= len(sites):
+            raise ConfigurationError(
+                f"k={k} must be smaller than the number of data objects ({len(sites)})"
+            )
+        box = BoundingBox.from_points(sites)
+        self._bounding_box = box.expanded(max(box.width, box.height, 1.0))
+        self._knn: List[int] = []
+        # Member index -> the position the held cell was built with.
+        self._member_positions: Dict[int, Point] = {}
+        self._cell: Optional[OrderKCell] = None
+
+    @property
+    def safe_region(self) -> Optional[OrderKCell]:
+        """The held order-k cell (None before initialisation)."""
+        return self._cell
+
+    @abc.abstractmethod
+    def _nearest(self, position: Point, count: int) -> List[Tuple[int, float]]:
+        """One retrieval: the ``count`` nearest ``(index, distance)`` pairs."""
+
+    @abc.abstractmethod
+    def _candidate_indexes(self) -> Optional[Iterable[int]]:
+        """The objects to clip against (``None``: all); once per recompute."""
+
+    # ------------------------------------------------------------------
+    # Settling the pending delta
+    # ------------------------------------------------------------------
+    def _cell_invaded(self, changed: Set[int], removed: Set[int]) -> bool:
+        """Exact vertex test: did a member move, or does a changed site
+        beat a member at some vertex of the (convex) cell?"""
+        if self._cell is None or self._cell.polygon.is_empty:
+            return True
+        positions = self._points
+        vertices = self._cell.polygon.vertices
+        member_points = [positions[index] for index in self._knn]
+        for index in changed:
+            if index in removed or index >= len(positions):
+                # A delta can mention indexes allocated after this cell was
+                # built and since removed again; skip anything unknown.
+                continue
+            site = positions[index]
+            if index in self._member_positions:
+                if site != self._member_positions[index]:
+                    return True
+                continue
+            for vertex in vertices:
+                d_site = vertex.distance_to(site)
+                for member_point in member_points:
+                    d_member = vertex.distance_to(member_point)
+                    self._stats.distance_computations += 1
+                    if d_site < d_member - _INVASION_TOLERANCE * max(1.0, d_member):
+                        return True
+        return False
+
+    def _settle_pending(self) -> bool:
+        """Settle the accumulated delta; True when a recompute is required."""
+        if not self._state_stale:
+            return False
+        changed, removed, force = self._take_pending()
+        if force or self._cell is None:
+            return True
+        if removed.intersection(self._knn):
+            # A member vanished: the held answer is wrong, not just stale.
+            return True
+        if self._cell_invaded(changed, removed):
+            return True
+        self._stats.absorbed_updates += 1
+        return False
+
+    # ------------------------------------------------------------------
+    # Query maintenance
+    # ------------------------------------------------------------------
+    def _recompute(self, position: Point) -> None:
+        with self._stats.time_construction():
+            candidates = self._candidate_indexes()
+            self._knn = [index for index, _ in self._nearest(position, self.k)]
+            positions = self._points
+            self._member_positions = {index: positions[index] for index in self._knn}
+            self._cell = order_k_cell(
+                positions,
+                self._knn,
+                reference=position,
+                bounding_box=self._bounding_box,
+                candidate_indexes=candidates,
+            )
+            # The construction examines many candidate objects; count the
+            # bisector distance evaluations as client/server work.
+            self._stats.distance_computations += self._cell.examined_objects * self.k
+            self._stats.full_recomputations += 1
+            # The response ships the k members plus the region polygon, one
+            # "object equivalent" per vertex.
+            self._stats.transmitted_objects += self.k + len(self._cell.polygon.vertices)
+
+    def _answer(self, position: Point, action: UpdateAction, was_valid: bool) -> QueryResult:
+        positions = self._points
+        ranked = sorted((position.distance_to(positions[index]), index) for index in self._knn)
+        return QueryResult(
+            timestamp=self.current_timestamp,
+            knn=tuple(index for _, index in ranked),
+            knn_distances=tuple(distance for distance, _ in ranked),
+            guard_objects=frozenset(self._cell.mis_indexes),
+            action=action,
+            was_valid=was_valid,
+        )
+
+    def _initialize(self, position: Point) -> QueryResult:
+        # The recompute reads the data as it is now: a pending delta is
+        # taken (a binding may log it) but never counted as absorbed.
+        if self._state_stale:
+            self._take_pending()
+        self._recompute(position)
+        return self._answer(position, UpdateAction.FULL_RECOMPUTE, was_valid=False)
+
+    def _update(self, position: Point) -> QueryResult:
+        if self._settle_pending():
+            self._recompute(position)
+            return self._answer(position, UpdateAction.FULL_RECOMPUTE, was_valid=False)
+        with self._stats.time_validation():
+            self._stats.validations += 1
+            inside = self._cell.contains(position)
+        if inside:
+            return self._answer(position, UpdateAction.NONE, was_valid=True)
+        self._recompute(position)
+        return self._answer(position, UpdateAction.FULL_RECOMPUTE, was_valid=False)
 
 
 @immutable
@@ -69,178 +219,50 @@ class RegionResult(QueryResult):
         return self.event == "enter"
 
 
-class OrderKRegionProcessor(MovingKNNProcessor[Point]):
+class OrderKRegionProcessor(OrderKRegion):
     """Serve a continuous order-k region query off a live VoR-tree.
 
     Unlike the INS processor there is no prefetched superset: the guard is
     the cell's minimal influential set (the sites whose bisectors bound the
-    polygon), and validation is a point-in-convex-polygon test.  ``rho`` is
-    accepted for engine symmetry but unused — the safe region is exact, so
-    there is nothing to over-fetch.
+    polygon).  The tree's repair deltas name every object whose neighbour
+    list changed; a plane move is a delete plus an insert under a new index,
+    so a member named there has not moved and costs nothing.
     """
 
-    def __init__(
-        self,
-        vortree: VoRTree,
-        k: int,
-        rho: float = 1.6,
-        bounding_box: Optional[BoundingBox] = None,
-    ):
-        super().__init__(k)
-        if k < 1:
-            raise ConfigurationError("k must be at least 1")
-        population = len(vortree)
-        if k >= population:
-            raise ConfigurationError(
-                f"k={k} must be smaller than the number of active data objects ({population})"
-            )
+    def __init__(self, vortree: VoRTree, k: int):
+        positions = vortree.positions
+        super().__init__(k, [positions[index] for index in vortree.active_indexes()])
         self._vortree = vortree
-        self._rho = float(rho)
-        if bounding_box is None:
-            positions = vortree.positions
-            active = [positions[index] for index in vortree.active_indexes()]
-            box = BoundingBox.from_points(active)
-            bounding_box = box.expanded(max(box.width, box.height, 1.0))
-        self._bounding_box = bounding_box
-        self._members: Tuple[int, ...] = ()
-        self._cell: Optional[OrderKCell] = None
         self._prev_member_set: Optional[FrozenSet[int]] = None
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
     @property
     def name(self) -> str:
         return "OrderK-Region"
 
     @property
-    def rho(self) -> float:
-        return self._rho
+    def _points(self) -> Sequence[Point]:
+        return self._vortree.positions
 
-    @property
-    def vortree(self) -> VoRTree:
-        return self._vortree
+    def _nearest(self, position: Point, count: int) -> List[Tuple[int, float]]:
+        positions = self._points
+        return [
+            (index, position.distance_to(positions[index]))
+            for index in self._vortree.nearest(position, count)
+        ]
 
-    @property
-    def members(self) -> Tuple[int, ...]:
-        """The current region's member set (sorted by distance at last answer)."""
-        return self._members
+    def _candidate_indexes(self) -> List[int]:
+        return self._vortree.active_indexes()
 
-    @property
-    def safe_region(self) -> Optional[OrderKCell]:
-        """The held order-k cell (None before initialisation)."""
-        return self._cell
-
-    # ------------------------------------------------------------------
-    # Settling the pending delta
-    # ------------------------------------------------------------------
-    def _cell_invaded(self, changed: Set[int], removed: Set[int]) -> bool:
-        """Exact vertex test: does any changed active site invade the cell?"""
-        if self._cell is None or self._cell.polygon.is_empty:
-            return True
-        positions = self._vortree.positions
-        member_set = set(self._members)
-        vertices = self._cell.polygon.vertices
-        member_points = [positions[index] for index in self._members]
-        for index in changed:
-            if index in member_set or index in removed:
-                continue
-            if index >= len(positions):
-                # A delta can mention indexes allocated after this cell was
-                # built and since removed again; skip anything unknown.
-                continue
-            site = positions[index]
-            for vertex in vertices:
-                d_site = vertex.distance_to(site)
-                for member_point in member_points:
-                    d_member = vertex.distance_to(member_point)
-                    tolerance = _INVASION_TOLERANCE * max(1.0, d_member)
-                    self._stats.distance_computations += 1
-                    if d_site < d_member - tolerance:
-                        return True
-        return False
-
-    def _settle_pending(self) -> bool:
-        """Settle the accumulated delta; True when a recompute is required."""
-        if not self._state_stale:
-            return False
-        changed, removed, force = self._take_pending()
-        if force or self._cell is None:
-            return True
-        if removed & set(self._members):
-            return True
-        if self._cell_invaded(changed, removed):
-            return True
-        self._stats.absorbed_updates += 1
-        return False
-
-    # ------------------------------------------------------------------
-    # Query maintenance
-    # ------------------------------------------------------------------
-    def _recompute(self, position: Point) -> None:
-        with self._stats.time_construction():
-            members = self._vortree.nearest(position, self.k)
-            cell = order_k_cell(
-                self._vortree.positions,
-                members,
-                reference=position,
-                bounding_box=self._bounding_box,
-                candidate_indexes=self._vortree.active_indexes(),
-            )
-            self._stats.distance_computations += cell.examined_objects * self.k
-            self._stats.full_recomputations += 1
-            # The response ships the k members plus the region polygon.
-            self._stats.transmitted_objects += self.k + len(cell.polygon.vertices)
-            self._members = tuple(members)
-            self._cell = cell
-
-    def _answer(
-        self, position: Point, action: UpdateAction, was_valid: bool
-    ) -> RegionResult:
-        # Re-rank the members at *every* answer: ordering can flip inside
-        # the cell without the set changing, and flag/delta oracles must
-        # report identical tuples.
-        positions = self._vortree.positions
-        distances = {index: position.distance_to(positions[index]) for index in self._members}
-        self._stats.distance_computations += len(self._members)
-        ordered = tuple(sorted(self._members, key=lambda index: (distances[index], index)))
-        member_set = frozenset(ordered)
-        if self._prev_member_set is None or member_set != self._prev_member_set:
-            event = "enter"
-            departed = tuple(
-                sorted((self._prev_member_set or frozenset()) - member_set)
-            )
-        else:
-            event = "stay"
-            departed = ()
-        self._prev_member_set = member_set
-        self._members = ordered
-        guard = frozenset(self._cell.mis_indexes) if self._cell is not None else frozenset()
-        return RegionResult(
-            timestamp=self.current_timestamp,
-            knn=ordered,
-            knn_distances=tuple(distances[index] for index in ordered),
-            guard_objects=guard,
-            action=action,
-            was_valid=was_valid,
-            event=event,
-            departed=departed,
-        )
-
-    def _initialize(self, position: Point) -> RegionResult:
-        self._take_pending()
-        self._prev_member_set = None
-        self._recompute(position)
-        return self._answer(position, UpdateAction.FULL_RECOMPUTE, was_valid=False)
-
-    def _update(self, position: Point) -> RegionResult:
-        if self._settle_pending():
-            self._recompute(position)
-            return self._answer(position, UpdateAction.FULL_RECOMPUTE, was_valid=False)
-        with self._stats.time_validation():
-            self._stats.validations += 1
-            inside = self._cell is not None and self._cell.contains(position)
-        if inside:
-            return self._answer(position, UpdateAction.NONE, was_valid=True)
-        self._recompute(position)
-        return self._answer(position, UpdateAction.FULL_RECOMPUTE, was_valid=False)
+    def _answer(self, position: Point, action: UpdateAction, was_valid: bool) -> RegionResult:
+        result = super()._answer(position, action, was_valid)
+        # Re-ranking the members is client work at every answer; the held
+        # members follow the answer's order from here on.
+        self._stats.distance_computations += self.k
+        self._knn = list(result.knn)
+        members = frozenset(result.knn)
+        # Timestamp 0 is an initialize(): whatever came before, it enters.
+        previous = self._prev_member_set if self.current_timestamp else None
+        self._prev_member_set = members
+        if members == previous:
+            return RegionResult(*result, "stay", ())
+        return RegionResult(*result, "enter", tuple(sorted((previous or frozenset()) - members)))

@@ -1,4 +1,4 @@
-"""Tests for repro.baselines.order_k_region (strict safe-region baseline)."""
+"""Tests for the strict safe-region baseline (repro.baselines.OrderKSafeRegionProcessor)."""
 
 import pytest
 

@@ -1,11 +1,12 @@
 """Unit tests for the continuous-query subsystem (``repro.queries``).
 
-Covers the kind registry, the two new processors against their brute-force
-oracles and the ``invalidation="flag"`` blanket contract, the per-kind
-communication accounting of the serving engine, and the satellite
-delta-invalidation hooks retrofitted onto
-:class:`~repro.baselines.order_k_region.OrderKSafeRegionProcessor` and
-:class:`~repro.core.influential.InfluentialSetMonitor`.
+Covers the kind registry, the influential-sites and region processors
+against test-local brute force and the ``invalidation="flag"`` blanket
+contract, the per-kind communication accounting of the serving engine, and
+the delta-invalidation hooks of
+:class:`~repro.baselines.OrderKSafeRegionProcessor` and
+:class:`~repro.core.influential.InfluentialSetMonitor`.  The region's
+hand-worked answers are in ``test_region_known_answers.py``.
 """
 
 import random
@@ -68,9 +69,6 @@ class TestRegistry:
     def test_unnamed_kind_is_rejected(self):
         class Nameless(QueryKind):
             def build_processor(self, server, k, rho):  # pragma: no cover
-                raise NotImplementedError
-
-            def oracle_answer(self, points, position, k):  # pragma: no cover
                 raise NotImplementedError
 
         with pytest.raises(ConfigurationError):
