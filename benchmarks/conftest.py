@@ -1,12 +1,12 @@
-"""Shared infrastructure for the benchmark harness.
+"""Shared infrastructure for the per-release ``bench_pr*`` scripts.
 
-Every benchmark module reproduces one figure or experiment from the paper
-(its module docstring names which).  Each module
+The paper's experiments are one sweep (``benchmarks/paper.py``).  Each
+``bench_pr*`` script
 
 * runs its workload exactly once inside the pytest-benchmark timer
   (``benchmark.pedantic(..., rounds=1)``), so ``--benchmark-only`` reports a
   wall-clock figure per experiment, and
-* emits the paper-style result table both to stdout and to
+* emits its result table both to stdout and to
   ``benchmarks/results/<experiment>.txt``, regenerated on every run.
 """
 

@@ -18,7 +18,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro.simulation.experiment import run_euclidean_comparison
+from repro.simulation.experiment import compare
 from repro.simulation.report import format_table
 from repro.trajectory.euclidean import random_waypoint_trajectory
 from repro.workloads.datasets import clustered_points, data_space
@@ -48,26 +48,17 @@ def main() -> None:
           f"{scenario.timestamps} timestamps)")
     print()
 
-    result = run_euclidean_comparison(scenario)
-    rows = []
-    for method in result.methods:
-        summary = method.summary
-        rows.append(
-            {
-                "method": summary.method,
-                "recomputations": summary.full_recomputations,
-                "local_reorders": summary.local_reorders,
-                "objects_sent": summary.transmitted_objects,
-                "distance_comps": summary.distance_computations,
-                "validate_s": round(summary.validation_seconds, 4),
-                "construct_s": round(summary.construction_seconds, 4),
-                "elapsed_s": round(summary.elapsed_seconds, 3),
-            }
-        )
-    print(format_table(rows, title="continuous 5-NN POI query while walking"))
+    runs = compare(scenario)
+    columns = (
+        "method", "full_recomputations", "local_reorders", "transmitted_objects",
+        "distance_computations", "validation_seconds", "construction_seconds",
+        "elapsed_seconds",
+    )
+    rows = [run.as_dict() for run in runs.values()]
+    print(format_table(rows, columns=columns, title="continuous 5-NN POI query while walking"))
     print()
-    ins = result.method("INS").summary
-    naive = result.method("Naive").summary
+    ins = runs["INS"].stats
+    naive = runs["Naive"].stats
     saving = 1.0 - ins.transmitted_objects / naive.transmitted_objects
     print(
         f"INS ships {ins.transmitted_objects} objects instead of {naive.transmitted_objects} "

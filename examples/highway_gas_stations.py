@@ -19,14 +19,12 @@ Run with::
 
 from __future__ import annotations
 
-from repro.core.ins_road import INSRoadProcessor
-from repro.baselines import NaiveRoadProcessor, VStarRoadProcessor
 from repro.roadnet.generators import place_objects, random_planar_network
-from repro.simulation.metrics import summarize
+from repro.simulation.experiment import compare
 from repro.simulation.report import format_table
-from repro.simulation.simulator import simulate
 from repro.trajectory.road import network_random_walk
 from repro.viz.ascii_network import render_network_state
+from repro.workloads.scenarios import RoadScenario
 
 
 def main() -> None:
@@ -42,29 +40,23 @@ def main() -> None:
     route = network_random_walk(network, steps=400, step_length=75.0, seed=33)
 
     k = 3
-    processors = [
-        INSRoadProcessor(network, stations, k=k, rho=1.6),
-        VStarRoadProcessor(network, stations, k=k, auxiliary=4, step_length=75.0),
-        NaiveRoadProcessor(network, stations, k=k),
-    ]
-    rows = []
-    runs = {}
-    for processor in processors:
-        run = simulate(processor, route)
-        runs[processor.name] = run
-        summary = summarize(run)
-        rows.append(
-            {
-                "method": summary.method,
-                "recomputations": summary.full_recomputations,
-                "local_reorders": summary.local_reorders,
-                "objects_sent": summary.transmitted_objects,
-                "dijkstra_settled": summary.settled_vertices,
-                "elapsed_s": round(summary.elapsed_seconds, 3),
-            }
-        )
+    scenario = RoadScenario(
+        name="highway-gas-stations",
+        network=network,
+        object_vertices=stations,
+        trajectory=route,
+        k=k,
+        rho=1.6,
+        step_length=75.0,
+    )
+    runs = compare(scenario)  # INS-road, V*-road (x = 4), naive INE
+    columns = (
+        "method", "full_recomputations", "local_reorders", "transmitted_objects",
+        "settled_vertices", "elapsed_seconds",
+    )
+    rows = [run.as_dict() for run in runs.values()]
     print()
-    print(format_table(rows, title=f"continuous {k}-NN gas stations along a 30 km drive"))
+    print(format_table(rows, columns=columns, title=f"continuous {k}-NN gas stations along a 30 km drive"))
 
     # Show one frame of the demonstration (the Figure 3 style rendering).
     ins_run = runs["INS-road"]

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from repro.core.ins_euclidean import INSProcessor
 from repro.index.vortree import VoRTree
-from repro.simulation.metrics import summarize
 from repro.simulation.report import format_table
 from repro.simulation.simulator import simulate
 from repro.trajectory.euclidean import random_waypoint_trajectory
@@ -38,15 +37,15 @@ def main() -> None:
         rows = []
         for rho in RHO_VALUES:
             processor = INSProcessor(points, k=k, rho=rho, vortree=vortree)
-            summary = summarize(simulate(processor, trajectory))
+            run = simulate(processor, trajectory).as_dict()
             rows.append(
                 {
                     "rho": rho,
                     "prefetched": processor.prefetch_count,
-                    "recomputations": summary.full_recomputations,
-                    "local_reorders": summary.local_reorders,
-                    "objects_sent": summary.transmitted_objects,
-                    "objects_per_step": round(summary.communication_per_timestamp, 2),
+                    "recomputations": run["full_recomputations"],
+                    "local_reorders": run["local_reorders"],
+                    "objects_sent": run["transmitted_objects"],
+                    "objects_per_step": round(run["transmitted_objects"] / run["timestamps"], 2),
                 }
             )
         print(format_table(rows, title=f"prefetch ratio sweep — {label}, k={k}"))

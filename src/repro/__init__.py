@@ -120,7 +120,7 @@ from repro.durability import (
     recover_service,
 )
 from repro import obs
-from repro.simulation import simulate, simulate_server, summarize
+from repro.simulation import simulate, simulate_server
 from repro.transport import (
     KNNServer,
     ProcessShardedDispatcher,
@@ -223,7 +223,6 @@ __all__ = [
     # simulation / workloads / trajectories
     "simulate",
     "simulate_server",
-    "summarize",
     "uniform_points",
     "clustered_points",
     "ChurnSpec",

@@ -73,10 +73,7 @@ from typing import List, Optional, Sequence
 from repro.errors import ConfigurationError
 from repro.core.ins_euclidean import INSProcessor
 from repro.core.ins_road import INSRoadProcessor
-from repro.simulation.experiment import (
-    run_euclidean_comparison,
-    run_road_comparison,
-)
+from repro.simulation.experiment import compare
 from repro.simulation.report import format_table
 from repro.simulation.server_sim import simulate_server
 from repro.simulation.simulator import simulate
@@ -120,7 +117,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "compare", help="compare INS against the baselines on a synthetic workload"
     )
     compare.add_argument("--space", choices=("plane", "road"), default="plane")
-    compare.add_argument("--n", type=int, default=2000, help="number of data objects")
+    compare.add_argument(
+        "--n", type=int, default=None,
+        help="number of data objects (default: 2000 plane, 40 road)",
+    )
     compare.add_argument("--k", type=int, default=5, help="number of nearest neighbours")
     compare.add_argument("--rho", type=float, default=1.6, help="prefetch ratio")
     compare.add_argument("--steps", type=int, default=300, help="trajectory length")
@@ -383,16 +383,29 @@ def _run_demo_road(args: argparse.Namespace) -> int:
     return 0
 
 
+#: What ``insq compare`` prints of each run: no oracle runs there, so no
+#: ``correct`` column.
+_COMPARE_COLUMNS = (
+    "method", "timestamps", "knn_changes", "full_recomputations",
+    "local_reorders", "communication_events", "transmitted_objects",
+    "distance_computations", "settled_vertices", "construction_seconds",
+    "validation_seconds", "elapsed_seconds",
+)
+
+
 def _run_compare(args: argparse.Namespace) -> int:
     if args.space == "plane":
         scenario = default_euclidean_scenario(
-            object_count=args.n, k=args.k, rho=args.rho, steps=args.steps
+            object_count=args.n if args.n is not None else 2000,
+            k=args.k, rho=args.rho, steps=args.steps,
         )
-        result = run_euclidean_comparison(scenario)
     else:
-        scenario = default_road_scenario(k=args.k, rho=args.rho, steps=args.steps)
-        result = run_road_comparison(scenario)
-    print(format_table(result.summary_rows(), title=f"comparison on {scenario.name}"))
+        scenario = default_road_scenario(
+            object_count=args.n if args.n is not None else 40,
+            k=args.k, rho=args.rho, steps=args.steps,
+        )
+    rows = [run.as_dict() for run in compare(scenario).values()]
+    print(format_table(rows, columns=_COMPARE_COLUMNS, title=f"comparison on {scenario.name}"))
     return 0
 
 

@@ -5,12 +5,10 @@
 * :mod:`repro.simulation.server_sim` — drive a whole multi-query server:
   M concurrent query streams interleaved with a mixed object-update stream
   over one shared index.
-* :mod:`repro.simulation.metrics` — summaries of a run (and correctness
-  checking against a brute-force oracle).
-* :mod:`repro.simulation.experiment` — parameter sweeps comparing several
-  processors over several configurations (the E-series experiments).
-* :mod:`repro.simulation.report` — plain-text tables for the benchmark
-  harness output and ``benchmarks/results/``.
+* :mod:`repro.simulation.experiment` — the method registry (report name ->
+  processor factory, both metrics) and :func:`compare`, which runs several
+  methods on one workload, optionally oracle-checked.
+* :mod:`repro.simulation.report` — plain-text tables.
 """
 
 from repro.simulation.simulator import SimulationRun, simulate
@@ -19,8 +17,7 @@ from repro.simulation.server_sim import (
     build_server,
     simulate_server,
 )
-from repro.simulation.metrics import RunSummary, summarize
-from repro.simulation.experiment import ExperimentResult, MethodResult, run_euclidean_comparison, run_road_comparison
+from repro.simulation.experiment import METHODS, compare
 from repro.simulation.report import format_table
 
 __all__ = [
@@ -29,11 +26,7 @@ __all__ = [
     "ServerSimulationRun",
     "build_server",
     "simulate_server",
-    "RunSummary",
-    "summarize",
-    "ExperimentResult",
-    "MethodResult",
-    "run_euclidean_comparison",
-    "run_road_comparison",
+    "METHODS",
+    "compare",
     "format_table",
 ]

@@ -1,21 +1,20 @@
-"""Experiment runner: compare several methods on a workload (the E-series).
+"""Compare several methods on one workload.
 
-The benchmark harness calls the two functions here:
+:data:`METHODS` maps every method's report name to a factory building its
+processor from a scenario — an
+:class:`~repro.workloads.scenarios.EuclideanScenario` for INS and the
+Euclidean baselines, a :class:`~repro.workloads.scenarios.RoadScenario` for
+INS-road and the road baselines.  :func:`compare` runs the selected methods
+along the scenario's trajectory and, on request, cross-checks every reported
+answer against the metric's brute-force oracle.
 
-* :func:`run_euclidean_comparison` — run INS and the Euclidean baselines on
-  an :class:`~repro.workloads.scenarios.EuclideanScenario`.
-* :func:`run_road_comparison` — run INS-road and the road baselines on a
-  :class:`~repro.workloads.scenarios.RoadScenario`.
-
-Each method builds its own server-side structure (R-tree, VoR-tree,
-network Voronoi diagram), and both can cross-check every reported answer
-against a brute-force oracle.
+Each method builds its own server-side structure (R-tree, VoR-tree, network
+Voronoi diagram).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Callable, Dict, Optional, Sequence, Union
 
 from repro.baselines import (
     NaiveProcessor,
@@ -26,49 +25,32 @@ from repro.baselines import (
 )
 from repro.core.ins_euclidean import INSProcessor
 from repro.core.ins_road import INSRoadProcessor
+from repro.core.processor import MovingKNNProcessor
 from repro.geometry.point import Point
 from repro.roadnet.location import NetworkLocation
 from repro.roadnet.shortest_path import distances_from_location
-from repro.simulation.metrics import RunSummary, summarize
 from repro.simulation.simulator import SimulationRun, simulate
 from repro.workloads.scenarios import EuclideanScenario, RoadScenario
 
+Scenario = Union[EuclideanScenario, RoadScenario]
 
-@dataclass(frozen=True)
-class MethodResult:
-    """One method's outcome on one workload."""
+#: Report name -> processor factory, both metrics.  V* holds ``x = 4``
+#: auxiliary objects on either metric.
+METHODS: Dict[str, Callable[..., MovingKNNProcessor]] = {
+    "INS": lambda s: INSProcessor(s.points, s.k, rho=s.rho),
+    "OrderK-SR": lambda s: OrderKSafeRegionProcessor(s.points, s.k),
+    "V*": lambda s: VStarProcessor(s.points, s.k, auxiliary=4),
+    "Naive": lambda s: NaiveProcessor(s.points, s.k),
+    "INS-road": lambda s: INSRoadProcessor(
+        s.network, s.object_vertices, s.k, rho=s.rho
+    ),
+    "V*-road": lambda s: VStarRoadProcessor(
+        s.network, s.object_vertices, s.k, auxiliary=4, step_length=s.step_length
+    ),
+    "Naive-road": lambda s: NaiveRoadProcessor(s.network, s.object_vertices, s.k),
+}
 
-    method: str
-    summary: RunSummary
-    run: SimulationRun
-
-
-@dataclass(frozen=True)
-class ExperimentResult:
-    """All methods' outcomes on one workload."""
-
-    scenario_name: str
-    parameters: Dict[str, object]
-    methods: List[MethodResult]
-
-    def summary_rows(self) -> List[Dict[str, object]]:
-        """Rows ready for :func:`repro.simulation.report.format_table`."""
-        rows = []
-        for method in self.methods:
-            row = dict(self.parameters)
-            row.update(method.summary.as_dict())
-            rows.append(row)
-        return rows
-
-    def method(self, name: str) -> MethodResult:
-        """Look up one method's result by report name."""
-        for method in self.methods:
-            if method.method == name:
-                return method
-        raise KeyError(f"no method named {name!r} in this experiment")
-
-
-#: Method-name constants used by the benchmarks.
+#: The methods of each metric, in report order (the default of :func:`compare`).
 EUCLIDEAN_METHODS = ("INS", "OrderK-SR", "V*", "Naive")
 ROAD_METHODS = ("INS-road", "V*-road", "Naive-road")
 
@@ -95,90 +77,35 @@ def road_oracle(scenario: RoadScenario):
     return oracle
 
 
-def run_euclidean_comparison(
-    scenario: EuclideanScenario,
-    methods: Sequence[str] = EUCLIDEAN_METHODS,
+def compare(
+    scenario: Scenario,
+    methods: Optional[Sequence[str]] = None,
     check_correctness: bool = False,
-    vstar_auxiliary: int = 4,
-) -> ExperimentResult:
-    """Run the selected Euclidean methods on ``scenario``.
+) -> Dict[str, SimulationRun]:
+    """Run ``methods`` (default: every method of the scenario's metric).
 
     Args:
         scenario: the workload.
-        methods: subset of :data:`EUCLIDEAN_METHODS` to run.
+        methods: report names from the scenario's metric.
         check_correctness: cross-check every answer against the brute-force
-            oracle (slower; the integration tests always enable it, the
-            benchmarks usually do not).
-        vstar_auxiliary: the ``x`` parameter of the V* baseline.
+            oracle (slower; the integration tests always enable it).
+
+    Returns:
+        One run per method, keyed by report name, in the order asked for.
+
+    Raises:
+        ValueError: a name is not a method of the scenario's metric.
     """
-    oracle = euclidean_oracle(scenario.points) if check_correctness else None
-    results: List[MethodResult] = []
-    for method in methods:
-        if method == "INS":
-            processor = INSProcessor(scenario.points, scenario.k, rho=scenario.rho)
-        elif method == "OrderK-SR":
-            processor = OrderKSafeRegionProcessor(scenario.points, scenario.k)
-        elif method == "V*":
-            processor = VStarProcessor(
-                scenario.points, scenario.k, auxiliary=vstar_auxiliary
-            )
-        elif method == "Naive":
-            processor = NaiveProcessor(scenario.points, scenario.k)
-        else:
-            raise ValueError(f"unknown Euclidean method {method!r}")
-        run = simulate(processor, scenario.trajectory, oracle=oracle)
-        results.append(MethodResult(method=processor.name, summary=summarize(run), run=run))
-    parameters = {
-        "scenario": scenario.name,
-        "n": len(scenario.points),
-        "k": scenario.k,
-        "rho": scenario.rho,
-        "steps": scenario.timestamps,
-        "step_length": scenario.step_length,
+    road = isinstance(scenario, RoadScenario)
+    known = ROAD_METHODS if road else EUCLIDEAN_METHODS
+    methods = known if methods is None else methods
+    for name in methods:
+        if name not in known:
+            raise ValueError(f"unknown {'road-network' if road else 'Euclidean'} method {name!r}")
+    oracle = None
+    if check_correctness:
+        oracle = road_oracle(scenario) if road else euclidean_oracle(scenario.points)
+    return {
+        name: simulate(METHODS[name](scenario), scenario.trajectory, oracle=oracle)
+        for name in methods
     }
-    return ExperimentResult(
-        scenario_name=scenario.name, parameters=parameters, methods=results
-    )
-
-
-def run_road_comparison(
-    scenario: RoadScenario,
-    methods: Sequence[str] = ROAD_METHODS,
-    check_correctness: bool = False,
-    vstar_auxiliary: int = 4,
-) -> ExperimentResult:
-    """Run the selected road-network methods on ``scenario``."""
-    oracle = road_oracle(scenario) if check_correctness else None
-    results: List[MethodResult] = []
-    for method in methods:
-        if method == "INS-road":
-            processor = INSRoadProcessor(
-                scenario.network, scenario.object_vertices, scenario.k, rho=scenario.rho
-            )
-        elif method == "V*-road":
-            processor = VStarRoadProcessor(
-                scenario.network,
-                scenario.object_vertices,
-                scenario.k,
-                auxiliary=vstar_auxiliary,
-                step_length=scenario.step_length,
-            )
-        elif method == "Naive-road":
-            processor = NaiveRoadProcessor(
-                scenario.network, scenario.object_vertices, scenario.k
-            )
-        else:
-            raise ValueError(f"unknown road-network method {method!r}")
-        run = simulate(processor, scenario.trajectory, oracle=oracle)
-        results.append(MethodResult(method=processor.name, summary=summarize(run), run=run))
-    parameters = {
-        "scenario": scenario.name,
-        "n": len(scenario.object_vertices),
-        "k": scenario.k,
-        "rho": scenario.rho,
-        "steps": scenario.timestamps,
-        "step_length": scenario.step_length,
-    }
-    return ExperimentResult(
-        scenario_name=scenario.name, parameters=parameters, methods=results
-    )

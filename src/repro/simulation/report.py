@@ -1,14 +1,11 @@
-"""Plain-text table formatting for the benchmark harness.
-
-The benchmarks print the rows the paper-style figures would plot; this
-module renders them as aligned monospace tables (and optionally CSV) so the
-output of ``pytest benchmarks/ --benchmark-only`` doubles as the data behind
-``benchmarks/results/``.
+"""Plain-text table formatting for ``insq compare``, the examples and the
+paper sweep (``benchmarks/paper.py``): dictionaries rendered as aligned
+monospace tables.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 
 def format_table(
@@ -43,18 +40,6 @@ def format_table(
     lines.append("  ".join("-" * width for width in widths))
     for row in rendered_rows:
         lines.append("  ".join(value.ljust(width) for value, width in zip(row, widths)))
-    return "\n".join(lines)
-
-
-def format_csv(rows: Sequence[Dict[str, object]], columns: Optional[Sequence[str]] = None) -> str:
-    """Render dictionaries as CSV text (header + rows)."""
-    if not rows:
-        return ""
-    if columns is None:
-        columns = list(rows[0].keys())
-    lines = [",".join(str(column) for column in columns)]
-    for row in rows:
-        lines.append(",".join(_render(row.get(column, "")) for column in columns))
     return "\n".join(lines)
 
 

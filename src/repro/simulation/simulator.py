@@ -43,6 +43,7 @@ class SimulationRun(Generic[PositionT]):
         mismatches: timestamps at which the reported kNN set was provably
             wrong against the oracle (empty when no oracle was supplied or
             every answer was correct, allowing for distance ties).
+        checked: True when an oracle cross-checked every answer.
     """
 
     method: str
@@ -50,6 +51,7 @@ class SimulationRun(Generic[PositionT]):
     stats: ProcessorStats
     elapsed_seconds: float
     mismatches: List[int] = field(default_factory=list)
+    checked: bool = False
 
     @property
     def timestamps(self) -> int:
@@ -74,6 +76,23 @@ class SimulationRun(Generic[PositionT]):
     def is_correct(self) -> bool:
         """True when no oracle mismatch was recorded."""
         return not self.mismatches
+
+    def as_dict(self) -> Dict[str, object]:
+        """The run's own measures, then every counter of :attr:`stats`.
+
+        ``correct`` is present only when an oracle checked the run.
+        """
+        row: Dict[str, object] = {
+            "method": self.method,
+            "timestamps": self.timestamps,
+            "knn_changes": self.knn_changes,
+            "invalid_timestamps": self.invalid_timestamps,
+            "elapsed_seconds": self.elapsed_seconds,
+        }
+        if self.checked:
+            row["correct"] = self.is_correct
+        row.update(self.stats.as_dict())
+        return row
 
 
 def check_knn_answer(
@@ -148,4 +167,5 @@ def simulate(
         stats=processor.stats,
         elapsed_seconds=elapsed,
         mismatches=mismatches,
+        checked=oracle is not None,
     )

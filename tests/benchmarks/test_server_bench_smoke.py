@@ -1,11 +1,11 @@
-"""Tier-1 smoke tests for the PR3 serving-engine benchmarks.
+"""Tier-1 smoke tests for the PR2/PR3 index-maintenance and serving benchmarks.
 
-Same rationale as ``test_road_bench_smoke.py``: the benchmark modules are
-only collected when invoked explicitly, so these smoke tests drive their
-``--smoke`` tiny-N modes inside the default ``pytest -x -q`` run — a
-regression on the serving path (delta dispatch, lazy settling, the road
-batch crossover machinery) fails tier-1 immediately instead of waiting for
-somebody to run the benchmarks by hand.
+The benchmark modules under ``benchmarks/`` are only collected when invoked
+explicitly (their files are named ``bench_*``), so these smoke tests drive
+their ``--smoke`` tiny-N modes inside the default ``pytest -x -q`` run — a
+regression on the maintenance and serving paths (the plane and road batch
+crossover machinery, delta dispatch, lazy settling) fails tier-1 immediately
+instead of waiting for somebody to run the benchmarks by hand.
 
 Timing assertions are deliberately absent: tiny-N wall clocks are noise.
 The smoke runs assert structural invariants only (identical answers across
@@ -20,6 +20,7 @@ _REPO_ROOT = str(pathlib.Path(__file__).resolve().parents[2])
 if _REPO_ROOT not in sys.path:
     sys.path.insert(0, _REPO_ROOT)
 
+from benchmarks.bench_pr2_batch_crossover import run_benchmark as crossover_benchmark
 from benchmarks.bench_pr3_road_batch_crossover import (
     run_benchmark as road_crossover_benchmark,
 )
@@ -38,6 +39,10 @@ class TestServerBenchmarkSmoke:
         # The flag oracle never absorbs anything; the delta mode does.
         assert by_mode["flag"]["absorbed"] == 0
         assert speedups["serving"] > 0 and speedups["wall"] > 0
+
+    def test_pr2_batch_crossover_smoke(self):
+        rows, _ = crossover_benchmark(smoke=True)
+        assert rows and all(row["incremental_s"] > 0 and row["bulk_rebuild_s"] > 0 for row in rows)
 
     def test_pr3_road_crossover_smoke_runs_both_strategies(self):
         rows, _ = road_crossover_benchmark(smoke=True)

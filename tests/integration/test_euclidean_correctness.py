@@ -9,7 +9,10 @@ that must recompute every timestamp.
 
 import pytest
 
-from repro.simulation.experiment import run_euclidean_comparison
+from repro.baselines import OrderKSafeRegionProcessor
+from repro.core.ins_euclidean import INSProcessor
+from repro.simulation.experiment import compare
+from repro.simulation.simulator import simulate
 from repro.simulation.report import format_table
 from repro.workloads.scenarios import (
     EuclideanScenario,
@@ -26,19 +29,19 @@ def uniform_result():
     scenario = default_euclidean_scenario(
         object_count=400, k=5, rho=1.6, steps=120, step_length=30.0, seed=300
     )
-    return scenario, run_euclidean_comparison(scenario, check_correctness=True)
+    return scenario, compare(scenario, check_correctness=True)
 
 
 class TestAllMethodsCorrect:
     def test_every_method_answers_exactly(self, uniform_result):
-        _, result = uniform_result
-        for method in result.methods:
-            assert method.summary.correct, f"{method.method} produced a wrong answer"
+        _, runs = uniform_result
+        for name, run in runs.items():
+            assert run.is_correct, f"{name} produced a wrong answer"
 
     def test_fig4_scenario_all_methods_correct(self):
         scenario = fig4_scenario()
-        result = run_euclidean_comparison(scenario, check_correctness=True)
-        assert all(m.summary.correct for m in result.methods)
+        runs = compare(scenario, check_correctness=True)
+        assert all(run.is_correct for run in runs.values())
 
     def test_clustered_data_all_methods_correct(self):
         points = clustered_points(400, clusters=6, extent=2_000.0, seed=301)
@@ -51,8 +54,8 @@ class TestAllMethodsCorrect:
             rho=1.6,
             step_length=50.0,
         )
-        result = run_euclidean_comparison(scenario, check_correctness=True)
-        assert all(m.summary.correct for m in result.methods)
+        runs = compare(scenario, check_correctness=True)
+        assert all(run.is_correct for run in runs.values())
 
     def test_linear_and_circular_trajectories(self):
         points = uniform_points(350, extent=1_000.0, seed=303)
@@ -68,20 +71,20 @@ class TestAllMethodsCorrect:
                 rho=1.6,
                 step_length=trajectory[0].distance_to(trajectory[1]),
             )
-            result = run_euclidean_comparison(scenario, check_correctness=True)
-            assert all(m.summary.correct for m in result.methods), name
+            runs = compare(scenario, check_correctness=True)
+            assert all(run.is_correct for run in runs.values()), name
 
 
 class TestExpectedCostRelationships:
     """The qualitative 'shape' claims of the paper's evaluation."""
 
     def test_naive_recomputes_most(self, uniform_result):
-        scenario, result = uniform_result
-        naive = result.method("Naive").summary
+        scenario, runs = uniform_result
+        naive = runs["Naive"].stats
         assert naive.full_recomputations == scenario.timestamps
-        for method in result.methods:
-            if method.method != "Naive":
-                assert method.summary.full_recomputations < naive.full_recomputations
+        for name, run in runs.items():
+            if name != "Naive":
+                assert run.stats.full_recomputations < naive.full_recomputations
 
     def test_ins_matches_or_beats_strict_safe_region_on_communication_events(
         self, uniform_result
@@ -89,26 +92,57 @@ class TestExpectedCostRelationships:
         """INS's implicit safe region is the order-k cell, so its server
         round trips cannot exceed the strict safe-region baseline's by more
         than the prefetch effect allows — in practice they are fewer."""
-        _, result = uniform_result
-        ins = result.method("INS").summary
-        strict = result.method("OrderK-SR").summary
+        _, runs = uniform_result
+        ins = runs["INS"].stats
+        strict = runs["OrderK-SR"].stats
         assert ins.full_recomputations <= strict.full_recomputations
 
     def test_vstar_recomputes_at_least_as_often_as_ins(self, uniform_result):
-        _, result = uniform_result
-        ins = result.method("INS").summary
-        vstar = result.method("V*").summary
+        _, runs = uniform_result
+        ins = runs["INS"].stats
+        vstar = runs["V*"].stats
         assert vstar.full_recomputations >= ins.full_recomputations
 
     def test_ins_validation_work_is_modest(self, uniform_result):
         """Per-timestamp client work of INS is a handful of distance
         computations (linear in the held set), far below recomputing kNN."""
-        scenario, result = uniform_result
-        ins = result.method("INS").summary
+        scenario, runs = uniform_result
+        ins = runs["INS"].stats
         per_timestamp = ins.distance_computations / scenario.timestamps
         assert per_timestamp < 10 * scenario.k
 
     def test_report_table_renders(self, uniform_result):
-        _, result = uniform_result
-        table = format_table(result.summary_rows())
+        _, runs = uniform_result
+        table = format_table([run.as_dict() for run in runs.values()])
         assert "INS" in table and "Naive" in table
+
+
+class TestSafeRegionMaximality:
+    """The paper's maximality claim: the region the INS guards is the
+    order-k Voronoi cell, the largest possible safe region.  With ρ = 1 (no
+    prefetch buffer) INS must therefore invalidate exactly when the query
+    leaves the exact order-k cell, and recompute exactly as often as the
+    strict safe-region baseline.  Known answers measured once and pinned."""
+
+    @pytest.mark.parametrize(
+        "object_count, k, seed, invalid, recomputations",
+        [
+            (300, 2, 401, 12, 13),
+            (300, 4, 402, 14, 15),
+            (500, 8, 403, 27, 28),
+        ],
+    )
+    def test_ins_invalidates_exactly_at_order_k_cell_exits(
+        self, object_count, k, seed, invalid, recomputations
+    ):
+        scenario = default_euclidean_scenario(
+            object_count=object_count, k=k, rho=1.0, steps=120, step_length=30.0, seed=seed
+        )
+        ins = simulate(INSProcessor(scenario.points, k, rho=1.0), scenario.trajectory)
+        strict = simulate(OrderKSafeRegionProcessor(scenario.points, k), scenario.trajectory)
+        assert ins.invalid_timestamps == strict.invalid_timestamps == invalid
+        assert (
+            ins.stats.full_recomputations
+            == strict.stats.full_recomputations
+            == recomputations
+        )

@@ -9,7 +9,7 @@ from repro.roadnet.generators import (
     random_planar_network,
     ring_radial_network,
 )
-from repro.simulation.experiment import road_oracle, run_road_comparison
+from repro.simulation.experiment import compare, road_oracle
 from repro.simulation.simulator import simulate
 from repro.trajectory.road import network_random_walk
 from repro.workloads.scenarios import RoadScenario, default_road_scenario
@@ -34,26 +34,26 @@ def grid_result():
     scenario = default_road_scenario(
         rows=10, columns=10, object_count=30, k=5, steps=120, step_length=30.0, seed=310
     )
-    return scenario, run_road_comparison(scenario, check_correctness=True)
+    return scenario, compare(scenario, check_correctness=True)
 
 
 class TestAllMethodsCorrect:
     def test_grid_network_all_methods_correct(self, grid_result):
-        _, result = grid_result
-        for method in result.methods:
-            assert method.summary.correct, f"{method.method} produced a wrong answer"
+        _, runs = grid_result
+        for name, run in runs.items():
+            assert run.is_correct, f"{name} produced a wrong answer"
 
     def test_random_planar_network_all_methods_correct(self):
         network = random_planar_network(80, extent=1_000.0, seed=311)
         scenario = build_scenario(network, object_count=20, k=4, steps=80, step_length=25.0, seed=312)
-        result = run_road_comparison(scenario, check_correctness=True)
-        assert all(m.summary.correct for m in result.methods)
+        runs = compare(scenario, check_correctness=True)
+        assert all(run.is_correct for run in runs.values())
 
     def test_ring_radial_network_all_methods_correct(self):
         network = ring_radial_network(4, 10, ring_spacing=80.0)
         scenario = build_scenario(network, object_count=15, k=3, steps=80, step_length=20.0, seed=313)
-        result = run_road_comparison(scenario, check_correctness=True)
-        assert all(m.summary.correct for m in result.methods)
+        runs = compare(scenario, check_correctness=True)
+        assert all(run.is_correct for run in runs.values())
 
     def test_full_network_validation_also_correct(self):
         scenario = default_road_scenario(
@@ -68,25 +68,25 @@ class TestAllMethodsCorrect:
 
 class TestExpectedCostRelationships:
     def test_naive_recomputes_every_timestamp(self, grid_result):
-        scenario, result = grid_result
-        naive = result.method("Naive-road").summary
+        scenario, runs = grid_result
+        naive = runs["Naive-road"].stats
         assert naive.full_recomputations == scenario.timestamps
 
     def test_ins_road_recomputes_least(self, grid_result):
-        _, result = grid_result
-        ins = result.method("INS-road").summary
-        for method in result.methods:
-            if method.method != "INS-road":
-                assert ins.full_recomputations <= method.summary.full_recomputations
+        _, runs = grid_result
+        ins = runs["INS-road"].stats
+        for name, run in runs.items():
+            if name != "INS-road":
+                assert ins.full_recomputations <= run.stats.full_recomputations
 
     def test_ins_road_communicates_least(self, grid_result):
         """The paper's motivation: minimising kNN recomputations minimises
         client/server communication, which is the critical cost in LBS.  The
         naive method ships an answer every timestamp; INS only on the rare
         recomputations."""
-        _, result = grid_result
-        ins = result.method("INS-road").summary
-        naive = result.method("Naive-road").summary
-        vstar = result.method("V*-road").summary
+        _, runs = grid_result
+        ins = runs["INS-road"].stats
+        naive = runs["Naive-road"].stats
+        vstar = runs["V*-road"].stats
         assert ins.communication_events < naive.communication_events
         assert ins.communication_events <= vstar.communication_events

@@ -4,9 +4,9 @@ import pytest
 
 from repro.simulation.experiment import (
     EUCLIDEAN_METHODS,
+    METHODS,
     ROAD_METHODS,
-    run_euclidean_comparison,
-    run_road_comparison,
+    compare,
 )
 from repro.workloads.scenarios import default_euclidean_scenario, default_road_scenario
 
@@ -23,63 +23,63 @@ def small_road_scenario():
     )
 
 
+def test_registry_covers_both_metrics_and_names_match_processors(
+    small_euclidean_scenario, small_road_scenario
+):
+    assert set(METHODS) == set(EUCLIDEAN_METHODS) | set(ROAD_METHODS)
+    for name in EUCLIDEAN_METHODS:
+        assert METHODS[name](small_euclidean_scenario).name == name
+    for name in ROAD_METHODS:
+        assert METHODS[name](small_road_scenario).name == name
+
+
 class TestEuclideanComparison:
     def test_all_methods_run_and_are_correct(self, small_euclidean_scenario):
-        result = run_euclidean_comparison(small_euclidean_scenario, check_correctness=True)
-        assert {m.method for m in result.methods} == set(EUCLIDEAN_METHODS)
-        assert all(m.summary.correct for m in result.methods)
+        runs = compare(small_euclidean_scenario, check_correctness=True)
+        assert list(runs) == list(EUCLIDEAN_METHODS)
+        assert all(run.checked and run.is_correct for run in runs.values())
 
     def test_naive_recomputes_every_timestamp(self, small_euclidean_scenario):
-        result = run_euclidean_comparison(
-            small_euclidean_scenario, methods=("Naive",), check_correctness=False
-        )
-        naive = result.method("Naive").summary
-        assert naive.full_recomputations == small_euclidean_scenario.timestamps
+        runs = compare(small_euclidean_scenario, methods=("Naive",), check_correctness=False)
+        naive = runs["Naive"]
+        assert naive.stats.full_recomputations == small_euclidean_scenario.timestamps
 
     def test_ins_beats_naive_on_recomputations(self, small_euclidean_scenario):
-        result = run_euclidean_comparison(
+        runs = compare(
             small_euclidean_scenario, methods=("INS", "Naive"), check_correctness=False
         )
-        ins = result.method("INS").summary
-        naive = result.method("Naive").summary
+        ins = runs["INS"].stats
+        naive = runs["Naive"].stats
         assert ins.full_recomputations < naive.full_recomputations
-
-    def test_summary_rows_include_parameters(self, small_euclidean_scenario):
-        result = run_euclidean_comparison(
-            small_euclidean_scenario, methods=("INS",), check_correctness=False
-        )
-        rows = result.summary_rows()
-        assert len(rows) == 1
-        assert rows[0]["k"] == small_euclidean_scenario.k
-        assert rows[0]["n"] == len(small_euclidean_scenario.points)
-        assert rows[0]["method"] == "INS"
 
     def test_unknown_method_raises(self, small_euclidean_scenario):
         with pytest.raises(ValueError):
-            run_euclidean_comparison(small_euclidean_scenario, methods=("Bogus",))
+            compare(small_euclidean_scenario, methods=("Bogus",))
+
+    def test_other_metrics_method_raises(self, small_euclidean_scenario):
+        with pytest.raises(ValueError):
+            compare(small_euclidean_scenario, methods=("INS-road",))
 
     def test_method_lookup_raises_for_missing(self, small_euclidean_scenario):
-        result = run_euclidean_comparison(
-            small_euclidean_scenario, methods=("INS",), check_correctness=False
-        )
+        runs = compare(small_euclidean_scenario, methods=("INS",), check_correctness=False)
         with pytest.raises(KeyError):
-            result.method("Naive")
+            runs["Naive"]
 
 
 class TestRoadComparison:
     def test_all_methods_run_and_are_correct(self, small_road_scenario):
-        result = run_road_comparison(small_road_scenario, check_correctness=True)
-        assert {m.method for m in result.methods} == set(ROAD_METHODS)
-        assert all(m.summary.correct for m in result.methods)
+        runs = compare(small_road_scenario, check_correctness=True)
+        assert list(runs) == list(ROAD_METHODS)
+        assert all(run.checked and run.is_correct for run in runs.values())
 
     def test_ins_road_beats_naive_on_recomputations(self, small_road_scenario):
-        result = run_road_comparison(
+        runs = compare(
             small_road_scenario, methods=("INS-road", "Naive-road"), check_correctness=False
         )
-        ins = result.method("INS-road").summary
-        naive = result.method("Naive-road").summary
+        ins = runs["INS-road"].stats
+        naive = runs["Naive-road"].stats
         assert ins.full_recomputations < naive.full_recomputations
 
     def test_unknown_method_raises(self, small_road_scenario):
         with pytest.raises(ValueError):
-            run_road_comparison(small_road_scenario, methods=("Bogus",))
+            compare(small_road_scenario, methods=("Bogus",))

@@ -1,6 +1,6 @@
 """Tests for repro.simulation.report."""
 
-from repro.simulation.report import format_csv, format_table
+from repro.simulation.report import format_table
 
 
 ROWS = [
@@ -39,14 +39,3 @@ class TestFormatTable:
         assert "0.00012" in table
         assert "1234.5" in table
 
-
-class TestFormatCsv:
-    def test_header_and_rows(self):
-        csv_text = format_csv(ROWS)
-        lines = csv_text.splitlines()
-        assert lines[0] == "method,k,rate"
-        assert lines[1].startswith("INS,5,")
-        assert len(lines) == 3
-
-    def test_empty(self):
-        assert format_csv([]) == ""

@@ -104,3 +104,33 @@ class TestSimulate:
         run = simulate(processor, trajectory)
         assert run.stats is processor.stats
         assert run.elapsed_seconds > 0.0
+
+
+class TestAsDict:
+    def test_row_reflects_run(self, dataset, trajectory):
+        run = simulate(INSProcessor(dataset, k=4), trajectory)
+        row = run.as_dict()
+        assert row["method"] == "INS"
+        assert row["timestamps"] == run.timestamps == run.stats.timestamps
+        assert row["knn_changes"] == run.knn_changes
+        assert row["invalid_timestamps"] == run.invalid_timestamps
+        assert row["elapsed_seconds"] == run.elapsed_seconds
+
+    def test_every_stats_counter_is_a_column(self, dataset, trajectory):
+        run = simulate(INSProcessor(dataset, k=4), trajectory)
+        row = run.as_dict()
+        for name, value in run.stats.as_dict().items():
+            assert row[name] == value, name
+
+    def test_correct_only_when_an_oracle_checked(self, dataset, trajectory):
+        unchecked = simulate(INSProcessor(dataset, k=4), trajectory)
+        assert not unchecked.checked
+        assert "correct" not in unchecked.as_dict()
+        checked = simulate(INSProcessor(dataset, k=4), trajectory, oracle=oracle_for(dataset))
+        assert checked.checked
+        assert checked.as_dict()["correct"] is True
+
+    def test_a_failed_check_reports_incorrect(self, dataset, trajectory):
+        wrong = lambda q: {i: -q.distance_to(p) for i, p in enumerate(dataset)}
+        run = simulate(NaiveProcessor(dataset, k=3), trajectory, oracle=wrong)
+        assert run.as_dict()["correct"] is False

@@ -24,6 +24,20 @@ class TestCli:
         assert exit_code == 0
         assert "INS-road" in captured.out
 
+    def test_compare_road_honours_n(self, capsys):
+        exit_code = main(
+            ["compare", "--space", "road", "--n", "30", "--k", "3", "--steps", "20"]
+        )
+        captured = capsys.readouterr()
+        assert exit_code == 0
+        assert "comparison on grid12x12-n30-k3" in captured.out
+
+    def test_compare_claims_no_correctness_without_an_oracle(self, capsys):
+        exit_code = main(["compare", "--space", "plane", "--n", "200", "--steps", "20"])
+        captured = capsys.readouterr()
+        assert exit_code == 0
+        assert "correct" not in captured.out
+
     def test_demo_plane(self, capsys):
         exit_code = main(["demo-plane", "--frames", "2"])
         captured = capsys.readouterr()
