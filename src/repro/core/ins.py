@@ -165,17 +165,13 @@ class InfluentialSetProcessor(MovingKNNProcessor[PositionT]):
     # ------------------------------------------------------------------
     @abc.abstractmethod
     def _fetch(self, position: PositionT, count: int, hint: Optional[int]):
-        """One retrieval, ``(R, I(R))``: the ``count`` nearest objects, nearest
-        first, and their INS.  ``hint`` is an object the client still holds."""
+        """One retrieval, ``(R, I(R), d(R))``: the ``count`` nearest objects, nearest
+        first, their INS and their distances.  ``hint`` is an object still held."""
 
     @abc.abstractmethod
     def _held_distances(self, position: PositionT) -> List[float]:
         """Distances in ``_held`` order (counted): exact up to the farthest
         current kNN member, ties included; exact or ``inf`` beyond it."""
-
-    @abc.abstractmethod
-    def _knn_distances(self, position: PositionT) -> Sequence[float]:
-        """Distances reported with a freshly retrieved answer."""
 
     def _held_changed(self) -> None:
         """Re-derive what the metric keeps beside ``_held``."""
@@ -234,17 +230,18 @@ class InfluentialSetProcessor(MovingKNNProcessor[PositionT]):
             # shared index — a few set unions, no kNN recomputation.  The
             # validation that follows certifies the held answer against the
             # fresh guard set, which is what makes this refresh sound.
-            with self._stats.time_construction():
-                self._refresh_ins(changed)
-                self._stats.ins_refreshes += 1
-                incoming = len(self._ins.difference(self._held))
-                if incoming:
-                    # New guard objects crossed the server-client boundary:
-                    # charge them like a case-(i) incremental fetch so
-                    # comm_events stays an honest round-trip count.
-                    self._stats.transmitted_objects += incoming
-                    self._stats.incremental_updates += 1
-                self._refresh_held()
+            started = _clock()
+            self._refresh_ins(changed)
+            self._stats.ins_refreshes += 1
+            incoming = len(self._ins.difference(self._held))
+            if incoming:
+                # New guard objects crossed the server-client boundary:
+                # charge them like a case-(i) incremental fetch so
+                # comm_events stays an honest round-trip count.
+                self._stats.transmitted_objects += incoming
+                self._stats.incremental_updates += 1
+            self._refresh_held()
+            self._stats.construction_seconds += _clock() - started
         else:
             # The delta missed the pool: every held neighbour list is
             # unchanged, so the guard set the next validation uses is
@@ -268,24 +265,25 @@ class InfluentialSetProcessor(MovingKNNProcessor[PositionT]):
 
     def _retrieve(self, position: PositionT, hint: Optional[int]) -> QueryResult:
         """Server round trip: recompute R, I(R) and the kNN set, and answer."""
-        with self._stats.time_construction():
-            # Deletions since construction may have shrunk the population
-            # below the configured prefetch size; shrink the request, but
-            # never below k — if fewer than k objects remain, the index
-            # raises its loud QueryError rather than silently under-filling
-            # the answer.
-            count = max(self._k, min(self._prefetch_count, len(self._index)))
-            self._R, self._ins = self._fetch(position, count, hint)
-            self._knn = self._R[: self._k]
-            self._stats.full_recomputations += 1
-            self._stats.transmitted_objects += len(self._R) + len(self._ins)
-            self._refresh_held()
-        return self._answer(UpdateAction.FULL_RECOMPUTE, self._knn_distances(position))
+        started = _clock()
+        # Deletions may have shrunk the population below the prefetch size:
+        # shrink the request, but never below k — with fewer than k objects
+        # left the index raises its loud QueryError, never under-fills.
+        k = self._k
+        count = max(k, min(self._prefetch_count, len(self._index)))
+        self._R, self._ins, distances = self._fetch(position, count, hint)
+        self._knn = self._R[:k]
+        self._stats.full_recomputations += 1
+        self._stats.transmitted_objects += len(self._R) + len(self._ins)
+        self._refresh_held()
+        self._stats.construction_seconds += _clock() - started
+        return self._answer(UpdateAction.FULL_RECOMPUTE, distances[:k])
 
     def _refresh_held(self) -> None:
         """Re-derive the flat layout of the pool and the guard set."""
         knn = self._knn
-        held = knn + [index for index in self._R if index not in knn] + list(self._ins)
+        members = set(knn)
+        held = knn + [index for index in self._R if index not in members] + list(self._ins)
         self._guard = frozenset(held[len(knn) :])
         self._held = held
         self._held_changed()

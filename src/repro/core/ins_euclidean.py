@@ -7,9 +7,10 @@ what the plane supplies:
 
 * the index: a :class:`~repro.index.vortree.VoRTree`, and one
   :meth:`VoRTree.retrieve` per server round trip, expanding from the
-  nearest object of the ``R`` the client still holds;
-* the held distances: ``hypot`` over coordinates laid out flat when the held
-  set last changed (objects never move, so the layout outlives timestamps);
+  nearest object of the ``R`` the client still holds, whose distances the
+  fresh answer reports as the retrieval certified them;
+* the held distances: ``hypot`` over the tree's coordinate rows, copied in
+  ``_held`` order when the held set last changed (objects never move);
 * the tie rule: strict ``<`` — the triangulation splits degenerate input by
   a jitter, so a tie is never a certificate (the rule retrieval uses too);
   coincident objects share one site and are each other's neighbours, so a
@@ -67,9 +68,6 @@ class INSProcessor(InfluentialSetProcessor[Point]):
         self._allow_incremental = allow_incremental
         with self._stats.time_precomputation():
             self._adopt(vortree if vortree is not None else VoRTree(list(points)))
-        # Live view of the server-side object positions: it grows as objects
-        # are inserted, so data updates never copy the n-point list around.
-        self._points: Sequence[Point] = self._index.positions
         # Coordinates of ``_held``, in its order (objects never move).
         self._held_xy: List[Tuple[float, float]] = []
         # Per-member Voronoi neighbour lists (``allow_incremental`` only).
@@ -126,10 +124,10 @@ class INSProcessor(InfluentialSetProcessor[Point]):
     # ------------------------------------------------------------------
     def _fetch(self, position: Point, count: int, hint: Optional[int]):
         tree = self._index
-        nearest, ins = tree.retrieve(position, count, hint)
+        fetched = tree.retrieve(position, count, hint)
         if self._allow_incremental:
-            self._neighbor_lists = {index: tree.voronoi_neighbors(index) for index in nearest}
-        return nearest, ins
+            self._neighbor_lists = {index: tree.voronoi_neighbors(index) for index in fetched[0]}
+        return fetched
 
     def _held_distances(self, position: Point) -> List[float]:
         """Distances in ``_held`` order; the floats of ``position.distance_to(point)``."""
@@ -137,14 +135,8 @@ class INSProcessor(InfluentialSetProcessor[Point]):
         px, py = position.x, position.y
         return [hypot(px - x, py - y) for x, y in self._held_xy]
 
-    def _knn_distances(self, position: Point) -> List[float]:
-        # The server certified the retrieval: only the k reported distances are evaluated.
-        px, py = position.x, position.y
-        return [hypot(px - x, py - y) for x, y in self._held_xy[: self._k]]
-
     def _held_changed(self) -> None:
-        points = self._points
-        self._held_xy = [(points[index].x, points[index].y) for index in self._held]
+        self._held_xy = list(map(self._index.coordinates.__getitem__, self._held))
 
     def _refresh_ins(self, changed: Set[int]) -> None:
         if self._allow_incremental:

@@ -118,14 +118,11 @@ class INSRoadProcessor(InfluentialSetProcessor[NetworkLocation]):
             objects_at_vertex=self._index.vertex_objects(),
         )
         self._stats.settled_vertices += self._search_stats.settled_vertices - before
-        self._fetched = [distance for _, distance in nearest]
         members = [index for index, _ in nearest]
-        return members, self._index.influential_neighbor_set(members)
-
-    def _knn_distances(self, position: NetworkLocation) -> Sequence[float]:
+        ins = self._index.influential_neighbor_set(members)
         # Billed as the evaluation of the fresh pool it stands in for.
-        self._stats.distance_computations += len(self._held)
-        return self._fetched[: self._k]
+        self._stats.distance_computations += len(members) + len(ins)
+        return members, ins, [distance for _, distance in nearest]
 
     def _held_distances(self, position: NetworkLocation) -> List[float]:
         """One answer-bounded search, in the held cells unless the query left them."""

@@ -77,6 +77,8 @@ class VoRTree:
         if not points:
             raise EmptyDatasetError("VoRTree requires at least one data object")
         self._points: List[Point] = list(points)
+        # One (x, y) row per object beside ``_points``: what every search reads.
+        self._xy: List[Tuple[float, float]] = [(point.x, point.y) for point in self._points]
         self._active: List[bool] = [True] * len(self._points)
         self._active_count = len(self._points)
         self._neighbor_map: Dict[int, FrozenSet[int]] = {}
@@ -89,11 +91,13 @@ class VoRTree:
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
-        # Pickled beside an R-tree (point location walks the lists now), or
-        # when sites were numbered apart (the diagram is rebuilt then).
+        # Pickled beside an R-tree (point location walks the lists now), before
+        # the (x, y) rows, or when sites were numbered apart (then rebuilt).
         stale = ("_rtree", "_last_batch_bulk", "_site_of_object", "_object_of_site", "_occupied")
         for name in stale:
             self.__dict__.pop(name, None)
+        if "_xy" not in state:
+            self._xy = [(point.x, point.y) for point in self._points]
         if "_site_of_object" in state:
             self._rebuild_neighbor_map()
 
@@ -121,6 +125,11 @@ class VoRTree:
         must not be mutated by callers.
         """
         return self._points
+
+    @property
+    def coordinates(self) -> Sequence[Tuple[float, float]]:
+        """Live read-only view of every object's ``(x, y)``, like :attr:`positions`."""
+        return self._xy
 
     def active_indexes(self) -> List[int]:
         """Indexes of the objects currently present (not deleted)."""
@@ -183,8 +192,7 @@ class VoRTree:
             self._voronoi.add_tombstone(point)
             self._members.setdefault(site, [site]).append(index)
             return index, self._patch_neighbor_lists([site, *self._voronoi.neighbor_view(site)])
-        nearest = self._points[self._walk(x, y, self._jump(x, y))[1]]
-        hint = self._site_at[nearest.x, nearest.y]
+        hint = self._site_at[self._xy[self._walk(x, y, self._jump(x, y))[1]]]
         index = self._append_object(point)
         try:
             _, changed_sites = self._voronoi.insert_site(point, hint=hint)
@@ -216,15 +224,14 @@ class VoRTree:
             self._rebuild_neighbor_map("geometry_error")
             return True, set(self.active_indexes())
         self._neighbor_map.pop(index)
-        point = self._points[index]
-        site = self._site_at[point.x, point.y]
+        site = self._site_at[self._xy[index]]
         members = self._members.get(site)
         if members is not None and len(members) > 1:
             members.remove(index)
             if members == [site]:
                 del self._members[site]
             return True, self._patch_neighbor_lists([site, *self._voronoi.neighbor_view(site)])
-        del self._site_at[point.x, point.y]
+        del self._site_at[self._xy[index]]
         self._members.pop(site, None)
         if len(self._site_at) < 2:
             self._rebuild_neighbor_map("geometry_error")
@@ -379,6 +386,7 @@ class VoRTree:
         """Register a new active object."""
         index = len(self._points)
         self._points.append(point)
+        self._xy.append((point.x, point.y))
         self._active.append(True)
         self._active_count += 1
         return index
@@ -400,11 +408,10 @@ class VoRTree:
         self._site_at = site_at = {}
         self._members = members = {}
         for index in self.active_indexes():
-            point = self._points[index]
-            site = site_at.setdefault((point.x, point.y), index)
+            site = site_at.setdefault(self._xy[index], index)
             if site != index:
                 members.setdefault(site, [site]).append(index)
-        founders = [site_at.get((p.x, p.y)) == i for i, p in enumerate(self._points)]
+        founders = [site_at.get(row) == index for index, row in enumerate(self._xy)]
         self._voronoi = None
         if len(site_at) >= 2:
             self._voronoi = VoronoiDiagram(
@@ -452,13 +459,13 @@ class VoRTree:
             raise QueryError(
                 f"requested {count} neighbours but only {len(self)} objects exist"
             )
-        points = self._points
+        xy = self._xy
         qx, qy = query.x, query.y
         # nsmallest is stable over increasing indexes: ties go by index.
         return nsmallest(
             count,
-            compress(range(len(points)), self._active),
-            key=lambda index: hypot(qx - points[index].x, qy - points[index].y),
+            compress(range(len(xy)), self._active),
+            key=lambda index: hypot(qx - xy[index][0], qy - xy[index][1]),
         )
 
     def influential_neighbor_set(self, member_indexes: Iterable[int]) -> Set[int]:
@@ -467,17 +474,18 @@ class VoRTree:
 
     def retrieve(
         self, query: Point, count: int, hint: Optional[int] = None
-    ) -> Tuple[List[int], Set[int]]:
-        """``(R, I(R))`` at ``query``: the one retrieval of a recomputation.
+    ) -> Tuple[List[int], Set[int], List[float]]:
+        """``(R, I(R), d(R))`` at ``query``: the one retrieval of a recomputation.
 
-        ``R`` is the ``count`` nearest objects ordered by ``(distance, index)``
-        and ``I(R)`` their influential neighbour set, found by the VoR-tree's
-        own kNN over the stored neighbour lists.  *Walk* greedily to the object
-        nearest to ``query``, from ``hint`` (an object the client holds) or, when
-        that is absent, deleted or out of range, from :meth:`_jump`'s sample.
-        *Expand* best-first until ``count`` objects are popped: they are ``R``,
-        and the frontier left — every neighbour of an ``R`` member outside
-        ``R`` — is ``I(R)``.  *Certify* by the INS theorem, strictly:
+        ``R`` is the ``count`` nearest objects ordered by ``(distance, index)``,
+        ``I(R)`` their influential neighbour set and ``d(R)`` R's distances, the
+        floats of ``query.distance_to``, all found by the VoR-tree's own kNN over
+        the stored neighbour lists.  *Walk* greedily to the object nearest to
+        ``query``, from ``hint`` (an object the client holds) or, when that is
+        absent, deleted or out of range, from :meth:`_jump`'s sample.  *Expand*
+        best-first until ``count`` objects are popped: they are ``R``, their heap
+        keys ``d(R)``, and the frontier left — every neighbour of an ``R`` member
+        outside ``R`` — is ``I(R)``.  *Certify* by the INS theorem, strictly:
         ``max d(R) < min d(I(R))``.  Otherwise *fall back* to :meth:`nearest` +
         :meth:`influential_neighbor_set`, counted in
         ``insq_retrieval_fallbacks_total`` by reason: ``no_seed``
@@ -493,7 +501,8 @@ class VoRTree:
                 return certified
             _FALLBACKS[reason].inc()
         nearest = self.nearest(query, count)
-        return nearest, self.influential_neighbor_set(nearest)
+        distances = [query.distance_to(self._points[index]) for index in nearest]
+        return nearest, self.influential_neighbor_set(nearest), distances
 
     def _jump(self, qx: float, qy: float) -> int:
         """The nearest of about n^⅓ live objects, every (n^⅔)-th index.
@@ -501,11 +510,11 @@ class VoRTree:
         The *jump* of jump-and-walk (Mücke, Saias & Zhu, SoCG 1996): a
         strided sample, so it draws no random number and keeps no state.
         """
-        points = self._points
+        xy = self._xy
         stride = max(1, round(self._active_count ** (2 / 3)))
         start = min(
-            compress(range(0, len(points), stride), self._active[::stride]),
-            key=lambda index: hypot(qx - points[index].x, qy - points[index].y),
+            compress(range(0, len(xy), stride), self._active[::stride]),
+            key=lambda index: hypot(qx - xy[index][0], qy - xy[index][1]),
             default=None,
         )
         return self._active.index(True) if start is None else start
@@ -516,23 +525,24 @@ class VoRTree:
         non-nearest object has a strictly nearer neighbour.  It reads only
         positions and lists, so a delta replica (no diagram) walks too."""
         neighbors = self._neighbor_map
-        points = self._points
-        best = hypot(qx - points[seed].x, qy - points[seed].y)
+        xy = self._xy
+        x, y = xy[seed]
+        best = hypot(qx - x, qy - y)
         walking = True
         while walking:
             walking = False
             for other in neighbors[seed]:
-                point = points[other]
-                distance = hypot(qx - point.x, qy - point.y)
+                x, y = xy[other]
+                distance = hypot(qx - x, qy - y)
                 # By (distance, index), so the walk ends on the first of twins.
                 if distance < best or (distance == best and other < seed):
                     best, seed, walking = distance, other, True
         return best, seed
 
     def _expand(self, query: Point, count: int, seed: Optional[int]):
-        """Walk, expand, certify: ``((R, I(R)), None)`` or ``(None, reason)``."""
+        """Walk, expand, certify: ``((R, I(R), d(R)), None)`` or ``(None, reason)``."""
         neighbors = self._neighbor_map
-        points = self._points
+        xy = self._xy
         qx, qy = query.x, query.y
         if seed is None or not self.is_active(seed):
             seed = self._jump(qx, qy)
@@ -542,22 +552,25 @@ class VoRTree:
         frontier = [last]
         seen = {last[1]}
         nearest: List[int] = []
-        while frontier and len(nearest) < count:
+        distances: List[float] = []
+        for _ in range(count):
+            if not frontier:
+                return None, "short"
             item = heappop(frontier)
             if item < last:
                 # Out of (distance, index) order: the walk stalled on a tie
                 # short of the nearest object, so its seed proves nothing.
                 return None, "uncertified"
             last = item
-            nearest.append(item[1])
-            for other in neighbors[item[1]]:
+            distance, index = item
+            nearest.append(index)
+            distances.append(distance)
+            for other in neighbors[index]:
                 if other not in seen:
                     seen.add(other)
-                    point = points[other]
-                    heappush(frontier, (hypot(qx - point.x, qy - point.y), other))
-        if len(nearest) < count:
-            return None, "short"
+                    x, y = xy[other]
+                    heappush(frontier, (hypot(qx - x, qy - y), other))
         # An empty frontier certifies only the whole population.
         if not (last[0] < frontier[0][0] if frontier else count == self._active_count):
             return None, "uncertified"
-        return (nearest, {member for _, member in frontier}), None
+        return (nearest, {member for _, member in frontier}, distances), None

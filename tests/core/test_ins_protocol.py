@@ -21,14 +21,16 @@ from repro.core.objects import UpdateAction
 from repro.core.road_server import MovingRoadKNNServer
 from repro.core.server import MovingKNNServer
 from repro.geometry.point import Point
+from repro.index.vortree import VoRTree
 from repro.roadnet.generators import grid_network, place_objects, random_planar_network
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.knn import network_knn, object_distances_from_location
 from repro.roadnet.location import NetworkLocation
 from repro.roadnet.shortest_path import outside_region
-from repro.service import KNNService, UpdateBatch
+from repro.service import KNNService, UpdateBatch, open_service
 from repro.trajectory.road import network_random_walk
 from repro.workloads.datasets import uniform_points
+from repro.workloads.scenarios import euclidean_server_scenario, update_stream
 
 #: The three ways a pending data-update delta can settle.
 OUTCOMES = ("full_recomputations", "ins_refreshes", "absorbed_updates")
@@ -264,8 +266,15 @@ class _SettlesEveryHeldObject(INSRoadProcessor):
         self._stats.distance_computations += len(distances)
         return distances
 
-    def _knn_distances(self, position):
-        return self._held_distances(position)[: self._k]
+    def _fetch(self, position, count, hint):
+        members, ins, _ = super()._fetch(position, count, hint)
+        effort = self._search_stats
+        before = effort.settled_vertices
+        distances = object_distances_from_location(
+            self._network, self._object_vertices, position, members, effort
+        )
+        self._stats.settled_vertices += effort.settled_vertices - before
+        return members, ins, distances
 
 
 def _full_validation_server(mode):
@@ -366,3 +375,41 @@ class TestRoadValidationStopsAtTheAnswer:
         )
         assert result.action == UpdateAction.LOCAL_REORDER
         assert (result.knn, result.knn_distances) == ((3, 0), (8.0, 12.0))
+
+
+class TestOneRetrievalPerRecomputation:
+    """The benchmark's ledger reads ``index.retrieve_calls`` against
+    ``core.recomputes``: on the plane every full recomputation is exactly one
+    ``VoRTree.retrieve`` call, and no hook recomputes the distances it
+    reports beside it.  A shortcut around ``retrieve`` fails here instead of
+    silently zeroing a ledger line."""
+
+    def test_a_churned_stream_retrieves_once_per_recomputation(self, monkeypatch):
+        scenario = euclidean_server_scenario(churn="high", queries=6, object_count=400)
+        calls = []
+        retrieve = VoRTree.retrieve
+
+        def counting(tree, *args, **kwargs):
+            calls.append(args)
+            return retrieve(tree, *args, **kwargs)
+
+        monkeypatch.setattr(VoRTree, "retrieve", counting)
+        service = open_service(metric="euclidean", objects=scenario.points)
+        walks = scenario.trajectories
+        sessions = [
+            service.open_session(walk[0], k=k, rho=scenario.rho)
+            for walk, k in zip(walks, scenario.ks)
+        ]
+        for step, entry in enumerate(update_stream(scenario)[1:], start=1):
+            if entry is not None:
+                batch, new_indexes = entry
+                assert service.apply(batch).new_indexes == new_indexes
+            for session, walk in zip(sessions, walks):
+                session.update(walk[step])
+        recomputations = service.aggregate_stats().full_recomputations
+        assert recomputations > 3 * len(sessions)  # the churn forced retrievals
+        assert len(calls) == recomputations
+
+    @pytest.mark.parametrize("processor", [INSProcessor, INSRoadProcessor])
+    def test_no_hook_recomputes_the_reported_distances(self, processor):
+        assert not hasattr(processor, "_knn_distances")

@@ -78,7 +78,7 @@ def test_voronoi_neighbour_lists(tree):
 )
 def test_retrieval(tree, query, count, nearest, influential):
     for hint in (None, 0, 7):
-        assert tree.retrieve(query, count, hint) == (nearest, influential)
+        assert tree.retrieve(query, count, hint)[:2] == (nearest, influential)
     assert tree.nearest(query, count) == nearest
     assert tree.influential_neighbor_set(nearest) == influential
 

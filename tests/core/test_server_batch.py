@@ -124,9 +124,9 @@ class TestBatchAnswers:
         server = MovingKNNServer(dataset)
         query_id = server.register_query(Point(500.0, 500.0), k=3)
         processor = next(iter(server)).processor
-        assert processor._points is server.vortree.positions
+        assert processor.vortree is server.vortree
         index = server.insert_object(Point(501.0, 501.0))
         # No copying happened: the processor sees the new object through the
         # shared view immediately.
-        assert processor._points[index] == Point(501.0, 501.0)
+        assert processor.vortree.coordinates[index] == (501.0, 501.0)
         assert index in server.answer(query_id).knn

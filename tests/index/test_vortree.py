@@ -69,7 +69,7 @@ class TestRetrieval:
     def test_retrieve_returns_consistent_pair(self, medium_points):
         tree = VoRTree(medium_points)
         query = Point(500.0, 500.0)
-        nearest, ins = tree.retrieve(query, 8)
+        nearest, ins, _ = tree.retrieve(query, 8)
         assert nearest == brute_knn(medium_points, query, 8)
         assert ins == tree.influential_neighbor_set(nearest)
         assert not (ins & set(nearest))

@@ -7,6 +7,7 @@ surviving objects — :meth:`VoRTree.full_rebuild` (the pre-incremental O(n)
 path) is the oracle.
 """
 
+import pickle
 import random
 from types import SimpleNamespace
 
@@ -330,3 +331,63 @@ class TestBatchUpdate:
         tree = VoRTree(uniform_points(30, extent=100.0, seed=32))
         _, removed, _ = tree.batch_update(deletes=[4, 4, 4, 9])
         assert removed == [4, 9]
+
+
+def check_rows(tree):
+    """Every object's coordinate row is its position's ``(x, y)``, tombstones included."""
+    assert len(tree.coordinates) == len(tree.positions)
+    for index, point in enumerate(tree.positions):
+        assert tree.coordinates[index] == (point.x, point.y)
+
+
+class TestCoordinateRows:
+    """The flat ``(x, y)`` rows every search reads never drift from ``positions``."""
+
+    def test_after_every_mutation_path(self):
+        rng = random.Random(47)
+        tree = VoRTree(uniform_points(150, extent=1_000.0, seed=36))
+        check_rows(tree)
+        tree.insert(Point(321.5, 654.25))
+        check_rows(tree)
+        twin, _ = tree.insert(tree.point(9))
+        assert tree.coordinates[twin] == tree.coordinates[9]
+        check_rows(tree)
+        tree.delete(4)
+        check_rows(tree)
+        bulk = obs.counter("insq_index_rebuilds_total", reason="bulk_threshold")
+        before = bulk.value
+        new, deleted, _ = tree.batch_update(*burst(tree, rng, bulk_threshold(tree) + 2))
+        assert bulk.value == before + 1 and new and deleted
+        check_rows(tree)
+
+    def test_on_a_delta_replica(self):
+        rng = random.Random(48)
+        leader = VoRTree(uniform_points(150, extent=1_000.0, seed=37))
+        replica = VoRTree(uniform_points(150, extent=1_000.0, seed=37))
+        for size in (3, bulk_threshold(leader) + 1):
+            new, deleted, changed = leader.batch_update(*burst(leader, rng, size))
+            replica.apply_remote_delta(
+                SimpleNamespace(
+                    bulk=False,
+                    new_indexes=new,
+                    deleted_indexes=deleted,
+                    **leader.export_delta(new, deleted, changed),
+                )
+            )
+            check_rows(replica)
+            assert replica.coordinates == leader.coordinates
+
+    def test_a_state_without_the_rows_derives_them(self):
+        tree = VoRTree(uniform_points(80, extent=1_000.0, seed=38))
+        tree.insert(tree.point(2))
+        tree.delete(5)
+        state = pickle.loads(pickle.dumps(tree.__dict__))
+        del state["_xy"]
+        old = VoRTree.__new__(VoRTree)
+        old.__setstate__(state)
+        check_rows(old)
+        assert old.coordinates == tree.coordinates
+        query = Point(480.0, 515.0)
+        assert old.retrieve(query, 9, hint=3) == tree.retrieve(query, 9, hint=3)
+        old.insert(Point(481.0, 514.0))
+        check_rows(old)

@@ -10,7 +10,9 @@ contract is the same:
 * the distances of ``R`` are the brute-force ``count`` smallest (as a
   multiset — at exact ties any of the tied objects is a right answer);
 * ``R`` is ordered by ``(distance, index)``, certified or not;
-* ``I(R)`` is :meth:`VoRTree.influential_neighbor_set` of that ``R``.
+* ``I(R)`` is :meth:`VoRTree.influential_neighbor_set` of that ``R``;
+* the distances reported beside ``R`` are ``query.distance_to`` of each
+  member, bit for bit (``==``, not approximately), certified or not.
 
 The brute force uses ``math.hypot`` on raw coordinates, not the library's
 distance primitives.
@@ -49,7 +51,7 @@ def fallbacks():
 
 
 def check_retrieve(tree, query, count, hint):
-    nearest, ins = tree.retrieve(query, count, hint)
+    nearest, ins, distances = tree.retrieve(query, count, hint)
 
     def distance(index):
         point = tree.point(index)
@@ -62,6 +64,8 @@ def check_retrieve(tree, query, count, hint):
     keyed = [(distance(index), index) for index in nearest]
     assert keyed == sorted(keyed)
     assert ins == tree.influential_neighbor_set(nearest)
+    assert distances == [query.distance_to(tree.point(index)) for index in nearest]
+    return nearest, ins
 
 
 def check_every_hint(tree, query, counts=None):
@@ -99,9 +103,8 @@ class TestUniformPoints:
         query = Point(990.0, 990.0)
         far = min(range(len(points)), key=lambda i: points[i].x + points[i].y)
         before = fallbacks()
-        check_retrieve(tree, query, 12, far)
+        nearest, _ = check_retrieve(tree, query, 12, far)
         assert fallbacks() == before
-        nearest, _ = tree.retrieve(query, 12, far)
         assert nearest == tree.nearest(query, 12)
 
     @pytest.mark.parametrize("count", [0, -1, 41])
@@ -400,7 +403,7 @@ class TestTwinsKnownAnswers:
     def certified(self, tree, count):
         """``retrieve`` with no fallback counted; the rebuild oracle agrees on the lists."""
         before = fallbacks()
-        answer = tree.retrieve(self.QUERY, count, hint=2)
+        answer = check_retrieve(tree, self.QUERY, count, hint=2)
         assert fallbacks() == before
         lists = self.lists(tree)
         tree.full_rebuild()
@@ -426,7 +429,7 @@ class TestTwinsKnownAnswers:
         certifies and the scan answers with the lower index."""
         tree = self.rhombus(twins=1)
         before = reason_counts()
-        nearest, _ = tree.retrieve(self.QUERY, 1, hint=2)
+        nearest, _ = check_retrieve(tree, self.QUERY, 1, hint=2)
         assert nearest == [0]
         after = reason_counts()
         assert after.pop("uncertified") == before.pop("uncertified") + 1
@@ -551,12 +554,12 @@ class TestAfterUpdates:
 class TestFallbackReasons:
     """Each reason of ``insq_retrieval_fallbacks_total``, provoked by
     damaging the neighbour map the expansion trusts (white box): the answer
-    still comes back right, from the linear scan."""
+    still comes back right, from the linear scan — its distances included."""
 
-    def moved(self, tree, count, hint):
+    def moved(self, tree, count, hint, query=Point(0.0, 0.0)):
         before = reason_counts()
-        nearest, _ = tree.retrieve(Point(0.0, 0.0), count, hint)
-        assert nearest == tree.nearest(Point(0.0, 0.0), count)
+        nearest, _ = check_retrieve(tree, query, count, hint)
+        assert nearest == tree.nearest(query, count)
         after = reason_counts()
         return {reason for reason in REASONS if after[reason] != before[reason]}
 
@@ -585,3 +588,14 @@ class TestFallbackReasons:
     def test_a_tie_is_uncertified(self):
         tree = VoRTree([Point(1.0, 0.0), Point(-1.0, 0.0), Point(0.0, 5.0), Point(4.0, -6.0)])
         assert self.moved(tree, 1, hint=0) == {"uncertified"}
+
+    @pytest.mark.parametrize("reason", REASONS)
+    def test_each_fallback_reports_the_floats_of_distance_to(self, reason):
+        """One case per reason, off the origin so that no distance is round:
+        ``check_retrieve`` compares the scan's distances with ``==``."""
+        if reason == "no_seed":
+            tree, count = VoRTree(uniform_points(20, extent=100.0, seed=6)), 3
+            tree._neighbor_map = {index: frozenset() for index in tree.active_indexes()}
+        else:
+            tree, count = self.islands(), 5 if reason == "short" else 3
+        assert self.moved(tree, count, hint=1, query=Point(0.3, -0.7)) == {reason}
