@@ -101,7 +101,7 @@ class Recompute(_Baseline[PositionT]):
             )
 
     def _compute(self, position: PositionT) -> QueryResult:
-        with self._stats.time_construction():
+        with self._stats.timed("construction_seconds"):
             nearest = self._nearest(position, self.k)
             self._stats.full_recomputations += 1
             self._stats.transmitted_objects += self.k
@@ -159,7 +159,7 @@ class KnownRegion(_Baseline[PositionT]):
         return self._known_radius
 
     def _retrieve(self, position: PositionT) -> None:
-        with self._stats.time_construction():
+        with self._stats.timed("construction_seconds"):
             nearest = self._nearest(position, self.k + self._auxiliary)
             self._candidates = [index for index, _ in nearest]
             self._known_radius = nearest[-1][1]
@@ -188,7 +188,7 @@ class KnownRegion(_Baseline[PositionT]):
         return self._result(self._rank(position), UpdateAction.FULL_RECOMPUTE)
 
     def _update(self, position: PositionT) -> QueryResult:
-        with self._stats.time_validation():
+        with self._stats.timed("validation_seconds"):
             self._stats.validations += 1
             drift = self._drift(position)
             ranked = self._rank(position)
@@ -204,7 +204,7 @@ class PlaneSearch:
 
     def _load(self, points: Sequence[Point]) -> None:
         self._points: List[Point] = list(points)
-        with self._stats.time_precomputation():
+        with self._stats.timed("precomputation_seconds"):
             self._index_points(range(len(self._points)))
 
     def _index_points(self, indexes: Iterable[int]) -> None:

@@ -68,11 +68,14 @@ import sys
 import tempfile
 import threading
 import time
+from bisect import bisect_left
+from itertools import accumulate
 from typing import List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.core.ins_euclidean import INSProcessor
 from repro.core.ins_road import INSRoadProcessor
+from repro.core.stats import CommunicationStats
 from repro.simulation.experiment import compare
 from repro.simulation.report import format_table
 from repro.simulation.server_sim import simulate_server
@@ -95,22 +98,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    demo_plane = subparsers.add_parser(
-        "demo-plane", help="run the 2D Plane mode demonstration (Figure 4)"
-    )
-    demo_plane.add_argument("--k", type=int, default=5, help="number of nearest neighbours")
-    demo_plane.add_argument("--rho", type=float, default=1.6, help="prefetch ratio")
-    demo_plane.add_argument(
+    demo = argparse.ArgumentParser(add_help=False)
+    demo.add_argument("--k", type=int, default=5, help="number of nearest neighbours")
+    demo.add_argument("--rho", type=float, default=1.6, help="prefetch ratio")
+    demo.add_argument(
         "--frames", type=int, default=4, help="how many state renderings to print"
     )
-
-    demo_road = subparsers.add_parser(
-        "demo-road", help="run the Road Network mode demonstration (Figure 3)"
+    subparsers.add_parser(
+        "demo-plane", parents=[demo], help="run the 2D Plane mode demonstration (Figure 4)"
     )
-    demo_road.add_argument("--k", type=int, default=5, help="number of nearest neighbours")
-    demo_road.add_argument("--rho", type=float, default=1.6, help="prefetch ratio")
-    demo_road.add_argument(
-        "--frames", type=int, default=4, help="how many state renderings to print"
+    subparsers.add_parser(
+        "demo-road", parents=[demo], help="run the Road Network mode demonstration (Figure 3)"
     )
 
     compare = subparsers.add_parser(
@@ -423,8 +421,9 @@ def _print_communication(comm, indent: str = "  ") -> None:
 
 
 def _print_by_kind(by_kind, indent: str = "  ") -> None:
-    """Per-query-kind communication split (engine-side, live stats)."""
-    print("communication by query kind")
+    """Per-query-kind communication split (nothing when there is none)."""
+    if by_kind:
+        print("communication by query kind")
     for kind in sorted(by_kind):
         comm = by_kind[kind]
         line = (
@@ -436,41 +435,23 @@ def _print_by_kind(by_kind, indent: str = "  ") -> None:
         print(line)
 
 
-def _print_by_kind_from_snapshot(snapshot, indent: str = "  ") -> bool:
-    """Per-kind communication split reconstructed from scrape gauges.
-
-    The server exports each kind's counters as ``insq_comm_*{kind=...}``
-    gauges (see :func:`repro.transport.server.metrics_snapshot_frame`),
-    so a remote client can print the same split the server prints —
-    without a dedicated wire frame.  Returns False when the snapshot
-    carries no kind-labelled gauges (e.g. observability disabled).
-    """
+def _by_kind_from_snapshot(snapshot):
+    """The per-kind split a server exports as ``insq_comm_*{kind=...}``
+    gauges (see :func:`repro.transport.server.metrics_snapshot_frame`), so
+    a remote client prints the split the server prints — without a wire
+    frame of its own.  Empty when observability is disabled."""
     kinds = {}
-    prefix = "insq_comm_"
     for name, labels, value in snapshot.gauges:
-        if name.startswith(prefix) and labels.startswith("kind="):
-            kinds.setdefault(labels[5:], {})[name[len(prefix):]] = int(value)
-    if not kinds:
-        return False
-    print("communication by query kind")
-    for kind in sorted(kinds):
-        fields = kinds[kind]
-        msgs = fields.get("uplink_messages", 0) + fields.get("downlink_messages", 0)
-        objs = fields.get("uplink_objects", 0) + fields.get("downlink_objects", 0)
-        nbytes = fields.get("uplink_bytes", 0) + fields.get("downlink_bytes", 0)
-        line = f"{indent}{kind:<12}: msgs {msgs:>6}  objects {objs:>7}"
-        if nbytes:
-            line += f"  bytes {nbytes:>9}"
-        print(line)
-    return True
+        if name.startswith("insq_comm_") and labels.startswith("kind="):
+            comm = kinds.setdefault(labels[5:], CommunicationStats())
+            setattr(comm, name[len("insq_comm_"):], int(value))
+    return kinds
 
 
 def _watch_line(snapshot) -> str:
     """One-line operator summary of a metrics snapshot."""
     gauges = {name: value for name, labels, value in snapshot.gauges if not labels}
-    counters = {}
-    for name, _labels, value in snapshot.counters:
-        counters[name] = counters.get(name, 0) + value
+    counters = {(name, labels): value for name, labels, value in snapshot.counters}
     request_count = 0
     request_sum = 0.0
     for name, _labels, buckets, total in snapshot.histograms:
@@ -488,7 +469,7 @@ def _watch_line(snapshot) -> str:
     line = (
         f"[watch] epoch={int(gauges.get('insq_engine_epoch', 0))} "
         f"sessions={int(gauges.get('insq_sessions_open', 0))} "
-        f"retrievals={counters.get('insq_retrievals_total', 0)} "
+        f"retrievals={counters.get(('insq_retrievals_total', 'outcome=recomputed'), 0)} "
         f"msgs={messages} objects={objects}"
     )
     if request_count:
@@ -774,9 +755,7 @@ def _serve_listen(args: argparse.Namespace, scenario) -> int:
                     hook_cleanup()
             print("communication bill")
             _print_communication(service.communication)
-            by_kind = service.engine.communication_by_kind()
-            if by_kind:
-                _print_by_kind(by_kind)
+            _print_by_kind(service.engine.communication_by_kind())
             if args.per_session:
                 _print_per_session(service.per_session_communication())
     finally:
@@ -978,7 +957,7 @@ def _run_client(args: argparse.Namespace) -> int:
         print(f"steps that contacted the server: {retrieval_steps}")
         print("server-side communication bill")
         _print_communication(server_comm)
-        _print_by_kind_from_snapshot(snapshot)
+        _print_by_kind(_by_kind_from_snapshot(snapshot))
         if per_session is not None:
             _print_per_session(per_session)
         print("client-side wire measurement")
@@ -1004,18 +983,10 @@ def _run_stats(args: argparse.Namespace) -> int:
         return 0
 
     def _quantile(counts, q):
-        total = sum(counts)
-        if not total:
-            return 0.0
-        need = q * total
-        seen = 0
-        for i, bucket in enumerate(counts):
-            seen += bucket
-            if seen >= need:
-                # The bucket's upper edge (the last bucket is open-ended;
-                # report its lower edge instead).
-                return HISTOGRAM_BOUNDS[min(i, len(HISTOGRAM_BOUNDS) - 1)]
-        return HISTOGRAM_BOUNDS[-1]
+        # The bucket's upper edge (the open last bucket reports its lower edge).
+        cumulative = list(accumulate(counts))
+        bucket = bisect_left(cumulative, q * cumulative[-1])
+        return HISTOGRAM_BOUNDS[min(bucket, len(HISTOGRAM_BOUNDS) - 1)]
 
     print(f"counters   ({len(snapshot.counters)})")
     for name, labels, value in snapshot.counters:

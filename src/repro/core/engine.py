@@ -22,29 +22,17 @@ instances of the same machine, and this module is that machine:
   objects) to every registered processor, which settles it lazily on its
   next timestamp (:mod:`repro.core.ins` describes the three outcomes).
   Processors share the index's live object storage, so an update never
-  copies the n-object list into each registered query.  The pre-delta
-  behaviour — flag every query for a full refresh on every epoch,
-  regardless of where the update landed — survives as the ``"flag"``
-  fallback mode and as the oracle of the randomized delta-equivalence
-  tests;
+  copies the n-object list into each registered query;
 * **population guard** — a mutation that would leave fewer objects than
   some registered query's ``k`` requires fails loudly at the mutation
   instead of deep inside that query's next retrieval;
-* **aggregate statistics** — cost counters summed across queries for
-  capacity planning;
-* **communication accounting** — every client/server exchange is counted
-  into a :class:`~repro.core.stats.CommunicationStats`, per query and in
-  aggregate, so the paper's headline metric (messages and objects shipped
-  over the wire) is measured at the point where the exchanges happen
-  instead of estimated from retrieval counters afterwards.  A registration
-  costs one uplink request plus the initial retrieval response; a position
-  update costs one round trip per server contact it actually needed (a
-  locally validated timestamp is free); a mutation batch costs one uplink
-  message carrying its object records plus one invalidation notification
-  per registered query; closing a query costs one uplink message.  The
-  ``repro.service`` layer reports the same numbers through its typed
-  message protocol — and because the accounting lives here, a workload
-  driven through raw server calls produces identical counters.
+* **accounting** — cost counters summed across queries, and every
+  client/server exchange counted into a
+  :class:`~repro.core.stats.CommunicationStats`, per query, per kind and
+  in aggregate, where the exchange happens (see :meth:`register_query`,
+  :meth:`update_position` and :meth:`_commit_epoch` for what each costs).
+  Because the accounting lives here, a workload driven through raw server
+  calls bills exactly what the ``repro.service`` message protocol reports.
 
 Subclasses provide the metric-specific rest: constructing the shared index,
 building a processor for a new query, the index's single-object and batch
@@ -56,6 +44,7 @@ from __future__ import annotations
 
 import abc
 import threading
+import weakref
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import (
@@ -77,8 +66,8 @@ from repro.core.processor import MovingKNNProcessor, PositionT
 from repro.core.stats import CommunicationStats, ProcessorStats
 from repro.obs.clock import clock as _clock
 from repro.obs.metrics import (
+    REGISTRY as _REGISTRY,
     counter as _obs_counter,
-    enabled as _obs_enabled,
     histogram as _obs_histogram,
 )
 from repro.obs.trace import TRACER as _TRACER
@@ -90,9 +79,9 @@ _METRICS = ("euclidean", "road")
 _MAINTENANCE_SECONDS = {m: _obs_histogram("insq_maintenance_seconds", metric=m) for m in _METRICS}
 _DELTA_APPLY_SECONDS = {m: _obs_histogram("insq_delta_apply_seconds", metric=m) for m in _METRICS}
 
-# Engine-level observability: the epoch counter, and per-outcome
-# retrieval counters derived from the ProcessorStats deltas the update
-# already computed — reading them adds nothing to the serving work.
+# Engine-level observability: the epoch counter, and the per-outcome
+# retrieval counters — a pulled series, read from the registered queries'
+# ProcessorStats when the registry is scraped, so an update pays nothing.
 _EPOCHS_TOTAL = _obs_counter("insq_epochs_total")
 
 #: ProcessorStats field → outcome label of ``insq_retrievals_total``.
@@ -109,6 +98,65 @@ _OUTCOME_COUNTERS = tuple(
     for _, label in _OUTCOME_FIELDS
 )
 _outcomes = attrgetter(*(field for field, _ in _OUTCOME_FIELDS))
+_NO_OUTCOMES = (0,) * len(_OUTCOME_FIELDS)
+
+
+class _OutcomeLedger:
+    """One engine's part of ``insq_retrievals_total``: the stats of its
+    registered queries, and their totals this process already counts.  It
+    holds no processor, so outliving its engine costs a few records."""
+
+    def __init__(self, lock: threading.Lock, stats: Dict[int, ProcessorStats]):
+        self.lock, self.stats = lock, stats
+        self.published = self._totals()
+        _LEDGERS.add(self)
+
+    def _totals(self) -> List[int]:
+        rows = map(_outcomes, tuple(self.stats.values()))
+        return [sum(column) for column in zip(_NO_OUTCOMES, *rows)]
+
+    def admit(self, query_id: int, stats: ProcessorStats) -> None:
+        """Count ``stats`` as ``query_id``'s from here on: what the query
+        did registering is no retrieval outcome."""
+        with self.lock:
+            self.stats[query_id] = stats
+            self.published = [was + now for was, now in zip(self.published, _outcomes(stats))]
+
+    def publish(self, closing: Optional[int] = None) -> None:
+        """Count what the queries did since the last publish, then stop
+        counting the ``closing`` query (if one is given)."""
+        with self.lock:
+            totals = self._totals()
+            for counter, was, now in zip(_OUTCOME_COUNTERS, self.published, totals):
+                if now > was:
+                    counter.inc(now - was)
+            if closing is not None:
+                gone = _outcomes(self.stats.pop(closing))
+                totals = [was - now for was, now in zip(totals, gone)]
+            self.published = totals
+
+    def retire(self) -> None:
+        """The engine is gone: leave its open queries to the next collection.
+        Publishing here could wait forever on this ledger's lock, held by
+        the collection on this thread whose allocations freed the engine."""
+        if self.stats:
+            _RETIRED.add(self)
+
+
+#: Every live engine's ledger, and those of engines freed since the last
+#: collection (kept alive by ``_RETIRED`` until it publishes them).
+_LEDGERS: "weakref.WeakSet[_OutcomeLedger]" = weakref.WeakSet()
+_RETIRED: set = set()
+
+
+def _publish_outcomes() -> None:
+    retired = set(_RETIRED)
+    for ledger in list(_LEDGERS):
+        ledger.publish()
+    _RETIRED.difference_update(retired)
+
+
+_REGISTRY.collect(_publish_outcomes)
 
 
 @dataclass(frozen=True)
@@ -192,6 +240,14 @@ class ServingEngine(abc.ABC, Generic[PositionT]):
         self._comm_by_query: Dict[int, CommunicationStats] = {}
         self._comm_by_kind: Dict[str, CommunicationStats] = {}
         self._comm_lock = threading.Lock()
+        self._open_ledger()
+
+    def _open_ledger(self) -> None:
+        self._ledger = _OutcomeLedger(
+            self._comm_lock,
+            {query_id: record.processor.stats for query_id, record in self._queries.items()},
+        )
+        weakref.finalize(self, self._ledger.retire)
 
     # ------------------------------------------------------------------
     # Durability
@@ -199,15 +255,15 @@ class ServingEngine(abc.ABC, Generic[PositionT]):
     def __getstate__(self):
         """Pickle the full serving state (for ``repro.durability`` snapshots).
 
-        Everything the engine holds — index, registered processors with
-        their prefetched/guard sets, epoch, communication counters — is
-        picklable except the accounting lock, which is stripped here and
-        recreated on restore.  A restored engine therefore continues
-        *bit-identically*: same answers, same counters, same future query
-        id assignments.
+        All of it but the accounting lock, recreated on restore, and the
+        outcome ledger, rebuilt on restore from the restored stats — work
+        done before the snapshot was counted by the process that did it.
+        A restored engine continues *bit-identically*: same answers, same
+        counters, same future query id assignments.
         """
         state = self.__dict__.copy()
         state["_comm_lock"] = None
+        del state["_ledger"]
         return state
 
     def __setstate__(self, state):
@@ -216,6 +272,7 @@ class ServingEngine(abc.ABC, Generic[PositionT]):
         # empty kind ledger; it repopulates as exchanges are billed.
         self.__dict__.setdefault("_comm_by_kind", {})
         self._comm_lock = threading.Lock()
+        self._open_ledger()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -255,31 +312,23 @@ class ServingEngine(abc.ABC, Generic[PositionT]):
         return list(self._queries)
 
     def __iter__(self) -> Iterator[RegisteredQuery]:
-        """Iterate over a *snapshot* of the registration records.
-
-        Unregistering a query (or closing a :class:`~repro.service.session.
-        Session`) while iterating must not raise ``RuntimeError: dictionary
-        changed size during iteration``, so the records are copied out
-        before iteration starts.
-        """
+        """Iterate over a *snapshot* of the registration records (closing a
+        session while iterating must not change the dict under the loop)."""
         return iter(tuple(self._queries.values()))
 
     @property
     def communication(self) -> CommunicationStats:
-        """Aggregate client/server communication over the engine's lifetime.
-
-        Includes exchanges of queries that have since been unregistered.
-        The returned object is the engine's live accumulator — read it or
-        :meth:`~repro.core.stats.CommunicationStats.snapshot` it, do not
-        mutate it.
-        """
+        """Aggregate client/server communication over the engine's lifetime,
+        unregistered queries' included (the live accumulator: read or
+        snapshot it, do not mutate it)."""
         return self._communication
 
     def communication_for(self, query_id: int) -> CommunicationStats:
         """Live communication record of one registered query."""
-        if query_id not in self._comm_by_query:
+        record = self._comm_by_query.get(query_id)
+        if record is None:
             raise QueryError(f"unknown query {query_id}")
-        return self._comm_by_query[query_id]
+        return record
 
     def per_query_communication(self) -> Dict[int, CommunicationStats]:
         """Communication counters per registered query (snapshots)."""
@@ -346,17 +395,10 @@ class ServingEngine(abc.ABC, Generic[PositionT]):
         uplink_bytes: int = 0,
         downlink_bytes: int = 0,
     ) -> None:
-        """Bill wire bytes measured by a transport onto the counters.
-
-        The engine itself counts *messages* and *object states* — the units
-        the in-process and over-the-wire surfaces share.  When a
-        ``repro.transport`` server actually serialises those messages, it
-        reports the measured frame sizes here so the byte counters sit
-        alongside the message/object counts they correspond to.  Billing to
-        a ``query_id`` that has already been unregistered (e.g. the bytes
-        of the final close acknowledgement) silently lands in the aggregate
-        only, mirroring how the goodbye message itself is accounted.
-        """
+        """Bill the frame sizes a ``repro.transport`` server measured beside
+        the messages and objects the engine counted.  Bytes billed to a
+        query already unregistered (its close acknowledgement) land in the
+        aggregate only, like the goodbye message itself."""
         self._account(
             query_id, uplink_bytes=uplink_bytes, downlink_bytes=downlink_bytes
         )
@@ -388,6 +430,7 @@ class ServingEngine(abc.ABC, Generic[PositionT]):
         self._next_query_id += 1
         self._queries[query_id] = RegisteredQuery(query_id, k, rho, processor, kind)
         self._comm_by_query[query_id] = CommunicationStats()
+        self._ledger.admit(query_id, processor.stats)
         # Registration communication: one uplink request, and the initial
         # retrieval the processor performed while initialising (its stats
         # already carry the round trips and the |R| + |I(R)| payload).
@@ -409,6 +452,7 @@ class ServingEngine(abc.ABC, Generic[PositionT]):
         if query_id not in self._queries:
             raise QueryError(f"unknown query {query_id}")
         self._account(query_id, uplink_messages=1)
+        self._ledger.publish(closing=query_id)
         del self._queries[query_id]
         del self._comm_by_query[query_id]
 
@@ -430,7 +474,23 @@ class ServingEngine(abc.ABC, Generic[PositionT]):
         objects; a timestamp validated from client-held state exchanges
         nothing.
         """
-        return self._accounted_update(query_id, self._record(query_id).processor, position)
+        registered = self._queries.get(query_id)
+        if registered is None:
+            raise QueryError(f"unknown query {query_id}")
+        processor = registered.processor
+        stats = processor.stats
+        contacts = stats.incremental_updates + stats.full_recomputations
+        objects = stats.transmitted_objects
+        result = processor.update(position)
+        round_trips = stats.incremental_updates + stats.full_recomputations - contacts
+        if round_trips:
+            self._account(
+                query_id,
+                uplink_messages=round_trips,
+                downlink_messages=round_trips,
+                downlink_objects=stats.transmitted_objects - objects,
+            )
+        return result
 
     def answer(self, query_id: int) -> QueryResult:
         """Re-answer a query at its current position without moving it.
@@ -438,35 +498,10 @@ class ServingEngine(abc.ABC, Generic[PositionT]):
         Useful right after a data-object update when the client wants the
         refreshed result before its next movement.
         """
-        processor = self._record(query_id).processor
-        if processor.last_position is None:
+        position = self._record(query_id).processor.last_position
+        if position is None:
             raise QueryError(f"query {query_id} has no known position")
-        return self._accounted_update(query_id, processor, processor.last_position)
-
-    def _accounted_update(
-        self,
-        query_id: int,
-        processor: MovingKNNProcessor[PositionT],
-        position: PositionT,
-    ) -> QueryResult:
-        stats = processor.stats
-        contacts_before = stats.communication_events
-        objects_before = stats.transmitted_objects
-        before = _outcomes(stats) if _obs_enabled() else None
-        result = processor.update(position)
-        round_trips = stats.communication_events - contacts_before
-        if round_trips:
-            self._account(
-                query_id,
-                uplink_messages=round_trips,
-                downlink_messages=round_trips,
-                downlink_objects=stats.transmitted_objects - objects_before,
-            )
-        if before is not None:
-            for counter, was, now in zip(_OUTCOME_COUNTERS, before, _outcomes(stats)):
-                if now != was:
-                    counter.inc(now - was)
-        return result
+        return self.update_position(query_id, position)
 
     # ------------------------------------------------------------------
     # Data-object updates

@@ -184,7 +184,7 @@ class InfluentialSetMonitor(DeltaMailbox):
             raise QueryError(
                 f"monitored members {missing} are gone from the data set"
             )
-        with self._stats.time_construction():
+        with self._stats.timed("construction_seconds"):
             local_ins = influential_neighbor_set_from_points(
                 [self._sites[index] for index in active],
                 [local_of[index] for index in self._members],

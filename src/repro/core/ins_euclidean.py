@@ -66,7 +66,7 @@ class INSProcessor(InfluentialSetProcessor[Point]):
     ):
         super().__init__(k, rho, len(points))
         self._allow_incremental = allow_incremental
-        with self._stats.time_precomputation():
+        with self._stats.timed("precomputation_seconds"):
             self._adopt(vortree if vortree is not None else VoRTree(list(points)))
         # Coordinates of ``_held``, in its order (objects never move).
         self._held_xy: List[Tuple[float, float]] = []
@@ -100,14 +100,14 @@ class INSProcessor(InfluentialSetProcessor[Point]):
         for the client-held answer, which settles it lazily on the next
         timestamp.
         """
-        with self._stats.time_construction():
+        with self._stats.timed("construction_seconds"):
             index, changed = self._index.insert(point)
         self.notify_data_update(changed)
         return index
 
     def delete_object(self, index: int) -> bool:
         """Delete data object ``index`` (returns False when it did not exist)."""
-        with self._stats.time_construction():
+        with self._stats.timed("construction_seconds"):
             removed, changed = self._index.delete(index)
         if removed:
             self.notify_data_update(changed, (index,))
@@ -174,7 +174,7 @@ class INSProcessor(InfluentialSetProcessor[Point]):
             count = len(self._R)
             outgoing = max(zip(distances[:count], self._held))[1]
             incoming = min(zip(distances[count:], self._held[count:]))[1]
-            with self._stats.time_construction():
+            with self._stats.timed("construction_seconds"):
                 incoming_neighbors = self._index.voronoi_neighbors(incoming)
             transmitted += 1 + len(incoming_neighbors)
             self._R = [index for index in self._R if index != outgoing] + [incoming]

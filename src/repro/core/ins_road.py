@@ -72,7 +72,7 @@ class INSRoadProcessor(InfluentialSetProcessor[NetworkLocation]):
         super().__init__(k, rho, len(object_vertices))
         self._network = network
         self._search_stats = SearchStats()
-        with self._stats.time_precomputation():
+        with self._stats.timed("precomputation_seconds"):
             if voronoi is None:
                 voronoi = NetworkVoronoiDiagram(network, list(object_vertices), self._search_stats)
             self._adopt(voronoi)

@@ -180,31 +180,14 @@ class ProcessorStats:
     # Updating helpers
     # ------------------------------------------------------------------
     @contextmanager
-    def time_construction(self) -> Iterator[None]:
-        """Context manager adding the elapsed time to ``construction_seconds``."""
+    def timed(self, field: str) -> Iterator[None]:
+        """Context manager adding the elapsed time to the timer ``field``
+        (``"construction_seconds"``, ``"validation_seconds"``, ...)."""
         start = _clock()
         try:
             yield
         finally:
-            self.construction_seconds += _clock() - start
-
-    @contextmanager
-    def time_validation(self) -> Iterator[None]:
-        """Context manager adding the elapsed time to ``validation_seconds``."""
-        start = _clock()
-        try:
-            yield
-        finally:
-            self.validation_seconds += _clock() - start
-
-    @contextmanager
-    def time_precomputation(self) -> Iterator[None]:
-        """Context manager adding the elapsed time to ``precomputation_seconds``."""
-        start = _clock()
-        try:
-            yield
-        finally:
-            self.precomputation_seconds += _clock() - start
+            setattr(self, field, getattr(self, field) + (_clock() - start))
 
     def merge(self, other: "ProcessorStats") -> None:
         """Accumulate another stats object into this one (for sweeps)."""

@@ -22,6 +22,12 @@ Three properties make it safe to thread through the hot paths:
   text rendered from them) are byte-stable for golden tests and the
   wire codec.
 
+A *pulled* series is brought up to date by a collector its owner
+registers (:meth:`MetricsRegistry.collect`) instead of on every event.
+Collectors run first in ``snapshot()`` and ``reset()``, and in
+:func:`disable` / :func:`enable` before the flag flips, so a pulled count
+obeys the same reset and disabled-window rules as a pushed one.
+
 Snapshots are plain tuples (see :class:`RegistrySnapshot`) shaped exactly
 like the :class:`~repro.transport.codec.MetricsSnapshot` wire frame, so
 the codec, :func:`merge_snapshots` and :func:`render_prometheus` all
@@ -34,7 +40,7 @@ import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from threading import get_ident
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.obs.clock import SOURCE as _CLOCK
@@ -79,6 +85,7 @@ def enabled() -> bool:
 def enable() -> None:
     """Turn instrument recording on (the process-wide default)."""
     global _enabled
+    REGISTRY.pull()
     _enabled = True
 
 
@@ -90,6 +97,7 @@ def disable() -> None:
     they simply stop advancing.
     """
     global _enabled
+    REGISTRY.pull()
     _enabled = False
 
 
@@ -117,16 +125,25 @@ def _labels_key(labels: Dict[str, str]) -> str:
     return ",".join(f"{key}={labels[key]}" for key in sorted(labels))
 
 
-class Counter:
-    """A monotonically increasing integer (merged by addition)."""
-
+class _Scalar:
     __slots__ = ("name", "labels", "_value", "_lock")
 
     def __init__(self, name: str, labels: str = ""):
         self.name = name
         self.labels = labels
-        self._value = 0
+        self._value = self.ZERO
         self._lock = threading.Lock()
+
+    @property
+    def value(self):
+        return self._value
+
+
+class Counter(_Scalar):
+    """A monotonically increasing integer (merged by addition)."""
+
+    __slots__ = ()
+    ZERO = 0
 
     def inc(self, amount: int = 1) -> None:
         """Add ``amount`` (no-op while the registry is disabled)."""
@@ -135,21 +152,12 @@ class Counter:
         with self._lock:
             self._value += amount
 
-    @property
-    def value(self) -> int:
-        return self._value
 
-
-class Gauge:
+class Gauge(_Scalar):
     """A point-in-time float (merging keeps per-source values distinct)."""
 
-    __slots__ = ("name", "labels", "_value", "_lock")
-
-    def __init__(self, name: str, labels: str = ""):
-        self.name = name
-        self.labels = labels
-        self._value = 0.0
-        self._lock = threading.Lock()
+    __slots__ = ()
+    ZERO = 0.0
 
     def set(self, value: float) -> None:
         """Replace the value (no-op while the registry is disabled)."""
@@ -157,17 +165,6 @@ class Gauge:
             return
         with self._lock:
             self._value = float(value)
-
-    def add(self, amount: float) -> None:
-        """Shift the value (no-op while the registry is disabled)."""
-        if not _enabled:
-            return
-        with self._lock:
-            self._value += float(amount)
-
-    @property
-    def value(self) -> float:
-        return self._value
 
 
 class Histogram:
@@ -272,6 +269,7 @@ class MetricsRegistry:
         self._counters: Dict[Tuple[str, str], Counter] = {}
         self._gauges: Dict[Tuple[str, str], Gauge] = {}
         self._histograms: Dict[Tuple[str, str], Histogram] = {}
+        self._collectors: List[Callable[[], None]] = []
 
     def _instrument(self, table: Dict, kind: type, name: str, labels: Dict[str, str]):
         key = (name, _labels_key(labels))
@@ -293,8 +291,18 @@ class MetricsRegistry:
         """The histogram ``name`` with these labels (created on first use)."""
         return self._instrument(self._histograms, Histogram, name, labels)
 
+    def collect(self, publish: Callable[[], None]) -> None:
+        """Register ``publish``, which brings a pulled series up to date."""
+        self._collectors.append(publish)
+
+    def pull(self) -> None:
+        """Run every collector (see the module docstring for when)."""
+        for publish in tuple(self._collectors):
+            publish()
+
     def snapshot(self) -> RegistrySnapshot:
         """Read every instrument out, sorted by ``(name, labels)``."""
+        self.pull()
         with self._lock:
             return RegistrySnapshot(
                 counters=tuple((*key, self._counters[key].value) for key in sorted(self._counters)),
@@ -312,11 +320,10 @@ class MetricsRegistry:
         resets its inherited registry copy and the instrumented modules'
         cached handles keep recording into it.
         """
+        self.pull()
         with self._lock:
-            for instrument in self._counters.values():
-                instrument._value = 0
-            for instrument in self._gauges.values():
-                instrument._value = 0.0
+            for instrument in (*self._counters.values(), *self._gauges.values()):
+                instrument._value = instrument.ZERO
             for instrument in self._histograms.values():
                 instrument.reset()
 

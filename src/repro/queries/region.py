@@ -143,7 +143,7 @@ class OrderKRegion(MovingKNNProcessor[Point]):
     # Query maintenance
     # ------------------------------------------------------------------
     def _recompute(self, position: Point) -> None:
-        with self._stats.time_construction():
+        with self._stats.timed("construction_seconds"):
             candidates = self._candidate_indexes()
             self._knn = [index for index, _ in self._nearest(position, self.k)]
             positions = self._points
@@ -187,7 +187,7 @@ class OrderKRegion(MovingKNNProcessor[Point]):
         if self._settle_pending():
             self._recompute(position)
             return self._answer(position, UpdateAction.FULL_RECOMPUTE, was_valid=False)
-        with self._stats.time_validation():
+        with self._stats.timed("validation_seconds"):
             self._stats.validations += 1
             inside = self._cell.contains(position)
         if inside:

@@ -29,7 +29,7 @@ exchanges of its own).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from repro.errors import ConfigurationError, QueryError
 from repro.core.engine import BatchUpdateResult, ServingEngine
@@ -251,31 +251,29 @@ class KNNService:
     # Message routing (used by Session)
     # ------------------------------------------------------------------
     def _deliver(self, query_id: int, position: Any) -> KNNResponse:
-        # Two of the session's counters, read before and after, turn the engine's
-        # accounting into the response's per-step annotation without double counting.
-        # Everything here is per-session state, so it needs no lock of its own.
-        record = self._engine.communication_for(query_id)
-        before = (record.downlink_objects, record.uplink_messages)
-        result = self._engine.update_position(query_id, position)
-        return self._respond(query_id, result, record, before)
-
-    def _refresh(self, query_id: int) -> KNNResponse:
-        record = self._engine.communication_for(query_id)
-        before = (record.downlink_objects, record.uplink_messages)
-        result = self._engine.answer(query_id)
-        return self._respond(query_id, result, record, before)
-
-    def _respond(
-        self, query_id: int, result, record: CommunicationStats, before: Tuple[int, int]
-    ) -> KNNResponse:
+        # The step's bill is what the engine's update just added to the
+        # session's record: two of its counters, read before and after.  The
+        # record is per-session state, so this needs no lock of its own.
         # response_for picks the response frame matching the result's kind
         # (KNNResponse, InfluentialResponse, RegionEvent).
+        engine = self._engine
+        record = engine.communication_for(query_id)
+        objects, round_trips = record.downlink_objects, record.uplink_messages
+        result = engine.update_position(query_id, position)
         return query_messages.response_for(
-            query_id=query_id,
-            result=result,
-            objects_shipped=record.downlink_objects - before[0],
-            round_trips=record.uplink_messages - before[1],
-            epoch=self._engine.epoch,
+            query_id, result, record.downlink_objects - objects,
+            record.uplink_messages - round_trips, engine._epoch,
+        )
+
+    def _refresh(self, query_id: int) -> KNNResponse:
+        # As _deliver, through the engine's answer at the current position.
+        engine = self._engine
+        record = engine.communication_for(query_id)
+        objects, round_trips = record.downlink_objects, record.uplink_messages
+        result = engine.answer(query_id)
+        return query_messages.response_for(
+            query_id, result, record.downlink_objects - objects,
+            record.uplink_messages - round_trips, engine._epoch,
         )
 
     # ------------------------------------------------------------------

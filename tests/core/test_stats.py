@@ -43,22 +43,22 @@ class TestCounters:
 class TestTimers:
     def test_construction_timer_accumulates(self):
         stats = ProcessorStats()
-        with stats.time_construction():
+        with stats.timed("construction_seconds"):
             time.sleep(0.002)
-        with stats.time_construction():
+        with stats.timed("construction_seconds"):
             time.sleep(0.002)
         assert stats.construction_seconds >= 0.003
 
     def test_validation_timer(self):
         stats = ProcessorStats()
-        with stats.time_validation():
+        with stats.timed("validation_seconds"):
             time.sleep(0.002)
         assert stats.validation_seconds > 0.0
         assert stats.construction_seconds == 0.0
 
     def test_precomputation_timer(self):
         stats = ProcessorStats()
-        with stats.time_precomputation():
+        with stats.timed("precomputation_seconds"):
             time.sleep(0.002)
         assert stats.precomputation_seconds > 0.0
         # Precomputation is not part of the online total.
@@ -67,6 +67,6 @@ class TestTimers:
     def test_timer_records_even_when_exception_raised(self):
         stats = ProcessorStats()
         with pytest.raises(RuntimeError):
-            with stats.time_construction():
+            with stats.timed("construction_seconds"):
                 raise RuntimeError("boom")
         assert stats.construction_seconds >= 0.0

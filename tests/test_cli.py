@@ -158,3 +158,22 @@ class TestCli:
         assert "server-side communication bill" in captured.out
         assert "codec-predicted match : True" in captured.out
         assert "per-session breakdown" in captured.out
+
+
+class TestWatchLine:
+    def test_retrievals_counts_recomputations_only(self):
+        """``insq_retrievals_total`` carries every outcome; the watch line's
+        ``retrievals=`` is the recomputed one, what the benchmark reconciles."""
+        from repro.cli import _watch_line
+        from repro.obs.metrics import RegistrySnapshot
+
+        snapshot = RegistrySnapshot(
+            counters=(
+                ("insq_retrievals_total", "outcome=recomputed", 3),
+                ("insq_retrievals_total", "outcome=validated", 40),
+            ),
+            gauges=(("insq_engine_epoch", "", 5.0), ("insq_sessions_open", "", 2.0)),
+        )
+        assert _watch_line(snapshot) == (
+            "[watch] epoch=5 sessions=2 retrievals=3 msgs=0 objects=0"
+        )
