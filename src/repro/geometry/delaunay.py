@@ -26,8 +26,13 @@ strictly to the right of ``u -> v``.  The structure is therefore a
 triangulated *sphere*: every directed edge has its twin, ghost triangles are
 oriented like any other, and insertions outside the hull or deletions on it
 need no special casing.  The real part is exactly the Delaunay triangulation
-of the sites — identical to what an offline rebuild (or the accelerated
-Qhull backend, which seeds large inputs) computes.
+of the sites — identical to what an offline rebuild computes.
+
+**One construction.**  The build inserts the live sites one by one with the
+same cavity machinery the live updates use, in Hilbert-curve order
+(:func:`_hilbert_order`; Amenta, Choi & Rote, "Incremental constructions con
+BRIO", SoCG 2003): consecutive sites are close, so each point-location walk
+starts next to its target and the whole build is near-linear.
 
 The triangulation is kept *live* after construction so that data-object
 updates stay local:
@@ -96,11 +101,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import GeometryError
 from repro.geometry.point import Point, bounding_coordinates
-from repro.geometry.predicates import (
-    EPSILON,
-    in_circumcircle,
-    orientation,
-)
+from repro.geometry.predicates import EPSILON, orientation
 
 Edge = FrozenSet[int]
 
@@ -135,11 +136,6 @@ class DelaunayTriangulation:
             applied only to the copies used internally; the coordinates
             reported back to callers are the original ones.
         seed: seed of the pseudo-random generator used for the perturbation.
-        seed_backend: ``"auto"`` seeds the initial triangle set from scipy's
-            Qhull wrapper for large inputs (falling back to the builtin
-            construction when scipy is unavailable); ``"builtin"`` always
-            uses the from-scratch Bowyer–Watson construction.  Incremental
-            maintenance is pure Python either way.
         active: which of ``points`` exist (default: all of them).  A masked
             point is a tombstone: it keeps its index, is never triangulated
             and is neither perturbed nor counted in the jitter scale, so the
@@ -156,7 +152,6 @@ class DelaunayTriangulation:
         points: Sequence[Point],
         jitter: float = 1e-9,
         seed: int = 97,
-        seed_backend: str = "auto",
         active: Optional[Sequence[bool]] = None,
     ):
         self._active: List[bool] = [True] * len(points) if active is None else list(active)
@@ -165,8 +160,6 @@ class DelaunayTriangulation:
         live = self.active_indexes()
         if len(live) < 3:
             raise GeometryError("Delaunay triangulation requires at least 3 points")
-        if seed_backend not in ("auto", "builtin"):
-            raise GeometryError(f"unknown Delaunay seed backend {seed_backend!r}")
         self._original_points: List[Point] = list(points)
         self._rng = random.Random(seed)
         self._jitter_magnitude = self._jitter_scale(jitter, live)
@@ -180,10 +173,9 @@ class DelaunayTriangulation:
         #: Vertex (GHOST included) -> one of its current neighbours.
         self._spoke: Dict[int, int] = {}
         self._vertex_count = len(live)
-        self._walk_hint = live[0]
-        accelerated = seed_backend == "auto" and len(live) > _ACCELERATED_THRESHOLD
-        if not (accelerated and self._build_accelerated(live)):
-            self._build(live)
+        order = _hilbert_order(self._points, live)
+        self._walk_hint = order[0]
+        self._build(order)
 
     # ------------------------------------------------------------------
     # Public API
@@ -361,21 +353,22 @@ class DelaunayTriangulation:
         for u, v in [edge for edge in apex if edge[::-1] not in apex]:
             self._add_triangle(v, u, GHOST)
 
-    def _build(self, live: Sequence[int]) -> None:
-        """Bootstrap with the first non-degenerate triple, then insert every
-        other point with the same cavity machinery the live updates use
-        (ghost triangles make out-of-hull insertions uniform)."""
+    def _build(self, order: Sequence[int]) -> None:
+        """Bootstrap with the first non-degenerate triple of ``order``, then
+        insert every other site in that order with the same cavity machinery
+        the live updates use (ghost triangles make out-of-hull insertions
+        uniform)."""
         points = self._points
-        first = live[0]
+        first = order[0]
         second = next(
-            (i for i in live[1:] if not points[i].almost_equal(points[first])), None
+            (i for i in order[1:] if not points[i].almost_equal(points[first])), None
         )
         third = None
         if second is not None:
             third = next(
                 (
                     i
-                    for i in live[1:]
+                    for i in order[1:]
                     if i != second
                     and orientation(points[first], points[second], points[i]) != 0
                 ),
@@ -385,33 +378,9 @@ class DelaunayTriangulation:
             raise GeometryError("Delaunay triangulation requires non-collinear points")
         self._add_oriented(first, second, third)
         self._hang_ghost_fan()
-        for index in live[1:]:
+        for index in order[1:]:
             if index not in (second, third):
                 self._carve_cavity(index, points[index])
-
-    def _build_accelerated(self, live: Sequence[int]) -> bool:
-        """Seed the edge map from scipy's Qhull wrapper, if available.
-
-        The real triangles come straight from Qhull, so the live structure
-        starts from exactly the Delaunay triangulation an offline rebuild
-        computes.
-        """
-        try:
-            from scipy.spatial import Delaunay as _SciPyDelaunay
-            import numpy as _np
-        except ImportError:
-            return False
-        coordinates = _np.array(
-            [[self._points[i].x, self._points[i].y] for i in live], dtype=float
-        )
-        try:
-            triangulation = _SciPyDelaunay(coordinates)
-        except Exception:
-            return False
-        for a, b, c in triangulation.simplices.tolist():
-            self._add_oriented(live[a], live[b], live[c])
-        self._hang_ghost_fan()
-        return True
 
     # ------------------------------------------------------------------
     # The edge map: links, the bad-triangle predicate, point location
@@ -443,12 +412,27 @@ class DelaunayTriangulation:
             a, b, c = c, a, b
         points = self._points
         if c >= 0:
+            # predicates.in_circumcircle(a, b, c, point) > 0, inlined: it is
+            # the build's hottest call.
             pa = points[a]
             pb = points[b]
             pc = points[c]
+            px = point.x
+            py = point.y
+            adx = pa.x - px
+            ady = pa.y - py
+            bdx = pb.x - px
+            bdy = pb.y - py
+            cdx = pc.x - px
+            cdy = pc.y - py
+            ad = adx * adx + ady * ady
+            bd = bdx * bdx + bdy * bdy
+            cd = cdx * cdx + cdy * cdy
             return (
-                in_circumcircle(pa.x, pa.y, pb.x, pb.y, pc.x, pc.y, point.x, point.y) > 0.0
-            )
+                adx * (bdy * cd - bd * cdy)
+                - ady * (bdx * cd - bd * cdx)
+                + ad * (bdx * cdy - bdy * cdx)
+            ) > 0.0
         pu = points[b]
         pv = points[a]
         side = orientation(pu, pv, point)
@@ -470,6 +454,8 @@ class DelaunayTriangulation:
         the site nearest to ``point``.
         """
         points = self._points
+        px = point.x
+        py = point.y
         best = self._walk_hint
         best_distance = points[best].distance_squared_to(point)
         while True:
@@ -477,7 +463,11 @@ class DelaunayTriangulation:
             for neighbor in self._link(current):
                 if neighbor < 0:
                     continue
-                distance = points[neighbor].distance_squared_to(point)
+                # Point.distance_squared_to, inlined.
+                site = points[neighbor]
+                dx = site.x - px
+                dy = site.y - py
+                distance = dx * dx + dy * dy
                 if distance < best_distance:
                     best = neighbor
                     best_distance = distance
@@ -606,88 +596,62 @@ def _all_points_collinear(points: Sequence[Point], tolerance: float = 1e-9) -> b
     return all(orientation(base_a, base_b, p, tolerance) == 0 for p in points)
 
 
-#: Above this size the construction prefers the accelerated backend (when
-#: available); the pure-Python Bowyer–Watson construction, while no longer
-#: quadratic thanks to walk-based point location, is still markedly slower
-#: than Qhull for data-set-scale inputs.
-_ACCELERATED_THRESHOLD = 1500
+#: Cells per axis of the Hilbert grid (10 bits per coordinate).
+_HILBERT_SIDE = 1 << 10
 
 
-def _scipy_neighbors(points: Sequence[Point]) -> Optional[Dict[int, Set[int]]]:
-    """Delaunay adjacency via scipy's Qhull wrapper, or None when unavailable.
+def _hilbert_order(points: Sequence[Point], live: Sequence[int]) -> List[int]:
+    """``live`` sorted by ``(Hilbert key, index)`` on a 1024 x 1024 grid over
+    the sites' bounding square: consecutive sites are spatial neighbours."""
+    min_x, min_y, max_x, max_y = bounding_coordinates([points[i] for i in live])
+    scale = (_HILBERT_SIDE - 1) / (max(max_x - min_x, max_y - min_y) or 1.0)
 
-    The from-scratch :class:`DelaunayTriangulation` remains the reference
-    implementation (and the two are cross-checked in the test suite); the
-    scipy path only exists so that experiments with tens of thousands of
-    data objects can precompute their Voronoi neighbour lists in reasonable
-    time, exactly as the paper assumes the VoR-tree is built offline.
-    """
-    try:
-        from scipy.spatial import Delaunay as _SciPyDelaunay
-    except ImportError:
-        return None
-    import numpy as _np
+    def key(index: int) -> int:
+        point = points[index]
+        x = int((point.x - min_x) * scale)
+        y = int((point.y - min_y) * scale)
+        distance = 0
+        half = _HILBERT_SIDE >> 1
+        while half:
+            rx = 1 if x & half else 0
+            ry = 1 if y & half else 0
+            distance += half * half * ((3 * rx) ^ ry)
+            if not ry:
+                if rx:
+                    x = _HILBERT_SIDE - 1 - x
+                    y = _HILBERT_SIDE - 1 - y
+                x, y = y, x
+            half >>= 1
+        return distance
 
-    coordinates = _np.array([[p.x, p.y] for p in points], dtype=float)
-    try:
-        triangulation = _SciPyDelaunay(coordinates)
-    except Exception:
-        return None
-    adjacency: Dict[int, Set[int]] = {i: set() for i in range(len(points))}
-    indices, indptr = triangulation.vertex_neighbor_vertices
-    for vertex in range(len(points)):
-        neighbors = indptr[indices[vertex] : indices[vertex + 1]]
-        adjacency[vertex].update(int(v) for v in neighbors)
-    return adjacency
+    # ``live`` ascends and the sort is stable, so equal keys keep index order.
+    return sorted(live, key=key)
 
 
-def delaunay_neighbors(points: Sequence[Point], backend: str = "auto") -> Dict[int, Set[int]]:
+def delaunay_neighbors(points: Sequence[Point]) -> Dict[int, Set[int]]:
     """Convenience wrapper: Voronoi neighbour map of a point set.
 
-    Args:
-        points: the sites.
-        backend: ``"builtin"`` forces the from-scratch Bowyer–Watson
-            construction, ``"scipy"`` forces the accelerated Qhull backend,
-            ``"auto"`` (default) uses the builtin construction for small
-            inputs and the accelerated backend for large ones.
-
+    The map is :meth:`DelaunayTriangulation.neighbors` of a build over
+    ``points``, so it breaks ties exactly as the live structure does.
     Handles the degenerate cases (fewer than three points, collinear input)
     by falling back to adjacency between consecutive points along the line.
     """
-    if backend not in ("auto", "builtin", "scipy"):
-        raise GeometryError(f"unknown Delaunay backend {backend!r}")
-    n = len(points)
-    if n == 0:
+    if not points:
         return {}
-    if n == 1:
-        return {0: set()}
-    if n == 2:
-        return {0: {1}, 1: {0}}
-    if _all_points_collinear(points):
-        # Collinear input: Voronoi neighbours are consecutive points along
-        # the common line (handled below).
-        pass
-    elif backend == "scipy" or (backend == "auto" and n > _ACCELERATED_THRESHOLD):
-        accelerated = _scipy_neighbors(points)
-        if accelerated is not None:
-            return accelerated
-        if backend == "scipy":
-            raise GeometryError("the scipy Delaunay backend is not available")
-    try:
-        if _all_points_collinear(points):
-            raise GeometryError("collinear input")
-        return DelaunayTriangulation(points, seed_backend="builtin").neighbors()
-    except GeometryError as error:
-        # Collinear input: Voronoi neighbours are consecutive points along
-        # the common line.  Only (near-)collinear configurations may take
-        # this fallback — any other construction failure is a genuine
-        # geometric/numerical error and silently returning the chain
-        # adjacency would corrupt every neighbour list downstream.
-        if not _all_points_collinear(points) and "collinear" not in str(error):
-            raise
-        order = sorted(range(n), key=lambda i: (points[i].x, points[i].y))
-        adjacency: Dict[int, Set[int]] = {i: set() for i in range(n)}
-        for first, second in zip(order, order[1:]):
-            adjacency[first].add(second)
-            adjacency[second].add(first)
-        return adjacency
+    if not _all_points_collinear(points):
+        try:
+            return DelaunayTriangulation(points).neighbors()
+        except GeometryError as error:
+            # Only (near-)collinear configurations may take the fallback
+            # below — any other construction failure is a genuine
+            # geometric/numerical error and silently returning the chain
+            # adjacency would corrupt every neighbour list downstream.
+            if "collinear" not in str(error):
+                raise
+    # Voronoi neighbours of collinear sites are consecutive along the line.
+    order = sorted(range(len(points)), key=lambda i: (points[i].x, points[i].y))
+    adjacency: Dict[int, Set[int]] = {i: set() for i in range(len(points))}
+    for first, second in zip(order, order[1:]):
+        adjacency[first].add(second)
+        adjacency[second].add(first)
+    return adjacency

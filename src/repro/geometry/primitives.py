@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import GeometryError
-from repro.geometry.point import Point
+from repro.geometry.point import Point, bounding_coordinates
 
 
 @dataclass(frozen=True)
@@ -107,12 +107,10 @@ class BoundingBox:
     @staticmethod
     def from_points(points: Iterable[Point]) -> "BoundingBox":
         """The smallest box covering every point in ``points``."""
-        box = BoundingBox.empty()
-        for p in points:
-            box = box.extended_to_point(p)
-        if box.is_empty:
-            raise GeometryError("cannot build a bounding box from no points")
-        return box
+        try:
+            return BoundingBox(*bounding_coordinates(points))
+        except ValueError:
+            raise GeometryError("cannot build a bounding box from no points") from None
 
     @property
     def is_empty(self) -> bool:
@@ -191,10 +189,6 @@ class BoundingBox:
             max(self.max_x, other.max_x),
             max(self.max_y, other.max_y),
         )
-
-    def extended_to_point(self, p: Point) -> "BoundingBox":
-        """The smallest box covering this box and the point ``p``."""
-        return self.union(BoundingBox.from_point(p))
 
     def enlargement(self, other: "BoundingBox") -> float:
         """Area increase needed to cover ``other`` (R-tree choose-subtree metric)."""

@@ -1,16 +1,19 @@
 """Tests for repro.geometry.delaunay."""
 
+import hashlib
+import json
 import math
 
 import pytest
 
 from repro.errors import GeometryError
 from repro.geometry.delaunay import (
+    GHOST,
     DelaunayTriangulation,
     delaunay_neighbors,
 )
 from repro.geometry.point import Point
-from repro.geometry.predicates import point_in_circumcircle
+from repro.geometry.predicates import orientation, point_in_circumcircle
 from repro.workloads.datasets import uniform_points
 
 
@@ -202,31 +205,25 @@ class TestDelaunayNeighborsWrapper:
 
     def test_collinear_fallback_links_consecutive_points(self):
         points = [Point(0, 0), Point(2, 0), Point(1, 0), Point(3, 0)]
-        neighbors = delaunay_neighbors(points, backend="builtin")
+        neighbors = delaunay_neighbors(points)
         # Sorted along the line: 0, 2, 1, 3 -> chain 0-2-1-3.
         assert neighbors[0] == {2}
         assert neighbors[2] == {0, 1}
         assert neighbors[1] == {2, 3}
         assert neighbors[3] == {1}
 
-    def test_backends_agree_on_random_points(self):
-        points = uniform_points(150, extent=1_000.0, seed=11)
-        builtin = delaunay_neighbors(points, backend="builtin")
-        accelerated = delaunay_neighbors(points, backend="scipy")
-        matching = sum(1 for i in builtin if builtin[i] == accelerated[i])
-        # Near-cocircular configurations may differ by a flipped diagonal;
-        # the overwhelming majority of neighbourhoods must agree exactly.
-        assert matching >= 0.95 * len(points)
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(GeometryError):
-            delaunay_neighbors([Point(0, 0), Point(1, 0), Point(0, 1)], backend="qhull5000")
-
-    def test_auto_backend_handles_large_input(self):
+    def test_handles_large_input(self):
         points = uniform_points(2_000, extent=1_000.0, seed=12)
         neighbors = delaunay_neighbors(points)
         assert len(neighbors) == len(points)
         assert all(adjacent for adjacent in neighbors.values())
+
+    @pytest.mark.parametrize("side", [30, 45])
+    def test_breaks_ties_as_the_live_structure_does(self, side):
+        # On a lattice every diagonal is a tie; the from-scratch map (the
+        # Voronoi diagram's degenerate fallback) must pick the same ones.
+        points = lattice(side)
+        assert delaunay_neighbors(points) == DelaunayTriangulation(points).neighbors()
 
 
 def lattice(side):
@@ -238,30 +235,67 @@ def ring_and_centre(count):
     return [Point(100.0 * math.cos(a), 100.0 * math.sin(a)) for a in angles] + [Point(0.0, 0.0)]
 
 
+def digest(edge_map):
+    return hashlib.sha256(json.dumps(sorted(edge_map.items())).encode()).hexdigest()
+
+
+def qhull_edge_map(points):
+    """Qhull's triangulation of ``points`` as an edge map, ghosts included."""
+    from scipy.spatial import Delaunay
+
+    apex = {}
+    for a, b, c in Delaunay([[p.x, p.y] for p in points]).simplices.tolist():
+        if orientation(points[a], points[b], points[c]) < 0:
+            b, c = c, b
+        apex[a, b], apex[b, c], apex[c, a] = c, a, b
+    for u, v in [edge for edge in apex if edge[::-1] not in apex]:
+        apex[v, u], apex[u, GHOST], apex[GHOST, v] = GHOST, v, u
+    return apex
+
+
 class TestScipySeeding:
-    """Above 1 500 sites ``seed_backend="auto"`` seeds the triangulation from
-    Qhull; it must build the very edge map the builtin construction builds,
-    on uniform input and on the co-circular lattices and ring alike."""
+    """The literal digests are of Qhull-seeded builds of these inputs.  The
+    builtin build must reproduce them on uniform input and on the co-circular
+    lattices and ring alike, and — where scipy is installed — equal Qhull's
+    triangulation of the same perturbed coordinates, an independent answer."""
 
     @pytest.mark.parametrize(
-        "make_points",
+        "make_points, expected",
         [
-            lambda: uniform_points(1_600, extent=1_000.0, seed=1_600),
-            lambda: uniform_points(2_000, extent=1_000.0, seed=2_000),
-            lambda: uniform_points(5_000, extent=1_000.0, seed=5_000),
-            lambda: lattice(40),
-            lambda: lattice(45),
-            lambda: ring_and_centre(1_600),
+            (
+                lambda: uniform_points(1_600, extent=1_000.0, seed=1_600),
+                "71a386175ad839dd7f7a1f40a7dffddd12fcc70944e8773a54a0a8ffa90b965f",
+            ),
+            (
+                lambda: uniform_points(2_000, extent=1_000.0, seed=2_000),
+                "e3c16988ccadddaee61efbf2c08ac9415f50f958870f929d47e005591397f9c2",
+            ),
+            (
+                lambda: uniform_points(5_000, extent=1_000.0, seed=5_000),
+                "9fa8ae3c905b0359960c41bcac400745219b224cdd2ca2218ce9cb1791fb9768",
+            ),
+            (
+                lambda: lattice(40),
+                "2b4f0ada709845339e9881960dc9d4dab3d3176490851934447b0d5444db4f71",
+            ),
+            (
+                lambda: lattice(45),
+                "061ef0c3674965a3b3dfcd996ea2dcf948255a12179a5c22434ac3de7a77cdb0",
+            ),
+            (
+                lambda: ring_and_centre(1_600),
+                "243cb1d5a3714023de9df1381a45d80421c7ba86d6c1d0b4dcbb170bbbb41f4c",
+            ),
         ],
         ids=["uniform-1600", "uniform-2000", "uniform-5000", "lattice-40", "lattice-45", "ring"],
     )
-    def test_the_qhull_seed_equals_the_builtin_build(self, make_points, monkeypatch):
-        pytest.importorskip("scipy.spatial")
-        points = make_points()
-        builtin = DelaunayTriangulation(points, seed_backend="builtin").edge_map()
-
-        def refuse(self, live):
-            raise AssertionError("the builtin construction ran instead of Qhull")
-
-        monkeypatch.setattr(DelaunayTriangulation, "_build", refuse)
-        assert DelaunayTriangulation(points).edge_map() == builtin
+    def test_the_qhull_seed_equals_the_builtin_build(self, make_points, expected):
+        triangulation = DelaunayTriangulation(make_points())
+        edge_map = triangulation.edge_map()
+        assert digest(edge_map) == expected
+        try:
+            import scipy.spatial  # noqa: F401
+        except ImportError:
+            return
+        # The perturbed copies are what the builder triangulates.
+        assert qhull_edge_map(triangulation._points) == edge_map

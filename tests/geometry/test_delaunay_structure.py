@@ -120,8 +120,15 @@ def test_every_mutation_leaves_a_sphere(family, seed):
 
 
 def test_refused_mutations_occur_and_mutate_nothing():
+    # Which mutations refuse depends on the build's insertion history, so
+    # the floor is over a fixed range of seeds, not on one of them.
     points = stacks()
-    assert churn(DelaunayTriangulation(points), points, random.Random(1), 60) >= 5
+    refused = [
+        churn(DelaunayTriangulation(points), points, random.Random(seed), 60)
+        for seed in range(1, 9)
+    ]
+    assert sum(1 for count in refused if count) >= 6
+    assert sum(refused) >= 24
 
 
 def test_a_masked_build_is_a_sphere_without_its_tombstones():
@@ -167,8 +174,15 @@ class TestTheCheckBites:
 
         # Where the predicate is exact the two floods carve the same cavity...
         run(ApexBlind, "grid", 1)
-        # ...where it is noise only the apex rule keeps the sphere.
-        for seed in (2, 4, 5):
+        # ...where it is noise only the apex rule keeps the sphere.  Which
+        # seeds expose the textbook flood depends on the insertion history,
+        # so it must be caught on most of a fixed range, not on chosen seeds.
+        caught = 0
+        for seed in range(1, 21):
             run(DelaunayTriangulation, "stacked", seed)
-            with pytest.raises(AssertionError, match="not entered under all three"):
+            try:
                 run(ApexBlind, "stacked", seed)
+            except AssertionError as error:
+                assert "not entered under all three" in str(error)
+                caught += 1
+        assert caught >= 10

@@ -93,7 +93,7 @@ class TestVoronoiProperties:
     @given(distinct_points(4, 25))
     @settings(max_examples=30, deadline=None)
     def test_neighbor_relation_is_symmetric_and_irreflexive(self, points):
-        neighbors = delaunay_neighbors(points, backend="builtin")
+        neighbors = delaunay_neighbors(points)
         for index, adjacent in neighbors.items():
             assert index not in adjacent
             for other in adjacent:

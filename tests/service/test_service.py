@@ -1,5 +1,10 @@
 """Tests for the metric-agnostic service facade and its session handles."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.errors import ConfigurationError, QueryError
@@ -68,6 +73,25 @@ class TestOpenService:
     def test_wrapping_a_foreign_engine_is_rejected(self):
         with pytest.raises(ConfigurationError):
             KNNService(object())
+
+    def test_plane_set_up_imports_neither_scipy_nor_numpy(self):
+        # A fresh interpreter: this one may have loaded either already.
+        script = (
+            "import sys\n"
+            "import repro\n"
+            "from repro.service import open_service\n"
+            "from repro.workloads.datasets import uniform_points\n"
+            "open_service(metric='euclidean', objects=uniform_points(2_000, seed=71))\n"
+            "print(*sorted({'scipy', 'numpy'} & set(sys.modules)))\n"
+        )
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        completed = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert completed.returncode == 0, completed.stderr[-2000:]
+        assert completed.stdout.split() == []
 
 
 class TestFromScenario:

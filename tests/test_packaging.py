@@ -23,11 +23,11 @@ class TestPyproject:
         module, _, attribute = project()["project"]["scripts"]["insq"].partition(":")
         assert getattr(importlib.import_module(module), attribute) is repro.cli.main
 
-    def test_nothing_is_required_and_scipy_is_optional(self):
+    def test_nothing_is_required_and_no_extra_exists(self):
         meta = project()["project"]
         assert meta["dependencies"] == []
         assert meta["requires-python"] == ">=3.11"
-        assert {"numpy", "scipy"} <= set(meta["optional-dependencies"]["scipy"])
+        assert "optional-dependencies" not in meta
 
     def test_the_package_is_found_under_src(self):
         where = project()["tool"]["setuptools"]["packages"]["find"]["where"]
