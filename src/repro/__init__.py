@@ -25,38 +25,35 @@ Quickstart (2-D plane; swap ``metric="road"`` plus a network for roads)::
             response = session.update(position)
         print(response.knn, "after", session.communication.messages, "messages")
 
-Beneath the service layer the package exposes:
+Loaded by ``import repro`` — everything a service reaches while it opens,
+serves and closes, on both metrics and for every query kind: the INS
+processors (:class:`~repro.core.ins_euclidean.INSProcessor`,
+:class:`~repro.core.ins_road.INSRoadProcessor`), the raw servers
+(:class:`~repro.core.server.MovingKNNServer`,
+:class:`~repro.core.road_server.MovingRoadKNNServer`), the query kinds
+(:mod:`repro.queries`), the substrates they are built on
+(:mod:`repro.geometry`, :mod:`repro.index`, :mod:`repro.roadnet`) and
+observability (:mod:`repro.obs`: metrics registry, span tracer, clock seam).
 
-* the INS processors (:class:`~repro.core.ins_euclidean.INSProcessor` and
-  :class:`~repro.core.ins_road.INSRoadProcessor`) and the raw servers
-  (:class:`~repro.core.server.MovingKNNServer`,
-  :class:`~repro.core.road_server.MovingRoadKNNServer`) — the
-  implementation layer, still importable and fully functional,
-* the baselines they are compared against,
-* the geometric and road-network substrates they are built on,
-* workload generators, trajectories and the simulation harness used by the
-  examples and benchmarks (:func:`~repro.simulation.server_sim.
-  simulate_server` replays one scenario's update stream and M concurrent
-  sessions through any front door: in process, over a socket, or
-  sharded across ``workers=N`` worker processes),
-* the wire layer (:mod:`repro.transport`): a binary codec for the message
-  protocol, :class:`~repro.transport.server.KNNServer` to host a service
-  behind a TCP/Unix socket, :func:`~repro.transport.client.connect` for
-  drop-in remote sessions, and
-  :class:`~repro.transport.procpool.ProcessShardedDispatcher` for
-  multi-process engine shards,
+Loaded on first use of one of their names (PEP 562: a name re-exported
+here resolves when first read, then stays bound), so a process that only
+serves in-process never imports the socket, pool, WAL or HTTP code:
+
+* the baselines (:mod:`repro.baselines`),
+* the wire layer (:mod:`repro.transport`):
+  :class:`~repro.transport.server.KNNServer` hosts a service behind a
+  TCP/Unix socket, :func:`~repro.transport.client.connect` opens remote
+  sessions, :class:`~repro.transport.procpool.ProcessShardedDispatcher`
+  shards engines across worker processes,
 * crash durability (:mod:`repro.durability`): a write-ahead log plus
-  checksummed snapshots behind
-  :class:`~repro.durability.recovery.DurableKNNService`, and
-  :func:`~repro.durability.recovery.recover_service` to replay a killed
-  service back to its exact pre-crash state — open sessions included,
-* observability (:mod:`repro.obs`): a process-wide metrics registry
-  (counters, gauges, fixed-bucket latency histograms that merge exactly
-  across process shards), a bounded span tracer exporting Chrome-trace
-  JSONL, a Prometheus ``/metrics`` endpoint and the binary
-  ``MetricsSnapshot`` scrape frame behind ``insq stats`` — all provably
-  free when unobserved (answers and counters stay bit-identical).
+  snapshots behind :class:`~repro.durability.recovery.DurableKNNService`,
+  and :func:`~repro.durability.recovery.recover_service`,
+* workload generators, trajectories and the simulation harness
+  (:mod:`repro.workloads`, :mod:`repro.trajectory`, :mod:`repro.simulation`),
+  and the Prometheus ``/metrics`` endpoint (:mod:`repro.obs.httpd`).
 """
+
+import importlib
 
 from repro.core import (
     CommunicationStats,
@@ -94,13 +91,6 @@ from repro.service import (
     UpdateBatch,
     open_service,
 )
-from repro.baselines import (
-    NaiveProcessor,
-    NaiveRoadProcessor,
-    OrderKSafeRegionProcessor,
-    VStarProcessor,
-    VStarRoadProcessor,
-)
 from repro.geometry import Point, VoronoiDiagram, order_k_cell
 from repro.index import RTree, VoRTree
 from repro.roadnet import (
@@ -113,41 +103,37 @@ from repro.roadnet import (
     random_planar_network,
     ring_radial_network,
 )
-from repro.durability import (
-    DurableKNNService,
-    has_durable_state,
-    open_durable_service,
-    recover_service,
-)
 from repro import obs
-from repro.simulation import simulate, simulate_server
-from repro.transport import (
-    KNNServer,
-    ProcessShardedDispatcher,
-    RemoteService,
-    RemoteSession,
-    ServiceSpec,
-    TransportError,
-    connect,
-)
-from repro.trajectory import (
-    circular_trajectory,
-    linear_trajectory,
-    network_random_walk,
-    random_waypoint_trajectory,
-)
-from repro.workloads import (
-    ChurnSpec,
-    clustered_points,
-    default_euclidean_scenario,
-    default_road_scenario,
-    euclidean_server_scenario,
-    fig4_scenario,
-    road_server_scenario,
-    uniform_points,
-)
 
 __version__ = "1.0.0"
+
+#: The re-exports loaded on first use: home module -> names.
+_DEFERRED = {
+    "repro.baselines": "NaiveProcessor NaiveRoadProcessor OrderKSafeRegionProcessor "
+    "VStarProcessor VStarRoadProcessor",
+    "repro.durability": "DurableKNNService has_durable_state open_durable_service recover_service",
+    "repro.simulation": "simulate simulate_server",
+    "repro.transport": "KNNServer ProcessShardedDispatcher RemoteService RemoteSession "
+    "ServiceSpec TransportError connect",
+    "repro.trajectory": "circular_trajectory linear_trajectory network_random_walk "
+    "random_waypoint_trajectory",
+    "repro.workloads": "ChurnSpec clustered_points default_euclidean_scenario "
+    "default_road_scenario euclidean_server_scenario fig4_scenario road_server_scenario "
+    "uniform_points",
+}
+_HOME = {name: module for module, names in _DEFERRED.items() for name in names.split()}
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(_HOME[name]), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
 
 __all__ = [
     "__version__",

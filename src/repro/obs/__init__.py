@@ -1,13 +1,14 @@
 """``repro.obs`` — see inside the serving system, at zero semantic cost.
 
-The observability subsystem the PR10 tentpole threads through every
-layer: a process-global :class:`~repro.obs.metrics.MetricsRegistry` of
-counters, gauges and exactly-mergeable fixed-bucket latency histograms
-(:mod:`repro.obs.metrics`), a bounded-ring span
-:class:`~repro.obs.trace.Tracer` exporting Chrome-trace JSONL
-(:mod:`repro.obs.trace`), an injectable monotonic clock seam both time
-through (:mod:`repro.obs.clock`), and a stdlib Prometheus ``/metrics``
-endpoint (:mod:`repro.obs.httpd`).
+Threaded through every layer: a process-global
+:class:`~repro.obs.metrics.MetricsRegistry` of counters, gauges and
+exactly-mergeable fixed-bucket latency histograms (:mod:`repro.obs.metrics`),
+a bounded-ring span :class:`~repro.obs.trace.Tracer` exporting Chrome-trace
+JSONL (:mod:`repro.obs.trace`) and an injectable monotonic clock seam both
+time through (:mod:`repro.obs.clock`).  The stdlib Prometheus ``/metrics``
+endpoint (:mod:`repro.obs.httpd`) loads on first use of ``MetricsHTTPServer``
+or ``start_metrics_http`` (PEP 562): a process that never serves it loads no
+``http.server`` or ``ssl``.
 
 The contract that makes it safe everywhere: instruments only read values
 the serving code already computed, so observability on vs off is
@@ -22,6 +23,8 @@ no-observation registry is just idle dictionaries), tracing defaults
 **off**.  ``disable()`` turns every instrument into a flag check for the
 off-baseline.
 """
+
+import importlib
 
 from repro.obs.clock import clock, set_clock
 from repro.obs.metrics import (
@@ -43,7 +46,6 @@ from repro.obs.metrics import (
     render_prometheus,
     start_timer,
 )
-from repro.obs.httpd import MetricsHTTPServer, start_metrics_http
 from repro.obs.trace import Span, TraceEvent, Tracer, TRACER
 
 __all__ = [
@@ -85,3 +87,14 @@ def reset() -> None:
     """
     REGISTRY.reset()
     TRACER.reset()
+
+
+def __getattr__(name):
+    if name not in ("MetricsHTTPServer", "start_metrics_http"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module("repro.obs.httpd"), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -93,6 +93,58 @@ class TestOpenService:
         assert completed.returncode == 0, completed.stderr[-2000:]
         assert completed.stdout.split() == []
 
+    def test_serving_loads_nothing_beyond_import_repro(self):
+        # bench/rep.py times `import repro` + `open_service` as set-up and the
+        # first update inside the stream: `import repro` must load the whole
+        # serving path (so no cost slips out of the set-up window) and nothing
+        # that serving never reaches (the wire, the WAL, the HTTP endpoint).
+        script = (
+            "import random, sys\n"
+            "import repro\n"
+            "from repro import NetworkLocation, Point, UpdateBatch, open_service\n"
+            "serving = ['repro.service', 'repro.core.engine', 'repro.index.vortree',\n"
+            "           'repro.roadnet.network_voronoi', 'repro.queries.kinds']\n"
+            "print('missing', *[name for name in serving if name not in sys.modules])\n"
+            "rng = random.Random(5)\n"
+            "points = [Point(rng.uniform(0, 1e3), rng.uniform(0, 1e3)) for _ in range(200)]\n"
+            "network = repro.grid_network(8, 8, spacing=50.0)\n"
+            "vertices = repro.place_objects(network, 20, seed=4)\n"
+            "before = set(sys.modules)\n"
+            "plane = open_service(metric='euclidean', objects=points)\n"
+            "road = open_service(metric='road', network=network, objects=vertices)\n"
+            "free = [vertex for vertex in network.vertices() if vertex not in vertices]\n"
+            "sessions = [plane.open_query(Point(500.0, 500.0), kind, k=4)\n"
+            "            for kind in ('knn', 'influential', 'region')]\n"
+            "for session in sessions:\n"
+            "    session.update(Point(510.0, 505.0))\n"
+            "sessions.append(road.open_session(NetworkLocation(0, 10.0), k=3))\n"
+            "sessions[-1].update(NetworkLocation(1, 20.0))\n"
+            "plane.apply(UpdateBatch(inserts=(Point(1.0, 2.0),), deletes=(3,),\n"
+            "                        moves=((4, Point(501.0, 499.0)),)))\n"
+            "road.apply(UpdateBatch(inserts=(free[0],), deletes=(3,), moves=((4, free[1]),)))\n"
+            "for session in sessions:\n"
+            "    session.refresh()\n"
+            "    session.close()\n"
+            "plane.close()\n"
+            "road.close()\n"
+            "print('joined', *sorted(set(sys.modules) - before))\n"
+            "unwanted = ['repro.transport', 'repro.durability', 'repro.obs.httpd',\n"
+            "            'repro.simulation', 'repro.baselines', 'http.server',\n"
+            "            'multiprocessing', 'ssl']\n"
+            "print('loaded', *[name for name in unwanted if name in sys.modules])\n"
+        )
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        completed = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert completed.returncode == 0, completed.stderr[-2000:]
+        lines = completed.stdout.splitlines()
+        assert lines[0].split() == ["missing"]
+        assert [name for name in lines[1].split() if name.startswith("repro")] == []
+        assert lines[2].split() == ["loaded"]
+
 
 class TestFromScenario:
     @pytest.mark.parametrize(

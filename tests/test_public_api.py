@@ -1,14 +1,24 @@
 """Tests for the top-level public API of the ``repro`` package."""
 
 import inspect
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 import repro
+import repro.baselines
 import repro.durability
+import repro.obs
+import repro.obs.httpd
 import repro.queries
 import repro.service
+import repro.simulation
+import repro.trajectory
 import repro.transport
+import repro.workloads
 
 
 class TestPublicApi:
@@ -66,6 +76,82 @@ class TestPublicApi:
         ):
             assert name in repro.__all__, f"repro.__all__ is missing {name}"
             assert getattr(repro, name) is getattr(repro.durability, name)
+
+    @pytest.mark.parametrize(
+        "home, names",
+        [
+            (repro.simulation, ("simulate", "simulate_server")),
+            (
+                repro.workloads,
+                (
+                    "uniform_points",
+                    "clustered_points",
+                    "ChurnSpec",
+                    "default_euclidean_scenario",
+                    "default_road_scenario",
+                    "euclidean_server_scenario",
+                    "road_server_scenario",
+                    "fig4_scenario",
+                ),
+            ),
+            (
+                repro.trajectory,
+                (
+                    "linear_trajectory",
+                    "circular_trajectory",
+                    "random_waypoint_trajectory",
+                    "network_random_walk",
+                ),
+            ),
+            (
+                repro.baselines,
+                (
+                    "NaiveProcessor",
+                    "NaiveRoadProcessor",
+                    "OrderKSafeRegionProcessor",
+                    "VStarProcessor",
+                    "VStarRoadProcessor",
+                ),
+            ),
+        ],
+        ids=["simulation", "workloads", "trajectory", "baselines"],
+    )
+    def test_deferred_names_are_their_home_modules_objects(self, home, names):
+        for name in names:
+            assert name in repro.__all__, f"repro.__all__ is missing {name}"
+            assert getattr(repro, name) is getattr(home, name)
+
+    def test_the_http_endpoint_is_reexported_by_obs(self):
+        for name in ("MetricsHTTPServer", "start_metrics_http"):
+            assert name in repro.obs.__all__
+            assert getattr(repro.obs, name) is getattr(repro.obs.httpd, name)
+
+    @pytest.mark.parametrize("module", [repro, repro.obs], ids=["repro", "repro.obs"])
+    def test_dir_lists_all_and_unknown_names_raise(self, module):
+        assert set(module.__all__) <= set(dir(module))
+        assert not hasattr(module, "nope")
+        with pytest.raises(AttributeError, match=f"module '{module.__name__}' has no attribute"):
+            module.nope
+
+    def test_star_imports_bind_every_name_in_a_fresh_interpreter(self):
+        # Fresh: here every deferred name has been read already.
+        script = (
+            "import repro, repro.obs\n"
+            "scope = {}\n"
+            "exec('from repro import *', scope)\n"
+            "print(*sorted(set(repro.__all__) - set(scope)))\n"
+            "scope = {}\n"
+            "exec('from repro.obs import *', scope)\n"
+            "print(*sorted(set(repro.obs.__all__) - set(scope)))\n"
+        )
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        completed = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert completed.returncode == 0, completed.stderr[-2000:]
+        assert completed.stdout.splitlines() == ["", ""]
 
     def test_queries_surface_is_reexported_at_the_top_level(self):
         """The continuous-query subsystem is reachable from ``repro``
