@@ -92,7 +92,7 @@ from repro.service import (
     open_service,
 )
 from repro.geometry import Point, VoronoiDiagram, order_k_cell
-from repro.index import RTree, VoRTree
+from repro.index import VoRTree
 from repro.roadnet import (
     NetworkLocation,
     NetworkVoronoiDiagram,
@@ -195,7 +195,6 @@ __all__ = [
     "Point",
     "VoronoiDiagram",
     "order_k_cell",
-    "RTree",
     "VoRTree",
     # road networks
     "RoadNetwork",

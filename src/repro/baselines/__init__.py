@@ -1,8 +1,8 @@
 """Baseline moving-kNN methods the paper's approach is compared against.
 
 * :mod:`repro.baselines.policies` — two policies, each written once over a
-  plane search (an R-tree) and a road search (INE), and a plane binding of
-  a third:
+  plane search (the VoR-tree's retrieval) and a road search (INE), and a
+  plane binding of a third:
 
   * naive recomputation (:class:`NaiveProcessor`,
     :class:`NaiveRoadProcessor`) — the obvious lower bound on answer quality
@@ -16,7 +16,7 @@
     order-k Voronoi cell as the safe region.  Minimal recomputation
     frequency but expensive construction.  The policy is
     :class:`repro.queries.region.OrderKRegion`, the one the ``"region"``
-    query kind runs on; this binding retrieves through the plane search.
+    query kind runs on; this binding builds a VoR-tree of its own.
 """
 
 from repro.baselines.policies import (

@@ -10,8 +10,9 @@ A *policy* is the algorithm; a *metric* supplies three methods it runs on:
 * ``_drift(position)`` — an upper bound on the distance from the last
   retrieval position.
 
-:class:`PlaneSearch` answers them with an R-tree and ``Point.distance_to``,
-the drift being the exact distance to the retrieval position.
+:class:`PlaneSearch` answers them with a VoR-tree's retrieval (the index
+the INS processor serves from) and ``Point.distance_to``, the drift being the
+exact distance to the retrieval position.
 :class:`RoadSearch` answers them with an INE search (``network_knn``) and
 one targeted Dijkstra; its drift is the declared ``step_length`` summed over
 the timestamps since the retrieval — the distance travelled along the
@@ -46,20 +47,20 @@ less frequent as ``x`` grows.
 
 **OrderKRegion** (:class:`OrderKSafeRegionProcessor`) is the exact order-k
 cell safe region, the policy :mod:`repro.queries.region` writes once for the
-``kind="region"`` queries too; here it retrieves through the plane search.
+``kind="region"`` queries too; here it runs on a VoR-tree of its own.
 """
 
 from __future__ import annotations
 
 import abc
 from math import inf
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
-from repro.errors import ConfigurationError, QueryError
+from repro.errors import ConfigurationError
 from repro.core.objects import QueryResult, UpdateAction
 from repro.core.processor import MovingKNNProcessor, PositionT
 from repro.geometry.point import Point
-from repro.index.rtree import RTree, RTreeEntry
+from repro.index.vortree import VoRTree
 from repro.queries.region import OrderKRegion
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.knn import build_objects_at_vertex, network_knn, object_distances_from_location
@@ -200,30 +201,31 @@ class KnownRegion(_Baseline[PositionT]):
 
 
 class PlaneSearch:
-    """The plane: an R-tree over ``_points`` and Euclidean distances."""
+    """The plane: a VoR-tree over the objects and Euclidean distances."""
 
     def _load(self, points: Sequence[Point]) -> None:
-        self._points: List[Point] = list(points)
         with self._stats.timed("precomputation_seconds"):
-            self._index_points(range(len(self._points)))
-
-    def _index_points(self, indexes: Iterable[int]) -> None:
-        """(Re)build the R-tree over the listed objects."""
-        self._rtree = RTree.bulk_load([RTreeEntry(self._points[index], index) for index in indexes])
+            self._tree = VoRTree(points)
+        # The last nearest object: where the next retrieval's walk starts.
+        self._hint: Optional[int] = None
 
     @property
-    def rtree(self) -> RTree:
-        """The server-side R-tree."""
-        return self._rtree
+    def tree(self) -> VoRTree:
+        """The server-side VoR-tree."""
+        return self._tree
+
+    @property
+    def _points(self) -> Sequence[Point]:
+        return self._tree.positions
 
     def _nearest(self, position: Point, count: int) -> List[Tuple[int, float]]:
-        self._rtree.reset_counters()
-        nearest = self._rtree.nearest_neighbors(position, count)
-        self._stats.index_node_accesses += self._rtree.node_accesses
-        return [(entry.payload, distance) for distance, entry in nearest]
+        nearest, _, distances = self._tree.retrieve(position, count, self._hint)
+        self._hint = nearest[0]
+        return list(zip(nearest, distances))
 
     def _distances(self, position: Point, indexes: Sequence[int]) -> List[float]:
-        return [position.distance_to(self._points[index]) for index in indexes]
+        points = self._points
+        return [position.distance_to(points[index]) for index in indexes]
 
     def _drift(self, position: Point) -> float:
         return position.distance_to(self._anchor)
@@ -321,7 +323,7 @@ class VStarProcessor(PlaneSearch, KnownRegion[Point]):
         return "V*"
 
 
-class OrderKSafeRegionProcessor(PlaneSearch, OrderKRegion):
+class OrderKSafeRegionProcessor(OrderKRegion):
     """Exact order-k Voronoi cell safe-region baseline (Euclidean space).
 
     The "strict safe region" of the earlier Voronoi-cell studies [2], [6]
@@ -338,9 +340,9 @@ class OrderKSafeRegionProcessor(PlaneSearch, OrderKRegion):
     def __init__(self, points: Sequence[Point], k: int):
         super().__init__(k, points)
         self._source: Sequence[Point] = points
-        self._load(points)
         self._removed: Set[int] = set()
-        self._index_stale = False
+        with self._stats.timed("precomputation_seconds"):
+            self._tree = VoRTree(points)
 
     @property
     def name(self) -> str:
@@ -349,26 +351,19 @@ class OrderKSafeRegionProcessor(PlaneSearch, OrderKRegion):
     def _take_pending(self) -> Tuple[Set[int], Set[int], bool]:
         changed, removed, force = super()._take_pending()
         self._removed.update(removed)
-        # Sync positions before testing invasion: the source moved already.
-        self._points = list(self._source)
-        if force or changed or removed:
-            # A blanket invalidation names no delta, so it must distrust
-            # the index as much as the answer.
-            self._index_stale = True
+        tree, source = self._tree, self._source
+        with self._stats.timed("maintenance_seconds"):
+            # A blanket invalidation names no delta, so it must distrust the
+            # tree as much as the answer; so must an object moved in place.
+            if force or any(
+                tree.is_active(index) and tree.positions[index] != source[index]
+                for index in changed
+            ):
+                self._tree = VoRTree(source)
+                self._tree.batch_update(deletes=sorted(self._removed))
+            else:
+                tree.batch_update(deletes=sorted(removed))
         return changed, removed, force
-
-    def _candidate_indexes(self) -> Optional[List[int]]:
-        active = None
-        if self._removed:
-            active = [index for index in range(len(self._points)) if index not in self._removed]
-            if len(active) <= self.k:
-                raise QueryError(f"k={self.k} needs more than {len(active)} surviving data objects")
-        if self._index_stale:
-            # Positions moved (or objects vanished) since the index was
-            # built: rebuild it over the surviving population.
-            self._index_points(range(len(self._points)) if active is None else active)
-            self._index_stale = False
-        return active
 
 
 class VStarRoadProcessor(RoadSearch, KnownRegion[NetworkLocation]):

@@ -121,15 +121,16 @@ class ProcessorStats:
             (the paper's communication cost proxy).
         distance_computations: point-to-point (or network) distance
             evaluations performed by the client for validation and reordering.
-        index_node_accesses: R-tree nodes touched by server-side
-            retrievals (the baselines'; the VoR-tree keeps no R-tree).
+        index_node_accesses: 0 for every processor: it counted R-tree
+            nodes, and no processor keeps an R-tree.  Kept because frame
+            0x10 (``AggregateStatsResponse``) and the golden corpus carry it.
         settled_vertices: Dijkstra-settled vertices (road-network mode only).
         construction_seconds: wall-clock time spent building guard structures
             (safe regions, INS sets, candidate lists).
         validation_seconds: wall-clock time spent checking validity at each
             timestamp.
         precomputation_seconds: offline, query-independent preparation time
-            (building the R-tree / VoR-tree / Voronoi diagrams); reported
+            (building the VoR-tree / Voronoi diagrams); reported
             separately because the paper treats it as a one-off data-set
             preprocessing cost shared by all queries.
         maintenance_seconds: server-side wall-clock time spent applying

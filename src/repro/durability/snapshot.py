@@ -29,6 +29,7 @@ one complete new snapshot, never a half-written visible file.
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 import pickle
 import struct
@@ -72,11 +73,28 @@ def _pickle(payload: Any) -> bytes:
         sys.setrecursionlimit(limit)
 
 
+class _Retired:
+    """An object of a module this package no longer has, loaded as nothing."""
+
+    def __setstate__(self, state: Any) -> None:
+        pass
+
+
+class _Unpickler(pickle.Unpickler):
+    def find_class(self, module: str, name: str) -> Any:
+        # Snapshots written while the VoR-tree kept an R-tree beside its
+        # lists name that module's classes; VoRTree.__setstate__ drops the
+        # attribute that held it.
+        if module == "repro.index.rtree":
+            return _Retired
+        return super().find_class(module, name)
+
+
 def _unpickle(data: bytes) -> Any:
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, _RECURSION_LIMIT))
     try:
-        return pickle.loads(data)
+        return _Unpickler(io.BytesIO(data)).load()
     finally:
         sys.setrecursionlimit(limit)
 

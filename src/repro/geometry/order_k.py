@@ -133,6 +133,8 @@ def order_k_cell(
 
     member_set = set(members)
     member_points = [sites[i] for i in members]
+    # Position -> the highest member index there.
+    stacked = dict(zip(member_points, members))
     d_k = max(reference.distance_to(p) for p in member_points)
 
     polygon = ConvexPolygon.from_bounding_box(bounding_box)
@@ -145,11 +147,18 @@ def order_k_cell(
     for outsider in outsiders:
         if polygon.is_empty:
             break
+        site = sites[outsider]
         reach = 2.0 * polygon.max_distance_from(reference) + d_k
-        if reference.distance_to(sites[outsider]) >= reach:
+        if reference.distance_to(site) >= reach:
             break
         examined += 1
-        halfplanes = [bisector_halfplane(p, sites[outsider]) for p in member_points]
+        # A member at the outsider's position ties it everywhere: no bisector
+        # ranks the two, the (distance, index) order does.  The member stays
+        # ahead only with the lower index.
+        if stacked.get(site, -1) > outsider:
+            polygon = ConvexPolygon.empty()
+            break
+        halfplanes = [bisector_halfplane(p, site) for p in member_points if p != site]
         polygon = polygon.clip_halfplanes(halfplanes)
 
     mis, clipped = _mis_from_polygon(sites, member_set, polygon, bounding_box, candidates)
@@ -181,6 +190,17 @@ def _mis_from_polygon(
     mis: Set[int] = set()
     clipped = False
     k = len(member_set)
+    # An outsider stacked on a member ties it everywhere and trails it in
+    # the (distance, index) order, so it is ranked by the member's
+    # bisectors: the stack's lowest outsider enters only where members at
+    # two positions tie at rank k, one of them on the stack.
+    member_points = {sites[index] for index in member_set}
+    stand_ins: Dict[Point, int] = {}
+    for index in candidates:
+        if index not in member_set and sites[index] in member_points:
+            stand_ins.setdefault(sites[index], index)
+    if stand_ins:
+        candidates = [i for i in candidates if i in member_set or sites[i] not in stand_ins]
     for edge in polygon.edges():
         if edge.length <= 1e-12:
             continue
@@ -191,15 +211,23 @@ def _mis_from_polygon(
         distances = sorted(
             candidates, key=lambda i: mid.distance_squared_to(sites[i])
         )
+        rank_k = mid.distance_to(sites[distances[k - 1]])
+        entered = False
+        if stand_ins:
+            floor = rank_k * (1.0 - _TIE_TOLERANCE) - 1e-12
+            tied = {sites[i] for i in distances[:k] if mid.distance_to(sites[i]) >= floor}
+            if len(tied) > 1:
+                entering = [stand_ins[point] for point in tied if point in stand_ins]
+                mis.update(entering)
+                entered = bool(entering)
         if len(distances) <= k:
             continue
-        rank_k = mid.distance_to(sites[distances[k - 1]])
         rank_k1 = mid.distance_to(sites[distances[k]])
         scale = max(rank_k, rank_k1, 1e-12)
         if (rank_k1 - rank_k) / scale > _TIE_TOLERANCE:
-            # No tie: numerical noise from clipping; treat conservatively as
-            # a non-bisector edge.
-            clipped = True
+            # No tie: numerical noise from clipping (or only a stack
+            # entered); treat conservatively as a non-bisector edge.
+            clipped = clipped or not entered
             continue
         # Every non-member tied at the k/k+1 boundary is an adjacent cell's
         # incoming object.  (Generic position gives exactly one.)

@@ -1,15 +1,15 @@
 """Basic geometric primitives: segments, circles and axis-aligned boxes.
 
-These primitives are shared by the spatial indexes (bounding boxes), the
-Voronoi structures (segments, circles) and the safe-region baselines
-(circle/box containment tests).
+These primitives are shared by the Voronoi structures (segments, circles,
+clipping boxes), the data and trajectory generators (their extent) and the
+renderers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List
 
 from repro.errors import GeometryError
 from repro.geometry.point import Point, bounding_coordinates
@@ -82,7 +82,7 @@ class Circle:
 
 @dataclass(frozen=True)
 class BoundingBox:
-    """An axis-aligned rectangle, used as the MBR of index entries.
+    """An axis-aligned rectangle: a cell polygon's clipping box, or an extent.
 
     The box is closed: points on the boundary are considered contained.
     An "empty" box can be represented with ``min_x > max_x``; use
@@ -96,13 +96,8 @@ class BoundingBox:
 
     @staticmethod
     def empty() -> "BoundingBox":
-        """A box that contains nothing and is the identity for :meth:`union`."""
+        """A box that contains nothing (the bounds of an empty polygon)."""
         return BoundingBox(math.inf, math.inf, -math.inf, -math.inf)
-
-    @staticmethod
-    def from_point(p: Point) -> "BoundingBox":
-        """A degenerate box covering exactly one point."""
-        return BoundingBox(p.x, p.y, p.x, p.y)
 
     @staticmethod
     def from_points(points: Iterable[Point]) -> "BoundingBox":
@@ -127,21 +122,6 @@ class BoundingBox:
         """Vertical extent (0 for an empty box)."""
         return max(0.0, self.max_y - self.min_y)
 
-    @property
-    def area(self) -> float:
-        """Area of the box."""
-        return self.width * self.height
-
-    @property
-    def perimeter(self) -> float:
-        """Perimeter of the box (used by R-tree split heuristics)."""
-        return 2.0 * (self.width + self.height)
-
-    @property
-    def center(self) -> Point:
-        """The geometric center of the box."""
-        return Point((self.min_x + self.max_x) / 2.0, (self.min_y + self.max_y) / 2.0)
-
     def corners(self) -> List[Point]:
         """The four corner points in counter-clockwise order."""
         return [
@@ -154,57 +134,6 @@ class BoundingBox:
     def contains_point(self, p: Point) -> bool:
         """True when ``p`` lies inside or on the boundary of the box."""
         return self.min_x <= p.x <= self.max_x and self.min_y <= p.y <= self.max_y
-
-    def contains_box(self, other: "BoundingBox") -> bool:
-        """True when ``other`` lies completely inside this box."""
-        if other.is_empty:
-            return True
-        return (
-            self.min_x <= other.min_x
-            and self.min_y <= other.min_y
-            and self.max_x >= other.max_x
-            and self.max_y >= other.max_y
-        )
-
-    def intersects(self, other: "BoundingBox") -> bool:
-        """True when the two boxes share at least one point."""
-        if self.is_empty or other.is_empty:
-            return False
-        return (
-            self.min_x <= other.max_x
-            and other.min_x <= self.max_x
-            and self.min_y <= other.max_y
-            and other.min_y <= self.max_y
-        )
-
-    def union(self, other: "BoundingBox") -> "BoundingBox":
-        """The smallest box covering both boxes."""
-        if self.is_empty:
-            return other
-        if other.is_empty:
-            return self
-        return BoundingBox(
-            min(self.min_x, other.min_x),
-            min(self.min_y, other.min_y),
-            max(self.max_x, other.max_x),
-            max(self.max_y, other.max_y),
-        )
-
-    def enlargement(self, other: "BoundingBox") -> float:
-        """Area increase needed to cover ``other`` (R-tree choose-subtree metric)."""
-        return self.union(other).area - self.area
-
-    def min_distance_to_point(self, p: Point) -> float:
-        """Smallest distance from ``p`` to any point of the box (0 if inside)."""
-        dx = max(self.min_x - p.x, 0.0, p.x - self.max_x)
-        dy = max(self.min_y - p.y, 0.0, p.y - self.max_y)
-        return math.hypot(dx, dy)
-
-    def max_distance_to_point(self, p: Point) -> float:
-        """Largest distance from ``p`` to any point of the box."""
-        dx = max(abs(p.x - self.min_x), abs(p.x - self.max_x))
-        dy = max(abs(p.y - self.min_y), abs(p.y - self.max_y))
-        return math.hypot(dx, dy)
 
     def expanded(self, margin: float) -> "BoundingBox":
         """This box grown by ``margin`` on every side."""

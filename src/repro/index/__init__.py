@@ -1,17 +1,12 @@
 """Spatial indexing substrate.
 
 The paper indexes the data objects (and their precomputed Voronoi neighbour
-lists) with a VoR-tree, whose points carry their Voronoi neighbours.  This
-package provides:
-
-* :mod:`repro.index.rtree` — an R-tree with quadratic split, STR bulk
-  loading, range search and best-first (incremental) kNN search; the
-  baselines' index.
-* :mod:`repro.index.vortree` — the VoR-tree: the neighbour lists alone,
-  which also serve its point location (jump-and-walk).
+lists) with a VoR-tree, whose points carry their Voronoi neighbours.
+:mod:`repro.index.vortree` keeps the neighbour lists alone; they serve its
+kNN retrieval and its point location (jump-and-walk) for the INS processor
+and the plane baselines alike.
 """
 
-from repro.index.rtree import RTree, RTreeEntry
 from repro.index.vortree import VoRTree
 
-__all__ = ["RTree", "RTreeEntry", "VoRTree"]
+__all__ = ["VoRTree"]

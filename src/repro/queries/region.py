@@ -3,20 +3,18 @@
 :class:`OrderKRegion` is the policy: after each retrieval it builds the
 exact order-k Voronoi cell of the kNN set (:mod:`repro.geometry.order_k`);
 the set stays the answer exactly as long as the query stays inside that
-polygon, so validation is one point-in-convex-polygon test.  A binding
-supplies the search it runs on:
+polygon, so validation is one point-in-convex-polygon test.  It runs on one
+VoR-tree, ``_tree``: the objects it clips against are the tree's active
+ones, and each recompute is one :meth:`~repro.index.vortree.VoRTree.retrieve`
+started from the previous nearest member.  A binding only says whose tree
+that is:
 
-* ``_nearest(position, count)`` — one retrieval: ``(index, distance)``
-  pairs of the ``count`` nearest objects, nearest first;
-* ``_points`` — every object position, indexed by object;
-* ``_candidate_indexes()`` — the objects the cell is clipped against
-  (``None`` for all of ``_points``), called once before each retrieval.
-
-:class:`OrderKRegionProcessor` binds it to the live VoR-tree and serves
-``kind="region"``: each answer also reports whether the session *entered* a
-new region (its member set changed — each entry doubles as the exit of the
-previous region).  The R-tree binding is the E7 baseline,
-:class:`repro.baselines.OrderKSafeRegionProcessor`.
+* :class:`OrderKRegionProcessor` is handed the live VoR-tree and serves
+  ``kind="region"``: each answer also reports whether the session *entered* a
+  new region (its member set changed — each entry doubles as the exit of the
+  previous region);
+* the E7 baseline, :class:`repro.baselines.OrderKSafeRegionProcessor`, builds
+  a tree of its own over the positions it is given.
 
 Delta invalidation follows the same lazy contract as ``INSProcessor``: the
 base class's ``notify_data_update`` only accumulates the pending delta, and
@@ -40,10 +38,9 @@ at the next answer.
 
 from __future__ import annotations
 
-import abc
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, QueryError
 from repro.core.objects import QueryResult, UpdateAction, immutable
 from repro.core.processor import MovingKNNProcessor
 from repro.geometry.order_k import OrderKCell, order_k_cell
@@ -63,8 +60,11 @@ class OrderKRegion(MovingKNNProcessor[Point]):
     """The exact order-k Voronoi cell as the safe region of the kNN set.
 
     The polygons are clipped to the box around ``sites`` (the data at
-    construction), expanded by its larger side (at least 1).
+    construction), expanded by its larger side (at least 1).  A binding sets
+    ``_tree``, the VoR-tree the policy retrieves from.
     """
+
+    _tree: VoRTree
 
     def __init__(self, k: int, sites: Sequence[Point]):
         super().__init__(k)
@@ -86,13 +86,9 @@ class OrderKRegion(MovingKNNProcessor[Point]):
         """The held order-k cell (None before initialisation)."""
         return self._cell
 
-    @abc.abstractmethod
-    def _nearest(self, position: Point, count: int) -> List[Tuple[int, float]]:
-        """One retrieval: the ``count`` nearest ``(index, distance)`` pairs."""
-
-    @abc.abstractmethod
-    def _candidate_indexes(self) -> Optional[Iterable[int]]:
-        """The objects to clip against (``None``: all); once per recompute."""
+    @property
+    def _points(self) -> Sequence[Point]:
+        return self._tree.positions
 
     # ------------------------------------------------------------------
     # Settling the pending delta
@@ -144,8 +140,13 @@ class OrderKRegion(MovingKNNProcessor[Point]):
     # ------------------------------------------------------------------
     def _recompute(self, position: Point) -> None:
         with self._stats.timed("construction_seconds"):
-            candidates = self._candidate_indexes()
-            self._knn = [index for index, _ in self._nearest(position, self.k)]
+            candidates = self._tree.active_indexes()
+            if len(candidates) <= self.k:
+                raise QueryError(
+                    f"k={self.k} needs more than {len(candidates)} surviving data objects"
+                )
+            hint = self._knn[0] if self._knn else None
+            self._knn = self._tree.retrieve(position, self.k, hint)[0]
             positions = self._points
             self._member_positions = {index: positions[index] for index in self._knn}
             self._cell = order_k_cell(
@@ -232,26 +233,18 @@ class OrderKRegionProcessor(OrderKRegion):
     def __init__(self, vortree: VoRTree, k: int):
         positions = vortree.positions
         super().__init__(k, [positions[index] for index in vortree.active_indexes()])
-        self._vortree = vortree
+        self._tree = vortree
         self._prev_member_set: Optional[FrozenSet[int]] = None
+
+    def __setstate__(self, state) -> None:
+        # Pickled when the binding kept the live tree as ``_vortree``.
+        if "_vortree" in state:
+            state["_tree"] = state.pop("_vortree")
+        self.__dict__.update(state)
 
     @property
     def name(self) -> str:
         return "OrderK-Region"
-
-    @property
-    def _points(self) -> Sequence[Point]:
-        return self._vortree.positions
-
-    def _nearest(self, position: Point, count: int) -> List[Tuple[int, float]]:
-        positions = self._points
-        return [
-            (index, position.distance_to(positions[index]))
-            for index in self._vortree.nearest(position, count)
-        ]
-
-    def _candidate_indexes(self) -> List[int]:
-        return self._vortree.active_indexes()
 
     def _answer(self, position: Point, action: UpdateAction, was_valid: bool) -> RegionResult:
         result = super()._answer(position, action, was_valid)

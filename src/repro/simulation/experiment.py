@@ -8,8 +8,8 @@ INS-road and the road baselines.  :func:`compare` runs the selected methods
 along the scenario's trajectory and, on request, cross-checks every reported
 answer against the metric's brute-force oracle.
 
-Each method builds its own server-side structure (R-tree, VoR-tree, network
-Voronoi diagram).
+Each method builds its own server-side structure (a VoR-tree on the plane,
+a network Voronoi diagram or none on roads).
 """
 
 from __future__ import annotations

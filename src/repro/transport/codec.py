@@ -374,9 +374,8 @@ class IndexDelta:
         full: the leader rebuilt from scratch — the metric sections carry
             the complete post-epoch state and replicas replace wholesale.
         bulk: kept on the wire for frames already written (the golden
-            corpus is frozen): leaders once set it when the Euclidean batch
-            ran in bulk order, for an R-tree the VoR-tree no longer has.
-            Leaders leave it False and replicas ignore it.
+            corpus is frozen); leaders leave it False and replicas ignore
+            it.
         new_indexes: object indexes assigned to the epoch's inserts.
         deleted_indexes: object indexes actually removed.
         changed: the epoch's invalidation delta (sorted object indexes).

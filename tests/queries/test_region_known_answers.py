@@ -2,8 +2,8 @@
 
 The region query kind (:class:`~repro.queries.OrderKRegionProcessor`, over
 the live VoR-tree) and the E7 baseline
-(:class:`~repro.baselines.OrderKSafeRegionProcessor`, over an R-tree) run
-one policy.  Every value below is worked out by hand, so the policy is
+(:class:`~repro.baselines.OrderKSafeRegionProcessor`, over a VoR-tree of its
+own) run one policy.  Every value below is worked out by hand, so the policy is
 checked against independent answers, not only against its own past output.
 
 Two layouts, each walked along ``y = 3``:
@@ -19,6 +19,9 @@ Two layouts, each walked along ``y = 3``:
 * ``COLLINEAR`` — 0 (0, 0), 1 (4, 0), 2 (10, 0), 3 (16, 0).  The clipping
   box is [-16, 32] x [-16, 16]; every bisector is vertical (x = 2, 5, 7,
   8, 10, 13), so every cell is a strip cut by the box.
+
+A third layout, ``STACKED``, puts three objects at one position
+(:class:`TestCoincidentObjects`).
 
 The guard objects are the minimal influential set (MIS): the non-members
 whose bisector with a member bounds the cell along an edge.
@@ -224,3 +227,82 @@ class TestChangedMembers:
         processor.initialize(Point(12.0, 3.0))
         assert processor.stats.absorbed_updates == 0
         assert processor.stats.full_recomputations == 2
+
+
+#: Objects 0, 1 and 2 share (1, 1); 3 (5, 1), 4 (1, 6), 5 (9, 9).  The data
+#: box [1, 9]² grows by 8 into the clipping box [-7, 17]².  Twins tie
+#: everywhere, so the ``(distance, index)`` order ranks them — no bisector:
+#: a twin behind a member clips nothing.  The bisectors: (1, 1)|4 is
+#: y = 3.5, (1, 1)|3 is x = 3 and (1, 1)|5 is x + y = 10.
+STACKED = [Point(1.0, 1.0)] * 3 + [Point(5.0, 1.0), Point(1.0, 6.0), Point(9.0, 9.0)]
+#: Any member set of (1, 1) objects alone: x <= 3, y <= 3.5.
+STACK_CELL = [(-7, -7), (-7, 3.5), (3, -7), (3, 3.5)]
+#: Object 3 plus some of the (1, 1) objects, one left out: x >= 3 (3 beats
+#: the one left out), y <= 3.5 and x + y <= 10.  Across x = 3 the left-out
+#: object with the lowest index replaces 3, so it is in the MIS; 4 and 5
+#: come in across the other two.
+STACK_AND_3 = [(3, -7), (3, 3.5), (6.5, 3.5), (17, -7)]
+#: Objects 0-3: y <= 3.5, 10y <= 8x + 11 (3|4), x + y <= 10; the first two
+#: meet at (3, 3.5), the first and the third at (6.5, 3.5).
+ALL_BUT_4_5 = [(-7, -7), (-7, -4.5), (3, 3.5), (6.5, 3.5), (17, -7)]
+
+#: One walk step: the position, the members nearest first, the MIS, the
+#: departed members and the cell's vertices.
+STACKED_WALKS = {
+    1: [
+        ((0.5, 0.2), (0,), {3, 4}, (), STACK_CELL),
+        ((2.5, 3.0), (0,), {3, 4}, (), STACK_CELL),
+    ],
+    2: [
+        ((0.5, 0.2), (0, 1), {3, 4}, (), STACK_CELL),
+        ((2.5, 3.0), (0, 1), {3, 4}, (), STACK_CELL),
+        ((4.0, 0.2), (3, 0), {1, 4, 5}, (1,), STACK_AND_3),
+    ],
+    3: [
+        ((0.5, 0.2), (0, 1, 2), {3, 4}, (), STACK_CELL),
+        ((2.5, 3.0), (0, 1, 2), {3, 4}, (), STACK_CELL),
+        ((4.0, 0.2), (3, 0, 1), {2, 4, 5}, (2,), STACK_AND_3),
+    ],
+    4: [
+        ((0.5, 0.2), (0, 1, 2, 3), {4, 5}, (), ALL_BUT_4_5),
+        ((4.0, 0.2), (3, 0, 1, 2), {4, 5}, (), ALL_BUT_4_5),
+    ],
+}
+
+
+@pytest.mark.parametrize("k", STACKED_WALKS)
+@pytest.mark.parametrize("binding", BINDINGS)
+class TestCoincidentObjects:
+    """Coincident objects straddling the member set, through both bindings."""
+
+    def walk(self, binding, k):
+        processor = BINDINGS[binding](STACKED, k)
+        for number, (xy, members, mis, departed, cell) in enumerate(STACKED_WALKS[k]):
+            position = Point(*xy)
+            result = processor.update(position) if number else processor.initialize(position)
+            vertices = sorted((v.x, v.y) for v in processor.safe_region.polygon.vertices)
+            yield result, members, mis, departed, cell, vertices
+
+    def test_members_mis_and_cell(self, binding, k):
+        for result, members, mis, _, cell, vertices in self.walk(binding, k):
+            assert result.knn == members
+            assert result.guard_objects == frozenset(mis)
+            assert vertices == [pytest.approx(vertex, abs=1e-9) for vertex in cell]
+
+    def test_a_twin_left_behind_departs(self, binding, k):
+        for result, _, _, departed, _, _ in list(self.walk(binding, k))[1:]:
+            assert result.was_valid is not departed
+            if binding == "kind":
+                assert result.departed == departed
+
+    def test_distances(self, binding, k):
+        # From (0.5, 0.2) every (1, 1) object is sqrt(0.89) away and object 3
+        # sqrt(20.89); from (4, 0.2) object 3 is sqrt(1.64) and the (1, 1)
+        # objects sqrt(9.64).
+        first, *_, last = (result for result, *_ in self.walk(binding, k))
+        stacked = min(k, 3)
+        assert first.knn_distances == pytest.approx(
+            (0.89**0.5,) * stacked + (20.89**0.5,) * (k - stacked)
+        )
+        if k > 1:
+            assert last.knn_distances == pytest.approx((1.64**0.5,) + (9.64**0.5,) * (k - 1))

@@ -11,6 +11,7 @@ import pytest
 import repro
 import repro.baselines
 import repro.durability
+import repro.index
 import repro.obs
 import repro.obs.httpd
 import repro.queries
@@ -222,16 +223,17 @@ class TestPublicApi:
             assert "max_entries" not in inspect.signature(entry).parameters, entry
 
     def test_the_baselines_take_no_index_knobs(self):
-        """A baseline builds its own R-tree over the data, clipped (order-k)
-        to the box around it; the k-d tree and the grid had no caller."""
+        """A baseline builds its own VoR-tree over the data, clipped (order-k)
+        to the box around it; the k-d tree, the grid and the R-tree went."""
         for baseline in (
             repro.NaiveProcessor,
             repro.VStarProcessor,
             repro.OrderKSafeRegionProcessor,
         ):
             parameters = inspect.signature(baseline).parameters
-            assert "rtree" not in parameters and "bounding_box" not in parameters
-        assert not {"KDTree", "GridIndex"} & set(repro.__all__)
+            assert not {"rtree", "tree", "bounding_box"} & set(parameters)
+        assert not {"KDTree", "GridIndex", "RTree", "RTreeEntry"} & set(repro.__all__)
+        assert not {"RTree", "RTreeEntry"} & set(repro.index.__all__)
 
     def test_key_classes_are_exported(self):
         assert repro.INSProcessor.__name__ == "INSProcessor"
