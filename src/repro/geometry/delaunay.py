@@ -68,10 +68,11 @@ fall back to a full rebuild.
 
 Both mutators return the set of surviving sites whose Voronoi neighbour
 lists (may have) changed — the vertices of the removed triangles plus the
-new site on insert, the link on delete — which is what lets
-:class:`~repro.geometry.voronoi.VoronoiDiagram` and
-:class:`~repro.index.vortree.VoRTree` patch their neighbour maps instead of
-rebuilding them from scratch on every data-object update.
+new site on insert, the link on delete.  The links are the one neighbour
+store: :class:`~repro.geometry.voronoi.VoronoiDiagram` answers every
+neighbour query from them, and :class:`~repro.index.vortree.VoRTree` reads
+just the changed sites' links into its lists instead of rebuilding them from
+scratch on every data-object update.
 
 **Why the representation cannot move an answer.**  The Delaunay
 triangulation of the *jittered* points is unique whenever no four of them
@@ -89,6 +90,10 @@ tie edges survive therefore depends on the perturbation draw: two
 structures that absorbed the same sites along different histories (e.g. an
 incrementally-maintained tree vs. a from-scratch rebuild) may legitimately
 disagree on degenerate tie edges while both being valid triangulations.
+Collinearity is the one degeneracy the jitter never decides: it is judged
+on the unperturbed sites, at construction as on removal, and an all-collinear
+set is refused — its Voronoi neighbours are the chain along the line
+(:func:`delaunay_neighbors`), not a triangulation of the jittered copies.
 Randomly distributed sites — every workload in this repository — have no
 ties, and there the adjacency is unambiguous.
 """
@@ -101,7 +106,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import GeometryError
 from repro.geometry.point import Point, bounding_coordinates
-from repro.geometry.predicates import EPSILON, orientation
+from repro.geometry.predicates import orientation
 
 Edge = FrozenSet[int]
 
@@ -160,14 +165,14 @@ class DelaunayTriangulation:
         live = self.active_indexes()
         if len(live) < 3:
             raise GeometryError("Delaunay triangulation requires at least 3 points")
+        if _all_points_collinear([points[index] for index in live]):
+            raise GeometryError("Delaunay triangulation requires non-collinear points")
         self._original_points: List[Point] = list(points)
         self._rng = random.Random(seed)
         self._jitter_magnitude = self._jitter_scale(jitter, live)
         self._points: List[Point] = list(points)
         for index in live:
             self._points[index] = self._perturb(points[index])
-        if _all_points_collinear([self._points[index] for index in live], EPSILON):
-            raise GeometryError("Delaunay triangulation requires non-collinear points")
         #: Directed edge -> apex of the counter-clockwise triangle on its left.
         self._apex: Dict[Tuple[int, int], int] = {}
         #: Vertex (GHOST included) -> one of its current neighbours.
@@ -242,9 +247,12 @@ class DelaunayTriangulation:
 
         ``changed_sites`` contains every surviving site whose Delaunay (and
         therefore Voronoi) neighbour set may have changed, the new site
-        included.  The cost is O(walk + cavity size), not O(n).  The
-        point-location walk starts at ``hint``, a site near ``point``, when
-        that site is active; the cavity is unique, so the result is the same.
+        included.  The cost is O(walk + cavity size), not O(n).  ``hint``,
+        when active, is taken for the site nearest to ``point`` (the
+        VoR-tree's own walk found it): its star is searched for the first
+        bad triangle and no second walk runs.  A hint whose star holds none
+        falls back to the walk, started there.  The cavity is unique, so the
+        result is the same.
 
         Raises:
             GeometryError: when no cavity can be located; nothing has been
@@ -255,7 +263,9 @@ class DelaunayTriangulation:
         index = len(self._points)
         if hint is not None and self.is_active(hint):
             self._walk_hint = hint
-        changed = self._carve_cavity(index, perturbed)
+        else:
+            hint = None
+        changed = self._carve_cavity(index, perturbed, hint)
         self._original_points.append(point)
         self._points.append(perturbed)
         self._active.append(True)
@@ -474,35 +484,40 @@ class DelaunayTriangulation:
             if best == current:
                 return current
 
-    def _seed_edge(self, point: Point) -> Tuple[int, int]:
+    def _seed_edge(self, point: Point, nearest: Optional[int]) -> Tuple[int, int]:
         """A directed edge whose triangle's circumcircle contains ``point``.
 
-        The first bad triangle of the star of the walk's nearest vertex;
-        the rare numerical fallback scans the whole map.
+        The first bad triangle of the star of ``nearest``, a caller's
+        nearest site, else of the walk's nearest vertex (the nearest site
+        to a new point is always a vertex of its cavity); the rare
+        numerical fallback scans the whole map.
         """
         apex = self._apex
-        nearest = self._nearest_vertex(point)
-        for neighbor in self._link(nearest):
-            if self._circumcircle_contains(nearest, neighbor, apex[nearest, neighbor], point):
-                return nearest, neighbor
+        for start in (None,) if nearest is None else (nearest, None):
+            if start is None:
+                start = self._nearest_vertex(point)
+            for neighbor in self._link(start):
+                if self._circumcircle_contains(start, neighbor, apex[start, neighbor], point):
+                    return start, neighbor
         for (a, b), c in apex.items():
             if self._circumcircle_contains(a, b, c, point):
                 return a, b
         raise GeometryError("no triangle circumcircle contains the new site")
 
-    def _carve_cavity(self, index: int, point: Point) -> Set[int]:
+    def _carve_cavity(self, index: int, point: Point, nearest: Optional[int] = None) -> Set[int]:
         """Carve the Bowyer–Watson cavity of ``point`` and fill it around ``index``.
 
         Returns the set of real sites whose neighbour lists may have changed
         (all vertices of removed triangles plus the new site).  The caller
         is responsible for registering ``point`` under ``index`` afterwards.
+        ``nearest`` is the caller's nearest site, if it knows it.
         The cavity is edge-connected (ghost triangles included), so one bad
         seed triangle and a flood over its edges enumerate it without
         scanning the map; see the module docstring for the apex rule.
         """
         apex = self._apex
         contains = self._circumcircle_contains
-        a, b = self._seed_edge(point)
+        a, b = self._seed_edge(point, nearest)
         c = apex[a, b]
         inside = {a, b, c}
         cavity = [(a, b), (b, c), (c, a)]

@@ -15,9 +15,11 @@ strided objects, then greedy descent.  No spatial tree is kept beside them.
 :meth:`VoRTree.insert` and :meth:`VoRTree.delete` drive
 :meth:`VoronoiDiagram.insert_site` / :meth:`VoronoiDiagram.remove_site`,
 which carve only the affected Delaunay cavity / star — convex-hull objects
-included — and patch just the neighbour lists those deltas report.  No step
-of an update is O(n): the population count is a counter, and an insert's
-point location starts at the nearest object the jump-and-walk finds.
+included — in the diagram's live dual, the one place the adjacency is kept;
+each site those deltas report has its list read once off the dual into the
+frozen sets INS reads.  No step of an update is O(n): the population count
+is a counter, and an insert is located by one walk — the nearest object the
+jump-and-walk finds is where the dual's cavity search starts.
 Every mutation also *returns* the set of objects whose Voronoi neighbour
 lists changed (the same delta contract as
 :meth:`repro.roadnet.network_voronoi.NetworkVoronoiDiagram.insert_object`),
@@ -43,7 +45,7 @@ from __future__ import annotations
 from heapq import heappop, heappush, nsmallest
 from itertools import compress
 from math import hypot
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import EmptyDatasetError, GeometryError, QueryError
 from repro.geometry.point import Point
@@ -191,7 +193,7 @@ class VoRTree:
             index = self._append_object(point)
             self._voronoi.add_tombstone(point)
             self._members.setdefault(site, [site]).append(index)
-            return index, self._patch_neighbor_lists([site, *self._voronoi.neighbor_view(site)])
+            return index, self._patch_neighbor_lists([site, *self._voronoi.neighbors_of(site)])
         hint = self._site_at[self._xy[self._walk(x, y, self._jump(x, y))[1]]]
         index = self._append_object(point)
         try:
@@ -230,7 +232,7 @@ class VoRTree:
             members.remove(index)
             if members == [site]:
                 del self._members[site]
-            return True, self._patch_neighbor_lists([site, *self._voronoi.neighbor_view(site)])
+            return True, self._patch_neighbor_lists([site, *self._voronoi.neighbors_of(site)])
         del self._site_at[self._xy[index]]
         self._members.pop(site, None)
         if len(self._site_at) < 2:
@@ -413,30 +415,37 @@ class VoRTree:
                 members.setdefault(site, [site]).append(index)
         founders = [site_at.get(row) == index for index, row in enumerate(self._xy)]
         self._voronoi = None
+        lists = dict.fromkeys(site_at.values(), ())
         if len(site_at) >= 2:
-            self._voronoi = VoronoiDiagram(
-                self._points, maintain_incrementally=True, active=founders
-            )
+            self._voronoi = VoronoiDiagram(self._points, active=founders)
+            # Every site changed: one pass over the dual's edges reads them
+            # all, cheaper than one link walk per site.
+            lists = self._voronoi.neighbor_map()
         self._neighbor_map = {}
-        self._patch_neighbor_lists(site_at.values())
+        self._patch_neighbor_lists(site_at.values(), lists.__getitem__)
 
-    def _patch_neighbor_lists(self, changed_sites: Iterable[int]) -> Set[int]:
+    def _patch_neighbor_lists(
+        self, changed_sites: Iterable[int], neighbors_of: Optional[Callable] = None
+    ) -> Set[int]:
         """Re-derive the neighbour lists of the objects at changed sites.
 
-        Returns the set of affected *object* indexes (the mutation delta).
+        Each site's neighbours are read once, off the diagram's dual
+        (``neighbors_of``, by default the diagram's own).  Returns the set
+        of affected *object* indexes (the mutation delta).
         """
         changed_objects: Set[int] = set()
         members = self._members
-        neighbor_view = self._voronoi.neighbor_view if self._voronoi else lambda site: ()
+        if neighbors_of is None:
+            neighbors_of = self._voronoi.neighbors_of
         for site in changed_sites:
             if not members:
                 # With no twins anywhere a site's list is the diagram's set
                 # as is, at a fifth of the expansion's cost per site.
-                self._neighbor_map[site] = frozenset(neighbor_view(site))
+                self._neighbor_map[site] = frozenset(neighbors_of(site))
                 changed_objects.add(site)
                 continue
             around = frozenset(
-                obj for other in neighbor_view(site) for obj in members.get(other, (other,))
+                obj for other in neighbors_of(site) for obj in members.get(other, (other,))
             )
             own = members.get(site, (site,))
             for obj in own:

@@ -103,7 +103,7 @@ class TestInfluentialNeighborIndexes:
 
 class TestLazyBoundingBoxGrowth:
     def test_far_outside_insert_grows_the_box(self, small_points):
-        diagram = VoronoiDiagram(small_points, maintain_incrementally=True)
+        diagram = VoronoiDiagram(small_points)
         outside = Point(500.0, 500.0)
         assert not diagram.bounding_box.contains_point(outside)
         index, _ = diagram.insert_site(outside)
@@ -113,13 +113,13 @@ class TestLazyBoundingBoxGrowth:
         assert diagram.cell(index).contains(outside)
 
     def test_inside_insert_keeps_the_box(self, small_points):
-        diagram = VoronoiDiagram(small_points, maintain_incrementally=True)
+        diagram = VoronoiDiagram(small_points)
         before = diagram.bounding_box
         diagram.insert_site(Point(5.0, 5.0))
         assert diagram.bounding_box == before
 
     def test_growth_invalidates_cached_cells(self, small_points):
-        diagram = VoronoiDiagram(small_points, maintain_incrementally=True)
+        diagram = VoronoiDiagram(small_points)
         hull_cell_before = diagram.cell(2)  # hull site, clipped by the box
         outside = Point(300.0, 8.0)
         diagram.insert_site(outside)

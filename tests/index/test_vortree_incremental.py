@@ -239,6 +239,17 @@ class TestRebuildCounter:
         tree.full_rebuild()  # the oracle's explicit rebuild is not a slow path
         assert sum(rebuilds_by_reason().values()) == 2
 
+    def test_leaving_and_regaining_a_line_are_each_one_rebuild(self):
+        """Five objects on a line have no dual.  An object off the line
+        builds one from scratch, and its deletion drops it again: two
+        rebuilds, both counted."""
+        tree = VoRTree([Point(float(x), 0.0) for x in range(5)])
+        assert rebuilds_by_reason() == {"geometry_error": 0, "bulk_threshold": 0}
+        apex, _ = tree.insert(Point(2.0, 3.0))
+        assert rebuilds_by_reason() == {"geometry_error": 1, "bulk_threshold": 0}
+        tree.delete(apex)
+        assert rebuilds_by_reason() == {"geometry_error": 2, "bulk_threshold": 0}
+
     @pytest.mark.parametrize("n", [60, 400], ids=["floor", "fraction"])
     def test_the_batch_size_alone_picks_the_path(self, n):
         """A burst one short of ``max(8, 0.07 n)`` operations is patched

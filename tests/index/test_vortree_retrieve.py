@@ -32,6 +32,7 @@ from rebuild_reference import TREES
 import repro.obs as obs
 from repro.durability.snapshot import read_snapshot
 from repro.errors import QueryError
+from repro.geometry.delaunay import DelaunayTriangulation
 from repro.geometry.point import Point
 from repro.index.vortree import VoRTree
 from repro.workloads.datasets import clustered_points, uniform_points
@@ -280,6 +281,28 @@ class TestJumpAndWalk:
         assert len(tree) == 10
         assert tree._jump(50.0, 50.0) == 1
         check_every_hint(tree, Point(50.0, 50.0), counts=(1, 3, 10))
+
+    def test_an_insert_is_located_by_one_walk(self, monkeypatch):
+        """The walk's nearest object starts the dual's search for the first
+        bad triangle: a churned stream never runs the dual's own descent."""
+        rng = random.Random(41)
+        tree = VoRTree(uniform_points(300, extent=1_000.0, seed=41))
+        descents = []
+        original = DelaunayTriangulation._nearest_vertex
+
+        def counted(triangulation, point):
+            descents.append(point)
+            return original(triangulation, point)
+
+        monkeypatch.setattr(DelaunayTriangulation, "_nearest_vertex", counted)
+        for _ in range(40):
+            tree.batch_update(
+                inserts=[Point(rng.uniform(-50, 1_050), rng.uniform(-50, 1_050)) for _ in range(3)],
+                deletes=rng.sample(tree.active_indexes(), 3),
+            )
+        assert len(tree) == 300
+        assert descents == []
+        check_every_hint(tree, Point(500.0, 500.0), counts=(1, 8))
 
 
 class TestNearestKnownAnswers:
