@@ -13,9 +13,10 @@ every counter-clockwise triangle ``(a, b, c)`` is the three entries
 across an edge is one lookup of the reversed key, and ``spoke[v]`` names one
 neighbour of ``v``, so the *link* of ``v`` — ``w = spoke[v]``, then
 ``w = apex[v, w]`` until it closes — lists its neighbours counter-clockwise.
-That one rotation is :meth:`DelaunayTriangulation.neighbors_of`, the
-adjacency of the point-location walk, the star searched for a first bad
-triangle and the boundary of a deletion's hole.
+That rotation is the adjacency of the point-location walk, the star searched
+for a first bad triangle and the boundary of a deletion's hole; filling a set
+as it turns, it is :meth:`DelaunayTriangulation.neighbor_sets`, the bulk read
+of an update's changed sites.
 
 **One ghost rule.**  Instead of the classic bounding "super triangle"
 (whose finite corner coordinates silently *drop* hull edges whose empty
@@ -67,12 +68,11 @@ cannot close) therefore always means *nothing was mutated*, and callers
 fall back to a full rebuild.
 
 Both mutators return the set of surviving sites whose Voronoi neighbour
-lists (may have) changed — the vertices of the removed triangles plus the
-new site on insert, the link on delete.  The links are the one neighbour
-store: :class:`~repro.geometry.voronoi.VoronoiDiagram` answers every
-neighbour query from them, and :class:`~repro.index.vortree.VoRTree` reads
-just the changed sites' links into its lists instead of rebuilding them from
-scratch on every data-object update.
+lists changed — the vertices of the removed triangles plus the new site on
+insert, the link on delete.  :class:`~repro.geometry.voronoi.VoronoiDiagram`
+answers every neighbour query from the links, and
+:class:`~repro.index.vortree.VoRTree` re-reads exactly those sites' lists
+with one :meth:`~DelaunayTriangulation.neighbor_sets` call per update.
 
 **Why the representation cannot move an answer.**  The Delaunay
 triangulation of the *jittered* points is unique whenever no four of them
@@ -102,11 +102,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import GeometryError
 from repro.geometry.point import Point, bounding_coordinates
-from repro.geometry.predicates import orientation
+from repro.geometry.predicates import EPSILON, orientation
 
 Edge = FrozenSet[int]
 
@@ -237,6 +237,24 @@ class DelaunayTriangulation:
             raise GeometryError(f"site {index} does not exist (or was removed)")
         result = set(self._link(index))
         result.discard(GHOST)
+        return result
+
+    def neighbor_sets(self, sites: Iterable[int]) -> Dict[int, FrozenSet[int]]:
+        """Each active site of ``sites`` -> its frozen :meth:`neighbors_of`, one
+        link rotation per site and no call per step.  A set filled, then
+        frozen, is sized for its members alone."""
+        apex = self._apex
+        spoke = self._spoke
+        result = {}
+        for site in sites:
+            start = spoke[site]
+            ring = {start}
+            following = apex[site, start]
+            while following != start:
+                ring.add(following)
+                following = apex[site, following]
+            ring.discard(GHOST)
+            result[site] = frozenset(ring)
         return result
 
     # ------------------------------------------------------------------
@@ -547,16 +565,6 @@ class DelaunayTriangulation:
         inside.add(index)
         return inside
 
-    def _encroached(self, a: int, b: int, c: int, polygon: Sequence[int]) -> bool:
-        """True when a real vertex of ``polygon`` other than the ear's own
-        lies in the circumcircle of the ear ``(a, b, c)``."""
-        points = self._points
-        contains = self._circumcircle_contains
-        for other in polygon:
-            if other >= 0 and other not in (a, b, c) and contains(a, b, c, points[other]):
-                return True
-        return False
-
     def _retriangulate_hole(self, hole: Sequence[int]) -> List[Tuple[int, int, int]]:
         """Delaunay triangulation of a star-shaped hole via ear clipping.
 
@@ -569,6 +577,8 @@ class DelaunayTriangulation:
         hole an ear containing :data:`GHOST` is a ghost triangle, whose
         "circumcircle" is the half-plane beyond the new hull edge (see
         :meth:`_circumcircle_contains`); the ghost lies in no circumcircle.
+        A real ear is tested inline: the floats of ``orientation`` and of
+        :meth:`_circumcircle_contains`'s in-circle test, operand for operand.
 
         Raises:
             GeometryError: when no ear can be clipped, or when a diagonal
@@ -576,6 +586,8 @@ class DelaunayTriangulation:
                 result would not be a sphere).  Nothing is mutated here.
         """
         points = self._points
+        contains = self._circumcircle_contains
+        xy = {v: (points[v].x, points[v].y) for v in hole if v >= 0}
         polygon = list(hole)
         result: List[Tuple[int, int, int]] = []
         while len(polygon) > 3:
@@ -584,11 +596,42 @@ class DelaunayTriangulation:
                 a = polygon[i - 1]
                 b = polygon[i]
                 c = polygon[(i + 1) % size]
-                real = a >= 0 and b >= 0 and c >= 0
-                if real and orientation(points[a], points[b], points[c]) <= 0:
-                    continue
-                if self._encroached(a, b, c, polygon):
-                    continue
+                if a < 0 or b < 0 or c < 0:
+                    if any(
+                        v >= 0 and v not in (a, b, c) and contains(a, b, c, points[v])
+                        for v in polygon
+                    ):
+                        continue
+                else:
+                    ax, ay = xy[a]
+                    bx, by = xy[b]
+                    cx, cy = xy[c]
+                    scale = max(abs(ax), abs(ay), abs(bx), abs(by), abs(cx), abs(cy), 1.0)
+                    if not (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > EPSILON * scale:
+                        continue
+                    encroached = False
+                    for v in polygon:
+                        if v < 0 or v == a or v == b or v == c:
+                            continue
+                        px, py = xy[v]
+                        adx = ax - px
+                        ady = ay - py
+                        bdx = bx - px
+                        bdy = by - py
+                        cdx = cx - px
+                        cdy = cy - py
+                        ad = adx * adx + ady * ady
+                        bd = bdx * bdx + bdy * bdy
+                        cd = cdx * cdx + cdy * cdy
+                        if (
+                            adx * (bdy * cd - bd * cdy)
+                            - ady * (bdx * cd - bd * cdx)
+                            + ad * (bdx * cdy - bdy * cdx)
+                        ) > 0.0:
+                            encroached = True
+                            break
+                    if encroached:
+                        continue
                 # a and c are not consecutive on the link (size > 3), so an
                 # existing edge between them lies outside the hole.
                 if (a, c) in self._apex:

@@ -87,8 +87,7 @@ def order_k_cell(
             to order candidate objects so that the stopping bound kicks in
             early.  Defaults to the centroid of the members.
         bounding_box: clipping box.  Defaults to a box 3x the extent of the
-            sites, the box :attr:`repro.geometry.voronoi.VoronoiDiagram.bounding_box`
-            derives from its current sites.
+            sites (their extent grown by its own size on every side).
         candidate_indexes: when given, restricts the construction (clipping
             candidates, the default box, and the MIS recovery) to these site
             indexes — the *active* objects of a live index whose ``sites``

@@ -8,11 +8,10 @@ the data set:
 2. the union of the neighbour sets of the current kNNs (minus the kNNs) is an
    influential set (Definition 4 / the INS).
 
-This module reads the diagram off its Delaunay dual: Voronoi vertices are
-triangle circumcenters, Voronoi neighbours are Delaunay edges, and each
-site's Voronoi *cell polygon* (clipped to a bounding box) is computed on
-request by half-plane intersection with its neighbours — which is exact for
-interior cells and a correct clipped cell for boundary sites.
+This module reads the diagram's neighbour relation off its Delaunay dual:
+Voronoi neighbours are Delaunay edges.  INS needs nothing else of the
+diagram, so no cell polygon is built here; the safe-region query clips its
+order-k cells in :mod:`repro.geometry.order_k`.
 
 **One neighbour store.**  Whenever the active sites can be triangulated the
 diagram keeps the live
@@ -35,13 +34,11 @@ every active site, the slow path
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.errors import EmptyDatasetError, GeometryError
 from repro.geometry.delaunay import DelaunayTriangulation, delaunay_neighbors
 from repro.geometry.point import Point
-from repro.geometry.polygon import ConvexPolygon, bisector_halfplane
-from repro.geometry.primitives import BoundingBox
 from repro.obs.metrics import counter as _obs_counter
 
 _FALLBACK_REBUILDS = _obs_counter("insq_index_rebuilds_total", reason="geometry_error")
@@ -53,23 +50,14 @@ class VoronoiDiagram:
     Args:
         sites: the generator points.  Sites are referred to by their index in
             this list throughout the library.
-        bounding_box: optional clipping box for cell polygons.  When omitted,
-            the box is derived from the active sites whenever it is asked
-            for: their extent grown by its own size (3x the extent), which is
-            enough for the demo rendering and the safe-region polygons of
-            interior cells, and always holds every site.
         active: which of ``sites`` exist (default: all).  A masked site is
             a tombstone from the start, so a caller whose ids include points
             that are no sites shares its ids with the diagram and the dual.
-
-    The neighbour relation (:meth:`neighbors_of`) is derived from the
-    Delaunay dual and never depends on the clipping box.
     """
 
     def __init__(
         self,
         sites: Sequence[Point],
-        bounding_box: Optional[BoundingBox] = None,
         active: Optional[Sequence[bool]] = None,
     ):
         self._sites: List[Point] = list(sites)
@@ -79,7 +67,6 @@ class VoronoiDiagram:
             raise EmptyDatasetError("a Voronoi diagram requires at least one site")
         if len(self._active) != len(self._sites):
             raise GeometryError("the active mask must cover every site")
-        self._bounding_box = bounding_box
         # The live Delaunay dual, or None with the chain map of a degenerate
         # site set in ``_neighbors`` (None while the dual exists).
         self._delaunay: Optional[DelaunayTriangulation] = None
@@ -88,13 +75,13 @@ class VoronoiDiagram:
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
+        # Pickled when the diagram clipped cells to a box, perhaps caching
+        # them beside a copy of its dual's links: all of that goes, and a
+        # dual numbered apart from the sites (or missing) is rebuilt.
+        self.__dict__.pop("_bounding_box", None)
         if "_cell_cache" in state:
-            # Pickled when the diagram copied its dual's links and cached
-            # cells clipped to a stored box: the copy, the cache and the box
-            # go.  A dual numbered apart from the sites goes too, and so
-            # does the missing one: the sites rebuild it.
             del self._cell_cache
-            self._bounding_box = self._neighbors = None
+            self._neighbors = None
             numbered_apart = self.__dict__.pop("_site_to_vertex", None) is not None
             self.__dict__.pop("_vertex_to_site", None)
             if numbered_apart or self._delaunay is None:
@@ -107,14 +94,6 @@ class VoronoiDiagram:
     def sites(self) -> List[Point]:
         """The generator points, in index order (tombstones included)."""
         return list(self._sites)
-
-    @property
-    def bounding_box(self) -> BoundingBox:
-        """The clipping box used for cell polygons (see the constructor)."""
-        if self._bounding_box is not None:
-            return self._bounding_box
-        tight = BoundingBox.from_points([self._sites[i] for i in self.active_site_indexes()])
-        return tight.expanded(max(tight.width, tight.height, 1.0))
 
     def __len__(self) -> int:
         return self._active_count
@@ -142,6 +121,13 @@ class VoronoiDiagram:
         if self._delaunay is None:
             return set(self._neighbors[index])
         return self._delaunay.neighbors_of(index)
+
+    def neighbor_sets(self, sites: Iterable[int]) -> Dict[int, FrozenSet[int]]:
+        """``{site: frozenset(neighbors_of(site))}`` for active ``sites``,
+        one link rotation each (:meth:`DelaunayTriangulation.neighbor_sets`)."""
+        if self._delaunay is None:
+            return {site: frozenset(self._neighbors[site]) for site in sites}
+        return self._delaunay.neighbor_sets(sites)
 
     def neighbor_map(self) -> Dict[int, Set[int]]:
         """A copy of the full site -> neighbour-set mapping (active sites)."""
@@ -184,8 +170,8 @@ class VoronoiDiagram:
     def remove_site(self, index: int) -> Set[int]:
         """Remove a site and return the set of sites whose neighbours changed.
 
-        The site keeps its index as a tombstone; :meth:`neighbors_of` and
-        :meth:`cell` raise for it afterwards.  The last remaining active
+        The site keeps its index as a tombstone; :meth:`neighbors_of` raises
+        for it afterwards.  The last remaining active
         site cannot be removed.  A convex-hull site costs O(affected cells)
         like an interior one; only a removal that leaves fewer than three or
         only collinear sites rebuilds (and reports) every active site.
@@ -232,38 +218,6 @@ class VoronoiDiagram:
         _FALLBACK_REBUILDS.inc()
         self._build()
         return set(self.active_site_indexes())
-
-    # ------------------------------------------------------------------
-    # Cells and point location
-    # ------------------------------------------------------------------
-    def cell(self, index: int) -> ConvexPolygon:
-        """The (clipped) Voronoi cell polygon of site ``index``.
-
-        The cell is the intersection of the bounding box with the bisector
-        half-planes against the site's Voronoi neighbours.  For sites whose
-        true cell is bounded this equals the exact cell (as long as the
-        bounding box contains it); for hull sites it is the cell clipped to
-        the box.  It is computed on every call, against the current sites.
-        """
-        neighbors = sorted(self.neighbors_of(index))
-        site = self._sites[index]
-        halfplanes = [bisector_halfplane(site, self._sites[other]) for other in neighbors]
-        return ConvexPolygon.from_bounding_box(self.bounding_box).clip_halfplanes(halfplanes)
-
-    def nearest_site(self, query: Point) -> int:
-        """Index of the active site nearest to ``query`` (linear scan)."""
-        return min(
-            self.active_site_indexes(),
-            key=lambda i: self._sites[i].distance_squared_to(query),
-        )
-
-    def locate(self, query: Point) -> int:
-        """Index of the Voronoi cell containing ``query``.
-
-        Equivalent to :meth:`nearest_site`; provided for readability at call
-        sites that think in terms of point location.
-        """
-        return self.nearest_site(query)
 
 
 def influential_neighbor_indexes(

@@ -15,11 +15,12 @@ strided objects, then greedy descent.  No spatial tree is kept beside them.
 :meth:`VoRTree.insert` and :meth:`VoRTree.delete` drive
 :meth:`VoronoiDiagram.insert_site` / :meth:`VoronoiDiagram.remove_site`,
 which carve only the affected Delaunay cavity / star — convex-hull objects
-included — in the diagram's live dual, the one place the adjacency is kept;
-each site those deltas report has its list read once off the dual into the
-frozen sets INS reads.  No step of an update is O(n): the population count
-is a counter, and an insert is located by one walk — the nearest object the
-jump-and-walk finds is where the dual's cavity search starts.
+included — in the diagram's live dual.  One
+:meth:`VoronoiDiagram.neighbor_sets` call then reads the sites those deltas
+report, one link rotation each, into the frozen sets INS reads.  No step of
+an update is O(n): the population count is a counter, and an insert is
+located by one walk — the nearest object the jump-and-walk finds is where
+the dual's cavity search starts.
 Every mutation also *returns* the set of objects whose Voronoi neighbour
 lists changed (the same delta contract as
 :meth:`repro.roadnet.network_voronoi.NetworkVoronoiDiagram.insert_object`),
@@ -45,7 +46,7 @@ from __future__ import annotations
 from heapq import heappop, heappush, nsmallest
 from itertools import compress
 from math import hypot
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import EmptyDatasetError, GeometryError, QueryError
 from repro.geometry.point import Point
@@ -415,37 +416,37 @@ class VoRTree:
                 members.setdefault(site, [site]).append(index)
         founders = [site_at.get(row) == index for index, row in enumerate(self._xy)]
         self._voronoi = None
-        lists = dict.fromkeys(site_at.values(), ())
+        lists = dict.fromkeys(site_at.values(), frozenset())
         if len(site_at) >= 2:
             self._voronoi = VoronoiDiagram(self._points, active=founders)
             # Every site changed: one pass over the dual's edges reads them
             # all, cheaper than one link walk per site.
-            lists = self._voronoi.neighbor_map()
+            lists = {s: frozenset(n) for s, n in self._voronoi.neighbor_map().items()}
         self._neighbor_map = {}
-        self._patch_neighbor_lists(site_at.values(), lists.__getitem__)
+        self._patch_neighbor_lists(site_at.values(), lists)
 
     def _patch_neighbor_lists(
-        self, changed_sites: Iterable[int], neighbors_of: Optional[Callable] = None
+        self, changed_sites: Iterable[int], lists: Optional[Dict[int, FrozenSet[int]]] = None
     ) -> Set[int]:
         """Re-derive the neighbour lists of the objects at changed sites.
 
-        Each site's neighbours are read once, off the diagram's dual
-        (``neighbors_of``, by default the diagram's own).  Returns the set
-        of affected *object* indexes (the mutation delta).
+        ``lists`` maps exactly ``changed_sites`` to their frozen neighbour
+        sites; by default the diagram's dual reads them, one link rotation
+        per site (:meth:`VoronoiDiagram.neighbor_sets`).  Returns the set of
+        affected *object* indexes (the mutation delta).
         """
-        changed_objects: Set[int] = set()
+        if lists is None:
+            lists = self._voronoi.neighbor_sets(changed_sites)
         members = self._members
-        if neighbors_of is None:
-            neighbors_of = self._voronoi.neighbors_of
-        for site in changed_sites:
-            if not members:
-                # With no twins anywhere a site's list is the diagram's set
-                # as is, at a fifth of the expansion's cost per site.
-                self._neighbor_map[site] = frozenset(neighbors_of(site))
-                changed_objects.add(site)
-                continue
+        if not members:
+            # With no twins anywhere a site's list is the dual's set as is,
+            # at a fifth of the expansion's cost per site.
+            self._neighbor_map.update(lists)
+            return set(lists)
+        changed_objects: Set[int] = set()
+        for site, neighbors in lists.items():
             around = frozenset(
-                obj for other in neighbors_of(site) for obj in members.get(other, (other,))
+                obj for other in neighbors for obj in members.get(other, (other,))
             )
             own = members.get(site, (site,))
             for obj in own:

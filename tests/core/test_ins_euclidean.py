@@ -5,6 +5,7 @@ import pickle
 import random
 
 import pytest
+import voronoi_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -268,15 +269,16 @@ class TestOldSnapshots:
         state = pickle.loads(pickle.dumps(diagram.__dict__))
         kept = diagram.active_site_indexes()
         state["_neighbors"] = diagram.neighbor_map()
-        state["_cell_cache"] = {kept[0]: diagram.cell(kept[0])}
-        state["_bounding_box"] = diagram.bounding_box
+        state["_cell_cache"] = {kept[0]: voronoi_reference.cell(diagram, kept[0])}
+        state["_bounding_box"] = voronoi_reference.bounding_box(diagram)
         state["_site_to_vertex"] = {site: vertex for vertex, site in enumerate(kept)}
         state["_vertex_to_site"] = dict(enumerate(kept))
         state["_delaunay"] = "the old dual, numbered 0..58"
         old = VoronoiDiagram.__new__(VoronoiDiagram)
         old.__setstate__(state)
-        assert not {"_cell_cache", "_site_to_vertex", "_vertex_to_site"} & set(vars(old))
-        assert old._neighbors is None and old._bounding_box is None
+        dropped = {"_cell_cache", "_bounding_box", "_site_to_vertex", "_vertex_to_site"}
+        assert not dropped & set(vars(old))
+        assert old._neighbors is None
         assert all(old.neighbors_of(site) == diagram.neighbors_of(site) for site in kept)
         index, changed = old.insert_site(Point(512.0, 498.0), hint=kept[0])
         assert index == len(sites) and index in changed

@@ -1,6 +1,7 @@
 """Tests for repro.geometry.order_k (order-k Voronoi cells and the MIS)."""
 
 import pytest
+import voronoi_reference
 
 from repro.errors import GeometryError
 from repro.geometry.order_k import (
@@ -32,9 +33,9 @@ class TestOrderKCellGeometry:
         index = 4
         cell = order_k_cell(
             small_points, [index], reference=small_points[index],
-            bounding_box=diagram.bounding_box,
+            bounding_box=voronoi_reference.bounding_box(diagram),
         )
-        voronoi_cell = diagram.cell(index)
+        voronoi_cell = voronoi_reference.cell(diagram, index)
         assert cell.polygon.area == pytest.approx(voronoi_cell.area, rel=1e-6)
 
     def test_cell_contains_query_whose_knn_it_is(self, small_points):

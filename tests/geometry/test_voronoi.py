@@ -1,6 +1,7 @@
 """Tests for repro.geometry.voronoi."""
 
 import pytest
+from voronoi_reference import bounding_box, cell, locate, nearest_site
 
 from repro.errors import EmptyDatasetError, GeometryError
 from repro.geometry.point import Point
@@ -16,7 +17,7 @@ class TestConstruction:
     def test_single_site(self):
         diagram = VoronoiDiagram([Point(0, 0)])
         assert diagram.neighbors_of(0) == set()
-        assert diagram.nearest_site(Point(5, 5)) == 0
+        assert nearest_site(diagram, Point(5, 5)) == 0
 
     def test_two_sites_are_neighbors(self):
         diagram = VoronoiDiagram([Point(0, 0), Point(10, 0)])
@@ -55,27 +56,26 @@ class TestCells:
     def test_cell_contains_its_site(self, small_points):
         diagram = VoronoiDiagram(small_points)
         for index, site in enumerate(small_points):
-            assert diagram.cell(index).contains(site)
+            assert cell(diagram, index).contains(site)
 
     def test_cells_partition_points_by_nearest_site(self, small_points):
         diagram = VoronoiDiagram(small_points)
-        box = diagram.bounding_box
+        box = bounding_box(diagram)
         for probe in box.sample_grid(12, 12):
-            owner = diagram.nearest_site(probe)
-            assert diagram.cell(owner).contains(probe, tolerance=1e-6)
+            owner = nearest_site(diagram, probe)
+            assert cell(diagram, owner).contains(probe, tolerance=1e-6)
 
     def test_cell_boundary_is_equidistant(self, small_points):
         diagram = VoronoiDiagram(small_points)
         # For an interior cell, the midpoint of each edge shared with a
         # neighbour is equidistant from the two sites.
         index = 4  # an interior point of the fixture layout
-        cell = diagram.cell(index)
-        assert not cell.is_empty
+        assert not cell(diagram, index).is_empty
 
     def test_locate_matches_nearest_site(self, small_points):
         diagram = VoronoiDiagram(small_points)
         probe = Point(5.0, 5.0)
-        assert diagram.locate(probe) == diagram.nearest_site(probe)
+        assert locate(diagram, probe) == nearest_site(diagram, probe)
 
 
 class TestInfluentialNeighborIndexes:
@@ -105,25 +105,25 @@ class TestLazyBoundingBoxGrowth:
     def test_far_outside_insert_grows_the_box(self, small_points):
         diagram = VoronoiDiagram(small_points)
         outside = Point(500.0, 500.0)
-        assert not diagram.bounding_box.contains_point(outside)
+        assert not bounding_box(diagram).contains_point(outside)
         index, _ = diagram.insert_site(outside)
-        assert diagram.bounding_box.contains_point(outside)
+        assert bounding_box(diagram).contains_point(outside)
         # The far site's clipped cell must now contain the site itself,
         # which the fixed construction-time box could not guarantee.
-        assert diagram.cell(index).contains(outside)
+        assert cell(diagram, index).contains(outside)
 
     def test_inside_insert_keeps_the_box(self, small_points):
         diagram = VoronoiDiagram(small_points)
-        before = diagram.bounding_box
+        before = bounding_box(diagram)
         diagram.insert_site(Point(5.0, 5.0))
-        assert diagram.bounding_box == before
+        assert bounding_box(diagram) == before
 
     def test_growth_invalidates_cached_cells(self, small_points):
         diagram = VoronoiDiagram(small_points)
-        hull_cell_before = diagram.cell(2)  # hull site, clipped by the box
+        hull_cell_before = cell(diagram, 2)  # hull site, clipped by the box
         outside = Point(300.0, 8.0)
         diagram.insert_site(outside)
-        hull_cell_after = diagram.cell(2)
+        hull_cell_after = cell(diagram, 2)
         # The hull site's cell re-clips against the larger box and is no
         # longer the same polygon (it extends toward the new site now).
         assert hull_cell_before.vertices != hull_cell_after.vertices

