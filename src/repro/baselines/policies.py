@@ -53,7 +53,8 @@ cell safe region, the policy :mod:`repro.queries.region` writes once for the
 from __future__ import annotations
 
 import abc
-from math import inf
+from itertools import repeat
+from math import dist, inf
 from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigurationError
@@ -214,18 +215,14 @@ class PlaneSearch:
         """The server-side VoR-tree."""
         return self._tree
 
-    @property
-    def _points(self) -> Sequence[Point]:
-        return self._tree.positions
-
     def _nearest(self, position: Point, count: int) -> List[Tuple[int, float]]:
         nearest, _, distances = self._tree.retrieve(position, count, self._hint)
         self._hint = nearest[0]
         return list(zip(nearest, distances))
 
     def _distances(self, position: Point, indexes: Sequence[int]) -> List[float]:
-        points = self._points
-        return [position.distance_to(points[index]) for index in indexes]
+        rows = map(self._tree.coordinates.__getitem__, indexes)
+        return list(map(dist, repeat((position.x, position.y)), rows))
 
     def _drift(self, position: Point) -> float:
         return position.distance_to(self._anchor)

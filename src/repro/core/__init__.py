@@ -11,7 +11,7 @@
 * :mod:`repro.core.ins` — the INS protocol (Section III), written once: a
   metric plugs in its index, one retrieval, the held distances and a tie rule.
 * :mod:`repro.core.ins_euclidean` / :mod:`repro.core.ins_road` — what the
-  plane (VoR-tree, ``hypot``, strict ``<``) and a road network (network
+  plane (VoR-tree, ``math.dist``, strict ``<``) and a road network (network
   Voronoi diagram, one Theorem 2 search, ``<=``) plug in.
 * :mod:`repro.core.engine` — the generic serving engine (query lifecycle,
   the mutation and replication API, epoch counter, delta-scoped

@@ -35,8 +35,8 @@ everyday on a grid, so there ``<=`` holds — of finite distances only.
 
 **The held-distance contract.**  ``_held_distances`` is exact for every held
 object no farther than D, the farthest current kNN member — ties at D
-included — and may read ``inf`` beyond.  The plane returns them all (one
-``hypot`` each is cheaper than deciding); a network search settles in
+included — and may read ``inf`` beyond.  The plane returns them all (one C
+``math.dist`` loop is cheaper than deciding); a network search settles in
 distance order, so it stops after the ties at D.  No verdict can tell.
 *Validation* compares D with the nearest guard: a guard at ``inf`` in place
 of its true d > D cannot flip that.  *Recomposition* ranks R by ``(distance,
@@ -80,7 +80,7 @@ from typing import Any, FrozenSet, List, Optional, Sequence, Set
 from repro.errors import ConfigurationError
 from repro.core.objects import QueryResult, UpdateAction
 from repro.core.processor import MovingKNNProcessor, PositionT
-from repro.obs.clock import clock as _clock
+from repro.obs.clock import SOURCE as _CLOCK
 
 
 class InfluentialSetProcessor(MovingKNNProcessor[PositionT]):
@@ -200,12 +200,12 @@ class InfluentialSetProcessor(MovingKNNProcessor[PositionT]):
         # Section III-A validation: the farthest kNN member against the
         # nearest guard object, by the metric's tie rule.
         stats = self._stats
-        started = _clock()
+        started = _CLOCK[0]()
         stats.validations += 1
         distances = self._held_distances(position)
         k = self._k
         valid = not self._guard or self._nearer(max(distances[:k]), min(distances[k:]))
-        stats.validation_seconds += _clock() - started
+        stats.validation_seconds += _CLOCK[0]() - started
         if valid:
             return self._answer(UpdateAction.NONE, distances[:k])
         return self._perform_update(position, distances)
@@ -218,19 +218,19 @@ class InfluentialSetProcessor(MovingKNNProcessor[PositionT]):
         untouched) and the normal validation flow should proceed.
         """
         changed, removed, forced = self._take_pending()
-        if forced or removed.intersection(self._R):
+        if forced or not removed.isdisjoint(self._R):
             # Blanket invalidation, or the prefetched set lost a member: R
             # no longer reflects the ⌊ρk⌋ nearest objects, recompute it —
             # from a member the client still holds, if one survives.
             self._stats.validations += 1
             survivors = (member for member in self._R if self._index.is_active(member))
             return self._retrieve(position, next(survivors, None))
-        if removed & self._ins or not changed.isdisjoint(self._held):
+        if not (removed.isdisjoint(self._ins) and changed.isdisjoint(self._held)):
             # The delta touched the held region: re-derive I(R) from the
             # shared index — a few set unions, no kNN recomputation.  The
             # validation that follows certifies the held answer against the
             # fresh guard set, which is what makes this refresh sound.
-            started = _clock()
+            started = _CLOCK[0]()
             self._refresh_ins(changed)
             self._stats.ins_refreshes += 1
             incoming = len(self._ins.difference(self._held))
@@ -241,7 +241,7 @@ class InfluentialSetProcessor(MovingKNNProcessor[PositionT]):
                 self._stats.transmitted_objects += incoming
                 self._stats.incremental_updates += 1
             self._refresh_held()
-            self._stats.construction_seconds += _clock() - started
+            self._stats.construction_seconds += _CLOCK[0]() - started
         else:
             # The delta missed the pool: every held neighbour list is
             # unchanged, so the guard set the next validation uses is
@@ -254,18 +254,19 @@ class InfluentialSetProcessor(MovingKNNProcessor[PositionT]):
     # ------------------------------------------------------------------
     def _answer(self, action: UpdateAction, distances: Sequence[float]) -> QueryResult:
         """The timestamp's result; ``distances`` are the current answer's."""
+        # Positional, in field order: keywords cost the valid path a lookup each.
         return QueryResult(
-            timestamp=self._timestamp,
-            knn=tuple(self._knn),
-            knn_distances=tuple(distances),
-            guard_objects=self._guard,
-            action=action,
-            was_valid=action is UpdateAction.NONE,
+            self._timestamp,
+            tuple(self._knn),
+            tuple(distances),
+            self._guard,
+            action,
+            action is UpdateAction.NONE,
         )
 
     def _retrieve(self, position: PositionT, hint: Optional[int]) -> QueryResult:
         """Server round trip: recompute R, I(R) and the kNN set, and answer."""
-        started = _clock()
+        started = _CLOCK[0]()
         # Deletions may have shrunk the population below the prefetch size:
         # shrink the request, but never below k — with fewer than k objects
         # left the index raises its loud QueryError, never under-fills.
@@ -276,7 +277,7 @@ class InfluentialSetProcessor(MovingKNNProcessor[PositionT]):
         self._stats.full_recomputations += 1
         self._stats.transmitted_objects += len(self._R) + len(self._ins)
         self._refresh_held()
-        self._stats.construction_seconds += _clock() - started
+        self._stats.construction_seconds += _CLOCK[0]() - started
         return self._answer(UpdateAction.FULL_RECOMPUTE, distances[:k])
 
     def _refresh_held(self) -> None:
@@ -304,9 +305,9 @@ class InfluentialSetProcessor(MovingKNNProcessor[PositionT]):
 
     def _perform_update(self, position: PositionT, distances: List[float]) -> QueryResult:
         """Section III-B update: recompose from R when possible, else retrieve."""
-        started = _clock()
+        started = _CLOCK[0]()
         recomposed = self._recompose(distances)
-        self._stats.validation_seconds += _clock() - started
+        self._stats.validation_seconds += _CLOCK[0]() - started
         if recomposed is not None:
             # Case (ii), first branch: the new kNN set is still inside R.  The
             # position and the pool stand, so the validation's distances do too.

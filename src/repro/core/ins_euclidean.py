@@ -9,8 +9,8 @@ what the plane supplies:
   :meth:`VoRTree.retrieve` per server round trip, expanding from the
   nearest object of the ``R`` the client still holds, whose distances the
   fresh answer reports as the retrieval certified them;
-* the held distances: ``hypot`` over the tree's coordinate rows, copied in
-  ``_held`` order when the held set last changed (objects never move);
+* the held distances: one C ``math.dist`` loop over the tree's coordinate
+  rows, copied in ``_held`` order when the held set changes (objects never move);
 * the tie rule: strict ``<`` — the triangulation splits degenerate input by
   a jitter, so a tie is never a certificate (the rule retrieval uses too);
   coincident objects share one site and are each other's neighbours, so a
@@ -22,7 +22,8 @@ what the plane supplies:
 from __future__ import annotations
 
 import operator
-from math import hypot
+from itertools import repeat
+from math import dist
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.ins import InfluentialSetProcessor
@@ -132,8 +133,7 @@ class INSProcessor(InfluentialSetProcessor[Point]):
     def _held_distances(self, position: Point) -> List[float]:
         """Distances in ``_held`` order; the floats of ``position.distance_to(point)``."""
         self._stats.distance_computations += len(self._held_xy)
-        px, py = position.x, position.y
-        return [hypot(px - x, py - y) for x, y in self._held_xy]
+        return list(map(dist, repeat((position.x, position.y)), self._held_xy))
 
     def _held_changed(self) -> None:
         self._held_xy = list(map(self._index.coordinates.__getitem__, self._held))

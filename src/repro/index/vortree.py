@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from heapq import heappop, heappush, nsmallest
 from itertools import compress
-from math import hypot
+from math import dist
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import EmptyDatasetError, GeometryError, QueryError
@@ -188,21 +188,21 @@ class VoRTree:
             index = self._append_object(point)
             self._rebuild_neighbor_map("geometry_error")
             return index, set(self.active_indexes())
-        x, y = point.x, point.y
-        site = self._site_at.get((x, y))
+        row = (point.x, point.y)
+        site = self._site_at.get(row)
         if site is not None:
             index = self._append_object(point)
             self._voronoi.add_tombstone(point)
             self._members.setdefault(site, [site]).append(index)
             return index, self._patch_neighbor_lists([site, *self._voronoi.neighbors_of(site)])
-        hint = self._site_at[self._xy[self._walk(x, y, self._jump(x, y))[1]]]
+        hint = self._site_at[self._xy[self._walk(row, self._jump(row))[1]]]
         index = self._append_object(point)
         try:
             _, changed_sites = self._voronoi.insert_site(point, hint=hint)
         except (GeometryError, EmptyDatasetError):
             self._rebuild_neighbor_map("geometry_error")
             return index, set(self.active_indexes())
-        self._site_at[x, y] = index
+        self._site_at[row] = index
         return index, self._patch_neighbor_lists(changed_sites)
 
     def delete(self, index: int) -> Tuple[bool, Set[int]]:
@@ -470,12 +470,10 @@ class VoRTree:
                 f"requested {count} neighbours but only {len(self)} objects exist"
             )
         xy = self._xy
-        qx, qy = query.x, query.y
+        q = (query.x, query.y)
         # nsmallest is stable over increasing indexes: ties go by index.
         return nsmallest(
-            count,
-            compress(range(len(xy)), self._active),
-            key=lambda index: hypot(qx - xy[index][0], qy - xy[index][1]),
+            count, compress(range(len(xy)), self._active), key=lambda index: dist(q, xy[index])
         )
 
     def influential_neighbor_set(self, member_indexes: Iterable[int]) -> Set[int]:
@@ -488,11 +486,13 @@ class VoRTree:
         """``(R, I(R), d(R))`` at ``query``: the one retrieval of a recomputation.
 
         ``R`` is the ``count`` nearest objects ordered by ``(distance, index)``,
-        ``I(R)`` their influential neighbour set and ``d(R)`` R's distances, the
-        floats of ``query.distance_to``, all found by the VoR-tree's own kNN over
-        the stored neighbour lists.  *Walk* greedily to the object nearest to
-        ``query``, from ``hint`` (an object the client holds) or, when that is
-        absent, deleted or out of range, from :meth:`_jump`'s sample.  *Expand*
+        ``I(R)`` their influential neighbour set and ``d(R)`` R's distances, all
+        found by the VoR-tree's own kNN over the stored neighbour lists.  Each
+        distance is ``math.dist`` over the ``(x, y)`` rows, bit for bit
+        ``query.distance_to``'s ``hypot``: both take one C norm of the absolute
+        axis differences.  *Walk* greedily to the object nearest to ``query``,
+        from ``hint`` (an object the client holds) or, when that is absent,
+        deleted or out of range, from :meth:`_jump`'s sample.  *Expand*
         best-first until ``count`` objects are popped: they are ``R``, their heap
         keys ``d(R)``, and the frontier left — every neighbour of an ``R`` member
         outside ``R`` — is ``I(R)``.  *Certify* by the INS theorem, strictly:
@@ -511,10 +511,10 @@ class VoRTree:
                 return certified
             _FALLBACKS[reason].inc()
         nearest = self.nearest(query, count)
-        distances = [query.distance_to(self._points[index]) for index in nearest]
+        distances = [dist((query.x, query.y), self._xy[index]) for index in nearest]
         return nearest, self.influential_neighbor_set(nearest), distances
 
-    def _jump(self, qx: float, qy: float) -> int:
+    def _jump(self, q: Tuple[float, float]) -> int:
         """The nearest of about n^⅓ live objects, every (n^⅔)-th index.
 
         The *jump* of jump-and-walk (Mücke, Saias & Zhu, SoCG 1996): a
@@ -524,26 +524,24 @@ class VoRTree:
         stride = max(1, round(self._active_count ** (2 / 3)))
         start = min(
             compress(range(0, len(xy), stride), self._active[::stride]),
-            key=lambda index: hypot(qx - xy[index][0], qy - xy[index][1]),
+            key=lambda index: dist(q, xy[index]),
             default=None,
         )
         return self._active.index(True) if start is None else start
 
-    def _walk(self, qx: float, qy: float, seed: int) -> Tuple[float, int]:
+    def _walk(self, q: Tuple[float, float], seed: int) -> Tuple[float, int]:
         """Greedy descent over the neighbour lists from ``seed``: ``(distance,
         index)`` where it stops — a nearest object, since on a Delaunay graph a
         non-nearest object has a strictly nearer neighbour.  It reads only
         positions and lists, so a delta replica (no diagram) walks too."""
         neighbors = self._neighbor_map
         xy = self._xy
-        x, y = xy[seed]
-        best = hypot(qx - x, qy - y)
+        best = dist(q, xy[seed])
         walking = True
         while walking:
             walking = False
             for other in neighbors[seed]:
-                x, y = xy[other]
-                distance = hypot(qx - x, qy - y)
+                distance = dist(q, xy[other])
                 # By (distance, index), so the walk ends on the first of twins.
                 if distance < best or (distance == best and other < seed):
                     best, seed, walking = distance, other, True
@@ -553,12 +551,12 @@ class VoRTree:
         """Walk, expand, certify: ``((R, I(R), d(R)), None)`` or ``(None, reason)``."""
         neighbors = self._neighbor_map
         xy = self._xy
-        qx, qy = query.x, query.y
+        q = (query.x, query.y)
         if seed is None or not self.is_active(seed):
-            seed = self._jump(qx, qy)
+            seed = self._jump(q)
         if not neighbors.get(seed):
             return None, "no_seed"
-        last = self._walk(qx, qy, seed)
+        last = self._walk(q, seed)
         frontier = [last]
         seen = {last[1]}
         nearest: List[int] = []
@@ -578,8 +576,7 @@ class VoRTree:
             for other in neighbors[index]:
                 if other not in seen:
                     seen.add(other)
-                    x, y = xy[other]
-                    heappush(frontier, (hypot(qx - x, qy - y), other))
+                    heappush(frontier, (dist(q, xy[other]), other))
         # An empty frontier certifies only the whole population.
         if not (last[0] < frontier[0][0] if frontier else count == self._active_count):
             return None, "uncertified"

@@ -147,6 +147,25 @@ class TestSettleOutcomes:
         assert result.was_valid
         assert processor.stats.transmitted_objects == transmitted
 
+    @pytest.mark.parametrize("where, expected", [("guards", (0, 1, 0)), ("outside", (0, 0, 1))])
+    def test_a_bare_removal_settles_by_where_it_lands(self, where, expected):
+        # The settle rule alone, on the plane: a removal with no neighbour
+        # change refreshes the guard set iff it names an object of I(R).
+        plane = METRICS["plane"]
+        processor = INSProcessor(uniform_points(300, seed=5), k=3)
+        processor.initialize(plane.start)
+        pool = set(processor.prefetched_set) | processor.influential_set
+        if where == "guards":
+            gone = min(processor.influential_set)
+        else:
+            gone = min(set(range(300)) - pool)
+        stats = processor.stats
+        before = [getattr(stats, name) for name in OUTCOMES]
+        processor.notify_data_update(changed=(), removed=(gone,))
+        result = processor.update(plane.start)
+        assert tuple(getattr(stats, name) - was for name, was in zip(OUTCOMES, before)) == expected
+        assert result.was_valid
+
     def test_flag_mode_always_retrieves(self, metric):
         engine = metric.build(invalidation="flag")
         query_id = engine.register_query(metric.start, k=2)

@@ -258,8 +258,8 @@ class TestJumpAndWalk:
             tree.delete(index)
         active = tree.active_indexes()
         truth = min(math.hypot(x - tree.point(i).x, y - tree.point(i).y) for i in active)
-        for start in (tree._jump(x, y), *active):
-            distance, stop = tree._walk(x, y, start)
+        for start in (tree._jump((x, y)), *active):
+            distance, stop = tree._walk((x, y), start)
             assert tree.is_active(stop)
             assert distance == math.hypot(x - tree.point(stop).x, y - tree.point(stop).y)
             assert distance == truth
@@ -269,7 +269,7 @@ class TestJumpAndWalk:
         tree = VoRTree(uniform_points(1000, extent=1_000.0, seed=3))
         x, y = 250.0, 750.0
         samples = range(0, 1000, 100)
-        assert tree._jump(x, y) == min(
+        assert tree._jump((x, y)) == min(
             samples, key=lambda i: math.hypot(x - tree.point(i).x, y - tree.point(i).y)
         )
 
@@ -279,7 +279,7 @@ class TestJumpAndWalk:
         live = {1, 2, 3, 6, 7, 9, 11, 13, 14, 17}
         tree.batch_update(deletes=[i for i in range(40) if i not in live])
         assert len(tree) == 10
-        assert tree._jump(50.0, 50.0) == 1
+        assert tree._jump((50.0, 50.0)) == 1
         check_every_hint(tree, Point(50.0, 50.0), counts=(1, 3, 10))
 
     def test_an_insert_is_located_by_one_walk(self, monkeypatch):

@@ -71,8 +71,8 @@ class TestSimulate:
             def _compute(self, position):
                 result = super()._compute(position)
                 order = sorted(
-                    range(len(self._points)),
-                    key=lambda i: position.distance_to(self._points[i]),
+                    range(len(self.tree.positions)),
+                    key=lambda i: position.distance_to(self.tree.positions[i]),
                     reverse=True,
                 )
                 wrong = tuple(order[: self.k])
@@ -80,7 +80,7 @@ class TestSimulate:
                     timestamp=result.timestamp,
                     knn=wrong,
                     knn_distances=tuple(
-                        position.distance_to(self._points[i]) for i in wrong
+                        position.distance_to(self.tree.positions[i]) for i in wrong
                     ),
                     guard_objects=result.guard_objects,
                     action=result.action,
