@@ -71,7 +71,7 @@ class INSProcessor(InfluentialSetProcessor[Point]):
             self._adopt(vortree if vortree is not None else VoRTree(list(points)))
         # Coordinates of ``_held``, in its order (objects never move).
         self._held_xy: List[Tuple[float, float]] = []
-        # Per-member Voronoi neighbour lists (``allow_incremental`` only).
+        # Members' Voronoi neighbour lists as shipped (``allow_incremental`` only).
         self._neighbor_lists: Dict[int, FrozenSet[int]] = {}
 
     # ------------------------------------------------------------------
@@ -127,7 +127,7 @@ class INSProcessor(InfluentialSetProcessor[Point]):
         tree = self._index
         fetched = tree.retrieve(position, count, hint)
         if self._allow_incremental:
-            self._neighbor_lists = {index: tree.voronoi_neighbors(index) for index in fetched[0]}
+            self._neighbor_lists = {i: frozenset(tree.voronoi_neighbors(i)) for i in fetched[0]}
         return fetched
 
     def _held_distances(self, position: Point) -> List[float]:
@@ -141,7 +141,7 @@ class INSProcessor(InfluentialSetProcessor[Point]):
     def _refresh_ins(self, changed: Set[int]) -> None:
         if self._allow_incremental:
             for member in changed.intersection(self._R):
-                self._neighbor_lists[member] = self._index.voronoi_neighbors(member)
+                self._neighbor_lists[member] = frozenset(self._index.voronoi_neighbors(member))
         super()._refresh_ins(changed)
 
     def _incremental_update(self, position: Point) -> Optional[List[float]]:
@@ -175,7 +175,7 @@ class INSProcessor(InfluentialSetProcessor[Point]):
             outgoing = max(zip(distances[:count], self._held))[1]
             incoming = min(zip(distances[count:], self._held[count:]))[1]
             with self._stats.timed("construction_seconds"):
-                incoming_neighbors = self._index.voronoi_neighbors(incoming)
+                incoming_neighbors = frozenset(self._index.voronoi_neighbors(incoming))
             transmitted += 1 + len(incoming_neighbors)
             self._R = [index for index in self._R if index != outgoing] + [incoming]
             # The flat layout needs kNN ⊆ R; the next recomposition refills it.

@@ -14,9 +14,9 @@ across an edge is one lookup of the reversed key, and ``spoke[v]`` names one
 neighbour of ``v``, so the *link* of ``v`` — ``w = spoke[v]``, then
 ``w = apex[v, w]`` until it closes — lists its neighbours counter-clockwise.
 That rotation is the adjacency of the point-location walk, the star searched
-for a first bad triangle and the boundary of a deletion's hole; filling a set
-as it turns, it is :meth:`DelaunayTriangulation.neighbor_sets`, the bulk read
-of an update's changed sites.
+for a first bad triangle and the boundary of a deletion's hole.  The *store*
+``adjacent[v]``, ``v``'s real neighbours, is derived in one pass after the
+build and edited in place by the mutators: no neighbour read turns a ring.
 
 **One ghost rule.**  Instead of the classic bounding "super triangle"
 (whose finite corner coordinates silently *drop* hull edges whose empty
@@ -65,14 +65,12 @@ diagonal of the replacement already exists outside the hole — before the
 first entry of the map changes.  A :class:`GeometryError` (no bad triangle,
 fewer than three or only collinear sites left, a hole that ear clipping
 cannot close) therefore always means *nothing was mutated*, and callers
-fall back to a full rebuild.
-
-Both mutators return the set of surviving sites whose Voronoi neighbour
-lists changed — the vertices of the removed triangles plus the new site on
-insert, the link on delete.  :class:`~repro.geometry.voronoi.VoronoiDiagram`
-answers every neighbour query from the links, and
-:class:`~repro.index.vortree.VoRTree` re-reads exactly those sites' lists
-with one :meth:`~DelaunayTriangulation.neighbor_sets` call per update.
+fall back to a full rebuild.  After the map each edits the store: an insert
+unlinks the cavity's interior edges and links the new site to the real rim,
+a delete unlinks the site and links each replacement diagonal.  Both return
+the sites whose neighbour lists changed — the vertices of the removed
+triangles plus the new site on insert, the link on delete — and the store's
+live sets are :class:`~repro.index.vortree.VoRTree`'s lists.
 
 **Why the representation cannot move an answer.**  The Delaunay
 triangulation of the *jittered* points is unique whenever no four of them
@@ -177,10 +175,18 @@ class DelaunayTriangulation:
         self._apex: Dict[Tuple[int, int], int] = {}
         #: Vertex (GHOST included) -> one of its current neighbours.
         self._spoke: Dict[int, int] = {}
+        #: The store: active site -> its real neighbours (None during the build).
+        self._adjacent: Optional[Dict[int, Set[int]]] = None
         self._vertex_count = len(live)
         order = _hilbert_order(self._points, live)
         self._walk_hint = order[0]
         self._build(order)
+        self._adjacent = self._derive_adjacency()
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        if "_adjacent" not in state and "_apex" in state:  # pickled before the store
+            self._adjacent = self._derive_adjacency()
 
     # ------------------------------------------------------------------
     # Public API
@@ -222,40 +228,22 @@ class DelaunayTriangulation:
         """Adjacency map: point index -> indexes of Delaunay-adjacent points.
 
         This is exactly the order-1 Voronoi neighbour relation used by the
-        INS algorithm.  Removed sites do not appear, neither as keys nor as
-        values.
+        INS algorithm, copied from the store in index order.  Removed sites
+        do not appear, neither as keys nor as values.
         """
-        adjacency: Dict[int, Set[int]] = {index: set() for index in self.active_indexes()}
-        for u, v in self._apex:
-            if u >= 0 and v >= 0:
-                adjacency[u].add(v)
-        return adjacency
+        return {index: set(sites) for index, sites in sorted(self._adjacent.items())}
 
     def neighbors_of(self, index: int) -> Set[int]:
-        """Delaunay-adjacent site indexes of one site (the ghost excluded)."""
+        """Delaunay-adjacent site indexes of one site (a copy from the store)."""
         if not self.is_active(index):
             raise GeometryError(f"site {index} does not exist (or was removed)")
-        result = set(self._link(index))
-        result.discard(GHOST)
-        return result
+        return set(self._adjacent[index])
 
-    def neighbor_sets(self, sites: Iterable[int]) -> Dict[int, FrozenSet[int]]:
-        """Each active site of ``sites`` -> its frozen :meth:`neighbors_of`, one
-        link rotation per site and no call per step.  A set filled, then
-        frozen, is sized for its members alone."""
-        apex = self._apex
-        spoke = self._spoke
-        result = {}
-        for site in sites:
-            start = spoke[site]
-            ring = {start}
-            following = apex[site, start]
-            while following != start:
-                ring.add(following)
-                following = apex[site, following]
-            ring.discard(GHOST)
-            result[site] = frozenset(ring)
-        return result
+    def neighbor_sets(self, sites: Iterable[int]) -> Dict[int, Set[int]]:
+        """Each active site of ``sites`` -> its live set in the store: no copy,
+        edited in place by later mutations (callers must not mutate it)."""
+        adjacent = self._adjacent
+        return {site: adjacent[site] for site in sites}
 
     # ------------------------------------------------------------------
     # Incremental maintenance
@@ -335,6 +323,13 @@ class DelaunayTriangulation:
             apex[a, b] = c
             apex[b, c] = a
             apex[c, a] = b
+        adjacent = self._adjacent
+        for vertex in adjacent.pop(index):
+            adjacent[vertex].discard(index)
+        for a, _, c in replacement[:-1]:  # each clipped ear's new diagonal
+            if a >= 0 and c >= 0:
+                adjacent[a].add(c)
+                adjacent[c].add(a)
         self._active[index] = False
         self._vertex_count -= 1
         if self._walk_hint == index:
@@ -344,6 +339,15 @@ class DelaunayTriangulation:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
+    def _derive_adjacency(self) -> Dict[int, Set[int]]:
+        """The store, read off the edge map in one pass.  A copy of a filled set
+        is sized for its members; grown by ``add``, it may be twice as large."""
+        grown: Dict[int, Set[int]] = {index: set() for index in self.active_indexes()}
+        for u, v in self._apex:
+            if u >= 0 and v >= 0:
+                grown[u].add(v)
+        return {index: set(sites) for index, sites in grown.items()}
+
     def _jitter_scale(self, jitter: float, live: Sequence[int]) -> float:
         if jitter <= 0:
             return 0.0
@@ -561,6 +565,16 @@ class DelaunayTriangulation:
             spoke[u] = index
         spoke[index] = rim[0][0]
         self._walk_hint = index
+        adjacent = self._adjacent
+        if adjacent is not None:
+            # A later triangle's first entry is the interior edge it came across.
+            for v, u in cavity[3::3]:
+                if u >= 0 and v >= 0:
+                    adjacent[u].discard(v)
+                    adjacent[v].discard(u)
+            adjacent[index] = linked = {u for u, _ in rim if u >= 0}
+            for u in linked:
+                adjacent[u].add(index)
         inside.discard(GHOST)
         inside.add(index)
         return inside

@@ -32,6 +32,7 @@ p would need ``d(x, o) < d(x, p)`` with ``d(x, o) >= d(q, o) - R_C`` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import nsmallest
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import GeometryError
@@ -208,9 +209,8 @@ def _mis_from_polygon(
         if _on_box_boundary(mid, bounding_box):
             clipped = True
             continue
-        distances = sorted(
-            candidates, key=lambda i: mid.distance_squared_to(sites[i])
-        )
+        # Stable: sorted()[:k + 2], the only ranks read below.
+        distances = nsmallest(k + 2, candidates, key=lambda i: mid.distance_squared_to(sites[i]))
         rank_k = mid.distance_to(sites[distances[k - 1]])
         entered = False
         if stand_ins:
@@ -220,7 +220,7 @@ def _mis_from_polygon(
                 entering = [stand_ins[point] for point in tied if point in stand_ins]
                 mis.update(entering)
                 entered = bool(entering)
-        if len(distances) <= k:
+        if len(candidates) <= k:
             continue
         rank_k1 = mid.distance_to(sites[distances[k]])
         scale = max(rank_k, rank_k1, 1e-12)

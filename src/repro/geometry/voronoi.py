@@ -14,27 +14,23 @@ diagram, so no cell polygon is built here; the safe-region query clips its
 order-k cells in :mod:`repro.geometry.order_k`.
 
 **One neighbour store.**  Whenever the active sites can be triangulated the
-diagram keeps the live
-:class:`~repro.geometry.delaunay.DelaunayTriangulation` and nothing beside
-it: every neighbour query reads the dual's links, so
-:meth:`VoronoiDiagram.insert_site` and :meth:`VoronoiDiagram.remove_site`
-are the dual's cavity and star updates plus the site bookkeeping, and the
-``changed`` sets they return are the dual's.  Removed sites keep their index
-as tombstones so identifiers held by callers stay stable.  **Site ids are the
-dual's vertex ids:** the dual is built over the whole site list with
-``active=`` masking the tombstones out (they keep their index, are never
-triangulated, and draw no jitter), so hints, removals and the ``changed``
-sets cross this layer untranslated.  Only degenerate configurations — fewer
-than three active sites, or collinear ones (decided on the unperturbed
-coordinates) — have no dual; their neighbour map is the chain along the line.
-An update that cannot go through the dual rebuilds from scratch and reports
-every active site, the slow path
-``insq_index_rebuilds_total{reason=geometry_error}`` counts.
+diagram keeps the live :class:`~repro.geometry.delaunay.DelaunayTriangulation`
+and nothing beside it: every neighbour query reads the dual's store, so
+:meth:`VoronoiDiagram.insert_site` and :meth:`VoronoiDiagram.remove_site` are
+the dual's updates plus the site bookkeeping, and return the dual's
+``changed`` sets.  Removed sites keep their index as tombstones.  **Site ids
+are the dual's vertex ids:** the dual is built over the whole site list with
+``active=`` masking the tombstones out (never triangulated, no jitter drawn),
+so hints, removals and ``changed`` sets cross this layer untranslated.  Only
+fewer than three active sites, or collinear ones (judged unperturbed), have
+no dual; their neighbour map is the chain along the line.  An update the dual
+cannot take rebuilds from scratch and reports every active site, the slow
+path ``insq_index_rebuilds_total{reason=geometry_error}`` counts.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.errors import EmptyDatasetError, GeometryError
 from repro.geometry.delaunay import DelaunayTriangulation, delaunay_neighbors
@@ -122,11 +118,11 @@ class VoronoiDiagram:
             return set(self._neighbors[index])
         return self._delaunay.neighbors_of(index)
 
-    def neighbor_sets(self, sites: Iterable[int]) -> Dict[int, FrozenSet[int]]:
-        """``{site: frozenset(neighbors_of(site))}`` for active ``sites``,
-        one link rotation each (:meth:`DelaunayTriangulation.neighbor_sets`)."""
+    def neighbor_sets(self, sites: Iterable[int]) -> Dict[int, Set[int]]:
+        """``{site: neighbour set}`` for active ``sites``: the live sets, no copy
+        (:meth:`DelaunayTriangulation.neighbor_sets`, or the chain's)."""
         if self._delaunay is None:
-            return {site: frozenset(self._neighbors[site]) for site in sites}
+            return {site: self._neighbors[site] for site in sites}
         return self._delaunay.neighbor_sets(sites)
 
     def neighbor_map(self) -> Dict[int, Set[int]]:

@@ -15,22 +15,17 @@ strided objects, then greedy descent.  No spatial tree is kept beside them.
 :meth:`VoRTree.insert` and :meth:`VoRTree.delete` drive
 :meth:`VoronoiDiagram.insert_site` / :meth:`VoronoiDiagram.remove_site`,
 which carve only the affected Delaunay cavity / star — convex-hull objects
-included — in the diagram's live dual.  One
-:meth:`VoronoiDiagram.neighbor_sets` call then reads the sites those deltas
-report, one link rotation each, into the frozen sets INS reads.  No step of
-an update is O(n): the population count is a counter, and an insert is
-located by one walk — the nearest object the jump-and-walk finds is where
-the dual's cavity search starts.
-Every mutation also *returns* the set of objects whose Voronoi neighbour
-lists changed (the same delta contract as
+included — and edit the dual's neighbour sets in place; without twins an
+object's list *is* its site's set, so an update builds no list.  No step of
+an update is O(n), and an insert is located by one walk: the nearest object
+the jump-and-walk finds is where the dual's cavity search starts.  Every
+mutation *returns* the objects whose lists changed (the delta contract of
 :meth:`repro.roadnet.network_voronoi.NetworkVoronoiDiagram.insert_object`),
-which is what lets the serving engine invalidate only the queries whose
-held pool the update actually touched instead of flagging every client.
-:meth:`VoRTree.full_rebuild` is the from-scratch path, kept as the
-correctness oracle for the randomized equivalence tests.
-:meth:`VoRTree.batch_update` applies a burst of inserts and deletes as one
-epoch, switching to a single full rebuild when the burst is large enough
-that per-object patching would be wasted work.  ``insq_index_rebuilds_total``
+so the serving engine invalidates only the queries whose held pool it
+touched.  :meth:`VoRTree.full_rebuild` is the from-scratch oracle of the
+randomized equivalence tests.  :meth:`VoRTree.batch_update` applies a burst
+as one epoch, with a single full rebuild when the burst is large enough that
+per-object patching would be wasted work.  ``insq_index_rebuilds_total``
 counts the rebuilds that remain by reason: ``geometry_error`` (fewer than
 three or only collinear objects) and ``bulk_threshold``.
 
@@ -46,7 +41,7 @@ from __future__ import annotations
 from heapq import heappop, heappush, nsmallest
 from itertools import compress
 from math import dist
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import EmptyDatasetError, GeometryError, QueryError
 from repro.geometry.point import Point
@@ -84,7 +79,7 @@ class VoRTree:
         self._xy: List[Tuple[float, float]] = [(point.x, point.y) for point in self._points]
         self._active: List[bool] = [True] * len(self._points)
         self._active_count = len(self._points)
-        self._neighbor_map: Dict[int, FrozenSet[int]] = {}
+        self._neighbor_map: Dict[int, AbstractSet[int]] = {}
         self._voronoi: Optional[VoronoiDiagram] = None
         # Exact position -> its site; site -> its active objects, kept only
         # where that is not the site alone (twins, or a deleted founder).
@@ -157,11 +152,12 @@ class VoRTree:
         """Position of data object ``index``."""
         return self._points[index]
 
-    def voronoi_neighbors(self, index: int) -> FrozenSet[int]:
+    def voronoi_neighbors(self, index: int) -> AbstractSet[int]:
         """Precomputed order-1 Voronoi neighbours of data object ``index``.
 
-        Returns a read-only (frozen) set — the tree's own record, not a
-        copy — so following the stored neighbour pointers is allocation-free.
+        Live read-only view, like :attr:`positions`: the tree's own record
+        (without twins, the dual's set), edited in place by later updates, so
+        reading it is allocation-free.  A caller keeping it across one copies it.
         """
         if not self.is_active(index):
             raise QueryError(f"object {index} does not exist (or was deleted)")
@@ -415,32 +411,25 @@ class VoRTree:
             if site != index:
                 members.setdefault(site, [site]).append(index)
         founders = [site_at.get(row) == index for index, row in enumerate(self._xy)]
-        self._voronoi = None
-        lists = dict.fromkeys(site_at.values(), frozenset())
-        if len(site_at) >= 2:
-            self._voronoi = VoronoiDiagram(self._points, active=founders)
-            # Every site changed: one pass over the dual's edges reads them
-            # all, cheaper than one link walk per site.
-            lists = {s: frozenset(n) for s, n in self._voronoi.neighbor_map().items()}
+        self._voronoi = VoronoiDiagram(self._points, active=founders) if len(site_at) > 1 else None
         self._neighbor_map = {}
-        self._patch_neighbor_lists(site_at.values(), lists)
+        self._patch_neighbor_lists(site_at.values())
 
-    def _patch_neighbor_lists(
-        self, changed_sites: Iterable[int], lists: Optional[Dict[int, FrozenSet[int]]] = None
-    ) -> Set[int]:
+    def _patch_neighbor_lists(self, changed_sites: Iterable[int]) -> Set[int]:
         """Re-derive the neighbour lists of the objects at changed sites.
 
-        ``lists`` maps exactly ``changed_sites`` to their frozen neighbour
-        sites; by default the diagram's dual reads them, one link rotation
-        per site (:meth:`VoronoiDiagram.neighbor_sets`).  Returns the set of
-        affected *object* indexes (the mutation delta).
+        The dual hands out its live sets (:meth:`VoronoiDiagram.neighbor_sets`);
+        without twins anywhere they become the lists themselves, so the dual's
+        next edit is the list's too, and a twin's list is a frozenset built
+        here.  Returns the set of affected *object* indexes (the mutation delta).
         """
-        if lists is None:
+        if self._voronoi is None:  # one site: its objects list only each other
+            lists = dict.fromkeys(changed_sites, frozenset())
+        else:
             lists = self._voronoi.neighbor_sets(changed_sites)
         members = self._members
         if not members:
-            # With no twins anywhere a site's list is the dual's set as is,
-            # at a fifth of the expansion's cost per site.
+            # With no twins anywhere a site's list is the dual's set itself.
             self._neighbor_map.update(lists)
             return set(lists)
         changed_objects: Set[int] = set()

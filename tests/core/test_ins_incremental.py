@@ -4,6 +4,7 @@ data-object updates (Section III, last paragraph)."""
 import pytest
 
 from repro.core.ins_euclidean import INSProcessor
+from repro.core.server import MovingKNNServer
 from repro.core.objects import UpdateAction
 from repro.geometry.point import Point
 from repro.index.vortree import VoRTree
@@ -175,3 +176,23 @@ class TestVoRTreeUpdates:
             for neighbor in tree.voronoi_neighbors(index):
                 assert neighbor in active
                 assert index in tree.voronoi_neighbors(neighbor)
+
+
+class TestHeldListsAreSnapshots:
+    def test_a_held_list_waits_for_the_delta_to_be_settled(self):
+        """The tree's lists are live, edited in place by each update; a
+        processor keeps what the server shipped until it settles the delta."""
+        points = uniform_points(300, extent=1_000.0, seed=12)
+        server = MovingKNNServer(points, allow_incremental=True)
+        query = Point(500.0, 500.0)
+        query_id = server.register_query(query, k=5)
+        processor = next(iter(server)).processor
+        member = processor.prefetched_set[0]
+        held = processor._neighbor_lists[member]
+        shipped = set(held)
+        near = server.vortree.point(member)
+        server.batch_update(inserts=[Point(near.x + 0.5, near.y + 0.25)])
+        assert set(server.vortree.voronoi_neighbors(member)) != shipped
+        assert processor._neighbor_lists[member] is held and held == shipped
+        server.update_position(query_id, query)
+        assert processor._neighbor_lists[member] == server.vortree.voronoi_neighbors(member)

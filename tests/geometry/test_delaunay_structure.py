@@ -186,3 +186,81 @@ class TestTheCheckBites:
                 assert "not entered under all three" in str(error)
                 caught += 1
         assert caught >= 10
+
+
+# ----------------------------------------------------------------------
+# The neighbour store beside the map
+# ----------------------------------------------------------------------
+# ``neighbors_of`` and ``neighbors()`` copy from the store the mutators edit
+# in place, so ``check_structure`` already holds every active site's set to
+# the edge map; ``check_store`` also holds its keys (a removed site must
+# leave), and a refused mutation must leave the store as it was.
+
+
+def check_store(triangulation):
+    """Assert the store is the adjacency the edge map implies, key for key."""
+    apex = triangulation.edge_map()
+    implied = {vertex: set() for vertex in triangulation.active_indexes()}
+    for a, b in apex:
+        if a != GHOST and b != GHOST:
+            implied[a].add(b)
+    assert triangulation.neighbors() == implied, "the store disagrees with the edge map"
+
+
+def churn_checking_the_store(triangulation, pool, rng, steps):
+    """:func:`churn`, with the store checked after each mutation."""
+    refused = 0
+    for _ in range(steps):
+        before = triangulation.neighbors()
+        try:
+            if rng.random() < 0.5:
+                triangulation.remove_site(rng.choice(triangulation.active_indexes()))
+            else:
+                triangulation.insert_site(rng.choice(pool))
+        except GeometryError:
+            refused += 1
+            assert triangulation.neighbors() == before, "a refused mutation edited the store"
+        check_store(triangulation)
+    return refused
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_every_mutation_keeps_the_store_equal_to_the_edge_map(family, seed):
+    points = FAMILIES[family]()
+    triangulation = DelaunayTriangulation(points)
+    check_store(triangulation)
+    churn_checking_the_store(triangulation, points, random.Random(seed), 60)
+
+
+def test_refused_mutations_leave_the_store_as_it_was():
+    points = stacks()
+    refused = [
+        churn_checking_the_store(DelaunayTriangulation(points), points, random.Random(seed), 60)
+        for seed in range(1, 9)
+    ]
+    assert sum(refused) >= 24
+
+
+class TestTheStoreCheckBites:
+    """Seed a cavity that forgets to unlink one interior edge, and see it caught."""
+
+    @pytest.mark.parametrize("family", ["uniform", "grid"])
+    def test_a_missed_interior_edge_discard_is_caught(self, family):
+        source = textwrap.dedent(inspect.getsource(DelaunayTriangulation._carve_cavity))
+        crossed = "cavity[3::3]"
+        assert source.count(crossed) == 1, "the store edit moved: re-seed this test"
+        # Skip the first crossed edge: the map is still a sphere.
+        namespace = dict(vars(delaunay))
+        exec(source.replace(crossed, "cavity[6::3]"), namespace)
+
+        class Stale(DelaunayTriangulation):
+            _carve_cavity = namespace["_carve_cavity"]
+
+        points = FAMILIES[family]()
+        churn_checking_the_store(DelaunayTriangulation(points), points, random.Random(1), 60)
+        with pytest.raises(AssertionError, match="the store disagrees with the edge map"):
+            churn_checking_the_store(Stale(points), points, random.Random(1), 60)
+        # check_structure catches it too: neighbors_of reads the store.
+        with pytest.raises(AssertionError):
+            churn(Stale(points), points, random.Random(1), 60)

