@@ -1,4 +1,4 @@
-"""Incremental Delaunay triangulation (Bowyer–Watson over a directed-edge map).
+"""Incremental Delaunay triangulation (Bowyer–Watson over per-vertex link maps).
 
 The INS algorithm needs, for every data object, the list of its order-1
 Voronoi neighbours.  The dual of the Delaunay triangulation gives exactly
@@ -6,16 +6,16 @@ that: two objects are Voronoi neighbours if and only if they share a Delaunay
 edge (up to degenerate cocircular configurations, which the builder perturbs
 away).
 
-**The edge map.**  The triangulation is one dictionary from directed edge
-to apex (Shewchuk, *Lecture Notes on Delaunay Mesh Generation*, ch. 3):
-every counter-clockwise triangle ``(a, b, c)`` is the three entries
-``apex[a, b] = c``, ``apex[b, c] = a``, ``apex[c, a] = b``.  The triangle
-across an edge is one lookup of the reversed key, and ``spoke[v]`` names one
-neighbour of ``v``, so the *link* of ``v`` — ``w = spoke[v]``, then
-``w = apex[v, w]`` until it closes — lists its neighbours counter-clockwise.
-That rotation is the adjacency of the point-location walk, the star searched
-for a first bad triangle and the boundary of a deletion's hole.  The *store*
-``adjacent[v]``, ``v``'s real neighbours, is derived in one pass after the
+**The link maps.**  The triangulation is a directed-edge map to apexes
+(Shewchuk, *Lecture Notes on Delaunay Mesh Generation*, ch. 3) stored one
+row per vertex: every counter-clockwise triangle ``(a, b, c)`` is the three
+entries ``apex[a][b] = c``, ``apex[b][c] = a``, ``apex[c][a] = b``.  The
+triangle across an edge is one lookup of the reversed pair, and the row
+``apex[v]`` is the link of ``v``: its keys are ``v``'s neighbours, the
+adjacency of the point-location walk and the star searched for a first bad
+triangle; rotating ``w = apex[v][w]`` from any key lists them
+counter-clockwise, the boundary of a deletion's hole.  The *store*
+``adjacent[v]``, ``v``'s real neighbours, is a set per row read off after the
 build and edited in place by the mutators: no neighbour read turns a ring.
 
 **One ghost rule.**  Instead of the classic bounding "super triangle"
@@ -44,7 +44,7 @@ updates stay local:
   from the last-inserted site otherwise — to the nearest vertex, takes the
   first bad triangle of its star as the seed and floods from it with a stack of
   *cavity-side* directed edges ``(u, v)``.  The triangle across is
-  ``(v, u, apex[v, u])``; it joins the cavity iff it is bad **and its apex
+  ``(v, u, apex[v][u])``; it joins the cavity iff it is bad **and its apex
   is not already a cavity vertex**, otherwise ``(u, v)`` is a rim edge and
   gets the new triangle ``(u, v, new)``.  The second condition is free on
   valid input: a Bowyer–Watson cavity is a disc with every vertex on its
@@ -171,10 +171,9 @@ class DelaunayTriangulation:
         self._points: List[Point] = list(points)
         for index in live:
             self._points[index] = self._perturb(points[index])
-        #: Directed edge -> apex of the counter-clockwise triangle on its left.
-        self._apex: Dict[Tuple[int, int], int] = {}
-        #: Vertex (GHOST included) -> one of its current neighbours.
-        self._spoke: Dict[int, int] = {}
+        #: Vertex u (GHOST included) -> its link map: neighbour v -> the apex
+        #: of the counter-clockwise triangle on the left of u -> v.
+        self._apex: Dict[int, Dict[int, int]] = {}
         #: The store: active site -> its real neighbours (None during the build).
         self._adjacent: Optional[Dict[int, Set[int]]] = None
         self._vertex_count = len(live)
@@ -185,6 +184,11 @@ class DelaunayTriangulation:
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
+        if self.__dict__.pop("_spoke", None) is not None:  # keyed by directed edge
+            rows: Dict[int, Dict[int, int]] = {}
+            for (u, v), w in self._apex.items():
+                rows.setdefault(u, {})[v] = w
+            self._apex = rows
         if "_adjacent" not in state and "_apex" in state:  # pickled before the store
             self._adjacent = self._derive_adjacency()
 
@@ -202,8 +206,10 @@ class DelaunayTriangulation:
         return sorted(
             (
                 Triangle(a, b, c)
-                for (a, b), c in self._apex.items()
-                if 0 <= a < b and a < c
+                for a, row in self._apex.items()
+                if a >= 0
+                for b, c in row.items()
+                if a < b and a < c
             ),
             key=Triangle.vertices,
         )
@@ -218,11 +224,11 @@ class DelaunayTriangulation:
 
     def edges(self) -> Set[Edge]:
         """All undirected Delaunay edges as frozensets of point indexes."""
-        return {frozenset(edge) for edge in self._apex if 0 <= edge[0] < edge[1]}
+        return {frozenset((a, b)) for a, row in self._apex.items() if a >= 0 for b in row if a < b}
 
     def edge_map(self) -> Dict[Tuple[int, int], int]:
         """A copy of the whole structure: directed edge -> apex, ghosts included."""
-        return dict(self._apex)
+        return {(a, b): c for a, row in self._apex.items() for b, c in row.items()}
 
     def neighbors(self) -> Dict[int, Set[int]]:
         """Adjacency map: point index -> indexes of Delaunay-adjacent points.
@@ -314,15 +320,14 @@ class DelaunayTriangulation:
             raise GeometryError("only collinear sites would remain")
         replacement = self._retriangulate_hole(hole)
         apex = self._apex
-        spoke = self._spoke
-        for u, v in zip(hole, hole[1:] + hole[:1]):
-            del apex[index, u], apex[u, v], apex[v, index]
-            spoke[u] = v
-        del spoke[index]
+        del apex[index]
+        for vertex in hole:
+            del apex[vertex][index]
+        # Each hole edge u -> v keeps its key and takes its replacement apex.
         for a, b, c in replacement:
-            apex[a, b] = c
-            apex[b, c] = a
-            apex[c, a] = b
+            apex[a][b] = c
+            apex[b][c] = a
+            apex[c][a] = b
         adjacent = self._adjacent
         for vertex in adjacent.pop(index):
             adjacent[vertex].discard(index)
@@ -340,13 +345,16 @@ class DelaunayTriangulation:
     # Construction
     # ------------------------------------------------------------------
     def _derive_adjacency(self) -> Dict[int, Set[int]]:
-        """The store, read off the edge map in one pass.  A copy of a filled set
-        is sized for its members; grown by ``add``, it may be twice as large."""
-        grown: Dict[int, Set[int]] = {index: set() for index in self.active_indexes()}
-        for u, v in self._apex:
-            if u >= 0 and v >= 0:
-                grown[u].add(v)
-        return {index: set(sites) for index, sites in grown.items()}
+        """The store, one set per row.  A set built from a dict or a set is sized
+        for its members (grown by ``add``, it may be twice as large), so a hull
+        row's set is copied again once it has dropped :data:`GHOST`."""
+        apex = self._apex
+        adjacent = {index: set(apex[index]) for index in self.active_indexes()}
+        for index, sites in adjacent.items():
+            if GHOST in sites:
+                sites.discard(GHOST)
+                adjacent[index] = set(sites)
+        return adjacent
 
     def _jitter_scale(self, jitter: float, live: Sequence[int]) -> float:
         if jitter <= 0:
@@ -363,27 +371,6 @@ class DelaunayTriangulation:
             point.x + (self._rng.random() - 0.5) * self._jitter_magnitude,
             point.y + (self._rng.random() - 0.5) * self._jitter_magnitude,
         )
-
-    def _add_triangle(self, a: int, b: int, c: int) -> None:
-        """Enter the counter-clockwise triangle ``(a, b, c)`` into the map."""
-        self._apex[a, b] = c
-        self._apex[b, c] = a
-        self._apex[c, a] = b
-        self._spoke[a] = b
-        self._spoke[b] = c
-        self._spoke[c] = a
-
-    def _add_oriented(self, a: int, b: int, c: int) -> None:
-        if orientation(self._points[a], self._points[b], self._points[c]) < 0:
-            b, c = c, b
-        self._add_triangle(a, b, c)
-
-    def _hang_ghost_fan(self) -> None:
-        """Close the real triangles into a sphere: a directed edge without a
-        twin is a hull edge ``u -> v`` and gets ``(v, u, GHOST)``."""
-        apex = self._apex
-        for u, v in [edge for edge in apex if edge[::-1] not in apex]:
-            self._add_triangle(v, u, GHOST)
 
     def _build(self, order: Sequence[int]) -> None:
         """Bootstrap with the first non-degenerate triple of ``order``, then
@@ -408,24 +395,30 @@ class DelaunayTriangulation:
             )
         if second is None or third is None:
             raise GeometryError("Delaunay triangulation requires non-collinear points")
-        self._add_oriented(first, second, third)
-        self._hang_ghost_fan()
+        if orientation(points[first], points[second], points[third]) < 0:
+            second, third = third, second
+        # The triangle (first, second, third) and the ghost triangle
+        # (v, u, GHOST) of each of its edges u -> v: a sphere.
+        ghost = self._apex[GHOST] = {}
+        for a, b, c in ((first, second, third), (second, third, first), (third, first, second)):
+            self._apex[a] = {b: c, c: GHOST, GHOST: b}
+            ghost[b] = a
         for index in order[1:]:
             if index not in (second, third):
                 self._carve_cavity(index, points[index])
 
     # ------------------------------------------------------------------
-    # The edge map: links, the bad-triangle predicate, point location
+    # The link maps: rings, the bad-triangle predicate, point location
     # ------------------------------------------------------------------
     def _link(self, vertex: int) -> List[int]:
         """The neighbours of ``vertex`` counter-clockwise, :data:`GHOST` included."""
-        apex = self._apex
-        start = self._spoke[vertex]
+        row = self._apex[vertex]
+        start = next(iter(row))
         ring = [start]
-        following = apex[vertex, start]
+        following = row[start]
         while following != start:
             ring.append(following)
-            following = apex[vertex, following]
+            following = row[following]
         return ring
 
     def _circumcircle_contains(self, a: int, b: int, c: int, point: Point) -> bool:
@@ -485,6 +478,7 @@ class DelaunayTriangulation:
         vertex is strictly closer to the target, so the walk terminates at
         the site nearest to ``point``.
         """
+        apex = self._apex
         points = self._points
         px = point.x
         py = point.y
@@ -492,7 +486,7 @@ class DelaunayTriangulation:
         best_distance = points[best].distance_squared_to(point)
         while True:
             current = best
-            for neighbor in self._link(current):
+            for neighbor in apex[current]:
                 if neighbor < 0:
                     continue
                 # Point.distance_squared_to, inlined.
@@ -518,12 +512,13 @@ class DelaunayTriangulation:
         for start in (None,) if nearest is None else (nearest, None):
             if start is None:
                 start = self._nearest_vertex(point)
-            for neighbor in self._link(start):
-                if self._circumcircle_contains(start, neighbor, apex[start, neighbor], point):
+            for neighbor, third in apex[start].items():
+                if self._circumcircle_contains(start, neighbor, third, point):
                     return start, neighbor
-        for (a, b), c in apex.items():
-            if self._circumcircle_contains(a, b, c, point):
-                return a, b
+        for a, row in apex.items():
+            for b, c in row.items():
+                if self._circumcircle_contains(a, b, c, point):
+                    return a, b
         raise GeometryError("no triangle circumcircle contains the new site")
 
     def _carve_cavity(self, index: int, point: Point, nearest: Optional[int] = None) -> Set[int]:
@@ -540,14 +535,14 @@ class DelaunayTriangulation:
         apex = self._apex
         contains = self._circumcircle_contains
         a, b = self._seed_edge(point, nearest)
-        c = apex[a, b]
+        c = apex[a][b]
         inside = {a, b, c}
         cavity = [(a, b), (b, c), (c, a)]
         stack = list(cavity)
         rim: List[Tuple[int, int]] = []
         while stack:
             u, v = stack.pop()
-            w = apex[v, u]
+            w = apex[v][u]
             if w not in inside and contains(v, u, w, point):
                 inside.add(w)
                 cavity += ((v, u), (u, w), (w, v))
@@ -555,15 +550,13 @@ class DelaunayTriangulation:
             else:
                 rim.append((u, v))
         # Every decision is made; only now does the map change.
-        for edge in cavity:
-            del apex[edge]
-        spoke = self._spoke
+        for u, v in cavity:
+            del apex[u][v]
+        apex[index] = row = {}
         for u, v in rim:
-            apex[u, v] = index
-            apex[v, index] = u
-            apex[index, u] = v
-            spoke[u] = index
-        spoke[index] = rim[0][0]
+            apex[u][v] = index
+            apex[v][index] = u
+            row[u] = v
         self._walk_hint = index
         adjacent = self._adjacent
         if adjacent is not None:
@@ -648,7 +641,7 @@ class DelaunayTriangulation:
                         continue
                 # a and c are not consecutive on the link (size > 3), so an
                 # existing edge between them lies outside the hole.
-                if (a, c) in self._apex:
+                if c in self._apex[a]:
                     raise GeometryError("a diagonal of the deletion hole already exists")
                 result.append((a, b, c))
                 polygon.pop(i)

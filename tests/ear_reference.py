@@ -33,7 +33,7 @@ def clip_ears(triangulation, hole):
                 for other in polygon
             ):
                 continue
-            if (a, c) in triangulation._apex:
+            if c in triangulation._apex[a]:
                 raise GeometryError("a diagonal of the deletion hole already exists")
             result.append((a, b, c))
             polygon.pop(i)

@@ -1,5 +1,6 @@
 """The triangulation's neighbour store: hand-worked answers, edits in place,
-refusals that edit nothing, and pickles written before the store existed.
+refusals that edit nothing, pickles written before the store or the link
+maps existed, and a build whose store costs no second copy.
 
 The fixture is a convex pentagon around one interior site, in general
 position (no four sites co-circular), so every answer below is the unique
@@ -16,6 +17,7 @@ neighbours and 5 (the wheel).
 import copy
 import pickle
 import random
+import tracemalloc
 
 import pytest
 
@@ -182,3 +184,45 @@ class TestPicklesWithoutTheStore:
         patched = lists(restored)
         restored.full_rebuild()
         assert patched == lists(restored)
+
+    @pytest.mark.parametrize("with_store", [True, False], ids=["with-store", "without-store"])
+    def test_a_tree_pickled_with_one_edge_keyed_map_churns_to_the_rebuild(self, with_store):
+        """Before the link maps the triangulation was one map keyed by
+        directed edge beside a spoke per vertex: a restore turns the map into
+        rows, drops the spoke and derives the store if it is missing."""
+        rng = random.Random(13)
+        tree = VoRTree(uniform_points(200, extent=1_000.0, seed=31))
+        churn(tree, rng, 10)
+        triangulation = tree.voronoi._delaunay
+        edges, store, expected = triangulation.edge_map(), triangulation._adjacent, lists(tree)
+        state = vars(triangulation)
+        state["_spoke"] = {vertex: next(iter(row)) for vertex, row in state["_apex"].items()}
+        state["_apex"] = dict(edges)
+        if not with_store:
+            del state["_adjacent"]
+        restored = pickle.loads(pickle.dumps(tree))
+        triangulation = restored.voronoi._delaunay
+        assert "_spoke" not in vars(triangulation)
+        assert all(type(row) is dict for row in triangulation._apex.values())
+        assert triangulation.edge_map() == edges
+        assert triangulation._adjacent == store
+        assert lists(restored) == expected
+        churn(restored, rng, 20)
+        patched = lists(restored)
+        restored.full_rebuild()
+        assert patched == lists(restored)
+
+
+class TestTheBuildsMemory:
+    """The store is read off the link maps without a second copy of it."""
+
+    def test_the_build_peaks_within_a_tenth_of_what_it_holds(self):
+        points = uniform_points(5_000, extent=1_000.0, seed=5)
+        tracemalloc.start()
+        try:
+            triangulation = DelaunayTriangulation(points)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(triangulation._adjacent) == 5_000
+        assert peak <= 1.1 * held, f"peak {peak} B against {held} B held"
