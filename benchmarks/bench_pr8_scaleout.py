@@ -22,7 +22,10 @@ root:
   a semantics knob;
 * the per-run maintenance split is reported: ``maint_s`` is wall-clock
   spent re-running geometry (summed over every recomputing shard),
-  ``apply_s`` wall-clock spent patching replicas from shipped deltas;
+  ``apply_s`` wall-clock spent patching replicas from shipped deltas, and
+  ``maint_ops`` counts the index repairs every shard ran (the observations
+  of the shards' merged ``insq_maintenance_seconds`` histogram) — a
+  recompute run's is W times a delta run's, whose replicas run none;
 * the acceptance gate: at 4 workers, delta shipping must at least halve
   the recompute run's *total maintenance bill* (``maint+apply``), and
   the delta run's end-to-end wall clock must beat the recompute run's.
@@ -48,6 +51,7 @@ import json
 import os
 import pathlib
 
+from repro.obs import REGISTRY
 from repro.simulation.report import format_table
 from repro.simulation.server_sim import simulate_server
 from repro.workloads.scenarios import ChurnSpec, euclidean_server_scenario
@@ -125,6 +129,37 @@ def per_session(run):
     }
 
 
+def _maintenance_count(snapshot) -> int:
+    """Observations of ``insq_maintenance_seconds``: one per index repair."""
+    return sum(
+        sum(buckets)
+        for name, _, buckets, _ in snapshot.histograms
+        if name == "insq_maintenance_seconds"
+    )
+
+
+def _serve(scenario, workers, replication):
+    """One sharded run, and the index repairs its shards ran."""
+    counted = {}
+
+    def hook(pool):
+        # Read before teardown; the parent's own registry joins the
+        # pool's merge, so it is taken back out.
+        return lambda: counted.update(maint_ops=(
+            _maintenance_count(pool.metrics_snapshot())
+            - _maintenance_count(REGISTRY.snapshot())
+        ))
+
+    run = simulate_server(
+        scenario,
+        transport="process",
+        workers=workers,
+        replication=replication,
+        serving_hook=hook,
+    )
+    return run, counted["maint_ops"]
+
+
 def run_benchmark(smoke: bool = False):
     """Sweep the worker × replication matrix over the headline stream.
 
@@ -136,28 +171,22 @@ def run_benchmark(smoke: bool = False):
     worker_counts = SMOKE_WORKER_COUNTS if smoke else WORKER_COUNTS
     top = max(worker_counts)
 
-    runs = {}
+    runs, maint_ops = {}, {}
     for workers in worker_counts:
         for replication in ("recompute", "delta"):
             if workers == 1 and replication == "delta":
                 continue  # one shard has nobody to ship to
-            runs[(workers, replication)] = simulate_server(
-                scenario,
-                transport="process",
-                workers=workers,
-                replication=replication,
+            cell = ("reference", workers, replication)
+            runs[(workers, replication)], maint_ops[cell] = _serve(
+                scenario, workers, replication
             )
 
     heavy_scenario = build_scenario(smoke=smoke, heavy=True)
-    heavy = {
-        replication: simulate_server(
-            heavy_scenario,
-            transport="process",
-            workers=top,
-            replication=replication,
+    heavy = {}
+    for replication in ("recompute", "delta"):
+        heavy[replication], maint_ops[("update-heavy", top, replication)] = _serve(
+            heavy_scenario, top, replication
         )
-        for replication in ("recompute", "delta")
-    }
 
     reference = runs[(worker_counts[0], "recompute")]
     equivalent = all(
@@ -192,6 +221,7 @@ def run_benchmark(smoke: bool = False):
                 "maint_s": round(maint, 3),
                 "apply_s": round(apply_s, 3),
                 "upkeep_s": round(maint + apply_s, 3),
+                "maint_ops": maint_ops[(leg, workers, replication)],
             }
         )
 

@@ -4,8 +4,13 @@ INSQ's evaluation claim is a cost claim: at equal answers, the influential
 neighbour set recomputes and communicates less than safe-region methods, and
 its guard objects define the largest possible safe region (the order-k
 Voronoi cell).  Every experiment below is data — a list of cells, each a
-scenario and the methods run on it — and every cell runs through
-:func:`~repro.simulation.simulator.simulate`:
+scenario and the methods run on it — and every cell runs on the serving
+engine, as :func:`~repro.simulation.server_sim.run_methods` plays it: one
+engine over the cell's data, so one index (E8 opens one per value of the
+server's ``allow_incremental``), and one query per method — INS is the
+``knn`` kind, the order-k safe region the ``region`` kind, and the
+baselines the kinds of :func:`~repro.baselines.baseline_kinds`, registered
+for the cell only:
 
 * E1-E4 vary k, n, ρ and the query speed on uniform plane data; E1's
   construction and validation seconds are E6's overhead breakdown;
@@ -32,11 +37,13 @@ import json
 import pathlib
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.core.ins_euclidean import INSProcessor
+from repro.baselines import METHOD_KINDS, baseline_kinds
+from repro.core.road_server import MovingRoadKNNServer
+from repro.core.server import MovingKNNServer
+from repro.queries.kinds import registered
 from repro.roadnet.generators import place_objects, random_planar_network
-from repro.simulation.experiment import EUCLIDEAN_METHODS, METHODS, ROAD_METHODS
 from repro.simulation.report import format_table
-from repro.simulation.simulator import simulate
+from repro.simulation.server_sim import run_methods
 from repro.trajectory.road import network_random_walk
 from repro.workloads.scenarios import (
     RoadScenario,
@@ -58,14 +65,21 @@ COUNTERS = (
 TIMINGS = ("construction_seconds", "validation_seconds", "elapsed_seconds")
 
 
-def _named(names: Sequence[str]) -> Dict[str, Callable]:
-    return {name: METHODS[name] for name in names}
+EUCLIDEAN_METHODS = tuple(METHOD_KINDS["euclidean"])
+ROAD_METHODS = tuple(METHOD_KINDS["road"])
+
+
+def _named(names: Sequence[str]) -> Dict[str, tuple]:
+    """The compared methods at the scenario's own ρ."""
+    kinds = {**METHOD_KINDS["euclidean"], **METHOD_KINDS["road"]}
+    return {name: (kinds[name], None, False) for name in names}
 
 
 def _plane(key: str, values, methods=EUCLIDEAN_METHODS, **fixed) -> List[tuple]:
     """One uniform-data cell per value of ``key``; the rest is ``fixed``.
 
-    A cell is (label, scenario factory, report name -> processor factory).
+    A cell is (label, scenario factory, report name -> (query kind, ρ or
+    None for the scenario's, the server's ``allow_incremental``)).
     """
     argument = {"n": "object_count", "speed": "step_length"}.get(key, key)
     return [
@@ -100,10 +114,6 @@ def _road_k(values, size: int, objects: int, steps: int, planar: bool) -> List[t
     return cells
 
 
-def _ins(rho: float, incremental: bool) -> Callable:
-    return lambda s: INSProcessor(s.points, s.k, rho=rho, allow_incremental=incremental)
-
-
 def _road_demo(size: int, objects: int, steps: int) -> List[tuple]:
     scenario = lambda: default_road_scenario(
         rows=size, columns=size, object_count=objects, k=5, rho=1.6,
@@ -135,8 +145,8 @@ EXPERIMENTS: Dict[str, tuple] = {
     "E8": ("INS ablation: prefetch x incremental updates (n=3000, k=8, 300 steps)",
            [("n=3000 k=8", lambda: default_euclidean_scenario(
                object_count=3_000, k=8, steps=300, seed=81, **PLANE),
-             {"plain": _ins(1.0, False), "incremental": _ins(1.0, True),
-              "prefetch": _ins(1.6, False), "prefetch+incremental": _ins(1.6, True)})]),
+             {"plain": ("knn", 1.0, False), "incremental": ("knn", 1.0, True),
+              "prefetch": ("knn", 1.6, False), "prefetch+incremental": ("knn", 1.6, True)})]),
     "F3": ("the Road Network mode demonstration (Figure 3)", _road_demo(12, 40, 250)),
     "F4": ("the 2D Plane mode demonstration (Figure 4)",
            [("fig4-plane-k5-rho1.6", fig4_scenario, _named(("INS",)))]),
@@ -149,16 +159,31 @@ SMOKE: Dict[str, tuple] = {
 }
 
 
+def _serve(scenario, methods: Dict[str, tuple]) -> Dict[str, Dict[str, object]]:
+    """One engine per ``allow_incremental`` value the methods ask for, one
+    query per method on it; the baseline kinds are registered meanwhile."""
+    measured = {}
+    with registered(*baseline_kinds(scenario.step_length)):
+        for incremental in sorted({spec[2] for spec in methods.values()}):
+            if isinstance(scenario, RoadScenario):
+                engine = MovingRoadKNNServer(scenario.network, scenario.object_vertices)
+            else:
+                engine = MovingKNNServer(scenario.points, allow_incremental=incremental)
+            measured.update(run_methods(engine, scenario.trajectory, {
+                method: (kind, scenario.k, scenario.rho if rho is None else rho)
+                for method, (kind, rho, flag) in methods.items() if flag == incremental}))
+    return measured
+
+
 def sweep(experiments: Dict[str, tuple] = EXPERIMENTS) -> List[Dict[str, object]]:
     """Run every cell of ``experiments``; one row per (cell, method)."""
     rows = []
     for experiment, (_, cells) in experiments.items():
         for label, scenario_of, methods in cells:
-            scenario = scenario_of()
-            for method, factory in methods.items():
-                measured = simulate(factory(scenario), scenario.trajectory).as_dict()
+            measured = _serve(scenario_of(), methods)
+            for method in methods:
                 rows.append({"experiment": experiment, "cell": label, "method": method,
-                             **{column: measured[column] for column in COUNTERS + TIMINGS}})
+                             **{column: measured[method][column] for column in COUNTERS + TIMINGS}})
     return rows
 
 

@@ -7,9 +7,10 @@ concrete:
 * the POIs are *clustered* (a Gaussian mixture), like real downtown/suburb
   densities;
 * the tourist follows a random-waypoint walk;
-* the same query is answered by the INS processor and by every baseline, and
-  the example prints the comparison table the evaluation section of the
-  paper would plot — recomputations, communication and client work.
+* the same query is answered by INS and by every baseline, each one query
+  on one serving engine over the POIs, and the example prints the
+  comparison table the evaluation section of the paper would plot —
+  recomputations, communication and client work.
 
 Run with::
 
@@ -18,8 +19,11 @@ Run with::
 
 from __future__ import annotations
 
-from repro.simulation.experiment import compare
+from repro.baselines import METHOD_KINDS, baseline_kinds
+from repro.core.server import MovingKNNServer
+from repro.queries.kinds import registered
 from repro.simulation.report import format_table
+from repro.simulation.server_sim import run_methods
 from repro.trajectory.euclidean import random_waypoint_trajectory
 from repro.workloads.datasets import clustered_points, data_space
 from repro.workloads.scenarios import EuclideanScenario
@@ -48,21 +52,26 @@ def main() -> None:
           f"{scenario.timestamps} timestamps)")
     print()
 
-    runs = compare(scenario)
+    engine = MovingKNNServer(scenario.points)
+    methods = {
+        name: (kind, scenario.k, scenario.rho)
+        for name, kind in METHOD_KINDS["euclidean"].items()
+    }
+    with registered(*baseline_kinds(scenario.step_length)):
+        runs = run_methods(engine, scenario.trajectory, methods)
     columns = (
         "method", "full_recomputations", "local_reorders", "transmitted_objects",
         "distance_computations", "validation_seconds", "construction_seconds",
         "elapsed_seconds",
     )
-    rows = [run.as_dict() for run in runs.values()]
-    print(format_table(rows, columns=columns, title="continuous 5-NN POI query while walking"))
+    print(format_table(list(runs.values()), columns=columns,
+                       title="continuous 5-NN POI query while walking"))
     print()
-    ins = runs["INS"].stats
-    naive = runs["Naive"].stats
-    saving = 1.0 - ins.transmitted_objects / naive.transmitted_objects
+    ins = runs["INS"]["transmitted_objects"]
+    naive = runs["Naive"]["transmitted_objects"]
     print(
-        f"INS ships {ins.transmitted_objects} objects instead of {naive.transmitted_objects} "
-        f"({saving:.0%} less communication than recomputing every timestamp)."
+        f"INS ships {ins} objects instead of {naive} "
+        f"({1.0 - ins / naive:.0%} less communication than recomputing every timestamp)."
     )
 
 

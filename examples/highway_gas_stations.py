@@ -9,8 +9,9 @@ continuously while one drives on a highway"), in Road Network mode:
 * gas stations sit on network vertices,
 * the car drives a constant-speed random route along the roads,
 * the INS road-network processor (Theorems 1 and 2) answers the moving
-  3-NN query and is compared against recomputing with incremental network
-  expansion at every timestamp.
+  3-NN query and is compared against V* and against recomputing with
+  incremental network expansion at every timestamp — each one query on one
+  serving engine over the stations.
 
 Run with::
 
@@ -19,12 +20,14 @@ Run with::
 
 from __future__ import annotations
 
+from repro.baselines import METHOD_KINDS, baseline_kinds
+from repro.core.road_server import MovingRoadKNNServer
+from repro.queries.kinds import registered
 from repro.roadnet.generators import place_objects, random_planar_network
-from repro.simulation.experiment import compare
 from repro.simulation.report import format_table
+from repro.simulation.server_sim import run_methods
 from repro.trajectory.road import network_random_walk
 from repro.viz.ascii_network import render_network_state
-from repro.workloads.scenarios import RoadScenario
 
 
 def main() -> None:
@@ -40,28 +43,22 @@ def main() -> None:
     route = network_random_walk(network, steps=400, step_length=75.0, seed=33)
 
     k = 3
-    scenario = RoadScenario(
-        name="highway-gas-stations",
-        network=network,
-        object_vertices=stations,
-        trajectory=route,
-        k=k,
-        rho=1.6,
-        step_length=75.0,
-    )
-    runs = compare(scenario)  # INS-road, V*-road (x = 4), naive INE
+    engine = MovingRoadKNNServer(network, stations)
+    # INS-road, V*-road (x = 4), naive INE.
+    methods = {name: (kind, k, 1.6) for name, kind in METHOD_KINDS["road"].items()}
+    with registered(*baseline_kinds(75.0)):
+        runs = run_methods(engine, route, methods)
     columns = (
         "method", "full_recomputations", "local_reorders", "transmitted_objects",
         "settled_vertices", "elapsed_seconds",
     )
-    rows = [run.as_dict() for run in runs.values()]
     print()
-    print(format_table(rows, columns=columns, title=f"continuous {k}-NN gas stations along a 30 km drive"))
+    print(format_table(list(runs.values()), columns=columns,
+                       title=f"continuous {k}-NN gas stations along a 30 km drive"))
 
     # Show one frame of the demonstration (the Figure 3 style rendering).
-    ins_run = runs["INS-road"]
-    frame = next((r for r in ins_run.results if not r.was_valid and r.timestamp > 0),
-                 ins_run.results[0])
+    answers = runs["INS-road"]["answers"]
+    frame = next((r for r in answers if not r.was_valid and r.timestamp > 0), answers[0])
     print()
     print(f"state at timestamp {frame.timestamp} ({frame.action.value}):")
     print(

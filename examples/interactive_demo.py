@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import argparse
 
-from repro.core.ins_euclidean import INSProcessor
-from repro.simulation.simulator import simulate
+from repro.core.server import MovingKNNServer
+from repro.simulation.server_sim import run_methods
 from repro.viz.ascii_plane import render_plane_state
 from repro.workloads.scenarios import fig4_scenario
 
@@ -36,18 +36,20 @@ def main() -> None:
     arguments = parser.parse_args()
 
     scenario = fig4_scenario()
-    processor = INSProcessor(scenario.points, arguments.k, rho=arguments.rho)
-    run = simulate(processor, scenario.trajectory)
+    engine = MovingKNNServer(scenario.points)
+    query = {"INS": ("knn", arguments.k, arguments.rho)}
+    run = run_methods(engine, scenario.trajectory, query)["INS"]
+    answers = run["answers"]
 
     if arguments.all:
-        frames = list(range(run.timestamps))
+        frames = list(range(len(answers)))
     else:
         # The frame before and the frame of each invalidation (Figure 4 a/b).
-        invalid = [r.timestamp for r in run.results if not r.was_valid and r.timestamp > 0]
+        invalid = [r.timestamp for r in answers if not r.was_valid and r.timestamp > 0]
         frames = sorted({t for timestamp in invalid[:4] for t in (timestamp - 1, timestamp)})
 
     for timestamp in frames:
-        result = run.results[timestamp]
+        result = answers[timestamp]
         position = scenario.trajectory[timestamp]
         print(result.describe())
         print(
@@ -63,9 +65,9 @@ def main() -> None:
         print()
 
     print(
-        f"summary: {run.timestamps} timestamps, {run.knn_changes} kNN changes, "
-        f"{run.stats.full_recomputations} server recomputations, "
-        f"{run.stats.local_reorders} local reorders"
+        f"summary: {run['timestamps']} timestamps, {run['knn_changes']} kNN changes, "
+        f"{run['full_recomputations']} server recomputations, "
+        f"{run['local_reorders']} local reorders"
     )
 
 

@@ -14,10 +14,9 @@ Run with::
 
 from __future__ import annotations
 
-from repro.core.ins_euclidean import INSProcessor
-from repro.index.vortree import VoRTree
+from repro.core.server import MovingKNNServer
 from repro.simulation.report import format_table
-from repro.simulation.simulator import simulate
+from repro.simulation.server_sim import run_methods
 from repro.trajectory.euclidean import random_waypoint_trajectory
 from repro.workloads.datasets import data_space, uniform_points
 
@@ -27,21 +26,21 @@ SPEEDS = {"pedestrian (15 m/step)": 15.0, "vehicle (120 m/step)": 120.0}
 
 def main() -> None:
     points = uniform_points(4_000, seed=41)
-    vortree = VoRTree(points)  # shared precomputation across the sweep
     k = 5
 
     for label, speed in SPEEDS.items():
         trajectory = random_waypoint_trajectory(
             data_space(), steps=300, step_length=speed, seed=42
         )
+        # One engine, so one VoR-tree; one query per value of rho.
+        engine = MovingKNNServer(points)
+        runs = run_methods(engine, trajectory, {rho: ("knn", k, rho) for rho in RHO_VALUES})
         rows = []
-        for rho in RHO_VALUES:
-            processor = INSProcessor(points, k=k, rho=rho, vortree=vortree)
-            run = simulate(processor, trajectory).as_dict()
+        for rho, run in runs.items():
             rows.append(
                 {
                     "rho": rho,
-                    "prefetched": processor.prefetch_count,
+                    "prefetched": max(int(rho * k), k),
                     "recomputations": run["full_recomputations"],
                     "local_reorders": run["local_reorders"],
                     "objects_sent": run["transmitted_objects"],

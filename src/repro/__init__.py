@@ -39,7 +39,8 @@ Loaded on first use of one of their names (PEP 562: a name re-exported
 here resolves when first read, then stays bound), so a process that only
 serves in-process never imports the socket, pool, WAL or HTTP code:
 
-* the baselines (:mod:`repro.baselines`),
+* the baselines (:mod:`repro.baselines`; their query kinds are registered
+  only by the callers that run them),
 * the wire layer (:mod:`repro.transport`):
   :class:`~repro.transport.server.KNNServer` hosts a service behind a
   TCP/Unix socket, :func:`~repro.transport.client.connect` opens remote
@@ -109,10 +110,9 @@ __version__ = "1.0.0"
 
 #: The re-exports loaded on first use: home module -> names.
 _DEFERRED = {
-    "repro.baselines": "NaiveProcessor NaiveRoadProcessor OrderKSafeRegionProcessor "
-    "VStarProcessor VStarRoadProcessor",
+    "repro.baselines": "NaiveProcessor NaiveRoadProcessor VStarProcessor VStarRoadProcessor",
     "repro.durability": "DurableKNNService has_durable_state open_durable_service recover_service",
-    "repro.simulation": "simulate simulate_server",
+    "repro.simulation": "run_methods simulate_server",
     "repro.transport": "KNNServer ProcessShardedDispatcher RemoteService RemoteSession "
     "ServiceSpec TransportError connect",
     "repro.trajectory": "circular_trajectory linear_trajectory network_random_walk "
@@ -188,7 +188,6 @@ __all__ = [
     # baselines
     "NaiveProcessor",
     "NaiveRoadProcessor",
-    "OrderKSafeRegionProcessor",
     "VStarProcessor",
     "VStarRoadProcessor",
     # geometry / index
@@ -206,7 +205,7 @@ __all__ = [
     "random_planar_network",
     "place_objects",
     # simulation / workloads / trajectories
-    "simulate",
+    "run_methods",
     "simulate_server",
     "uniform_points",
     "clustered_points",

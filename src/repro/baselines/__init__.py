@@ -1,8 +1,8 @@
 """Baseline moving-kNN methods the paper's approach is compared against.
 
 * :mod:`repro.baselines.policies` — two policies, each written once over a
-  plane search (the VoR-tree's retrieval) and a road search (INE), and a
-  plane binding of a third:
+  plane search (the live VoR-tree's retrieval) and a road search (INE over
+  the live network Voronoi diagram's objects):
 
   * naive recomputation (:class:`NaiveProcessor`,
     :class:`NaiveRoadProcessor`) — the obvious lower bound on answer quality
@@ -10,27 +10,32 @@
   * a V*-Diagram-style known region [5] (:class:`VStarProcessor`,
     :class:`VStarRoadProcessor`) — retrieve ``k + x`` candidates and guard
     them with a known-region safe distance.  Cheap construction but more
-    frequent recomputation and per-timestamp client work;
-  * the safe-region approach of the earlier studies cited in the
-    introduction [2], [6] (:class:`OrderKSafeRegionProcessor`) — the exact
-    order-k Voronoi cell as the safe region.  Minimal recomputation
-    frequency but expensive construction.  The policy is
-    :class:`repro.queries.region.OrderKRegion`, the one the ``"region"``
-    query kind runs on; this binding builds a VoR-tree of its own.
+    frequent recomputation and per-timestamp client work.
+
+  :func:`baseline_kinds` serves them as query kinds on a server's own
+  index, registered only by the callers that run them.  The third method
+  the evaluation compares, the exact order-k cell safe region of the
+  earlier studies [2], [6], is the shipped ``"region"`` kind
+  (:class:`repro.queries.region.OrderKRegionProcessor`);
+  :data:`METHOD_KINDS` names the kind of each compared method.
 """
 
 from repro.baselines.policies import (
+    METHOD_KINDS,
+    BaselineKind,
     NaiveProcessor,
     NaiveRoadProcessor,
-    OrderKSafeRegionProcessor,
     VStarProcessor,
     VStarRoadProcessor,
+    baseline_kinds,
 )
 
 __all__ = [
+    "METHOD_KINDS",
+    "BaselineKind",
     "NaiveProcessor",
-    "OrderKSafeRegionProcessor",
     "VStarProcessor",
     "NaiveRoadProcessor",
     "VStarRoadProcessor",
+    "baseline_kinds",
 ]

@@ -1,5 +1,5 @@
-"""The baselines: V* and naive written once over both metrics, plus the
-plane binding of the order-k safe region.
+"""The baselines: V* and naive written once over both metrics, served as
+query kinds on the engine's own index.
 
 A *policy* is the algorithm; a *metric* supplies three methods it runs on:
 
@@ -10,13 +10,23 @@ A *policy* is the algorithm; a *metric* supplies three methods it runs on:
 * ``_drift(position)`` — an upper bound on the distance from the last
   retrieval position.
 
-:class:`PlaneSearch` answers them with a VoR-tree's retrieval (the index
-the INS processor serves from) and ``Point.distance_to``, the drift being the
-exact distance to the retrieval position.
+:class:`PlaneSearch` answers them with the live VoR-tree's retrieval (the
+index the INS processor serves from) and ``math.dist`` over its coordinate
+rows, the drift being the exact distance to the retrieval position.
 :class:`RoadSearch` answers them with an INE search (``network_knn``) and
-one targeted Dijkstra; its drift is the declared ``step_length`` summed over
-the timestamps since the retrieval — the distance travelled along the
+one targeted Dijkstra over the live network Voronoi diagram's object
+storage; its drift is the declared ``step_length`` summed over the
+timestamps since the retrieval — the distance travelled along the
 trajectory, always an upper bound on the network distance and free to keep.
+
+A processor is handed the index a server maintains and builds none.  A
+data-update delta the engine pushes costs naive nothing (it retrieves from
+the live index every timestamp anyway) and costs V* one retrieval: its
+known region says nothing about objects inserted since.
+:func:`baseline_kinds` wraps the four as query kinds (``naive``, ``vstar``,
+``naive-road``, ``vstar-road``); a caller that runs them registers them for
+as long as it needs them (:func:`repro.queries.kinds.registered`), so
+``import repro`` serves only the shipped kinds.
 
 **Recompute** (:class:`NaiveProcessor`, :class:`NaiveRoadProcessor`) is the
 method every safe-region technique is trying to beat: one k-nearest
@@ -44,28 +54,25 @@ this one recomputes the whole candidate list when the condition fails.  The
 published trade-off survives — construction far cheaper than order-k cells,
 recomputation clearly more frequent than INS or order-k safe regions, and
 less frequent as ``x`` grows.
-
-**OrderKRegion** (:class:`OrderKSafeRegionProcessor`) is the exact order-k
-cell safe region, the policy :mod:`repro.queries.region` writes once for the
-``kind="region"`` queries too; here it runs on a VoR-tree of its own.
 """
 
 from __future__ import annotations
 
 import abc
+from functools import partial
 from itertools import repeat
 from math import dist, inf
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.core.objects import QueryResult, UpdateAction
 from repro.core.processor import MovingKNNProcessor, PositionT
 from repro.geometry.point import Point
 from repro.index.vortree import VoRTree
-from repro.queries.region import OrderKRegion
-from repro.roadnet.graph import RoadNetwork
-from repro.roadnet.knn import build_objects_at_vertex, network_knn, object_distances_from_location
+from repro.queries.kinds import QueryKind
+from repro.roadnet.knn import network_knn, object_distances_from_location
 from repro.roadnet.location import NetworkLocation
+from repro.roadnet.network_voronoi import NetworkVoronoiDiagram
 from repro.roadnet.shortest_path import SearchStats
 
 
@@ -120,6 +127,8 @@ class Recompute(_Baseline[PositionT]):
         return self._compute(position)
 
     def _update(self, position: PositionT) -> QueryResult:
+        if self._state_stale:
+            self._take_pending()  # the retrieval reads the live index anyway
         self._stats.validations += 1
         return self._compute(position)
 
@@ -190,6 +199,11 @@ class KnownRegion(_Baseline[PositionT]):
         return self._result(self._rank(position), UpdateAction.FULL_RECOMPUTE)
 
     def _update(self, position: PositionT) -> QueryResult:
+        if self._state_stale:
+            # The data changed: the known region may hold a new object.
+            self._take_pending()
+            self._stats.validations += 1
+            return self._initialize(position)
         with self._stats.timed("validation_seconds"):
             self._stats.validations += 1
             drift = self._drift(position)
@@ -202,11 +216,10 @@ class KnownRegion(_Baseline[PositionT]):
 
 
 class PlaneSearch:
-    """The plane: a VoR-tree over the objects and Euclidean distances."""
+    """The plane: the live VoR-tree and Euclidean distances."""
 
-    def _load(self, points: Sequence[Point]) -> None:
-        with self._stats.timed("precomputation_seconds"):
-            self._tree = VoRTree(points)
+    def _bind(self, tree: VoRTree) -> None:
+        self._tree = tree
         # The last nearest object: where the next retrieval's walk starts.
         self._hint: Optional[int] = None
 
@@ -229,24 +242,21 @@ class PlaneSearch:
 
 
 class RoadSearch:
-    """The network: objects on vertices, INE retrievals, network distances."""
+    """The network: the live diagram's objects, INE retrievals, network distances."""
 
-    def _load(self, network: RoadNetwork, object_vertices: Sequence[int]) -> None:
-        self._network = network
-        self._object_vertices: List[int] = list(object_vertices)
-        # Built once: the data set is static, so the per-call O(n)
-        # construction inside network_knn would be pure waste.
-        self._objects_at_vertex = build_objects_at_vertex(self._object_vertices)
+    def _bind(self, voronoi: NetworkVoronoiDiagram) -> None:
+        self._network = voronoi.network
+        self._voronoi = voronoi
 
     def _nearest(self, position: NetworkLocation, count: int) -> List[Tuple[int, float]]:
         search = SearchStats()
         nearest = network_knn(
             self._network,
-            self._object_vertices,
+            self._voronoi.vertex_assignments,
             position,
             count,
             stats=search,
-            objects_at_vertex=self._objects_at_vertex,
+            objects_at_vertex=self._voronoi.vertex_objects(),
         )
         self._stats.settled_vertices += search.settled_vertices
         return nearest
@@ -254,7 +264,7 @@ class RoadSearch:
     def _distances(self, position: NetworkLocation, indexes: Sequence[int]) -> List[float]:
         search = SearchStats()
         distances = object_distances_from_location(
-            self._network, self._object_vertices, position, indexes, stats=search
+            self._network, self._voronoi.vertex_assignments, position, indexes, stats=search
         )
         self._stats.settled_vertices += search.settled_vertices
         return distances
@@ -270,13 +280,13 @@ class NaiveProcessor(PlaneSearch, Recompute[Point]):
     """Per-timestamp recomputation baseline (Euclidean space).
 
     Args:
-        points: data-object positions.
+        vortree: the live VoR-tree.
         k: number of nearest neighbours to report.
     """
 
-    def __init__(self, points: Sequence[Point], k: int):
-        super().__init__(k, len(points))
-        self._load(points)
+    def __init__(self, vortree: VoRTree, k: int):
+        super().__init__(k, len(vortree))
+        self._bind(vortree)
 
     @property
     def name(self) -> str:
@@ -287,14 +297,13 @@ class NaiveRoadProcessor(RoadSearch, Recompute[NetworkLocation]):
     """Per-timestamp INE recomputation baseline (road networks).
 
     Args:
-        network: the road network.
-        object_vertices: vertex of each data object.
+        voronoi: the live network Voronoi diagram (its network and objects).
         k: number of nearest neighbours to report.
     """
 
-    def __init__(self, network: RoadNetwork, object_vertices: Sequence[int], k: int):
-        super().__init__(k, len(object_vertices))
-        self._load(network, object_vertices)
+    def __init__(self, voronoi: NetworkVoronoiDiagram, k: int):
+        super().__init__(k, len(voronoi))
+        self._bind(voronoi)
 
     @property
     def name(self) -> str:
@@ -305,94 +314,83 @@ class VStarProcessor(PlaneSearch, KnownRegion[Point]):
     """V*-Diagram-style moving kNN processor (Euclidean space).
 
     Args:
-        points: data-object positions.
+        vortree: the live VoR-tree.
         k: number of nearest neighbours to report.
         auxiliary: the ``x`` extra candidates retrieved per round trip
             (the V*-Diagram paper's recommended small constant; default 4).
     """
 
-    def __init__(self, points: Sequence[Point], k: int, auxiliary: int = 4):
-        super().__init__(k, auxiliary, len(points))
-        self._load(points)
+    def __init__(self, vortree: VoRTree, k: int, auxiliary: int = 4):
+        super().__init__(k, auxiliary, len(vortree))
+        self._bind(vortree)
 
     @property
     def name(self) -> str:
         return "V*"
 
 
-class OrderKSafeRegionProcessor(OrderKRegion):
-    """Exact order-k Voronoi cell safe-region baseline (Euclidean space).
-
-    The "strict safe region" of the earlier Voronoi-cell studies [2], [6]
-    the paper's introduction cites: minimal recomputation, at the price of
-    rebuilding the cell after every retrieval (experiment E7).
-
-    Args:
-        points: data-object positions.  The sequence stays live: a caller
-            that moves objects in place names them in ``notify_data_update``
-            (``changed``), and the next settle re-reads it.
-        k: number of nearest neighbours to report.
-    """
-
-    def __init__(self, points: Sequence[Point], k: int):
-        super().__init__(k, points)
-        self._source: Sequence[Point] = points
-        self._removed: Set[int] = set()
-        with self._stats.timed("precomputation_seconds"):
-            self._tree = VoRTree(points)
-
-    @property
-    def name(self) -> str:
-        return "OrderK-SR"
-
-    def _take_pending(self) -> Tuple[Set[int], Set[int], bool]:
-        changed, removed, force = super()._take_pending()
-        self._removed.update(removed)
-        tree, source = self._tree, self._source
-        with self._stats.timed("maintenance_seconds"):
-            # A blanket invalidation names no delta, so it must distrust the
-            # tree as much as the answer; so must an object moved in place.
-            if force or any(
-                tree.is_active(index) and tree.positions[index] != source[index]
-                for index in changed
-            ):
-                self._tree = VoRTree(source)
-                self._tree.batch_update(deletes=sorted(self._removed))
-            else:
-                tree.batch_update(deletes=sorted(removed))
-        return changed, removed, force
-
-
 class VStarRoadProcessor(RoadSearch, KnownRegion[NetworkLocation]):
     """V*-style moving kNN processor on a road network.
 
     Args:
-        network: the road network.
-        object_vertices: vertex of each data object.
+        voronoi: the live network Voronoi diagram (its network and objects).
         k: number of nearest neighbours to report.
         auxiliary: the ``x`` extra candidates retrieved per round trip.
         step_length: the most the query travels between consecutive
             timestamps (> 0), the per-timestamp increment of the drift
-            bound.  The simulation harness passes the trajectory's step
-            length; when it varies, pass the maximum.  An understated step
-            leaves the known region too large and the answers wrong.
+            bound.  Pass the trajectory's step length; when it varies, pass
+            the maximum.  An understated step leaves the known region too
+            large and the answers wrong.
     """
 
     def __init__(
         self,
-        network: RoadNetwork,
-        object_vertices: Sequence[int],
+        voronoi: NetworkVoronoiDiagram,
         k: int,
         auxiliary: int = 4,
         *,
         step_length: float,
     ):
-        super().__init__(k, auxiliary, len(object_vertices))
+        super().__init__(k, auxiliary, len(voronoi))
         if not step_length > 0:
             raise ConfigurationError("step_length must be positive")
         self._step_length = step_length
-        self._load(network, object_vertices)
+        self._bind(voronoi)
 
     @property
     def name(self) -> str:
         return "V*-road"
+
+
+class BaselineKind(QueryKind):
+    """A baseline served as a query kind: ``build(index, k)`` on the
+    server's live index (``rho`` means nothing to a baseline)."""
+
+    def __init__(self, name: str, metric: str, build: Callable[..., MovingKNNProcessor]):
+        self.name = name
+        self.metric = metric
+        self._build = build
+
+    def build_processor(self, server, k, rho):
+        return self._build(server.index, k)
+
+
+#: The paper's methods on each metric, in report order: report name ->
+#: query kind (INS is ``knn``; the order-k safe region is ``region``).
+METHOD_KINDS = {
+    "euclidean": {"INS": "knn", "OrderK-SR": "region", "V*": "vstar", "Naive": "naive"},
+    "road": {"INS-road": "knn", "V*-road": "vstar-road", "Naive-road": "naive-road"},
+}
+
+
+def baseline_kinds(step_length: float) -> Tuple[BaselineKind, ...]:
+    """The four baselines as query kinds, V* with ``x = 4`` on either metric;
+    ``step_length`` is the road V*'s declared step (see
+    :class:`VStarRoadProcessor`).  Serve them inside
+    ``with repro.queries.kinds.registered(*baseline_kinds(step)):``."""
+    return (
+        BaselineKind("naive", "euclidean", NaiveProcessor),
+        BaselineKind("vstar", "euclidean", VStarProcessor),
+        BaselineKind("naive-road", "road", NaiveRoadProcessor),
+        BaselineKind("vstar-road", "road", partial(VStarRoadProcessor, step_length=step_length)),
+    )

@@ -4,11 +4,11 @@ Installed as the ``insq`` console script (see pyproject.toml) and usable as
 ``python -m repro.cli``.  Three subcommands mirror the three things the
 original demonstration lets a user do:
 
-* ``demo-plane`` — simulate the 2D Plane mode and print the state renderings
+* ``demo-plane`` — serve the 2D Plane mode and print the state renderings
   at the interesting timestamps (the valid/invalid transitions of Fig. 4).
-* ``demo-road`` — simulate the Road Network mode (Fig. 3).
-* ``compare`` — run the method comparison on a configurable workload and
-  print the experiment table.
+* ``demo-road`` — serve the Road Network mode (Fig. 3).
+* ``compare`` — serve every method as one query on one engine over a
+  configurable workload and print the experiment table.
 
 Two more subcommands exercise the serving system itself:
 
@@ -73,13 +73,11 @@ from itertools import accumulate
 from typing import List, Optional, Sequence
 
 from repro.errors import ConfigurationError
-from repro.core.ins_euclidean import INSProcessor
-from repro.core.ins_road import INSRoadProcessor
+from repro.core.road_server import MovingRoadKNNServer
+from repro.core.server import MovingKNNServer
 from repro.core.stats import CommunicationStats
-from repro.simulation.experiment import compare
 from repro.simulation.report import format_table
-from repro.simulation.server_sim import simulate_server
-from repro.simulation.simulator import simulate
+from repro.simulation.server_sim import run_methods, simulate_server
 from repro.viz.ascii_network import render_network_state
 from repro.viz.ascii_plane import render_plane_state
 from repro.workloads.scenarios import (
@@ -326,58 +324,37 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_demo(run, frames: int, render) -> None:
+    """Up to ``frames`` invalid answers (the first answer included), else
+    the first answers, each rendered; then the run's totals."""
+    answers = run["answers"]
+    interesting = [r for r in answers if not r.was_valid] or answers
+    for result in interesting[:frames]:
+        print(result.describe())
+        print(render(result))
+        print()
+    print(
+        f"timestamps={run['timestamps']}  kNN changes={run['knn_changes']}  "
+        f"recomputations={run['full_recomputations']}"
+    )
+
+
 def _run_demo_plane(args: argparse.Namespace) -> int:
     scenario = fig4_scenario()
-    processor = INSProcessor(scenario.points, args.k, rho=args.rho)
-    run = simulate(processor, scenario.trajectory)
-    interesting = [r for r in run.results if not r.was_valid][: args.frames]
-    if not interesting:
-        interesting = run.results[: args.frames]
-    for result in interesting:
-        position = scenario.trajectory[result.timestamp]
-        print(result.describe())
-        print(
-            render_plane_state(
-                scenario.points,
-                position,
-                result.knn,
-                result.guard_objects,
-            )
-        )
-        print()
-    print(
-        f"timestamps={run.timestamps}  kNN changes={run.knn_changes}  "
-        f"recomputations={run.stats.full_recomputations}"
-    )
+    engine = MovingKNNServer(scenario.points)
+    run = run_methods(engine, scenario.trajectory, {"INS": ("knn", args.k, args.rho)})["INS"]
+    _print_demo(run, args.frames, lambda result: render_plane_state(
+        scenario.points, scenario.trajectory[result.timestamp], result.knn, result.guard_objects
+    ))
     return 0
-
-
 def _run_demo_road(args: argparse.Namespace) -> int:
     scenario = default_road_scenario(k=args.k, rho=args.rho)
-    processor = INSRoadProcessor(
-        scenario.network, scenario.object_vertices, args.k, rho=args.rho
-    )
-    run = simulate(processor, scenario.trajectory)
-    interesting = [r for r in run.results if not r.was_valid][: args.frames]
-    if not interesting:
-        interesting = run.results[: args.frames]
-    for result in interesting:
-        position = scenario.trajectory[result.timestamp]
-        print(result.describe())
-        print(
-            render_network_state(
-                scenario.network,
-                scenario.object_vertices,
-                position,
-                result.knn,
-                result.guard_objects,
-            )
-        )
-        print()
-    print(
-        f"timestamps={run.timestamps}  kNN changes={run.knn_changes}  "
-        f"recomputations={run.stats.full_recomputations}"
-    )
+    engine = MovingRoadKNNServer(scenario.network, scenario.object_vertices)
+    run = run_methods(engine, scenario.trajectory, {"INS-road": ("knn", args.k, args.rho)})
+    _print_demo(run["INS-road"], args.frames, lambda result: render_network_state(
+        scenario.network, scenario.object_vertices, scenario.trajectory[result.timestamp],
+        result.knn, result.guard_objects,
+    ))
     return 0
 
 
@@ -392,18 +369,28 @@ _COMPARE_COLUMNS = (
 
 
 def _run_compare(args: argparse.Namespace) -> int:
+    # Imported here: only this subcommand serves the baselines.
+    from repro.baselines import METHOD_KINDS, baseline_kinds
+    from repro.queries.kinds import registered
+
     if args.space == "plane":
         scenario = default_euclidean_scenario(
             object_count=args.n if args.n is not None else 2000,
             k=args.k, rho=args.rho, steps=args.steps,
         )
+        engine = MovingKNNServer(scenario.points)
     else:
         scenario = default_road_scenario(
             object_count=args.n if args.n is not None else 40,
             k=args.k, rho=args.rho, steps=args.steps,
         )
-    rows = [run.as_dict() for run in compare(scenario).values()]
-    print(format_table(rows, columns=_COMPARE_COLUMNS, title=f"comparison on {scenario.name}"))
+        engine = MovingRoadKNNServer(scenario.network, scenario.object_vertices)
+    methods = {
+        name: (kind, args.k, args.rho) for name, kind in METHOD_KINDS[engine.metric].items()
+    }
+    with registered(*baseline_kinds(scenario.step_length)):
+        rows = run_methods(engine, scenario.trajectory, methods).values()
+    print(format_table(list(rows), columns=_COMPARE_COLUMNS, title=f"comparison on {scenario.name}"))
     return 0
 
 

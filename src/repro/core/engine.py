@@ -166,7 +166,8 @@ class RegisteredQuery:
     ``kind`` names the continuous query kind (``"knn"`` for the classic
     moving-kNN query; see :mod:`repro.queries.kinds` for the registry), and
     ``processor`` is whichever :class:`~repro.core.processor.
-    MovingKNNProcessor` that kind builds on the engine's metric.
+    MovingKNNProcessor` that kind builds on the engine's metric, and
+    ``first_answer`` the answer it computed at registration (timestamp 0).
     """
 
     query_id: int
@@ -174,6 +175,7 @@ class RegisteredQuery:
     rho: float
     processor: MovingKNNProcessor
     kind: str = "knn"
+    first_answer: Optional[QueryResult] = None
 
 
 @dataclass(frozen=True)
@@ -425,10 +427,10 @@ class ServingEngine(abc.ABC, Generic[PositionT]):
         # Initialize before admitting: a failing first answer (bad
         # location, unreachable region) must not leave a zombie query
         # behind that inflates counts and receives deltas forever.
-        processor.initialize(position)
+        first_answer = processor.initialize(position)
         query_id = self._next_query_id
         self._next_query_id += 1
-        self._queries[query_id] = RegisteredQuery(query_id, k, rho, processor, kind)
+        self._queries[query_id] = RegisteredQuery(query_id, k, rho, processor, kind, first_answer)
         self._comm_by_query[query_id] = CommunicationStats()
         self._ledger.admit(query_id, processor.stats)
         # Registration communication: one uplink request, and the initial
@@ -456,9 +458,20 @@ class ServingEngine(abc.ABC, Generic[PositionT]):
         del self._queries[query_id]
         del self._comm_by_query[query_id]
 
-    @abc.abstractmethod
     def _build_processor(self, kind: str, k: int, rho: float) -> MovingKNNProcessor[PositionT]:
         """Build the processor of a ``kind`` query against the shared index."""
+        # Imported lazily: the registry imports processor modules that
+        # import this module's engine machinery.
+        from repro.queries.kinds import query_kind
+
+        strategy = query_kind(kind)
+        if strategy.metric not in (None, self.metric):
+            raise ConfigurationError(
+                f"continuous {kind!r} queries are "
+                f"{'Euclidean' if strategy.metric == 'euclidean' else 'road'}-only; "
+                f"the {self.metric} metric serves kind='knn' sessions"
+            )
+        return strategy.build_processor(self, k=k, rho=rho)
 
     def _record(self, query_id: int) -> RegisteredQuery:
         if query_id not in self._queries:

@@ -86,30 +86,31 @@ from repro.obs.clock import SOURCE as _CLOCK
 class InfluentialSetProcessor(MovingKNNProcessor[PositionT]):
     """The INS protocol over any index with Voronoi neighbour lists.
 
-    A subclass checks its own arguments, then hands the index it built or
-    was given to :meth:`_adopt`.
-
     Args:
         k: number of nearest neighbours to maintain.
         rho: prefetch ratio ρ ≥ 1 (``⌊ρk⌋`` objects retrieved per round trip).
-        declared: how many data objects the caller listed (``k`` stays below).
+        index: the live index the query is served from; the prefetch is
+            sized by its *active* population (it may carry tombstones).
     """
 
     #: The tie rule, ``_nearer(r.delete, r.candidate)``: a C callable on the
     #: class, so the valid path pays no Python frame for it.
     _nearer: Any
 
-    def __init__(self, k: int, rho: float, declared: int):
+    def __init__(self, k: int, rho: float, index):
         super().__init__(k)
+        population = len(index)
         if k < 1:
             raise ConfigurationError("k must be at least 1")
-        if k >= declared:
+        if k >= population:
             raise ConfigurationError(
-                f"k={k} must be smaller than the number of data objects ({declared})"
+                f"k={k} must be smaller than the number of active data objects ({population})"
             )
         if rho < 1.0:
             raise ConfigurationError("the prefetch ratio rho must be at least 1")
         self._rho = rho
+        self._index = index
+        self._prefetch_count = min(max(int(rho * k), k), population - 1)
         # Client-side state.
         self._R: List[int] = []
         self._ins: Set[int] = set()
@@ -119,18 +120,6 @@ class InfluentialSetProcessor(MovingKNNProcessor[PositionT]):
         # R, then I(R) — and the guard set (pool \ kNN).
         self._held: List[int] = []
         self._guard: FrozenSet[int] = frozenset()
-
-    def _adopt(self, index) -> None:
-        """Serve from ``index`` (shared or own), sizing the prefetch by the
-        *active* population — a shared index may already carry tombstones."""
-        population = len(index)
-        if self._k >= population:
-            raise ConfigurationError(
-                f"k={self._k} must be smaller than the number of active data "
-                f"objects ({population})"
-            )
-        self._index = index
-        self._prefetch_count = min(max(int(self._rho * self._k), self._k), population - 1)
 
     # ------------------------------------------------------------------
     # Introspection

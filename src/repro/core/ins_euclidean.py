@@ -24,7 +24,7 @@ from __future__ import annotations
 import operator
 from itertools import repeat
 from math import dist
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.ins import InfluentialSetProcessor
 from repro.geometry.point import Point
@@ -35,13 +35,11 @@ class INSProcessor(InfluentialSetProcessor[Point]):
     """Influential-neighbour-set moving kNN processor (Euclidean space).
 
     Args:
-        points: data-object positions; object ``i`` is ``points[i]``.
-        k: number of nearest neighbours to maintain (``1 <= k < len(points)``).
+        vortree: the live VoR-tree the query is served from.
+        k: number of nearest neighbours to maintain (``1 <= k <`` its
+            active objects).
         rho: prefetch ratio ρ ≥ 1.  ``⌊ρk⌋`` objects are retrieved per server
             round trip.  The paper's demo uses ρ = 1.6.
-        vortree: optionally share a prebuilt VoR-tree between processors
-            (e.g. across the parameter sweep of an experiment); when omitted
-            one is built from ``points``.
         allow_incremental: enable the paper's case (i) optimisation — when
             the answer changes by a single object, compose the new kNN set
             from the existing one and fetch only that object's Voronoi
@@ -59,16 +57,13 @@ class INSProcessor(InfluentialSetProcessor[Point]):
 
     def __init__(
         self,
-        points: Sequence[Point],
+        vortree: VoRTree,
         k: int,
         rho: float = 1.6,
-        vortree: Optional[VoRTree] = None,
         allow_incremental: bool = False,
     ):
-        super().__init__(k, rho, len(points))
+        super().__init__(k, rho, vortree)
         self._allow_incremental = allow_incremental
-        with self._stats.timed("precomputation_seconds"):
-            self._adopt(vortree if vortree is not None else VoRTree(list(points)))
         # Coordinates of ``_held``, in its order (objects never move).
         self._held_xy: List[Tuple[float, float]] = []
         # Members' Voronoi neighbour lists as shipped (``allow_incremental`` only).
@@ -83,36 +78,13 @@ class INSProcessor(InfluentialSetProcessor[Point]):
 
     @property
     def vortree(self) -> VoRTree:
-        """The server-side VoR-tree (shared across processors in sweeps)."""
+        """The server-side VoR-tree the query is served from."""
         return self._index
 
     @property
     def allow_incremental(self) -> bool:
         """Whether case (i) single-object incremental updates are enabled."""
         return self._allow_incremental
-
-    # ------------------------------------------------------------------
-    # Data-object updates on a processor that owns its tree
-    # ------------------------------------------------------------------
-    def insert_object(self, point: Point) -> int:
-        """Insert a new data object at ``point`` and return its object index.
-
-        The VoR-tree is updated incrementally and the repair delta is queued
-        for the client-held answer, which settles it lazily on the next
-        timestamp.
-        """
-        with self._stats.timed("construction_seconds"):
-            index, changed = self._index.insert(point)
-        self.notify_data_update(changed)
-        return index
-
-    def delete_object(self, index: int) -> bool:
-        """Delete data object ``index`` (returns False when it did not exist)."""
-        with self._stats.timed("construction_seconds"):
-            removed, changed = self._index.delete(index)
-        if removed:
-            self.notify_data_update(changed, (index,))
-        return removed
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)

@@ -37,7 +37,6 @@ from typing import FrozenSet, List, Mapping, Optional, Sequence
 
 from repro.core.ins import InfluentialSetProcessor
 from repro.obs.metrics import counter as _obs_counter
-from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.knn import network_knn, object_distances_from_location
 from repro.roadnet.location import NetworkLocation
 from repro.roadnet.network_voronoi import NetworkVoronoiDiagram
@@ -51,35 +50,22 @@ class INSRoadProcessor(InfluentialSetProcessor[NetworkLocation]):
     """Influential-neighbour-set moving kNN processor on a road network.
 
     Args:
-        network: the road network.
-        object_vertices: vertex of each data object (object ``i`` sits on
-            ``object_vertices[i]``).
+        voronoi: the live network Voronoi diagram the query is served from;
+            its network and its object storage are read as they change.
         k: number of nearest neighbours to maintain.
         rho: prefetch ratio ρ ≥ 1 (⌊ρk⌋ objects retrieved per round trip).
-        voronoi: optionally share a prebuilt network Voronoi diagram.
     """
 
     _nearer = staticmethod(operator.le)
 
-    def __init__(
-        self,
-        network: RoadNetwork,
-        object_vertices: Sequence[int],
-        k: int,
-        rho: float = 1.6,
-        voronoi: Optional[NetworkVoronoiDiagram] = None,
-    ):
-        super().__init__(k, rho, len(object_vertices))
-        self._network = network
+    def __init__(self, voronoi: NetworkVoronoiDiagram, k: int, rho: float = 1.6):
+        super().__init__(k, rho, voronoi)
+        self._network = voronoi.network
         self._search_stats = SearchStats()
-        with self._stats.timed("precomputation_seconds"):
-            if voronoi is None:
-                voronoi = NetworkVoronoiDiagram(network, list(object_vertices), self._search_stats)
-            self._adopt(voronoi)
         # Shared live view of the diagram's object storage: it grows as
         # objects are inserted and is patched in place by moves, so data
         # updates never copy per-object state into each registered query.
-        self._object_vertices: Sequence[int] = self._index.vertex_assignments
+        self._object_vertices: Sequence[int] = voronoi.vertex_assignments
         # The Theorem 2 region, as the cell labels the search may enter: the
         # held pool.
         self._region: FrozenSet[int] = frozenset()

@@ -98,11 +98,6 @@ class QueryResult:
         """The reported kNN set, order-insensitive."""
         return frozenset(self.knn)
 
-    @property
-    def farthest_distance(self) -> float:
-        """Distance to the farthest reported neighbour (0 when k = 0)."""
-        return self.knn_distances[-1] if self.knn_distances else 0.0
-
     def describe(self) -> str:
         """One-line human-readable description, used by the demo renderer."""
         status = "valid" if self.was_valid else f"updated ({self.action.value})"

@@ -3,7 +3,7 @@
 Every method compared in the evaluation — INS, the order-k safe-region
 baseline, the V*-style baseline and the naive recomputation baseline, in both
 Euclidean and road-network flavours — implements this interface, so the
-simulation harness (:mod:`repro.simulation`) can drive them interchangeably.
+serving engine (:mod:`repro.core.engine`) can serve them interchangeably.
 
 A processor's lifecycle is::
 

@@ -7,19 +7,19 @@ does not decide).  This module contributes only the network: one shared,
 incrementally maintained
 :class:`~repro.roadnet.network_voronoi.NetworkVoronoiDiagram` (the
 expensive structure — a whole-graph multi-source Dijkstra to build), the
-per-query :class:`~repro.core.ins_road.INSRoadProcessor` (each with its own
-``k``, ``ρ`` and Theorem 2 region), the diagram's *local*
-repair floods — O(cells touched) per update — and the native
-:meth:`MovingRoadKNNServer.move_object`.
+diagram's *local* repair floods — O(cells touched) per update — and the
+native :meth:`MovingRoadKNNServer.move_object`.  Its processors come from
+the query-kind registry (:mod:`repro.queries.kinds`), like the plane's:
+the ``knn`` kind's :class:`~repro.core.ins_road.INSRoadProcessor` (each
+with its own ``k``, ``ρ`` and Theorem 2 region), or a road kind
+registered beside it.
 """
 
 from __future__ import annotations
 
 from typing import FrozenSet, Optional, Sequence
 
-from repro.errors import ConfigurationError
 from repro.core.engine import BatchUpdateResult, ServingEngine
-from repro.core.ins_road import INSRoadProcessor
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.location import NetworkLocation
 from repro.roadnet.network_voronoi import NetworkVoronoiDiagram
@@ -69,20 +69,6 @@ class MovingRoadKNNServer(ServingEngine[NetworkLocation]):
     def object_vertex(self, index: int) -> int:
         """The vertex data object ``index`` currently sits on."""
         return self._voronoi.object_vertex(index)
-
-    def _build_processor(self, kind: str, k: int, rho: float) -> INSRoadProcessor:
-        # The non-kNN continuous kinds are Euclidean-only for now: their safe
-        # regions are planar constructions (order-k Voronoi cells, Voronoi
-        # neighbour lists on the plane) with no network-metric counterpart
-        # in this codebase yet.
-        if kind != "knn":
-            raise ConfigurationError(
-                f"continuous {kind!r} queries are Euclidean-only; the road "
-                "metric serves kind='knn' sessions"
-            )
-        return INSRoadProcessor(
-            self._network, self._voronoi.vertex_assignments, k, rho=rho, voronoi=self._voronoi
-        )
 
     def _insert(self, vertex: int):
         return self._voronoi.insert_object(vertex)

@@ -4,9 +4,9 @@ A thin metric-specific subclass of the generic
 :class:`~repro.core.engine.ServingEngine` (which owns everything a metric
 does not decide).  This module contributes only the plane: one shared,
 incrementally maintained :class:`~repro.index.vortree.VoRTree` (the
-expensive structure), the processors of the registered query kinds (see
-:mod:`repro.queries.kinds`), the tree's repairs — O(affected cells) per
-update — and what a move means here: the plane has no native relocation,
+expensive structure, which the processor of every registered query kind
+reads — see :mod:`repro.queries.kinds`), the tree's repairs — O(affected
+cells) per update — and what a move means here: the plane has no native relocation,
 so an object moves by delete + reinsert, two object records.
 """
 
@@ -58,13 +58,6 @@ class MovingKNNServer(ServingEngine[Point]):
     def allow_incremental(self) -> bool:
         """Whether registered queries use case-(i) incremental updates."""
         return self._allow_incremental
-
-    def _build_processor(self, kind: str, k: int, rho: float):
-        # Imported lazily: the registry imports processor modules that
-        # import this module's engine machinery.
-        from repro.queries.kinds import query_kind
-
-        return query_kind(kind).build_processor(self, k=k, rho=rho)
 
     def _insert(self, point: Point):
         return self._vortree.insert(point)

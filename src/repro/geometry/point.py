@@ -29,10 +29,6 @@ class Point:
         yield self.x
         yield self.y
 
-    def as_tuple(self) -> Tuple[float, float]:
-        """Return the point as an ``(x, y)`` tuple."""
-        return (self.x, self.y)
-
     def distance_to(self, other: "Point") -> float:
         """Euclidean distance from this point to ``other``."""
         return math.hypot(self.x - other.x, self.y - other.y)
@@ -42,10 +38,6 @@ class Point:
         dx = self.x - other.x
         dy = self.y - other.y
         return dx * dx + dy * dy
-
-    def translated(self, dx: float, dy: float) -> "Point":
-        """Return a new point offset by ``(dx, dy)``."""
-        return Point(self.x + dx, self.y + dy)
 
     def scaled(self, factor: float, origin: "Point" = None) -> "Point":
         """Return this point scaled about ``origin`` (default: the origin)."""

@@ -67,15 +67,6 @@ class HalfPlane:
         t = vp / (vp - vq)
         return p.towards(q, t)
 
-    @staticmethod
-    def from_normal(normal_x: float, normal_y: float, point_on_boundary: Point) -> "HalfPlane":
-        """Half-plane whose boundary passes through a point with an outward normal.
-
-        Points on the opposite side of the normal are inside.
-        """
-        c = normal_x * point_on_boundary.x + normal_y * point_on_boundary.y
-        return HalfPlane(normal_x, normal_y, c)
-
 
 def bisector_halfplane(keep: Point, discard: Point) -> HalfPlane:
     """Half-plane of points at least as close to ``keep`` as to ``discard``.
@@ -184,16 +175,6 @@ class ConvexPolygon:
             q = self._vertices[(i + 1) % n]
             total += p.x * q.y - q.x * p.y
         return abs(total) / 2.0
-
-    @property
-    def perimeter(self) -> float:
-        """Total boundary length."""
-        if len(self._vertices) < 2:
-            return 0.0
-        n = len(self._vertices)
-        return sum(
-            self._vertices[i].distance_to(self._vertices[(i + 1) % n]) for i in range(n)
-        )
 
     def edges(self) -> List[Segment]:
         """Boundary edges in counter-clockwise order."""

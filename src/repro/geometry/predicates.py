@@ -42,11 +42,6 @@ def orientation(a: Point, b: Point, c: Point, tolerance: float = EPSILON) -> int
     return 0
 
 
-def is_counter_clockwise(a: Point, b: Point, c: Point) -> bool:
-    """True when the triangle ``abc`` is oriented counter-clockwise."""
-    return orientation(a, b, c) > 0
-
-
 def collinear(a: Point, b: Point, c: Point, tolerance: float = 1e-9) -> bool:
     """True when the three points are (nearly) collinear."""
     return orientation(a, b, c, tolerance) == 0
@@ -109,23 +104,3 @@ def circumcircle(a: Point, b: Point, c: Point) -> Tuple[Point, float]:
     """Return ``(center, radius)`` of the circumcircle of triangle ``abc``."""
     center = circumcenter(a, b, c)
     return center, center.distance_to(a)
-
-
-def segment_intersection_parameter(
-    p: Point, q: Point, a: Point, b: Point
-) -> Tuple[bool, float]:
-    """Intersection of segment ``pq`` with the infinite line through ``ab``.
-
-    Returns ``(hit, t)`` where ``t`` is the parameter along ``pq`` (0 at
-    ``p``, 1 at ``q``) of the intersection with line ``ab``.  ``hit`` is
-    False when ``pq`` is parallel to ``ab``.
-    """
-    rx = q.x - p.x
-    ry = q.y - p.y
-    sx = b.x - a.x
-    sy = b.y - a.y
-    denominator = rx * sy - ry * sx
-    if abs(denominator) < EPSILON:
-        return False, 0.0
-    t = ((a.x - p.x) * sy - (a.y - p.y) * sx) / denominator
-    return True, t

@@ -66,10 +66,6 @@ class Circle:
         """True when ``p`` lies inside or on the circle."""
         return self.center.distance_to(p) <= self.radius + tolerance
 
-    def contains_strictly(self, p: Point) -> bool:
-        """True when ``p`` lies strictly inside the circle."""
-        return self.center.distance_to(p) < self.radius
-
     def intersects(self, other: "Circle") -> bool:
         """True when the two circles overlap (share at least one point)."""
         return self.center.distance_to(other.center) <= self.radius + other.radius
@@ -159,31 +155,3 @@ class BoundingBox:
                     self.min_x + fx * (self.max_x - self.min_x),
                     self.min_y + fy * (self.max_y - self.min_y),
                 )
-
-
-def segments_to_polyline(segments: Iterable[Segment]) -> List[Point]:
-    """Chain contiguous segments into an ordered list of points.
-
-    Consecutive segments must share an endpoint; the function tolerates
-    segments given in reverse orientation.  Used when assembling Voronoi cell
-    boundaries from individual bisector pieces.
-    """
-    segment_list = list(segments)
-    if not segment_list:
-        return []
-    polyline: List[Point] = [segment_list[0].start, segment_list[0].end]
-    remaining = segment_list[1:]
-    while remaining:
-        tail = polyline[-1]
-        for index, segment in enumerate(remaining):
-            if segment.start.almost_equal(tail):
-                polyline.append(segment.end)
-                del remaining[index]
-                break
-            if segment.end.almost_equal(tail):
-                polyline.append(segment.start)
-                del remaining[index]
-                break
-        else:
-            raise GeometryError("segments do not form a single connected polyline")
-    return polyline

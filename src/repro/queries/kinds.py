@@ -6,26 +6,31 @@ delta-invalidation rule (its own ``notify_data_update``/``invalidate``
 hooks) and the widened result it answers with;
 :mod:`repro.queries.messages` maps each result type to its wire response.
 
-The registry maps kind names to singleton strategies.  ``"knn"`` is
-registered here too so the engine's original query type is just the first
+The registry maps kind names to singleton strategies, and both metric
+servers build every processor through it.  ``"knn"`` is registered here too
+(on either metric) so the engine's original query type is just the first
 entry rather than a special case; ``register_query_kind`` is the seam
-future kinds (isochrones, catchments, range monitors) plug into.
+future kinds (isochrones, catchments, range monitors) plug into, and
+:func:`registered` lends a registration to one ``with`` block — how the
+paper's baselines (:func:`repro.baselines.baseline_kinds`) are served
+without shipping as kinds of their own.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Dict, List
+import contextlib
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.core.ins_euclidean import INSProcessor
+from repro.core.ins_road import INSRoadProcessor
 from repro.queries.influential import InfluentialSitesProcessor
 from repro.queries.region import OrderKRegionProcessor
 
 if TYPE_CHECKING:
-    from repro.geometry.point import Point
     from repro.core.processor import MovingKNNProcessor
-    from repro.core.server import MovingKNNServer
+    from repro.core.engine import ServingEngine
 
 __all__ = [
     "InfluentialSitesKind",
@@ -35,6 +40,7 @@ __all__ = [
     "query_kind",
     "query_kinds",
     "register_query_kind",
+    "registered",
 ]
 
 
@@ -43,14 +49,17 @@ class QueryKind(abc.ABC):
 
     Attributes:
         name: the registry key, also the ``kind=`` string clients pass.
+        metric: the metric whose servers serve the kind (``"euclidean"`` or
+            ``"road"``), or None for both.
     """
 
     name: str = ""
+    metric: Optional[str] = "euclidean"
 
     @abc.abstractmethod
     def build_processor(
-        self, server: "MovingKNNServer", k: int, rho: float
-    ) -> "MovingKNNProcessor[Point]":
+        self, server: "ServingEngine", k: int, rho: float
+    ) -> "MovingKNNProcessor":
         """Build this kind's processor against ``server``'s shared index."""
 
 
@@ -58,14 +67,16 @@ class KNNKind(QueryKind):
     """The classic continuous kNN query (the engine's original kind)."""
 
     name = "knn"
+    metric = None
 
-    #: The INS processor this kind serves with (a subclass may widen it).
+    #: The plane's INS processor for this kind (a subclass may widen it).
     processor_type = INSProcessor
 
     def build_processor(self, server, k, rho):
-        tree = server.vortree
+        if server.metric == "road":
+            return INSRoadProcessor(server.index, k, rho=rho)
         return self.processor_type(
-            tree.positions, k, rho=rho, vortree=tree, allow_incremental=server.allow_incremental
+            server.index, k, rho=rho, allow_incremental=server.allow_incremental
         )
 
 
@@ -74,6 +85,7 @@ class InfluentialSitesKind(KNNKind):
     the kNN kind's processor, its answers widened with the sites."""
 
     name = "influential"
+    metric = "euclidean"
     processor_type = InfluentialSitesProcessor
 
 
@@ -83,7 +95,7 @@ class OrderKRegionKind(QueryKind):
     name = "region"
 
     def build_processor(self, server, k, rho):
-        return OrderKRegionProcessor(server.vortree, k)
+        return OrderKRegionProcessor(server.index, k)
 
 
 _REGISTRY: Dict[str, QueryKind] = {}
@@ -95,6 +107,23 @@ def register_query_kind(kind: QueryKind) -> QueryKind:
         raise ConfigurationError("a QueryKind must declare a non-empty name")
     _REGISTRY[kind.name] = kind
     return kind
+
+
+@contextlib.contextmanager
+def registered(*kinds: QueryKind) -> Iterator[None]:
+    """Register ``kinds`` for one ``with`` block, then give their names back
+    what they meant before (nothing, for a name that was free)."""
+    previous = {kind.name: _REGISTRY.get(kind.name) for kind in kinds}
+    try:
+        for kind in kinds:
+            register_query_kind(kind)
+        yield
+    finally:
+        for name, kind in previous.items():
+            if kind is None:
+                _REGISTRY.pop(name, None)
+            else:
+                _REGISTRY[name] = kind
 
 
 def query_kind(name: str) -> QueryKind:

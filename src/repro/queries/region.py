@@ -1,44 +1,41 @@
-"""The order-k safe region, written once, and continuous region monitoring.
+"""The order-k safe region and continuous region monitoring.
 
-:class:`OrderKRegion` is the policy: after each retrieval it builds the
-exact order-k Voronoi cell of the kNN set (:mod:`repro.geometry.order_k`);
-the set stays the answer exactly as long as the query stays inside that
-polygon, so validation is one point-in-convex-polygon test.  It runs on one
-VoR-tree, ``_tree``: the objects it clips against are the tree's active
-ones, and each recompute is one :meth:`~repro.index.vortree.VoRTree.retrieve`
-started from the previous nearest member.  A binding only says whose tree
-that is:
-
-* :class:`OrderKRegionProcessor` is handed the live VoR-tree and serves
-  ``kind="region"``: each answer also reports whether the session *entered* a
-  new region (its member set changed — each entry doubles as the exit of the
-  previous region);
-* the E7 baseline, :class:`repro.baselines.OrderKSafeRegionProcessor`, builds
-  a tree of its own over the positions it is given.
+:class:`OrderKRegionProcessor` serves ``kind="region"``: after each
+retrieval it builds the exact order-k Voronoi cell of the kNN set
+(:mod:`repro.geometry.order_k`); the set stays the answer exactly as long as
+the query stays inside that polygon, so validation is one
+point-in-convex-polygon test.  It runs on the live VoR-tree it is handed:
+the objects it clips against are the tree's active ones, and each recompute
+is one :meth:`~repro.index.vortree.VoRTree.retrieve` started from the
+previous nearest member.  Each answer also reports whether the session
+*entered* a new region (its member set changed — each entry doubles as the
+exit of the previous region).  The same processor is the paper's strict
+safe-region baseline, the exact order-k cell of the earlier Voronoi-cell
+studies [2], [6] (experiment E7's ``OrderK-SR`` rows).
 
 Delta invalidation follows the same lazy contract as ``INSProcessor``: the
 base class's ``notify_data_update`` only accumulates the pending delta, and
-the policy settles it on the next timestamp.  A pending delta is *absorbed*
+the processor settles it on the next timestamp.  A pending delta is *absorbed*
 for free when it provably leaves the held cell intact:
 
 - removals that miss the member set keep every clipping bisector that
   bounds the cell valid (dropping a non-member only grows the true region,
   so the held cell stays a sound safe region — validation is conservative);
-- a changed member invalidates the cell only if it moved: its current
-  position differs from the one the cell was built with;
+- a changed member costs nothing: an object never moves on the VoR-tree
+  (a plane move is a delete plus an insert under a new index);
 - any other changed site invades the cell only if it beats a member
   somewhere inside it, and because the cell is a convex intersection of
   half-planes, checking its *vertices* is exact: site ``c`` invades iff
   ``d(v, c) < d(v, m)`` for some vertex ``v`` and member ``m``.
 
-Anything else — a removed member, a moved member, an invading site, or an
+Anything else — a removed member, an invading site, or an
 explicit ``invalidate()`` from the blanket flag oracle — forces a recompute
 at the next answer.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigurationError, QueryError
 from repro.core.objects import QueryResult, UpdateAction, immutable
@@ -48,7 +45,7 @@ from repro.geometry.point import Point
 from repro.geometry.primitives import BoundingBox
 from repro.index.vortree import VoRTree
 
-__all__ = ["OrderKRegion", "RegionResult", "OrderKRegionProcessor"]
+__all__ = ["RegionResult", "OrderKRegionProcessor"]
 
 #: Relative margin by which a changed site must beat a member at some cell
 #: vertex before the cell is declared stale, mirroring the geometry layer's
@@ -56,18 +53,45 @@ __all__ = ["OrderKRegion", "RegionResult", "OrderKRegionProcessor"]
 _INVASION_TOLERANCE = 1e-9  # a site on a bounding bisector, up to rounding, ties: no invasion
 
 
-class OrderKRegion(MovingKNNProcessor[Point]):
-    """The exact order-k Voronoi cell as the safe region of the kNN set.
+@immutable
+class RegionResult(QueryResult):
+    """A :class:`QueryResult` widened with region entry/exit reporting.
 
-    The polygons are clipped to the box around ``sites`` (the data at
-    construction), expanded by its larger side (at least 1).  A binding sets
-    ``_tree``, the VoR-tree the policy retrieves from.
+    Attributes:
+        event: ``"enter"`` when this answer's member set differs from the
+            previous answer's (including the very first answer), ``"stay"``
+            otherwise.  Every ``"enter"`` after the first doubles as the
+            exit event of the previous region.
+        departed: the object indexes that left the member set at an
+            ``"enter"`` event, sorted ascending (empty on ``"stay"`` and on
+            the first answer).
     """
 
-    _tree: VoRTree
+    event: str = "stay"
+    departed: Tuple[int, ...] = ()
 
-    def __init__(self, k: int, sites: Sequence[Point]):
+    @property
+    def entered(self) -> bool:
+        """True when this answer crossed into a new order-k region."""
+        return self.event == "enter"
+
+
+class OrderKRegionProcessor(MovingKNNProcessor[Point]):
+    """Serve a continuous order-k region query off a live VoR-tree.
+
+    Unlike the INS processor there is no prefetched superset: the guard is
+    the cell's minimal influential set (the sites whose bisectors bound the
+    polygon).  The tree's repair deltas name every object whose neighbour
+    list changed; a plane move is a delete plus an insert under a new index,
+    so a member named there has not moved and costs nothing.  The polygons
+    are clipped to the box around the tree's active objects at construction,
+    expanded by its larger side (at least 1).
+    """
+
+    def __init__(self, vortree: VoRTree, k: int):
         super().__init__(k)
+        positions = vortree.positions
+        sites = [positions[index] for index in vortree.active_indexes()]
         if k < 1:
             raise ConfigurationError("k must be at least 1")
         if k >= len(sites):
@@ -76,10 +100,20 @@ class OrderKRegion(MovingKNNProcessor[Point]):
             )
         box = BoundingBox.from_points(sites)
         self._bounding_box = box.expanded(max(box.width, box.height, 1.0))
+        self._tree = vortree
         self._knn: List[int] = []
-        # Member index -> the position the held cell was built with.
-        self._member_positions: Dict[int, Point] = {}
         self._cell: Optional[OrderKCell] = None
+        self._prev_member_set: Optional[FrozenSet[int]] = None
+
+    def __setstate__(self, state) -> None:
+        # Pickled when the processor kept the live tree as ``_vortree``.
+        if "_vortree" in state:
+            state["_tree"] = state.pop("_vortree")
+        self.__dict__.update(state)
+
+    @property
+    def name(self) -> str:
+        return "OrderK-Region"
 
     @property
     def safe_region(self) -> Optional[OrderKCell]:
@@ -94,23 +128,19 @@ class OrderKRegion(MovingKNNProcessor[Point]):
     # Settling the pending delta
     # ------------------------------------------------------------------
     def _cell_invaded(self, changed: Set[int], removed: Set[int]) -> bool:
-        """Exact vertex test: did a member move, or does a changed site
-        beat a member at some vertex of the (convex) cell?"""
+        """Exact vertex test: does a changed site beat a member at some
+        vertex of the (convex) cell?"""
         if self._cell is None or self._cell.polygon.is_empty:
             return True
         positions = self._points
         vertices = self._cell.polygon.vertices
+        members = set(self._knn)
         member_points = [positions[index] for index in self._knn]
         for index in changed:
-            if index in removed or index >= len(positions):
-                # A delta can mention indexes allocated after this cell was
-                # built and since removed again; skip anything unknown.
+            if index in removed or index in members:
+                # Gone, or a member: on the tree an object never moves.
                 continue
             site = positions[index]
-            if index in self._member_positions:
-                if site != self._member_positions[index]:
-                    return True
-                continue
             for vertex in vertices:
                 d_site = vertex.distance_to(site)
                 for member_point in member_points:
@@ -147,10 +177,8 @@ class OrderKRegion(MovingKNNProcessor[Point]):
                 )
             hint = self._knn[0] if self._knn else None
             self._knn = self._tree.retrieve(position, self.k, hint)[0]
-            positions = self._points
-            self._member_positions = {index: positions[index] for index in self._knn}
             self._cell = order_k_cell(
-                positions,
+                self._points,
                 self._knn,
                 reference=position,
                 bounding_box=self._bounding_box,
@@ -164,21 +192,35 @@ class OrderKRegion(MovingKNNProcessor[Point]):
             # "object equivalent" per vertex.
             self._stats.transmitted_objects += self.k + len(self._cell.polygon.vertices)
 
-    def _answer(self, position: Point, action: UpdateAction, was_valid: bool) -> QueryResult:
+    def _answer(self, position: Point, action: UpdateAction, was_valid: bool) -> RegionResult:
         positions = self._points
         ranked = sorted((position.distance_to(positions[index]), index) for index in self._knn)
-        return QueryResult(
-            timestamp=self.current_timestamp,
-            knn=tuple(index for _, index in ranked),
-            knn_distances=tuple(distance for distance, _ in ranked),
-            guard_objects=frozenset(self._cell.mis_indexes),
-            action=action,
-            was_valid=was_valid,
+        # Re-ranking the members is client work at every answer; the held
+        # members follow the answer's order from here on.
+        self._stats.distance_computations += self.k
+        self._knn = [index for _, index in ranked]
+        members = frozenset(self._knn)
+        # Timestamp 0 is an initialize(): whatever came before, it enters.
+        previous = self._prev_member_set if self.current_timestamp else None
+        self._prev_member_set = members
+        if members == previous:
+            event, departed = "stay", ()
+        else:
+            event, departed = "enter", tuple(sorted((previous or frozenset()) - members))
+        return RegionResult(
+            self.current_timestamp,
+            tuple(self._knn),
+            tuple(distance for distance, _ in ranked),
+            frozenset(self._cell.mis_indexes),
+            action,
+            was_valid,
+            event,
+            departed,
         )
 
     def _initialize(self, position: Point) -> QueryResult:
         # The recompute reads the data as it is now: a pending delta is
-        # taken (a binding may log it) but never counted as absorbed.
+        # taken but never counted as absorbed.
         if self._state_stale:
             self._take_pending()
         self._recompute(position)
@@ -195,67 +237,3 @@ class OrderKRegion(MovingKNNProcessor[Point]):
             return self._answer(position, UpdateAction.NONE, was_valid=True)
         self._recompute(position)
         return self._answer(position, UpdateAction.FULL_RECOMPUTE, was_valid=False)
-
-
-@immutable
-class RegionResult(QueryResult):
-    """A :class:`QueryResult` widened with region entry/exit reporting.
-
-    Attributes:
-        event: ``"enter"`` when this answer's member set differs from the
-            previous answer's (including the very first answer), ``"stay"``
-            otherwise.  Every ``"enter"`` after the first doubles as the
-            exit event of the previous region.
-        departed: the object indexes that left the member set at an
-            ``"enter"`` event, sorted ascending (empty on ``"stay"`` and on
-            the first answer).
-    """
-
-    event: str = "stay"
-    departed: Tuple[int, ...] = ()
-
-    @property
-    def entered(self) -> bool:
-        """True when this answer crossed into a new order-k region."""
-        return self.event == "enter"
-
-
-class OrderKRegionProcessor(OrderKRegion):
-    """Serve a continuous order-k region query off a live VoR-tree.
-
-    Unlike the INS processor there is no prefetched superset: the guard is
-    the cell's minimal influential set (the sites whose bisectors bound the
-    polygon).  The tree's repair deltas name every object whose neighbour
-    list changed; a plane move is a delete plus an insert under a new index,
-    so a member named there has not moved and costs nothing.
-    """
-
-    def __init__(self, vortree: VoRTree, k: int):
-        positions = vortree.positions
-        super().__init__(k, [positions[index] for index in vortree.active_indexes()])
-        self._tree = vortree
-        self._prev_member_set: Optional[FrozenSet[int]] = None
-
-    def __setstate__(self, state) -> None:
-        # Pickled when the binding kept the live tree as ``_vortree``.
-        if "_vortree" in state:
-            state["_tree"] = state.pop("_vortree")
-        self.__dict__.update(state)
-
-    @property
-    def name(self) -> str:
-        return "OrderK-Region"
-
-    def _answer(self, position: Point, action: UpdateAction, was_valid: bool) -> RegionResult:
-        result = super()._answer(position, action, was_valid)
-        # Re-ranking the members is client work at every answer; the held
-        # members follow the answer's order from here on.
-        self._stats.distance_computations += self.k
-        self._knn = list(result.knn)
-        members = frozenset(result.knn)
-        # Timestamp 0 is an initialize(): whatever came before, it enters.
-        previous = self._prev_member_set if self.current_timestamp else None
-        self._prev_member_set = members
-        if members == previous:
-            return RegionResult(*result, "stay", ())
-        return RegionResult(*result, "enter", tuple(sorted((previous or frozenset()) - members)))

@@ -33,18 +33,6 @@ class Edge:
     v: int
     length: float
 
-    def other_endpoint(self, vertex_id: int) -> int:
-        """The endpoint that is not ``vertex_id``.
-
-        Raises:
-            RoadNetworkError: if ``vertex_id`` is not an endpoint of the edge.
-        """
-        if vertex_id == self.u:
-            return self.v
-        if vertex_id == self.v:
-            return self.u
-        raise RoadNetworkError(f"vertex {vertex_id} is not an endpoint of edge {self.edge_id}")
-
     def has_endpoint(self, vertex_id: int) -> bool:
         """True when ``vertex_id`` is one of the edge's endpoints."""
         return vertex_id in (self.u, self.v)

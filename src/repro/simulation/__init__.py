@@ -1,32 +1,28 @@
-"""Simulation harness: drive processors along trajectories and measure them.
+"""Simulation harness: drive a serving engine and measure it.
 
-* :mod:`repro.simulation.simulator` — run one processor over one trajectory,
-  collecting per-timestamp results and cost counters.
-* :mod:`repro.simulation.server_sim` — drive a whole multi-query server:
-  M concurrent query streams interleaved with a mixed object-update stream
-  over one shared index.
-* :mod:`repro.simulation.experiment` — the method registry (report name ->
-  processor factory, both metrics) and :func:`compare`, which runs several
-  methods on one workload, optionally oracle-checked.
+* :mod:`repro.simulation.server_sim` — the one player.
+  :func:`run_methods` compares the paper's methods as one query each on
+  one engine, over its one index; :func:`simulate_server` drives a whole
+  multi-query service: M concurrent query streams interleaved with a mixed
+  object-update stream over one shared index, in process or over any
+  transport.
 * :mod:`repro.simulation.report` — plain-text tables.
 """
 
-from repro.simulation.simulator import SimulationRun, simulate
 from repro.simulation.server_sim import (
-    ServerSimulationRun,
+    ServerRun,
     build_server,
+    check_knn_answer,
+    run_methods,
     simulate_server,
 )
-from repro.simulation.experiment import METHODS, compare
 from repro.simulation.report import format_table
 
 __all__ = [
-    "SimulationRun",
-    "simulate",
-    "ServerSimulationRun",
+    "ServerRun",
     "build_server",
+    "check_knn_answer",
+    "run_methods",
     "simulate_server",
-    "METHODS",
-    "compare",
     "format_table",
 ]

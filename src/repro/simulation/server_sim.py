@@ -1,7 +1,13 @@
-"""Drive a multi-query service through a concurrent workload.
+"""Drive a serving engine: the paper's methods side by side, or a
+multi-query service through a concurrent workload.
 
-Where :func:`repro.simulation.simulator.simulate` runs *one* processor along
-*one* trajectory, this module drives a whole serving system: M concurrent
+:func:`run_methods` is how the paper's methods are compared: one engine
+over one data set, one query per method (INS is the ``knn`` kind, the
+order-k safe region the ``region`` kind, the baselines the kinds of
+:func:`repro.baselines.baseline_kinds`), every query advanced along the
+same trajectory on the engine's one index.
+
+:func:`simulate_server` drives a whole serving system: M concurrent
 query streams advance over one shared index while a mixed object-update
 stream (inserts, deletes, moves — see
 :class:`repro.workloads.scenarios.ChurnSpec`) mutates the data set between
@@ -27,7 +33,7 @@ by construction, so every front door returns bit-identical answers and
 identical message/object counters — the equivalence suite in
 ``tests/transport/`` holds that together.
 
-:func:`simulate_server` returns a :class:`ServerSimulationRun` with
+:func:`simulate_server` returns a :class:`ServerRun` with
 per-query result streams, the aggregate cost counters, the run's
 :class:`~repro.core.stats.CommunicationStats` (messages and objects over
 the wire — the paper's headline metric, measured rather than estimated)
@@ -45,9 +51,10 @@ import shutil
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
+from repro.core.engine import ServingEngine
 from repro.core.objects import QueryResult
 from repro.core.road_server import MovingRoadKNNServer
 from repro.core.server import MovingKNNServer
@@ -55,7 +62,6 @@ from repro.core.stats import CommunicationStats, ProcessorStats
 from repro.obs.clock import clock as _clock
 from repro.roadnet.shortest_path import distances_from_location
 from repro.service import KNNService, UpdateBatch
-from repro.simulation.simulator import check_knn_answer
 from repro.workloads.scenarios import (
     EuclideanServerScenario,
     RoadServerScenario,
@@ -65,8 +71,86 @@ from repro.workloads.scenarios import (
 ServerScenario = Union[EuclideanServerScenario, RoadServerScenario]
 
 
+def run_methods(
+    engine: ServingEngine, trajectory: Sequence[Any], methods: Mapping[str, Tuple[str, int, float]]
+) -> Dict[str, Dict[str, Any]]:
+    """Serve one query per method along ``trajectory`` on ``engine``.
+
+    ``methods`` maps a report name to the query's ``(kind, k, rho)``.  Every
+    query opens at the trajectory's first position, in the mapping's order,
+    and each later timestamp advances them all in turn.  Returns one row per
+    report name: ``method``, ``answers`` (one
+    :class:`~repro.core.objects.QueryResult` per timestamp, the first answer
+    included), ``knn_changes`` (answers whose member set differs from the
+    previous one's), ``invalid_timestamps`` (later answers whose held answer
+    was invalid), ``elapsed_seconds`` (the wall clock of this method's own
+    calls, registration included), then every counter of its
+    :class:`~repro.core.stats.ProcessorStats`.
+    """
+    query_ids: Dict[str, int] = {}
+    elapsed: Dict[str, float] = {}
+    for name, (kind, k, rho) in methods.items():
+        started = _clock()
+        query_ids[name] = engine.register_query(trajectory[0], k, rho=rho, kind=kind)
+        elapsed[name] = _clock() - started
+    first = {record.query_id: record.first_answer for record in engine}
+    answers = {name: [first[query_id]] for name, query_id in query_ids.items()}
+    for position in trajectory[1:]:
+        for name, query_id in query_ids.items():
+            started = _clock()
+            answers[name].append(engine.update_position(query_id, position))
+            elapsed[name] += _clock() - started
+    stats = engine.per_query_stats()
+    rows = {}
+    for name, query_id in query_ids.items():
+        results = answers[name]
+        rows[name] = {
+            "method": name,
+            "answers": results,
+            "knn_changes": sum(
+                before.knn_set != after.knn_set for before, after in zip(results, results[1:])
+            ),
+            "invalid_timestamps": sum(not result.was_valid for result in results[1:]),
+            "elapsed_seconds": elapsed[name],
+            **stats[query_id].as_dict(),
+        }
+    return rows
+
+
+def check_knn_answer(
+    reported: Sequence[int],
+    all_distances: Dict[int, float],
+    k: int,
+    tolerance: float = 1e-7,
+) -> bool:
+    """Tie-aware correctness check of a reported kNN answer.
+
+    The answer is accepted when it has exactly ``k`` distinct members, none
+    of them is farther than the true k-th smallest distance (within
+    ``tolerance``, relative to the distance scale), and every object strictly
+    closer than the true k-th distance is included.  A plain set comparison
+    would flag legitimate alternative answers on a grid, where exact
+    distance ties are common.
+    """
+    members = set(reported)
+    if len(reported) != k or len(members) != k:
+        return False
+    ordered = sorted(all_distances.values())
+    if len(ordered) < k:
+        return False
+    kth = ordered[k - 1]
+    slack = tolerance * max(kth, 1.0)
+    for index in members:
+        if index not in all_distances or all_distances[index] > kth + slack:
+            return False
+    return all(
+        distance >= kth - slack or index in members
+        for index, distance in all_distances.items()
+    )
+
+
 @dataclass
-class ServerSimulationRun:
+class ServerRun:
     """The outcome of driving one service through one server scenario.
 
     Attributes:
@@ -203,7 +287,7 @@ def simulate_server(
     replication: str = "recompute",
     serving_hook=None,
     step_delay: float = 0.0,
-) -> ServerSimulationRun:
+) -> ServerRun:
     """Drive M concurrent query streams interleaved with the update stream.
 
     Timestamp 0 opens one session per query at its trajectory's start.  At
@@ -269,7 +353,7 @@ def simulate_server(
             timed section.
 
     Returns:
-        A :class:`ServerSimulationRun`.
+        A :class:`ServerRun`.
 
     Raises:
         ConfigurationError: for an unknown transport, or for ``faults``,
@@ -410,7 +494,7 @@ def simulate_server(
                 ):
                     mismatches.append((step, query_id))
         elapsed = _clock() - started
-        run = ServerSimulationRun(
+        run = ServerRun(
             scenario=scenario.name,
             invalidation=invalidation,
             results=results,

@@ -3,10 +3,11 @@
 Each baseline runs one fixed walk and every float and every integer it
 reports is hashed: every :class:`~repro.core.objects.QueryResult` field, the
 V* candidate list and known radius after each timestamp, and every integer
-field of ``stats``.  The order-k safe region also takes a stream of moved,
-removed and blanket-invalidated objects, which drives its stale-index
-rebuilds.  A refactor of the baselines proves "same answers, same ties, same
-floats, same counters" by leaving these digests alone.
+field of ``stats``.  A refactor of the baselines proves "same answers, same
+ties, same floats, same counters" by leaving these digests alone.  Each
+baseline is handed the index it serves from (a VoR-tree, a network Voronoi
+diagram); before the baselines became query kinds on the serving engine's
+index, each built its own from the same objects.
 
 The expected digests are literals generated by running this test body at
 commit 6ad9032 (the parent of the change that wrote each baseline policy
@@ -22,18 +23,17 @@ plane baselines still give the R-tree build's digests.
 
 import dataclasses
 import hashlib
-import random
 
 import pytest
 
 from repro.baselines import (
     NaiveProcessor,
     NaiveRoadProcessor,
-    OrderKSafeRegionProcessor,
     VStarProcessor,
     VStarRoadProcessor,
 )
-from repro.geometry.point import Point
+from repro.index.vortree import VoRTree
+from repro.roadnet.network_voronoi import NetworkVoronoiDiagram
 from repro.workloads.scenarios import default_euclidean_scenario, default_road_scenario
 
 PLANE = default_euclidean_scenario(
@@ -95,50 +95,23 @@ def _walk_digest(processor, trajectory, between=None, state=None, skip=()) -> st
     return digest.hexdigest()
 
 
-def _order_k_digest(skip=()) -> str:
-    points = list(PLANE.points)
-    processor = OrderKSafeRegionProcessor(points, PLANE.k)
-    rng = random.Random(61)
-    removed = set()
-
-    def churn(step, result):
-        if step % 9 == 4:
-            index = rng.randrange(len(points))
-            points[index] = Point(rng.uniform(0.0, 10_000.0), rng.uniform(0.0, 10_000.0))
-            processor.notify_data_update(changed=(index,))
-        if step in (30, 55):
-            alive = [
-                index
-                for index in range(len(points))
-                if index not in removed and index not in result.knn
-            ]
-            victim = rng.choice(alive)
-            removed.add(victim)
-            processor.notify_data_update(removed=(victim,))
-        if step == 70:
-            processor.invalidate()
-
-    return _walk_digest(processor, PLANE.trajectory, churn, skip=skip)
-
-
 CASES = {
     "naive": lambda skip=(): _walk_digest(
-        NaiveProcessor(PLANE.points, PLANE.k), PLANE.trajectory, skip=skip
+        NaiveProcessor(VoRTree(PLANE.points), PLANE.k), PLANE.trajectory, skip=skip
     ),
     "vstar": lambda skip=(): _walk_digest(
-        VStarProcessor(PLANE.points, PLANE.k, auxiliary=3),
+        VStarProcessor(VoRTree(PLANE.points), PLANE.k, auxiliary=3),
         PLANE.trajectory,
         state=lambda vstar: (vstar.candidates, vstar.known_region_radius),
         skip=skip,
     ),
-    "order-k": _order_k_digest,
     "naive-road": lambda: _walk_digest(
-        NaiveRoadProcessor(ROAD.network, ROAD.object_vertices, ROAD.k), ROAD.trajectory
+        NaiveRoadProcessor(NetworkVoronoiDiagram(ROAD.network, ROAD.object_vertices), ROAD.k),
+        ROAD.trajectory,
     ),
     "vstar-road": lambda: _walk_digest(
         VStarRoadProcessor(
-            ROAD.network,
-            ROAD.object_vertices,
+            NetworkVoronoiDiagram(ROAD.network, ROAD.object_vertices),
             ROAD.k,
             auxiliary=4,
             step_length=ROAD.step_length,
@@ -151,7 +124,6 @@ CASES = {
 EXPECTED = {
     "naive": "d9a1393f5367490a8ef2469f72370712",
     "vstar": "63dfce62daff9f94725a76f85c183b87",
-    "order-k": "0dd45dff479c45510cfcafbee001105d",
     "naive-road": "8a5c6573c1ce805da880e0aa5663626a",
     "vstar-road": "b5c39246ad1fb64144ff713953fa8533",
 }
@@ -161,7 +133,6 @@ EXPECTED = {
 WITHOUT_NODE_ACCESSES = {
     "naive": "f52cd412c07f2c9e3b0ab4c883363c86",
     "vstar": "c513f85378f5c05a075476528eafd51d",
-    "order-k": "4a078e4aa3759c5e7e1f90c94cf4b6b4",
 }
 
 

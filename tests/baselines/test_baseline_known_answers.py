@@ -20,6 +20,8 @@ from repro.core.objects import UpdateAction
 from repro.geometry.point import Point
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.location import NetworkLocation
+from repro.index.vortree import VoRTree
+from repro.roadnet.network_voronoi import NetworkVoronoiDiagram
 
 #: Six points on the x-axis (objects 0-5 at x = 0..5) and one above it
 #: (object 6 at (2, 4)).
@@ -31,7 +33,7 @@ class TestVStarOnThePlane:
     0, 1, 2 and the known radius is d((0, 0), object 2) = 2."""
 
     def started(self):
-        processor = VStarProcessor(POINTS, k=2, auxiliary=1)
+        processor = VStarProcessor(VoRTree(POINTS), k=2, auxiliary=1)
         first = processor.initialize(Point(0.0, 0.0))
         return processor, first
 
@@ -88,7 +90,7 @@ class TestVStarOnThePlane:
 
 class TestNaiveOnThePlane:
     def test_answers_and_distances(self):
-        processor = NaiveProcessor(POINTS, k=3)
+        processor = NaiveProcessor(VoRTree(POINTS), k=3)
         first = processor.initialize(Point(0.0, 0.0))
         assert first.knn == (0, 1, 2)
         assert first.knn_distances == (0.0, 1.0, 2.0)
@@ -126,7 +128,10 @@ class TestVStarOnARoad:
 
     def test_a_walk_through_both_verdicts(self):
         processor = VStarRoadProcessor(
-            path_network(), ROAD_OBJECTS, k=2, auxiliary=1, step_length=5.0
+            NetworkVoronoiDiagram(path_network(), ROAD_OBJECTS),
+            k=2,
+            auxiliary=1,
+            step_length=5.0,
         )
         first = processor.initialize(at(12.0))
         assert processor.candidates == [1, 0, 2]
@@ -158,7 +163,7 @@ class TestVStarOnARoad:
 
 class TestNaiveOnARoad:
     def test_answers_and_distances(self):
-        processor = NaiveRoadProcessor(path_network(), ROAD_OBJECTS, k=3)
+        processor = NaiveRoadProcessor(NetworkVoronoiDiagram(path_network(), ROAD_OBJECTS), k=3)
         first = processor.initialize(at(12.0))
         assert first.knn == (1, 0, 2)
         assert first.knn_distances == (8.0, 12.0, 18.0)

@@ -8,6 +8,7 @@ from repro.core.objects import UpdateAction
 from repro.geometry.point import Point
 from repro.trajectory.euclidean import random_waypoint_trajectory
 from repro.workloads.datasets import data_space, uniform_points
+from repro.index.vortree import VoRTree
 
 
 def brute_knn(points, query, k):
@@ -23,12 +24,12 @@ def dataset():
 class TestNaiveProcessor:
     def test_validation(self, dataset):
         with pytest.raises(ConfigurationError):
-            NaiveProcessor(dataset, k=0)
+            NaiveProcessor(VoRTree(dataset), k=0)
         with pytest.raises(ConfigurationError):
-            NaiveProcessor(dataset, k=len(dataset) + 1)
+            NaiveProcessor(VoRTree(dataset), k=len(dataset) + 1)
 
     def test_every_answer_matches_brute_force(self, dataset):
-        processor = NaiveProcessor(dataset, k=6)
+        processor = NaiveProcessor(VoRTree(dataset), k=6)
         trajectory = random_waypoint_trajectory(
             data_space(1_000.0), steps=40, step_length=50.0, seed=171
         )
@@ -40,7 +41,7 @@ class TestNaiveProcessor:
             assert list(result.knn) == brute_knn(dataset, position, 6)
 
     def test_recomputes_every_timestamp(self, dataset):
-        processor = NaiveProcessor(dataset, k=4)
+        processor = NaiveProcessor(VoRTree(dataset), k=4)
         trajectory = random_waypoint_trajectory(
             data_space(1_000.0), steps=30, step_length=20.0, seed=172
         )
@@ -52,9 +53,9 @@ class TestNaiveProcessor:
         assert processor.stats.transmitted_objects == 4 * len(trajectory)
 
     def test_no_guard_objects(self, dataset):
-        processor = NaiveProcessor(dataset, k=4)
+        processor = NaiveProcessor(VoRTree(dataset), k=4)
         result = processor.initialize(Point(500, 500))
         assert result.guard_objects == frozenset()
 
     def test_name(self, dataset):
-        assert NaiveProcessor(dataset, k=1).name == "Naive"
+        assert NaiveProcessor(VoRTree(dataset), k=1).name == "Naive"

@@ -1,10 +1,12 @@
-"""Tests for the strict safe-region baseline (repro.baselines.OrderKSafeRegionProcessor)."""
+"""Tests for the strict safe-region baseline: the ``region`` kind's
+processor (repro.queries.region.OrderKRegionProcessor) over a VoR-tree."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.baselines import OrderKSafeRegionProcessor
 from repro.core.objects import UpdateAction
+from repro.index.vortree import VoRTree
+from repro.queries.region import OrderKRegionProcessor
 from repro.geometry.point import Point
 from repro.trajectory.euclidean import linear_trajectory, random_waypoint_trajectory
 from repro.workloads.datasets import data_space, uniform_points
@@ -20,15 +22,19 @@ def dataset():
     return uniform_points(300, extent=1_000.0, seed=180)
 
 
-class TestOrderKSafeRegionProcessor:
+def safe_region_processor(points, k):
+    return OrderKRegionProcessor(VoRTree(points), k)
+
+
+class TestOrderKSafeRegion:
     def test_validation(self, dataset):
         with pytest.raises(ConfigurationError):
-            OrderKSafeRegionProcessor(dataset, k=0)
+            safe_region_processor(dataset, k=0)
         with pytest.raises(ConfigurationError):
-            OrderKSafeRegionProcessor(dataset, k=len(dataset))
+            safe_region_processor(dataset, k=len(dataset))
 
     def test_initial_answer_and_safe_region(self, dataset):
-        processor = OrderKSafeRegionProcessor(dataset, k=5)
+        processor = safe_region_processor(dataset, k=5)
         query = Point(500.0, 500.0)
         result = processor.initialize(query)
         assert set(result.knn) == set(brute_knn(dataset, query, 5))
@@ -38,7 +44,7 @@ class TestOrderKSafeRegionProcessor:
         assert set(processor.safe_region.member_indexes) == result.knn_set
 
     def test_every_answer_matches_brute_force(self, dataset):
-        processor = OrderKSafeRegionProcessor(dataset, k=5)
+        processor = safe_region_processor(dataset, k=5)
         trajectory = random_waypoint_trajectory(
             data_space(1_000.0), steps=80, step_length=20.0, seed=181
         )
@@ -51,7 +57,7 @@ class TestOrderKSafeRegionProcessor:
             )
 
     def test_inside_safe_region_no_recomputation(self, dataset):
-        processor = OrderKSafeRegionProcessor(dataset, k=5)
+        processor = safe_region_processor(dataset, k=5)
         query = Point(500.0, 500.0)
         processor.initialize(query)
         result = processor.update(Point(500.05, 500.0))
@@ -61,7 +67,7 @@ class TestOrderKSafeRegionProcessor:
 
     def test_recomputation_count_equals_knn_changes_plus_one(self, dataset):
         """The strict safe region recomputes exactly when the kNN set changes."""
-        processor = OrderKSafeRegionProcessor(dataset, k=4)
+        processor = safe_region_processor(dataset, k=4)
         trajectory = linear_trajectory(Point(100.0, 480.0), Point(900.0, 520.0), steps=200)
         previous = None
         changes = 0
@@ -79,9 +85,9 @@ class TestOrderKSafeRegionProcessor:
         assert processor.stats.full_recomputations <= changes + max(3, changes // 4) + 1
 
     def test_guard_objects_are_the_mis(self, dataset):
-        processor = OrderKSafeRegionProcessor(dataset, k=3)
+        processor = safe_region_processor(dataset, k=3)
         result = processor.initialize(Point(250.0, 750.0))
         assert result.guard_objects == processor.safe_region.mis_indexes
 
     def test_name(self, dataset):
-        assert OrderKSafeRegionProcessor(dataset, k=2).name == "OrderK-SR"
+        assert safe_region_processor(dataset, k=2).name == "OrderK-Region"

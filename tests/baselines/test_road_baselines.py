@@ -11,6 +11,11 @@ from repro.roadnet.generators import grid_network, place_objects
 from repro.roadnet.location import NetworkLocation
 from repro.roadnet.shortest_path import distances_from_location
 from repro.trajectory.road import network_random_walk
+from repro.roadnet.network_voronoi import NetworkVoronoiDiagram
+
+
+def diagram(network, objects):
+    return NetworkVoronoiDiagram(network, objects)
 
 
 @pytest.fixture(scope="module")
@@ -41,13 +46,13 @@ class TestNaiveRoadProcessor:
     def test_validation(self, road_setup):
         network, objects = road_setup
         with pytest.raises(ConfigurationError):
-            NaiveRoadProcessor(network, objects, k=0)
+            NaiveRoadProcessor(diagram(network, objects), k=0)
         with pytest.raises(ConfigurationError):
-            NaiveRoadProcessor(network, objects, k=len(objects) + 1)
+            NaiveRoadProcessor(diagram(network, objects), k=len(objects) + 1)
 
     def test_correct_and_recomputes_each_timestamp(self, road_setup):
         network, objects = road_setup
-        processor = NaiveRoadProcessor(network, objects, k=4)
+        processor = NaiveRoadProcessor(diagram(network, objects), k=4)
         trajectory = network_random_walk(network, steps=40, step_length=30.0, seed=201)
         processor.initialize(trajectory[0])
         for location in trajectory[1:]:
@@ -58,20 +63,22 @@ class TestNaiveRoadProcessor:
 
     def test_name(self, road_setup):
         network, objects = road_setup
-        assert NaiveRoadProcessor(network, objects, k=1).name == "Naive-road"
+        assert NaiveRoadProcessor(diagram(network, objects), k=1).name == "Naive-road"
 
 
 class TestVStarRoadProcessor:
     def test_validation(self, road_setup):
         network, objects = road_setup
         with pytest.raises(ConfigurationError):
-            VStarRoadProcessor(network, objects, k=0, step_length=10.0)
+            VStarRoadProcessor(diagram(network, objects), k=0, step_length=10.0)
         with pytest.raises(ConfigurationError):
-            VStarRoadProcessor(network, objects, k=3, auxiliary=0, step_length=10.0)
+            VStarRoadProcessor(diagram(network, objects), k=3, auxiliary=0, step_length=10.0)
         with pytest.raises(ConfigurationError):
-            VStarRoadProcessor(network, objects, k=len(objects), auxiliary=1, step_length=10.0)
+            VStarRoadProcessor(
+                diagram(network, objects), k=len(objects), auxiliary=1, step_length=10.0
+            )
         with pytest.raises(ConfigurationError):
-            VStarRoadProcessor(network, objects, k=3, step_length=-1.0)
+            VStarRoadProcessor(diagram(network, objects), k=3, step_length=-1.0)
 
     @pytest.mark.parametrize("step_length", [0.0, float("nan")])
     def test_a_drift_bound_that_never_grows_is_refused(self, road_setup, step_length):
@@ -80,17 +87,19 @@ class TestVStarRoadProcessor:
         (k = 4, x = 4), none with ``step_length=30.0``."""
         network, objects = road_setup
         with pytest.raises(ConfigurationError):
-            VStarRoadProcessor(network, objects, k=4, step_length=step_length)
+            VStarRoadProcessor(diagram(network, objects), k=4, step_length=step_length)
 
     def test_step_length_must_be_declared(self, road_setup):
         network, objects = road_setup
         with pytest.raises(TypeError):
-            VStarRoadProcessor(network, objects, k=4)
+            VStarRoadProcessor(diagram(network, objects), k=4)
 
     def test_every_answer_correct_along_walk(self, road_setup):
         network, objects = road_setup
         step = 30.0
-        processor = VStarRoadProcessor(network, objects, k=4, auxiliary=4, step_length=step)
+        processor = VStarRoadProcessor(
+            diagram(network, objects), k=4, auxiliary=4, step_length=step
+        )
         trajectory = network_random_walk(network, steps=80, step_length=step, seed=202)
         processor.initialize(trajectory[0])
         for location in trajectory[1:]:
@@ -101,8 +110,8 @@ class TestVStarRoadProcessor:
         network, objects = road_setup
         step = 25.0
         trajectory = network_random_walk(network, steps=100, step_length=step, seed=203)
-        vstar = VStarRoadProcessor(network, objects, k=4, auxiliary=6, step_length=step)
-        naive = NaiveRoadProcessor(network, objects, k=4)
+        vstar = VStarRoadProcessor(diagram(network, objects), k=4, auxiliary=6, step_length=step)
+        naive = NaiveRoadProcessor(diagram(network, objects), k=4)
         for processor in (vstar, naive):
             processor.initialize(trajectory[0])
             for location in trajectory[1:]:
@@ -111,11 +120,15 @@ class TestVStarRoadProcessor:
 
     def test_candidates_size(self, road_setup):
         network, objects = road_setup
-        processor = VStarRoadProcessor(network, objects, k=3, auxiliary=5, step_length=10.0)
+        processor = VStarRoadProcessor(
+            diagram(network, objects), k=3, auxiliary=5, step_length=10.0
+        )
         edge = network.edges()[0]
         processor.initialize(NetworkLocation(edge.edge_id, 5.0))
         assert len(processor.candidates) == 8
 
     def test_name(self, road_setup):
         network, objects = road_setup
-        assert VStarRoadProcessor(network, objects, k=1, step_length=10.0).name == "V*-road"
+        assert VStarRoadProcessor(
+            diagram(network, objects), k=1, step_length=10.0
+        ).name == "V*-road"

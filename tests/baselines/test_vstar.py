@@ -8,6 +8,7 @@ from repro.core.objects import UpdateAction
 from repro.geometry.point import Point
 from repro.trajectory.euclidean import random_waypoint_trajectory
 from repro.workloads.datasets import data_space, uniform_points
+from repro.index.vortree import VoRTree
 
 
 def brute_knn(points, query, k):
@@ -23,14 +24,14 @@ def dataset():
 class TestVStarProcessor:
     def test_validation(self, dataset):
         with pytest.raises(ConfigurationError):
-            VStarProcessor(dataset, k=0)
+            VStarProcessor(VoRTree(dataset), k=0)
         with pytest.raises(ConfigurationError):
-            VStarProcessor(dataset, k=3, auxiliary=0)
+            VStarProcessor(VoRTree(dataset), k=3, auxiliary=0)
         with pytest.raises(ConfigurationError):
-            VStarProcessor(dataset, k=len(dataset), auxiliary=1)
+            VStarProcessor(VoRTree(dataset), k=len(dataset), auxiliary=1)
 
     def test_initial_answer_and_candidates(self, dataset):
-        processor = VStarProcessor(dataset, k=5, auxiliary=4)
+        processor = VStarProcessor(VoRTree(dataset), k=5, auxiliary=4)
         query = Point(500.0, 500.0)
         result = processor.initialize(query)
         assert list(result.knn) == brute_knn(dataset, query, 5)
@@ -40,7 +41,7 @@ class TestVStarProcessor:
         )
 
     def test_every_answer_matches_brute_force(self, dataset):
-        processor = VStarProcessor(dataset, k=5, auxiliary=4)
+        processor = VStarProcessor(VoRTree(dataset), k=5, auxiliary=4)
         trajectory = random_waypoint_trajectory(
             data_space(1_000.0), steps=100, step_length=25.0, seed=191
         )
@@ -53,7 +54,7 @@ class TestVStarProcessor:
             )
 
     def test_small_movement_is_answered_from_candidates(self, dataset):
-        processor = VStarProcessor(dataset, k=5, auxiliary=4)
+        processor = VStarProcessor(VoRTree(dataset), k=5, auxiliary=4)
         query = Point(500.0, 500.0)
         processor.initialize(query)
         result = processor.update(Point(500.2, 500.0))
@@ -67,7 +68,7 @@ class TestVStarProcessor:
         )
 
         def recomputations(x):
-            processor = VStarProcessor(dataset, k=5, auxiliary=x)
+            processor = VStarProcessor(VoRTree(dataset), k=5, auxiliary=x)
             processor.initialize(trajectory[0])
             for position in trajectory[1:]:
                 processor.update(position)
@@ -82,8 +83,8 @@ class TestVStarProcessor:
         trajectory = random_waypoint_trajectory(
             data_space(1_000.0), steps=250, step_length=25.0, seed=193
         )
-        vstar = VStarProcessor(dataset, k=5, auxiliary=4)
-        ins = INSProcessor(dataset, k=5, rho=1.6)
+        vstar = VStarProcessor(VoRTree(dataset), k=5, auxiliary=4)
+        ins = INSProcessor(VoRTree(dataset), k=5, rho=1.6)
         for processor in (vstar, ins):
             processor.initialize(trajectory[0])
             for position in trajectory[1:]:
@@ -91,4 +92,4 @@ class TestVStarProcessor:
         assert vstar.stats.full_recomputations >= ins.stats.full_recomputations
 
     def test_name(self, dataset):
-        assert VStarProcessor(dataset, k=2).name == "V*"
+        assert VStarProcessor(VoRTree(dataset), k=2).name == "V*"

@@ -11,8 +11,9 @@ Timing assertions are deliberately absent: a 12-epoch stream over freshly
 forked workers is all fork latency, so tiny-N wall clocks are noise.  The
 smoke run asserts structural invariants only: every matrix cell is
 bit-identical to the single-worker reference, the recompute cells report
-no delta-apply time, and the delta cells really shipped (their replicas
-spent time patching instead of recomputing).
+no delta-apply time, and the delta cells really shipped — their replicas
+patched and ran no index repair, so the shards' merged count of repairs
+(``maint_ops``) is the recompute cell's divided by the worker count.
 """
 
 import pathlib
@@ -48,7 +49,8 @@ class TestScaleoutBenchmarkSmoke:
                 assert row["apply_s"] == 0.0
         # The delta cells really shipped: replicas patched, nothing more.
         assert checks["delta_apply_s"] > 0.0
-        assert (
-            by_cell[("reference", top, "delta")]["maint_s"]
-            < by_cell[("reference", top, "recompute")]["maint_s"]
-        )
+        # Only the leader repaired the index; every recomputing shard did.
+        for leg in ("reference", "update-heavy"):
+            repairs = by_cell[(leg, top, "delta")]["maint_ops"]
+            assert repairs > 0
+            assert by_cell[(leg, top, "recompute")]["maint_ops"] == top * repairs

@@ -14,8 +14,10 @@ import pytest
 from hypothesis import settings
 
 from repro.geometry.point import Point
+from repro.index.vortree import VoRTree
 from repro.roadnet.generators import grid_network, place_objects
 from repro.roadnet.graph import RoadNetwork
+from repro.roadnet.network_voronoi import NetworkVoronoiDiagram
 from repro.workloads.datasets import uniform_points
 
 # Tier-1 and CI draw the same hypothesis examples on every run, so a red
@@ -33,6 +35,21 @@ def pytest_configure(config):
 def rng() -> random.Random:
     """A seeded random generator for ad-hoc randomness in tests."""
     return random.Random(12345)
+
+
+@pytest.fixture
+def index_builds(monkeypatch) -> List[type]:
+    """The class of every VoR-tree and network Voronoi diagram built while
+    the test runs, in build order."""
+    builds: List[type] = []
+    for index in (VoRTree, NetworkVoronoiDiagram):
+
+        def init(self, *args, _init=index.__init__, **kwargs):
+            builds.append(type(self))
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(index, "__init__", init)
+    return builds
 
 
 @pytest.fixture

@@ -37,28 +37,28 @@ def shared_vortree(dataset):
 class TestConfiguration:
     def test_parameter_validation(self, dataset):
         with pytest.raises(ConfigurationError):
-            INSProcessor(dataset, k=0)
+            INSProcessor(VoRTree(dataset), k=0)
         with pytest.raises(ConfigurationError):
-            INSProcessor(dataset, k=len(dataset))
+            INSProcessor(VoRTree(dataset), k=len(dataset))
         with pytest.raises(ConfigurationError):
-            INSProcessor(dataset, k=5, rho=0.5)
+            INSProcessor(VoRTree(dataset), k=5, rho=0.5)
 
     def test_prefetch_count(self, dataset, shared_vortree):
-        processor = INSProcessor(dataset, k=5, rho=1.6, vortree=shared_vortree)
+        processor = INSProcessor(shared_vortree, k=5, rho=1.6)
         assert processor.prefetch_count == 8
         assert processor.rho == 1.6
 
     def test_prefetch_count_at_least_k(self, dataset, shared_vortree):
-        processor = INSProcessor(dataset, k=5, rho=1.0, vortree=shared_vortree)
+        processor = INSProcessor(shared_vortree, k=5, rho=1.0)
         assert processor.prefetch_count == 5
 
     def test_name(self, dataset, shared_vortree):
-        assert INSProcessor(dataset, k=3, vortree=shared_vortree).name == "INS"
+        assert INSProcessor(shared_vortree, k=3).name == "INS"
 
 
 class TestInitialization:
     def test_initial_answer_is_correct(self, dataset, shared_vortree):
-        processor = INSProcessor(dataset, k=5, rho=1.6, vortree=shared_vortree)
+        processor = INSProcessor(shared_vortree, k=5, rho=1.6)
         query = Point(500.0, 500.0)
         result = processor.initialize(query)
         assert list(result.knn) == brute_knn(dataset, query, 5)
@@ -66,7 +66,7 @@ class TestInitialization:
         assert result.knn_distances == tuple(sorted(result.knn_distances))
 
     def test_initial_state_structure(self, dataset, shared_vortree):
-        processor = INSProcessor(dataset, k=5, rho=1.6, vortree=shared_vortree)
+        processor = INSProcessor(shared_vortree, k=5, rho=1.6)
         query = Point(300.0, 700.0)
         processor.initialize(query)
         # R contains the kNN set, the guard set is disjoint from the kNN set.
@@ -79,14 +79,14 @@ class TestInitialization:
         assert not (processor.influential_set & set(processor.prefetched_set))
 
     def test_update_before_initialize_raises(self, dataset, shared_vortree):
-        processor = INSProcessor(dataset, k=3, vortree=shared_vortree)
+        processor = INSProcessor(shared_vortree, k=3)
         with pytest.raises(RuntimeError):
             processor.update(Point(0, 0))
 
 
 class TestValidationAndUpdate:
     def test_tiny_movement_keeps_answer_without_communication(self, dataset, shared_vortree):
-        processor = INSProcessor(dataset, k=5, rho=1.6, vortree=shared_vortree)
+        processor = INSProcessor(shared_vortree, k=5, rho=1.6)
         query = Point(500.0, 500.0)
         first = processor.initialize(query)
         second = processor.update(Point(500.01, 500.0))
@@ -96,7 +96,7 @@ class TestValidationAndUpdate:
         assert processor.stats.full_recomputations == 1  # only the initial one
 
     def test_every_reported_answer_is_correct_along_trajectory(self, dataset, shared_vortree):
-        processor = INSProcessor(dataset, k=5, rho=1.6, vortree=shared_vortree)
+        processor = INSProcessor(shared_vortree, k=5, rho=1.6)
         trajectory = random_waypoint_trajectory(
             data_space(1_000.0), steps=150, step_length=15.0, seed=151
         )
@@ -110,7 +110,7 @@ class TestValidationAndUpdate:
             assert set(result.knn) == set(expected) or got_k == pytest.approx(expected_k)
 
     def test_recomputations_much_rarer_than_timestamps(self, dataset, shared_vortree):
-        processor = INSProcessor(dataset, k=5, rho=1.6, vortree=shared_vortree)
+        processor = INSProcessor(shared_vortree, k=5, rho=1.6)
         trajectory = random_waypoint_trajectory(
             data_space(1_000.0), steps=200, step_length=10.0, seed=152
         )
@@ -127,7 +127,7 @@ class TestValidationAndUpdate:
         )
 
         def recomputations(rho):
-            processor = INSProcessor(dataset, k=5, rho=rho, vortree=shared_vortree)
+            processor = INSProcessor(shared_vortree, k=5, rho=rho)
             processor.initialize(trajectory[0])
             for position in trajectory[1:]:
                 processor.update(position)
@@ -136,7 +136,7 @@ class TestValidationAndUpdate:
         assert recomputations(3.0) <= recomputations(1.0)
 
     def test_local_reorder_handles_prefetched_swaps(self, dataset, shared_vortree):
-        processor = INSProcessor(dataset, k=5, rho=2.5, vortree=shared_vortree)
+        processor = INSProcessor(shared_vortree, k=5, rho=2.5)
         trajectory = random_waypoint_trajectory(
             data_space(1_000.0), steps=200, step_length=15.0, seed=154
         )
@@ -145,7 +145,7 @@ class TestValidationAndUpdate:
         assert UpdateAction.LOCAL_REORDER in actions
 
     def test_stationary_query_never_recomputes(self, dataset, shared_vortree):
-        processor = INSProcessor(dataset, k=5, rho=1.6, vortree=shared_vortree)
+        processor = INSProcessor(shared_vortree, k=5, rho=1.6)
         query = Point(444.0, 333.0)
         processor.initialize(query)
         for _ in range(20):
@@ -156,13 +156,13 @@ class TestValidationAndUpdate:
 
 class TestCostAccounting:
     def test_communication_counts_R_plus_INS(self, dataset, shared_vortree):
-        processor = INSProcessor(dataset, k=5, rho=1.6, vortree=shared_vortree)
+        processor = INSProcessor(shared_vortree, k=5, rho=1.6)
         processor.initialize(Point(500.0, 500.0))
         expected = len(processor.prefetched_set) + len(processor.influential_set)
         assert processor.stats.transmitted_objects == expected
 
     def test_validation_cost_is_linear_in_held_objects(self, dataset, shared_vortree):
-        processor = INSProcessor(dataset, k=5, rho=1.6, vortree=shared_vortree)
+        processor = INSProcessor(shared_vortree, k=5, rho=1.6)
         processor.initialize(Point(500.0, 500.0))
         held = len(processor.prefetched_set) + len(processor.influential_set)
         before = processor.stats.distance_computations
@@ -171,7 +171,7 @@ class TestCostAccounting:
         assert after - before == held
 
     def test_stats_reset(self, dataset, shared_vortree):
-        processor = INSProcessor(dataset, k=3, vortree=shared_vortree)
+        processor = INSProcessor(shared_vortree, k=3)
         processor.initialize(Point(100, 100))
         processor.reset_stats()
         assert processor.stats.timestamps == 0
@@ -198,14 +198,16 @@ class TestCoincidentObjects:
         retrievals = 0
         for k in (1, 2, 3, 5):
             tree = VoRTree(list(points))
-            processor = INSProcessor(tree.positions, k=k, rho=1.6, vortree=tree)
+            processor = INSProcessor(tree, k=k, rho=1.6)
             query = Point(rng.uniform(0, 100), rng.uniform(0, 100))
             processor.initialize(query)
             for step in range(240):
                 if churn and step % 6 == 0:
-                    processor.insert_object(tree.point(rng.choice(tree.active_indexes())))
+                    _, changed = tree.insert(tree.point(rng.choice(tree.active_indexes())))
+                    processor.notify_data_update(changed)
                     if step % 12 == 0 and len(tree) > 45:
-                        processor.delete_object(rng.choice(tree.active_indexes()))
+                        victim = rng.choice(tree.active_indexes())
+                        processor.notify_data_update(tree.delete(victim)[1], (victim,))
                 query = Point(
                     min(100.0, max(0.0, query.x + rng.uniform(-4, 4))),
                     min(100.0, max(0.0, query.y + rng.uniform(-4, 4))),
@@ -227,7 +229,7 @@ class TestCoincidentObjects:
         # 0 and 1 coincide; 2 is what the old `<=` overlooked.
         coordinates = [(0, 0), (0, 0), (3, 0), (-9, 5), (4, 9), (5, -8)]
         points = [Point(float(x), float(y)) for x, y in coordinates]
-        processor = INSProcessor(points, k=1)
+        processor = INSProcessor(VoRTree(points), k=1)
         assert processor.initialize(Point(0.5, 0.0)).knn_distances == (0.5,)
         result = processor.update(Point(2.0, 0.0))
         assert result.knn == (2,) and result.knn_distances == (1.0,)
@@ -239,7 +241,7 @@ class TestOldSnapshots:
     before it existed restores and keeps serving."""
 
     def test_state_without_the_flat_layout_restores_and_serves(self, dataset):
-        processor = INSProcessor(dataset, k=5, rho=1.6, vortree=VoRTree(dataset))
+        processor = INSProcessor(VoRTree(dataset), k=5, rho=1.6)
         trajectory = random_waypoint_trajectory(
             data_space(1_000.0), steps=60, step_length=15.0, seed=3
         )

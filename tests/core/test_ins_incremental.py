@@ -8,7 +8,7 @@ from repro.core.server import MovingKNNServer
 from repro.core.objects import UpdateAction
 from repro.geometry.point import Point
 from repro.index.vortree import VoRTree
-from repro.simulation.simulator import simulate
+from repro.simulation.server_sim import check_knn_answer
 from repro.trajectory.euclidean import random_waypoint_trajectory
 from repro.workloads.datasets import data_space, uniform_points
 
@@ -30,27 +30,26 @@ def trajectory():
     )
 
 
-def oracle_for(points):
-    return lambda q: {i: q.distance_to(p) for i, p in enumerate(points)}
+def walk(processor, trajectory):
+    """The processor's answer at every position of ``trajectory``."""
+    first = processor.initialize(trajectory[0])
+    return [first] + [processor.update(position) for position in trajectory[1:]]
 
 
 class TestIncrementalMode:
     def test_answers_remain_exact(self, dataset, shared_vortree, trajectory):
-        processor = INSProcessor(
-            dataset, k=6, rho=1.6, vortree=shared_vortree, allow_incremental=True
-        )
-        run = simulate(processor, trajectory, oracle=oracle_for(dataset))
-        assert run.is_correct
+        processor = INSProcessor(shared_vortree, k=6, rho=1.6, allow_incremental=True)
+        for position, result in zip(trajectory, walk(processor, trajectory)):
+            distances = {i: position.distance_to(p) for i, p in enumerate(dataset)}
+            assert check_knn_answer(result.knn, distances, 6)
 
     def test_incremental_updates_replace_full_recomputations(
         self, dataset, shared_vortree, trajectory
     ):
-        base = INSProcessor(dataset, k=6, rho=1.0, vortree=shared_vortree)
-        incremental = INSProcessor(
-            dataset, k=6, rho=1.0, vortree=shared_vortree, allow_incremental=True
-        )
-        simulate(base, trajectory)
-        simulate(incremental, trajectory)
+        base = INSProcessor(shared_vortree, k=6, rho=1.0)
+        incremental = INSProcessor(shared_vortree, k=6, rho=1.0, allow_incremental=True)
+        walk(base, trajectory)
+        walk(incremental, trajectory)
         assert incremental.stats.incremental_updates > 0
         assert incremental.stats.full_recomputations < base.stats.full_recomputations
         # Incremental fetches are much smaller than full retrievals, so the
@@ -58,51 +57,48 @@ class TestIncrementalMode:
         assert incremental.stats.transmitted_objects < base.stats.transmitted_objects
 
     def test_incremental_action_is_reported(self, dataset, shared_vortree, trajectory):
-        processor = INSProcessor(
-            dataset, k=6, rho=1.0, vortree=shared_vortree, allow_incremental=True
-        )
-        run = simulate(processor, trajectory)
-        actions = {result.action for result in run.results}
+        processor = INSProcessor(shared_vortree, k=6, rho=1.0, allow_incremental=True)
+        actions = {result.action for result in walk(processor, trajectory)}
         assert UpdateAction.INCREMENTAL in actions
 
     def test_disabled_by_default(self, dataset, shared_vortree):
-        processor = INSProcessor(dataset, k=4, vortree=shared_vortree)
+        processor = INSProcessor(shared_vortree, k=4)
         assert not processor.allow_incremental
 
     def test_incremental_mode_flag_exposed(self, dataset, shared_vortree):
-        processor = INSProcessor(
-            dataset, k=4, vortree=shared_vortree, allow_incremental=True
-        )
+        processor = INSProcessor(shared_vortree, k=4, allow_incremental=True)
         assert processor.allow_incremental
 
 
 class TestObjectUpdates:
+    """Data-object updates reach a query through the engine's repair deltas."""
+
     def test_inserted_object_enters_the_answer(self, dataset):
-        processor = INSProcessor(list(dataset), k=5, rho=1.6)
+        server = MovingKNNServer(dataset)
         query = Point(500.0, 500.0)
-        processor.initialize(query)
-        new_index = processor.insert_object(Point(500.3, 500.3))
-        result = processor.update(query)
+        query_id = server.register_query(query, k=5, rho=1.6)
+        new_index = server.insert_object(Point(500.3, 500.3))
+        result = server.update_position(query_id, query)
         assert new_index in result.knn
         assert result.action is UpdateAction.FULL_RECOMPUTE
 
     def test_deleted_object_leaves_the_answer(self, dataset):
-        processor = INSProcessor(list(dataset), k=5, rho=1.6)
+        server = MovingKNNServer(dataset)
         query = Point(500.0, 500.0)
-        first = processor.initialize(query)
-        victim = first.knn[0]
-        assert processor.delete_object(victim)
-        result = processor.update(query)
+        query_id = server.register_query(query, k=5, rho=1.6)
+        victim = next(iter(server)).first_answer.knn[0]
+        assert server.delete_object(victim)
+        result = server.update_position(query_id, query)
         assert victim not in result.knn
         assert len(result.knn) == 5
 
     def test_answers_stay_correct_under_update_stream(self, dataset):
         points = list(dataset)
-        processor = INSProcessor(points, k=5, rho=1.6)
+        server = MovingKNNServer(points)
         trajectory = random_waypoint_trajectory(
             data_space(1_000.0), steps=60, step_length=25.0, seed=402
         )
-        processor.initialize(trajectory[0])
+        query_id = server.register_query(trajectory[0], k=5, rho=1.6)
         active = {i: p for i, p in enumerate(points)}
         import random
 
@@ -110,20 +106,19 @@ class TestObjectUpdates:
         for step, position in enumerate(trajectory[1:], start=1):
             if step % 10 == 0:
                 new_point = Point(rng.uniform(0, 1_000), rng.uniform(0, 1_000))
-                new_index = processor.insert_object(new_point)
+                new_index = server.insert_object(new_point)
                 active[new_index] = new_point
             if step % 15 == 0:
                 victim = rng.choice(sorted(active))
-                if processor.delete_object(victim):
+                if server.delete_object(victim):
                     del active[victim]
-            result = processor.update(position)
+            result = server.update_position(query_id, position)
             distances = {i: position.distance_to(p) for i, p in active.items()}
             kth = sorted(distances.values())[4]
             assert all(distances[i] <= kth + 1e-9 for i in result.knn)
 
     def test_delete_unknown_object_returns_false(self, dataset):
-        processor = INSProcessor(list(dataset), k=3)
-        assert not processor.delete_object(10_000)
+        assert not MovingKNNServer(dataset).delete_object(10_000)
 
 
 class TestVoRTreeUpdates:

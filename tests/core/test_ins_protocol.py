@@ -152,7 +152,7 @@ class TestSettleOutcomes:
         # The settle rule alone, on the plane: a removal with no neighbour
         # change refreshes the guard set iff it names an object of I(R).
         plane = METRICS["plane"]
-        processor = INSProcessor(uniform_points(300, seed=5), k=3)
+        processor = INSProcessor(VoRTree(uniform_points(300, seed=5)), k=3)
         processor.initialize(plane.start)
         pool = set(processor.prefetched_set) | processor.influential_set
         if where == "guards":

@@ -59,17 +59,17 @@ class TestConfiguration:
     def test_parameter_validation(self, road_setup):
         network, objects, voronoi = road_setup
         with pytest.raises(ConfigurationError):
-            INSRoadProcessor(network, objects, k=0, voronoi=voronoi)
+            INSRoadProcessor(voronoi, k=0)
         with pytest.raises(ConfigurationError):
-            INSRoadProcessor(network, objects, k=len(objects), voronoi=voronoi)
+            INSRoadProcessor(voronoi, k=len(objects))
         with pytest.raises(ConfigurationError):
-            INSRoadProcessor(network, objects, k=3, rho=0.2, voronoi=voronoi)
+            INSRoadProcessor(voronoi, k=3, rho=0.2)
 
 
 class TestInitialization:
     def test_initial_answer_is_correct(self, road_setup):
         network, objects, voronoi = road_setup
-        processor = INSRoadProcessor(network, objects, k=4, rho=1.6, voronoi=voronoi)
+        processor = INSRoadProcessor(voronoi, k=4, rho=1.6)
         edge = network.edges()[30]
         location = NetworkLocation(edge.edge_id, edge.length / 3.0)
         result = processor.initialize(location)
@@ -78,7 +78,7 @@ class TestInitialization:
 
     def test_guard_set_is_disjoint_from_knn(self, road_setup):
         network, objects, voronoi = road_setup
-        processor = INSRoadProcessor(network, objects, k=4, rho=1.6, voronoi=voronoi)
+        processor = INSRoadProcessor(voronoi, k=4, rho=1.6)
         edge = network.edges()[10]
         result = processor.initialize(NetworkLocation(edge.edge_id, 10.0))
         assert not (result.guard_objects & result.knn_set)
@@ -89,7 +89,7 @@ class TestInitialization:
 class TestTrajectoryCorrectness:
     def test_every_answer_correct_along_walk(self, road_setup, mode):
         network, objects, voronoi = road_setup
-        processor = VALIDATIONS[mode](network, objects, k=4, rho=1.6, voronoi=voronoi)
+        processor = VALIDATIONS[mode](voronoi, k=4, rho=1.6)
         trajectory = network_random_walk(network, steps=120, step_length=30.0, seed=161)
         processor.initialize(trajectory[0])
         wrong = []
@@ -101,7 +101,7 @@ class TestTrajectoryCorrectness:
 
     def test_recomputations_rarer_than_naive(self, road_setup, mode):
         network, objects, voronoi = road_setup
-        processor = VALIDATIONS[mode](network, objects, k=4, rho=1.6, voronoi=voronoi)
+        processor = VALIDATIONS[mode](voronoi, k=4, rho=1.6)
         trajectory = network_random_walk(network, steps=150, step_length=25.0, seed=162)
         processor.initialize(trajectory[0])
         for location in trajectory[1:]:
@@ -114,7 +114,7 @@ class TestModesAgree:
         network, objects, voronoi = road_setup
         trajectory = network_random_walk(network, steps=60, step_length=40.0, seed=163)
         restricted, exact = (
-            VALIDATIONS[mode](network, objects, k=3, rho=1.6, voronoi=voronoi)
+            VALIDATIONS[mode](voronoi, k=3, rho=1.6)
             for mode in ("restricted", "exact")
         )
         restricted.initialize(trajectory[0])
@@ -162,7 +162,7 @@ class TestRandomPlanarNetwork:
     def test_correctness_on_irregular_network(self):
         network = random_planar_network(60, extent=800.0, seed=164)
         objects = place_objects(network, 15, seed=165)
-        processor = INSRoadProcessor(network, objects, k=3, rho=1.6)
+        processor = INSRoadProcessor(NetworkVoronoiDiagram(network, objects), k=3, rho=1.6)
         trajectory = network_random_walk(network, steps=80, step_length=30.0, seed=166)
         processor.initialize(trajectory[0])
         for location in trajectory[1:]:
@@ -185,7 +185,7 @@ class TestRandomPlanarNetwork:
         trajectory = network_random_walk(network, steps=60, step_length=25.0, seed=168)
 
         def settled(mode):
-            processor = VALIDATIONS[mode](network, objects, k=4, rho=1.6, voronoi=voronoi)
+            processor = VALIDATIONS[mode](voronoi, k=4, rho=1.6)
             processor.initialize(trajectory[0])
             for location in trajectory[1:]:
                 processor.update(location)
@@ -210,7 +210,7 @@ class TestRandomPlanarNetwork:
         jump = NetworkLocation(network.find_edge(10, 11).edge_id, 90.0)
         results, settled = {}, {}
         for mode, validation in VALIDATIONS.items():
-            processor = validation(network, objects, k=1, rho=1.0)
+            processor = validation(NetworkVoronoiDiagram(network, objects), k=1, rho=1.0)
             assert processor.initialize(start).knn == (2,)
             assert processor.guard_set == {1, 3}
             before = processor.stats.settled_vertices
@@ -285,7 +285,7 @@ class TestOldSnapshots:
     def test_state_with_a_mode_and_its_region_restores_and_serves(self, mode):
         network = random_planar_network(120, extent=1_500.0, seed=170)
         objects = place_objects(network, 30, seed=171)
-        processor = INSRoadProcessor(network, objects, k=4, rho=1.6)
+        processor = INSRoadProcessor(NetworkVoronoiDiagram(network, objects), k=4, rho=1.6)
         trajectory = network_random_walk(network, steps=90, step_length=35.0, seed=174)
         processor.initialize(trajectory[0])
         for location in trajectory[1:30]:

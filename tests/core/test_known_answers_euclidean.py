@@ -89,7 +89,7 @@ class TestOneNearestNeighbour:
     ``x < 2 - x``, that is for x < 1 — and not *at* 1."""
 
     def start(self):
-        processor = INSProcessor(OBJECTS, k=1)
+        processor = INSProcessor(VoRTree(OBJECTS), k=1)
         first = processor.initialize(Point(0.0, 0.0))
         assert (first.knn, first.knn_distances) == ((0,), (0.0,))
         assert processor.prefetched_set == [0]
@@ -127,7 +127,7 @@ class TestTwoNearestNeighbours:
     valid on the open interval (0, 10), invalid at both ends."""
 
     def start(self):
-        processor = INSProcessor(OBJECTS, k=2)
+        processor = INSProcessor(VoRTree(OBJECTS), k=2)
         first = processor.initialize(Point(0.5, 0.25))
         assert first.knn == (0, 1)
         assert first.knn_distances == (0.5590169943749475, 1.5206906325745548)

@@ -52,11 +52,6 @@ class TestQueryResult:
         assert result.k == 3
         assert result.knn_set == frozenset({1, 4, 9})
 
-    def test_farthest_distance(self):
-        assert make_result().farthest_distance == 3.0
-        empty = make_result(knn=(), knn_distances=())
-        assert empty.farthest_distance == 0.0
-
     def test_describe_mentions_validity(self):
         assert "valid" in make_result().describe()
         updated = make_result(was_valid=False, action=UpdateAction.FULL_RECOMPUTE)

@@ -15,6 +15,7 @@ from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.knn import network_knn
 from repro.roadnet.location import NetworkLocation
 from repro.trajectory.road import network_random_walk
+from repro.roadnet.network_voronoi import NetworkVoronoiDiagram
 
 
 def reference_knn_distances(server, position, k):
@@ -221,7 +222,7 @@ class TestRestrictedEscapeFallback:
 
         network = grid_network(12, 12, spacing=25.0)
         objects = place_objects(network, 30, seed=56)
-        processor = INSRoadProcessor(network, objects, k=4)
+        processor = INSRoadProcessor(NetworkVoronoiDiagram(network, objects), k=4)
         processor.initialize(NetworkLocation(0, 2.0))
         far_edge = network.incident_edges(network.vertices()[-1])[0]
         far = NetworkLocation(far_edge.edge_id, 1.0)
@@ -258,7 +259,7 @@ class TestRestrictedEscapeFallback:
         for location in trajectory[1:]:
             server.update_position(query_id, location)
         assert validation_fallbacks() == 0
-        exact = FullNetworkRoadProcessor(network, objects, k=4)
+        exact = FullNetworkRoadProcessor(NetworkVoronoiDiagram(network, objects), k=4)
         exact.initialize(trajectory[0])
         exact.update(NetworkLocation(network.edge_count - 1, 1.0))
         assert validation_fallbacks() == 0  # the full network has no region to fall out of

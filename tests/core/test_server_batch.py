@@ -14,6 +14,7 @@ from repro.baselines import NaiveProcessor
 from repro.core.server import MovingKNNServer
 from repro.geometry.point import Point
 from repro.workloads.datasets import uniform_points
+from repro.index.vortree import VoRTree
 
 
 def brute_knn(tree, query, k):
@@ -86,7 +87,7 @@ class TestBatchAnswers:
         over the current population."""
         k = 5
         server = MovingKNNServer(dataset, allow_incremental=False)
-        naive = NaiveProcessor(list(dataset), k)
+        naive = NaiveProcessor(VoRTree(list(dataset)), k)
         position = Point(200.0, 200.0)
         query_id = server.register_query(position, k=k)
         naive.initialize(position)

@@ -21,7 +21,7 @@ from repro.geometry.point import Point
 from repro.roadnet.generators import grid_network, place_objects
 from repro.roadnet.shortest_path import distances_from_location
 from repro.simulation.server_sim import simulate_server
-from repro.simulation.simulator import check_knn_answer
+from repro.simulation.server_sim import check_knn_answer
 from repro.trajectory.euclidean import random_waypoint_trajectory
 from repro.trajectory.road import network_random_walk
 from repro.workloads.datasets import data_space, uniform_points

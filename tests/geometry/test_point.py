@@ -25,7 +25,6 @@ class TestPointBasics:
     def test_iteration_and_tuple(self):
         x, y = Point(3.0, 4.0)
         assert (x, y) == (3.0, 4.0)
-        assert Point(3.0, 4.0).as_tuple() == (3.0, 4.0)
 
     def test_ordering_is_lexicographic(self):
         assert Point(1.0, 5.0) < Point(2.0, 0.0)
@@ -55,9 +54,6 @@ class TestDistances:
 
 
 class TestTransformations:
-    def test_translated(self):
-        assert Point(1, 2).translated(3, -1) == Point(4, 1)
-
     def test_scaled_about_origin(self):
         assert Point(2, 4).scaled(0.5) == Point(1, 2)
 

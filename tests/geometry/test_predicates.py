@@ -10,17 +10,14 @@ from repro.geometry.predicates import (
     circumcircle,
     collinear,
     in_circumcircle,
-    is_counter_clockwise,
     orientation,
     point_in_circumcircle,
-    segment_intersection_parameter,
 )
 
 
 class TestOrientation:
     def test_counter_clockwise(self):
         assert orientation(Point(0, 0), Point(1, 0), Point(0, 1)) == 1
-        assert is_counter_clockwise(Point(0, 0), Point(1, 0), Point(0, 1))
 
     def test_clockwise(self):
         assert orientation(Point(0, 0), Point(0, 1), Point(1, 0)) == -1
@@ -59,25 +56,3 @@ class TestCircumcircle:
     def test_collinear_circumcenter_raises(self):
         with pytest.raises(ZeroDivisionError):
             circumcenter(Point(0, 0), Point(1, 1), Point(2, 2))
-
-
-class TestSegmentIntersection:
-    def test_crossing_segments(self):
-        hit, t = segment_intersection_parameter(
-            Point(0, 0), Point(2, 2), Point(0, 2), Point(2, 0)
-        )
-        assert hit
-        assert t == pytest.approx(0.5)
-
-    def test_parallel_lines(self):
-        hit, _ = segment_intersection_parameter(
-            Point(0, 0), Point(1, 0), Point(0, 1), Point(1, 1)
-        )
-        assert not hit
-
-    def test_intersection_beyond_segment(self):
-        hit, t = segment_intersection_parameter(
-            Point(0, 0), Point(1, 0), Point(5, -1), Point(5, 1)
-        )
-        assert hit
-        assert t == pytest.approx(5.0)

@@ -6,12 +6,7 @@ import pytest
 
 from repro.errors import GeometryError
 from repro.geometry.point import Point
-from repro.geometry.primitives import (
-    BoundingBox,
-    Circle,
-    Segment,
-    segments_to_polyline,
-)
+from repro.geometry.primitives import BoundingBox, Circle, Segment
 
 
 class TestSegment:
@@ -51,11 +46,6 @@ class TestCircle:
         assert circle.contains(Point(3, 4))
         assert circle.contains(Point(0, 0))
         assert not circle.contains(Point(4, 4))
-
-    def test_contains_strictly(self):
-        circle = Circle(Point(0, 0), 5.0)
-        assert not circle.contains_strictly(Point(3, 4))
-        assert circle.contains_strictly(Point(1, 1))
 
     def test_intersects(self):
         assert Circle(Point(0, 0), 2.0).intersects(Circle(Point(3, 0), 1.5))
@@ -107,33 +97,3 @@ class TestBoundingBox:
     def test_sample_grid_invalid(self):
         with pytest.raises(GeometryError):
             list(BoundingBox(0, 0, 1, 1).sample_grid(0, 2))
-
-
-class TestSegmentsToPolyline:
-    def test_chains_segments(self):
-        segments = [
-            Segment(Point(0, 0), Point(1, 0)),
-            Segment(Point(1, 0), Point(1, 1)),
-            Segment(Point(1, 1), Point(0, 1)),
-        ]
-        polyline = segments_to_polyline(segments)
-        assert polyline == [Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)]
-
-    def test_accepts_reversed_segments(self):
-        segments = [
-            Segment(Point(0, 0), Point(1, 0)),
-            Segment(Point(1, 1), Point(1, 0)),
-        ]
-        polyline = segments_to_polyline(segments)
-        assert polyline[-1] == Point(1, 1)
-
-    def test_disconnected_raises(self):
-        segments = [
-            Segment(Point(0, 0), Point(1, 0)),
-            Segment(Point(5, 5), Point(6, 5)),
-        ]
-        with pytest.raises(GeometryError):
-            segments_to_polyline(segments)
-
-    def test_empty_input(self):
-        assert segments_to_polyline([]) == []

@@ -117,7 +117,7 @@ class TestTheServingPathReadsTheKernel:
     @pytest.mark.parametrize("seed", [3, 17])
     def test_held_distances(self, seed):
         tree = _churned_tree(seed)
-        processor = INSProcessor(tree.points, k=6, vortree=tree)
+        processor = INSProcessor(tree, k=6)
         positions = _positions(seed + 1, 40)
         processor.initialize(positions[0])
         for position in positions[1:]:
@@ -143,7 +143,7 @@ class TestTheServingPathReadsTheKernel:
 
     def test_plane_baseline_distances(self):
         points = uniform_points(300, seed=9)
-        processor = NaiveProcessor(points, k=4)
+        processor = NaiveProcessor(VoRTree(points), k=4)
         rng = random.Random(10)
         for position in _positions(10, 20):
             indexes = rng.sample(range(len(points)), 25)

@@ -1,19 +1,19 @@
 """End-to-end correctness of every Euclidean method on full simulations.
 
-Every processor is driven along shared trajectories and every single
-reported answer is cross-checked against a brute-force oracle.  These are
+Every method is one query on one serving engine, driven along a shared
+trajectory, and every single reported answer is cross-checked against a
+brute-force oracle.  These are
 the tests that establish the headline claim of the reproduction: INS answers
 MkNN queries exactly, while recomputing far less often than the baselines
 that must recompute every timestamp.
 """
 
 import pytest
+from method_comparison import compare
 
-from repro.baselines import OrderKSafeRegionProcessor
-from repro.core.ins_euclidean import INSProcessor
-from repro.simulation.experiment import compare
-from repro.simulation.simulator import simulate
+from repro.core.server import MovingKNNServer
 from repro.simulation.report import format_table
+from repro.simulation.server_sim import run_methods
 from repro.workloads.scenarios import (
     EuclideanScenario,
     default_euclidean_scenario,
@@ -29,19 +29,19 @@ def uniform_result():
     scenario = default_euclidean_scenario(
         object_count=400, k=5, rho=1.6, steps=120, step_length=30.0, seed=300
     )
-    return scenario, compare(scenario, check_correctness=True)
+    return scenario, compare(scenario)
 
 
 class TestAllMethodsCorrect:
     def test_every_method_answers_exactly(self, uniform_result):
         _, runs = uniform_result
         for name, run in runs.items():
-            assert run.is_correct, f"{name} produced a wrong answer"
+            assert run["correct"], f"{name} produced a wrong answer"
 
     def test_fig4_scenario_all_methods_correct(self):
         scenario = fig4_scenario()
-        runs = compare(scenario, check_correctness=True)
-        assert all(run.is_correct for run in runs.values())
+        runs = compare(scenario)
+        assert all(run["correct"] for run in runs.values())
 
     def test_clustered_data_all_methods_correct(self):
         points = clustered_points(400, clusters=6, extent=2_000.0, seed=301)
@@ -54,8 +54,8 @@ class TestAllMethodsCorrect:
             rho=1.6,
             step_length=50.0,
         )
-        runs = compare(scenario, check_correctness=True)
-        assert all(run.is_correct for run in runs.values())
+        runs = compare(scenario)
+        assert all(run["correct"] for run in runs.values())
 
     def test_linear_and_circular_trajectories(self):
         points = uniform_points(350, extent=1_000.0, seed=303)
@@ -71,8 +71,8 @@ class TestAllMethodsCorrect:
                 rho=1.6,
                 step_length=trajectory[0].distance_to(trajectory[1]),
             )
-            runs = compare(scenario, check_correctness=True)
-            assert all(run.is_correct for run in runs.values()), name
+            runs = compare(scenario)
+            assert all(run["correct"] for run in runs.values()), name
 
 
 class TestExpectedCostRelationships:
@@ -80,11 +80,11 @@ class TestExpectedCostRelationships:
 
     def test_naive_recomputes_most(self, uniform_result):
         scenario, runs = uniform_result
-        naive = runs["Naive"].stats
-        assert naive.full_recomputations == scenario.timestamps
+        naive = runs["Naive"]["full_recomputations"]
+        assert naive == scenario.timestamps
         for name, run in runs.items():
             if name != "Naive":
-                assert run.stats.full_recomputations < naive.full_recomputations
+                assert run["full_recomputations"] < naive
 
     def test_ins_matches_or_beats_strict_safe_region_on_communication_events(
         self, uniform_result
@@ -93,27 +93,27 @@ class TestExpectedCostRelationships:
         round trips cannot exceed the strict safe-region baseline's by more
         than the prefetch effect allows — in practice they are fewer."""
         _, runs = uniform_result
-        ins = runs["INS"].stats
-        strict = runs["OrderK-SR"].stats
-        assert ins.full_recomputations <= strict.full_recomputations
+        ins = runs["INS"]
+        strict = runs["OrderK-SR"]
+        assert ins["full_recomputations"] <= strict["full_recomputations"]
 
     def test_vstar_recomputes_at_least_as_often_as_ins(self, uniform_result):
         _, runs = uniform_result
-        ins = runs["INS"].stats
-        vstar = runs["V*"].stats
-        assert vstar.full_recomputations >= ins.full_recomputations
+        ins = runs["INS"]
+        vstar = runs["V*"]
+        assert vstar["full_recomputations"] >= ins["full_recomputations"]
 
     def test_ins_validation_work_is_modest(self, uniform_result):
         """Per-timestamp client work of INS is a handful of distance
         computations (linear in the held set), far below recomputing kNN."""
         scenario, runs = uniform_result
-        ins = runs["INS"].stats
-        per_timestamp = ins.distance_computations / scenario.timestamps
+        ins = runs["INS"]
+        per_timestamp = ins["distance_computations"] / scenario.timestamps
         assert per_timestamp < 10 * scenario.k
 
     def test_report_table_renders(self, uniform_result):
         _, runs = uniform_result
-        table = format_table([run.as_dict() for run in runs.values()])
+        table = format_table(list(runs.values()), columns=("method", "full_recomputations"))
         assert "INS" in table and "Naive" in table
 
 
@@ -138,11 +138,15 @@ class TestSafeRegionMaximality:
         scenario = default_euclidean_scenario(
             object_count=object_count, k=k, rho=1.0, steps=120, step_length=30.0, seed=seed
         )
-        ins = simulate(INSProcessor(scenario.points, k, rho=1.0), scenario.trajectory)
-        strict = simulate(OrderKSafeRegionProcessor(scenario.points, k), scenario.trajectory)
-        assert ins.invalid_timestamps == strict.invalid_timestamps == invalid
+        runs = run_methods(
+            MovingKNNServer(scenario.points),
+            scenario.trajectory,
+            {"INS": ("knn", k, 1.0), "OrderK-SR": ("region", k, 1.0)},
+        )
+        ins, strict = runs["INS"], runs["OrderK-SR"]
+        assert ins["invalid_timestamps"] == strict["invalid_timestamps"] == invalid
         assert (
-            ins.stats.full_recomputations
-            == strict.stats.full_recomputations
+            ins["full_recomputations"]
+            == strict["full_recomputations"]
             == recomputations
         )

@@ -1,6 +1,7 @@
 """End-to-end correctness of every road-network method on full simulations."""
 
 import pytest
+from method_comparison import brute_force, compare
 from road_reference import FullNetworkRoadProcessor
 
 from repro.roadnet.generators import (
@@ -9,8 +10,8 @@ from repro.roadnet.generators import (
     random_planar_network,
     ring_radial_network,
 )
-from repro.simulation.experiment import compare, road_oracle
-from repro.simulation.simulator import simulate
+from repro.roadnet.network_voronoi import NetworkVoronoiDiagram
+from repro.simulation.server_sim import check_knn_answer
 from repro.trajectory.road import network_random_walk
 from repro.workloads.scenarios import RoadScenario, default_road_scenario
 
@@ -34,50 +35,54 @@ def grid_result():
     scenario = default_road_scenario(
         rows=10, columns=10, object_count=30, k=5, steps=120, step_length=30.0, seed=310
     )
-    return scenario, compare(scenario, check_correctness=True)
+    return scenario, compare(scenario)
 
 
 class TestAllMethodsCorrect:
     def test_grid_network_all_methods_correct(self, grid_result):
         _, runs = grid_result
         for name, run in runs.items():
-            assert run.is_correct, f"{name} produced a wrong answer"
+            assert run["correct"], f"{name} produced a wrong answer"
 
     def test_random_planar_network_all_methods_correct(self):
         network = random_planar_network(80, extent=1_000.0, seed=311)
         scenario = build_scenario(network, object_count=20, k=4, steps=80, step_length=25.0, seed=312)
-        runs = compare(scenario, check_correctness=True)
-        assert all(run.is_correct for run in runs.values())
+        runs = compare(scenario)
+        assert all(run["correct"] for run in runs.values())
 
     def test_ring_radial_network_all_methods_correct(self):
         network = ring_radial_network(4, 10, ring_spacing=80.0)
         scenario = build_scenario(network, object_count=15, k=3, steps=80, step_length=20.0, seed=313)
-        runs = compare(scenario, check_correctness=True)
-        assert all(run.is_correct for run in runs.values())
+        runs = compare(scenario)
+        assert all(run["correct"] for run in runs.values())
 
     def test_full_network_validation_also_correct(self):
         scenario = default_road_scenario(
             rows=8, columns=8, object_count=20, k=4, steps=80, step_length=25.0, seed=314
         )
         processor = FullNetworkRoadProcessor(
-            scenario.network, scenario.object_vertices, scenario.k, rho=scenario.rho
+            NetworkVoronoiDiagram(scenario.network, scenario.object_vertices),
+            scenario.k,
+            rho=scenario.rho,
         )
-        run = simulate(processor, scenario.trajectory, oracle=road_oracle(scenario))
-        assert not run.mismatches
+        trajectory = scenario.trajectory
+        answers = [processor.initialize(trajectory[0])]
+        answers += [processor.update(position) for position in trajectory[1:]]
+        for position, result in zip(trajectory, answers):
+            assert check_knn_answer(result.knn, brute_force(scenario, position), scenario.k)
 
 
 class TestExpectedCostRelationships:
     def test_naive_recomputes_every_timestamp(self, grid_result):
         scenario, runs = grid_result
-        naive = runs["Naive-road"].stats
-        assert naive.full_recomputations == scenario.timestamps
+        assert runs["Naive-road"]["full_recomputations"] == scenario.timestamps
 
     def test_ins_road_recomputes_least(self, grid_result):
         _, runs = grid_result
-        ins = runs["INS-road"].stats
+        ins = runs["INS-road"]
         for name, run in runs.items():
             if name != "INS-road":
-                assert ins.full_recomputations <= run.stats.full_recomputations
+                assert ins["full_recomputations"] <= run["full_recomputations"]
 
     def test_ins_road_communicates_least(self, grid_result):
         """The paper's motivation: minimising kNN recomputations minimises
@@ -85,8 +90,8 @@ class TestExpectedCostRelationships:
         naive method ships an answer every timestamp; INS only on the rare
         recomputations."""
         _, runs = grid_result
-        ins = runs["INS-road"].stats
-        naive = runs["Naive-road"].stats
-        vstar = runs["V*-road"].stats
-        assert ins.communication_events < naive.communication_events
-        assert ins.communication_events <= vstar.communication_events
+        ins, vstar, naive = (
+            runs[name]["communication_events"] for name in ("INS-road", "V*-road", "Naive-road")
+        )
+        assert ins < naive
+        assert ins <= vstar

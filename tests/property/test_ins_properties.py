@@ -13,6 +13,7 @@ from repro.core.ins_euclidean import INSProcessor
 from repro.geometry.order_k import knn_indexes
 from repro.geometry.point import Point
 from repro.workloads.datasets import uniform_points
+from repro.index.vortree import VoRTree
 
 coordinates = st.floats(min_value=0.0, max_value=1_000.0, allow_nan=False, allow_infinity=False)
 points_strategy = st.builds(Point, coordinates, coordinates)
@@ -66,7 +67,7 @@ class TestProcessorInvariants:
         trajectory = random_waypoint_trajectory(
             data_space(1_000.0), steps=30, step_length=40.0, seed=trajectory_seed
         )
-        processor = INSProcessor(points, k=k, rho=rho)
+        processor = INSProcessor(VoRTree(points), k=k, rho=rho)
         processor.initialize(trajectory[0])
         for position in trajectory[1:]:
             result = processor.update(position)
@@ -84,7 +85,7 @@ class TestProcessorInvariants:
     def test_guard_set_is_disjoint_and_knn_subset_of_r(self, count, seed, k):
         points = uniform_points(count, extent=1_000.0, seed=seed)
         assume(k < count)
-        processor = INSProcessor(points, k=k, rho=2.0)
+        processor = INSProcessor(VoRTree(points), k=k, rho=2.0)
         query = Point(500.0, 500.0)
         result = processor.initialize(query)
         assert not (result.guard_objects & result.knn_set)

@@ -3,9 +3,8 @@
 Covers the kind registry, the influential-sites and region processors
 against test-local brute force and the ``invalidation="flag"`` blanket
 contract, the per-kind communication accounting of the serving engine, and
-the delta-invalidation hooks of
-:class:`~repro.baselines.OrderKSafeRegionProcessor` and
-:class:`~repro.core.influential.InfluentialSetMonitor`.  The region's
+the delta-invalidation hooks of the region processor over a churning
+VoR-tree and of :class:`~repro.core.influential.InfluentialSetMonitor`.  The region's
 hand-worked answers are in ``test_region_known_answers.py``.
 """
 
@@ -15,7 +14,6 @@ import random
 
 import pytest
 
-from repro.baselines import OrderKSafeRegionProcessor
 from repro.core.influential import (
     InfluentialSetMonitor,
     influential_neighbor_set_from_points,
@@ -265,60 +263,54 @@ class TestPerKindAccounting:
         service.close()
 
 
-class TestOrderKSafeRegionHooks:
-    """Satellite: the standalone baseline honours the delta contract."""
+class TestOrderKRegionHooks:
+    """The region processor honours the delta contract on a churning tree."""
 
     @pytest.mark.parametrize("seed", [9, 21, 33])
     def test_delta_equals_flag_oracle_under_churn(self, seed):
         rng = random.Random(seed)
-        points = random_points(50, seed=seed + 100)
-        shadow = list(points)
-        delta = OrderKSafeRegionProcessor(points, k=3)
-        flag = OrderKSafeRegionProcessor(shadow, k=3)
+        tree = VoRTree(random_points(50, seed=seed + 100))
+        delta = OrderKRegionProcessor(tree, k=3)
+        flag = OrderKRegionProcessor(tree, k=3)
         position = Point(50, 50)
         delta.initialize(position)
         flag.initialize(position)
         for step, position in enumerate(random_walk(rng, position, 30)):
             if step % 3 == 1:
-                index = rng.randrange(len(points))
+                # A plane move: delete, and reinsert under a new index.
+                victim = rng.choice(tree.active_indexes())
                 moved = Point(rng.uniform(0, 100), rng.uniform(0, 100))
-                points[index] = moved
-                shadow[index] = moved
-                delta.notify_data_update(changed=(index,))
+                _, deleted, changed = tree.batch_update([moved], [victim])
+                delta.notify_data_update(changed, deleted)
                 flag.invalidate()
             if step % 10 == 7:
-                alive = [
-                    i
-                    for i in range(len(points))
-                    if i not in delta._removed and i not in delta._knn
-                ]
-                victim = rng.choice(alive)
-                delta.notify_data_update(removed=(victim,))
-                flag.notify_data_update(removed=(victim,))
+                victim = rng.choice([i for i in tree.active_indexes() if i not in delta._knn])
+                _, changed = tree.delete(victim)
+                delta.notify_data_update(changed, (victim,))
                 flag.invalidate()
             a = delta.update(position)
             b = flag.update(position)
-            assert set(a.knn) == set(b.knn)
-            assert a.knn_distances == pytest.approx(
-                tuple(sorted(b.knn_distances)), abs=1e-9
-            )
+            assert a.knn == b.knn
+            assert a.knn_distances == b.knn_distances
         assert delta.stats.absorbed_updates > 0
         assert delta.stats.full_recomputations <= flag.stats.full_recomputations
 
     def test_member_removal_forces_recompute(self):
-        points = random_points(30, seed=4)
-        processor = OrderKSafeRegionProcessor(points, k=3)
+        tree = VoRTree(random_points(30, seed=4))
+        processor = OrderKRegionProcessor(tree, k=3)
         result = processor.initialize(Point(50, 50))
         member = result.knn[0]
-        processor.notify_data_update(removed=(member,))
+        _, changed = tree.delete(member)
+        processor.notify_data_update(changed, (member,))
         refreshed = processor.update(Point(50, 50))
         assert member not in refreshed.knn
         assert not refreshed.was_valid
 
     def test_population_guard_survives_removals(self):
-        points = random_points(5, seed=6)
-        processor = OrderKSafeRegionProcessor(points, k=3)
+        tree = VoRTree(random_points(5, seed=6))
+        processor = OrderKRegionProcessor(tree, k=3)
         processor.initialize(Point(50, 50))
+        tree.batch_update(deletes=(0, 1))
         processor.notify_data_update(removed=(0, 1))
         with pytest.raises(QueryError):
             processor.update(Point(51, 51))

@@ -1,10 +1,9 @@
-"""Known-answer tests for the order-k safe region, on both of its bindings.
+"""Known-answer tests for the order-k safe region.
 
 The region query kind (:class:`~repro.queries.OrderKRegionProcessor`, over
-the live VoR-tree) and the E7 baseline
-(:class:`~repro.baselines.OrderKSafeRegionProcessor`, over a VoR-tree of its
-own) run one policy.  Every value below is worked out by hand, so the policy is
-checked against independent answers, not only against its own past output.
+the live VoR-tree) is also the E7 baseline.  Every value below is worked out
+by hand, so the processor is checked against independent answers, not only
+against its own past output.
 
 Two layouts, each walked along ``y = 3``:
 
@@ -29,7 +28,6 @@ whose bisector with a member bounds the cell along an edge.
 
 import pytest
 
-from repro.baselines import OrderKSafeRegionProcessor
 from repro.core.objects import UpdateAction
 from repro.geometry.point import Point
 from repro.index.vortree import VoRTree
@@ -38,10 +36,9 @@ from repro.queries import OrderKRegionProcessor, RegionResult
 SQUARE = [Point(0.0, 0.0), Point(10.0, 0.0), Point(0.0, 10.0), Point(10.0, 10.0), Point(30.0, 5.0)]
 COLLINEAR = [Point(0.0, 0.0), Point(4.0, 0.0), Point(10.0, 0.0), Point(16.0, 0.0)]
 
-BINDINGS = {
-    "kind": lambda points, k: OrderKRegionProcessor(VoRTree(points), k),
-    "baseline": lambda points, k: OrderKSafeRegionProcessor(list(points), k),
-}
+def region(points, k):
+    return OrderKRegionProcessor(VoRTree(points), k)
+
 
 #: One walk step: x (on y = 3), the members nearest first, the MIS, the
 #: region event with the departed members, and the cell's vertices.
@@ -114,10 +111,10 @@ WALKS = {
 }
 
 
-def walked(binding, walk):
-    """Drive one binding along one walk: ``(step, result, vertices)`` rows."""
+def walked(walk):
+    """Drive the processor along one walk: ``(step, result, vertices)`` rows."""
     points, k, steps = WALKS[walk]
-    processor = BINDINGS[binding](points, k)
+    processor = region(points, k)
     rows = []
     for number, step in enumerate(steps):
         position = Point(float(step[0]), 3.0)
@@ -131,24 +128,23 @@ def walked(binding, walk):
 
 
 @pytest.mark.parametrize("walk", WALKS)
-@pytest.mark.parametrize("binding", BINDINGS)
 class TestWalks:
-    """The same table through both bindings."""
+    """The table, step by step."""
 
-    def test_members_nearest_first(self, binding, walk):
-        for (x, members, *_), result, _ in walked(binding, walk):
+    def test_members_nearest_first(self, walk):
+        for (x, members, *_), result, _ in walked(walk):
             assert result.knn == members, x
 
-    def test_guard_objects_are_the_mis(self, binding, walk):
-        for (x, _, mis, *_), result, _ in walked(binding, walk):
+    def test_guard_objects_are_the_mis(self, walk):
+        for (x, _, mis, *_), result, _ in walked(walk):
             assert result.guard_objects == frozenset(mis), x
 
-    def test_cell_vertices(self, binding, walk):
-        for (x, *_, expected), _, vertices in walked(binding, walk):
+    def test_cell_vertices(self, walk):
+        for (x, *_, expected), _, vertices in walked(walk):
             assert vertices == [pytest.approx(vertex, abs=1e-9) for vertex in expected], x
 
-    def test_a_stay_is_validated_and_an_entry_recomputed(self, binding, walk):
-        for (x, _, _, event, _, _), result, _ in walked(binding, walk)[1:]:
+    def test_a_stay_is_validated_and_an_entry_recomputed(self, walk):
+        for (x, _, _, event, _, _), result, _ in walked(walk)[1:]:
             stayed = event == "stay"
             assert result.was_valid is stayed, x
             assert result.action is (UpdateAction.NONE if stayed else UpdateAction.FULL_RECOMPUTE)
@@ -156,7 +152,7 @@ class TestWalks:
 
 @pytest.mark.parametrize("walk", WALKS)
 def test_the_kind_reports_entries_and_departures(walk):
-    for (x, _, _, event, departed, _), result, _ in walked("kind", walk):
+    for (x, _, _, event, departed, _), result, _ in walked(walk):
         assert isinstance(result, RegionResult)
         assert (result.event, result.departed) == (event, departed), x
 
@@ -166,12 +162,12 @@ class TestKnownDistances:
 
     def test_square_corner_to_the_first_step(self):
         # From (2, 3): object 0 is sqrt(13) away, object 2 sqrt(53).
-        (_, first, _), *_ = walked("baseline", "square-k2")
+        (_, first, _), *_ = walked("square-k2")
         assert first.knn_distances == pytest.approx((13**0.5, 53**0.5))
 
     def test_collinear_distances_are_exact(self):
         # From (4, 3): object 1 is 3 away, object 0 is 5 — exact floats.
-        _, (_, second, _), *_ = walked("kind", "collinear-k2")
+        _, (_, second, _), *_ = walked("collinear-k2")
         assert second.knn_distances == (3.0, 5.0)
 
 
@@ -195,33 +191,8 @@ class TestChangedMembers:
         assert processor.stats.absorbed_updates == 1
         assert processor.stats.full_recomputations == 1
 
-    def test_baseline_recomputes_a_member_moved_in_place(self):
-        points = list(SQUARE)
-        processor = OrderKSafeRegionProcessor(points, 1)
-        processor.initialize(Point(2.0, 3.0))
-        # Object 0 leaves for (50, 30); from (2, 3) object 2 (sqrt(53)) now
-        # beats object 1 (sqrt(73)).
-        points[0] = Point(50.0, 30.0)
-        processor.notify_data_update(changed=(0,))
-        result = processor.update(Point(2.0, 3.0))
-        assert result.knn == (2,)
-        assert result.action is UpdateAction.FULL_RECOMPUTE
-        assert processor.stats.full_recomputations == 2
-        assert processor.stats.absorbed_updates == 0
-
-    def test_baseline_absorbs_a_member_named_but_not_moved(self):
-        processor = OrderKSafeRegionProcessor(list(SQUARE), 1)
-        processor.initialize(Point(2.0, 3.0))
-        processor.notify_data_update(changed=(0,))
-        result = processor.update(Point(2.0, 3.0))
-        assert result.knn == (0,)
-        assert result.was_valid
-        assert processor.stats.absorbed_updates == 1
-        assert processor.stats.full_recomputations == 1
-
-    @pytest.mark.parametrize("binding", BINDINGS)
-    def test_initialize_never_counts_an_absorption(self, binding):
-        processor = BINDINGS[binding](SQUARE, 1)
+    def test_initialize_never_counts_an_absorption(self):
+        processor = region(SQUARE, 1)
         processor.initialize(Point(2.0, 3.0))
         processor.notify_data_update(changed=(4,))
         processor.initialize(Point(12.0, 3.0))
@@ -271,35 +242,33 @@ STACKED_WALKS = {
 
 
 @pytest.mark.parametrize("k", STACKED_WALKS)
-@pytest.mark.parametrize("binding", BINDINGS)
 class TestCoincidentObjects:
-    """Coincident objects straddling the member set, through both bindings."""
+    """Coincident objects straddling the member set."""
 
-    def walk(self, binding, k):
-        processor = BINDINGS[binding](STACKED, k)
+    def walk(self, k):
+        processor = region(STACKED, k)
         for number, (xy, members, mis, departed, cell) in enumerate(STACKED_WALKS[k]):
             position = Point(*xy)
             result = processor.update(position) if number else processor.initialize(position)
             vertices = sorted((v.x, v.y) for v in processor.safe_region.polygon.vertices)
             yield result, members, mis, departed, cell, vertices
 
-    def test_members_mis_and_cell(self, binding, k):
-        for result, members, mis, _, cell, vertices in self.walk(binding, k):
+    def test_members_mis_and_cell(self, k):
+        for result, members, mis, _, cell, vertices in self.walk(k):
             assert result.knn == members
             assert result.guard_objects == frozenset(mis)
             assert vertices == [pytest.approx(vertex, abs=1e-9) for vertex in cell]
 
-    def test_a_twin_left_behind_departs(self, binding, k):
-        for result, _, _, departed, _, _ in list(self.walk(binding, k))[1:]:
+    def test_a_twin_left_behind_departs(self, k):
+        for result, _, _, departed, _, _ in list(self.walk(k))[1:]:
             assert result.was_valid is not departed
-            if binding == "kind":
-                assert result.departed == departed
+            assert result.departed == departed
 
-    def test_distances(self, binding, k):
+    def test_distances(self, k):
         # From (0.5, 0.2) every (1, 1) object is sqrt(0.89) away and object 3
         # sqrt(20.89); from (4, 0.2) object 3 is sqrt(1.64) and the (1, 1)
         # objects sqrt(9.64).
-        first, *_, last = (result for result, *_ in self.walk(binding, k))
+        first, *_, last = (result for result, *_ in self.walk(k))
         stacked = min(k, 3)
         assert first.knn_distances == pytest.approx(
             (0.89**0.5,) * stacked + (20.89**0.5,) * (k - stacked)

@@ -35,9 +35,7 @@ class FullNetworkRoadServer(MovingRoadKNNServer):
     processor = FullNetworkRoadProcessor
 
     def _build_processor(self, kind, k, rho):
-        return self.processor(
-            self._network, self._voronoi.vertex_assignments, k, rho=rho, voronoi=self._voronoi
-        )
+        return self.processor(self._voronoi, k, rho=rho)
 
 
 VALIDATIONS = {"restricted": INSRoadProcessor, "exact": FullNetworkRoadProcessor}

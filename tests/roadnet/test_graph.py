@@ -141,14 +141,6 @@ class TestTopology:
         isolated = network.add_vertex(Point(50, 50))
         assert network.find_edge(a, isolated) is None
 
-    def test_edge_other_endpoint(self):
-        network, (a, b, _) = triangle_network()
-        edge = network.find_edge(a, b)
-        assert edge.other_endpoint(a) == b
-        assert edge.other_endpoint(b) == a
-        with pytest.raises(RoadNetworkError):
-            edge.other_endpoint(1234)
-
     def test_connectivity(self):
         network, (a, _, _) = triangle_network()
         assert network.is_connected()

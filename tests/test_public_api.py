@@ -20,6 +20,7 @@ import repro.simulation
 import repro.trajectory
 import repro.transport
 import repro.workloads
+from repro.index.vortree import VoRTree
 
 
 class TestPublicApi:
@@ -81,7 +82,7 @@ class TestPublicApi:
     @pytest.mark.parametrize(
         "home, names",
         [
-            (repro.simulation, ("simulate", "simulate_server")),
+            (repro.simulation, ("run_methods", "simulate_server")),
             (
                 repro.workloads,
                 (
@@ -109,7 +110,6 @@ class TestPublicApi:
                 (
                     "NaiveProcessor",
                     "NaiveRoadProcessor",
-                    "OrderKSafeRegionProcessor",
                     "VStarProcessor",
                     "VStarRoadProcessor",
                 ),
@@ -200,16 +200,26 @@ class TestPublicApi:
 
     def test_processor_layer_still_works_directly(self):
         """The pre-service surface stays importable and functional."""
-        from repro import INSProcessor, uniform_points, random_waypoint_trajectory
+        from repro import (
+            INSProcessor,
+            MovingKNNServer,
+            random_waypoint_trajectory,
+            run_methods,
+            uniform_points,
+        )
         from repro.workloads.datasets import data_space
-        from repro.simulation import simulate
 
         points = uniform_points(100, seed=1)
         trajectory = random_waypoint_trajectory(data_space(), steps=20, step_length=50.0)
-        processor = INSProcessor(points, k=5, rho=1.6)
-        run = simulate(processor, trajectory)
-        assert run.timestamps == 21
-        assert run.stats.full_recomputations >= 1
+        processor = INSProcessor(VoRTree(points), k=5, rho=1.6)
+        processor.initialize(trajectory[0])
+        for position in trajectory[1:]:
+            processor.update(position)
+        assert processor.stats.timestamps == 21
+        assert processor.stats.full_recomputations >= 1
+        run = run_methods(MovingKNNServer(points), trajectory, {"INS": ("knn", 5, 1.6)})["INS"]
+        assert len(run["answers"]) == 21
+        assert run["full_recomputations"] == processor.stats.full_recomputations
 
     def test_no_front_door_takes_an_rtree_capacity(self):
         """The VoR-tree keeps no R-tree, so ``max_entries`` went everywhere."""
@@ -223,14 +233,15 @@ class TestPublicApi:
             assert "max_entries" not in inspect.signature(entry).parameters, entry
 
     def test_the_baselines_take_no_index_knobs(self):
-        """A baseline builds its own VoR-tree over the data, clipped (order-k)
-        to the box around it; the k-d tree, the grid and the R-tree went."""
+        """A baseline is handed the live VoR-tree, clipped (order-k) to the
+        box around it; the k-d tree, the grid and the R-tree went."""
         for baseline in (
             repro.NaiveProcessor,
             repro.VStarProcessor,
-            repro.OrderKSafeRegionProcessor,
+            repro.OrderKRegionProcessor,
         ):
             parameters = inspect.signature(baseline).parameters
+            assert list(parameters)[:2] == ["vortree", "k"]
             assert not {"rtree", "tree", "bounding_box"} & set(parameters)
         assert not {"KDTree", "GridIndex", "RTree", "RTreeEntry"} & set(repro.__all__)
         assert not {"RTree", "RTreeEntry"} & set(repro.index.__all__)

@@ -10,12 +10,14 @@ from repro.roadnet.location import NetworkLocation
 from repro.viz.ascii_network import render_network_state
 from repro.viz.ascii_plane import render_plane_state
 from repro.workloads.datasets import uniform_points
+from repro.index.vortree import VoRTree
+from repro.roadnet.network_voronoi import NetworkVoronoiDiagram
 
 
 class TestPlaneRenderer:
     def test_contains_expected_glyphs(self):
         points = uniform_points(40, extent=100.0, seed=260)
-        processor = INSProcessor(points, k=3, rho=1.6)
+        processor = INSProcessor(VoRTree(points), k=3, rho=1.6)
         query = Point(50.0, 50.0)
         result = processor.initialize(query)
         rendering = render_plane_state(points, query, result.knn, result.guard_objects)
@@ -45,7 +47,7 @@ class TestNetworkRenderer:
     def test_contains_expected_glyphs(self):
         network = grid_network(5, 5, spacing=10.0)
         objects = place_objects(network, 8, seed=262)
-        processor = INSRoadProcessor(network, objects, k=3, rho=1.6)
+        processor = INSRoadProcessor(NetworkVoronoiDiagram(network, objects), k=3, rho=1.6)
         edge = network.edges()[7]
         location = NetworkLocation(edge.edge_id, edge.length / 2.0)
         result = processor.initialize(location)
