@@ -26,12 +26,16 @@ def brute_force(scenario, position):
     return {i: position.distance_to(p) for i, p in enumerate(scenario.points)}
 
 
+def engine_for(scenario):
+    """A serving engine over the scenario's data, on its metric."""
+    if isinstance(scenario, RoadScenario):
+        return MovingRoadKNNServer(scenario.network, scenario.object_vertices)
+    return MovingKNNServer(scenario.points)
+
+
 def compare(scenario):
     """One row per method of the scenario's metric, in report order."""
-    if isinstance(scenario, RoadScenario):
-        engine = MovingRoadKNNServer(scenario.network, scenario.object_vertices)
-    else:
-        engine = MovingKNNServer(scenario.points)
+    engine = engine_for(scenario)
     methods = {
         name: (kind, scenario.k, scenario.rho)
         for name, kind in METHOD_KINDS[engine.metric].items()

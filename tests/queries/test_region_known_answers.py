@@ -1,9 +1,11 @@
-"""Known-answer tests for the order-k safe region.
+"""Known-answer tests for the order-k safe region, on both of its bindings.
 
 The region query kind (:class:`~repro.queries.OrderKRegionProcessor`, over
-the live VoR-tree) is also the E7 baseline.  Every value below is worked out
-by hand, so the processor is checked against independent answers, not only
-against its own past output.
+the live VoR-tree) is also the E7 baseline.  It runs here as a bare
+processor (``"kind"``) and as a ``kind="region"`` session on a serving
+engine (``"served"``), the way the paper's sweep runs it.  Every value below
+is worked out by hand, so the processor is checked against independent
+answers, not only against its own past output.
 
 Two layouts, each walked along ``y = 3``:
 
@@ -29,6 +31,7 @@ whose bisector with a member bounds the cell along an edge.
 import pytest
 
 from repro.core.objects import UpdateAction
+from repro.core.server import MovingKNNServer
 from repro.geometry.point import Point
 from repro.index.vortree import VoRTree
 from repro.queries import OrderKRegionProcessor, RegionResult
@@ -36,8 +39,33 @@ from repro.queries import OrderKRegionProcessor, RegionResult
 SQUARE = [Point(0.0, 0.0), Point(10.0, 0.0), Point(0.0, 10.0), Point(10.0, 10.0), Point(30.0, 5.0)]
 COLLINEAR = [Point(0.0, 0.0), Point(4.0, 0.0), Point(10.0, 0.0), Point(16.0, 0.0)]
 
+
 def region(points, k):
     return OrderKRegionProcessor(VoRTree(points), k)
+
+
+class Served:
+    """A ``kind="region"`` session on a serving engine over ``points``."""
+
+    def __init__(self, points, k):
+        self.engine = MovingKNNServer(points)
+        self.k = k
+        self.query_id = None
+
+    def initialize(self, position):
+        self.query_id = self.engine.register_query(position, self.k, kind="region")
+        (self.record,) = self.engine
+        return self.record.first_answer
+
+    def update(self, position):
+        return self.engine.update_position(self.query_id, position)
+
+    @property
+    def safe_region(self):
+        return self.record.processor.safe_region
+
+
+BINDINGS = {"kind": region, "served": Served}
 
 
 #: One walk step: x (on y = 3), the members nearest first, the MIS, the
@@ -111,10 +139,10 @@ WALKS = {
 }
 
 
-def walked(walk):
-    """Drive the processor along one walk: ``(step, result, vertices)`` rows."""
+def walked(binding, walk):
+    """Drive one binding along one walk: ``(step, result, vertices)`` rows."""
     points, k, steps = WALKS[walk]
-    processor = region(points, k)
+    processor = BINDINGS[binding](points, k)
     rows = []
     for number, step in enumerate(steps):
         position = Point(float(step[0]), 3.0)
@@ -128,31 +156,33 @@ def walked(walk):
 
 
 @pytest.mark.parametrize("walk", WALKS)
+@pytest.mark.parametrize("binding", BINDINGS)
 class TestWalks:
-    """The table, step by step."""
+    """The table, step by step, through both bindings."""
 
-    def test_members_nearest_first(self, walk):
-        for (x, members, *_), result, _ in walked(walk):
+    def test_members_nearest_first(self, binding, walk):
+        for (x, members, *_), result, _ in walked(binding, walk):
             assert result.knn == members, x
 
-    def test_guard_objects_are_the_mis(self, walk):
-        for (x, _, mis, *_), result, _ in walked(walk):
+    def test_guard_objects_are_the_mis(self, binding, walk):
+        for (x, _, mis, *_), result, _ in walked(binding, walk):
             assert result.guard_objects == frozenset(mis), x
 
-    def test_cell_vertices(self, walk):
-        for (x, *_, expected), _, vertices in walked(walk):
+    def test_cell_vertices(self, binding, walk):
+        for (x, *_, expected), _, vertices in walked(binding, walk):
             assert vertices == [pytest.approx(vertex, abs=1e-9) for vertex in expected], x
 
-    def test_a_stay_is_validated_and_an_entry_recomputed(self, walk):
-        for (x, _, _, event, _, _), result, _ in walked(walk)[1:]:
+    def test_a_stay_is_validated_and_an_entry_recomputed(self, binding, walk):
+        for (x, _, _, event, _, _), result, _ in walked(binding, walk)[1:]:
             stayed = event == "stay"
             assert result.was_valid is stayed, x
             assert result.action is (UpdateAction.NONE if stayed else UpdateAction.FULL_RECOMPUTE)
 
 
 @pytest.mark.parametrize("walk", WALKS)
-def test_the_kind_reports_entries_and_departures(walk):
-    for (x, _, _, event, departed, _), result, _ in walked(walk):
+@pytest.mark.parametrize("binding", BINDINGS)
+def test_the_kind_reports_entries_and_departures(binding, walk):
+    for (x, _, _, event, departed, _), result, _ in walked(binding, walk):
         assert isinstance(result, RegionResult)
         assert (result.event, result.departed) == (event, departed), x
 
@@ -162,12 +192,12 @@ class TestKnownDistances:
 
     def test_square_corner_to_the_first_step(self):
         # From (2, 3): object 0 is sqrt(13) away, object 2 sqrt(53).
-        (_, first, _), *_ = walked("square-k2")
+        (_, first, _), *_ = walked("served", "square-k2")
         assert first.knn_distances == pytest.approx((13**0.5, 53**0.5))
 
     def test_collinear_distances_are_exact(self):
         # From (4, 3): object 1 is 3 away, object 0 is 5 — exact floats.
-        _, (_, second, _), *_ = walked("collinear-k2")
+        _, (_, second, _), *_ = walked("kind", "collinear-k2")
         assert second.knn_distances == (3.0, 5.0)
 
 
@@ -190,6 +220,18 @@ class TestChangedMembers:
         assert result.was_valid
         assert processor.stats.absorbed_updates == 1
         assert processor.stats.full_recomputations == 1
+
+    def test_served_absorbs_a_neighbour_list_change(self):
+        # The same insert made through the engine: its repair delta names
+        # member 0, and the session validates its held cell, not recompute.
+        served = Served(SQUARE, 1)
+        served.initialize(Point(2.0, 3.0))
+        served.engine.insert_object(Point(-200.0, 0.0))
+        result = served.update(Point(2.0, 3.0))
+        assert result.knn == (0,)
+        assert result.was_valid
+        assert served.record.processor.stats.absorbed_updates == 1
+        assert served.record.processor.stats.full_recomputations == 1
 
     def test_initialize_never_counts_an_absorption(self):
         processor = region(SQUARE, 1)
@@ -242,33 +284,34 @@ STACKED_WALKS = {
 
 
 @pytest.mark.parametrize("k", STACKED_WALKS)
+@pytest.mark.parametrize("binding", BINDINGS)
 class TestCoincidentObjects:
-    """Coincident objects straddling the member set."""
+    """Coincident objects straddling the member set, through both bindings."""
 
-    def walk(self, k):
-        processor = region(STACKED, k)
+    def walk(self, binding, k):
+        processor = BINDINGS[binding](STACKED, k)
         for number, (xy, members, mis, departed, cell) in enumerate(STACKED_WALKS[k]):
             position = Point(*xy)
             result = processor.update(position) if number else processor.initialize(position)
             vertices = sorted((v.x, v.y) for v in processor.safe_region.polygon.vertices)
             yield result, members, mis, departed, cell, vertices
 
-    def test_members_mis_and_cell(self, k):
-        for result, members, mis, _, cell, vertices in self.walk(k):
+    def test_members_mis_and_cell(self, binding, k):
+        for result, members, mis, _, cell, vertices in self.walk(binding, k):
             assert result.knn == members
             assert result.guard_objects == frozenset(mis)
             assert vertices == [pytest.approx(vertex, abs=1e-9) for vertex in cell]
 
-    def test_a_twin_left_behind_departs(self, k):
-        for result, _, _, departed, _, _ in list(self.walk(k))[1:]:
+    def test_a_twin_left_behind_departs(self, binding, k):
+        for result, _, _, departed, _, _ in list(self.walk(binding, k))[1:]:
             assert result.was_valid is not departed
             assert result.departed == departed
 
-    def test_distances(self, k):
+    def test_distances(self, binding, k):
         # From (0.5, 0.2) every (1, 1) object is sqrt(0.89) away and object 3
         # sqrt(20.89); from (4, 0.2) object 3 is sqrt(1.64) and the (1, 1)
         # objects sqrt(9.64).
-        first, *_, last = (result for result, *_ in self.walk(k))
+        first, *_, last = (result for result, *_ in self.walk(binding, k))
         stacked = min(k, 3)
         assert first.knn_distances == pytest.approx(
             (0.89**0.5,) * stacked + (20.89**0.5,) * (k - stacked)

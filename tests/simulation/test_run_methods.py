@@ -6,15 +6,21 @@ import subprocess
 import sys
 
 import pytest
-from method_comparison import compare
+from method_comparison import brute_force, compare, engine_for
 
-from repro.baselines import METHOD_KINDS, baseline_kinds
+from repro.baselines import (
+    METHOD_KINDS,
+    BaselineKind,
+    NaiveProcessor,
+    NaiveRoadProcessor,
+    baseline_kinds,
+)
 from repro.core.road_server import MovingRoadKNNServer
 from repro.core.server import MovingKNNServer
 from repro.errors import ConfigurationError
 from repro.geometry.point import Point
 from repro.index.vortree import VoRTree
-from repro.queries.kinds import query_kinds, registered
+from repro.queries.kinds import query_kind, query_kinds, registered
 from repro.roadnet.network_voronoi import NetworkVoronoiDiagram
 from repro.simulation import server_sim
 from repro.simulation.server_sim import check_knn_answer, run_methods
@@ -31,6 +37,41 @@ def road():
     return default_road_scenario(
         rows=6, columns=6, object_count=14, k=3, steps=50, step_length=25.0, seed=251
     )
+
+
+METRICS = ["euclidean", "road"]
+
+
+@pytest.fixture(params=METRICS)
+def scenario(request, plane, road):
+    return plane if request.param == "euclidean" else road
+
+
+def served(scenario, methods=None):
+    """``(engine, rows)``: ``methods`` (default every method of the
+    scenario's metric) served on one engine, the baselines registered."""
+    engine = engine_for(scenario)
+    if methods is None:
+        methods = {
+            name: (kind, scenario.k, scenario.rho)
+            for name, kind in METHOD_KINDS[engine.metric].items()
+        }
+    with registered(*baseline_kinds(scenario.step_length)):
+        return engine, run_methods(engine, scenario.trajectory, methods)
+
+
+def farthest(naive):
+    """A naive processor that reports the ``k`` farthest objects."""
+
+    class Farthest(naive):
+        def __init__(self, index, k):
+            super().__init__(index, k)
+            self.population = len(index)
+
+        def _nearest(self, position, count):
+            return super()._nearest(position, self.population)[::-1][:count]
+
+    return Farthest
 
 
 class TestCheckKnnAnswer:
@@ -57,6 +98,14 @@ class TestCheckKnnAnswer:
         distances = {0: 1.0, 1: 1.5, 2: 3.0}
         assert not check_knn_answer([0, 2], distances, k=2)
 
+    def test_rejects_an_object_the_oracle_does_not_know(self):
+        distances = {0: 1.0, 1: 2.0, 2: 3.0}
+        assert not check_knn_answer([0, 7], distances, k=2)
+
+    def test_rejects_when_fewer_objects_than_k_exist(self):
+        distances = {0: 1.0, 1: 2.0}
+        assert not check_knn_answer([0, 1, 2], distances, k=3)
+
     def test_builds_the_member_set_once(self, monkeypatch):
         built = []
 
@@ -78,24 +127,81 @@ class TestRunMethods:
         assert list(runs) == list(METHOD_KINDS[metric])
         assert all(run["correct"] for run in runs.values())
 
-    def test_rows_hold_one_answer_per_timestamp_and_the_counters(self, plane):
-        engine = MovingKNNServer(plane.points)
-        methods = {"INS": ("knn", plane.k, 1.6), "OrderK-SR": ("region", plane.k, 1.0)}
-        runs = run_methods(engine, plane.trajectory, methods)
-        stats = engine.per_query_stats()
-        for query_id, run in enumerate(runs.values()):
+    def test_rows_hold_one_answer_per_timestamp(self, scenario):
+        _, runs = served(scenario)
+        for run in runs.values():
             answers = run["answers"]
-            assert [result.timestamp for result in answers] == list(range(len(plane.trajectory)))
-            assert run["timestamps"] == len(answers)
-            assert run["knn_changes"] <= run["invalid_timestamps"] < run["timestamps"]
-            assert run["elapsed_seconds"] > 0.0
-            for name, value in stats[query_id].as_dict().items():
-                assert run[name] == value, name
+            assert [result.timestamp for result in answers] == list(range(scenario.timestamps))
+            assert run["timestamps"] == len(answers) == scenario.timestamps
 
-    def test_naive_recomputes_every_timestamp_and_ins_less(self, plane):
-        runs = compare(plane)
-        assert runs["Naive"]["full_recomputations"] == plane.timestamps
-        assert runs["INS"]["full_recomputations"] < runs["Naive"]["full_recomputations"]
+    def test_every_stats_counter_is_a_column(self, scenario):
+        engine, runs = served(scenario)
+        stats = engine.per_query_stats()
+        assert len(stats) == len(runs)
+        for query_id, (name, run) in enumerate(runs.items()):
+            assert run["method"] == name
+            for counter, value in stats[query_id].as_dict().items():
+                assert run[counter] == value, (name, counter)
+
+    def test_the_first_answer_is_the_registration_answer(self, scenario):
+        engine, runs = served(scenario)
+        for record, run in zip(engine, runs.values()):
+            assert run["answers"][0] is record.first_answer
+
+    def test_knn_changes_never_exceed_invalid_timestamps(self, scenario):
+        # Under a safe region a changed member set means the held answer was
+        # invalid there.  V* re-ranks its candidates inside a valid known
+        # region, so its answer may change while valid.
+        _, runs = served(scenario)
+        for name, run in runs.items():
+            assert run["invalid_timestamps"] <= run["timestamps"] - 1, name
+            if not name.startswith("V*"):
+                assert 0 <= run["knn_changes"] <= run["invalid_timestamps"], name
+
+    def test_every_method_is_timed(self, scenario):
+        _, runs = served(scenario)
+        assert all(run["elapsed_seconds"] > 0.0 for run in runs.values())
+
+    def test_naive_recomputes_every_timestamp_and_ins_less(self, scenario):
+        runs = compare(scenario)
+        ins, naive = (name for name in runs if name.startswith(("INS", "Naive")))
+        assert runs[naive]["full_recomputations"] == scenario.timestamps
+        assert runs[ins]["full_recomputations"] < runs[naive]["full_recomputations"]
+
+    def test_only_the_named_methods_are_served(self, plane):
+        engine, runs = served(plane, {"INS": ("knn", plane.k, plane.rho)})
+        assert list(runs) == ["INS"]
+        assert engine.query_count == 1
+        with pytest.raises(KeyError):
+            runs["Naive"]
+
+    def test_unknown_kinds_raise(self, scenario):
+        with pytest.raises(ConfigurationError, match="unknown query kind"):
+            served(scenario, {"Bogus": ("bogus", scenario.k, scenario.rho)})
+
+    def test_a_kind_of_the_other_metric_raises(self, scenario):
+        other = "naive-road" if isinstance(engine_for(scenario), MovingKNNServer) else "naive"
+        with pytest.raises(ConfigurationError, match="-only"):
+            served(scenario, {"Other": (other, scenario.k, scenario.rho)})
+
+    def test_the_check_catches_a_wrong_answer(self, scenario):
+        engine = engine_for(scenario)
+        naive = NaiveProcessor if engine.metric == "euclidean" else NaiveRoadProcessor
+        with registered(BaselineKind("farthest", engine.metric, farthest(naive))):
+            runs = run_methods(
+                engine, scenario.trajectory, {"Farthest": ("farthest", scenario.k, 1.0)}
+            )
+        answers = runs["Farthest"]["answers"]
+        assert len(answers) == scenario.timestamps
+        for position, result in zip(scenario.trajectory, answers):
+            assert not check_knn_answer(result.knn, brute_force(scenario, position), scenario.k)
+
+    def test_method_kinds_cover_both_metrics(self):
+        assert sorted(METHOD_KINDS) == METRICS
+        with registered(*baseline_kinds(25.0)):
+            for metric, kinds in METHOD_KINDS.items():
+                for name, kind in kinds.items():
+                    assert query_kind(kind).metric in (None, metric), name
 
     def test_every_method_serves_from_the_engines_one_index(self, plane, road, index_builds):
         compare(plane)
