@@ -207,7 +207,7 @@ class ServingEngine(abc.ABC, Generic[PositionT]):
     Args:
         invalidation: how data-object updates reach the registered queries.
             ``"delta"`` (default) pushes the repair delta so each query pays
-            only for updates that touched its held pool; ``"flag"`` restores
+            only for updates that name a member of its R; ``"flag"`` restores
             the blanket pre-delta contract (every query refreshes fully on
             every epoch), kept as a fallback and as the equivalence oracle.
     """
@@ -602,11 +602,10 @@ class ServingEngine(abc.ABC, Generic[PositionT]):
             self._repair_batch, insert_list, delete_list, move_list
         )
         payload = len(insert_list) + len(delete_list) + len(move_list)
+        changed = frozenset(changed)
         if new_indexes or deleted or changed:
             self._commit_epoch(changed, deleted, payload=payload)
-        return BatchUpdateResult(
-            tuple(new_indexes), tuple(deleted), frozenset(changed), self._epoch, payload
-        )
+        return BatchUpdateResult(tuple(new_indexes), tuple(deleted), changed, self._epoch, payload)
 
     # ------------------------------------------------------------------
     # Leader/replica delta replication
@@ -655,9 +654,7 @@ class ServingEngine(abc.ABC, Generic[PositionT]):
         self.delta_apply_seconds += elapsed
         _DELTA_APPLY_SECONDS[self.metric].observe(elapsed)
         _TRACER.add("delta.apply", start, elapsed, metric=self.metric)
-        self._commit_epoch(
-            frozenset(delta.changed), delta.deleted_indexes, payload=delta.payload
-        )
+        self._commit_epoch(delta.changed, delta.deleted_indexes, payload=delta.payload)
 
     # ------------------------------------------------------------------
     # Epoch orchestration
@@ -678,14 +675,13 @@ class ServingEngine(abc.ABC, Generic[PositionT]):
 
     def _commit_epoch(
         self, changed: Iterable[int], removed: Iterable[int] = (), payload: int = 1
-    ) -> int:
+    ) -> None:
         """Advance the data epoch and dispatch the invalidation round.
 
         In ``"delta"`` mode every registered processor receives the repair
-        delta and settles it lazily (shared-state invalidation: nothing is
-        copied).  In ``"flag"`` mode the delta is discarded and every
+        delta, frozen once, and settles it lazily (nothing is copied per
+        session).  In ``"flag"`` mode the delta is discarded and every
         processor is forced to refresh fully on its next timestamp.
-        Returns the new epoch number.
 
         Communication: the mutation batch arrives as one uplink message
         carrying ``payload`` object records (the insert/delete/move stream
@@ -700,6 +696,7 @@ class ServingEngine(abc.ABC, Generic[PositionT]):
             for registered in self._queries.values():
                 registered.processor.invalidate()
         else:
+            changed, removed = frozenset(changed), frozenset(removed)
             for registered in self._queries.values():
                 registered.processor.notify_data_update(changed, removed)
         with self._comm_lock:
@@ -711,7 +708,6 @@ class ServingEngine(abc.ABC, Generic[PositionT]):
                 bucket = self._kind_bucket(query_id)
                 if bucket is not None:
                     bucket.downlink_messages += 1
-        return self._epoch
 
     # ------------------------------------------------------------------
     # Aggregate statistics

@@ -48,21 +48,21 @@ kNN member that itself reads ``inf`` (unreachable inside a road region) has
 exhausted the search: every reachable held object is exact, D is ``inf``.
 
 **Data-object updates** arrive through ``notify_data_update`` (the serving
-engine pushes the shared index's repair deltas).  Nothing is reconstructed
-eagerly: the delta accumulates and is settled on the next timestamp, with
-one of three outcomes:
+engine pushes the shared index's repair deltas) and settle lazily, on the
+next timestamp, with one of three outcomes:
 
 * a removal inside the prefetched set R invalidates R, so the next
   timestamp pays one full retrieval;
-* any other delta touching the held pool (R ∪ I(R)) only refreshes I(R)
-  from the already-repaired shared index (a few set unions).  This is
-  sound because the INS guarantee is a statement about the *current*
-  diagram: validation against a freshly derived I(R) certifies the held
-  kNN set against the current data set, whatever changed;
-* a delta that leaves the pool untouched is absorbed for free: if an
-  unseen object were among the true kNN it would, by the Voronoi chain
-  property, be a neighbour of some held object — and then the delta would
-  have touched the pool.
+* a delta whose ``changed`` meets R, or whose ``removed`` meets I(R),
+  refreshes I(R) from the already-repaired shared index (a few set unions):
+  validation against a freshly derived I(R) certifies the held kNN set
+  against the current data set, whatever changed;
+* every other delta is absorbed for free.  I(R) is R's neighbour lists
+  minus R (Definition 4), so only a delta naming a member of R changes it
+  (adjacency is symmetric: an object leaving I(R) names a member too).  If
+  an unseen object were among the true kNN it would, by the Voronoi chain
+  property, be a neighbour of a kNN member, whose list then changed, so the
+  delta names a member of R.
 
 The pre-delta behaviour (every update forces a full retrieval) survives as
 ``invalidate``, the engine's ``"flag"`` fallback mode.
@@ -75,7 +75,7 @@ from __future__ import annotations
 
 import abc
 from math import inf
-from typing import Any, FrozenSet, List, Optional, Sequence, Set
+from typing import AbstractSet, Any, FrozenSet, List, Optional, Sequence, Set
 
 from repro.errors import ConfigurationError
 from repro.core.objects import QueryResult, UpdateAction
@@ -165,7 +165,7 @@ class InfluentialSetProcessor(MovingKNNProcessor[PositionT]):
     def _held_changed(self) -> None:
         """Re-derive what the metric keeps beside ``_held``."""
 
-    def _refresh_ins(self, changed: Set[int]) -> None:
+    def _refresh_ins(self, changed: AbstractSet[int]) -> None:
         """Re-derive I(R) from the already-repaired shared index."""
         self._ins = self._index.influential_neighbor_set(self._R)
 
@@ -200,12 +200,8 @@ class InfluentialSetProcessor(MovingKNNProcessor[PositionT]):
         return self._perform_update(position, distances)
 
     def _consume_data_updates(self, position: PositionT) -> Optional[QueryResult]:
-        """Settle the accumulated data-update delta.
-
-        Returns a full-recompute :class:`QueryResult` when the delta forced
-        a retrieval, or None when the held state was refreshed (or
-        untouched) and the normal validation flow should proceed.
-        """
+        """Settle the pending delta: the full-recompute :class:`QueryResult` if it
+        forced a retrieval, else None (I(R) refreshed or the delta absorbed)."""
         changed, removed, forced = self._take_pending()
         if forced or not removed.isdisjoint(self._R):
             # Blanket invalidation, or the prefetched set lost a member: R
@@ -214,11 +210,10 @@ class InfluentialSetProcessor(MovingKNNProcessor[PositionT]):
             self._stats.validations += 1
             survivors = (member for member in self._R if self._index.is_active(member))
             return self._retrieve(position, next(survivors, None))
-        if not (removed.isdisjoint(self._ins) and changed.isdisjoint(self._held)):
-            # The delta touched the held region: re-derive I(R) from the
-            # shared index — a few set unions, no kNN recomputation.  The
-            # validation that follows certifies the held answer against the
-            # fresh guard set, which is what makes this refresh sound.
+        if not (changed.isdisjoint(self._R) and removed.isdisjoint(self._ins)):
+            # The delta named a member of R, so I(R) may differ: re-derive it
+            # from the shared index, no kNN recomputation.  The validation that
+            # follows certifies the held answer against the fresh guard set.
             started = _CLOCK[0]()
             self._refresh_ins(changed)
             self._stats.ins_refreshes += 1
@@ -232,9 +227,8 @@ class InfluentialSetProcessor(MovingKNNProcessor[PositionT]):
             self._refresh_held()
             self._stats.construction_seconds += _CLOCK[0]() - started
         else:
-            # The delta missed the pool: every held neighbour list is
-            # unchanged, so the guard set the next validation uses is
-            # already the correct one.  Free.
+            # No member of R was named: every member's neighbour list, so
+            # I(R) and the guard set the validation uses, is as it was.  Free.
             self._stats.absorbed_updates += 1
         return None
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import operator
 from itertools import repeat
 from math import dist
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.ins import InfluentialSetProcessor
 from repro.geometry.point import Point
@@ -87,7 +87,7 @@ class INSProcessor(InfluentialSetProcessor[Point]):
         return self._allow_incremental
 
     def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
+        super().__setstate__(state)
         if "_held_xy" not in state:
             # Pickled before the flat layout existed: it is derived state.
             self._refresh_held()
@@ -110,7 +110,7 @@ class INSProcessor(InfluentialSetProcessor[Point]):
     def _held_changed(self) -> None:
         self._held_xy = list(map(self._index.coordinates.__getitem__, self._held))
 
-    def _refresh_ins(self, changed: Set[int]) -> None:
+    def _refresh_ins(self, changed: AbstractSet[int]) -> None:
         if self._allow_incremental:
             for member in changed.intersection(self._R):
                 self._neighbor_lists[member] = frozenset(self._index.voronoi_neighbors(member))

@@ -71,7 +71,7 @@ class INSRoadProcessor(InfluentialSetProcessor[NetworkLocation]):
         self._region: FrozenSet[int] = frozenset()
 
     def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
+        super().__setstate__(state)
         # Pickled with a validation mode, beside a region of edge ids (or
         # None): the region is derived from the held pool; the mode is inert.
         self._held_changed()

@@ -25,7 +25,7 @@ accumulates them; a processor that cares empties it on its next timestamp
 from __future__ import annotations
 
 import abc
-from typing import Generic, Iterable, Optional, Set, Tuple, TypeVar
+from typing import AbstractSet, Generic, Iterable, Optional, Tuple, TypeVar
 
 from repro.core.objects import QueryResult
 from repro.core.stats import ProcessorStats
@@ -36,14 +36,18 @@ PositionT = TypeVar("PositionT")
 
 
 class DeltaMailbox:
-    """The data-update delta accumulated since its holder last settled it
-    (pushed by the serving engine); the engine's delta-invalidation contract."""
+    """The data-update delta pushed since its holder last settled it: one
+    epoch's frozen pair held by reference, or a merged pair of its own."""
 
     def __init__(self):
         self._state_stale = False
         self._force_refresh = False
-        self._pending_changed: Set[int] = set()
-        self._pending_removed: Set[int] = set()
+        self._pending: Optional[Tuple[AbstractSet[int], AbstractSet[int]]] = None
+
+    def __setstate__(self, state) -> None:
+        if "_pending_changed" in state:  # pickled with a pair of private sets
+            state["_pending"] = (state.pop("_pending_changed"), state.pop("_pending_removed"))
+        self.__dict__.update(state)
 
     @property
     def state_stale(self) -> bool:
@@ -51,7 +55,7 @@ class DeltaMailbox:
         return self._state_stale
 
     def notify_data_update(self, changed: Iterable[int] = (), removed: Iterable[int] = ()) -> None:
-        """Record an index repair delta; settled lazily on the next timestamp.
+        """Record a repair delta, kept by reference if none is pending; settled lazily.
 
         Args:
             changed: objects whose Voronoi neighbour sets (or cells, or
@@ -59,8 +63,14 @@ class DeltaMailbox:
                 object that moved: exactly what the index's repair reports.
             removed: objects deleted from the data set.
         """
-        self._pending_changed.update(changed)
-        self._pending_removed.update(removed)
+        pending = self._pending
+        if pending is None:
+            self._pending = (frozenset(changed), frozenset(removed))
+        else:
+            if type(pending[0]) is frozenset:
+                pending = self._pending = (set(pending[0]), set(pending[1]))
+            pending[0].update(changed)
+            pending[1].update(removed)
         self._state_stale = True
 
     def invalidate(self) -> None:
@@ -73,12 +83,12 @@ class DeltaMailbox:
         self._force_refresh = True
         self._state_stale = True
 
-    def _take_pending(self) -> Tuple[Set[int], Set[int], bool]:
+    def _take_pending(self) -> Tuple[AbstractSet[int], AbstractSet[int], bool]:
         """Empty the mailbox: ``(changed, removed, forced)`` since the last call."""
-        pending = (self._pending_changed, self._pending_removed, self._force_refresh)
-        self._pending_changed, self._pending_removed = set(), set()
+        changed, removed = self._pending or (frozenset(), frozenset())
+        self._pending, forced = None, self._force_refresh
         self._force_refresh = self._state_stale = False
-        return pending
+        return changed, removed, forced
 
 
 class MovingKNNProcessor(DeltaMailbox, abc.ABC, Generic[PositionT]):

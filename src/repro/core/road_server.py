@@ -85,10 +85,10 @@ class MovingRoadKNNServer(ServingEngine[NetworkLocation]):
         Returns the set of objects whose neighbour sets changed (the moved
         object included), which is also the delta pushed to the queries.
         """
-        changed = self._maintain(self._voronoi.move_object, index, vertex)
+        changed = frozenset(self._maintain(self._voronoi.move_object, index, vertex))
         if changed:
             self._commit_epoch(changed, payload=1)
-        return frozenset(changed)
+        return changed
 
     def begin_delta_capture(self) -> None:
         """Start recording the next epoch's repair delta: the shared diagram

@@ -21,8 +21,8 @@ an update is O(n), and an insert is located by one walk: the nearest object
 the jump-and-walk finds is where the dual's cavity search starts.  Every
 mutation *returns* the objects whose lists changed (the delta contract of
 :meth:`repro.roadnet.network_voronoi.NetworkVoronoiDiagram.insert_object`),
-so the serving engine invalidates only the queries whose held pool it
-touched.  :meth:`VoRTree.full_rebuild` is the from-scratch oracle of the
+so the serving engine invalidates only the queries whose held R it
+names.  :meth:`VoRTree.full_rebuild` is the from-scratch oracle of the
 randomized equivalence tests.  :meth:`VoRTree.batch_update` applies a burst
 as one epoch, with a single full rebuild when the burst is large enough that
 per-object patching would be wasted work.  ``insq_index_rebuilds_total``

@@ -13,7 +13,7 @@ the live VoR-tree's per-site Voronoi neighbour lists.
 Reading the live tree is sound under the delta contract: the kNN members are
 always drawn from R (``_perform_update`` reorders within R before falling
 back to retrieval), and any data update that could change a member's
-neighbour list lands in ``changed ∩ pool`` and forces an I(R) refresh before
+neighbour list lands in ``changed ∩ R`` and forces an I(R) refresh before
 the next answer — so at answer time the settled lists and the live tree
 agree on every member.
 """

@@ -109,7 +109,7 @@ class OrderKRegionProcessor(MovingKNNProcessor[Point]):
         # Pickled when the processor kept the live tree as ``_vortree``.
         if "_vortree" in state:
             state["_tree"] = state.pop("_vortree")
-        self.__dict__.update(state)
+        super().__setstate__(state)
 
     @property
     def name(self) -> str:

@@ -368,7 +368,7 @@ def open_service(
         network: the :class:`~repro.roadnet.graph.RoadNetwork` shared by
             every query — required for (and exclusive to) the road metric.
         invalidation: ``"delta"`` (default; each session pays only for
-            updates touching its held pool) or ``"flag"`` (blanket
+            updates naming a member of its R) or ``"flag"`` (blanket
             refresh-everyone fallback).
 
     Returns:

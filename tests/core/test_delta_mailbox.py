@@ -1,0 +1,176 @@
+"""One frozen delta per epoch, shared by every session's mailbox.
+
+The engine freezes each epoch's ``(changed, removed)`` once.  A mailbox with
+nothing pending keeps that pair by reference; only a second epoch arriving
+before its holder settles makes it build a merged pair of its own, which
+later epochs extend in place.  So one epoch copies nothing per session, and
+an idle session holds one pair no larger than the distinct objects named.
+"""
+
+import dataclasses
+import pickle
+import random
+
+import pytest
+
+from repro.core.processor import DeltaMailbox
+from repro.core.server import MovingKNNServer
+from repro.geometry.point import Point
+from repro.trajectory.euclidean import random_waypoint_trajectory
+from repro.workloads.datasets import data_space, uniform_points
+
+EXTENT = 10_000.0
+
+
+def anywhere(rng):
+    return Point(rng.uniform(0.0, EXTENT), rng.uniform(0.0, EXTENT))
+
+
+def churn(engine, rng):
+    """One epoch: an insert, a delete and a move (a delete + reinsert)."""
+    victims = rng.sample(engine.vortree.active_indexes(), 2)
+    return engine.batch_update(
+        inserts=[anywhere(rng)], deletes=victims[:1], moves=[(victims[1], anywhere(rng))]
+    )
+
+
+def served(sessions, seed=31, **options):
+    engine = MovingKNNServer(uniform_points(200, seed=seed), **options)
+    walks = [
+        random_waypoint_trajectory(data_space(), 40, 150.0, seed=seed + i)
+        for i in range(sessions)
+    ]
+    queries = [engine.register_query(walk[0], k=3 + i % 3) for i, walk in enumerate(walks)]
+    return engine, queries, walks
+
+
+def processors(engine):
+    return [registered.processor for registered in engine]
+
+
+def processor_of(engine, query_id):
+    return next(r.processor for r in engine if r.query_id == query_id)
+
+
+class TestOneFrozenDeltaPerEpoch:
+    def test_one_epoch_leaves_the_same_frozensets_in_every_session(self):
+        engine, _, _ = served(sessions=6)
+        result = churn(engine, random.Random(1))
+        changed, removed = processors(engine)[0]._pending
+        assert type(changed) is frozenset and type(removed) is frozenset
+        assert changed is result.changed_objects
+        assert removed == set(result.deleted_indexes)
+        for processor in processors(engine):
+            assert processor._pending[0] is changed and processor._pending[1] is removed
+
+    def test_the_single_object_mutators_share_their_epoch_too(self):
+        engine, _, _ = served(sessions=3)
+        mutations = ((engine.insert_object, Point(10.0, 20.0)), (engine.delete_object, 7))
+        for mutate, argument in mutations:
+            mutate(argument)
+            pendings = [processor._pending for processor in processors(engine)]
+            assert all(type(part) is frozenset for part in pendings[0])
+            assert all(p[0] is pendings[0][0] and p[1] is pendings[0][1] for p in pendings)
+            for processor in processors(engine):
+                processor._take_pending()
+
+    def test_two_pending_epochs_settle_as_their_union(self):
+        engine, _, _ = served(sessions=3)
+        rng = random.Random(2)
+        first, second = churn(engine, rng), churn(engine, rng)
+        frozen = set(first.changed_objects)
+        merged = [processor._pending for processor in processors(engine)]
+        # Each session merged into a pair of its own; the shared epoch is intact.
+        assert len({id(pair[0]) for pair in merged}) == len(merged)
+        assert first.changed_objects == frozen
+        processor = processors(engine)[0]
+        changed, removed, forced = processor._take_pending()
+        assert changed == first.changed_objects | second.changed_objects
+        assert removed == {*first.deleted_indexes, *second.deleted_indexes}
+        assert not forced
+        assert processor._take_pending() == (set(), set(), False)
+        assert not processor.state_stale
+
+    def test_a_bare_mailbox_holds_then_merges(self):
+        mailbox = DeltaMailbox()
+        changed = frozenset({1, 2})
+        mailbox.notify_data_update(changed, removed=(9,))
+        assert mailbox._pending[0] is changed
+        mailbox.notify_data_update([3], removed=[8])
+        mailbox.notify_data_update(removed={7})
+        assert changed == {1, 2}
+        assert mailbox._take_pending() == ({1, 2, 3}, {7, 8, 9}, False)
+
+    def test_an_idle_session_holds_one_pair_through_a_thousand_epochs(self):
+        engine, (busy, idle), walks = served(sessions=2, seed=33)
+        rng = random.Random(3)
+        named_changed, named_removed = set(), set()
+        for epoch in range(1_000):
+            result = churn(engine, rng)
+            named_changed |= result.changed_objects
+            named_removed.update(result.deleted_indexes)
+            engine.update_position(busy, walks[0][1 + epoch % 39])
+        processor = processor_of(engine, idle)
+        assert [name for name in vars(processor) if name.startswith("_pending")] == ["_pending"]
+        changed, removed = processor._pending
+        assert changed == named_changed and removed == named_removed
+        answer = engine.update_position(idle, walks[1][1])
+        tree = engine.vortree
+        expected = sorted(walks[1][1].distance_to(tree.point(i)) for i in tree.active_indexes())
+        assert sorted(answer.knn_distances) == expected[: processor.k]
+
+
+class TestPicklesWithPrivateSets:
+    """A processor pickled while every session copied each delta into a pair
+    of private sets restores: that pair becomes its pending delta, and it
+    answers and counts exactly like a twin that was never pickled."""
+
+    @staticmethod
+    def twin(invalidation, invalidated):
+        """A served session with one epoch pending (and ``invalidate()`` too)."""
+        engine, (query,), (walk,) = served(sessions=1, seed=35, invalidation=invalidation)
+        rng = random.Random(4)
+        for step in range(1, 11):
+            churn(engine, rng)
+            engine.update_position(query, walk[step])
+        churn(engine, rng)
+        if invalidated:
+            processor_of(engine, query).invalidate()
+        return engine, query, walk, rng
+
+    @pytest.mark.parametrize(
+        "invalidation, invalidated",
+        [("delta", False), ("delta", True), ("flag", False)],
+        ids=["delta", "delta-and-invalidate", "flag"],
+    )
+    def test_the_private_sets_become_the_pending_pair(self, invalidation, invalidated):
+        engine, query, walk, rng = self.twin(invalidation, invalidated)
+        twin, _, _, twin_rng = self.twin(invalidation, invalidated)
+        processor = processor_of(engine, query)
+        changed, removed = processor._pending or (frozenset(), frozenset())
+        # What the parent layout pickled: two private sets, no pair.
+        state = vars(processor)
+        del state["_pending"]
+        state["_pending_changed"], state["_pending_removed"] = set(changed), set(removed)
+        restored = pickle.loads(pickle.dumps(engine))
+        processor = processor_of(restored, query)
+        assert "_pending_changed" not in vars(processor)
+        assert "_pending_removed" not in vars(processor)
+        assert processor._pending == (changed, removed)
+        assert processor.state_stale
+        for served_engine, served_rng in ((restored, rng), (twin, twin_rng)):
+            churn(served_engine, served_rng)
+        for step in (11, 12):
+            assert restored.update_position(query, walk[step]) == twin.update_position(
+                query, walk[step]
+            )
+        stats = [served_engine.stats_for(query) for served_engine in (restored, twin)]
+        assert integers(stats[0]) == integers(stats[1])
+
+
+def integers(stats):
+    return {
+        field.name: getattr(stats, field.name)
+        for field in dataclasses.fields(stats)
+        if isinstance(getattr(stats, field.name), int)
+    }

@@ -229,8 +229,9 @@ class TestRandomPlanarNetwork:
         14.  No neighbour set differs afterwards, but vertex 12, now 200 from
         both 10 and 14, joins the cell of 10 (a tie goes to the smaller id),
         and with it edge 12-13.  The move is a delete then an insert, and the
-        delete takes 13 from the neighbours of 10, so 10 is reported changed
-        and the pool is refreshed, not absorbed.  The query reappears 10 past
+        delete takes 13 from the neighbours of 10, so 10 is reported changed.
+        Object 10 is in I(R), not in R, and no member of R is named, so the
+        delta is absorbed, not refreshed.  The query reappears 10 past
         vertex 12, on that edge.  Validation settles 12, 13, 11, 10, 9, 8, 7
         in the region against 12, 13, 11, 14, 10, 15, 9, 8, 7 on the full
         network; the retrieval that follows settles 12, 13, 11 and 14 in
@@ -253,7 +254,7 @@ class TestRandomPlanarNetwork:
             before = stats.settled_vertices
             results[mode] = server.update_position(query_id, there)
             settled[mode] = stats.settled_vertices - before
-            assert (stats.ins_refreshes, stats.absorbed_updates) == (1, 0)
+            assert (stats.ins_refreshes, stats.absorbed_updates) == (0, 1)
         assert settled == {"restricted": 7 + 4, "exact": 9 + 4}
         for result in results.values():
             assert (result.knn, result.knn_distances) == ((4,), (190.0,))

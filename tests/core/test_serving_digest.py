@@ -29,6 +29,18 @@ digests are ``b4cf9c0503a22f66aa0bbb7359c8aeed`` (``plane``, old literal
 ``e0a3563fc28e60f702543c9a3fd9e01a``) and ``432334a30862e6e9570ca97ce34d4ae6``
 (``plane-incremental``, old literal ``1297f3b6f06ff2c9e835e83d461bf365``) at
 the parent (d5ab852) and after.
+
+All three digests were re-recorded once more when a pending delta began to
+settle against R instead of the whole held pool (I(R) is re-derived only
+when ``changed`` meets R or ``removed`` meets I(R)): the outcome counters
+``ins_refreshes`` / ``absorbed_updates`` moved 57/55 -> 33/79 (``plane``),
+46/65 -> 27/84 (``plane-incremental``) and 89/2 -> 81/10 (``road``), on
+purpose, and nothing else in the hash moved — with those two fields left out
+of the hash the digests are ``1028c669f41cd7a2cf8d6805c261ee22``,
+``6ebe0de67b03ab041b4472693ec08400`` and ``7e477afa530e8e6f79e4262209d00bdc``
+at the parent (28c54b9; old literals ``ea25c10e8f9b6c2aa08d830099bdf736``,
+``a89742812a93ffb3155aad2416ed3477`` and ``21ca497c43fe20ddcda52ddace4421ed``)
+and after.
 """
 
 import dataclasses
@@ -137,9 +149,9 @@ def _stream_digest(service, walks, target, seed) -> str:
 @pytest.mark.parametrize(
     "build, walks, target, seed, expected",
     [
-        (_plane_service, _plane_walks, _plane_target, 71, "ea25c10e8f9b6c2aa08d830099bdf736"),
-        (_incremental_service, _plane_walks, _plane_target, 72, "a89742812a93ffb3155aad2416ed3477"),
-        (_road_service, _road_walks, _road_target, 73, "21ca497c43fe20ddcda52ddace4421ed"),
+        (_plane_service, _plane_walks, _plane_target, 71, "7f265c31259ef7b0e09486574dc4b5c3"),
+        (_incremental_service, _plane_walks, _plane_target, 72, "9f595660f75c43f8af8feb6aa01037db"),
+        (_road_service, _road_walks, _road_target, 73, "534bf3ae20eb16fb430f62de02420014"),
     ],
     ids=["plane", "plane-incremental", "road"],
 )

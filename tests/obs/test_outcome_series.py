@@ -49,11 +49,13 @@ SCENARIOS = {
 }
 
 #: The pushed series' counts on :func:`drive`'s stream (registration
-#: retrievals excluded, as the push excluded them).
+#: retrievals excluded, as the push excluded them).  The euclidean
+#: ``absorbed`` / ``refreshed`` pair was re-recorded, 12 / 76 -> 40 / 48,
+#: when a pending delta began to settle against R instead of the held pool.
 EXPECTED = {
     "euclidean": {
-        "absorbed": 12, "incremental": 41, "recomputed": 27,
-        "refreshed": 76, "reordered": 17, "validated": 106,
+        "absorbed": 40, "incremental": 41, "recomputed": 27,
+        "refreshed": 48, "reordered": 17, "validated": 106,
     },
     "road": {
         "absorbed": 0, "incremental": 74, "recomputed": 69,
