@@ -14,9 +14,10 @@ triangle across an edge is one lookup of the reversed pair, and the row
 ``apex[v]`` is the link of ``v``: its keys are ``v``'s neighbours, the
 adjacency of the point-location walk and the star searched for a first bad
 triangle; rotating ``w = apex[v][w]`` from any key lists them
-counter-clockwise, the boundary of a deletion's hole.  The *store*
-``adjacent[v]``, ``v``'s real neighbours, is a set per row read off after the
-build and edited in place by the mutators: no neighbour read turns a ring.
+counter-clockwise, the boundary of a deletion's hole.  The row is also
+``v``'s neighbour list: no second copy of the adjacency is kept, and no
+neighbour read turns a ring.  Only a hull site's row holds :data:`GHOST`; its
+list is a ghost-free frozenset built when it is read.
 
 **One ghost rule.**  Instead of the classic bounding "super triangle"
 (whose finite corner coordinates silently *drop* hull edges whose empty
@@ -65,12 +66,12 @@ diagonal of the replacement already exists outside the hole — before the
 first entry of the map changes.  A :class:`GeometryError` (no bad triangle,
 fewer than three or only collinear sites left, a hole that ear clipping
 cannot close) therefore always means *nothing was mutated*, and callers
-fall back to a full rebuild.  After the map each edits the store: an insert
-unlinks the cavity's interior edges and links the new site to the real rim,
-a delete unlinks the site and links each replacement diagonal.  Both return
-the sites whose neighbour lists changed — the vertices of the removed
-triangles plus the new site on insert, the link on delete — and the store's
-live sets are :class:`~repro.index.vortree.VoRTree`'s lists.
+fall back to a full rebuild.  Both return the sites whose neighbour lists
+changed — the vertices of the removed triangles plus the new site on insert,
+the link on delete.  Every row whose keys change belongs to one of them, so a
+reader that re-reads the changed sites (:meth:`DelaunayTriangulation.neighbor_sets`)
+holds every list current: an interior site's list is its live row, which is
+:class:`~repro.index.vortree.VoRTree`'s list too.
 
 **Why the representation cannot move an answer.**  The Delaunay
 triangulation of the *jittered* points is unique whenever no four of them
@@ -100,7 +101,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import GeometryError
 from repro.geometry.point import Point, bounding_coordinates
@@ -174,13 +175,10 @@ class DelaunayTriangulation:
         #: Vertex u (GHOST included) -> its link map: neighbour v -> the apex
         #: of the counter-clockwise triangle on the left of u -> v.
         self._apex: Dict[int, Dict[int, int]] = {}
-        #: The store: active site -> its real neighbours (None during the build).
-        self._adjacent: Optional[Dict[int, Set[int]]] = None
         self._vertex_count = len(live)
         order = _hilbert_order(self._points, live)
         self._walk_hint = order[0]
         self._build(order)
-        self._adjacent = self._derive_adjacency()
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
@@ -189,8 +187,8 @@ class DelaunayTriangulation:
             for (u, v), w in self._apex.items():
                 rows.setdefault(u, {})[v] = w
             self._apex = rows
-        if "_adjacent" not in state and "_apex" in state:  # pickled before the store
-            self._adjacent = self._derive_adjacency()
+        # Pickled with a neighbour store beside the rows: the rows are the lists.
+        self.__dict__.pop("_adjacent", None)
 
     # ------------------------------------------------------------------
     # Public API
@@ -234,22 +232,34 @@ class DelaunayTriangulation:
         """Adjacency map: point index -> indexes of Delaunay-adjacent points.
 
         This is exactly the order-1 Voronoi neighbour relation used by the
-        INS algorithm, copied from the store in index order.  Removed sites
+        INS algorithm, copied from the rows in index order.  Removed sites
         do not appear, neither as keys nor as values.
         """
-        return {index: set(sites) for index, sites in sorted(self._adjacent.items())}
+        return {index: self.neighbors_of(index) for index in self.active_indexes()}
 
     def neighbors_of(self, index: int) -> Set[int]:
-        """Delaunay-adjacent site indexes of one site (a copy from the store)."""
+        """Delaunay-adjacent site indexes of one site (a copy of its row's keys)."""
         if not self.is_active(index):
             raise GeometryError(f"site {index} does not exist (or was removed)")
-        return set(self._adjacent[index])
+        neighbors = set(self._apex[index])
+        neighbors.discard(GHOST)
+        return neighbors
 
-    def neighbor_sets(self, sites: Iterable[int]) -> Dict[int, Set[int]]:
-        """Each active site of ``sites`` -> its live set in the store: no copy,
-        edited in place by later mutations (callers must not mutate it)."""
-        adjacent = self._adjacent
-        return {site: adjacent[site] for site in sites}
+    def neighbor_sets(self, sites: Iterable[int]) -> Dict[int, Collection[int]]:
+        """Each active site of ``sites`` -> its neighbours, read without a copy.
+
+        An interior site's list is its link row itself: its keys are the
+        neighbours, edited in place by later mutations (callers must not
+        mutate it, and a caller keeping it re-reads the site whenever a
+        mutation reports it changed).  A hull site's row holds :data:`GHOST`,
+        so its list is a ghost-free frozenset, current until the site changes.
+        """
+        apex = self._apex
+        lists: Dict[int, Collection[int]] = {}
+        for site in sites:
+            row = apex[site]
+            lists[site] = frozenset(row).difference((GHOST,)) if GHOST in row else row
+        return lists
 
     # ------------------------------------------------------------------
     # Incremental maintenance
@@ -328,13 +338,6 @@ class DelaunayTriangulation:
             apex[a][b] = c
             apex[b][c] = a
             apex[c][a] = b
-        adjacent = self._adjacent
-        for vertex in adjacent.pop(index):
-            adjacent[vertex].discard(index)
-        for a, _, c in replacement[:-1]:  # each clipped ear's new diagonal
-            if a >= 0 and c >= 0:
-                adjacent[a].add(c)
-                adjacent[c].add(a)
         self._active[index] = False
         self._vertex_count -= 1
         if self._walk_hint == index:
@@ -344,18 +347,6 @@ class DelaunayTriangulation:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _derive_adjacency(self) -> Dict[int, Set[int]]:
-        """The store, one set per row.  A set built from a dict or a set is sized
-        for its members (grown by ``add``, it may be twice as large), so a hull
-        row's set is copied again once it has dropped :data:`GHOST`."""
-        apex = self._apex
-        adjacent = {index: set(apex[index]) for index in self.active_indexes()}
-        for index, sites in adjacent.items():
-            if GHOST in sites:
-                sites.discard(GHOST)
-                adjacent[index] = set(sites)
-        return adjacent
-
     def _jitter_scale(self, jitter: float, live: Sequence[int]) -> float:
         if jitter <= 0:
             return 0.0
@@ -558,16 +549,6 @@ class DelaunayTriangulation:
             apex[v][index] = u
             row[u] = v
         self._walk_hint = index
-        adjacent = self._adjacent
-        if adjacent is not None:
-            # A later triangle's first entry is the interior edge it came across.
-            for v, u in cavity[3::3]:
-                if u >= 0 and v >= 0:
-                    adjacent[u].discard(v)
-                    adjacent[v].discard(u)
-            adjacent[index] = linked = {u for u, _ in rim if u >= 0}
-            for u in linked:
-                adjacent[u].add(index)
         inside.discard(GHOST)
         inside.add(index)
         return inside

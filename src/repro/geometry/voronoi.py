@@ -13,9 +13,9 @@ Voronoi neighbours are Delaunay edges.  INS needs nothing else of the
 diagram, so no cell polygon is built here; the safe-region query clips its
 order-k cells in :mod:`repro.geometry.order_k`.
 
-**One neighbour store.**  Whenever the active sites can be triangulated the
+**One adjacency.**  Whenever the active sites can be triangulated the
 diagram keeps the live :class:`~repro.geometry.delaunay.DelaunayTriangulation`
-and nothing beside it: every neighbour query reads the dual's store, so
+and nothing beside it: every neighbour query reads the dual's link rows, so
 :meth:`VoronoiDiagram.insert_site` and :meth:`VoronoiDiagram.remove_site` are
 the dual's updates plus the site bookkeeping, and return the dual's
 ``changed`` sets.  Removed sites keep their index as tombstones.  **Site ids
@@ -30,7 +30,7 @@ path ``insq_index_rebuilds_total{reason=geometry_error}`` counts.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Collection, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.errors import EmptyDatasetError, GeometryError
 from repro.geometry.delaunay import DelaunayTriangulation, delaunay_neighbors
@@ -118,9 +118,10 @@ class VoronoiDiagram:
             return set(self._neighbors[index])
         return self._delaunay.neighbors_of(index)
 
-    def neighbor_sets(self, sites: Iterable[int]) -> Dict[int, Set[int]]:
-        """``{site: neighbour set}`` for active ``sites``: the live sets, no copy
-        (:meth:`DelaunayTriangulation.neighbor_sets`, or the chain's)."""
+    def neighbor_sets(self, sites: Iterable[int]) -> Dict[int, Collection[int]]:
+        """``{site: neighbours}`` for active ``sites``, no copy: an interior
+        site's live row or a hull site's frozenset
+        (:meth:`DelaunayTriangulation.neighbor_sets`), or the chain's sets."""
         if self._delaunay is None:
             return {site: self._neighbors[site] for site in sites}
         return self._delaunay.neighbor_sets(sites)
@@ -217,7 +218,7 @@ class VoronoiDiagram:
 
 
 def influential_neighbor_indexes(
-    neighbor_map: Mapping[int, Set[int]], knn_indexes: Iterable[int]
+    neighbor_map: Mapping[int, Collection[int]], knn_indexes: Iterable[int]
 ) -> Set[int]:
     """The influential neighbour set of a kNN set, as index sets.
 
@@ -226,7 +227,7 @@ def influential_neighbor_indexes(
     kNN members, minus the kNN members themselves.
 
     Args:
-        neighbor_map: site index -> set of neighbouring site indexes.
+        neighbor_map: site index -> its neighbouring site indexes.
         knn_indexes: indexes of the current k nearest neighbours.
 
     Returns:

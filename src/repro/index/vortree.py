@@ -15,8 +15,9 @@ strided objects, then greedy descent.  No spatial tree is kept beside them.
 :meth:`VoRTree.insert` and :meth:`VoRTree.delete` drive
 :meth:`VoronoiDiagram.insert_site` / :meth:`VoronoiDiagram.remove_site`,
 which carve only the affected Delaunay cavity / star — convex-hull objects
-included — and edit the dual's neighbour sets in place; without twins an
-object's list *is* its site's set, so an update builds no list.  No step of
+included — and edit the dual's link rows in place; without twins an interior
+object's list *is* its site's row (the neighbours are its keys), so an update
+builds no list but a hull object's ghost-free frozenset.  No step of
 an update is O(n), and an insert is located by one walk: the nearest object
 the jump-and-walk finds is where the dual's cavity search starts.  Every
 mutation *returns* the objects whose lists changed (the delta contract of
@@ -41,7 +42,7 @@ from __future__ import annotations
 from heapq import heappop, heappush, nsmallest
 from itertools import compress
 from math import dist
-from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import EmptyDatasetError, GeometryError, QueryError
 from repro.geometry.point import Point
@@ -79,7 +80,8 @@ class VoRTree:
         self._xy: List[Tuple[float, float]] = [(point.x, point.y) for point in self._points]
         self._active: List[bool] = [True] * len(self._points)
         self._active_count = len(self._points)
-        self._neighbor_map: Dict[int, AbstractSet[int]] = {}
+        # Object -> its list: a dual's row (keys) or a frozenset.
+        self._neighbor_map: Dict[int, Collection[int]] = {}
         self._voronoi: Optional[VoronoiDiagram] = None
         # Exact position -> its site; site -> its active objects, kept only
         # where that is not the site alone (twins, or a deleted founder).
@@ -155,13 +157,15 @@ class VoRTree:
     def voronoi_neighbors(self, index: int) -> AbstractSet[int]:
         """Precomputed order-1 Voronoi neighbours of data object ``index``.
 
-        Live read-only view, like :attr:`positions`: the tree's own record
-        (without twins, the dual's set), edited in place by later updates, so
-        reading it is allocation-free.  A caller keeping it across one copies it.
+        Live read-only view, like :attr:`positions`: the keys of the tree's own
+        record (without twins, an interior site's link row in the dual), edited
+        in place by later updates, so reading it copies nothing.  A caller
+        keeping it across one copies it.
         """
         if not self.is_active(index):
             raise QueryError(f"object {index} does not exist (or was deleted)")
-        return self._neighbor_map.get(index, frozenset())
+        neighbors = self._neighbor_map.get(index, frozenset())
+        return neighbors.keys() if type(neighbors) is dict else neighbors
 
     # ------------------------------------------------------------------
     # Data-object updates
@@ -418,10 +422,11 @@ class VoRTree:
     def _patch_neighbor_lists(self, changed_sites: Iterable[int]) -> Set[int]:
         """Re-derive the neighbour lists of the objects at changed sites.
 
-        The dual hands out its live sets (:meth:`VoronoiDiagram.neighbor_sets`);
-        without twins anywhere they become the lists themselves, so the dual's
-        next edit is the list's too, and a twin's list is a frozenset built
-        here.  Returns the set of affected *object* indexes (the mutation delta).
+        The dual hands out an interior site's live row and a hull site's
+        frozenset (:meth:`VoronoiDiagram.neighbor_sets`); without twins anywhere
+        they become the lists themselves, so the dual's next edit of a row is
+        the list's too, and a twin's list is a frozenset built here.  Returns
+        the set of affected *object* indexes (the mutation delta).
         """
         if self._voronoi is None:  # one site: its objects list only each other
             lists = dict.fromkeys(changed_sites, frozenset())
@@ -429,7 +434,7 @@ class VoRTree:
             lists = self._voronoi.neighbor_sets(changed_sites)
         members = self._members
         if not members:
-            # With no twins anywhere a site's list is the dual's set itself.
+            # With no twins anywhere a site's list is the dual's own.
             self._neighbor_map.update(lists)
             return set(lists)
         changed_objects: Set[int] = set()

@@ -189,26 +189,39 @@ class TestTheCheckBites:
 
 
 # ----------------------------------------------------------------------
-# The neighbour store beside the map
+# The neighbour lists are the rows
 # ----------------------------------------------------------------------
-# ``neighbors_of`` and ``neighbors()`` copy from the store the mutators edit
-# in place, so ``check_structure`` already holds every active site's set to
-# the edge map; ``check_store`` also holds its keys (a removed site must
-# leave), and a refused mutation must leave the store as it was.
+# ``neighbors_of`` and ``neighbors()`` copy the rows' keys, so
+# ``check_structure`` already holds them to the edge map; ``check_lists``
+# holds what ``neighbor_sets`` hands out: an interior site's list is one live
+# row, handed out again as the same object, and a hull site's a ghost-free
+# frozenset, both with the neighbours the edge map implies.
 
 
-def check_store(triangulation):
-    """Assert the store is the adjacency the edge map implies, key for key."""
+def check_lists(triangulation):
+    """Assert every active site's list is the adjacency the edge map implies."""
     apex = triangulation.edge_map()
     implied = {vertex: set() for vertex in triangulation.active_indexes()}
+    hull = set()
     for a, b in apex:
-        if a != GHOST and b != GHOST:
+        if a == GHOST:
+            hull.add(b)
+        elif b != GHOST:
             implied[a].add(b)
-    assert triangulation.neighbors() == implied, "the store disagrees with the edge map"
+    sites = list(implied)
+    lists = triangulation.neighbor_sets(sites)
+    again = triangulation.neighbor_sets(sites)
+    for site in sites:
+        assert GHOST not in lists[site], f"site {site}'s list holds GHOST"
+        assert set(lists[site]) == implied[site], "a list disagrees with the edge map"
+        if site in hull:
+            assert type(lists[site]) is frozenset
+        else:
+            assert lists[site] is again[site], f"site {site}'s list is not its live row"
 
 
-def churn_checking_the_store(triangulation, pool, rng, steps):
-    """:func:`churn`, with the store checked after each mutation."""
+def churn_checking_the_lists(triangulation, pool, rng, steps):
+    """:func:`churn`, with the lists checked after each mutation."""
     refused = 0
     for _ in range(steps):
         before = triangulation.neighbors()
@@ -219,48 +232,44 @@ def churn_checking_the_store(triangulation, pool, rng, steps):
                 triangulation.insert_site(rng.choice(pool))
         except GeometryError:
             refused += 1
-            assert triangulation.neighbors() == before, "a refused mutation edited the store"
-        check_store(triangulation)
+            assert triangulation.neighbors() == before, "a refused mutation edited a list"
+        check_lists(triangulation)
     return refused
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_every_mutation_keeps_the_store_equal_to_the_edge_map(family, seed):
+def test_every_mutation_keeps_the_lists_equal_to_the_edge_map(family, seed):
     points = FAMILIES[family]()
     triangulation = DelaunayTriangulation(points)
-    check_store(triangulation)
-    churn_checking_the_store(triangulation, points, random.Random(seed), 60)
+    check_lists(triangulation)
+    churn_checking_the_lists(triangulation, points, random.Random(seed), 60)
 
 
-def test_refused_mutations_leave_the_store_as_it_was():
+def test_refused_mutations_leave_the_lists_as_they_were():
     points = stacks()
     refused = [
-        churn_checking_the_store(DelaunayTriangulation(points), points, random.Random(seed), 60)
+        churn_checking_the_lists(DelaunayTriangulation(points), points, random.Random(seed), 60)
         for seed in range(1, 9)
     ]
     assert sum(refused) >= 24
 
 
-class TestTheStoreCheckBites:
-    """Seed a cavity that forgets to unlink one interior edge, and see it caught."""
+class TestTheListCheckBites:
+    """Seed a dual that hands hull sites their raw rows, and see it caught."""
 
     @pytest.mark.parametrize("family", ["uniform", "grid"])
-    def test_a_missed_interior_edge_discard_is_caught(self, family):
-        source = textwrap.dedent(inspect.getsource(DelaunayTriangulation._carve_cavity))
-        crossed = "cavity[3::3]"
-        assert source.count(crossed) == 1, "the store edit moved: re-seed this test"
-        # Skip the first crossed edge: the map is still a sphere.
+    def test_a_raw_hull_row_is_caught(self, family):
+        source = textwrap.dedent(inspect.getsource(DelaunayTriangulation.neighbor_sets))
+        rule = "if GHOST in row else row"
+        assert source.count(rule) == 1, "the hull rule moved: re-seed this test"
         namespace = dict(vars(delaunay))
-        exec(source.replace(crossed, "cavity[6::3]"), namespace)
+        exec(source.replace(rule, "if False else row"), namespace)
 
-        class Stale(DelaunayTriangulation):
-            _carve_cavity = namespace["_carve_cavity"]
+        class Raw(DelaunayTriangulation):
+            neighbor_sets = namespace["neighbor_sets"]
 
         points = FAMILIES[family]()
-        churn_checking_the_store(DelaunayTriangulation(points), points, random.Random(1), 60)
-        with pytest.raises(AssertionError, match="the store disagrees with the edge map"):
-            churn_checking_the_store(Stale(points), points, random.Random(1), 60)
-        # check_structure catches it too: neighbors_of reads the store.
-        with pytest.raises(AssertionError):
-            churn(Stale(points), points, random.Random(1), 60)
+        churn_checking_the_lists(DelaunayTriangulation(points), points, random.Random(1), 60)
+        with pytest.raises(AssertionError, match="holds GHOST"):
+            churn_checking_the_lists(Raw(points), points, random.Random(1), 60)

@@ -1,6 +1,7 @@
-"""The triangulation's neighbour store: hand-worked answers, edits in place,
-refusals that edit nothing, pickles written before the store or the link
-maps existed, and a build whose store costs no second copy.
+"""The triangulation's neighbour lists are its link rows: hand-worked answers,
+rows edited in place, hull lists rebuilt when their site changes, refusals
+that edit nothing, pickles written with a neighbour store or before the link
+maps existed, and a build and a tree that hold no second copy.
 
 The fixture is a convex pentagon around one interior site, in general
 position (no four sites co-circular), so every answer below is the unique
@@ -40,13 +41,13 @@ WHEEL = {
 
 
 class TestKnownAdjacency:
-    """Literal adjacency after each kind of edit the store takes."""
+    """Literal adjacency after each kind of edit the rows take."""
 
     def build(self):
         return DelaunayTriangulation(PENTAGON)
 
     def test_the_build_is_the_wheel(self):
-        """The derived store of a fresh build."""
+        """The rows of a fresh build."""
         assert self.build().neighbors() == WHEEL
 
     def test_an_insert_inside_the_hull(self):
@@ -98,23 +99,50 @@ class TestKnownAdjacency:
             4: {0, 3},
         }
 
-    def test_the_sets_handed_out_are_edited_in_place(self):
-        """``neighbor_sets`` hands out the store's own sets: held across an
-        insert, the set of site 5 is the same object with the new contents."""
+    def test_an_interior_list_is_its_row_edited_in_place(self):
+        """``neighbor_sets`` hands out an interior site's row itself: held
+        across an insert, the list of site 5 is the same object, its keys the
+        new neighbours."""
         triangulation = self.build()
         held = triangulation.neighbor_sets([5])[5]
+        assert held is triangulation._apex[5]
         triangulation.insert_site(Point(8, 3))
         assert triangulation.neighbor_sets([5])[5] is held
-        assert held == {0, 2, 3, 4, 6}
+        assert held.keys() == {0, 2, 3, 4, 6}
         assert triangulation.neighbors_of(5) is not held
+
+    def test_a_hull_list_is_a_ghost_free_frozenset_read_again_when_changed(self):
+        """Hull site 1's row holds GHOST, so its list is a frozenset.  (15, 2)
+        lies right of hull edge 1-2 only: 1 stays on the hull, and a re-read
+        gives its new list while the old frozenset keeps the old one."""
+        triangulation = self.build()
+        held = triangulation.neighbor_sets([1])[1]
+        assert type(held) is frozenset and held == {0, 2, 5}
+        assert triangulation.insert_site(Point(15, 2)) == (6, {1, 2, 6})
+        assert held == {0, 2, 5}
+        lists = triangulation.neighbor_sets([1, 6])
+        assert lists == {1: {0, 2, 5, 6}, 6: {1, 2}}
+        assert all(type(found) is frozenset for found in lists.values())
+
+    def test_a_hull_site_made_interior_is_handed_its_row(self):
+        """(14, -4) lies right of hull edges 0-1 and 1-2 and in no real
+        triangle's circumcircle (that of (0, 1, 5) has centre (5, 0), radius
+        5): the two ghost triangles are the cavity, 6 joins 0, 1 and 2, and
+        1 leaves the hull, so its re-read list is its row."""
+        triangulation = self.build()
+        assert triangulation.insert_site(Point(14, -4)) == (6, {0, 1, 2, 6})
+        lists = triangulation.neighbor_sets([0, 1, 2, 6])
+        assert lists[1] is triangulation._apex[1] and lists[1].keys() == {0, 2, 5, 6}
+        assert (lists[0], lists[2], lists[6]) == ({1, 4, 5, 6}, {1, 3, 5, 6}, {0, 1, 2})
+        assert all(type(lists[site]) is frozenset for site in (0, 2, 6))
 
 
 class TestRefusals:
-    """A mutation refused with GeometryError edits no set of the store."""
+    """A mutation refused with GeometryError edits no row and replaces none."""
 
     def snapshot(self, triangulation):
-        store = triangulation._adjacent
-        return dict(store), {site: set(neighbors) for site, neighbors in store.items()}
+        rows = triangulation._apex
+        return dict(rows), {vertex: dict(row) for vertex, row in rows.items()}
 
     def check_refused(self, triangulation, mutate):
         objects, contents = self.snapshot(triangulation)
@@ -122,7 +150,7 @@ class TestRefusals:
             mutate()
         after_objects, after_contents = self.snapshot(triangulation)
         assert after_contents == contents
-        assert all(after_objects[site] is objects[site] for site in objects)
+        assert all(after_objects[vertex] is objects[vertex] for vertex in objects)
         assert after_objects.keys() == objects.keys()
 
     def test_removing_the_third_last_site(self):
@@ -152,35 +180,52 @@ def lists(tree):
     return {index: set(tree.voronoi_neighbors(index)) for index in tree.active_indexes()}
 
 
-class TestPicklesWithoutTheStore:
-    """A pickle written before the store existed restores: the store is
-    derived from the edge map, and maintenance carries on from it."""
+def with_a_store(tree):
+    """Hand-set ``tree`` to the layout of a version that kept a neighbour
+    store beside the rows: one set per site, and without twins each object's
+    list *is* its site's set.  Returns the store."""
+    triangulation = tree.voronoi._delaunay
+    store = {site: triangulation.neighbors_of(site) for site in triangulation.active_indexes()}
+    triangulation._adjacent = store
+    tree._neighbor_map = {obj: store[obj] for obj in tree.active_indexes()}
+    return store
 
-    def test_a_triangulation_derives_its_store(self):
+
+class TestPicklesWithTheStore:
+    """A pickle written when a neighbour store stood beside the rows (or
+    before the rows existed) restores without it, and maintenance carries on
+    from the rows."""
+
+    def test_a_triangulation_drops_its_store(self):
         triangulation = DelaunayTriangulation(uniform_points(80, extent=1_000.0, seed=3))
         triangulation.insert_site(Point(500.0, 500.0))
         triangulation.remove_site(7)
-        state = dict(vars(triangulation))
-        del state["_adjacent"]
+        state = copy.deepcopy(dict(vars(triangulation)))
+        state["_adjacent"] = triangulation.neighbors()
         restored = DelaunayTriangulation.__new__(DelaunayTriangulation)
-        restored.__setstate__(copy.deepcopy(state))
-        assert restored._adjacent == triangulation._adjacent
+        restored.__setstate__(state)
+        assert "_adjacent" not in vars(restored)
+        assert restored.edge_map() == triangulation.edge_map()
+        assert restored.neighbors() == triangulation.neighbors()
 
-    def test_a_tree_restored_without_the_store_churns_to_the_rebuild(self):
+    def test_a_tree_whose_lists_alias_the_store_churns_to_the_rebuild(self):
+        """The old sets stay the lists of the sites no mutation has touched
+        yet; each is correct until its site changes and is read again."""
         rng = random.Random(11)
-        tree = VoRTree(uniform_points(200, extent=1_000.0, seed=29))
+        tree = VoRTree(uniform_points(300, extent=1_000.0, seed=29))
         churn(tree, rng, 10)
-        # What an older version pickled: frozen lists and no store.
-        tree._neighbor_map = {obj: frozenset(n) for obj, n in tree._neighbor_map.items()}
-        del tree.voronoi._delaunay._adjacent
+        with_a_store(tree)
+        expected = lists(tree)
         restored = pickle.loads(pickle.dumps(tree))
-        edges = restored.voronoi._delaunay.edge_map()
-        assert restored.voronoi._delaunay._adjacent == {
-            site: {b for a, b in edges if a == site and b >= 0}
-            for site in restored.voronoi.active_site_indexes()
-        }
-        assert lists(restored) == lists(tree)
-        churn(restored, rng, 20)
+        triangulation = restored.voronoi._delaunay
+        assert "_adjacent" not in vars(triangulation)
+        assert lists(restored) == expected
+        for _ in range(200):
+            restored.insert(Point(rng.uniform(0.0, 1_000.0), rng.uniform(0.0, 1_000.0)))
+            restored.delete(rng.choice(restored.active_indexes()))
+            assert lists(restored) == triangulation.neighbors(), "a list went stale"
+        old = [obj for obj, held in restored._neighbor_map.items() if type(held) is set]
+        assert 0 < len(old) < len(restored)
         patched = lists(restored)
         restored.full_rebuild()
         assert patched == lists(restored)
@@ -188,24 +233,26 @@ class TestPicklesWithoutTheStore:
     @pytest.mark.parametrize("with_store", [True, False], ids=["with-store", "without-store"])
     def test_a_tree_pickled_with_one_edge_keyed_map_churns_to_the_rebuild(self, with_store):
         """Before the link maps the triangulation was one map keyed by
-        directed edge beside a spoke per vertex: a restore turns the map into
-        rows, drops the spoke and derives the store if it is missing."""
+        directed edge beside a spoke per vertex, and from some version on a
+        store beside both: a restore turns the map into rows and drops the
+        spoke and the store."""
         rng = random.Random(13)
         tree = VoRTree(uniform_points(200, extent=1_000.0, seed=31))
         churn(tree, rng, 10)
         triangulation = tree.voronoi._delaunay
-        edges, store, expected = triangulation.edge_map(), triangulation._adjacent, lists(tree)
+        edges, expected = triangulation.edge_map(), lists(tree)
+        if with_store:
+            with_a_store(tree)
+        else:
+            tree._neighbor_map = {obj: frozenset(n) for obj, n in expected.items()}
         state = vars(triangulation)
         state["_spoke"] = {vertex: next(iter(row)) for vertex, row in state["_apex"].items()}
         state["_apex"] = dict(edges)
-        if not with_store:
-            del state["_adjacent"]
         restored = pickle.loads(pickle.dumps(tree))
         triangulation = restored.voronoi._delaunay
-        assert "_spoke" not in vars(triangulation)
+        assert not {"_spoke", "_adjacent"} & set(vars(triangulation))
         assert all(type(row) is dict for row in triangulation._apex.values())
         assert triangulation.edge_map() == edges
-        assert triangulation._adjacent == store
         assert lists(restored) == expected
         churn(restored, rng, 20)
         patched = lists(restored)
@@ -214,7 +261,7 @@ class TestPicklesWithoutTheStore:
 
 
 class TestTheBuildsMemory:
-    """The store is read off the link maps without a second copy of it."""
+    """The lists are the link rows: no second copy is built or held."""
 
     def test_the_build_peaks_within_a_tenth_of_what_it_holds(self):
         points = uniform_points(5_000, extent=1_000.0, seed=5)
@@ -224,5 +271,18 @@ class TestTheBuildsMemory:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(triangulation._adjacent) == 5_000
+        assert len(triangulation.active_indexes()) == 5_000
         assert peak <= 1.1 * held, f"peak {peak} B against {held} B held"
+
+    def test_a_tree_holds_at_most_950_bytes_per_object(self):
+        """On CPython 3.11 a per-site neighbour set beside the rows held about
+        1 350 B per object here; the rows alone hold about 830."""
+        points = uniform_points(5_000, extent=1_000.0, seed=5)
+        tracemalloc.start()
+        try:
+            tree = VoRTree(points)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tree) == 5_000
+        assert held <= 950 * 5_000, f"{held / 5_000:.0f} B held per object"
