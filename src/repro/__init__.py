@@ -92,7 +92,7 @@ from repro.service import (
     UpdateBatch,
     open_service,
 )
-from repro.geometry import Point, VoronoiDiagram, order_k_cell
+from repro.geometry import Point, order_k_cell
 from repro.index import VoRTree
 from repro.roadnet import (
     NetworkLocation,
@@ -192,7 +192,6 @@ __all__ = [
     "VStarRoadProcessor",
     # geometry / index
     "Point",
-    "VoronoiDiagram",
     "order_k_cell",
     "VoRTree",
     # road networks

@@ -26,10 +26,10 @@ from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Set
 from repro.errors import QueryError
 from repro.core.processor import DeltaMailbox
 from repro.core.stats import ProcessorStats
+from repro.geometry.delaunay import delaunay_neighbors
 from repro.geometry.order_k import knn_indexes, order_k_cell
 from repro.geometry.point import Point
 from repro.geometry.primitives import BoundingBox
-from repro.geometry.voronoi import VoronoiDiagram
 from repro.geometry.voronoi import influential_neighbor_indexes as _ins_from_map
 
 
@@ -68,9 +68,8 @@ def influential_neighbor_set(
 def influential_neighbor_set_from_points(
     sites: Sequence[Point], members: Iterable[int]
 ) -> Set[int]:
-    """The INS computed directly from site coordinates (builds the diagram)."""
-    diagram = VoronoiDiagram(sites)
-    return influential_neighbor_set(diagram.neighbor_map(), members)
+    """The INS computed directly from site coordinates (builds the dual)."""
+    return influential_neighbor_set(delaunay_neighbors(sites), members)
 
 
 def minimal_influential_set(

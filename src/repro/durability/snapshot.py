@@ -80,12 +80,15 @@ class _Retired:
         pass
 
 
+_RETIRED_DIAGRAM = ("repro.geometry.voronoi", "VoronoiDiagram")
+
+
 class _Unpickler(pickle.Unpickler):
     def find_class(self, module: str, name: str) -> Any:
         # Snapshots written while the VoR-tree kept an R-tree beside its
-        # lists name that module's classes; VoRTree.__setstate__ drops the
-        # attribute that held it.
-        if module == "repro.index.rtree":
+        # lists, or a diagram class between it and its dual, name those
+        # classes; VoRTree.__setstate__ drops the attributes that held them.
+        if module == "repro.index.rtree" or (module, name) == _RETIRED_DIAGRAM:
             return _Retired
         return super().find_class(module, name)
 

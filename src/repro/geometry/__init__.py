@@ -7,7 +7,7 @@ This package provides the geometric machinery the INS algorithm is built on:
 * :mod:`repro.geometry.predicates` — orientation / in-circle predicates.
 * :mod:`repro.geometry.polygon` — convex polygons and half-plane clipping.
 * :mod:`repro.geometry.delaunay` — incremental Bowyer–Watson triangulation.
-* :mod:`repro.geometry.voronoi` — order-1 Voronoi diagrams and neighbours.
+* :mod:`repro.geometry.voronoi` — influential neighbour sets over Voronoi neighbours.
 * :mod:`repro.geometry.order_k` — order-k Voronoi cells of kNN sets.
 """
 
@@ -15,7 +15,6 @@ from repro.geometry.point import Point, centroid, distance, distance_squared, mi
 from repro.geometry.primitives import BoundingBox, Circle, Segment
 from repro.geometry.polygon import ConvexPolygon, HalfPlane, bisector_halfplane
 from repro.geometry.delaunay import DelaunayTriangulation, Triangle
-from repro.geometry.voronoi import VoronoiDiagram
 from repro.geometry.order_k import OrderKCell, order_k_cell
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "bisector_halfplane",
     "DelaunayTriangulation",
     "Triangle",
-    "VoronoiDiagram",
     "OrderKCell",
     "order_k_cell",
 ]

@@ -12,29 +12,32 @@ lists (Mücke, Saias & Zhu, SoCG 1996): the nearest of about n^⅓ evenly
 strided objects, then greedy descent.  No spatial tree is kept beside them.
 
 **Data-object updates are incremental and report their deltas.**
-:meth:`VoRTree.insert` and :meth:`VoRTree.delete` drive
-:meth:`VoronoiDiagram.insert_site` / :meth:`VoronoiDiagram.remove_site`,
-which carve only the affected Delaunay cavity / star — convex-hull objects
-included — and edit the dual's link rows in place; without twins an interior
-object's list *is* its site's row (the neighbours are its keys), so an update
-builds no list but a hull object's ghost-free frozenset.  No step of
-an update is O(n), and an insert is located by one walk: the nearest object
-the jump-and-walk finds is where the dual's cavity search starts.  Every
-mutation *returns* the objects whose lists changed (the delta contract of
+The tree holds the live :class:`~repro.geometry.delaunay.DelaunayTriangulation`
+of its positions itself: :meth:`VoRTree.insert` and :meth:`VoRTree.delete`
+call its ``insert_site`` / ``remove_site``, which carve only the affected
+Delaunay cavity / star — convex-hull objects included — and edit the dual's
+link rows in place.  An interior object with no twin at or beside its site
+holds its site's row as its list (the neighbours are its keys), so an update
+builds no list but a hull object's ghost-free frozenset and the lists around
+twins.  No step of an update is O(n), and an insert is located by one walk:
+the nearest object the jump-and-walk finds is where the dual's cavity search
+starts.  Every mutation *returns* the objects whose lists changed (the delta
+contract of
 :meth:`repro.roadnet.network_voronoi.NetworkVoronoiDiagram.insert_object`),
-so the serving engine invalidates only the queries whose held R it
-names.  :meth:`VoRTree.full_rebuild` is the from-scratch oracle of the
-randomized equivalence tests.  :meth:`VoRTree.batch_update` applies a burst
-as one epoch, with a single full rebuild when the burst is large enough that
+so the serving engine invalidates only the queries whose held R it names.
+:meth:`VoRTree.full_rebuild` is the from-scratch oracle of the randomized
+equivalence tests.  :meth:`VoRTree.batch_update` applies a burst as one
+epoch, with a single full rebuild when the burst is large enough that
 per-object patching would be wasted work.  ``insq_index_rebuilds_total``
-counts the rebuilds that remain by reason: ``geometry_error`` (fewer than
-three or only collinear objects) and ``bulk_threshold``.
+counts the rebuilds that remain by reason: ``geometry_error`` (an update the
+dual refuses, or fewer than three or only collinear positions, which have no
+dual but the chain along the line) and ``bulk_threshold``.
 
-**One id space.**  An object's index is its diagram site's and the dual's
-vertex's.  Objects at one position share the site the first active one
-founds; later *twins* are tombstones of the diagram (``active=``).  A
-twin's list is its site's neighbours' objects plus its own twins, so the
-INS theorem and the retrieval walk hold over the lists exactly.
+**One id space.**  An object's index is its site's and the dual's vertex's.
+Objects at one position share the site the first active one founds; later
+*twins* are tombstones of the dual (``active=``).  A twin's list is its
+site's neighbours' objects plus its own twins, so the INS theorem and the
+retrieval walk hold over the lists exactly.
 """
 
 from __future__ import annotations
@@ -45,8 +48,9 @@ from math import dist
 from typing import AbstractSet, Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import EmptyDatasetError, GeometryError, QueryError
+from repro.geometry.delaunay import DelaunayTriangulation, delaunay_neighbors
 from repro.geometry.point import Point
-from repro.geometry.voronoi import VoronoiDiagram, influential_neighbor_indexes
+from repro.geometry.voronoi import influential_neighbor_indexes
 from repro.obs.metrics import counter as _obs_counter
 
 _REBUILDS = {
@@ -82,7 +86,10 @@ class VoRTree:
         self._active_count = len(self._points)
         # Object -> its list: a dual's row (keys) or a frozenset.
         self._neighbor_map: Dict[int, Collection[int]] = {}
-        self._voronoi: Optional[VoronoiDiagram] = None
+        # The live triangulation over one site per position; without one
+        # (fewer than three or collinear positions) the chain's site lists.
+        self._dual: Optional[DelaunayTriangulation] = None
+        self._chain: Dict[int, Set[int]] = {}
         # Exact position -> its site; site -> its active objects, kept only
         # where that is not the site alone (twins, or a deleted founder).
         self._site_at: Dict[Tuple[float, float], int] = {}
@@ -92,13 +99,17 @@ class VoRTree:
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
         # Pickled beside an R-tree (point location walks the lists now), before
-        # the (x, y) rows, or when sites were numbered apart (then rebuilt).
-        stale = ("_rtree", "_last_batch_bulk", "_site_of_object", "_object_of_site", "_occupied")
+        # the (x, y) rows, when sites were numbered apart, or over a diagram
+        # layer between the tree and its dual (the last two are rebuilt).
+        stale = (
+            "_rtree", "_last_batch_bulk", "_site_of_object", "_object_of_site", "_occupied",
+            "_voronoi",
+        )
         for name in stale:
             self.__dict__.pop(name, None)
         if "_xy" not in state:
             self._xy = [(point.x, point.y) for point in self._points]
-        if "_site_of_object" in state:
+        if "_site_of_object" in state or "_voronoi" in state:
             self._rebuild_neighbor_map()
 
     # ------------------------------------------------------------------
@@ -140,15 +151,15 @@ class VoRTree:
         return 0 <= index < len(self._points) and self._active[index]
 
     @property
-    def voronoi(self) -> Optional[VoronoiDiagram]:
-        """The order-1 Voronoi diagram of the active objects' positions.
+    def voronoi(self) -> Optional[DelaunayTriangulation]:
+        """The live Delaunay dual of the active objects' positions.
 
-        None when every active object sits at one position (no diagram can
-        be built).  Site ``i`` is object ``i`` — or, once that founding
-        object is deleted, the position its surviving twins share; one active
-        site per distinct active position.
+        None when fewer than three positions or only collinear ones are left
+        (their lists are the chain along the line).  Site ``i`` is object
+        ``i`` — or, once that founding object is deleted, the position its
+        surviving twins share; one active site per distinct active position.
         """
-        return self._voronoi
+        return self._dual
 
     def point(self, index: int) -> Point:
         """Position of data object ``index``."""
@@ -184,24 +195,23 @@ class VoRTree:
         the site's and its neighbours' objects.  After a from-scratch rebuild
         ``changed`` is every active object.
         """
-        if self._voronoi is None:
-            index = self._append_object(point)
-            self._rebuild_neighbor_map("geometry_error")
-            return index, set(self.active_indexes())
         row = (point.x, point.y)
         site = self._site_at.get(row)
-        if site is not None:
+        if site is not None and len(self._site_at) > 1:
             index = self._append_object(point)
-            self._voronoi.add_tombstone(point)
+            if self._dual is not None:
+                self._dual.add_tombstone(point)
             self._members.setdefault(site, [site]).append(index)
-            return index, self._patch_neighbor_lists([site, *self._voronoi.neighbors_of(site)])
+            return index, self._patch_neighbor_lists(self._site_and_neighbors(site))
+        if self._dual is None:  # one position, or a chain the object may leave
+            index = self._append_object(point)
+            return index, self._rebuilt()
         hint = self._site_at[self._xy[self._walk(row, self._jump(row))[1]]]
         index = self._append_object(point)
         try:
-            _, changed_sites = self._voronoi.insert_site(point, hint=hint)
-        except (GeometryError, EmptyDatasetError):
-            self._rebuild_neighbor_map("geometry_error")
-            return index, set(self.active_indexes())
+            _, changed_sites = self._dual.insert_site(point, hint=hint)
+        except GeometryError:  # refused before anything was edited
+            return index, self._rebuilt()
         self._site_at[row] = index
         return index, self._patch_neighbor_lists(changed_sites)
 
@@ -215,7 +225,7 @@ class VoRTree:
         neighbour lists of the objects adjacent to the deleted one are
         re-derived, whether it sat inside the convex hull or on it; only
         when fewer than three or only collinear positions are left does the
-        diagram refresh, and report, every active object.  A deleted object
+        tree rebuild, and report, every active object.  A deleted object
         with twins left changes only the lists at its site and around it.
         """
         if not self.is_active(index):
@@ -223,9 +233,8 @@ class VoRTree:
         if len(self) <= 1:
             raise QueryError("cannot delete the last remaining data object")
         self._drop_object(index)
-        if self._voronoi is None:
-            self._rebuild_neighbor_map("geometry_error")
-            return True, set(self.active_indexes())
+        if len(self._site_at) < 2:
+            return True, self._rebuilt()
         self._neighbor_map.pop(index)
         site = self._site_at[self._xy[index]]
         members = self._members.get(site)
@@ -233,17 +242,15 @@ class VoRTree:
             members.remove(index)
             if members == [site]:
                 del self._members[site]
-            return True, self._patch_neighbor_lists([site, *self._voronoi.neighbors_of(site)])
+            return True, self._patch_neighbor_lists(self._site_and_neighbors(site))
         del self._site_at[self._xy[index]]
         self._members.pop(site, None)
-        if len(self._site_at) < 2:
-            self._rebuild_neighbor_map("geometry_error")
-            return True, set(self.active_indexes())
+        if self._dual is None:  # a chain: what is left is a line again or less
+            return True, self._rebuilt()
         try:
-            changed_sites = self._voronoi.remove_site(site)
-        except (GeometryError, EmptyDatasetError):
-            self._rebuild_neighbor_map("geometry_error")
-            return True, set(self.active_indexes())
+            changed_sites = self._dual.remove_site(site)
+        except GeometryError:  # refused before anything was edited
+            return True, self._rebuilt()
         return True, self._patch_neighbor_lists(changed_sites)
 
     #: Bulk-rebuild crossover for :meth:`batch_update`, as a fraction of the
@@ -296,7 +303,7 @@ class VoRTree:
         if len(self) + len(insert_list) - len(delete_list) < 1:
             raise QueryError("batch update would remove every data object")
         bulk_threshold = max(8, int(len(self) * self.BULK_REBUILD_FRACTION))
-        if self._voronoi is not None and operations < bulk_threshold:
+        if len(self._site_at) > 1 and operations < bulk_threshold:
             changed: Set[int] = set()
             new_indexes = []
             for point in insert_list:
@@ -351,8 +358,8 @@ class VoRTree:
         object (attributes ``new_indexes``/``points``/``deleted_indexes``/
         ``neighbors``/``removed_neighbors``; ``bulk`` is ignored).  The new
         objects are appended, the deleted ones tombstoned and the neighbour
-        lists overwritten with the shipped final values.  The local Voronoi
-        diagram is dropped — a delta replica never runs geometry, and serving
+        lists overwritten with the shipped final values.  The local dual is
+        dropped — a delta replica never runs geometry, and serving
         (point location included) only needs the positions + neighbour lists.
         """
         if len(delta.new_indexes) != len(delta.points):
@@ -373,7 +380,8 @@ class VoRTree:
             self._neighbor_map[obj] = frozenset(members)
         for obj in delta.removed_neighbors:
             self._neighbor_map.pop(obj, None)
-        self._voronoi = None
+        self._dual = None
+        self._chain = {}
         self._site_at = {}
         self._members = {}
 
@@ -399,8 +407,14 @@ class VoRTree:
         self._active[index] = False
         self._active_count -= 1
 
+    def _rebuilt(self) -> Set[int]:
+        """The fallback of an update the dual cannot take, or of a population
+        without one: a counted rebuild, after which every object changed."""
+        self._rebuild_neighbor_map("geometry_error")
+        return set(self.active_indexes())
+
     def _rebuild_neighbor_map(self, reason: Optional[str] = None) -> None:
-        """From-scratch rebuild of the diagram, site bookkeeping and lists.
+        """From-scratch rebuild of the dual, site bookkeeping and lists.
 
         The first active object at each position founds its site.
         ``reason`` names the slow path for ``insq_index_rebuilds_total``;
@@ -414,24 +428,42 @@ class VoRTree:
             site = site_at.setdefault(self._xy[index], index)
             if site != index:
                 members.setdefault(site, [site]).append(index)
-        founders = [site_at.get(row) == index for index, row in enumerate(self._xy)]
-        self._voronoi = VoronoiDiagram(self._points, active=founders) if len(site_at) > 1 else None
+        self._dual, self._chain = None, {}
+        if len(site_at) > 1:
+            founders = [site_at.get(row) == index for index, row in enumerate(self._xy)]
+            try:
+                self._dual = DelaunayTriangulation(self._points, active=founders)
+            except GeometryError:
+                # Fewer than three or collinear positions: the chain along
+                # the line.  Any other failure re-raises from the wrapper.
+                sites = list(site_at.values())
+                local = delaunay_neighbors([self._points[site] for site in sites])
+                self._chain = {
+                    sites[i]: {sites[j] for j in neighbors} for i, neighbors in local.items()
+                }
         self._neighbor_map = {}
         self._patch_neighbor_lists(site_at.values())
+
+    def _site_and_neighbors(self, site: int) -> List[int]:
+        """``site`` and its neighbour sites: the lists a twin joining or
+        leaving it changes."""
+        neighbors = self._chain[site] if self._dual is None else self._dual.neighbors_of(site)
+        return [site, *neighbors]
 
     def _patch_neighbor_lists(self, changed_sites: Iterable[int]) -> Set[int]:
         """Re-derive the neighbour lists of the objects at changed sites.
 
         The dual hands out an interior site's live row and a hull site's
-        frozenset (:meth:`VoronoiDiagram.neighbor_sets`); without twins anywhere
-        they become the lists themselves, so the dual's next edit of a row is
-        the list's too, and a twin's list is a frozenset built here.  Returns
-        the set of affected *object* indexes (the mutation delta).
+        frozenset (:meth:`DelaunayTriangulation.neighbor_sets`).  A site with
+        no twin at or beside it takes that as its list, so the dual's next
+        edit of a row is the list's too; the objects of a site with twins, or
+        next to one, get frozensets built here.  Returns the set of affected
+        *object* indexes (the mutation delta).
         """
-        if self._voronoi is None:  # one site: its objects list only each other
-            lists = dict.fromkeys(changed_sites, frozenset())
+        if self._dual is None:  # the chain; one site lists only its twins
+            lists = {site: self._chain.get(site, frozenset()) for site in changed_sites}
         else:
-            lists = self._voronoi.neighbor_sets(changed_sites)
+            lists = self._dual.neighbor_sets(changed_sites)
         members = self._members
         if not members:
             # With no twins anywhere a site's list is the dual's own.
@@ -439,10 +471,15 @@ class VoRTree:
             return set(lists)
         changed_objects: Set[int] = set()
         for site, neighbors in lists.items():
+            own = members.get(site)
+            if own is None and members.keys().isdisjoint(neighbors):
+                self._neighbor_map[site] = neighbors
+                changed_objects.add(site)
+                continue
+            own = own or (site,)
             around = frozenset(
                 obj for other in neighbors for obj in members.get(other, (other,))
             )
-            own = members.get(site, (site,))
             for obj in own:
                 self._neighbor_map[obj] = around.union(own).difference((obj,))
             changed_objects.update(own)
@@ -527,7 +564,7 @@ class VoRTree:
         """Greedy descent over the neighbour lists from ``seed``: ``(distance,
         index)`` where it stops — a nearest object, since on a Delaunay graph a
         non-nearest object has a strictly nearer neighbour.  It reads only
-        positions and lists, so a delta replica (no diagram) walks too."""
+        positions and lists, so a delta replica (no dual) walks too."""
         neighbors = self._neighbor_map
         xy = self._xy
         best = dist(q, xy[seed])

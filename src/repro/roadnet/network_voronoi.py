@@ -38,7 +38,7 @@ Each repair patches the vertex distances/owners, the edge ownership, two
 inverted indexes (owner → owned vertices, owner → owned edges) and the
 neighbour map in place, and reports the set of objects whose neighbour sets
 changed — the same delta contract as the Euclidean
-:meth:`~repro.geometry.voronoi.VoronoiDiagram.insert_site`.  Removed objects
+:meth:`~repro.index.vortree.VoRTree.insert`.  Removed objects
 keep their index as tombstones so identifiers held by callers stay stable.
 The from-scratch construction remains available as :meth:`full_rebuild`,
 the correctness oracle of the randomized equivalence tests, and as the

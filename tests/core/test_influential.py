@@ -15,7 +15,7 @@ from repro.core.influential import (
 from repro.geometry.order_k import knn_indexes
 from repro.geometry.point import Point
 from repro.geometry.primitives import BoundingBox
-from repro.geometry.voronoi import VoronoiDiagram
+from repro.geometry.delaunay import delaunay_neighbors
 from repro.workloads.datasets import uniform_points
 
 
@@ -39,13 +39,13 @@ class TestIsCloserSet:
 
 class TestINSComputation:
     def test_ins_matches_manual_union(self, small_points):
-        diagram = VoronoiDiagram(small_points)
+        neighbor_map = delaunay_neighbors(small_points)
         members = {4, 6, 7}
         expected = set()
         for member in members:
-            expected |= diagram.neighbors_of(member)
+            expected |= neighbor_map[member]
         expected -= members
-        assert influential_neighbor_set(diagram.neighbor_map(), members) == expected
+        assert influential_neighbor_set(neighbor_map, members) == expected
         assert influential_neighbor_set_from_points(small_points, members) == expected
 
     def test_ins_excludes_members(self, small_points):

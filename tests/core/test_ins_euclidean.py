@@ -5,7 +5,6 @@ import pickle
 import random
 
 import pytest
-import voronoi_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +12,6 @@ from repro.errors import ConfigurationError
 from repro.core.ins_euclidean import INSProcessor
 from repro.core.objects import UpdateAction
 from repro.geometry.point import Point
-from repro.geometry.voronoi import VoronoiDiagram
 from repro.index.vortree import VoRTree
 from repro.trajectory.euclidean import linear_trajectory, random_waypoint_trajectory
 from repro.workloads.datasets import data_space, uniform_points
@@ -259,36 +257,3 @@ class TestOldSnapshots:
             assert set(restored.knn) == set(brute_knn(dataset, position, 5))
         assert old.stats.distance_computations == twin.stats.distance_computations
         assert old.stats.transmitted_objects == twin.stats.transmitted_objects
-
-    def test_a_diagram_pickled_with_site_vertex_maps_drops_them_and_its_dual(self):
-        """Before site ids were vertex ids a diagram held two id maps and a
-        dual numbered without the tombstones, beside a copy of the dual's
-        links, a cell cache and a stored box; none of it survives a restore,
-        which rebuilds the dual from the sites."""
-        sites = uniform_points(60, extent=1_000.0, seed=151)
-        diagram = VoronoiDiagram(sites)
-        diagram.remove_site(7)
-        state = pickle.loads(pickle.dumps(diagram.__dict__))
-        kept = diagram.active_site_indexes()
-        state["_neighbors"] = diagram.neighbor_map()
-        state["_cell_cache"] = {kept[0]: voronoi_reference.cell(diagram, kept[0])}
-        state["_bounding_box"] = voronoi_reference.bounding_box(diagram)
-        state["_site_to_vertex"] = {site: vertex for vertex, site in enumerate(kept)}
-        state["_vertex_to_site"] = dict(enumerate(kept))
-        state["_delaunay"] = "the old dual, numbered 0..58"
-        old = VoronoiDiagram.__new__(VoronoiDiagram)
-        old.__setstate__(state)
-        dropped = {"_cell_cache", "_bounding_box", "_site_to_vertex", "_vertex_to_site"}
-        assert not dropped & set(vars(old))
-        assert old._neighbors is None
-        assert all(old.neighbors_of(site) == diagram.neighbors_of(site) for site in kept)
-        index, changed = old.insert_site(Point(512.0, 498.0), hint=kept[0])
-        assert index == len(sites) and index in changed
-        assert changed < set(old.active_site_indexes())  # local: the dual is live
-        assert old.remove_site(20) <= set(old.active_site_indexes())  # no tombstone
-        survivors = old.active_site_indexes()
-        fresh = VoronoiDiagram([old.site(site) for site in survivors])
-        assert old.neighbor_map() == {
-            survivors[site]: {survivors[neighbor] for neighbor in neighbors}
-            for site, neighbors in fresh.neighbor_map().items()
-        }

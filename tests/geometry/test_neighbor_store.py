@@ -184,7 +184,7 @@ def with_a_store(tree):
     """Hand-set ``tree`` to the layout of a version that kept a neighbour
     store beside the rows: one set per site, and without twins each object's
     list *is* its site's set.  Returns the store."""
-    triangulation = tree.voronoi._delaunay
+    triangulation = tree.voronoi
     store = {site: triangulation.neighbors_of(site) for site in triangulation.active_indexes()}
     triangulation._adjacent = store
     tree._neighbor_map = {obj: store[obj] for obj in tree.active_indexes()}
@@ -217,7 +217,7 @@ class TestPicklesWithTheStore:
         with_a_store(tree)
         expected = lists(tree)
         restored = pickle.loads(pickle.dumps(tree))
-        triangulation = restored.voronoi._delaunay
+        triangulation = restored.voronoi
         assert "_adjacent" not in vars(triangulation)
         assert lists(restored) == expected
         for _ in range(200):
@@ -239,7 +239,7 @@ class TestPicklesWithTheStore:
         rng = random.Random(13)
         tree = VoRTree(uniform_points(200, extent=1_000.0, seed=31))
         churn(tree, rng, 10)
-        triangulation = tree.voronoi._delaunay
+        triangulation = tree.voronoi
         edges, expected = triangulation.edge_map(), lists(tree)
         if with_store:
             with_a_store(tree)
@@ -249,7 +249,7 @@ class TestPicklesWithTheStore:
         state["_spoke"] = {vertex: next(iter(row)) for vertex, row in state["_apex"].items()}
         state["_apex"] = dict(edges)
         restored = pickle.loads(pickle.dumps(tree))
-        triangulation = restored.voronoi._delaunay
+        triangulation = restored.voronoi
         assert not {"_spoke", "_adjacent"} & set(vars(triangulation))
         assert all(type(row) is dict for row in triangulation._apex.values())
         assert triangulation.edge_map() == edges

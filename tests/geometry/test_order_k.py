@@ -4,13 +4,15 @@ import pytest
 import voronoi_reference
 
 from repro.errors import GeometryError
+from repro.geometry.delaunay import delaunay_neighbors
 from repro.geometry.order_k import (
     knn_indexes,
     order_k_cell,
     order_k_cell_of_query,
 )
 from repro.geometry.point import Point
-from repro.geometry.voronoi import VoronoiDiagram, influential_neighbor_indexes
+from repro.geometry.voronoi import influential_neighbor_indexes
+from repro.index.vortree import VoRTree
 from repro.workloads.datasets import uniform_points
 
 
@@ -29,13 +31,13 @@ class TestKnnIndexes:
 
 class TestOrderKCellGeometry:
     def test_order_1_cell_matches_voronoi_cell(self, small_points):
-        diagram = VoronoiDiagram(small_points)
+        tree = VoRTree(small_points)
         index = 4
         cell = order_k_cell(
             small_points, [index], reference=small_points[index],
-            bounding_box=voronoi_reference.bounding_box(diagram),
+            bounding_box=voronoi_reference.bounding_box(tree),
         )
-        voronoi_cell = voronoi_reference.cell(diagram, index)
+        voronoi_cell = voronoi_reference.cell(tree, index)
         assert cell.polygon.area == pytest.approx(voronoi_cell.area, rel=1e-6)
 
     def test_cell_contains_query_whose_knn_it_is(self, small_points):
@@ -95,22 +97,20 @@ class TestMinimalInfluentialSet:
 
     def test_mis_is_subset_of_ins(self, small_points):
         """The paper's key structural claim (proved in [3], used by Thm 1)."""
-        diagram = VoronoiDiagram(small_points)
+        neighbor_map = delaunay_neighbors(small_points)
         for query in [Point(4.8, 5.2), Point(3.0, 7.0), Point(6.5, 2.5)]:
             for k in (2, 3, 4):
                 cell = order_k_cell_of_query(small_points, query, k)
-                ins = influential_neighbor_indexes(
-                    diagram.neighbor_map(), cell.member_indexes
-                )
+                ins = influential_neighbor_indexes(neighbor_map, cell.member_indexes)
                 assert set(cell.mis_indexes) <= ins
 
     def test_mis_on_random_data(self):
         points = uniform_points(80, extent=1_000.0, seed=21)
-        diagram = VoronoiDiagram(points)
+        neighbor_map = delaunay_neighbors(points)
         for seed, k in [(1, 2), (2, 3), (3, 5)]:
             query = Point(300.0 + 100 * seed, 400.0 + 60 * seed)
             cell = order_k_cell_of_query(points, query, k)
-            ins = influential_neighbor_indexes(diagram.neighbor_map(), cell.member_indexes)
+            ins = influential_neighbor_indexes(neighbor_map, cell.member_indexes)
             assert set(cell.mis_indexes) <= ins
             # An interior query's cell should have a non-empty MIS.
             if not cell.clipped_by_box:

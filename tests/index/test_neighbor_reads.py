@@ -3,21 +3,24 @@ site's link row in the dual.
 
 After every insert and delete ``VoRTree`` re-derives the neighbour lists of
 the sites the dual reports changed.  It asks the dual once per mutation
-(``VoronoiDiagram.neighbor_sets``), and the dual hands out each interior
-site's link row itself — its keys are the neighbours, already edited by the
-mutation — with one row read per site and no ring turned.  A hull site's row
-holds ``GHOST``, so its list is a ghost-free frozenset, built again whenever
-the site is reported changed: every row whose keys change is a changed site's.
+(``DelaunayTriangulation.neighbor_sets``), and the dual hands out each
+interior site's link row itself — its keys are the neighbours, already edited
+by the mutation — with one row read per site and no ring turned.  A hull
+site's row holds ``GHOST``, so its list is a ghost-free frozenset, built again
+whenever the site is reported changed: every row whose keys change is a
+changed site's.  Only the objects at a site with twins, or next to one, hold
+frozensets built by the tree.
 
 ``check_lists`` holds that contract after every mutation of a churn over
 uniform, grid, stacked-twin and hull-delete inputs: each active object's list
-equals a from-scratch rebuild's, never holds ``GHOST``, and, without twins,
-is its site's row (no copy) when the site is interior.  On the grid a full
-rebuild draws other jitter and may break co-circular ties the other way
-(``delaunay.py``'s module notes), so there the rebuild re-reads every site of
-the live dual instead of re-triangulating it.  Two seeded mutants must fail
-it: a dual that hands a hull site its raw row, and a tree that keeps a
-changed hull site's old frozenset.
+equals a from-scratch rebuild's, never holds ``GHOST``, and is its site's row
+(no copy) when the site is interior with no twin at or beside it.  On the
+grid a full rebuild draws other jitter and may break co-circular ties the
+other way (``delaunay.py``'s module notes), so there the rebuild re-reads
+every site of the live dual instead of re-triangulating it.  Three seeded
+mutants must fail it: a dual that hands a hull site its raw row, a tree that
+keeps a changed hull site's old frozenset, and a tree that hands a new twin's
+neighbours their raw rows.
 """
 
 import copy
@@ -30,7 +33,6 @@ import pytest
 from repro.geometry import delaunay
 from repro.geometry.delaunay import GHOST, DelaunayTriangulation
 from repro.geometry.point import Point
-from repro.geometry.voronoi import VoronoiDiagram
 from repro.index import vortree
 from repro.index.vortree import VoRTree
 from repro.workloads.datasets import uniform_points
@@ -47,7 +49,7 @@ class CountingDict(dict):
 
 
 def rows_of(tree):
-    return tree.voronoi._delaunay._apex
+    return tree.voronoi._apex
 
 
 def rebuilt_lists(tree, geometry=True):
@@ -67,12 +69,13 @@ def check_lists(tree, geometry=True):
     """Assert every active object's list against the rebuild and the rows."""
     expected = rebuilt_lists(tree, geometry)
     rows = rows_of(tree) if tree.voronoi is not None else {}
+    twinned = tree._members.keys()
     for obj in tree.active_indexes():
         held = tree.voronoi_neighbors(obj)
         assert GHOST not in held, f"object {obj}'s list holds GHOST"
         assert held == expected[obj], f"object {obj}'s list is stale"
         row = rows.get(obj)
-        if not tree._members and row is not None and GHOST not in row:
+        if row is not None and GHOST not in row and obj not in twinned and twinned.isdisjoint(row):
             assert tree._neighbor_map[obj] is row, f"object {obj}'s list is a copy of its row"
 
 
@@ -198,6 +201,38 @@ class TestTheListCheckBites:
         with pytest.raises(AssertionError, match="is stale"):
             churn_checking_the_lists(family, 1, tree_class=Stale)
 
+    def test_a_new_twins_neighbours_handed_their_raw_rows_is_caught(self):
+        source = textwrap.dedent(inspect.getsource(VoRTree._patch_neighbor_lists))
+        rule = "members.keys().isdisjoint(neighbors)"
+        assert source.count(rule) == 1, "the twin rule moved: re-seed this test"
+        # Only a site's own twins take the twin path, not its neighbours'.
+        namespace = dict(vars(vortree))
+        exec(source.replace(rule, "True"), namespace)
+
+        class Blind(VoRTree):
+            _patch_neighbor_lists = namespace["_patch_neighbor_lists"]
+
+        churn_checking_the_lists("stacked", 1)
+        with pytest.raises(AssertionError, match="is stale"):
+            churn_checking_the_lists("stacked", 1, tree_class=Blind)
+
+
+def test_one_twin_turns_only_the_lists_around_it_into_copies():
+    """A twin kept alive through 400 epochs of 4/4 churn on 2 000 points
+    leaves the lists away from it on their rows: the frozensets are the
+    hull's, the twins' and their site's neighbours'."""
+    rng = random.Random(5)
+    tree = VoRTree(uniform_points(2_000, extent=1_000.0, seed=41))
+    twin, _ = tree.insert(tree.point(0))
+    for _ in range(400):
+        inserts = [Point(rng.uniform(0.0, 1_000.0), rng.uniform(0.0, 1_000.0)) for _ in range(4)]
+        alive = [obj for obj in tree.active_indexes() if obj not in (0, twin)]
+        tree.batch_update(inserts, rng.sample(alive, 4))
+    assert tree._members == {0: [0, twin]}
+    frozen = [obj for obj, held in tree._neighbor_map.items() if type(held) is frozenset]
+    assert len(frozen) <= 60, f"{len(frozen)} of {len(tree)} lists are frozensets"
+    check_lists(tree)
+
 
 def test_a_churned_stream_reads_each_changed_site_once(monkeypatch):
     """One row read per reported site, and no per-site ``neighbors_of``."""
@@ -232,13 +267,18 @@ def test_a_churned_stream_reads_each_changed_site_once(monkeypatch):
             self._apex = apex
 
     tree = VoRTree(uniform_points(300, extent=1_000.0, seed=43))
-    for cls in (VoronoiDiagram, DelaunayTriangulation):
-        monkeypatch.setattr(cls, "neighbors_of", forbidden(cls.neighbors_of))
     monkeypatch.setattr(
-        VoronoiDiagram, "insert_site", reporting(VoronoiDiagram.insert_site, lambda r: r[1])
+        DelaunayTriangulation, "neighbors_of", forbidden(DelaunayTriangulation.neighbors_of)
     )
     monkeypatch.setattr(
-        VoronoiDiagram, "remove_site", reporting(VoronoiDiagram.remove_site, lambda r: r)
+        DelaunayTriangulation,
+        "insert_site",
+        reporting(DelaunayTriangulation.insert_site, lambda r: r[1]),
+    )
+    monkeypatch.setattr(
+        DelaunayTriangulation,
+        "remove_site",
+        reporting(DelaunayTriangulation.remove_site, lambda r: r),
     )
     monkeypatch.setattr(DelaunayTriangulation, "neighbor_sets", counting_reader)
 

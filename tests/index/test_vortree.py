@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import EmptyDatasetError, QueryError
 from repro.geometry.point import Point
-from repro.geometry.voronoi import VoronoiDiagram
+from repro.geometry.delaunay import delaunay_neighbors
 from repro.index.vortree import VoRTree
 from repro.workloads.datasets import uniform_points
 
@@ -29,9 +29,9 @@ class TestConstruction:
 class TestNeighborLists:
     def test_neighbor_lists_match_voronoi_diagram(self, small_points):
         tree = VoRTree(small_points)
-        diagram = VoronoiDiagram(small_points)
+        neighbor_map = delaunay_neighbors(small_points)
         for index in range(len(small_points)):
-            assert tree.voronoi_neighbors(index) == diagram.neighbors_of(index)
+            assert tree.voronoi_neighbors(index) == neighbor_map[index]
 
     def test_neighbor_lists_are_read_only(self, small_points):
         """voronoi_neighbors returns the tree's own record, not a per-call copy."""

@@ -16,7 +16,7 @@ from rebuild_reference import RebuildingVoRTree
 
 import repro.obs as obs
 from repro.geometry.point import Point
-from repro.geometry.voronoi import VoronoiDiagram
+from repro.geometry.delaunay import delaunay_neighbors
 from repro.index.vortree import VoRTree
 from repro.workloads.datasets import uniform_points
 
@@ -41,12 +41,11 @@ def burst(tree, rng, size):
 
 
 def fresh_diagram_map(tree):
-    """Independent oracle: a brand-new VoronoiDiagram over the active points."""
+    """Independent oracle: a brand-new triangulation over the active points."""
     active = tree.active_indexes()
-    diagram = VoronoiDiagram([tree.point(index) for index in active])
     return {
         active[local]: {active[neighbor] for neighbor in neighbors}
-        for local, neighbors in diagram.neighbor_map().items()
+        for local, neighbors in delaunay_neighbors([tree.point(i) for i in active]).items()
     }
 
 
@@ -152,8 +151,7 @@ class TestPopulationCount:
         def check():
             assert len(tree) == len(tree.active_indexes())
             assert len(replica) == len(replica.active_indexes()) == len(tree)
-            diagram = tree.voronoi
-            assert len(diagram) == len(diagram.active_site_indexes()) == len(tree)
+            assert len(tree.voronoi.active_indexes()) == len(tree)
 
         def mirror(new, deleted, bulk=False):
             """Replay the structural part of a mutation on the delta replica."""

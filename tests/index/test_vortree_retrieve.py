@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 from rebuild_reference import TREES
 
 import repro.obs as obs
+from repro.durability import snapshot
 from repro.durability.snapshot import read_snapshot
 from repro.errors import QueryError
 from repro.geometry.delaunay import DelaunayTriangulation
@@ -447,6 +448,37 @@ class TestExactTies:
         check_every_hint(tree, Point(30.0, 14.0), counts=(1, 4, 9))
         tree.insert(Point(29.0, 15.0))
         check_every_hint(tree, Point(8.0, 3.0), counts=(1, 4, 9))
+
+    @pytest.mark.parametrize("loader", ["pickle", "snapshot"])
+    @pytest.mark.parametrize("name", ["dual", "chain"])
+    def test_a_tree_pickled_over_a_diagram_layer_restores_and_serves(self, name, loader):
+        """Trees pickled while a ``VoronoiDiagram`` class stood between the
+        tree and its dual (or its chain), written by that version as::
+
+            dual = VoRTree(uniform_points(24, extent=100.0, seed=5))
+            dual.insert(dual.point(3)); dual.delete(3); dual.delete(10)
+            dual.insert(Point(50.0, 50.0))
+            chain = VoRTree([Point(float(x), 0.0) for x in range(5)])
+            chain.insert(Point(2.0, 0.0)); chain.delete(0)
+            pickle.dump(tree, file, protocol=4)
+
+        Either reader drops the diagram and rebuilds: the lists equal a
+        from-scratch rebuild's, and the tree keeps retrieving and updating."""
+        golden = os.path.join(os.path.dirname(__file__), "golden", f"vortree-{name}.pickle")
+        with open(golden, "rb") as handle:
+            data = handle.read()
+        tree = pickle.loads(data) if loader == "pickle" else snapshot._unpickle(data)
+        assert "_voronoi" not in vars(tree)
+        assert (tree.voronoi is None) == (name == "chain")
+        restored = {i: set(tree.voronoi_neighbors(i)) for i in tree.active_indexes()}
+        tree.full_rebuild()
+        assert restored == {i: set(tree.voronoi_neighbors(i)) for i in tree.active_indexes()}
+        query = tree.point(tree.active_indexes()[-1])
+        check_every_hint(tree, query, counts=(1, 3, len(tree)))
+        index, changed = tree.insert(Point(query.x + 0.5, query.y + 0.25))
+        assert index in changed
+        assert tree.delete(tree.active_indexes()[0])[0]
+        check_every_hint(tree, query, counts=(1, 3, len(tree)))
 
     @pytest.mark.parametrize(
         "seed, maintenance",

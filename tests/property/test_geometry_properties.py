@@ -10,7 +10,8 @@ from repro.geometry.order_k import knn_indexes, order_k_cell
 from repro.geometry.point import Point, midpoint
 from repro.geometry.polygon import ConvexPolygon, HalfPlane, bisector_halfplane
 from repro.geometry.primitives import BoundingBox
-from repro.geometry.voronoi import VoronoiDiagram, influential_neighbor_indexes
+from repro.geometry.voronoi import influential_neighbor_indexes
+from repro.index.vortree import VoRTree
 
 coordinates = st.floats(min_value=-1_000.0, max_value=1_000.0, allow_nan=False, allow_infinity=False)
 points_strategy = st.builds(Point, coordinates, coordinates)
@@ -104,10 +105,10 @@ class TestVoronoiProperties:
     @settings(max_examples=30, deadline=None)
     def test_nearest_site_cell_contains_query(self, points, query):
         assume(well_separated(points))
-        diagram = VoronoiDiagram(points)
-        assume(voronoi_reference.bounding_box(diagram).contains_point(query))
-        owner = voronoi_reference.nearest_site(diagram, query)
-        assert voronoi_reference.cell(diagram, owner).contains(query, tolerance=1e-6)
+        tree = VoRTree(points)
+        assume(voronoi_reference.bounding_box(tree).contains_point(query))
+        owner = voronoi_reference.nearest_site(tree, query)
+        assert voronoi_reference.cell(tree, owner).contains(query, tolerance=1e-6)
 
 
 class TestOrderKProperties:
@@ -137,8 +138,7 @@ class TestOrderKProperties:
         query = Point(qx, qy)
         members = knn_indexes(points, query, k)
         cell = order_k_cell(points, members, reference=query)
-        diagram = VoronoiDiagram(points)
-        ins = influential_neighbor_indexes(diagram.neighbor_map(), members)
+        ins = influential_neighbor_indexes(delaunay_neighbors(points), members)
         assert set(cell.mis_indexes) <= ins
 
     @given(

@@ -20,8 +20,8 @@ from repro.core.influential import (
 )
 from repro.core.server import MovingKNNServer
 from repro.errors import ConfigurationError, QueryError
+from repro.geometry.delaunay import delaunay_neighbors
 from repro.geometry.point import Point
-from repro.geometry.voronoi import VoronoiDiagram
 from repro.index.vortree import VoRTree
 from repro.queries import (
     InfluentialResult,
@@ -326,13 +326,13 @@ class TestInfluentialSetMonitor:
         delta = InfluentialSetMonitor(points, members)
         flag = InfluentialSetMonitor(points, members)
         assert delta.influential_sites() == flag.influential_sites()
-        before = VoronoiDiagram(points).neighbor_map()
+        before = delaunay_neighbors(points)
         for _ in range(25):
             index = rng.randrange(len(points))
             if index in members:
                 continue
             points[index] = Point(rng.uniform(0, 100), rng.uniform(0, 100))
-            after = VoronoiDiagram(points).neighbor_map()
+            after = delaunay_neighbors(points)
             changed = {
                 i for i in range(len(points)) if before.get(i) != after.get(i)
             } | {index}

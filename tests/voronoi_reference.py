@@ -1,47 +1,45 @@
 """Voronoi cell polygons and point location: the references the geometry tests draw with.
 
-``VoronoiDiagram`` keeps the neighbour relation only — INS reads nothing
-else of the diagram.  The cell polygon of a site and the site nearest to a
-query are what the geometry tests check that relation against, so they live
-here, computed from the diagram's public reads on every call:
+``VoRTree`` keeps the neighbour lists only — INS reads nothing else of the
+order-1 Voronoi diagram.  The cell polygon of an object and the object
+nearest to a query are what the geometry tests check those lists against, so
+they live here, computed from the tree's public reads (``point``,
+``active_indexes``, ``voronoi_neighbors``) on every call:
 
-* :func:`bounding_box` — the active sites' extent grown by its own size (3x
-  the extent), which always holds every site;
-* :func:`cell` — the bisector half-planes against a site's Voronoi
+* :func:`bounding_box` — the active objects' extent grown by its own size
+  (3x the extent), which always holds every object;
+* :func:`cell` — the bisector half-planes against an object's Voronoi
   neighbours, clipped to that box (or to one given): the exact cell of an
-  interior site, the clipped cell of a hull site;
-* :func:`nearest_site` / :func:`locate` — a linear scan of the active sites.
+  interior object, the clipped cell of a hull object;
+* :func:`nearest_site` / :func:`locate` — a linear scan of the active objects.
 """
 
 from repro.geometry.polygon import ConvexPolygon, bisector_halfplane
 from repro.geometry.primitives import BoundingBox
 
 
-def bounding_box(diagram):
-    """The clipping box :func:`cell` defaults to, derived from the active sites."""
-    tight = BoundingBox.from_points([diagram.site(i) for i in diagram.active_site_indexes()])
+def bounding_box(tree):
+    """The clipping box :func:`cell` defaults to, derived from the active objects."""
+    tight = BoundingBox.from_points([tree.point(i) for i in tree.active_indexes()])
     return tight.expanded(max(tight.width, tight.height, 1.0))
 
 
-def cell(diagram, index, box=None):
-    """The Voronoi cell polygon of site ``index``, clipped to ``box``."""
-    site = diagram.site(index)
+def cell(tree, index, box=None):
+    """The Voronoi cell polygon of object ``index``, clipped to ``box``."""
+    site = tree.point(index)
     halfplanes = [
-        bisector_halfplane(site, diagram.site(other))
-        for other in sorted(diagram.neighbors_of(index))
+        bisector_halfplane(site, tree.point(other))
+        for other in sorted(tree.voronoi_neighbors(index))
     ]
-    clip = bounding_box(diagram) if box is None else box
+    clip = bounding_box(tree) if box is None else box
     return ConvexPolygon.from_bounding_box(clip).clip_halfplanes(halfplanes)
 
 
-def nearest_site(diagram, query):
-    """Index of the active site nearest to ``query``."""
-    return min(
-        diagram.active_site_indexes(),
-        key=lambda i: diagram.site(i).distance_squared_to(query),
-    )
+def nearest_site(tree, query):
+    """Index of the active object nearest to ``query``."""
+    return min(tree.active_indexes(), key=lambda i: tree.point(i).distance_squared_to(query))
 
 
-def locate(diagram, query):
+def locate(tree, query):
     """Index of the Voronoi cell containing ``query``: :func:`nearest_site`."""
-    return nearest_site(diagram, query)
+    return nearest_site(tree, query)
