@@ -1,38 +1,24 @@
-"""PR5 — over the wire: loopback transport and multi-process shards.
+"""PR5 — over the wire: loopback transport.
 
 PR 5 gave the PR4 message protocol a real wire: a binary codec with exact
-size prediction, a socket :class:`~repro.transport.server.KNNServer`,
-drop-in :class:`~repro.transport.client.RemoteSession` handles, and a
-:class:`~repro.transport.procpool.ProcessShardedDispatcher` that replicates
-the engine into worker processes (sessions pinned ``i mod workers``,
-update batches broadcast) — the multi-process escape from the GIL that
-held PR4's thread dispatcher at ~1.0x.
+size prediction, a socket :class:`~repro.transport.server.KNNServer` and
+drop-in :class:`~repro.transport.client.RemoteSession` handles.
 
 This benchmark drives the PR3/PR4-sized headline stream — M = 64
 concurrent k = 8 sessions over n = 2000 uniform objects, 200 mixed update
-epochs — three ways and writes ``BENCH_PR5.json`` at the repository root:
+epochs — two ways and writes ``BENCH_PR5.json`` at the repository root:
 
-* **in-process** (the PR4 surface, ``workers=1``) — the baseline;
+* **in-process** (the PR4 surface) — the baseline;
 * **loopback TCP** — every session exchange crosses a real socket; the
   run must report *bit-identical answers* and *identical message/object
   counters* to the in-process run, plus the thing only a transport can
   measure: bytes, where **measured ≡ codec-predicted** must hold exactly
   (client-side measurement, codec arithmetic, and the engine's byte
-  counters all agree);
-* **multi-process** (``transport="process"``, 4 workers) — same
-  equivalence bar, now across engine replicas in separate processes.
+  counters all agree).
 
 The wall clocks are reported honestly, with no hidden caps: loopback TCP
-pays one round trip per exchange on top of the serving work, and the
-process shards pay the broadcast (every worker applies every update epoch,
-so the per-epoch index maintenance is *replicated*, not divided — only
-the serving work shards).  Because the replicas genuinely run, the
-process ratio depends on the hardware: with fewer cores than workers the
-replicated maintenance contends for CPU and the wall *grows* with the
-worker count (the committed result records ``cpu_count`` so the ratio is
-interpretable — on the 1-core CI container it is an upper bound on the
-sharding overhead, not evidence against sharding).  The ratios are the
-data; the run fails only on correctness, never on speed.
+pays one round trip per exchange on top of the serving work.  The ratio
+is the data; the run fails only on correctness, never on speed.
 
 Run standalone (``python benchmarks/bench_pr5_transport.py``, add
 ``--smoke`` for a tiny-N sanity run) or via pytest
@@ -57,12 +43,10 @@ UPDATE_EPOCHS = 200
 #: One mixed batch per timestamp: 1 insert, 1 delete, 1 move.
 CHURN = ChurnSpec(interval=1, inserts=1, deletes=1, moves=1)
 STEP_LENGTH = 20.0
-PROCESS_WORKERS = 4
 
 SMOKE_QUERIES = 6
 SMOKE_OBJECT_COUNT = 150
 SMOKE_UPDATE_EPOCHS = 12
-SMOKE_PROCESS_WORKERS = 2
 
 #: Where the machine-readable result lands (committed with the PR so the
 #: perf trajectory accumulates release over release).
@@ -103,19 +87,15 @@ def counters(run):
 
 
 def run_benchmark(smoke: bool = False):
-    """Drive the same stream in-process, over loopback TCP, and sharded.
+    """Drive the same stream in-process and over loopback TCP.
 
     Returns ``(rows, checks)`` where ``checks`` carries the equivalence
     and byte-reconciliation verdicts.
     """
     scenario = build_scenario(smoke=smoke)
-    workers = SMOKE_PROCESS_WORKERS if smoke else PROCESS_WORKERS
     runs = {
         "in-process": simulate_server(scenario),
         "loopback-tcp": simulate_server(scenario, transport="tcp"),
-        f"process-x{workers}": simulate_server(
-            scenario, transport="process", workers=workers
-        ),
     }
     baseline_name = "in-process"
     baseline = runs[baseline_name]
@@ -160,7 +140,6 @@ def write_result(rows, checks) -> None:
     names = list(by_transport)
     base = by_transport[names[0]]
     tcp = by_transport[names[1]]
-    procs = by_transport[names[2]]
     RESULT_PATH.write_text(
         json.dumps(
             {
@@ -175,11 +154,7 @@ def write_result(rows, checks) -> None:
                 "inprocess_wall_seconds": base["wall_s"],
                 "loopback_tcp_wall_seconds": tcp["wall_s"],
                 "loopback_tcp_wire_bytes": tcp["wire_bytes"],
-                "process_workers": PROCESS_WORKERS,
-                "process_wall_seconds": procs["wall_s"],
-                "process_wire_bytes": procs["wire_bytes"],
                 "loopback_tcp_wall_ratio": round(tcp["wall_s"] / base["wall_s"], 2),
-                "process_wall_ratio": round(procs["wall_s"] / base["wall_s"], 2),
                 **checks,
             },
             indent=2,
@@ -205,8 +180,8 @@ def test_pr5_transport(run_once):
         format_table(
             rows,
             title=(
-                f"PR5: in-process vs loopback TCP vs {PROCESS_WORKERS}-process "
-                f"shards (M={QUERIES} sessions, n={OBJECT_COUNT}, k={K}, "
+                f"PR5: in-process vs loopback TCP "
+                f"(M={QUERIES} sessions, n={OBJECT_COUNT}, k={K}, "
                 f"{UPDATE_EPOCHS} update epochs)"
             ),
         ),

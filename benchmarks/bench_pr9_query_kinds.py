@@ -3,7 +3,7 @@
 PR 9 generalises the serving stack from one hard-coded query kind to a
 registry (:mod:`repro.queries`): continuous influential-sites monitoring
 and continuous order-k region monitoring ride the same sessions, wire
-frames, shards and WAL as the classic INS moving-kNN query.  This
+frames and WAL as the classic INS moving-kNN query.  This
 benchmark prices the two claims that make the subsystem worth shipping:
 
 * **Delta invalidation carries over.**  For every kind, the engine's
@@ -15,10 +15,9 @@ benchmark prices the two claims that make the subsystem worth shipping:
   epoch) and reports recomputes / absorptions / wall clock per cell.
 
 * **The wire is kind-blind.**  The mixed leg opens one session of each
-  kind on the same service and replays an identical workload in-process,
-  over a loopback TCP socket, and across delta-replicated process
-  shards; every path must report bit-identical answers (members,
-  distances, influential sites, region events).
+  kind on the same service and replays an identical workload in-process
+  and over a loopback TCP socket; both paths must report bit-identical
+  answers (members, distances, influential sites, region events).
 
 Wall clocks are reported, never asserted (repo benchmark convention);
 the gates are the correctness and absorption claims.  Run standalone
@@ -38,12 +37,7 @@ from repro.core.server import MovingKNNServer
 from repro.geometry.point import Point
 from repro.service import KNNService, UpdateBatch, open_service
 from repro.simulation.report import format_table
-from repro.transport import (
-    KNNServer,
-    ProcessShardedDispatcher,
-    ServiceSpec,
-    connect,
-)
+from repro.transport import KNNServer, connect
 from repro.workloads.datasets import uniform_points
 
 from benchmarks.conftest import emit_table
@@ -210,11 +204,7 @@ def mixed_transport_records(smoke: bool):
                 remote.open_query, remote.apply, steps, len(objects)
             )
 
-    spec = ServiceSpec(metric="euclidean", objects=tuple(objects))
-    with ProcessShardedDispatcher(spec, workers=2, replication="delta") as pool:
-        sharded = drive_mixed(pool.open_query, pool.apply, steps, len(objects))
-
-    return {"in_process": in_process, "tcp": over_tcp, "process_delta": sharded}
+    return {"in_process": in_process, "tcp": over_tcp}
 
 
 def run_benchmark(smoke: bool = False):
@@ -246,10 +236,7 @@ def run_benchmark(smoke: bool = False):
     )
 
     mixed = mixed_transport_records(smoke)
-    mixed_identical = (
-        mixed["tcp"] == mixed["in_process"]
-        and mixed["process_delta"] == mixed["in_process"]
-    )
+    mixed_identical = mixed["tcp"] == mixed["in_process"]
 
     checks = {
         "flag_delta_bit_identical": flag_delta_identical,

@@ -37,15 +37,14 @@ observability (:mod:`repro.obs`: metrics registry, span tracer, clock seam).
 
 Loaded on first use of one of their names (PEP 562: a name re-exported
 here resolves when first read, then stays bound), so a process that only
-serves in-process never imports the socket, pool, WAL or HTTP code:
+serves in-process never imports the socket, WAL or HTTP code:
 
 * the baselines (:mod:`repro.baselines`; their query kinds are registered
   only by the callers that run them),
 * the wire layer (:mod:`repro.transport`):
   :class:`~repro.transport.server.KNNServer` hosts a service behind a
-  TCP/Unix socket, :func:`~repro.transport.client.connect` opens remote
-  sessions, :class:`~repro.transport.procpool.ProcessShardedDispatcher`
-  shards engines across worker processes,
+  TCP/Unix socket and :func:`~repro.transport.client.connect` opens remote
+  sessions,
 * crash durability (:mod:`repro.durability`): a write-ahead log plus
   snapshots behind :class:`~repro.durability.recovery.DurableKNNService`,
   and :func:`~repro.durability.recovery.recover_service`,
@@ -113,8 +112,7 @@ _DEFERRED = {
     "repro.baselines": "NaiveProcessor NaiveRoadProcessor VStarProcessor VStarRoadProcessor",
     "repro.durability": "DurableKNNService has_durable_state open_durable_service recover_service",
     "repro.simulation": "run_methods simulate_server",
-    "repro.transport": "KNNServer ProcessShardedDispatcher RemoteService RemoteSession "
-    "ServiceSpec TransportError connect",
+    "repro.transport": "KNNServer RemoteService RemoteSession TransportError connect",
     "repro.trajectory": "circular_trajectory linear_trajectory network_random_walk "
     "random_waypoint_trajectory",
     "repro.workloads": "ChurnSpec clustered_points default_euclidean_scenario "
@@ -145,13 +143,11 @@ __all__ = [
     "KNNResponse",
     "UpdateBatch",
     "CommunicationStats",
-    # the transport layer (serving over a socket / process shards)
+    # the transport layer (serving over a socket)
     "connect",
     "KNNServer",
     "RemoteService",
     "RemoteSession",
-    "ProcessShardedDispatcher",
-    "ServiceSpec",
     "TransportError",
     # durability (crash recovery)
     "DurableKNNService",

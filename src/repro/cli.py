@@ -14,8 +14,7 @@ Two more subcommands exercise the serving system itself:
 
 * ``serve`` — drive M concurrent query sessions plus a mixed object-update
   stream through the metric-agnostic ``repro.service`` front door
-  (optionally over a real ``--transport``; ``--transport process`` shards
-  the engine across ``--workers`` processes) and report the communication
+  (optionally over a real ``--transport``) and report the communication
   bill: messages, objects and — over a transport — measured bytes, per the
   paper's headline metric; ``--per-session`` adds the per-session
   breakdown.  With
@@ -28,16 +27,11 @@ Two more subcommands exercise the serving system itself:
   validate every snapshot checksum and the log's CRC chain (sealed
   segments included), report the replay length and the bytes a checkpoint
   could reclaim, exit non-zero when the state is unrecoverable.
-* ``roll`` — the rolling-restart drill: run a live sharded workload
-  (``transport="process"``) while every shard is drained and replaced
-  exactly once, then report the handoff latencies; ``--verify`` replays
-  the same workload without restarts and asserts bit-identical answers
-  and counters (the no-downtime oracle).
 * ``stats`` — scrape a live server's metrics over the binary protocol:
   one ``MetricsRequest`` frame against an ``insq serve --listen``
-  endpoint (or a ``--stats-port`` side endpoint) returns the merged
+  endpoint (or a ``--stats-port`` side endpoint) returns its
   :class:`~repro.transport.codec.MetricsSnapshot` — counters, gauges and
-  the exactly-mergeable latency histograms — printed as a summary or,
+  the fixed-bucket latency histograms — printed as a summary or,
   with ``--prometheus``, as Prometheus exposition text.
 
 Observability: ``serve`` takes ``--metrics-port`` (a stdlib-HTTP
@@ -62,10 +56,8 @@ from __future__ import annotations
 
 import argparse
 import os
-import shutil
 import signal
 import sys
-import tempfile
 import threading
 import time
 from bisect import bisect_left
@@ -142,17 +134,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="how data updates reach the sessions",
     )
     workload.add_argument(
-        "--replication", choices=("recompute", "delta"), default="recompute",
-        help="with process shards: how index maintenance reaches them "
-             "('recompute' re-runs every batch on every shard; 'delta' runs "
-             "it once on the leader and ships the repair delta to the "
-             "replicas — a drained leader's replacement keeps exporting them)",
-    )
-    workload.add_argument(
-        "--fsync", choices=("always", "group", "batch", "off"), default=None,
+        "--fsync", choices=("always", "group", "batch", "off"), default="batch",
         help="with a WAL: its fsync policy ('group' batches concurrent "
-             "commits into one fsync at 'always'-grade durability; default: "
-             "'batch' in-process, 'off' for process shards)",
+             "commits into one fsync at 'always'-grade durability; "
+             "default: 'batch')",
     )
     workload.add_argument(
         "--segment-bytes", type=int, default=None, metavar="BYTES",
@@ -166,15 +151,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="drive M concurrent sessions + churn through the service layer",
     )
     serve.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes (--transport process)",
-    )
-    serve.add_argument(
         "--check", action="store_true",
         help="verify every answer against a brute-force oracle",
     )
     serve.add_argument(
-        "--transport", choices=("local", "tcp", "unix", "process"), default="local",
+        "--transport", choices=("local", "tcp", "unix"), default="local",
         help="drive the simulated workload over a real transport",
     )
     serve.add_argument(
@@ -220,9 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--trace", metavar="FILE", default=None,
         help="record span traces and export them to FILE as Chrome-trace "
-             "JSONL on shutdown (open in Perfetto or chrome://tracing); "
-             "covers this process only — forked shard workers "
-             "(--transport process) keep their spans in their own rings",
+             "JSONL on shutdown (open in Perfetto or chrome://tracing)",
     )
     serve.add_argument(
         "--step-delay", type=float, default=0.0, metavar="SECONDS",
@@ -233,35 +212,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--linger", type=float, default=0.0, metavar="SECONDS",
         help="keep the metrics endpoints up this long after the workload "
              "finishes (a final scrape then sees the completed totals)",
-    )
-
-    roll = subparsers.add_parser(
-        "roll",
-        parents=[workload],
-        help="rolling-restart drill: drain and replace every shard under "
-             "live traffic, one at a time",
-    )
-    roll.add_argument(
-        "--workers", type=int, default=2,
-        help="shard the engine across N worker processes (each is rolled once)",
-    )
-    roll.add_argument(
-        "--wal-dir", metavar="DIR", default=None,
-        help="durability directory for the shards' logs "
-             "(default: a temporary directory, removed afterwards)",
-    )
-    roll.add_argument(
-        "--start-epoch", type=int, default=2, metavar="E",
-        help="drain shard 0 after data epoch E (then one shard per --stride)",
-    )
-    roll.add_argument(
-        "--stride", type=int, default=2, metavar="S",
-        help="epochs between consecutive shard drains",
-    )
-    roll.add_argument(
-        "--verify", action="store_true",
-        help="replay the workload without restarts and assert bit-identical "
-             "answers and communication counters",
     )
 
     recover = subparsers.add_parser(
@@ -468,12 +418,9 @@ def _metrics_hook(args: argparse.Namespace):
     """Build the ``serving_hook`` mounting the requested metrics surfaces.
 
     Returns None when no observability flag asks for one.  The hook
-    receives the live serving object — the
-    :class:`~repro.service.service.KNNService` for in-process/socket
-    transports, the :class:`~repro.transport.procpool.
-    ProcessShardedDispatcher` for ``--transport process`` — and returns
-    a cleanup that (after an optional ``--linger``) tears every surface
-    down again.
+    receives the live :class:`~repro.service.service.KNNService` and
+    returns a cleanup that (after an optional ``--linger``) tears every
+    surface down again.
     """
     wants = (
         args.metrics_port is not None
@@ -483,14 +430,11 @@ def _metrics_hook(args: argparse.Namespace):
     if not wants:
         return None
 
-    def hook(target):
+    def hook(service):
         from repro.transport.server import MetricsListener, metrics_snapshot_frame
 
-        if hasattr(target, "metrics_snapshot"):
-            provider = target.metrics_snapshot  # sharded pool: exact merge
-        else:
-            def provider():
-                return metrics_snapshot_frame(target)
+        def provider():
+            return metrics_snapshot_frame(service)
 
         cleanups = []
         if args.metrics_port is not None:
@@ -598,31 +542,23 @@ def _serve_simulate(args: argparse.Namespace, scenario) -> int:
         scenario,
         invalidation=args.invalidation,
         check_answers=args.check,
-        workers=args.workers,
         transport=None if args.transport == "local" else args.transport,
         wal_dir=args.wal_dir,
         snapshot_every=args.snapshot_every,
         wal_fsync=args.fsync,
         wal_segment_bytes=args.segment_bytes,
-        replication=args.replication,
         serving_hook=_metrics_hook(args),
         step_delay=args.step_delay,
     )
     stats = run.aggregate
     print(f"scenario                : {run.scenario}")
     print(f"sessions x timestamps   : {len(run.results)} x {run.timestamps}")
-    print(f"workers                 : {run.workers}")
     print(f"transport               : {run.transport}")
     print(f"invalidation            : {run.invalidation}")
-    if run.transport == "process":
-        print(f"replication             : {run.replication}")
     print(f"data epochs applied     : {run.epochs}  {run.update_counts}")
     print(f"retrievals              : {stats.full_recomputations}")
     print(f"ins refreshes / absorbed: {stats.ins_refreshes} / {stats.absorbed_updates}")
-    print(
-        f"index maintenance time  : {stats.maintenance_seconds:.3f}s recompute"
-        f" + {stats.delta_apply_seconds:.3f}s delta apply (all shards)"
-    )
+    print(f"index maintenance time  : {stats.maintenance_seconds:.3f}s")
     print("communication bill")
     _print_communication(run.communication)
     print(f"wall-clock time         : {run.elapsed_seconds:.3f}s")
@@ -653,9 +589,6 @@ def _serve_listen(args: argparse.Namespace, scenario) -> int:
     from repro.service import KNNService
     from repro.transport import KNNServer, parse_endpoint
 
-    durability_options = {}
-    if args.fsync is not None:
-        durability_options["fsync"] = args.fsync
     adopt = False
     if args.wal_dir is not None:
         from repro.durability import (
@@ -670,7 +603,7 @@ def _serve_listen(args: argparse.Namespace, scenario) -> int:
                 snapshot_every=args.snapshot_every,
                 segment_bytes=args.segment_bytes,
                 wire_billing=True,
-                **durability_options,
+                fsync=args.fsync,
             )
             adopt = True
             print(
@@ -688,7 +621,7 @@ def _serve_listen(args: argparse.Namespace, scenario) -> int:
                 snapshot_every=args.snapshot_every,
                 segment_bytes=args.segment_bytes,
                 wire_billing=True,
-                **durability_options,
+                fsync=args.fsync,
             )
     else:
         service = KNNService.from_scenario(scenario, invalidation=args.invalidation)
@@ -753,93 +686,6 @@ def _serve_listen(args: argparse.Namespace, scenario) -> int:
         # clients of a restarted server expect to re-attach to them.
         # (After a drain this is a no-op: the log is already released.)
         service.close_wal()
-    return 0
-
-
-def _run_roll(args: argparse.Namespace) -> int:
-    """Rolling restart drill: every shard drained once under live traffic.
-
-    Runs the serve workload over ``transport="process"`` with a
-    :meth:`~repro.testing.faults.FaultPlan.rolling` schedule — shard 0 is
-    drained and replaced after ``--start-epoch``, then one more shard
-    every ``--stride`` epochs, while the other shards keep answering.
-    With ``--verify`` the same workload is replayed with no restarts and
-    the two runs must agree bit-for-bit (answers, communication
-    counters, per-session bills) — the no-downtime guarantee, checked.
-    """
-    from repro.testing import FaultPlan
-
-    if args.workers < 1:
-        print("roll needs at least one worker", file=sys.stderr)
-        return 2
-    scenario = _build_server_scenario(args)
-    plan = FaultPlan.rolling(
-        args.workers, start_epoch=args.start_epoch, stride=args.stride
-    )
-    wal_dir = args.wal_dir
-    own_wal_dir = wal_dir is None
-    if own_wal_dir:
-        wal_dir = tempfile.mkdtemp(prefix="insq-roll-")
-    try:
-        run = simulate_server(
-            scenario,
-            invalidation=args.invalidation,
-            workers=args.workers,
-            transport="process",
-            wal_dir=wal_dir,
-            wal_fsync=args.fsync,
-            wal_segment_bytes=args.segment_bytes,
-            faults=plan,
-            replication=args.replication,
-        )
-    finally:
-        if own_wal_dir:
-            shutil.rmtree(wal_dir, ignore_errors=True)
-    print(f"scenario                : {run.scenario}")
-    print(f"sessions x timestamps   : {len(run.results)} x {run.timestamps}")
-    print(f"workers (process shards): {run.workers}")
-    print(f"data epochs applied     : {run.epochs}  {run.update_counts}")
-    print(f"shards drained+replaced : {run.drains} of {args.workers} scheduled")
-    if run.handoff_seconds:
-        worst = max(run.handoff_seconds)
-        mean = sum(run.handoff_seconds) / len(run.handoff_seconds)
-        print(
-            f"handoff latency         : mean {mean * 1000.0:.1f}ms, "
-            f"worst {worst * 1000.0:.1f}ms"
-        )
-    print("communication bill")
-    _print_communication(run.communication)
-    print(f"wall-clock time         : {run.elapsed_seconds:.3f}s")
-    if run.drains < args.workers:
-        print(
-            f"warning: only {run.drains} of {args.workers} drains fired — "
-            "the workload applied too few data epochs for the schedule "
-            "(raise --steps or lower --start-epoch/--stride)",
-            file=sys.stderr,
-        )
-        return 1
-    if args.verify:
-        baseline = simulate_server(
-            scenario,
-            invalidation=args.invalidation,
-            workers=args.workers,
-            transport="process",
-            replication=args.replication,
-        )
-        identical = (
-            run.results == baseline.results
-            and run.communication == baseline.communication
-            and run.per_session_communication
-            == baseline.per_session_communication
-        )
-        verdict = (
-            "bit-identical to the never-restarted run"
-            if identical
-            else "DIVERGED from the never-restarted run"
-        )
-        print(f"no-downtime oracle      : {verdict}")
-        if not identical:
-            return 1
     return 0
 
 
@@ -1017,8 +863,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _run_client(args)
         if args.command == "recover":
             return _run_recover(args)
-        if args.command == "roll":
-            return _run_roll(args)
         if args.command == "stats":
             return _run_stats(args)
     except ConfigurationError as error:

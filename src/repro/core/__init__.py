@@ -14,7 +14,7 @@
   plane (VoR-tree, ``math.dist``, strict ``<``) and a road network (network
   Voronoi diagram, one Theorem 2 search, ``<=``) plug in.
 * :mod:`repro.core.engine` — the generic serving engine (query lifecycle,
-  the mutation and replication API, epoch counter, delta-scoped
+  the mutation API, epoch counter, delta-scoped
   invalidation dispatch, accounting, aggregate stats).
 * :mod:`repro.core.server` / :mod:`repro.core.road_server` — the thin
   metric-specific servers: the shared index, its repair hooks, and what a

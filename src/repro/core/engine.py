@@ -12,8 +12,7 @@ instances of the same machine, and this module is that machine:
   failing first answer never leaves a zombie query behind;
 * **the mutation API** — ``insert_object`` / ``delete_object`` /
   ``batch_update(inserts, deletes, moves)`` time the index repair, guard
-  the population and commit the epoch the same way on either metric, and
-  ``export_delta`` / ``apply_remote_delta`` ship an epoch to read replicas;
+  the population and commit the epoch the same way on either metric;
 * **epoch counter** — every mutation batch (a single insert/delete/move
   counts as a batch of one) advances one data epoch, so clients can cheaply
   detect whether the data set changed since they last looked;
@@ -36,8 +35,7 @@ instances of the same machine, and this module is that machine:
 
 Subclasses provide the metric-specific rest: constructing the shared index,
 building a processor for a new query, the index's single-object and batch
-repairs (which report their deltas), its delta sections, and what moving an
-object means.
+repairs (which report their deltas), and what moving an object means.
 """
 
 from __future__ import annotations
@@ -73,11 +71,10 @@ from repro.obs.metrics import (
 from repro.obs.trace import TRACER as _TRACER
 
 # Index-maintenance latency, re-homed: one clock read pair feeds both the
-# legacy maintenance_seconds/delta_apply_seconds accumulators (always) and
-# these registry histograms (when observability is enabled).
+# legacy maintenance_seconds accumulator (always) and this registry
+# histogram (when observability is enabled).
 _METRICS = ("euclidean", "road")
 _MAINTENANCE_SECONDS = {m: _obs_histogram("insq_maintenance_seconds", metric=m) for m in _METRICS}
-_DELTA_APPLY_SECONDS = {m: _obs_histogram("insq_delta_apply_seconds", metric=m) for m in _METRICS}
 
 # Engine-level observability: the epoch counter, and the per-outcome
 # retrieval counters — a pulled series, read from the registered queries'
@@ -218,12 +215,10 @@ class ServingEngine(abc.ABC, Generic[PositionT]):
     metric: str
 
     #: Server-side wall-clock time spent applying update epochs to the live
-    #: index (the maintenance leader's cost) and applying shipped repair
-    #: deltas (the read-replica's cost).  Class-level defaults so engines
-    #: pickled before these timers existed keep restoring cleanly; an
-    #: engine accumulates onto instance attributes.
+    #: index.  A class-level default so engines pickled before this timer
+    #: existed keep restoring cleanly; an engine accumulates onto an
+    #: instance attribute.
     maintenance_seconds: float = 0.0
-    delta_apply_seconds: float = 0.0
 
     def __init__(self, invalidation: str = "delta"):
         if invalidation not in self.INVALIDATION_MODES:
@@ -608,55 +603,6 @@ class ServingEngine(abc.ABC, Generic[PositionT]):
         return BatchUpdateResult(tuple(new_indexes), tuple(deleted), changed, self._epoch, payload)
 
     # ------------------------------------------------------------------
-    # Leader/replica delta replication
-    # ------------------------------------------------------------------
-    def begin_delta_capture(self) -> None:
-        """Start capturing the repair delta of the next update epoch (the
-        maintenance leader calls it before applying a batch).  A no-op unless
-        the metric's index has to record its repairs as they run."""
-
-    @abc.abstractmethod
-    def _delta_sections(self, result: BatchUpdateResult) -> Dict[str, object]:
-        """The index's own sections of the epoch ``result`` reports."""
-
-    def export_delta(self, result: BatchUpdateResult) -> Dict[str, object]:
-        """The :class:`~repro.transport.codec.IndexDelta` fields of the
-        epoch that :meth:`batch_update` just applied (as plain kwargs)."""
-        return {
-            "epoch": result.epoch,
-            "payload": result.payload,
-            "new_indexes": result.new_indexes,
-            "deleted_indexes": result.deleted_indexes,
-            "changed": tuple(sorted(result.changed_objects)),
-            **self._delta_sections(result),
-        }
-
-    def apply_remote_delta(self, delta) -> None:
-        """Apply a maintenance leader's repair delta as this engine's epoch.
-
-        The read-replica path of ``replication="delta"``: the shared index
-        is patched from the shipped delta (no geometry, no repair floods)
-        and the epoch commits with the same changed/removed/payload values
-        the leader committed, so answers, counters and epoch stay
-        bit-identical to a replica that re-ran the batch.  A delta for the
-        current epoch is a no-op (the leader's batch did not commit).
-        """
-        if delta.epoch == self._epoch:
-            return
-        if delta.epoch != self._epoch + 1:
-            raise QueryError(
-                f"index delta for epoch {delta.epoch} cannot apply at epoch "
-                f"{self._epoch} — replicas diverged"
-            )
-        start = _clock()
-        self.index.apply_remote_delta(delta)
-        elapsed = _clock() - start
-        self.delta_apply_seconds += elapsed
-        _DELTA_APPLY_SECONDS[self.metric].observe(elapsed)
-        _TRACER.add("delta.apply", start, elapsed, metric=self.metric)
-        self._commit_epoch(delta.changed, delta.deleted_indexes, payload=delta.payload)
-
-    # ------------------------------------------------------------------
     # Epoch orchestration
     # ------------------------------------------------------------------
     def _check_population(self, resulting_count: int) -> None:
@@ -715,16 +661,14 @@ class ServingEngine(abc.ABC, Generic[PositionT]):
     def aggregate_stats(self) -> ProcessorStats:
         """Sum of the cost counters of every registered query.
 
-        The engine's own server-side maintenance timers ride along in the
-        ``maintenance_seconds`` / ``delta_apply_seconds`` fields (they are
-        per-engine, not per-query, so they are injected once here rather
-        than merged from the processors).
+        The engine's own server-side maintenance timer rides along in the
+        ``maintenance_seconds`` field (it is per-engine, not per-query, so
+        it is injected once here rather than merged from the processors).
         """
         total = ProcessorStats()
         for registered in self._queries.values():
             total.merge(registered.processor.stats)
         total.maintenance_seconds += self.maintenance_seconds
-        total.delta_apply_seconds += self.delta_apply_seconds
         return total
 
     def stats_for(self, query_id: int) -> ProcessorStats:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import FrozenSet, Optional, Sequence
 
-from repro.core.engine import BatchUpdateResult, ServingEngine
+from repro.core.engine import ServingEngine
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.location import NetworkLocation
 from repro.roadnet.network_voronoi import NetworkVoronoiDiagram
@@ -89,11 +89,3 @@ class MovingRoadKNNServer(ServingEngine[NetworkLocation]):
         if changed:
             self._commit_epoch(changed, payload=1)
         return changed
-
-    def begin_delta_capture(self) -> None:
-        """Start recording the next epoch's repair delta: the shared diagram
-        notes which keys its floods touch (see its ``begin_delta_capture``)."""
-        self._voronoi.begin_delta_capture()
-
-    def _delta_sections(self, result: BatchUpdateResult):
-        return self._voronoi.export_delta()

@@ -75,9 +75,3 @@ class MovingKNNServer(ServingEngine[Point]):
         """Relocate data object ``index`` to ``point``: one epoch that deletes
         it and reinserts it there (under a new object index)."""
         return self.batch_update(moves=((index, point),))
-
-    def _delta_sections(self, result: BatchUpdateResult):
-        # Derived post hoc from the batch results: nothing is captured while it runs.
-        return self._vortree.export_delta(
-            result.new_indexes, result.deleted_indexes, result.changed_objects
-        )

@@ -122,23 +122,16 @@ class ProcessorStats:
         distance_computations: point-to-point (or network) distance
             evaluations performed by the client for validation and reordering.
         index_node_accesses: 0 for every processor: it counted R-tree
-            nodes, and no processor keeps an R-tree.  Kept because frame
-            0x10 (``AggregateStatsResponse``) and the golden corpus carry it.
+            nodes, and no processor keeps an R-tree.  Kept until the serving
+            and baseline digests, which hash every integer field, are
+            re-recorded.
         settled_vertices: Dijkstra-settled vertices (road-network mode only).
         construction_seconds: wall-clock time spent building guard structures
             (safe regions, INS sets, candidate lists).
         validation_seconds: wall-clock time spent checking validity at each
             timestamp.
-        precomputation_seconds: offline, query-independent preparation time
-            (building the VoR-tree / Voronoi diagrams); reported
-            separately because the paper treats it as a one-off data-set
-            preprocessing cost shared by all queries.
         maintenance_seconds: server-side wall-clock time spent applying
-            data-update epochs to the live index (re-running the geometry:
-            the maintenance leader's cost in replicated serving).
-        delta_apply_seconds: server-side wall-clock time spent applying
-            *shipped* index repair deltas instead of re-running maintenance
-            (the read-replica's cost under ``replication="delta"``).
+            data-update epochs to the live index.
     """
 
     # Append-only, this order is the wire format (``float`` ships as f64).
@@ -155,9 +148,7 @@ class ProcessorStats:
     settled_vertices: int = 0
     construction_seconds: float = 0.0
     validation_seconds: float = 0.0
-    precomputation_seconds: float = 0.0
     maintenance_seconds: float = 0.0
-    delta_apply_seconds: float = 0.0
 
     # ------------------------------------------------------------------
     # Derived quantities

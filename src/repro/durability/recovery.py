@@ -20,7 +20,8 @@ The durability contract, precisely:
   observer, from crashing just before it.
 * **When fsync happens.**  Every append is flushed to the OS before the
   response goes out, so a killed *process* loses nothing; the
-  ``fsync`` policy (``"always"``/``"batch"``/``"off"``) decides what
+  ``fsync`` policy (``"always"``/``"group"``/``"batch"``/``"off"``;
+  ``"batch"`` by default, here and in ``insq serve --fsync``) decides what
   additionally survives a machine crash (see :mod:`repro.durability.wal`).
 * **What recovery guarantees.**  A recovered service is *bit-identical*
   to the pre-crash one: same answers (ids and distances), same
@@ -34,7 +35,10 @@ The durability contract, precisely:
   saying goodbye) is logged and therefore permanent; sessions open at the
   moment of a crash are recovered, with fresh
   :class:`~repro.service.session.Session` handles ready for adoption by
-  a restarted transport (``serve_connection(..., sessions=...)``).
+  a restarted server (``KNNServer(..., adopt_sessions=True)``).
+* **One log, one engine.**  Every logged record is a frame a client sent
+  across the service seam; replay re-runs each one against the single
+  engine the snapshot restored, and refuses any other frame type.
 
 A new durability directory starts with an *initial snapshot* (``wal_seq``
 0) of the pre-traffic state, so recovery always has a base even when no
@@ -57,7 +61,6 @@ from repro.service.session import Session
 from repro.transport.codec import (
     BatchApplied,
     CloseSession,
-    IndexDelta,
     OpenQuery,
     OpenSession,
     PositionUpdate,
@@ -260,18 +263,6 @@ class DurableKNNService(KNNService):
         self._log(batch)
         return result
 
-    def apply_remote_delta(self, delta) -> None:
-        """Apply a maintenance leader's repair delta and log the frame.
-
-        The read-replica half of ``replication="delta"``: the delta *is*
-        the epoch for this shard — no :class:`UpdateBatch` ever reaches a
-        replica's log — so replay-to-rejoin re-applies the logged deltas
-        in order and recovers the same patched index the leader shipped,
-        without re-running any geometry.
-        """
-        super().apply_remote_delta(delta)
-        self._log(delta)
-
     # Single-object mutators route through apply() so they are logged with
     # the same epoch-per-call semantics they will replay with.
     def insert(self, target: Any) -> int:
@@ -437,11 +428,6 @@ class DurableKNNService(KNNService):
                             )
                         ),
                     )
-                elif isinstance(message, IndexDelta):
-                    # A read replica's epoch: patch the index from the
-                    # leader's logged delta.  Replication frames are meta
-                    # (unbilled live), so no bytes are re-billed here.
-                    self.apply_remote_delta(message)
                 else:
                     raise DurabilityError(
                         f"WAL record {record.seq}: unexpected "

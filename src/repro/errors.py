@@ -66,11 +66,10 @@ class TransportError(ReproError):
 class ConnectionLost(TransportError):
     """Raised when the peer of a transport connection went away.
 
-    Distinguishes a vanished peer (a clean or mid-frame hangup, a dead
-    shard worker process) from protocol-level corruption: callers that
-    can recover a lost peer — a retrying client, a respawning
-    :class:`~repro.transport.procpool.ProcessShardedDispatcher` — catch
-    this subclass; everything else still catches :class:`TransportError`.
+    Distinguishes a vanished peer (a clean or mid-frame hangup) from
+    protocol-level corruption: callers that can recover a lost peer — a
+    retrying client — catch this subclass; everything else still catches
+    :class:`TransportError`.
     """
 
 

@@ -324,67 +324,6 @@ class VoRTree:
         self._rebuild_neighbor_map("bulk_threshold")
         return new_indexes, delete_list, set(self.active_indexes())
 
-    # ------------------------------------------------------------------
-    # Leader/replica delta replication
-    # ------------------------------------------------------------------
-    def export_delta(
-        self,
-        new_indexes: Sequence[int],
-        deleted_indexes: Sequence[int],
-        changed: Iterable[int],
-    ) -> Dict[str, object]:
-        """Serializable repair delta of the batch that just ran.
-
-        Called by the maintenance leader right after :meth:`batch_update`
-        with that call's results; the returned mapping carries everything a
-        read replica needs to reproduce the tree bit-identically through
-        :meth:`apply_remote_delta` — the new objects' positions plus the
-        final neighbour lists of every object the epoch touched — without
-        re-running any geometry.
-        """
-        return {
-            "points": tuple(self._points[index] for index in new_indexes),
-            "neighbors": tuple(
-                (obj, tuple(sorted(self._neighbor_map[obj])))
-                for obj in sorted(changed)
-            ),
-            "removed_neighbors": tuple(deleted_indexes),
-        }
-
-    def apply_remote_delta(self, delta) -> None:
-        """Apply a leader's repair delta instead of re-running maintenance.
-
-        ``delta`` is an :class:`~repro.transport.codec.IndexDelta`-shaped
-        object (attributes ``new_indexes``/``points``/``deleted_indexes``/
-        ``neighbors``/``removed_neighbors``; ``bulk`` is ignored).  The new
-        objects are appended, the deleted ones tombstoned and the neighbour
-        lists overwritten with the shipped final values.  The local dual is
-        dropped — a delta replica never runs geometry, and serving
-        (point location included) only needs the positions + neighbour lists.
-        """
-        if len(delta.new_indexes) != len(delta.points):
-            raise GeometryError(
-                "index delta ships %d new indexes but %d points"
-                % (len(delta.new_indexes), len(delta.points))
-            )
-        for index, point in zip(delta.new_indexes, delta.points):
-            if index != len(self._points):
-                raise GeometryError(
-                    f"index delta assigns object {index} but the replica "
-                    f"is at {len(self._points)} — replicas diverged"
-                )
-            self._append_object(point)
-        for index in delta.deleted_indexes:
-            self._drop_object(index)
-        for obj, members in delta.neighbors:
-            self._neighbor_map[obj] = frozenset(members)
-        for obj in delta.removed_neighbors:
-            self._neighbor_map.pop(obj, None)
-        self._dual = None
-        self._chain = {}
-        self._site_at = {}
-        self._members = {}
-
     def full_rebuild(self) -> None:
         """Recompute the Voronoi neighbour lists from scratch.
 
@@ -564,7 +503,7 @@ class VoRTree:
         """Greedy descent over the neighbour lists from ``seed``: ``(distance,
         index)`` where it stops — a nearest object, since on a Delaunay graph a
         non-nearest object has a strictly nearer neighbour.  It reads only
-        positions and lists, so a delta replica (no dual) walks too."""
+        positions and lists."""
         neighbors = self._neighbor_map
         xy = self._xy
         best = dist(q, xy[seed])

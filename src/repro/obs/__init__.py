@@ -2,7 +2,7 @@
 
 Threaded through every layer: a process-global
 :class:`~repro.obs.metrics.MetricsRegistry` of counters, gauges and
-exactly-mergeable fixed-bucket latency histograms (:mod:`repro.obs.metrics`),
+fixed-bucket latency histograms (:mod:`repro.obs.metrics`),
 a bounded-ring span :class:`~repro.obs.trace.Tracer` exporting Chrome-trace
 JSONL (:mod:`repro.obs.trace`) and an injectable monotonic clock seam both
 time through (:mod:`repro.obs.clock`).  The stdlib Prometheus ``/metrics``
@@ -42,7 +42,6 @@ from repro.obs.metrics import (
     enabled,
     gauge,
     histogram,
-    merge_snapshots,
     render_prometheus,
     start_timer,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "enabled",
     "gauge",
     "histogram",
-    "merge_snapshots",
     "render_prometheus",
     "reset",
     "set_clock",
@@ -79,12 +77,8 @@ __all__ = [
 
 
 def reset() -> None:
-    """Clear the process-global registry and tracer ring.
-
-    Used by tests between cases and by forked procpool workers on entry,
-    so each shard's registry holds exactly that shard's observations
-    (a fork inherits the parent's accumulated instruments otherwise).
-    """
+    """Clear the process-global registry and tracer ring (tests use it
+    between cases)."""
     REGISTRY.reset()
     TRACER.reset()
 

@@ -1,4 +1,4 @@
-"""Counters, gauges and exactly-mergeable latency histograms.
+"""Counters, gauges and fixed-bucket latency histograms.
 
 One process-global :class:`MetricsRegistry` (module functions
 :func:`counter` / :func:`gauge` / :func:`histogram` hand out instruments
@@ -12,11 +12,9 @@ Three properties make it safe to thread through the hot paths:
   (:func:`disable`) every instrument call is a single flag check, which
   is what the obs-on/off equivalence suite and the PR10 overhead
   benchmark measure against.
-* **exact per-shard merging** — every histogram shares one fixed
-  log-scale bound tuple (:data:`HISTOGRAM_BOUNDS`), so merging the
-  registries of W worker processes is bucket-wise integer addition with
-  no rebinning error: the dispatcher-merged histogram is bit-identical
-  to the histogram a single process would have accumulated.
+* **one bucket layout** — every histogram shares one fixed log-scale
+  bound tuple (:data:`HISTOGRAM_BOUNDS`), so a snapshot carries bucket
+  counts positionally and any two histograms compare bucket by bucket.
 * **deterministic snapshots** — :meth:`MetricsRegistry.snapshot` emits
   samples sorted by ``(name, labels)``, so snapshots (and the Prometheus
   text rendered from them) are byte-stable for golden tests and the
@@ -30,8 +28,7 @@ obeys the same reset and disabled-window rules as a pushed one.
 
 Snapshots are plain tuples (see :class:`RegistrySnapshot`) shaped exactly
 like the :class:`~repro.transport.codec.MetricsSnapshot` wire frame, so
-the codec, :func:`merge_snapshots` and :func:`render_prometheus` all
-speak the same duck type.
+the codec and :func:`render_prometheus` speak the same duck type.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from threading import get_ident
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.obs.clock import SOURCE as _CLOCK
@@ -61,14 +58,13 @@ __all__ = [
     "disable",
     "enabled",
     "start_timer",
-    "merge_snapshots",
     "render_prometheus",
 ]
 
 #: Fixed log-scale latency bounds (seconds): 1µs doubling up to ~67s.
-#: Every histogram in every process uses exactly these bounds — that is
-#: what makes per-shard merging *exact* (bucket-wise addition) instead of
-#: approximate rebinning.  One overflow bucket rides after the last bound.
+#: Every histogram in every process uses exactly these bounds, so bucket
+#: counts travel positionally.  One overflow bucket rides after the last
+#: bound.
 HISTOGRAM_BOUNDS: Tuple[float, ...] = tuple(1e-6 * 2.0**i for i in range(27))
 
 #: Buckets per histogram: one per bound plus the overflow bucket.
@@ -140,7 +136,7 @@ class _Scalar:
 
 
 class Counter(_Scalar):
-    """A monotonically increasing integer (merged by addition)."""
+    """A monotonically increasing integer."""
 
     __slots__ = ()
     ZERO = 0
@@ -154,7 +150,7 @@ class Counter(_Scalar):
 
 
 class Gauge(_Scalar):
-    """A point-in-time float (merging keeps per-source values distinct)."""
+    """A point-in-time float."""
 
     __slots__ = ()
     ZERO = 0.0
@@ -247,8 +243,8 @@ class RegistrySnapshot:
 
     The field shapes mirror the :class:`~repro.transport.codec.
     MetricsSnapshot` frame exactly (``labels`` in canonical
-    ``k=v,k2=v2`` form), so :func:`merge_snapshots` and
-    :func:`render_prometheus` accept either interchangeably.
+    ``k=v,k2=v2`` form), so :func:`render_prometheus` accepts either
+    interchangeably.
     """
 
     counters: Tuple[Tuple[str, str, int], ...] = ()
@@ -313,12 +309,10 @@ class MetricsRegistry:
             )
 
     def reset(self) -> None:
-        """Zero every instrument in place (tests; workers after fork).
+        """Zero every instrument in place (tests).
 
         Instruments are zeroed rather than dropped so handles cached at
-        module import time stay registered — a forked procpool worker
-        resets its inherited registry copy and the instrumented modules'
-        cached handles keep recording into it.
+        module import time stay registered and keep recording into it.
         """
         self.pull()
         with self._lock:
@@ -329,8 +323,6 @@ class MetricsRegistry:
 
 
 #: The process-global registry every instrumented module records into.
-#: Worker processes forked by the procpool reset their inherited copy, so
-#: each shard's registry holds exactly that shard's observations.
 REGISTRY = MetricsRegistry()
 
 
@@ -347,81 +339,6 @@ def gauge(name: str, **labels: str) -> Gauge:
 def histogram(name: str, **labels: str) -> Histogram:
     """A histogram from the process-global registry."""
     return REGISTRY.histogram(name, **labels)
-
-
-def _append_label(labels: str, extra: str) -> str:
-    """Merge an extra canonical label pair into a canonical label string."""
-    if not labels:
-        return extra
-    pairs = labels.split(",") + [extra]
-    pairs.sort()
-    return ",".join(pairs)
-
-
-def merge_snapshots(
-    snapshots: Sequence,
-    gauge_labels: Optional[Sequence[Optional[str]]] = None,
-) -> RegistrySnapshot:
-    """Merge per-process snapshots into one — exactly.
-
-    Counters add; histograms add bucket-wise (the fixed shared bounds
-    make this lossless) and their sums add.  Gauges are point-in-time
-    per-source values, so they do not add: ``gauge_labels`` supplies one
-    extra canonical label pair (e.g. ``'shard=0'``) per snapshot to keep
-    each source's gauges distinct; sources labelled ``None`` keep their
-    gauges unrelabelled (colliding keys then keep the last value).
-
-    Raises :class:`~repro.errors.ConfigurationError` when two histograms
-    under the same key disagree on bucket count — that means two builds
-    with different bounds, which cannot merge exactly.
-    """
-    if gauge_labels is not None and len(gauge_labels) != len(snapshots):
-        raise ConfigurationError(
-            f"gauge_labels has {len(gauge_labels)} entries "
-            f"for {len(snapshots)} snapshots"
-        )
-    counters: Dict[Tuple[str, str], int] = {}
-    gauges: Dict[Tuple[str, str], float] = {}
-    histograms: Dict[Tuple[str, str], Tuple[List[int], float]] = {}
-    for position, snapshot in enumerate(snapshots):
-        for name, labels, value in snapshot.counters:
-            key = (name, labels)
-            counters[key] = counters.get(key, 0) + value
-        extra = gauge_labels[position] if gauge_labels is not None else None
-        for name, labels, value in snapshot.gauges:
-            relabelled = _append_label(labels, extra) if extra else labels
-            gauges[(name, relabelled)] = value
-        for name, labels, counts, total in snapshot.histograms:
-            key = (name, labels)
-            entry = histograms.get(key)
-            if entry is None:
-                histograms[key] = (list(counts), total)
-                continue
-            held, held_sum = entry
-            if len(held) != len(counts):
-                raise ConfigurationError(
-                    f"histogram {name}{{{labels}}} bucket counts disagree "
-                    f"({len(held)} vs {len(counts)}): the sources were built "
-                    "with different bounds and cannot merge exactly"
-                )
-            for index, count in enumerate(counts):
-                held[index] += count
-            histograms[key] = (held, held_sum + total)
-    return RegistrySnapshot(
-        counters=tuple(
-            (name, labels, counters[(name, labels)])
-            for name, labels in sorted(counters)
-        ),
-        gauges=tuple(
-            (name, labels, gauges[(name, labels)])
-            for name, labels in sorted(gauges)
-        ),
-        histograms=tuple(
-            (name, labels, tuple(histograms[(name, labels)][0]),
-             histograms[(name, labels)][1])
-            for name, labels in sorted(histograms)
-        ),
-    )
 
 
 def _prom_labels(labels: str, extra: str = "") -> str:
@@ -448,10 +365,9 @@ def _prom_float(value: float) -> str:
 def render_prometheus(snapshot) -> str:
     """Prometheus text exposition (format 0.0.4) for a snapshot.
 
-    Accepts any snapshot-shaped object — a :class:`RegistrySnapshot`, the
-    :class:`~repro.transport.codec.MetricsSnapshot` wire frame, or the
-    output of :func:`merge_snapshots` — so a merged multi-shard scrape
-    renders exactly like a single-process one.
+    Accepts any snapshot-shaped object — a :class:`RegistrySnapshot` or
+    the :class:`~repro.transport.codec.MetricsSnapshot` wire frame — so a
+    remote scrape renders exactly like a local one.
     """
     lines: List[str] = []
     seen_types = set()

@@ -109,7 +109,7 @@ class Tracer:
         self.enabled = False
 
     def reset(self) -> None:
-        """Drop every buffered event (tests; forked procpool workers)."""
+        """Drop every buffered event (tests)."""
         with self._lock:
             self._events.clear()
 

@@ -100,35 +100,6 @@ class EdgeOwnership:
         return {self.owner_u, self.owner_v}
 
 
-class _DeltaCapture:
-    """Touched-key recorder for one update epoch's repair delta.
-
-    While installed (see :meth:`NetworkVoronoiDiagram.begin_delta_capture`)
-    every mutation site records *which keys* of the diagram's live maps it
-    touched — not the values, which are snapshotted once at export time, so
-    a key rewritten several times within one epoch ships only its final
-    state.  ``full`` short-circuits the whole recording: a from-scratch
-    build replaces everything, so the export ships the complete diagram.
-    """
-
-    __slots__ = ("full", "assignments", "groups", "vertices", "edges", "labels", "neighbors")
-
-    def __init__(self) -> None:
-        self.full = False
-        #: object indexes whose ``_object_vertices`` entry was (re)assigned.
-        self.assignments: Set[int] = set()
-        #: vertex ids whose co-located object group changed.
-        self.groups: Set[int] = set()
-        #: vertex ids re-settled (owner/distance changed or dropped).
-        self.vertices: Set[int] = set()
-        #: edge ids whose ownership record changed or was dropped.
-        self.edges: Set[int] = set()
-        #: representative object indexes whose cell state changed.
-        self.labels: Set[int] = set()
-        #: object indexes whose lifted neighbour set changed or was dropped.
-        self.neighbors: Set[int] = set()
-
-
 class NetworkVoronoiDiagram:
     """Order-1 network Voronoi diagram of data objects placed on vertices.
 
@@ -175,9 +146,6 @@ class NetworkVoronoiDiagram:
         self._rep_neighbors: Dict[int, Set[int]] = {}
         # Object-level neighbour sets (co-location lifted onto every member).
         self._neighbor_map: Dict[int, Set[int]] = {}
-        # Repair-delta recorder (installed per epoch by the maintenance
-        # leader; None whenever no capture is in progress).
-        self._capture: Optional[_DeltaCapture] = None
         self._full_build()
 
     # ------------------------------------------------------------------
@@ -185,8 +153,6 @@ class NetworkVoronoiDiagram:
     # ------------------------------------------------------------------
     def _full_build(self) -> None:
         """From-scratch construction over the active objects."""
-        if self._capture is not None:
-            self._capture.full = True
         self._vertex_objects = {}
         for index, vertex in enumerate(self._object_vertices):
             if self._active[index]:
@@ -257,9 +223,6 @@ class NetworkVoronoiDiagram:
         self._object_vertices.append(vertex)
         self._active.append(True)
         self._active_count += 1
-        if self._capture is not None:
-            self._capture.assignments.add(index)
-            self._capture.groups.add(vertex)
         group = self._vertex_objects.setdefault(vertex, [])
         # A brand-new object always carries the largest index so far, so
         # appending keeps the group sorted and the representative (its
@@ -306,9 +269,6 @@ class NetworkVoronoiDiagram:
             raise RoadNetworkError(f"object vertex {new_vertex} not in the network")
         if self._object_vertices[index] == new_vertex:
             return set()
-        if self._capture is not None:
-            self._capture.assignments.add(index)
-            self._capture.groups.add(new_vertex)
         changed = self._detach(index)
         self._object_vertices[index] = new_vertex
         group = self._vertex_objects.setdefault(new_vertex, [])
@@ -427,9 +387,6 @@ class NetworkVoronoiDiagram:
             self._active.append(True)
         for index, vertex in move_list:
             self._object_vertices[index] = vertex
-        if self._capture is not None:
-            self._capture.assignments.update(new_indexes)
-            self._capture.assignments.update(index for index, _ in move_list)
         deleted = []
         for index in delete_list:
             self._active[index] = False
@@ -444,15 +401,11 @@ class NetworkVoronoiDiagram:
         """Take object ``index`` out of the diagram (its entry stays in
         ``_object_vertices``; callers handle activation bookkeeping)."""
         vertex = self._object_vertices[index]
-        if self._capture is not None:
-            self._capture.groups.add(vertex)
         group = self._vertex_objects[vertex]
         if len(group) > 1:
             if group[0] == index:
                 return self._promote_representative(vertex)
             group.remove(index)
-            if self._capture is not None:
-                self._capture.neighbors.add(index)
             self._neighbor_map.pop(index, None)
             rep = group[0]
             return self._relift({rep} | self._rep_neighbors.get(rep, set()))
@@ -480,8 +433,6 @@ class NetworkVoronoiDiagram:
         look like a representative to the lifting machinery.
         """
         if not self._owner_vertices.get(rep):
-            if self._capture is not None:
-                self._capture.labels.add(rep)
             self._owner_vertices.pop(rep, None)
             self._owner_edges.pop(rep, None)
             self._rep_neighbors.pop(rep, None)
@@ -510,9 +461,6 @@ class NetworkVoronoiDiagram:
         touched_edges = {edge_id for vertex in conquered for _, _, edge_id in adjacency[vertex]}
         affected = {old for old in conquered.values() if old is not None}
         affected.add(index)
-        if self._capture is not None:
-            self._capture.vertices.update(conquered)
-            self._capture.labels.update(affected)
         affected |= self._reassign_edges(touched_edges)
         return self._refresh_rep_neighbors(affected)
 
@@ -528,16 +476,6 @@ class NetworkVoronoiDiagram:
         cell = self._owner_vertices.pop(index)
         old_neighbors = self._rep_neighbors.pop(index, set())
         self._owner_edges.pop(index, None)
-        if self._capture is not None:
-            # Settled vertices are a subset of the freed cell (the successor
-            # seed is the removed representative's own vertex), so recording
-            # the cell covers every re-settlement and every never-reclaimed
-            # vertex alike.
-            self._capture.vertices.update(cell)
-            self._capture.labels.add(index)
-            if successor is not None:
-                self._capture.labels.add(successor)
-            self._capture.neighbors.add(index)
         for vertex in cell:
             del self._vertex_distances[vertex]
             del self._vertex_owners[vertex]
@@ -570,8 +508,6 @@ class NetworkVoronoiDiagram:
         )
         for vertex in settled:
             self._owner_vertices[self._vertex_owners[vertex]].add(vertex)
-        if self._capture is not None:
-            self._capture.labels.update(self._vertex_owners[vertex] for vertex in settled)
         # Vertices never reached again (the removed object served a whole
         # component alone) become unowned, matching the from-scratch build.
         affected = self._reassign_edges(touched_edges)
@@ -587,8 +523,6 @@ class NetworkVoronoiDiagram:
         """Recompute the ownership of the given edges; returns touched reps."""
         touched: Set[int] = set()
         for edge_id in edge_ids:
-            if self._capture is not None:
-                self._capture.edges.add(edge_id)
             old = self._edge_ownership.get(edge_id)
             if old is not None:
                 for owner in (old.owner_u, old.owner_v):
@@ -606,8 +540,6 @@ class NetworkVoronoiDiagram:
             for owner in (owner_u, owner_v):
                 touched.add(owner)
                 self._owner_edges.setdefault(owner, set()).add(edge_id)
-        if self._capture is not None:
-            self._capture.labels.update(touched)
         return touched
 
     def _refresh_rep_neighbors(self, reps: Iterable[int]) -> Set[int]:
@@ -630,8 +562,6 @@ class NetworkVoronoiDiagram:
                     adjacent.add(ownership.owner_v)
             self._rep_neighbors[rep] = adjacent
             groups.add(rep)
-        if self._capture is not None:
-            self._capture.labels.update(groups)
         return self._relift(groups)
 
     def _relift(self, reps: Iterable[int]) -> Set[int]:
@@ -660,198 +590,7 @@ class NetworkVoronoiDiagram:
                 if self._neighbor_map.get(member) != lifted:
                     self._neighbor_map[member] = lifted
                     changed.add(member)
-        if self._capture is not None:
-            self._capture.neighbors.update(changed)
         return changed
-
-    # ------------------------------------------------------------------
-    # Leader/replica delta replication
-    # ------------------------------------------------------------------
-    def begin_delta_capture(self) -> None:
-        """Start recording the keys the next update epoch touches.
-
-        Installed by the maintenance leader around one :meth:`batch_update`
-        so :meth:`export_delta` can ship the epoch's repair to read
-        replicas.  Capture is key-based: values are snapshotted once at
-        export time, so repeated rewrites within the epoch cost nothing
-        extra on the wire.
-        """
-        self._capture = _DeltaCapture()
-
-    def export_delta(self) -> Dict[str, object]:
-        """Finish the capture and snapshot the touched state as plain data.
-
-        Returns a dict of the road-metric sections of an
-        :class:`~repro.transport.codec.IndexDelta` frame: present keys
-        carry their final value, keys the epoch dropped appear in the
-        matching ``removed_*`` list, and ``full=True`` (a from-scratch
-        build ran) ships the complete diagram for wholesale replacement.
-        """
-        capture = self._capture
-        if capture is None:
-            raise RoadNetworkError("no delta capture in progress")
-        self._capture = None
-        if capture.full:
-            return {
-                "full": True,
-                "assignments": tuple(
-                    (obj, self._object_vertices[obj])
-                    for obj in sorted(capture.assignments)
-                ),
-                "groups": tuple(
-                    (vertex, tuple(group))
-                    for vertex, group in sorted(self._vertex_objects.items())
-                ),
-                "removed_groups": (),
-                "vertices": tuple(
-                    (vertex, self._vertex_owners[vertex], self._vertex_distances[vertex])
-                    for vertex in sorted(self._vertex_owners)
-                ),
-                "removed_vertices": (),
-                "edges": tuple(
-                    (o.edge_id, o.owner_u, o.owner_v, o.border_offset)
-                    for _, o in sorted(self._edge_ownership.items())
-                ),
-                "removed_edges": (),
-                "labels": tuple(
-                    (
-                        rep,
-                        tuple(sorted(verts)),
-                        tuple(sorted(self._owner_edges.get(rep, ()))),
-                        tuple(sorted(self._rep_neighbors.get(rep, ()))),
-                    )
-                    for rep, verts in sorted(self._owner_vertices.items())
-                ),
-                "removed_labels": (),
-                "neighbors": tuple(
-                    (obj, tuple(sorted(members)))
-                    for obj, members in sorted(self._neighbor_map.items())
-                ),
-                "removed_neighbors": (),
-            }
-        groups, removed_groups = [], []
-        for vertex in sorted(capture.groups):
-            group = self._vertex_objects.get(vertex)
-            if group is None:
-                removed_groups.append(vertex)
-            else:
-                groups.append((vertex, tuple(group)))
-        vertices, removed_vertices = [], []
-        for vertex in sorted(capture.vertices):
-            owner = self._vertex_owners.get(vertex)
-            if owner is None:
-                removed_vertices.append(vertex)
-            else:
-                vertices.append((vertex, owner, self._vertex_distances[vertex]))
-        edges, removed_edges = [], []
-        for edge_id in sorted(capture.edges):
-            ownership = self._edge_ownership.get(edge_id)
-            if ownership is None:
-                removed_edges.append(edge_id)
-            else:
-                edges.append(
-                    (edge_id, ownership.owner_u, ownership.owner_v, ownership.border_offset)
-                )
-        labels, removed_labels = [], []
-        for rep in sorted(capture.labels):
-            verts = self._owner_vertices.get(rep)
-            if verts is None:
-                removed_labels.append(rep)
-            else:
-                labels.append(
-                    (
-                        rep,
-                        tuple(sorted(verts)),
-                        tuple(sorted(self._owner_edges.get(rep, ()))),
-                        tuple(sorted(self._rep_neighbors.get(rep, ()))),
-                    )
-                )
-        neighbors, removed_neighbors = [], []
-        for obj in sorted(capture.neighbors):
-            members = self._neighbor_map.get(obj)
-            if members is None:
-                removed_neighbors.append(obj)
-            else:
-                neighbors.append((obj, tuple(sorted(members))))
-        return {
-            "full": False,
-            "assignments": tuple(
-                (obj, self._object_vertices[obj]) for obj in sorted(capture.assignments)
-            ),
-            "groups": tuple(groups),
-            "removed_groups": tuple(removed_groups),
-            "vertices": tuple(vertices),
-            "removed_vertices": tuple(removed_vertices),
-            "edges": tuple(edges),
-            "removed_edges": tuple(removed_edges),
-            "labels": tuple(labels),
-            "removed_labels": tuple(removed_labels),
-            "neighbors": tuple(neighbors),
-            "removed_neighbors": tuple(removed_neighbors),
-        }
-
-    def apply_remote_delta(self, delta) -> None:
-        """Patch this diagram to the leader's post-epoch state — no geometry.
-
-        ``delta`` is the :class:`~repro.transport.codec.IndexDelta` a
-        maintenance leader exported after applying the same update batch.
-        Every map is patched to the shipped final values (or replaced
-        wholesale when ``delta.full``), which leaves the replica comparing
-        *equal* to the leader — the bit-identical bar the equivalence
-        tests hold replication to.
-        """
-        assignments = dict(delta.assignments)
-        for index in delta.new_indexes:
-            if index != len(self._object_vertices):
-                raise RoadNetworkError(
-                    f"index delta assigns object {index} but the replica is at "
-                    f"{len(self._object_vertices)} — replicas diverged"
-                )
-            if index not in assignments:
-                raise RoadNetworkError(f"index delta misses the vertex of new object {index}")
-            self._object_vertices.append(assignments[index])
-            self._active.append(True)
-            self._active_count += 1
-        for obj, vertex in delta.assignments:
-            self._object_vertices[obj] = vertex
-        for index in delta.deleted_indexes:
-            self._active_count -= self._active[index]
-            self._active[index] = False
-        if delta.full:
-            self._vertex_objects = {}
-            self._vertex_distances = {}
-            self._vertex_owners = {}
-            self._edge_ownership = {}
-            self._owner_vertices = {}
-            self._owner_edges = {}
-            self._rep_neighbors = {}
-            self._neighbor_map = {}
-        for vertex, members in delta.groups:
-            self._vertex_objects[vertex] = list(members)
-        for vertex in delta.removed_groups:
-            self._vertex_objects.pop(vertex, None)
-        for vertex, owner, distance in delta.vertices:
-            self._vertex_distances[vertex] = distance
-            self._vertex_owners[vertex] = owner
-        for vertex in delta.removed_vertices:
-            self._vertex_distances.pop(vertex, None)
-            self._vertex_owners.pop(vertex, None)
-        for edge_id, owner_u, owner_v, border in delta.edges:
-            self._edge_ownership[edge_id] = EdgeOwnership(edge_id, owner_u, owner_v, border)
-        for edge_id in delta.removed_edges:
-            self._edge_ownership.pop(edge_id, None)
-        for rep, verts, edge_ids, adjacent in delta.labels:
-            self._owner_vertices[rep] = set(verts)
-            self._owner_edges[rep] = set(edge_ids)
-            self._rep_neighbors[rep] = set(adjacent)
-        for rep in delta.removed_labels:
-            self._owner_vertices.pop(rep, None)
-            self._owner_edges.pop(rep, None)
-            self._rep_neighbors.pop(rep, None)
-        for obj, members in delta.neighbors:
-            self._neighbor_map[obj] = set(members)
-        for obj in delta.removed_neighbors:
-            self._neighbor_map.pop(obj, None)
 
     # ------------------------------------------------------------------
     # Accessors

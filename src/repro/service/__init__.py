@@ -21,10 +21,8 @@ surface* on top of them:
   :class:`~repro.core.stats.CommunicationStats` per session and in
   aggregate — a first-class, testable quantity.
 
-Scaling out across cores is :mod:`repro.transport`'s job
-(:class:`~repro.transport.procpool.ProcessShardedDispatcher`: one engine
-replica per worker process); within one interpreter the sessions advance
-one after another.
+One service holds one engine: its sessions advance one after another,
+in process or behind :mod:`repro.transport`'s socket server.
 
 Everything here delegates to the engine layer — driving the same workload
 through raw :class:`~repro.core.server.MovingKNNServer` /

@@ -294,35 +294,6 @@ class KNNService:
         """
         return self._engine.batch_update(batch.inserts, batch.deletes, batch.moves)
 
-    def apply_with_delta(self, batch: UpdateBatch):
-        """Apply one :class:`UpdateBatch` and capture its repair delta.
-
-        The maintenance-leader path of ``replication="delta"``: the batch
-        is applied exactly like :meth:`apply` (so durability logging on a
-        :class:`~repro.durability.recovery.DurableKNNService` still runs),
-        but with the engine's delta capture installed around it.  Returns
-        ``(result, delta)`` where ``delta`` is the
-        :class:`~repro.transport.codec.IndexDelta` read replicas apply via
-        :meth:`apply_remote_delta` to reach the identical post-epoch state
-        without re-running any index maintenance.
-        """
-        from repro.transport.codec import IndexDelta
-
-        self._engine.begin_delta_capture()
-        result = self.apply(batch)
-        return result, IndexDelta(**self._engine.export_delta(result))
-
-    def apply_remote_delta(self, delta) -> None:
-        """Apply a maintenance leader's repair delta as one data epoch.
-
-        The read-replica path of ``replication="delta"`` (see
-        :meth:`~repro.core.server.MovingKNNServer.apply_remote_delta`).
-        Overridden by :class:`~repro.durability.recovery.DurableKNNService`
-        to also log the delta frame, so a replica's WAL replays to the
-        identical state without ever re-running geometry.
-        """
-        self._engine.apply_remote_delta(delta)
-
     def insert(self, target: Any) -> int:
         """Insert one data object (a Point, or a road vertex); returns its index."""
         return self._engine.insert_object(target)

@@ -20,12 +20,10 @@ traffic" shape of the system: many clients, one index, continuous churn.
 create) from the scenario alone, and the trajectories are the scenario's.
 The front door is built per transport — a
 :class:`~repro.service.service.KNNService` (durable with ``wal_dir``) in
-process, the same service behind a loopback
+process, or the same service behind a loopback
 :class:`~repro.transport.server.KNNServer` reached through
 :func:`~repro.transport.client.connect` (``"tcp"``/``"unix"``; the
-counters then include real wire bytes), or a
-:class:`~repro.transport.procpool.ProcessShardedDispatcher` with one engine
-replica per worker process (``"process"``) — and then one loop replays the
+counters then include real wire bytes) — and then one loop replays the
 stream through it: open the sessions, and per timestamp apply that
 timestamp's batch (checking the engine created exactly the indexes the
 stream predicts), then advance every session.  The transports are drop-in
@@ -167,15 +165,13 @@ class ServerRun:
         elapsed_seconds: wall-clock time of the whole run (index
             construction excluded, update stream included, a
             ``serving_hook``'s cleanup excluded).
-        workers: engine shards (worker processes over
-            ``transport="process"``; 1 elsewhere).
         mismatches: ``(timestamp, query_id)`` pairs whose reported answer
             was provably wrong against the brute-force oracle (only
             populated when ``check_answers=True``).
         transport: how the sessions reached the engine — ``"local"``
-            (in-process method calls), ``"tcp"``/``"unix"`` (a loopback
+            (in-process method calls) or ``"tcp"``/``"unix"`` (a loopback
             socket server; the communication counters then include real
-            wire bytes) or ``"process"`` (multi-process engine shards).
+            wire bytes).
         per_session_communication: per-session counters at the end of the
             run (snapshots, keyed like ``results``) — the breakdown
             ``insq serve --per-session`` prints.
@@ -185,22 +181,6 @@ class ServerRun:
             codec's :func:`~repro.transport.codec.wire_size` predictions
             for the same frames — equal to the measured numbers by the
             codec's exactness contract (the PR5 benchmark asserts it).
-        respawns: shard workers respawned after a crash mid-run
-            (``transport="process"`` with a ``wal_dir`` only).
-        kills_injected: worker kills the fault plan actually delivered.
-        drains: graceful shard drain-and-handoff restarts performed
-            mid-run (scheduled :class:`~repro.testing.faults.ShardDrain`
-            events; ``transport="process"`` with a ``wal_dir`` only).
-        handoff_seconds: per drain, wall-clock seconds from the drain
-            request to the reconciled replacement shard.
-        replication: how index maintenance reached the engine shards —
-            ``"recompute"`` (every shard re-ran each update batch) or
-            ``"delta"`` (the maintenance leader shipped its repair delta
-            to the read replicas; ``transport="process"`` only).  The
-            split between the modes shows up in ``aggregate``:
-            ``maintenance_seconds`` is time spent running index
-            maintenance (on every recomputing shard), ``delta_apply_
-            seconds`` time spent patching replicas from shipped deltas.
     """
 
     scenario: str
@@ -211,7 +191,6 @@ class ServerRun:
     aggregate: ProcessorStats
     communication: CommunicationStats
     elapsed_seconds: float
-    workers: int = 1
     mismatches: List[Tuple[int, int]] = field(default_factory=list)
     transport: str = "local"
     per_session_communication: Dict[int, CommunicationStats] = field(
@@ -221,11 +200,6 @@ class ServerRun:
     wire_bytes_received: int = 0
     wire_bytes_predicted_sent: int = 0
     wire_bytes_predicted_received: int = 0
-    respawns: int = 0
-    kills_injected: int = 0
-    drains: int = 0
-    handoff_seconds: List[float] = field(default_factory=list)
-    replication: str = "recompute"
 
     @property
     def timestamps(self) -> int:
@@ -277,14 +251,11 @@ def simulate_server(
     scenario: ServerScenario,
     invalidation: str = "delta",
     check_answers: bool = False,
-    workers: int = 1,
     transport: Optional[str] = None,
     wal_dir: Optional[str] = None,
     snapshot_every: Optional[int] = None,
     wal_fsync: Optional[str] = None,
     wal_segment_bytes: Optional[int] = None,
-    faults=None,
-    replication: str = "recompute",
     serving_hook=None,
     step_delay: float = 0.0,
 ) -> ServerRun:
@@ -303,45 +274,26 @@ def simulate_server(
             or ``"flag"`` (blanket refresh-everyone fallback).
         check_answers: verify every reported answer against brute force
             over the oracle's own model of the population (any transport).
-        workers: shard the engine across this many worker processes
-            (``transport="process"`` only; any value yields bit-identical
-            answers).
         transport: ``None``/``"local"`` for in-process serving,
             ``"tcp"``/``"unix"`` to serve the run through a loopback
             :class:`~repro.transport.server.KNNServer` socket (sessions
             become :class:`~repro.transport.client.RemoteSession` handles
-            and the counters gain real wire bytes), or ``"process"`` for
-            one engine shard per worker process.
+            and the counters gain real wire bytes).
         wal_dir: when set, the run is served durably — every
             state-changing exchange is appended to a write-ahead log under
-            this directory (per-shard subdirectories over
-            ``transport="process"``), recoverable afterwards with
+            this directory, recoverable afterwards with
             :func:`repro.durability.recover_service`.
         snapshot_every: checkpoint the durable engine every this many WAL
-            records (in-process/socket transports only; ``None`` keeps the
-            initial snapshot and replays the whole log on recovery).
+            records (``None`` keeps the initial snapshot and replays the
+            whole log on recovery).
         wal_fsync: WAL fsync policy (``"always"``/``"group"``/``"batch"``/
-            ``"off"``); ``None`` keeps each layer's default (``"batch"``
-            in-process, ``"off"`` for process shards — surviving worker
-            kills needs no fsync, only machine crashes do).
+            ``"off"``); ``None`` keeps the durable service's default,
+            ``"batch"``.
         wal_segment_bytes: rotate the WAL into sealed segments at roughly
             this size (``None`` keeps one growing file).
-        faults: a :class:`repro.testing.faults.FaultPlan` of deterministic
-            worker kills and graceful shard drains, injected at update
-            epochs.  Requires ``transport="process"`` (only worker
-            processes can be killed or drained) and ``wal_dir`` (a
-            replaced worker rejoins by replaying its log).
-        replication: shard maintenance mode over ``transport="process"``
-            — ``"recompute"`` (default; every shard re-runs each update
-            batch) or ``"delta"`` (shard 0 runs the maintenance once and
-            ships its repair delta to the read replicas; bit-identical
-            answers and counters, one geometry run per epoch).  Other
-            transports hold one engine, so only ``"recompute"`` applies.
         serving_hook: optional callable invoked once the run's serving
             side exists, with the live :class:`~repro.service.service.
-            KNNService` (in-process/socket transports) or the
-            :class:`~repro.transport.procpool.ProcessShardedDispatcher`
-            (``transport="process"``).  Whatever it returns, if callable,
+            KNNService`.  Whatever it returns, if callable,
             runs as cleanup after the workload has been read out (before
             teardown, outside ``elapsed_seconds``).  The CLI mounts its
             scrape endpoints through this seam — the workload loop itself
@@ -356,96 +308,59 @@ def simulate_server(
         A :class:`ServerRun`.
 
     Raises:
-        ConfigurationError: for an unknown transport, or for ``faults``,
-            ``replication="delta"`` or ``workers != 1`` without
-            ``transport="process"``.
+        ConfigurationError: for an unknown transport.
     """
     transport_name = "local" if transport is None else transport
-    if transport_name not in ("local", "tcp", "unix", "process"):
+    if transport_name not in ("local", "tcp", "unix"):
         raise ConfigurationError(
-            "transport must be None, 'local', 'tcp', 'unix' or 'process', "
-            f"got {transport!r}"
+            f"transport must be None, 'local', 'tcp' or 'unix', got {transport!r}"
         )
-    if transport_name != "process":
-        if faults is not None:
-            raise ConfigurationError(
-                "fault injection kills worker processes, so it requires "
-                f"transport='process', got transport={transport_name!r}"
-            )
-        if replication != "recompute":
-            raise ConfigurationError(
-                "replication='delta' ships repair deltas between engine shards, "
-                f"so it requires transport='process', got transport={transport_name!r}"
-            )
-        if workers != 1:
-            raise ConfigurationError(
-                f"workers={workers} shards the engine across worker processes, "
-                f"so it requires transport='process', got transport={transport_name!r}"
-            )
     stream = update_stream(scenario)
     road = scenario.metric == "road"
     model = dict(enumerate(scenario.object_vertices if road else scenario.points))
     counts = {"inserts": 0, "deletes": 0, "moves": 0}
-    # Keyed by open order: the query ids a fresh engine (and a shard pool's
-    # ``global_id``) assign.
+    # Keyed by open order: the query ids a fresh engine assigns.
     results: Dict[int, List[QueryResult]] = {
         query_id: [] for query_id in range(scenario.query_count)
     }
     mismatches: List[Tuple[int, int]] = []
     with contextlib.ExitStack() as teardown:
-        pool = None
         remote = None
-        if transport_name == "process":
-            from repro.transport import ProcessShardedDispatcher, ServiceSpec
+        engine = build_server(scenario, invalidation=invalidation)
+        if wal_dir is not None:
+            from repro.durability import DurableKNNService
 
-            pool = teardown.enter_context(
-                ProcessShardedDispatcher(
-                    ServiceSpec.from_scenario(scenario, invalidation=invalidation),
-                    workers=workers,
-                    wal_dir=wal_dir,
-                    wal_fsync=wal_fsync if wal_fsync is not None else "off",
-                    wal_segment_bytes=wal_segment_bytes,
-                    faults=faults,
-                    replication=replication,
-                )
+            durability_options = {}
+            if wal_fsync is not None:
+                durability_options["fsync"] = wal_fsync
+            served = DurableKNNService(
+                engine,
+                wal_dir,
+                snapshot_every=snapshot_every,
+                segment_bytes=wal_segment_bytes,
+                **durability_options,
             )
-            served = front = pool
+            # Release the log file without logging goodbyes: the sessions
+            # stay open in the WAL, so the run's durable state can still be
+            # recovered (and re-attached to) afterwards.
+            teardown.callback(served.close_wal)
         else:
-            engine = build_server(scenario, invalidation=invalidation)
-            if wal_dir is not None:
-                from repro.durability import DurableKNNService
+            served = KNNService(engine)
+        front = served
+        if transport_name != "local":
+            from repro.transport import KNNServer, connect
 
-                durability_options = {}
-                if wal_fsync is not None:
-                    durability_options["fsync"] = wal_fsync
-                served = DurableKNNService(
-                    engine,
-                    wal_dir,
-                    snapshot_every=snapshot_every,
-                    segment_bytes=wal_segment_bytes,
-                    **durability_options,
-                )
-                # Release the log file without logging goodbyes: the sessions
-                # stay open in the WAL, so the run's durable state can still be
-                # recovered (and re-attached to) afterwards.
-                teardown.callback(served.close_wal)
+            if transport_name == "unix":
+                tempdir = tempfile.mkdtemp(prefix="insq-sim-")
+                teardown.callback(shutil.rmtree, tempdir, ignore_errors=True)
+                socket_server = KNNServer(
+                    served, path=os.path.join(tempdir, "insq.sock")
+                ).start()
             else:
-                served = KNNService(engine)
-            front = served
-            if transport_name != "local":
-                from repro.transport import KNNServer, connect
-
-                if transport_name == "unix":
-                    tempdir = tempfile.mkdtemp(prefix="insq-sim-")
-                    teardown.callback(shutil.rmtree, tempdir, ignore_errors=True)
-                    socket_server = KNNServer(
-                        served, path=os.path.join(tempdir, "insq.sock")
-                    ).start()
-                else:
-                    socket_server = KNNServer(served).start()
-                teardown.callback(socket_server.stop)
-                front = remote = connect(socket_server.address)
-                teardown.callback(remote.close)
+                socket_server = KNNServer(served).start()
+            teardown.callback(socket_server.stop)
+            front = remote = connect(socket_server.address)
+            teardown.callback(remote.close)
 
         started = _clock()
         # Session registration computes each query's first answer (timestamp
@@ -476,13 +391,10 @@ def simulate_server(
                 if check_answers:
                     _advance_model(model, batch, new_indexes, road)
             positions = [trajectory[step] for trajectory in scenario.trajectories]
-            if pool is not None:
-                responses = pool.advance(list(zip(sessions, positions)))
-            else:
-                responses = [
-                    session.update(position)
-                    for session, position in zip(sessions, positions)
-                ]
+            responses = [
+                session.update(position)
+                for session, position in zip(sessions, positions)
+            ]
             for query_id, (session, position, response) in enumerate(
                 zip(sessions, positions, responses)
             ):
@@ -501,25 +413,15 @@ def simulate_server(
             epochs=served.epoch,
             update_counts=counts,
             aggregate=served.aggregate_stats(),
-            communication=(
-                pool.communication() if pool is not None
-                else served.communication.snapshot()
-            ),
+            communication=served.communication.snapshot(),
             elapsed_seconds=elapsed,
-            workers=workers,
             mismatches=mismatches,
             transport=transport_name,
             per_session_communication=served.per_session_communication(),
-            replication=replication,
         )
         if remote is not None:
             run.wire_bytes_sent = remote.bytes_sent
             run.wire_bytes_received = remote.bytes_received
             run.wire_bytes_predicted_sent = remote.predicted_bytes_sent
             run.wire_bytes_predicted_received = remote.predicted_bytes_received
-        if pool is not None:
-            run.respawns = pool.respawns
-            run.kills_injected = pool.kills_injected
-            run.drains = pool.drains
-            run.handoff_seconds = list(pool.handoff_seconds)
     return run

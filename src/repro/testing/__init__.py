@@ -9,19 +9,13 @@ See :mod:`repro.testing.faults`.
 """
 
 from repro.testing.faults import (
-    FaultPlan,
     FaultyStream,
-    ShardDrain,
-    WorkerKill,
     flip_byte,
     truncate_file,
 )
 
 __all__ = [
-    "FaultPlan",
     "FaultyStream",
-    "ShardDrain",
-    "WorkerKill",
     "flip_byte",
     "truncate_file",
 ]

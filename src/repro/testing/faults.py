@@ -1,18 +1,8 @@
 """Deterministic fault injection for the transport and durability layers.
 
-Three fault families, all reproducible from explicit inputs (no wall
+Two fault families, both reproducible from explicit inputs (no wall
 clock, no hidden randomness):
 
-* **Process kills and drains** — :class:`FaultPlan` schedules
-  :class:`WorkerKill` events (SIGKILL a shard worker at update epoch *e*,
-  before or after the batch broadcast) and :class:`ShardDrain` events (a
-  graceful drain-and-handoff restart of a shard once epoch *e* is fully
-  applied).  The
-  :class:`~repro.transport.procpool.ProcessShardedDispatcher` consults the
-  plan at each epoch and executes the events itself, so the schedule is
-  exact — no racing a timer against the victim.  Build plans explicitly,
-  with :meth:`FaultPlan.random` from a seed, or with
-  :meth:`FaultPlan.rolling` for a one-drain-per-shard rolling restart.
 * **File damage** — :func:`truncate_file` (a torn write: the file simply
   ends early) and :func:`flip_byte` (bit rot: content changes, length
   doesn't) for attacking WAL and snapshot files at chosen offsets.
@@ -20,189 +10,20 @@ clock, no hidden randomness):
   :class:`~repro.transport.stream.MessageStream` and drops or delays
   chosen sends, for driving the client's timeout/retry machinery without
   a real flaky network.
-
-The phase names mirror the one genuinely racy moment of a sharded kill:
-a worker killed ``"before_batch"`` never saw the epoch's
-:class:`~repro.service.messages.UpdateBatch`; one killed ``"after_batch"``
-logged it before dying.  The dispatcher reconciles either case by asking
-the respawned worker its epoch — the fault plan makes both paths
-separately testable.
 """
 
 from __future__ import annotations
 
-import random
 import time
-from dataclasses import dataclass
-from typing import Any, Iterable, List, Optional, Tuple
+from typing import Any, Iterable, Optional
 
 from repro.errors import ConfigurationError
 
 __all__ = [
-    "PHASES",
-    "FaultPlan",
     "FaultyStream",
-    "ShardDrain",
-    "WorkerKill",
     "flip_byte",
     "truncate_file",
 ]
-
-#: When, relative to epoch *e*'s batch broadcast, a kill fires.
-PHASES = ("before_batch", "after_batch")
-
-
-@dataclass(frozen=True)
-class WorkerKill:
-    """SIGKILL shard worker ``worker`` at update epoch ``epoch``.
-
-    Attributes:
-        epoch: the target engine epoch — the kill fires while the
-            dispatcher processes the batch that creates this epoch.
-        worker: the victim's shard index.
-        phase: ``"before_batch"`` (killed before the batch reaches the
-            worker) or ``"after_batch"`` (killed after the worker applied
-            and logged it).
-    """
-
-    epoch: int
-    worker: int
-    phase: str = "before_batch"
-
-    def __post_init__(self):
-        if self.phase not in PHASES:
-            raise ConfigurationError(
-                f"phase must be one of {PHASES}, got {self.phase!r}"
-            )
-        if self.epoch < 1:
-            raise ConfigurationError(f"epoch must be >= 1, got {self.epoch}")
-        if self.worker < 0:
-            raise ConfigurationError(f"worker must be >= 0, got {self.worker}")
-
-
-@dataclass(frozen=True)
-class ShardDrain:
-    """Gracefully drain-and-replace shard ``worker`` after epoch ``epoch``.
-
-    Where a :class:`WorkerKill` is violent (SIGKILL mid-protocol), a
-    drain is cooperative: the dispatcher asks the worker to checkpoint
-    and park its open sessions, then swaps in a recovered replacement
-    once the epoch's batch is fully applied on every shard.  A drain has
-    no phase — it always fires after the batch, against a consistent
-    state.
-    """
-
-    epoch: int
-    worker: int
-
-    def __post_init__(self):
-        if self.epoch < 1:
-            raise ConfigurationError(f"epoch must be >= 1, got {self.epoch}")
-        if self.worker < 0:
-            raise ConfigurationError(f"worker must be >= 0, got {self.worker}")
-
-
-@dataclass(frozen=True)
-class FaultPlan:
-    """A schedule of injected faults, applied by the dispatcher itself."""
-
-    kills: Tuple[WorkerKill, ...] = ()
-    drains: Tuple[ShardDrain, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "kills", tuple(self.kills))
-        object.__setattr__(self, "drains", tuple(self.drains))
-
-    def kills_for(self, epoch: int, phase: str) -> List[int]:
-        """Worker indexes to kill at this epoch and phase."""
-        return [
-            kill.worker
-            for kill in self.kills
-            if kill.epoch == epoch and kill.phase == phase
-        ]
-
-    def drains_for(self, epoch: int) -> List[int]:
-        """Worker indexes to drain once this epoch is fully applied."""
-        return [
-            drain.worker for drain in self.drains if drain.epoch == epoch
-        ]
-
-    @property
-    def kill_count(self) -> int:
-        return len(self.kills)
-
-    @property
-    def drain_count(self) -> int:
-        return len(self.drains)
-
-    @classmethod
-    def random(
-        cls,
-        seed: int,
-        epochs: int,
-        workers: int,
-        kills: int = 1,
-        phases: Iterable[str] = PHASES,
-        drains: int = 0,
-    ) -> "FaultPlan":
-        """A seeded plan: ``kills`` kills at distinct epochs in [1, epochs].
-
-        The same ``(seed, epochs, workers, kills, phases)`` always yields
-        the same plan — the whole point.  With ``drains`` > 0, that many
-        graceful drains are drawn *after* the kills from the same stream
-        (so adding drains never changes which kills a seed produces), at
-        distinct epochs of their own.
-        """
-        phases = tuple(phases)
-        for phase in phases:
-            if phase not in PHASES:
-                raise ConfigurationError(
-                    f"phase must be one of {PHASES}, got {phase!r}"
-                )
-        rng = random.Random(seed)
-        chosen = rng.sample(range(1, epochs + 1), min(kills, epochs))
-        events = [
-            WorkerKill(
-                epoch=epoch,
-                worker=rng.randrange(workers),
-                phase=rng.choice(phases),
-            )
-            for epoch in sorted(chosen)
-        ]
-        drain_events: Tuple[ShardDrain, ...] = ()
-        if drains:
-            drain_epochs = rng.sample(range(1, epochs + 1), min(drains, epochs))
-            drain_events = tuple(
-                ShardDrain(epoch=epoch, worker=rng.randrange(workers))
-                for epoch in sorted(drain_epochs)
-            )
-        return cls(kills=tuple(events), drains=drain_events)
-
-    @classmethod
-    def rolling(
-        cls, workers: int, start_epoch: int = 1, stride: int = 1
-    ) -> "FaultPlan":
-        """A rolling restart: drain shard 0, then 1, ... one per ``stride``.
-
-        Every shard is drained exactly once — shard ``i`` after epoch
-        ``start_epoch + i * stride`` — which is the schedule ``insq roll``
-        and the no-downtime oracle use: at no point are two shards down
-        together, and the whole pool has been replaced by the end.
-        """
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        if start_epoch < 1:
-            raise ConfigurationError(
-                f"start_epoch must be >= 1, got {start_epoch}"
-            )
-        if stride < 1:
-            raise ConfigurationError(f"stride must be >= 1, got {stride}")
-        return cls(
-            drains=tuple(
-                ShardDrain(epoch=start_epoch + index * stride, worker=index)
-                for index in range(workers)
-            )
-        )
 
 
 # ----------------------------------------------------------------------

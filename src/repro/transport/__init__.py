@@ -17,15 +17,10 @@ exchanges were method calls.  This package makes them real:
 * :mod:`repro.transport.client` — :func:`connect` returns a
   :class:`RemoteService` whose :class:`RemoteSession` is a drop-in
   :class:`~repro.service.session.Session` (the same class, through the
-  service seam), so workload drivers run unchanged over the wire;
-* :mod:`repro.transport.procpool` — :class:`ProcessShardedDispatcher`
-  replicates the engine into worker processes (one shard each, sessions
-  pinned ``i mod workers``, update batches broadcast) over socketpairs
-  speaking the same protocol — multi-process sharding that finally
-  escapes the GIL while staying bit-deterministic across worker counts.
+  service seam), so workload drivers run unchanged over the wire.
 
-The invariant the test suite holds: a workload driven over any of these
-transports returns bit-identical answers and identical message/object
+The invariant the test suite holds: a workload driven over a socket
+returns bit-identical answers and identical message/object
 communication counters to the in-process service — the transport adds
 bytes (now measured), never exchanges.
 """
@@ -46,7 +41,6 @@ from repro.transport.codec import (
     encode,
     wire_size,
 )
-from repro.transport.procpool import ProcessShardedDispatcher, ServiceSpec
 from repro.transport.server import KNNServer, serve_connection
 from repro.transport.stream import MessageStream
 
@@ -57,12 +51,10 @@ __all__ = [
     "KNNServer",
     "MessageStream",
     "OpenQuery",
-    "ProcessShardedDispatcher",
     "RegionEvent",
     "RemoteService",
     "RemoteSession",
     "RequestTimeout",
-    "ServiceSpec",
     "TransportError",
     "connect",
     "decode",

@@ -42,11 +42,9 @@ from repro.transport.codec import (
     AggregateStatsResponse,
     BatchApplied,
     CloseSession,
-    DeltaAck,
     DrainAck,
     DrainRequest,
     ErrorMessage,
-    IndexDelta,
     MetricsRequest,
     MetricsSnapshot,
     ObjectsRequest,
@@ -66,12 +64,7 @@ __all__ = ["RemoteService", "RemoteSession", "connect", "parse_endpoint"]
 
 #: Frame types that are diagnostics, not part of the billed protocol.
 #: Drain frames are operator traffic: billing them would make a rolled
-#: run's counters diverge from a never-rolled one's.  Replication frames
-#: (IndexDelta/DeltaAck) are the service's *internal* maintenance fan-out:
-#: the data owners sent one update batch to the service, and how the
-#: shards propagate the repair among themselves is not client traffic —
-#: billing it would make a delta-replicated run's counters diverge from a
-#: single-engine one's.
+#: run's counters diverge from a never-rolled one's.
 _META_TYPES = (
     StatsRequest,
     StatsResponse,
@@ -81,8 +74,6 @@ _META_TYPES = (
     AggregateStatsResponse,
     DrainRequest,
     DrainAck,
-    IndexDelta,
-    DeltaAck,
     MetricsRequest,
     MetricsSnapshot,
 )
@@ -166,9 +157,7 @@ class RemoteService:
 
     Requests are strictly request/response in order over one connection;
     a lock makes the handle safe to share across threads (they serialise
-    on the wire, preserving the protocol order).  The
-    :mod:`~repro.transport.procpool` dispatcher bypasses the lock-per-call
-    path with explicit pipelining instead.
+    on the wire, preserving the protocol order).
 
     With ``request_timeout`` set, every request bounds its wait for the
     response and raises :class:`~repro.errors.RequestTimeout` on expiry.
@@ -473,9 +462,9 @@ class RemoteService:
         The server checkpoints its durable state, parks this connection's
         sessions (orphan pool + WAL), and acknowledges with the covered
         WAL position; the local handles are discarded unclosed, so a
-        successor — a replacement worker replaying the log, or this client
-        reconnecting after a rolling restart — can claim every session by
-        id and continue mid-stream.
+        successor — this client reconnecting after a rolling restart, or
+        another one — can claim every session by id and continue
+        mid-stream.
         """
         ack = self._request(DrainRequest(), DrainAck)
         # No goodbyes: closing a session now would un-park it.

@@ -24,7 +24,7 @@ and be logged by the WAL.  Design goals, in order:
 **Every frame is described once**, as a row of :data:`_FRAMES`: its type
 byte, its message class, and its fields in wire order as ``(attribute,
 field type)`` pairs.  A *field type* (``_u8 … _f64``, ``_bool``,
-``_string``, ``_enum``, ``_flags``, ``_Tagged`` unions such as a position,
+``_string``, ``_enum``, ``_Tagged`` unions such as a position,
 ``_Array``, ``_Record``, ``_Struct``) sizes, bounds and normalises one kind
 of value and says how it is written and read, so :func:`encode`,
 :func:`decode`, :func:`wire_size` and the decoder's bounds checks are
@@ -51,7 +51,7 @@ element.
 
 Frame layout: a 4-byte big-endian unsigned body length, then the body —
 one type byte followed by the row's fields.  Meta frames (stats, objects,
-metrics, index deltas) are diagnostics and serving infrastructure, never
+metrics, drains) are diagnostics and serving infrastructure, never
 billed into :class:`~repro.core.stats.CommunicationStats`.
 
 **Adding a frame** takes one frozen dataclass (``__post_init__ =
@@ -62,9 +62,12 @@ plus its name in ``__all__`` and a sample in ``tests/transport/golden/``.
 **The wire format is append-only** (WALs and peers written by older
 builds must keep decoding): never reuse a type byte or union tag, never
 reorder, retype or remove a field of an existing frame, only append to
-:data:`_ACTIONS`, :data:`_REGION_EVENTS`, :data:`_ERROR_KINDS` and a
-``_flags`` entry.  The stats frames take their layout from the
-:mod:`repro.core.stats` dataclasses, so the same rule binds those.
+:data:`_ACTIONS`, :data:`_REGION_EVENTS` and :data:`_ERROR_KINDS`.  The
+stats frames take their layout from the :mod:`repro.core.stats`
+dataclasses, so the same rule binds those.  Two exceptions were made on
+purpose, when the process-shard pool was removed: its delta frames 0x13 /
+0x14 are retired (unknown, never to be reused), and the meta frame 0x10,
+which no WAL holds, lost two dead timer fields.
 ``tests/transport/test_golden_corpus.py`` holds every frame type and one
 WAL directory to the bytes first written.
 """
@@ -105,12 +108,10 @@ __all__ = [
     "AggregateStatsResponse",
     "BatchApplied",
     "CloseSession",
-    "DeltaAck",
     "DrainAck",
     "DrainRequest",
     "ErrorMessage",
     "FrameReader",
-    "IndexDelta",
     "InfluentialResponse",
     "MetricsRequest",
     "MetricsSnapshot",
@@ -314,9 +315,9 @@ class DrainRequest:
     """Operator → server: stop serving gracefully and park the sessions.
 
     The receiving side finishes the exchange in flight, checkpoints its
-    durable state (when it has any), leaves every open session claimable —
-    in the shard WAL for a process worker, in the orphan pool for a socket
-    server — and answers with a :class:`DrainAck` before going quiet.
+    durable state (when it has any), leaves every open session claimable in
+    the server's orphan pool, and answers with a :class:`DrainAck` before
+    going quiet.
     """
 
 
@@ -329,7 +330,7 @@ class DrainAck:
             checkpoint (0 for a non-durable service — nothing logged, the
             sessions only survive in the orphan pool).
         session_ids: the query ids parked by the drain, ready for a
-            replacement worker or a reconnecting client to claim.
+            reconnecting client to claim.
     """
 
     wal_seq: int
@@ -351,91 +352,6 @@ class AggregateStatsResponse:
 
 
 @dataclass(frozen=True)
-class IndexDelta:
-    """Leader → replicas: the repair delta of one update epoch (meta).
-
-    Shipped by the maintenance leader (shard 0) right after it applies an
-    :class:`~repro.service.messages.UpdateBatch`, so read replicas can
-    patch their index to the identical post-epoch state through
-    ``apply_remote_delta()`` without re-running any geometry.  Like every
-    meta frame its bytes are not billed into
-    :class:`~repro.core.stats.CommunicationStats` — the replication
-    fan-out is serving infrastructure, not client/server traffic; a
-    replica's message/object counters are instead driven by the shipped
-    ``payload``/``changed``/``deleted_indexes`` fields, which reproduce
-    exactly what applying the batch locally would have billed.
-
-    Attributes:
-        epoch: the leader's data epoch *after* the batch (unchanged when
-            the batch was a no-op — replicas then apply nothing).
-        payload: the update-record count the epoch billed as uplink
-            objects (deduplicated; move halves included on the Euclidean
-            side).
-        full: the leader rebuilt from scratch — the metric sections carry
-            the complete post-epoch state and replicas replace wholesale.
-        bulk: kept on the wire for frames already written (the golden
-            corpus is frozen); leaders leave it False and replicas ignore
-            it.
-        new_indexes: object indexes assigned to the epoch's inserts.
-        deleted_indexes: object indexes actually removed.
-        changed: the epoch's invalidation delta (sorted object indexes).
-        points: positions of ``new_indexes``, in order (Euclidean).
-        neighbors: final ``(object, sorted neighbour list)`` entries for
-            every object whose neighbour set the epoch touched.
-        removed_neighbors: objects whose neighbour entry was dropped.
-        assignments: road ``(object, vertex)`` placements (inserts and
-            moves).
-        groups: road ``(vertex, co-located object list)`` entries.
-        removed_groups: vertices whose object group emptied.
-        vertices: road ``(vertex, owner, distance)`` re-settlements.
-        removed_vertices: road vertices left unowned.
-        edges: road ``(edge_id, owner_u, owner_v, border_offset)`` edge
-            ownership records (``border_offset`` None when one object owns
-            the whole edge).
-        removed_edges: road edges whose ownership was dropped.
-        labels: road per-representative cell state — ``(rep, owned
-            vertices, owned edges, adjacent representatives)``.
-        removed_labels: representatives whose cell disappeared.
-    """
-
-    epoch: int
-    payload: int
-    full: bool = False
-    bulk: bool = False
-    new_indexes: Tuple[int, ...] = field(default=())
-    deleted_indexes: Tuple[int, ...] = field(default=())
-    changed: Tuple[int, ...] = field(default=())
-    points: Tuple[Point, ...] = field(default=())
-    neighbors: Tuple[Tuple[int, Tuple[int, ...]], ...] = field(default=())
-    removed_neighbors: Tuple[int, ...] = field(default=())
-    assignments: Tuple[Tuple[int, int], ...] = field(default=())
-    groups: Tuple[Tuple[int, Tuple[int, ...]], ...] = field(default=())
-    removed_groups: Tuple[int, ...] = field(default=())
-    vertices: Tuple[Tuple[int, int, float], ...] = field(default=())
-    removed_vertices: Tuple[int, ...] = field(default=())
-    edges: Tuple[Tuple[int, int, int, Optional[float]], ...] = field(default=())
-    removed_edges: Tuple[int, ...] = field(default=())
-    labels: Tuple[Tuple[int, Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]], ...] = field(
-        default=()
-    )
-    removed_labels: Tuple[int, ...] = field(default=())
-
-    __post_init__ = _coerce_arrays
-
-
-@dataclass(frozen=True)
-class DeltaAck:
-    """Replica → leader side: an :class:`IndexDelta` was applied (meta).
-
-    Attributes:
-        epoch: the replica's data epoch after applying the delta — the
-            dispatcher cross-checks it against the leader's.
-    """
-
-    epoch: int
-
-
-@dataclass(frozen=True)
 class MetricsRequest:
     """Client → server: send me your metrics registry snapshot (meta).
 
@@ -450,12 +366,10 @@ class MetricsSnapshot:
     """Server → client: one observability registry readout (meta).
 
     The wire form of :class:`~repro.obs.metrics.RegistrySnapshot` (same
-    field shapes, so :func:`~repro.obs.metrics.render_prometheus` and
-    :func:`~repro.obs.metrics.merge_snapshots` accept either).  Labels
-    travel in the canonical ``k=v,k2=v2`` form; histogram bucket counts
-    are positional over the shared fixed bounds
-    (:data:`~repro.obs.metrics.HISTOGRAM_BOUNDS`), which is what lets a
-    dispatcher merge per-shard snapshots exactly.
+    field shapes, so :func:`~repro.obs.metrics.render_prometheus` accepts
+    either).  Labels travel in the canonical ``k=v,k2=v2`` form; histogram
+    bucket counts are positional over the shared fixed bounds
+    (:data:`~repro.obs.metrics.HISTOGRAM_BOUNDS`).
 
     Attributes:
         counters: ``(name, labels, value)`` triples.
@@ -600,16 +514,6 @@ def _enum(what: str, table) -> _Scalar:
         return table[code]
 
     return _Scalar("B", to_wire=to_wire, from_wire=from_wire)
-
-
-def _flags(*names: str):
-    """A table entry packing the boolean attributes ``names`` into one u8,
-    bit ``i`` for ``names[i]`` (unknown high bits are ignored)."""
-    return names, _Scalar(
-        "B",
-        to_wire=lambda bits: sum(1 << i for i, bit in enumerate(bits) if bit),
-        from_wire=lambda byte: tuple(bool(byte >> i & 1) for i in range(len(names))),
-    )
 
 
 class _Struct(_Field):
@@ -935,14 +839,7 @@ _position = _Tagged(
 )
 #: A batch target: a Point (Euclidean) or a road vertex id.
 _target = _Tagged("batch target", (0x00, Point, _point), (0x01, int, _u32))
-#: An optional double: a presence byte, then the value when it is 1.
-_maybe_f64 = _Tagged(
-    "optional double",
-    (0x00, type(None), _Struct(type(None), "")),
-    (0x01, (int, float), _f64),
-)
 _u32s = _Array(_u32, _u32)
-_groups = _Array(_u32, _u32, _u32s)  # (key, member list) rows
 _options = _Array(_u8, _string, _string)
 _communication = _counters(CommunicationStats)
 
@@ -955,9 +852,9 @@ class _Frame(_Record):
 
     ``fields`` pairs each wire field, in wire order, with the attribute it
     carries — dotted when the attribute sits on a nested object, whose class
-    ``nested`` names (``result=QueryResult``); a :func:`_flags` entry names
-    several.  The generated code reads the attributes straight off the
-    message and builds it back with ``cls(attribute=…)``.
+    ``nested`` names (``result=QueryResult``).  The generated code reads the
+    attributes straight off the message and builds it back with
+    ``cls(attribute=…)``.
     """
 
     def __init__(self, cls, fields=(), **nested):
@@ -984,13 +881,9 @@ class _Frame(_Record):
                 continue
             if isinstance(kind, _Array) and kind.count is None:
                 shared[at] = f"v{lengths[kind.counted_by or name]}"
-            if isinstance(name, tuple):  # a _flags entry: several attributes, one value
-                bind.append(f"v{at} = ({''.join(f'value.{flag}, ' for flag in name)})")
-                keywords[""] += [f"{flag}=v{at}[{bit}]" for bit, flag in enumerate(name)]
-            else:
-                part, _, attribute = name.rpartition(".")
-                bind.append(f"v{at} = {part or 'value'}.{attribute}")
-                keywords.setdefault(part, []).append(f"{attribute}=v{at}")
+            part, _, attribute = name.rpartition(".")
+            bind.append(f"v{at} = {part or 'value'}.{attribute}")
+            keywords.setdefault(part, []).append(f"{attribute}=v{at}")
         bind += [f"v{at} = len(v{values[name]})" for name, at in lengths.items()]
         for part, nested_cls in self.nested.items():
             env["new_" + part] = nested_cls
@@ -1050,18 +943,8 @@ _FRAMES = {
     0x10: _Frame(AggregateStatsResponse, (("stats", _counters(ProcessorStats)),)),
     0x11: _Frame(DrainRequest),
     0x12: _Frame(DrainAck, (("wal_seq", _u64), ("session_ids", _Array(_u32, _i32)))),
-    0x13: _Frame(IndexDelta, (
-        ("epoch", _u32), ("payload", _u32), _flags("full", "bulk"),
-        ("new_indexes", _u32s), ("deleted_indexes", _u32s), ("changed", _u32s),
-        ("points", _Array(_u32, _position)),
-        ("neighbors", _groups), ("removed_neighbors", _u32s),
-        ("assignments", _Array(_u32, _u32, _u32)),
-        ("groups", _groups), ("removed_groups", _u32s),
-        ("vertices", _Array(_u32, _u32, _u32, _f64)), ("removed_vertices", _u32s),
-        ("edges", _Array(_u32, _u32, _u32, _u32, _maybe_f64)), ("removed_edges", _u32s),
-        ("labels", _Array(_u32, _u32, _u32s, _u32s, _u32s)), ("removed_labels", _u32s),
-    )),
-    0x14: _Frame(DeltaAck, (("epoch", _u32),)),
+    # 0x13 and 0x14 carried the retired process pool's index deltas and
+    # their acks: they stay unknown and must not be reused.
     0x15: _Frame(OpenQuery, (("kind", _string),) + _OPEN),
     0x16: _Frame(
         InfluentialResponse, _RESPONSE + (("result.sites", _u32s),), result=InfluentialResult
@@ -1073,9 +956,9 @@ _FRAMES = {
     0x19: _Frame(MetricsSnapshot, (
         ("counters", _Array(_u32, _string, _string, _u64)),
         ("gauges", _Array(_u32, _string, _string, _f64)),
-        # Reject here what merge_snapshots cannot merge (a bucket count other
-        # than the shared bounds', a repeated key), so a buggy or hostile peer
-        # gets a typed error at the socket instead of a crash in the merge.
+        # Reject here a bucket count other than the shared bounds' and a
+        # repeated key, so a buggy or hostile peer gets a typed error at the
+        # socket instead of a crash wherever the snapshot is read.
         ("histograms", _Array(
             _u32, _string, _string,
             _Array(_u16, _u64, exactly=BUCKET_COUNT, what="histogram buckets"), _f64,

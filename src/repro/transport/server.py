@@ -20,8 +20,10 @@ are applied strictly *between* request batches — an epoch never overlaps a
 position update.  Within one connection, requests are answered strictly in
 arrival order, so clients may pipeline.
 
-Meta frames (stats, aggregate stats, active objects) are served but not
-billed: they are diagnostics about the protocol, not part of it.
+Meta frames (stats, aggregate stats, active objects, metrics, drains) are
+served but not billed: they are diagnostics and operator traffic, not part
+of the protocol.  One server hosts one service, whose engine applies every
+epoch itself.
 """
 
 from __future__ import annotations
@@ -49,11 +51,9 @@ from repro.transport.codec import (
     AggregateStatsResponse,
     BatchApplied,
     CloseSession,
-    DeltaAck,
     DrainAck,
     DrainRequest,
     ErrorMessage,
-    IndexDelta,
     MetricsRequest,
     MetricsSnapshot,
     ObjectsRequest,
@@ -120,15 +120,9 @@ def metrics_snapshot_frame(service: Optional[KNNService] = None) -> MetricsSnaps
                 )
         gauges.append(("insq_engine_epoch", "", float(service.epoch)))
         gauges.append(("insq_sessions_open", "", float(len(service.sessions()))))
-        # The engine's cumulative maintenance timers as gauges, so a
-        # dispatcher merging shard snapshots can show delta-apply vs
-        # full-maintenance time per shard (gauges are relabelled
-        # ``shard=<i>`` at the merge; histograms are summed).
+        # The engine's cumulative maintenance timer as a gauge.
         gauges.append(
             ("insq_maintenance_seconds_total", "", float(engine.maintenance_seconds))
-        )
-        gauges.append(
-            ("insq_delta_apply_seconds_total", "", float(engine.delta_apply_seconds))
         )
     return MetricsSnapshot(
         counters=snapshot.counters,
@@ -141,16 +135,12 @@ def serve_connection(
     service: KNNService,
     stream: MessageStream,
     service_lock: Optional[threading.Lock] = None,
-    sessions: Optional[Dict[int, Session]] = None,
     orphans: Optional[Dict[int, Session]] = None,
     draining: Optional[threading.Event] = None,
-    replication_role: str = "single",
 ) -> None:
     """Serve one connection until the peer disconnects.
 
-    Used by :class:`KNNServer` for socket connections and by the
-    :mod:`~repro.transport.procpool` workers for their socketpair — the
-    protocol (and therefore the accounting) is identical either way.
+    Used by :class:`KNNServer` for every accepted socket connection.
 
     Sessions opened over the connection are owned by it: a disconnect
     (clean or not) closes whatever the peer left open, so a vanished
@@ -167,10 +157,6 @@ def serve_connection(
     connections ride one fsync while the service keeps executing.
 
     Args:
-        sessions: pre-existing sessions this connection adopts outright
-            (crash recovery over a single-connection transport: the
-            procpool worker's socketpair).  Adopted sessions are owned
-            like self-opened ones — closed when the connection ends.
         orphans: a pool of recovered sessions *shared across connections*
             (guarded by ``service_lock``).  The first connection to
             reference an orphaned query id claims that session and owns
@@ -179,23 +165,10 @@ def serve_connection(
             destroy recovered sessions.
         draining: when set (by :meth:`KNNServer.drain`), the connection's
             end parks its sessions instead of closing them.
-        replication_role: how this service participates in maintenance
-            replication (see :class:`~repro.transport.procpool.
-            ProcessShardedDispatcher`).  ``"single"`` (the default) applies
-            :class:`UpdateBatch` frames locally and nothing else changes.
-            A ``"leader"`` additionally exports each applied epoch's
-            repair delta and replies it as an unbilled
-            :class:`~repro.transport.codec.IndexDelta` frame *before* the
-            billed :class:`~repro.transport.codec.BatchApplied`
-            acknowledgement.  :class:`IndexDelta` frames from the peer are
-            accepted under any role (the replica half of the exchange):
-            the delta is applied to the local index without re-running any
-            geometry and acknowledged with an unbilled
-            :class:`~repro.transport.codec.DeltaAck`.
     """
     lock = service_lock if service_lock is not None else threading.RLock()
     engine = service.engine
-    sessions = dict(sessions) if sessions else {}
+    sessions: Dict[int, Session] = {}
     parked = False
 
     def resolve(query_id: int) -> Optional[Session]:
@@ -300,19 +273,10 @@ def serve_connection(
                     reply(SessionClosed(query_id=query_id), None)
                 elif isinstance(message, UpdateBatch):
                     engine.account_wire_bytes(None, uplink_bytes=nbytes)
-                    delta = None
                     with lock:
-                        if replication_role == "leader":
-                            result, delta = service.apply_with_delta(message)
-                        else:
-                            result = service.apply(message)
+                        result = service.apply(message)
                         token = service.durability_token()
                     service.durability_barrier(token)
-                    if delta is not None:
-                        # The repair delta is the service's internal
-                        # replication fan-out, not client traffic: it
-                        # leaves unbilled, ahead of the billed ack.
-                        reply_meta(delta)
                     reply(
                         BatchApplied(
                             epoch=result.epoch,
@@ -321,21 +285,10 @@ def serve_connection(
                         ),
                         None,
                     )
-                elif isinstance(message, IndexDelta):
-                    # The replica half of delta replication: patch the
-                    # local index from the leader's repair delta (no
-                    # geometry runs) and acknowledge.  Both frames are
-                    # meta — replication is not client traffic.
-                    with lock:
-                        service.apply_remote_delta(message)
-                        token = service.durability_token()
-                    service.durability_barrier(token)
-                    reply_meta(DeltaAck(epoch=service.epoch))
                 elif isinstance(message, DrainRequest):
                     # Park-and-checkpoint: after this acknowledgement the
-                    # connection's sessions are claimable by a successor —
-                    # from the durable state (procpool replacement worker)
-                    # or from the orphan pool (rolling socket restart).
+                    # connection's sessions are claimable by a successor
+                    # from the orphan pool (a rolling socket restart).
                     with lock:
                         parked = True
                         wal_seq = 0
@@ -601,7 +554,7 @@ class KNNServer(_Listener):
 
     def _serve(self, stream: MessageStream) -> None:
         serve_connection(
-            self._service, stream, self._service_lock, None, self._orphans, self._draining
+            self._service, stream, self._service_lock, self._orphans, self._draining
         )
 
     def stop(self) -> None:
@@ -647,11 +600,11 @@ class MetricsListener(_Listener):
 
     Answers each :class:`~repro.transport.codec.MetricsRequest` frame with
     ``provider()`` — a fresh :class:`~repro.transport.codec.MetricsSnapshot`
-    per request.  Mounted by ``insq serve --stats-port`` next to workloads
-    that run over an in-process dispatcher (``--transport process``) and
-    therefore have no :class:`KNNServer` to ask: the provider is the
-    dispatcher's exactly-merged per-shard snapshot.  The provider runs on
-    the listener's threads, outside every serving code path.
+    per request.  Mounted by ``insq serve --stats-port`` next to a
+    simulated workload, which has no :class:`KNNServer` of its own to ask:
+    the provider is :func:`metrics_snapshot_frame` over the workload's
+    service.  The provider runs on the listener's threads, outside every
+    serving code path.
 
     Any other frame is answered with an :class:`~repro.transport.codec.
     ErrorMessage` — this endpoint serves diagnostics, not queries.

@@ -4,11 +4,11 @@
 the blocking-socket world: it sends whole encoded frames (returning their
 measured size so callers can bill bytes) and receives whole decoded
 messages through an internal :class:`~repro.transport.codec.FrameReader`
-(so partial and concatenated reads are invisible to callers).  Both the
-TCP/Unix-domain :class:`~repro.transport.server.KNNServer` and the
-socketpair-connected :class:`~repro.transport.procpool` workers speak
-through it, which is what keeps the wire protocol byte-identical across
-every process boundary the system crosses.
+(so partial and concatenated reads are invisible to callers).  Both ends
+of a connection speak through it — the TCP/Unix-domain
+:class:`~repro.transport.server.KNNServer` and the
+:class:`~repro.transport.client.RemoteService` — which is what keeps the
+wire protocol byte-identical in both directions.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ class MessageStream:
     """Frame-at-a-time send/receive over a connected socket.
 
     Receiving is single-consumer (each connection has one reader loop);
-    sending is guarded by a lock so responses written from a handler and
-    pipelined requests written from a dispatcher cannot interleave bytes.
+    sending is guarded by a lock so frames written from several threads
+    cannot interleave bytes.
     """
 
     def __init__(self, sock: socket.socket):

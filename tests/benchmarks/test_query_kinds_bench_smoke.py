@@ -10,7 +10,7 @@ by hand.
 Timing assertions are deliberately absent (tiny-N wall clocks are noise);
 the smoke run asserts the structural invariants: the full kind ×
 invalidation matrix is present, both modes of every kind report the same
-answer stream bit for bit, and the mixed in-process / TCP / process-delta
+answer stream bit for bit, and the mixed in-process / TCP
 replay agrees everywhere.
 """
 

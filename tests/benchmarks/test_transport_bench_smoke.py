@@ -3,7 +3,7 @@
 Same rationale as the other benchmark smoke tests: the benchmark modules
 are only collected when invoked explicitly, so this drives the ``--smoke``
 tiny-N mode inside the default ``pytest -x -q`` run — a regression on the
-transport path (codec sizes, loopback serving, multi-process sharding)
+transport path (codec sizes, loopback serving)
 fails tier-1 immediately instead of waiting for somebody to run the
 benchmark by hand.
 
@@ -32,11 +32,10 @@ class TestTransportBenchmarkSmoke:
         assert checks["tcp_measured_bytes_match_codec_prediction"]
         assert checks["tcp_engine_bytes_match_client_measurement"]
         by_transport = {row["transport"]: row for row in rows}
-        assert set(by_transport) == {"in-process", "loopback-tcp", "process-x2"}
+        assert set(by_transport) == {"in-process", "loopback-tcp"}
         # In-process serving ships messages but no bytes; the wire ships both.
         assert by_transport["in-process"]["wire_bytes"] == 0
         assert by_transport["loopback-tcp"]["wire_bytes"] > 0
-        assert by_transport["process-x2"]["wire_bytes"] > 0
         assert (
             by_transport["loopback-tcp"]["messages"]
             == by_transport["in-process"]["messages"]

@@ -37,7 +37,7 @@ class TestCounters:
         assert exported["timestamps"] == 2
         assert exported["full_recomputations"] == 1
         assert "recomputation_rate" in exported
-        assert "precomputation_seconds" in exported
+        assert "construction_seconds" in exported
 
 
 class TestTimers:
@@ -56,12 +56,12 @@ class TestTimers:
         assert stats.validation_seconds > 0.0
         assert stats.construction_seconds == 0.0
 
-    def test_precomputation_timer(self):
+    def test_maintenance_timer(self):
         stats = ProcessorStats()
-        with stats.timed("precomputation_seconds"):
+        with stats.timed("maintenance_seconds"):
             time.sleep(0.002)
-        assert stats.precomputation_seconds > 0.0
-        # Precomputation is not part of the online total.
+        assert stats.maintenance_seconds > 0.0
+        # Server-side maintenance is not part of the online total.
         assert stats.total_seconds == stats.construction_seconds + stats.validation_seconds
 
     def test_timer_records_even_when_exception_raised(self):

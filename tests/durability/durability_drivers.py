@@ -80,12 +80,20 @@ class ScenarioDriver:
 
     def step(self, service, step):
         """One timestamp: maybe one churn epoch, then advance every session."""
+        self.apply_batch(service, step)
+        self.advance(service, step)
+
+    def apply_batch(self, service, step):
+        """The step's churn epoch, if it has one."""
         if self.stream[step] is not None:
             batch, new_indexes = self.stream[step]
             assert tuple(service.apply(batch).new_indexes) == new_indexes, f"step {step}"
             self.counts["inserts"] += len(batch.inserts)
             self.counts["deletes"] += len(batch.deletes)
             self.counts["moves"] += len(batch.moves)
+
+    def advance(self, service, step):
+        """Move every session to its position at ``step``."""
         for session, trajectory in zip(self.sessions, self.scenario.trajectories):
             response = session.update(trajectory[step])
             self.answers[session.query_id].append(

@@ -65,6 +65,47 @@ class TestRestartAndReplayOracle:
         assert recovered.epoch == reference_service.epoch
         assert recovered.object_count == reference_service.object_count
 
+    @pytest.mark.parametrize("metric", ["euclidean", "road"])
+    @pytest.mark.parametrize("invalidation", ["delta", "flag"])
+    def test_crash_between_a_batch_and_its_step_is_bit_identical(
+        self, tmp_path, metric, invalidation
+    ):
+        """The batch is logged and applied, no session has moved yet: the
+        recovered service holds the new epoch and serves the step as if
+        nothing happened."""
+        reference_driver, reference_service = reference_run(metric, invalidation)
+
+        scenario = build_scenario(metric)
+        driver = ScenarioDriver(scenario)
+        crash_step = next(
+            step
+            for step in range(2, scenario.timestamps)
+            if driver.stream[step] is not None
+        )
+        wal_dir = str(tmp_path / "state")
+        service = DurableKNNService(
+            build_server(scenario, invalidation=invalidation), wal_dir
+        )
+        driver.open_sessions(service)
+        driver.run(service, 1, crash_step)
+        driver.apply_batch(service, crash_step)
+        epoch = service.epoch
+
+        service.close_wal()
+        del service
+
+        recovered = recover_service(wal_dir)
+        assert recovered.epoch == epoch
+        driver.rebind(recovered)
+        driver.advance(recovered, crash_step)
+        driver.run(recovered, crash_step + 1, scenario.timestamps)
+
+        assert driver.answers == reference_driver.answers
+        assert driver.counts == reference_driver.counts
+        assert counters_of(recovered) == counters_of(reference_service)
+        assert recovered.epoch == reference_service.epoch
+        assert recovered.object_count == reference_service.object_count
+
     def test_cold_rebuild_from_initial_snapshot_matches(self, tmp_path):
         """Full-log replay from the seq-0 snapshot lands in the same state."""
         reference_driver, reference_service = reference_run("euclidean", "delta")

@@ -1,12 +1,7 @@
-"""No-downtime drills: rolling restarts, drain-and-handoff, group commit.
+"""No-downtime drills: rolling restarts, group commit, segment rotation.
 
 The acceptance bar of the rolling-restart work, from the test side:
 
-* **Shard drain-and-handoff** — a process shard told to drain checkpoints,
-  parks its sessions and is replaced by a worker that replays its log,
-  while every other shard keeps serving; a run that rolled *every* shard
-  is bit-identical (answers, message/object/byte counters, per-session
-  bills) to one that never restarted anything.
 * **Socket-server rolling restart** — :meth:`KNNServer.drain` parks every
   live session; a successor process recovers the directory, adopts them,
   and clients re-attach mid-stream with nothing lost.
@@ -17,18 +12,14 @@ The acceptance bar of the rolling-restart work, from the test side:
   traffic, checkpoints reclaim them, and recovery replays the chain
   bit-identically.
 
-Plus the sharp edges: orphan-claim races, wedged-worker shutdown, and
-retry-jitter determinism.
+Plus the sharp edges: orphan-claim races and retry-jitter determinism.
 """
 
 import os
 import random
-import signal
 import socket
 import threading
 import time
-
-import pytest
 
 from repro.durability import (
     DurableKNNService,
@@ -37,21 +28,17 @@ from repro.durability import (
     recover_service,
 )
 from repro.durability.wal import WriteAheadLog, scan_chain
-from repro.errors import ConfigurationError, QueryError
+from repro.errors import QueryError
 from repro.geometry.point import Point
 from repro.service import KNNService
 from repro.service.messages import PositionUpdate
-from repro.simulation.server_sim import build_server, simulate_server
-from repro.testing import FaultPlan, ShardDrain, WorkerKill
+from repro.simulation.server_sim import build_server
 from repro.transport import (
     KNNServer,
     MessageStream,
-    ProcessShardedDispatcher,
     RemoteService,
-    ServiceSpec,
     connect,
 )
-from repro.transport import procpool as procpool_module
 from repro.transport.codec import (
     OpenSession,
     SessionOpened,
@@ -59,7 +46,6 @@ from repro.transport.codec import (
     StatsResponse,
 )
 from repro.core.stats import CommunicationStats
-from repro.workloads.datasets import uniform_points
 
 from durability_drivers import (
     ScenarioDriver,
@@ -68,136 +54,8 @@ from durability_drivers import (
 )
 
 
-def _per_session_dicts(run):
-    return {
-        query_id: stats.as_dict()
-        for query_id, stats in run.per_session_communication.items()
-    }
-
-
-def assert_runs_identical(rolled, reference):
-    assert rolled.results == reference.results
-    assert rolled.communication.as_dict() == reference.communication.as_dict()
-    assert _per_session_dicts(rolled) == _per_session_dicts(reference)
-
-
 # ----------------------------------------------------------------------
-# Tentpole 1: drain-and-handoff of process shards
-# ----------------------------------------------------------------------
-class TestRollingShardDrain:
-    @pytest.mark.parametrize("metric", ["euclidean", "road"])
-    def test_rolling_every_shard_is_invisible(self, tmp_path, metric):
-        """Each shard drained once mid-stream == never restarted at all."""
-        scenario = build_scenario(metric)
-        reference = simulate_server(scenario, transport="process", workers=2)
-        plan = FaultPlan.rolling(workers=2, start_epoch=1, stride=1)
-        rolled = simulate_server(
-            scenario,
-            transport="process",
-            workers=2,
-            wal_dir=str(tmp_path / "state"),
-            faults=plan,
-        )
-        assert rolled.drains == 2
-        assert len(rolled.handoff_seconds) == 2
-        assert all(latency > 0.0 for latency in rolled.handoff_seconds)
-        assert rolled.kills_injected == 0
-        assert_runs_identical(rolled, reference)
-
-    def test_drains_and_kills_share_a_run(self, tmp_path):
-        """Graceful drains compose with violent kills in one fault plan."""
-        scenario = build_scenario("euclidean")
-        reference = simulate_server(scenario, transport="process", workers=2)
-        plan = FaultPlan(
-            kills=(WorkerKill(epoch=2, worker=0, phase="after_batch"),),
-            drains=(
-                ShardDrain(epoch=1, worker=1),
-                ShardDrain(epoch=3, worker=0),
-            ),
-        )
-        rolled = simulate_server(
-            scenario,
-            transport="process",
-            workers=2,
-            wal_dir=str(tmp_path / "state"),
-            faults=plan,
-        )
-        assert rolled.kills_injected == 1
-        assert rolled.drains == 2
-        assert_runs_identical(rolled, reference)
-
-    def test_explicit_drain_repeatedly_on_one_shard(self, tmp_path):
-        """drain_worker is a plain method; the same shard can roll twice."""
-        spec = ServiceSpec(
-            metric="euclidean", objects=tuple(uniform_points(80, seed=13))
-        )
-        with ProcessShardedDispatcher(
-            spec, workers=2, wal_dir=str(tmp_path / "state")
-        ) as pool:
-            sessions = [pool.open_session(Point(i, i), k=3) for i in range(4)]
-            before = pool.advance(
-                [(session, Point(40.0, 40.0)) for session in sessions]
-            )
-            pool.drain_worker(1)
-            pool.drain_worker(1)
-            after = pool.advance(
-                [(session, Point(40.0, 40.0)) for session in sessions]
-            )
-            # Same positions, same index: the drained shard's sessions
-            # answer identically to their own pre-drain answers.
-            for first, second in zip(before, after):
-                assert first.result.knn == second.result.knn
-            assert pool.drains == 2
-            assert pool.respawns == 0  # graceful: not a crash recovery
-            assert len(pool.handoff_seconds) == 2
-
-    def test_drain_requires_wal_dir(self):
-        spec = ServiceSpec(
-            metric="euclidean", objects=tuple(uniform_points(50, seed=13))
-        )
-        with ProcessShardedDispatcher(spec, workers=1) as pool:
-            with pytest.raises(ConfigurationError, match="wal_dir"):
-                pool.drain_worker(0)
-
-    def test_drain_validates_the_worker_index(self, tmp_path):
-        spec = ServiceSpec(
-            metric="euclidean", objects=tuple(uniform_points(50, seed=13))
-        )
-        with ProcessShardedDispatcher(
-            spec, workers=1, wal_dir=str(tmp_path / "state")
-        ) as pool:
-            with pytest.raises(ConfigurationError, match="index"):
-                pool.drain_worker(1)
-
-    def test_shard_drain_validation_and_plan_helpers(self):
-        with pytest.raises(ConfigurationError):
-            ShardDrain(epoch=0, worker=0)
-        with pytest.raises(ConfigurationError):
-            ShardDrain(epoch=1, worker=-1)
-        with pytest.raises(ConfigurationError):
-            FaultPlan.rolling(workers=0)
-        plan = FaultPlan.rolling(workers=3, start_epoch=2, stride=3)
-        assert plan.drain_count == 3
-        assert [drain.epoch for drain in plan.drains] == [2, 5, 8]
-        assert [drain.worker for drain in plan.drains] == [0, 1, 2]
-        assert plan.drains_for(5) == [1]
-        assert plan.drains_for(4) == []
-
-    def test_random_plans_with_drains_keep_their_kills(self):
-        """Adding drains to a seeded plan never reshuffles its kills."""
-        base = FaultPlan.random(seed=5, epochs=10, workers=3, kills=2)
-        extended = FaultPlan.random(
-            seed=5, epochs=10, workers=3, kills=2, drains=3
-        )
-        assert extended.kills == base.kills
-        assert extended.drain_count == 3
-        assert extended == FaultPlan.random(
-            seed=5, epochs=10, workers=3, kills=2, drains=3
-        )
-
-
-# ----------------------------------------------------------------------
-# Tentpole 2: rolling restart of the socket server
+# Rolling restart of the socket server
 # ----------------------------------------------------------------------
 class TestServerDrainRestart:
     def _tcp_run(self, wal_dir, scenario, drain_at=None):
@@ -267,6 +125,16 @@ class TestServerDrainRestart:
         assert rolled[0] == continuous[0]
         assert rolled[1] == continuous[1]
         assert rolled[2] == continuous[2]
+
+    def test_mid_stream_drain_restart_is_invisible_on_roads(self, tmp_path):
+        """The same drill on the road metric: the successor recovers the
+        network Voronoi diagram and serves on bit-identically."""
+        scenario = build_scenario("road")
+        continuous = self._tcp_run(str(tmp_path / "ref"), scenario)
+        rolled = self._tcp_run(
+            str(tmp_path / "rolled"), scenario, drain_at=4
+        )
+        assert rolled == continuous
 
     def test_client_drain_call_parks_every_session(self, tmp_path):
         """RemoteService.drain(): checkpointed ack, sessions parked."""
@@ -371,7 +239,7 @@ class TestOrphanClaimRace:
 
 
 # ----------------------------------------------------------------------
-# Tentpole 3: group-commit WAL
+# Group-commit WAL
 # ----------------------------------------------------------------------
 class TestGroupCommit:
     def test_group_matches_always_bit_for_bit(self, tmp_path):
@@ -522,29 +390,6 @@ class TestSegmentRotationUnderTraffic:
         assert counters_of(recovered) == counters_of(reference)
         recovered.close_wal()
         reference.close_wal()
-
-
-# ----------------------------------------------------------------------
-# Satellite: shutdown escalation never hangs on a wedged worker
-# ----------------------------------------------------------------------
-class TestShutdownEscalation:
-    def test_close_never_hangs_on_a_sigstopped_worker(self, monkeypatch):
-        """A SIGSTOPped worker ignores EOF and SIGTERM; close() must walk
-        the whole join -> terminate -> kill ladder and still return."""
-        monkeypatch.setattr(procpool_module, "SHUTDOWN_GRACE_SECONDS", 0.5)
-        spec = ServiceSpec(
-            metric="euclidean", objects=tuple(uniform_points(60, seed=3))
-        )
-        pool = ProcessShardedDispatcher(spec, workers=2)
-        session = pool.open_session(Point(0.0, 0.0), k=3)
-        pool.advance([(session, Point(5.0, 5.0))])
-        victim = pool._processes[0]
-        os.kill(victim.pid, signal.SIGSTOP)
-        started = time.monotonic()
-        pool.close()
-        elapsed = time.monotonic() - started
-        assert elapsed < 10.0
-        assert all(not process.is_alive() for process in pool._processes)
 
 
 # ----------------------------------------------------------------------

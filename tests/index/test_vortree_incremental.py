@@ -9,7 +9,6 @@ path) is the oracle.
 
 import pickle
 import random
-from types import SimpleNamespace
 
 import pytest
 from rebuild_reference import RebuildingVoRTree
@@ -140,7 +139,6 @@ class TestPopulationCount:
         """len() is a counter now; it must agree with the scan after every step."""
         rng = random.Random(45)
         tree = VoRTree(uniform_points(70, extent=1_000.0, seed=34))
-        replica = VoRTree(uniform_points(70, extent=1_000.0, seed=34))
 
         def random_points(count):
             return [
@@ -150,44 +148,24 @@ class TestPopulationCount:
 
         def check():
             assert len(tree) == len(tree.active_indexes())
-            assert len(replica) == len(replica.active_indexes()) == len(tree)
             assert len(tree.voronoi.active_indexes()) == len(tree)
-
-        def mirror(new, deleted, bulk=False):
-            """Replay the structural part of a mutation on the delta replica."""
-            replica.apply_remote_delta(
-                SimpleNamespace(
-                    bulk=bulk,
-                    new_indexes=new,
-                    deleted_indexes=deleted,
-                    points=[tree.point(index) for index in new],
-                    neighbors=(),
-                    removed_neighbors=(),
-                )
-            )
 
         check()
         for _ in range(80):
             roll = rng.random()
             victims = rng.sample(tree.active_indexes(), 3)
             if roll < 0.3:
-                index, _ = tree.insert(random_points(1)[0])
-                mirror([index], [])
+                tree.insert(random_points(1)[0])
             elif roll < 0.5:
                 tree.delete(victims[0])
-                mirror([], victims[:1])
             elif roll < 0.75:
                 # duplicate and unknown deletes must not be counted; five
                 # operations stay below the bulk threshold
-                new, deleted, _ = tree.batch_update(
-                    random_points(3), victims[:2] + [victims[0], 10_000]
-                )
-                mirror(new, deleted)
+                tree.batch_update(random_points(3), victims[:2] + [victims[0], 10_000])
             else:
                 # at or just above the bulk threshold: one rebuild
                 extra = bulk_threshold(tree) - len(victims) + rng.randint(0, 2)
-                new, deleted, _ = tree.batch_update(random_points(extra), victims)
-                mirror(new, deleted, bulk=True)
+                tree.batch_update(random_points(extra), victims)
             check()
 
 
@@ -368,23 +346,6 @@ class TestCoordinateRows:
         new, deleted, _ = tree.batch_update(*burst(tree, rng, bulk_threshold(tree) + 2))
         assert bulk.value == before + 1 and new and deleted
         check_rows(tree)
-
-    def test_on_a_delta_replica(self):
-        rng = random.Random(48)
-        leader = VoRTree(uniform_points(150, extent=1_000.0, seed=37))
-        replica = VoRTree(uniform_points(150, extent=1_000.0, seed=37))
-        for size in (3, bulk_threshold(leader) + 1):
-            new, deleted, changed = leader.batch_update(*burst(leader, rng, size))
-            replica.apply_remote_delta(
-                SimpleNamespace(
-                    bulk=False,
-                    new_indexes=new,
-                    deleted_indexes=deleted,
-                    **leader.export_delta(new, deleted, changed),
-                )
-            )
-            check_rows(replica)
-            assert replica.coordinates == leader.coordinates
 
     def test_a_state_without_the_rows_derives_them(self):
         tree = VoRTree(uniform_points(80, extent=1_000.0, seed=38))

@@ -1,6 +1,6 @@
 """End-to-end scrape drill: boot ``insq serve`` with live endpoints.
 
-A real ``python -m repro.cli serve`` subprocess hosts a process-sharded
+A real ``python -m repro.cli serve`` subprocess hosts a loopback-TCP
 run with ``--metrics-port`` (Prometheus over HTTP) and ``--stats-port``
 (the binary ``insq stats`` listener) mounted, slowed with
 ``--step-delay`` so the endpoints are observably *live mid-stream*, and
@@ -27,8 +27,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__fi
 
 SERVE_ARGS = [
     "serve",
-    "--transport", "process",
-    "--workers", "2",
+    "--transport", "tcp",
     "--queries", "3",
     "--n", "120",
     "--k", "3",
@@ -167,7 +166,3 @@ class TestLiveScrape:
             assert _gauge(last_body, f"insq_comm_{field}") == bill[field], (
                 f"{field}: scrape disagrees with the printed bill\n{output}"
             )
-
-        # Per-shard labels prove the scrape merged both worker processes.
-        assert re.search(r'insq_\w+\{[^}]*shard="0"', last_body)
-        assert re.search(r'insq_\w+\{[^}]*shard="1"', last_body)

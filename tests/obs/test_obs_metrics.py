@@ -5,16 +5,12 @@ The load-bearing contracts:
 * **bucket exactness** — an observation lands in exactly the bucket
   ``bisect_right(HISTOGRAM_BOUNDS, value)`` names, for every value
   including the bound values themselves and the overflow range;
-* **merge exactness and associativity** (hypothesis) — merging W
-  per-shard histograms bucket-wise equals the histogram one process
-  would have accumulated, regardless of how observations were split
-  across shards or how the merge is parenthesised;
 * **gating** — a disabled registry records nothing anywhere, and
   :func:`~repro.obs.metrics.start_timer` returns ``None`` so timed
   sites skip the clock entirely;
 * **reset-in-place** — :meth:`MetricsRegistry.reset` zeroes instruments
   without dropping them, so handles cached at module import keep
-  recording after a forked worker resets its inherited registry;
+  recording after a reset;
 * **exact under concurrent writers** — a histogram records into one
   lock-free cell per thread, and the counts, bucket vector and sum read
   back exactly what eight threads wrote.
@@ -25,7 +21,6 @@ import threading
 from bisect import bisect_right
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.obs import metrics as obs_metrics
@@ -34,8 +29,6 @@ from repro.obs.metrics import (
     BUCKET_COUNT,
     HISTOGRAM_BOUNDS,
     MetricsRegistry,
-    RegistrySnapshot,
-    merge_snapshots,
     start_timer,
 )
 
@@ -53,9 +46,6 @@ def recording():
     yield
     if not was_enabled:
         obs_metrics.disable()
-
-
-durations = st.floats(min_value=0.0, max_value=1e3, allow_nan=False)
 
 
 class TestInstruments:
@@ -209,7 +199,7 @@ class TestConcurrentWriters:
         assert histogram.sum == 0.0 and counter.value == 0
         assert registry.snapshot().histograms == (("h", "", (0,) * BUCKET_COUNT, 0.0),)
         # The handles cached before the reset record again, from fresh
-        # threads and from this one (the procpool fork-reset relies on it).
+        # threads and from this one.
         self._hammer(histogram, counter)
         histogram.observe(1.0)
         assert registry.histogram("h") is histogram
@@ -231,74 +221,3 @@ class TestConcurrentWriters:
         expected[2] = expected[19] = 1
         assert histogram.counts == tuple(expected)
         assert histogram.sum == ((10.0 + 3e-6) - 10.0) + 0.5
-
-
-def _single_shard_snapshot(values, labels=""):
-    """The snapshot one shard produces after observing ``values``."""
-    counts = [0] * BUCKET_COUNT
-    for value in values:
-        counts[bisect_right(HISTOGRAM_BOUNDS, value)] += 1
-    return RegistrySnapshot(
-        histograms=(("h", labels, tuple(counts), sum(values)),)
-    )
-
-
-class TestMergeProperties:
-    @settings(max_examples=100, deadline=None)
-    @given(
-        shards=st.lists(
-            st.lists(durations, max_size=30), min_size=1, max_size=5
-        )
-    )
-    def test_merge_equals_single_process_accumulation(self, shards):
-        """W per-shard histograms merge to the one-process histogram."""
-        merged = merge_snapshots(
-            [_single_shard_snapshot(values) for values in shards]
-        )
-        everything = [value for values in shards for value in values]
-        reference = _single_shard_snapshot(everything)
-        ((_, _, merged_counts, merged_sum),) = merged.histograms
-        ((_, _, reference_counts, reference_sum),) = reference.histograms
-        assert merged_counts == reference_counts  # exact, not approximate
-        assert merged_sum == pytest.approx(reference_sum)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        a=st.lists(durations, max_size=20),
-        b=st.lists(durations, max_size=20),
-        c=st.lists(durations, max_size=20),
-    )
-    def test_merge_is_associative_on_buckets(self, a, b, c):
-        sa, sb, sc = (
-            _single_shard_snapshot(values) for values in (a, b, c)
-        )
-        left = merge_snapshots([merge_snapshots([sa, sb]), sc])
-        right = merge_snapshots([sa, merge_snapshots([sb, sc])])
-        assert left.histograms[0][2] == right.histograms[0][2]
-        assert left.histograms[0][3] == pytest.approx(right.histograms[0][3])
-
-    def test_counters_add_and_gauges_relabel(self):
-        shard = RegistrySnapshot(
-            counters=(("c", "", 3),), gauges=(("g", "", 1.5),)
-        )
-        other = RegistrySnapshot(
-            counters=(("c", "", 4),), gauges=(("g", "", 2.5),)
-        )
-        merged = merge_snapshots([shard, other], gauge_labels=["shard=0", "shard=1"])
-        assert merged.counters == (("c", "", 7),)
-        assert merged.gauges == (("g", "shard=0", 1.5), ("g", "shard=1", 2.5))
-
-    def test_gauge_relabel_merges_into_existing_labels(self):
-        shard = RegistrySnapshot(gauges=(("g", "kind=knn", 1.0),))
-        merged = merge_snapshots([shard], gauge_labels=["shard=2"])
-        assert merged.gauges == (("g", "kind=knn,shard=2", 1.0),)
-
-    def test_mismatched_bucket_counts_refuse_to_merge(self):
-        good = _single_shard_snapshot([0.1])
-        bad = RegistrySnapshot(histograms=(("h", "", (1, 2, 3), 0.1),))
-        with pytest.raises(ConfigurationError):
-            merge_snapshots([good, bad])
-
-    def test_gauge_labels_length_mismatch_is_rejected(self):
-        with pytest.raises(ConfigurationError):
-            merge_snapshots([RegistrySnapshot()], gauge_labels=["a=1", "b=2"])

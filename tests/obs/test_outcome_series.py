@@ -8,7 +8,7 @@ did — and follow the same reset, disabled-window, snapshot-restore and
 engine-lifetime rules:
 
 * a scrape adds only the work done since the previous one;
-* ``reset()`` (the procpool fork reset) drops the work done before it;
+* ``reset()`` drops the work done before it;
 * a ``disable()`` … ``enable()`` window counts nothing;
 * a pickled and restored engine counts only the work done after the
   restore (the work before was counted by the process that did it);

@@ -2,7 +2,6 @@
 
 import math
 import random
-from types import SimpleNamespace
 
 import networkx as nx
 import pytest
@@ -50,32 +49,24 @@ grid_strategy = st.builds(
 
 def _churned(network, objects, seed, epochs=4):
     """A diagram after ``epochs`` incremental batches (an insert, a delete and
-    a move each — far below the bulk threshold), and a replica that only ever
-    saw their shipped deltas."""
+    a move each — far below the bulk threshold)."""
     rng = random.Random(seed)
-    leader = NetworkVoronoiDiagram(network, objects)
-    replica = NetworkVoronoiDiagram(network, objects)
+    diagram = NetworkVoronoiDiagram(network, objects)
     vertices = network.vertices()
     for _ in range(epochs):
-        victim, mover = rng.sample(leader.active_indexes(), 2)
-        leader.begin_delta_capture()
-        new_indexes, deleted, _ = leader.batch_update(
+        victim, mover = rng.sample(diagram.active_indexes(), 2)
+        diagram.batch_update(
             [rng.choice(vertices)], [victim], [(mover, rng.choice(vertices))]
         )
-        replica.apply_remote_delta(
-            SimpleNamespace(
-                new_indexes=new_indexes, deleted_indexes=deleted, **leader.export_delta()
-            )
-        )
-    return leader, replica
+    return diagram
 
 
 class TestTheorem2Filter:
     """The owner lookup (relax an edge iff the owner of one of its endpoints
     is held, on the shared network) is the search on the materialised
     ``subnetwork(diagram.cell_edges(held))``, float for float — on a fresh
-    diagram, after incremental repairs, and on a replica patched by deltas,
-    so the owner map and the owner → edges index agree after every repair."""
+    diagram and after incremental repairs, so the owner map and the owner →
+    edges index agree after every repair."""
 
     @given(
         st.one_of(network_strategy, grid_strategy),
@@ -84,7 +75,7 @@ class TestTheorem2Filter:
         st.integers(min_value=0, max_value=1_000_000),
         st.floats(min_value=0.0, max_value=1.0),
         st.one_of(st.none(), st.floats(min_value=0.0, max_value=600.0)),
-        st.sampled_from(["fresh", "churned", "replica"]),
+        st.sampled_from(["fresh", "churned"]),
     )
     @settings(max_examples=90, deadline=None)
     def test_filtered_search_equals_search_on_the_copy(
@@ -94,8 +85,7 @@ class TestTheorem2Filter:
         if history == "fresh":
             diagram = NetworkVoronoiDiagram(network, objects)
         else:
-            leader, replica = _churned(network, objects, object_seed)
-            diagram = leader if history == "churned" else replica
+            diagram = _churned(network, objects, object_seed)
         objects = diagram.vertex_assignments
         held = set(diagram.active_indexes()[:held_count])
         owners = diagram.vertex_owners()

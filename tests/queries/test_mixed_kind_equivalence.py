@@ -8,8 +8,7 @@ region events — and identical per-kind message/object counters
 
 * in-process (the plain service surface),
 * over a loopback TCP socket (typed `InfluentialResponse`/`RegionEvent`
-  frames crossing the real codec),
-* across multi-process engine shards under both replication modes, and
+  frames crossing the real codec), and
 * across a crash-and-recover cycle (the WAL replays the mixed-kind
   session log, including the `OpenQuery` frames).
 
@@ -26,12 +25,7 @@ from repro.durability import DurableKNNService, recover_service
 from repro.geometry.point import Point
 from repro.queries.messages import InfluentialResponse, RegionEvent
 from repro.service import KNNService, UpdateBatch, open_service
-from repro.transport import (
-    KNNServer,
-    ProcessShardedDispatcher,
-    ServiceSpec,
-    connect,
-)
+from repro.transport import KNNServer, connect
 from repro.workloads.datasets import uniform_points
 
 OBJECTS = 70
@@ -73,18 +67,6 @@ def kind_counters(engine):
             stats.downlink_objects,
         )
         for kind, stats in engine.communication_by_kind().items()
-    }
-
-
-def session_counters(per_session):
-    return {
-        query_id: (
-            stats.uplink_messages,
-            stats.uplink_objects,
-            stats.downlink_messages,
-            stats.downlink_objects,
-        )
-        for query_id, stats in per_session.items()
     }
 
 
@@ -188,27 +170,6 @@ class TestLoopbackEquivalence:
                 with remote.open_query(Point(10, 10), kind="region", k=2) as session:
                     assert session.kind == "region"
                     assert isinstance(session.update(Point(20, 20)), RegionEvent)
-
-
-class TestProcessShardEquivalence:
-    @pytest.mark.parametrize("replication", ["recompute", "delta"])
-    def test_shards_match_in_process(self, replication):
-        reference_service, reference = in_process_reference()
-
-        spec = ServiceSpec(metric="euclidean", objects=tuple(data_objects()))
-        workload = MixedWorkload()
-        with ProcessShardedDispatcher(
-            spec, workers=2, replication=replication
-        ) as pool:
-            workload.open_sessions(pool.open_query)
-            workload.run(pool.apply, 0, STEPS)
-            per_session = session_counters(pool.per_session_communication())
-
-        assert workload.records == reference.records
-        assert per_session == session_counters(
-            reference_service.engine.per_query_communication()
-        )
-        reference_service.close()
 
 
 class TestCrashRecoverEquivalence:

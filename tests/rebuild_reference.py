@@ -43,8 +43,6 @@ class RebuildingNetworkVoronoiDiagram(NetworkVoronoiDiagram):
         self._object_vertices.append(vertex)
         self._active.append(True)
         self._active_count += 1
-        if self._capture is not None:
-            self._capture.assignments.add(index)
         return index, self.full_rebuild()
 
     def remove_object(self, index):
@@ -59,8 +57,6 @@ class RebuildingNetworkVoronoiDiagram(NetworkVoronoiDiagram):
     def move_object(self, index, new_vertex):
         if self.object_vertex(index) == new_vertex:
             return set()
-        if self._capture is not None:
-            self._capture.assignments.add(index)
         self._object_vertices[index] = new_vertex
         return self.full_rebuild()
 

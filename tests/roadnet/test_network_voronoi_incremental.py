@@ -20,7 +20,6 @@ is what the road server's invalidation relies on, so it gets its own test.
 
 import math
 import random
-from types import SimpleNamespace
 
 import pytest
 from rebuild_reference import DIAGRAMS, RebuildingNetworkVoronoiDiagram
@@ -300,48 +299,30 @@ class TestPopulationCount:
     def test_len_tracks_the_active_set_through_every_mutation_path(self, maintenance):
         """``len()`` is a counter; it must agree with the scan after every
         step — single repairs, small and bulk batches (duplicate and unknown
-        deletes included), a full rebuild — and on a replica that only ever
-        sees the shipped deltas."""
+        deletes included), a full rebuild."""
         rng = random.Random(46)
         network = grid_network(9, 9, spacing=10.0)
         objects = place_objects(network, 20, seed=35)
         diagram = DIAGRAMS[maintenance](network, objects)
-        replica = DIAGRAMS[maintenance](network, objects)
         vertices = network.vertices()
-
-        def shipped(new_indexes, deleted):
-            return SimpleNamespace(
-                new_indexes=new_indexes, deleted_indexes=deleted, **diagram.export_delta()
-            )
-
         for step in range(60):
             roll = rng.random()
             active = diagram.active_indexes()
             victims = rng.sample(active, 3)
-            diagram.begin_delta_capture()
             if roll < 0.25:
-                index, _ = diagram.insert_object(rng.choice(vertices))
-                delta = shipped([index], [])
+                diagram.insert_object(rng.choice(vertices))
             elif roll < 0.45 and len(active) > 6:
                 diagram.remove_object(victims[0])
-                delta = shipped([], victims[:1])
             elif roll < 0.6:
                 diagram.move_object(victims[0], rng.choice(vertices))
-                delta = shipped([], [])
             else:
                 bulk = roll > 0.85
                 inserts = [rng.choice(vertices) for _ in range(9 if bulk else 2)]
                 deletes = victims[:2] + victims[:1] + [10_000] if len(active) > 8 else []
-                new_indexes, deleted, _ = diagram.batch_update(
-                    inserts, deletes, [(victims[2], rng.choice(vertices))]
-                )
-                delta = shipped(new_indexes, deleted)
-            replica.apply_remote_delta(delta)
+                diagram.batch_update(inserts, deletes, [(victims[2], rng.choice(vertices))])
             if step % 20 == 19:
                 diagram.full_rebuild()
             assert len(diagram) == diagram.object_count() == scanned_population(diagram)
-            assert len(replica) == scanned_population(replica) == len(diagram)
-            assert replica.active_indexes() == diagram.active_object_indexes()
 
 
 class TestBatchUpdate:
@@ -385,13 +366,15 @@ class TestBatchUpdate:
     @pytest.mark.parametrize("n", [20, 80], ids=["floor", "fraction"])
     def test_the_batch_size_alone_picks_the_path(self, n):
         """A burst one short of ``max(16, 0.3 n)`` operations is repaired
-        object by object; one of exactly that many takes the single build
-        (the epoch's delta ships the whole diagram).  Either way the diagram
-        equals a from-scratch one."""
+        object by object; one of exactly that many takes the single build.
+        Either way the diagram equals a from-scratch one."""
         rng = random.Random(n)
         network = grid_network(12, 12, spacing=10.0)
         diagram = NetworkVoronoiDiagram(network, place_objects(network, n, seed=n))
         vertices = network.vertices()
+        builds = []
+        full_build = diagram._full_build
+        diagram._full_build = lambda: (builds.append(None), full_build())
         for above in (False, True):
             threshold = max(16, int(len(diagram) * NetworkVoronoiDiagram.BULK_REBUILD_FRACTION))
             size = threshold - 1 + above
@@ -399,9 +382,9 @@ class TestBatchUpdate:
             moves = [(index, rng.choice(vertices)) for index in touched[: size // 3]]
             deletes = touched[size // 3 :]
             inserts = [rng.choice(vertices) for _ in range(size - len(moves) - len(deletes))]
-            diagram.begin_delta_capture()
+            builds.clear()
             diagram.batch_update(inserts, deletes, moves)
-            assert diagram.export_delta()["full"] == above
+            assert len(builds) == above
             assert_matches_oracle(diagram, network)
             owners, neighbors = dict(diagram._vertex_owners), diagram.neighbor_map()
             diagram.full_rebuild()

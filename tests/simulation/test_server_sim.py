@@ -94,17 +94,13 @@ class TestSimulateServer:
 
 
 class TestEveryFrontDoor:
-    @pytest.mark.parametrize(
-        "transport, workers", [("tcp", 1), ("process", 2)], ids=["tcp", "process-x2"]
-    )
+    @pytest.mark.parametrize("transport", ["tcp"])
     @pytest.mark.parametrize("metric", ["euclidean", "road"])
     def test_answers_are_checked_on_every_transport(
-        self, euclidean_scenario, road_scenario, metric, transport, workers
+        self, euclidean_scenario, road_scenario, metric, transport
     ):
         scenario = euclidean_scenario if metric == "euclidean" else road_scenario
-        run = simulate_server(
-            scenario, transport=transport, workers=workers, check_answers=True
-        )
+        run = simulate_server(scenario, transport=transport, check_answers=True)
         assert run.is_correct
         assert run.epochs > 0
         assert sum(len(stream) for stream in run.results.values()) == (
@@ -132,11 +128,9 @@ class TestEveryFrontDoor:
         run = simulate_server(scenario, check_answers=True)
         assert len(run.mismatches) == scenario.query_count * (scenario.timestamps - 1)
 
-    def test_threads_are_not_a_front_door(self, euclidean_scenario):
-        with pytest.raises(ConfigurationError, match="transport='process'"):
-            simulate_server(euclidean_scenario, workers=2)
-        with pytest.raises(ConfigurationError, match="transport='process'"):
-            simulate_server(euclidean_scenario, transport="tcp", workers=2)
+    def test_process_shards_are_not_a_front_door(self, euclidean_scenario):
+        with pytest.raises(ConfigurationError, match="'local', 'tcp' or 'unix'"):
+            simulate_server(euclidean_scenario, transport="process")
 
     def test_elapsed_excludes_the_serving_hooks_cleanup(self):
         scenario = euclidean_server_scenario(
@@ -146,8 +140,8 @@ class TestEveryFrontDoor:
         def hook(served):
             return lambda: time.sleep(0.3)
 
-        local, process = (
+        local, tcp = (
             simulate_server(scenario, transport=transport, serving_hook=hook)
-            for transport in ("local", "process")
+            for transport in ("local", "tcp")
         )
-        assert abs(process.elapsed_seconds - local.elapsed_seconds) < 0.15
+        assert abs(tcp.elapsed_seconds - local.elapsed_seconds) < 0.15

@@ -51,11 +51,10 @@ class TestCli:
         assert exit_code == 0
         assert "legend" in captured.out
 
-    def test_serve_euclidean_sharded(self, capsys):
+    def test_serve_euclidean_checked(self, capsys):
         exit_code = main(
             [
-                "serve", "--queries", "4", "--n", "150", "--steps", "10",
-                "--transport", "process", "--workers", "2", "--check",
+                "serve", "--queries", "4", "--n", "150", "--steps", "10", "--check",
             ]
         )
         captured = capsys.readouterr()
@@ -63,11 +62,21 @@ class TestCli:
         assert "communication bill" in captured.out
         assert "all answers correct" in captured.out
 
-    def test_serve_workers_need_process_shards(self, capsys):
+    @pytest.mark.parametrize(
+        "argv, refusal",
+        [
+            (["serve", "--workers", "2"], "unrecognized arguments"),
+            (["serve", "--transport", "process"], "invalid choice: 'process'"),
+            (["serve", "--replication", "delta"], "unrecognized arguments"),
+            (["roll"], "invalid choice: 'roll'"),
+        ],
+        ids=["workers", "process", "replication", "roll"],
+    )
+    def test_serve_has_no_process_shards(self, capsys, argv, refusal):
         with pytest.raises(SystemExit) as exit_info:
-            main(["serve", "--queries", "2", "--n", "150", "--steps", "4", "--workers", "2"])
+            main(argv)
         assert exit_info.value.code == 2
-        assert "requires transport='process'" in capsys.readouterr().err
+        assert refusal in capsys.readouterr().err
 
     def test_serve_road(self, capsys):
         exit_code = main(
@@ -90,18 +99,6 @@ class TestCli:
         assert "total    bytes" in captured.out
         assert "per-session breakdown" in captured.out
         assert "session    0" in captured.out
-
-    def test_serve_over_process_transport(self, capsys):
-        exit_code = main(
-            [
-                "serve", "--queries", "3", "--n", "150", "--steps", "8",
-                "--transport", "process", "--workers", "2",
-            ]
-        )
-        captured = capsys.readouterr()
-        assert exit_code == 0
-        assert "transport               : process" in captured.out
-        assert "workers                 : 2" in captured.out
 
     def test_serve_durably_then_recover_reports_health(self, tmp_path, capsys):
         wal_dir = str(tmp_path / "state")

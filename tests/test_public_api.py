@@ -61,8 +61,6 @@ class TestPublicApi:
             "KNNServer",
             "RemoteService",
             "RemoteSession",
-            "ProcessShardedDispatcher",
-            "ServiceSpec",
             "TransportError",
         ):
             assert name in repro.__all__, f"repro.__all__ is missing {name}"
@@ -228,7 +226,6 @@ class TestPublicApi:
             repro.MovingKNNServer,
             repro.open_service,
             repro.open_durable_service,
-            repro.ServiceSpec,
         ):
             assert "max_entries" not in inspect.signature(entry).parameters, entry
 

@@ -38,11 +38,9 @@ from repro.transport.codec import (
     AggregateStatsResponse,
     BatchApplied,
     CloseSession,
-    DeltaAck,
     DrainAck,
     DrainRequest,
     ErrorMessage,
-    IndexDelta,
     MetricsRequest,
     MetricsSnapshot,
     ObjectsRequest,
@@ -126,29 +124,14 @@ def samples():
     yield "objects_response.filled", ObjectsResponse(epoch=9, indexes=(5, 3, 8, 0, 2**32 - 1))
     yield "aggregate_stats_request", AggregateStatsRequest()
     yield "aggregate_stats_response", AggregateStatsResponse(
-        stats=ProcessorStats(*range(1, 12), *(0.5 + step for step in range(5)))
+        stats=ProcessorStats(
+            *range(1, 12), construction_seconds=0.5, validation_seconds=1.5,
+            maintenance_seconds=3.5,
+        )
     )
     yield "drain_request", DrainRequest()
     yield "drain_ack.empty", DrainAck(wal_seq=0)
     yield "drain_ack.filled", DrainAck(wal_seq=2**40 + 7, session_ids=(0, 3, 9))
-    yield "index_delta.empty", IndexDelta(epoch=1, payload=0)
-    yield "index_delta.euclidean", IndexDelta(
-        epoch=5, payload=4, bulk=True,
-        new_indexes=(150, 151), deleted_indexes=(7,), changed=(3, 7, 150, 151),
-        points=(Point(1.5, 2.5), Point(-3.0, 4.0)),
-        neighbors=((150, (3, 9, 151)), (3, ()), (151, (150,))),
-        removed_neighbors=(7,),
-    )
-    yield "index_delta.road", IndexDelta(
-        epoch=8, payload=2, full=True, bulk=True,
-        new_indexes=(20,), deleted_indexes=(4, 5), changed=(4, 5, 20),
-        assignments=((20, 13), (6, 2)),
-        groups=((13, (20,)), (2, (6, 9))), removed_groups=(11,),
-        vertices=((13, 20, 0.0), (14, 20, 100.0)), removed_vertices=(3,),
-        edges=((30, 20, 20, None), (31, 20, 6, 42.5)), removed_edges=(29, 28),
-        labels=((20, (13, 14), (30, 31), (6,)), (6, (), (), ())), removed_labels=(4,),
-    )
-    yield "delta_ack", DeltaAck(epoch=8)
     yield "open_query.region", OpenQuery(kind="region", position=point, k=3)
     yield "open_query.options", OpenQuery(
         kind="influential", position=road, k=5, rho=1.25, options=(("mode", "büro"),)

@@ -33,10 +33,8 @@ from repro.transport.codec import (
     AggregateStatsResponse,
     BatchApplied,
     CloseSession,
-    DeltaAck,
     DrainAck,
     DrainRequest,
-    IndexDelta,
     ErrorMessage,
     FrameReader,
     LENGTH_PREFIX_BYTES,
@@ -173,47 +171,6 @@ comm_stats = st.builds(
     downlink_bytes=st.integers(min_value=0, max_value=2**63 - 1),
 )
 
-distances = st.floats(min_value=0.0, max_value=1e12, allow_nan=False)
-index_lists = st.lists(object_indexes, max_size=6).map(tuple)
-counted_groups = st.tuples(object_indexes, index_lists)
-index_deltas = st.builds(
-    IndexDelta,
-    epoch=st.integers(min_value=0, max_value=2**32 - 1),
-    payload=st.integers(min_value=0, max_value=2**32 - 1),
-    full=st.booleans(),
-    bulk=st.booleans(),
-    new_indexes=index_lists,
-    deleted_indexes=index_lists,
-    changed=index_lists,
-    points=st.lists(points, max_size=6).map(tuple),
-    neighbors=st.lists(counted_groups, max_size=5).map(tuple),
-    removed_neighbors=index_lists,
-    assignments=st.lists(
-        st.tuples(object_indexes, object_indexes), max_size=5
-    ).map(tuple),
-    groups=st.lists(counted_groups, max_size=5).map(tuple),
-    removed_groups=index_lists,
-    vertices=st.lists(
-        st.tuples(object_indexes, object_indexes, distances), max_size=5
-    ).map(tuple),
-    removed_vertices=index_lists,
-    edges=st.lists(
-        st.tuples(
-            object_indexes,
-            object_indexes,
-            object_indexes,
-            st.one_of(st.none(), distances),
-        ),
-        max_size=5,
-    ).map(tuple),
-    removed_edges=index_lists,
-    labels=st.lists(
-        st.tuples(object_indexes, index_lists, index_lists, index_lists),
-        max_size=4,
-    ).map(tuple),
-    removed_labels=index_lists,
-)
-
 control_messages = st.one_of(
     st.builds(
         OpenSession,
@@ -256,8 +213,6 @@ control_messages = st.one_of(
     ),
     st.just(AggregateStatsRequest()),
     st.just(DrainRequest()),
-    index_deltas,
-    st.builds(DeltaAck, epoch=st.integers(min_value=0, max_value=2**32 - 1)),
     st.builds(
         DrainAck,
         wal_seq=st.integers(min_value=0, max_value=2**63 - 1),
@@ -515,20 +470,30 @@ class TestMalformedInput:
         with pytest.raises(TransportError):
             decode(struct.pack("!I", len(body)) + bytes(body))
 
-    def test_truncated_index_delta_body(self):
-        delta = IndexDelta(
-            epoch=4, payload=2, new_indexes=(7,), points=(Point(1.0, 2.0),)
-        )
-        frame = encode(delta)
-        with pytest.raises(TransportError):
-            decode(frame[:-1])
-
-    def test_index_delta_count_overrun(self):
-        # An IndexDelta claiming 1000 new indexes but carrying one.
-        body = bytearray(encode(IndexDelta(epoch=1, payload=1, new_indexes=(9,)))[4:])
-        body[1 + 4 + 4 + 1 : 1 + 4 + 4 + 1 + 4] = struct.pack("!I", 1000)
-        with pytest.raises(TransportError):
-            decode(struct.pack("!I", len(body)) + bytes(body))
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            # The last bytes written for the retired delta frames 0x13 / 0x14.
+            bytes.fromhex(
+                "000000b013000000050000000402000000020000009600000097000000010000"
+                "0007000000040000000300000007000000960000009700000002003ff8000000"
+                "000000400400000000000000c008000000000000401000000000000000000003"
+                "0000009600000003000000030000000900000097000000030000000000000097"
+                "0000000100000096000000010000000700000000000000000000000000000000"
+                "0000000000000000000000000000000000000000"
+            ),
+            bytes.fromhex(
+                "0000004613000000010000000000000000000000000000000000000000000000"
+                "0000000000000000000000000000000000000000000000000000000000000000"
+                "00000000000000000000"
+            ),
+            bytes.fromhex("000000051400000008"),
+        ],
+        ids=["index_delta.euclidean", "index_delta.empty", "delta_ack"],
+    )
+    def test_retired_frame_types_stay_unknown(self, frame):
+        with pytest.raises(TransportError, match="unknown frame type"):
+            decode(frame)
 
     @pytest.mark.parametrize(
         "message, count_at",
@@ -615,7 +580,7 @@ class TestMalformedInput:
         with pytest.raises(TransportError, match="out of range"):
             encode(SessionOpened(query_id=2**40))
         with pytest.raises(TransportError, match="out of range"):
-            encode(IndexDelta(epoch=2**40, payload=0))
+            encode(BatchApplied(epoch=2**40))
 
     def test_unencodable_types_raise_transport_error(self):
         with pytest.raises(TransportError):

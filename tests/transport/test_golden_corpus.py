@@ -1,6 +1,6 @@
 """The wire format is frozen: every codec must reproduce the golden bytes.
 
-``tests/transport/golden/`` holds encoded samples of all 25 frame types
+``tests/transport/golden/`` holds encoded samples of all 23 frame types
 and one small durability directory, both written by the hand-written codec
 that preceded the declarative frame table (see ``golden/generate.py``).
 A codec change that alters any byte here breaks old WALs and old peers.
@@ -14,13 +14,15 @@ import json
 import math
 import os
 import shutil
+import struct
 
 import pytest
 
 from repro.durability import recover_service, scan_chain
+from repro.errors import TransportError
 from repro.durability.recovery import wal_path
 from repro.geometry.point import Point
-from repro.transport.codec import decode, encode, wire_size
+from repro.transport.codec import LENGTH_PREFIX_BYTES, decode, encode, wire_size
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -39,7 +41,8 @@ SHAPES = golden_frames("shapes.json")
 
 
 def test_corpus_covers_every_frame_type():
-    assert {frame[4] for _, frame, _ in FRAMES} == set(range(0x01, 0x1A))
+    # 0x13 / 0x14 (the retired process pool's delta frames) stay unused.
+    assert {frame[4] for _, frame, _ in FRAMES} == set(range(0x01, 0x1A)) - {0x13, 0x14}
 
 
 def test_shape_corpus_reaches_both_sides_of_a_one_byte_count():
@@ -58,6 +61,30 @@ def test_golden_frame_is_reproduced_exactly(frame, recorded):
     assert repr(message) == recorded
     assert encode(message) == frame
     assert wire_size(message) == len(frame)
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [frame[1] for frame in FRAMES + SHAPES],
+    ids=[frame[0] for frame in FRAMES + SHAPES],
+)
+def test_golden_frame_cut_or_padded_is_a_typed_error(frame):
+    """Every frame type's decode plan checks its own bounds.
+
+    A frame cut short (prefix left claiming the full body), a body cut
+    short and re-prefixed (so only the field plan can notice), and a body
+    with one byte appended all raise the typed error, never a bare
+    ``struct.error`` or a silently shorter message.
+    """
+    body = frame[LENGTH_PREFIX_BYTES:]
+    for cut in range(len(frame)):
+        with pytest.raises(TransportError):
+            decode(frame[:cut])
+    for cut in range(len(body)):
+        with pytest.raises(TransportError):
+            decode(struct.pack("!I", cut) + body[:cut])
+    with pytest.raises(TransportError):
+        decode(struct.pack("!I", len(body) + 1) + body + b"\x00")
 
 
 def test_golden_wal_directory_scans_and_recovers(tmp_path):

@@ -6,9 +6,8 @@ runs must agree **bit for bit**: every kNN answer (ids *and* distances),
 every :class:`CommunicationStats` counter including bytes (the transport
 is identical, so bytes must match exactly), every aggregate
 :class:`ProcessorStats` counter, and the per-session bills.  Covered
-across both metrics, both invalidation modes, a real socket transport,
-and forked process shards with delta replication — the paths the
-instruments actually thread through.
+across both metrics, both invalidation modes and a real socket transport
+— the paths the instruments actually thread through.
 
 This is the discipline every prior PR held new modes to, applied to
 observability: instruments may *read* values the serving code computed,
@@ -108,12 +107,6 @@ class TestObsEquivalence:
     @pytest.mark.parametrize("metric", ["euclidean", "road"])
     def test_over_tcp(self, metric):
         observed, blind = run_pair(metric, transport="tcp")
-        assert_bit_identical(observed, blind)
-
-    def test_over_process_shards_with_delta_replication(self):
-        observed, blind = run_pair(
-            "euclidean", transport="process", workers=2, replication="delta"
-        )
         assert_bit_identical(observed, blind)
 
     def test_disabled_run_accumulates_no_metrics(self):

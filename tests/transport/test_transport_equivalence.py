@@ -3,17 +3,15 @@
 The PR5 acceptance suite.  For both metrics and both invalidation modes,
 the same server scenario is driven
 
-* in-process (the PR4 session surface),
+* in-process (the PR4 session surface), and
 * over a loopback socket transport (``transport="tcp"``; ``"unix"`` is
-  spot-checked separately), and
-* across multi-process engine shards (``transport="process"``) at several
-  worker counts,
+  spot-checked separately),
 
 and every run must report **bit-identical kNN answers** (ids *and*
 distances) and **identical message/object communication counters**, per
 session and in aggregate.  Byte counters are transport-specific by design
-(in-process exchanges ship no bytes; a broadcast crosses every shard
-boundary) and are asserted for presence, not equality.
+(in-process exchanges ship no bytes) and are asserted for presence, not
+equality.
 """
 
 import pytest
@@ -113,39 +111,3 @@ class TestLoopbackEquivalence:
         scenario = build_scenario("euclidean")
         assert simulate_server(scenario).transport == "local"
         assert simulate_server(scenario, transport="tcp").transport == "tcp"
-
-
-class TestProcessShardEquivalence:
-    @pytest.mark.parametrize("metric", ["euclidean", "road"])
-    def test_deterministic_across_worker_counts(self, metric):
-        scenario = build_scenario(metric)
-        reference = simulate_server(scenario)
-        runs = {
-            workers: simulate_server(scenario, transport="process", workers=workers)
-            for workers in (1, 2, 3)
-        }
-        for workers, run in runs.items():
-            assert_equivalent(reference, run), f"workers={workers}"
-            assert run.workers == workers
-            assert run.transport == "process"
-
-    @pytest.mark.parametrize("invalidation", ["delta", "flag"])
-    def test_both_invalidation_modes_shard_identically(self, invalidation):
-        scenario = build_scenario("euclidean")
-        reference = simulate_server(scenario, invalidation=invalidation)
-        sharded = simulate_server(
-            scenario, invalidation=invalidation, transport="process", workers=2
-        )
-        assert_equivalent(reference, sharded)
-
-    def test_broadcast_bytes_grow_with_workers_but_counters_do_not(self):
-        """The dedup is honest: messages/objects identical, bytes real."""
-        scenario = build_scenario("euclidean")
-        one = simulate_server(scenario, transport="process", workers=1)
-        three = simulate_server(scenario, transport="process", workers=3)
-        assert message_object_counters(one.communication) == message_object_counters(
-            three.communication
-        )
-        assert three.communication.bytes_transmitted > (
-            one.communication.bytes_transmitted
-        )
