@@ -59,7 +59,6 @@ from repro.core import (
     CommunicationStats,
     INSProcessor,
     INSRoadProcessor,
-    InfluentialSetMonitor,
     MovingKNNProcessor,
     MovingKNNServer,
     MovingRoadKNNServer,
@@ -168,7 +167,6 @@ __all__ = [
     "UpdateAction",
     "influential_neighbor_set",
     "minimal_influential_set",
-    "InfluentialSetMonitor",
     # continuous query kinds (repro.queries)
     "QueryKind",
     "query_kind",

@@ -24,7 +24,6 @@
 from repro.core.objects import QueryResult, UpdateAction
 from repro.core.stats import CommunicationStats, ProcessorStats
 from repro.core.influential import (
-    InfluentialSetMonitor,
     influential_neighbor_set,
     is_closer_set,
     minimal_influential_set,
@@ -45,7 +44,6 @@ __all__ = [
     "UpdateAction",
     "ProcessorStats",
     "CommunicationStats",
-    "InfluentialSetMonitor",
     "influential_neighbor_set",
     "minimal_influential_set",
     "is_closer_set",

@@ -13,19 +13,13 @@ independent of any particular processor:
   the exact order-k Voronoi cell.
 * :func:`influential_neighbor_set` — the INS (Definition 4), the union of
   the order-1 Voronoi neighbour sets of the kNN members minus the members.
-* :class:`InfluentialSetMonitor` — a small stateful wrapper that keeps the
-  INS of a fixed member set current under data updates, speaking the
-  serving engine's delta-invalidation contract (``notify_data_update`` /
-  ``invalidate``) so it can be driven side by side with the processors.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Set
+from typing import Iterable, Mapping, Optional, Sequence, Set
 
 from repro.errors import QueryError
-from repro.core.processor import DeltaMailbox
-from repro.core.stats import ProcessorStats
 from repro.geometry.delaunay import delaunay_neighbors
 from repro.geometry.order_k import knn_indexes, order_k_cell
 from repro.geometry.point import Point
@@ -91,106 +85,6 @@ def minimal_influential_set(
     """
     cell = order_k_cell(sites, members, reference=reference, bounding_box=bounding_box)
     return set(cell.mis_indexes)
-
-
-class InfluentialSetMonitor(DeltaMailbox):
-    """Keep the INS of a fixed member set current under data updates.
-
-    The functional helpers above answer one-shot questions; this class is
-    their continuous counterpart for a *pinned* member set (e.g. a watched
-    group of facilities): it caches the INS, accepts the serving engine's
-    repair deltas through :meth:`notify_data_update`, and only rebuilds the
-    Voronoi diagram when a delta actually touches the members or their
-    current influential neighbours — everything else is absorbed, exactly
-    like the processors' lazy settling.  (The INS of the members is a
-    function of the members' neighbour lists, so a delta that touches
-    neither a member nor a current influential neighbour cannot change the
-    answer.)  :meth:`invalidate` restores the blanket ``"flag"`` behaviour
-    (rebuild on next read), which is the oracle the delta path is tested
-    against.
-
-    Args:
-        sites: the live data-object positions (the monitor re-reads this
-            sequence on every rebuild, so in-place mutation is the expected
-            update style).
-        members: the fixed member indexes whose INS is monitored.
-    """
-
-    def __init__(self, sites: Sequence[Point], members: Iterable[int]):
-        super().__init__()
-        self._sites = sites
-        self._members = tuple(sorted(set(members)))
-        if not self._members:
-            raise QueryError("the monitored member set must not be empty")
-        out_of_range = [i for i in self._members if i < 0 or i >= len(sites)]
-        if out_of_range:
-            raise QueryError(f"member indexes out of range: {out_of_range}")
-        self._removed: Set[int] = set()
-        self._ins: Optional[FrozenSet[int]] = None
-        self._stats = ProcessorStats()
-
-    @property
-    def members(self) -> Sequence[int]:
-        """The pinned member indexes (sorted, immutable)."""
-        return self._members
-
-    @property
-    def stats(self) -> ProcessorStats:
-        """Rebuild/absorption counters (``full_recomputations``,
-        ``absorbed_updates``, ``transmitted_objects``)."""
-        return self._stats
-
-    def influential_sites(self) -> FrozenSet[int]:
-        """The current INS of the member set (settling any pending delta).
-
-        Raises:
-            QueryError: when a settled delta removed one of the pinned
-                members — the monitored set no longer exists.
-        """
-        if self._state_stale:
-            self._settle_pending()
-        if self._ins is None:
-            self._rebuild()
-        return self._ins  # type: ignore[return-value]
-
-    def _settle_pending(self) -> None:
-        changed, removed, force = self._take_pending()
-        self._removed.update(removed)
-        lost = removed.intersection(self._members)
-        if lost:
-            raise QueryError(
-                f"monitored members {sorted(lost)} were removed from the data set"
-            )
-        if force or self._ins is None:
-            self._ins = None
-            return
-        watched = set(self._members) | set(self._ins)
-        touched = (changed | removed) & watched
-        if touched:
-            self._ins = None
-        else:
-            # The delta cannot change any member's Voronoi neighbour list:
-            # both its endpoints sit outside the watched neighbourhood.
-            self._stats.absorbed_updates += 1
-
-    def _rebuild(self) -> None:
-        active = [
-            index for index in range(len(self._sites)) if index not in self._removed
-        ]
-        local_of = {index: local for local, index in enumerate(active)}
-        missing = [i for i in self._members if i not in local_of]
-        if missing:
-            raise QueryError(
-                f"monitored members {missing} are gone from the data set"
-            )
-        with self._stats.timed("construction_seconds"):
-            local_ins = influential_neighbor_set_from_points(
-                [self._sites[index] for index in active],
-                [local_of[index] for index in self._members],
-            )
-        self._ins = frozenset(active[local] for local in local_ins)
-        self._stats.full_recomputations += 1
-        self._stats.transmitted_objects += len(self._ins)
 
 
 def verify_influential_set(

@@ -6,10 +6,14 @@ only the objects and those lists (paper §III, Definitions 3-4) and uses the
 lists for everything: the VoR-tree's own kNN *finds* the ⌊ρk⌋ nearest
 objects R by expanding over them from an object the client already holds
 (:meth:`VoRTree.retrieve`), the influential neighbour set I(R) *is* what
-that expansion leaves on its frontier, and point location — where a
-hintless retrieval or an insert starts — is jump-and-walk over the same
-lists (Mücke, Saias & Zhu, SoCG 1996): the nearest of about n^⅓ evenly
-strided objects, then greedy descent.  No spatial tree is kept beside them.
+that expansion leaves on its frontier, and point location is a greedy walk
+over the same lists.  A hintless retrieval walks from jump-and-walk's sample
+(Mücke, Saias & Zhu, SoCG 1996): the nearest of about n^⅓ evenly strided
+objects.  An insert walks from its own grid cell: beside the lists the tree
+keeps one flat table, cell -> one live object in or beside it (bucketing, as
+in Su & Drysdale's survey of incremental Delaunay construction, CGTA 1997),
+sized at :data:`VoRTree.SITES_PER_CELL` objects per cell and built by the
+first located insert, so a tree that only answers queries never pays for it.
 
 **Data-object updates are incremental and report their deltas.**
 The tree holds the live :class:`~repro.geometry.delaunay.DelaunayTriangulation`
@@ -19,10 +23,11 @@ Delaunay cavity / star — convex-hull objects included — and edit the dual's
 link rows in place.  An interior object with no twin at or beside its site
 holds its site's row as its list (the neighbours are its keys), so an update
 builds no list but a hull object's ghost-free frozenset and the lists around
-twins.  No step of an update is O(n), and an insert is located by one walk:
-the nearest object the jump-and-walk finds is where the dual's cavity search
-starts.  Every mutation *returns* the objects whose lists changed (the delta
-contract of
+twins.  No step of an update is O(n) but the table's one build, and an
+insert is located by one walk to the nearest object, where the dual's cavity
+search starts.  The walk ends there from any start, so the table changes no
+list and no delta.  Every mutation *returns* the objects whose lists changed
+(the delta contract of
 :meth:`repro.roadnet.network_voronoi.NetworkVoronoiDiagram.insert_object`),
 so the serving engine invalidates only the queries whose held R it names.
 :meth:`VoRTree.full_rebuild` is the from-scratch oracle of the randomized
@@ -44,12 +49,12 @@ from __future__ import annotations
 
 from heapq import heappop, heappush, nsmallest
 from itertools import compress
-from math import dist
+from math import dist, sqrt
 from typing import AbstractSet, Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import EmptyDatasetError, GeometryError, QueryError
 from repro.geometry.delaunay import DelaunayTriangulation, delaunay_neighbors
-from repro.geometry.point import Point
+from repro.geometry.point import Point, bounding_coordinates
 from repro.geometry.voronoi import influential_neighbor_indexes
 from repro.obs.metrics import counter as _obs_counter
 
@@ -94,6 +99,10 @@ class VoRTree:
         # where that is not the site alone (twins, or a deleted founder).
         self._site_at: Dict[Tuple[float, float], int] = {}
         self._members: Dict[int, List[int]] = {}
+        # Point location: grid cell -> a live object in or near it, built by
+        # the first located insert (:meth:`_locate`).
+        self._cells: Optional[Dict[Tuple[float, float], int]] = None
+        self._cell_side = 0.0
         self._rebuild_neighbor_map()
 
     def __setstate__(self, state) -> None:
@@ -111,6 +120,7 @@ class VoRTree:
             self._xy = [(point.x, point.y) for point in self._points]
         if "_site_of_object" in state or "_voronoi" in state:
             self._rebuild_neighbor_map()
+        self._cells = None
 
     # ------------------------------------------------------------------
     # Accessors
@@ -189,8 +199,9 @@ class VoRTree:
         registered queries.  The neighbour lists are updated incrementally:
         only the objects whose Delaunay cavity the new point carves get their
         lists re-derived, and the cavity is located from the nearest existing
-        object, found by jump-and-walk (:meth:`_jump`, :meth:`_walk`).  The
-        cavity is unique, so where the walk starts changes no list and no delta.
+        object, walked to from the object the point's cell names
+        (:meth:`_locate`).  The cavity is unique, so where the walk starts
+        changes no list and no delta.
         An object at an occupied position joins that site: ``changed`` is
         the site's and its neighbours' objects.  After a from-scratch rebuild
         ``changed`` is every active object.
@@ -206,13 +217,15 @@ class VoRTree:
         if self._dual is None:  # one position, or a chain the object may leave
             index = self._append_object(point)
             return index, self._rebuilt()
-        hint = self._site_at[self._xy[self._walk(row, self._jump(row))[1]]]
+        cell, nearest = self._locate(row)
+        hint = self._site_at[self._xy[nearest]]
         index = self._append_object(point)
         try:
             _, changed_sites = self._dual.insert_site(point, hint=hint)
         except GeometryError:  # refused before anything was edited
             return index, self._rebuilt()
         self._site_at[row] = index
+        self._cells[cell] = index
         return index, self._patch_neighbor_lists(changed_sites)
 
     def delete(self, index: int) -> Tuple[bool, Set[int]]:
@@ -240,6 +253,7 @@ class VoRTree:
         members = self._members.get(site)
         if members is not None and len(members) > 1:
             members.remove(index)
+            self._heal_cell(index, members[0])
             if members == [site]:
                 del self._members[site]
             return True, self._patch_neighbor_lists(self._site_and_neighbors(site))
@@ -251,15 +265,19 @@ class VoRTree:
             changed_sites = self._dual.remove_site(site)
         except GeometryError:  # refused before anything was edited
             return True, self._rebuilt()
+        survivor = next(iter(changed_sites))
+        self._heal_cell(index, self._members.get(survivor, (survivor,))[0])
         return True, self._patch_neighbor_lists(changed_sites)
 
     #: Bulk-rebuild crossover for :meth:`batch_update`, as a fraction of the
-    #: active population.  Measured, not guessed (the seed's guess was
-    #: n/8): at n = 1000/2000/4000 per-object patching beats one full
-    #: rebuild up to bursts of ~7% of the data set and loses beyond it
-    #: (see ``benchmarks/bench_pr2_batch_crossover.py``; the committed
-    #: measurement lives in ``benchmarks/results/PR2_batch_crossover.json``).
-    BULK_REBUILD_FRACTION = 0.07
+    #: active population.  Measured by
+    #: ``benchmarks/bench_pr2_batch_crossover.py`` (2:1 insert/delete bursts,
+    #: minimum of three seeds; the committed measurement lives in
+    #: ``benchmarks/results/PR2_batch_crossover.json``): one full rebuild
+    #: overtakes per-object patching between 40% and 60% bursts at
+    #: n = 20 000 and between 60% and 100% at n = 2 000.  A rebuild also
+    #: reports every object changed, so the tie goes to patching.
+    BULK_REBUILD_FRACTION = 0.5
 
     def batch_update(
         self,
@@ -367,7 +385,7 @@ class VoRTree:
             site = site_at.setdefault(self._xy[index], index)
             if site != index:
                 members.setdefault(site, [site]).append(index)
-        self._dual, self._chain = None, {}
+        self._dual, self._chain, self._cells = None, {}, None
         if len(site_at) > 1:
             founders = [site_at.get(row) == index for index, row in enumerate(self._xy)]
             try:
@@ -483,6 +501,49 @@ class VoRTree:
         nearest = self.nearest(query, count)
         distances = [dist((query.x, query.y), self._xy[index]) for index in nearest]
         return nearest, self.influential_neighbor_set(nearest), distances
+
+    #: Live objects per cell of the point-location table when it is built.
+    #: Measured over ``churn-heavy``'s 3 200 inserts (n = 2 000, uniform):
+    #: 24.1 / 17.2 / 15.3 / 15.4 / 16.3 distance evaluations per located
+    #: insert at 1 / 2 / 3 / 4 / 6 objects per cell, against 61.3 for the
+    #: strided jump alone.
+    SITES_PER_CELL = 3
+
+    def _locate(self, q: Tuple[float, float]) -> Tuple[Tuple[float, float], int]:
+        """``(cell, nearest)``: ``q``'s cell in the point-location table and
+        the nearest live object, walked from the object that cell names, or
+        from :meth:`_jump`'s sample when it names none alive.  The first call
+        after a rebuild builds the table."""
+        if self._cells is None:
+            self._build_cells()
+        cell = self._cell(q)
+        start = self._cells.get(cell)
+        if start is None or not self._active[start]:
+            start = self._jump(q)
+        return cell, self._walk(q, start)[1]
+
+    def _build_cells(self) -> None:
+        """One live object per grid cell, the side sized from the live
+        population's bounding box to hold :data:`SITES_PER_CELL` of them."""
+        live = list(compress(range(len(self._xy)), self._active))
+        min_x, min_y, max_x, max_y = bounding_coordinates(self._points[i] for i in live)
+        area = (max_x - min_x) * (max_y - min_y)
+        self._cell_side = sqrt(area * self.SITES_PER_CELL / len(live)) or 1.0
+        xy = self._xy
+        self._cells = {self._cell(xy[i]): i for i in live}
+
+    def _heal_cell(self, index: int, survivor: int) -> None:
+        """A deleted object's cell names ``survivor`` in its stead, if it
+        named the deleted one."""
+        if self._cells is not None:
+            cell = self._cell(self._xy[index])
+            if self._cells.get(cell) == index:
+                self._cells[cell] = survivor
+
+    def _cell(self, q: Tuple[float, float]) -> Tuple[float, float]:
+        """``q``'s key in the point-location table."""
+        side = self._cell_side
+        return (q[0] // side, q[1] // side)
 
     def _jump(self, q: Tuple[float, float]) -> int:
         """The nearest of about n^⅓ live objects, every (n^⅔)-th index.

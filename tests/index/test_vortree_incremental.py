@@ -40,12 +40,20 @@ def burst(tree, rng, size):
 
 
 def fresh_diagram_map(tree):
-    """Independent oracle: a brand-new triangulation over the active points."""
-    active = tree.active_indexes()
-    return {
-        active[local]: {active[neighbor] for neighbor in neighbors}
-        for local, neighbors in delaunay_neighbors([tree.point(i) for i in active]).items()
-    }
+    """Independent oracle: a brand-new triangulation over the active
+    positions.  Objects at one position are twins: each lists its twins and
+    every object at a neighbouring position."""
+    at = {}
+    for index in tree.active_indexes():
+        at.setdefault(tree.point(index), []).append(index)
+    positions = list(at)
+    lists = {}
+    for local, neighbors in delaunay_neighbors(positions).items():
+        twins = set(at[positions[local]])
+        around = {obj for neighbor in neighbors for obj in at[positions[neighbor]]}
+        for obj in twins:
+            lists[obj] = (around | twins) - {obj}
+    return lists
 
 
 _EXTREMES = (lambda p: p.x, lambda p: -p.x, lambda p: p.y, lambda p: -p.y)
@@ -226,9 +234,9 @@ class TestRebuildCounter:
         tree.delete(apex)
         assert rebuilds_by_reason() == {"geometry_error": 2, "bulk_threshold": 0}
 
-    @pytest.mark.parametrize("n", [60, 400], ids=["floor", "fraction"])
+    @pytest.mark.parametrize("n", [12, 400], ids=["floor", "fraction"])
     def test_the_batch_size_alone_picks_the_path(self, n):
-        """A burst one short of ``max(8, 0.07 n)`` operations is patched
+        """A burst one short of ``max(8, BULK_REBUILD_FRACTION n)`` operations is patched
         object by object; one of exactly that many takes the single rebuild.
         Either way the lists equal a from-scratch copy's."""
         rng = random.Random(n)

@@ -4,8 +4,8 @@ Covers the kind registry, the influential-sites and region processors
 against test-local brute force and the ``invalidation="flag"`` blanket
 contract, the per-kind communication accounting of the serving engine, and
 the delta-invalidation hooks of the region processor over a churning
-VoR-tree and of :class:`~repro.core.influential.InfluentialSetMonitor`.  The region's
-hand-worked answers are in ``test_region_known_answers.py``.
+VoR-tree.  The region's hand-worked answers are in
+``test_region_known_answers.py``.
 """
 
 import copy
@@ -14,13 +14,9 @@ import random
 
 import pytest
 
-from repro.core.influential import (
-    InfluentialSetMonitor,
-    influential_neighbor_set_from_points,
-)
+from repro.core.influential import influential_neighbor_set_from_points
 from repro.core.server import MovingKNNServer
 from repro.errors import ConfigurationError, QueryError
-from repro.geometry.delaunay import delaunay_neighbors
 from repro.geometry.point import Point
 from repro.index.vortree import VoRTree
 from repro.queries import (
@@ -314,42 +310,3 @@ class TestOrderKRegionHooks:
         processor.notify_data_update(removed=(0, 1))
         with pytest.raises(QueryError):
             processor.update(Point(51, 51))
-
-
-class TestInfluentialSetMonitor:
-    """Satellite: the fixed-member INS monitor honours the delta contract."""
-
-    def test_delta_equals_flag_oracle_under_churn(self):
-        rng = random.Random(3)
-        points = random_points(40, seed=44)
-        members = (2, 7, 11)
-        delta = InfluentialSetMonitor(points, members)
-        flag = InfluentialSetMonitor(points, members)
-        assert delta.influential_sites() == flag.influential_sites()
-        before = delaunay_neighbors(points)
-        for _ in range(25):
-            index = rng.randrange(len(points))
-            if index in members:
-                continue
-            points[index] = Point(rng.uniform(0, 100), rng.uniform(0, 100))
-            after = delaunay_neighbors(points)
-            changed = {
-                i for i in range(len(points)) if before.get(i) != after.get(i)
-            } | {index}
-            before = after
-            delta.notify_data_update(changed=changed)
-            flag.invalidate()
-            assert delta.influential_sites() == flag.influential_sites()
-        assert delta.stats.absorbed_updates > 0
-        assert delta.stats.full_recomputations < flag.stats.full_recomputations
-
-    def test_member_removal_is_a_typed_error(self):
-        points = random_points(20, seed=9)
-        monitor = InfluentialSetMonitor(points, (5,))
-        monitor.notify_data_update(removed=(5,))
-        with pytest.raises(QueryError, match="removed"):
-            monitor.influential_sites()
-
-    def test_empty_member_set_is_rejected(self):
-        with pytest.raises(QueryError):
-            InfluentialSetMonitor(random_points(10, seed=1), ())
