@@ -66,8 +66,6 @@ from repro.core import (
     QueryResult,
     ServingEngine,
     UpdateAction,
-    influential_neighbor_set,
-    minimal_influential_set,
 )
 from repro.queries import (
     InfluentialResponse,
@@ -165,8 +163,6 @@ __all__ = [
     "ProcessorStats",
     "QueryResult",
     "UpdateAction",
-    "influential_neighbor_set",
-    "minimal_influential_set",
     # continuous query kinds (repro.queries)
     "QueryKind",
     "query_kind",

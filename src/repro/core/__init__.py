@@ -4,8 +4,6 @@
   processor.
 * :mod:`repro.core.stats` — cost accounting (recomputations, communication,
   distance computations, timing).
-* :mod:`repro.core.influential` — influential set (IS), minimal influential
-  set (MIS) and influential neighbour set (INS) computations and checks.
 * :mod:`repro.core.processor` — the abstract moving-kNN processor interface
   and the pending-delta mailbox every served processor shares.
 * :mod:`repro.core.ins` — the INS protocol (Section III), written once: a
@@ -23,12 +21,6 @@
 
 from repro.core.objects import QueryResult, UpdateAction
 from repro.core.stats import CommunicationStats, ProcessorStats
-from repro.core.influential import (
-    influential_neighbor_set,
-    is_closer_set,
-    minimal_influential_set,
-    verify_influential_set,
-)
 from repro.core.processor import MovingKNNProcessor
 from repro.core.ins_euclidean import INSProcessor
 from repro.core.ins_road import INSRoadProcessor
@@ -44,10 +36,6 @@ __all__ = [
     "UpdateAction",
     "ProcessorStats",
     "CommunicationStats",
-    "influential_neighbor_set",
-    "minimal_influential_set",
-    "is_closer_set",
-    "verify_influential_set",
     "MovingKNNProcessor",
     "INSProcessor",
     "INSRoadProcessor",

@@ -43,7 +43,6 @@ from __future__ import annotations
 import abc
 import threading
 import weakref
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import (
     Any,
@@ -59,7 +58,7 @@ from typing import (
 )
 
 from repro.errors import ConfigurationError, QueryError
-from repro.core.objects import QueryResult
+from repro.core.objects import QueryResult, immutable
 from repro.core.processor import MovingKNNProcessor, PositionT
 from repro.core.stats import CommunicationStats, ProcessorStats
 from repro.obs.clock import clock as _clock
@@ -156,7 +155,7 @@ def _publish_outcomes() -> None:
 _REGISTRY.collect(_publish_outcomes)
 
 
-@dataclass(frozen=True)
+@immutable
 class RegisteredQuery:
     """Bookkeeping record of one registered moving query.
 
@@ -175,7 +174,7 @@ class RegisteredQuery:
     first_answer: Optional[QueryResult] = None
 
 
-@dataclass(frozen=True)
+@immutable
 class BatchUpdateResult:
     """Outcome of one :meth:`ServingEngine.batch_update` epoch.
 

@@ -75,7 +75,7 @@ from __future__ import annotations
 
 import abc
 from math import inf
-from typing import AbstractSet, Any, FrozenSet, List, Optional, Sequence, Set
+from typing import AbstractSet, Any, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigurationError
 from repro.core.objects import QueryResult, UpdateAction
@@ -114,12 +114,18 @@ class InfluentialSetProcessor(MovingKNNProcessor[PositionT]):
         # Client-side state.
         self._R: List[int] = []
         self._ins: Set[int] = set()
-        self._knn: List[int] = []
+        # The answer, a tuple reassigned only where it changes: a validated
+        # timestamp reports the previous answer's tuple itself.
+        self._knn: Tuple[int, ...] = ()
         # Derived where R / I(R) / the answer change (_refresh_held), not per
         # timestamp: the pool R ∪ I(R) laid out flat — kNN, then the rest of
         # R, then I(R) — and the guard set (pool \ kNN).
         self._held: List[int] = []
         self._guard: FrozenSet[int] = frozenset()
+
+    def __setstate__(self, state) -> None:
+        super().__setstate__(state)
+        self._knn = tuple(self._knn)  # pickled while the answer was a list
 
     # ------------------------------------------------------------------
     # Introspection
@@ -240,7 +246,7 @@ class InfluentialSetProcessor(MovingKNNProcessor[PositionT]):
         # Positional, in field order: keywords cost the valid path a lookup each.
         return QueryResult(
             self._timestamp,
-            tuple(self._knn),
+            self._knn,
             tuple(distances),
             self._guard,
             action,
@@ -256,7 +262,7 @@ class InfluentialSetProcessor(MovingKNNProcessor[PositionT]):
         k = self._k
         count = max(k, min(self._prefetch_count, len(self._index)))
         self._R, self._ins, distances = self._fetch(position, count, hint)
-        self._knn = self._R[:k]
+        self._knn = tuple(self._R[:k])
         self._stats.full_recomputations += 1
         self._stats.transmitted_objects += len(self._R) + len(self._ins)
         self._refresh_held()
@@ -267,7 +273,7 @@ class InfluentialSetProcessor(MovingKNNProcessor[PositionT]):
         """Re-derive the flat layout of the pool and the guard set."""
         knn = self._knn
         members = set(knn)
-        held = knn + [index for index in self._R if index not in members] + list(self._ins)
+        held = [*knn, *(index for index in self._R if index not in members), *self._ins]
         self._guard = frozenset(held[len(knn) :])
         self._held = held
         self._held_changed()
@@ -282,7 +288,7 @@ class InfluentialSetProcessor(MovingKNNProcessor[PositionT]):
         guards = [distance for distance, _ in ranked[k:]] + distances[count:]
         if not farthest < inf or (guards and not self._nearer(farthest, min(guards))):
             return None
-        self._knn = [index for _, index in ranked[:k]]
+        self._knn = tuple([index for _, index in ranked[:k]])
         self._refresh_held()
         return [distance for distance, _ in ranked[:k]]
 

@@ -130,7 +130,7 @@ class INSProcessor(InfluentialSetProcessor[Point]):
             return None
         saved_R = list(self._R)
         saved_lists = dict(self._neighbor_lists)
-        saved_knn = list(self._knn)
+        saved_knn = self._knn
         transmitted = 0
         for _ in range(self.MAX_INCREMENTAL_SWAPS):
             distances = self._held_distances(position)
@@ -151,7 +151,7 @@ class INSProcessor(InfluentialSetProcessor[Point]):
             transmitted += 1 + len(incoming_neighbors)
             self._R = [index for index in self._R if index != outgoing] + [incoming]
             # The flat layout needs kNN ⊆ R; the next recomposition refills it.
-            self._knn = [index for index in self._knn if index != outgoing]
+            self._knn = tuple([index for index in self._knn if index != outgoing])
             self._neighbor_lists.pop(outgoing, None)
             self._neighbor_lists[incoming] = incoming_neighbors
             self._ins = set().union(*self._neighbor_lists.values()) - set(self._R)

@@ -26,27 +26,31 @@ from typing import FrozenSet, Tuple
 def immutable(cls: type) -> type:
     """``cls``, written like a frozen dataclass, rebuilt on a namedtuple row.
 
-    Building one is then a single ``tuple.__new__``, not one
-    ``object.__setattr__`` per field.  The dataclass surface stays
-    (``fields`` / ``replace``, ``repr``, ``hash``, pickling; a write raises
-    ``AttributeError``), ``==`` stays class-strict, and a subclass's own
-    fields follow the inherited ones, defaults last.
+    ``dataclass`` only reads the fields (it generates no method), and the
+    row is the value: building one is a single ``tuple.__new__``, a write
+    raises ``AttributeError``, ``repr`` and pickling are the row's and
+    ``hash`` the tuple's, while ``fields`` / ``replace`` keep working.
+    ``==`` is class-strict, and a subclass's own fields follow the inherited
+    ones, defaults last.  A class that normalises its fields defines
+    ``__new__``: ``super(cls, cls).__new__`` is the row's.
     """
-    cls = dataclass(frozen=True, init=False, eq=False)(cls)
-    names = [f.name for f in fields(cls)]
-    defaults = [f.default for f in fields(cls) if f.default is not MISSING]
+    declared = fields(dataclass(init=False, repr=False, eq=False)(cls))
+    names = [f.name for f in declared]
+    defaults = [f.default for f in declared if f.default is not MISSING]
     row = namedtuple(cls.__name__ + "Row", names, defaults=defaults, module=cls.__module__)
-    # Defaults now live in the row; the frozen __setattr__ names the
-    # discarded class, and the tuple refuses writes by itself.
-    dropped = {*names, "__dict__", "__weakref__", "__setattr__", "__delattr__"}
+    # Defaults now live in the row, whose getters the class must not shadow.
+    dropped = {*names, "__dict__", "__weakref__"}
     body = {key: value for key, value in vars(cls).items() if key not in dropped}
-    body.update(__slots__=(), __eq__=_same, __hash__=tuple.__hash__)
-    body["__ne__"] = lambda self, other: not _same(self, other)
+    body.update(__slots__=(), __eq__=_same, __ne__=_differ, __hash__=tuple.__hash__)
     return type(cls.__name__, (row, *cls.__bases__), body)
 
 
 def _same(self, other) -> bool:
     return type(self) is type(other) and tuple.__eq__(self, other)
+
+
+def _differ(self, other) -> bool:
+    return not _same(self, other)
 
 
 class UpdateAction(enum.Enum):

@@ -52,9 +52,9 @@ import struct
 import threading
 import time
 import zlib
-from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
+from repro.core.objects import immutable
 from repro.errors import ConfigurationError, TransportError, WALCorruptError
 from repro.obs.metrics import (
     counter as _obs_counter,
@@ -155,7 +155,7 @@ def _fsync_directory(directory: str) -> None:
         os.close(fd)
 
 
-@dataclass(frozen=True)
+@immutable
 class WALRecord:
     """One decoded log record.
 
@@ -173,7 +173,7 @@ class WALRecord:
     size: int
 
 
-@dataclass(frozen=True)
+@immutable
 class WALScan:
     """The outcome of scanning one log file.
 

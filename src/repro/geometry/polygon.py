@@ -16,9 +16,9 @@ the standard Sutherland–Hodgman algorithm restricted to convex clippers
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from repro.core.objects import immutable
 from repro.errors import GeometryError
 from repro.geometry.point import Point, midpoint
 from repro.geometry.predicates import orientation, orientation_value
@@ -27,7 +27,7 @@ from repro.geometry.primitives import BoundingBox, Segment
 _AREA_EPSILON = 1e-12
 
 
-@dataclass(frozen=True)
+@immutable
 class HalfPlane:
     """The set of points ``(x, y)`` with ``a*x + b*y <= c``.
 

@@ -11,11 +11,12 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List
 
+from repro.core.objects import immutable
 from repro.errors import GeometryError
 from repro.geometry.point import Point, bounding_coordinates
 
 
-@dataclass(frozen=True)
+@immutable
 class Segment:
     """A straight line segment between two points."""
 
@@ -55,7 +56,7 @@ class Segment:
         return Segment(self.end, self.start)
 
 
-@dataclass(frozen=True)
+@immutable
 class Circle:
     """A circle given by its center and radius."""
 

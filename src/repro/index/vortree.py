@@ -50,7 +50,18 @@ from __future__ import annotations
 from heapq import heappop, heappush, nsmallest
 from itertools import compress
 from math import dist, sqrt
-from typing import AbstractSet, Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    AbstractSet,
+    Callable,
+    Collection,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.errors import EmptyDatasetError, GeometryError, QueryError
 from repro.geometry.delaunay import DelaunayTriangulation, delaunay_neighbors
@@ -216,14 +227,14 @@ class VoRTree:
             return index, self._patch_neighbor_lists(self._site_and_neighbors(site))
         if self._dual is None:  # one position, or a chain the object may leave
             index = self._append_object(point)
-            return index, self._rebuilt()
+            return index, self._rebuilt(self._pop_object)
         cell, nearest = self._locate(row)
         hint = self._site_at[self._xy[nearest]]
         index = self._append_object(point)
         try:
             _, changed_sites = self._dual.insert_site(point, hint=hint)
         except GeometryError:  # refused before anything was edited
-            return index, self._rebuilt()
+            return index, self._rebuilt(self._pop_object)
         self._site_at[row] = index
         self._cells[cell] = index
         return index, self._patch_neighbor_lists(changed_sites)
@@ -247,9 +258,10 @@ class VoRTree:
             raise QueryError("cannot delete the last remaining data object")
         self._drop_object(index)
         if len(self._site_at) < 2:
-            return True, self._rebuilt()
-        self._neighbor_map.pop(index)
-        site = self._site_at[self._xy[index]]
+            return True, self._rebuilt(lambda: self._revive_object(index))
+        neighbors = self._neighbor_map.pop(index)
+        row = self._xy[index]
+        site = self._site_at[row]
         members = self._members.get(site)
         if members is not None and len(members) > 1:
             members.remove(index)
@@ -257,14 +269,22 @@ class VoRTree:
             if members == [site]:
                 del self._members[site]
             return True, self._patch_neighbor_lists(self._site_and_neighbors(site))
-        del self._site_at[self._xy[index]]
+        del self._site_at[row]
         self._members.pop(site, None)
+
+        def restore() -> None:
+            self._revive_object(index)
+            self._neighbor_map[index] = neighbors
+            self._site_at[row] = site
+            if members is not None:
+                self._members[site] = members
+
         if self._dual is None:  # a chain: what is left is a line again or less
-            return True, self._rebuilt()
+            return True, self._rebuilt(restore)
         try:
             changed_sites = self._dual.remove_site(site)
         except GeometryError:  # refused before anything was edited
-            return True, self._rebuilt()
+            return True, self._rebuilt(restore)
         survivor = next(iter(changed_sites))
         self._heal_cell(index, self._members.get(survivor, (survivor,))[0])
         return True, self._patch_neighbor_lists(changed_sites)
@@ -339,7 +359,14 @@ class VoRTree:
         for index in delete_list:
             self._drop_object(index)
         new_indexes = [self._append_object(point) for point in insert_list]
-        self._rebuild_neighbor_map("bulk_threshold")
+        try:
+            self._rebuild_neighbor_map("bulk_threshold")
+        except GeometryError:
+            for _ in new_indexes:
+                self._pop_object()
+            for index in delete_list:
+                self._revive_object(index)
+            raise
         return new_indexes, delete_list, set(self.active_indexes())
 
     def full_rebuild(self) -> None:
@@ -364,10 +391,28 @@ class VoRTree:
         self._active[index] = False
         self._active_count -= 1
 
-    def _rebuilt(self) -> Set[int]:
+    def _revive_object(self, index: int) -> None:
+        """Undo :meth:`_drop_object`."""
+        self._active[index] = True
+        self._active_count += 1
+
+    def _pop_object(self) -> None:
+        """Undo :meth:`_append_object`."""
+        self._points.pop()
+        self._xy.pop()
+        self._active.pop()
+        self._active_count -= 1
+
+    def _rebuilt(self, restore: Callable[[], None]) -> Set[int]:
         """The fallback of an update the dual cannot take, or of a population
-        without one: a counted rebuild, after which every object changed."""
-        self._rebuild_neighbor_map("geometry_error")
+        without one: a counted rebuild, after which every object changed.
+        When the rebuild fails too, ``restore`` undoes the update's edits and
+        the ``GeometryError`` propagates from a tree as it was before."""
+        try:
+            self._rebuild_neighbor_map("geometry_error")
+        except GeometryError:
+            restore()
+            raise
         return set(self.active_indexes())
 
     def _rebuild_neighbor_map(self, reason: Optional[str] = None) -> None:
@@ -375,30 +420,31 @@ class VoRTree:
 
         The first active object at each position founds its site.
         ``reason`` names the slow path for ``insq_index_rebuilds_total``;
-        construction and the :meth:`full_rebuild` oracle pass none.
+        construction and the :meth:`full_rebuild` oracle pass none.  The
+        rebuild is made aside and taken only on success: a ``GeometryError``
+        leaves the tree as it was.
         """
-        if reason is not None:
-            _REBUILDS[reason].inc()
-        self._site_at = site_at = {}
-        self._members = members = {}
+        site_at: Dict[Tuple[float, float], int] = {}
+        members: Dict[int, List[int]] = {}
         for index in self.active_indexes():
             site = site_at.setdefault(self._xy[index], index)
             if site != index:
                 members.setdefault(site, [site]).append(index)
-        self._dual, self._chain, self._cells = None, {}, None
+        dual, chain = None, {}
         if len(site_at) > 1:
             founders = [site_at.get(row) == index for index, row in enumerate(self._xy)]
             try:
-                self._dual = DelaunayTriangulation(self._points, active=founders)
+                dual = DelaunayTriangulation(self._points, active=founders)
             except GeometryError:
                 # Fewer than three or collinear positions: the chain along
                 # the line.  Any other failure re-raises from the wrapper.
                 sites = list(site_at.values())
                 local = delaunay_neighbors([self._points[site] for site in sites])
-                self._chain = {
-                    sites[i]: {sites[j] for j in neighbors} for i, neighbors in local.items()
-                }
-        self._neighbor_map = {}
+                chain = {sites[i]: {sites[j] for j in neighbors} for i, neighbors in local.items()}
+        if reason is not None:
+            _REBUILDS[reason].inc()
+        self._site_at, self._members, self._dual, self._chain = site_at, members, dual, chain
+        self._neighbor_map, self._cells = {}, None
         self._patch_neighbor_lists(site_at.values())
 
     def _site_and_neighbors(self, site: int) -> List[int]:

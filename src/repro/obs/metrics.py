@@ -35,10 +35,10 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_right
-from dataclasses import dataclass
 from threading import get_ident
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.core.objects import immutable
 from repro.errors import ConfigurationError
 from repro.obs.clock import SOURCE as _CLOCK
 
@@ -237,7 +237,7 @@ class Histogram:
         return self.totals()[0]
 
 
-@dataclass(frozen=True)
+@immutable
 class RegistrySnapshot:
     """A point-in-time registry readout, sorted and wire-shaped.
 

@@ -20,9 +20,9 @@ import json
 import os
 import threading
 from collections import deque
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from repro.core.objects import immutable
 from repro.obs.clock import clock
 
 __all__ = ["Span", "TraceEvent", "Tracer", "TRACER"]
@@ -30,7 +30,7 @@ __all__ = ["Span", "TraceEvent", "Tracer", "TRACER"]
 DEFAULT_CAPACITY = 16384
 
 
-@dataclass(frozen=True)
+@immutable
 class TraceEvent:
     """One completed span: seconds on the obs clock, plus identity."""
 

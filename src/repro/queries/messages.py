@@ -18,7 +18,6 @@ plus the kind name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, FrozenSet, Tuple
 
 from repro.core.objects import immutable
@@ -29,7 +28,7 @@ from repro.service.messages import KNNResponse
 __all__ = ["InfluentialResponse", "OpenQuery", "RegionEvent", "response_for"]
 
 
-@dataclass(frozen=True)
+@immutable
 class OpenQuery:
     """Open a continuous query session of an arbitrary registered kind.
 

@@ -22,9 +22,9 @@ itself never calls it — that is the whole point of the INS algorithm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
 
+from repro.core.objects import immutable
 from repro.errors import QueryError, RoadNetworkError
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.location import NetworkLocation
@@ -34,7 +34,7 @@ from repro.roadnet.shortest_path import dijkstra
 _BREAKPOINT_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
+@immutable
 class EdgeInterval:
     """A maximal sub-segment of an edge with a constant kNN set.
 

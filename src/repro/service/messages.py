@@ -28,7 +28,6 @@ message and what the engine reports per run are testably consistent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, FrozenSet, Tuple
 
 from repro.core.objects import QueryResult, UpdateAction, immutable
@@ -131,7 +130,7 @@ class KNNResponse:
         return self.result.describe()
 
 
-@dataclass(frozen=True)
+@immutable
 class UpdateBatch:
     """A burst of data-object mutations applied as one data epoch.
 
@@ -147,18 +146,15 @@ class UpdateBatch:
         moves: ``(object index, destination)`` relocations.
     """
 
-    inserts: Tuple[Any, ...] = field(default=())
-    deletes: Tuple[int, ...] = field(default=())
-    moves: Tuple[Tuple[int, Any], ...] = field(default=())
+    inserts: Tuple[Any, ...] = ()
+    deletes: Tuple[int, ...] = ()
+    moves: Tuple[Tuple[int, Any], ...] = ()
 
-    def __post_init__(self):
+    def __new__(cls, inserts=(), deletes=(), moves=()):
         # Normalise arbitrary iterables into tuples so batches are hashable
         # value objects whatever the caller built them from.
-        object.__setattr__(self, "inserts", tuple(self.inserts))
-        object.__setattr__(self, "deletes", tuple(self.deletes))
-        object.__setattr__(
-            self, "moves", tuple((index, target) for index, target in self.moves)
-        )
+        moves = tuple([(index, target) for index, target in moves])
+        return tuple.__new__(cls, (tuple(inserts), tuple(deletes), moves))
 
     @property
     def is_empty(self) -> bool:

@@ -29,7 +29,7 @@ field type)`` pairs.  A *field type* (``_u8 … _f64``, ``_bool``,
 of value and says how it is written and read, so :func:`encode`,
 :func:`decode`, :func:`wire_size` and the decoder's bounds checks are
 generic drivers over one table and cannot drift apart; the frame
-dataclasses normalise their list-valued fields through the same types.  No
+classes normalise their list-valued fields through the same types.  No
 frame carries code of its own: a dotted attribute (``result.knn``) reaches
 into the nested object whose class the row names.
 
@@ -54,10 +54,11 @@ one type byte followed by the row's fields.  Meta frames (stats, objects,
 metrics, drains) are diagnostics and serving infrastructure, never
 billed into :class:`~repro.core.stats.CommunicationStats`.
 
-**Adding a frame** takes one frozen dataclass (``__post_init__ =
-_coerce_arrays`` if it has list-valued fields) and one table row, e.g.
-``0x1A: _Frame(Ping, (("nonce", _u64), ("hops", _Array(_u8, _u32))))`` —
-plus its name in ``__all__`` and a sample in ``tests/transport/golden/``.
+**Adding a frame** takes one :func:`~repro.core.objects.immutable` class
+(``__new__ = _coerce_arrays`` if it has list-valued fields) and one table
+row, e.g. ``0x1A: _Frame(Ping, (("nonce", _u64), ("hops", _Array(_u8,
+_u32))))`` — plus its name in ``__all__`` and a sample in
+``tests/transport/golden/``.
 
 **The wire format is append-only** (WALs and peers written by older
 builds must keep decoding): never reuse a type byte or union tag, never
@@ -77,7 +78,6 @@ from __future__ import annotations
 import dataclasses
 import operator
 import struct
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count
 from typing import Any, Dict, List, Optional, Tuple, Type
@@ -93,7 +93,7 @@ from repro.errors import (
     RoadNetworkError,
     TransportError,
 )
-from repro.core.objects import QueryResult, UpdateAction
+from repro.core.objects import QueryResult, UpdateAction, immutable
 from repro.core.stats import CommunicationStats, ProcessorStats
 from repro.obs.metrics import BUCKET_COUNT, histogram as _obs_histogram, start_timer
 from repro.geometry.point import Point
@@ -174,16 +174,17 @@ _KIND_OF_ERROR = {cls: kind for kind, cls in _ERROR_KINDS.items()}
 # ----------------------------------------------------------------------
 # Control messages (the data-plane trio lives in repro.service.messages)
 # ----------------------------------------------------------------------
-def _coerce_arrays(self) -> None:
-    """``__post_init__`` of every frame with list-valued fields: each is
-    normalised through its field type in the frame table, so a frame built
-    from lists or generators equals the one :func:`decode` returns for its
-    bytes (and hashes, being tuples all the way down)."""
-    for name, kind in _FRAME_OF_CLASS[type(self)].arrays:
-        object.__setattr__(self, name, kind.coerce(getattr(self, name)))
+def _coerce_arrays(cls, *args, **kwargs):
+    """``__new__`` of every frame with list-valued fields: the row, each
+    such field normalised through its field type in the frame table, so a
+    frame built from lists or generators equals the one :func:`decode`
+    returns for its bytes (and hashes, being tuples all the way down)."""
+    frame = super(cls, cls).__new__(cls, *args, **kwargs)
+    arrays = _FRAME_OF_CLASS[cls].arrays
+    return frame._replace(**{name: kind.coerce(getattr(frame, name)) for name, kind in arrays})
 
 
-@dataclass(frozen=True)
+@immutable
 class OpenSession:
     """Client → server: register a moving query and open its session.
 
@@ -200,40 +201,40 @@ class OpenSession:
     position: Any
     k: int
     rho: float
-    options: Tuple[Tuple[str, str], ...] = field(default=())
+    options: Tuple[Tuple[str, str], ...] = ()
 
-    __post_init__ = _coerce_arrays
+    __new__ = _coerce_arrays
 
 
-@dataclass(frozen=True)
+@immutable
 class SessionOpened:
     """Server → client: the session is open under ``query_id``."""
 
     query_id: int
 
 
-@dataclass(frozen=True)
+@immutable
 class CloseSession:
     """Client → server: unregister ``query_id`` (the goodbye message)."""
 
     query_id: int
 
 
-@dataclass(frozen=True)
+@immutable
 class SessionClosed:
     """Server → client: acknowledgement of :class:`CloseSession`."""
 
     query_id: int
 
 
-@dataclass(frozen=True)
+@immutable
 class RefreshRequest:
     """Client → server: re-answer ``query_id`` at its current position."""
 
     query_id: int
 
 
-@dataclass(frozen=True)
+@immutable
 class BatchApplied:
     """Server → client: one :class:`UpdateBatch` was applied as an epoch.
 
@@ -246,13 +247,13 @@ class BatchApplied:
     """
 
     epoch: int
-    new_indexes: Tuple[int, ...] = field(default=())
-    deleted_indexes: Tuple[int, ...] = field(default=())
+    new_indexes: Tuple[int, ...] = ()
+    deleted_indexes: Tuple[int, ...] = ()
 
-    __post_init__ = _coerce_arrays
+    __new__ = _coerce_arrays
 
 
-@dataclass(frozen=True)
+@immutable
 class ErrorMessage:
     """Server → client: a request failed with a typed library error."""
 
@@ -273,29 +274,29 @@ class ErrorMessage:
         return _ERROR_KINDS.get(self.kind, ReproError)(self.message)
 
 
-@dataclass(frozen=True)
+@immutable
 class StatsRequest:
     """Client → server: read the communication counters (meta, unbilled)."""
 
     per_session: bool = False
 
 
-@dataclass(frozen=True)
+@immutable
 class StatsResponse:
     """Server → client: aggregate (and optionally per-session) counters."""
 
     aggregate: CommunicationStats
-    per_session: Tuple[Tuple[int, CommunicationStats], ...] = field(default=())
+    per_session: Tuple[Tuple[int, CommunicationStats], ...] = ()
 
-    __post_init__ = _coerce_arrays
+    __new__ = _coerce_arrays
 
 
-@dataclass(frozen=True)
+@immutable
 class ObjectsRequest:
     """Client → server: read the active object indexes (meta, unbilled)."""
 
 
-@dataclass(frozen=True)
+@immutable
 class ObjectsResponse:
     """Server → client: active object indexes, in the index's native order.
 
@@ -305,12 +306,12 @@ class ObjectsResponse:
     """
 
     epoch: int
-    indexes: Tuple[int, ...] = field(default=())
+    indexes: Tuple[int, ...] = ()
 
-    __post_init__ = _coerce_arrays
+    __new__ = _coerce_arrays
 
 
-@dataclass(frozen=True)
+@immutable
 class DrainRequest:
     """Operator → server: stop serving gracefully and park the sessions.
 
@@ -321,7 +322,7 @@ class DrainRequest:
     """
 
 
-@dataclass(frozen=True)
+@immutable
 class DrainAck:
     """Server → operator: drained; state is parked and claimable.
 
@@ -334,24 +335,24 @@ class DrainAck:
     """
 
     wal_seq: int
-    session_ids: Tuple[int, ...] = field(default=())
+    session_ids: Tuple[int, ...] = ()
 
-    __post_init__ = _coerce_arrays
+    __new__ = _coerce_arrays
 
 
-@dataclass(frozen=True)
+@immutable
 class AggregateStatsRequest:
     """Client → server: read the summed ProcessorStats (meta, unbilled)."""
 
 
-@dataclass(frozen=True)
+@immutable
 class AggregateStatsResponse:
     """Server → client: the engine's aggregate client-side cost counters."""
 
     stats: ProcessorStats
 
 
-@dataclass(frozen=True)
+@immutable
 class MetricsRequest:
     """Client → server: send me your metrics registry snapshot (meta).
 
@@ -361,7 +362,7 @@ class MetricsRequest:
     """
 
 
-@dataclass(frozen=True)
+@immutable
 class MetricsSnapshot:
     """Server → client: one observability registry readout (meta).
 
@@ -381,7 +382,7 @@ class MetricsSnapshot:
     gauges: Tuple[Tuple[str, str, float], ...] = ()
     histograms: Tuple[Tuple[str, str, Tuple[int, ...], float], ...] = ()
 
-    __post_init__ = _coerce_arrays
+    __new__ = _coerce_arrays
 
 
 # ----------------------------------------------------------------------

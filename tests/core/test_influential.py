@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.errors import QueryError
-from repro.core.influential import (
+from influential_reference import (
     influential_neighbor_set,
     influential_neighbor_set_from_points,
     is_closer_set,

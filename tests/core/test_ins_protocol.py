@@ -28,6 +28,7 @@ from repro.roadnet.knn import network_knn, object_distances_from_location
 from repro.roadnet.location import NetworkLocation
 from repro.roadnet.shortest_path import outside_region
 from repro.service import KNNService, UpdateBatch, open_service
+from repro.trajectory.euclidean import linear_trajectory
 from repro.trajectory.road import network_random_walk
 from repro.workloads.datasets import uniform_points
 from repro.workloads.scenarios import euclidean_server_scenario, update_stream
@@ -173,6 +174,31 @@ class TestSettleOutcomes:
         result, moved = settle(engine, query_id)
         assert moved == (1, 0, 0)
         assert result.action == UpdateAction.FULL_RECOMPUTE
+
+
+class TestAnswerTuple:
+    """A validated timestamp reports the previous answer's tuple itself, not
+    a copy; an answer that changed is a new tuple."""
+
+    def test_a_valid_update_reports_the_held_tuple(self, metric):
+        service = KNNService(metric.build())
+        if isinstance(metric.start, Point):
+            end = Point(metric.start.x + 900.0, metric.start.y + 300.0)
+            walk = linear_trajectory(metric.start, end, 120)
+        else:
+            walk = network_random_walk(service.engine.network, 120, 1.5, start=metric.start)
+        seen = set()
+        with service.open_session(walk[0], k=4) as session:
+            previous = session.update(walk[1]).knn
+            for position in walk[2:]:
+                response = session.update(position)
+                if response.was_valid:
+                    assert response.knn is previous
+                else:
+                    assert response.knn is not previous
+                seen.add(response.was_valid)
+                previous = response.knn
+        assert seen == {True, False}
 
 
 class TestTieRule:

@@ -1,11 +1,15 @@
 """Tests for repro.core.objects."""
 
 import dataclasses
+import os
+import pathlib
 import pickle
+import subprocess
+import sys
 
 import pytest
 
-from repro.core.objects import QueryResult, UpdateAction
+from repro.core.objects import QueryResult, UpdateAction, immutable
 from repro.queries.influential import InfluentialResult
 from repro.queries.region import RegionResult
 
@@ -85,3 +89,61 @@ class TestQueryResult:
         assert RegionResult(*values).event == "stay" and RegionResult(*values).departed == ()
         assert (influential.sites, region.event, region.departed) == ((2, 5), "enter", (6,))
         assert plain != tuple(values) and not plain == tuple(values)
+
+
+#: The dataclasses whose instances keep a ``__dict__``: two that golden
+#: pickles hold, and the mutable counters.
+DICT_BACKED = [
+    "repro.core.stats.CommunicationStats",
+    "repro.core.stats.ProcessorStats",
+    "repro.geometry.delaunay.Triangle",
+    "repro.geometry.primitives.BoundingBox",
+    "repro.roadnet.shortest_path.SearchStats",
+]
+
+#: Run in a fresh interpreter: each dataclass the three imports define, as
+#: "row", "slots" or "dict" and its dotted name.
+CENSUS = """
+import dataclasses, sys
+import repro, repro.transport, repro.durability
+for name, module in sorted(sys.modules.items()):
+    for cls in list(vars(module).values()) if name.startswith("repro") else ():
+        if isinstance(cls, type) and cls.__module__ == name and dataclasses.is_dataclass(cls):
+            kind = "row" if issubclass(cls, tuple) else "dict" if cls.__dictoffset__ else "slots"
+            print(kind, name + "." + cls.__qualname__)
+"""
+
+
+@immutable
+class Pair:
+    """Two ints, kept sorted: a row that normalises its fields."""
+
+    low: int
+    high: int = 0
+
+    def __new__(cls, *args, **kwargs):
+        row = super(cls, cls).__new__(cls, *args, **kwargs)
+        return tuple.__new__(cls, sorted(row))
+
+
+class TestValueClasses:
+    def test_every_value_class_is_a_row_or_slotted(self):
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        completed = subprocess.run(
+            [sys.executable, "-c", CENSUS], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert completed.returncode == 0, completed.stderr[-2000:]
+        census = [line.split() for line in completed.stdout.splitlines()]
+        assert sorted(name for kind, name in census if kind == "dict") == DICT_BACKED
+        slotted = sorted(name for kind, name in census if kind == "slots")
+        assert slotted == ["repro.geometry.point.Point", "repro.roadnet.location.NetworkLocation"]
+        assert sum(kind == "row" for kind, _ in census) >= 30
+
+    def test_a_row_normalises_its_fields_in_its_own_new(self):
+        assert Pair(5, 2) == Pair(high=2, low=5) == Pair(2, 5)
+        assert (Pair(5, 2).low, Pair(5).high) == (2, 5)
+        assert dataclasses.replace(Pair(1, 9), low=20) == Pair(9, 20)
+        assert pickle.loads(pickle.dumps(Pair(5, 2))) == Pair(2, 5)
+        assert not hasattr(Pair(1), "__dict__") and repr(Pair(1)) == "Pair(low=0, high=1)"

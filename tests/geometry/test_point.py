@@ -1,6 +1,7 @@
 """Tests for repro.geometry.point."""
 
 import math
+import pickle
 
 import pytest
 
@@ -29,6 +30,38 @@ class TestPointBasics:
     def test_ordering_is_lexicographic(self):
         assert Point(1.0, 5.0) < Point(2.0, 0.0)
         assert Point(1.0, 1.0) < Point(1.0, 2.0)
+
+
+class TestSlots:
+    #: ``Point(1.5, -2.25)`` as the dict-backed class pickled it (protocols 0 and 5).
+    DICT_PICKLES = [
+        b"ccopy_reg\n_reconstructor\np0\n(crepro.geometry.point\nPoint\np1\nc__builtin__\n"
+        b"object\np2\nNtp3\nRp4\n(dp5\nVx\np6\nF1.5\nsVy\np7\nF-2.25\nsb.",
+        b"\x80\x05\x95D\x00\x00\x00\x00\x00\x00\x00\x8c\x14repro.geometry.point\x94"
+        b"\x8c\x05Point\x94\x93\x94)\x81\x94}\x94(\x8c\x01x\x94G?\xf8\x00\x00\x00\x00"
+        b"\x00\x00\x8c\x01y\x94G\xc0\x02\x00\x00\x00\x00\x00\x00ub.",
+    ]
+
+    def test_a_point_has_no_instance_dict(self):
+        point = Point(1.0, 2.0)
+        assert not hasattr(point, "__dict__")
+        with pytest.raises(AttributeError):
+            point.x = 3.0
+        # Python 3.11's frozen __setattr__ of a slotted dataclass raises
+        # TypeError for a name that is not a field; either way nothing is set.
+        with pytest.raises((AttributeError, TypeError)):
+            point.z = 3.0
+
+    @pytest.mark.parametrize("data", DICT_PICKLES, ids=["protocol-0", "protocol-5"])
+    def test_a_point_pickled_with_a_dict_loads_as_a_fresh_one(self, data):
+        old, fresh = pickle.loads(data), Point(1.5, -2.25)
+        assert type(old) is Point and (old.x, old.y) == (1.5, -2.25)
+        assert old == fresh and hash(old) == hash(fresh)
+        assert not old < fresh and not fresh < old and old < Point(1.5, 0.0)
+
+    def test_a_slotted_point_round_trips(self):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(Point(1.5, -2.25), protocol)) == Point(1.5, -2.25)
 
 
 class TestDistances:

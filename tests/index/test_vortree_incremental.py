@@ -14,6 +14,7 @@ import pytest
 from rebuild_reference import RebuildingVoRTree
 
 import repro.obs as obs
+from repro.errors import GeometryError
 from repro.geometry.point import Point
 from repro.geometry.delaunay import delaunay_neighbors
 from repro.index.vortree import VoRTree
@@ -248,6 +249,64 @@ class TestRebuildCounter:
             assert lists == fresh_diagram_map(tree)
             tree.full_rebuild()
             assert snapshot_neighbor_map(tree) == lists
+
+
+def near_stacks(seed):
+    """Sixty uniform sites on a 100 x 100 square, every third stacked three
+    deep, then a stream of steps: insert at a live object or 1e-6 beside it,
+    then delete a live object.  Yields ``(tree, step, op, argument)``."""
+    rng = random.Random(100 + seed)
+    points = []
+    for i in range(60):
+        point = Point(rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0))
+        points += [point] * (3 if i % 3 == 0 else 1)
+    tree = VoRTree(points)
+    rng = random.Random(seed)
+    for step in range(100):
+        base = tree.point(rng.choice(tree.active_indexes()))
+        if rng.random() >= 0.3:
+            offset = 1e-6 * rng.uniform(0.5, 1.0)
+            base = Point(base.x + offset, base.y - offset / 2)
+        yield tree, step, tree.insert, base
+        yield tree, step, tree.delete, rng.choice(tree.active_indexes())
+
+
+def tree_state(tree):
+    return len(tree), len(tree.positions), tree.active_indexes(), snapshot_neighbor_map(tree)
+
+
+class TestRefusedUpdates:
+    """An update whose fallback rebuild fails too raises ``GeometryError``
+    from the tree as it was before the update: nothing half done."""
+
+    @pytest.mark.parametrize("seed", [18, 20])
+    def test_a_refused_step_leaves_the_tree_as_it_was(self, seed):
+        refused = 0
+        for tree, step, operation, argument in near_stacks(seed):
+            before = tree_state(tree)
+            try:
+                operation(argument)
+            except GeometryError:
+                refused += 1
+                assert tree_state(tree) == before, (step, operation.__name__)
+        # Both seeds reach a delete whose population no triangulation takes
+        # (at steps 51 and 82), and the stream goes on past it.
+        assert refused >= 1 and step == 99
+
+    def test_a_refused_bulk_rebuild_leaves_the_tree_as_it_was(self):
+        for tree, _, operation, victim in near_stacks(18):
+            before = tree_state(tree)
+            try:
+                operation(victim)
+            except GeometryError:
+                break
+        # The same distinct positions through the bulk path: the refused
+        # victim leaves, and twins of another object fill the burst.
+        other = next(index for index in tree.active_indexes() if index != victim)
+        twins = [tree.point(other)] * (bulk_threshold(tree) - 1)
+        with pytest.raises(GeometryError):
+            tree.batch_update(inserts=twins, deletes=[victim])
+        assert tree_state(tree) == before
 
 
 class TestBatchUpdate:

@@ -1,7 +1,7 @@
-"""Influential sets: IS, MIS and INS (Definitions 1–4 of the paper).
+"""Influential sets (Definitions 1–4 of the paper): the reference the tests hold the indexes to.
 
-This module collects the set-level machinery the INS algorithm is built on,
-independent of any particular processor:
+The set-level machinery the INS algorithm is built on, independent of any
+particular processor or index:
 
 * :func:`is_closer_set` — the ``A ≺_q B`` relation ("every object of A is
   closer to q than every object of B").

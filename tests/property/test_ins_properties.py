@@ -4,7 +4,7 @@ import math
 
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.core.influential import (
+from influential_reference import (
     influential_neighbor_set_from_points,
     is_closer_set,
     verify_influential_set,

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from repro.core.influential import influential_neighbor_set_from_points
+from influential_reference import influential_neighbor_set_from_points
 from repro.core.server import MovingKNNServer
 from repro.errors import ConfigurationError, QueryError
 from repro.geometry.point import Point

@@ -1,5 +1,7 @@
 """Tests for repro.roadnet.location."""
 
+import pickle
+
 import pytest
 
 from repro.errors import RoadNetworkError
@@ -87,3 +89,24 @@ class TestGeometry:
         isolated = network.add_vertex(Point(500, 500))
         with pytest.raises(RoadNetworkError):
             NetworkLocation.at_vertex(network, isolated)
+
+
+class TestSlots:
+    #: ``NetworkLocation(7, 3.5)`` as the dict-backed class pickled it (protocols 0 and 5).
+    DICT_PICKLES = [
+        b"ccopy_reg\n_reconstructor\np0\n(crepro.roadnet.location\nNetworkLocation\np1\n"
+        b"c__builtin__\nobject\np2\nNtp3\nRp4\n(dp5\nVedge_id\np6\nI7\nsVoffset\np7\nF3.5\nsb.",
+        b"\x80\x05\x95T\x00\x00\x00\x00\x00\x00\x00\x8c\x16repro.roadnet.location\x94"
+        b"\x8c\x0fNetworkLocation\x94\x93\x94)\x81\x94}\x94(\x8c\x07edge_id\x94K\x07"
+        b"\x8c\x06offset\x94G@\x0c\x00\x00\x00\x00\x00\x00ub.",
+    ]
+
+    def test_a_location_has_no_instance_dict(self):
+        assert not hasattr(NetworkLocation(7, 3.5), "__dict__")
+
+    @pytest.mark.parametrize("data", DICT_PICKLES, ids=["protocol-0", "protocol-5"])
+    def test_a_location_pickled_with_a_dict_loads_as_a_fresh_one(self, data):
+        old, fresh = pickle.loads(data), NetworkLocation(7, 3.5)
+        assert type(old) is NetworkLocation and (old.edge_id, old.offset) == (7, 3.5)
+        assert old == fresh and hash(old) == hash(fresh) and old != NetworkLocation(7, 3.0)
+        assert pickle.loads(pickle.dumps(old)) == fresh

@@ -243,6 +243,21 @@ class TestPublicApi:
         assert not {"KDTree", "GridIndex", "RTree", "RTreeEntry"} & set(repro.__all__)
         assert not {"RTree", "RTreeEntry"} & set(repro.index.__all__)
 
+    def test_the_influential_set_reference_left_the_package(self):
+        """IS, MIS and INS over bare points are the tests' reference now
+        (``tests/influential_reference.py``); the indexes answer I(R)."""
+        import repro.core
+
+        gone = {
+            "influential_neighbor_set",
+            "minimal_influential_set",
+            "is_closer_set",
+            "verify_influential_set",
+        }
+        assert not gone & (set(repro.__all__) | set(repro.core.__all__))
+        with pytest.raises(ImportError):
+            import repro.core.influential  # noqa: F401
+
     def test_key_classes_are_exported(self):
         assert repro.INSProcessor.__name__ == "INSProcessor"
         assert repro.INSRoadProcessor.__name__ == "INSRoadProcessor"
