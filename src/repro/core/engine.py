@@ -43,6 +43,7 @@ from __future__ import annotations
 import abc
 import threading
 import weakref
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import (
     Any,
@@ -155,7 +156,8 @@ def _publish_outcomes() -> None:
 _REGISTRY.collect(_publish_outcomes)
 
 
-@immutable
+# Snapshots pickle this record with its ``__dict__``, which a row cannot load.
+@dataclass(frozen=True)
 class RegisteredQuery:
     """Bookkeeping record of one registered moving query.
 

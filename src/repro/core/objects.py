@@ -45,6 +45,26 @@ def immutable(cls: type) -> type:
     return type(cls.__name__, (row, *cls.__bases__), body)
 
 
+def accepts_dict_state(cls: type) -> type:
+    """``cls``, a slotted frozen dataclass, also unpickling the ``__dict__``
+    its pickles held before it had slots.
+
+    Apply it above ``@dataclass``: some Python 3.11 releases overwrite a
+    ``__setstate__`` written in the class body with their own, which reads a
+    dict as field values.
+    """
+    names = tuple(f.name for f in fields(cls))
+
+    def __setstate__(self, state) -> None:
+        if isinstance(state, dict):
+            state = [state[name] for name in names]
+        for name, value in zip(names, state):
+            object.__setattr__(self, name, value)
+
+    cls.__setstate__ = __setstate__
+    return cls
+
+
 def _same(self, other) -> bool:
     return type(self) is type(other) and tuple.__eq__(self, other)
 

@@ -28,8 +28,10 @@ one complete new snapshot, never a half-written visible file.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import os
+import pickle
 import struct
 import sys
 from typing import Any, List, Tuple
@@ -62,11 +64,7 @@ def _snapshot_name(wal_seq: int) -> str:
     return f"{_PREFIX}{wal_seq:012d}{_SUFFIX}"
 
 
-# ``hashlib`` (OpenSSL) and ``pickle`` load where a snapshot is written or
-# read: a durable server that never checkpoints carries neither.
 def _pickle(payload: Any) -> bytes:
-    import pickle
-
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, _RECURSION_LIMIT))
     try:
@@ -85,18 +83,17 @@ class _Retired:
 _RETIRED_DIAGRAM = ("repro.geometry.voronoi", "VoronoiDiagram")
 
 
+class _Unpickler(pickle.Unpickler):
+    def find_class(self, module: str, name: str) -> Any:
+        # Snapshots written while the VoR-tree kept an R-tree beside its
+        # lists, or a diagram class between it and its dual, name those
+        # classes; VoRTree.__setstate__ drops the attributes that held them.
+        if module == "repro.index.rtree" or (module, name) == _RETIRED_DIAGRAM:
+            return _Retired
+        return super().find_class(module, name)
+
+
 def _unpickle(data: bytes) -> Any:
-    import pickle
-
-    class _Unpickler(pickle.Unpickler):
-        def find_class(self, module: str, name: str) -> Any:
-            # Snapshots written while the VoR-tree kept an R-tree beside its
-            # lists, or a diagram class between it and its dual, name those
-            # classes; VoRTree.__setstate__ drops the attributes that held them.
-            if module == "repro.index.rtree" or (module, name) == _RETIRED_DIAGRAM:
-                return _Retired
-            return super().find_class(module, name)
-
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, _RECURSION_LIMIT))
     try:
@@ -114,8 +111,6 @@ def write_snapshot(directory: str, payload: Any, wal_seq: int) -> str:
         wal_seq: the last WAL sequence number the state includes (0 for
             the initial, pre-log state).
     """
-    import hashlib
-
     os.makedirs(directory, exist_ok=True)
     data = _pickle(payload)
     digest = hashlib.sha256(data).digest()
@@ -145,8 +140,6 @@ def read_snapshot(path: str) -> Tuple[int, Any]:
         SnapshotError: bad magic, truncated container, length mismatch or
             checksum failure.
     """
-    import hashlib
-
     with open(path, "rb") as handle:
         data = handle.read()
     header_end = len(SNAPSHOT_MAGIC) + _HEADER.size + _DIGEST_BYTES

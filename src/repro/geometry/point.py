@@ -12,7 +12,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Tuple
 
+from repro.core.objects import accepts_dict_state
 
+
+@accepts_dict_state
 @dataclass(frozen=True, order=True, slots=True)
 class Point:
     """A point in the 2-D Euclidean plane.
@@ -24,10 +27,6 @@ class Point:
 
     x: float
     y: float
-
-    def __setstate__(self, state) -> None:
-        # A dict is the state of a Point pickled before it had slots.
-        _restore(self, ("x", "y"), state)
 
     def __iter__(self) -> Iterator[float]:
         yield self.x
@@ -66,15 +65,6 @@ class Point:
     def almost_equal(self, other: "Point", tolerance: float = 1e-9) -> bool:
         """Return True when both coordinates agree within ``tolerance``."""
         return abs(self.x - other.x) <= tolerance and abs(self.y - other.y) <= tolerance
-
-
-def _restore(value, names: Tuple[str, ...], state) -> None:
-    """Unpickle a slotted frozen dataclass from its field values, or from the
-    ``__dict__`` its class pickled before it had slots."""
-    if isinstance(state, dict):
-        state = [state[name] for name in names]
-    for name, field_value in zip(names, state):
-        object.__setattr__(value, name, field_value)
 
 
 def distance(a: Point, b: Point) -> float:

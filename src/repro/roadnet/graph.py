@@ -10,14 +10,15 @@ follow that convention.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
-from repro.core.objects import immutable
 from repro.errors import RoadNetworkError
 from repro.geometry.point import Point
 
 
-@immutable
+# Snapshots pickle this record with its ``__dict__``, which a row cannot load.
+@dataclass(frozen=True)
 class Edge:
     """An undirected road segment between two vertices.
 

@@ -11,11 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
+from repro.core.objects import accepts_dict_state
 from repro.errors import RoadNetworkError
-from repro.geometry.point import Point, _restore
+from repro.geometry.point import Point
 from repro.roadnet.graph import RoadNetwork
 
 
+@accepts_dict_state
 @dataclass(frozen=True, slots=True)
 class NetworkLocation:
     """A position on an edge of a road network.
@@ -27,10 +29,6 @@ class NetworkLocation:
 
     edge_id: int
     offset: float
-
-    def __setstate__(self, state) -> None:
-        # A dict is the state of a location pickled before it had slots.
-        _restore(self, ("edge_id", "offset"), state)
 
     def validated(self, network: RoadNetwork) -> "NetworkLocation":
         """Return this location checked against ``network`` (itself, unless clamped).

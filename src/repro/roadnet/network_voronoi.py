@@ -65,15 +65,16 @@ the tests hold that lookup to.
 from __future__ import annotations
 
 import bisect
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.core.objects import immutable
 from repro.errors import EmptyDatasetError, QueryError, RoadNetworkError
 from repro.roadnet.graph import Edge, RoadNetwork
 from repro.roadnet.shortest_path import SearchStats, flood, multi_source_dijkstra
 
 
-@immutable
+# Snapshots pickle this record with its ``__dict__``, which a row cannot load.
+@dataclass(frozen=True)
 class EdgeOwnership:
     """Ownership of one edge in the order-1 network Voronoi diagram.
 

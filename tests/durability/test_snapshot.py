@@ -8,9 +8,6 @@ recovering from the checkpoint with an empty replay suffix.
 """
 
 import os
-import pathlib
-import subprocess
-import sys
 
 import pytest
 
@@ -70,23 +67,6 @@ class TestContainer:
         truncate_file(path, os.path.getsize(path) - 5)
         with pytest.raises(SnapshotError):
             read_snapshot(path)
-
-
-    def test_importing_durability_loads_neither_hashlib_nor_pickle(self):
-        """OpenSSL's ``_hashlib`` and ``pickle`` load at the first snapshot
-        written or read, not with the package."""
-        script = (
-            "import sys, repro.durability\n"
-            "print(*sorted({'_hashlib', 'hashlib', 'pickle'} & set(sys.modules)))\n"
-        )
-        src = pathlib.Path(__file__).resolve().parents[2] / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-        completed = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-        )
-        assert completed.returncode == 0, completed.stderr[-2000:]
-        assert completed.stdout == "\n"
 
 
 class TestLatestFallback:
