@@ -10,9 +10,10 @@ instances of the same machine, and this module is that machine:
   query identifiers; every registered query owns one processor (answer,
   prefetched set, guard set) initialised before it is admitted, so a
   failing first answer never leaves a zombie query behind;
-* **the mutation API** — ``insert_object`` / ``delete_object`` /
-  ``batch_update(inserts, deletes, moves)`` time the index repair, guard
-  the population and commit the epoch the same way on either metric;
+* **the mutation API** — ``batch_update(inserts, deletes, moves)`` times
+  the index repair, guards the population and commits the epoch the same
+  way on either metric; ``insert_object`` / ``delete_object`` /
+  ``move_object`` are batches of one;
 * **epoch counter** — every mutation batch (a single insert/delete/move
   counts as a batch of one) advances one data epoch, so clients can cheaply
   detect whether the data set changed since they last looked;
@@ -34,8 +35,8 @@ instances of the same machine, and this module is that machine:
   calls bills exactly what the ``repro.service`` message protocol reports.
 
 Subclasses provide the metric-specific rest: constructing the shared index,
-building a processor for a new query, the index's single-object and batch
-repairs (which report their deltas), and what moving an object means.
+building a processor for a new query, the index's batch repair (which
+reports its delta), and what moving an object means.
 """
 
 from __future__ import annotations
@@ -516,14 +517,6 @@ class ServingEngine(abc.ABC, Generic[PositionT]):
     # Data-object updates
     # ------------------------------------------------------------------
     @abc.abstractmethod
-    def _insert(self, target: Any) -> Tuple[int, Iterable[int]]:
-        """Index repair for one insert: ``(new object index, changed)``."""
-
-    @abc.abstractmethod
-    def _delete(self, index: int) -> Iterable[int]:
-        """Index repair for deleting active object ``index``: ``changed``."""
-
-    @abc.abstractmethod
     def _repair_batch(
         self, inserts: list, deletes: List[int], moves: list
     ) -> Tuple[List[int], List[int], Iterable[int]]:
@@ -546,27 +539,31 @@ class ServingEngine(abc.ABC, Generic[PositionT]):
     def insert_object(self, target: Any) -> int:
         """Insert a data object (a Point, or a road vertex); returns its index.
 
-        The shared index absorbs the insert with a local repair and every
-        registered query receives the repair delta — no per-query state is
-        copied.
+        A batch of one (:meth:`batch_update`): the shared index absorbs the
+        insert with a local repair and every registered query receives the
+        repair delta.
         """
-        index, changed = self._maintain(self._insert, target)
-        self._commit_epoch(changed, payload=1)
-        return index
+        return self.batch_update(inserts=(target,)).new_indexes[0]
 
     def delete_object(self, index: int) -> bool:
         """Delete a data object (returns False when already gone).
+
+        A batch of one (:meth:`batch_update`).
 
         Raises:
             QueryError: when the deletion would leave fewer objects than
                 some registered query's ``k`` requires — failing loudly at
                 the mutation instead of at that query's next timestamp.
         """
-        if not self.index.is_active(index):
-            return False
-        self._check_population(self.object_count - 1)
-        self._commit_epoch(self._maintain(self._delete, index), (index,), payload=1)
-        return True
+        return bool(self.batch_update(deletes=(index,)).deleted_indexes)
+
+    def move_object(self, index: int, target: Any) -> BatchUpdateResult:
+        """Relocate data object ``index`` to ``target``: a batch of one move.
+
+        On a road network the object keeps its index; on the plane it is
+        deleted and reinserted under a new one (two object records).
+        """
+        return self.batch_update(moves=((index, target),))
 
     def batch_update(
         self,

@@ -7,8 +7,8 @@ does not decide).  This module contributes only the network: one shared,
 incrementally maintained
 :class:`~repro.roadnet.network_voronoi.NetworkVoronoiDiagram` (the
 expensive structure — a whole-graph multi-source Dijkstra to build), the
-diagram's *local* repair floods — O(cells touched) per update — and the
-native :meth:`MovingRoadKNNServer.move_object`.  Its processors come from
+diagram's *local* repair floods — O(cells touched) per update — and a
+native move (the object keeps its index).  Its processors come from
 the query-kind registry (:mod:`repro.queries.kinds`), like the plane's:
 the ``knn`` kind's :class:`~repro.core.ins_road.INSRoadProcessor` (each
 with its own ``k``, ``ρ`` and Theorem 2 region), or a road kind
@@ -17,7 +17,7 @@ registered beside it.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core.engine import ServingEngine
 from repro.roadnet.graph import RoadNetwork
@@ -70,22 +70,5 @@ class MovingRoadKNNServer(ServingEngine[NetworkLocation]):
         """The vertex data object ``index`` currently sits on."""
         return self._voronoi.object_vertex(index)
 
-    def _insert(self, vertex: int):
-        return self._voronoi.insert_object(vertex)
-
-    def _delete(self, index: int):
-        return self._voronoi.remove_object(index)
-
     def _repair_batch(self, inserts, deletes, moves):
         return self._voronoi.batch_update(inserts, deletes, moves)
-
-    def move_object(self, index: int, vertex: int) -> FrozenSet[int]:
-        """Move data object ``index`` to ``vertex``.
-
-        Returns the set of objects whose neighbour sets changed (the moved
-        object included), which is also the delta pushed to the queries.
-        """
-        changed = frozenset(self._maintain(self._voronoi.move_object, index, vertex))
-        if changed:
-            self._commit_epoch(changed, payload=1)
-        return changed

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.errors import EmptyDatasetError
-from repro.core.engine import BatchUpdateResult, ServingEngine
+from repro.core.engine import ServingEngine
 from repro.geometry.point import Point
 from repro.index.vortree import VoRTree
 
@@ -59,19 +59,8 @@ class MovingKNNServer(ServingEngine[Point]):
         """Whether registered queries use case-(i) incremental updates."""
         return self._allow_incremental
 
-    def _insert(self, point: Point):
-        return self._vortree.insert(point)
-
-    def _delete(self, index: int):
-        return self._vortree.delete(index)[1]
-
     def _split_moves(self, moves):
         return [point for _, point in moves], [index for index, _ in moves], []
 
     def _repair_batch(self, inserts, deletes, moves):
         return self._vortree.batch_update(inserts, deletes)
-
-    def move_object(self, index: int, point: Point) -> BatchUpdateResult:
-        """Relocate data object ``index`` to ``point``: one epoch that deletes
-        it and reinserts it there (under a new object index)."""
-        return self.batch_update(moves=((index, point),))

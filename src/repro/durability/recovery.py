@@ -44,8 +44,8 @@ A new durability directory starts with an *initial snapshot* (``wal_seq``
 0) of the pre-traffic state, so recovery always has a base even when no
 periodic checkpoint ever ran; :func:`recover_service` also accepts
 ``use_latest_snapshot=False`` to deliberately recover from that initial
-snapshot by replaying the entire log — the "cold" path the PR6 benchmark
-compares checkpointed recovery against.
+snapshot by replaying the entire log — the "cold" path checkpointed
+recovery is measured against.
 """
 
 from __future__ import annotations
@@ -262,19 +262,6 @@ class DurableKNNService(KNNService):
         result = super().apply(batch)
         self._log(batch)
         return result
-
-    # Single-object mutators route through apply() so they are logged with
-    # the same epoch-per-call semantics they will replay with.
-    def insert(self, target: Any) -> int:
-        result = self.apply(UpdateBatch(inserts=(target,)))
-        return result.new_indexes[0]
-
-    def delete(self, index: int) -> bool:
-        result = self.apply(UpdateBatch(deletes=(index,)))
-        return bool(result.deleted_indexes)
-
-    def move(self, index: int, target: Any):
-        return self.apply(UpdateBatch(moves=((index, target),)))
 
     # ------------------------------------------------------------------
     # Snapshots

@@ -290,10 +290,8 @@ class VoRTree:
         return True, self._patch_neighbor_lists(changed_sites)
 
     #: Bulk-rebuild crossover for :meth:`batch_update`, as a fraction of the
-    #: active population.  Measured by
-    #: ``benchmarks/bench_pr2_batch_crossover.py`` (2:1 insert/delete bursts,
-    #: minimum of three seeds; the committed measurement lives in
-    #: ``benchmarks/results/PR2_batch_crossover.json``): one full rebuild
+    #: active population.  Measured on 2:1 insert/delete bursts, minimum of
+    #: three seeds (the table is in CHANGES.md): one full rebuild
     #: overtakes per-object patching between 40% and 60% bursts at
     #: n = 20 000 and between 60% and 100% at n = 2 000.  A rebuild also
     #: reports every object changed, so the tie goes to patching.

@@ -15,8 +15,8 @@ the serving code already computed, so observability on vs off is
 **bit-identical** in answers and in every
 :class:`~repro.core.stats.CommunicationStats` /
 :class:`~repro.core.stats.ProcessorStats` counter — the transport
-equivalence suite holds that, and ``benchmarks/bench_pr10_observability
-.py`` pins the wall-clock overhead under 5% on the reference stream.
+equivalence suite holds that.  The wall-clock overhead measured under 5%
+on the reference stream (the figures are in CHANGES.md).
 
 Metrics default **on** (live scraping should work without flags; a
 no-observation registry is just idle dictionaries), tracing defaults

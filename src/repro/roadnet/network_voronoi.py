@@ -302,10 +302,7 @@ class NetworkVoronoiDiagram:
     #: per-object repairs beat one full build up to bursts of ~30-50% of the
     #: population, the crossover shrinking as the population grows (denser
     #: populations mean cheaper rebuild floods relative to n repairs), so
-    #: the constant takes the large-n end (see
-    #: ``benchmarks/bench_pr3_road_batch_crossover.py``; the committed
-    #: measurement lives in
-    #: ``benchmarks/results/PR3_road_batch_crossover.json``).
+    #: the constant takes the large-n end (the table is in CHANGES.md).
     BULK_REBUILD_FRACTION = 0.3
 
     def batch_update(
@@ -359,8 +356,7 @@ class NetworkVoronoiDiagram:
         if self.object_count() + len(insert_list) - len(delete_list) < 1:
             raise EmptyDatasetError("batch update would remove every data object")
         # Per-object repair costs O(one cell) each while a rebuild costs the
-        # whole network; the crossover between the two is measured by
-        # bench_pr3_road_batch_crossover.py (see BULK_REBUILD_FRACTION).
+        # whole network; see BULK_REBUILD_FRACTION for the crossover.
         bulk_threshold = max(
             16, int(self.object_count() * self.BULK_REBUILD_FRACTION)
         )

@@ -294,17 +294,19 @@ class KNNService:
         """
         return self._engine.batch_update(batch.inserts, batch.deletes, batch.moves)
 
+    # The single-object mutators are batches of one through apply(), so a
+    # subclass that logs apply() logs them too.
     def insert(self, target: Any) -> int:
         """Insert one data object (a Point, or a road vertex); returns its index."""
-        return self._engine.insert_object(target)
+        return self.apply(UpdateBatch(inserts=(target,))).new_indexes[0]
 
     def delete(self, index: int) -> bool:
         """Delete one data object (returns False when already gone)."""
-        return self._engine.delete_object(index)
+        return bool(self.apply(UpdateBatch(deletes=(index,))).deleted_indexes)
 
-    def move(self, index: int, target: Any):
+    def move(self, index: int, target: Any) -> BatchUpdateResult:
         """Relocate one data object to ``target`` (vertex or Point)."""
-        return self._engine.move_object(index, target)
+        return self.apply(UpdateBatch(moves=((index, target),)))
 
     # ------------------------------------------------------------------
     # Cost reporting

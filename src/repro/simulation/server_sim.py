@@ -175,12 +175,6 @@ class ServerRun:
         per_session_communication: per-session counters at the end of the
             run (snapshots, keyed like ``results``) — the breakdown
             ``insq serve --per-session`` prints.
-        wire_bytes_sent, wire_bytes_received: the client's *measured*
-            billable traffic over a socket transport (0 elsewhere).
-        wire_bytes_predicted_sent, wire_bytes_predicted_received: the
-            codec's :func:`~repro.transport.codec.wire_size` predictions
-            for the same frames — equal to the measured numbers by the
-            codec's exactness contract (the PR5 benchmark asserts it).
     """
 
     scenario: str
@@ -196,10 +190,6 @@ class ServerRun:
     per_session_communication: Dict[int, CommunicationStats] = field(
         default_factory=dict
     )
-    wire_bytes_sent: int = 0
-    wire_bytes_received: int = 0
-    wire_bytes_predicted_sent: int = 0
-    wire_bytes_predicted_received: int = 0
 
     @property
     def timestamps(self) -> int:
@@ -325,7 +315,6 @@ def simulate_server(
     }
     mismatches: List[Tuple[int, int]] = []
     with contextlib.ExitStack() as teardown:
-        remote = None
         engine = build_server(scenario, invalidation=invalidation)
         if wal_dir is not None:
             from repro.durability import DurableKNNService
@@ -359,8 +348,8 @@ def simulate_server(
             else:
                 socket_server = KNNServer(served).start()
             teardown.callback(socket_server.stop)
-            front = remote = connect(socket_server.address)
-            teardown.callback(remote.close)
+            front = connect(socket_server.address)
+            teardown.callback(front.close)
 
         started = _clock()
         # Session registration computes each query's first answer (timestamp
@@ -406,7 +395,7 @@ def simulate_server(
                 ):
                     mismatches.append((step, query_id))
         elapsed = _clock() - started
-        run = ServerRun(
+        return ServerRun(
             scenario=scenario.name,
             invalidation=invalidation,
             results=results,
@@ -419,9 +408,3 @@ def simulate_server(
             transport=transport_name,
             per_session_communication=served.per_session_communication(),
         )
-        if remote is not None:
-            run.wire_bytes_sent = remote.bytes_sent
-            run.wire_bytes_received = remote.bytes_received
-            run.wire_bytes_predicted_sent = remote.predicted_bytes_sent
-            run.wire_bytes_predicted_received = remote.predicted_bytes_received
-    return run

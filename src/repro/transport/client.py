@@ -19,9 +19,9 @@ drive either without knowing which they hold::
 The client measures its own traffic: every frame sent and received is
 counted both as actual bytes (``len`` of the encoded frame) and as the
 codec's :func:`~repro.transport.codec.wire_size` prediction, kept in
-separate billable/meta buckets.  The PR5 benchmark reconciles these
-against each other and against the server engine's byte counters — the
-measured-equals-predicted contract of the codec.
+separate billable/meta buckets.  ``tests/transport/test_server_client.py``
+reconciles these against each other and against the server engine's byte
+counters — the measured-equals-predicted contract of the codec.
 """
 
 from __future__ import annotations

@@ -115,6 +115,11 @@ class TestEuclideanEquivalence:
             runs["delta"].aggregate.full_recomputations
             < runs["flag"].aggregate.full_recomputations
         )
+        # Fewer retrievals ship fewer objects.
+        assert (
+            runs["delta"].aggregate.transmitted_objects
+            < runs["flag"].aggregate.transmitted_objects
+        )
         # The delta mode absorbed at least some far-away updates for free.
         assert runs["delta"].aggregate.absorbed_updates > 0
         assert runs["flag"].aggregate.absorbed_updates == 0

@@ -130,6 +130,33 @@ class TestRestartAndReplayOracle:
             s.query_id for s in warm.sessions()
         }
 
+    @pytest.mark.parametrize("metric", ["euclidean", "road"])
+    def test_warm_recovery_replays_a_suffix_only(self, tmp_path, metric):
+        """Checkpoints shorten the log that warm recovery replays, and the
+        suffix alone lands in the uncrashed twin's state."""
+        reference_driver, reference_service = reference_run(metric, "delta")
+
+        scenario = build_scenario(metric)
+        wal_dir = str(tmp_path / "state")
+        service = DurableKNNService(
+            build_server(scenario, invalidation="delta"),
+            wal_dir,
+            snapshot_every=20,
+        )
+        driver = ScenarioDriver(scenario)
+        driver.open_sessions(service)
+        driver.run(service, 1, scenario.timestamps)
+        service.close_wal()
+
+        report = inventory(wal_dir)
+        assert report["healthy"]
+        assert len(report["snapshots"]) >= 2  # the seq-0 one and a checkpoint
+        assert 0 < report["replay_records"] < report["wal"]["records"]
+        warm = recover_service(wal_dir)
+        assert counters_of(warm) == counters_of(reference_service)
+        assert warm.epoch == reference_service.epoch
+        assert warm.object_count == reference_service.object_count
+
     def test_recovery_mid_epoch_between_sessions(self, tmp_path):
         """Crashing between two sessions' updates of the same step is fine:
         each logged update replays, each unlogged one never happened."""

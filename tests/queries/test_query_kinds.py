@@ -139,8 +139,13 @@ class TestInfluentialSitesProcessor:
                         if i not in result.knn
                     ]
                     server.delete_object(rng.choice(victims))
-            runs[invalidation] = answers
-        assert runs["delta"] == runs["flag"]
+            stats = server.stats_for(query_id)
+            runs[invalidation] = (answers, stats.absorbed_updates, stats.full_recomputations)
+        assert runs["delta"][0] == runs["flag"][0]
+        # The delta mode absorbs churn and so recomputes no more often; the
+        # flag oracle never absorbs.
+        assert runs["delta"][1] > 0 and runs["flag"][1] == 0
+        assert runs["delta"][2] <= runs["flag"][2]
 
 
 class TestOrderKRegionProcessor:
@@ -209,11 +214,13 @@ class TestOrderKRegionProcessor:
                         if i not in result.knn
                     ]
                     server.delete_object(rng.choice(victims))
-            absorbed = server.stats_for(query_id).absorbed_updates
-            runs[invalidation] = (answers, absorbed)
+            stats = server.stats_for(query_id)
+            runs[invalidation] = (answers, stats.absorbed_updates, stats.full_recomputations)
         assert runs["delta"][0] == runs["flag"][0]
-        # The delta mode must actually absorb something to be worth having.
-        assert runs["delta"][1] >= runs["flag"][1]
+        # The delta mode must actually absorb something to be worth having,
+        # and so recomputes no more often; the flag oracle never absorbs.
+        assert runs["delta"][1] > 0 and runs["flag"][1] == 0
+        assert runs["delta"][2] <= runs["flag"][2]
 
     def test_a_processor_pickled_with_its_old_tree_attribute_restores(self):
         tree = VoRTree(random_points(30, seed=8))

@@ -5,7 +5,7 @@ The codec's three contracts, each tested over randomized messages:
 * **round trip** — ``decode(encode(m)) == m`` for every message kind,
   both metrics' position/target shapes included;
 * **exact size prediction** — ``len(encode(m)) == wire_size(m)``, the
-  reconciliation contract the PR5 benchmark builds on;
+  reconciliation contract the client's byte counters build on;
 * **robust framing** — a :class:`FrameReader` fed arbitrary split points
   reproduces the message stream exactly (partial and concatenated frames),
   and malformed input raises the typed
