@@ -59,7 +59,7 @@ from typing import (
     Tuple,
 )
 
-from repro.errors import ConfigurationError, QueryError
+from repro.errors import ConfigurationError, GeometryError, QueryError
 from repro.core.objects import QueryResult, immutable
 from repro.core.processor import MovingKNNProcessor, PositionT
 from repro.core.stats import CommunicationStats, ProcessorStats
@@ -591,9 +591,15 @@ class ServingEngine(abc.ABC, Generic[PositionT]):
         is_active = self.index.is_active
         delete_list = [i for i in dict.fromkeys([*deletes, *move_deletes]) if is_active(i)]
         self._check_population(self.object_count + len(insert_list) - len(delete_list))
-        new_indexes, deleted, changed = self._maintain(
-            self._repair_batch, insert_list, delete_list, move_list
-        )
+        try:
+            new_indexes, deleted, changed = self._maintain(
+                self._repair_batch, insert_list, delete_list, move_list
+            )
+        except GeometryError as error:
+            # Refused: no epoch, but the sessions hear of any list it changed.
+            if error.delta is not None:
+                self._dispatch(frozenset(error.delta[2]), frozenset(error.delta[1]))
+            raise
         payload = len(insert_list) + len(delete_list) + len(move_list)
         changed = frozenset(changed)
         if new_indexes or deleted or changed:
@@ -624,8 +630,8 @@ class ServingEngine(abc.ABC, Generic[PositionT]):
 
         In ``"delta"`` mode every registered processor receives the repair
         delta, frozen once, and settles it lazily (nothing is copied per
-        session).  In ``"flag"`` mode the delta is discarded and every
-        processor is forced to refresh fully on its next timestamp.
+        session; an INS session the delta misses keeps none).  In ``"flag"``
+        mode every processor is forced to refresh fully on its next timestamp.
 
         Communication: the mutation batch arrives as one uplink message
         carrying ``payload`` object records (the insert/delete/move stream
@@ -636,13 +642,7 @@ class ServingEngine(abc.ABC, Generic[PositionT]):
         """
         self._epoch += 1
         _EPOCHS_TOTAL.inc()
-        if self._invalidation == "flag":
-            for registered in self._queries.values():
-                registered.processor.invalidate()
-        else:
-            changed, removed = frozenset(changed), frozenset(removed)
-            for registered in self._queries.values():
-                registered.processor.notify_data_update(changed, removed)
+        self._dispatch(frozenset(changed), frozenset(removed))
         with self._comm_lock:
             self._communication.uplink_messages += 1
             self._communication.uplink_objects += payload
@@ -652,6 +652,16 @@ class ServingEngine(abc.ABC, Generic[PositionT]):
                 bucket = self._kind_bucket(query_id)
                 if bucket is not None:
                     bucket.downlink_messages += 1
+
+    def _dispatch(self, changed: FrozenSet[int], removed: FrozenSet[int]) -> None:
+        """Hand every registered processor the delta, or in ``"flag"`` mode
+        force each one to refresh fully."""
+        if self._invalidation == "flag":
+            for registered in self._queries.values():
+                registered.processor.invalidate()
+        else:
+            for registered in self._queries.values():
+                registered.processor.notify_data_update(changed, removed)
 
     # ------------------------------------------------------------------
     # Aggregate statistics

@@ -48,8 +48,8 @@ kNN member that itself reads ``inf`` (unreachable inside a road region) has
 exhausted the search: every reachable held object is exact, D is ``inf``.
 
 **Data-object updates** arrive through ``notify_data_update`` (the serving
-engine pushes the shared index's repair deltas) and settle lazily, on the
-next timestamp, with one of three outcomes:
+engine pushes the shared index's repair deltas), are judged against R and
+I(R) on arrival and settle at the next timestamp with one of three outcomes:
 
 * a removal inside the prefetched set R invalidates R, so the next
   timestamp pays one full retrieval;
@@ -57,12 +57,13 @@ next timestamp, with one of three outcomes:
   refreshes I(R) from the already-repaired shared index (a few set unions):
   validation against a freshly derived I(R) certifies the held kNN set
   against the current data set, whatever changed;
-* every other delta is absorbed for free.  I(R) is R's neighbour lists
-  minus R (Definition 4), so only a delta naming a member of R changes it
-  (adjacency is symmetric: an object leaving I(R) names a member too).  If
-  an unseen object were among the true kNN it would, by the Voronoi chain
-  property, be a neighbour of a kNN member, whose list then changed, so the
-  delta names a member of R.
+* every other delta is absorbed for free — with nothing else queued, on
+  arrival: it keeps only the stale mark, and the next timestamp counts the
+  absorb.  I(R) is R's neighbour lists minus R (Definition 4), so only a
+  delta naming a member of R changes it (adjacency is symmetric: an object
+  leaving I(R) names a member too).  If an unseen object were among the
+  true kNN it would, by the Voronoi chain property, be a neighbour of a kNN
+  member, whose list then changed, so the delta names a member of R.
 
 The pre-delta behaviour (every update forces a full retrieval) survives as
 ``invalidate``, the engine's ``"flag"`` fallback mode.
@@ -75,7 +76,7 @@ from __future__ import annotations
 
 import abc
 from math import inf
-from typing import AbstractSet, Any, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Any, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigurationError
 from repro.core.objects import QueryResult, UpdateAction
@@ -205,9 +206,33 @@ class InfluentialSetProcessor(MovingKNNProcessor[PositionT]):
             return self._answer(UpdateAction.NONE, distances[:k])
         return self._perform_update(position, distances)
 
+    def _reaches(self, changed: AbstractSet[int], removed: AbstractSet[int]) -> bool:
+        """Whether a delta can change R or I(R): it names a member of R, or
+        removes an object of I(R).  One that does not is absorbed."""
+        R = self._R
+        return not (changed.isdisjoint(R) and removed.isdisjoint(R) and removed.isdisjoint(self._ins))
+
+    def notify_data_update(self, changed: Iterable[int] = (), removed: Iterable[int] = ()) -> None:
+        """Queue a delta, unless nothing is pending and it misses R and I(R) —
+        one the next settle would absorb: that keeps only the stale mark."""
+        if self._pending is None and not self._force_refresh:
+            changed, removed = frozenset(changed), frozenset(removed)
+            if not self._reaches(changed, removed):
+                self._state_stale = True
+                return
+        super().notify_data_update(changed, removed)
+
     def _consume_data_updates(self, position: PositionT) -> Optional[QueryResult]:
         """Settle the pending delta: the full-recompute :class:`QueryResult` if it
         forced a retrieval, else None (I(R) refreshed or the delta absorbed)."""
+        pending = self._pending
+        if not self._force_refresh and (pending is None or not self._reaches(*pending)):
+            # No member of R was named (nothing queued, or a pair an older
+            # build queued): every member's neighbour list, so I(R) and the
+            # guard set the validation uses, is as it was.  Free.
+            self._pending, self._state_stale = None, False
+            self._stats.absorbed_updates += 1
+            return None
         changed, removed, forced = self._take_pending()
         if forced or not removed.isdisjoint(self._R):
             # Blanket invalidation, or the prefetched set lost a member: R
@@ -216,26 +241,22 @@ class InfluentialSetProcessor(MovingKNNProcessor[PositionT]):
             self._stats.validations += 1
             survivors = (member for member in self._R if self._index.is_active(member))
             return self._retrieve(position, next(survivors, None))
-        if not (changed.isdisjoint(self._R) and removed.isdisjoint(self._ins)):
-            # The delta named a member of R, so I(R) may differ: re-derive it
-            # from the shared index, no kNN recomputation.  The validation that
-            # follows certifies the held answer against the fresh guard set.
-            started = _CLOCK[0]()
-            self._refresh_ins(changed)
-            self._stats.ins_refreshes += 1
-            incoming = len(self._ins.difference(self._held))
-            if incoming:
-                # New guard objects crossed the server-client boundary:
-                # charge them like a case-(i) incremental fetch so
-                # comm_events stays an honest round-trip count.
-                self._stats.transmitted_objects += incoming
-                self._stats.incremental_updates += 1
-            self._refresh_held()
-            self._stats.construction_seconds += _CLOCK[0]() - started
-        else:
-            # No member of R was named: every member's neighbour list, so
-            # I(R) and the guard set the validation uses, is as it was.  Free.
-            self._stats.absorbed_updates += 1
+        # The delta named a member of R, or removed one of I(R), so I(R) may
+        # differ: re-derive it from the shared index, no kNN recomputation.
+        # The validation that follows certifies the held answer against the
+        # fresh guard set.
+        started = _CLOCK[0]()
+        self._refresh_ins(changed)
+        self._stats.ins_refreshes += 1
+        incoming = len(self._ins.difference(self._held))
+        if incoming:
+            # New guard objects crossed the server-client boundary:
+            # charge them like a case-(i) incremental fetch so
+            # comm_events stays an honest round-trip count.
+            self._stats.transmitted_objects += incoming
+            self._stats.incremental_updates += 1
+        self._refresh_held()
+        self._stats.construction_seconds += _CLOCK[0]() - started
         return None
 
     # ------------------------------------------------------------------

@@ -17,9 +17,9 @@ statistics unless :meth:`MovingKNNProcessor.reset_stats` is called.
 
 A *served* processor also hears about data-object updates: the serving
 engine pushes each epoch's repair delta (``notify_data_update``) or, in its
-``"flag"`` mode, a blanket ``invalidate``.  :class:`DeltaMailbox` only
-accumulates them; a processor that cares empties it on its next timestamp
-(``_take_pending``) — nothing is reconstructed eagerly.
+``"flag"`` mode, a blanket ``invalidate``.  :class:`DeltaMailbox` queues
+them, a processor that cares empties it on its next timestamp
+(``_take_pending``), and one may settle on arrival a delta it would absorb.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ PositionT = TypeVar("PositionT")
 
 
 class DeltaMailbox:
-    """The data-update delta pushed since its holder last settled it: one
+    """The data-update deltas queued since its holder last settled: one
     epoch's frozen pair held by reference, or a merged pair of its own."""
 
     def __init__(self):
@@ -51,17 +51,15 @@ class DeltaMailbox:
 
     @property
     def state_stale(self) -> bool:
-        """True when a data-update delta is pending (settled lazily)."""
+        """True when a data-update delta arrived since the last settle (queued or not)."""
         return self._state_stale
 
     def notify_data_update(self, changed: Iterable[int] = (), removed: Iterable[int] = ()) -> None:
-        """Record a repair delta, kept by reference if none is pending; settled lazily.
+        """Queue a repair delta, kept by reference if none is pending; settled lazily.
 
-        Args:
-            changed: objects whose Voronoi neighbour sets (or cells, or
-                positions) changed — every one of them, not merely the
-                object that moved: exactly what the index's repair reports.
-            removed: objects deleted from the data set.
+        ``changed`` is every object whose Voronoi neighbour set (or cell, or
+        position) changed, exactly what the index's repair reports, not
+        merely the object that moved; ``removed`` the objects deleted.
         """
         pending = self._pending
         if pending is None:
@@ -74,12 +72,9 @@ class DeltaMailbox:
         self._state_stale = True
 
     def invalidate(self) -> None:
-        """Blanket invalidation: force a full refresh on the next timestamp.
-
-        This is the pre-delta contract (every registered query refreshes on
-        every epoch), kept as the serving engine's ``"flag"`` fallback mode
-        and as the oracle of the delta-equivalence tests.
-        """
+        """Blanket invalidation: force a full refresh on the next timestamp —
+        the pre-delta contract (every query refreshes on every epoch), kept as
+        the engine's ``"flag"`` mode and the delta-equivalence tests' oracle."""
         self._force_refresh = True
         self._state_stale = True
 

@@ -114,9 +114,9 @@ class ProcessorStats:
         full_recomputations: full answer + guard recomputations at the server.
         ins_refreshes: guard-set refreshes triggered by data-object updates
             that were absorbed from diagram deltas (no kNN recomputation).
-        absorbed_updates: data-update epochs whose delta missed the client's
-            held pool entirely and therefore cost the client nothing (the
-            free case of the delta-scoped invalidation contract).
+        absorbed_updates: settles (one per timestamp that found deltas
+            pending, however many epochs they span) whose deltas left R and
+            I(R) as they were, so they cost the client nothing.
         transmitted_objects: total data objects sent from server to client
             (the paper's communication cost proxy).
         distance_computations: point-to-point (or network) distance

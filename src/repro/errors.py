@@ -26,8 +26,11 @@ class GeometryError(ReproError):
 
     Examples: building a Voronoi diagram from fewer than three points,
     clipping with a degenerate half-plane, or requesting the circumcircle of
-    collinear points.
+    collinear points.  ``delta`` is None, or for an index update refused
+    part-way the ``(new_indexes, deleted, changed)`` the index differs by.
     """
+
+    delta = None
 
 
 class EmptyDatasetError(ReproError):

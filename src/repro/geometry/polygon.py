@@ -21,7 +21,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from repro.core.objects import immutable
 from repro.errors import GeometryError
 from repro.geometry.point import Point, midpoint
-from repro.geometry.predicates import orientation, orientation_value
+from repro.geometry.predicates import orientation
 from repro.geometry.primitives import BoundingBox, Segment
 
 _AREA_EPSILON = 1e-12
@@ -111,31 +111,6 @@ class ConvexPolygon:
         if box.is_empty:
             return ConvexPolygon.empty()
         return ConvexPolygon(box.corners())
-
-    @staticmethod
-    def convex_hull(points: Iterable[Point]) -> "ConvexPolygon":
-        """Convex hull of a point set (Andrew's monotone chain)."""
-        unique = sorted(set(points))
-        if len(unique) <= 2:
-            return ConvexPolygon(unique)
-
-        def build(chain_points: List[Point]) -> List[Point]:
-            chain: List[Point] = []
-            for p in chain_points:
-                # Use the exact sign of the cross product (not the scaled
-                # tolerance of orientation()): with a tolerance, a point that
-                # is extreme but nearly collinear with its neighbours could be
-                # dropped from the hull.
-                while len(chain) >= 2 and orientation_value(
-                    chain[-2].x, chain[-2].y, chain[-1].x, chain[-1].y, p.x, p.y
-                ) <= 0.0:
-                    chain.pop()
-                chain.append(p)
-            return chain
-
-        lower = build(unique)
-        upper = build(list(reversed(unique)))
-        return ConvexPolygon(lower[:-1] + upper[:-1])
 
     @property
     def vertices(self) -> Tuple[Point, ...]:

@@ -14,8 +14,6 @@ perturbs exactly-cocircular configurations (see
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from repro.geometry.point import Point
 
 #: Default tolerance for treating a determinant as zero.
@@ -77,30 +75,3 @@ def in_circumcircle(
         - ady * (bdx * cd - bd * cdx)
         + ad * (bdx * cdy - bdy * cdx)
     )
-
-
-def point_in_circumcircle(a: Point, b: Point, c: Point, p: Point) -> bool:
-    """True when ``p`` lies strictly inside the circumcircle of CCW triangle ``abc``."""
-    return in_circumcircle(a.x, a.y, b.x, b.y, c.x, c.y, p.x, p.y) > 0.0
-
-
-def circumcenter(a: Point, b: Point, c: Point) -> Point:
-    """Circumcenter of triangle ``abc``.
-
-    Raises:
-        ZeroDivisionError: when the points are exactly collinear (the caller
-            is expected to have filtered degenerate triangles).
-    """
-    d = 2.0 * (a.x * (b.y - c.y) + b.x * (c.y - a.y) + c.x * (a.y - b.y))
-    a2 = a.x * a.x + a.y * a.y
-    b2 = b.x * b.x + b.y * b.y
-    c2 = c.x * c.x + c.y * c.y
-    ux = (a2 * (b.y - c.y) + b2 * (c.y - a.y) + c2 * (a.y - b.y)) / d
-    uy = (a2 * (c.x - b.x) + b2 * (a.x - c.x) + c2 * (b.x - a.x)) / d
-    return Point(ux, uy)
-
-
-def circumcircle(a: Point, b: Point, c: Point) -> Tuple[Point, float]:
-    """Return ``(center, radius)`` of the circumcircle of triangle ``abc``."""
-    center = circumcenter(a, b, c)
-    return center, center.distance_to(a)

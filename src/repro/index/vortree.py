@@ -310,10 +310,11 @@ class VoRTree:
         entire population as long as at least one object survives — a batch
         that would drain every object is rejected up front, before anything
         is mutated.  Small bursts reuse the incremental per-object patching;
-        bursts that touch more than :data:`BULK_REBUILD_FRACTION` of the
-        data set fall back to structural updates followed by a *single*
-        neighbour-map rebuild, which is cheaper than patching object by
-        object.
+        larger ones (over :data:`BULK_REBUILD_FRACTION`) one neighbour-map
+        rebuild, cheaper than patching object by object.  A refused burst
+        raises ``GeometryError``: the per-object steps it had applied are
+        taken back, and the error's ``delta`` says what the tree still
+        differs by (:meth:`_undo_batch`; None when nothing had applied).
 
         Args:
             inserts: points to add.
@@ -327,12 +328,7 @@ class VoRTree:
             delta; every active object on the bulk-rebuild path).
         """
         insert_list = list(inserts)
-        delete_list: List[int] = []
-        seen: Set[int] = set()
-        for index in deletes:
-            if self.is_active(index) and index not in seen:
-                seen.add(index)
-                delete_list.append(index)
+        delete_list = [index for index in dict.fromkeys(deletes) if self.is_active(index)]
         operations = len(insert_list) + len(delete_list)
         if operations == 0:
             return [], [], set()
@@ -341,19 +337,20 @@ class VoRTree:
         bulk_threshold = max(8, int(len(self) * self.BULK_REBUILD_FRACTION))
         if len(self._site_at) > 1 and operations < bulk_threshold:
             changed: Set[int] = set()
-            new_indexes = []
-            for point in insert_list:
-                index, delta = self.insert(point)
-                new_indexes.append(index)
-                changed |= delta
-            deleted = []
-            for index in delete_list:
-                removed, delta = self.delete(index)
-                if removed:
-                    deleted.append(index)
+            new_indexes: List[int] = []
+            try:
+                for point in insert_list:
+                    index, delta = self.insert(point)
+                    new_indexes.append(index)
                     changed |= delta
-            changed -= set(deleted)
-            return new_indexes, deleted, changed
+                for index in delete_list:  # each one active, so each one removed
+                    changed |= self.delete(index)[1]
+            except GeometryError as error:  # a refused operation took itself back
+                deleted = [index for index in delete_list if not self.is_active(index)]
+                if new_indexes or deleted:
+                    error.delta = self._undo_batch(new_indexes, deleted, changed)
+                raise
+            return new_indexes, delete_list, changed - set(delete_list)
         for index in delete_list:
             self._drop_object(index)
         new_indexes = [self._append_object(point) for point in insert_list]
@@ -366,6 +363,28 @@ class VoRTree:
                 self._revive_object(index)
             raise
         return new_indexes, delete_list, set(self.active_indexes())
+
+    def _undo_batch(
+        self, new_indexes: List[int], deleted: List[int], changed: Set[int]
+    ) -> Tuple[List[int], List[int], Set[int]]:
+        """Take a refused batch's applied operations back and rebuild the lists
+        of the population as it was; if that rebuild is refused, they stand.
+        Returns the ``(new_indexes, deleted, changed)`` the tree now differs by
+        from before the batch: every active object's list, or what stood."""
+        appended = [self._points[index] for index in new_indexes]
+        for _ in appended:
+            self._pop_object()
+        for index in deleted:
+            self._revive_object(index)
+        try:
+            self._rebuild_neighbor_map("geometry_error")
+        except GeometryError:
+            for index in deleted:
+                self._drop_object(index)
+            for point in appended:
+                self._append_object(point)
+            return new_indexes, deleted, changed - set(deleted)
+        return [], [], set(self.active_indexes())
 
     def full_rebuild(self) -> None:
         """Recompute the Voronoi neighbour lists from scratch.

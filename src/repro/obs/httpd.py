@@ -15,12 +15,28 @@ standard library's.
 from __future__ import annotations
 
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 
 from repro.obs.metrics import render_prometheus
 
 __all__ = ["MetricsHTTPServer", "start_metrics_http"]
+
+_STOP_SECONDS = 5.0
+
+
+class _ScrapeServer(ThreadingHTTPServer):
+    """Handler threads stay daemons, so a stalled client cannot keep the
+    process alive, and each is kept while it runs, so ``stop`` can wait."""
+
+    handlers: list = []
+
+    def process_request(self, request, address):
+        handler = threading.Thread(target=self.process_request_thread, args=(request, address))
+        handler.daemon = True
+        self.handlers = [thread for thread in self.handlers if thread.is_alive()] + [handler]
+        handler.start()
 
 
 class MetricsHTTPServer:
@@ -51,8 +67,7 @@ class MetricsHTTPServer:
                 pass  # scrapes are routine; keep stderr quiet
 
         self._provider = provider
-        self._server = ThreadingHTTPServer((host, port), Handler)
-        self._server.daemon_threads = True
+        self._server = _ScrapeServer((host, port), Handler)
         self._thread = threading.Thread(
             target=self._server.serve_forever,
             name="insq-metrics-http",
@@ -66,10 +81,13 @@ class MetricsHTTPServer:
         return self._server.server_address[1]
 
     def stop(self) -> None:
-        """Shut the endpoint down and join its serving thread."""
+        """Shut the endpoint down once the scrapes in flight are answered, or
+        after ``_STOP_SECONDS`` in all: a stalled client is abandoned."""
         self._server.shutdown()
         self._server.server_close()
-        self._thread.join(timeout=5.0)
+        deadline = time.monotonic() + _STOP_SECONDS
+        for thread in (self._thread, *self._server.handlers):
+            thread.join(max(0.0, deadline - time.monotonic()))
 
 
 def start_metrics_http(

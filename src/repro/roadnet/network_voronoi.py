@@ -55,11 +55,11 @@ neighbour map — even on uniform grids, where every edge has the same length
 and tie chains are endemic, so the equivalence tests need no tie-tolerant
 escape hatch.
 
-The owner → edges inverted index also turns :meth:`cell_edges` and
-:meth:`cell_length` from O(|E|) scans into O(cell) lookups.  Serving never
-materialises the Theorem 2 region: the validation search reads
-:meth:`vertex_owners` as it relaxes, and :meth:`cell_edges` is the reference
-the tests hold that lookup to.
+The owner → edges inverted index also turns :meth:`cell_edges` from an
+O(|E|) scan into an O(cell) lookup.  Serving never materialises the
+Theorem 2 region: the validation search reads :meth:`vertex_owners` as it
+relaxes, and :meth:`cell_edges` is the reference the tests hold that lookup
+to.
 """
 
 from __future__ import annotations
@@ -657,27 +657,11 @@ class NetworkVoronoiDiagram:
             raise QueryError(f"object {index} does not exist (or was removed)")
         return self._object_vertices[index]
 
-    def vertex_owner(self, vertex_id: int) -> Optional[int]:
-        """Object index owning ``vertex_id`` (None for unreachable vertices)."""
-        return self._vertex_owners.get(vertex_id)
-
-    def vertex_distance(self, vertex_id: int) -> float:
-        """Distance from ``vertex_id`` to its nearest data object."""
-        return self._vertex_distances[vertex_id]
-
-    def edge_ownership(self, edge_id: int) -> Optional[EdgeOwnership]:
-        """Ownership description of ``edge_id`` (None for unreachable edges)."""
-        return self._edge_ownership.get(edge_id)
-
     def neighbors_of(self, object_index: int) -> Set[int]:
         """Network Voronoi neighbours of object ``object_index``."""
         if not self.is_active(object_index):
             raise QueryError(f"object {object_index} does not exist (or was removed)")
         return set(self._neighbor_map[object_index])
-
-    def neighbor_map(self) -> Dict[int, Set[int]]:
-        """A copy of the full object -> neighbour-set mapping (active objects)."""
-        return {index: set(neighbors) for index, neighbors in self._neighbor_map.items()}
 
     def influential_neighbor_set(self, member_indexes: Iterable[int]) -> Set[int]:
         """The INS of a set of objects (Definition 4, network version)."""
@@ -705,19 +689,3 @@ class NetworkVoronoiDiagram:
             if owned:
                 result |= owned
         return result
-
-    def cell_length(self, object_index: int) -> float:
-        """Total network length owned by ``object_index``."""
-        total = 0.0
-        for edge_id in self._owner_edges.get(object_index, ()):
-            ownership = self._edge_ownership[edge_id]
-            edge = self._network.edge(edge_id)
-            if ownership.owner_u == ownership.owner_v:
-                if ownership.owner_u == object_index:
-                    total += edge.length
-            else:
-                if ownership.owner_u == object_index:
-                    total += ownership.border_offset or 0.0
-                if ownership.owner_v == object_index:
-                    total += edge.length - (ownership.border_offset or 0.0)
-        return total

@@ -1,10 +1,12 @@
 """One frozen delta per epoch, shared by every session's mailbox.
 
-The engine freezes each epoch's ``(changed, removed)`` once.  A mailbox with
-nothing pending keeps that pair by reference; only a second epoch arriving
-before its holder settles makes it build a merged pair of its own, which
-later epochs extend in place.  So one epoch copies nothing per session, and
-an idle session holds one pair no larger than the distinct objects named.
+The engine freezes each epoch's ``(changed, removed)`` once.  An INS session
+the epoch misses (``removed`` misses R and I(R), ``changed`` misses R) keeps
+no pair at all, only its stale mark.  A mailbox with nothing pending keeps a
+reaching pair by reference; only a second epoch arriving before its holder
+settles makes it build a merged pair of its own, which later epochs extend
+in place.  So one epoch copies nothing per session, and an idle session
+holds one pair no larger than the distinct objects named.
 """
 
 import dataclasses
@@ -52,36 +54,71 @@ def processor_of(engine, query_id):
     return next(r.processor for r in engine if r.query_id == query_id)
 
 
+def reaches(processor, changed, removed):
+    """Whether a delta meets the session's R, or its I(R) by a removal."""
+    held = set(processor.prefetched_set)
+    return not (changed.isdisjoint(held) and removed.isdisjoint(held | processor.influential_set))
+
+
 class TestOneFrozenDeltaPerEpoch:
-    def test_one_epoch_leaves_the_same_frozensets_in_every_session(self):
+    def test_one_epoch_leaves_the_same_frozensets_in_every_session_it_reaches(self):
         engine, _, _ = served(sessions=6)
-        result = churn(engine, random.Random(1))
-        changed, removed = processors(engine)[0]._pending
-        assert type(changed) is frozenset and type(removed) is frozenset
-        assert changed is result.changed_objects
-        assert removed == set(result.deleted_indexes)
+        # The moved object is session 0's nearest: the epoch reaches it.
+        rng = random.Random(1)
+        victim = processors(engine)[0].prefetched_set[0]
+        result = engine.batch_update(inserts=[anywhere(rng)], moves=[(victim, anywhere(rng))])
+        changed, removed = result.changed_objects, frozenset(result.deleted_indexes)
+        reached = [p for p in processors(engine) if reaches(p, changed, removed)]
+        assert 0 < len(reached) < 6
+        shared = reached[0]._pending
+        assert type(shared[0]) is frozenset and type(shared[1]) is frozenset
+        assert shared[0] is changed and shared[1] == removed
         for processor in processors(engine):
-            assert processor._pending[0] is changed and processor._pending[1] is removed
+            assert processor.state_stale
+            if processor in reached:
+                assert processor._pending[0] is changed and processor._pending[1] is shared[1]
+            else:
+                assert processor._pending is None
 
     def test_the_single_object_mutators_share_their_epoch_too(self):
         engine, _, _ = served(sessions=3)
-        mutations = ((engine.insert_object, Point(10.0, 20.0)), (engine.delete_object, 7))
+        near = processors(engine)[0]
+        # Each mutation lands at session 0: an insert at its position, a delete in its R.
+        mutations = (
+            (engine.insert_object, near.last_position),
+            (engine.delete_object, near.prefetched_set[-1]),
+        )
         for mutate, argument in mutations:
             mutate(argument)
-            pendings = [processor._pending for processor in processors(engine)]
-            assert all(type(part) is frozenset for part in pendings[0])
-            assert all(p[0] is pendings[0][0] and p[1] is pendings[0][1] for p in pendings)
+            assert near._pending is not None
+            shared = near._pending
+            assert all(type(part) is frozenset for part in shared)
             for processor in processors(engine):
+                pair = processor._pending
+                assert pair is None or (pair[0] is shared[0] and pair[1] is shared[1])
+                assert (pair is None) is not reaches(processor, *shared)
                 processor._take_pending()
 
     def test_two_pending_epochs_settle_as_their_union(self):
-        engine, _, _ = served(sessions=3)
+        engine, _, _ = served(sessions=6)
         rng = random.Random(2)
-        first, second = churn(engine, rng), churn(engine, rng)
+        first = engine.batch_update(deletes=[processors(engine)[0].prefetched_set[0]])
+        second = churn(engine, rng)
         frozen = set(first.changed_objects)
-        merged = [processor._pending for processor in processors(engine)]
-        # Each session merged into a pair of its own; the shared epoch is intact.
-        assert len({id(pair[0]) for pair in merged}) == len(merged)
+        epochs = [(d.changed_objects, frozenset(d.deleted_indexes)) for d in (first, second)]
+        merged = []
+        for processor in processors(engine):
+            hit_first, hit_second = (reaches(processor, *epoch) for epoch in epochs)
+            if hit_first:
+                # A pending pair takes the second epoch whether it reaches or not.
+                merged.append(processor._pending)
+            elif hit_second:
+                assert processor._pending[0] is epochs[1][0]
+            else:
+                assert processor._pending is None
+        # Each reached session merged into a pair of its own; the shared epoch is intact.
+        assert merged and len({id(pair[0]) for pair in merged}) == len(merged)
+        assert all(type(part) is set for pair in merged for part in pair)
         assert first.changed_objects == frozen
         processor = processors(engine)[0]
         changed, removed, forced = processor._take_pending()

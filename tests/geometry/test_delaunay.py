@@ -5,6 +5,7 @@ import json
 import math
 
 import pytest
+from voronoi_reference import point_in_circumcircle
 
 from repro.errors import GeometryError
 from repro.geometry.delaunay import (
@@ -13,7 +14,7 @@ from repro.geometry.delaunay import (
     delaunay_neighbors,
 )
 from repro.geometry.point import Point
-from repro.geometry.predicates import orientation, point_in_circumcircle
+from repro.geometry.predicates import orientation
 from repro.workloads.datasets import uniform_points
 
 

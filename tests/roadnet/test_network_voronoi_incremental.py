@@ -23,6 +23,7 @@ import random
 
 import pytest
 from rebuild_reference import DIAGRAMS, RebuildingNetworkVoronoiDiagram
+import network_voronoi_reference as nvd
 
 from repro.errors import EmptyDatasetError, QueryError
 from repro.roadnet.generators import grid_network, place_objects, random_planar_network
@@ -72,13 +73,13 @@ def assert_matches_oracle(diagram, network):
         expected_distance = oracle._vertex_distances.get(vertex, math.inf)
         actual_distance = diagram._vertex_distances.get(vertex, math.inf)
         assert actual_distance == pytest.approx(expected_distance, abs=1e-9), vertex
-        oracle_owner = oracle.vertex_owner(vertex)
+        oracle_owner = nvd.vertex_owner(oracle, vertex)
         expected_owner = None if oracle_owner is None else remap[oracle_owner]
-        assert diagram.vertex_owner(vertex) == expected_owner, vertex
+        assert nvd.vertex_owner(diagram, vertex) == expected_owner, vertex
     # Edge ownership (and split borders).
     for edge in network.edges():
-        mine = diagram.edge_ownership(edge.edge_id)
-        theirs = oracle.edge_ownership(edge.edge_id)
+        mine = nvd.edge_ownership(diagram, edge.edge_id)
+        theirs = nvd.edge_ownership(oracle, edge.edge_id)
         if theirs is None:
             assert mine is None
             continue
@@ -92,14 +93,14 @@ def assert_matches_oracle(diagram, network):
     # The lifted object-level neighbour map.
     oracle_map = {
         remap[position]: {remap[other] for other in neighbors}
-        for position, neighbors in oracle.neighbor_map().items()
+        for position, neighbors in nvd.neighbor_map(oracle).items()
     }
-    assert diagram.neighbor_map() == oracle_map
+    assert nvd.neighbor_map(diagram) == oracle_map
     # Per-object cells from the inverted index (representatives included).
     for index in diagram.active_object_indexes():
         assert diagram.cell_edges({index}) == oracle.cell_edges({reverse[index]}), index
-        assert diagram.cell_length(index) == pytest.approx(
-            oracle.cell_length(reverse[index]), abs=1e-6
+        assert nvd.cell_length(diagram, index) == pytest.approx(
+            nvd.cell_length(oracle, reverse[index]), abs=1e-6
         )
 
 
@@ -138,7 +139,7 @@ class TestGridEquivalence:
         objects = place_objects(network, 9, seed=77)
         diagram = NetworkVoronoiDiagram(network, objects)
         apply_random_stream(diagram, network, rng, steps=80)
-        total = sum(diagram.cell_length(i) for i in diagram.active_object_indexes())
+        total = sum(nvd.cell_length(diagram, i) for i in diagram.active_object_indexes())
         assert total == pytest.approx(network.total_length)
 
 
@@ -156,7 +157,7 @@ class TestDeltaContract:
         )
         objects = place_objects(network, 10, seed=seed + 30)
         diagram = NetworkVoronoiDiagram(network, objects)
-        shadow = diagram.neighbor_map()
+        shadow = nvd.neighbor_map(diagram)
         for step in range(150):
             op = rng.random()
             active = diagram.active_object_indexes()
@@ -168,7 +169,7 @@ class TestDeltaContract:
                 changed = diagram.remove_object(removed)
             else:
                 changed = diagram.move_object(rng.choice(active), rng.choice(network.vertices()))
-            now = diagram.neighbor_map()
+            now = nvd.neighbor_map(diagram)
             for index, neighbors in now.items():
                 if shadow.get(index) != neighbors:
                     assert index in changed, (step, index)
@@ -190,7 +191,7 @@ class TestColocatedObjects:
         assert index in changed and 0 in changed
         # The co-located object owns nothing itself (the representative does).
         assert diagram.cell_edges({index}) == set()
-        assert diagram.cell_length(index) == 0.0
+        assert nvd.cell_length(diagram, index) == 0.0
 
     def test_remove_non_representative_keeps_the_cell(self):
         network = grid_network(4, 4, spacing=10.0)
@@ -208,7 +209,7 @@ class TestColocatedObjects:
         diagram.remove_object(0)
         # Object 1 inherits the cell (re-fought under its own label) and
         # the adjacency; the result must match a from-scratch build.
-        assert diagram.vertex_owner(0) == 1
+        assert nvd.vertex_owner(diagram, 0) == 1
         assert 2 in diagram.neighbors_of(1)
         assert_matches_oracle(diagram, network)
 
@@ -221,11 +222,11 @@ class TestColocatedObjects:
         diagram.move_object(0, 6)  # object 0 joins object 3's vertex
         group = diagram._vertex_objects[6]
         assert group == [0, 3]
-        assert diagram.vertex_owner(6) == 0
+        assert nvd.vertex_owner(diagram, 6) == 0
         assert_matches_oracle(diagram, network)
         # And leaving again re-fights the cell under the successor's label.
         diagram.move_object(0, 24)
-        assert diagram.vertex_owner(6) == 3
+        assert nvd.vertex_owner(diagram, 6) == 3
         assert_matches_oracle(diagram, network)
 
     def test_move_between_shared_vertices_matches_oracle(self):
@@ -289,7 +290,7 @@ class TestMaintenanceModes:
                     diagram.move_object(operation[1], operation[2])
             assert incremental._vertex_owners == rebuild._vertex_owners, operation
             assert incremental._vertex_distances == rebuild._vertex_distances, operation
-            assert incremental.neighbor_map() == rebuild.neighbor_map(), operation
+            assert nvd.neighbor_map(incremental) == nvd.neighbor_map(rebuild), operation
             for index in incremental.active_object_indexes():
                 assert incremental.cell_edges({index}) == rebuild.cell_edges({index})
 
@@ -386,9 +387,9 @@ class TestBatchUpdate:
             diagram.batch_update(inserts, deletes, moves)
             assert len(builds) == above
             assert_matches_oracle(diagram, network)
-            owners, neighbors = dict(diagram._vertex_owners), diagram.neighbor_map()
+            owners, neighbors = dict(diagram._vertex_owners), nvd.neighbor_map(diagram)
             diagram.full_rebuild()
-            assert (diagram._vertex_owners, diagram.neighbor_map()) == (owners, neighbors)
+            assert (diagram._vertex_owners, nvd.neighbor_map(diagram)) == (owners, neighbors)
 
     def test_draining_batch_is_rejected(self):
         network = grid_network(3, 3)

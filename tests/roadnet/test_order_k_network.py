@@ -3,6 +3,7 @@
 import math
 
 import pytest
+import network_voronoi_reference as nvd
 
 from repro.errors import QueryError
 from repro.geometry.point import Point
@@ -91,7 +92,7 @@ class TestDecomposition:
         decomposition = order_k_edge_decomposition(network, objects, 1, precomputed=precomputed)
         diagram = NetworkVoronoiDiagram(network, objects)
         for edge in network.edges():
-            ownership = diagram.edge_ownership(edge.edge_id)
+            ownership = nvd.edge_ownership(diagram, edge.edge_id)
             intervals = decomposition[edge.edge_id]
             interval_owner_vertices = {
                 objects[next(iter(i.members))] for i in intervals

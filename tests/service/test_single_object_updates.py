@@ -15,6 +15,7 @@ in process and durably.
 import random
 
 import pytest
+import network_voronoi_reference as nvd
 
 from repro.core.engine import BatchUpdateResult
 from repro.core.road_server import MovingRoadKNNServer
@@ -117,8 +118,8 @@ def edge_structure(metric, engine):
             {i: set(index.voronoi_neighbors(i)) for i in index.active_indexes()},
         )
     return (
-        {edge.edge_id: index.edge_ownership(edge.edge_id) for edge in ROAD_NETWORK.edges()},
-        index.neighbor_map(),
+        {edge.edge_id: nvd.edge_ownership(index, edge.edge_id) for edge in ROAD_NETWORK.edges()},
+        nvd.neighbor_map(index),
     )
 
 
