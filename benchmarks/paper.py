@@ -46,7 +46,7 @@ from repro.simulation.report import format_table
 from repro.simulation.server_sim import run_methods
 from repro.trajectory.road import network_random_walk
 from repro.workloads.scenarios import (
-    RoadScenario,
+    Scenario,
     default_euclidean_scenario,
     default_road_scenario,
     fig4_scenario,
@@ -90,14 +90,15 @@ def _plane(key: str, values, methods=EUCLIDEAN_METHODS, **fixed) -> List[tuple]:
     ]
 
 
-def _planar(k: int, steps: int) -> RoadScenario:
+def _planar(k: int, steps: int) -> Scenario:
     network = random_planar_network(250, extent=5_000.0, seed=65)
-    return RoadScenario(
+    return Scenario(
         name=f"planar250-n60-k{k}",
+        metric="road",
+        objects=place_objects(network, 60, seed=66),
         network=network,
-        object_vertices=place_objects(network, 60, seed=66),
-        trajectory=network_random_walk(network, steps=steps, step_length=60.0, seed=67),
-        k=k,
+        trajectories=[network_random_walk(network, steps=steps, step_length=60.0, seed=67)],
+        ks=[k],
         rho=1.6,
         step_length=60.0,
     )
@@ -165,12 +166,12 @@ def _serve(scenario, methods: Dict[str, tuple]) -> Dict[str, Dict[str, object]]:
     measured = {}
     with registered(*baseline_kinds(scenario.step_length)):
         for incremental in sorted({spec[2] for spec in methods.values()}):
-            if isinstance(scenario, RoadScenario):
-                engine = MovingRoadKNNServer(scenario.network, scenario.object_vertices)
+            if scenario.metric == "road":
+                engine = MovingRoadKNNServer(scenario.network, scenario.objects)
             else:
-                engine = MovingKNNServer(scenario.points, allow_incremental=incremental)
-            measured.update(run_methods(engine, scenario.trajectory, {
-                method: (kind, scenario.k, scenario.rho if rho is None else rho)
+                engine = MovingKNNServer(scenario.objects, allow_incremental=incremental)
+            measured.update(run_methods(engine, scenario.trajectories[0], {
+                method: (kind, scenario.ks[0], scenario.rho if rho is None else rho)
                 for method, (kind, rho, flag) in methods.items() if flag == incremental}))
     return measured
 

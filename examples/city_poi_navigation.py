@@ -26,39 +26,43 @@ from repro.simulation.report import format_table
 from repro.simulation.server_sim import run_methods
 from repro.trajectory.euclidean import random_waypoint_trajectory
 from repro.workloads.datasets import clustered_points, data_space
-from repro.workloads.scenarios import EuclideanScenario
+from repro.workloads.scenarios import Scenario
 
 
-def build_scenario() -> EuclideanScenario:
+def build_scenario() -> Scenario:
     """A clustered-POI city with a 15-minute walking trajectory."""
     extent = 10_000.0  # a 10 km x 10 km city
     points = clustered_points(3_000, clusters=12, extent=extent, seed=21)
     trajectory = random_waypoint_trajectory(
         data_space(extent), steps=400, step_length=20.0, seed=22
     )
-    return EuclideanScenario(
+    return Scenario(
         name="city-poi-walk",
-        points=points,
-        trajectory=trajectory,
-        k=5,
+        metric="euclidean",
+        objects=points,
+        network=None,
+        trajectories=[trajectory],
+        ks=[5],
         rho=1.6,
         step_length=20.0,
+        extent=extent,
     )
 
 
 def main() -> None:
     scenario = build_scenario()
-    print(f"scenario: {scenario.name}  (n={len(scenario.points)}, k={scenario.k}, "
+    [k] = scenario.ks
+    print(f"scenario: {scenario.name}  (n={len(scenario.objects)}, k={k}, "
           f"{scenario.timestamps} timestamps)")
     print()
 
-    engine = MovingKNNServer(scenario.points)
+    engine = MovingKNNServer(scenario.objects)
     methods = {
-        name: (kind, scenario.k, scenario.rho)
+        name: (kind, k, scenario.rho)
         for name, kind in METHOD_KINDS["euclidean"].items()
     }
     with registered(*baseline_kinds(scenario.step_length)):
-        runs = run_methods(engine, scenario.trajectory, methods)
+        runs = run_methods(engine, scenario.trajectories[0], methods)
     columns = (
         "method", "full_recomputations", "local_reorders", "transmitted_objects",
         "distance_computations", "validation_seconds", "construction_seconds",

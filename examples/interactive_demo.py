@@ -36,9 +36,10 @@ def main() -> None:
     arguments = parser.parse_args()
 
     scenario = fig4_scenario()
-    engine = MovingKNNServer(scenario.points)
+    [trajectory] = scenario.trajectories
+    engine = MovingKNNServer(scenario.objects)
     query = {"INS": ("knn", arguments.k, arguments.rho)}
-    run = run_methods(engine, scenario.trajectory, query)["INS"]
+    run = run_methods(engine, trajectory, query)["INS"]
     answers = run["answers"]
 
     if arguments.all:
@@ -50,11 +51,11 @@ def main() -> None:
 
     for timestamp in frames:
         result = answers[timestamp]
-        position = scenario.trajectory[timestamp]
+        position = trajectory[timestamp]
         print(result.describe())
         print(
             render_plane_state(
-                scenario.points,
+                scenario.objects,
                 position,
                 result.knn,
                 result.guard_objects,

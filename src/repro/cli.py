@@ -17,7 +17,11 @@ Two more subcommands exercise the serving system itself:
   (optionally over a real ``--transport``) and report the communication
   bill: messages, objects and — over a transport — measured bytes, per the
   paper's headline metric; ``--per-session`` adds the per-session
-  breakdown.  With
+  breakdown.  The workload options build one
+  :class:`~repro.workloads.scenarios.Scenario`; ``serve`` opens the
+  service itself (durable under ``--wal-dir``), mounts the metrics
+  surfaces on it and replays the scenario with
+  ``simulate_server(scenario, service, ...)``.  With
   ``--listen HOST:PORT`` (or ``--listen unix:PATH``) it instead *hosts*
   the service behind a socket for remote ``insq client`` processes.
 * ``client`` — connect to a listening server, drive query sessions over
@@ -65,9 +69,8 @@ from itertools import accumulate
 from typing import List, Optional, Sequence
 
 from repro.errors import ConfigurationError
-from repro.core.road_server import MovingRoadKNNServer
-from repro.core.server import MovingKNNServer
 from repro.core.stats import CommunicationStats
+from repro.service import open_service
 from repro.simulation.report import format_table
 from repro.simulation.server_sim import run_methods, simulate_server
 from repro.viz.ascii_network import render_network_state
@@ -291,18 +294,22 @@ def _print_demo(run, frames: int, render) -> None:
 
 def _run_demo_plane(args: argparse.Namespace) -> int:
     scenario = fig4_scenario()
-    engine = MovingKNNServer(scenario.points)
-    run = run_methods(engine, scenario.trajectory, {"INS": ("knn", args.k, args.rho)})["INS"]
+    [trajectory] = scenario.trajectories
+    engine = open_service(scenario.metric, scenario.objects, scenario.network).engine
+    run = run_methods(engine, trajectory, {"INS": ("knn", args.k, args.rho)})["INS"]
     _print_demo(run, args.frames, lambda result: render_plane_state(
-        scenario.points, scenario.trajectory[result.timestamp], result.knn, result.guard_objects
+        scenario.objects, trajectory[result.timestamp], result.knn, result.guard_objects
     ))
     return 0
+
+
 def _run_demo_road(args: argparse.Namespace) -> int:
     scenario = default_road_scenario(k=args.k, rho=args.rho)
-    engine = MovingRoadKNNServer(scenario.network, scenario.object_vertices)
-    run = run_methods(engine, scenario.trajectory, {"INS-road": ("knn", args.k, args.rho)})
+    [trajectory] = scenario.trajectories
+    engine = open_service(scenario.metric, scenario.objects, scenario.network).engine
+    run = run_methods(engine, trajectory, {"INS-road": ("knn", args.k, args.rho)})
     _print_demo(run["INS-road"], args.frames, lambda result: render_network_state(
-        scenario.network, scenario.object_vertices, scenario.trajectory[result.timestamp],
+        scenario.network, scenario.objects, trajectory[result.timestamp],
         result.knn, result.guard_objects,
     ))
     return 0
@@ -328,18 +335,17 @@ def _run_compare(args: argparse.Namespace) -> int:
             object_count=args.n if args.n is not None else 2000,
             k=args.k, rho=args.rho, steps=args.steps,
         )
-        engine = MovingKNNServer(scenario.points)
     else:
         scenario = default_road_scenario(
             object_count=args.n if args.n is not None else 40,
             k=args.k, rho=args.rho, steps=args.steps,
         )
-        engine = MovingRoadKNNServer(scenario.network, scenario.object_vertices)
+    engine = open_service(scenario.metric, scenario.objects, scenario.network).engine
     methods = {
-        name: (kind, args.k, args.rho) for name, kind in METHOD_KINDS[engine.metric].items()
+        name: (kind, args.k, args.rho) for name, kind in METHOD_KINDS[scenario.metric].items()
     }
     with registered(*baseline_kinds(scenario.step_length)):
-        rows = run_methods(engine, scenario.trajectory, methods).values()
+        rows = run_methods(engine, scenario.trajectories[0], methods).values()
     print(format_table(list(rows), columns=_COMPARE_COLUMNS, title=f"comparison on {scenario.name}"))
     return 0
 
@@ -414,13 +420,12 @@ def _watch_line(snapshot) -> str:
     return line
 
 
-def _metrics_hook(args: argparse.Namespace):
-    """Build the ``serving_hook`` mounting the requested metrics surfaces.
+def _mount_metrics(args: argparse.Namespace, service):
+    """Mount the metrics surfaces the flags ask for on the live ``service``.
 
-    Returns None when no observability flag asks for one.  The hook
-    receives the live :class:`~repro.service.service.KNNService` and
-    returns a cleanup that (after an optional ``--linger``) tears every
-    surface down again.
+    Returns a cleanup that (after an optional ``--linger``) tears every
+    surface down again; it does nothing when no observability flag asked
+    for one.
     """
     wants = (
         args.metrics_port is not None
@@ -428,60 +433,54 @@ def _metrics_hook(args: argparse.Namespace):
         or args.watch is not None
     )
     if not wants:
-        return None
+        return lambda: None
+    from repro.transport.server import MetricsListener, metrics_snapshot_frame
 
-    def hook(service):
-        from repro.transport.server import MetricsListener, metrics_snapshot_frame
+    def provider():
+        return metrics_snapshot_frame(service)
 
-        def provider():
-            return metrics_snapshot_frame(service)
+    cleanups = []
+    if args.metrics_port is not None:
+        from repro.obs.httpd import start_metrics_http
 
-        cleanups = []
-        if args.metrics_port is not None:
-            from repro.obs.httpd import start_metrics_http
+        httpd = start_metrics_http(provider, port=args.metrics_port)
+        print(
+            f"metrics endpoint        : http://127.0.0.1:{httpd.port}/metrics",
+            flush=True,
+        )
+        cleanups.append(httpd.stop)
+    if args.stats_port is not None:
+        listener = MetricsListener(provider, port=args.stats_port)
+        host, port = listener.address
+        print(
+            f"stats endpoint          : {host}:{port}  "
+            f"(scrape with: insq stats {host}:{port})",
+            flush=True,
+        )
+        cleanups.append(listener.stop)
+    if args.watch is not None and args.watch > 0:
+        stop = threading.Event()
 
-            httpd = start_metrics_http(provider, port=args.metrics_port)
-            print(
-                f"metrics endpoint        : http://127.0.0.1:{httpd.port}/metrics",
-                flush=True,
-            )
-            cleanups.append(httpd.stop)
-        if args.stats_port is not None:
-            listener = MetricsListener(provider, port=args.stats_port)
-            host, port = listener.address
-            print(
-                f"stats endpoint          : {host}:{port}  "
-                f"(scrape with: insq stats {host}:{port})",
-                flush=True,
-            )
-            cleanups.append(listener.stop)
-        if args.watch is not None and args.watch > 0:
-            stop = threading.Event()
+        def _watch_loop():
+            while not stop.wait(args.watch):
+                print(_watch_line(provider()), flush=True)
 
-            def _watch_loop():
-                while not stop.wait(args.watch):
-                    print(_watch_line(provider()), flush=True)
+        watcher = threading.Thread(target=_watch_loop, name="insq-watch", daemon=True)
+        watcher.start()
 
-            watcher = threading.Thread(
-                target=_watch_loop, name="insq-watch", daemon=True
-            )
-            watcher.start()
+        def _stop_watch():
+            stop.set()
+            watcher.join(timeout=5.0)
 
-            def _stop_watch():
-                stop.set()
-                watcher.join(timeout=5.0)
+        cleanups.append(_stop_watch)
 
-            cleanups.append(_stop_watch)
+    def cleanup():
+        if args.linger and args.linger > 0:
+            time.sleep(args.linger)
+        for teardown in reversed(cleanups):
+            teardown()
 
-        def cleanup():
-            if args.linger and args.linger > 0:
-                time.sleep(args.linger)
-            for teardown in reversed(cleanups):
-                teardown()
-
-        return cleanup
-
-    return hook
+    return cleanup
 
 
 def _print_per_session(per_session) -> None:
@@ -537,19 +536,40 @@ def _run_serve(args: argparse.Namespace) -> int:
             print(f"trace                   : {count} span(s) -> {args.trace}")
 
 
-def _serve_simulate(args: argparse.Namespace, scenario) -> int:
-    run = simulate_server(
-        scenario,
-        invalidation=args.invalidation,
-        check_answers=args.check,
-        transport=None if args.transport == "local" else args.transport,
-        wal_dir=args.wal_dir,
-        snapshot_every=args.snapshot_every,
-        wal_fsync=args.fsync,
-        wal_segment_bytes=args.segment_bytes,
-        serving_hook=_metrics_hook(args),
-        step_delay=args.step_delay,
+def _open_fresh_service(args: argparse.Namespace, scenario):
+    """The service ``serve`` starts on the scenario's objects: durable,
+    on a fresh write-ahead log, under ``--wal-dir``."""
+    if args.wal_dir is None:
+        return open_service(
+            scenario.metric, scenario.objects, scenario.network, args.invalidation
+        )
+    from repro.durability import open_durable_service
+
+    return open_durable_service(
+        args.wal_dir, scenario.metric, scenario.objects, scenario.network,
+        args.invalidation, fsync=args.fsync, snapshot_every=args.snapshot_every,
+        segment_bytes=args.segment_bytes,
     )
+
+
+def _serve_simulate(args: argparse.Namespace, scenario) -> int:
+    service = _open_fresh_service(args, scenario)
+    unmount = _mount_metrics(args, service)
+    try:
+        run = simulate_server(
+            scenario,
+            service,
+            check_answers=args.check,
+            transport=args.transport,
+            step_delay=args.step_delay,
+        )
+    finally:
+        unmount()
+        if args.wal_dir is not None:
+            # Release the log without logging goodbyes: the sessions stay
+            # open in it, so the run's durable state can be recovered (and
+            # re-attached to) afterwards.
+            service.close_wal()
     stats = run.aggregate
     print(f"scenario                : {run.scenario}")
     print(f"sessions x timestamps   : {len(run.results)} x {run.timestamps}")
@@ -586,45 +606,25 @@ def _serve_listen(args: argparse.Namespace, scenario) -> int:
     process on the same ``--wal-dir`` adopts the sessions, which is one
     step of a rolling restart.
     """
-    from repro.service import KNNService
+    from repro.durability import has_durable_state, recover_service
     from repro.transport import KNNServer, parse_endpoint
 
-    adopt = False
-    if args.wal_dir is not None:
-        from repro.durability import (
-            DurableKNNService,
-            has_durable_state,
-            recover_service,
+    adopt = args.wal_dir is not None and has_durable_state(args.wal_dir)
+    if adopt:
+        service = recover_service(
+            args.wal_dir,
+            snapshot_every=args.snapshot_every,
+            segment_bytes=args.segment_bytes,
+            wire_billing=True,
+            fsync=args.fsync,
         )
-
-        if has_durable_state(args.wal_dir):
-            service = recover_service(
-                args.wal_dir,
-                snapshot_every=args.snapshot_every,
-                segment_bytes=args.segment_bytes,
-                wire_billing=True,
-                fsync=args.fsync,
-            )
-            adopt = True
-            print(
-                f"recovered {service.metric} state from {args.wal_dir}: "
-                f"epoch {service.epoch}, {len(service.sessions())} open "
-                "session(s) adopted"
-            )
-        else:
-            fresh = KNNService.from_scenario(
-                scenario, invalidation=args.invalidation
-            )
-            service = DurableKNNService(
-                fresh.engine,
-                args.wal_dir,
-                snapshot_every=args.snapshot_every,
-                segment_bytes=args.segment_bytes,
-                wire_billing=True,
-                fsync=args.fsync,
-            )
+        print(
+            f"recovered {service.metric} state from {args.wal_dir}: "
+            f"epoch {service.epoch}, {len(service.sessions())} open "
+            "session(s) adopted"
+        )
     else:
-        service = KNNService.from_scenario(scenario, invalidation=args.invalidation)
+        service = _open_fresh_service(args, scenario)
     endpoint = parse_endpoint(args.listen)
     if isinstance(endpoint, str):
         server = KNNServer(service, path=endpoint, adopt_sessions=adopt)
@@ -648,8 +648,7 @@ def _serve_listen(args: argparse.Namespace, scenario) -> int:
             printable = address if isinstance(address, str) else f"{address[0]}:{address[1]}"
             print(f"serving {args.metric} ({service.object_count} objects) on {printable}")
             print("drive it with: insq client --connect", printable, flush=True)
-            hook = _metrics_hook(args)
-            hook_cleanup = hook(service) if hook is not None else None
+            unmount = _mount_metrics(args, service)
             try:
                 try:
                     if args.duration is not None:
@@ -671,8 +670,7 @@ def _serve_listen(args: argparse.Namespace, scenario) -> int:
                         "re-adoption"
                     )
             finally:
-                if callable(hook_cleanup):
-                    hook_cleanup()
+                unmount()
             print("communication bill")
             _print_communication(service.communication)
             _print_by_kind(service.engine.communication_by_kind())

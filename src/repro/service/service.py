@@ -1,7 +1,6 @@
 """The metric-agnostic front door of the serving system.
 
-One factory serves both spaces: :func:`open_service` (or
-:meth:`KNNService.from_scenario`) hides which
+One factory serves both spaces: :func:`open_service` hides which
 :class:`~repro.core.engine.ServingEngine` subclass answers the queries —
 callers say *what* they have (points on a plane, or objects on a road
 network) and get back the same :class:`KNNService` API either way::
@@ -51,10 +50,10 @@ METRICS = ("euclidean", "road")
 class KNNService:
     """Metric-agnostic moving-kNN serving facade over one engine.
 
-    Build one with :func:`open_service` / :meth:`from_scenario` (the
-    factories pick and construct the backing engine), or wrap an existing
-    engine directly — useful when a benchmark wants to drive a
-    pre-configured server through the session API.
+    Build one with :func:`open_service` (it picks and constructs the
+    backing engine), or wrap an existing engine directly — useful when a
+    benchmark wants to drive a pre-configured server through the session
+    API.
 
     Args:
         engine: the backing :class:`MovingKNNServer` or
@@ -70,37 +69,6 @@ class KNNService:
         self._engine = engine
         self._sessions: Dict[int, Session] = {}
         self._closed = False
-
-    # ------------------------------------------------------------------
-    # Factories
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_scenario(cls, scenario, invalidation: str = "delta") -> "KNNService":
-        """Open the matching service for any workload scenario.
-
-        Accepts all four scenario flavours
-        (:class:`~repro.workloads.scenarios.EuclideanScenario`,
-        :class:`~repro.workloads.scenarios.RoadScenario` and their
-        multi-query server variants) — anything exposing a ``metric`` (or,
-        failing that, either ``points`` for the plane or ``network`` +
-        ``object_vertices`` for a road network).
-        """
-        metric = getattr(scenario, "metric", None)
-        if metric == "road" or (metric is None and hasattr(scenario, "network")):
-            return open_service(
-                metric="road",
-                objects=scenario.object_vertices,
-                network=scenario.network,
-                invalidation=invalidation,
-            )
-        if metric == "euclidean" or hasattr(scenario, "points"):
-            return open_service(
-                metric="euclidean", objects=scenario.points, invalidation=invalidation
-            )
-        raise ConfigurationError(
-            f"{type(scenario).__name__} is not a recognised scenario: it has "
-            "neither 'points' nor 'network'/'object_vertices'"
-        )
 
     # ------------------------------------------------------------------
     # Introspection

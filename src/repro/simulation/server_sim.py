@@ -18,15 +18,15 @@ traffic" shape of the system: many clients, one index, continuous churn.
 :func:`~repro.workloads.scenarios.update_stream` computes every
 :class:`~repro.service.messages.UpdateBatch` (and the object indexes it must
 create) from the scenario alone, and the trajectories are the scenario's.
-The front door is built per transport — a
-:class:`~repro.service.service.KNNService` (durable with ``wal_dir``) in
-process, or the same service behind a loopback
+It serves the :class:`~repro.service.service.KNNService` it is given (in
+memory or durable), or :func:`~repro.service.service.open_service` on the
+scenario's objects — in process, or behind a loopback
 :class:`~repro.transport.server.KNNServer` reached through
 :func:`~repro.transport.client.connect` (``"tcp"``/``"unix"``; the
-counters then include real wire bytes) — and then one loop replays the
-stream through it: open the sessions, and per timestamp apply that
-timestamp's batch (checking the engine created exactly the indexes the
-stream predicts), then advance every session.  The transports are drop-in
+counters then include real wire bytes) — and one loop replays the stream
+through it: open the sessions, and per timestamp apply that timestamp's
+batch (checking the engine created exactly the indexes the stream
+predicts), then advance every session.  The transports are drop-in
 by construction, so every front door returns bit-identical answers and
 identical message/object counters — the equivalence suite in
 ``tests/transport/`` holds that together.
@@ -49,24 +49,16 @@ import shutil
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.core.engine import ServingEngine
 from repro.core.objects import QueryResult
-from repro.core.road_server import MovingRoadKNNServer
-from repro.core.server import MovingKNNServer
 from repro.core.stats import CommunicationStats, ProcessorStats
 from repro.obs.clock import clock as _clock
 from repro.roadnet.shortest_path import distances_from_location
-from repro.service import KNNService, UpdateBatch
-from repro.workloads.scenarios import (
-    EuclideanServerScenario,
-    RoadServerScenario,
-    update_stream,
-)
-
-ServerScenario = Union[EuclideanServerScenario, RoadServerScenario]
+from repro.service import KNNService, UpdateBatch, open_service
+from repro.workloads.scenarios import Scenario, update_stream
 
 
 def run_methods(
@@ -149,7 +141,7 @@ def check_knn_answer(
 
 @dataclass
 class ServerRun:
-    """The outcome of driving one service through one server scenario.
+    """The outcome of driving one service through one scenario.
 
     Attributes:
         scenario: the scenario name.
@@ -162,9 +154,8 @@ class ServerRun:
         communication: messages and objects exchanged over the wire during
             the run (registration included, session teardown excluded —
             the sessions are still open when the run is read out).
-        elapsed_seconds: wall-clock time of the whole run (index
-            construction excluded, update stream included, a
-            ``serving_hook``'s cleanup excluded).
+        elapsed_seconds: wall-clock time of the whole run (the service's
+            construction excluded, update stream included).
         mismatches: ``(timestamp, query_id)`` pairs whose reported answer
             was provably wrong against the brute-force oracle (only
             populated when ``check_answers=True``).
@@ -202,15 +193,6 @@ class ServerRun:
         return not self.mismatches
 
 
-def build_server(scenario: ServerScenario, invalidation: str = "delta"):
-    """Construct the matching (empty) server engine for a server scenario."""
-    if isinstance(scenario, EuclideanServerScenario):
-        return MovingKNNServer(scenario.points, invalidation=invalidation)
-    return MovingRoadKNNServer(
-        scenario.network, scenario.object_vertices, invalidation=invalidation
-    )
-
-
 def _advance_model(
     model: Dict[int, Any], batch: UpdateBatch, new_indexes: Tuple[int, ...], road: bool
 ) -> None:
@@ -228,7 +210,7 @@ def _advance_model(
 
 
 def _model_distances(
-    scenario: ServerScenario, model: Dict[int, Any], position: Any
+    scenario: Scenario, model: Dict[int, Any], position: Any
 ) -> Dict[int, float]:
     """Every modelled object's distance from ``position`` (brute force)."""
     if scenario.metric == "euclidean":
@@ -238,15 +220,10 @@ def _model_distances(
 
 
 def simulate_server(
-    scenario: ServerScenario,
-    invalidation: str = "delta",
+    scenario: Scenario,
+    service: Optional[KNNService] = None,
     check_answers: bool = False,
-    transport: Optional[str] = None,
-    wal_dir: Optional[str] = None,
-    snapshot_every: Optional[int] = None,
-    wal_fsync: Optional[str] = None,
-    wal_segment_bytes: Optional[int] = None,
-    serving_hook=None,
+    transport: str = "local",
     step_delay: float = 0.0,
 ) -> ServerRun:
     """Drive M concurrent query streams interleaved with the update stream.
@@ -258,36 +235,24 @@ def simulate_server(
     and its answer is recorded (and, with ``check_answers=True``, verified
     against a brute-force oracle over the current population, tie-aware).
 
+    The run leaves ``service`` as it ends: its sessions stay open.  Over a
+    socket the loopback server is drained (the sessions are parked, not
+    closed, and a durable service is checkpointed and its log released),
+    so no goodbye lands on the bill after the run has been read out.
+
     Args:
-        scenario: a Euclidean or road server scenario.
-        invalidation: ``"delta"`` (delta-scoped invalidation, the default)
-            or ``"flag"`` (blanket refresh-everyone fallback).
+        scenario: the run to replay.
+        service: the service to serve it on — fresh: no session opened and
+            no data epoch applied yet, holding the scenario's objects.
+            ``None`` opens :func:`~repro.service.service.open_service` on
+            the scenario (delta invalidation, in memory).
         check_answers: verify every reported answer against brute force
             over the oracle's own model of the population (any transport).
-        transport: ``None``/``"local"`` for in-process serving,
-            ``"tcp"``/``"unix"`` to serve the run through a loopback
+        transport: ``"local"`` for in-process serving, ``"tcp"``/``"unix"``
+            to serve the run through a loopback
             :class:`~repro.transport.server.KNNServer` socket (sessions
             become :class:`~repro.transport.client.RemoteSession` handles
             and the counters gain real wire bytes).
-        wal_dir: when set, the run is served durably — every
-            state-changing exchange is appended to a write-ahead log under
-            this directory, recoverable afterwards with
-            :func:`repro.durability.recover_service`.
-        snapshot_every: checkpoint the durable engine every this many WAL
-            records (``None`` keeps the initial snapshot and replays the
-            whole log on recovery).
-        wal_fsync: WAL fsync policy (``"always"``/``"group"``/``"batch"``/
-            ``"off"``); ``None`` keeps the durable service's default,
-            ``"batch"``.
-        wal_segment_bytes: rotate the WAL into sealed segments at roughly
-            this size (``None`` keeps one growing file).
-        serving_hook: optional callable invoked once the run's serving
-            side exists, with the live :class:`~repro.service.service.
-            KNNService`.  Whatever it returns, if callable,
-            runs as cleanup after the workload has been read out (before
-            teardown, outside ``elapsed_seconds``).  The CLI mounts its
-            scrape endpoints through this seam — the workload loop itself
-            never changes.
         step_delay: sleep this many seconds before every advanced
             timestamp (default 0: no pacing).  Lets an operator (or the
             scrape-reconciliation test) observe a run mid-stream
@@ -298,16 +263,24 @@ def simulate_server(
         A :class:`ServerRun`.
 
     Raises:
-        ConfigurationError: for an unknown transport.
+        ConfigurationError: for an unknown transport, or a service that
+            already has sessions or data epochs (the stream's predicted
+            object indexes and the oracle's model would both be wrong).
     """
-    transport_name = "local" if transport is None else transport
-    if transport_name not in ("local", "tcp", "unix"):
+    if transport not in ("local", "tcp", "unix"):
         raise ConfigurationError(
-            f"transport must be None, 'local', 'tcp' or 'unix', got {transport!r}"
+            f"transport must be 'local', 'tcp' or 'unix', got {transport!r}"
+        )
+    if service is None:
+        service = open_service(scenario.metric, scenario.objects, scenario.network)
+    elif service.session_count or service.epoch:
+        raise ConfigurationError(
+            f"simulate_server needs a fresh service, got {service.session_count} "
+            f"open session(s) at epoch {service.epoch}"
         )
     stream = update_stream(scenario)
     road = scenario.metric == "road"
-    model = dict(enumerate(scenario.object_vertices if road else scenario.points))
+    model = dict(enumerate(scenario.objects))
     counts = {"inserts": 0, "deletes": 0, "moves": 0}
     # Keyed by open order: the query ids a fresh engine assigns.
     results: Dict[int, List[QueryResult]] = {
@@ -315,41 +288,24 @@ def simulate_server(
     }
     mismatches: List[Tuple[int, int]] = []
     with contextlib.ExitStack() as teardown:
-        engine = build_server(scenario, invalidation=invalidation)
-        if wal_dir is not None:
-            from repro.durability import DurableKNNService
-
-            durability_options = {}
-            if wal_fsync is not None:
-                durability_options["fsync"] = wal_fsync
-            served = DurableKNNService(
-                engine,
-                wal_dir,
-                snapshot_every=snapshot_every,
-                segment_bytes=wal_segment_bytes,
-                **durability_options,
-            )
-            # Release the log file without logging goodbyes: the sessions
-            # stay open in the WAL, so the run's durable state can still be
-            # recovered (and re-attached to) afterwards.
-            teardown.callback(served.close_wal)
-        else:
-            served = KNNService(engine)
-        front = served
-        if transport_name != "local":
+        front = service
+        if transport != "local":
             from repro.transport import KNNServer, connect
 
-            if transport_name == "unix":
+            if transport == "unix":
                 tempdir = tempfile.mkdtemp(prefix="insq-sim-")
                 teardown.callback(shutil.rmtree, tempdir, ignore_errors=True)
                 socket_server = KNNServer(
-                    served, path=os.path.join(tempdir, "insq.sock")
+                    service, path=os.path.join(tempdir, "insq.sock")
                 ).start()
             else:
-                socket_server = KNNServer(served).start()
+                socket_server = KNNServer(service).start()
             teardown.callback(socket_server.stop)
             front = connect(socket_server.address)
             teardown.callback(front.close)
+            # Runs first: the parked sessions stay open, so the client's
+            # close finds no server to say goodbye to.
+            teardown.callback(socket_server.drain)
 
         started = _clock()
         # Session registration computes each query's first answer (timestamp
@@ -358,10 +314,6 @@ def simulate_server(
             front.open_session(trajectory[0], k=k, rho=scenario.rho)
             for trajectory, k in zip(scenario.trajectories, scenario.ks)
         ]
-        if serving_hook is not None:
-            hook_cleanup = serving_hook(served)
-            if callable(hook_cleanup):
-                teardown.callback(hook_cleanup)
         for step in range(1, scenario.timestamps):
             if step_delay > 0:
                 time.sleep(step_delay)
@@ -397,14 +349,14 @@ def simulate_server(
         elapsed = _clock() - started
         return ServerRun(
             scenario=scenario.name,
-            invalidation=invalidation,
+            invalidation=service.invalidation,
             results=results,
-            epochs=served.epoch,
+            epochs=service.epoch,
             update_counts=counts,
-            aggregate=served.aggregate_stats(),
-            communication=served.communication.snapshot(),
+            aggregate=service.aggregate_stats(),
+            communication=service.communication.snapshot(),
             elapsed_seconds=elapsed,
             mismatches=mismatches,
-            transport=transport_name,
-            per_session_communication=served.per_session_communication(),
+            transport=transport,
+            per_session_communication=service.per_session_communication(),
         )

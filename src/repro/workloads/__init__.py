@@ -2,21 +2,19 @@
 
 * :mod:`repro.workloads.datasets` — synthetic point sets (uniform, clustered)
   standing in for the paper's POI data sets.
-* :mod:`repro.workloads.scenarios` — fully specified, reproducible workload
-  scenarios (data + trajectory + parameters) used by the examples, the
-  integration tests and the benchmark harness.
+* :mod:`repro.workloads.scenarios` — one :class:`Scenario` describes a run
+  on either metric (data objects, each query's trajectory and ``k``, and the
+  object-update stream), built reproducibly by the named factories and used
+  by the examples, the integration tests and the benchmark harness.
 """
 
 from repro.workloads.datasets import clustered_points, uniform_points
 from repro.workloads.scenarios import (
     ChurnSpec,
-    EuclideanScenario,
-    EuclideanServerScenario,
     HIGH_CHURN,
     LOW_CHURN,
     NO_CHURN,
-    RoadScenario,
-    RoadServerScenario,
+    Scenario,
     default_euclidean_scenario,
     default_road_scenario,
     euclidean_server_scenario,
@@ -32,10 +30,7 @@ __all__ = [
     "LOW_CHURN",
     "HIGH_CHURN",
     "NO_CHURN",
-    "EuclideanScenario",
-    "RoadScenario",
-    "EuclideanServerScenario",
-    "RoadServerScenario",
+    "Scenario",
     "default_euclidean_scenario",
     "default_road_scenario",
     "euclidean_server_scenario",

@@ -1,34 +1,28 @@
 """Named, reproducible workload scenarios.
 
-A scenario bundles everything a simulation run needs — the data objects, the
-query trajectory and the query parameters — so that examples, integration
-tests and benchmarks all exercise the exact same workloads.
-
-Two families are provided:
-
-* *single-query* scenarios (:class:`EuclideanScenario`,
-  :class:`RoadScenario`) — one processor, one trajectory; the shape the
-  E-series experiments use;
-* *server* scenarios (:class:`EuclideanServerScenario`,
-  :class:`RoadServerScenario`) — M concurrent query streams over one shared
-  index, interleaved with a mixed object-update stream whose churn is
-  described by a :class:`ChurnSpec` and which :func:`update_stream` computes
-  from the scenario alone; the shape the multi-query serving engine is
-  exercised with (see :func:`repro.simulation.server_sim.simulate_server`).
+A :class:`Scenario` describes one run — the data objects, the moving queries
+and their trajectories, and the object updates between their steps — so that
+examples, integration tests and benchmarks all exercise the exact same
+workloads, on the plane or on a road network alike.  The factories below
+build the named ones: a single-query scenario (the shape the E-series
+experiments use) is one trajectory, one ``k`` and :data:`NO_CHURN`; a server
+scenario is M concurrent queries over one shared index, interleaved with a
+mixed object-update stream whose churn a :class:`ChurnSpec` describes and
+which :func:`update_stream` computes from the scenario alone (the shape
+:func:`repro.simulation.server_sim.simulate_server` drives).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, List, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.geometry.point import Point
 from repro.geometry.primitives import BoundingBox
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.generators import grid_network, place_objects
-from repro.roadnet.location import NetworkLocation
 from repro.service.messages import UpdateBatch
 from repro.trajectory.euclidean import random_waypoint_trajectory
 from repro.trajectory.road import network_random_walk
@@ -41,128 +35,8 @@ from repro.workloads.datasets import (
 
 
 @dataclass(frozen=True)
-class EuclideanScenario:
-    """A complete 2-D plane workload.
-
-    Attributes:
-        name: scenario identifier used in reports.
-        points: data-object positions.
-        trajectory: query positions, one per timestamp.
-        k: number of nearest neighbours to maintain.
-        rho: INS prefetch ratio to use for this scenario.
-        step_length: distance between consecutive trajectory positions.
-    """
-
-    name: str
-    points: List[Point]
-    trajectory: List[Point]
-    k: int
-    rho: float
-    step_length: float
-
-    @property
-    def metric(self) -> str:
-        """The distance metric this scenario lives in (``"euclidean"``)."""
-        return "euclidean"
-
-    @property
-    def timestamps(self) -> int:
-        """Number of query timestamps (trajectory length)."""
-        return len(self.trajectory)
-
-
-@dataclass(frozen=True)
-class RoadScenario:
-    """A complete road-network workload.
-
-    Attributes:
-        name: scenario identifier used in reports.
-        network: the road network.
-        object_vertices: vertex of each data object.
-        trajectory: query locations, one per timestamp.
-        k: number of nearest neighbours to maintain.
-        rho: INS prefetch ratio to use for this scenario.
-        step_length: network distance between consecutive locations.
-    """
-
-    name: str
-    network: RoadNetwork
-    object_vertices: List[int]
-    trajectory: List[NetworkLocation]
-    k: int
-    rho: float
-    step_length: float
-
-    @property
-    def metric(self) -> str:
-        """The distance metric this scenario lives in (``"road"``)."""
-        return "road"
-
-    @property
-    def timestamps(self) -> int:
-        """Number of query timestamps (trajectory length)."""
-        return len(self.trajectory)
-
-
-def default_euclidean_scenario(
-    object_count: int = 2_000,
-    k: int = 5,
-    rho: float = 1.6,
-    steps: int = 300,
-    step_length: float = 40.0,
-    extent: float = DEFAULT_EXTENT,
-    seed: int = 17,
-) -> EuclideanScenario:
-    """A uniform-data random-waypoint scenario (the E-series default).
-
-    The defaults are sized so the full scenario (index construction included)
-    runs in a few seconds on a laptop while still producing hundreds of
-    validation events and a meaningful number of kNN changes.
-    """
-    if object_count <= k:
-        raise ConfigurationError("object_count must exceed k")
-    points = uniform_points(object_count, extent=extent, seed=seed)
-    trajectory = random_waypoint_trajectory(
-        data_space(extent), steps=steps, step_length=step_length, seed=seed + 1
-    )
-    return EuclideanScenario(
-        name=f"uniform-n{object_count}-k{k}",
-        points=points,
-        trajectory=trajectory,
-        k=k,
-        rho=rho,
-        step_length=step_length,
-    )
-
-
-def fig4_scenario(seed: int = 23) -> EuclideanScenario:
-    """The Figure 4 demonstration scenario: k = 5, ρ = 1.6, small data set.
-
-    Figure 4 of the paper shows a 2D Plane demo with k = 5 and ρ = 1.6 where
-    the query starts inside the order-k cell of its kNN set (valid) and then
-    moves out of it (invalid).  This scenario reproduces that setting with a
-    data set small enough to visualise.
-    """
-    points = uniform_points(120, extent=1_000.0, seed=seed)
-    trajectory = random_waypoint_trajectory(
-        BoundingBox(100.0, 100.0, 900.0, 900.0), steps=200, step_length=12.0, seed=seed + 1
-    )
-    return EuclideanScenario(
-        name="fig4-plane-k5-rho1.6",
-        points=points,
-        trajectory=trajectory,
-        k=5,
-        rho=1.6,
-        step_length=12.0,
-    )
-
-
-# ----------------------------------------------------------------------
-# Server scenarios: M concurrent queries + a mixed object-update stream
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
 class ChurnSpec:
-    """The mixed object-update stream of a server scenario.
+    """The mixed object-update stream of a scenario.
 
     Every ``interval`` timestamps the update stream applies one batch of
     ``inserts`` object insertions, ``deletes`` deletions and ``moves``
@@ -214,35 +88,52 @@ def _resolve_churn(churn: Union[str, ChurnSpec]) -> ChurnSpec:
 
 
 @dataclass(frozen=True)
-class EuclideanServerScenario:
-    """A complete multi-query 2-D plane server workload.
+class Scenario:
+    """One run: a data set, its moving queries and the updates between steps.
 
     Attributes:
         name: scenario identifier used in reports.
-        points: initial data-object positions.
-        trajectories: one query trajectory per concurrent query (all the
-            same length; position 0 is the registration position).
+        metric: ``"euclidean"`` or ``"road"``.
+        objects: the initial data objects — :class:`~repro.geometry.point.
+            Point` positions on the plane, vertex ids on a road network.
+        network: the road network shared by every query (``None`` on the
+            plane).
+        trajectories: one trajectory per query; position 0 is where the
+            query opens.
         ks: per-query ``k`` (same length as ``trajectories``).
         rho: INS prefetch ratio shared by every query.
-        churn: the mixed object-update stream.
-        extent: side length of the data space (newly inserted and moved
+        step_length: distance between consecutive trajectory positions.
+        churn: the mixed object-update stream (:data:`NO_CHURN` keeps the
+            data set static).
+        extent: side length of the plane's data space (inserted and moved
             objects are drawn uniformly from it).
         seed: base seed of the update stream.
     """
 
     name: str
-    points: List[Point]
-    trajectories: List[List[Point]]
+    metric: str
+    objects: List[Any]
+    network: Optional[RoadNetwork]
+    trajectories: List[List[Any]]
     ks: List[int]
     rho: float
-    churn: ChurnSpec
-    extent: float
-    seed: int
+    step_length: float
+    churn: ChurnSpec = NO_CHURN
+    extent: float = DEFAULT_EXTENT
+    seed: int = 0
 
-    @property
-    def metric(self) -> str:
-        """The distance metric this scenario lives in (``"euclidean"``)."""
-        return "euclidean"
+    def __post_init__(self):
+        if (self.metric, self.network is None) not in (("euclidean", True), ("road", False)):
+            raise ConfigurationError(
+                "a scenario is 'euclidean' without a road network or 'road' with one, "
+                f"got {self.metric!r} with network={self.network!r}"
+            )
+        if not self.trajectories or len(self.trajectories) != len(self.ks):
+            raise ConfigurationError("every query needs one trajectory and one k")
+        if min(self.ks) < 1:
+            raise ConfigurationError(f"every k must be at least 1, got {self.ks}")
+        if len(self.objects) <= max(self.ks):
+            raise ConfigurationError("the data objects must outnumber the largest k")
 
     @property
     def query_count(self) -> int:
@@ -255,45 +146,96 @@ class EuclideanServerScenario:
         return min(len(trajectory) for trajectory in self.trajectories)
 
 
-@dataclass(frozen=True)
-class RoadServerScenario:
-    """A complete multi-query road-network server workload.
+def default_euclidean_scenario(
+    object_count: int = 2_000,
+    k: int = 5,
+    rho: float = 1.6,
+    steps: int = 300,
+    step_length: float = 40.0,
+    extent: float = DEFAULT_EXTENT,
+    seed: int = 17,
+) -> Scenario:
+    """A uniform-data random-waypoint scenario (the E-series default).
 
-    Attributes:
-        name: scenario identifier used in reports.
-        network: the road network shared by every query.
-        object_vertices: initial vertex of each data object.
-        trajectories: one query trajectory per concurrent query.
-        ks: per-query ``k`` (same length as ``trajectories``).
-        rho: INS prefetch ratio shared by every query.
-        churn: the mixed object-update stream (inserted and moved objects
-            land on uniformly drawn network vertices).
-        seed: base seed of the update stream.
+    The defaults are sized so the full scenario (index construction included)
+    runs in a few seconds on a laptop while still producing hundreds of
+    validation events and a meaningful number of kNN changes.
     """
+    points = uniform_points(object_count, extent=extent, seed=seed)
+    trajectory = random_waypoint_trajectory(
+        data_space(extent), steps=steps, step_length=step_length, seed=seed + 1
+    )
+    return Scenario(
+        name=f"uniform-n{object_count}-k{k}",
+        metric="euclidean",
+        objects=points,
+        network=None,
+        trajectories=[trajectory],
+        ks=[k],
+        rho=rho,
+        step_length=step_length,
+        extent=extent,
+        seed=seed,
+    )
 
-    name: str
-    network: RoadNetwork
-    object_vertices: List[int]
-    trajectories: List[List[NetworkLocation]]
-    ks: List[int]
-    rho: float
-    churn: ChurnSpec
-    seed: int
 
-    @property
-    def metric(self) -> str:
-        """The distance metric this scenario lives in (``"road"``)."""
-        return "road"
+def fig4_scenario(seed: int = 23) -> Scenario:
+    """The Figure 4 demonstration scenario: k = 5, ρ = 1.6, small data set.
 
-    @property
-    def query_count(self) -> int:
-        """Number of concurrent queries."""
-        return len(self.trajectories)
+    Figure 4 of the paper shows a 2D Plane demo with k = 5 and ρ = 1.6 where
+    the query starts inside the order-k cell of its kNN set (valid) and then
+    moves out of it (invalid).  This scenario reproduces that setting with a
+    data set small enough to visualise.
+    """
+    points = uniform_points(120, extent=1_000.0, seed=seed)
+    trajectory = random_waypoint_trajectory(
+        BoundingBox(100.0, 100.0, 900.0, 900.0), steps=200, step_length=12.0, seed=seed + 1
+    )
+    return Scenario(
+        name="fig4-plane-k5-rho1.6",
+        metric="euclidean",
+        objects=points,
+        network=None,
+        trajectories=[trajectory],
+        ks=[5],
+        rho=1.6,
+        step_length=12.0,
+        extent=1_000.0,
+        seed=seed,
+    )
 
-    @property
-    def timestamps(self) -> int:
-        """Number of timestamps every query stream is advanced through."""
-        return min(len(trajectory) for trajectory in self.trajectories)
+
+def default_road_scenario(
+    rows: int = 12,
+    columns: int = 12,
+    object_count: int = 40,
+    k: int = 5,
+    rho: float = 1.6,
+    steps: int = 200,
+    step_length: float = 25.0,
+    seed: int = 29,
+) -> Scenario:
+    """A grid-network random-walk scenario (the road-network default).
+
+    Matches the Figure 3 setting in spirit: a road network, k = 5, a query
+    walking along the roads while the kNN set and INS are maintained.
+    """
+    network = grid_network(rows, columns, spacing=100.0)
+    object_vertices = place_objects(network, object_count, seed=seed)
+    trajectory = network_random_walk(
+        network, steps=steps, step_length=step_length, seed=seed + 1
+    )
+    return Scenario(
+        name=f"grid{rows}x{columns}-n{object_count}-k{k}",
+        metric="road",
+        objects=object_vertices,
+        network=network,
+        trajectories=[trajectory],
+        ks=[k],
+        rho=rho,
+        step_length=step_length,
+        seed=seed,
+    )
 
 
 def euclidean_server_scenario(
@@ -307,7 +249,7 @@ def euclidean_server_scenario(
     rho: float = 1.6,
     extent: float = DEFAULT_EXTENT,
     seed: int = 47,
-) -> EuclideanServerScenario:
+) -> Scenario:
     """A multi-query Euclidean server workload.
 
     Args:
@@ -322,10 +264,6 @@ def euclidean_server_scenario(
     """
     if data not in ("uniform", "clustered"):
         raise ConfigurationError(f"data must be 'uniform' or 'clustered', got {data!r}")
-    if queries < 1:
-        raise ConfigurationError("queries must be at least 1")
-    if object_count <= k + 2:
-        raise ConfigurationError("object_count must comfortably exceed k")
     if data == "clustered":
         points = clustered_points(object_count, extent=extent, seed=seed)
     else:
@@ -336,15 +274,17 @@ def euclidean_server_scenario(
         )
         for i in range(queries)
     ]
-    ks = [k + (i % 3) for i in range(queries)]
     spec = _resolve_churn(churn)
     churn_tag = churn if isinstance(churn, str) else "custom"
-    return EuclideanServerScenario(
+    return Scenario(
         name=f"server-{data}-{churn_tag}-m{queries}-n{object_count}-k{k}",
-        points=points,
+        metric="euclidean",
+        objects=points,
+        network=None,
         trajectories=trajectories,
-        ks=ks,
+        ks=[k + (i % 3) for i in range(queries)],
         rho=rho,
+        step_length=step_length,
         churn=spec,
         extent=extent,
         seed=seed,
@@ -363,12 +303,8 @@ def road_server_scenario(
     spacing: float = 100.0,
     rho: float = 1.6,
     seed: int = 53,
-) -> RoadServerScenario:
+) -> Scenario:
     """A multi-query road-network server workload on a grid network."""
-    if queries < 1:
-        raise ConfigurationError("queries must be at least 1")
-    if object_count <= k + 2:
-        raise ConfigurationError("object_count must comfortably exceed k")
     network = grid_network(rows, columns, spacing=spacing)
     object_vertices = place_objects(network, object_count, seed=seed)
     trajectories = [
@@ -377,25 +313,26 @@ def road_server_scenario(
         )
         for i in range(queries)
     ]
-    ks = [k + (i % 2) for i in range(queries)]
     spec = _resolve_churn(churn)
     churn_tag = churn if isinstance(churn, str) else "custom"
-    return RoadServerScenario(
+    return Scenario(
         name=f"server-grid{rows}x{columns}-{churn_tag}-m{queries}-n{object_count}-k{k}",
+        metric="road",
+        objects=object_vertices,
         network=network,
-        object_vertices=object_vertices,
         trajectories=trajectories,
-        ks=ks,
+        ks=[k + (i % 2) for i in range(queries)],
         rho=rho,
+        step_length=step_length,
         churn=spec,
         seed=seed,
     )
 
 
 def update_stream(
-    scenario: Union[EuclideanServerScenario, RoadServerScenario],
+    scenario: Scenario,
 ) -> List[Optional[Tuple[UpdateBatch, Tuple[int, ...]]]]:
-    """A server scenario's object-update stream, from the scenario alone.
+    """A scenario's object-update stream, from the scenario alone.
 
     One entry per timestamp: ``None`` where the churn interval skips it
     (timestamp 0, registration, always) or the drawn batch is empty, else
@@ -416,9 +353,7 @@ def update_stream(
     road = scenario.metric == "road"
     if road:
         vertices = scenario.network.vertices()
-        active = list(range(len(scenario.object_vertices)))
-    else:
-        active = list(range(len(scenario.points)))
+    active = list(range(len(scenario.objects)))
     next_index = len(active)
     floor = max(scenario.ks) + 2
     rng = random.Random(scenario.seed + 977)
@@ -452,36 +387,3 @@ def update_stream(
         active = [index for index in active if index not in gone] + list(new_indexes)
         stream[step] = (batch, new_indexes)
     return stream
-
-
-def default_road_scenario(
-    rows: int = 12,
-    columns: int = 12,
-    object_count: int = 40,
-    k: int = 5,
-    rho: float = 1.6,
-    steps: int = 200,
-    step_length: float = 25.0,
-    seed: int = 29,
-) -> RoadScenario:
-    """A grid-network random-walk scenario (the road-network default).
-
-    Matches the Figure 3 setting in spirit: a road network, k = 5, a query
-    walking along the roads while the kNN set and INS are maintained.
-    """
-    if object_count <= k:
-        raise ConfigurationError("object_count must exceed k")
-    network = grid_network(rows, columns, spacing=100.0)
-    object_vertices = place_objects(network, object_count, seed=seed)
-    trajectory = network_random_walk(
-        network, steps=steps, step_length=step_length, seed=seed + 1
-    )
-    return RoadScenario(
-        name=f"grid{rows}x{columns}-n{object_count}-k{k}",
-        network=network,
-        object_vertices=object_vertices,
-        trajectory=trajectory,
-        k=k,
-        rho=rho,
-        step_length=step_length,
-    )

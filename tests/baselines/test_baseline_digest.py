@@ -97,26 +97,26 @@ def _walk_digest(processor, trajectory, between=None, state=None, skip=()) -> st
 
 CASES = {
     "naive": lambda skip=(): _walk_digest(
-        NaiveProcessor(VoRTree(PLANE.points), PLANE.k), PLANE.trajectory, skip=skip
+        NaiveProcessor(VoRTree(PLANE.objects), PLANE.ks[0]), PLANE.trajectories[0], skip=skip
     ),
     "vstar": lambda skip=(): _walk_digest(
-        VStarProcessor(VoRTree(PLANE.points), PLANE.k, auxiliary=3),
-        PLANE.trajectory,
+        VStarProcessor(VoRTree(PLANE.objects), PLANE.ks[0], auxiliary=3),
+        PLANE.trajectories[0],
         state=lambda vstar: (vstar.candidates, vstar.known_region_radius),
         skip=skip,
     ),
     "naive-road": lambda: _walk_digest(
-        NaiveRoadProcessor(NetworkVoronoiDiagram(ROAD.network, ROAD.object_vertices), ROAD.k),
-        ROAD.trajectory,
+        NaiveRoadProcessor(NetworkVoronoiDiagram(ROAD.network, ROAD.objects), ROAD.ks[0]),
+        ROAD.trajectories[0],
     ),
     "vstar-road": lambda: _walk_digest(
         VStarRoadProcessor(
-            NetworkVoronoiDiagram(ROAD.network, ROAD.object_vertices),
-            ROAD.k,
+            NetworkVoronoiDiagram(ROAD.network, ROAD.objects),
+            ROAD.ks[0],
             auxiliary=4,
             step_length=ROAD.step_length,
         ),
-        ROAD.trajectory,
+        ROAD.trajectories[0],
         state=lambda vstar: vstar.candidates,
     ),
 }

@@ -437,7 +437,7 @@ class TestOneRetrievalPerRecomputation:
             return retrieve(tree, *args, **kwargs)
 
         monkeypatch.setattr(VoRTree, "retrieve", counting)
-        service = open_service(metric="euclidean", objects=scenario.points)
+        service = open_service(metric="euclidean", objects=scenario.objects)
         walks = scenario.trajectories
         sessions = [
             service.open_session(walk[0], k=k, rho=scenario.rho)

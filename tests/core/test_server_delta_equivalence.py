@@ -20,6 +20,7 @@ from repro.core.server import MovingKNNServer
 from repro.geometry.point import Point
 from repro.roadnet.generators import grid_network, place_objects
 from repro.roadnet.shortest_path import distances_from_location
+from repro.service import open_service
 from repro.simulation.server_sim import simulate_server
 from repro.simulation.server_sim import check_knn_answer
 from repro.trajectory.euclidean import random_waypoint_trajectory
@@ -103,7 +104,11 @@ class TestEuclideanEquivalence:
             seed=31,
         )
         runs = {
-            mode: simulate_server(scenario, invalidation=mode, check_answers=True)
+            mode: simulate_server(
+                scenario,
+                open_service(scenario.metric, scenario.objects, scenario.network, mode),
+                check_answers=True,
+            )
             for mode in MODES
         }
         assert runs["delta"].is_correct and runs["flag"].is_correct
@@ -189,7 +194,11 @@ class TestRoadEquivalence:
             steps=20, seed=41,
         )
         runs = {
-            mode: simulate_server(scenario, invalidation=mode, check_answers=True)
+            mode: simulate_server(
+                scenario,
+                open_service(scenario.metric, scenario.objects, scenario.network, mode),
+                check_answers=True,
+            )
             for mode in MODES
         }
         assert runs["delta"].is_correct and runs["flag"].is_correct

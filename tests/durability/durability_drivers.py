@@ -14,7 +14,7 @@ streams, and every ``apply`` is checked against the object indexes the
 stream predicts.
 """
 
-from repro.simulation.server_sim import build_server
+from repro.service import open_service
 from repro.workloads.scenarios import (
     ChurnSpec,
     euclidean_server_scenario,
@@ -118,12 +118,8 @@ def counters_of(service):
 
 def reference_run(metric, invalidation):
     """Drive the whole scenario on a plain in-process service."""
-    from repro.service import KNNService
-
     scenario = build_scenario(metric)
-    service = KNNService(
-        build_server(scenario, invalidation=invalidation)
-    )
+    service = open_service(scenario.metric, scenario.objects, scenario.network, invalidation)
     driver = ScenarioDriver(scenario)
     driver.open_sessions(service)
     driver.run(service, 1, scenario.timestamps)

@@ -10,10 +10,10 @@ import time
 
 import pytest
 
+from fault_injection import FaultyStream
 from repro.core.stats import CommunicationStats
 from repro.errors import RequestTimeout
 from repro.geometry.point import Point
-from repro.testing import FaultyStream
 from repro.transport import MessageStream, RemoteService
 from repro.transport.codec import (
     OpenSession,

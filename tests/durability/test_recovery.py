@@ -18,7 +18,6 @@ import pytest
 from durability_drivers import (
     ScenarioDriver,
     build_scenario,
-    build_server,
     counters_of,
     reference_run,
 )
@@ -30,6 +29,7 @@ from repro.durability import (
 )
 from repro.errors import DurabilityError, SnapshotError
 from repro.geometry.point import Point
+from repro.service import open_service
 
 
 class TestRestartAndReplayOracle:
@@ -44,7 +44,8 @@ class TestRestartAndReplayOracle:
         scenario = build_scenario(metric)
         wal_dir = str(tmp_path / "state")
         service = DurableKNNService(
-            build_server(scenario, invalidation=invalidation), wal_dir
+            open_service(scenario.metric, scenario.objects, scenario.network, invalidation).engine,
+            wal_dir
         )
         driver = ScenarioDriver(scenario)
         driver.open_sessions(service)
@@ -84,7 +85,8 @@ class TestRestartAndReplayOracle:
         )
         wal_dir = str(tmp_path / "state")
         service = DurableKNNService(
-            build_server(scenario, invalidation=invalidation), wal_dir
+            open_service(scenario.metric, scenario.objects, scenario.network, invalidation).engine,
+            wal_dir
         )
         driver.open_sessions(service)
         driver.run(service, 1, crash_step)
@@ -113,7 +115,7 @@ class TestRestartAndReplayOracle:
         scenario = build_scenario("euclidean")
         wal_dir = str(tmp_path / "state")
         service = DurableKNNService(
-            build_server(scenario, invalidation="delta"),
+            open_service(scenario.metric, scenario.objects, scenario.network, "delta").engine,
             wal_dir,
             snapshot_every=20,  # several checkpoints land mid-run
         )
@@ -139,7 +141,7 @@ class TestRestartAndReplayOracle:
         scenario = build_scenario(metric)
         wal_dir = str(tmp_path / "state")
         service = DurableKNNService(
-            build_server(scenario, invalidation="delta"),
+            open_service(scenario.metric, scenario.objects, scenario.network, "delta").engine,
             wal_dir,
             snapshot_every=20,
         )
@@ -163,7 +165,8 @@ class TestRestartAndReplayOracle:
         scenario = build_scenario("euclidean")
         wal_dir = str(tmp_path / "state")
         service = DurableKNNService(
-            build_server(scenario, invalidation="delta"), wal_dir
+            open_service(scenario.metric, scenario.objects, scenario.network, "delta").engine,
+            wal_dir
         )
         driver = ScenarioDriver(scenario)
         driver.open_sessions(service)
@@ -191,17 +194,21 @@ class TestDurableServiceGuards:
     def test_refuses_a_populated_directory(self, tmp_path):
         wal_dir = str(tmp_path / "state")
         scenario = build_scenario("euclidean")
-        service = DurableKNNService(build_server(scenario), wal_dir)
+        service = DurableKNNService(
+            open_service(scenario.metric, scenario.objects, scenario.network).engine, wal_dir
+        )
         service.close_wal()
         assert has_durable_state(wal_dir)
         with pytest.raises(DurabilityError):
-            DurableKNNService(build_server(scenario), wal_dir)
+            DurableKNNService(
+                open_service(scenario.metric, scenario.objects, scenario.network).engine, wal_dir
+            )
 
     def test_refuses_an_engine_with_queries(self, tmp_path):
         from repro.service import KNNService
 
         scenario = build_scenario("euclidean")
-        engine = build_server(scenario)
+        engine = open_service(scenario.metric, scenario.objects, scenario.network).engine
         plain = KNNService(engine)
         plain.open_session(scenario.trajectories[0][0], k=3)
         with pytest.raises(DurabilityError):
@@ -216,7 +223,9 @@ class TestDurableServiceGuards:
 
         wal_dir = str(tmp_path / "state")
         scenario = build_scenario("road")
-        service = DurableKNNService(build_server(scenario), wal_dir)
+        service = DurableKNNService(
+            open_service(scenario.metric, scenario.objects, scenario.network).engine, wal_dir
+        )
         start = scenario.trajectories[0][0]
         service.wal.append(OpenSession(position=start, k=3, rho=1.6, options=(option,)))
         service.wal.append(SessionOpened(query_id=0))
@@ -231,7 +240,9 @@ class TestDurableServiceGuards:
     def test_inventory_reports_health(self, tmp_path):
         wal_dir = str(tmp_path / "state")
         scenario = build_scenario("euclidean")
-        service = DurableKNNService(build_server(scenario), wal_dir)
+        service = DurableKNNService(
+            open_service(scenario.metric, scenario.objects, scenario.network).engine, wal_dir
+        )
         driver = ScenarioDriver(scenario)
         driver.open_sessions(service)
         driver.run(service, 1, 4)

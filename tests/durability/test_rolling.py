@@ -30,9 +30,8 @@ from repro.durability import (
 from repro.durability.wal import WriteAheadLog, scan_chain
 from repro.errors import QueryError
 from repro.geometry.point import Point
-from repro.service import KNNService
+from repro.service import KNNService, open_service
 from repro.service.messages import PositionUpdate
-from repro.simulation.server_sim import build_server
 from repro.transport import (
     KNNServer,
     MessageStream,
@@ -66,7 +65,9 @@ class TestServerDrainRestart:
         a restarted run reports exactly what an uninterrupted one does.
         """
         service = DurableKNNService(
-            build_server(scenario), wal_dir, wire_billing=True
+            open_service(scenario.metric, scenario.objects, scenario.network).engine,
+            wal_dir,
+            wire_billing=True
         )
         server = KNNServer(service).start()
         remote = connect(server.address)
@@ -139,7 +140,7 @@ class TestServerDrainRestart:
     def test_client_drain_call_parks_every_session(self, tmp_path):
         """RemoteService.drain(): checkpointed ack, sessions parked."""
         service = DurableKNNService(
-            build_server(build_scenario("euclidean")),
+            open_service("euclidean", build_scenario("euclidean").objects).engine,
             str(tmp_path / "state"),
             wire_billing=True,
         )
@@ -172,7 +173,7 @@ class TestServerDrainRestart:
         """KNNServer.drain() checkpoints: recovery needs no replay."""
         wal_dir = str(tmp_path / "state")
         service = DurableKNNService(
-            build_server(build_scenario("euclidean")), wal_dir,
+            open_service("euclidean", build_scenario("euclidean").objects).engine, wal_dir,
             wire_billing=True,
         )
         server = KNNServer(service).start()
@@ -202,7 +203,7 @@ class TestOrphanClaimRace:
         claim is atomic, so exactly one wins and the loser gets the typed
         unknown-session error (not a shared or duplicated session)."""
         service = DurableKNNService(
-            build_server(build_scenario("euclidean")),
+            open_service("euclidean", build_scenario("euclidean").objects).engine,
             str(tmp_path / "state"),
             wire_billing=True,
         )
@@ -252,7 +253,9 @@ class TestGroupCommit:
         for policy in ("always", "group"):
             wal_dir = str(tmp_path / policy)
             service = DurableKNNService(
-                build_server(scenario), wal_dir, fsync=policy
+                open_service(scenario.metric, scenario.objects, scenario.network).engine,
+                wal_dir,
+                fsync=policy
             )
             driver = ScenarioDriver(scenario)
             driver.open_sessions(service)
@@ -305,7 +308,7 @@ class TestGroupCommit:
     def test_durability_token_only_exists_under_group(self, tmp_path):
         """The ack-barrier seam: a token (and a real barrier) only under
         fsync='group'; every other policy keeps its original reply path."""
-        engine = build_server(build_scenario("euclidean"))
+        engine = open_service("euclidean", build_scenario("euclidean").objects).engine
         plain = KNNService(engine)
         assert plain.durability_token() is None
         plain.durability_barrier(None)  # no-op by contract
@@ -315,7 +318,7 @@ class TestGroupCommit:
             ("off", False),
         ):
             service = DurableKNNService(
-                build_server(build_scenario("euclidean")),
+                open_service("euclidean", build_scenario("euclidean").objects).engine,
                 str(tmp_path / policy),
                 fsync=policy,
             )
@@ -341,7 +344,7 @@ class TestSegmentRotationUnderTraffic:
         scenario = build_scenario("euclidean")
         wal_dir = str(tmp_path / "state")
         service = DurableKNNService(
-            build_server(scenario),
+            open_service(scenario.metric, scenario.objects, scenario.network).engine,
             wal_dir,
             snapshot_every=40,
             segment_bytes=512,
@@ -376,7 +379,9 @@ class TestSegmentRotationUnderTraffic:
             (rotated_dir, 384),
         ):
             service = DurableKNNService(
-                build_server(scenario), wal_dir, segment_bytes=segment_bytes
+                open_service(scenario.metric, scenario.objects, scenario.network).engine,
+                wal_dir,
+                segment_bytes=segment_bytes
             )
             driver = ScenarioDriver(scenario)
             driver.open_sessions(service)

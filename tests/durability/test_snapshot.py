@@ -14,10 +14,10 @@ import pytest
 from durability_drivers import (
     ScenarioDriver,
     build_scenario,
-    build_server,
     counters_of,
     reference_run,
 )
+from fault_injection import flip_byte, truncate_file
 from repro.durability import (
     DurableKNNService,
     list_snapshots,
@@ -27,7 +27,7 @@ from repro.durability import (
     write_snapshot,
 )
 from repro.errors import SnapshotError
-from repro.testing import flip_byte, truncate_file
+from repro.service import open_service
 
 
 class TestContainer:
@@ -106,7 +106,8 @@ class TestEngineRoundTrip:
         scenario = build_scenario(metric)
         wal_dir = str(tmp_path / "state")
         service = DurableKNNService(
-            build_server(scenario, invalidation=invalidation), wal_dir
+            open_service(scenario.metric, scenario.objects, scenario.network, invalidation).engine,
+            wal_dir
         )
         driver = ScenarioDriver(scenario)
         driver.open_sessions(service)

@@ -11,12 +11,12 @@ import os
 
 import pytest
 
+from fault_injection import flip_byte, truncate_file
 from repro.durability import WriteAheadLog, inventory, replay_wal, scan_chain, scan_wal
 from repro.durability.wal import WAL_MAGIC, _HEADER, _crc
 from repro.errors import ConfigurationError, WALCorruptError
 from repro.geometry.point import Point
 from repro.service.messages import PositionUpdate, UpdateBatch
-from repro.testing import flip_byte, truncate_file
 from repro.transport.codec import CloseSession, OpenSession, RefreshRequest, encode
 
 try:

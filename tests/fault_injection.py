@@ -1,7 +1,10 @@
 """Deterministic fault injection for the transport and durability layers.
 
-Two fault families, both reproducible from explicit inputs (no wall
-clock, no hidden randomness):
+Everything here exists to *break* the serving system on purpose, in ways
+that are exactly reproducible, so the durability layer's recovery
+guarantees are held to the bit-identical oracle of ``tests/durability/``.
+Serving uses none of it.  Two fault families, both reproducible from
+explicit inputs (no wall clock, no hidden randomness):
 
 * **File damage** — :func:`truncate_file` (a torn write: the file simply
   ends early) and :func:`flip_byte` (bit rot: content changes, length
@@ -18,12 +21,6 @@ import time
 from typing import Any, Iterable, Optional
 
 from repro.errors import ConfigurationError
-
-__all__ = [
-    "FaultyStream",
-    "flip_byte",
-    "truncate_file",
-]
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ from repro.core.server import MovingKNNServer
 from repro.simulation.report import format_table
 from repro.simulation.server_sim import run_methods
 from repro.workloads.scenarios import (
-    EuclideanScenario,
+    Scenario,
     default_euclidean_scenario,
     fig4_scenario,
 )
@@ -46,11 +46,13 @@ class TestAllMethodsCorrect:
     def test_clustered_data_all_methods_correct(self):
         points = clustered_points(400, clusters=6, extent=2_000.0, seed=301)
         base = default_euclidean_scenario(object_count=10, steps=80, step_length=25.0, seed=302)
-        scenario = EuclideanScenario(
+        scenario = Scenario(
             name="clustered",
-            points=points,
-            trajectory=[p.scaled(2.0) for p in base.trajectory],
-            k=6,
+            metric="euclidean",
+            objects=points,
+            network=None,
+            trajectories=[[p.scaled(2.0) for p in base.trajectories[0]]],
+            ks=[6],
             rho=1.6,
             step_length=50.0,
         )
@@ -63,11 +65,13 @@ class TestAllMethodsCorrect:
             ("linear", linear_trajectory(Point(50, 500), Point(950, 520), steps=150)),
             ("circular", circular_trajectory(Point(500, 500), radius=350.0, steps=150)),
         ]:
-            scenario = EuclideanScenario(
+            scenario = Scenario(
                 name=name,
-                points=points,
-                trajectory=trajectory,
-                k=4,
+                metric="euclidean",
+                objects=points,
+                network=None,
+                trajectories=[trajectory],
+                ks=[4],
                 rho=1.6,
                 step_length=trajectory[0].distance_to(trajectory[1]),
             )
@@ -109,7 +113,7 @@ class TestExpectedCostRelationships:
         scenario, runs = uniform_result
         ins = runs["INS"]
         per_timestamp = ins["distance_computations"] / scenario.timestamps
-        assert per_timestamp < 10 * scenario.k
+        assert per_timestamp < 10 * scenario.ks[0]
 
     def test_report_table_renders(self, uniform_result):
         _, runs = uniform_result
@@ -139,8 +143,8 @@ class TestSafeRegionMaximality:
             object_count=object_count, k=k, rho=1.0, steps=120, step_length=30.0, seed=seed
         )
         runs = run_methods(
-            MovingKNNServer(scenario.points),
-            scenario.trajectory,
+            MovingKNNServer(scenario.objects),
+            scenario.trajectories[0],
             {"INS": ("knn", k, 1.0), "OrderK-SR": ("region", k, 1.0)},
         )
         ins, strict = runs["INS"], runs["OrderK-SR"]

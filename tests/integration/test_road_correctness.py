@@ -13,18 +13,19 @@ from repro.roadnet.generators import (
 from repro.roadnet.network_voronoi import NetworkVoronoiDiagram
 from repro.simulation.server_sim import check_knn_answer
 from repro.trajectory.road import network_random_walk
-from repro.workloads.scenarios import RoadScenario, default_road_scenario
+from repro.workloads.scenarios import Scenario, default_road_scenario
 
 
 def build_scenario(network, object_count, k, steps, step_length, seed):
     objects = place_objects(network, object_count, seed=seed)
     trajectory = network_random_walk(network, steps=steps, step_length=step_length, seed=seed + 1)
-    return RoadScenario(
+    return Scenario(
         name="integration",
+        metric="road",
+        objects=objects,
         network=network,
-        object_vertices=objects,
-        trajectory=trajectory,
-        k=k,
+        trajectories=[trajectory],
+        ks=[k],
         rho=1.6,
         step_length=step_length,
     )
@@ -61,15 +62,15 @@ class TestAllMethodsCorrect:
             rows=8, columns=8, object_count=20, k=4, steps=80, step_length=25.0, seed=314
         )
         processor = FullNetworkRoadProcessor(
-            NetworkVoronoiDiagram(scenario.network, scenario.object_vertices),
-            scenario.k,
+            NetworkVoronoiDiagram(scenario.network, scenario.objects),
+            scenario.ks[0],
             rho=scenario.rho,
         )
-        trajectory = scenario.trajectory
+        trajectory = scenario.trajectories[0]
         answers = [processor.initialize(trajectory[0])]
         answers += [processor.update(position) for position in trajectory[1:]]
         for position, result in zip(trajectory, answers):
-            assert check_knn_answer(result.knn, brute_force(scenario, position), scenario.k)
+            assert check_knn_answer(result.knn, brute_force(scenario, position), scenario.ks[0])
 
 
 class TestExpectedCostRelationships:

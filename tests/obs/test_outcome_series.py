@@ -31,7 +31,7 @@ import pytest
 from repro import obs
 from repro.core.engine import ServingEngine
 from repro.obs import REGISTRY
-from repro.service import KNNService
+from repro.service import open_service
 from repro.transport import KNNServer, connect
 from repro.workloads.scenarios import (
     euclidean_server_scenario,
@@ -85,7 +85,7 @@ def difference(after, before):
 
 def opened(scenario):
     """A fresh service over ``scenario`` with one session per trajectory."""
-    service = KNNService.from_scenario(scenario)
+    service = open_service(scenario.metric, scenario.objects, scenario.network)
     sessions = [
         service.open_session(walk[0], k=k, rho=scenario.rho)
         for walk, k in zip(scenario.trajectories, scenario.ks)
@@ -209,7 +209,7 @@ def test_concurrent_clients_and_scrapes_count_exactly():
     drive(scenario, *opened(scenario))
     assert difference(outcomes(), before) == UNCHURNED
 
-    service = KNNService.from_scenario(scenario)
+    service = open_service(scenario.metric, scenario.objects, scenario.network)
     before = outcomes()
     stop = threading.Event()
 

@@ -146,7 +146,7 @@ class TestOpenService:
         assert lines[2].split() == ["loaded"]
 
 
-class TestFromScenario:
+class TestOpenOnScenario:
     @pytest.mark.parametrize(
         "factory, metric",
         [
@@ -169,13 +169,9 @@ class TestFromScenario:
     )
     def test_accepts_every_scenario_flavour(self, factory, metric):
         scenario = factory()
-        service = KNNService.from_scenario(scenario)
+        service = open_service(scenario.metric, scenario.objects, scenario.network)
         assert service.metric == metric == scenario.metric
         assert service.object_count > 0
-
-    def test_rejects_a_non_scenario(self):
-        with pytest.raises(ConfigurationError):
-            KNNService.from_scenario(object())
 
 
 class TestSessionLifecycle:

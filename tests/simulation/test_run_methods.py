@@ -53,11 +53,11 @@ def served(scenario, methods=None):
     engine = engine_for(scenario)
     if methods is None:
         methods = {
-            name: (kind, scenario.k, scenario.rho)
+            name: (kind, scenario.ks[0], scenario.rho)
             for name, kind in METHOD_KINDS[engine.metric].items()
         }
     with registered(*baseline_kinds(scenario.step_length)):
-        return engine, run_methods(engine, scenario.trajectory, methods)
+        return engine, run_methods(engine, scenario.trajectories[0], methods)
 
 
 def farthest(naive):
@@ -169,7 +169,7 @@ class TestRunMethods:
         assert runs[ins]["full_recomputations"] < runs[naive]["full_recomputations"]
 
     def test_only_the_named_methods_are_served(self, plane):
-        engine, runs = served(plane, {"INS": ("knn", plane.k, plane.rho)})
+        engine, runs = served(plane, {"INS": ("knn", plane.ks[0], plane.rho)})
         assert list(runs) == ["INS"]
         assert engine.query_count == 1
         with pytest.raises(KeyError):
@@ -177,24 +177,24 @@ class TestRunMethods:
 
     def test_unknown_kinds_raise(self, scenario):
         with pytest.raises(ConfigurationError, match="unknown query kind"):
-            served(scenario, {"Bogus": ("bogus", scenario.k, scenario.rho)})
+            served(scenario, {"Bogus": ("bogus", scenario.ks[0], scenario.rho)})
 
     def test_a_kind_of_the_other_metric_raises(self, scenario):
         other = "naive-road" if isinstance(engine_for(scenario), MovingKNNServer) else "naive"
         with pytest.raises(ConfigurationError, match="-only"):
-            served(scenario, {"Other": (other, scenario.k, scenario.rho)})
+            served(scenario, {"Other": (other, scenario.ks[0], scenario.rho)})
 
     def test_the_check_catches_a_wrong_answer(self, scenario):
         engine = engine_for(scenario)
         naive = NaiveProcessor if engine.metric == "euclidean" else NaiveRoadProcessor
         with registered(BaselineKind("farthest", engine.metric, farthest(naive))):
             runs = run_methods(
-                engine, scenario.trajectory, {"Farthest": ("farthest", scenario.k, 1.0)}
+                engine, scenario.trajectories[0], {"Farthest": ("farthest", scenario.ks[0], 1.0)}
             )
         answers = runs["Farthest"]["answers"]
         assert len(answers) == scenario.timestamps
-        for position, result in zip(scenario.trajectory, answers):
-            assert not check_knn_answer(result.knn, brute_force(scenario, position), scenario.k)
+        for position, result in zip(scenario.trajectories[0], answers):
+            assert not check_knn_answer(result.knn, brute_force(scenario, position), scenario.ks[0])
 
     def test_method_kinds_cover_both_metrics(self):
         assert sorted(METHOD_KINDS) == METRICS
@@ -219,23 +219,23 @@ class TestBaselineKinds:
     def test_a_kind_runs_on_its_metric_only(self, plane, road):
         with registered(*baseline_kinds(road.step_length)):
             with pytest.raises(ConfigurationError, match="Euclidean-only"):
-                MovingRoadKNNServer(road.network, road.object_vertices).register_query(
-                    road.trajectory[0], 3, kind="vstar"
+                MovingRoadKNNServer(road.network, road.objects).register_query(
+                    road.trajectories[0][0], 3, kind="vstar"
                 )
             with pytest.raises(ConfigurationError, match="road-only"):
-                MovingKNNServer(plane.points).register_query(
-                    plane.trajectory[0], 3, kind="naive-road"
+                MovingKNNServer(plane.objects).register_query(
+                    plane.trajectories[0][0], 3, kind="naive-road"
                 )
 
     def test_baselines_answer_the_live_index_under_churn(self, plane):
-        engine = MovingKNNServer(plane.points)
+        engine = MovingKNNServer(plane.objects)
         with registered(*baseline_kinds(plane.step_length)):
             query_ids = [
-                engine.register_query(plane.trajectory[0], plane.k, kind=kind)
+                engine.register_query(plane.trajectories[0][0], plane.ks[0], kind=kind)
                 for kind in ("naive", "vstar")
             ]
-        active = dict(enumerate(plane.points))
-        for step, position in enumerate(plane.trajectory[1:], start=1):
+        active = dict(enumerate(plane.objects))
+        for step, position in enumerate(plane.trajectories[0][1:], start=1):
             if step % 5 == 0:
                 # An object lands beside the query; the lowest live one leaves.
                 near = Point(position.x + 1.0, position.y)
@@ -246,13 +246,13 @@ class TestBaselineKinds:
             distances = {i: position.distance_to(p) for i, p in active.items()}
             for query_id in query_ids:
                 result = engine.update_position(query_id, position)
-                assert check_knn_answer(result.knn, distances, plane.k), (step, query_id)
+                assert check_knn_answer(result.knn, distances, plane.ks[0]), (step, query_id)
         for record in engine:
             assert not record.processor.state_stale
 
     def test_unregistered_baselines_are_unknown_kinds(self, plane):
         with pytest.raises(ConfigurationError, match="unknown query kind"):
-            MovingKNNServer(plane.points).register_query(plane.trajectory[0], 3, kind="naive")
+            MovingKNNServer(plane.objects).register_query(plane.trajectories[0][0], 3, kind="naive")
 
     def test_import_repro_registers_no_baseline(self):
         src = pathlib.Path(__file__).resolve().parents[2] / "src"

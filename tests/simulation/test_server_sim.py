@@ -1,15 +1,14 @@
 """Tests for repro.simulation.server_sim (the multi-query server driver)."""
 
 import dataclasses
-import time
 
 import pytest
 
 from repro.core.road_server import MovingRoadKNNServer
 from repro.core.server import MovingKNNServer
 from repro.errors import ConfigurationError
-from repro.service import Session
-from repro.simulation.server_sim import build_server, simulate_server
+from repro.service import Session, open_service
+from repro.simulation.server_sim import simulate_server
 from repro.workloads.scenarios import (
     ChurnSpec,
     euclidean_server_scenario,
@@ -31,13 +30,17 @@ def road_scenario():
     )
 
 
-class TestBuildServer:
+def _service(scenario, invalidation="delta"):
+    return open_service(scenario.metric, scenario.objects, scenario.network, invalidation)
+
+
+class TestScenarioService:
     def test_builds_the_matching_server(self, euclidean_scenario, road_scenario):
-        assert isinstance(build_server(euclidean_scenario), MovingKNNServer)
-        assert isinstance(build_server(road_scenario), MovingRoadKNNServer)
+        assert isinstance(_service(euclidean_scenario).engine, MovingKNNServer)
+        assert isinstance(_service(road_scenario).engine, MovingRoadKNNServer)
 
     def test_invalidation_mode_is_forwarded(self, euclidean_scenario):
-        server = build_server(euclidean_scenario, invalidation="flag")
+        server = _service(euclidean_scenario, invalidation="flag").engine
         assert server.invalidation == "flag"
 
 
@@ -116,8 +119,8 @@ class TestEveryFrontDoor:
         def swap_nearest_for_farthest(session, position):
             response = honest_update(session, position)
             farthest = max(
-                range(len(scenario.points)),
-                key=lambda index: position.distance_to(scenario.points[index]),
+                range(len(scenario.objects)),
+                key=lambda index: position.distance_to(scenario.objects[index]),
             )
             knn = (farthest, *response.knn[1:])
             return dataclasses.replace(
@@ -132,16 +135,67 @@ class TestEveryFrontDoor:
         with pytest.raises(ConfigurationError, match="'local', 'tcp' or 'unix'"):
             simulate_server(euclidean_scenario, transport="process")
 
-    def test_elapsed_excludes_the_serving_hooks_cleanup(self):
-        scenario = euclidean_server_scenario(
-            queries=2, object_count=80, k=3, steps=6, churn="low", extent=1_000.0, seed=7
-        )
 
-        def hook(served):
-            return lambda: time.sleep(0.3)
+class TestTheServiceItIsGiven:
+    def test_a_given_service_replays_the_run_it_would_open(self, euclidean_scenario):
+        opened = simulate_server(euclidean_scenario, check_answers=True)
+        service = _service(euclidean_scenario)
+        given = simulate_server(euclidean_scenario, service, check_answers=True)
+        assert given.is_correct
+        assert given.results == opened.results
+        assert given.communication.as_dict() == opened.communication.as_dict()
+        assert given.epochs == service.epoch == opened.epochs
 
-        local, tcp = (
-            simulate_server(scenario, transport=transport, serving_hook=hook)
-            for transport in ("local", "tcp")
+    def test_the_run_reports_the_given_services_invalidation(self, road_scenario):
+        run = simulate_server(
+            road_scenario, _service(road_scenario, invalidation="flag"), check_answers=True
         )
-        assert abs(tcp.elapsed_seconds - local.elapsed_seconds) < 0.15
+        assert run.is_correct
+        assert run.invalidation == "flag"
+
+    def test_a_service_with_sessions_is_refused(self, euclidean_scenario):
+        service = _service(euclidean_scenario)
+        service.open_session(euclidean_scenario.trajectories[0][0], k=3)
+        with pytest.raises(ConfigurationError, match="fresh service"):
+            simulate_server(euclidean_scenario, service)
+
+    def test_a_service_past_epoch_zero_is_refused(self, euclidean_scenario):
+        service = _service(euclidean_scenario)
+        service.delete(0)
+        assert service.session_count == 0
+        with pytest.raises(ConfigurationError, match="fresh service"):
+            simulate_server(euclidean_scenario, service)
+
+    def test_transport_none_is_refused(self, euclidean_scenario):
+        with pytest.raises(ConfigurationError, match="'local', 'tcp' or 'unix'"):
+            simulate_server(euclidean_scenario, transport=None)
+
+    @pytest.mark.parametrize("transport", ["local", "tcp", "unix"])
+    def test_the_run_leaves_its_sessions_open(self, road_scenario, transport):
+        """No goodbye lands on the bill after the run is read out."""
+        service = _service(road_scenario)
+        run = simulate_server(road_scenario, service, transport=transport)
+        assert service.session_count == road_scenario.query_count
+        assert service.communication.as_dict() == run.communication.as_dict()
+
+    @pytest.mark.parametrize("transport", ["local", "tcp"])
+    def test_a_durable_run_recovers_with_its_sessions(
+        self, tmp_path, euclidean_scenario, transport
+    ):
+        from repro.durability import open_durable_service, recover_service
+
+        wal_dir = str(tmp_path / "state")
+        scenario = euclidean_scenario
+        service = open_durable_service(
+            wal_dir, scenario.metric, scenario.objects, scenario.network
+        )
+        run = simulate_server(scenario, service, check_answers=True, transport=transport)
+        service.close_wal()
+        assert run.is_correct
+        recovered = recover_service(wal_dir)
+        try:
+            assert recovered.epoch == run.epochs
+            assert recovered.session_count == scenario.query_count
+            assert recovered.communication.messages == run.communication.messages
+        finally:
+            recovered.close_wal()

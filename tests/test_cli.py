@@ -119,7 +119,7 @@ class TestCli:
 
     def test_recover_flags_corruption_and_fails(self, tmp_path, capsys):
         from repro.durability import wal_path
-        from repro.testing import flip_byte
+        from fault_injection import flip_byte
 
         wal_dir = str(tmp_path / "state")
         assert main(

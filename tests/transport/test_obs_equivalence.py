@@ -17,6 +17,7 @@ never influence them.
 import pytest
 
 import repro.obs as obs
+from repro.service import open_service
 from repro.simulation.server_sim import simulate_server
 from repro.workloads.scenarios import (
     ChurnSpec,
@@ -55,15 +56,19 @@ def answer_streams(run):
     }
 
 
-def run_pair(metric, **kwargs):
+def run_pair(metric, invalidation="delta", **kwargs):
     """The same run with observability on, then off (state restored)."""
     scenario = build_scenario(metric)
+
+    def served():
+        return open_service(scenario.metric, scenario.objects, scenario.network, invalidation)
+
     obs.reset()
     obs.enable()
     try:
-        observed = simulate_server(scenario, **kwargs)
+        observed = simulate_server(scenario, served(), **kwargs)
         obs.disable()
-        blind = simulate_server(scenario, **kwargs)
+        blind = simulate_server(scenario, served(), **kwargs)
     finally:
         obs.enable()
         obs.reset()

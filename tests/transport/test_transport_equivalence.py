@@ -16,6 +16,7 @@ equality.
 
 import pytest
 
+from repro.service import open_service
 from repro.simulation.server_sim import simulate_server
 from repro.workloads.scenarios import (
     ChurnSpec,
@@ -89,12 +90,16 @@ class TestLoopbackEquivalence:
     @pytest.mark.parametrize("invalidation", ["delta", "flag"])
     def test_tcp_matches_in_process(self, metric, invalidation):
         scenario = build_scenario(metric)
-        reference = simulate_server(
-            scenario, invalidation=invalidation, check_answers=True
-        )
+
+        def served():
+            return open_service(
+                scenario.metric, scenario.objects, scenario.network, invalidation
+            )
+
+        reference = simulate_server(scenario, served(), check_answers=True)
         assert reference.is_correct
         over_tcp = simulate_server(
-            scenario, invalidation=invalidation, transport="tcp", check_answers=True
+            scenario, served(), transport="tcp", check_answers=True
         )
         assert over_tcp.is_correct
         assert_equivalent(reference, over_tcp)
