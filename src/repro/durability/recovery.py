@@ -30,6 +30,12 @@ The durability contract, precisely:
   capture exact processor state (prefetched sets, guard sets, validity),
   and replaying the logged request stream on top reproduces everything
   after — the ``tests/durability/`` suite holds this as its oracle.
+* **What the bill holds.**  Messages and objects are counted by the
+  engine, so replay recounts them.  Wire bytes (``wire_billing``) are
+  billed by :func:`~repro.transport.server.execute_frame`, which both the
+  server and replay run every request through.  A refused request is
+  billed by neither: it is not in the log, so no replay could bill it
+  again, and the client books it as unbilled traffic.
 * **Sessions.**  A graceful close (an explicit
   :meth:`~repro.service.session.Session.close`, or a transport connection
   saying goodbye) is logged and therefore permanent; sessions open at the
@@ -42,10 +48,11 @@ The durability contract, precisely:
 
 A new durability directory starts with an *initial snapshot* (``wal_seq``
 0) of the pre-traffic state, so recovery always has a base even when no
-periodic checkpoint ever ran; :func:`recover_service` also accepts
-``use_latest_snapshot=False`` to deliberately recover from that initial
-snapshot by replaying the entire log — the "cold" path checkpointed
-recovery is measured against.
+periodic checkpoint ever ran.  Recovery reads the newest snapshot that
+validates, so the *cold* path — replaying the whole log from that initial
+snapshot — is what runs when every later snapshot is gone or corrupt, and
+only while the log still holds every record since seq 0 (checkpoints
+purge sealed segments behind them).
 """
 
 from __future__ import annotations
@@ -53,22 +60,20 @@ from __future__ import annotations
 import os
 from typing import Any, Dict, List, Optional
 
-from repro.errors import DurabilityError, SnapshotError, WALCorruptError
+from repro.errors import DurabilityError, ReproError, SnapshotError, WALCorruptError
 from repro.obs.metrics import histogram as _obs_histogram, start_timer
 from repro.service.messages import KNNResponse, UpdateBatch
 from repro.service.service import KNNService, open_service
 from repro.service.session import Session
 from repro.transport.codec import (
-    BatchApplied,
     CloseSession,
     OpenQuery,
     OpenSession,
     PositionUpdate,
     RefreshRequest,
-    SessionClosed,
     SessionOpened,
-    wire_size,
 )
+from repro.transport.server import execute_frame
 from repro.durability.snapshot import (
     list_snapshots,
     load_latest_snapshot,
@@ -80,6 +85,7 @@ from repro.durability.wal import (
     WriteAheadLog,
     list_segments,
     purge_segments,
+    replay_wal,
     scan_chain,
     scan_wal,
 )
@@ -124,14 +130,19 @@ class DurableKNNService(KNNService):
     Construct over a *fresh* engine and an *empty* durability directory
     (an initial snapshot of the pre-traffic state is written immediately);
     use :func:`recover_service` to resurrect one from an existing
-    directory.  The class is transparent to everything above the service
-    seam — sessions, ``serve_connection``, ``RemoteSession`` — because all
-    traffic already flows through the methods overridden here.
+    directory.  Both go through this constructor: a fresh service is one
+    recovered from its initial snapshot and an empty log.  The class is
+    transparent to everything above the service seam — sessions,
+    ``serve_connection``, ``RemoteSession`` — because all traffic already
+    flows through the methods overridden here.
 
     Args:
-        engine: the backing engine (must have no registered queries yet).
+        engine: the backing engine (must have no registered queries yet);
+            ``None`` loads the engine and its sessions from the newest
+            valid snapshot in ``wal_dir`` instead (see
+            :func:`recover_service`).
         wal_dir: the durability directory (created if missing; must not
-            already hold durable state).
+            already hold durable state unless ``engine`` is ``None``).
         fsync: the log's fsync policy (see
             :class:`~repro.durability.wal.WriteAheadLog`).
         snapshot_every: write a checkpoint snapshot after this many log
@@ -142,12 +153,13 @@ class DurableKNNService(KNNService):
             so the on-disk log stays bounded (``None`` keeps the single
             ever-growing file).
         wire_billing: set True when the service is hosted behind
-            ``serve_connection`` (which bills wire bytes into the engine's
-            counters).  Replay then re-bills each replayed exchange — the
-            uplink bytes are the logged frame's own length, the downlink
-            bytes the :func:`~repro.transport.codec.wire_size` of the
-            regenerated response — so even the engine's *byte* counters
-            recover bit-identically, not just messages and objects.
+            ``serve_connection``, which bills wire bytes into the engine's
+            counters.  Replay then bills each logged exchange as the server
+            did, through the same :func:`~repro.transport.server.
+            execute_frame`: the logged frame's length is the request's
+            bytes, and the regenerated reply's
+            :func:`~repro.transport.codec.wire_size` the reply's.  So even
+            the *byte* counters recover bit-identically.
     """
 
     def __init__(
@@ -159,27 +171,54 @@ class DurableKNNService(KNNService):
         segment_bytes: Optional[int] = None,
         wire_billing: bool = False,
     ):
+        wal_dir = str(wal_dir)
+        fresh = engine is not None
+        snapshot_seq, sessions = 0, ()
+        if not fresh:
+            snapshot_seq, payload, _ = load_latest_snapshot(wal_dir)
+            if not isinstance(payload, dict) or payload.get("version") != _SNAPSHOT_VERSION:
+                raise SnapshotError(
+                    f"{wal_dir}: unsupported snapshot payload (version "
+                    f"{payload.get('version') if isinstance(payload, dict) else '?'})"
+                )
+            engine, sessions = payload["engine"], payload["sessions"]
         super().__init__(engine)
-        if engine.query_count:
-            raise DurabilityError(
-                f"cannot make an engine with {engine.query_count} registered "
-                "queries durable: its sessions would be unrecoverable"
-            )
-        if has_durable_state(wal_dir):
-            raise DurabilityError(
-                f"{wal_dir} already holds durable state; use recover_service()"
-            )
-        self._wal_dir = str(wal_dir)
+        self._wal_dir = wal_dir
         self._replaying = False
         self._snapshot_every = snapshot_every
         self._appends_since_snapshot = 0
         self._wire_billing = wire_billing
-        os.makedirs(self._wal_dir, exist_ok=True)
-        # The base of every recovery: the pre-traffic state at wal_seq 0.
-        self._write_snapshot(wal_seq=0)
-        self._wal = WriteAheadLog(
-            wal_path(self._wal_dir), fsync=fsync, segment_bytes=segment_bytes
-        )
+        if fresh:
+            if engine.query_count:
+                raise DurabilityError(
+                    f"cannot make an engine with {engine.query_count} registered "
+                    "queries durable: its sessions would be unrecoverable"
+                )
+            if has_durable_state(wal_dir):
+                raise DurabilityError(
+                    f"{wal_dir} already holds durable state; use recover_service()"
+                )
+            os.makedirs(wal_dir, exist_ok=True)
+            # The base of every recovery: the pre-traffic state at wal_seq 0.
+            self._write_snapshot(wal_seq=0)
+        for entry in sessions:
+            # Pre-queries-era snapshots store (query_id, k, rho) triples.
+            query_id, k, rho = entry[:3]
+            kind = entry[3] if len(entry) > 3 else "knn"
+            self._sessions[query_id] = Session(self, query_id, k=k, rho=rho, kind=kind)
+        log_file = wal_path(wal_dir)
+        # raises WALCorruptError on corruption (of the chain or the active)
+        records = replay_wal(log_file, after_seq=snapshot_seq)
+        if records and records[0].seq > snapshot_seq + 1:
+            raise DurabilityError(
+                f"{wal_dir}: log starts at seq {records[0].seq} but the "
+                f"chosen snapshot covers only up to {snapshot_seq} — the "
+                "records between were purged behind a later checkpoint"
+            )
+        # Opening the writer repairs the torn tail; replay happens with the
+        # log already open but logging suppressed (self._replaying).
+        self._wal = WriteAheadLog(log_file, fsync=fsync, segment_bytes=segment_bytes)
+        self._replay(records)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -317,114 +356,61 @@ class DurableKNNService(KNNService):
     # ------------------------------------------------------------------
     # Replay (used by recover_service)
     # ------------------------------------------------------------------
-    def _replay(self, records: List[WALRecord]) -> int:
-        """Apply a WAL suffix to this service; returns records applied.
+    def _replay(self, records: List[WALRecord]) -> None:
+        """Apply a WAL suffix to this service.
 
-        With wire billing on, each replayed operation also re-bills the
-        bytes its original exchange cost — reconstructed, not remembered:
-        the logged frame *is* the uplink (``record.size``, the length the
-        log's own header holds), and the regenerated response predicts the
-        downlink exactly (``wire_size`` is exact by codec contract) —
-        mirroring ``serve_connection``'s live billing.
+        Each record runs through :func:`~repro.transport.server.
+        execute_frame`, the function ``serve_connection`` runs it through
+        live, billed by the logged frame's own length (``record.size``)
+        when wire billing is on.  What only replay knows stays here: an
+        open is paired with its logged ack and must get the same query id
+        again, and a record the service refuses contradicts the log.
         """
         self._replaying = True
-        applied = 0
-        engine = self.engine
-
-        def bill(query_id, uplink=0, downlink=0):
-            if self._wire_billing:
-                engine.account_wire_bytes(
-                    query_id, uplink_bytes=uplink, downlink_bytes=downlink
-                )
-
         try:
             index = 0
             while index < len(records):
                 record = records[index]
                 message = record.message
+                index += 1
+                session = ack = None
+                if isinstance(message, SessionOpened):
+                    # Its OpenSession/OpenQuery half predates the snapshot;
+                    # the registration is already in the restored state.
+                    continue
                 if isinstance(message, (OpenSession, OpenQuery)):
-                    if index + 1 >= len(records):
+                    if index == len(records):
                         # The ack never made the log: the client never saw
                         # this session, so it never happened.  (The engine
                         # registration it described died with the crash.)
                         break
-                    ack = records[index + 1].message
+                    ack = records[index].message
+                    index += 1
                     if not isinstance(ack, SessionOpened):
                         raise DurabilityError(
                             f"WAL record {record.seq}: {type(message).__name__} "
                             f"not followed by its SessionOpened ack"
                         )
-                    if message.options:
-                        raise DurabilityError(
-                            f"WAL record {record.seq}: {type(message).__name__} carries "
-                            f"options {dict(message.options)!r}, which the engine does not take"
-                        )
-                    # kind="knn" (an OpenSession) routes to open_session.
-                    session = self.open_query(
-                        message.position,
-                        kind=getattr(message, "kind", "knn"),
-                        k=message.k,
-                        rho=message.rho,
-                    )
-                    if session.query_id != ack.query_id:
-                        raise DurabilityError(
-                            f"replay diverged: engine assigned query id "
-                            f"{session.query_id}, log recorded {ack.query_id}"
-                        )
-                    bill(session.query_id, uplink=record.size, downlink=wire_size(ack))
-                    applied += 2
-                    index += 2
-                    continue
-                if isinstance(message, SessionOpened):
-                    # Its OpenSession/OpenQuery half predates the snapshot;
-                    # the registration is already in the restored state.
-                    index += 1
-                    continue
-                if isinstance(message, (PositionUpdate, RefreshRequest)):
-                    bill(message.query_id, uplink=record.size)
-                    if isinstance(message, PositionUpdate):
-                        response = self._deliver(message.query_id, message.position)
-                    else:
-                        response = self._refresh(message.query_id)
-                    bill(message.query_id, downlink=wire_size(response))
-                elif isinstance(message, CloseSession):
+                elif isinstance(message, (PositionUpdate, RefreshRequest, CloseSession)):
                     session = self._sessions.get(message.query_id)
                     if session is None:
                         raise DurabilityError(
-                            f"WAL record {record.seq}: CloseSession for "
-                            f"unknown query {message.query_id}"
+                            f"WAL record {record.seq}: {type(message).__name__} "
+                            f"for unknown query {message.query_id}"
                         )
-                    bill(message.query_id, uplink=record.size)
-                    session.close()
-                    bill(
-                        None,
-                        downlink=wire_size(
-                            SessionClosed(query_id=message.query_id)
-                        ),
+                try:
+                    reply, _ = execute_frame(
+                        self, message, session, record.size if self._wire_billing else None
                     )
-                elif isinstance(message, UpdateBatch):
-                    bill(None, uplink=record.size)
-                    result = self.apply(message)
-                    bill(
-                        None,
-                        downlink=wire_size(
-                            BatchApplied(
-                                epoch=result.epoch,
-                                new_indexes=result.new_indexes,
-                                deleted_indexes=result.deleted_indexes,
-                            )
-                        ),
-                    )
-                else:
+                except ReproError as error:
+                    raise DurabilityError(f"WAL record {record.seq}: {error}") from error
+                if ack is not None and reply.query_id != ack.query_id:
                     raise DurabilityError(
-                        f"WAL record {record.seq}: unexpected "
-                        f"{type(message).__name__} frame in the log"
+                        f"replay diverged: engine assigned query id "
+                        f"{reply.query_id}, log recorded {ack.query_id}"
                     )
-                applied += 1
-                index += 1
         finally:
             self._replaying = False
-        return applied
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -476,7 +462,6 @@ def recover_service(
     fsync: str = "batch",
     snapshot_every: Optional[int] = None,
     segment_bytes: Optional[int] = None,
-    use_latest_snapshot: bool = True,
     wire_billing: bool = False,
 ) -> DurableKNNService:
     """Rebuild a :class:`DurableKNNService` from its durability directory.
@@ -491,11 +476,6 @@ def recover_service(
         fsync: fsync policy for the reopened log.
         snapshot_every: periodic-checkpoint setting for the new instance.
         segment_bytes: rotation setting for the reopened log.
-        use_latest_snapshot: when False, recover from the *initial*
-            (``wal_seq`` 0) snapshot and replay the entire log — the cold
-            path, kept for the benchmark's recovery-vs-full-replay
-            comparison and as a last resort against snapshot corruption.
-            Unavailable once checkpoints have purged early segments.
         wire_billing: True when the crashed service was hosted behind
             ``serve_connection`` — replay then re-bills the wire bytes of
             every replayed exchange (see :class:`DurableKNNService`).
@@ -506,52 +486,14 @@ def recover_service(
             record — a torn tail is repaired, not raised).
         DurabilityError: the log contradicts the snapshot during replay.
     """
-    if use_latest_snapshot:
-        snapshot_seq, payload, _ = load_latest_snapshot(wal_dir)
-    else:
-        candidates = list_snapshots(wal_dir)
-        if not candidates:
-            raise SnapshotError(f"{wal_dir}: no snapshots found")
-        snapshot_seq, payload = read_snapshot(candidates[0][1])
-    if not isinstance(payload, dict) or payload.get("version") != _SNAPSHOT_VERSION:
-        raise SnapshotError(
-            f"{wal_dir}: unsupported snapshot payload "
-            f"(version {payload.get('version') if isinstance(payload, dict) else '?'})"
-        )
-    engine = payload["engine"]
-
-    service = DurableKNNService.__new__(DurableKNNService)
-    KNNService.__init__(service, engine)
-    for entry in payload["sessions"]:
-        # Pre-queries-era snapshots store (query_id, k, rho) triples.
-        query_id, k, rho = entry[:3]
-        kind = entry[3] if len(entry) > 3 else "knn"
-        service._sessions[query_id] = Session(
-            service, query_id, k=k, rho=rho, kind=kind
-        )
-    service._wal_dir = str(wal_dir)
-    service._replaying = False
-    service._snapshot_every = snapshot_every
-    service._appends_since_snapshot = 0
-    service._wire_billing = wire_billing
-
-    log_file = wal_path(wal_dir)
-    # raises WALCorruptError on corruption (of the chain or the active)
-    scan = scan_chain(log_file)
-    if scan.records and scan.records[0].seq > snapshot_seq + 1:
-        raise DurabilityError(
-            f"{wal_dir}: log starts at seq {scan.records[0].seq} but the "
-            f"chosen snapshot covers only up to {snapshot_seq} — the "
-            "records between were purged behind a later checkpoint"
-        )
-    records = [record for record in scan.records if record.seq > snapshot_seq]
-    # Opening the writer repairs the torn tail; replay happens with the
-    # log already open but logging suppressed (self._replaying).
-    service._wal = WriteAheadLog(
-        log_file, fsync=fsync, segment_bytes=segment_bytes
+    return DurableKNNService(
+        None,
+        wal_dir,
+        fsync=fsync,
+        snapshot_every=snapshot_every,
+        segment_bytes=segment_bytes,
+        wire_billing=wire_billing,
     )
-    service._replay(records)
-    return service
 
 
 def inventory(wal_dir: str) -> Dict[str, Any]:

@@ -11,8 +11,6 @@ vertices.  This package provides everything that mode needs:
 * :mod:`repro.roadnet.knn` — network kNN by incremental network expansion.
 * :mod:`repro.roadnet.network_voronoi` — the network Voronoi diagram, edge
   ownership and the order-1 network Voronoi neighbour relation.
-* :mod:`repro.roadnet.order_k` — exact order-k network Voronoi decomposition
-  of every edge and the network MIS.
 * :mod:`repro.roadnet.generators` — synthetic road-network generators.
 """
 
@@ -27,12 +25,6 @@ from repro.roadnet.shortest_path import (
 )
 from repro.roadnet.knn import network_knn, network_knn_from_vertex
 from repro.roadnet.network_voronoi import NetworkVoronoiDiagram
-from repro.roadnet.order_k import (
-    EdgeInterval,
-    network_mis,
-    order_k_edge_decomposition,
-    order_k_set_at,
-)
 from repro.roadnet.generators import (
     grid_network,
     place_objects,
@@ -51,10 +43,6 @@ __all__ = [
     "network_knn",
     "network_knn_from_vertex",
     "NetworkVoronoiDiagram",
-    "EdgeInterval",
-    "order_k_edge_decomposition",
-    "order_k_set_at",
-    "network_mis",
     "grid_network",
     "ring_radial_network",
     "random_planar_network",

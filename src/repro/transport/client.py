@@ -64,8 +64,10 @@ __all__ = ["RemoteService", "RemoteSession", "connect", "parse_endpoint"]
 
 #: Frame types that are diagnostics, not part of the billed protocol.
 #: Drain frames are operator traffic: billing them would make a rolled
-#: run's counters diverge from a never-rolled one's.
+#: run's counters diverge from a never-rolled one's.  An error reply is
+#: unbilled too, and so is the request it refuses (see ``_request``).
 _META_TYPES = (
+    ErrorMessage,
     StatsRequest,
     StatsResponse,
     ObjectsRequest,
@@ -256,13 +258,14 @@ class RemoteService:
     # ------------------------------------------------------------------
     # The wire
     # ------------------------------------------------------------------
-    def _send(self, message: Any) -> None:
+    def _send(self, message: Any) -> int:
         sent = self._stream.send(message)
         if isinstance(message, _META_TYPES):
             self.meta_bytes_sent += sent
         else:
             self.bytes_sent += sent
             self.predicted_bytes_sent += wire_size(message)
+        return sent
 
     def _receive(self, timeout: Optional[float] = None) -> Any:
         received = self._stream.receive(timeout=timeout)
@@ -274,8 +277,6 @@ class RemoteService:
         else:
             self.bytes_received += nbytes
             self.predicted_bytes_received += wire_size(message)
-        if isinstance(message, ErrorMessage):
-            raise message.to_exception()
         return message
 
     def _drain_duplicates(self) -> None:
@@ -308,7 +309,7 @@ class RemoteService:
             delay = self._backoff
             try:
                 for attempt in range(attempts):
-                    self._send(message)
+                    sent = self._send(message)
                     outstanding += 1
                     if attempt:
                         self.resends += 1
@@ -324,11 +325,6 @@ class RemoteService:
                             delay + self._retry_rng.uniform(0.0, delay)
                         )
                         delay *= 2
-                    except (ConnectionLost, TransportError):
-                        raise  # stream-level failure: nothing was consumed
-                    except Exception:
-                        outstanding -= 1  # a typed error frame was consumed
-                        raise
                     else:
                         outstanding -= 1
                         break
@@ -336,6 +332,14 @@ class RemoteService:
                 # Whatever is still in flight will surface as duplicate
                 # responses; remember to drain them before the next request.
                 self._pending_duplicates += outstanding
+            if isinstance(response, ErrorMessage):
+                if not isinstance(message, _META_TYPES):
+                    # The server bills a refused exchange nowhere: book the
+                    # request beside its error reply, under meta.
+                    self.bytes_sent -= sent
+                    self.predicted_bytes_sent -= wire_size(message)
+                    self.meta_bytes_sent += sent
+                raise response.to_exception()
         if not isinstance(response, expected):
             raise TransportError(
                 f"expected {expected.__name__}, got {type(response).__name__}"

@@ -5,8 +5,8 @@ connections, and runs one reader loop per connection
 (:func:`serve_connection`).  Every inbound frame is one protocol message:
 the data-plane trio (:class:`~repro.service.messages.PositionUpdate`,
 :class:`~repro.service.messages.UpdateBatch`) plus the session/control
-frames of :mod:`repro.transport.codec`.  The handler resolves them into
-exactly the in-process service calls a local
+frames of :mod:`repro.transport.codec`.  :func:`execute_frame` resolves
+them into exactly the in-process service calls a local
 :class:`~repro.service.session.Session` would have made — the engine's
 message/object accounting is therefore *identical* whether a workload is
 driven in-process or over the wire, and the server adds the one thing only
@@ -22,8 +22,8 @@ arrival order, so clients may pipeline.
 
 Meta frames (stats, aggregate stats, active objects, metrics, drains) are
 served but not billed: they are diagnostics and operator traffic, not part
-of the protocol.  One server hosts one service, whose engine applies every
-epoch itself.
+of the protocol.  Neither is a refused request.  One server hosts one
+service, whose engine applies every epoch itself.
 """
 
 from __future__ import annotations
@@ -77,6 +77,7 @@ from repro.service.messages import KNNResponse  # noqa: F401  (protocol surface)
 __all__ = [
     "KNNServer",
     "MetricsListener",
+    "execute_frame",
     "metrics_snapshot_frame",
     "serve_connection",
 ]
@@ -131,6 +132,86 @@ def metrics_snapshot_frame(service: Optional[KNNService] = None) -> MetricsSnaps
     )
 
 
+def execute_frame(
+    service: KNNService,
+    message: Any,
+    session: Optional[Session] = None,
+    request_bytes: Optional[int] = None,
+) -> Tuple[Any, Optional[Session]]:
+    """Run one billed request frame; returns its reply and its session.
+
+    The one place a request becomes a service call, a reply frame and a
+    bill: :func:`serve_connection` runs every billed frame through it and
+    :meth:`~repro.durability.recovery.DurableKNNService._replay` every
+    logged one, so a recovered service bills what the live one did.
+
+    ``session`` is the one a :class:`PositionUpdate`,
+    :class:`RefreshRequest` or :class:`CloseSession` names; the caller has
+    decided who owns it.  An open returns the session it created.  With
+    ``request_bytes`` given, the exchange is billed: the request's size
+    plus the reply's :func:`wire_size`, both to the session served — but a
+    close's reply and both halves of an :class:`UpdateBatch` go to the
+    aggregate only.  A refused request raises before anything is billed.
+    """
+    query_id = None
+    if isinstance(message, PositionUpdate):
+        reply = session.update(message.position)
+        query_id = message.query_id
+    elif isinstance(message, RefreshRequest):
+        reply = session.refresh()
+        query_id = message.query_id
+    elif isinstance(message, (OpenSession, OpenQuery)):
+        if message.options:
+            raise ConfigurationError(
+                f"{type(message).__name__} carries options "
+                f"{dict(message.options)!r}, which the engine does not take"
+            )
+        # kind="knn" (an OpenSession) routes to open_session.
+        session = service.open_query(
+            message.position,
+            kind=getattr(message, "kind", "knn"),
+            k=message.k,
+            rho=message.rho,
+        )
+        query_id = session.query_id
+        reply = SessionOpened(query_id=query_id)
+    elif isinstance(message, CloseSession):
+        if request_bytes is not None:
+            # Billed before the close drops the session's record.
+            service.engine.account_wire_bytes(
+                message.query_id, uplink_bytes=request_bytes
+            )
+            request_bytes = 0
+        session.close()
+        reply = SessionClosed(query_id=message.query_id)
+    elif isinstance(message, UpdateBatch):
+        result = service.apply(message)
+        reply = BatchApplied(
+            epoch=result.epoch,
+            new_indexes=result.new_indexes,
+            deleted_indexes=result.deleted_indexes,
+        )
+    else:
+        raise TransportError(f"unexpected {type(message).__name__} frame from client")
+    if request_bytes is not None:
+        # Settled before the reply is sent (wire_size is exact), so a
+        # client that reads the counters right after it sees them final.
+        service.engine.account_wire_bytes(
+            query_id, uplink_bytes=request_bytes, downlink_bytes=wire_size(reply)
+        )
+    return reply, session
+
+
+#: Frames served but not billed: diagnostics and operator traffic.
+_META_REQUESTS = (
+    DrainRequest,
+    StatsRequest,
+    ObjectsRequest,
+    AggregateStatsRequest,
+    MetricsRequest,
+)
+
+
 def serve_connection(
     service: KNNService,
     stream: MessageStream,
@@ -151,10 +232,15 @@ def serve_connection(
     handed to the orphan pool when one is shared, left open in the durable
     state either way — so a successor can claim them.
 
-    Operations execute under the service lock, but their acknowledgement
-    leaves through :meth:`~repro.service.service.KNNService.
-    durability_barrier` *outside* it — under a group-commit WAL, many
-    connections ride one fsync while the service keeps executing.
+    Every billed frame runs through :func:`execute_frame` under the service
+    lock, once the connection has resolved which session it names; its
+    acknowledgement leaves through :meth:`~repro.service.service.
+    KNNService.durability_barrier` *outside* the lock — under a
+    group-commit WAL, many connections ride one fsync while the service
+    keeps executing.  A refused request (a typed error, such as naming
+    another connection's session) is answered with an unbilled
+    :class:`~repro.transport.codec.ErrorMessage` and bills nothing: the
+    log holds only what succeeded, so recovery could not bill it again.
 
     Args:
         orphans: a pool of recovered sessions *shared across connections*
@@ -171,7 +257,7 @@ def serve_connection(
     sessions: Dict[int, Session] = {}
     parked = False
 
-    def resolve(query_id: int) -> Optional[Session]:
+    def resolve(query_id: int) -> Session:
         """This connection's session for ``query_id``, claiming orphans."""
         session = sessions.get(query_id)
         if session is None and orphans is not None:
@@ -179,15 +265,11 @@ def serve_connection(
                 session = orphans.pop(query_id, None)
             if session is not None:
                 sessions[query_id] = session
+        if session is None:
+            # QueryError, like the in-process surface: a stale session
+            # id is a query problem, not a wire problem.
+            raise QueryError(f"query {query_id} is not a session of this connection")
         return session
-
-    def reply(message: Any, query_id: Optional[int]) -> None:
-        # Bill before sending (wire_size is exact), so a client that reads
-        # the counters right after receiving this reply sees them settled.
-        engine.account_wire_bytes(query_id, downlink_bytes=wire_size(message))
-        stream.send(message)
-
-    reply_meta = stream.send
 
     try:
         while True:
@@ -197,94 +279,19 @@ def serve_connection(
             message, nbytes = received
             started = start_timer()
             try:
-                if isinstance(message, (PositionUpdate, RefreshRequest)):
-                    query_id = message.query_id
-                    session = resolve(query_id)
-                    if session is None:
-                        # A refused request was still received: its bytes land
-                        # in the aggregate, so the engine's byte counters keep
-                        # matching the client's, and in no session — the id
-                        # may be another connection's.
-                        engine.account_wire_bytes(None, uplink_bytes=nbytes)
-                        # QueryError, like the in-process surface: a stale
-                        # session id is a query problem, not a wire problem.
-                        raise QueryError(
-                            f"query {query_id} is not a session of this connection"
-                        )
-                    try:
-                        with lock:
-                            if isinstance(message, PositionUpdate):
-                                response = session.update(message.position)
-                            else:
-                                response = session.refresh()
-                            token = service.durability_token()
-                        service.durability_barrier(token)
-                    except ReproError:
-                        engine.account_wire_bytes(query_id, uplink_bytes=nbytes)
-                        raise
-                    # One bill for the exchange, settled before the reply.
-                    engine.account_wire_bytes(
-                        query_id, uplink_bytes=nbytes, downlink_bytes=wire_size(response)
-                    )
-                    stream.send(response)
-                elif isinstance(message, (OpenSession, OpenQuery)):
-                    try:
-                        if message.options:
-                            raise ConfigurationError(
-                                f"{type(message).__name__} carries options "
-                                f"{dict(message.options)!r}, which the engine does not take"
-                            )
-                        with lock:
-                            # kind="knn" (an OpenSession) routes to open_session.
-                            session = service.open_query(
-                                message.position,
-                                kind=getattr(message, "kind", "knn"),
-                                k=message.k,
-                                rho=message.rho,
-                            )
-                            token = service.durability_token()
-                    except ReproError:
-                        # Refused, and billed like a refused request above.
-                        engine.account_wire_bytes(None, uplink_bytes=nbytes)
-                        raise
-                    service.durability_barrier(token)
-                    sessions[session.query_id] = session
-                    # The open exchange is billed to the session it created,
-                    # mirroring how registration messages are accounted.
-                    engine.account_wire_bytes(session.query_id, uplink_bytes=nbytes)
-                    reply(SessionOpened(query_id=session.query_id), session.query_id)
-                elif isinstance(message, CloseSession):
-                    query_id = message.query_id
-                    session = resolve(query_id)
-                    sessions.pop(query_id, None)
-                    if session is None:
-                        engine.account_wire_bytes(None, uplink_bytes=nbytes)
-                        raise QueryError(
-                            f"query {query_id} is not a session of this connection"
-                        )
-                    # Billed before the close drops the session's record.
-                    engine.account_wire_bytes(query_id, uplink_bytes=nbytes)
+                if not isinstance(message, _META_REQUESTS):
+                    session = None
+                    if isinstance(message, (PositionUpdate, RefreshRequest, CloseSession)):
+                        session = resolve(message.query_id)
                     with lock:
-                        session.close()
+                        reply, session = execute_frame(service, message, session, nbytes)
                         token = service.durability_token()
                     service.durability_barrier(token)
-                    # The session record is gone: the acknowledgement bytes
-                    # land in the aggregate, like the goodbye message itself.
-                    reply(SessionClosed(query_id=query_id), None)
-                elif isinstance(message, UpdateBatch):
-                    engine.account_wire_bytes(None, uplink_bytes=nbytes)
-                    with lock:
-                        result = service.apply(message)
-                        token = service.durability_token()
-                    service.durability_barrier(token)
-                    reply(
-                        BatchApplied(
-                            epoch=result.epoch,
-                            new_indexes=result.new_indexes,
-                            deleted_indexes=result.deleted_indexes,
-                        ),
-                        None,
-                    )
+                    if isinstance(reply, SessionOpened):
+                        sessions[reply.query_id] = session
+                    elif isinstance(reply, SessionClosed):
+                        del sessions[reply.query_id]
+                    stream.send(reply)
                 elif isinstance(message, DrainRequest):
                     # Park-and-checkpoint: after this acknowledgement the
                     # connection's sessions are claimable by a successor
@@ -296,7 +303,7 @@ def serve_connection(
                         if checkpoint is not None:
                             checkpoint()
                             wal_seq = service.wal.last_seq
-                    reply_meta(
+                    stream.send(
                         DrainAck(
                             wal_seq=wal_seq, session_ids=tuple(sorted(sessions))
                         )
@@ -309,7 +316,7 @@ def serve_connection(
                             per_session = tuple(
                                 sorted(engine.per_query_communication().items())
                             )
-                    reply_meta(
+                    stream.send(
                         StatsResponse(aggregate=aggregate, per_session=per_session)
                     )
                 elif isinstance(message, ObjectsRequest):
@@ -318,23 +325,19 @@ def serve_connection(
                             epoch=service.epoch,
                             indexes=service.active_object_indexes(),
                         )
-                    reply_meta(response)
+                    stream.send(response)
                 elif isinstance(message, AggregateStatsRequest):
                     with lock:
                         stats = service.aggregate_stats()
-                    reply_meta(AggregateStatsResponse(stats=stats))
-                elif isinstance(message, MetricsRequest):
-                    # Meta and idempotent: a scrape reads snapshots only,
-                    # so it can never alter the counters it reports.
+                    stream.send(AggregateStatsResponse(stats=stats))
+                else:
+                    # A MetricsRequest reads snapshots only, so it can
+                    # never alter the counters it reports.
                     with lock:
                         response = metrics_snapshot_frame(service)
-                    reply_meta(response)
-                else:
-                    raise TransportError(
-                        f"unexpected {type(message).__name__} frame from client"
-                    )
+                    stream.send(response)
             except ReproError as error:
-                reply(ErrorMessage.from_exception(error), None)
+                stream.send(ErrorMessage.from_exception(error))
             if started is not None:
                 elapsed = _obs_clock() - started
                 frame_name = type(message).__name__

@@ -25,6 +25,7 @@ from repro.durability import (
     DurableKNNService,
     has_durable_state,
     inventory,
+    list_snapshots,
     recover_service,
 )
 from repro.errors import DurabilityError, SnapshotError
@@ -124,10 +125,17 @@ class TestRestartAndReplayOracle:
         driver.run(service, 1, scenario.timestamps)
         service.close_wal()
 
-        cold = recover_service(wal_dir, use_latest_snapshot=False)
-        assert counters_of(cold) == counters_of(reference_service)
         warm = recover_service(wal_dir)
+        warm.close_wal()
         assert counters_of(warm) == counters_of(reference_service)
+        # Without the checkpoints, recovery falls back to the initial
+        # snapshot and replays the entire log.
+        later = [path for wal_seq, path in list_snapshots(wal_dir) if wal_seq > 0]
+        assert later
+        for path in later:
+            os.remove(path)
+        cold = recover_service(wal_dir)
+        assert counters_of(cold) == counters_of(reference_service)
         assert {s.query_id for s in cold.sessions()} == {
             s.query_id for s in warm.sessions()
         }

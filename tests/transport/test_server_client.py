@@ -203,8 +203,9 @@ class TestRemoteSessions:
             assert remote.sessions()[0].update(Point(2, 2)).knn
 
     def test_failed_open_still_reconciles_byte_accounting(self, service, server):
-        """A refused registration is billed uplink, so engine bytes keep
-        matching the client's measurement even on error paths."""
+        """A refused registration bills nothing on either side (the client
+        books it as meta), so engine bytes keep matching the client's
+        measurement even on error paths."""
         with connect(server.address) as remote:
             with pytest.raises(ConfigurationError):
                 remote.open_session(Point(0, 0), k=10_000)
@@ -227,8 +228,8 @@ class TestRemoteSessions:
     def test_an_open_carrying_options_is_refused_typed(self, service, server, frame):
         """The frames keep an ``options`` field (the wire is frozen) but the
         engine takes none: a non-empty one is refused with a typed error,
-        billed like any refused registration, and the connection — with the
-        session it already serves — goes on serving."""
+        unbilled like any refused registration, and the connection — with
+        the session it already serves — goes on serving."""
         with connect(server.address) as remote:
             with remote.open_session(Point(10, 10), k=3) as earlier:
                 with pytest.raises(ConfigurationError, match="foo"):
@@ -297,8 +298,9 @@ class TestServerSideAccounting:
             assert service.communication.uplink_bytes == comm.uplink_bytes
 
     def test_a_refused_request_bills_no_other_connections_session(self, service, server):
-        """Connection B naming A's session is refused; its bytes land in the
-        aggregate, and A's record does not pay for them."""
+        """Connection B naming A's session is refused; the exchange is billed
+        nowhere, so A's record does not pay for it and the aggregate still
+        equals what both clients booked as billed."""
         with connect(server.address) as owner, connect(server.address) as other:
             session = owner.open_session(Point(10, 10), k=3)
             before = service.engine.communication_for(session.query_id).snapshot()
