@@ -133,10 +133,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     workload.add_argument("--seed", type=int, default=47, help="workload seed")
     workload.add_argument(
-        "--invalidation", choices=("delta", "flag"), default="delta",
-        help="how data updates reach the sessions",
-    )
-    workload.add_argument(
         "--fsync", choices=("always", "group", "batch", "off"), default="batch",
         help="with a WAL: its fsync policy ('group' batches concurrent "
              "commits into one fsync at 'always'-grade durability; "
@@ -540,14 +536,12 @@ def _open_fresh_service(args: argparse.Namespace, scenario):
     """The service ``serve`` starts on the scenario's objects: durable,
     on a fresh write-ahead log, under ``--wal-dir``."""
     if args.wal_dir is None:
-        return open_service(
-            scenario.metric, scenario.objects, scenario.network, args.invalidation
-        )
+        return open_service(scenario.metric, scenario.objects, scenario.network)
     from repro.durability import open_durable_service
 
     return open_durable_service(
         args.wal_dir, scenario.metric, scenario.objects, scenario.network,
-        args.invalidation, fsync=args.fsync, snapshot_every=args.snapshot_every,
+        fsync=args.fsync, snapshot_every=args.snapshot_every,
         segment_bytes=args.segment_bytes,
     )
 
@@ -574,7 +568,6 @@ def _serve_simulate(args: argparse.Namespace, scenario) -> int:
     print(f"scenario                : {run.scenario}")
     print(f"sessions x timestamps   : {len(run.results)} x {run.timestamps}")
     print(f"transport               : {run.transport}")
-    print(f"invalidation            : {run.invalidation}")
     print(f"data epochs applied     : {run.epochs}  {run.update_counts}")
     print(f"retrievals              : {stats.full_recomputations}")
     print(f"ins refreshes / absorbed: {stats.ins_refreshes} / {stats.absorbed_updates}")

@@ -201,17 +201,7 @@ class BatchUpdateResult:
 
 
 class ServingEngine(abc.ABC, Generic[PositionT]):
-    """Generic moving-query serving engine (see the module docstring).
-
-    Args:
-        invalidation: how data-object updates reach the registered queries.
-            ``"delta"`` (default) pushes the repair delta so each query pays
-            only for updates that name a member of its R; ``"flag"`` restores
-            the blanket pre-delta contract (every query refreshes fully on
-            every epoch), kept as a fallback and as the equivalence oracle.
-    """
-
-    INVALIDATION_MODES = ("delta", "flag")
+    """Generic moving-query serving engine (see the module docstring)."""
 
     #: ``"euclidean"`` or ``"road"``: set by the metric subclass.
     metric: str
@@ -222,12 +212,7 @@ class ServingEngine(abc.ABC, Generic[PositionT]):
     #: instance attribute.
     maintenance_seconds: float = 0.0
 
-    def __init__(self, invalidation: str = "delta"):
-        if invalidation not in self.INVALIDATION_MODES:
-            raise ConfigurationError(
-                f"invalidation must be one of {self.INVALIDATION_MODES}, got {invalidation!r}"
-            )
-        self._invalidation = invalidation
+    def __init__(self):
         self._queries: Dict[int, RegisteredQuery] = {}
         self._next_query_id = 0
         self._epoch = 0
@@ -276,11 +261,6 @@ class ServingEngine(abc.ABC, Generic[PositionT]):
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def invalidation(self) -> str:
-        """The invalidation mode (``"delta"`` or ``"flag"``)."""
-        return self._invalidation
-
     @property
     @abc.abstractmethod
     def index(self) -> Any:
@@ -628,10 +608,9 @@ class ServingEngine(abc.ABC, Generic[PositionT]):
     ) -> None:
         """Advance the data epoch and dispatch the invalidation round.
 
-        In ``"delta"`` mode every registered processor receives the repair
-        delta, frozen once, and settles it lazily (nothing is copied per
-        session; an INS session the delta misses keeps none).  In ``"flag"``
-        mode every processor is forced to refresh fully on its next timestamp.
+        Every registered processor receives the repair delta, frozen once,
+        and settles it lazily (nothing is copied per session; an INS session
+        the delta misses keeps none).
 
         Communication: the mutation batch arrives as one uplink message
         carrying ``payload`` object records (the insert/delete/move stream
@@ -654,14 +633,9 @@ class ServingEngine(abc.ABC, Generic[PositionT]):
                     bucket.downlink_messages += 1
 
     def _dispatch(self, changed: FrozenSet[int], removed: FrozenSet[int]) -> None:
-        """Hand every registered processor the delta, or in ``"flag"`` mode
-        force each one to refresh fully."""
-        if self._invalidation == "flag":
-            for registered in self._queries.values():
-                registered.processor.invalidate()
-        else:
-            for registered in self._queries.values():
-                registered.processor.notify_data_update(changed, removed)
+        """Hand every registered processor the delta."""
+        for registered in self._queries.values():
+            registered.processor.notify_data_update(changed, removed)
 
     # ------------------------------------------------------------------
     # Aggregate statistics

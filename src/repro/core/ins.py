@@ -53,10 +53,10 @@ I(R) on arrival and settle at the next timestamp with one of three outcomes:
 
 * a removal inside the prefetched set R invalidates R, so the next
   timestamp pays one full retrieval;
-* a delta whose ``changed`` meets R, or whose ``removed`` meets I(R),
-  refreshes I(R) from the already-repaired shared index (a few set unions):
-  validation against a freshly derived I(R) certifies the held kNN set
-  against the current data set, whatever changed;
+* a delta whose ``changed`` meets R refreshes I(R) from the
+  already-repaired shared index (a few set unions): validation against a
+  freshly derived I(R) certifies the held kNN set against the current data
+  set, whatever changed;
 * every other delta is absorbed for free — with nothing else queued, on
   arrival: it keeps only the stale mark, and the next timestamp counts the
   absorb.  I(R) is R's neighbour lists minus R (Definition 4), so only a
@@ -65,8 +65,10 @@ I(R) on arrival and settle at the next timestamp with one of three outcomes:
   true kNN it would, by the Voronoi chain property, be a neighbour of a kNN
   member, whose list then changed, so the delta names a member of R.
 
-The pre-delta behaviour (every update forces a full retrieval) survives as
-``invalidate``, the engine's ``"flag"`` fallback mode.
+No mode refreshes every session on every epoch: the rule answers to brute
+force instead (``tests/service/test_service_machine.py`` drives a service
+through opens, moves, churn, checkpoints and crashes, and checks every
+answer against its own model of the population).
 
 Cost accounting: every retrieval transmits ``|R| + |I(R)|`` objects; every
 validation and local recomposition counts its distance computations.
@@ -207,15 +209,16 @@ class InfluentialSetProcessor(MovingKNNProcessor[PositionT]):
         return self._perform_update(position, distances)
 
     def _reaches(self, changed: AbstractSet[int], removed: AbstractSet[int]) -> bool:
-        """Whether a delta can change R or I(R): it names a member of R, or
-        removes an object of I(R).  One that does not is absorbed."""
+        """Whether a delta can change R or I(R): it names a member of R.  A
+        removed object of I(R) neighbours a member, whose list it changed, so
+        the index names that member too.  One that does not is absorbed."""
         R = self._R
-        return not (changed.isdisjoint(R) and removed.isdisjoint(R) and removed.isdisjoint(self._ins))
+        return not (changed.isdisjoint(R) and removed.isdisjoint(R))
 
     def notify_data_update(self, changed: Iterable[int] = (), removed: Iterable[int] = ()) -> None:
         """Queue a delta, unless nothing is pending and it misses R and I(R) —
         one the next settle would absorb: that keeps only the stale mark."""
-        if self._pending is None and not self._force_refresh:
+        if self._pending is None:
             changed, removed = frozenset(changed), frozenset(removed)
             if not self._reaches(changed, removed):
                 self._state_stale = True
@@ -226,25 +229,24 @@ class InfluentialSetProcessor(MovingKNNProcessor[PositionT]):
         """Settle the pending delta: the full-recompute :class:`QueryResult` if it
         forced a retrieval, else None (I(R) refreshed or the delta absorbed)."""
         pending = self._pending
-        if not self._force_refresh and (pending is None or not self._reaches(*pending)):
+        if pending is None or not self._reaches(*pending):
             # No member of R was named (nothing queued, or a pair an older
             # build queued): every member's neighbour list, so I(R) and the
             # guard set the validation uses, is as it was.  Free.
             self._pending, self._state_stale = None, False
             self._stats.absorbed_updates += 1
             return None
-        changed, removed, forced = self._take_pending()
-        if forced or not removed.isdisjoint(self._R):
-            # Blanket invalidation, or the prefetched set lost a member: R
-            # no longer reflects the ⌊ρk⌋ nearest objects, recompute it —
-            # from a member the client still holds, if one survives.
+        changed, removed = self._take_pending()
+        if not removed.isdisjoint(self._R):
+            # The prefetched set lost a member: R no longer reflects the
+            # ⌊ρk⌋ nearest objects, recompute it — from a member the
+            # client still holds, if one survives.
             self._stats.validations += 1
             survivors = (member for member in self._R if self._index.is_active(member))
             return self._retrieve(position, next(survivors, None))
-        # The delta named a member of R, or removed one of I(R), so I(R) may
-        # differ: re-derive it from the shared index, no kNN recomputation.
-        # The validation that follows certifies the held answer against the
-        # fresh guard set.
+        # The delta named a member of R, so I(R) may differ: re-derive it
+        # from the shared index, no kNN recomputation.  The validation that
+        # follows certifies the held answer against the fresh guard set.
         started = _CLOCK[0]()
         self._refresh_ins(changed)
         self._stats.ins_refreshes += 1

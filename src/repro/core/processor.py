@@ -16,10 +16,10 @@ trajectory; doing so resets the internal answer state but keeps accumulating
 statistics unless :meth:`MovingKNNProcessor.reset_stats` is called.
 
 A *served* processor also hears about data-object updates: the serving
-engine pushes each epoch's repair delta (``notify_data_update``) or, in its
-``"flag"`` mode, a blanket ``invalidate``.  :class:`DeltaMailbox` queues
-them, a processor that cares empties it on its next timestamp
-(``_take_pending``), and one may settle on arrival a delta it would absorb.
+engine pushes each epoch's repair delta (``notify_data_update``).
+:class:`DeltaMailbox` queues them, a processor that cares empties it on its
+next timestamp (``_take_pending``), and one may settle on arrival a delta it
+would absorb.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ class DeltaMailbox:
 
     def __init__(self):
         self._state_stale = False
-        self._force_refresh = False
         self._pending: Optional[Tuple[AbstractSet[int], AbstractSet[int]]] = None
 
     def __setstate__(self, state) -> None:
@@ -71,19 +70,12 @@ class DeltaMailbox:
             pending[1].update(removed)
         self._state_stale = True
 
-    def invalidate(self) -> None:
-        """Blanket invalidation: force a full refresh on the next timestamp —
-        the pre-delta contract (every query refreshes on every epoch), kept as
-        the engine's ``"flag"`` mode and the delta-equivalence tests' oracle."""
-        self._force_refresh = True
-        self._state_stale = True
-
-    def _take_pending(self) -> Tuple[AbstractSet[int], AbstractSet[int], bool]:
-        """Empty the mailbox: ``(changed, removed, forced)`` since the last call."""
+    def _take_pending(self) -> Tuple[AbstractSet[int], AbstractSet[int]]:
+        """Empty the mailbox: ``(changed, removed)`` since the last call."""
         changed, removed = self._pending or (frozenset(), frozenset())
-        self._pending, forced = None, self._force_refresh
-        self._force_refresh = self._state_stale = False
-        return changed, removed, forced
+        self._pending = None
+        self._state_stale = False
+        return changed, removed
 
 
 class MovingKNNProcessor(DeltaMailbox, abc.ABC, Generic[PositionT]):

@@ -34,10 +34,6 @@ class MovingRoadKNNServer(ServingEngine[NetworkLocation]):
         object_vertices: initial vertex of each data object.
         stats: optional search-effort accumulator shared with the diagram's
             construction and repairs.
-        invalidation: ``"delta"`` (default) pushes each epoch's repair
-            delta to the registered queries; ``"flag"`` restores the
-            blanket refresh-everyone contract (see
-            :class:`~repro.core.engine.ServingEngine`).
     """
 
     metric = "road"
@@ -47,9 +43,8 @@ class MovingRoadKNNServer(ServingEngine[NetworkLocation]):
         network: RoadNetwork,
         object_vertices: Sequence[int],
         stats: Optional[SearchStats] = None,
-        invalidation: str = "delta",
     ):
-        super().__init__(invalidation=invalidation)
+        super().__init__()
         self._network = network
         self._search_stats = stats if stats is not None else SearchStats()
         self._voronoi = NetworkVoronoiDiagram(network, list(object_vertices), self._search_stats)

@@ -27,10 +27,6 @@ class MovingKNNServer(ServingEngine[Point]):
         points: the data-object positions.
         allow_incremental: enable case-(i) incremental updates for every
             registered query (see :class:`~repro.core.ins_euclidean.INSProcessor`).
-        invalidation: ``"delta"`` (default) pushes each epoch's repair
-            delta to the registered queries; ``"flag"`` restores the
-            blanket refresh-everyone contract (see
-            :class:`~repro.core.engine.ServingEngine`).
     """
 
     metric = "euclidean"
@@ -39,9 +35,8 @@ class MovingKNNServer(ServingEngine[Point]):
         self,
         points: Sequence[Point],
         allow_incremental: bool = False,
-        invalidation: str = "delta",
     ):
-        super().__init__(invalidation=invalidation)
+        super().__init__()
         if not points:
             raise EmptyDatasetError("MovingKNNServer requires at least one data object")
         self._vortree = VoRTree(list(points))

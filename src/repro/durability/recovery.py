@@ -253,12 +253,18 @@ class DurableKNNService(KNNService):
             return
         for message in messages:
             self._wal.append(message)
-        if self._snapshot_every is not None:
-            self._appends_since_snapshot += len(messages)
-            if self._appends_since_snapshot >= self._snapshot_every:
-                self.checkpoint()
+        self._appends_since_snapshot += len(messages)
+
+    def _checkpoint_if_due(self) -> None:
+        """Take a due periodic checkpoint before the next logged request
+        runs: by then the server has billed every logged exchange."""
+        if self._snapshot_every is not None and (
+            self._appends_since_snapshot >= self._snapshot_every
+        ):
+            self.checkpoint()
 
     def open_session(self, position: Any, k: int, rho: float = 1.6) -> Session:
+        self._checkpoint_if_due()
         session = super().open_session(position, k=k, rho=rho)
         # The open/ack pair makes query-id assignment auditable: replay
         # asserts the deterministic engine hands out the logged id again.
@@ -276,6 +282,7 @@ class DurableKNNService(KNNService):
             # OpenSession/SessionOpened pair — the log stays byte-identical
             # to a pre-queries-era kNN workload.
             return super().open_query(position, kind=kind, k=k, rho=rho)
+        self._checkpoint_if_due()
         session = super().open_query(position, kind=kind, k=k, rho=rho)
         self._log(
             OpenQuery(kind=kind, position=position, k=k, rho=rho),
@@ -284,20 +291,24 @@ class DurableKNNService(KNNService):
         return session
 
     def _deliver(self, query_id: int, position: Any) -> KNNResponse:
+        self._checkpoint_if_due()
         response = super()._deliver(query_id, position)
         self._log(PositionUpdate(query_id=query_id, position=position))
         return response
 
     def _refresh(self, query_id: int) -> KNNResponse:
+        self._checkpoint_if_due()
         response = super()._refresh(query_id)
         self._log(RefreshRequest(query_id=query_id))
         return response
 
     def _discard(self, session: Session) -> None:
+        self._checkpoint_if_due()
         super()._discard(session)
         self._log(CloseSession(query_id=session.query_id))
 
     def apply(self, batch: UpdateBatch):
+        self._checkpoint_if_due()
         result = super().apply(batch)
         self._log(batch)
         return result
@@ -434,7 +445,6 @@ def open_durable_service(
     metric: str = "euclidean",
     objects=None,
     network=None,
-    invalidation: str = "delta",
     fsync: str = "batch",
     snapshot_every: Optional[int] = None,
     segment_bytes: Optional[int] = None,
@@ -445,9 +455,7 @@ def open_durable_service(
     ``wal_dir`` must not already hold durable state (that is what
     :func:`recover_service` is for).
     """
-    service = open_service(
-        metric=metric, objects=objects, network=network, invalidation=invalidation
-    )
+    service = open_service(metric=metric, objects=objects, network=network)
     return DurableKNNService(
         service.engine,
         wal_dir,

@@ -96,7 +96,7 @@ _MAX_PAYLOAD = MAX_FRAME_BYTES
 
 FSYNC_POLICIES = ("always", "group", "batch", "off")
 
-#: Default group-commit window: how long the syncer waits after waking so
+#: The group-commit window: how long the syncer waits after waking so
 #: concurrent appends can pile into the same fsync.
 GROUP_WINDOW_SECONDS = 0.002
 
@@ -361,9 +361,6 @@ class WriteAheadLog:
             ``"off"``.  Every policy still flushes each append to the OS,
             so records survive a killed process; the policy only decides
             what survives a machine crash.
-        group_window: the group-commit latency bound, in seconds — how
-            long the syncer lets appends accumulate before fsyncing them
-            as one batch (``"group"`` policy only).
         segment_bytes: seal and rotate the active file once it reaches
             this many bytes (``None`` disables rotation).
         start_seq: sequence number a *new or emptied* active file starts
@@ -376,7 +373,6 @@ class WriteAheadLog:
         self,
         path: str,
         fsync: str = "batch",
-        group_window: float = GROUP_WINDOW_SECONDS,
         segment_bytes: Optional[int] = None,
         start_seq: Optional[int] = None,
     ):
@@ -386,7 +382,6 @@ class WriteAheadLog:
             )
         self._path = str(path)
         self._fsync = fsync
-        self._group_window = float(group_window)
         self._segment_bytes = segment_bytes
         self._closed = False
         self.append_count = 0
@@ -566,8 +561,7 @@ class WriteAheadLog:
                 if self._closed:
                     return
             # The latency window: appends landing now share the fsync.
-            if self._group_window > 0:
-                time.sleep(self._group_window)
+            time.sleep(GROUP_WINDOW_SECONDS)
             with self._group_cond:
                 if self._closed:
                     return

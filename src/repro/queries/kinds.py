@@ -2,8 +2,8 @@
 
 A :class:`QueryKind` is a name and a strategy for building one continuous
 query type's processor on a server.  The processor carries the rest: its
-delta-invalidation rule (its own ``notify_data_update``/``invalidate``
-hooks) and the widened result it answers with;
+delta-invalidation rule (how it settles what ``notify_data_update``
+queued) and the widened result it answers with;
 :mod:`repro.queries.messages` maps each result type to its wire response.
 
 The registry maps kind names to singleton strategies, and both metric

@@ -28,8 +28,7 @@ for free when it provably leaves the held cell intact:
   half-planes, checking its *vertices* is exact: site ``c`` invades iff
   ``d(v, c) < d(v, m)`` for some vertex ``v`` and member ``m``.
 
-Anything else — a removed member, an invading site, or an
-explicit ``invalidate()`` from the blanket flag oracle — forces a recompute
+Anything else — a removed member or an invading site — forces a recompute
 at the next answer.
 """
 
@@ -154,8 +153,8 @@ class OrderKRegionProcessor(MovingKNNProcessor[Point]):
         """Settle the accumulated delta; True when a recompute is required."""
         if not self._state_stale:
             return False
-        changed, removed, force = self._take_pending()
-        if force or self._cell is None:
+        changed, removed = self._take_pending()
+        if self._cell is None:
             return True
         if removed.intersection(self._knn):
             # A member vanished: the held answer is wrong, not just stale.

@@ -84,11 +84,6 @@ class KNNService:
         return self._engine
 
     @property
-    def invalidation(self) -> str:
-        """The engine's invalidation mode (``"delta"``/``"flag"``)."""
-        return self._engine.invalidation
-
-    @property
     def epoch(self) -> int:
         """The engine's current data epoch."""
         return self._engine.epoch
@@ -297,7 +292,6 @@ def open_service(
     metric: str = "euclidean",
     objects: Optional[Sequence[Any]] = None,
     network=None,
-    invalidation: str = "delta",
 ) -> KNNService:
     """Open a moving-kNN service — the one front door for both metrics.
 
@@ -308,9 +302,6 @@ def open_service(
         objects: the initial data objects (required, non-empty).
         network: the :class:`~repro.roadnet.graph.RoadNetwork` shared by
             every query — required for (and exclusive to) the road metric.
-        invalidation: ``"delta"`` (default; each session pays only for
-            updates naming a member of its R) or ``"flag"`` (blanket
-            refresh-everyone fallback).
 
     Returns:
         A :class:`KNNService` ready for :meth:`~KNNService.open_session`.
@@ -324,9 +315,9 @@ def open_service(
             raise ConfigurationError(
                 "the euclidean metric takes no road network; did you mean metric='road'?"
             )
-        engine = MovingKNNServer(list(objects), invalidation=invalidation)
+        engine = MovingKNNServer(list(objects))
     else:
         if network is None:
             raise ConfigurationError("the road metric requires a road network")
-        engine = MovingRoadKNNServer(network, list(objects), invalidation=invalidation)
+        engine = MovingRoadKNNServer(network, list(objects))
     return KNNService(engine)

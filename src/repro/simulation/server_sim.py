@@ -145,7 +145,6 @@ class ServerRun:
 
     Attributes:
         scenario: the scenario name.
-        invalidation: the engine's invalidation mode (``"delta"``/``"flag"``).
         results: per query id, one :class:`QueryResult` per timestamp.
         epochs: data epochs applied by the update stream.
         update_counts: applied object mutations by kind
@@ -169,7 +168,6 @@ class ServerRun:
     """
 
     scenario: str
-    invalidation: str
     results: Dict[int, List[QueryResult]]
     epochs: int
     update_counts: Dict[str, int]
@@ -349,7 +347,6 @@ def simulate_server(
         elapsed = _clock() - started
         return ServerRun(
             scenario=scenario.name,
-            invalidation=service.invalidation,
             results=results,
             epochs=service.epoch,
             update_counts=counts,

@@ -13,8 +13,6 @@ import dataclasses
 import pickle
 import random
 
-import pytest
-
 from repro.core.processor import DeltaMailbox
 from repro.core.server import MovingKNNServer
 from repro.geometry.point import Point
@@ -36,8 +34,8 @@ def churn(engine, rng):
     )
 
 
-def served(sessions, seed=31, **options):
-    engine = MovingKNNServer(uniform_points(200, seed=seed), **options)
+def served(sessions, seed=31):
+    engine = MovingKNNServer(uniform_points(200, seed=seed))
     walks = [
         random_waypoint_trajectory(data_space(), 40, 150.0, seed=seed + i)
         for i in range(sessions)
@@ -121,11 +119,10 @@ class TestOneFrozenDeltaPerEpoch:
         assert all(type(part) is set for pair in merged for part in pair)
         assert first.changed_objects == frozen
         processor = processors(engine)[0]
-        changed, removed, forced = processor._take_pending()
+        changed, removed = processor._take_pending()
         assert changed == first.changed_objects | second.changed_objects
         assert removed == {*first.deleted_indexes, *second.deleted_indexes}
-        assert not forced
-        assert processor._take_pending() == (set(), set(), False)
+        assert processor._take_pending() == (set(), set())
         assert not processor.state_stale
 
     def test_a_bare_mailbox_holds_then_merges(self):
@@ -136,7 +133,7 @@ class TestOneFrozenDeltaPerEpoch:
         mailbox.notify_data_update([3], removed=[8])
         mailbox.notify_data_update(removed={7})
         assert changed == {1, 2}
-        assert mailbox._take_pending() == ({1, 2, 3}, {7, 8, 9}, False)
+        assert mailbox._take_pending() == ({1, 2, 3}, {7, 8, 9})
 
     def test_an_idle_session_holds_one_pair_through_a_thousand_epochs(self):
         engine, (busy, idle), walks = served(sessions=2, seed=33)
@@ -163,26 +160,19 @@ class TestPicklesWithPrivateSets:
     answers and counts exactly like a twin that was never pickled."""
 
     @staticmethod
-    def twin(invalidation, invalidated):
-        """A served session with one epoch pending (and ``invalidate()`` too)."""
-        engine, (query,), (walk,) = served(sessions=1, seed=35, invalidation=invalidation)
+    def twin():
+        """A served session with one epoch pending."""
+        engine, (query,), (walk,) = served(sessions=1, seed=35)
         rng = random.Random(4)
         for step in range(1, 11):
             churn(engine, rng)
             engine.update_position(query, walk[step])
         churn(engine, rng)
-        if invalidated:
-            processor_of(engine, query).invalidate()
         return engine, query, walk, rng
 
-    @pytest.mark.parametrize(
-        "invalidation, invalidated",
-        [("delta", False), ("delta", True), ("flag", False)],
-        ids=["delta", "delta-and-invalidate", "flag"],
-    )
-    def test_the_private_sets_become_the_pending_pair(self, invalidation, invalidated):
-        engine, query, walk, rng = self.twin(invalidation, invalidated)
-        twin, _, _, twin_rng = self.twin(invalidation, invalidated)
+    def test_the_private_sets_become_the_pending_pair(self):
+        engine, query, walk, rng = self.twin()
+        twin, _, _, twin_rng = self.twin()
         processor = processor_of(engine, query)
         changed, removed = processor._pending or (frozenset(), frozenset())
         # What the parent layout pickled: two private sets, no pair.

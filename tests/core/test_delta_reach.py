@@ -1,9 +1,10 @@
 """A delta that misses R and I(R) is settled when it arrives, on both metrics.
 
 The INS processor tests every pushed delta against what it holds: with
-nothing queued and no refresh forced, a delta whose ``removed`` misses R and
-I(R) and whose ``changed`` misses R is one its next settle would absorb, so
-it keeps no pair, only the stale mark.  That settle then counts the absorb
+nothing queued, a delta whose ``removed`` and ``changed`` both miss R is one
+its next settle would absorb (a removed object of I(R) neighboured a member,
+so the index names that member as changed), so it keeps no pair, only the
+stale mark.  That settle then counts the absorb
 and returns, as it does for a missing pair an older build queued.  Any other
 delta is queued exactly as the mailbox queues it, so a missed epoch followed
 by a reaching one settles as the reaching one alone.
@@ -28,13 +29,13 @@ from repro.workloads.datasets import data_space, uniform_points
 OUTCOMES = ("full_recomputations", "ins_refreshes", "absorbed_updates")
 
 
-def plane_engine(**options):
-    return MovingKNNServer(uniform_points(300, seed=5), **options)
+def plane_engine():
+    return MovingKNNServer(uniform_points(300, seed=5))
 
 
-def road_engine(**options):
+def road_engine():
     network = grid_network(20, 20, spacing=10.0)
-    return MovingRoadKNNServer(network, place_objects(network, 60, seed=8), **options)
+    return MovingRoadKNNServer(network, place_objects(network, 60, seed=8))
 
 
 #: metric -> (engine builder, query position, an insert target far from it).
@@ -116,24 +117,9 @@ class TestAMissIsSettledOnArrival:
         assert removed == set(reaching.deleted_indexes)
         assert settle(engine, query_id)[1] == (0, 1, 0)
 
-    @pytest.mark.parametrize("invalidate_first", [True, False], ids=["then-miss", "after-miss"])
-    def test_invalidate_forces_the_refresh_whatever_misses(self, served, invalidate_first):
-        engine, query_id, processor, far = served
-        if invalidate_first:
-            processor.invalidate()
-            delta = engine.batch_update(inserts=[far])
-            # Queued, though it misses: a forced refresh is pending.
-            assert misses(processor, delta)
-            assert processor._pending[0] is delta.changed_objects
-        else:
-            engine.batch_update(inserts=[far])
-            processor.invalidate()
-            assert processor._pending is None
-        assert settle(engine, query_id)[1] == (1, 0, 0)
-
 
 # ----------------------------------------------------------------------
-# The three clauses, one bare delta each, on a processor of its own
+# The two clauses, one bare delta each, on a processor of its own
 # ----------------------------------------------------------------------
 def plane_processor():
     processor = INSProcessor(VoRTree(uniform_points(300, seed=5)), k=3)
@@ -149,17 +135,12 @@ def road_processor():
 
 @pytest.mark.parametrize("build", [plane_processor, road_processor], ids=["plane", "road"])
 @pytest.mark.parametrize(
-    "clause, expected",
-    [("removed-in-R", (1, 0, 0)), ("removed-in-guards", (0, 1, 0)), ("changed-in-R", (0, 1, 0))],
+    "clause, expected", [("removed-in-R", (1, 0, 0)), ("changed-in-R", (0, 1, 0))]
 )
 def test_each_clause_alone_queues_the_delta(build, clause, expected):
     processor = build()
-    member, guard = processor.prefetched_set[-1], min(processor.influential_set)
-    delta = {
-        "removed-in-R": {"removed": (member,)},
-        "removed-in-guards": {"removed": (guard,)},
-        "changed-in-R": {"changed": (member,)},
-    }[clause]
+    member = processor.prefetched_set[-1]
+    delta = {"removed-in-R": {"removed": (member,)}, "changed-in-R": {"changed": (member,)}}[clause]
     processor.notify_data_update(**delta)
     assert processor._pending is not None and processor.state_stale
     stats = processor.stats
@@ -169,11 +150,14 @@ def test_each_clause_alone_queues_the_delta(build, clause, expected):
 
 
 @pytest.mark.parametrize("build", [plane_processor, road_processor], ids=["plane", "road"])
-def test_a_change_beside_the_pool_is_settled_on_arrival(build):
-    # ``changed`` is tested against R only: a guard whose list changed
-    # leaves I(R) as it was (adjacency is symmetric).
+@pytest.mark.parametrize("field", ["changed", "removed"])
+def test_a_delta_naming_only_a_guard_is_settled_on_arrival(build, field):
+    # A delta is tested against R only.  A guard whose list changed leaves
+    # I(R) as it was (adjacency is symmetric); a removed guard neighboured a
+    # member, so the index's delta names that member too (pinned in
+    # tests/index/test_removal_delta_contract.py), and a bare one misses.
     processor = build()
-    processor.notify_data_update(changed=(min(processor.influential_set),))
+    processor.notify_data_update(**{field: (min(processor.influential_set),)})
     assert processor._pending is None and processor.state_stale
 
 
@@ -184,8 +168,11 @@ def test_a_pair_an_older_build_queued_settles_by_the_same_rule(build, reaching, 
     # that misses: its settle absorbs it, as one missed on arrival.
     processor = build()
     pool = set(processor.prefetched_set) | processor.influential_set
-    named = min(processor.influential_set) if reaching else min(set(range(60)) - pool)
-    processor._pending, processor._state_stale = (set(), {named}), True
+    if reaching:  # a guard's removal, as the index reports it: with a member changed
+        pair = ({processor.prefetched_set[-1]}, {min(processor.influential_set)})
+    else:
+        pair = (set(), {min(set(range(60)) - pool)})
+    processor._pending, processor._state_stale = pair, True
     stats = processor.stats
     before = [getattr(stats, name) for name in OUTCOMES]
     processor.update(processor.last_position)

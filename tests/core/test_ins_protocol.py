@@ -41,7 +41,7 @@ OUTCOMES = ("full_recomputations", "ins_refreshes", "absorbed_updates")
 class Metric:
     """One metric's fixture: a query, and room for an update far from it."""
 
-    build: Callable[..., Any]  # (invalidation=...) -> engine
+    build: Callable[[], Any]  # () -> engine
     start: Any  # the query position
     far: Any  # an insert target far from the query
     move_records: int  # object records one move puts on the wire
@@ -64,14 +64,14 @@ def _road_brute_force(engine, position, k):
     return sorted(distance for _, distance in nearest)
 
 
-def _road_engine(**options):
+def _road_engine():
     network = grid_network(20, 20, spacing=10.0)
-    return MovingRoadKNNServer(network, place_objects(network, 60, seed=8), **options)
+    return MovingRoadKNNServer(network, place_objects(network, 60, seed=8))
 
 
 METRICS = {
     "plane": Metric(
-        build=lambda **options: MovingKNNServer(uniform_points(300, seed=5), **options),
+        build=lambda: MovingKNNServer(uniform_points(300, seed=5)),
         start=Point(2_500.0, 2_600.0),  # both interior: a hull site has far neighbours
         far=Point(7_600.0, 7_400.0),
         move_records=2,
@@ -148,10 +148,11 @@ class TestSettleOutcomes:
         assert result.was_valid
         assert processor.stats.transmitted_objects == transmitted
 
-    @pytest.mark.parametrize("where, expected", [("guards", (0, 1, 0)), ("outside", (0, 0, 1))])
-    def test_a_bare_removal_settles_by_where_it_lands(self, where, expected):
-        # The settle rule alone, on the plane: a removal with no neighbour
-        # change refreshes the guard set iff it names an object of I(R).
+    @pytest.mark.parametrize("where", ["guards", "outside"])
+    def test_a_bare_removal_outside_R_is_absorbed(self, where):
+        # The settle rule alone, on the plane: a removal outside R with no
+        # neighbour change is absorbed, in I(R) too (the index never sends
+        # one: a removed guard's neighbour in R is named as changed).
         plane = METRICS["plane"]
         processor = INSProcessor(VoRTree(uniform_points(300, seed=5)), k=3)
         processor.initialize(plane.start)
@@ -164,16 +165,8 @@ class TestSettleOutcomes:
         before = [getattr(stats, name) for name in OUTCOMES]
         processor.notify_data_update(changed=(), removed=(gone,))
         result = processor.update(plane.start)
-        assert tuple(getattr(stats, name) - was for name, was in zip(OUTCOMES, before)) == expected
+        assert tuple(getattr(stats, name) - was for name, was in zip(OUTCOMES, before)) == (0, 0, 1)
         assert result.was_valid
-
-    def test_flag_mode_always_retrieves(self, metric):
-        engine = metric.build(invalidation="flag")
-        query_id = engine.register_query(metric.start, k=2)
-        engine.insert_object(metric.far)
-        result, moved = settle(engine, query_id)
-        assert moved == (1, 0, 0)
-        assert result.action == UpdateAction.FULL_RECOMPUTE
 
 
 class TestAnswerTuple:
@@ -276,7 +269,7 @@ class TestWrittenOnce:
 
     @pytest.mark.parametrize(
         "name",
-        ["_update", "_consume_data_updates", "_recompose", "notify_data_update", "invalidate"],
+        ["_update", "_consume_data_updates", "_recompose", "notify_data_update", "_reaches"],
     )
     def test_processors_share_the_protocol(self, name):
         assert getattr(INSProcessor, name) is getattr(INSRoadProcessor, name)

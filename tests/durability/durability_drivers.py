@@ -116,10 +116,10 @@ def counters_of(service):
     )
 
 
-def reference_run(metric, invalidation):
+def reference_run(metric):
     """Drive the whole scenario on a plain in-process service."""
     scenario = build_scenario(metric)
-    service = open_service(scenario.metric, scenario.objects, scenario.network, invalidation)
+    service = open_service(scenario.metric, scenario.objects, scenario.network)
     driver = ScenarioDriver(scenario)
     driver.open_sessions(service)
     driver.run(service, 1, scenario.timestamps)

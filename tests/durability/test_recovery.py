@@ -3,7 +3,7 @@
 A service killed at an arbitrary (seeded) step and recovered from its
 snapshot + WAL suffix must continue with bit-identical kNN answers *and*
 identical communication counters to a twin that never crashed — for both
-metrics, both invalidation modes, and over the real socket server.
+metrics, and over the real socket server.
 """
 
 import os
@@ -35,18 +35,14 @@ from repro.service import open_service
 
 class TestRestartAndReplayOracle:
     @pytest.mark.parametrize("metric", ["euclidean", "road"])
-    @pytest.mark.parametrize("invalidation", ["delta", "flag"])
     @pytest.mark.parametrize("crash_step", [2, 6])
-    def test_recovered_run_is_bit_identical(
-        self, tmp_path, metric, invalidation, crash_step
-    ):
-        reference_driver, reference_service = reference_run(metric, invalidation)
+    def test_recovered_run_is_bit_identical(self, tmp_path, metric, crash_step):
+        reference_driver, reference_service = reference_run(metric)
 
         scenario = build_scenario(metric)
         wal_dir = str(tmp_path / "state")
         service = DurableKNNService(
-            open_service(scenario.metric, scenario.objects, scenario.network, invalidation).engine,
-            wal_dir
+            open_service(scenario.metric, scenario.objects, scenario.network).engine, wal_dir
         )
         driver = ScenarioDriver(scenario)
         driver.open_sessions(service)
@@ -68,14 +64,11 @@ class TestRestartAndReplayOracle:
         assert recovered.object_count == reference_service.object_count
 
     @pytest.mark.parametrize("metric", ["euclidean", "road"])
-    @pytest.mark.parametrize("invalidation", ["delta", "flag"])
-    def test_crash_between_a_batch_and_its_step_is_bit_identical(
-        self, tmp_path, metric, invalidation
-    ):
+    def test_crash_between_a_batch_and_its_step_is_bit_identical(self, tmp_path, metric):
         """The batch is logged and applied, no session has moved yet: the
         recovered service holds the new epoch and serves the step as if
         nothing happened."""
-        reference_driver, reference_service = reference_run(metric, invalidation)
+        reference_driver, reference_service = reference_run(metric)
 
         scenario = build_scenario(metric)
         driver = ScenarioDriver(scenario)
@@ -86,8 +79,7 @@ class TestRestartAndReplayOracle:
         )
         wal_dir = str(tmp_path / "state")
         service = DurableKNNService(
-            open_service(scenario.metric, scenario.objects, scenario.network, invalidation).engine,
-            wal_dir
+            open_service(scenario.metric, scenario.objects, scenario.network).engine, wal_dir
         )
         driver.open_sessions(service)
         driver.run(service, 1, crash_step)
@@ -111,12 +103,12 @@ class TestRestartAndReplayOracle:
 
     def test_cold_rebuild_from_initial_snapshot_matches(self, tmp_path):
         """Full-log replay from the seq-0 snapshot lands in the same state."""
-        reference_driver, reference_service = reference_run("euclidean", "delta")
+        reference_driver, reference_service = reference_run("euclidean")
 
         scenario = build_scenario("euclidean")
         wal_dir = str(tmp_path / "state")
         service = DurableKNNService(
-            open_service(scenario.metric, scenario.objects, scenario.network, "delta").engine,
+            open_service(scenario.metric, scenario.objects, scenario.network).engine,
             wal_dir,
             snapshot_every=20,  # several checkpoints land mid-run
         )
@@ -144,12 +136,12 @@ class TestRestartAndReplayOracle:
     def test_warm_recovery_replays_a_suffix_only(self, tmp_path, metric):
         """Checkpoints shorten the log that warm recovery replays, and the
         suffix alone lands in the uncrashed twin's state."""
-        reference_driver, reference_service = reference_run(metric, "delta")
+        reference_driver, reference_service = reference_run(metric)
 
         scenario = build_scenario(metric)
         wal_dir = str(tmp_path / "state")
         service = DurableKNNService(
-            open_service(scenario.metric, scenario.objects, scenario.network, "delta").engine,
+            open_service(scenario.metric, scenario.objects, scenario.network).engine,
             wal_dir,
             snapshot_every=20,
         )
@@ -173,7 +165,7 @@ class TestRestartAndReplayOracle:
         scenario = build_scenario("euclidean")
         wal_dir = str(tmp_path / "state")
         service = DurableKNNService(
-            open_service(scenario.metric, scenario.objects, scenario.network, "delta").engine,
+            open_service(scenario.metric, scenario.objects, scenario.network).engine,
             wal_dir
         )
         driver = ScenarioDriver(scenario)

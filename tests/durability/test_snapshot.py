@@ -2,7 +2,7 @@
 
 The low-level container must refuse any damaged file with the typed
 :class:`~repro.errors.SnapshotError`, and the high-level payload (a full
-serving engine of either metric, in either invalidation mode) must round
+serving engine of either metric) must round
 trip bit-identically — asserted by checkpointing a driven service and
 recovering from the checkpoint with an empty replay suffix.
 """
@@ -94,20 +94,16 @@ class TestLatestFallback:
 
 
 class TestEngineRoundTrip:
-    """The payload that matters: full engines, both metrics, both modes."""
+    """The payload that matters: full engines, both metrics."""
 
     @pytest.mark.parametrize("metric", ["euclidean", "road"])
-    @pytest.mark.parametrize("invalidation", ["delta", "flag"])
-    def test_checkpointed_engine_continues_bit_identically(
-        self, tmp_path, metric, invalidation
-    ):
-        reference_driver, reference_service = reference_run(metric, invalidation)
+    def test_checkpointed_engine_continues_bit_identically(self, tmp_path, metric):
+        reference_driver, reference_service = reference_run(metric)
 
         scenario = build_scenario(metric)
         wal_dir = str(tmp_path / "state")
         service = DurableKNNService(
-            open_service(scenario.metric, scenario.objects, scenario.network, invalidation).engine,
-            wal_dir
+            open_service(scenario.metric, scenario.objects, scenario.network).engine, wal_dir
         )
         driver = ScenarioDriver(scenario)
         driver.open_sessions(service)
@@ -123,5 +119,4 @@ class TestEngineRoundTrip:
 
         assert driver.answers == reference_driver.answers
         assert counters_of(recovered) == counters_of(reference_service)
-        assert recovered.invalidation == invalidation
         assert recovered.metric == metric

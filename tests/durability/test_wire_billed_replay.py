@@ -153,3 +153,23 @@ class TestEveryFrameAndKind:
                         )
         recovered.close_wal()
         service.close_wal()
+
+
+class TestPeriodicCheckpoints:
+    def test_a_periodic_checkpoint_covers_the_exchange_it_follows(self, tmp_path):
+        """A due checkpoint is taken before the next logged request runs,
+        once the server has billed every logged exchange's bytes: the
+        recovered bill equals the live one."""
+        wal_dir = str(tmp_path / "state")
+        engine = open_service(metric="euclidean", objects=uniform_points(90, seed=23)).engine
+        service = DurableKNNService(engine, wal_dir, wire_billing=True, snapshot_every=3)
+        with KNNServer(service) as server:
+            with connect(server.address) as client:
+                session = client.open_session(Point(100, 100), k=3)
+                for step in range(5):
+                    session.update(Point(120 + 20 * step, 110))
+                recovered = crash_and_recover(service, wal_dir, tmp_path)
+                try:
+                    assert bills(recovered.engine) == bills(service.engine)
+                finally:
+                    recovered.close_wal()

@@ -416,7 +416,7 @@ class TestRefusedBatches:
         everyone = frozenset(tree.active_indexes())
         for registered in engine:
             processor = registered.processor
-            assert processor.state_stale is applied and not processor._force_refresh
+            assert processor.state_stale is applied
             assert processor._pending == ((everyone, frozenset()) if applied else None)
         # The next update settles against the rebuilt lists: I(R) is theirs.
         for registered in engine:

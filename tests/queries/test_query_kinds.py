@@ -1,8 +1,8 @@
 """Unit tests for the continuous-query subsystem (``repro.queries``).
 
 Covers the kind registry, the influential-sites and region processors
-against test-local brute force and the ``invalidation="flag"`` blanket
-contract, the per-kind communication accounting of the serving engine, and
+against test-local brute force (with the retrievals a blanket
+refresh-every-epoch rule would pay as the bound on theirs), the per-kind communication accounting of the serving engine, and
 the delta-invalidation hooks of the region processor over a churning
 VoR-tree.  The region's hand-worked answers are in
 ``test_region_known_answers.py``.
@@ -13,6 +13,7 @@ import pickle
 import random
 
 import pytest
+from blanket_refresh import settle_retrievals
 
 from influential_reference import influential_neighbor_set_from_points
 from repro.core.server import MovingKNNServer
@@ -115,37 +116,29 @@ class TestInfluentialSitesProcessor:
                            if i not in result.knn]
                 server.delete_object(rng.choice(victims))
 
-    def test_flag_and_delta_modes_agree(self):
+    def test_churn_is_absorbed_and_settles_retrieve_less_than_a_blanket_refresh(self):
         points = random_points(40, seed=8)
-        runs = {}
-        for invalidation in ("delta", "flag"):
-            server = MovingKNNServer(points, invalidation=invalidation)
-            query_id = server.register_query(Point(40, 60), k=3, kind="influential")
-            rng = random.Random(23)
-            answers = []
-            for step, position in enumerate(random_walk(rng, Point(40, 60), 20)):
-                result = server.update_position(query_id, position)
-                answers.append((set(result.knn), result.sites))
-                if step % 4 == 3:
-                    # The Euclidean server only churns via insert/delete;
-                    # both modes draw the same rng sequence, so the data
-                    # sets stay identical across the comparison.
-                    server.insert_object(
-                        Point(rng.uniform(0, 100), rng.uniform(0, 100))
-                    )
-                    victims = [
-                        i
-                        for i in sorted(server.vortree.active_indexes())
-                        if i not in result.knn
-                    ]
-                    server.delete_object(rng.choice(victims))
-            stats = server.stats_for(query_id)
-            runs[invalidation] = (answers, stats.absorbed_updates, stats.full_recomputations)
-        assert runs["delta"][0] == runs["flag"][0]
-        # The delta mode absorbs churn and so recomputes no more often; the
-        # flag oracle never absorbs.
-        assert runs["delta"][1] > 0 and runs["flag"][1] == 0
-        assert runs["delta"][2] <= runs["flag"][2]
+        server = MovingKNNServer(points)
+        query_id = server.register_query(Point(40, 60), k=3, kind="influential")
+        rng = random.Random(23)
+        settles = []
+        for step, position in enumerate(random_walk(rng, Point(40, 60), 20)):
+            result = server.update_position(query_id, position)
+            tree = server.vortree
+            assert set(result.knn) == set(brute_knn(tree.positions, tree.active_indexes(), position, 3))
+            assert result.sites == tuple(sorted(tree.influential_neighbor_set(result.knn)))
+            if step % 4 == 0 and step:
+                settles.append(result)
+            if step % 4 == 3:
+                # The Euclidean server only churns via insert/delete.
+                server.insert_object(Point(rng.uniform(0, 100), rng.uniform(0, 100)))
+                victims = [
+                    i for i in sorted(server.vortree.active_indexes()) if i not in result.knn
+                ]
+                server.delete_object(rng.choice(victims))
+        retrievals, bound = settle_retrievals(settles)
+        assert retrievals < bound
+        assert server.stats_for(query_id).absorbed_updates > 0
 
 
 class TestOrderKRegionProcessor:
@@ -191,36 +184,32 @@ class TestOrderKRegionProcessor:
         assert result.event == "stay"
         assert stats.full_recomputations == recomputes
 
-    def test_delta_and_flag_modes_agree_bit_exactly(self):
+    def test_churn_is_absorbed_and_answers_stay_exact(self):
         points = random_points(40, seed=29)
-        runs = {}
-        for invalidation in ("delta", "flag"):
-            server = MovingKNNServer(points, invalidation=invalidation)
-            query_id = server.register_query(Point(30, 70), k=3, kind="region")
-            rng = random.Random(41)
-            answers = []
-            for step, position in enumerate(random_walk(rng, Point(30, 70), 22)):
-                result = server.update_position(query_id, position)
-                answers.append(
-                    (result.knn, result.event, result.departed, result.knn_distances)
-                )
-                if step % 3 == 2:
-                    server.insert_object(
-                        Point(rng.uniform(0, 100), rng.uniform(0, 100))
-                    )
-                    victims = [
-                        i
-                        for i in sorted(server.vortree.active_indexes())
-                        if i not in result.knn
-                    ]
-                    server.delete_object(rng.choice(victims))
-            stats = server.stats_for(query_id)
-            runs[invalidation] = (answers, stats.absorbed_updates, stats.full_recomputations)
-        assert runs["delta"][0] == runs["flag"][0]
-        # The delta mode must actually absorb something to be worth having,
-        # and so recomputes no more often; the flag oracle never absorbs.
-        assert runs["delta"][1] > 0 and runs["flag"][1] == 0
-        assert runs["delta"][2] <= runs["flag"][2]
+        server = MovingKNNServer(points)
+        query_id = server.register_query(Point(30, 70), k=3, kind="region")
+        rng = random.Random(41)
+        settles = []
+        for step, position in enumerate(random_walk(rng, Point(30, 70), 22)):
+            result = server.update_position(query_id, position)
+            tree = server.vortree
+            expected = brute_knn(tree.positions, tree.active_indexes(), position, 3)
+            assert list(result.knn) == expected
+            assert result.knn_distances == tuple(
+                position.distance_to(tree.point(index)) for index in expected
+            )
+            if step % 3 == 0 and step:
+                settles.append(result)
+            if step % 3 == 2:
+                server.insert_object(Point(rng.uniform(0, 100), rng.uniform(0, 100)))
+                victims = [
+                    i for i in sorted(server.vortree.active_indexes()) if i not in result.knn
+                ]
+                server.delete_object(rng.choice(victims))
+        # The delta mode must actually absorb something to be worth having.
+        retrievals, bound = settle_retrievals(settles)
+        assert retrievals < bound
+        assert server.stats_for(query_id).absorbed_updates > 0
 
     def test_a_processor_pickled_with_its_old_tree_attribute_restores(self):
         tree = VoRTree(random_points(30, seed=8))
@@ -270,33 +259,38 @@ class TestOrderKRegionHooks:
     """The region processor honours the delta contract on a churning tree."""
 
     @pytest.mark.parametrize("seed", [9, 21, 33])
-    def test_delta_equals_flag_oracle_under_churn(self, seed):
+    def test_answers_stay_exact_under_churn(self, seed):
         rng = random.Random(seed)
         tree = VoRTree(random_points(50, seed=seed + 100))
-        delta = OrderKRegionProcessor(tree, k=3)
-        flag = OrderKRegionProcessor(tree, k=3)
+        processor = OrderKRegionProcessor(tree, k=3)
         position = Point(50, 50)
-        delta.initialize(position)
-        flag.initialize(position)
+        processor.initialize(position)
+        settles = []
         for step, position in enumerate(random_walk(rng, position, 30)):
+            churned = False
             if step % 3 == 1:
                 # A plane move: delete, and reinsert under a new index.
                 victim = rng.choice(tree.active_indexes())
                 moved = Point(rng.uniform(0, 100), rng.uniform(0, 100))
                 _, deleted, changed = tree.batch_update([moved], [victim])
-                delta.notify_data_update(changed, deleted)
-                flag.invalidate()
+                processor.notify_data_update(changed, deleted)
+                churned = True
             if step % 10 == 7:
-                victim = rng.choice([i for i in tree.active_indexes() if i not in delta._knn])
+                victim = rng.choice([i for i in tree.active_indexes() if i not in processor._knn])
                 _, changed = tree.delete(victim)
-                delta.notify_data_update(changed, (victim,))
-                flag.invalidate()
-            a = delta.update(position)
-            b = flag.update(position)
-            assert a.knn == b.knn
-            assert a.knn_distances == b.knn_distances
-        assert delta.stats.absorbed_updates > 0
-        assert delta.stats.full_recomputations <= flag.stats.full_recomputations
+                processor.notify_data_update(changed, (victim,))
+                churned = True
+            result = processor.update(position)
+            expected = brute_knn(tree.positions, tree.active_indexes(), position, 3)
+            assert list(result.knn) == expected
+            assert result.knn_distances == tuple(
+                position.distance_to(tree.point(index)) for index in expected
+            )
+            if churned:
+                settles.append(result)
+        retrievals, bound = settle_retrievals(settles)
+        assert retrievals < bound
+        assert processor.stats.absorbed_updates > 0
 
     def test_member_removal_forces_recompute(self):
         tree = VoRTree(random_points(30, seed=4))

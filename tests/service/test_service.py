@@ -62,14 +62,6 @@ class TestOpenService:
                 network=grid_network(3, 3),
             )
 
-    def test_modes_are_forwarded(self):
-        service = open_service(
-            metric="euclidean",
-            objects=uniform_points(20, seed=2),
-            invalidation="flag",
-        )
-        assert service.invalidation == "flag"
-
     def test_wrapping_a_foreign_engine_is_rejected(self):
         with pytest.raises(ConfigurationError):
             KNNService(object())

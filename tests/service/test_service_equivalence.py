@@ -136,13 +136,12 @@ def drive_raw_road(server, trajectories, batches):
 
 
 class TestServiceVsDirectServer:
-    @pytest.mark.parametrize("invalidation", ["delta", "flag"])
-    def test_euclidean_answers_and_communication_identical(self, invalidation):
+    def test_euclidean_answers_and_communication_identical(self):
         points, trajectories, batches = euclidean_workload()
-        service = KNNService(MovingKNNServer(points, invalidation=invalidation))
+        service = KNNService(MovingKNNServer(points))
         session_answers = drive_sessions(service, trajectories, batches)
 
-        raw_server = MovingKNNServer(points, invalidation=invalidation)
+        raw_server = MovingKNNServer(points)
         raw_answers = drive_raw_euclidean(raw_server, trajectories, batches)
 
         assert session_answers == raw_answers
@@ -152,15 +151,12 @@ class TestServiceVsDirectServer:
         assert service.communication.messages > 0
         assert service.communication.objects_transmitted > 0
 
-    @pytest.mark.parametrize("invalidation", ["delta", "flag"])
-    def test_road_answers_and_communication_identical(self, invalidation):
+    def test_road_answers_and_communication_identical(self):
         network, objects, trajectories, batches = road_workload()
-        service = KNNService(
-            MovingRoadKNNServer(network, objects, invalidation=invalidation)
-        )
+        service = KNNService(MovingRoadKNNServer(network, objects))
         session_answers = drive_sessions(service, trajectories, batches)
 
-        raw_server = MovingRoadKNNServer(network, objects, invalidation=invalidation)
+        raw_server = MovingRoadKNNServer(network, objects)
         raw_answers = drive_raw_road(raw_server, trajectories, batches)
 
         assert session_answers == raw_answers

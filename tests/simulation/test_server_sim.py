@@ -30,18 +30,14 @@ def road_scenario():
     )
 
 
-def _service(scenario, invalidation="delta"):
-    return open_service(scenario.metric, scenario.objects, scenario.network, invalidation)
+def _service(scenario):
+    return open_service(scenario.metric, scenario.objects, scenario.network)
 
 
 class TestScenarioService:
     def test_builds_the_matching_server(self, euclidean_scenario, road_scenario):
         assert isinstance(_service(euclidean_scenario).engine, MovingKNNServer)
         assert isinstance(_service(road_scenario).engine, MovingRoadKNNServer)
-
-    def test_invalidation_mode_is_forwarded(self, euclidean_scenario):
-        server = _service(euclidean_scenario, invalidation="flag").engine
-        assert server.invalidation == "flag"
 
 
 class TestSimulateServer:
@@ -145,13 +141,6 @@ class TestTheServiceItIsGiven:
         assert given.results == opened.results
         assert given.communication.as_dict() == opened.communication.as_dict()
         assert given.epochs == service.epoch == opened.epochs
-
-    def test_the_run_reports_the_given_services_invalidation(self, road_scenario):
-        run = simulate_server(
-            road_scenario, _service(road_scenario, invalidation="flag"), check_answers=True
-        )
-        assert run.is_correct
-        assert run.invalidation == "flag"
 
     def test_a_service_with_sessions_is_refused(self, euclidean_scenario):
         service = _service(euclidean_scenario)

@@ -68,9 +68,10 @@ class TestCli:
             (["serve", "--workers", "2"], "unrecognized arguments"),
             (["serve", "--transport", "process"], "invalid choice: 'process'"),
             (["serve", "--replication", "delta"], "unrecognized arguments"),
+            (["serve", "--invalidation", "flag"], "unrecognized arguments"),
             (["roll"], "invalid choice: 'roll'"),
         ],
-        ids=["workers", "process", "replication", "roll"],
+        ids=["workers", "process", "replication", "invalidation", "roll"],
     )
     def test_serve_has_no_process_shards(self, capsys, argv, refusal):
         with pytest.raises(SystemExit) as exit_info:

@@ -229,6 +229,19 @@ class TestPublicApi:
         ):
             assert "max_entries" not in inspect.signature(entry).parameters, entry
 
+    def test_no_front_door_takes_an_invalidation_mode(self):
+        """Every session settles each epoch's delta by the one lazy rule; the
+        mode that refreshed every session on every epoch went everywhere."""
+        for entry in (
+            repro.ServingEngine,
+            repro.MovingKNNServer,
+            repro.MovingRoadKNNServer,
+            repro.open_service,
+            repro.open_durable_service,
+        ):
+            assert "invalidation" not in inspect.signature(entry).parameters, entry
+        assert not hasattr(repro.ServingEngine, "INVALIDATION_MODES")
+
     def test_the_baselines_take_no_index_knobs(self):
         """A baseline is handed the live VoR-tree, clipped (order-k) to the
         box around it; the k-d tree, the grid and the R-tree went."""

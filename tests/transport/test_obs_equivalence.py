@@ -6,7 +6,7 @@ runs must agree **bit for bit**: every kNN answer (ids *and* distances),
 every :class:`CommunicationStats` counter including bytes (the transport
 is identical, so bytes must match exactly), every aggregate
 :class:`ProcessorStats` counter, and the per-session bills.  Covered
-across both metrics, both invalidation modes and a real socket transport
+across both metrics, in process and over a real socket transport
 — the paths the instruments actually thread through.
 
 This is the discipline every prior PR held new modes to, applied to
@@ -56,12 +56,12 @@ def answer_streams(run):
     }
 
 
-def run_pair(metric, invalidation="delta", **kwargs):
+def run_pair(metric, **kwargs):
     """The same run with observability on, then off (state restored)."""
     scenario = build_scenario(metric)
 
     def served():
-        return open_service(scenario.metric, scenario.objects, scenario.network, invalidation)
+        return open_service(scenario.metric, scenario.objects, scenario.network)
 
     obs.reset()
     obs.enable()
@@ -104,9 +104,8 @@ def assert_bit_identical(observed, blind):
 
 class TestObsEquivalence:
     @pytest.mark.parametrize("metric", ["euclidean", "road"])
-    @pytest.mark.parametrize("invalidation", ["delta", "flag"])
-    def test_in_process(self, metric, invalidation):
-        observed, blind = run_pair(metric, invalidation=invalidation)
+    def test_in_process(self, metric):
+        observed, blind = run_pair(metric)
         assert_bit_identical(observed, blind)
 
     @pytest.mark.parametrize("metric", ["euclidean", "road"])

@@ -1,7 +1,7 @@
 """Transport equivalence: the wire adds bytes, never answers or exchanges.
 
-The PR5 acceptance suite.  For both metrics and both invalidation modes,
-the same server scenario is driven
+The PR5 acceptance suite.  For both metrics, the same server scenario is
+driven
 
 * in-process (the PR4 session surface), and
 * over a loopback socket transport (``transport="tcp"``; ``"unix"`` is
@@ -16,7 +16,6 @@ equality.
 
 import pytest
 
-from repro.service import open_service
 from repro.simulation.server_sim import simulate_server
 from repro.workloads.scenarios import (
     ChurnSpec,
@@ -87,20 +86,11 @@ def assert_equivalent(reference, other):
 
 class TestLoopbackEquivalence:
     @pytest.mark.parametrize("metric", ["euclidean", "road"])
-    @pytest.mark.parametrize("invalidation", ["delta", "flag"])
-    def test_tcp_matches_in_process(self, metric, invalidation):
+    def test_tcp_matches_in_process(self, metric):
         scenario = build_scenario(metric)
-
-        def served():
-            return open_service(
-                scenario.metric, scenario.objects, scenario.network, invalidation
-            )
-
-        reference = simulate_server(scenario, served(), check_answers=True)
+        reference = simulate_server(scenario, check_answers=True)
         assert reference.is_correct
-        over_tcp = simulate_server(
-            scenario, served(), transport="tcp", check_answers=True
-        )
+        over_tcp = simulate_server(scenario, transport="tcp", check_answers=True)
         assert over_tcp.is_correct
         assert_equivalent(reference, over_tcp)
         assert reference.communication.bytes_transmitted == 0
