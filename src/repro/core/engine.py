@@ -44,7 +44,6 @@ from __future__ import annotations
 import abc
 import threading
 import weakref
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import (
     Any,
@@ -157,8 +156,7 @@ def _publish_outcomes() -> None:
 _REGISTRY.collect(_publish_outcomes)
 
 
-# Snapshots pickle this record with its ``__dict__``, which a row cannot load.
-@dataclass(frozen=True)
+@immutable
 class RegisteredQuery:
     """Bookkeeping record of one registered moving query.
 
@@ -206,16 +204,13 @@ class ServingEngine(abc.ABC, Generic[PositionT]):
     #: ``"euclidean"`` or ``"road"``: set by the metric subclass.
     metric: str
 
-    #: Server-side wall-clock time spent applying update epochs to the live
-    #: index.  A class-level default so engines pickled before this timer
-    #: existed keep restoring cleanly; an engine accumulates onto an
-    #: instance attribute.
-    maintenance_seconds: float = 0.0
-
     def __init__(self):
         self._queries: Dict[int, RegisteredQuery] = {}
         self._next_query_id = 0
         self._epoch = 0
+        #: Server-side wall-clock time spent applying update epochs to the
+        #: live index.
+        self.maintenance_seconds = 0.0
         # Communication accounting: one aggregate (it keeps the history of
         # unregistered queries) plus one live record per registered query.
         # The lock keeps the counters exact when a KNNServer's
@@ -252,9 +247,6 @@ class ServingEngine(abc.ABC, Generic[PositionT]):
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        # Snapshots taken before per-kind accounting existed restore with an
-        # empty kind ledger; it repopulates as exchanges are billed.
-        self.__dict__.setdefault("_comm_by_kind", {})
         self._comm_lock = threading.Lock()
         self._open_ledger()
 

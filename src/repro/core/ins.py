@@ -31,7 +31,8 @@ index, one retrieval, the distances to the held objects and a tie rule.
 **The tie rule** is where the metrics differ.  The plane's triangulation
 splits degenerate input by a jitter, so there a tie is never a certificate
 (strict ``<``, as in retrieval); the network diagram is exact and ties are
-everyday on a grid, so there ``<=`` holds — of finite distances only.
+everyday on a grid, so there a tie certifies too — but only where the
+query lies in a held cell.
 
 **The held-distance contract.**  ``_held_distances`` is exact for every held
 object no farther than D, the farthest current kNN member — ties at D
@@ -78,7 +79,7 @@ from __future__ import annotations
 
 import abc
 from math import inf
-from typing import AbstractSet, Any, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigurationError
 from repro.core.objects import QueryResult, UpdateAction
@@ -95,10 +96,6 @@ class InfluentialSetProcessor(MovingKNNProcessor[PositionT]):
         index: the live index the query is served from; the prefetch is
             sized by its *active* population (it may carry tombstones).
     """
-
-    #: The tie rule, ``_nearer(r.delete, r.candidate)``: a C callable on the
-    #: class, so the valid path pays no Python frame for it.
-    _nearer: Any
 
     def __init__(self, k: int, rho: float, index):
         super().__init__(k)
@@ -125,10 +122,6 @@ class InfluentialSetProcessor(MovingKNNProcessor[PositionT]):
         # R, then I(R) — and the guard set (pool \ kNN).
         self._held: List[int] = []
         self._guard: FrozenSet[int] = frozenset()
-
-    def __setstate__(self, state) -> None:
-        super().__setstate__(state)
-        self._knn = tuple(self._knn)  # pickled while the answer was a list
 
     # ------------------------------------------------------------------
     # Introspection
@@ -174,6 +167,11 @@ class InfluentialSetProcessor(MovingKNNProcessor[PositionT]):
     def _held_changed(self) -> None:
         """Re-derive what the metric keeps beside ``_held``."""
 
+    def _tie_certifies(self) -> bool:
+        """Whether a guard tied with the farthest answer certifies it: on the
+        plane never (the triangulation's jitter splits every tie)."""
+        return False
+
     def _refresh_ins(self, changed: AbstractSet[int]) -> None:
         """Re-derive I(R) from the already-repaired shared index."""
         self._ins = self._index.influential_neighbor_set(self._R)
@@ -202,7 +200,9 @@ class InfluentialSetProcessor(MovingKNNProcessor[PositionT]):
         stats.validations += 1
         distances = self._held_distances(position)
         k = self._k
-        valid = not self._guard or self._nearer(max(distances[:k]), min(distances[k:]))
+        farthest, nearest = max(distances[:k]), min(distances[k:], default=inf)
+        tied = farthest == nearest and self._tie_certifies()
+        valid = not self._guard or farthest < nearest or tied
         stats.validation_seconds += _CLOCK[0]() - started
         if valid:
             return self._answer(UpdateAction.NONE, distances[:k])
@@ -228,12 +228,12 @@ class InfluentialSetProcessor(MovingKNNProcessor[PositionT]):
     def _consume_data_updates(self, position: PositionT) -> Optional[QueryResult]:
         """Settle the pending delta: the full-recompute :class:`QueryResult` if it
         forced a retrieval, else None (I(R) refreshed or the delta absorbed)."""
-        pending = self._pending
-        if pending is None or not self._reaches(*pending):
-            # No member of R was named (nothing queued, or a pair an older
-            # build queued): every member's neighbour list, so I(R) and the
-            # guard set the validation uses, is as it was.  Free.
-            self._pending, self._state_stale = None, False
+        if self._pending is None:
+            # Every delta since the last settle missed R (a queued pair
+            # reaches it: only a reaching delta starts one, and merging only
+            # grows it), so every member's neighbour list, hence I(R) and
+            # the guard set the validation uses, is as it was.  Free.
+            self._state_stale = False
             self._stats.absorbed_updates += 1
             return None
         changed, removed = self._take_pending()
@@ -309,7 +309,9 @@ class InfluentialSetProcessor(MovingKNNProcessor[PositionT]):
         ranked = sorted(zip(distances[:count], self._held))
         farthest = ranked[k - 1][0]
         guards = [distance for distance, _ in ranked[k:]] + distances[count:]
-        if not farthest < inf or (guards and not self._nearer(farthest, min(guards))):
+        nearest = min(guards, default=inf)
+        tied = farthest == nearest and self._tie_certifies()
+        if not farthest < inf or not (farthest < nearest or tied):
             return None
         self._knn = tuple([index for _, index in ranked[:k]])
         self._refresh_held()

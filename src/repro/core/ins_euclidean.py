@@ -21,7 +21,6 @@ what the plane supplies:
 
 from __future__ import annotations
 
-import operator
 from itertools import repeat
 from math import dist
 from typing import AbstractSet, Dict, FrozenSet, List, Optional, Tuple
@@ -53,8 +52,6 @@ class INSProcessor(InfluentialSetProcessor[Point]):
     #: one timestamp).
     MAX_INCREMENTAL_SWAPS = 8
 
-    _nearer = staticmethod(operator.lt)
-
     def __init__(
         self,
         vortree: VoRTree,
@@ -85,12 +82,6 @@ class INSProcessor(InfluentialSetProcessor[Point]):
     def allow_incremental(self) -> bool:
         """Whether case (i) single-object incremental updates are enabled."""
         return self._allow_incremental
-
-    def __setstate__(self, state) -> None:
-        super().__setstate__(state)
-        if "_held_xy" not in state:
-            # Pickled before the flat layout existed: it is derived state.
-            self._refresh_held()
 
     # ------------------------------------------------------------------
     # What the plane supplies

@@ -19,7 +19,9 @@ unchanged.  This module is what the network supplies:
   ``vertex → owner`` map as it relaxes and tests the owner against the held
   set, on the shared network — the search is the one on the materialised
   cells, float for float and vertex for vertex;
-* the tie rule: ``<=`` (the network diagram is exact; a grid is full of ties).
+* the tie rule: ``<``, as on the plane, but a tie certifies where the query
+  lies in a held cell (the network diagram is exact and a grid is full of
+  ties; elsewhere a guard is never farther than the answer).
 
 A timestamp costs one search: a local reorder reports from the distances
 the validation computed, a retrieval from those its own expansion found.
@@ -31,7 +33,6 @@ the search exhausts it, and the answer is recomposed or retrieved).
 
 from __future__ import annotations
 
-import operator
 from math import inf
 from typing import FrozenSet, List, Mapping, Optional, Sequence
 
@@ -56,8 +57,6 @@ class INSRoadProcessor(InfluentialSetProcessor[NetworkLocation]):
         rho: prefetch ratio ρ ≥ 1 (⌊ρk⌋ objects retrieved per round trip).
     """
 
-    _nearer = staticmethod(operator.le)
-
     def __init__(self, voronoi: NetworkVoronoiDiagram, k: int, rho: float = 1.6):
         super().__init__(k, rho, voronoi)
         self._network = voronoi.network
@@ -69,12 +68,6 @@ class INSRoadProcessor(InfluentialSetProcessor[NetworkLocation]):
         # The Theorem 2 region, as the cell labels the search may enter: the
         # held pool.
         self._region: FrozenSet[int] = frozenset()
-
-    def __setstate__(self, state) -> None:
-        super().__setstate__(state)
-        # Pickled with a validation mode, beside a region of edge ids (or
-        # None): the region is derived from the held pool; the mode is inert.
-        self._held_changed()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -137,3 +130,11 @@ class INSRoadProcessor(InfluentialSetProcessor[NetworkLocation]):
 
     def _held_changed(self) -> None:
         self._region = frozenset(self._held)
+
+    def _tie_certifies(self) -> bool:
+        """A tie certifies where the query lies in a held cell: from any other
+        cell, whose object may be nearer, the path to a member enters its
+        cell through a guard's, so a guard is never farther.  Held cells, not
+        the search's ``_region``, which a full-network search widens."""
+        held = self._guard.union(self._knn)
+        return held.issuperset(self._index.owners_at(self._last_position))

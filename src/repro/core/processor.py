@@ -43,11 +43,6 @@ class DeltaMailbox:
         self._state_stale = False
         self._pending: Optional[Tuple[AbstractSet[int], AbstractSet[int]]] = None
 
-    def __setstate__(self, state) -> None:
-        if "_pending_changed" in state:  # pickled with a pair of private sets
-            state["_pending"] = (state.pop("_pending_changed"), state.pop("_pending_removed"))
-        self.__dict__.update(state)
-
     @property
     def state_stale(self) -> bool:
         """True when a data-update delta arrived since the last settle (queued or not)."""

@@ -60,6 +60,7 @@ from __future__ import annotations
 import os
 from typing import Any, Dict, List, Optional
 
+from repro.core.engine import ServingEngine
 from repro.errors import DurabilityError, ReproError, SnapshotError, WALCorruptError
 from repro.obs.metrics import histogram as _obs_histogram, start_timer
 from repro.service.messages import KNNResponse, UpdateBatch
@@ -106,8 +107,6 @@ __all__ = [
 
 #: The single log file inside a durability directory.
 WAL_FILENAME = "wal.log"
-
-_SNAPSHOT_VERSION = 1
 
 
 def wal_path(wal_dir: str) -> str:
@@ -173,15 +172,11 @@ class DurableKNNService(KNNService):
     ):
         wal_dir = str(wal_dir)
         fresh = engine is not None
-        snapshot_seq, sessions = 0, ()
+        snapshot_seq = 0
         if not fresh:
-            snapshot_seq, payload, _ = load_latest_snapshot(wal_dir)
-            if not isinstance(payload, dict) or payload.get("version") != _SNAPSHOT_VERSION:
-                raise SnapshotError(
-                    f"{wal_dir}: unsupported snapshot payload (version "
-                    f"{payload.get('version') if isinstance(payload, dict) else '?'})"
-                )
-            engine, sessions = payload["engine"], payload["sessions"]
+            snapshot_seq, engine, _ = load_latest_snapshot(wal_dir)
+            if not isinstance(engine, ServingEngine):
+                raise SnapshotError(f"{wal_dir}: snapshot holds {type(engine).__name__}, not an engine")
         super().__init__(engine)
         self._wal_dir = wal_dir
         self._replaying = False
@@ -201,11 +196,10 @@ class DurableKNNService(KNNService):
             os.makedirs(wal_dir, exist_ok=True)
             # The base of every recovery: the pre-traffic state at wal_seq 0.
             self._write_snapshot(wal_seq=0)
-        for entry in sessions:
-            # Pre-queries-era snapshots store (query_id, k, rho) triples.
-            query_id, k, rho = entry[:3]
-            kind = entry[3] if len(entry) > 3 else "knn"
-            self._sessions[query_id] = Session(self, query_id, k=k, rho=rho, kind=kind)
+        for record in engine:
+            self._sessions[record.query_id] = Session(
+                self, record.query_id, k=record.k, rho=record.rho, kind=record.kind
+            )
         log_file = wal_path(wal_dir)
         # raises WALCorruptError on corruption (of the chain or the active)
         records = replay_wal(log_file, after_seq=snapshot_seq)
@@ -317,16 +311,7 @@ class DurableKNNService(KNNService):
     # Snapshots
     # ------------------------------------------------------------------
     def _write_snapshot(self, wal_seq: int) -> str:
-        payload = {
-            "version": _SNAPSHOT_VERSION,
-            "metric": self.metric,
-            "engine": self.engine,
-            "sessions": [
-                (session.query_id, session.k, session.rho, session.kind)
-                for session in self._sessions.values()
-            ],
-        }
-        return write_snapshot(self._wal_dir, payload, wal_seq)
+        return write_snapshot(self._wal_dir, self.engine, wal_seq)
 
     def checkpoint(self) -> str:
         """Write a snapshot of the current state; returns its path.

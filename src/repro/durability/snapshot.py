@@ -12,13 +12,17 @@ Container format::
 
     [8-byte magic] [u64 wal_seq] [u64 payload length] [32-byte sha256] [payload]
 
-The payload is a pickle of an arbitrary snapshot object (the recovery
-layer stores the engine plus lightweight session descriptors); ``wal_seq``
-names the last write-ahead-log record the state includes, so replay
-resumes exactly after it.  The digest covers the payload; any mismatch —
-bit rot, a torn write that somehow survived the atomic rename — raises
-the typed :class:`~repro.errors.SnapshotError`, and
-:func:`load_latest_snapshot` falls back to the previous valid snapshot.
+The payload is a pickle of the snapshot object (the recovery layer stores
+the engine alone); ``wal_seq`` names the last write-ahead-log record the
+state includes, so replay resumes exactly after it.  The digest covers
+``wal_seq``, the length and the payload; any mismatch — bit rot, a torn
+write that somehow survived the atomic rename — raises the typed
+:class:`~repro.errors.SnapshotError`, and :func:`load_latest_snapshot`
+falls back to the previous valid snapshot.
+
+A build reads only the snapshots it writes: a file with an older magic is
+refused whole, and the loader resolves no global outside
+:data:`SNAPSHOT_CLASSES`.
 
 Write protocol: serialize to ``<name>.tmp`` in the same directory, flush,
 fsync, ``os.replace`` onto the final name, then fsync the directory — a
@@ -33,7 +37,7 @@ import io
 import os
 import pickle
 import struct
-import sys
+import types
 from typing import Any, List, Tuple
 
 from repro.errors import SnapshotError
@@ -45,61 +49,75 @@ __all__ = [
     "write_snapshot",
 ]
 
-#: File magic: identifies (and versions) the container layout.
-SNAPSHOT_MAGIC = b"INSQSNP1"
+#: File magic: identifies (and versions) the container layout.  Builds
+#: that wrote ``INSQSNP1`` pickled a dict around the engine and may name
+#: classes this build no longer has; their files are refused, not read.
+SNAPSHOT_MAGIC = b"INSQSNP2"
 
 _HEADER = struct.Struct("!QQ")  # wal_seq, payload length
 _DIGEST_BYTES = 32
 
-#: Engine state graphs (Delaunay adjacency, shortest-path trees) can be
-#: recursive to O(n) depth; pickling them needs more headroom than the
-#: default interpreter limit.
-_RECURSION_LIMIT = 100_000
-
 _PREFIX = "snapshot-"
 _SUFFIX = ".snap"
+
+#: Every global a snapshot may name: the classes a served engine of either
+#: metric references with sessions of every query kind open, the paper's
+#: baselines included, plus ``random.Random``.  The writer refuses any other
+#: (a kind registered from outside this table cannot checkpoint); the reader
+#: refuses any other name before it is looked up, so loading runs no code
+#: but these classes' constructors and state restores.  A crafted state for
+#: one of them, under a valid digest, is not refused here.
+SNAPSHOT_CLASSES = frozenset(
+    (module, name)
+    for module, names in (
+        ("random", ("Random",)),
+        ("repro.baselines.policies", ("NaiveProcessor", "NaiveRoadProcessor")),
+        ("repro.baselines.policies", ("VStarProcessor", "VStarRoadProcessor")),
+        ("repro.core.engine", ("RegisteredQuery",)),
+        ("repro.core.ins_euclidean", ("INSProcessor",)),
+        ("repro.core.ins_road", ("INSRoadProcessor",)),
+        ("repro.core.objects", ("QueryResult", "UpdateAction")),
+        ("repro.core.road_server", ("MovingRoadKNNServer",)),
+        ("repro.core.server", ("MovingKNNServer",)),
+        ("repro.core.stats", ("CommunicationStats", "ProcessorStats")),
+        ("repro.geometry.delaunay", ("DelaunayTriangulation",)),
+        ("repro.geometry.order_k", ("OrderKCell",)),
+        ("repro.geometry.point", ("Point",)),
+        ("repro.geometry.polygon", ("ConvexPolygon",)),
+        ("repro.geometry.primitives", ("BoundingBox",)),
+        ("repro.index.vortree", ("VoRTree",)),
+        ("repro.queries.influential", ("InfluentialResult", "InfluentialSitesProcessor")),
+        ("repro.queries.region", ("OrderKRegionProcessor", "RegionResult")),
+        ("repro.roadnet.graph", ("Edge", "RoadNetwork")),
+        ("repro.roadnet.location", ("NetworkLocation",)),
+        ("repro.roadnet.network_voronoi", ("EdgeOwnership", "NetworkVoronoiDiagram")),
+        ("repro.roadnet.shortest_path", ("SearchStats",)),
+    )
+    for name in names
+)
 
 
 def _snapshot_name(wal_seq: int) -> str:
     return f"{_PREFIX}{wal_seq:012d}{_SUFFIX}"
 
 
-def _pickle(payload: Any) -> bytes:
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, _RECURSION_LIMIT))
-    try:
-        return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    finally:
-        sys.setrecursionlimit(limit)
+class _Pickler(pickle.Pickler):
+    """Refuses a class or function (what a pickle stores by name) outside the
+    table as it is reached: no file is written that the reader refuses."""
 
-
-class _Retired:
-    """An object of a module this package no longer has, loaded as nothing."""
-
-    def __setstate__(self, state: Any) -> None:
-        pass
-
-
-_RETIRED_DIAGRAM = ("repro.geometry.voronoi", "VoronoiDiagram")
+    def reducer_override(self, obj: Any) -> Any:
+        if isinstance(obj, (type, types.FunctionType, types.BuiltinFunctionType)):
+            name = (obj.__module__, obj.__qualname__)
+            if name not in SNAPSHOT_CLASSES:
+                raise SnapshotError("cannot snapshot %s.%s: no snapshot class" % name)
+        return NotImplemented
 
 
 class _Unpickler(pickle.Unpickler):
     def find_class(self, module: str, name: str) -> Any:
-        # Snapshots written while the VoR-tree kept an R-tree beside its
-        # lists, or a diagram class between it and its dual, name those
-        # classes; VoRTree.__setstate__ drops the attributes that held them.
-        if module == "repro.index.rtree" or (module, name) == _RETIRED_DIAGRAM:
-            return _Retired
+        if (module, name) not in SNAPSHOT_CLASSES:
+            raise SnapshotError(f"snapshot names {module}.{name}, which is no snapshot class")
         return super().find_class(module, name)
-
-
-def _unpickle(data: bytes) -> Any:
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, _RECURSION_LIMIT))
-    try:
-        return _Unpickler(io.BytesIO(data)).load()
-    finally:
-        sys.setrecursionlimit(limit)
 
 
 def write_snapshot(directory: str, payload: Any, wal_seq: int) -> str:
@@ -107,18 +125,25 @@ def write_snapshot(directory: str, payload: Any, wal_seq: int) -> str:
 
     Args:
         directory: the durability directory (created if missing).
-        payload: any picklable snapshot object.
+        payload: a picklable snapshot object.
         wal_seq: the last WAL sequence number the state includes (0 for
             the initial, pre-log state).
+
+    Raises:
+        SnapshotError: the payload names a class or function outside
+            :data:`SNAPSHOT_CLASSES`; nothing is written.
     """
+    buffer = io.BytesIO()
+    _Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(payload)
+    data = buffer.getvalue()
     os.makedirs(directory, exist_ok=True)
-    data = _pickle(payload)
-    digest = hashlib.sha256(data).digest()
+    header = _HEADER.pack(wal_seq, len(data))
+    digest = hashlib.sha256(header + data).digest()
     final_path = os.path.join(directory, _snapshot_name(wal_seq))
     tmp_path = final_path + ".tmp"
     with open(tmp_path, "wb") as handle:
         handle.write(SNAPSHOT_MAGIC)
-        handle.write(_HEADER.pack(wal_seq, len(data)))
+        handle.write(header)
         handle.write(digest)
         handle.write(data)
         handle.flush()
@@ -137,17 +162,22 @@ def read_snapshot(path: str) -> Tuple[int, Any]:
     """Read and validate one snapshot; returns ``(wal_seq, payload)``.
 
     Raises:
-        SnapshotError: bad magic, truncated container, length mismatch or
-            checksum failure.
+        SnapshotError: another format (a file an older build wrote), a
+            truncated container, length mismatch, checksum failure, or a
+            payload that names a global outside :data:`SNAPSHOT_CLASSES`.
     """
     with open(path, "rb") as handle:
         data = handle.read()
+    magic = data[: len(SNAPSHOT_MAGIC)]
+    if magic != SNAPSHOT_MAGIC:
+        raise SnapshotError(
+            f"{path}: format {magic!r} is not {SNAPSHOT_MAGIC!r}: an older build's snapshot, or none"
+        )
     header_end = len(SNAPSHOT_MAGIC) + _HEADER.size + _DIGEST_BYTES
     if len(data) < header_end:
         raise SnapshotError(f"{path}: truncated snapshot header")
-    if data[: len(SNAPSHOT_MAGIC)] != SNAPSHOT_MAGIC:
-        raise SnapshotError(f"{path}: bad snapshot magic")
-    wal_seq, length = _HEADER.unpack_from(data, len(SNAPSHOT_MAGIC))
+    header = data[len(SNAPSHOT_MAGIC) : len(SNAPSHOT_MAGIC) + _HEADER.size]
+    wal_seq, length = _HEADER.unpack(header)
     digest = data[len(SNAPSHOT_MAGIC) + _HEADER.size : header_end]
     payload = data[header_end:]
     if len(payload) != length:
@@ -155,10 +185,10 @@ def read_snapshot(path: str) -> Tuple[int, Any]:
             f"{path}: snapshot declares {length} payload bytes but carries "
             f"{len(payload)}"
         )
-    if hashlib.sha256(payload).digest() != digest:
+    if hashlib.sha256(header + payload).digest() != digest:
         raise SnapshotError(f"{path}: snapshot checksum mismatch")
     try:
-        return wal_seq, _unpickle(payload)
+        return wal_seq, _Unpickler(io.BytesIO(payload)).load()
     except Exception as error:  # a valid checksum over an unloadable pickle
         raise SnapshotError(f"{path}: snapshot payload failed to load: {error}")
 

@@ -100,9 +100,9 @@ ties, and there the adjacency is unambiguous.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Collection, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.core.objects import immutable
 from repro.errors import GeometryError
 from repro.geometry.point import Point, bounding_coordinates
 from repro.geometry.predicates import EPSILON, orientation
@@ -113,7 +113,7 @@ Edge = FrozenSet[int]
 GHOST = -1
 
 
-@dataclass(frozen=True)
+@immutable
 class Triangle:
     """A real triangle of the triangulation, referring to point indexes.
 
@@ -179,16 +179,6 @@ class DelaunayTriangulation:
         order = _hilbert_order(self._points, live)
         self._walk_hint = order[0]
         self._build(order)
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        if self.__dict__.pop("_spoke", None) is not None:  # keyed by directed edge
-            rows: Dict[int, Dict[int, int]] = {}
-            for (u, v), w in self._apex.items():
-                rows.setdefault(u, {})[v] = w
-            self._apex = rows
-        # Pickled with a neighbour store beside the rows: the rows are the lists.
-        self.__dict__.pop("_adjacent", None)
 
     # ------------------------------------------------------------------
     # Public API

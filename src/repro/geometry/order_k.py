@@ -31,10 +31,10 @@ p would need ``d(x, o) < d(x, p)`` with ``d(x, o) >= d(q, o) - R_C`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from heapq import nsmallest
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.core.objects import immutable
 from repro.errors import GeometryError
 from repro.geometry.point import Point, centroid
 from repro.geometry.polygon import ConvexPolygon, bisector_halfplane
@@ -44,8 +44,7 @@ from repro.geometry.primitives import BoundingBox
 _TIE_TOLERANCE = 1e-6
 
 
-# Snapshots pickle this record with its ``__dict__``, which a row cannot load.
-@dataclass(frozen=True)
+@immutable
 class OrderKCell:
     """The order-k Voronoi cell of a kNN set, plus derived information.
 

@@ -12,10 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Tuple
 
-from repro.core.objects import accepts_dict_state
 
-
-@accepts_dict_state
 @dataclass(frozen=True, order=True, slots=True)
 class Point:
     """A point in the 2-D Euclidean plane.

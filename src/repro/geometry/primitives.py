@@ -77,7 +77,7 @@ class Circle:
         return math.pi * self.radius * self.radius
 
 
-@dataclass(frozen=True)
+@immutable
 class BoundingBox:
     """An axis-aligned rectangle: a cell polygon's clipping box, or an extent.
 

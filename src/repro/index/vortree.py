@@ -116,23 +116,6 @@ class VoRTree:
         self._cell_side = 0.0
         self._rebuild_neighbor_map()
 
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        # Pickled beside an R-tree (point location walks the lists now), before
-        # the (x, y) rows, when sites were numbered apart, or over a diagram
-        # layer between the tree and its dual (the last two are rebuilt).
-        stale = (
-            "_rtree", "_last_batch_bulk", "_site_of_object", "_object_of_site", "_occupied",
-            "_voronoi",
-        )
-        for name in stale:
-            self.__dict__.pop(name, None)
-        if "_xy" not in state:
-            self._xy = [(point.x, point.y) for point in self._points]
-        if "_site_of_object" in state or "_voronoi" in state:
-            self._rebuild_neighbor_map()
-        self._cells = None
-
     # ------------------------------------------------------------------
     # Accessors
     # ------------------------------------------------------------------

@@ -104,12 +104,6 @@ class OrderKRegionProcessor(MovingKNNProcessor[Point]):
         self._cell: Optional[OrderKCell] = None
         self._prev_member_set: Optional[FrozenSet[int]] = None
 
-    def __setstate__(self, state) -> None:
-        # Pickled when the processor kept the live tree as ``_vortree``.
-        if "_vortree" in state:
-            state["_tree"] = state.pop("_vortree")
-        super().__setstate__(state)
-
     @property
     def name(self) -> str:
         return "OrderK-Region"

@@ -10,15 +10,14 @@ follow that convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
+from repro.core.objects import immutable
 from repro.errors import RoadNetworkError
 from repro.geometry.point import Point
 
 
-# Snapshots pickle this record with its ``__dict__``, which a row cannot load.
-@dataclass(frozen=True)
+@immutable
 class Edge:
     """An undirected road segment between two vertices.
 

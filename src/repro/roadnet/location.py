@@ -11,13 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from repro.core.objects import accepts_dict_state
 from repro.errors import RoadNetworkError
 from repro.geometry.point import Point
 from repro.roadnet.graph import RoadNetwork
 
 
-@accepts_dict_state
 @dataclass(frozen=True, slots=True)
 class NetworkLocation:
     """A position on an edge of a road network.

@@ -65,16 +65,15 @@ to.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
+from repro.core.objects import immutable
 from repro.errors import EmptyDatasetError, QueryError, RoadNetworkError
 from repro.roadnet.graph import Edge, RoadNetwork
 from repro.roadnet.shortest_path import SearchStats, flood, multi_source_dijkstra
 
 
-# Snapshots pickle this record with its ``__dict__``, which a row cannot load.
-@dataclass(frozen=True)
+@immutable
 class EdgeOwnership:
     """Ownership of one edge in the order-1 network Voronoi diagram.
 
@@ -634,6 +633,19 @@ class NetworkVoronoiDiagram:
         A rebuild replaces it: ask again per search, and do not mutate it.
         """
         return self._vertex_owners
+
+    def owners_at(self, location) -> Tuple[int, ...]:
+        """The cell a network location lies in: its owner, both owners of its
+        edge on their border, or none where no object reaches the edge."""
+        ownership = self._edge_ownership.get(location.edge_id)
+        if ownership is None:
+            return ()
+        border = ownership.border_offset
+        if border is None or location.offset < border:
+            return (ownership.owner_u,)
+        if location.offset > border:
+            return (ownership.owner_v,)
+        return (ownership.owner_u, ownership.owner_v)
 
     def __len__(self) -> int:
         """Number of active data objects (a counter kept beside ``_active``)."""

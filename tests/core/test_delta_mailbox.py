@@ -154,9 +154,8 @@ class TestOneFrozenDeltaPerEpoch:
         assert sorted(answer.knn_distances) == expected[: processor.k]
 
 
-class TestPicklesWithPrivateSets:
-    """A processor pickled while every session copied each delta into a pair
-    of private sets restores: that pair becomes its pending delta, and it
+class TestPickledPendingPair:
+    """A processor pickled with a delta pending restores with that pair, and
     answers and counts exactly like a twin that was never pickled."""
 
     @staticmethod
@@ -170,21 +169,13 @@ class TestPicklesWithPrivateSets:
         churn(engine, rng)
         return engine, query, walk, rng
 
-    def test_the_private_sets_become_the_pending_pair(self):
+    def test_the_pending_pair_round_trips(self):
         engine, query, walk, rng = self.twin()
         twin, _, _, twin_rng = self.twin()
-        processor = processor_of(engine, query)
-        changed, removed = processor._pending or (frozenset(), frozenset())
-        # What the parent layout pickled: two private sets, no pair.
-        state = vars(processor)
-        del state["_pending"]
-        state["_pending_changed"], state["_pending_removed"] = set(changed), set(removed)
+        pending = processor_of(engine, query)._pending
         restored = pickle.loads(pickle.dumps(engine))
         processor = processor_of(restored, query)
-        assert "_pending_changed" not in vars(processor)
-        assert "_pending_removed" not in vars(processor)
-        assert processor._pending == (changed, removed)
-        assert processor.state_stale
+        assert processor._pending == pending and processor.state_stale
         for served_engine, served_rng in ((restored, rng), (twin, twin_rng)):
             churn(served_engine, served_rng)
         for step in (11, 12):

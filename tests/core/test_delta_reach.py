@@ -4,8 +4,7 @@ The INS processor tests every pushed delta against what it holds: with
 nothing queued, a delta whose ``removed`` and ``changed`` both miss R is one
 its next settle would absorb (a removed object of I(R) neighboured a member,
 so the index names that member as changed), so it keeps no pair, only the
-stale mark.  That settle then counts the absorb
-and returns, as it does for a missing pair an older build queued.  Any other
+stale mark.  That settle then counts the absorb and returns.  Any other
 delta is queued exactly as the mailbox queues it, so a missed epoch followed
 by a reaching one settles as the reaching one alone.
 """
@@ -14,6 +13,7 @@ import random
 
 import pytest
 
+from repro.core.ins import InfluentialSetProcessor
 from repro.core.ins_euclidean import INSProcessor
 from repro.core.ins_road import INSRoadProcessor
 from repro.core.road_server import MovingRoadKNNServer
@@ -161,23 +161,38 @@ def test_a_delta_naming_only_a_guard_is_settled_on_arrival(build, field):
     assert processor._pending is None and processor.state_stale
 
 
-@pytest.mark.parametrize("build", [plane_processor, road_processor], ids=["plane", "road"])
-@pytest.mark.parametrize("reaching, expected", [(False, (0, 0, 1)), (True, (0, 1, 0))])
-def test_a_pair_an_older_build_queued_settles_by_the_same_rule(build, reaching, expected):
-    # Older builds queued every delta, so a restored mailbox may hold a pair
-    # that misses: its settle absorbs it, as one missed on arrival.
-    processor = build()
-    pool = set(processor.prefetched_set) | processor.influential_set
-    if reaching:  # a guard's removal, as the index reports it: with a member changed
-        pair = ({processor.prefetched_set[-1]}, {min(processor.influential_set)})
+@pytest.mark.parametrize("metric", sorted(METRICS))
+def test_every_queued_pair_reaches_r_when_it_settles(metric, monkeypatch):
+    # Only a reaching delta starts a pair, and merging only grows it, so a
+    # settle never finds a queued pair that misses R: its absorb branch
+    # needs to test for no pair at all.
+    queued = []
+    consume = InfluentialSetProcessor._consume_data_updates
+
+    def checked(self, position):
+        if self._pending is not None:
+            assert self._reaches(*self._pending)
+            queued.append(self._pending)
+        return consume(self, position)
+
+    monkeypatch.setattr(InfluentialSetProcessor, "_consume_data_updates", checked)
+    build, _, _ = METRICS[metric]
+    engine = build()
+    rng = random.Random(9)
+    if metric == "plane":
+        anywhere = target = lambda: Point(rng.uniform(0.0, 10_000.0), rng.uniform(0.0, 10_000.0))
     else:
-        pair = (set(), {min(set(range(60)) - pool)})
-    processor._pending, processor._state_stale = pair, True
-    stats = processor.stats
-    before = [getattr(stats, name) for name in OUTCOMES]
-    processor.update(processor.last_position)
-    assert tuple(getattr(stats, name) - was for name, was in zip(OUTCOMES, before)) == expected
-    assert processor._pending is None and not processor.state_stale
+        edges = engine.network.edges()
+        anywhere = lambda: NetworkLocation(rng.choice(edges).edge_id, 0.0)
+        target = lambda: rng.randrange(engine.network.vertex_count)
+    queries = [engine.register_query(anywhere(), k=rng.choice((2, 3, 5))) for _ in range(8)]
+    for epoch in range(60):
+        deleted, moved = rng.sample(engine.index.active_indexes(), 2)
+        engine.batch_update(inserts=[target()], deletes=[deleted], moves=[(moved, target())])
+        # Half the sessions skip an epoch, so their pairs merge before a settle.
+        for query_id in queries[epoch % 2 :: 2]:
+            engine.update_position(query_id, anywhere())
+    assert len(queued) > 50
 
 
 # ----------------------------------------------------------------------

@@ -234,11 +234,10 @@ class TestCoincidentObjects:
         assert not result.was_valid
 
 
-class TestOldSnapshots:
-    """The flat validation layout is derived state: a processor pickled
-    before it existed restores and keeps serving."""
+class TestPickles:
+    """A pickled processor restores and serves exactly like the original."""
 
-    def test_state_without_the_flat_layout_restores_and_serves(self, dataset):
+    def test_a_pickled_processor_serves_like_the_original(self, dataset):
         processor = INSProcessor(VoRTree(dataset), k=5, rho=1.6)
         trajectory = random_waypoint_trajectory(
             data_space(1_000.0), steps=60, step_length=15.0, seed=3
@@ -247,13 +246,9 @@ class TestOldSnapshots:
         for position in trajectory[1:30]:
             processor.update(position)
         twin = pickle.loads(pickle.dumps(processor))
-        state = pickle.loads(pickle.dumps(processor.__dict__))
-        assert state.pop("_held") and state.pop("_held_xy")
-        old = INSProcessor.__new__(INSProcessor)
-        old.__setstate__(state)
         for position in trajectory[30:]:
-            restored, expected = old.update(position), twin.update(position)
+            restored, expected = twin.update(position), processor.update(position)
             assert restored == expected
             assert set(restored.knn) == set(brute_knn(dataset, position, 5))
-        assert old.stats.distance_computations == twin.stats.distance_computations
-        assert old.stats.transmitted_objects == twin.stats.transmitted_objects
+        assert twin.stats.distance_computations == processor.stats.distance_computations
+        assert twin.stats.transmitted_objects == processor.stats.transmitted_objects

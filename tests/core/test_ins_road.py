@@ -17,6 +17,7 @@ from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.location import NetworkLocation
 from repro.roadnet.network_voronoi import NetworkVoronoiDiagram
 from repro.roadnet.shortest_path import distances_from_location
+from repro.service import open_service
 from repro.trajectory.road import network_random_walk
 
 
@@ -261,12 +262,9 @@ class TestRandomPlanarNetwork:
             assert result.action is UpdateAction.FULL_RECOMPUTE
 
 
-class TestOldSnapshots:
-    """A processor pickled while it carried a validation mode kept its region
-    as the edge ids of the held cells ("restricted") or None ("exact").  It
-    restores with the region derived from its held pool and serves exactly
-    like one that never left memory — every answer, every counter, every
-    escape from the region."""
+class TestPickles:
+    """A pickled processor restores and serves exactly like the original —
+    every answer, every counter, every escape from the region."""
 
     @pytest.fixture(autouse=True)
     def fresh_registry(self):
@@ -282,8 +280,7 @@ class TestOldSnapshots:
         results = [processor.update(location) for location in trajectory]
         return results, escaped.value - before
 
-    @pytest.mark.parametrize("mode", ["restricted", "exact"])
-    def test_state_with_a_mode_and_its_region_restores_and_serves(self, mode):
+    def test_a_pickled_processor_serves_like_the_original(self):
         network = random_planar_network(120, extent=1_500.0, seed=170)
         objects = place_objects(network, 30, seed=171)
         processor = INSRoadProcessor(NetworkVoronoiDiagram(network, objects), k=4, rho=1.6)
@@ -292,23 +289,50 @@ class TestOldSnapshots:
         for location in trajectory[1:30]:
             processor.update(location)
         twin = pickle.loads(pickle.dumps(processor))
-        state = pickle.loads(pickle.dumps(processor.__dict__))
-        state["_validation_mode"] = mode
-        if mode == "restricted":
-            state["_region"] = processor.voronoi.cell_edges(processor._held)
-            # Edge ids and object ids overlap: read as owners, this region
-            # names the cells of other objects.
-            assert state["_region"] & set(range(len(objects))) - set(processor._held)
-        else:
-            state["_region"] = None
-        pickled = INSRoadProcessor.__new__(INSRoadProcessor)
-        pickled.__dict__.update(state)
-        old = pickle.loads(pickle.dumps(pickled))
-        expected, expected_escapes = self.serve(twin, trajectory[30:])
-        restored, escapes = self.serve(old, trajectory[30:])
+        expected, expected_escapes = self.serve(processor, trajectory[30:])
+        restored, escapes = self.serve(twin, trajectory[30:])
         assert restored == expected and escapes == expected_escapes
         for location, result in zip(trajectory[30:], restored):
             assert answer_is_correct(network, objects, location, result, 4)
-        assert old.stats.full_recomputations > 3
-        assert old.stats.settled_vertices == twin.stats.settled_vertices
-        assert old.stats.distance_computations == twin.stats.distance_computations
+        assert twin.stats.full_recomputations > 3
+        assert twin.stats.settled_vertices == processor.stats.settled_vertices
+        assert twin.stats.distance_computations == processor.stats.distance_computations
+
+
+class TestTieRule:
+    """A tie between the farthest member and the nearest guard certifies only
+    where the query lies in a held cell.  From a cell no held object owns,
+    whose object may be nearer, a guard is never farther than the answer, so
+    a tie there proves nothing."""
+
+    @staticmethod
+    def population():
+        network = grid_network(7, 7, spacing=40.0)
+        objects = place_objects(network, 24, seed=968)
+        return network, objects, open_service("road", objects, network)
+
+    def test_a_tie_beside_an_unheld_cell_is_no_certificate(self):
+        network, objects, service = self.population()
+        session = service.open_query(NetworkLocation(29, 40.0), k=1)
+        result = session.update(NetworkLocation(37, 40.0)).result
+        assert (result.knn, result.knn_distances) == ((7,), (0.0,))
+        assert not result.was_valid
+
+    def test_two_position_sessions_answer_exactly(self):
+        network, objects, service = self.population()
+        rng = random.Random(1)
+        edges = network.edges()
+
+        def anywhere():
+            edge = rng.choice(edges)
+            offsets = (0.0, edge.length / 2, edge.length, rng.uniform(0.0, edge.length))
+            return NetworkLocation(edge.edge_id, rng.choice(offsets))
+
+        wrong = []
+        for _ in range(400):
+            k, start, there = rng.choice((1, 2, 3)), anywhere(), anywhere()
+            with service.open_query(start, k=k) as session:
+                result = session.update(there).result
+            if not answer_is_correct(network, objects, there, result, k):
+                wrong.append((start, there, k, result.knn))
+        assert wrong == []

@@ -8,12 +8,12 @@ import pickle
 import random
 import subprocess
 import sys
-from dataclasses import dataclass
 
 import pytest
 
 from repro.baselines.policies import baseline_kinds
-from repro.core.objects import QueryResult, UpdateAction, accepts_dict_state, immutable
+from repro.core.objects import QueryResult, UpdateAction, immutable
+from repro.durability.snapshot import SNAPSHOT_CLASSES
 from repro.geometry.point import Point
 from repro.queries.kinds import query_kind, query_kinds, registered
 from repro.roadnet.generators import grid_network, place_objects
@@ -101,27 +101,20 @@ class TestQueryResult:
         assert plain != tuple(values) and not plain == tuple(values)
 
 
-#: The rows a served engine's pickle names: rows in the snapshots older
-#: builds wrote too, so those load unchanged.
-SNAPSHOT_ROWS = [
-    "repro.core.objects.QueryResult",
-    "repro.queries.influential.InfluentialResult",
-    "repro.queries.region.RegionResult",
-]
-
-#: Dict-backed though no served engine holds it: the VoR-tree pickles in
-#: ``tests/index/golden`` do.
-GOLDEN_PICKLED = "repro.geometry.delaunay.Triangle"
-
 #: Run in a fresh interpreter: each dataclass the three imports define, as
-#: "row", "slots" or "dict" and its dotted name.
+#: "row", "slots", "frozen" (a frozen dataclass with a ``__dict__``) or
+#: "dict", and its dotted name.
 CENSUS = """
 import dataclasses, sys
 import repro, repro.transport, repro.durability
 for name, module in sorted(sys.modules.items()):
     for cls in list(vars(module).values()) if name.startswith("repro") else ():
         if isinstance(cls, type) and cls.__module__ == name and dataclasses.is_dataclass(cls):
-            kind = "row" if issubclass(cls, tuple) else "dict" if cls.__dictoffset__ else "slots"
+            frozen = cls.__dataclass_params__.frozen
+            kind = (
+                "row" if issubclass(cls, tuple) else "slots" if not cls.__dictoffset__
+                else "frozen" if frozen else "dict"
+            )
             print(kind, name + "." + cls.__qualname__)
 """
 
@@ -195,35 +188,21 @@ class Pair:
 
 
 class TestValueClasses:
-    def test_a_value_class_keeps_a_dict_only_where_a_pickle_holds_one(self):
+    def test_every_frozen_value_class_is_a_row(self):
         kinds = census()
-        reached = classes_a_snapshot_names() & set(kinds)
-        rows = sorted(name for name in reached if kinds[name] == "row")
-        slotted = sorted(name for name, kind in kinds.items() if kind == "slots")
-        dict_backed = sorted(name for name, kind in kinds.items() if kind == "dict")
-        # A snapshot older builds wrote holds every other class it names
-        # with a __dict__, which a row cannot load.
-        assert rows == SNAPSHOT_ROWS
-        assert slotted == ["repro.geometry.point.Point", "repro.roadnet.location.NetworkLocation"]
-        assert dict_backed == sorted(reached - {*rows, *slotted} | {GOLDEN_PICKLED})
-        assert sum(kind == "row" for kind in kinds.values()) >= 30
+        assert sorted(name for name, kind in kinds.items() if kind == "frozen") == []
+        assert sorted(name for name, kind in kinds.items() if kind == "slots") == [
+            "repro.geometry.point.Point",
+            "repro.roadnet.location.NetworkLocation",
+        ]
+        assert sum(kind == "row" for kind in kinds.values()) >= 40
 
-    def test_dict_state_survives_the_dataclass_setstate(self):
-        # Where ``dataclass(slots=True)`` installs its own __setstate__ (as
-        # some Python 3.11 releases do over one written in the class body),
-        # the decorator above it still wins.
-        @accepts_dict_state
-        @dataclass(frozen=True, slots=True)
-        class Spot:
-            a: int
-            b: float
-
-        spot = object.__new__(Spot)
-        spot.__setstate__({"b": 2.5, "a": 1})
-        assert spot == Spot(1, 2.5)
-        spot = object.__new__(Spot)
-        spot.__setstate__([3, 4.5])
-        assert spot == Spot(3, 4.5)
+    def test_the_snapshot_loader_resolves_what_a_served_engine_names(self):
+        # The loader's table is exactly the classes a snapshot of every kind
+        # on both metrics names, the baselines' included: one more would
+        # widen what a file may call, one fewer would refuse a served engine.
+        table = {f"{module}.{name}" for module, name in SNAPSHOT_CLASSES}
+        assert classes_a_snapshot_names() == table
 
     def test_a_row_normalises_its_fields_in_its_own_new(self):
         assert Pair(5, 2) == Pair(high=2, low=5) == Pair(2, 5)

@@ -1,30 +1,26 @@
-"""Regenerate the durability directories an older build wrote: ``euclidean/``,
-``road/`` and ``expected.json``.
+"""Regenerate the durability directories an older build wrote: ``euclidean/``
+and ``road/``, the refusal fixtures of ``tests/durability/test_older_snapshots.py``.
 
 The committed output was written by the build at commit 15e5765, whose
-value classes (points, locations, edges, registered queries, order-k
-cells) all pickled a ``__dict__``, and
-``tests/durability/test_older_snapshots.py`` holds every later build to
-recovering it.  Run this against that build only — a directory the
-current build writes tests nothing about older ones::
+snapshots (format ``INSQSNP1``) pickled a dict of the engine and its session
+descriptors, over value classes (points, locations, edges, registered
+queries, order-k cells) that all pickled a ``__dict__``.  No later build
+reads them: each must refuse every one of these files by its format.  Run
+this against that build only — a directory the current build writes is no
+older file::
 
     git archive 15e5765 src | tar -x -C OLD
     PYTHONPATH=OLD/src python tests/durability/golden/generate.py
 
 Each directory is a durable service with open sessions of every kind its
 metric serves, checkpointed after churn and then logged past the
-checkpoint, so recovery loads a snapshot that holds sessions and replays a
-suffix.  ``expected.json`` records, per metric, the recovered epoch and
-population and each session's answers at fixed further positions.
+checkpoint: a base snapshot, a checkpoint holding sessions, and a log.
 """
 
-import json
 import os
 import random
 import shutil
-import tempfile
 
-from repro.durability import recover_service
 from repro.durability.recovery import open_durable_service
 from repro.geometry.point import Point
 from repro.roadnet.generators import grid_network, place_objects
@@ -83,10 +79,6 @@ def churn(service, metric, rng, network, steps):
         )
 
 
-def encode(metric, value):
-    return [value.x, value.y] if metric == "euclidean" else [value.edge_id, value.offset]
-
-
 def write(metric):
     directory = os.path.join(HERE, metric)
     shutil.rmtree(directory, ignore_errors=True)
@@ -99,40 +91,10 @@ def write(metric):
     churn(service, metric, rng, network, steps=2)
     service.close_wal()
 
-    probes = [position(metric, rng, network) for _ in range(3)]
-    scratch = tempfile.mkdtemp()
-    try:
-        copy = os.path.join(scratch, metric)
-        shutil.copytree(directory, copy)
-        recovered = recover_service(copy)
-        expected = {
-            "epoch": recovered.engine.epoch,
-            "population": sorted(recovered.engine.index.active_indexes()),
-            "probes": [encode(metric, probe) for probe in probes],
-            "sessions": [],
-        }
-        for session in recovered.sessions():
-            answers = [session.update(probe).result for probe in probes]
-            expected["sessions"].append(
-                {
-                    "query_id": session.query_id,
-                    "kind": session.kind,
-                    "k": session.k,
-                    "knn": [list(result.knn) for result in answers],
-                    "knn_distances": [list(result.knn_distances) for result in answers],
-                }
-            )
-        recovered.close_wal()
-    finally:
-        shutil.rmtree(scratch)
-    return expected
-
 
 def main():
-    expected = {metric: write(metric) for metric in KINDS}
-    with open(os.path.join(HERE, "expected.json"), "w") as handle:
-        json.dump(expected, handle, sort_keys=True)
-        handle.write("\n")
+    for metric in KINDS:
+        write(metric)
 
 
 if __name__ == "__main__":

@@ -1,64 +1,54 @@
-"""Durability directories an older build wrote still recover.
+"""Durability directories an older build wrote are refused, whole.
 
 ``golden/`` holds one directory per metric written by the build at commit
-15e5765 (see ``golden/generate.py``), when every value class a snapshot
-reaches pickled a ``__dict__``: its checkpoint holds open sessions of every
-kind the metric serves, and its log runs past the checkpoint.  A class that
-changes how it pickles without loading the old state breaks these loads
-(``read_snapshot`` raises ``SnapshotError``), and a wrong restore shows in
-the answers the older build recorded at further positions.
+15e5765 (see ``golden/generate.py``): ``INSQSNP1`` snapshots, which pickled a
+dict of the engine and its session descriptors, over value classes that
+pickled a ``__dict__``.  A build reads only the snapshots it writes, so each
+of these files is refused by its format with a typed error that says so —
+never half-loaded — and a recovery attempt leaves the directory as it was.
 """
 
-import json
 import os
 import shutil
 
 import pytest
 
 from repro.durability import read_snapshot, recover_service
-from repro.geometry.point import Point
-from repro.roadnet.location import NetworkLocation
+from repro.errors import SnapshotError
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
-
-with open(os.path.join(GOLDEN, "expected.json")) as _handle:
-    EXPECTED = json.load(_handle)
-
-
-def _probe(metric, values):
-    return Point(*values) if metric == "euclidean" else NetworkLocation(*values)
-
-
-@pytest.mark.parametrize("metric", sorted(EXPECTED))
-def test_every_snapshot_an_older_build_wrote_loads(metric):
-    # Recovery would fall back past an unreadable checkpoint to the initial
-    # snapshot and replay the whole log, so each file is read by itself.
-    directory = os.path.join(GOLDEN, metric)
-    names = sorted(name for name in os.listdir(directory) if name.endswith(".snap"))
-    payloads = [read_snapshot(os.path.join(directory, name))[1] for name in names]
-    assert len(payloads) == 2 and payloads[0]["sessions"] == []
-    assert [(query_id, kind, k) for query_id, k, _, kind in payloads[-1]["sessions"]] == [
-        (record["query_id"], record["kind"], record["k"]) for record in EXPECTED[metric]["sessions"]
-    ]
+METRICS = ("euclidean", "road")
+SNAPSHOTS = sorted(
+    os.path.join(metric, name)
+    for metric in METRICS
+    for name in os.listdir(os.path.join(GOLDEN, metric))
+    if name.endswith(".snap")
+)
 
 
-@pytest.mark.parametrize("metric", sorted(EXPECTED))
-def test_an_older_directory_recovers_with_its_sessions_and_answers(metric, tmp_path):
-    expected = EXPECTED[metric]
-    # Recovery reopens the log for appending, so it runs on a copy.
-    directory = shutil.copytree(os.path.join(GOLDEN, metric), tmp_path / metric)
-    service = recover_service(str(directory))
-    try:
-        assert service.engine.epoch == expected["epoch"]
-        assert sorted(service.engine.index.active_indexes()) == expected["population"]
-        sessions = service.sessions()
-        assert [(s.query_id, s.kind, s.k) for s in sessions] == [
-            (record["query_id"], record["kind"], record["k"]) for record in expected["sessions"]
-        ]
-        probes = [_probe(metric, values) for values in expected["probes"]]
-        for session, record in zip(sessions, expected["sessions"]):
-            answers = [session.update(probe).result for probe in probes]
-            assert [list(result.knn) for result in answers] == record["knn"]
-            assert [list(result.knn_distances) for result in answers] == record["knn_distances"]
-    finally:
-        service.close_wal()
+def contents(directory):
+    """``{name: bytes}`` of every file in ``directory``."""
+    result = {}
+    for name in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, name), "rb") as handle:
+            result[name] = handle.read()
+    return result
+
+
+def test_the_fixtures_hold_a_base_and_a_checkpoint_per_metric():
+    assert len(SNAPSHOTS) == 2 * len(METRICS)
+
+
+@pytest.mark.parametrize("name", SNAPSHOTS)
+def test_every_snapshot_an_older_build_wrote_is_refused(name):
+    with pytest.raises(SnapshotError, match="b'INSQSNP1' is not b'INSQSNP2': an older build's snapshot"):
+        read_snapshot(os.path.join(GOLDEN, name))
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_recovering_an_older_directory_is_refused_and_changes_nothing(metric, tmp_path):
+    directory = str(shutil.copytree(os.path.join(GOLDEN, metric), tmp_path / metric))
+    before = contents(directory)
+    with pytest.raises(SnapshotError, match="older build"):
+        recover_service(directory)
+    assert contents(directory) == before

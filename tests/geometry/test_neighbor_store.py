@@ -1,7 +1,6 @@
 """The triangulation's neighbour lists are its link rows: hand-worked answers,
 rows edited in place, hull lists rebuilt when their site changes, refusals
-that edit nothing, pickles written with a neighbour store or before the link
-maps existed, and a build and a tree that hold no second copy.
+that edit nothing, and a build and a tree that hold no second copy.
 
 The fixture is a convex pentagon around one interior site, in general
 position (no four sites co-circular), so every answer below is the unique
@@ -15,9 +14,6 @@ The interior site 5 sees every hull site; the hull sites see their two hull
 neighbours and 5 (the wheel).
 """
 
-import copy
-import pickle
-import random
 import tracemalloc
 
 import pytest
@@ -168,96 +164,6 @@ class TestRefusals:
         triangulation = DelaunayTriangulation(PENTAGON)
         triangulation.remove_site(5)
         self.check_refused(triangulation, lambda: triangulation.remove_site(5))
-
-
-def churn(tree, rng, rounds):
-    for _ in range(rounds):
-        inserts = [Point(rng.uniform(0.0, 1_000.0), rng.uniform(0.0, 1_000.0)) for _ in range(3)]
-        tree.batch_update(inserts, rng.sample(tree.active_indexes(), 3))
-
-
-def lists(tree):
-    return {index: set(tree.voronoi_neighbors(index)) for index in tree.active_indexes()}
-
-
-def with_a_store(tree):
-    """Hand-set ``tree`` to the layout of a version that kept a neighbour
-    store beside the rows: one set per site, and without twins each object's
-    list *is* its site's set.  Returns the store."""
-    triangulation = tree.voronoi
-    store = {site: triangulation.neighbors_of(site) for site in triangulation.active_indexes()}
-    triangulation._adjacent = store
-    tree._neighbor_map = {obj: store[obj] for obj in tree.active_indexes()}
-    return store
-
-
-class TestPicklesWithTheStore:
-    """A pickle written when a neighbour store stood beside the rows (or
-    before the rows existed) restores without it, and maintenance carries on
-    from the rows."""
-
-    def test_a_triangulation_drops_its_store(self):
-        triangulation = DelaunayTriangulation(uniform_points(80, extent=1_000.0, seed=3))
-        triangulation.insert_site(Point(500.0, 500.0))
-        triangulation.remove_site(7)
-        state = copy.deepcopy(dict(vars(triangulation)))
-        state["_adjacent"] = triangulation.neighbors()
-        restored = DelaunayTriangulation.__new__(DelaunayTriangulation)
-        restored.__setstate__(state)
-        assert "_adjacent" not in vars(restored)
-        assert restored.edge_map() == triangulation.edge_map()
-        assert restored.neighbors() == triangulation.neighbors()
-
-    def test_a_tree_whose_lists_alias_the_store_churns_to_the_rebuild(self):
-        """The old sets stay the lists of the sites no mutation has touched
-        yet; each is correct until its site changes and is read again."""
-        rng = random.Random(11)
-        tree = VoRTree(uniform_points(300, extent=1_000.0, seed=29))
-        churn(tree, rng, 10)
-        with_a_store(tree)
-        expected = lists(tree)
-        restored = pickle.loads(pickle.dumps(tree))
-        triangulation = restored.voronoi
-        assert "_adjacent" not in vars(triangulation)
-        assert lists(restored) == expected
-        for _ in range(200):
-            restored.insert(Point(rng.uniform(0.0, 1_000.0), rng.uniform(0.0, 1_000.0)))
-            restored.delete(rng.choice(restored.active_indexes()))
-            assert lists(restored) == triangulation.neighbors(), "a list went stale"
-        old = [obj for obj, held in restored._neighbor_map.items() if type(held) is set]
-        assert 0 < len(old) < len(restored)
-        patched = lists(restored)
-        restored.full_rebuild()
-        assert patched == lists(restored)
-
-    @pytest.mark.parametrize("with_store", [True, False], ids=["with-store", "without-store"])
-    def test_a_tree_pickled_with_one_edge_keyed_map_churns_to_the_rebuild(self, with_store):
-        """Before the link maps the triangulation was one map keyed by
-        directed edge beside a spoke per vertex, and from some version on a
-        store beside both: a restore turns the map into rows and drops the
-        spoke and the store."""
-        rng = random.Random(13)
-        tree = VoRTree(uniform_points(200, extent=1_000.0, seed=31))
-        churn(tree, rng, 10)
-        triangulation = tree.voronoi
-        edges, expected = triangulation.edge_map(), lists(tree)
-        if with_store:
-            with_a_store(tree)
-        else:
-            tree._neighbor_map = {obj: frozenset(n) for obj, n in expected.items()}
-        state = vars(triangulation)
-        state["_spoke"] = {vertex: next(iter(row)) for vertex, row in state["_apex"].items()}
-        state["_apex"] = dict(edges)
-        restored = pickle.loads(pickle.dumps(tree))
-        triangulation = restored.voronoi
-        assert not {"_spoke", "_adjacent"} & set(vars(triangulation))
-        assert all(type(row) is dict for row in triangulation._apex.values())
-        assert triangulation.edge_map() == edges
-        assert lists(restored) == expected
-        churn(restored, rng, 20)
-        patched = lists(restored)
-        restored.full_rebuild()
-        assert patched == lists(restored)
 
 
 class TestTheBuildsMemory:

@@ -6,11 +6,9 @@ walk starts from the object the point-location table names for the point's
 grid cell, and from the strided jump only where that cell names no live
 object.  These tests pin the work that saves, that the located site is the
 nearest object's site wherever the insert lands, that a delete never leaves
-a dead entry to be read, and that a tree pickled before the table existed
-restores and locates.
+a dead entry to be read, and that a pickled tree keeps its table.
 """
 
-import os
 import pickle
 import random
 
@@ -202,32 +200,18 @@ class TestTheTableNamesLiveObjects:
         assert tree._cells is None
 
 
-def test_a_tree_pickled_before_the_table_restores_and_locates():
-    """A tree pickled by a version that kept no point-location table, as::
-
-        tree = VoRTree(uniform_points(40, extent=100.0, seed=8))
-        tree.insert(Point(50.0, 50.0)); tree.insert(tree.point(6))
-        tree.delete(6); tree.delete(11)
-        pickle.dump(tree, file, protocol=4)
-
-    restores without one, builds it on its first located insert, and then
-    answers every update like a tree built fresh and updated the same way."""
-    golden = os.path.join(os.path.dirname(__file__), "golden", "vortree-no-cells.pickle")
-    with open(golden, "rb") as handle:
-        tree = pickle.load(handle)
-    assert tree._cells is None
-    fresh = VoRTree(uniform_points(40, extent=100.0, seed=8))
-    fresh.insert(Point(50.0, 50.0))
-    fresh.insert(fresh.point(6))
-    fresh.delete(6)
-    fresh.delete(11)
-    assert lists_of(tree) == lists_of(fresh)
+def test_a_pickled_tree_keeps_its_table_and_updates_like_the_original():
+    tree = VoRTree(uniform_points(40, extent=100.0, seed=8))
+    tree.insert(Point(50.0, 50.0))
+    tree.insert(tree.point(6))
+    tree.delete(6)
+    tree.delete(11)
+    restored = pickle.loads(pickle.dumps(tree))
+    assert restored._cells == tree._cells and lists_of(restored) == lists_of(tree)
     rng = random.Random(15)
     for _ in range(40):
         point = Point(rng.uniform(-10.0, 110.0), rng.uniform(-10.0, 110.0))
-        assert tree.insert(point) == fresh.insert(point)
+        assert restored.insert(point) == tree.insert(point)
         victim = rng.choice(tree.active_indexes())
-        assert tree.delete(victim) == fresh.delete(victim)
-    assert tree._cells is not None
-    assert lists_of(tree) == lists_of(fresh)
-    assert pickle.loads(pickle.dumps(tree))._cells is None
+        assert restored.delete(victim) == tree.delete(victim)
+    assert lists_of(restored) == lists_of(tree)

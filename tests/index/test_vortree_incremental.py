@@ -7,7 +7,6 @@ surviving objects — :meth:`VoRTree.full_rebuild` (the pre-incremental O(n)
 path) is the oracle.
 """
 
-import pickle
 import random
 
 import pytest
@@ -531,17 +530,3 @@ class TestCoordinateRows:
         assert bulk.value == before + 1 and new and deleted
         check_rows(tree)
 
-    def test_a_state_without_the_rows_derives_them(self):
-        tree = VoRTree(uniform_points(80, extent=1_000.0, seed=38))
-        tree.insert(tree.point(2))
-        tree.delete(5)
-        state = pickle.loads(pickle.dumps(tree.__dict__))
-        del state["_xy"]
-        old = VoRTree.__new__(VoRTree)
-        old.__setstate__(state)
-        check_rows(old)
-        assert old.coordinates == tree.coordinates
-        query = Point(480.0, 515.0)
-        assert old.retrieve(query, 9, hint=3) == tree.retrieve(query, 9, hint=3)
-        old.insert(Point(481.0, 514.0))
-        check_rows(old)

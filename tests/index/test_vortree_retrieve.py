@@ -19,10 +19,8 @@ distance primitives.
 """
 
 import math
-import os
 import pickle
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -30,8 +28,7 @@ from hypothesis import strategies as st
 from rebuild_reference import TREES
 
 import repro.obs as obs
-from repro.durability import snapshot
-from repro.durability.snapshot import read_snapshot
+from repro.durability.snapshot import read_snapshot, write_snapshot
 from repro.errors import QueryError
 from repro.geometry.delaunay import DelaunayTriangulation
 from repro.geometry.point import Point
@@ -413,62 +410,26 @@ class TestExactTies:
                         certified += 1
         assert certified > 40 * 4 * 3 // 2  # 297 of 480: half the positions are pairs
 
-    def test_a_tree_pickled_with_site_maps_rebuilds_in_object_ids(self):
-        """Before object ids were site ids a tree kept two id maps and a
-        count per position over a diagram numbered without the tombstones;
-        a restore drops all three and rebuilds the diagram."""
-        tree = VoRTree(uniform_points(30, extent=100.0, seed=12))
-        twin, _ = tree.insert(tree.point(4))
-        tree.delete(7)
-        active = tree.active_indexes()
-        state = pickle.loads(pickle.dumps(tree.__dict__))
-        del state["_site_at"], state["_members"]
-        state["_site_of_object"] = {obj: site for site, obj in enumerate(active)}
-        state["_object_of_site"] = dict(enumerate(active))
-        state["_occupied"] = Counter((tree.point(i).x, tree.point(i).y) for i in active)
-        state["_voronoi"] = "the old diagram, numbered 0..29"
-        old = VoRTree.__new__(VoRTree)
-        old.__setstate__(state)
-        assert not {"_site_of_object", "_object_of_site", "_occupied"} & set(vars(old))
-        assert old.voronoi.is_active(4) and not old.voronoi.is_active(twin)
-        assert all(old.voronoi_neighbors(i) == tree.voronoi_neighbors(i) for i in active)
-        assert old.delete(twin) == tree.delete(twin)
-        check_retrieve(old, Point(40.0, 60.0), 6, hint=2)
-        old.insert(Point(41.0, 59.0))
-        check_every_hint(old, Point(40.0, 60.0), counts=(1, 6, 12))
-
-    def test_the_golden_snapshot_restores_without_its_rtree(self):
-        """The frozen durability corpus pickled a tree beside an R-tree, whose
-        module is gone: the snapshot reader loads it as nothing, the restore
-        drops it and locates, retrieves and inserts over the lists."""
-        golden = os.path.join(os.path.dirname(__file__), os.pardir, "transport", "golden")
-        _, payload = read_snapshot(os.path.join(golden, "wal", "snapshot-000000000000.snap"))
-        tree = payload["engine"].vortree
-        assert not {"_rtree", "_last_batch_bulk"} & set(vars(tree))
-        check_every_hint(tree, Point(30.0, 14.0), counts=(1, 4, 9))
-        tree.insert(Point(29.0, 15.0))
-        check_every_hint(tree, Point(8.0, 3.0), counts=(1, 4, 9))
-
     @pytest.mark.parametrize("loader", ["pickle", "snapshot"])
     @pytest.mark.parametrize("name", ["dual", "chain"])
-    def test_a_tree_pickled_over_a_diagram_layer_restores_and_serves(self, name, loader):
-        """Trees pickled while a ``VoronoiDiagram`` class stood between the
-        tree and its dual (or its chain), written by that version as::
-
-            dual = VoRTree(uniform_points(24, extent=100.0, seed=5))
-            dual.insert(dual.point(3)); dual.delete(3); dual.delete(10)
-            dual.insert(Point(50.0, 50.0))
-            chain = VoRTree([Point(float(x), 0.0) for x in range(5)])
-            chain.insert(Point(2.0, 0.0)); chain.delete(0)
-            pickle.dump(tree, file, protocol=4)
-
-        Either reader drops the diagram and rebuilds: the lists equal a
-        from-scratch rebuild's, and the tree keeps retrieving and updating."""
-        golden = os.path.join(os.path.dirname(__file__), "golden", f"vortree-{name}.pickle")
-        with open(golden, "rb") as handle:
-            data = handle.read()
-        tree = pickle.loads(data) if loader == "pickle" else snapshot._unpickle(data)
-        assert "_voronoi" not in vars(tree)
+    def test_a_pickled_tree_restores_and_serves(self, name, loader, tmp_path):
+        """A tree over its dual, or over a chain of collinear sites, restores
+        through either reader with its lists, and keeps retrieving and
+        updating."""
+        if name == "dual":
+            tree = VoRTree(uniform_points(24, extent=100.0, seed=5))
+            tree.insert(tree.point(3))
+            tree.delete(3)
+            tree.delete(10)
+            tree.insert(Point(50.0, 50.0))
+        else:
+            tree = VoRTree([Point(float(x), 0.0) for x in range(5)])
+            tree.insert(Point(2.0, 0.0))
+            tree.delete(0)
+        if loader == "pickle":
+            tree = pickle.loads(pickle.dumps(tree))
+        else:
+            tree = read_snapshot(write_snapshot(str(tmp_path), tree, wal_seq=1))[1]
         assert (tree.voronoi is None) == (name == "chain")
         restored = {i: set(tree.voronoi_neighbors(i)) for i in tree.active_indexes()}
         tree.full_rebuild()

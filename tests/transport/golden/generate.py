@@ -15,11 +15,21 @@ directory of a short Euclidean run with churn (initial snapshot, one
 sealed segment, the active file); ``wal.json`` records its ``(seq,
 repr(message))`` listing and the recovered service's epoch, population
 and open sessions.
+
+Snapshots are not wire format: a build reads only the snapshots it writes.
+So when the snapshot format changes, ``wal/snapshot-000000000000.snap``
+alone is re-recorded (the pre-traffic state over the same 30 objects),
+and the log beside it stays the older build's, which every later build
+replays on top::
+
+    PYTHONPATH=src:tests/transport/golden python -c \
+        "import generate; generate.write_base_snapshot()"
 """
 
 import json
 import os
 import shutil
+import tempfile
 
 from repro.core.objects import QueryResult, UpdateAction
 from repro.core.stats import CommunicationStats, ProcessorStats
@@ -172,12 +182,18 @@ def write_frames():
     return len(records)
 
 
+#: The population of the run in ``wal/``.
+OBJECTS = [Point(10.0 * (i % 6) + 0.25 * i, 7.0 * (i // 6) + 0.5 * (i % 5)) for i in range(30)]
+
+#: The snapshot every recovery of ``wal/`` starts from.
+BASE_SNAPSHOT = "snapshot-000000000000.snap"
+
+
 def write_wal():
     """A short durable Euclidean run with churn; rotates exactly once."""
     wal_dir = os.path.join(HERE, "wal")
     shutil.rmtree(wal_dir, ignore_errors=True)
-    objects = [Point(10.0 * (i % 6) + 0.25 * i, 7.0 * (i // 6) + 0.5 * (i % 5)) for i in range(30)]
-    service = open_durable_service(wal_dir, objects=objects, segment_bytes=640)
+    service = open_durable_service(wal_dir, objects=OBJECTS, segment_bytes=640)
     first = service.open_session(Point(12.0, 9.0), k=3, rho=1.6)
     second = service.open_session(Point(40.0, 20.0), k=2, rho=2.0)
     third = service.open_query(Point(25.0, 15.0), kind="influential", k=2)
@@ -219,6 +235,17 @@ def write_wal():
         json.dump(summary, handle, indent=1)
         handle.write("\n")
     return names, len(listing)
+
+
+def write_base_snapshot():
+    """Re-record ``wal/``'s seq-0 snapshot with this build; touch nothing else."""
+    scratch = tempfile.mkdtemp()
+    try:
+        wal_dir = os.path.join(scratch, "wal")
+        open_durable_service(wal_dir, objects=OBJECTS, segment_bytes=640).close_wal()
+        shutil.copyfile(os.path.join(wal_dir, BASE_SNAPSHOT), os.path.join(HERE, "wal", BASE_SNAPSHOT))
+    finally:
+        shutil.rmtree(scratch)
 
 
 if __name__ == "__main__":
